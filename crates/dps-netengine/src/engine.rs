@@ -28,13 +28,14 @@ use dps_mt::{
 use dps_net::{NameServer, NodeId};
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
+use dps_serial::Bytes;
 use parking_lot::Mutex;
 
-use crate::exec::{send_frame, AppDecl, DeclStore, ExecHost, HubLink, Job, TcDecl};
+use crate::exec::{AppDecl, Conn, DeclStore, ExecHost, HubLink, Job, TcDecl, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
-use crate::proto::{self, DeclSig, Frame, TaskKind};
+use crate::proto::{self, send_frame, DeclSig, Frame, Payload, TaskKind};
 use crate::runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
-use crate::transport::{Duplex, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport};
+use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
 /// Every deadline the network engine enforces, in one place. Each field
 /// names the `DPS_NET_*` environment variable that overrides it (read by
@@ -178,8 +179,9 @@ enum Role {
 type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
 
 /// Reply payload of a [`Frame::Done`], routed to the blocked engine thread.
+/// The posts are views into the received frame; that thread decodes them.
 struct DoneReply {
-    posts: Vec<Vec<u8>>,
+    posts: Vec<Bytes>,
     reports: Vec<(u64, f64)>,
     error: Option<String>,
 }
@@ -188,10 +190,16 @@ struct DoneReply {
 /// and the remote hook.
 struct MasterShared {
     /// Writer of the connection to worker rank `r` at index `r - 1`.
-    conns: Vec<Arc<Mutex<Box<dyn FrameTx>>>>,
+    conns: Vec<Arc<Conn>>,
+    /// Counts every frame through rank 0 once a trace sink is attached.
+    meter: Arc<WireMeter>,
     /// Kernel directory: `kernel{n}` names the process hosting cluster
     /// node `n` ([`NameServer`] from the network substrate crate).
-    ns: Mutex<NameServer>,
+    ns: NameServer,
+    /// The directory resolved once, at the first-run barrier: the rank
+    /// hosting cluster node `n` at index `n`. The remote hook indexes this
+    /// instead of looking a name up per execution.
+    node_rank: OnceLock<Vec<Option<u32>>>,
     /// The real chunk hub; workers reach it through [`Frame::Hub`] traffic.
     hub: Arc<ChunkHub>,
     /// In-flight remote executions by sequence number, with the worker rank
@@ -296,6 +304,9 @@ struct Master {
     out_buf: HashMap<(u32, u32), Vec<TokenBox>>,
     children: Vec<Child>,
     tasks: Vec<Box<dyn TaskHandle>>,
+    /// Dropped at shutdown: the heartbeat monitor's wait for its next tick
+    /// ends the moment the channel closes.
+    hb_stop: Option<Sender<()>>,
     down: bool,
     /// The attached trace collector, driving the per-run trace round.
     trace: Option<Arc<TraceCollector>>,
@@ -303,7 +314,7 @@ struct Master {
     /// their executor lanes directly (no wire round in-process).
     harness_hosts: Vec<Arc<ExecHost>>,
     /// `Trace` replies routed from the connection readers: `(run, bytes)`.
-    trace_rx: Receiver<(u64, Vec<u8>)>,
+    trace_rx: Receiver<(u64, Bytes)>,
     /// Ranks with a scheduled kill armed ([`NetEngineConfig::kills`]): the
     /// schedule may fire at any point — including between run completion
     /// and shutdown — so these ranks are allowed to die without their exit
@@ -316,7 +327,7 @@ struct Worker {
     spec: ClusterSpec,
     decls: Arc<DeclStore>,
     sig: DeclSig,
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
+    writer: Arc<Conn>,
     host: Arc<ExecHost>,
     hub_link: Arc<HubLink>,
     hub: Option<Arc<ChunkHub>>,
@@ -351,22 +362,21 @@ impl RemoteExec for NetRemote {
         let host = s
             .decls
             .with(|d| d.apps[task.app as usize].tcs[task.tc as usize].nodes[task.thread as usize]);
-        let kernel = format!("kernel{host}");
-        let rank =
-            s.ns.lock()
-                .lookup(&kernel)
-                .ok_or_else(|| DpsError::NodeDown {
-                    node: kernel.clone(),
-                    target: format!("node {}", task.node),
-                })?
-                .0;
+        // Only the failure paths name the kernel.
+        let down = |target: String| DpsError::NodeDown {
+            node: format!("kernel{host}"),
+            target,
+        };
+        let ranks = s.node_rank.get().expect("resolved before the hook is set");
+        let rank = ranks
+            .get(host as usize)
+            .copied()
+            .flatten()
+            .ok_or_else(|| down(format!("node {}", task.node)))?;
         if s.rank_dead(rank) {
             // Tombstoned rank: fail fast so the router sheds the work to
             // survivors instead of burning the exec timeout per call.
-            return Err(DpsError::NodeDown {
-                node: kernel,
-                target: "worker process is down (tombstoned)".into(),
-            });
+            return Err(down("worker process is down (tombstoned)".into()));
         }
         let conn = &s.conns[(rank - 1) as usize];
         let kind = match task.kind {
@@ -375,11 +385,11 @@ impl RemoteExec for NetRemote {
             RemoteKind::Consume { completes: true } => TaskKind::ConsumeCompletes,
             RemoteKind::Finalize => TaskKind::Finalize,
         };
+        // The token is encoded once, straight into the frame.
         let token = task
             .token
-            .as_ref()
-            .map(|t| proto::encode_token(t.as_ref()))
-            .unwrap_or_default();
+            .as_deref()
+            .map_or_else(Payload::empty, Payload::Token);
         let seq = s.seq.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         s.pending.lock().insert(seq, (rank, tx));
@@ -394,37 +404,30 @@ impl RemoteExec for NetRemote {
             token,
             env: task.env,
         };
-        if let Err(e) = send_frame(conn, &frame) {
+        if let Err(e) = conn.send(&frame) {
             s.pending.lock().remove(&seq);
-            return Err(DpsError::NodeDown {
-                node: kernel,
-                target: format!("send failed: {e}"),
-            });
+            return Err(down(format!("send failed: {e}")));
         }
         let done = match rx.recv_timeout(s.timeouts.exec) {
             Ok(done) => done,
             Err(RecvTimeoutError::Disconnected) => {
                 // The liveness layer declared the rank dead and dropped our
                 // reply sender — fail now, not at the exec timeout.
-                return Err(DpsError::NodeDown {
-                    node: kernel,
-                    target: "worker process died mid-execution (heartbeat/EOF)".into(),
-                });
+                return Err(down(
+                    "worker process died mid-execution (heartbeat/EOF)".into(),
+                ));
             }
             Err(RecvTimeoutError::Timeout) => {
                 s.pending.lock().remove(&seq);
-                return Err(DpsError::NodeDown {
-                    node: kernel,
-                    target: format!(
-                        "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
-                        s.timeouts.exec
-                    ),
-                });
+                return Err(down(format!(
+                    "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
+                    s.timeouts.exec
+                )));
             }
         };
         if let Some(msg) = done.error {
             return Err(DpsError::OperationContract {
-                node: kernel,
+                node: format!("kernel{host}"),
                 reason: msg,
             });
         }
@@ -456,7 +459,7 @@ fn master_reader(
     rank: u32,
     mut rx: Box<dyn FrameRx>,
     sync_tx: Sender<(u32, u64)>,
-    trace_tx: Sender<(u64, Vec<u8>)>,
+    trace_tx: Sender<(u64, Bytes)>,
 ) {
     loop {
         let bytes = match rx.recv() {
@@ -474,7 +477,8 @@ fn master_reader(
             }
         };
         shared.touch(rank);
-        match dps_serial::from_bytes::<Frame>(&bytes) {
+        shared.meter.count(bytes.len());
+        match proto::decode_frame(bytes) {
             Ok(Frame::Done {
                 seq,
                 posts,
@@ -483,7 +487,7 @@ fn master_reader(
             }) => {
                 if let Some((_, tx)) = shared.pending.lock().remove(&seq) {
                     let _ = tx.send(DoneReply {
-                        posts,
+                        posts: posts.into_iter().map(Payload::into_bytes).collect(),
                         reports,
                         error,
                     });
@@ -493,10 +497,7 @@ fn master_reader(
                 // Owner-tagged serving: leases this rank opens are stamped
                 // with it, so its death expires exactly those leases.
                 let body = body.serve_owned(&shared.hub, rank);
-                let _ = send_frame(
-                    &shared.conns[(rank - 1) as usize],
-                    &Frame::HubReply { req, body },
-                );
+                let _ = shared.conns[(rank - 1) as usize].send(&Frame::HubReply { req, body });
             }
             Ok(Frame::Sync { sig }) => {
                 let _ = sync_tx.send((rank, sig));
@@ -517,16 +518,13 @@ fn master_reader(
 
 /// The master's heartbeat monitor: pings every live worker each interval
 /// and declares dead any rank silent for a whole miss budget. Runs until
-/// shutdown flips `closing`.
-fn heartbeat_monitor(shared: Arc<MasterShared>, rt: Arc<dyn AsyncRuntime>) {
+/// shutdown drops the sending half of `stop`, which ends the wait for the
+/// next tick at once.
+fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
     let interval = shared.timeouts.heartbeat_interval;
     let budget = shared.timeouts.detection_budget();
     let mut nonce = 0u64;
-    loop {
-        rt.sleep(interval);
-        if shared.closing.load(Ordering::Acquire) {
-            break;
-        }
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
         nonce += 1;
         for rank in 1..=shared.conns.len() as u32 {
             if shared.rank_dead(rank) {
@@ -543,7 +541,10 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, rt: Arc<dyn AsyncRuntime>) {
                 );
                 continue;
             }
-            if send_frame(&shared.conns[(rank - 1) as usize], &Frame::Ping { nonce }).is_err() {
+            if shared.conns[(rank - 1) as usize]
+                .send(&Frame::Ping { nonce })
+                .is_err()
+            {
                 shared.declare_dead(rank, "ping send failed (connection closed)");
             }
         }
@@ -558,12 +559,12 @@ fn worker_reader(
     hub_link: Arc<HubLink>,
     decls: Arc<DeclStore>,
     outputs: OutputBuf,
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
+    writer: Arc<Conn>,
     release_tx: Sender<(u64, Option<String>)>,
     shutdown_tx: Sender<()>,
 ) {
     while let Ok(bytes) = rx.recv() {
-        match dps_serial::from_bytes::<Frame>(&bytes) {
+        match proto::decode_frame(bytes) {
             Ok(Frame::Exec {
                 seq,
                 app,
@@ -583,12 +584,14 @@ fn worker_reader(
                     graph,
                     node,
                     kind,
-                    token,
+                    token: token.into_bytes(),
                     env,
                 },
             ),
             Ok(Frame::HubReply { req, body }) => hub_link.complete(req, body),
             Ok(Frame::Output { app, graph, token }) => {
+                // Decoded here, straight out of the received frame.
+                let token = token.into_bytes();
                 let decoded = decls.with(|d| {
                     d.apps
                         .get(app as usize)
@@ -609,11 +612,12 @@ fn worker_reader(
                 let bytes = host
                     .trace_collector()
                     .map(|c| dps_obs::wire::encode_log(&c.take_log()))
-                    .unwrap_or_default();
-                let _ = send_frame(&writer, &Frame::Trace { run, bytes });
+                    .unwrap_or_default()
+                    .into();
+                let _ = writer.send(&Frame::Trace { run, bytes });
             }
             Ok(Frame::Ping { nonce }) => {
-                let _ = send_frame(&writer, &Frame::Pong { nonce });
+                let _ = writer.send(&Frame::Pong { nonce });
             }
             Ok(Frame::Die) => {
                 // Scheduled crash: die *abruptly* — no Release handshake, no
@@ -632,13 +636,9 @@ fn worker_reader(
 
 /// In-process worker harness used by loopback mode: executes `Exec` frames
 /// against the master's own declaration store.
-fn harness_reader(
-    mut rx: Box<dyn FrameRx>,
-    host: Arc<ExecHost>,
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
-) {
+fn harness_reader(mut rx: Box<dyn FrameRx>, host: Arc<ExecHost>, writer: Arc<Conn>) {
     while let Ok(bytes) = rx.recv() {
-        match dps_serial::from_bytes::<Frame>(&bytes) {
+        match proto::decode_frame(bytes) {
             Ok(Frame::Exec {
                 seq,
                 app,
@@ -658,12 +658,12 @@ fn harness_reader(
                     graph,
                     node,
                     kind,
-                    token,
+                    token: token.into_bytes(),
                     env,
                 },
             ),
             Ok(Frame::Ping { nonce }) => {
-                let _ = send_frame(&writer, &Frame::Pong { nonce });
+                let _ = writer.send(&Frame::Pong { nonce });
             }
             Ok(Frame::Die) => {
                 // In-process stand-in for a crash: stop reading and drop the
@@ -707,30 +707,20 @@ impl NetEngine {
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
         let node_flops = mt.node_flops();
 
-        let mut ns = NameServer::new();
-        ns.register("kernel0", NodeId(0));
-        let mut conns = Vec::new();
-        let mut rxs = Vec::new();
+        let mut links = Vec::new();
         let mut tasks: Vec<Box<dyn TaskHandle>> = Vec::new();
         let mut harness_hosts = Vec::new();
         for rank in 1..nodes as u32 {
             let mut worker_side = transport.connect(&addr).expect("loopback connect");
             let mut master_side = acceptor.accept().expect("loopback accept");
             // Symmetric fault arming on both connection ends (SPMD config
-            // symmetry guarantees real workers do the same); the kill switch
-            // goes outermost on the master's writer so the scheduled `Die`
-            // passes through the fault layer like any other frame.
+            // symmetry guarantees real workers do the same).
             if let Some(wf) = &cfg.wire_faults {
                 master_side = arm_duplex(master_side, wf.cfg, wf.stream(rank, 0));
                 worker_side = arm_duplex(worker_side, wf.cfg, wf.stream(rank, 1));
             }
-            if let Some(kill) = cfg.kills.iter().find(|k| k.rank == rank) {
-                master_side.tx = Box::new(KillTx::new(master_side.tx, kill.after_frames));
-            }
-            ns.register(format!("kernel{rank}"), NodeId(rank));
-            conns.push(Arc::new(Mutex::new(master_side.tx)));
-            rxs.push(master_side.rx);
-            let hwriter = Arc::new(Mutex::new(worker_side.tx));
+            links.push(master_side);
+            let hwriter = Arc::new(Conn::new(worker_side.tx, Arc::default()));
             let host = Arc::new(ExecHost::new(
                 decls.clone(),
                 hwriter.clone(),
@@ -746,62 +736,17 @@ impl NetEngine {
             ));
         }
 
-        let worker_count = conns.len();
-        let shared = Arc::new(MasterShared {
-            conns,
-            ns: Mutex::new(ns),
-            hub: Arc::new(ChunkHub::new()),
-            pending: Mutex::new(HashMap::new()),
-            seq: AtomicU64::new(0),
-            timeouts: cfg.timeouts,
-            decls,
-            dead: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
-            last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-            epoch: Instant::now(),
-            fail: OnceLock::new(),
-            closing: AtomicBool::new(false),
-        });
-        let (sync_tx, sync_rx) = unbounded();
-        let (trace_tx, trace_rx) = unbounded();
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let shared = shared.clone();
-            let sync_tx = sync_tx.clone();
-            let trace_tx = trace_tx.clone();
-            tasks.push(rt.spawn(
-                &format!("dps-net-reader{}", i + 1),
-                Box::new(move || master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)),
-            ));
-        }
-        if worker_count > 0 {
-            let hb = shared.clone();
-            let hb_rt = rt.clone();
-            tasks.push(rt.spawn(
-                "dps-net-heartbeat",
-                Box::new(move || heartbeat_monitor(hb, hb_rt)),
-            ));
-        }
-
         NetEngine {
-            role: Role::Master(Box::new(Master {
+            role: Role::Master(Box::new(Master::start(
+                &rt,
+                &cfg,
                 mt,
-                spec: ClusterSpec::uniform(nodes, 1),
-                apps: Vec::new(),
-                graphs: HashMap::new(),
-                shared,
-                sig: DeclSig::new(),
-                sync_rx,
-                presynced: true,
-                ready: false,
-                run_seq: 0,
-                out_buf: HashMap::new(),
-                children: Vec::new(),
+                decls,
+                links,
                 tasks,
-                down: false,
-                trace: None,
+                Vec::new(),
                 harness_hosts,
-                trace_rx,
-                kill_armed: cfg.kills.iter().map(|k| k.rank).collect(),
-            })),
+            ))),
         }
     }
 
@@ -871,7 +816,7 @@ impl NetEngine {
                     let Ok(bytes) = duplex.rx.recv() else {
                         continue;
                     };
-                    let Ok(Frame::Hello { rank }) = dps_serial::from_bytes::<Frame>(&bytes) else {
+                    let Ok(Frame::Hello { rank }) = proto::decode_frame(bytes) else {
                         continue;
                     };
                     if acc_tx.send((rank, duplex)).is_err() {
@@ -917,87 +862,37 @@ impl NetEngine {
         let decls = Arc::new(DeclStore::default());
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
         let node_flops = mt.node_flops();
-        let mut ns = NameServer::new();
-        ns.register("kernel0", NodeId(0));
-        let mut conns = Vec::new();
-        let mut rxs = Vec::new();
+        let mut links = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             let mut duplex = slot.expect("every slot filled above");
             let rank = i as u32 + 1;
-            ns.register(format!("kernel{rank}"), NodeId(rank));
             // The Welcome travels raw: the handshake happens below the fault
             // layer on both ends (the worker arms its side only after
             // decoding it).
-            duplex.tx.send(&dps_serial::to_bytes(&Frame::Welcome {
-                nodes: nodes as u32,
-                node_flops,
-            }))?;
+            send_frame(
+                &mut *duplex.tx,
+                &Frame::Welcome {
+                    nodes: nodes as u32,
+                    node_flops,
+                },
+            )?;
             if let Some(wf) = &cfg.wire_faults {
                 duplex = arm_duplex(duplex, wf.cfg, wf.stream(rank, 0));
             }
-            if let Some(kill) = cfg.kills.iter().find(|k| k.rank == rank) {
-                duplex.tx = Box::new(KillTx::new(duplex.tx, kill.after_frames));
-            }
-            conns.push(Arc::new(Mutex::new(duplex.tx)));
-            rxs.push(duplex.rx);
-        }
-
-        let shared = Arc::new(MasterShared {
-            conns,
-            ns: Mutex::new(ns),
-            hub: Arc::new(ChunkHub::new()),
-            pending: Mutex::new(HashMap::new()),
-            seq: AtomicU64::new(0),
-            timeouts: cfg.timeouts,
-            decls,
-            dead: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
-            last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
-            epoch: Instant::now(),
-            fail: OnceLock::new(),
-            closing: AtomicBool::new(false),
-        });
-        let mut tasks = vec![accept_task];
-        let (sync_tx, sync_rx) = unbounded();
-        let (trace_tx, trace_rx) = unbounded();
-        for (i, rx) in rxs.into_iter().enumerate() {
-            let shared = shared.clone();
-            let sync_tx = sync_tx.clone();
-            let trace_tx = trace_tx.clone();
-            tasks.push(rt.spawn(
-                &format!("dps-net-reader{}", i + 1),
-                Box::new(move || master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)),
-            ));
-        }
-        if worker_count > 0 {
-            let hb = shared.clone();
-            let hb_rt = rt.clone();
-            tasks.push(rt.spawn(
-                "dps-net-heartbeat",
-                Box::new(move || heartbeat_monitor(hb, hb_rt)),
-            ));
+            links.push(duplex);
         }
 
         Ok(NetEngine {
-            role: Role::Master(Box::new(Master {
+            role: Role::Master(Box::new(Master::start(
+                &rt,
+                &cfg,
                 mt,
-                spec: ClusterSpec::uniform(nodes, 1),
-                apps: Vec::new(),
-                graphs: HashMap::new(),
-                shared,
-                sig: DeclSig::new(),
-                sync_rx,
-                presynced: false,
-                ready: false,
-                run_seq: 0,
-                out_buf: HashMap::new(),
+                decls,
+                links,
+                vec![accept_task],
                 children,
-                tasks,
-                down: false,
-                trace: None,
-                harness_hosts: Vec::new(),
-                trace_rx,
-                kill_armed: cfg.kills.iter().map(|k| k.rank).collect(),
-            })),
+                Vec::new(),
+            ))),
         })
     }
 
@@ -1015,11 +910,9 @@ impl NetEngine {
                 }
             }
         };
-        duplex
-            .tx
-            .send(&dps_serial::to_bytes(&Frame::Hello { rank }))?;
+        send_frame(&mut *duplex.tx, &Frame::Hello { rank })?;
         let bytes = duplex.rx.recv()?;
-        let (wire_nodes, node_flops) = match dps_serial::from_bytes::<Frame>(&bytes) {
+        let (wire_nodes, node_flops) = match proto::decode_frame(bytes) {
             Ok(Frame::Welcome { nodes, node_flops }) => (nodes, node_flops),
             other => {
                 return Err(io::Error::new(
@@ -1042,7 +935,7 @@ impl NetEngine {
         }
 
         let decls = Arc::new(DeclStore::default());
-        let writer = Arc::new(Mutex::new(duplex.tx));
+        let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
         let host = Arc::new(ExecHost::new(
             decls.clone(),
             writer.clone(),
@@ -1184,6 +1077,102 @@ fn kill_children(children: &mut Vec<Child>) {
 // ---------------------------------------------------------------------------
 
 impl Master {
+    /// The master role over established worker connections (`links[r - 1]`
+    /// is the master's side of rank `r`'s, fault layer already armed):
+    /// arms the scheduled kills, then starts one reader per connection and
+    /// the heartbeat monitor. `children` are the worker processes (none in
+    /// loopback mode, where `harness_hosts` stand in for them and share
+    /// `decls`, so no sync barrier is needed).
+    #[allow(clippy::too_many_arguments)]
+    fn start(
+        rt: &Arc<dyn AsyncRuntime>,
+        cfg: &NetEngineConfig,
+        mt: MtEngine,
+        decls: Arc<DeclStore>,
+        links: Vec<Duplex>,
+        mut tasks: Vec<Box<dyn TaskHandle>>,
+        children: Vec<Child>,
+        harness_hosts: Vec<Arc<ExecHost>>,
+    ) -> Master {
+        let worker_count = links.len();
+        let meter = Arc::new(WireMeter::default());
+        let mut ns = NameServer::new();
+        ns.register("kernel0", NodeId(0));
+        let mut conns = Vec::new();
+        let mut rxs = Vec::new();
+        for (i, link) in links.into_iter().enumerate() {
+            let rank = i as u32 + 1;
+            ns.register(format!("kernel{rank}"), NodeId(rank));
+            // The kill switch goes outermost on the master's writer so the
+            // scheduled `Die` passes through the fault layer like any other
+            // frame.
+            let tx = match cfg.kills.iter().find(|k| k.rank == rank) {
+                Some(kill) => Box::new(KillTx::new(link.tx, kill.after_frames)),
+                None => link.tx,
+            };
+            conns.push(Arc::new(Conn::new(tx, meter.clone())));
+            rxs.push(link.rx);
+        }
+
+        let shared = Arc::new(MasterShared {
+            conns,
+            meter,
+            ns,
+            node_rank: OnceLock::new(),
+            hub: Arc::new(ChunkHub::new()),
+            pending: Mutex::new(HashMap::new()),
+            seq: AtomicU64::new(0),
+            timeouts: cfg.timeouts,
+            decls,
+            dead: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
+            last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
+            epoch: Instant::now(),
+            fail: OnceLock::new(),
+            closing: AtomicBool::new(false),
+        });
+        let (sync_tx, sync_rx) = unbounded();
+        let (trace_tx, trace_rx) = unbounded();
+        for (i, rx) in rxs.into_iter().enumerate() {
+            let shared = shared.clone();
+            let sync_tx = sync_tx.clone();
+            let trace_tx = trace_tx.clone();
+            tasks.push(rt.spawn(
+                &format!("dps-net-reader{}", i + 1),
+                Box::new(move || master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)),
+            ));
+        }
+        let (hb_stop, hb_stopped) = unbounded();
+        if worker_count > 0 {
+            let hb = shared.clone();
+            tasks.push(rt.spawn(
+                "dps-net-heartbeat",
+                Box::new(move || heartbeat_monitor(hb, hb_stopped)),
+            ));
+        }
+
+        Master {
+            mt,
+            spec: ClusterSpec::uniform(worker_count + 1, 1),
+            apps: Vec::new(),
+            graphs: HashMap::new(),
+            shared,
+            sig: DeclSig::new(),
+            sync_rx,
+            presynced: children.is_empty(),
+            ready: false,
+            run_seq: 0,
+            out_buf: HashMap::new(),
+            children,
+            tasks,
+            hb_stop: Some(hb_stop),
+            down: false,
+            trace: None,
+            harness_hosts,
+            trace_rx,
+            kill_armed: cfg.kills.iter().map(|k| k.rank).collect(),
+        }
+    }
+
     /// First-submit barrier: wait for every worker's declaration signature,
     /// refuse divergent schedules, then install the remote hook so the
     /// embedded engine starts shipping remote executions.
@@ -1238,6 +1227,11 @@ impl Master {
             }
         }
         if !self.shared.conns.is_empty() {
+            let nodes = self.shared.conns.len() as u32 + 1;
+            let ranks = (0..nodes)
+                .map(|n| self.shared.ns.lookup(&format!("kernel{n}")).map(|id| id.0))
+                .collect();
+            let _ = self.shared.node_rank.set(ranks);
             self.mt
                 .set_remote_exec(Arc::new(NetRemote(self.shared.clone())));
             // Hand the liveness layer its tombstoning lever into the control
@@ -1267,23 +1261,17 @@ impl Master {
                 // already sees every output.
                 let outs = self.mt.drain_outputs(mtg);
                 for tok in &outs {
-                    let frame = Frame::Output {
+                    self.broadcast(&Frame::Output {
                         app: g.app,
                         graph: g.graph,
-                        token: proto::encode_token(tok.as_ref()),
-                    };
-                    for conn in &self.shared.conns {
-                        let _ = send_frame(conn, &frame);
-                    }
+                        token: Payload::Token(tok.as_ref()),
+                    });
                 }
                 self.collect_traces();
-                let release = Frame::Release {
+                self.broadcast(&Frame::Release {
                     run: self.run_seq,
                     error: None,
-                };
-                for conn in &self.shared.conns {
-                    let _ = send_frame(conn, &release);
-                }
+                });
                 self.out_buf
                     .entry((g.app, g.graph))
                     .or_default()
@@ -1291,15 +1279,19 @@ impl Master {
                 Ok(())
             }
             Err(e) => {
-                let release = Frame::Release {
+                self.broadcast(&Frame::Release {
                     run: self.run_seq,
                     error: Some(e.to_string()),
-                };
-                for conn in &self.shared.conns {
-                    let _ = send_frame(conn, &release);
-                }
+                });
                 Err(e)
             }
+        }
+    }
+
+    /// Best-effort send to every worker (a dead one just fails its send).
+    fn broadcast(&self, frame: &Frame<'_>) {
+        for conn in &self.shared.conns {
+            let _ = conn.send(frame);
         }
     }
 
@@ -1322,7 +1314,7 @@ impl Master {
         let req = Frame::TraceReq { run: self.run_seq };
         let mut expected = 0usize;
         for (i, conn) in self.shared.conns.iter().enumerate() {
-            if !self.shared.rank_dead(i as u32 + 1) && send_frame(conn, &req).is_ok() {
+            if !self.shared.rank_dead(i as u32 + 1) && conn.send(&req).is_ok() {
                 expected += 1;
             }
         }
@@ -1377,7 +1369,7 @@ impl Master {
             // Loopback harness: tell it to drop the connection and go
             // silent; the heartbeat budget does the rest.
             None => {
-                let _ = send_frame(&self.shared.conns[(rank - 1) as usize], &Frame::Die);
+                let _ = self.shared.conns[(rank - 1) as usize].send(&Frame::Die);
             }
         }
         Ok(())
@@ -1389,15 +1381,14 @@ impl Master {
         }
         self.down = true;
         // From here on, connection teardown is expected: the liveness layer
-        // must not classify it as worker death (and the heartbeat monitor
-        // exits at its next tick).
+        // must not classify it as worker death, and the heartbeat monitor
+        // stops waiting for its next tick.
         self.shared.closing.store(true, Ordering::Release);
+        self.hb_stop = None;
         // Stop the control plane first: joining its threads guarantees no
         // further remote executions are in flight when Shutdown goes out.
         self.mt.shutdown();
-        for conn in &self.shared.conns {
-            let _ = send_frame(conn, &Frame::Shutdown);
-        }
+        self.broadcast(&Frame::Shutdown);
         // Release the loopback harness hosts: each holds the worker-side
         // writer of its connection, and the master readers only exit once
         // that writer drops and their recv sees the channel close.
@@ -1439,12 +1430,9 @@ impl Worker {
             return;
         }
         self.synced = true;
-        let _ = send_frame(
-            &self.writer,
-            &Frame::Sync {
-                sig: self.sig.finish(),
-            },
-        );
+        let _ = self.writer.send(&Frame::Sync {
+            sig: self.sig.finish(),
+        });
     }
 
     fn run_to_idle(&mut self) -> Result<()> {
@@ -1661,6 +1649,7 @@ impl dps_core::Engine for NetEngine {
                 // loopback harness lanes write into the collector directly.
                 m.mt.set_trace_sink(sink.clone());
                 m.shared.hub.attach_metrics(sink.metrics_arc());
+                m.shared.meter.attach(sink.metrics_arc());
                 for host in &m.harness_hosts {
                     host.set_trace(sink.clone());
                 }
@@ -1734,5 +1723,82 @@ impl dps_core::Engine for NetEngine {
                 w.hub.clone().expect("just installed")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dps_core::prelude::*;
+    use dps_core::Engine;
+
+    dps_token! { pub struct Job { pub shards: u32 } }
+    dps_token! { pub struct Shard { pub value: u64 } }
+    dps_token! { pub struct Total { pub sum: u64 } }
+
+    struct Fan;
+    impl SplitOperation for Fan {
+        type Thread = ();
+        type In = Job;
+        type Out = Shard;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, (), Shard>, j: Job) {
+            for value in 0..u64::from(j.shards) {
+                ctx.post(Shard { value });
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct Sum(u64);
+    impl MergeOperation for Sum {
+        type Thread = ();
+        type In = Shard;
+        type Out = Total;
+        fn consume(&mut self, _c: &mut OpCtx<'_, (), Total>, s: Shard) {
+            self.0 += s.value;
+        }
+        fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Total>) {
+            ctx.post(Total { sum: self.0 });
+        }
+    }
+
+    /// Ten shards split on the master, merged on the one worker: a traced
+    /// run counts every frame through rank 0 — ten `Exec`s out, ten `Done`s
+    /// back, the `Output`, the `Release`, the `Shutdown`. The heartbeat
+    /// interval is an hour, so no `Ping` joins them — and `shutdown`
+    /// returning at all shows the monitor's wait for its next tick is cut
+    /// short, not slept out.
+    #[test]
+    fn traced_runs_count_every_frame_and_shutdown_does_not_wait_for_a_tick() {
+        let mut cfg = NetEngineConfig::default();
+        cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
+        let mut eng = NetEngine::loopback_with(2, cfg);
+        let sink = TraceCollector::new();
+        eng.set_trace_sink(sink.clone());
+        let app = eng.app("sum");
+        let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+        let mut b = GraphBuilder::new("sum");
+        let s = b.split(&tc, || ToThread(0), || Fan);
+        let m = b.merge(&tc, || ToThread(1), Sum::default);
+        b.add(s >> m);
+        let g = eng.build_graph(b).unwrap();
+        eng.submit(g, Box::new(Job { shards: 10 })).unwrap();
+        eng.run_to_idle(g, 1).unwrap();
+        let out = eng.take_outputs(g).pop().unwrap();
+        assert_eq!(downcast::<Total>(out).unwrap().sum, 45);
+        let torn_down = Instant::now();
+        eng.shutdown();
+        assert!(
+            torn_down.elapsed() < Duration::from_secs(60),
+            "shutdown waited out a heartbeat tick"
+        );
+
+        let m = sink.metrics();
+        assert_eq!(m.get(dps_obs::Counter::FramesSent), 23);
+        let bytes = m.get(dps_obs::Counter::WireBytesSent);
+        // Every frame is at least its discriminant; an `Exec` also carries
+        // 29 bytes of ids, a tagged 8-byte token and its envelope.
+        assert!(bytes > 23 * 4 + 10 * (29 + 4 + 18), "{bytes} wire bytes");
+        assert!(bytes < 23 * 200, "{bytes} wire bytes");
     }
 }

@@ -1,4 +1,5 @@
 //! Worker-side execution: the declaration store shared by SPMD roles, the
+//! connection writer every task of a kernel sends through ([`Conn`]), the
 //! per-thread executor host that replays [`Frame::Exec`] tasks, and the
 //! forwarding chunk-hub delegate.
 //!
@@ -14,17 +15,19 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dps_core::internal::{DynOp, ExecInfo};
-use dps_core::{DpsError, Flowgraph, OpKind, TokenRegistry, WaveKey};
+use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry, WaveKey};
+use dps_obs::{Counter, MetricsRegistry};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{ChunkCalc, ChunkLease};
+use dps_serial::Bytes;
 use parking_lot::Mutex;
 
-use crate::proto::{self, Frame, TaskKind};
+use crate::proto::{self, Frame, Payload, TaskKind};
 use crate::runtime::{AsyncRuntime, TaskHandle};
 use crate::transport::FrameTx;
 
@@ -101,20 +104,71 @@ impl DeclStore {
     }
 }
 
+/// The frames one kernel moves, counted where they pass rank 0. The
+/// topology is a star, so what the master sends plus what it receives is
+/// every frame in the cluster. Counts nothing until a traced run attaches
+/// its metrics registry.
+#[derive(Default)]
+pub(crate) struct WireMeter(OnceLock<Arc<MetricsRegistry>>);
+
+impl WireMeter {
+    pub fn attach(&self, metrics: Arc<MetricsRegistry>) {
+        let _ = self.0.set(metrics);
+    }
+
+    /// One frame of `bytes` payload bytes crossed the wire.
+    pub fn count(&self, bytes: usize) {
+        if let Some(m) = self.0.get() {
+            m.incr(Counter::FramesSent);
+            m.add(Counter::WireBytesSent, bytes as u64);
+        }
+    }
+}
+
+/// The sending half of a connection as the tasks of a kernel share it:
+/// frames are encoded outside the lock and written one at a time.
+pub(crate) struct Conn {
+    tx: Mutex<Box<dyn FrameTx>>,
+    /// Shared by the master's connections; a worker's own is never
+    /// attached (see [`WireMeter`]).
+    meter: Arc<WireMeter>,
+}
+
+impl Conn {
+    pub fn new(tx: Box<dyn FrameTx>, meter: Arc<WireMeter>) -> Self {
+        Self {
+            tx: Mutex::new(tx),
+            meter,
+        }
+    }
+
+    pub fn send(&self, frame: &Frame<'_>) -> io::Result<()> {
+        proto::send_frame(&mut &*self, frame)
+    }
+}
+
+impl FrameTx for &Conn {
+    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.meter.count(frame.len());
+        self.tx.lock().send(frame)
+    }
+}
+
 /// One remote task, as dispatched to an executor lane.
 pub(crate) struct Job {
     pub seq: u64,
     pub graph: u32,
     pub node: dps_core::GNodeId,
     pub kind: TaskKind,
-    pub token: Vec<u8>,
+    /// The tagged token: a view into the received `Exec` frame.
+    pub token: Bytes,
     pub env: dps_core::Envelope,
 }
 
 /// The per-thread executor pool of one worker kernel (or loopback harness).
 pub(crate) struct ExecHost {
     decls: Arc<DeclStore>,
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
+    writer: Arc<Conn>,
     node_flops: f64,
     /// Cluster node this host executes for — the `node` coordinate of every
     /// trace event its lanes record.
@@ -130,7 +184,7 @@ pub(crate) struct ExecHost {
 impl ExecHost {
     pub fn new(
         decls: Arc<DeclStore>,
-        writer: Arc<Mutex<Box<dyn FrameTx>>>,
+        writer: Arc<Conn>,
         node_flops: f64,
         rank: u16,
         rt: Arc<dyn AsyncRuntime>,
@@ -201,7 +255,7 @@ impl ExecHost {
 #[allow(clippy::too_many_arguments)]
 fn executor_loop(
     decls: Arc<DeclStore>,
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
+    writer: Arc<Conn>,
     node_flops: f64,
     app: u32,
     tc: u32,
@@ -242,21 +296,18 @@ fn executor_loop(
                 }
             }
         }
-        let reply = match outcome {
-            Ok((posts, reports)) => Frame::Done {
-                seq,
-                posts,
-                reports,
-                error: None,
-            },
-            Err(e) => Frame::Done {
-                seq,
-                posts: Vec::new(),
-                reports: Vec::new(),
-                error: Some(e.to_string()),
-            },
+        let (posts, reports, error) = match outcome {
+            Ok((posts, reports)) => (posts, reports, None),
+            Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
         };
-        if send_frame(&writer, &reply).is_err() {
+        // The posted tokens are encoded once, straight into the reply.
+        let reply = Frame::Done {
+            seq,
+            posts: posts.iter().map(|t| Payload::Token(t.as_ref())).collect(),
+            reports,
+            error,
+        };
+        if writer.send(&reply).is_err() {
             // The master is gone; nothing left to execute for.
             break;
         }
@@ -266,11 +317,7 @@ fn executor_loop(
     }
 }
 
-pub(crate) fn send_frame(writer: &Mutex<Box<dyn FrameTx>>, frame: &Frame) -> io::Result<()> {
-    writer.lock().send(&dps_serial::to_bytes(frame))
-}
-
-type JobOutput = (Vec<Vec<u8>>, Vec<(u64, f64)>);
+type JobOutput = (Vec<TokenBox>, Vec<(u64, f64)>);
 
 #[allow(clippy::too_many_arguments)]
 fn run_job(
@@ -358,12 +405,7 @@ fn run_job(
         .completed_iters
         .map(|iters| vec![(iters, t0.elapsed().as_secs_f64())])
         .unwrap_or_default();
-    let posts = out
-        .posts
-        .iter()
-        .map(|p| proto::encode_token(p.token.as_ref()))
-        .collect();
-    Ok((posts, reports))
+    Ok((out.posts.into_iter().map(|p| p.token).collect(), reports))
 }
 
 fn missing_token(node: &str) -> DpsError {
@@ -390,13 +432,13 @@ fn bad_envelope(node: &str) -> DpsError {
 /// [`complete`](Self::complete). One synchronous round-trip per chunk —
 /// the cost model of distributed chunk calculation.
 pub(crate) struct HubLink {
-    writer: Arc<Mutex<Box<dyn FrameTx>>>,
+    writer: Arc<Conn>,
     pending: Mutex<HashMap<u64, Sender<HubResponse>>>,
     next: AtomicU64,
 }
 
 impl HubLink {
-    pub fn new(writer: Arc<Mutex<Box<dyn FrameTx>>>) -> Self {
+    pub fn new(writer: Arc<Conn>) -> Self {
         Self {
             writer,
             pending: Mutex::new(HashMap::new()),
@@ -415,7 +457,8 @@ impl HubLink {
         let req = self.next.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         self.pending.lock().insert(req, tx);
-        send_frame(&self.writer, &Frame::Hub { req, body })
+        self.writer
+            .send(&Frame::Hub { req, body })
             .expect("master connection lost during a hub operation");
         match rx.recv_timeout(HUB_WAIT) {
             Ok(resp) => resp,
@@ -471,12 +514,12 @@ mod tests {
         let server = std::thread::spawn(move || {
             let hub = ChunkHub::new();
             let mut rx = master_side.rx;
-            let tx = Arc::new(Mutex::new(master_side.tx));
+            let tx = Conn::new(master_side.tx, Arc::default());
             while let Ok(bytes) = rx.recv() {
-                match dps_serial::from_bytes::<Frame>(&bytes).unwrap() {
+                match proto::decode_frame(bytes).unwrap() {
                     Frame::Hub { req, body } => {
                         let body = body.serve(&hub);
-                        send_frame(&tx, &Frame::HubReply { req, body }).unwrap();
+                        tx.send(&Frame::HubReply { req, body }).unwrap();
                     }
                     other => panic!("unexpected frame {other:?}"),
                 }
@@ -486,12 +529,15 @@ mod tests {
         // Worker: forwarding hub over the link, plus a reader routing
         // replies. The reader holds only a weak handle so dropping the hub
         // tears the whole connection down (link → writer → server → reader).
-        let link = Arc::new(HubLink::new(Arc::new(Mutex::new(worker_side.tx))));
+        let link = Arc::new(HubLink::new(Arc::new(Conn::new(
+            worker_side.tx,
+            Arc::default(),
+        ))));
         let reader_link = Arc::downgrade(&link);
         let mut rx = worker_side.rx;
         let reader = std::thread::spawn(move || {
             while let Ok(bytes) = rx.recv() {
-                match dps_serial::from_bytes::<Frame>(&bytes).unwrap() {
+                match proto::decode_frame(bytes).unwrap() {
                     Frame::HubReply { req, body } => {
                         if let Some(link) = reader_link.upgrade() {
                             link.complete(req, body);

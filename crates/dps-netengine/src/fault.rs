@@ -30,7 +30,7 @@ use std::time::Duration;
 
 use dps_net::{FaultConfig, FaultInjector};
 
-use crate::proto::Frame;
+use crate::proto::{send_frame, Frame};
 use crate::transport::{Duplex, FrameRx, FrameTx};
 
 /// Seeded wire-fault configuration for a whole engine: the shared fault
@@ -203,7 +203,7 @@ impl FrameTx for KillTx {
         if !self.fired && self.sent >= self.after {
             self.fired = true;
             // Best-effort: the worker may already be gone for other reasons.
-            let _ = self.inner.send(&dps_serial::to_bytes(&Frame::Die));
+            let _ = send_frame(&mut *self.inner, &Frame::Die);
         }
         self.sent += 1;
         self.inner.send(frame)
@@ -213,6 +213,7 @@ impl FrameTx for KillTx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{decode_frame, Payload};
     use crate::transport::{LoopbackTransport, Transport};
 
     fn armed_pair(rate: f64, seed: u64) -> (Duplex, Duplex) {
@@ -304,15 +305,15 @@ mod tests {
         let mut server = acc.accept().unwrap();
         let mut tx = KillTx::new(client.tx, 2);
         for i in 0..4u8 {
-            tx.send(&dps_serial::to_bytes(&Frame::Output {
+            let output = Frame::Output {
                 app: u32::from(i),
                 graph: 0,
-                token: vec![],
-            }))
-            .unwrap();
+                token: Payload::empty(),
+            };
+            send_frame(&mut tx, &output).unwrap();
         }
         let kinds: Vec<Frame> = (0..5)
-            .map(|_| dps_serial::from_bytes::<Frame>(&server.rx.recv().unwrap()).unwrap())
+            .map(|_| decode_frame(server.rx.recv().unwrap()).unwrap())
             .collect();
         assert!(matches!(kinds[0], Frame::Output { app: 0, .. }));
         assert!(matches!(kinds[1], Frame::Output { app: 1, .. }));

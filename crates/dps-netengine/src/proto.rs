@@ -3,11 +3,13 @@
 //! broadcast.
 //!
 //! Every frame is one [`Frame`] value encoded with the workspace wire
-//! format (`dps-serial`) and shipped through a
-//! [`FrameTx`](crate::transport::FrameTx). Tokens travel *tagged*: a
-//! payload is prefixed with its [`WireId`](dps_serial::WireId) and the
-//! format version, exactly as `dps_core::wire_roundtrip` frames them, so
-//! the receiving kernel decodes through its own [`TokenRegistry`].
+//! format (`dps-serial`) and shipped through a [`FrameTx`] by
+//! [`send_frame`]. Tokens travel *tagged*: a payload is prefixed with its
+//! [`WireId`](dps_serial::WireId) and the format version, exactly as
+//! `dps_core::wire_roundtrip` frames them, so the receiving kernel decodes
+//! through its own [`TokenRegistry`].
+//! A token is a [`Payload`] field of its frame: encoded in place when the
+//! frame is written, a view into the received buffer when it is read.
 //!
 //! | frame | direction | meaning |
 //! |---|---|---|
@@ -28,16 +30,20 @@
 //! | `Die` | master → worker | fault injection: crash the worker process *now* |
 //!
 //! ```
-//! use dps_netengine::proto::Frame;
+//! use dps_netengine::proto::{decode_frame, Frame};
 //!
 //! let f = Frame::Release { run: 3, error: None };
 //! let bytes = dps_serial::to_bytes(&f);
-//! assert_eq!(dps_serial::from_bytes::<Frame>(&bytes).unwrap(), f);
+//! assert_eq!(decode_frame(bytes).unwrap(), f);
 //! ```
+
+use std::io;
 
 use dps_core::{DpsError, Envelope, GNodeId, Token, TokenBox, TokenRegistry};
 use dps_sched::remote::{HubRequest, HubResponse};
-use dps_serial::{impl_wire_enum, Reader, Wire, WireError, Writer};
+use dps_serial::{impl_wire_enum, Bytes, Reader, Wire, WireError, Writer};
+
+use crate::transport::FrameTx;
 
 /// Which of the three op-execution points an [`Frame::Exec`] replays (the
 /// wire form of [`dps_mt::RemoteKind`], with the `completes` flag folded
@@ -83,9 +89,67 @@ impl Wire for TaskKind {
     }
 }
 
+/// A tagged token as a field of a [`Frame`]: `u32` length, then wire id,
+/// format version and payload — the layout of a byte vector holding
+/// [`encode_token`]'s output.
+#[derive(Debug, Clone)]
+pub enum Payload<'a> {
+    /// The encoded bytes: what a received frame holds (a view into the
+    /// receive buffer), and empty where a frame carries no token.
+    Bytes(Bytes),
+    /// A live token, encoded straight into the frame's writer when the
+    /// frame is sent — it is never serialized on its own first.
+    Token(&'a dyn Token),
+}
+
+impl Payload<'_> {
+    /// No token (the payload of a [`TaskKind::Finalize`]).
+    pub fn empty() -> Self {
+        Payload::Bytes(Bytes::new())
+    }
+
+    /// The tagged bytes (encoding a live token).
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Payload::Bytes(b) => b,
+            Payload::Token(t) => encode_token(t).into(),
+        }
+    }
+}
+
+/// Payloads are equal when they put the same bytes on the wire.
+impl PartialEq for Payload<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().into_bytes() == other.clone().into_bytes()
+    }
+}
+
+impl Wire for Payload<'_> {
+    fn wire_size(&self) -> usize {
+        4 + match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Token(t) => TAG_LEN + t.payload_size(),
+        }
+    }
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Payload::Bytes(b) => b.encode(w),
+            Payload::Token(t) => {
+                w.put_len(TAG_LEN + t.payload_size());
+                put_tagged(w, *t);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Payload::Bytes(Bytes::decode(r)?))
+    }
+}
+
 /// One protocol frame. See the module table for directions and meanings.
+/// The lifetime is that of the live tokens a frame being sent borrows; a
+/// decoded frame borrows nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// Worker's first frame: its rank (1-based; the master is rank 0).
     Hello {
         /// The connecting worker's rank.
@@ -122,8 +186,8 @@ pub enum Frame {
         node: GNodeId,
         /// Which execution point.
         kind: TaskKind,
-        /// Tagged token bytes (empty for [`TaskKind::Finalize`]).
-        token: Vec<u8>,
+        /// The token (empty for [`TaskKind::Finalize`]).
+        token: Payload<'a>,
         /// Envelope before any consuming pop (wave identity derives from it).
         env: Envelope,
     },
@@ -131,8 +195,8 @@ pub enum Frame {
     Done {
         /// Matches the `Exec` sequence number.
         seq: u64,
-        /// Tagged tokens the op posted, in post order.
-        posts: Vec<Vec<u8>>,
+        /// The tokens the op posted, in post order.
+        posts: Vec<Payload<'a>>,
         /// `(iters, secs)` per completed scheduled chunk (worker wall clock).
         reports: Vec<(u64, f64)>,
         /// Set if the execution failed; the master fails the run with it.
@@ -159,8 +223,8 @@ pub enum Frame {
         app: u32,
         /// Graph index.
         graph: u32,
-        /// Tagged token bytes.
-        token: Vec<u8>,
+        /// The output token.
+        token: Payload<'a>,
     },
     /// One master `run_to_idle` completed (the worker's matching call
     /// returns). All of the run's `Output` frames precede it on the same
@@ -188,7 +252,7 @@ pub enum Frame {
         /// Matches the `TraceReq` run ordinal.
         run: u64,
         /// `dps_obs::wire::encode_log` bytes (empty = no sink attached).
-        bytes: Vec<u8>,
+        bytes: Bytes,
     },
     /// Liveness probe from the master's heartbeat monitor. A healthy
     /// worker's reader thread answers with a [`Frame::Pong`] carrying the
@@ -211,7 +275,7 @@ pub enum Frame {
     Die,
 }
 
-impl_wire_enum!(Frame {
+impl_wire_enum!(Frame<'a> {
     0 => Hello { rank },
     1 => Welcome { nodes, node_flops },
     2 => Sync { sig },
@@ -229,13 +293,33 @@ impl_wire_enum!(Frame {
     14 => Die { },
 });
 
+/// The one way a frame leaves a kernel: header fields and token payloads
+/// are encoded in a single pass into one exactly-sized buffer, and that
+/// buffer goes to the transport as one [`FrameTx::send`].
+pub fn send_frame(tx: &mut dyn FrameTx, frame: &Frame<'_>) -> io::Result<()> {
+    tx.send(&dps_serial::to_bytes(frame))
+}
+
+/// Decode a received frame in place: `bytes` becomes a shared buffer and
+/// every payload of the frame a view into it.
+pub fn decode_frame(bytes: Vec<u8>) -> Result<Frame<'static>, WireError> {
+    dps_serial::from_shared(&Bytes::from(bytes))
+}
+
+/// Bytes a tagged token spends on its wire id and format version.
+const TAG_LEN: usize = 8 + 2;
+
+fn put_tagged(w: &mut Writer, tok: &dyn Token) {
+    w.put_u64(tok.wire_id().0);
+    w.put_u16(dps_serial::WIRE_FORMAT_VERSION);
+    tok.encode_payload(w);
+}
+
 /// Encode a token in the tagged form every kernel's registry understands:
 /// wire id, format version, payload (the same frame `wire_roundtrip` uses).
 pub fn encode_token(tok: &dyn Token) -> Vec<u8> {
-    let mut w = Writer::with_capacity(tok.payload_size() + 10);
-    w.put_u64(tok.wire_id().0);
-    w.put_u16(dps_serial::WIRE_FORMAT_VERSION);
-    tok.encode_payload(&mut w);
+    let mut w = Writer::with_capacity(TAG_LEN + tok.payload_size());
+    put_tagged(&mut w, tok);
     w.into_bytes()
 }
 
@@ -355,17 +439,22 @@ fn kind_index(kind: dps_core::OpKind) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_core::Frame as EnvFrame;
+    use dps_core::{dps_token, Frame as EnvFrame};
 
-    fn roundtrip(f: &Frame) {
+    dps_token! { pub struct Probe { pub x: u64 } }
+
+    fn roundtrip(f: &Frame<'_>) {
         let bytes = dps_serial::to_bytes(f);
         assert_eq!(bytes.len(), f.wire_size(), "wire_size is exact");
-        let back: Frame = dps_serial::from_bytes(&bytes).expect("decodes");
+        let back = decode_frame(bytes).expect("decodes");
         assert_eq!(&back, f);
     }
 
-    #[test]
-    fn every_frame_round_trips() {
+    fn run(bytes: &[u8]) -> Payload<'static> {
+        Payload::Bytes(Bytes::copy_from_slice(bytes))
+    }
+
+    fn env() -> Envelope {
         let mut env = Envelope::root();
         env.push(EnvFrame {
             src: GNodeId(2),
@@ -373,6 +462,12 @@ mod tests {
             index: 3,
             total: Some(8),
         });
+        env
+    }
+
+    #[test]
+    fn every_frame_round_trips() {
+        let env = env();
         roundtrip(&Frame::Hello { rank: 2 });
         roundtrip(&Frame::Welcome {
             nodes: 3,
@@ -387,12 +482,12 @@ mod tests {
             graph: 0,
             node: GNodeId(4),
             kind: TaskKind::ConsumeCompletes,
-            token: vec![1, 2, 3],
+            token: run(&[1, 2, 3]),
             env,
         });
         roundtrip(&Frame::Done {
             seq: 9,
-            posts: vec![vec![], vec![255; 9]],
+            posts: vec![Payload::empty(), run(&[255; 9])],
             reports: vec![(12, 0.5)],
             error: None,
         });
@@ -413,7 +508,7 @@ mod tests {
         roundtrip(&Frame::Output {
             app: 0,
             graph: 1,
-            token: vec![9; 17],
+            token: run(&[9; 17]),
         });
         roundtrip(&Frame::Release {
             run: 2,
@@ -423,15 +518,135 @@ mod tests {
         roundtrip(&Frame::TraceReq { run: 5 });
         roundtrip(&Frame::Trace {
             run: 5,
-            bytes: vec![7; 33],
+            bytes: vec![7; 33].into(),
         });
         roundtrip(&Frame::Trace {
             run: 6,
-            bytes: vec![],
+            bytes: Bytes::new(),
         });
         roundtrip(&Frame::Ping { nonce: 41 });
         roundtrip(&Frame::Pong { nonce: 41 });
         roundtrip(&Frame::Die);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The encoded token-carrying frames, byte for byte as the commit
+    /// before the single-pass encoder wrote them (captured there from
+    /// `to_bytes` of the same frames with `encode_token` output in
+    /// `Vec<u8>` fields): the layout did not move.
+    #[test]
+    fn token_frames_keep_their_golden_bytes() {
+        let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
+        let (exec_tok, out_tok) = (Probe { x: 1234 }, Probe { x: 99 });
+        let golden = [
+            (
+                Frame::Exec {
+                    seq: 9,
+                    app: 0,
+                    tc: 1,
+                    thread: 2,
+                    graph: 0,
+                    node: GNodeId(4),
+                    kind: TaskKind::ConsumeCompletes,
+                    token: Payload::Token(&exec_tok),
+                    env: env(),
+                },
+                "0300000009000000000000000000000001000000020000000000000004000000\
+                 021200000051b9c7df8a7836b90200d20400000000000001000000020000004d\
+                 0000000000000003000000010800000000000000",
+            ),
+            (
+                Frame::Exec {
+                    seq: 10,
+                    app: 1,
+                    tc: 0,
+                    thread: 0,
+                    graph: 2,
+                    node: GNodeId(1),
+                    kind: TaskKind::Finalize,
+                    token: Payload::empty(),
+                    env: env(),
+                },
+                "030000000a000000000000000100000000000000000000000200000001000000\
+                 030000000001000000020000004d000000000000000300000001080000000000\
+                 0000",
+            ),
+            (
+                Frame::Done {
+                    seq: 9,
+                    posts: vec![Payload::Token(&one), Payload::Token(&max)],
+                    reports: vec![(12, 0.5)],
+                    error: None,
+                },
+                "040000000900000000000000020000001200000051b9c7df8a7836b902000100\
+                 0000000000001200000051b9c7df8a7836b90200ffffffffffffffff01000000\
+                 0c00000000000000000000000000e03f00",
+            ),
+            (
+                Frame::Done {
+                    seq: 10,
+                    posts: vec![],
+                    reports: vec![],
+                    error: Some("op failed".into()),
+                },
+                "040000000a00000000000000000000000000000001090000006f70206661696c\
+                 6564",
+            ),
+            (
+                Frame::Output {
+                    app: 0,
+                    graph: 1,
+                    token: Payload::Token(&out_tok),
+                },
+                "0700000000000000010000001200000051b9c7df8a7836b90200630000000000\
+                 0000",
+            ),
+            (
+                Frame::Trace {
+                    run: 5,
+                    bytes: vec![7, 0, 255, 16, 32].into(),
+                },
+                "0b0000000500000000000000050000000700ff1020",
+            ),
+        ];
+        for (frame, want) in &golden {
+            let bytes = dps_serial::to_bytes(frame);
+            assert_eq!(hex(&bytes), *want, "{frame:?}");
+            assert_eq!(bytes.len(), frame.wire_size());
+            assert_eq!(&decode_frame(bytes).unwrap(), frame);
+        }
+    }
+
+    /// A live token in a frame is exactly `encode_token`'s bytes in a byte
+    /// run, and what the receiver gets back is a view of the frame buffer.
+    #[test]
+    fn live_tokens_encode_in_place_and_decode_as_views() {
+        let tok = Probe { x: 7 };
+        let tagged = encode_token(&tok);
+        let live = Frame::Output {
+            app: 3,
+            graph: 4,
+            token: Payload::Token(&tok),
+        };
+        let spelled = Frame::Output {
+            app: 3,
+            graph: 4,
+            token: run(&tagged),
+        };
+        let bytes = dps_serial::to_bytes(&live);
+        assert_eq!(bytes, dps_serial::to_bytes(&spelled));
+
+        let shared = Bytes::from(bytes);
+        let Frame::Output { token, .. } = dps_serial::from_shared(&shared).unwrap() else {
+            panic!("an Output frame");
+        };
+        let token = token.into_bytes();
+        assert_eq!(&token[..], &tagged[..]);
+        let at = shared.len() - tagged.len();
+        assert_eq!(token.as_ptr(), shared[at..].as_ptr(), "not copied out");
     }
 
     #[test]
@@ -470,8 +685,6 @@ mod tests {
 
     #[test]
     fn tagged_tokens_round_trip_through_a_registry() {
-        use dps_core::dps_token;
-        dps_token! { pub struct Probe { pub x: u64 } }
         let mut reg = TokenRegistry::new();
         dps_core::register_token::<Probe>(&mut reg);
         let bytes = encode_token(&Probe { x: 1234 });
@@ -481,7 +694,6 @@ mod tests {
 
     #[test]
     fn unknown_token_types_fail_to_decode() {
-        use dps_core::dps_token;
         dps_token! { pub struct Stranger { pub x: u64 } }
         let reg = TokenRegistry::new();
         assert!(decode_token(&reg, &encode_token(&Stranger { x: 1 })).is_err());

@@ -9,7 +9,7 @@
 //! Two implementations ship:
 //!
 //! * [`TcpTransport`] — real sockets on `127.0.0.1` (`TCP_NODELAY`; every
-//!   frame is flushed). This is what multi-process runs use.
+//!   frame is one write). This is what multi-process runs use.
 //! * [`LoopbackTransport`] — in-memory channels with identical framing
 //!   semantics, for single-process tests and the three-backend
 //!   differential suite.
@@ -20,9 +20,16 @@
 //! payload length) followed by `len` payload bytes. The loopback transport
 //! moves whole frames through channels, so the prefix never materializes —
 //! but the observable unit (one `send` arrives as one `recv`) is the same.
+//!
+//! On TCP a frame costs one system call to send — prefix and payload leave
+//! in a single vectored write, so `TCP_NODELAY` never ships a lone prefix —
+//! and no copy. The receiver reads through a 64 KiB buffer, so a prefix
+//! and a small frame (or many) arrive in one read; a frame larger
+//! than the buffer is read straight into its own allocation, which is
+//! never zeroed first.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,15 +87,64 @@ pub struct TcpTransport;
 
 struct TcpAcceptor(TcpListener);
 
+/// Bytes a TCP receiver buffers per connection: frames up to this size are
+/// read through the buffer, larger ones directly into their allocation.
+const RX_BUF: usize = 64 * 1024;
+
 struct TcpTx(TcpStream);
-struct TcpRx(TcpStream);
+
+/// The receiving half: `buf[start..end]` holds bytes read off the socket
+/// and not yet returned as frames.
+struct TcpRx {
+    stream: TcpStream,
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl TcpRx {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            buf: vec![0; RX_BUF].into(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Read until at least `need` (≤ [`RX_BUF`]) bytes are buffered.
+    fn fill(&mut self, need: usize) -> io::Result<()> {
+        while self.end - self.start < need {
+            // Back to the front when nothing is buffered (room for a whole
+            // read) or the tail cannot hold what is still missing.
+            if self.start == self.end || self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, self.end - self.start);
+            }
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Take the next `n` buffered bytes (after a `fill(n)`).
+    fn buffered(&mut self, n: usize) -> &[u8] {
+        let at = self.start;
+        self.start += n;
+        &self.buf[at..at + n]
+    }
+}
 
 fn tcp_duplex(stream: TcpStream) -> io::Result<Duplex> {
     stream.set_nodelay(true)?;
     let reader = stream.try_clone()?;
     Ok(Duplex {
         tx: Box::new(TcpTx(stream)),
-        rx: Box::new(TcpRx(reader)),
+        rx: Box::new(TcpRx::new(reader)),
     })
 }
 
@@ -115,16 +171,27 @@ impl FrameTx for TcpTx {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
         let len = u32::try_from(frame.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        self.0.write_all(&len.to_le_bytes())?;
-        self.0.write_all(frame)?;
-        self.0.flush()
+        let prefix = len.to_le_bytes();
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
+        let mut left = &mut parts[..];
+        // One vectored write almost always takes everything; a full socket
+        // buffer may take a 2 MiB frame in several.
+        while !left.is_empty() {
+            match self.0.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
 impl FrameRx for TcpRx {
     fn recv(&mut self) -> io::Result<Vec<u8>> {
-        let mut prefix = [0u8; 4];
-        self.0.read_exact(&mut prefix)?;
+        self.fill(4)?;
+        let prefix = self.buffered(4).try_into().expect("four bytes");
         let len = u32::from_le_bytes(prefix);
         if len > MAX_FRAME {
             return Err(io::Error::new(
@@ -132,8 +199,20 @@ impl FrameRx for TcpRx {
                 format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
             ));
         }
-        let mut frame = vec![0u8; len as usize];
-        self.0.read_exact(&mut frame)?;
+        let len = len as usize;
+        if len <= self.buf.len() {
+            self.fill(len)?;
+            return Ok(self.buffered(len).to_vec());
+        }
+        // A large frame: what is buffered is its beginning; the rest goes
+        // from the socket straight into the frame's spare capacity.
+        let mut frame = Vec::with_capacity(len);
+        let head = self.end - self.start;
+        frame.extend_from_slice(self.buffered(head));
+        let rest = (len - head) as u64;
+        if (&self.stream).take(rest).read_to_end(&mut frame)? as u64 != rest {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         Ok(frame)
     }
 }
@@ -264,6 +343,97 @@ mod tests {
         assert!(server.rx.recv().is_err());
     }
 
+    /// `TcpRx` against a peer that writes the byte stream in the worst
+    /// shapes: one byte per segment, a hundred frames in one write, frames
+    /// at and around the buffer size, a 3 MiB frame that starts mid-buffer
+    /// and is followed at once by a small one. Every frame arrives whole
+    /// and in order; then an oversize prefix is refused.
+    #[test]
+    fn tcp_rx_reassembles_whatever_the_peer_writes() {
+        fn framed(payload: &[u8]) -> Vec<u8> {
+            let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+            f.extend_from_slice(payload);
+            f
+        }
+        let dribbled: Vec<Vec<u8>> = vec![vec![], vec![1, 2, 3], vec![9; 300], vec![]];
+        let mut packed: Vec<Vec<u8>> = (0..100usize).map(|i| vec![i as u8; i * 7 % 300]).collect();
+        // Frames that force the buffer to compact, and the two sides of the
+        // through-the-buffer / straight-to-the-allocation line.
+        packed.extend([vec![4; 40_000], vec![5; 40_000], vec![6; 40_000]]);
+        packed.extend([vec![7; RX_BUF], vec![8; RX_BUF + 1]]);
+        packed.push(
+            (0..3 * 1024 * 1024)
+                .map(|i| ((i * 31) >> 3) as u8)
+                .collect(),
+        );
+        packed.push(b"tail".to_vec());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (to_dribble, to_pack) = (dribbled.clone(), packed.clone());
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            for byte in to_dribble.iter().flat_map(|p| framed(p)) {
+                s.write_all(&[byte]).unwrap();
+            }
+            let one_write: Vec<u8> = to_pack.iter().flat_map(|p| framed(p)).collect();
+            s.write_all(&one_write).unwrap();
+            s.write_all(&framed(&[])).unwrap();
+            s.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
+        });
+
+        let (stream, _) = listener.accept().unwrap();
+        let mut rx = TcpRx::new(stream);
+        for want in dribbled.iter().chain(&packed) {
+            let got = rx.recv().unwrap();
+            assert!(got == *want, "a {}-byte frame arrived changed", want.len());
+        }
+        assert_eq!(rx.recv().unwrap(), Vec::<u8>::new(), "zero-length frame");
+        let refused = rx.recv().unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        writer.join().unwrap();
+    }
+
+    /// A frame far larger than the socket buffers takes several vectored
+    /// writes; the frames after it still start where they should.
+    #[test]
+    fn tcp_tx_finishes_partial_writes() {
+        let (addr, mut acceptor) = TcpTransport.bind().unwrap();
+        let mut client = TcpTransport.connect(&addr).unwrap();
+        let mut server = acceptor.accept().unwrap();
+        let big: Vec<u8> = (0..16 * 1024 * 1024).map(|i| (i >> 5) as u8).collect();
+        let sent = big.clone();
+        let writer = std::thread::spawn(move || {
+            client.tx.send(&sent).unwrap();
+            client.tx.send(b"after").unwrap();
+            client.tx.send(&[]).unwrap();
+        });
+        assert!(server.rx.recv().unwrap() == big);
+        assert_eq!(server.rx.recv().unwrap(), b"after");
+        assert!(server.rx.recv().unwrap().is_empty());
+        writer.join().unwrap();
+    }
+
+    /// A peer that closes mid-frame is an EOF, on the buffered path and on
+    /// the direct one.
+    #[test]
+    fn tcp_rx_reports_a_truncated_frame_as_eof() {
+        for (announced, sent) in [(100u32, 40usize), (1 << 20, 100_000)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let writer = std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&announced.to_le_bytes()).unwrap();
+                s.write_all(&vec![3; sent]).unwrap();
+            });
+            let (stream, _) = listener.accept().unwrap();
+            let err = TcpRx::new(stream).recv().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            writer.join().unwrap();
+        }
+    }
+
     #[test]
     fn tcp_length_prefix_is_validated() {
         // A hand-written oversized length prefix must be rejected, not
@@ -275,7 +445,7 @@ mod tests {
             s.write_all(&u32::MAX.to_le_bytes()).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
-        let mut rx = TcpRx(stream);
+        let mut rx = TcpRx::new(stream);
         assert!(rx.recv().is_err());
         writer.join().unwrap();
     }

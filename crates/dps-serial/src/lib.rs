@@ -9,7 +9,8 @@
 //! * [`Wire`] — the serialization trait (size / encode / decode), implemented
 //!   for primitives, tuples, arrays, `String`, `Option`, `Vec`, `Box`.
 //! * [`Writer`] / [`Reader`] — byte-stream cursors (little-endian, fixed
-//!   width) built on the `bytes` crate.
+//!   width) built on the `bytes` crate; a run of raw bytes travels as a
+//!   [`Bytes`], zero-copy on decode from a [shared](Reader::shared) buffer.
 //! * [`Buffer`] — variable-size array of *simple* (plain-old-data) elements,
 //!   bulk-copied on the wire (the paper's `Buffer<int>`).
 //! * [`Vector`] — variable-size array of *complex* (nested `Wire`) elements
@@ -56,6 +57,7 @@ mod registry;
 mod wire;
 mod writer;
 
+pub use bytes::Bytes;
 pub use containers::{Buffer, Vector, CT};
 pub use error::WireError;
 pub use id::{hash_name, Identified, WireId, WIRE_FORMAT_VERSION};
@@ -78,7 +80,16 @@ pub fn to_bytes<T: Wire + ?Sized>(value: &T) -> Vec<u8> {
 /// Deserialize a [`Wire`] value from a byte slice, requiring that the whole
 /// slice is consumed.
 pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut r = Reader::new(bytes);
+    decode_all(Reader::new(bytes))
+}
+
+/// [`from_bytes`] over a shared buffer: every [`Bytes`] field of the value
+/// comes back as a view into `bytes` instead of a copy.
+pub fn from_shared<T: Wire>(bytes: &Bytes) -> Result<T, WireError> {
+    decode_all(Reader::shared(bytes))
+}
+
+fn decode_all<T: Wire>(mut r: Reader<'_>) -> Result<T, WireError> {
     let v = T::decode(&mut r)?;
     if r.remaining() != 0 {
         return Err(WireError::TrailingBytes {

@@ -65,10 +65,13 @@ macro_rules! impl_wire {
 /// let bytes = dps_serial::to_bytes(&c);
 /// assert_eq!(dps_serial::from_bytes::<Command>(&bytes).unwrap(), c);
 /// ```
+///
+/// An enum that borrows (`impl_wire_enum!(Msg<'a> { .. })`) names its one
+/// lifetime parameter after the type.
 #[macro_export]
 macro_rules! impl_wire_enum {
-    ($ty:ident { $($disc:literal => $variant:ident { $($field:ident),* $(,)? }),* $(,)? }) => {
-        impl $crate::Wire for $ty {
+    ($ty:ident $(<$lt:lifetime>)? { $($disc:literal => $variant:ident { $($field:ident),* $(,)? }),* $(,)? }) => {
+        impl $(<$lt>)? $crate::Wire for $ty $(<$lt>)? {
             fn wire_size(&self) -> usize {
                 match self {
                     $( $ty::$variant { $($field),* } => {

@@ -12,40 +12,66 @@ use crate::writer::Writer;
 ///
 /// The C++ DPS library serializes `SimpleToken`s and `Buffer<int>` contents
 /// "with simple memory copies". Rust cannot portably memcpy structs with
-/// padding, so `Pod` instead guarantees a fixed `WIDTH` and provides bulk
-/// slice encode/decode, with a genuine memcpy fast path for `u8`/`i8`.
+/// padding, so `Pod` instead guarantees a fixed `WIDTH` and bulk slice
+/// encode/decode: one pass over the slice into (or out of) a region sized up
+/// front, which compiles to a vectorised copy on little-endian hosts — and
+/// to a plain memcpy for `u8`.
 pub trait Pod: Wire + Copy + Sized {
     /// Serialized width of every value of this type, in bytes.
     const WIDTH: usize;
 
-    /// Encode a whole slice. The default loops; `u8` overrides with memcpy.
-    fn encode_slice(slice: &[Self], w: &mut Writer) {
-        for v in slice {
-            v.encode(w);
-        }
-    }
+    /// Encode a whole slice: exactly the bytes of encoding each element in
+    /// turn.
+    fn encode_slice(slice: &[Self], w: &mut Writer);
 
-    /// Decode `len` elements into a vector.
-    fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(Self::decode(r)?);
-        }
-        Ok(v)
+    /// Decode `len` elements into a vector: exactly the values (or the
+    /// error) of decoding each element in turn, except that a `len` the
+    /// remaining input cannot hold is [`WireError::UnexpectedEof`] before
+    /// anything is allocated.
+    fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError>;
+}
+
+/// One pass over `slice` into a region of `slice.len() × W` bytes.
+#[inline]
+fn encode_run<T: Copy, const W: usize>(slice: &[T], w: &mut Writer, to_le: impl Fn(T) -> [u8; W]) {
+    let (region, _) = w.put_zeroed(slice.len() * W).as_chunks_mut::<W>();
+    for (dst, &v) in region.iter_mut().zip(slice) {
+        *dst = to_le(v);
     }
+}
+
+/// The next `len` elements of `W` bytes each — checked against what is left
+/// of the input, so a corrupt length costs no allocation.
+#[inline]
+fn take_run<'a, const W: usize>(
+    len: usize,
+    r: &mut Reader<'a>,
+) -> Result<&'a [[u8; W]], WireError> {
+    Ok(r.get_slice(len.saturating_mul(W))?.as_chunks::<W>().0)
 }
 
 macro_rules! impl_pod {
-    ($($ty:ty => $width:expr;)*) => {
-        $(impl Pod for $ty { const WIDTH: usize = $width; })*
-    };
+    ($($ty:ty => $width:expr;)*) => {$(
+        impl Pod for $ty {
+            const WIDTH: usize = $width;
+
+            fn encode_slice(slice: &[Self], w: &mut Writer) {
+                encode_run(slice, w, <$ty>::to_le_bytes);
+            }
+
+            fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
+                let run = take_run::<{ $width }>(len, r)?;
+                Ok(run.iter().map(|c| <$ty>::from_le_bytes(*c)).collect())
+            }
+        }
+    )*};
 }
 
 impl_pod! {
+    i8 => 1;
     u16 => 2; u32 => 4; u64 => 8; u128 => 16;
     i16 => 2; i32 => 4; i64 => 8; i128 => 16;
     f32 => 4; f64 => 8;
-    bool => 1; char => 4;
 }
 
 impl Pod for u8 {
@@ -60,17 +86,33 @@ impl Pod for u8 {
     }
 }
 
-impl Pod for i8 {
+impl Pod for bool {
     const WIDTH: usize = 1;
 
     fn encode_slice(slice: &[Self], w: &mut Writer) {
-        // i8 and u8 share a byte representation; cast is free and safe.
-        let bytes: Vec<u8> = slice.iter().map(|&v| v as u8).collect();
-        w.put_slice(&bytes);
+        encode_run(slice, w, |v| [u8::from(v)]);
     }
 
     fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
-        Ok(r.get_slice(len)?.iter().map(|&b| b as i8).collect())
+        let run = take_run::<1>(len, r)?;
+        run.iter()
+            .map(|c| bool::decode(&mut Reader::new(c)))
+            .collect()
+    }
+}
+
+impl Pod for char {
+    const WIDTH: usize = 4;
+
+    fn encode_slice(slice: &[Self], w: &mut Writer) {
+        encode_run(slice, w, |v| u32::from(v).to_le_bytes());
+    }
+
+    fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
+        let run = take_run::<4>(len, r)?;
+        run.iter()
+            .map(|c| char::decode(&mut Reader::new(c)))
+            .collect()
     }
 }
 

@@ -1,5 +1,7 @@
 //! Bounds-checked little-endian byte reader.
 
+use bytes::Bytes;
+
 use crate::error::WireError;
 
 /// Sanity cap on decoded length prefixes: a single DPS container larger than
@@ -15,12 +17,30 @@ pub(crate) const MAX_WIRE_LEN: u64 = 1 << 30;
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared buffer `buf` views, when there is one: byte runs then
+    /// decode as slices of it instead of copies.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     /// Create a reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// Create a reader over a shared buffer: every [`get_bytes`](Self::get_bytes)
+    /// is a view into `buf`, so a received frame's payloads are never
+    /// copied out of it.
+    pub fn shared(buf: &'a Bytes) -> Self {
+        Self {
+            buf,
+            pos: 0,
+            shared: Some(buf),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -143,6 +163,17 @@ impl<'a> Reader<'a> {
     pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         self.take(n)
     }
+
+    /// Read exactly `n` raw bytes as an owned [`Bytes`]: a view when the
+    /// reader is over a [shared](Self::shared) buffer, a copy otherwise.
+    pub fn get_bytes(&mut self, n: usize) -> Result<Bytes, WireError> {
+        let at = self.pos;
+        let run = self.take(n)?;
+        Ok(match self.shared {
+            Some(whole) => whole.slice(at..at + n),
+            None => Bytes::copy_from_slice(run),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +225,27 @@ mod tests {
             r.get_len().unwrap_err(),
             WireError::UnexpectedEof { needed: 100, .. }
         ));
+    }
+
+    #[test]
+    fn shared_readers_hand_out_views() {
+        let whole = Bytes::from(vec![9u8, 1, 2, 3, 4]);
+        let mut r = Reader::shared(&whole);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        let run = r.get_bytes(3).unwrap();
+        assert_eq!(&run[..], &[1, 2, 3]);
+        assert_eq!(run.as_ptr(), whole[1..].as_ptr(), "a view, not a copy");
+        assert!(matches!(
+            r.get_bytes(2).unwrap_err(),
+            WireError::UnexpectedEof {
+                needed: 2,
+                remaining: 1
+            }
+        ));
+        // An unshared reader yields the same bytes, copied.
+        let copy = Reader::new(&whole).get_bytes(2).unwrap();
+        assert_eq!(&copy[..], &[9, 1]);
+        assert_ne!(copy.as_ptr(), whole.as_ptr());
     }
 
     #[test]

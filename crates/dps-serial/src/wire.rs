@@ -137,6 +137,24 @@ impl Wire for String {
     }
 }
 
+/// A run of raw bytes: `u32` length, then the bytes, moved with one copy in
+/// each direction — and none on decode when the [`Reader`] is over a
+/// [shared](Reader::shared) buffer. The same layout as a `Vec<u8>` or a
+/// `Buffer<u8>` field.
+impl Wire for bytes::Bytes {
+    fn wire_size(&self) -> usize {
+        4 + self.len()
+    }
+    fn encode(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        w.put_slice(self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = r.get_len()?;
+        r.get_bytes(len)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn wire_size(&self) -> usize {
         1 + self.as_ref().map_or(0, Wire::wire_size)
@@ -285,6 +303,19 @@ mod tests {
         roundtrip([1u32, 2, 3, 4]);
         roundtrip((1u8, String::from("x"), -3i32));
         roundtrip((1u8, 2u8, 3u8, 4u8, 5u8, 6u8));
+    }
+
+    #[test]
+    fn bytes_share_the_byte_vector_layout() {
+        let run = bytes::Bytes::from(vec![1u8, 2, 3, 250]);
+        roundtrip(run.clone());
+        roundtrip(bytes::Bytes::new());
+        assert_eq!(to_bytes(&run), to_bytes(&run.to_vec()));
+        // Decoded from a shared buffer, the run is a view into it.
+        let frame = bytes::Bytes::from(to_bytes(&(7u8, run.clone())));
+        let (tag, got): (u8, bytes::Bytes) = crate::from_shared(&frame).unwrap();
+        assert_eq!((tag, &got), (7, &run));
+        assert_eq!(got.as_ptr(), frame[5..].as_ptr());
     }
 
     #[test]

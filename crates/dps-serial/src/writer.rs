@@ -40,9 +40,10 @@ impl Writer {
         self.buf.is_empty()
     }
 
-    /// Consume the writer, yielding the encoded bytes.
+    /// Consume the writer, yielding the encoded bytes (the writer's own
+    /// buffer — nothing is copied).
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
     }
 
     /// Consume the writer, yielding a cheaply-cloneable `bytes::Bytes`.
@@ -143,6 +144,16 @@ impl Writer {
     pub fn put_slice(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
+
+    /// Append `n` zero bytes and lend them out to be overwritten: the
+    /// reserved region the bulk [`Pod`](crate::Pod) encoders fill in one
+    /// pass over the source slice.
+    #[inline]
+    pub(crate) fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
 }
 
 #[cfg(test)]
@@ -163,9 +174,11 @@ mod tests {
         w.put_u8(7);
         w.put_u64(1);
         assert_eq!(w.len(), 9);
+        let written = w.as_slice().as_ptr();
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 9);
         assert_eq!(bytes[0], 7);
+        assert_eq!(bytes.as_ptr(), written, "the buffer is handed over");
     }
 
     #[test]

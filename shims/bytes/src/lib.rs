@@ -4,16 +4,20 @@
 //! use the real package.
 //!
 //! [`BytesMut`] is a growable buffer over `Vec<u8>`; [`Bytes`] is a cheaply
-//! cloneable immutable buffer over `Arc<[u8]>`.
+//! cloneable, cheaply sliceable immutable view of a shared `Vec<u8>`.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
-/// Cheaply cloneable immutable contiguous byte buffer.
+/// Cheaply cloneable immutable contiguous byte buffer. Clones and
+/// [`slice`](Self::slice)s share one allocation; taking over a `Vec<u8>`
+/// does not copy it.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
 }
 
 impl Bytes {
@@ -24,36 +28,68 @@ impl Bytes {
 
     /// Copy `data` into a new shared buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self { data: data.into() }
+        data.to_vec().into()
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.end - self.start
     }
 
     /// True if the buffer holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.start == self.end
+    }
+
+    /// A view of `range` within this buffer, sharing its allocation.
+    ///
+    /// # Panics
+    /// Panics if `range` is out of bounds or decreasing.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let len = self.len();
+        let lo = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let hi = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => len,
+        };
+        assert!(
+            lo <= hi && hi <= len,
+            "slice {lo}..{hi} out of bounds of a {len}-byte buffer"
+        );
+        Self {
+            data: self.data.clone(),
+            start: self.start + lo,
+            end: self.start + hi,
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.start..self.end]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Self { data: v.into() }
+        let end = v.len();
+        Self {
+            data: Arc::new(v),
+            start: 0,
+            end,
+        }
     }
 }
 
@@ -65,14 +101,14 @@ impl From<&[u8]> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        self.data[..] == other.data[..]
+        self[..] == other[..]
     }
 }
 impl Eq for Bytes {}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        debug_bytes(&self.data, f)
+        debug_bytes(self, f)
     }
 }
 
@@ -110,11 +146,14 @@ impl BytesMut {
         self.data.clone()
     }
 
-    /// Freeze into an immutable, cheaply cloneable [`Bytes`].
+    /// Grow (filling with `value`) or truncate to `new_len` bytes.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
+
+    /// Freeze into an immutable, cheaply cloneable [`Bytes`] (no copy).
     pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data.into(),
-        }
+        self.data.into()
     }
 }
 
@@ -122,6 +161,19 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+}
+
+/// Hand the buffer over without copying it.
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Self {
+        b.data
     }
 }
 
@@ -216,6 +268,10 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
+
+    fn put_u8(&mut self, v: u8) {
+        self.data.push(v);
+    }
 }
 
 impl BufMut for Vec<u8> {
@@ -238,6 +294,38 @@ mod tests {
         let clone = frozen.clone();
         assert_eq!(&clone[..], &[1, 2, 3, 4, 9]);
         assert_eq!(frozen, clone);
+    }
+
+    #[test]
+    fn slices_and_clones_share_the_allocation() {
+        let whole = Bytes::from((0u8..10).collect::<Vec<_>>());
+        let base = whole.as_ptr();
+        let mid = whole.slice(2..8);
+        assert_eq!(&mid[..], &[2, 3, 4, 5, 6, 7]);
+        assert_eq!(mid.as_ptr(), base.wrapping_add(2), "a view, not a copy");
+        let inner = mid.slice(1..=2);
+        assert_eq!(&inner[..], &[3, 4]);
+        assert_eq!(inner.len(), 2);
+        assert!(whole.slice(10..).is_empty());
+        assert_eq!(mid.clone(), Bytes::copy_from_slice(&[2, 3, 4, 5, 6, 7]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        Bytes::from(vec![1, 2, 3]).slice(2..5);
+    }
+
+    #[test]
+    fn bytesmut_hands_its_buffer_over() {
+        let mut b = BytesMut::with_capacity(64);
+        b.put_slice(&[1, 2, 3]);
+        b.resize(5, 9);
+        b[0] = 7;
+        let ptr = b.as_ptr();
+        let v: Vec<u8> = b.into();
+        assert_eq!(v, [7, 2, 3, 9, 9]);
+        assert_eq!(v.as_ptr(), ptr, "moved, not cloned");
     }
 
     #[test]
