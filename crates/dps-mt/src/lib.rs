@@ -28,4 +28,4 @@ pub mod remote;
 mod worker;
 
 pub use engine::{FailHandle, MtApp, MtConfig, MtEngine, MtGraph};
-pub use remote::{RemoteExec, RemoteKind, RemoteOutcome, RemoteTask};
+pub use remote::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};

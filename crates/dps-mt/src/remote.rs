@@ -9,10 +9,20 @@
 //! ([`MtEngine::set_remote_exec`](crate::MtEngine::set_remote_exec)): the
 //! worker loop consults the hook at each op-execution point, and for
 //! threads whose cluster node is hosted *outside* this process it ships a
-//! [`RemoteTask`] instead of running the operation locally. The hook blocks
-//! until the owning process returns the posted tokens — preserving the
-//! engine's per-thread execution order exactly, because the OS thread that
-//! would have run the operation is the one that waits for it.
+//! [`RemoteTask`] instead of running the operation locally.
+//!
+//! The seam is two-phase. [`RemoteExec::begin`] ships the task and returns a
+//! [`RemotePending`] without waiting; [`RemotePending::wait`] blocks until
+//! the owning process has returned the posted tokens. Between the two the
+//! worker loop of the thread keeps going: it runs the wave accounting of
+//! its next queued messages and `begin`s their tasks too, up to a fixed
+//! depth, and only then waits — always on the **oldest** pending, whose
+//! posts it applies before looking at the next. That is sound on one
+//! condition, which is the whole contract of an implementation: **tasks
+//! begun for one `(app, tc, thread)` execute, and their `wait`s complete,
+//! in `begin` order.** Per-thread execution order, post order and wave
+//! accounting are then exactly those of running each operation to
+//! completion before the next; only the round trips overlap.
 //!
 //! Three task kinds cover the three execution points of the worker loop:
 //!
@@ -34,19 +44,30 @@ use dps_core::{DpsError, Envelope, GNodeId, TokenBox};
 
 /// Hook consulted by the worker loop at every op-execution point.
 ///
-/// Implementations are transports: they frame the task, send it to the
-/// process hosting the thread's cluster node, and block on the reply.
-/// `execute` is called with **no engine locks held**, so an implementation
-/// may block indefinitely without wedging delivery on other threads.
+/// Implementations are transports: `begin` frames the task and sends it to
+/// the process hosting the thread's cluster node, the returned
+/// [`RemotePending`] receives the reply. Both are called with **no engine
+/// locks held**, so `wait` may block indefinitely without wedging delivery
+/// on other threads.
 pub trait RemoteExec: Send + Sync {
     /// Is cluster node `node` hosted outside this process? Local nodes run
     /// their operations in-process exactly as without a hook.
     fn is_remote(&self, node: u32) -> bool;
 
-    /// Execute `task` on the process hosting its thread's node and return
-    /// the tokens it posted. Errors propagate like local operation errors
-    /// (they fail the run).
-    fn execute(&self, task: RemoteTask) -> Result<RemoteOutcome, DpsError>;
+    /// Ship `task` to the process hosting its thread's node, without
+    /// waiting for it to run. Tasks of one `(app, tc, thread)` must execute
+    /// in `begin` order. A task that cannot be shipped is not an error
+    /// here: its pending reports the failure from `wait`, so failures
+    /// surface in op order like results do.
+    fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending>;
+}
+
+/// One shipped [`RemoteTask`] whose reply has not been consumed yet.
+pub trait RemotePending: Send {
+    /// Block until the task has executed and return the tokens it posted.
+    /// Called once per pending, oldest first per thread. Errors propagate
+    /// like local operation errors (they fail the run).
+    fn wait(self: Box<Self>) -> Result<RemoteOutcome, DpsError>;
 }
 
 /// One op execution shipped to a remote process.

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use dps_sched::FeedbackSink;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::{DynOp, DynRoute, ExecInfo, OpOutput};
 use dps_core::{
@@ -19,7 +19,7 @@ use dps_core::{
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
 
-use crate::remote::{remote_for, RemoteExec, RemoteKind, RemoteTask};
+use crate::remote::{remote_for, RemoteExec, RemoteKind, RemotePending, RemoteTask};
 
 /// Message to a worker thread.
 pub(crate) enum Msg {
@@ -250,6 +250,9 @@ struct Worker {
     waves: HashMap<WaveKey, WaveState>,
     /// Totals from closes that arrived before the wave's first token.
     pending_expected: HashMap<WaveKey, u32>,
+    /// The remote-execution hook, when it claims this thread's node: the
+    /// thread is then a proxy, and its operations run in another process.
+    remote: Option<Arc<dyn RemoteExec>>,
     /// This thread's trace writer (one SPSC ring), when a sink is attached.
     trace: Option<TraceWriter>,
 }
@@ -316,7 +319,58 @@ pub(crate) fn inject(shared: &Arc<Shared>, app: u32, graph: u32, token: TokenBox
     route_and_send(shared, app, graph, entry, src_node, token, Envelope::root());
 }
 
+/// How many remote operations one worker thread ships before it waits for
+/// the reply of the oldest. It bounds what a lane of the hosting process
+/// has queued ahead of it (tokens held encoded over there, posts held back
+/// over here), not how much overlap there is: that saturates once the lane
+/// never runs dry between two replies.
+const REMOTE_PIPELINE_DEPTH: usize = 16;
+
+/// What phase 2 of a shipped operation needs from its phase 1.
+enum Cont {
+    /// A split/leaf execution: its posts leave under `env`.
+    Exec {
+        graph: u32,
+        node: GNodeId,
+        env: Envelope,
+    },
+    /// One step of the merge/stream wave `key`: a consume (`consumed`, it
+    /// returns a flow credit) or the finalize a late close triggers.
+    Wave {
+        graph: u32,
+        node: GNodeId,
+        key: WaveKey,
+        parent_env: Envelope,
+        completes: bool,
+        consumed: bool,
+    },
+}
+
+/// How phase 1 of a message left it.
+enum Begun {
+    /// Nothing is owed: the operation ran here and went through phase 2, or
+    /// the message needed none.
+    Finished,
+    /// The operation was shipped; its phase 2 waits in the FIFO.
+    InFlight,
+}
+
+/// The remote operations a worker thread has shipped and not yet finished,
+/// oldest first. Each entry is one message still counted in the thread's
+/// backlog.
+type InFlight = VecDeque<(Box<dyn RemotePending>, Cont)>;
+
 /// The worker main loop.
+///
+/// Every operation is handled in two phases. Phase 1 (`begin_*`) does the
+/// wave accounting and either runs the operation here or ships it; phase 2
+/// (`finish_*`) applies its posts. A local operation goes through both back
+/// to back. A shipped one parks between them in a FIFO while the loop runs
+/// phase 1 of the messages already queued behind it, and phase 2 always
+/// takes the oldest entry — the hosting process executes and replies in
+/// shipping order (the [`RemoteExec`] contract), so what this thread does,
+/// posts and accounts, and in which order, is the same as waiting out every
+/// round trip.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     app: u32,
@@ -335,23 +389,45 @@ pub(crate) fn worker_loop(
         ops: HashMap::new(),
         waves: HashMap::new(),
         pending_expected: HashMap::new(),
+        remote: remote_for(&shared.remote, node),
         trace: shared
             .trace
             .as_ref()
             .map(|c| c.writer(node as u16, thread as u16)),
     };
+    let mut inflight = InFlight::new();
     let mut stopped = false;
     let mut dead = false;
-    while let Ok(msg) = rx.recv() {
+    loop {
+        // With replies owed, only a message that is already here is worth
+        // another phase 1; otherwise the oldest reply is what to wait for.
+        let next = if inflight.is_empty() {
+            rx.recv().map_err(|_| TryRecvError::Disconnected)
+        } else if inflight.len() < REMOTE_PIPELINE_DEPTH {
+            rx.try_recv()
+        } else {
+            Err(TryRecvError::Empty)
+        };
+        let msg = match next {
+            Ok(msg) => msg,
+            Err(TryRecvError::Empty) => {
+                finish_oldest(&shared, &mut w, &mut inflight);
+                continue;
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
         if !dead && shared.node_dead(node) {
             // The node was killed: become a tombstone. The thread stays
             // alive so late sends never hit a closed channel; it abandons
             // its partial wave state and from now on re-routes everything
-            // it drains to live threads.
+            // it drains to live threads. What was already shipped is
+            // finished first (a dead host fails those waits at once), so
+            // no phase 2 finds its wave gone.
+            finish_all(&shared, &mut w, &mut inflight);
             dead = true;
             abandon_waves(&shared, &mut w);
         }
-        match msg {
+        let begun = match msg {
             Msg::Stop => {
                 stopped = true;
                 break;
@@ -370,8 +446,23 @@ pub(crate) fn worker_loop(
                     // sees this node's threads at infinite load and (for
                     // fresh merge waves) re-pins the wave elsewhere.
                     route_and_send(&shared, app, graph, gnode, node, token, env);
-                } else if let Err(e) = handle(&shared, &mut w, graph, gnode, token, env) {
-                    send_error(&shared, app, e);
+                    Ok(Begun::Finished)
+                } else {
+                    match shared.defs[app as usize][graph as usize].node(gnode).kind {
+                        OpKind::Split | OpKind::Leaf => {
+                            begin_exec(&shared, &mut w, &mut inflight, graph, gnode, token, env)
+                        }
+                        OpKind::Merge | OpKind::Stream => {
+                            begin_consume(&shared, &mut w, &mut inflight, graph, gnode, token, env)
+                        }
+                        OpKind::Call | OpKind::CallSplit => {
+                            // A call has no remote half: it goes out behind
+                            // the posts of everything shipped before it.
+                            finish_all(&shared, &mut w, &mut inflight);
+                            handle_call(&shared, &mut w, graph, gnode, token, env)
+                                .map(|()| Begun::Finished)
+                        }
+                    }
                 }
             }
             Msg::Close {
@@ -383,18 +474,29 @@ pub(crate) fn worker_loop(
                 if dead {
                     // Wave-close messages follow their wave to its new home
                     // (or park until a re-routed token re-pins it).
-                    let _ = gnode;
                     send_close(&shared, app, graph, env, total);
-                } else if let Err(e) = handle_close(&shared, &mut w, graph, gnode, env, total) {
-                    send_error(&shared, app, e);
+                    Ok(Begun::Finished)
+                } else {
+                    begin_close(&shared, &mut w, &mut inflight, graph, gnode, env, total)
                 }
             }
+        };
+        match begun {
+            Ok(Begun::InFlight) => {
+                // Still counted in the backlog until its phase 2 ends, so
+                // load-aware routes keep seeing what the host has queued.
+                if let Some(m) = &shared.apps[app as usize].tcs[tc as usize].metrics {
+                    m.gauge_max(Gauge::RemoteInFlightPeak, inflight.len() as u64);
+                }
+                continue;
+            }
+            Ok(Begun::Finished) => {}
+            Err(e) => send_error(&shared, app, e),
         }
-        // The message is fully processed: drop it from this thread's
-        // backlog (the live load signal used by routing functions).
-        shared.apps[app as usize].tcs[tc as usize].queued[thread as usize]
-            .fetch_sub(1, Ordering::Relaxed);
+        retire(&shared, &w);
     }
+    // Stop, or the channel died: every reply still owed is consumed first.
+    finish_all(&shared, &mut w, &mut inflight);
     if !stopped {
         // The channel died under the worker (abnormal teardown): record the
         // thread's death as a terminal node-down event.
@@ -406,6 +508,36 @@ pub(crate) fn worker_loop(
             );
             c.metrics().add(Counter::NodesDown, 1);
         }
+    }
+}
+
+/// A message is fully processed: drop it from this thread's backlog (the
+/// live load signal used by routing functions).
+fn retire(shared: &Shared, w: &Worker) {
+    shared.apps[w.app as usize].tcs[w.tc as usize].queued[w.thread as usize]
+        .fetch_sub(1, Ordering::Relaxed);
+}
+
+/// Wait for the oldest shipped operation and run its phase 2.
+fn finish_oldest(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
+    let Some((pending, cont)) = inflight.pop_front() else {
+        return;
+    };
+    let done = pending.wait().and_then(|outcome| {
+        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
+        finish(shared, w, cont, outcome.posts)
+    });
+    if let Err(e) = done {
+        send_error(shared, w.app, e);
+    }
+    retire(shared, w);
+}
+
+/// Finish everything shipped, in order, before a step that must not
+/// overtake it.
+fn finish_all(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
+    while !inflight.is_empty() {
+        finish_oldest(shared, w, inflight);
     }
 }
 
@@ -495,81 +627,78 @@ fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
     }
 }
 
-fn handle(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    token: TokenBox,
-    env: Envelope,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let kind = def.node(node).kind;
-    match kind {
-        OpKind::Split | OpKind::Leaf => handle_exec(shared, w, graph, node, kind, token, env),
-        OpKind::Merge | OpKind::Stream => handle_consume(shared, w, graph, node, kind, token, env),
-        OpKind::Call | OpKind::CallSplit => handle_call(shared, w, graph, node, token, env),
+/// Record the op span `[start, now]` on this worker's track.
+fn trace_op(shared: &Shared, w: &mut Worker, name: &str, wave: u32, start: Option<u64>) {
+    if let (Some(start), Some(c)) = (start, shared.trace.as_ref()) {
+        let op = c.label(name);
+        let end = c.now_nanos();
+        if let Some(wtr) = w.trace.as_mut() {
+            wtr.record(start, EventKind::OpStart { op, wave });
+            wtr.record(end, EventKind::OpEnd { op, wave });
+        }
     }
 }
 
-fn handle_exec(
+/// Phase 1 of a split/leaf delivery: ship the operation, or run it and go
+/// straight on to phase 2.
+fn begin_exec(
+    shared: &Arc<Shared>,
+    w: &mut Worker,
+    inflight: &mut InFlight,
+    graph: u32,
+    node: GNodeId,
+    token: TokenBox,
+    env: Envelope,
+) -> Result<Begun, DpsError> {
+    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
+    match &w.remote {
+        Some(r) => {
+            let pending = r.begin(RemoteTask {
+                app: w.app,
+                tc: w.tc,
+                thread: w.thread,
+                graph,
+                node,
+                kind: RemoteKind::Exec,
+                token: Some(token),
+                env: env.clone(),
+            });
+            inflight.push_back((pending, Cont::Exec { graph, node, env }));
+            Ok(Begun::InFlight)
+        }
+        None => {
+            let info = exec_info(shared, w);
+            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
+            let op = w
+                .ops
+                .entry((graph, node.0))
+                .or_insert_with(|| gnode.make_op().expect("split/leaf has an op"));
+            let mut out = OpOutput::default();
+            let t0 = Instant::now();
+            op.on_token(&mut out, w.data.as_mut(), info, &gnode.name, token)?;
+            report_completion(shared, w, &out, t0);
+            let wave = env.frames.last().map_or(0, |f| f.wave as u32);
+            trace_op(shared, w, &gnode.name, wave, t0n);
+            let posts = out.posts.into_iter().map(|p| p.token).collect();
+            finish_exec(shared, w, graph, node, env, posts)?;
+            Ok(Begun::Finished)
+        }
+    }
+}
+
+/// Phase 2 of a split/leaf delivery: a split's posts open a wave behind the
+/// flow window, a leaf's single post moves on.
+fn finish_exec(
     shared: &Arc<Shared>,
     w: &mut Worker,
     graph: u32,
     node: GNodeId,
-    kind: OpKind,
-    token: TokenBox,
     env: Envelope,
+    mut posts: Vec<TokenBox>,
 ) -> Result<(), DpsError> {
     let def = &shared.defs[w.app as usize][graph as usize];
     let gnode = def.node(node);
-    let info = exec_info(shared, w);
-    let name = gnode.name.clone();
-    let mut posts: Vec<TokenBox> = if let Some(r) = remote_for(&shared.remote, w.node) {
-        let outcome = r.execute(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
-            graph,
-            node,
-            kind: RemoteKind::Exec,
-            token: Some(token),
-            env: env.clone(),
-        })?;
-        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
-        if kind == OpKind::Leaf && outcome.posts.len() != 1 {
-            return Err(DpsError::OperationContract {
-                node: name,
-                reason: format!(
-                    "remote leaf execution returned {} posts (exactly 1 required)",
-                    outcome.posts.len()
-                ),
-            });
-        }
-        outcome.posts
-    } else {
-        let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-        let op = w
-            .ops
-            .entry((graph, node.0))
-            .or_insert_with(|| gnode.make_op().expect("split/leaf has an op"));
-        let mut out = OpOutput::default();
-        let t0 = Instant::now();
-        op.on_token(&mut out, w.data.as_mut(), info, &name, token)?;
-        report_completion(shared, w, &out, t0);
-        if let (Some(start), Some(c)) = (t0n, shared.trace.as_ref()) {
-            let op = c.label(&name);
-            let wave = env.frames.last().map_or(0, |f| f.wave as u32);
-            let end = c.now_nanos();
-            if let Some(wtr) = w.trace.as_mut() {
-                wtr.record(start, EventKind::OpStart { op, wave });
-                wtr.record(end, EventKind::OpEnd { op, wave });
-            }
-        }
-        out.posts.into_iter().map(|p| p.token).collect()
-    };
-
-    match kind {
+    match gnode.kind {
         OpKind::Split => {
             let wave = shared.wave_counter.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = shared.trace.as_ref() {
@@ -612,37 +741,48 @@ fn handle_exec(
             pump_flow(shared, w.app, graph, (node.0, wave));
         }
         OpKind::Leaf => {
-            let post = posts.pop().expect("leaf contract checked");
+            // Local leaves are held to this by their adapter; a remote one
+            // is only as good as the process that answered.
+            if posts.len() != 1 {
+                return Err(DpsError::OperationContract {
+                    node: gnode.name.clone(),
+                    reason: format!(
+                        "leaf execution returned {} posts (exactly 1 required)",
+                        posts.len()
+                    ),
+                });
+            }
+            let post = posts.pop().expect("length checked");
             emit(shared, w.app, graph, node, w.node, post, env);
         }
-        _ => unreachable!(),
+        _ => unreachable!("only splits and leaves execute"),
     }
     Ok(())
 }
 
-fn handle_consume(
+/// Phase 1 of a merge/stream delivery: count the token into its wave, then
+/// ship the consume, or run it (and the finalize, if it completes the wave)
+/// and go straight on to phase 2.
+fn begin_consume(
     shared: &Arc<Shared>,
     w: &mut Worker,
+    inflight: &mut InFlight,
     graph: u32,
     node: GNodeId,
-    kind: OpKind,
     token: TokenBox,
     mut env: Envelope,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let gnode = def.node(node);
-    let name = gnode.name.clone();
+) -> Result<Begun, DpsError> {
+    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
     let info = exec_info(shared, w);
     let key = env.wave_key().expect("validated depth >= 1");
-    let remote = remote_for(&shared.remote, w.node);
     // The remote side re-derives the wave identity from the envelope, so it
     // must see the frame this consume pops.
-    let pre_pop_env = remote.as_ref().map(|_| env.clone());
+    let pre_pop_env = w.remote.as_ref().map(|_| env.clone());
     let frame = env.pop().expect("validated depth >= 1");
     let parent_env = env;
 
     let early_expected = w.pending_expected.remove(&key);
-    let is_remote = remote.is_some();
+    let is_remote = w.remote.is_some();
     let wave = w.waves.entry(key.clone()).or_insert_with(|| WaveState {
         op: (!is_remote).then(|| gnode.make_op().expect("merge/stream has an op")),
         received: 0,
@@ -659,7 +799,7 @@ fn handle_consume(
     if let Some(exp) = wave.expected {
         if wave.received > exp {
             return Err(DpsError::OperationContract {
-                node: name,
+                node: gnode.name.clone(),
                 reason: format!(
                     "wave received {} tokens but split posted {exp}",
                     wave.received
@@ -668,122 +808,182 @@ fn handle_consume(
         }
     }
     let completes = wave.expected == Some(wave.received);
-    let out_wave = wave.out_wave;
-    let out_index_base = wave.out_index;
 
-    let mut posts: Vec<TokenBox> = if let Some(r) = remote {
-        let outcome = r.execute(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
+    match &w.remote {
+        Some(r) => {
+            let pending = r.begin(RemoteTask {
+                app: w.app,
+                tc: w.tc,
+                thread: w.thread,
+                graph,
+                node,
+                kind: RemoteKind::Consume { completes },
+                token: Some(token),
+                env: pre_pop_env.expect("cloned when the hook matched"),
+            });
+            let cont = Cont::Wave {
+                graph,
+                node,
+                key,
+                parent_env,
+                completes,
+                consumed: true,
+            };
+            inflight.push_back((pending, cont));
+            Ok(Begun::InFlight)
+        }
+        None => {
+            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
+            let op = wave.op.as_mut().expect("local waves hold their op");
+            let mut out = OpOutput::default();
+            let t0 = Instant::now();
+            op.on_token(&mut out, w.data.as_mut(), info, &gnode.name, token)?;
+            if completes {
+                op.on_finalize(&mut out, w.data.as_mut(), info, &gnode.name)?;
+            }
+            report_completion(shared, w, &out, t0);
+            trace_op(shared, w, &gnode.name, frame.wave as u32, t0n);
+            let posts = out.posts.into_iter().map(|p| p.token).collect();
+            finish_wave(
+                shared, w, graph, node, &key, parent_env, completes, true, posts,
+            )?;
+            Ok(Begun::Finished)
+        }
+    }
+}
+
+/// Phase 1 of a wave-close: record the expected count, and if every data
+/// object was already consumed, ship the finalize, or run it and go straight
+/// on to phase 2.
+fn begin_close(
+    shared: &Arc<Shared>,
+    w: &mut Worker,
+    inflight: &mut InFlight,
+    graph: u32,
+    node: GNodeId,
+    mut env: Envelope,
+    total: u32,
+) -> Result<Begun, DpsError> {
+    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
+    let info = exec_info(shared, w);
+    let key = env
+        .wave_key()
+        .expect("close envelopes carry the wave frame");
+    let pre_pop_env = w.remote.as_ref().map(|_| env.clone());
+    let _ = env.pop();
+    let parent_env = env;
+
+    let Some(wave) = w.waves.get_mut(&key) else {
+        w.pending_expected.insert(key, total);
+        return Ok(Begun::Finished);
+    };
+    wave.expected = Some(total);
+    if wave.received > total {
+        return Err(DpsError::OperationContract {
+            node: gnode.name.clone(),
+            reason: format!(
+                "wave received {} tokens but producer posted {total}",
+                wave.received
+            ),
+        });
+    }
+    if wave.received != total {
+        return Ok(Begun::Finished);
+    }
+    // The wave stays in the table until phase 2: consumes of it that are
+    // still in flight ahead of this finalize advance its `out_index`.
+    match &w.remote {
+        Some(r) => {
+            let pending = r.begin(RemoteTask {
+                app: w.app,
+                tc: w.tc,
+                thread: w.thread,
+                graph,
+                node,
+                kind: RemoteKind::Finalize,
+                token: None,
+                env: pre_pop_env.expect("cloned when the hook matched"),
+            });
+            let cont = Cont::Wave {
+                graph,
+                node,
+                key,
+                parent_env,
+                completes: true,
+                consumed: false,
+            };
+            inflight.push_back((pending, cont));
+            Ok(Begun::InFlight)
+        }
+        None => {
+            let mut out = OpOutput::default();
+            wave.op
+                .as_mut()
+                .expect("local waves hold their op")
+                .on_finalize(&mut out, w.data.as_mut(), info, &gnode.name)?;
+            let posts = out.posts.into_iter().map(|p| p.token).collect();
+            finish_wave(shared, w, graph, node, &key, parent_env, true, false, posts)?;
+            Ok(Begun::Finished)
+        }
+    }
+}
+
+/// Phase 2 of a shipped operation: apply the posts it came back with.
+fn finish(
+    shared: &Arc<Shared>,
+    w: &mut Worker,
+    cont: Cont,
+    posts: Vec<TokenBox>,
+) -> Result<(), DpsError> {
+    match cont {
+        Cont::Exec { graph, node, env } => finish_exec(shared, w, graph, node, env, posts),
+        Cont::Wave {
             graph,
             node,
-            kind: RemoteKind::Consume { completes },
-            token: Some(token),
-            env: pre_pop_env.expect("cloned when the hook matched"),
-        })?;
-        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
-        outcome.posts
-    } else {
-        let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-        let op = wave.op.as_mut().expect("local waves hold their op");
-        let mut out = OpOutput::default();
-        let t0 = Instant::now();
-        op.on_token(&mut out, w.data.as_mut(), info, &name, token)?;
-        if completes {
-            op.on_finalize(&mut out, w.data.as_mut(), info, &name)?;
-        }
-        report_completion(shared, w, &out, t0);
-        if let (Some(start), Some(c)) = (t0n, shared.trace.as_ref()) {
-            let op = c.label(&name);
-            let wave32 = frame.wave as u32;
-            let end = c.now_nanos();
-            if let Some(wtr) = w.trace.as_mut() {
-                wtr.record(start, EventKind::OpStart { op, wave: wave32 });
-                wtr.record(end, EventKind::OpEnd { op, wave: wave32 });
-            }
-        }
-        out.posts.into_iter().map(|p| p.token).collect()
-    };
+            key,
+            parent_env,
+            completes,
+            consumed,
+        } => finish_wave(
+            shared, w, graph, node, &key, parent_env, completes, consumed, posts,
+        ),
+    }
+}
 
-    match kind {
+/// Phase 2 of a consume (`consumed`) or finalize: a completed merge emits
+/// its output, a stream queues its posts; a completed wave leaves the
+/// table, a consumed token returns its flow credit.
+#[allow(clippy::too_many_arguments)]
+fn finish_wave(
+    shared: &Arc<Shared>,
+    w: &mut Worker,
+    graph: u32,
+    node: GNodeId,
+    key: &WaveKey,
+    parent_env: Envelope,
+    completes: bool,
+    consumed: bool,
+    mut posts: Vec<TokenBox>,
+) -> Result<(), DpsError> {
+    let def = &shared.defs[w.app as usize][graph as usize];
+    let gnode = def.node(node);
+    match gnode.kind {
         OpKind::Merge => {
             if completes {
                 let post = posts.pop().ok_or_else(|| DpsError::OperationContract {
-                    node: name.clone(),
+                    node: gnode.name.clone(),
                     reason: "merge wave completed without an output".into(),
                 })?;
                 emit(shared, w.app, graph, node, w.node, post, parent_env);
             }
         }
         OpKind::Stream => {
-            let n_posts = posts.len() as u32;
-            let mut close_to_send: Option<(Envelope, u32)> = None;
-            if n_posts > 0 || completes {
-                let flow_key = (node.0, out_wave);
-                {
-                    let g = &shared.apps[w.app as usize].graphs[graph as usize];
-                    let mut flows = g.flows.lock();
-                    let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
-                        pending: VecDeque::new(),
-                        outstanding: 0,
-                        complete: false,
-                        from: node,
-                        src_node: w.node,
-                        unbounded: false,
-                    });
-                    for (i, post) in posts.into_iter().enumerate() {
-                        let mut e = parent_env.clone();
-                        e.push(Frame {
-                            src: node,
-                            wave: out_wave,
-                            index: out_index_base + i as u32,
-                            total: None,
-                        });
-                        flow.pending.push_back((post, e));
-                    }
-                    if completes {
-                        let total = out_index_base + n_posts;
-                        if total == 0 {
-                            return Err(DpsError::OperationContract {
-                                node: name,
-                                reason: "stream operation posted no tokens across its wave".into(),
-                            });
-                        }
-                        flow.complete = true;
-                        match flow.pending.back_mut() {
-                            Some((_, last_env)) => {
-                                if let Some(f) = last_env.frames.last_mut() {
-                                    f.total = Some(total);
-                                }
-                            }
-                            None => {
-                                // Final data object already in flight: the
-                                // count travels as a wave-close message.
-                                let mut close_env = parent_env.clone();
-                                close_env.push(Frame {
-                                    src: node,
-                                    wave: out_wave,
-                                    index: 0,
-                                    total: Some(total),
-                                });
-                                close_to_send = Some((close_env, total));
-                            }
-                        }
-                    }
-                }
-                if let Some(wv) = w.waves.get_mut(&key) {
-                    wv.out_index = out_index_base + n_posts;
-                }
-                if let Some((close_env, total)) = close_to_send {
-                    send_close(shared, w.app, graph, close_env, total);
-                }
-                pump_flow(shared, w.app, graph, flow_key);
+            if !posts.is_empty() || completes {
+                finish_stream(shared, w, graph, node, key, &parent_env, completes, posts)?;
             }
         }
-        _ => unreachable!(),
+        _ => unreachable!("only merges and streams consume waves"),
     }
-
     if completes {
         if let Some(c) = shared.trace.as_ref() {
             let graph_label = c.label(def.name());
@@ -791,16 +991,106 @@ fn handle_consume(
                 shared,
                 EventKind::WaveEnd {
                     graph: graph_label,
-                    wave: frame.wave as u32,
+                    wave: key.wave as u32,
                 },
             );
             c.drain();
         }
-        w.waves.remove(&key);
+        w.waves.remove(key);
         let g = &shared.apps[w.app as usize].graphs[graph as usize];
-        g.wave_threads.lock().remove(&key);
+        g.wave_threads.lock().remove(key);
     }
-    credit_flow(shared, w.app, graph, (frame.src.0, frame.wave));
+    if consumed {
+        credit_flow(shared, w.app, graph, (key.src.0, key.wave));
+    }
+    Ok(())
+}
+
+/// Queue a stream's posts on its output flow, numbered from the wave's
+/// `out_index`; the post that completes the wave carries the total (or a
+/// wave-close does, when the last data object is already in flight).
+///
+/// `out_index` is read and advanced here, in phase 2, and nowhere else: two
+/// consumes of one wave can be in flight together, and numbering their
+/// posts in phase 1 would start both from the same base.
+#[allow(clippy::too_many_arguments)]
+fn finish_stream(
+    shared: &Arc<Shared>,
+    w: &mut Worker,
+    graph: u32,
+    node: GNodeId,
+    key: &WaveKey,
+    parent_env: &Envelope,
+    completes: bool,
+    posts: Vec<TokenBox>,
+) -> Result<(), DpsError> {
+    let name = &shared.defs[w.app as usize][graph as usize].node(node).name;
+    let Some(wave) = w.waves.get_mut(key) else {
+        return Err(DpsError::OperationContract {
+            node: name.clone(),
+            reason: "stream wave was completed twice".into(),
+        });
+    };
+    let out_wave = wave.out_wave;
+    let base = wave.out_index;
+    let total = base + posts.len() as u32;
+    wave.out_index = total;
+    if completes && total == 0 {
+        return Err(DpsError::OperationContract {
+            node: name.clone(),
+            reason: "stream operation posted no tokens across its wave".into(),
+        });
+    }
+    let flow_key = (node.0, out_wave);
+    let mut close_to_send: Option<Envelope> = None;
+    {
+        let g = &shared.apps[w.app as usize].graphs[graph as usize];
+        let mut flows = g.flows.lock();
+        let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
+            pending: VecDeque::new(),
+            outstanding: 0,
+            complete: false,
+            from: node,
+            src_node: w.node,
+            unbounded: false,
+        });
+        for (i, post) in posts.into_iter().enumerate() {
+            let mut e = parent_env.clone();
+            e.push(Frame {
+                src: node,
+                wave: out_wave,
+                index: base + i as u32,
+                total: None,
+            });
+            flow.pending.push_back((post, e));
+        }
+        if completes {
+            flow.complete = true;
+            match flow.pending.back_mut() {
+                Some((_, last_env)) => {
+                    if let Some(f) = last_env.frames.last_mut() {
+                        f.total = Some(total);
+                    }
+                }
+                None => {
+                    // Final data object already in flight: the count
+                    // travels as a wave-close message.
+                    let mut close_env = parent_env.clone();
+                    close_env.push(Frame {
+                        src: node,
+                        wave: out_wave,
+                        index: 0,
+                        total: Some(total),
+                    });
+                    close_to_send = Some(close_env);
+                }
+            }
+        }
+    }
+    if let Some(close_env) = close_to_send {
+        send_close(shared, w.app, graph, close_env, total);
+    }
+    pump_flow(shared, w.app, graph, flow_key);
     Ok(())
 }
 
@@ -841,149 +1131,6 @@ fn handle_call(
     });
     let entry = shared.defs[t_app as usize][t_graph as usize].entry();
     route_and_send(shared, t_app, t_graph, entry, w.node, token, callee_env);
-    Ok(())
-}
-
-/// Handle a wave-close: record the expected count; finalize if all data
-/// objects were already consumed.
-fn handle_close(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    mut env: Envelope,
-    total: u32,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let gnode = def.node(node);
-    let name = gnode.name.clone();
-    let info = exec_info(shared, w);
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let remote = remote_for(&shared.remote, w.node);
-    let pre_pop_env = remote.as_ref().map(|_| env.clone());
-    let _ = env.pop();
-    let parent_env = env;
-
-    let Some(wave) = w.waves.get_mut(&key) else {
-        w.pending_expected.insert(key, total);
-        return Ok(());
-    };
-    wave.expected = Some(total);
-    if wave.received > total {
-        return Err(DpsError::OperationContract {
-            node: name,
-            reason: format!(
-                "wave received {} tokens but producer posted {total}",
-                wave.received
-            ),
-        });
-    }
-    if wave.received != total {
-        return Ok(());
-    }
-    let mut wave = w.waves.remove(&key).expect("present above");
-    let mut posts: Vec<TokenBox> = if let Some(r) = remote {
-        let outcome = r.execute(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
-            graph,
-            node,
-            kind: RemoteKind::Finalize,
-            token: None,
-            env: pre_pop_env.expect("cloned when the hook matched"),
-        })?;
-        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
-        outcome.posts
-    } else {
-        let mut out = OpOutput::default();
-        wave.op
-            .as_mut()
-            .expect("local waves hold their op")
-            .on_finalize(&mut out, w.data.as_mut(), info, &name)?;
-        out.posts.into_iter().map(|p| p.token).collect()
-    };
-    match gnode.kind {
-        OpKind::Merge => {
-            let post = posts.pop().ok_or_else(|| DpsError::OperationContract {
-                node: name.clone(),
-                reason: "merge wave completed without an output".into(),
-            })?;
-            emit(shared, w.app, graph, node, w.node, post, parent_env);
-        }
-        OpKind::Stream => {
-            let n_posts = posts.len() as u32;
-            let total_out = wave.out_index + n_posts;
-            if total_out == 0 {
-                return Err(DpsError::OperationContract {
-                    node: name,
-                    reason: "stream operation posted no tokens across its wave".into(),
-                });
-            }
-            let flow_key = (node.0, wave.out_wave);
-            let mut close_to_send: Option<(Envelope, u32)> = None;
-            {
-                let g = &shared.apps[w.app as usize].graphs[graph as usize];
-                let mut flows = g.flows.lock();
-                let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
-                    pending: VecDeque::new(),
-                    outstanding: 0,
-                    complete: false,
-                    from: node,
-                    src_node: w.node,
-                    unbounded: false,
-                });
-                for (i, post) in posts.into_iter().enumerate() {
-                    let mut e = parent_env.clone();
-                    e.push(Frame {
-                        src: node,
-                        wave: wave.out_wave,
-                        index: wave.out_index + i as u32,
-                        total: None,
-                    });
-                    flow.pending.push_back((post, e));
-                }
-                flow.complete = true;
-                match flow.pending.back_mut() {
-                    Some((_, last_env)) => {
-                        if let Some(f) = last_env.frames.last_mut() {
-                            f.total = Some(total_out);
-                        }
-                    }
-                    None => {
-                        let mut close_env = parent_env.clone();
-                        close_env.push(Frame {
-                            src: node,
-                            wave: wave.out_wave,
-                            index: 0,
-                            total: Some(total_out),
-                        });
-                        close_to_send = Some((close_env, total_out));
-                    }
-                }
-            }
-            if let Some((close_env, t)) = close_to_send {
-                send_close(shared, w.app, graph, close_env, t);
-            }
-            pump_flow(shared, w.app, graph, flow_key);
-        }
-        _ => unreachable!("closes only target merge/stream nodes"),
-    }
-    if let Some(c) = shared.trace.as_ref() {
-        let graph_label = c.label(def.name());
-        w.trace(
-            shared,
-            EventKind::WaveEnd {
-                graph: graph_label,
-                wave: key.wave as u32,
-            },
-        );
-        c.drain();
-    }
-    let g = &shared.apps[w.app as usize].graphs[graph as usize];
-    g.wave_threads.lock().remove(&key);
     Ok(())
 }
 

@@ -223,3 +223,396 @@ fn timeout_reports_deadlock_shape() {
         .unwrap_err();
     assert!(err.to_string().contains("timed out"));
 }
+
+// --- the remote-execution seam, against a scripted in-process hook ----------
+
+mod pipelined_remote {
+    use std::collections::HashMap;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use dps_core::{Frame, GNodeId, WaveKey};
+    use dps_mt::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};
+    use dps_obs::{Counter, Gauge, TraceCollector};
+
+    /// What the script plays at a graph node hosted on the remote node.
+    #[derive(Clone, Copy)]
+    enum Role {
+        /// Leaf: the `Work` operation.
+        Square,
+        /// Stream: every consume posts its piece at once, the finalize a
+        /// late close triggers posts [`LATE`].
+        Echo,
+        /// Merge: the `Sum` operation.
+        Sum,
+    }
+
+    /// The piece `Role::Echo` posts from a finalize.
+    const LATE: Piece = Piece { i: 99, v: 1000 };
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ev {
+        Begin(usize),
+        Wait(usize),
+    }
+
+    /// The process hosting node 1, scripted: it executes a task the moment
+    /// it is begun (so in `begin` order, the seam's contract) and hands the
+    /// posts over when the pending is waited on.
+    #[derive(Default)]
+    struct Script {
+        roles: Mutex<HashMap<GNodeId, Role>>,
+        sums: Mutex<HashMap<WaveKey, u64>>,
+        /// Every `begin` and `wait`, in the order the hook saw them.
+        log: Mutex<Vec<Ev>>,
+        /// Kind and top envelope frame of every task, in `begin` order.
+        tasks: Mutex<Vec<(GNodeId, RemoteKind, Frame)>>,
+        /// One unit per `begin`, once it has executed.
+        begun: Mutex<Option<Sender<()>>>,
+        /// The first `begin` returns only after a unit arrives here: holds
+        /// the proxy thread back until its queue is as deep as a case needs.
+        first_begin: Mutex<Option<Receiver<()>>>,
+        /// Every `wait` returns only after this is closed: keeps everything
+        /// begun in flight.
+        replies: Mutex<Option<Receiver<()>>>,
+    }
+
+    impl Script {
+        fn execute(&self, task: RemoteTask) -> Vec<TokenBox> {
+            let role = self.roles.lock().unwrap()[&task.node];
+            let piece = |t: TokenBox| *downcast::<Piece>(t).expect("the script moves pieces");
+            match (role, task.kind, task.token) {
+                (Role::Square, RemoteKind::Exec, Some(t)) => {
+                    let p = piece(t);
+                    vec![Box::new(Piece {
+                        i: p.i,
+                        v: p.v * p.v,
+                    })]
+                }
+                (Role::Echo, RemoteKind::Consume { .. }, Some(t)) => vec![t],
+                (Role::Echo, RemoteKind::Finalize, None) => vec![Box::new(LATE)],
+                (Role::Sum, kind, token) => {
+                    let key = task.env.wave_key().expect("consumes carry their wave");
+                    let mut sums = self.sums.lock().unwrap();
+                    *sums.entry(key.clone()).or_default() += token.map_or(0, |t| piece(t).v);
+                    match kind {
+                        RemoteKind::Consume { completes: false } => Vec::new(),
+                        _ => vec![Box::new(Total {
+                            sum: sums.remove(&key).expect("just touched"),
+                        })],
+                    }
+                }
+                (_, kind, _) => panic!("the script has no part for {kind:?} at {}", task.node),
+            }
+        }
+    }
+
+    struct Hook(Arc<Script>);
+
+    impl RemoteExec for Hook {
+        fn is_remote(&self, node: u32) -> bool {
+            node == 1
+        }
+
+        fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending> {
+            let s = &self.0;
+            if let Some(gate) = s.first_begin.lock().unwrap().take() {
+                gate.recv_timeout(PATIENCE).expect("first begin released");
+            }
+            let id = {
+                let mut tasks = s.tasks.lock().unwrap();
+                let top = *task.env.frames.last().expect("under a split");
+                tasks.push((task.node, task.kind, top));
+                tasks.len() - 1
+            };
+            s.log.lock().unwrap().push(Ev::Begin(id));
+            let posts = s.execute(task);
+            if let Some(begun) = &*s.begun.lock().unwrap() {
+                let _ = begun.send(());
+            }
+            Box::new(Reply {
+                script: s.clone(),
+                id,
+                posts,
+            })
+        }
+    }
+
+    struct Reply {
+        script: Arc<Script>,
+        id: usize,
+        posts: Vec<TokenBox>,
+    }
+
+    impl RemotePending for Reply {
+        fn wait(self: Box<Self>) -> Result<RemoteOutcome> {
+            self.script.log.lock().unwrap().push(Ev::Wait(self.id));
+            if let Some(held) = &*self.script.replies.lock().unwrap() {
+                // Returns when the test drops the sending half.
+                let _ = held.recv_timeout(PATIENCE);
+            }
+            Ok(RemoteOutcome {
+                posts: self.posts,
+                reports: Vec::new(),
+            })
+        }
+    }
+
+    /// How long a step the test forces may take before it counts as hung.
+    const PATIENCE: Duration = Duration::from_secs(20);
+
+    /// Route to thread 0, reporting the load snapshot of every decision.
+    struct Tap(Sender<Option<Vec<u32>>>);
+    impl Route<Piece> for Tap {
+        fn route(&mut self, _p: &Piece, info: &RouteInfo<'_>) -> usize {
+            let _ = self.0.send(info.load.map(<[u32]>::to_vec));
+            0
+        }
+    }
+
+    struct Rig {
+        eng: MtEngine,
+        script: Arc<Script>,
+        metrics: Arc<TraceCollector>,
+        /// Sending a unit releases the first `begin`, held since the start.
+        release: Sender<()>,
+        main: ThreadCollection<()>,
+        /// Two threads, both on the remote node 1; the cases use thread 0.
+        remote: ThreadCollection<()>,
+    }
+
+    fn rig() -> Rig {
+        let mut eng = MtEngine::new(2);
+        let script = Arc::new(Script::default());
+        eng.set_remote_exec(Arc::new(Hook(script.clone())));
+        let metrics = TraceCollector::new();
+        eng.set_trace_sink(metrics.clone());
+        let (release, gate) = channel();
+        *script.first_begin.lock().unwrap() = Some(gate);
+        let app = eng.app("scripted");
+        let main = eng.thread_collection(app, "main", "node0").unwrap();
+        let remote = eng.thread_collection(app, "far", "node1 node1").unwrap();
+        Rig {
+            eng,
+            script,
+            metrics,
+            release,
+            main,
+            remote,
+        }
+    }
+
+    impl Rig {
+        /// Let the proxy thread go once the run has enqueued `messages`
+        /// messages (deliveries and closes, the submitted job included):
+        /// from there it finds its whole queue waiting, so what it ships
+        /// before its first wait does not depend on who runs when.
+        fn release_at(&self, messages: u64) {
+            let deadline = Instant::now() + PATIENCE;
+            while self.metrics.metrics().get(Counter::TokensEnqueued) < messages {
+                assert!(Instant::now() < deadline, "the run never queued {messages}");
+                std::thread::yield_now();
+            }
+            self.release.send(()).unwrap();
+        }
+
+        fn one_total(&mut self, g: dps_mt::MtGraph) -> u64 {
+            self.eng.wait_for_outputs(g, 1).unwrap();
+            let out = self.eng.drain_outputs(g).pop().expect("one output");
+            downcast::<Total>(out).unwrap().sum
+        }
+
+        /// The `sumsq` graph of the tests above with its leaf on the remote
+        /// node, played by the script and routed through a [`Tap`].
+        fn squares(&mut self) -> (dps_mt::MtGraph, Receiver<Option<Vec<u32>>>) {
+            let (tap, taps) = channel();
+            let mut b = GraphBuilder::new("sumsq");
+            let s = b.split(&self.main, || ToThread(0), || Fan);
+            let l = b.leaf(&self.remote, move || Tap(tap.clone()), || Work);
+            let m = b.merge(&self.main, || ToThread(0), Sum::default);
+            b.add(s >> l >> m);
+            let g = self.eng.build_graph(b).unwrap();
+            self.script
+                .roles
+                .lock()
+                .unwrap()
+                .insert(l.id(), Role::Square);
+            (g, taps)
+        }
+    }
+
+    fn next<T>(rx: &Receiver<T>) -> T {
+        rx.recv_timeout(PATIENCE).expect("the run got this far")
+    }
+
+    fn begins(n: usize) -> Vec<Ev> {
+        (0..n).map(Ev::Begin).collect()
+    }
+
+    /// With its whole wave queued, the proxy thread ships all of it before
+    /// it waits for the first reply, consumes the replies oldest first, and
+    /// the run's output is the hook-less one.
+    #[test]
+    fn queued_deliveries_are_begun_before_the_first_wait() {
+        let mut rig = rig();
+        let (g, _taps) = rig.squares();
+        rig.eng.submit(g, Box::new(Job { n: 6 }));
+        rig.release_at(1 + 6);
+        let sum = rig.one_total(g);
+
+        let log = rig.script.log.lock().unwrap().clone();
+        assert_eq!(log[..6], begins(6)[..], "waited with work queued");
+        let waits: Vec<Ev> = log[6..].to_vec();
+        assert_eq!(waits, (0..6).map(Ev::Wait).collect::<Vec<_>>(), "FIFO");
+        assert_eq!(rig.metrics.metrics().gauge(Gauge::RemoteInFlightPeak), 6);
+
+        let mut plain = MtEngine::new(2);
+        let pg = build(&mut plain, 2);
+        let reference = plain.run_one::<Total>(pg, Box::new(Job { n: 6 })).unwrap();
+        assert_eq!(sum, reference.sum);
+    }
+
+    /// A message stays in its thread's backlog until phase 2 of its
+    /// operation ends — load-aware routes see what the remote host still
+    /// has queued — and the backlog is back to zero once the thread idles.
+    #[test]
+    fn in_flight_operations_stay_in_the_backlog() {
+        let mut rig = rig();
+        let (g, taps) = rig.squares();
+        let (begun, begins) = channel();
+        *rig.script.begun.lock().unwrap() = Some(begun);
+        let (hold, held) = channel::<()>();
+        *rig.script.replies.lock().unwrap() = Some(held);
+
+        rig.eng.submit(g, Box::new(Job { n: 4 }));
+        rig.release_at(1 + 4);
+        for _ in 0..4 {
+            next(&begins);
+            next(&taps);
+        }
+        // All four left the queue and none was answered. The next routing
+        // decision still finds them on thread 0.
+        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        assert_eq!(next(&taps), Some(vec![4, 0]));
+
+        drop(hold);
+        rig.eng.wait_for_outputs(g, 2).unwrap();
+        rig.eng.drain_outputs(g);
+        // The last retire races the output it produced by a few
+        // instructions, so idle is probed, not assumed.
+        let deadline = Instant::now() + PATIENCE;
+        loop {
+            rig.eng.submit(g, Box::new(Job { n: 1 }));
+            let load = next(&taps);
+            rig.one_total(g);
+            if load == Some(vec![0, 0]) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "backlog never drained: {load:?}");
+        }
+    }
+
+    /// Consecutive consumes of one remote stream wave are in flight
+    /// together and each posts a token: the posts are numbered in reply
+    /// order from one running index, and one of them carries the total.
+    #[test]
+    fn a_pipelined_stream_wave_numbers_its_posts_once() {
+        let mut rig = rig();
+        let mut b = GraphBuilder::new("echo");
+        let s = b.split(&rig.main, || ToThread(0), || Fan);
+        let e = b.stream(&rig.remote, || ToThread(0), EchoOp::default);
+        let m = b.merge(&rig.remote, || ToThread(0), Sum::default);
+        b.add(s >> e >> m);
+        let g = rig.eng.build_graph(b).unwrap();
+        let roles = [(e.id(), Role::Echo), (m.id(), Role::Sum)];
+        rig.script.roles.lock().unwrap().extend(roles);
+
+        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        rig.release_at(1 + 5);
+        assert_eq!(rig.one_total(g), 1 + 2 + 3 + 4);
+
+        let log = rig.script.log.lock().unwrap().clone();
+        assert_eq!(log[..5], begins(5)[..], "five consumes in flight together");
+        let merged = merge_frames(&rig.script, m.id());
+        let indices: Vec<u32> = merged.iter().map(|f| f.index).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4]);
+        let totals: Vec<u32> = merged.iter().filter_map(|f| f.total).collect();
+        assert_eq!(totals, [5]);
+    }
+
+    /// A close that overtakes the replies of its wave: the stream's four
+    /// consumes are still in flight when the close completes the wave, so
+    /// the finalize is shipped behind them — and its wave is still there
+    /// when their posts, then its own, are numbered.
+    #[test]
+    fn a_close_finalizes_behind_the_consumes_still_in_flight() {
+        let mut rig = rig();
+        let mut b = GraphBuilder::new("late-close");
+        let s = b.split(&rig.main, || ToThread(0), || Fan);
+        // Posts every piece but the last and nothing from its finalize:
+        // the wave's total reaches the next stream as a close message.
+        let d = b.stream(&rig.main, || ToThread(0), || DropPiece(4));
+        let e = b.stream(&rig.remote, || ToThread(0), EchoOp::default);
+        let m = b.merge(&rig.remote, || ToThread(0), Sum::default);
+        b.add(s >> d >> e >> m);
+        let g = rig.eng.build_graph(b).unwrap();
+        let roles = [(e.id(), Role::Echo), (m.id(), Role::Sum)];
+        rig.script.roles.lock().unwrap().extend(roles);
+
+        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        // The job, five pieces to `d`, four on to `e`, and the close.
+        rig.release_at(1 + 5 + 4 + 1);
+        assert_eq!(rig.one_total(g), 1 + 2 + 3 + LATE.v);
+
+        let log = rig.script.log.lock().unwrap().clone();
+        assert_eq!(log[..5], begins(5)[..], "the finalize went out behind them");
+        let kinds: Vec<RemoteKind> = rig.script.tasks.lock().unwrap()[..5]
+            .iter()
+            .map(|t| t.1)
+            .collect();
+        let consume = RemoteKind::Consume { completes: false };
+        assert_eq!(
+            kinds,
+            [consume, consume, consume, consume, RemoteKind::Finalize]
+        );
+        let merged = merge_frames(&rig.script, m.id());
+        let indices: Vec<u32> = merged.iter().map(|f| f.index).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4]);
+        assert_eq!(merged.last().unwrap().total, Some(5));
+    }
+
+    /// Top frames of the tasks shipped for merge node `m`, in `begin` order.
+    fn merge_frames(script: &Script, m: GNodeId) -> Vec<Frame> {
+        let tasks = script.tasks.lock().unwrap();
+        tasks.iter().filter(|t| t.0 == m).map(|t| t.2).collect()
+    }
+
+    /// Declared at the remote stream node; the script plays it.
+    #[derive(Default)]
+    struct EchoOp;
+    impl StreamOperation for EchoOp {
+        type Thread = ();
+        type In = Piece;
+        type Out = Piece;
+        fn consume(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+            ctx.post(p);
+        }
+        fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Piece>) {}
+    }
+
+    /// Local stream: forwards every piece but number `.0`.
+    struct DropPiece(u32);
+    impl StreamOperation for DropPiece {
+        type Thread = ();
+        type In = Piece;
+        type Out = Piece;
+        fn consume(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+            if p.i != self.0 {
+                ctx.post(p);
+            }
+        }
+        fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Piece>) {}
+    }
+}

@@ -23,7 +23,7 @@ use dps_cluster::{resolve_mapping, ClusterSpec};
 use dps_core::{DpsError, GraphBuilder, Result, ThreadCollection, TokenBox};
 use dps_mt::{
     FailHandle, MtApp, MtConfig, MtEngine, MtGraph, RemoteExec, RemoteKind, RemoteOutcome,
-    RemoteTask,
+    RemotePending, RemoteTask,
 };
 use dps_net::{NameServer, NodeId};
 use dps_obs::TraceCollector;
@@ -178,8 +178,9 @@ enum Role {
 /// `take_outputs` drains them.
 type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
 
-/// Reply payload of a [`Frame::Done`], routed to the blocked engine thread.
-/// The posts are views into the received frame; that thread decodes them.
+/// Reply payload of a [`Frame::Done`], routed to the engine thread that
+/// shipped the `Exec`. The posts are views into the received frame; that
+/// thread decodes them when the reply reaches the head of its lane.
 struct DoneReply {
     posts: Vec<Bytes>,
     reports: Vec<(u64, f64)>,
@@ -348,36 +349,46 @@ struct Worker {
 
 /// [`RemoteExec`] over the master's connections: cluster node 0 lives in
 /// the master process, node `n` in the worker registered as `kernel{n}`.
+///
+/// The in-order contract of the seam holds by construction: the `Exec`
+/// frames of one DPS thread leave on one FIFO connection, in `begin` order,
+/// and the worker's [`ExecHost`] runs them on one executor lane that
+/// executes and replies strictly in arrival order.
 struct NetRemote(Arc<MasterShared>);
 
-impl RemoteExec for NetRemote {
-    fn is_remote(&self, node: u32) -> bool {
-        node != 0
-    }
+/// One shipped `Exec` whose `Done` has not been consumed yet.
+struct NetPending {
+    shared: Arc<MasterShared>,
+    app: u32,
+    /// The cluster node hosting the executing thread (names the kernel on
+    /// the failure paths).
+    host: u32,
+    /// The sequence number and reply channel of the shipped frame, or why
+    /// it could not be shipped.
+    reply: std::result::Result<(u64, Receiver<DoneReply>), DpsError>,
+}
 
-    fn execute(&self, task: RemoteTask) -> std::result::Result<RemoteOutcome, DpsError> {
+fn node_down(host: u32, target: String) -> DpsError {
+    DpsError::NodeDown {
+        node: format!("kernel{host}"),
+        target,
+    }
+}
+
+impl NetRemote {
+    /// Frame `task` as an `Exec` and send it to the rank hosting `host`.
+    fn ship(
+        &self,
+        host: u32,
+        task: RemoteTask,
+    ) -> std::result::Result<(u64, Receiver<DoneReply>), DpsError> {
         let s = &self.0;
-        // The hook is only consulted for declared threads, so the decl
-        // mirror always knows the hosting cluster node.
-        let host = s
-            .decls
-            .with(|d| d.apps[task.app as usize].tcs[task.tc as usize].nodes[task.thread as usize]);
-        // Only the failure paths name the kernel.
-        let down = |target: String| DpsError::NodeDown {
-            node: format!("kernel{host}"),
-            target,
-        };
         let ranks = s.node_rank.get().expect("resolved before the hook is set");
         let rank = ranks
             .get(host as usize)
             .copied()
             .flatten()
-            .ok_or_else(|| down(format!("node {}", task.node)))?;
-        if s.rank_dead(rank) {
-            // Tombstoned rank: fail fast so the router sheds the work to
-            // survivors instead of burning the exec timeout per call.
-            return Err(down("worker process is down (tombstoned)".into()));
-        }
+            .ok_or_else(|| node_down(host, format!("node {}", task.node)))?;
         let conn = &s.conns[(rank - 1) as usize];
         let kind = match task.kind {
             RemoteKind::Exec => TaskKind::Exec,
@@ -392,7 +403,21 @@ impl RemoteExec for NetRemote {
             .map_or_else(Payload::empty, Payload::Token);
         let seq = s.seq.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
-        s.pending.lock().insert(seq, (rank, tx));
+        {
+            // Registered under the lock `declare_dead` sweeps under, after
+            // it raised the flag: a reply slot either sees the tombstone
+            // here or is swept there — never left to the exec timeout.
+            let mut pending = s.pending.lock();
+            if s.rank_dead(rank) {
+                // Tombstoned rank: fail fast so the router sheds the work
+                // to survivors instead of burning the exec timeout per call.
+                return Err(node_down(
+                    host,
+                    "worker process is down (tombstoned)".into(),
+                ));
+            }
+            pending.insert(seq, (rank, tx));
+        }
         let frame = Frame::Exec {
             seq,
             app: task.app,
@@ -406,23 +431,63 @@ impl RemoteExec for NetRemote {
         };
         if let Err(e) = conn.send(&frame) {
             s.pending.lock().remove(&seq);
-            return Err(down(format!("send failed: {e}")));
+            return Err(node_down(host, format!("send failed: {e}")));
         }
+        Ok((seq, rx))
+    }
+}
+
+impl RemoteExec for NetRemote {
+    fn is_remote(&self, node: u32) -> bool {
+        node != 0
+    }
+
+    fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending> {
+        let s = &self.0;
+        // The hook is only consulted for declared threads, so the decl
+        // mirror always knows the hosting cluster node.
+        let host = s
+            .decls
+            .with(|d| d.apps[task.app as usize].tcs[task.tc as usize].nodes[task.thread as usize]);
+        Box::new(NetPending {
+            shared: s.clone(),
+            app: task.app,
+            host,
+            reply: self.ship(host, task),
+        })
+    }
+}
+
+impl RemotePending for NetPending {
+    /// The exec timeout runs from here — from the moment the op is the
+    /// oldest of its lane, with everything shipped before it answered.
+    fn wait(self: Box<Self>) -> std::result::Result<RemoteOutcome, DpsError> {
+        let NetPending {
+            shared: s,
+            app,
+            host,
+            reply,
+        } = *self;
+        let (seq, rx) = reply?;
         let done = match rx.recv_timeout(s.timeouts.exec) {
             Ok(done) => done,
             Err(RecvTimeoutError::Disconnected) => {
                 // The liveness layer declared the rank dead and dropped our
                 // reply sender — fail now, not at the exec timeout.
-                return Err(down(
+                return Err(node_down(
+                    host,
                     "worker process died mid-execution (heartbeat/EOF)".into(),
                 ));
             }
             Err(RecvTimeoutError::Timeout) => {
                 s.pending.lock().remove(&seq);
-                return Err(down(format!(
-                    "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
-                    s.timeouts.exec
-                )));
+                return Err(node_down(
+                    host,
+                    format!(
+                        "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
+                        s.timeouts.exec
+                    ),
+                ));
             }
         };
         if let Some(msg) = done.error {
@@ -432,7 +497,7 @@ impl RemoteExec for NetRemote {
             });
         }
         let posts = s.decls.with(|d| {
-            let reg = &d.apps[task.app as usize].registry;
+            let reg = &d.apps[app as usize].registry;
             done.posts
                 .iter()
                 .map(|b| proto::decode_token(reg, b))
@@ -1535,13 +1600,17 @@ impl dps_core::Engine for NetEngine {
                 m.mt.register_token::<T>(m.apps[app.0 as usize]);
                 m.sig.token(wire_id);
                 m.shared.decls.update(|d| {
-                    dps_core::register_token::<T>(&mut d.apps[app.0 as usize].registry)
+                    dps_core::register_token::<T>(Arc::make_mut(
+                        &mut d.apps[app.0 as usize].registry,
+                    ))
                 });
             }
             Role::Worker(w) => {
                 w.sig.token(wire_id);
                 w.decls.update(|d| {
-                    dps_core::register_token::<T>(&mut d.apps[app.0 as usize].registry)
+                    dps_core::register_token::<T>(Arc::make_mut(
+                        &mut d.apps[app.0 as usize].registry,
+                    ))
                 });
             }
         }
@@ -1598,7 +1667,7 @@ impl dps_core::Engine for NetEngine {
                 let mtg = m.mt.install_graph(m.apps[app as usize], def.clone());
                 let graph = m.shared.decls.update(|d| {
                     let a = &mut d.apps[app as usize];
-                    def.register_tokens(&mut a.registry);
+                    def.register_tokens(Arc::make_mut(&mut a.registry));
                     a.graphs.push(def.clone());
                     a.graphs.len() as u32 - 1
                 });
@@ -1609,7 +1678,7 @@ impl dps_core::Engine for NetEngine {
             Role::Worker(w) => {
                 let graph = w.decls.update(|d| {
                     let a = &mut d.apps[app as usize];
-                    def.register_tokens(&mut a.registry);
+                    def.register_tokens(Arc::make_mut(&mut a.registry));
                     a.graphs.push(def.clone());
                     a.graphs.len() as u32 - 1
                 });
@@ -1800,5 +1869,124 @@ mod tests {
         // 29 bytes of ids, a tagged 8-byte token and its envelope.
         assert!(bytes > 23 * 4 + 10 * (29 + 4 + 18), "{bytes} wire bytes");
         assert!(bytes < 23 * 200, "{bytes} wire bytes");
+    }
+
+    /// A leaf that tells the test it started, then holds its lane until
+    /// the test lets one execution go (or closes the gate for good).
+    struct Hold {
+        started: Sender<()>,
+        gate: Arc<Mutex<Receiver<()>>>,
+    }
+    impl LeafOperation for Hold {
+        type Thread = ();
+        type In = Shard;
+        type Out = Shard;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, (), Shard>, s: Shard) {
+            let _ = self.started.send(());
+            let _ = self.gate.lock().recv();
+            ctx.post(s);
+        }
+    }
+
+    /// Seven `Exec`s in flight on one lane when their rank is declared
+    /// dead: every one of them fails with `NodeDown` then and there — the
+    /// exec timeout is an hour, so a single one left to wait it out would
+    /// hang the teardown — no reply slot outlives the rank, and the run
+    /// degrades to `NodeDown`, nothing else.
+    #[test]
+    fn declare_dead_fails_every_exec_in_flight_at_once() {
+        const SHARDS: usize = 8;
+        let mut cfg = NetEngineConfig::default();
+        cfg.timeouts.exec = Duration::from_secs(3600);
+        cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
+        let mut eng = NetEngine::loopback_with(2, cfg);
+        let sink = TraceCollector::new();
+        eng.set_trace_sink(sink.clone());
+        let app = eng.app("held");
+        let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+        let (started, starts) = unbounded();
+        let (open, gate) = unbounded();
+        let gate = Arc::new(Mutex::new(gate));
+        let mut b = GraphBuilder::new("held");
+        let s = b.split(&tc, || ToThread(0), || Fan);
+        let l = b.leaf(
+            &tc,
+            || ToThread(1),
+            move || Hold {
+                started: started.clone(),
+                gate: gate.clone(),
+            },
+        );
+        let m = b.merge(&tc, || ToThread(0), Sum::default);
+        b.add(s >> l >> m);
+        let g = eng.build_graph(b).unwrap();
+        let shared = match &eng.role {
+            Role::Master(m) => m.shared.clone(),
+            Role::Worker(_) => unreachable!("loopback engines are masters"),
+        };
+        let patience = Duration::from_secs(20);
+        let until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + patience;
+            while !done() {
+                assert!(Instant::now() < deadline, "never saw {what}");
+                std::thread::yield_now();
+            }
+        };
+
+        eng.submit(
+            g,
+            Box::new(Job {
+                shards: SHARDS as u32,
+            }),
+        )
+        .unwrap();
+        // The first shard holds the lane, and the proxy thread ends up
+        // parked on its reply, with the rest of the wave (the flow window is
+        // 8) shipped or in its queue: the job was enqueued, then the shards.
+        starts.recv_timeout(patience).expect("first shard started");
+        let enqueued = || sink.metrics().get(dps_obs::Counter::TokensEnqueued);
+        until("the whole wave queued", &|| enqueued() == 1 + SHARDS as u64);
+        // Let that one go. The proxy ships whatever is still queued before
+        // it waits again, on the second shard, which holds the lane in turn.
+        open.send(()).unwrap();
+        starts.recv_timeout(patience).expect("second shard started");
+        until("seven execs in flight", &|| {
+            shared.pending.lock().len() == SHARDS - 1
+        });
+
+        assert!(shared.declare_dead(1, "declared dead by the test"));
+        assert!(
+            shared.pending.lock().is_empty(),
+            "a reply slot outlived its rank"
+        );
+        let failed = Instant::now();
+        let err = eng.run_to_idle(g, 1).unwrap_err();
+        assert!(
+            matches!(err, DpsError::NodeDown { .. }),
+            "degraded to {err}"
+        );
+        // Free the harness lane (it shares this process), then tear down:
+        // the control plane joins its threads, so this returns only once
+        // every in-flight wait has.
+        drop(open);
+        eng.shutdown();
+        assert!(
+            failed.elapsed() < patience,
+            "an exec waited out its timeout"
+        );
+
+        let log = sink.take_log();
+        let down = log
+            .events
+            .iter()
+            .filter(|e| match e.kind {
+                dps_obs::EventKind::OpFailed { op } => log.label(op).contains("is down"),
+                _ => false,
+            })
+            .count();
+        assert_eq!(down, SHARDS - 1, "one NodeDown per exec in flight");
+        // Eight if the whole wave was queued before the proxy first waited.
+        let peak = sink.metrics().gauge(dps_obs::Gauge::RemoteInFlightPeak);
+        assert!(peak >= SHARDS as u64 - 1, "in-flight peak {peak}");
     }
 }

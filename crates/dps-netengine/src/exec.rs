@@ -12,6 +12,7 @@
 //! a local thread would have.
 
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,9 @@ pub(crate) struct TcDecl {
 
 #[derive(Default)]
 pub(crate) struct AppDecl {
-    pub registry: TokenRegistry,
+    /// Shared with the executor lanes, which snapshot it; declarations
+    /// precede every run, so `Arc::make_mut` never copies in practice.
+    pub registry: Arc<TokenRegistry>,
     pub tcs: Vec<TcDecl>,
     pub graphs: Vec<Arc<Flowgraph>>,
 }
@@ -250,8 +253,52 @@ impl ExecHost {
     }
 }
 
+/// What a lane needs from the declarations to execute at one graph node,
+/// resolved once per `(graph, node)` and kept in the lane: its back-to-back
+/// jobs then take no process-wide lock, so they do not serialise with the
+/// reader thread or with other lanes.
+struct NodeCtx {
+    def: Arc<Flowgraph>,
+    thread_count: usize,
+    factory: Arc<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>,
+    /// Token registry of the owning application.
+    registry: Arc<TokenRegistry>,
+    /// Trace label of the node's operation (the empty label without a sink).
+    label: dps_obs::LabelId,
+}
+
+impl NodeCtx {
+    /// Wait for the SPMD declarations to catch up, then snapshot them.
+    fn resolve(
+        decls: &DeclStore,
+        trace: Option<&dps_obs::TraceCollector>,
+        app: u32,
+        tc: u32,
+        graph: u32,
+        node: dps_core::GNodeId,
+    ) -> Result<Self, DpsError> {
+        let mut ctx = decls.wait_for(|d| {
+            let a = d.apps.get(app as usize)?;
+            let tcd = a.tcs.get(tc as usize)?;
+            Some(NodeCtx {
+                def: a.graphs.get(graph as usize)?.clone(),
+                thread_count: tcd.nodes.len(),
+                factory: tcd.factory.clone(),
+                registry: a.registry.clone(),
+                label: dps_obs::LabelId::default(),
+            })
+        })?;
+        if let Some(c) = trace {
+            ctx.label = c.label(&ctx.def.node(node).name);
+        }
+        Ok(ctx)
+    }
+}
+
 /// One executor lane: owns the thread data and op instances of one DPS
-/// thread, replays jobs, replies with `Done` frames.
+/// thread, replays jobs strictly in arrival order, replies with one `Done`
+/// frame per job in that same order — what lets the master keep several
+/// `Exec`s of the thread in flight.
 #[allow(clippy::too_many_arguments)]
 fn executor_loop(
     decls: Arc<DeclStore>,
@@ -266,25 +313,35 @@ fn executor_loop(
     let mut data: Option<Box<dyn Any + Send>> = None;
     let mut ops: HashMap<(u32, u32), Box<dyn DynOp>> = HashMap::new();
     let mut waves: HashMap<WaveKey, Box<dyn DynOp>> = HashMap::new();
+    let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
     while let Ok(job) = rx.recv() {
         let seq = job.seq;
+        let ctx = match resolved.entry((job.graph, job.node.0)) {
+            Entry::Occupied(e) => Ok(&*e.into_mut()),
+            Entry::Vacant(e) => NodeCtx::resolve(
+                &decls,
+                trace.as_ref().map(|(c, _)| &**c),
+                app,
+                tc,
+                job.graph,
+                job.node,
+            )
+            .map(|ctx| &*e.insert(ctx)),
+        };
         // Trace coordinates snapshotted before the job consumes its parts:
         // the op label from the declared graph, the wave from the envelope.
-        let span = trace.as_mut().map(|(c, _)| {
-            let op = decls
-                .with(|d| {
-                    d.apps
-                        .get(app as usize)
-                        .and_then(|a| a.graphs.get(job.graph as usize))
-                        .map(|g| c.label(&g.node(job.node).name))
-                })
-                .unwrap_or_default();
+        let span = trace.as_ref().map(|(c, _)| {
+            let op = ctx
+                .as_ref()
+                .map_or_else(|_| Default::default(), |x| x.label);
             let wave = job.env.frames.last().map_or(0, |f| f.wave as u32);
             (op, wave, c.now_nanos())
         });
-        let outcome = run_job(
-            &decls, node_flops, app, tc, thread, &mut data, &mut ops, &mut waves, job,
-        );
+        let outcome = ctx.and_then(|ctx| {
+            run_job(
+                ctx, node_flops, thread, &mut data, &mut ops, &mut waves, job,
+            )
+        });
         if let (Some((c, w)), Some((op, wave, t0))) = (trace.as_mut(), span) {
             let t1 = c.now_nanos();
             w.record(t0, dps_obs::EventKind::OpStart { op, wave });
@@ -319,86 +376,72 @@ fn executor_loop(
 
 type JobOutput = (Vec<TokenBox>, Vec<(u64, f64)>);
 
-#[allow(clippy::too_many_arguments)]
 fn run_job(
-    decls: &DeclStore,
+    ctx: &NodeCtx,
     node_flops: f64,
-    app: u32,
-    tc: u32,
     thread: u32,
     data: &mut Option<Box<dyn Any + Send>>,
     ops: &mut HashMap<(u32, u32), Box<dyn DynOp>>,
     waves: &mut HashMap<WaveKey, Box<dyn DynOp>>,
     job: Job,
 ) -> Result<JobOutput, DpsError> {
-    // Wait for the SPMD declarations to catch up, then snapshot what the
-    // execution needs: the graph, the collection size, the thread-data
-    // factory and the decoded token.
-    let (def, thread_count, factory, token) = decls.wait_for(|d| {
-        let a = d.apps.get(app as usize)?;
-        let def = a.graphs.get(job.graph as usize)?;
-        let tcd = a.tcs.get(tc as usize)?;
-        let token = if job.token.is_empty() {
-            None
-        } else {
-            Some(proto::decode_token(&a.registry, &job.token))
-        };
-        Some((def.clone(), tcd.nodes.len(), tcd.factory.clone(), token))
-    })?;
-    let token = token.transpose()?;
-
-    let gnode = def.node(job.node);
-    let name = gnode.name.clone();
+    let token = if job.token.is_empty() {
+        None
+    } else {
+        Some(proto::decode_token(&ctx.registry, &job.token)?)
+    };
+    let gnode = ctx.def.node(job.node);
+    let name = gnode.name.as_str();
     if matches!(gnode.kind, OpKind::Call) {
         return Err(DpsError::OperationContract {
-            node: name,
+            node: name.into(),
             reason: "call nodes execute on the master, never remotely".into(),
         });
     }
     let make_op = || {
         gnode.make_op().ok_or_else(|| DpsError::OperationContract {
-            node: gnode.name.clone(),
+            node: name.into(),
             reason: "remote task targets a node without an operation".into(),
         })
     };
     let info = ExecInfo {
         thread_index: thread as usize,
-        thread_count,
+        thread_count: ctx.thread_count,
         node_flops,
         start_nanos: 0,
     };
-    let data = data.get_or_insert_with(|| factory());
+    let data = data.get_or_insert_with(|| (ctx.factory)());
     let mut out = dps_core::internal::OpOutput::default();
     let t0 = Instant::now();
     match job.kind {
         TaskKind::Exec => {
             let op = match ops.entry((job.graph, job.node.0)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => e.insert(make_op()?),
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(make_op()?),
             };
-            let token = token.ok_or_else(|| missing_token(&name))?;
-            op.on_token(&mut out, data.as_mut(), info, &name, token)?;
+            let token = token.ok_or_else(|| missing_token(name))?;
+            op.on_token(&mut out, data.as_mut(), info, name, token)?;
         }
         TaskKind::Consume | TaskKind::ConsumeCompletes => {
-            let key = job.env.wave_key().ok_or_else(|| bad_envelope(&name))?;
+            let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
             let op = match waves.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => e.insert(make_op()?),
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(make_op()?),
             };
-            let token = token.ok_or_else(|| missing_token(&name))?;
-            op.on_token(&mut out, data.as_mut(), info, &name, token)?;
+            let token = token.ok_or_else(|| missing_token(name))?;
+            op.on_token(&mut out, data.as_mut(), info, name, token)?;
             if job.kind == TaskKind::ConsumeCompletes {
-                op.on_finalize(&mut out, data.as_mut(), info, &name)?;
+                op.on_finalize(&mut out, data.as_mut(), info, name)?;
                 waves.remove(&key);
             }
         }
         TaskKind::Finalize => {
-            let key = job.env.wave_key().ok_or_else(|| bad_envelope(&name))?;
+            let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
             let mut op = match waves.remove(&key) {
                 Some(op) => op,
                 None => make_op()?,
             };
-            op.on_finalize(&mut out, data.as_mut(), info, &name)?;
+            op.on_finalize(&mut out, data.as_mut(), info, name)?;
         }
     }
     let reports = out

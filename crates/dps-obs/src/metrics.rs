@@ -86,17 +86,25 @@ pub enum Gauge {
     QueueDepthPeak,
     /// Most trace-ring writers registered.
     WritersPeak,
+    /// Most remote operations one control-plane thread had shipped and not
+    /// yet finished (1 = every round trip was waited out on its own).
+    RemoteInFlightPeak,
 }
 
 impl Gauge {
     /// Every gauge, in index order.
-    pub const ALL: [Gauge; 2] = [Gauge::QueueDepthPeak, Gauge::WritersPeak];
+    pub const ALL: [Gauge; 3] = [
+        Gauge::QueueDepthPeak,
+        Gauge::WritersPeak,
+        Gauge::RemoteInFlightPeak,
+    ];
 
     /// Stable snake_case name (export key).
     pub const fn name(&self) -> &'static str {
         match self {
             Gauge::QueueDepthPeak => "queue_depth_peak",
             Gauge::WritersPeak => "writers_peak",
+            Gauge::RemoteInFlightPeak => "remote_in_flight_peak",
         }
     }
 }

@@ -22,6 +22,15 @@ pub struct Registry<B> {
     factories: HashMap<WireId, (&'static str, DecodeFn<B>)>,
 }
 
+// By hand: a derive would ask for `B: Clone`, and only fn pointers are held.
+impl<B> Clone for Registry<B> {
+    fn clone(&self) -> Self {
+        Self {
+            factories: self.factories.clone(),
+        }
+    }
+}
+
 impl<B> Default for Registry<B> {
     fn default() -> Self {
         Self::new()
