@@ -22,10 +22,11 @@ use dps_obs::{Counter, EventKind, LabelId, TraceCollector, TraceWriter};
 use dps_sched::FeedbackSink;
 
 use crate::builder::GraphBuilder;
-use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
+use crate::envelope::{Envelope, GNodeId, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::{Flowgraph, OpKind};
-use crate::ops::{DynOp, ExecInfo, OpOutput, ThreadData};
+use crate::kernel::{self, CallReturn, CloseTo, Exit, Flow, Instances, Pins, Routed, Wave};
+use crate::ops::{ExecInfo, OpOutput, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
 use crate::threads::ThreadCollection;
 use crate::token::{register_token, wire_roundtrip, Token, TokenBox, TokenRegistry};
@@ -109,63 +110,47 @@ struct ThreadRt {
 }
 
 struct TcRt {
-    #[allow(dead_code)]
-    name: String,
     td_type: TypeId,
     nodes: Vec<NodeId>,
-    data: Vec<Option<Box<dyn Any + Send>>>,
+    data: Vec<Box<dyn Any + Send>>,
     threads: Vec<ThreadRt>,
 }
 
-struct WaveRt {
-    thread: u32,
-    node: GNodeId,
-    op: Option<Box<dyn DynOp>>,
-    received: u32,
-    expected: Option<u32>,
-    parent_env: Envelope,
-    /// Stream output wave id (allocated eagerly; unused for merges).
-    out_wave: u64,
-    out_index: u32,
-}
-
-struct OutboundPost {
-    send_at: SimTime,
-    token: TokenBox,
-    env: Envelope,
-}
-
+/// One wave's posts on their way out, in virtual time.
 struct FlowRt {
-    pending: VecDeque<OutboundPost>,
-    outstanding: u32,
-    window: u32,
-    complete: bool,
-    from_node: GNodeId,
+    /// Each pending post waits for its virtual send instant.
+    flow: Flow<(SimTime, TokenBox)>,
+    /// Cluster node of the producing thread.
     src: NodeId,
+    /// The split's thread, stalled while posts are flow-blocked.
     stalled_thread: Option<ThreadKey>,
     pump_scheduled: bool,
 }
 
-struct GraphRt {
-    def: Flowgraph,
-    routes: Vec<Option<Box<dyn DynRoute>>>,
-    ops: HashMap<(u32, u32), Option<Box<dyn DynOp>>>,
-    waves: HashMap<WaveKey, WaveRt>,
-    flows: HashMap<(u32, u64), FlowRt>,
-    /// Wave totals that arrived before any token of their wave was routed.
-    pending_closes: HashMap<WaveKey, u32>,
+impl FlowRt {
+    fn new(flow: Flow<(SimTime, TokenBox)>, src: NodeId) -> Self {
+        Self {
+            flow,
+            src,
+            stalled_thread: None,
+            pump_scheduled: false,
+        }
+    }
 }
 
-struct CallReturn {
-    app: u32,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
+struct GraphRt {
+    def: Flowgraph,
+    routes: Vec<Box<dyn DynRoute>>,
+    /// Operation instances of the whole graph: split/leaf slots are
+    /// `(node, thread)`; a wave is entered when its first token is routed
+    /// (that is where a stream's output wave id is allocated).
+    inst: Instances,
+    pins: Pins,
+    /// Keyed by `(producing node, wave)`.
+    flows: HashMap<(u32, u64), FlowRt>,
 }
 
 struct AppRt {
-    #[allow(dead_code)]
-    name: String,
     id: AppId,
     home: NodeId,
     registry: TokenRegistry,
@@ -236,6 +221,11 @@ impl Rt {
         self.trace
             .as_ref()
             .map_or(LabelId(0), |t| t.collector.label(name))
+    }
+
+    /// The interned label of a graph's name.
+    fn graph_label(&self, app: u32, graph: u32) -> LabelId {
+        self.trace_label(self.apps[app as usize].graphs[graph as usize].def.name())
     }
 
     /// Bump a metrics counter on the attached sink.
@@ -352,13 +342,12 @@ impl SimEngine {
     /// Register a parallel application. Its instance on the *home node*
     /// (node 0) is preloaded — that is where the user started the binary;
     /// instances on other nodes launch lazily when the first token arrives.
-    pub fn app(&mut self, name: &str) -> AppHandle {
+    pub fn app(&mut self, _name: &str) -> AppHandle {
         let idx = self.sim.world.apps.len() as u32;
         let id = AppId(idx);
         let home = NodeId(0);
         self.sim.world.cluster.deploy.preload(id, home);
         self.sim.world.apps.push(AppRt {
-            name: name.to_string(),
             id,
             home,
             registry: TokenRegistry::new(),
@@ -395,7 +384,7 @@ impl SimEngine {
     pub fn thread_collection<Td: ThreadData>(
         &mut self,
         app: AppHandle,
-        name: &str,
+        _name: &str,
         mapping: &str,
     ) -> Result<ThreadCollection<Td>> {
         let nodes = resolve_mapping(self.sim.world.cluster.spec(), mapping)?;
@@ -403,10 +392,9 @@ impl SimEngine {
         let tc_idx = a.tcs.len() as u32;
         let count = nodes.len();
         a.tcs.push(TcRt {
-            name: name.to_string(),
             td_type: TypeId::of::<Td>(),
             data: (0..count)
-                .map(|_| Some(Box::new(Td::default()) as Box<dyn Any + Send>))
+                .map(|_| Box::new(Td::default()) as Box<dyn Any + Send>)
                 .collect(),
             threads: (0..count).map(|_| ThreadRt::default()).collect(),
             nodes,
@@ -446,8 +434,8 @@ impl SimEngine {
                 if tc.td_type != n.td_type {
                     return Err(DpsError::InvalidGraph {
                         reason: format!(
-                            "node {} expects a different thread-data type than collection {}",
-                            n.name, tc.name
+                            "node {} expects a different thread-data type than collection tc#{}",
+                            n.name, n.tc
                         ),
                     });
                 }
@@ -456,21 +444,16 @@ impl SimEngine {
         let mut def = Flowgraph::assemble(name, nodes, &edges, serving)?;
         def.set_interactive(interactive);
         def.set_registrations(registrations);
-        let routes = def
-            .nodes()
-            .iter()
-            .map(|n| Some((n.route_factory)()))
-            .collect();
+        let routes = def.nodes().iter().map(|n| (n.route_factory)()).collect();
         let a = &mut self.sim.world.apps[app as usize];
         def.register_tokens(&mut a.registry);
         let graph = a.graphs.len() as u32;
         a.graphs.push(GraphRt {
             def,
             routes,
-            ops: HashMap::new(),
-            waves: HashMap::new(),
+            inst: Instances::default(),
+            pins: Pins::default(),
             flows: HashMap::new(),
-            pending_closes: HashMap::new(),
         });
         Ok(GraphHandle { app, graph })
     }
@@ -517,23 +500,23 @@ impl SimEngine {
         let mut stuck: Vec<String> = Vec::new();
         for a in &self.sim.world.apps {
             for g in &a.graphs {
-                for (key, wave) in &g.waves {
+                for (key, wave) in &g.inst.waves {
                     let node = g.def.node(key.src);
                     stuck.push(format!(
                         "graph {} wave at {} from {}: received {}, expected {:?}",
                         g.def.name(),
                         node.name,
                         key.src,
-                        wave.received,
-                        wave.expected
+                        wave.received(),
+                        wave.expected()
                     ));
                 }
-                for ((node, wv), flow) in &g.flows {
-                    if !flow.pending.is_empty() {
+                for ((node, wv), f) in &g.flows {
+                    if f.flow.pending() > 0 {
                         stuck.push(format!(
                             "graph {} flow from node g{node} wave {wv}: {} posts undelivered",
                             g.def.name(),
-                            flow.pending.len()
+                            f.flow.pending()
                         ));
                     }
                 }
@@ -592,8 +575,6 @@ impl SimEngine {
         thread: usize,
     ) -> &mut Td {
         self.sim.world.apps[tc.app as usize].tcs[tc.tc as usize].data[thread]
-            .as_mut()
-            .expect("thread data is only taken during op execution")
             .downcast_mut::<Td>()
             .expect("thread data type enforced at collection creation")
     }
@@ -736,7 +717,25 @@ impl SimEngine {
 
 // ---------------------------------------------------------------------------
 // Execution internals (free functions over Sim<Rt>).
+//
+// What a wave *means* — counting, completion, numbering, the flow window,
+// pinning, graph exits — is `crate::kernel`. What is written here is the
+// simulator's substrate: which virtual instant each step happens at, the
+// per-thread queues, CPU pools and stalls, the modeled network, tracing.
 // ---------------------------------------------------------------------------
+
+impl Rt {
+    /// `DpsError::NodeDown` for work bound to `thread` of collection `tc`,
+    /// whose node is dead, at graph node `target`.
+    fn node_down(&self, app: u32, tc: u32, thread: u32, graph: u32, target: GNodeId) -> DpsError {
+        let a = &self.apps[app as usize];
+        let host = a.tcs[tc as usize].nodes[thread as usize];
+        DpsError::NodeDown {
+            node: self.cluster.spec().node(host).name.clone(),
+            target: a.graphs[graph as usize].def.node(target).name.clone(),
+        }
+    }
+}
 
 /// The body of [`SimEngine::fail_node`], callable from a scheduled event
 /// (errors land in `world.fatal` and surface from the run loop).
@@ -752,22 +751,10 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
         },
     );
     sim.world.trace_add(Counter::NodesDown, 1);
-    if let Some(sink) = sim.world.feedback.clone() {
-        // FeedbackSink worker indices are *thread indices within the
-        // reporting collection* (what `report_chunk` reports), so only
-        // collections that have actually fed the sink are consulted —
-        // an unrelated collection hosted on the dead node must not wipe
-        // a live worker that happens to share a thread index.
-        let mut lost: Vec<usize> = Vec::new();
-        for &(app, tc) in &sim.world.feedback_tcs {
-            let tc = &sim.world.apps[app as usize].tcs[tc as usize];
-            for (thread, &host) in tc.nodes.iter().enumerate() {
-                if host == node && !lost.contains(&thread) {
-                    lost.push(thread);
-                }
-            }
-        }
-        for worker in lost {
+    if let Some(sink) = &sim.world.feedback {
+        let apps = &sim.world.apps;
+        let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
+        for worker in kernel::lost_workers(&sim.world.feedback_tcs, hosts, &node) {
             sink.worker_lost(worker);
         }
     }
@@ -825,40 +812,8 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
         let Payload::Close { total } = d.payload else {
             unreachable!("partitioned above");
         };
-        let key = d
-            .env
-            .wave_key()
-            .expect("close envelopes carry the wave frame");
-        // Recoverable iff the wave's partial state did not die with the
-        // node: the wave moved (re-pinned by a re-routed token), sits on
-        // a live thread, or has not materialized yet (the close then
-        // parks in pending_closes until it does).
-        let wave_host_alive = {
-            let wave_at = sim
-                .world
-                .graph(app, d.graph)
-                .waves
-                .get(&key)
-                .map(|w| (w.thread, w.node));
-            match wave_at {
-                Some((thread, wave_node)) => {
-                    let tc = sim.world.graph(app, d.graph).def.node(wave_node).tc;
-                    let host = sim.world.apps[app as usize].tcs[tc as usize].nodes[thread as usize];
-                    sim.world.cluster.is_alive(host)
-                }
-                None => true,
-            }
-        };
-        if wave_host_alive {
+        if deliver_close(sim, app, d.graph, d.env, total) {
             sim.world.requeued += 1;
-            deliver_close(sim, app, d.graph, d.env, total);
-        } else {
-            let name = sim.world.cluster.spec().node(node).name.clone();
-            let target = {
-                let g = sim.world.graph(app, d.graph);
-                g.def.node(d.node).name.clone()
-            };
-            sim.world.fail(DpsError::NodeDown { node: name, target });
         }
     }
 }
@@ -890,11 +845,11 @@ fn route_and_send(
     env: Envelope,
 ) {
     let now = sim.now();
-    // Routing: build load info, run the route, apply wave-thread override.
-    let (tc_idx, kind, node_name, interactive) = {
+    // Routing: build load info, run the route, apply the wave pin.
+    let (tc_idx, kind, interactive) = {
         let g = sim.world.graph(app, graph);
         let n = g.def.node(to);
-        (n.tc, n.kind, n.name.clone(), g.def.is_interactive())
+        (n.tc, n.kind, g.def.is_interactive())
     };
     // Threads on failed nodes report infinite load so load-aware routes
     // (LeastLoaded, ChunkRoute) steer work away from them.
@@ -912,15 +867,14 @@ fn route_and_send(
             })
             .collect()
     };
-    let mut route = sim.world.graph(app, graph).routes[to.0 as usize]
-        .take()
-        .expect("route in use re-entrantly");
-    let info = RouteInfo {
-        thread_count: load.len(),
-        load: Some(&load),
+    let routed = {
+        let g = sim.world.graph(app, graph);
+        let info = RouteInfo {
+            thread_count: load.len(),
+            load: Some(&load),
+        };
+        g.routes[to.0 as usize].route_dyn(token.as_ref(), &info, &g.def.node(to).name)
     };
-    let routed = route.route_dyn(token.as_ref(), &info, &node_name);
-    sim.world.graph(app, graph).routes[to.0 as usize] = Some(route);
     let mut thread = match routed {
         Ok(i) => i as u32,
         Err(e) => {
@@ -930,58 +884,36 @@ fn route_and_send(
     };
 
     // Merge/stream waves: all tokens of one wave execute on one thread
-    // instance; the first-routed token decides, later tokens follow.
+    // instance (kernel rule 6).
     if matches!(kind, OpKind::Merge | OpKind::Stream) {
         let key = env.wave_key().expect("validated: merges are under a split");
-        let wave_thread = sim.world.graph(app, graph).waves.get(&key).map(|w| {
-            (
-                w.thread,
-                w.received == 0 && w.op.is_none(), // no partial state yet
-            )
-        });
-        match wave_thread {
-            Some((pinned, fresh)) => {
-                let pinned_node =
-                    sim.world.apps[app as usize].tcs[tc_idx as usize].nodes[pinned as usize];
-                if sim.world.cluster.is_alive(pinned_node) {
-                    thread = pinned;
-                } else if fresh {
-                    // The pinned thread died before consuming anything:
-                    // re-pin the wave to the freshly routed (live) thread.
-                    sim.world
-                        .graph(app, graph)
-                        .waves
-                        .get_mut(&key)
-                        .expect("looked up above")
-                        .thread = thread;
-                } else {
-                    let dead_name = sim.world.cluster.spec().node(pinned_node).name.clone();
-                    sim.world.fail(DpsError::NodeDown {
-                        node: dead_name,
-                        target: node_name.clone(),
-                    });
-                    return;
+        let world = &mut sim.world;
+        let a = &mut world.apps[app as usize];
+        let g = &mut a.graphs[graph as usize];
+        let (cluster, hosts) = (&world.cluster, &a.tcs[tc_idx as usize].nodes);
+        let alive = |t: u32| cluster.is_alive(hosts[t as usize]);
+        let fresh = || g.inst.waves.get(&key).is_none_or(Wave::is_fresh);
+        match g.pins.route(&key, thread, alive, fresh) {
+            Ok(Routed::Follow(pinned)) => thread = pinned,
+            Ok(Routed::Pinned { parked }) => {
+                // The wave's record outlives a move; a new one takes the
+                // next wave id for its stream output.
+                let wave = g.inst.waves.entry(key).or_insert_with(|| {
+                    let out_wave = world.next_wave;
+                    world.next_wave += 1;
+                    Wave::new(graph, to, out_wave)
+                });
+                if let Some(total) = parked {
+                    if let Err(e) = wave.close(total, &g.def.node(to).name) {
+                        world.fail(e);
+                        return;
+                    }
                 }
             }
-            None => {
-                let out_wave = sim.world.next_wave;
-                sim.world.next_wave += 1;
-                let mut parent_env = env.clone();
-                parent_env.pop();
-                let pending_close = sim.world.graph(app, graph).pending_closes.remove(&key);
-                sim.world.graph(app, graph).waves.insert(
-                    key,
-                    WaveRt {
-                        thread,
-                        node: to,
-                        op: None,
-                        received: 0,
-                        expected: pending_close,
-                        parent_env,
-                        out_wave,
-                        out_index: 0,
-                    },
-                );
+            Err(dead) => {
+                let e = world.node_down(app, tc_idx, dead, graph, to);
+                world.fail(e);
+                return;
             }
         }
     }
@@ -995,11 +927,8 @@ fn route_and_send(
     if !sim.world.cluster.is_alive(dst) {
         // The route insisted on a dead thread (stateful affinity, or the
         // whole collection is down): the work cannot be re-queued.
-        let dead_name = sim.world.cluster.spec().node(dst).name.clone();
-        sim.world.fail(DpsError::NodeDown {
-            node: dead_name,
-            target: node_name.clone(),
-        });
+        let e = sim.world.node_down(app, tc_idx, thread, graph, to);
+        sim.world.fail(e);
         return;
     }
     let bytes = (token.payload_size() + env.wire_bytes() + 10) as u64;
@@ -1225,13 +1154,9 @@ fn run_delivery(sim: &mut Sim<Rt>, tk: ThreadKey, node: NodeId, d: Delivery) -> 
         return SimSpan::ZERO;
     }
     let start = sim.now();
-    let kind = sim.world.graph(tk.app, d.graph).def.node(d.node).kind;
-    if let Payload::Close { total } = d.payload {
-        return run_close(sim, tk, node, d.graph, d.node, kind, d.env, total, start);
-    }
-    match kind {
-        OpKind::Split | OpKind::Leaf => run_exec(sim, tk, node, d, kind, start),
-        OpKind::Merge | OpKind::Stream => run_consume(sim, tk, node, d, kind, start),
+    match d.kind {
+        OpKind::Split | OpKind::Leaf => run_exec(sim, tk, node, d, start),
+        OpKind::Merge | OpKind::Stream => run_wave(sim, tk, node, d, start),
         OpKind::Call | OpKind::CallSplit => run_call(sim, tk, node, d, start),
     }
 }
@@ -1247,52 +1172,54 @@ fn exec_info(sim: &Sim<Rt>, tk: ThreadKey, node: NodeId, start: SimTime) -> Exec
     }
 }
 
+/// Record the span `[start, end]` of the operation at graph node `gnode`
+/// on track `(node, tk.thread)`.
+fn trace_op(
+    sim: &mut Sim<Rt>,
+    tk: ThreadKey,
+    node: NodeId,
+    (graph, gnode): (u32, GNodeId),
+    wave: u32,
+    (start, end): (SimTime, SimTime),
+) {
+    if sim.world.trace.is_none() {
+        return;
+    }
+    let a = &sim.world.apps[tk.app as usize];
+    let op = sim
+        .world
+        .trace_label(&a.graphs[graph as usize].def.node(gnode).name);
+    let track = (node.0 as u16, tk.thread as u16);
+    for (at, kind) in [
+        (start, EventKind::OpStart { op, wave }),
+        (end, EventKind::OpEnd { op, wave }),
+    ] {
+        sim.world.trace_on(at, track.0, track.1, kind);
+    }
+}
+
 /// Split/leaf execution.
 fn run_exec(
     sim: &mut Sim<Rt>,
     tk: ThreadKey,
     node: NodeId,
     d: Delivery,
-    kind: OpKind,
     start: SimTime,
 ) -> SimSpan {
     let info = exec_info(sim, tk, node, start);
-    let op_key = (d.node.0, tk.thread);
-    // Take the op instance (create on first use) and the thread data.
-    let mut op = {
-        let g = sim.world.graph(tk.app, d.graph);
-        match g.ops.entry(op_key).or_insert(None).take() {
-            Some(op) => op,
-            None => {
-                let factory = g.def.node(d.node).op_factory.as_ref().expect("split/leaf");
-                factory()
-            }
-        }
-    };
-    let mut data = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize]
-        .take()
-        .expect("thread data present when idle");
-    let node_name = sim
-        .world
-        .graph(tk.app, d.graph)
-        .def
-        .node(d.node)
-        .name
-        .clone();
-
     let Payload::Token(in_token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_exec");
+        unreachable!("closes only target merge/stream nodes");
     };
     let mut out = OpOutput::default();
-    let res = op.on_token(&mut out, data.as_mut(), info, &node_name, in_token);
-
-    sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize] = Some(data);
-    *sim.world
-        .graph(tk.app, d.graph)
-        .ops
-        .get_mut(&op_key)
-        .expect("inserted above") = Some(op);
-
+    let res = {
+        let a = &mut sim.world.apps[tk.app as usize];
+        let g = &mut a.graphs[d.graph as usize];
+        let gnode = g.def.node(d.node);
+        let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
+        g.inst
+            .node_op((d.node.0, tk.thread), gnode)
+            .and_then(|op| op.on_token(&mut out, data, info, &gnode.name, in_token))
+    };
     if let Err(e) = res {
         sim.world.fail(e);
         return SimSpan::ZERO;
@@ -1301,34 +1228,18 @@ fn run_exec(
     let overhead = sim.world.cfg.op_overhead;
     let hold = overhead + out.charged;
     report_completion(sim, tk, &out, hold, start);
-    if sim.world.trace.is_some() {
-        let env_wave = d.env.frames.last().map_or(0, |f| f.wave as u32);
-        let op = sim.world.trace_label(&node_name);
-        let track = (node.0 as u16, tk.thread as u16);
-        sim.world.trace_on(
-            start,
-            track.0,
-            track.1,
-            EventKind::OpStart { op, wave: env_wave },
-        );
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::OpEnd { op, wave: env_wave },
-        );
-    }
+    let env_wave = d.env.frames.last().map_or(0, |f| f.wave as u32);
+    let (at, span) = ((d.graph, d.node), (start, start + hold));
+    trace_op(sim, tk, node, at, env_wave, span);
 
-    match kind {
+    let split_flow = match d.kind {
         OpKind::Split => {
-            // Open a wave: all posts carry a fresh frame; flow control
-            // meters them out; the split's thread stalls while posts are
-            // blocked (paper §3).
+            // Open a wave: flow control meters its posts out; the split's
+            // thread stalls while posts are blocked (paper §3).
             let wave = sim.world.next_wave;
             sim.world.next_wave += 1;
             if sim.world.trace.is_some() {
-                let gname = sim.world.graph(tk.app, d.graph).def.name().to_string();
-                let graph_label = sim.world.trace_label(&gname);
+                let graph_label = sim.world.graph_label(tk.app, d.graph);
                 sim.world.trace_on(start, node.0 as u16, tk.thread as u16, {
                     EventKind::WaveStart {
                         graph: graph_label,
@@ -1336,248 +1247,149 @@ fn run_exec(
                     }
                 });
             }
-            let total = out.posts.len() as u32;
-            let mut pending = VecDeque::with_capacity(out.posts.len());
-            for (i, post) in out.posts.into_iter().enumerate() {
-                let mut env = d.env.clone();
-                env.push(Frame {
-                    src: d.node,
-                    wave,
-                    index: i as u32,
-                    total: (i as u32 == total - 1).then_some(total),
-                });
-                pending.push_back(OutboundPost {
-                    send_at: start + overhead + post.offset,
-                    token: post.token,
-                    env,
-                });
-            }
-            let mut window = sim.world.cfg.flow_window;
-            if sim
-                .world
-                .graph(tk.app, d.graph)
-                .def
-                .matching_pop(d.node)
-                .is_none()
-            {
-                // Serving-graph exit split: the wave crosses back to the
-                // caller, so no in-graph merge returns credits.
-                window = 0;
-            }
-            sim.world.graph(tk.app, d.graph).flows.insert(
-                (d.node.0, wave),
-                FlowRt {
-                    pending,
-                    outstanding: 0,
-                    window,
-                    complete: true,
-                    from_node: d.node,
-                    src: node,
-                    stalled_thread: None,
-                    pump_scheduled: false,
-                },
-            );
+            let g = sim.world.graph(tk.app, d.graph);
+            let posts = out
+                .posts
+                .into_iter()
+                .map(|post| (start + overhead + post.offset, post.token));
+            let flow = kernel::open_wave(&g.def, d.node, wave, &d.env, posts);
+            g.flows.insert((d.node.0, wave), FlowRt::new(flow, node));
             pump_flow(sim, tk.app, d.graph, (d.node.0, wave));
-            // At op completion: free the thread, stalling it if the wave
-            // still has blocked posts.
-            sim.schedule_at(start + hold, move |sim| {
-                finish_exec(sim, tk, d.graph, Some((d.node.0, wave)));
-            });
+            Some((d.node.0, wave))
         }
         OpKind::Leaf => {
             let post = out.posts.pop().expect("leaf contract checked");
             let send_at = start + overhead + post.offset;
-            let env = d.env;
-            let graph = d.graph;
-            let from = d.node;
+            let (graph, from, env) = (d.graph, d.node, d.env);
             sim.schedule_at(send_at, move |sim| {
                 emit(sim, tk.app, graph, from, node, post.token, env);
             });
-            sim.schedule_at(start + hold, move |sim| {
-                finish_exec(sim, tk, graph, None);
-            });
+            None
         }
         _ => unreachable!("run_exec handles split/leaf only"),
-    }
+    };
+    // At op completion: free the thread, stalling it if it opened a wave
+    // that still has blocked posts.
+    sim.schedule_at(start + hold, move |sim| {
+        finish_exec(sim, tk, d.graph, split_flow);
+    });
     hold
 }
 
-/// Merge/stream consume (and finalize when the wave completes).
-fn run_consume(
+/// One step of a merge/stream wave: consume a token of it, or take its
+/// wave-close; finalize when that completes the wave (kernel rule 1).
+fn run_wave(
     sim: &mut Sim<Rt>,
     tk: ThreadKey,
     node: NodeId,
     mut d: Delivery,
-    kind: OpKind,
     start: SimTime,
 ) -> SimSpan {
     let info = exec_info(sim, tk, node, start);
+    let overhead = sim.world.cfg.op_overhead;
     let key = d.env.wave_key().expect("validated depth >= 1");
     let frame = d.env.pop().expect("validated depth >= 1");
-    let node_name = sim
-        .world
-        .graph(tk.app, d.graph)
-        .def
-        .node(d.node)
-        .name
-        .clone();
+    let (graph, from, parent_env) = (d.graph, d.node, d.env);
+    let consumed = matches!(d.payload, Payload::Token(_));
 
-    // Update wave accounting and take the per-wave op instance.
-    let (mut op, completes, parent_env, out_wave, out_index_base) = {
-        let g = sim.world.graph(tk.app, d.graph);
-        let wave = g.waves.get_mut(&key).expect("wave created at routing");
-        wave.received += 1;
-        if let Some(total) = frame.total {
-            wave.expected = Some(total);
-        }
-        if let Some(exp) = wave.expected {
-            if wave.received > exp {
-                let e = DpsError::OperationContract {
-                    node: node_name.clone(),
-                    reason: format!(
-                        "wave received {} tokens but split posted {exp}",
-                        wave.received
-                    ),
-                };
-                sim.world.fail(e);
-                return SimSpan::ZERO;
-            }
-        }
-        let completes = wave.expected == Some(wave.received);
-        let op = match wave.op.take() {
-            Some(op) => op,
-            None => {
-                let factory = g
-                    .def
-                    .node(d.node)
-                    .op_factory
-                    .as_ref()
-                    .expect("merge/stream");
-                factory()
-            }
-        };
-        let g = sim.world.graph(tk.app, d.graph);
-        let wave = g.waves.get_mut(&key).expect("just used");
-        (
-            op,
-            completes,
-            wave.parent_env.clone(),
-            wave.out_wave,
-            wave.out_index,
-        )
-    };
-
-    let mut data = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize]
-        .take()
-        .expect("thread data present when idle");
-    let Payload::Token(in_token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_consume");
-    };
     let mut out = OpOutput::default();
-    let mut res = op.on_token(&mut out, data.as_mut(), info, &node_name, in_token);
-    if res.is_ok() && completes {
-        res = op.on_finalize(&mut out, data.as_mut(), info, &node_name);
-    }
-    sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize] = Some(data);
-    // Return the op instance to its wave so later consumes keep its state.
-    {
-        let g = sim.world.graph(tk.app, d.graph);
-        if let Some(wave) = g.waves.get_mut(&key) {
-            wave.op = Some(op);
+    let res = {
+        let a = &mut sim.world.apps[tk.app as usize];
+        let g = &mut a.graphs[graph as usize];
+        let gnode = g.def.node(from);
+        let name = &gnode.name;
+        let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
+        let wave = g.inst.waves.get_mut(&key).expect("wave entered at routing");
+        let counted = match d.payload {
+            Payload::Token(_) => wave.admit(frame.total, name),
+            Payload::Close { total } => wave.close(total, name),
+        };
+        counted.and_then(|completes| {
+            if let Payload::Token(token) = d.payload {
+                wave.op(gnode)?
+                    .on_token(&mut out, data, info, name, token)?;
+            }
+            if completes {
+                wave.op(gnode)?.on_finalize(&mut out, data, info, name)?;
+            }
+            Ok(completes)
+        })
+    };
+    let completes = match res {
+        Ok(completes) => completes,
+        Err(e) => {
+            sim.world.fail(e);
+            return SimSpan::ZERO;
         }
+    };
+    if !consumed && !completes {
+        // The finalize waits for the remaining data objects.
+        sim.schedule_at(start + overhead, move |sim| {
+            finish_exec(sim, tk, graph, None);
+        });
+        return overhead;
     }
 
-    if let Err(e) = res {
-        sim.world.fail(e);
-        return SimSpan::ZERO;
-    }
-
-    let overhead = sim.world.cfg.op_overhead;
     let hold = overhead + out.charged;
-    report_completion(sim, tk, &out, hold, start);
-    if sim.world.trace.is_some() {
-        let op = sim.world.trace_label(&node_name);
-        let wave32 = frame.wave as u32;
-        let track = (node.0 as u16, tk.thread as u16);
-        sim.world.trace_on(
-            start,
-            track.0,
-            track.1,
-            EventKind::OpStart { op, wave: wave32 },
-        );
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::OpEnd { op, wave: wave32 },
-        );
+    let (at, span, wave32) = ((graph, from), (start, start + hold), frame.wave as u32);
+    // A consume's span is recorded before its posts leave, a close's after:
+    // recorded schedules (and their hashes) keep their event order.
+    if consumed {
+        report_completion(sim, tk, &out, hold, start);
+        trace_op(sim, tk, node, at, wave32, span);
     }
-    let graph = d.graph;
-    let from = d.node;
-
-    // Process posts.
-    match kind {
+    match d.kind {
         OpKind::Merge => {
             if completes {
                 let post = out.posts.pop().expect("merge contract checked");
                 let send_at = start + overhead + post.offset;
-                let env = parent_env.clone();
                 sim.schedule_at(send_at, move |sim| {
-                    emit(sim, tk.app, graph, from, node, post.token, env);
+                    emit(sim, tk.app, graph, from, node, post.token, parent_env);
                 });
             }
         }
         OpKind::Stream => {
-            match stream_posts(
+            let posted = stream_posts(
                 sim,
                 tk,
                 graph,
                 from,
                 node,
+                &key,
                 out.posts,
                 &parent_env,
-                out_wave,
-                out_index_base,
                 completes,
-                start,
-                overhead,
-                &node_name,
-            ) {
-                Ok(total_so_far) => {
-                    let g = sim.world.graph(tk.app, graph);
-                    if let Some(wave) = g.waves.get_mut(&key) {
-                        wave.out_index = total_so_far;
-                    }
-                }
-                Err(e) => {
-                    sim.world.fail(e);
-                    return SimSpan::ZERO;
-                }
+                start + overhead,
+            );
+            if let Err(e) = posted {
+                sim.world.fail(e);
+                return SimSpan::ZERO;
             }
         }
-        _ => unreachable!("run_consume handles merge/stream only"),
+        _ => unreachable!("run_wave handles merge/stream only"),
     }
-
+    if !consumed {
+        trace_op(sim, tk, node, at, wave32, span);
+    }
     if completes {
         if sim.world.trace.is_some() {
-            let gname = sim.world.graph(tk.app, graph).def.name().to_string();
-            let graph_label = sim.world.trace_label(&gname);
+            let wave_end = EventKind::WaveEnd {
+                graph: sim.world.graph_label(tk.app, graph),
+                wave: wave32,
+            };
             sim.world
-                .trace_on(start + hold, node.0 as u16, tk.thread as u16, {
-                    EventKind::WaveEnd {
-                        graph: graph_label,
-                        wave: frame.wave as u32,
-                    }
-                });
+                .trace_on(span.1, node.0 as u16, tk.thread as u16, wave_end);
             sim.world.trace_drain();
         }
-        sim.world.graph(tk.app, graph).waves.remove(&key);
+        let g = sim.world.graph(tk.app, graph);
+        g.inst.waves.remove(&key);
+        g.pins.remove(&key);
     }
-
-    // Credit the producing flow: one token of (frame.src, frame.wave) has
-    // been consumed by its matching merge/stream.
-    credit_flow(sim, tk.app, graph, (frame.src.0, frame.wave));
-
+    if consumed {
+        // Credit the producing flow: one token of (frame.src, frame.wave)
+        // has been consumed by its matching merge/stream.
+        credit_flow(sim, tk.app, graph, (frame.src.0, frame.wave));
+    }
     sim.schedule_at(start + hold, move |sim| {
         finish_exec(sim, tk, graph, None);
     });
@@ -1606,26 +1418,11 @@ fn run_call(
     };
     let call_id = sim.world.next_call;
     sim.world.next_call += 1;
-    sim.world.pending_calls.insert(
-        call_id,
-        CallReturn {
-            app: tk.app,
-            graph: d.graph,
-            node: d.node,
-            env: d.env.clone(),
-        },
-    );
-    let mut callee_env = Envelope::root();
-    callee_env.calls = d.env.calls.clone();
-    callee_env.calls.push(CallFrame {
-        caller_app: tk.app,
-        caller_graph: d.graph,
-        call_node: d.node,
-        call_id,
-    });
+    let (ret, callee_env) = kernel::call(call_id, tk.app, d.graph, d.node, d.env);
+    sim.world.pending_calls.insert(call_id, ret);
     let hold = sim.world.cfg.op_overhead;
     let Payload::Token(token) = d.payload else {
-        unreachable!("close payloads are dispatched before run_call");
+        unreachable!("closes only target merge/stream nodes");
     };
     sim.schedule_at(start + hold, move |sim| {
         inject_internal(sim, target.app, target.graph, token, callee_env, node);
@@ -1637,11 +1434,9 @@ fn run_call(
     hold
 }
 
-/// Append stream posts to the stream's output-wave flow. On wave
-/// completion the total count travels inline on the final data object if it
-/// is still pending; otherwise a wave-close control message carries it
-/// (paper: DPS "keeps track of the number of data objects generated by the
-/// corresponding split operation" via control structures).
+/// Queue a stream's posts on its output-wave flow (kernel rule 3), each
+/// leaving `posted_at` plus its own offset into the operation; a total that
+/// no pending post can carry goes out as a wave-close.
 #[allow(clippy::too_many_arguments)]
 fn stream_posts(
     sim: &mut Sim<Rt>,
@@ -1649,97 +1444,62 @@ fn stream_posts(
     graph: u32,
     gnode: GNodeId,
     src: NodeId,
+    key: &WaveKey,
     posts: Vec<crate::ops::Post>,
     parent_env: &Envelope,
-    out_wave: u64,
-    out_index_base: u32,
     completes: bool,
-    start: SimTime,
-    overhead: SimSpan,
-    node_name: &str,
-) -> Result<u32> {
-    let n_posts = posts.len() as u32;
-    let total_so_far = out_index_base + n_posts;
-    if n_posts == 0 && !completes {
-        return Ok(total_so_far);
+    posted_at: SimTime,
+) -> Result<()> {
+    if posts.is_empty() && !completes {
+        return Ok(());
     }
-    let flow_key = (gnode.0, out_wave);
-    let window = sim.world.cfg.flow_window;
-    let mut close_needed = false;
-    {
-        let g = sim.world.graph(tk.app, graph);
-        let flow = g.flows.entry(flow_key).or_insert_with(|| FlowRt {
-            pending: VecDeque::new(),
-            outstanding: 0,
-            window,
-            complete: false,
-            from_node: gnode,
-            src,
-            stalled_thread: None,
-            pump_scheduled: false,
-        });
-        for (i, post) in posts.into_iter().enumerate() {
-            let mut env = parent_env.clone();
-            env.push(Frame {
-                src: gnode,
-                wave: out_wave,
-                index: out_index_base + i as u32,
-                total: None,
-            });
-            flow.pending.push_back(OutboundPost {
-                send_at: start + overhead + post.offset,
-                token: post.token,
-                env,
-            });
-        }
-        if completes {
-            if total_so_far == 0 {
-                return Err(DpsError::OperationContract {
-                    node: node_name.to_string(),
-                    reason: "stream operation posted no tokens across its wave".into(),
-                });
-            }
-            flow.complete = true;
-            match flow.pending.back_mut() {
-                Some(last) => {
-                    if let Some(f) = last.env.frames.last_mut() {
-                        f.total = Some(total_so_far);
-                    }
-                }
-                None => close_needed = true,
-            }
-        }
-    }
-    if close_needed {
-        let mut close_env = parent_env.clone();
-        close_env.push(Frame {
-            src: gnode,
-            wave: out_wave,
-            index: 0,
-            total: Some(total_so_far),
-        });
-        deliver_close(sim, tk.app, graph, close_env, total_so_far);
+    let g = sim.world.graph(tk.app, graph);
+    let wave = g.inst.waves.get_mut(key).expect("consuming it right now");
+    let flow_key = (gnode.0, wave.out_wave());
+    let f = g
+        .flows
+        .entry(flow_key)
+        .or_insert_with(|| FlowRt::new(Flow::stream(), src));
+    let posts = posts
+        .into_iter()
+        .map(|post| (posted_at + post.offset, post.token));
+    let close = wave.append(&mut f.flow, g.def.node(gnode), parent_env, posts, completes)?;
+    if let Some((close_env, total)) = close {
+        deliver_close(sim, tk.app, graph, close_env, total);
     }
     pump_flow(sim, tk.app, graph, flow_key);
-    Ok(total_so_far)
+    Ok(())
 }
 
-/// Deliver a wave-close (final token count) to the wave's owning thread; if
-/// no token of the wave has been routed yet, park it until the wave appears.
-fn deliver_close(sim: &mut Sim<Rt>, app: u32, graph: u32, env: Envelope, total: u32) {
+/// Hand a wave-close (final token count) to the thread its wave is pinned
+/// on, or park it until the wave has one (kernel rule 6). `false` when the
+/// wave's partial state died with its node — the run fails `NodeDown`.
+fn deliver_close(sim: &mut Sim<Rt>, app: u32, graph: u32, env: Envelope, total: u32) -> bool {
     let key = env
         .wave_key()
         .expect("close envelopes carry the wave frame");
-    let g = sim.world.graph(app, graph);
-    match g.waves.get(&key) {
-        Some(wave) => {
-            let (thread, merge_node) = (wave.thread, wave.node);
-            let tc = g.def.node(merge_node).tc;
-            let kind = g.def.node(merge_node).kind;
+    let merge_node = match kernel::close_node(&sim.world.graph(app, graph).def, &key) {
+        Ok(n) => n,
+        Err(e) => {
+            sim.world.fail(e);
+            return false;
+        }
+    };
+    let world = &mut sim.world;
+    let a = &mut world.apps[app as usize];
+    let g = &mut a.graphs[graph as usize];
+    let gnode = g.def.node(merge_node);
+    let (tc, kind) = (gnode.tc, gnode.kind);
+    let (cluster, hosts) = (&world.cluster, &a.tcs[tc as usize].nodes);
+    let alive = |t: u32| cluster.is_alive(hosts[t as usize]);
+    let fresh = || g.inst.waves.get(&key).is_none_or(Wave::is_fresh);
+    match g.pins.close(&key, total, alive, fresh) {
+        Ok(CloseTo::Deliver(thread)) => {
+            let interactive = g.def.is_interactive();
             let tk = ThreadKey { app, tc, thread };
-            sim.world.thread(tk).assigned += 1;
-            let interactive = sim.world.graph(app, graph).def.is_interactive();
-            sim.world.thread(tk).queue.push_back(Delivery {
+            let t = world.thread(tk);
+            t.assigned += 1;
+            t.queue.push_back(Delivery {
                 graph,
                 node: merge_node,
                 kind,
@@ -1748,150 +1508,15 @@ fn deliver_close(sim: &mut Sim<Rt>, app: u32, graph: u32, env: Envelope, total: 
                 env,
             });
             kick_thread(sim, tk);
+            true
         }
-        None => {
-            g.pending_closes.insert(key, total);
+        Ok(CloseTo::Parked) => true,
+        Err(dead) => {
+            let e = world.node_down(app, tc, dead, graph, merge_node);
+            world.fail(e);
+            false
         }
     }
-}
-
-/// Handle a wave-close delivery: record the expected count and finalize the
-/// wave if every data object has already been consumed.
-#[allow(clippy::too_many_arguments)]
-fn run_close(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    graph: u32,
-    gnode: GNodeId,
-    kind: OpKind,
-    env: Envelope,
-    total: u32,
-    start: SimTime,
-) -> SimSpan {
-    let info = exec_info(sim, tk, node, start);
-    let overhead = sim.world.cfg.op_overhead;
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let node_name = sim.world.graph(tk.app, graph).def.node(gnode).name.clone();
-    let taken = {
-        let g = sim.world.graph(tk.app, graph);
-        let Some(wave) = g.waves.get_mut(&key) else {
-            g.pending_closes.insert(key, total);
-            sim.schedule_at(start + overhead, move |sim| {
-                finish_exec(sim, tk, graph, None);
-            });
-            return overhead;
-        };
-        wave.expected = Some(total);
-        if wave.received > total {
-            let e = DpsError::OperationContract {
-                node: node_name.clone(),
-                reason: format!(
-                    "wave received {} tokens but producer posted {total}",
-                    wave.received
-                ),
-            };
-            sim.world.fail(e);
-            return SimSpan::ZERO;
-        }
-        let g = sim.world.graph(tk.app, graph);
-        let wave = g.waves.get_mut(&key).expect("just used");
-        if wave.received != total {
-            None // finalize waits for the remaining data objects
-        } else {
-            Some((
-                wave.op.take().expect("op exists once a token was consumed"),
-                wave.parent_env.clone(),
-                wave.out_wave,
-                wave.out_index,
-            ))
-        }
-    };
-    let Some((mut op, parent_env, out_wave, out_index_base)) = taken else {
-        sim.schedule_at(start + overhead, move |sim| {
-            finish_exec(sim, tk, graph, None);
-        });
-        return overhead;
-    };
-
-    let mut data = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize]
-        .take()
-        .expect("thread data present when idle");
-    let mut out = OpOutput::default();
-    let res = op.on_finalize(&mut out, data.as_mut(), info, &node_name);
-    sim.world.apps[tk.app as usize].tcs[tk.tc as usize].data[tk.thread as usize] = Some(data);
-    if let Err(e) = res {
-        sim.world.fail(e);
-        return SimSpan::ZERO;
-    }
-    let hold = overhead + out.charged;
-    match kind {
-        OpKind::Merge => {
-            let post = out.posts.pop().expect("merge contract checked");
-            let send_at = start + overhead + post.offset;
-            let env_out = parent_env;
-            sim.schedule_at(send_at, move |sim| {
-                emit(sim, tk.app, graph, gnode, node, post.token, env_out);
-            });
-        }
-        OpKind::Stream => {
-            if let Err(e) = stream_posts(
-                sim,
-                tk,
-                graph,
-                gnode,
-                node,
-                out.posts,
-                &parent_env,
-                out_wave,
-                out_index_base,
-                true,
-                start,
-                overhead,
-                &node_name,
-            ) {
-                sim.world.fail(e);
-                return SimSpan::ZERO;
-            }
-        }
-        _ => unreachable!("closes only target merge/stream nodes"),
-    }
-    if sim.world.trace.is_some() {
-        let op = sim.world.trace_label(&node_name);
-        let wave32 = key.wave as u32;
-        let track = (node.0 as u16, tk.thread as u16);
-        sim.world.trace_on(
-            start,
-            track.0,
-            track.1,
-            EventKind::OpStart { op, wave: wave32 },
-        );
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::OpEnd { op, wave: wave32 },
-        );
-        let gname = sim.world.graph(tk.app, graph).def.name().to_string();
-        let graph_label = sim.world.trace_label(&gname);
-        sim.world.trace_on(
-            start + hold,
-            track.0,
-            track.1,
-            EventKind::WaveEnd {
-                graph: graph_label,
-                wave: wave32,
-            },
-        );
-        sim.world.trace_drain();
-    }
-    sim.world.graph(tk.app, graph).waves.remove(&key);
-    sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, graph, None);
-    });
-    hold
 }
 
 /// If the finished execution marked a scheduled chunk complete, report its
@@ -1908,10 +1533,10 @@ fn report_completion(
     let Some(iters) = out.completed_iters else {
         return;
     };
-    let exec_host = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
+    let host = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
     sim.world.trace_on(
         start + hold,
-        exec_host.0 as u16,
+        host.0 as u16,
         tk.thread as u16,
         EventKind::ChunkExec {
             iters,
@@ -1921,13 +1546,8 @@ fn report_completion(
     let Some(sink) = sim.world.feedback.clone() else {
         return;
     };
-    // Remember which collections feed the sink: `fail_node` consults this
-    // to translate a dead node into the sink's worker (= thread) indices.
-    if !sim.world.feedback_tcs.contains(&(tk.app, tk.tc)) {
-        sim.world.feedback_tcs.push((tk.app, tk.tc));
-    }
+    kernel::note_reporter(&mut sim.world.feedback_tcs, tk.app, tk.tc);
     let worker = tk.thread as usize;
-    let host = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
     let secs = hold.as_secs_f64();
     let nanos = hold.as_nanos();
     sim.schedule_at(start + hold, move |sim| {
@@ -1956,17 +1576,9 @@ fn report_completion(
 /// flow-blocked posts) and start the next queued delivery.
 fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<(u32, u64)>) {
     if let Some(key) = split_flow {
-        let needs_stall = {
-            let g = sim.world.graph(tk.app, graph);
-            g.flows
-                .get(&key)
-                .map(|f| !f.pending.is_empty())
-                .unwrap_or(false)
-        };
-        if needs_stall {
-            let g = sim.world.graph(tk.app, graph);
-            let flow = g.flows.get_mut(&key).expect("checked above");
-            flow.stalled_thread = Some(tk);
+        let g = sim.world.graph(tk.app, graph);
+        if let Some(f) = g.flows.get_mut(&key).filter(|f| f.flow.pending() > 0) {
+            f.stalled_thread = Some(tk);
             sim.world.thread(tk).stalls += 1;
         }
     }
@@ -1976,27 +1588,25 @@ fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<
     kick_thread(sim, tk);
 }
 
-/// Release as many pending posts of a flow as the window allows.
+/// Release the posts of flow `key` (its producing node, its wave) that the
+/// window admits and whose virtual send instant has come.
 fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
     if sim.world.fatal.is_some() {
         return;
     }
     let now = sim.now();
+    let window = sim.world.cfg.flow_window;
     loop {
         let g = sim.world.graph(app, graph);
-        let Some(flow) = g.flows.get_mut(&key) else {
+        let Some(f) = g.flows.get_mut(&key) else {
             return;
         };
-        if flow.window > 0 && flow.outstanding >= flow.window {
+        let Some(&(send_at, _)) = f.flow.front(window) else {
             break;
-        }
-        if flow.pending.is_empty() {
-            break;
-        }
-        let send_at = flow.pending.front().expect("non-empty").send_at;
+        };
         if send_at > now {
-            if !flow.pump_scheduled {
-                flow.pump_scheduled = true;
+            if !f.pump_scheduled {
+                f.pump_scheduled = true;
                 sim.schedule_at(send_at, move |sim| {
                     if let Some(f) = sim.world.graph(app, graph).flows.get_mut(&key) {
                         f.pump_scheduled = false;
@@ -2006,19 +1616,16 @@ fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
             }
             break;
         }
-        let post = flow.pending.pop_front().expect("non-empty");
-        flow.outstanding += 1;
-        let from = flow.from_node;
-        let src = flow.src;
-        emit(sim, app, graph, from, src, post.token, post.env);
+        let ((_, token), env) = f.flow.pop(window).expect("front admitted it");
+        let src = f.src;
+        emit(sim, app, graph, GNodeId(key.0), src, token, env);
     }
     // Drain: unstall the producing thread and drop exhausted flows.
     let g = sim.world.graph(app, graph);
-    if let Some(flow) = g.flows.get_mut(&key) {
-        if flow.pending.is_empty() && flow.complete {
-            let unstall = flow.stalled_thread.take();
-            let exhausted = flow.outstanding == 0;
-            if exhausted {
+    if let Some(f) = g.flows.get_mut(&key) {
+        if f.flow.is_flushed() {
+            let unstall = f.stalled_thread.take();
+            if f.flow.is_drained() {
                 g.flows.remove(&key);
             }
             if let Some(tk) = unstall {
@@ -2031,94 +1638,41 @@ fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
 
 /// A merge consumed one token of flow `key`: return a credit.
 fn credit_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
-    let g = sim.world.graph(app, graph);
-    if let Some(flow) = g.flows.get_mut(&key) {
-        flow.outstanding = flow.outstanding.saturating_sub(1);
+    if let Some(f) = sim.world.graph(app, graph).flows.get_mut(&key) {
+        f.flow.credit();
         pump_flow(sim, app, graph, key);
     }
 }
 
-/// A token leaves node `from`: select the successor by token type, or handle
-/// graph exit (output collection / service-call return).
+/// A token leaves node `from`: on to its successor, out as a graph output,
+/// or back into the calling graph (kernel rule 5).
 fn emit(
     sim: &mut Sim<Rt>,
-    app: u32,
-    graph: u32,
-    from: GNodeId,
+    mut app: u32,
+    mut graph: u32,
+    mut from: GNodeId,
     src: NodeId,
     token: TokenBox,
-    env: Envelope,
+    mut env: Envelope,
 ) {
     if sim.world.fatal.is_some() {
         return;
     }
-    let now = sim.now();
-    let (succ, has_succs, node_name) = {
-        let g = sim.world.graph(app, graph);
-        (
-            g.def.successor_for(from, token.wire_id()),
-            !g.def.succs(from).is_empty(),
-            g.def.node(from).name.clone(),
-        )
-    };
-    match succ {
-        Some(next) => route_and_send(sim, app, graph, next, src, token, env),
-        None if has_succs => {
-            sim.world.fail(DpsError::NoRoute {
-                node: node_name,
-                token_type: token.type_name(),
-            });
-        }
-        None => {
-            // Graph exit.
-            if env.frames.len() == 1 && !env.calls.is_empty() {
-                // Distributed return (inter-application split/merge pair):
-                // the wave keeps its frame and is merged in the caller.
-                let call = env.calls.last().cloned().expect("checked non-empty");
-                let Some(ret) = sim.world.pending_calls.get(&call.call_id) else {
-                    sim.world.fail(DpsError::OperationContract {
-                        node: node_name,
-                        reason: format!("return for unknown call id {}", call.call_id),
-                    });
-                    return;
-                };
-                let (r_app, r_graph, r_node, r_env) =
-                    (ret.app, ret.graph, ret.node, ret.env.clone());
-                // The frame keeps the callee split as its source: wave keys
-                // are opaque, so the caller's merge collects it verbatim.
-                let mut out_env = r_env;
-                out_env.push(env.frames[0]);
-                emit(sim, r_app, r_graph, r_node, src, token, out_env);
-                return;
+    loop {
+        let world = &sim.world;
+        let def = &world.apps[app as usize].graphs[graph as usize].def;
+        let returns = |id: u64| world.pending_calls.get(&id).cloned();
+        match kernel::exit(def, from, token.as_ref(), &env, returns) {
+            Ok(Exit::To(next)) => return route_and_send(sim, app, graph, next, src, token, env),
+            Ok(Exit::Return(ret)) => {
+                (app, graph, from, env) = (ret.app, ret.graph, ret.node, ret.env)
             }
-            if !env.frames.is_empty() {
-                sim.world.fail(DpsError::InvalidGraph {
-                    reason: format!(
-                        "token left the graph at {node_name} with {} unmerged frames",
-                        env.frames.len()
-                    ),
-                });
-                return;
+            Ok(Exit::Output) => {
+                let now = sim.now();
+                let outputs = sim.world.outputs.entry((app, graph)).or_default();
+                return outputs.push((now, token));
             }
-            if let Some(call) = env.calls.last().cloned() {
-                // Service-call return: continue in the caller's graph.
-                let Some(ret) = sim.world.pending_calls.get(&call.call_id) else {
-                    sim.world.fail(DpsError::OperationContract {
-                        node: node_name,
-                        reason: format!("return for unknown call id {}", call.call_id),
-                    });
-                    return;
-                };
-                let (r_app, r_graph, r_node, r_env) =
-                    (ret.app, ret.graph, ret.node, ret.env.clone());
-                emit(sim, r_app, r_graph, r_node, src, token, r_env);
-            } else {
-                sim.world
-                    .outputs
-                    .entry((app, graph))
-                    .or_default()
-                    .push((now, token));
-            }
+            Err(e) => return sim.world.fail(e),
         }
     }
 }

@@ -44,6 +44,13 @@
 //!   what the experiment harness uses to regenerate the paper's figures.
 //! * The `dps-mt` crate's `MtEngine` executes the same graphs on real OS
 //!   threads (wall-clock time, nondeterministic merge order).
+//! * The `dps-netengine` crate's `NetEngine` executes them across OS
+//!   processes — one DPS kernel per cluster node over TCP, the paper's
+//!   deployment model — with an `MtEngine` as the master's control plane.
+//!
+//! What a graph *means* on all three — wave counting, merge completion,
+//! flow-control credits, wave pinning, graph exits — is written once, in
+//! the `kernel` module the engines share (`docs/ARCHITECTURE.md` §1).
 //!
 //! Engine-specific features (failure injection, thread-state access,
 //! virtual-time scheduling) stay on the concrete types; the
@@ -56,6 +63,7 @@ mod engine;
 mod envelope;
 mod error;
 mod graph;
+mod kernel;
 mod ops;
 mod route;
 pub mod sched;
@@ -88,6 +96,10 @@ pub use dps_sched;
 /// (`dps-mt`). Not part of the stable public API.
 #[doc(hidden)]
 pub mod internal {
+    /// The rules of a wave, shared by every engine.
+    pub mod kernel {
+        pub use crate::kernel::*;
+    }
     pub use crate::ops::{DynOp, ExecInfo, OpOutput};
     pub use crate::route::DynRoute;
 }

@@ -628,3 +628,103 @@ fn thread_data_persists_across_executions() {
     assert_eq!(c0 + c1, 10);
     assert_eq!(c0, 5, "round robin splits evenly");
 }
+
+// --- a wave-close meeting a dead pin (kernel rule 6) ------------------------
+
+/// Passes token 0 on, swallows the rest and posts nothing at finalize, so
+/// the total of its output wave travels apart from the data, as a
+/// wave-close. Consume `i` charges `charge_us[i]`; the virtual start of the
+/// first consume is published for the test to time a failure against.
+struct Sparse {
+    charge_us: Vec<u64>,
+    first_start: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+impl StreamOperation for Sparse {
+    type Thread = ();
+    type In = Part;
+    type Out = Part;
+    fn consume(&mut self, ctx: &mut OpCtx<'_, (), Part>, p: Part) {
+        if p.i == 0 {
+            let start = ctx.start_nanos();
+            self.first_start
+                .store(start, std::sync::atomic::Ordering::Relaxed);
+            ctx.post(Part { i: 0, v: 7 });
+        }
+        ctx.charge(SimSpan::from_micros(self.charge_us[p.i as usize]));
+    }
+    fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Part>) {}
+}
+
+/// split → `Sparse` stream (node0) → merge on `node1 node2`, least-loaded:
+/// the stream's one post pins the merge wave on node1, which is killed
+/// `fail_after_us` after the stream's first consume started; the wave's
+/// close is issued when its last consume runs.
+fn close_meets_dead_pin(charge_us: &[u64], fail_after_us: u64) -> (Result<()>, SimEngine, usize) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let mut eng = engine(3);
+    let app = eng.app("dead-pin");
+    eng.preload_app(app);
+    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+    let sinks: ThreadCollection<()> = eng.thread_collection(app, "s", "node1 node2").unwrap();
+    let first_start = std::sync::Arc::new(AtomicU64::new(u64::MAX));
+    let (charges, seen) = (charge_us.to_vec(), first_start.clone());
+    let mut b = GraphBuilder::new("dead-pin");
+    let split = b.split(&main, || ToThread(0), || FanN);
+    let stream = b.stream(
+        &main,
+        || ToThread(0),
+        move || Sparse {
+            charge_us: charges.clone(),
+            first_start: seen.clone(),
+        },
+    );
+    let merge = b.merge(&sinks, LeastLoaded::new, SumParts::default);
+    b.add(split >> stream >> merge);
+    let g = eng.build_graph(b).unwrap();
+    eng.inject(
+        g,
+        Start {
+            n: charge_us.len() as u32,
+        },
+    )
+    .unwrap();
+    while first_start.load(Ordering::Relaxed) == u64::MAX {
+        assert!(eng.step_once().unwrap(), "the stream never consumed");
+    }
+    let t0 = first_start.load(Ordering::Relaxed);
+    let at = SimTime(t0 + fail_after_us * 1_000);
+    eng.schedule_fail_node(at, dps_net::NodeId(1));
+    let outcome = eng.run_until_idle();
+    let outputs = eng.take_outputs(g).len();
+    (outcome, eng, outputs)
+}
+
+/// The first token of the merge wave is in flight to node1 when node1 dies,
+/// and the wave's close is issued before that token lands and is re-routed.
+/// Nothing was consumed on node1, so the close must wait for the wave's new
+/// home instead of being queued on the dead thread (where it used to strand
+/// the run as `IncompleteWaves`).
+#[test]
+fn wave_close_follows_a_fresh_wave_off_a_dead_node() {
+    let (outcome, eng, outputs) = close_meets_dead_pin(&[50, 0], 40);
+    outcome.expect("a fresh wave moves, and its close with it");
+    assert_eq!(outputs, 1);
+    assert_eq!(eng.requeued(), 1, "the in-flight token was re-routed");
+    assert_eq!(eng.queued_deliveries(), 0);
+}
+
+/// Same shape, but node1 dies after it consumed the wave's first token and
+/// before the close: the wave's partial state is gone, which is `NodeDown`
+/// naming the node and the merge — as a late *token* of that wave gets.
+#[test]
+fn wave_close_for_partial_state_on_a_dead_node_is_node_down() {
+    let (outcome, _, outputs) = close_meets_dead_pin(&[50, 2_000_000, 0], 1_000_000);
+    match outcome {
+        Err(DpsError::NodeDown { node, target }) => {
+            assert_eq!(node, "node1");
+            assert!(target.contains("SumParts"), "target = {target}");
+        }
+        other => panic!("expected NodeDown, got {other:?}"),
+    }
+    assert_eq!(outputs, 0);
+}

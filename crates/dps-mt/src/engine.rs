@@ -10,9 +10,9 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
 use dps_cluster::{resolve_mapping, ClusterSpec, NodeId};
+use dps_core::internal::kernel;
 use dps_core::{
-    downcast, register_token, DpsError, GraphBuilder, Result, ThreadData, Token, TokenBox,
-    TokenRegistry,
+    register_token, DpsError, GraphBuilder, Result, ThreadData, TokenBox, TokenRegistry,
 };
 use parking_lot::Mutex;
 
@@ -27,8 +27,8 @@ pub struct MtConfig {
     /// Force serialize/deserialize round trips across virtual node
     /// boundaries (the paper's multi-kernel debugging mode).
     pub enforce_serialization: bool,
-    /// How long [`MtEngine::run_graph`] waits for outputs before reporting
-    /// a deadlock.
+    /// How long [`MtEngine::wait_for_outputs`] waits for outputs before
+    /// reporting a deadlock.
     pub run_timeout: Duration,
 }
 
@@ -66,7 +66,7 @@ struct TcDecl {
 /// The threaded execution engine.
 ///
 /// Lifecycle: declare applications, thread collections and graphs; the
-/// worker threads spawn on the first [`run_graph`](Self::run_graph) call;
+/// worker threads spawn on the first [`submit`](Self::submit) call;
 /// [`shutdown`](Self::shutdown) joins them.
 pub struct MtEngine {
     spec: ClusterSpec,
@@ -340,9 +340,8 @@ impl MtEngine {
                         .iter()
                         .map(|n| crate::worker::RouteCell::install(n.make_route()))
                         .collect(),
-                    wave_threads: Mutex::new(HashMap::new()),
+                    pins: Mutex::default(),
                     flows: Mutex::new(HashMap::new()),
-                    pending_closes: Mutex::new(HashMap::new()),
                 })
                 .collect();
             shared_apps.push(SharedApp { tcs, graphs });
@@ -416,8 +415,9 @@ impl MtEngine {
 
     /// Submit a token into a graph's entry (starting the worker threads on
     /// first use). Pair with [`wait_for_outputs`](Self::wait_for_outputs) +
-    /// [`drain_outputs`](Self::drain_outputs), or use the higher-level
-    /// [`run_graph`](Self::run_graph).
+    /// [`drain_outputs`](Self::drain_outputs); drivers written against
+    /// [`dps_core::Engine`] reach the same three steps as `submit`,
+    /// `run_to_idle` and `take_outputs`.
     pub fn submit(&mut self, graph: MtGraph, token: TokenBox) {
         self.ensure_started();
         let shared = Arc::clone(self.shared.as_ref().expect("started"));
@@ -484,31 +484,6 @@ impl MtEngine {
         self.out_buf
             .remove(&(graph.app, graph.graph))
             .unwrap_or_default()
-    }
-
-    /// Run a graph: inject `inputs` and wait until `expected_outputs`
-    /// tokens have left the graph, returning them (unordered).
-    pub fn run_graph(
-        &mut self,
-        graph: MtGraph,
-        inputs: Vec<TokenBox>,
-        expected_outputs: usize,
-    ) -> Result<Vec<TokenBox>> {
-        for token in inputs {
-            self.submit(graph, token);
-        }
-        self.wait_for_outputs(graph, expected_outputs)?;
-        Ok(self.drain_outputs(graph))
-    }
-
-    /// Run a graph expecting exactly one output of type `T`.
-    pub fn run_one<T: Token>(&mut self, graph: MtGraph, input: TokenBox) -> Result<Box<T>> {
-        let outs = self.run_graph(graph, vec![input], 1)?;
-        let tok = outs.into_iter().next().expect("one output");
-        downcast::<T>(tok).map_err(|t| DpsError::OperationContract {
-            node: "run_one".into(),
-            reason: format!("expected output type, got {}", t.type_name()),
-        })
     }
 
     /// Kill cluster node `node` mid-run: the node's worker threads turn
@@ -600,18 +575,8 @@ impl FailHandle {
             return Ok(()); // already dead
         }
         if let Some(sink) = &self.feedback {
-            // FeedbackSink worker indices are thread indices within the
-            // reporting collection, so only collections that actually fed
-            // the sink are consulted (mirrors the simulator).
-            let mut lost: Vec<usize> = Vec::new();
-            for &(app, tc) in shared.feedback_tcs.lock().iter() {
-                let tc = &shared.apps[app as usize].tcs[tc as usize];
-                for (thread, &host) in tc.nodes.iter().enumerate() {
-                    if host == node && !lost.contains(&thread) {
-                        lost.push(thread);
-                    }
-                }
-            }
+            let hosts = |app: u32, tc: u32| &shared.apps[app as usize].tcs[tc as usize].nodes[..];
+            let lost = kernel::lost_workers(&shared.feedback_tcs.lock(), hosts, &node);
             for worker in lost {
                 sink.worker_lost(worker);
             }

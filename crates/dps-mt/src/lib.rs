@@ -20,8 +20,8 @@
 //!   in any real DPS deployment).
 //! * Flow control is credit-driven without stalling the posting OS thread;
 //!   the window bound on in-flight tokens per split/merge pair holds.
-//! * [`MtEngine::run_graph`] drives one graph run to completion and returns
-//!   the collected outputs.
+//! * A run is driven through [`dps_core::Engine`]: `submit`, `run_to_idle`
+//!   (wait for a number of outputs, or the run timeout), `take_outputs`.
 
 mod engine;
 pub mod remote;

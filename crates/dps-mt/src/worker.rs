@@ -11,10 +11,13 @@ use dps_sched::FeedbackSink;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
-use dps_core::internal::{DynOp, DynRoute, ExecInfo, OpOutput};
+use dps_core::internal::kernel::{
+    self, CallReturn, CloseTo, Exit, Flow, Instances, Pins, Routed, Wave,
+};
+use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::{
-    wire_roundtrip, CallFrame, DpsError, Envelope, Flowgraph, Frame, GNodeId, OpKind, RouteInfo,
-    Token, TokenBox, TokenRegistry, WaveKey,
+    wire_roundtrip, DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox,
+    TokenRegistry, WaveKey,
 };
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
@@ -104,15 +107,11 @@ impl SharedTc {
     }
 }
 
+/// One wave's posts on their way out (keyed by producing node and wave).
 pub(crate) struct MtFlow {
-    pending: VecDeque<(TokenBox, Envelope)>,
-    outstanding: u32,
-    complete: bool,
-    from: GNodeId,
+    flow: Flow<TokenBox>,
+    /// Cluster node of the producing thread.
     src_node: u32,
-    /// Serving-graph exit splits have no in-graph merge returning credits;
-    /// their waves are not window-limited.
-    unbounded: bool,
 }
 
 /// One graph node's installed route. Stateless routes (declared via
@@ -148,22 +147,15 @@ impl RouteCell {
 
 pub(crate) struct SharedGraph {
     pub routes: Vec<RouteCell>,
-    pub wave_threads: Mutex<HashMap<WaveKey, u32>>,
+    /// Which thread each live wave consumes on, and the wave totals still
+    /// waiting for their wave to get one: the two change together.
+    pub pins: Mutex<Pins>,
     pub flows: Mutex<HashMap<(u32, u64), MtFlow>>,
-    /// Wave totals whose waves have not been routed to a thread yet.
-    pub pending_closes: Mutex<HashMap<WaveKey, u32>>,
 }
 
 pub(crate) struct SharedApp {
     pub tcs: Vec<SharedTc>,
     pub graphs: Vec<SharedGraph>,
-}
-
-struct CallRet {
-    app: u32,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
 }
 
 pub(crate) struct Shared {
@@ -178,7 +170,7 @@ pub(crate) struct Shared {
     pub services: HashMap<String, (u32, u32)>,
     pub wave_counter: AtomicU64,
     pub call_counter: AtomicU64,
-    pub pending_calls: Mutex<HashMap<u64, CallRetOpaque>>,
+    pub pending_calls: Mutex<HashMap<u64, CallReturn>>,
     pub output_tx: Sender<Output>,
     pub error_tx: Sender<DpsError>,
     /// Chunk-completion reports (wall-clock) go here, if registered — the
@@ -222,23 +214,6 @@ impl Shared {
     }
 }
 
-/// Newtype so `CallRet` stays private to this module.
-pub(crate) struct CallRetOpaque(CallRet);
-
-struct WaveState {
-    /// `None` for remotely-executed waves: the op instance lives in the
-    /// process hosting this thread's node.
-    op: Option<Box<dyn DynOp>>,
-    received: u32,
-    expected: Option<u32>,
-    out_wave: u64,
-    out_index: u32,
-    /// Where this wave consumes (for NodeDown diagnostics when the hosting
-    /// node is killed mid-wave).
-    graph: u32,
-    node: GNodeId,
-}
-
 /// Per-worker mutable state.
 struct Worker {
     app: u32,
@@ -246,10 +221,10 @@ struct Worker {
     thread: u32,
     node: u32,
     data: Box<dyn Any + Send>,
-    ops: HashMap<(u32, u32), Box<dyn DynOp>>,
-    waves: HashMap<WaveKey, WaveState>,
-    /// Totals from closes that arrived before the wave's first token.
-    pending_expected: HashMap<WaveKey, u32>,
+    /// This thread's op instances and the waves it consumes. Where the
+    /// remote hook claims the thread, the instances live in the hosting
+    /// process and only the waves' accounting is kept here.
+    inst: Instances,
     /// The remote-execution hook, when it claims this thread's node: the
     /// thread is then a proxy, and its operations run in another process.
     remote: Option<Arc<dyn RemoteExec>>,
@@ -386,9 +361,7 @@ pub(crate) fn worker_loop(
         thread,
         node,
         data,
-        ops: HashMap::new(),
-        waves: HashMap::new(),
-        pending_expected: HashMap::new(),
+        inst: Instances::default(),
         remote: remote_for(&shared.remote, node),
         trace: shared
             .trace
@@ -453,7 +426,8 @@ pub(crate) fn worker_loop(
                             begin_exec(&shared, &mut w, &mut inflight, graph, gnode, token, env)
                         }
                         OpKind::Merge | OpKind::Stream => {
-                            begin_consume(&shared, &mut w, &mut inflight, graph, gnode, token, env)
+                            let token = Arrival::Token(token);
+                            begin_wave(&shared, &mut w, &mut inflight, graph, gnode, env, token)
                         }
                         OpKind::Call | OpKind::CallSplit => {
                             // A call has no remote half: it goes out behind
@@ -477,7 +451,8 @@ pub(crate) fn worker_loop(
                     send_close(&shared, app, graph, env, total);
                     Ok(Begun::Finished)
                 } else {
-                    begin_close(&shared, &mut w, &mut inflight, graph, gnode, env, total)
+                    let close = Arrival::Close(total);
+                    begin_wave(&shared, &mut w, &mut inflight, graph, gnode, env, close)
                 }
             }
         };
@@ -541,33 +516,19 @@ fn finish_all(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
     }
 }
 
-/// A worker whose node was killed enters tombstone mode: every merge wave
-/// with partial state on this thread is unrecoverable (its op instance and
-/// received counts die here) and surfaces as [`DpsError::NodeDown`]; the
-/// wave pins are removed so re-routed siblings fail fast instead of
-/// re-targeting this thread. Mirrors the simulator's `fail_node` semantics.
+/// A worker whose node was killed enters tombstone mode: every wave this
+/// thread had heard of is unrecoverable (its op instance and counts die
+/// here) and surfaces as [`DpsError::NodeDown`]; its pin is removed, so what
+/// is still pinned on a dead node afterwards is a wave nothing was consumed
+/// of — the one kind that can move (kernel rule 6).
 fn abandon_waves(shared: &Arc<Shared>, w: &mut Worker) {
-    let waves = std::mem::take(&mut w.waves);
-    for (key, wave) in waves {
-        let target = shared.defs[w.app as usize][wave.graph as usize]
-            .node(wave.node)
-            .name
-            .clone();
-        shared.apps[w.app as usize].graphs[wave.graph as usize]
-            .wave_threads
-            .lock()
-            .remove(&key);
-        send_error(
-            shared,
-            w.app,
-            DpsError::NodeDown {
-                node: shared.node_name(w.node),
-                target,
-            },
-        );
+    let inst = std::mem::take(&mut w.inst);
+    for (key, wave) in inst.waves {
+        let target = &shared.defs[w.app as usize][wave.graph as usize].node(wave.node);
+        let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
+        g.pins.lock().remove(&key);
+        send_error(shared, w.app, node_down(shared, w.node, &target.name));
     }
-    w.pending_expected.clear();
-    w.ops.clear();
 }
 
 /// If the finished execution marked a scheduled chunk complete, report its
@@ -580,12 +541,7 @@ fn report_completion(shared: &Shared, w: &mut Worker, out: &OpOutput, started: I
     let nanos = started.elapsed().as_nanos() as u64;
     w.trace(shared, EventKind::ChunkExec { iters, nanos });
     if let Some(sink) = shared.feedback.as_ref() {
-        {
-            let mut ftcs = shared.feedback_tcs.lock();
-            if !ftcs.contains(&(w.app, w.tc)) {
-                ftcs.push((w.app, w.tc));
-            }
-        }
+        kernel::note_reporter(&mut shared.feedback_tcs.lock(), w.app, w.tc);
         sink.report_chunk(w.thread as usize, iters, started.elapsed().as_secs_f64());
         w.trace(
             shared,
@@ -606,12 +562,7 @@ fn report_completion(shared: &Shared, w: &mut Worker, out: &OpOutput, started: I
 /// [`report_completion`] (the remote host measured the wall-clock time).
 fn apply_reports(shared: &Shared, app: u32, tc: u32, thread: u32, reports: &[(u64, f64)]) {
     if let (false, Some(sink)) = (reports.is_empty(), shared.feedback.as_ref()) {
-        {
-            let mut ftcs = shared.feedback_tcs.lock();
-            if !ftcs.contains(&(app, tc)) {
-                ftcs.push((app, tc));
-            }
-        }
+        kernel::note_reporter(&mut shared.feedback_tcs.lock(), app, tc);
         sink.report_batch(thread as usize, reports);
     }
 }
@@ -669,10 +620,7 @@ fn begin_exec(
         None => {
             let info = exec_info(shared, w);
             let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-            let op = w
-                .ops
-                .entry((graph, node.0))
-                .or_insert_with(|| gnode.make_op().expect("split/leaf has an op"));
+            let op = w.inst.node_op((graph, node.0), gnode)?;
             let mut out = OpOutput::default();
             let t0 = Instant::now();
             op.on_token(&mut out, w.data.as_mut(), info, &gnode.name, token)?;
@@ -711,33 +659,12 @@ fn finish_exec(
                     },
                 );
             }
-            let total = posts.len() as u32;
-            let mut pending = VecDeque::with_capacity(posts.len());
-            for (i, post) in posts.into_iter().enumerate() {
-                let mut e = env.clone();
-                e.push(Frame {
-                    src: node,
-                    wave,
-                    index: i as u32,
-                    total: (i as u32 == total - 1).then_some(total),
-                });
-                pending.push_back((post, e));
-            }
-            {
-                let unbounded = def.matching_pop(node).is_none();
-                let g = &shared.apps[w.app as usize].graphs[graph as usize];
-                g.flows.lock().insert(
-                    (node.0, wave),
-                    MtFlow {
-                        pending,
-                        outstanding: 0,
-                        complete: true,
-                        from: node,
-                        src_node: w.node,
-                        unbounded,
-                    },
-                );
-            }
+            let flow = MtFlow {
+                flow: kernel::open_wave(def, node, wave, &env, posts.into_iter()),
+                src_node: w.node,
+            };
+            let g = &shared.apps[w.app as usize].graphs[graph as usize];
+            g.flows.lock().insert((node.0, wave), flow);
             pump_flow(shared, w.app, graph, (node.0, wave));
         }
         OpKind::Leaf => {
@@ -760,169 +687,101 @@ fn finish_exec(
     Ok(())
 }
 
-/// Phase 1 of a merge/stream delivery: count the token into its wave, then
-/// ship the consume, or run it (and the finalize, if it completes the wave)
-/// and go straight on to phase 2.
-fn begin_consume(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    inflight: &mut InFlight,
-    graph: u32,
-    node: GNodeId,
-    token: TokenBox,
-    mut env: Envelope,
-) -> Result<Begun, DpsError> {
-    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
-    let info = exec_info(shared, w);
-    let key = env.wave_key().expect("validated depth >= 1");
-    // The remote side re-derives the wave identity from the envelope, so it
-    // must see the frame this consume pops.
-    let pre_pop_env = w.remote.as_ref().map(|_| env.clone());
-    let frame = env.pop().expect("validated depth >= 1");
-    let parent_env = env;
-
-    let early_expected = w.pending_expected.remove(&key);
-    let is_remote = w.remote.is_some();
-    let wave = w.waves.entry(key.clone()).or_insert_with(|| WaveState {
-        op: (!is_remote).then(|| gnode.make_op().expect("merge/stream has an op")),
-        received: 0,
-        expected: early_expected,
-        out_wave: shared.wave_counter.fetch_add(1, Ordering::Relaxed),
-        out_index: 0,
-        graph,
-        node,
-    });
-    wave.received += 1;
-    if let Some(t) = frame.total {
-        wave.expected = Some(t);
-    }
-    if let Some(exp) = wave.expected {
-        if wave.received > exp {
-            return Err(DpsError::OperationContract {
-                node: gnode.name.clone(),
-                reason: format!(
-                    "wave received {} tokens but split posted {exp}",
-                    wave.received
-                ),
-            });
-        }
-    }
-    let completes = wave.expected == Some(wave.received);
-
-    match &w.remote {
-        Some(r) => {
-            let pending = r.begin(RemoteTask {
-                app: w.app,
-                tc: w.tc,
-                thread: w.thread,
-                graph,
-                node,
-                kind: RemoteKind::Consume { completes },
-                token: Some(token),
-                env: pre_pop_env.expect("cloned when the hook matched"),
-            });
-            let cont = Cont::Wave {
-                graph,
-                node,
-                key,
-                parent_env,
-                completes,
-                consumed: true,
-            };
-            inflight.push_back((pending, cont));
-            Ok(Begun::InFlight)
-        }
-        None => {
-            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-            let op = wave.op.as_mut().expect("local waves hold their op");
-            let mut out = OpOutput::default();
-            let t0 = Instant::now();
-            op.on_token(&mut out, w.data.as_mut(), info, &gnode.name, token)?;
-            if completes {
-                op.on_finalize(&mut out, w.data.as_mut(), info, &gnode.name)?;
-            }
-            report_completion(shared, w, &out, t0);
-            trace_op(shared, w, &gnode.name, frame.wave as u32, t0n);
-            let posts = out.posts.into_iter().map(|p| p.token).collect();
-            finish_wave(
-                shared, w, graph, node, &key, parent_env, completes, true, posts,
-            )?;
-            Ok(Begun::Finished)
-        }
-    }
+/// What reaches a merge/stream wave: one of its tokens, or its wave-close
+/// carrying the total.
+enum Arrival {
+    Token(TokenBox),
+    Close(u32),
 }
 
-/// Phase 1 of a wave-close: record the expected count, and if every data
-/// object was already consumed, ship the finalize, or run it and go straight
-/// on to phase 2.
-fn begin_close(
+/// Phase 1 of a merge/stream delivery: account for what arrived (kernel
+/// rule 1), then ship the step it calls for — a consume, with the finalize
+/// if it completes the wave; for a close, the finalize alone, once every
+/// data object was consumed — or run it and go straight on to phase 2.
+fn begin_wave(
     shared: &Arc<Shared>,
     w: &mut Worker,
     inflight: &mut InFlight,
     graph: u32,
     node: GNodeId,
     mut env: Envelope,
-    total: u32,
+    arrival: Arrival,
 ) -> Result<Begun, DpsError> {
     let gnode = shared.defs[w.app as usize][graph as usize].node(node);
+    let name = &gnode.name;
     let info = exec_info(shared, w);
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let pre_pop_env = w.remote.as_ref().map(|_| env.clone());
-    let _ = env.pop();
-    let parent_env = env;
-
-    let Some(wave) = w.waves.get_mut(&key) else {
-        w.pending_expected.insert(key, total);
-        return Ok(Begun::Finished);
+    let key = env.wave_key().expect("validated depth >= 1");
+    let wave = w.inst.waves.entry(key.clone()).or_insert_with(|| {
+        Wave::new(
+            graph,
+            node,
+            shared.wave_counter.fetch_add(1, Ordering::Relaxed),
+        )
+    });
+    let (token, completes) = match arrival {
+        Arrival::Token(token) => {
+            let inline_total = env.top().and_then(|f| f.total);
+            (Some(token), wave.admit(inline_total, name)?)
+        }
+        Arrival::Close(total) => {
+            if !wave.close(total, name)? {
+                // The finalize waits for the remaining data objects.
+                return Ok(Begun::Finished);
+            }
+            (None, true)
+        }
     };
-    wave.expected = Some(total);
-    if wave.received > total {
-        return Err(DpsError::OperationContract {
-            node: gnode.name.clone(),
-            reason: format!(
-                "wave received {} tokens but producer posted {total}",
-                wave.received
-            ),
-        });
-    }
-    if wave.received != total {
-        return Ok(Begun::Finished);
-    }
-    // The wave stays in the table until phase 2: consumes of it that are
-    // still in flight ahead of this finalize advance its `out_index`.
+    let consumed = token.is_some();
+    // The wave stays in the table until phase 2: steps of it that are still
+    // in flight ahead of a finalize advance its stream numbering.
     match &w.remote {
         Some(r) => {
+            let kind = match consumed {
+                true => RemoteKind::Consume { completes },
+                false => RemoteKind::Finalize,
+            };
+            // The remote side re-derives the wave identity from the
+            // envelope, so it is sent the frame popped below.
             let pending = r.begin(RemoteTask {
                 app: w.app,
                 tc: w.tc,
                 thread: w.thread,
                 graph,
                 node,
-                kind: RemoteKind::Finalize,
-                token: None,
-                env: pre_pop_env.expect("cloned when the hook matched"),
+                kind,
+                token,
+                env: env.clone(),
             });
+            env.pop();
             let cont = Cont::Wave {
                 graph,
                 node,
                 key,
-                parent_env,
-                completes: true,
-                consumed: false,
+                parent_env: env,
+                completes,
+                consumed,
             };
             inflight.push_back((pending, cont));
             Ok(Begun::InFlight)
         }
         None => {
+            env.pop();
+            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
+            let op = wave.op(gnode)?;
             let mut out = OpOutput::default();
-            wave.op
-                .as_mut()
-                .expect("local waves hold their op")
-                .on_finalize(&mut out, w.data.as_mut(), info, &gnode.name)?;
+            let t0 = Instant::now();
+            if let Some(token) = token {
+                op.on_token(&mut out, w.data.as_mut(), info, name, token)?;
+            }
+            if completes {
+                op.on_finalize(&mut out, w.data.as_mut(), info, name)?;
+            }
+            report_completion(shared, w, &out, t0);
+            trace_op(shared, w, name, key.wave as u32, t0n);
             let posts = out.posts.into_iter().map(|p| p.token).collect();
-            finish_wave(shared, w, graph, node, &key, parent_env, true, false, posts)?;
+            finish_wave(
+                shared, w, graph, node, &key, env, completes, consumed, posts,
+            )?;
             Ok(Begun::Finished)
         }
     }
@@ -996,9 +855,9 @@ fn finish_wave(
             );
             c.drain();
         }
-        w.waves.remove(key);
+        w.inst.waves.remove(key);
         let g = &shared.apps[w.app as usize].graphs[graph as usize];
-        g.wave_threads.lock().remove(key);
+        g.pins.lock().remove(key);
     }
     if consumed {
         credit_flow(shared, w.app, graph, (key.src.0, key.wave));
@@ -1006,13 +865,12 @@ fn finish_wave(
     Ok(())
 }
 
-/// Queue a stream's posts on its output flow, numbered from the wave's
-/// `out_index`; the post that completes the wave carries the total (or a
-/// wave-close does, when the last data object is already in flight).
+/// Queue a stream's posts on its output flow (kernel rule 3); a total that
+/// no pending post can carry goes out as a wave-close.
 ///
-/// `out_index` is read and advanced here, in phase 2, and nowhere else: two
-/// consumes of one wave can be in flight together, and numbering their
-/// posts in phase 1 would start both from the same base.
+/// The wave's numbering is read and advanced here, in phase 2, and nowhere
+/// else: two consumes of one wave can be in flight together, and numbering
+/// their posts in phase 1 would start both from the same base.
 #[allow(clippy::too_many_arguments)]
 fn finish_stream(
     shared: &Arc<Shared>,
@@ -1024,70 +882,24 @@ fn finish_stream(
     completes: bool,
     posts: Vec<TokenBox>,
 ) -> Result<(), DpsError> {
-    let name = &shared.defs[w.app as usize][graph as usize].node(node).name;
-    let Some(wave) = w.waves.get_mut(key) else {
+    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
+    let Some(wave) = w.inst.waves.get_mut(key) else {
         return Err(DpsError::OperationContract {
-            node: name.clone(),
+            node: gnode.name.clone(),
             reason: "stream wave was completed twice".into(),
         });
     };
-    let out_wave = wave.out_wave;
-    let base = wave.out_index;
-    let total = base + posts.len() as u32;
-    wave.out_index = total;
-    if completes && total == 0 {
-        return Err(DpsError::OperationContract {
-            node: name.clone(),
-            reason: "stream operation posted no tokens across its wave".into(),
-        });
-    }
-    let flow_key = (node.0, out_wave);
-    let mut close_to_send: Option<Envelope> = None;
-    {
+    let flow_key = (node.0, wave.out_wave());
+    let close = {
         let g = &shared.apps[w.app as usize].graphs[graph as usize];
         let mut flows = g.flows.lock();
-        let flow = flows.entry(flow_key).or_insert_with(|| MtFlow {
-            pending: VecDeque::new(),
-            outstanding: 0,
-            complete: false,
-            from: node,
+        let f = flows.entry(flow_key).or_insert_with(|| MtFlow {
+            flow: Flow::stream(),
             src_node: w.node,
-            unbounded: false,
         });
-        for (i, post) in posts.into_iter().enumerate() {
-            let mut e = parent_env.clone();
-            e.push(Frame {
-                src: node,
-                wave: out_wave,
-                index: base + i as u32,
-                total: None,
-            });
-            flow.pending.push_back((post, e));
-        }
-        if completes {
-            flow.complete = true;
-            match flow.pending.back_mut() {
-                Some((_, last_env)) => {
-                    if let Some(f) = last_env.frames.last_mut() {
-                        f.total = Some(total);
-                    }
-                }
-                None => {
-                    // Final data object already in flight: the count
-                    // travels as a wave-close message.
-                    let mut close_env = parent_env.clone();
-                    close_env.push(Frame {
-                        src: node,
-                        wave: out_wave,
-                        index: 0,
-                        total: Some(total),
-                    });
-                    close_to_send = Some(close_env);
-                }
-            }
-        }
-    }
-    if let Some(close_env) = close_to_send {
+        wave.append(&mut f.flow, gnode, parent_env, posts, completes)?
+    };
+    if let Some((close_env, total)) = close {
         send_close(shared, w.app, graph, close_env, total);
     }
     pump_flow(shared, w.app, graph, flow_key);
@@ -1112,170 +924,86 @@ fn handle_call(
         return Err(DpsError::UnknownService { name: service });
     };
     let call_id = shared.call_counter.fetch_add(1, Ordering::Relaxed);
-    shared.pending_calls.lock().insert(
-        call_id,
-        CallRetOpaque(CallRet {
-            app: w.app,
-            graph,
-            node,
-            env: env.clone(),
-        }),
-    );
-    let mut callee_env = Envelope::root();
-    callee_env.calls = env.calls;
-    callee_env.calls.push(CallFrame {
-        caller_app: w.app,
-        caller_graph: graph,
-        call_node: node,
-        call_id,
-    });
+    let (ret, callee_env) = kernel::call(call_id, w.app, graph, node, env);
+    shared.pending_calls.lock().insert(call_id, ret);
     let entry = shared.defs[t_app as usize][t_graph as usize].entry();
     route_and_send(shared, t_app, t_graph, entry, w.node, token, callee_env);
     Ok(())
 }
 
-/// Send a wave-close to the thread owning the wave; if no token of the wave
-/// was routed yet, park it in the graph's pending-close table.
+/// `DpsError::NodeDown` for work bound to dead cluster node `node` at graph
+/// node `target`.
+fn node_down(shared: &Shared, node: u32, target: &str) -> DpsError {
+    DpsError::NodeDown {
+        node: shared.node_name(node),
+        target: target.to_string(),
+    }
+}
+
+/// Send a wave-close to the thread its wave is pinned on, or park it until
+/// the wave has one (kernel rule 6).
 fn send_close(shared: &Arc<Shared>, app: u32, graph: u32, close_env: Envelope, total: u32) {
     let key = close_env
         .wave_key()
         .expect("close envelopes carry the wave frame");
-    let opener = key.src;
     let def = &shared.defs[app as usize][graph as usize];
-    let Some(merge_node) = def.matching_pop(opener) else {
-        send_error(
-            shared,
-            app,
-            DpsError::InvalidGraph {
-                reason: format!("no matching merge recorded for node {opener}"),
-            },
-        );
-        return;
+    let merge_node = match kernel::close_node(def, &key) {
+        Ok(n) => n,
+        Err(e) => return send_error(shared, app, e),
     };
-    let g = &shared.apps[app as usize].graphs[graph as usize];
-    let thread = { g.wave_threads.lock().get(&key).copied() };
-    match thread {
-        Some(t) => {
-            let tc = def.node(merge_node).tc;
-            let shared_tc = &shared.apps[app as usize].tcs[tc as usize];
-            if shared.node_dead(shared_tc.nodes[t as usize]) {
-                // The wave's home died before consuming anything (tombstones
-                // remove the pins of waves they held state for): drop the
-                // stale pin and park the close so the wave's re-routed
-                // tokens re-pin it and replay the close at its new home.
-                g.wave_threads.lock().remove(&key);
-                g.pending_closes.lock().insert(key, total);
-                return;
-            }
-            shared_tc.enqueue(
-                t as usize,
-                Msg::Close {
-                    graph,
-                    node: merge_node,
-                    env: close_env,
-                    total,
-                },
-            );
-        }
-        None => {
-            g.pending_closes.lock().insert(key, total);
+    let gnode = def.node(merge_node);
+    let shared_tc = &shared.apps[app as usize].tcs[gnode.tc as usize];
+    let alive = |t: u32| !shared.node_dead(shared_tc.nodes[t as usize]);
+    // Tombstones remove the pins of the waves they held state for, so a pin
+    // still on a dead node is a fresh wave's.
+    let to = shared.apps[app as usize].graphs[graph as usize]
+        .pins
+        .lock()
+        .close(&key, total, alive, || true);
+    match to {
+        Ok(CloseTo::Deliver(thread)) => shared_tc.enqueue(
+            thread as usize,
+            Msg::Close {
+                graph,
+                node: merge_node,
+                env: close_env,
+                total,
+            },
+        ),
+        Ok(CloseTo::Parked) => {}
+        Err(dead) => {
+            let e = node_down(shared, shared_tc.nodes[dead as usize], &gnode.name);
+            send_error(shared, app, e)
         }
     }
 }
 
-/// A token leaves node `from` of `graph`: pick the successor by type, or
-/// handle the graph exit (output collection / call return).
+/// A token leaves node `from` of `graph`: on to its successor, out as a
+/// graph output, or back into the calling graph (kernel rule 5).
 fn emit(
     shared: &Arc<Shared>,
-    app: u32,
-    graph: u32,
-    from: GNodeId,
+    mut app: u32,
+    mut graph: u32,
+    mut from: GNodeId,
     src_node: u32,
     token: TokenBox,
-    env: Envelope,
+    mut env: Envelope,
 ) {
-    let def = &shared.defs[app as usize][graph as usize];
-    match def.successor_for(from, token.wire_id()) {
-        Some(next) => route_and_send(shared, app, graph, next, src_node, token, env),
-        None if !def.succs(from).is_empty() => {
-            send_error(
-                shared,
-                app,
-                DpsError::NoRoute {
-                    node: def.node(from).name.clone(),
-                    token_type: token.type_name(),
-                },
-            );
-        }
-        None => {
-            if env.frames.len() == 1 && !env.calls.is_empty() {
-                // Distributed return (inter-application split/merge pair):
-                // the wave keeps its frame and is merged in the caller.
-                let call = env.calls.last().expect("checked non-empty");
-                let ret = {
-                    let calls = shared.pending_calls.lock();
-                    calls
-                        .get(&call.call_id)
-                        .map(|c| (c.0.app, c.0.graph, c.0.node, c.0.env.clone()))
-                };
-                match ret {
-                    Some((r_app, r_graph, r_node, r_env)) => {
-                        let mut out_env = r_env;
-                        out_env.push(env.frames[0]);
-                        emit(shared, r_app, r_graph, r_node, src_node, token, out_env);
-                    }
-                    None => {
-                        send_error(
-                            shared,
-                            app,
-                            DpsError::OperationContract {
-                                node: def.node(from).name.clone(),
-                                reason: format!("return for unknown call id {}", call.call_id),
-                            },
-                        );
-                    }
-                }
-                return;
+    loop {
+        let def = &shared.defs[app as usize][graph as usize];
+        let returns = |id: u64| shared.pending_calls.lock().get(&id).cloned();
+        match kernel::exit(def, from, token.as_ref(), &env, returns) {
+            Ok(Exit::To(next)) => {
+                return route_and_send(shared, app, graph, next, src_node, token, env)
             }
-            if !env.frames.is_empty() {
-                send_error(
-                    shared,
-                    app,
-                    DpsError::InvalidGraph {
-                        reason: format!(
-                            "token left the graph at {} with {} unmerged frames",
-                            def.node(from).name,
-                            env.frames.len()
-                        ),
-                    },
-                );
-                return;
+            Ok(Exit::Return(ret)) => {
+                (app, graph, from, env) = (ret.app, ret.graph, ret.node, ret.env)
             }
-            if let Some(call) = env.calls.last() {
-                let ret = {
-                    let calls = shared.pending_calls.lock();
-                    calls
-                        .get(&call.call_id)
-                        .map(|c| (c.0.app, c.0.graph, c.0.node, c.0.env.clone()))
-                };
-                match ret {
-                    Some((r_app, r_graph, r_node, r_env)) => {
-                        emit(shared, r_app, r_graph, r_node, src_node, token, r_env);
-                    }
-                    None => {
-                        send_error(
-                            shared,
-                            app,
-                            DpsError::OperationContract {
-                                node: def.node(from).name.clone(),
-                                reason: format!("return for unknown call id {}", call.call_id),
-                            },
-                        );
-                    }
-                }
-            } else {
+            Ok(Exit::Output) => {
                 let _ = shared.output_tx.send(Output { app, graph, token });
+                return;
             }
+            Err(e) => return send_error(shared, app, e),
         }
     }
 }
@@ -1291,9 +1019,8 @@ fn route_and_send(
 ) {
     let def = &shared.defs[app as usize][graph as usize];
     let gnode = def.node(to);
-    let tc = gnode.tc;
     let g = &shared.apps[app as usize].graphs[graph as usize];
-    let shared_tc = &shared.apps[app as usize].tcs[tc as usize];
+    let shared_tc = &shared.apps[app as usize].tcs[gnode.tc as usize];
     let thread_count = shared_tc.senders.len();
     // Live per-thread backlog: load-balancing routes on real OS threads see
     // the same signal shape as on the simulator. Single-thread collections
@@ -1313,62 +1040,40 @@ fn route_and_send(
     };
     if matches!(gnode.kind, OpKind::Merge | OpKind::Stream) {
         let key = env.wave_key().expect("validated: merges are under a split");
-        let mut fresh = false;
-        {
-            let mut wt = g.wave_threads.lock();
-            match wt.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let pinned = *e.get();
-                    if shared.node_dead(shared_tc.nodes[pinned as usize]) {
-                        // The pinned thread died before consuming anything
-                        // (a tombstone removes the pins of waves it held
-                        // partial state for): re-pin the wave to the freshly
-                        // routed thread and replay any parked close.
-                        *e.get_mut() = thread;
-                        fresh = true;
-                    } else {
-                        thread = pinned;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(thread);
-                    fresh = true;
-                }
-            }
-        }
-        if fresh {
-            // A close may have raced ahead of the wave's first token.
-            let parked = g.pending_closes.lock().remove(&key);
-            if let Some(total) = parked {
+        let alive = |t: u32| !shared.node_dead(shared_tc.nodes[t as usize]);
+        // A pin still on a dead node is a fresh wave's (see `send_close`).
+        let pin = g.pins.lock().route(&key, thread, alive, || true);
+        match pin {
+            Ok(Routed::Follow(pinned)) => thread = pinned,
+            Ok(Routed::Pinned { parked: None }) => {}
+            Ok(Routed::Pinned {
+                parked: Some(total),
+            }) => {
+                // A close got ahead of the wave's first token: it goes to
+                // the wave's new home ahead of that token.
                 let mut close_env = env.clone();
                 if let Some(f) = close_env.frames.last_mut() {
                     f.total = Some(total);
                 }
-                shared.apps[app as usize].tcs[tc as usize].enqueue(
-                    thread as usize,
-                    Msg::Close {
-                        graph,
-                        node: to,
-                        env: close_env,
-                        total,
-                    },
-                );
+                let close = Msg::Close {
+                    graph,
+                    node: to,
+                    env: close_env,
+                    total,
+                };
+                shared_tc.enqueue(thread as usize, close);
+            }
+            Err(dead) => {
+                let e = node_down(shared, shared_tc.nodes[dead as usize], &gnode.name);
+                return send_error(shared, app, e);
             }
         }
     }
-    let dst_node = shared.apps[app as usize].tcs[tc as usize].nodes[thread as usize];
+    let dst_node = shared_tc.nodes[thread as usize];
     if shared.node_dead(dst_node) {
         // The route insisted on a dead thread (stateful affinity, or the
         // whole collection is down): the work cannot be re-queued.
-        send_error(
-            shared,
-            app,
-            DpsError::NodeDown {
-                node: shared.node_name(dst_node),
-                target: gnode.name.clone(),
-            },
-        );
-        return;
+        return send_error(shared, app, node_down(shared, dst_node, &gnode.name));
     }
     let token = if shared.enforce_serialization && src_node != dst_node {
         match wire_roundtrip(token.as_ref(), &shared.registries[app as usize]) {
@@ -1381,7 +1086,7 @@ fn route_and_send(
     } else {
         token
     };
-    shared.apps[app as usize].tcs[tc as usize].enqueue(
+    shared_tc.enqueue(
         thread as usize,
         Msg::Deliver {
             graph,
@@ -1392,31 +1097,25 @@ fn route_and_send(
     );
 }
 
-/// Release pending posts of a flow while the window allows; the final post
-/// of an incomplete stream is held back (it must carry the wave total).
+/// Release the pending posts of flow `key` (its producing node, its wave)
+/// that the window admits, and drop the flow once it is drained.
 fn pump_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
+    let g = &shared.apps[app as usize].graphs[graph as usize];
     loop {
-        let item = {
-            let g = &shared.apps[app as usize].graphs[graph as usize];
+        let (token, env, src_node) = {
             let mut flows = g.flows.lock();
-            let Some(flow) = flows.get_mut(&key) else {
+            let Some(f) = flows.get_mut(&key) else {
                 return;
             };
-            if !flow.unbounded && shared.flow_window > 0 && flow.outstanding >= shared.flow_window {
-                return;
-            }
-            if flow.pending.is_empty() {
-                if flow.complete && flow.outstanding == 0 {
+            let Some((token, env)) = f.flow.pop(shared.flow_window) else {
+                if f.flow.is_drained() {
                     flows.remove(&key);
                 }
                 return;
-            }
-            let (token, env) = flow.pending.pop_front().expect("non-empty");
-            flow.outstanding += 1;
-            (token, env, flow.from, flow.src_node)
+            };
+            (token, env, f.src_node)
         };
-        let (token, env, from, src_node) = item;
-        emit(shared, app, graph, from, src_node, token, env);
+        emit(shared, app, graph, GNodeId(key.0), src_node, token, env);
     }
 }
 
@@ -1425,11 +1124,10 @@ fn credit_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
     {
         let g = &shared.apps[app as usize].graphs[graph as usize];
         let mut flows = g.flows.lock();
-        if let Some(flow) = flows.get_mut(&key) {
-            flow.outstanding = flow.outstanding.saturating_sub(1);
-        } else {
+        let Some(f) = flows.get_mut(&key) else {
             return;
-        }
+        };
+        f.flow.credit();
     }
     pump_flow(shared, app, graph, key);
 }

@@ -2,7 +2,7 @@
 //! engine runs, executed on OS threads with genuinely concurrent operations.
 
 use dps_core::prelude::*;
-use dps_mt::{MtConfig, MtEngine};
+use dps_mt::{MtConfig, MtEngine, MtGraph};
 
 dps_token! { pub struct Job { pub n: u32 } }
 dps_token! { pub struct Piece { pub i: u32, pub v: u64 } }
@@ -75,11 +75,35 @@ fn expected_sum(n: u32) -> u64 {
     (0..u64::from(n)).map(|i| i * i).sum()
 }
 
+/// Submit `inputs`, wait until `expected` tokens have left the graph, and
+/// return them (unordered).
+fn run(
+    eng: &mut MtEngine,
+    g: MtGraph,
+    inputs: Vec<TokenBox>,
+    expected: usize,
+) -> Result<Vec<TokenBox>> {
+    for token in inputs {
+        Engine::submit(eng, g, token)?;
+    }
+    eng.run_to_idle(g, expected)?;
+    Ok(eng.take_outputs(g))
+}
+
+/// One `Job` in, the sum of the one `Total` out.
+fn run_sum(eng: &mut MtEngine, g: MtGraph, input: TokenBox) -> u64 {
+    let out = run(eng, g, vec![input], 1)
+        .unwrap()
+        .pop()
+        .expect("one output");
+    downcast::<Total>(out).unwrap().sum
+}
+
 #[test]
 fn split_compute_merge_on_real_threads() {
     let mut eng = MtEngine::new(4);
     let g = build(&mut eng, 4);
-    let out = eng.run_graph(g, vec![Box::new(Job { n: 100 })], 1).unwrap();
+    let out = run(&mut eng, g, vec![Box::new(Job { n: 100 })], 1).unwrap();
     assert_eq!(out.len(), 1);
     let total = downcast::<Total>(out.into_iter().next().unwrap()).unwrap();
     assert_eq!(total.sum, expected_sum(100));
@@ -91,8 +115,10 @@ fn repeated_runs_reuse_threads() {
     let mut eng = MtEngine::new(2);
     let g = build(&mut eng, 2);
     for _ in 0..5 {
-        let t = eng.run_one::<Total>(g, Box::new(Job { n: 32 })).unwrap();
-        assert_eq!(t.sum, expected_sum(32));
+        assert_eq!(
+            run_sum(&mut eng, g, Box::new(Job { n: 32 })),
+            expected_sum(32)
+        );
     }
 }
 
@@ -103,7 +129,7 @@ fn pipelined_injections() {
     let inputs: Vec<TokenBox> = (0..6)
         .map(|_| Box::new(Job { n: 50 }) as TokenBox)
         .collect();
-    let outs = eng.run_graph(g, inputs, 6).unwrap();
+    let outs = run(&mut eng, g, inputs, 6).unwrap();
     assert_eq!(outs.len(), 6);
     for o in outs {
         let t = downcast::<Total>(o).unwrap();
@@ -119,8 +145,10 @@ fn flow_window_one_still_completes() {
     };
     let mut eng = MtEngine::with_config(2, cfg);
     let g = build(&mut eng, 2);
-    let t = eng.run_one::<Total>(g, Box::new(Job { n: 40 })).unwrap();
-    assert_eq!(t.sum, expected_sum(40));
+    assert_eq!(
+        run_sum(&mut eng, g, Box::new(Job { n: 40 })),
+        expected_sum(40)
+    );
 }
 
 #[test]
@@ -145,8 +173,10 @@ fn serialization_enforced_across_virtual_nodes() {
     let m = b.merge(&main, || ToThread(0), Sum::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
-    let t = eng.run_one::<Total>(g, Box::new(Job { n: 25 })).unwrap();
-    assert_eq!(t.sum, expected_sum(25));
+    assert_eq!(
+        run_sum(&mut eng, g, Box::new(Job { n: 25 })),
+        expected_sum(25)
+    );
 }
 
 #[test]
@@ -200,10 +230,8 @@ fn service_call_between_mt_applications() {
     cb.add(cs >> call >> cm);
     let cg = eng.build_graph(cb).unwrap();
 
-    let t = eng
-        .run_one::<Total>(cg, Box::new(CallBatch { calls: 3 }))
-        .unwrap();
-    assert_eq!(t.sum, 3 * expected_sum(10));
+    let sum = run_sum(&mut eng, cg, Box::new(CallBatch { calls: 3 }));
+    assert_eq!(sum, 3 * expected_sum(10));
 }
 
 #[test]
@@ -218,9 +246,7 @@ fn timeout_reports_deadlock_shape() {
     };
     let mut eng = MtEngine::with_config(1, cfg);
     let g = build(&mut eng, 1);
-    let err = eng
-        .run_graph(g, vec![Box::new(Job { n: 3 })], 2)
-        .unwrap_err();
+    let err = run(&mut eng, g, vec![Box::new(Job { n: 3 })], 2).unwrap_err();
     assert!(err.to_string().contains("timed out"));
 }
 
@@ -470,8 +496,7 @@ mod pipelined_remote {
 
         let mut plain = MtEngine::new(2);
         let pg = build(&mut plain, 2);
-        let reference = plain.run_one::<Total>(pg, Box::new(Job { n: 6 })).unwrap();
-        assert_eq!(sum, reference.sum);
+        assert_eq!(sum, run_sum(&mut plain, pg, Box::new(Job { n: 6 })));
     }
 
     /// A message stays in its thread's backlog until phase 2 of its

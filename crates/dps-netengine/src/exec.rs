@@ -7,9 +7,9 @@
 //! the master keeps everything else (wave accounting, flow control,
 //! routing). The [`ExecHost`] mirrors the threading model of the master's
 //! engine: one executor task per (application, collection, thread) triple,
-//! each owning its thread data, its split/leaf op instances and its live
-//! merge/stream wave ops, so remote execution preserves exactly the state
-//! a local thread would have.
+//! each owning its thread data and its operation instances (the kernel's
+//! [`Instances`] table, as a local thread holds one), so remote execution
+//! preserves exactly the state a local thread would have.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -20,8 +20,9 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dps_core::internal::{DynOp, ExecInfo};
-use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry, WaveKey};
+use dps_core::internal::kernel::{Instances, Wave};
+use dps_core::internal::ExecInfo;
+use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
 use dps_obs::{Counter, MetricsRegistry};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{ChunkCalc, ChunkLease};
@@ -311,8 +312,7 @@ fn executor_loop(
     rx: Receiver<Job>,
 ) {
     let mut data: Option<Box<dyn Any + Send>> = None;
-    let mut ops: HashMap<(u32, u32), Box<dyn DynOp>> = HashMap::new();
-    let mut waves: HashMap<WaveKey, Box<dyn DynOp>> = HashMap::new();
+    let mut inst = Instances::default();
     let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
     while let Ok(job) = rx.recv() {
         let seq = job.seq;
@@ -337,11 +337,8 @@ fn executor_loop(
             let wave = job.env.frames.last().map_or(0, |f| f.wave as u32);
             (op, wave, c.now_nanos())
         });
-        let outcome = ctx.and_then(|ctx| {
-            run_job(
-                ctx, node_flops, thread, &mut data, &mut ops, &mut waves, job,
-            )
-        });
+        let outcome =
+            ctx.and_then(|ctx| run_job(ctx, node_flops, thread, &mut data, &mut inst, job));
         if let (Some((c, w)), Some((op, wave, t0))) = (trace.as_mut(), span) {
             let t1 = c.now_nanos();
             w.record(t0, dps_obs::EventKind::OpStart { op, wave });
@@ -381,8 +378,7 @@ fn run_job(
     node_flops: f64,
     thread: u32,
     data: &mut Option<Box<dyn Any + Send>>,
-    ops: &mut HashMap<(u32, u32), Box<dyn DynOp>>,
-    waves: &mut HashMap<WaveKey, Box<dyn DynOp>>,
+    inst: &mut Instances,
     job: Job,
 ) -> Result<JobOutput, DpsError> {
     let token = if job.token.is_empty() {
@@ -398,12 +394,9 @@ fn run_job(
             reason: "call nodes execute on the master, never remotely".into(),
         });
     }
-    let make_op = || {
-        gnode.make_op().ok_or_else(|| DpsError::OperationContract {
-            node: name.into(),
-            reason: "remote task targets a node without an operation".into(),
-        })
-    };
+    // The master counts the wave and numbers its output; this side holds
+    // only the wave's operation instance.
+    let hosted = || Wave::new(job.graph, job.node, 0);
     let info = ExecInfo {
         thread_index: thread as usize,
         thread_count: ctx.thread_count,
@@ -415,33 +408,29 @@ fn run_job(
     let t0 = Instant::now();
     match job.kind {
         TaskKind::Exec => {
-            let op = match ops.entry((job.graph, job.node.0)) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(make_op()?),
-            };
+            let op = inst.node_op((job.graph, job.node.0), gnode)?;
             let token = token.ok_or_else(|| missing_token(name))?;
             op.on_token(&mut out, data.as_mut(), info, name, token)?;
         }
         TaskKind::Consume | TaskKind::ConsumeCompletes => {
             let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
-            let op = match waves.entry(key.clone()) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(make_op()?),
-            };
+            let op = inst
+                .waves
+                .entry(key.clone())
+                .or_insert_with(hosted)
+                .op(gnode)?;
             let token = token.ok_or_else(|| missing_token(name))?;
             op.on_token(&mut out, data.as_mut(), info, name, token)?;
             if job.kind == TaskKind::ConsumeCompletes {
                 op.on_finalize(&mut out, data.as_mut(), info, name)?;
-                waves.remove(&key);
+                inst.waves.remove(&key);
             }
         }
         TaskKind::Finalize => {
             let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
-            let mut op = match waves.remove(&key) {
-                Some(op) => op,
-                None => make_op()?,
-            };
-            op.on_finalize(&mut out, data.as_mut(), info, name)?;
+            let mut wave = inst.waves.remove(&key).unwrap_or_else(hosted);
+            wave.op(gnode)?
+                .on_finalize(&mut out, data.as_mut(), info, name)?;
         }
     }
     let reports = out

@@ -519,9 +519,8 @@ fn mt_engine_app_name_is_stored_and_surfaced_in_errors() {
     let mut b = GraphBuilder::new("mute");
     let _ = b.leaf(&tc, || ToThread(0), || Mute);
     let g = eng.build_graph(b).unwrap();
-    let err = eng
-        .run_graph(g, vec![Box::new(Ping { x: 1 })], 1)
-        .unwrap_err();
+    Engine::submit(&mut eng, g, Box::new(Ping { x: 1 })).unwrap();
+    let err = eng.run_to_idle(g, 1).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("volume-unit"),

@@ -9,13 +9,14 @@
 //! makes `schedule_hash` a one-word fingerprint of an entire schedule.
 
 use dps::cluster::ClusterSpec;
-use dps::core::{Engine, EngineConfig, SimEngine};
+use dps::core::prelude::*;
+use dps::core::{dps_token, EngineConfig};
 use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::mt::MtEngine;
 use dps::netengine::NetEngine;
 use dps::obs::{
-    chrome_trace_json, schedule_hash, validate_chrome_trace, wire, Counter, TraceCollector,
-    TraceLog,
+    chrome_trace_json, schedule_hash, validate_chrome_trace, wire, Counter, EventKind,
+    TraceCollector, TraceLog,
 };
 use dps::sched::{Distribution, PolicyKind};
 use proptest::prelude::*;
@@ -170,4 +171,100 @@ fn metrics_count_the_scheduling_machinery() {
         m.get(Counter::FramesRecv),
         "the simulator delivers every frame it sends"
     );
+}
+
+dps_token! { pub struct Batch { pub n: u32 } }
+dps_token! { pub struct Piece { pub last: bool } }
+dps_token! { pub struct Count { pub n: u32 } }
+
+struct FanOut;
+impl SplitOperation for FanOut {
+    type Thread = ();
+    type In = Batch;
+    type Out = Piece;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Piece>, b: Batch) {
+        for i in 0..b.n {
+            ctx.post(Piece { last: i + 1 == b.n });
+        }
+    }
+}
+
+/// Posts in `consume` — for every piece but the last — and nothing in
+/// `finalize`: by the time its wave completes no post is pending to carry
+/// the output wave's total, so the total travels as a wave-close message.
+/// The charge keeps the simulator's consumes apart, so each post has landed
+/// before the next consume starts (on OS threads it is enqueued at once).
+struct AllButLast;
+impl StreamOperation for AllButLast {
+    type Thread = ();
+    type In = Piece;
+    type Out = Piece;
+    fn consume(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+        if !p.last {
+            ctx.post(p);
+        }
+        ctx.charge(SimSpan::from_millis(1));
+    }
+    fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Piece>) {}
+}
+
+#[derive(Default)]
+struct CountPieces(u32);
+impl MergeOperation for CountPieces {
+    type Thread = ();
+    type In = Piece;
+    type Out = Count;
+    fn consume(&mut self, _ctx: &mut OpCtx<'_, (), Count>, _p: Piece) {
+        self.0 += 1;
+    }
+    fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Count>) {
+        ctx.post(Count { n: self.0 });
+    }
+}
+
+/// Split, stream and merge on one thread, so every engine sees the same
+/// queue order: the merge consumes its `n - 1` pieces, then the close.
+fn count_through_a_closed_wave<E: Engine>(eng: &mut E, n: u32) -> u32 {
+    let app = eng.app("closed");
+    let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
+    let mut b = GraphBuilder::new("closed");
+    let split = b.split(&main, || ToThread(0), || FanOut);
+    let stream = b.stream(&main, || ToThread(0), || AllButLast);
+    let merge = b.merge(&main, || ToThread(0), CountPieces::default);
+    b.add(split >> stream >> merge);
+    let g = eng.build_graph(b).unwrap();
+    eng.submit(g, Box::new(Batch { n })).unwrap();
+    eng.run_to_idle(g, 1).unwrap();
+    let out = Engine::take_outputs(eng, g).pop().expect("one output");
+    downcast::<Count>(out).unwrap().n
+}
+
+fn op_spans(log: &TraceLog) -> usize {
+    let starts = |e: &&dps::obs::TraceEvent| matches!(e.kind, EventKind::OpStart { .. });
+    log.events.iter().filter(starts).count()
+}
+
+/// A finalize is an operation execution whether the wave's last token or
+/// its wave-close triggers it: both engines record the same op spans for a
+/// wave whose total arrives as a close message.
+#[test]
+fn a_finalize_triggered_by_a_wave_close_is_an_op_span_on_sim_and_mt() {
+    const N: u32 = 4;
+    let sim = TraceCollector::new();
+    let mut eng = SimEngine::new(ClusterSpec::paper_testbed(1));
+    eng.set_trace_sink(sim.clone());
+    assert_eq!(count_through_a_closed_wave(&mut eng, N), N - 1);
+    let sim_spans = op_spans(&sim.take_log());
+
+    let mt = TraceCollector::new();
+    let mut eng = MtEngine::new(1);
+    eng.set_trace_sink(mt.clone());
+    assert_eq!(count_through_a_closed_wave(&mut eng, N), N - 1);
+    eng.shutdown();
+    let mt_spans = op_spans(&mt.take_log());
+
+    // One split, N stream consumes, N - 1 merge consumes, and the finalize
+    // the close triggers (the total riding inline would make it 2N).
+    assert_eq!(sim_spans, 2 * N as usize + 1);
+    assert_eq!(mt_spans, sim_spans);
 }

@@ -139,9 +139,10 @@ fn remote_pair_on_mt_engine() {
     cb.add(call >> work >> merge);
     let cg = eng.build_graph(cb).unwrap();
 
-    let c = eng
-        .run_one::<Combined>(cg, Box::new(FetchReq { base: 7, count: 40 }))
-        .unwrap();
+    Engine::submit(&mut eng, cg, Box::new(FetchReq { base: 7, count: 40 })).unwrap();
+    eng.run_to_idle(cg, 1).unwrap();
+    let out = eng.take_outputs(cg).pop().expect("one output");
+    let c = downcast::<Combined>(out).unwrap();
     assert_eq!(c.items, 40);
     assert_eq!(c.sum, expected(7, 40));
 }
