@@ -192,11 +192,11 @@ pub trait Engine {
     /// The [`ChunkHub`](dps_sched::ChunkHub) scheduled applications should
     /// announce ranges to and claim chunks from. Shared-memory engines
     /// return a fresh private hub per call (each scheduled setup owns its
-    /// leases); distributed engines override this with a process-spanning
-    /// hub — the master hosts the real lease counters and workers get a
-    /// forwarding handle — so split operations announcing a range and
-    /// worker operations claiming chunks rendezvous across process
-    /// boundaries. Portable setup code must obtain its hub here instead of
+    /// leases); distributed engines override this with the process's own
+    /// hub, homed at its rank — a lease lives where it was opened and a
+    /// claim from another process travels to that home — so split
+    /// operations announcing a range and worker operations claiming chunks
+    /// rendezvous across process boundaries. Portable setup code must obtain its hub here instead of
     /// constructing one directly.
     fn chunk_hub(&mut self) -> Arc<dps_sched::ChunkHub> {
         Arc::new(dps_sched::ChunkHub::new())

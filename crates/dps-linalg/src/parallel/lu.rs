@@ -378,10 +378,11 @@ impl SplitOperation for ColumnWork {
             }
             HeadOutcome::Update { cost, tail_blocks } => {
                 ctx.charge_flops(cost);
-                // Announce the tail's row blocks on the hub (forwarded to
-                // the master's hub on the distributed engine) and post one
-                // boundary-free ticket per chunk; the static partition
-                // keeps the chunk boundaries deterministic.
+                // Announce the tail's row blocks on the hub (this process's
+                // own on the distributed engine: the tickets come back to
+                // this thread) and post one boundary-free ticket per chunk;
+                // the static partition keeps the chunk boundaries
+                // deterministic.
                 let lease = self.hub.open(ChunkCalc::new(
                     PolicyKind::Static,
                     tail_blocks,
@@ -729,8 +730,8 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
     let app = eng.app("lu");
     eng.preload_app(app); // steady-state measurement, as in the paper
                           // The hub the chunked trailing updates announce to and claim from —
-                          // process-local on the shared-memory engines, master-hosted with
-                          // forwarding handles on the distributed engine.
+                          // process-local on the shared-memory engines, one per process
+                          // (homed at its rank) on the distributed engine.
     let hub = eng.chunk_hub();
     let update_chunks = cfg.update_chunks.max(1);
     let worker_map = default_mapping(cfg.nodes, cfg.threads_per_node);

@@ -31,7 +31,7 @@ use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::Bytes;
 use parking_lot::Mutex;
 
-use crate::exec::{AppDecl, Conn, DeclStore, ExecHost, HubLink, Job, TcDecl, WireMeter};
+use crate::exec::{AppDecl, Conn, DeclStore, ExecHost, HubLink, HubRouter, Job, TcDecl, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
 use crate::proto::{self, send_frame, DeclSig, Frame, Payload, TaskKind};
 use crate::runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
@@ -201,8 +201,11 @@ struct MasterShared {
     /// hosting cluster node `n` at index `n`. The remote hook indexes this
     /// instead of looking a name up per execution.
     node_rank: OnceLock<Vec<Option<u32>>>,
-    /// The real chunk hub; workers reach it through [`Frame::Hub`] traffic.
+    /// Rank 0's chunk hub: the leases opened in this process live here.
     hub: Arc<ChunkHub>,
+    /// Every [`Frame::Hub`] passes here: served from `hub`, or relayed to
+    /// the worker the lease is homed at. Also `hub`'s own way to those.
+    router: Arc<HubRouter>,
     /// In-flight remote executions by sequence number, with the worker rank
     /// each was shipped to (so a dead rank's replies can be failed fast).
     pending: Mutex<HashMap<u64, (u32, Sender<DoneReply>)>>,
@@ -215,7 +218,8 @@ struct MasterShared {
     decls: Arc<DeclStore>,
     /// Tombstone flags: `dead[r - 1]` is set once rank `r` is declared
     /// dead (EOF, protocol corruption, or a missed heartbeat budget).
-    dead: Vec<AtomicBool>,
+    /// Shared with `router`.
+    dead: Arc<[AtomicBool]>,
     /// Liveness clock per rank: milliseconds since `epoch` of the last
     /// inbound frame, updated by the connection readers.
     last_rx: Vec<AtomicU64>,
@@ -253,8 +257,9 @@ impl MasterShared {
     }
 
     /// Declare worker `rank` dead and run the degradation path: fail its
-    /// in-flight executions immediately, expire its open chunk leases so
-    /// survivors re-claim the work, and tombstone its cluster node in the
+    /// in-flight executions immediately, answer every hub operation relayed
+    /// to it (its leases died with it: claims on them find nothing from
+    /// here on), and tombstone its cluster node in the
     /// embedded control plane (`worker_lost` into feedback boards, token
     /// re-routing, `NodeDown` for materialized waves, a `Fault{NODE_KILL}`
     /// trace breadcrumb). Idempotent; a no-op during clean shutdown.
@@ -273,15 +278,8 @@ impl MasterShared {
         // dropping the reply senders turns their waits into immediate
         // disconnects, surfaced as NodeDown (not a slow exec timeout).
         self.pending.lock().retain(|_, (r, _)| *r != rank);
-        // Ranges the dead rank announced stop handing out chunks; the
-        // unclaimed iterations come back in fresh waves on survivors.
-        let expired = self.hub.expire_owner(rank);
-        if !expired.is_empty() {
-            eprintln!(
-                "dps-netengine: expired {} open chunk lease(s) of rank {rank}",
-                expired.len()
-            );
-        }
+        // Same for ops parked on a claim relayed to the dead rank.
+        self.router.rank_down(rank);
         if let Some(fail) = self.fail.get() {
             let _ = fail.fail_node(rank);
         }
@@ -330,8 +328,9 @@ struct Worker {
     sig: DeclSig,
     writer: Arc<Conn>,
     host: Arc<ExecHost>,
-    hub_link: Arc<HubLink>,
-    hub: Option<Arc<ChunkHub>>,
+    /// This rank's chunk hub: the leases its ops open live here, the
+    /// others are a [`HubLink`] round trip away.
+    hub: Arc<ChunkHub>,
     outputs: OutputBuf,
     release_rx: Receiver<(u64, Option<String>)>,
     shutdown_rx: Receiver<()>,
@@ -515,7 +514,7 @@ impl RemotePending for NetPending {
 // ---------------------------------------------------------------------------
 
 /// Master-side reader of one worker connection: routes `Done` replies,
-/// serves hub traffic, forwards the sync signature — and feeds the
+/// serves or relays hub traffic, forwards the sync signature — and feeds the
 /// liveness layer: every inbound frame refreshes the rank's heartbeat
 /// clock, and a connection error (EOF, reset) or protocol corruption
 /// declares the rank dead on the spot.
@@ -558,12 +557,8 @@ fn master_reader(
                     });
                 }
             }
-            Ok(Frame::Hub { req, body }) => {
-                // Owner-tagged serving: leases this rank opens are stamped
-                // with it, so its death expires exactly those leases.
-                let body = body.serve_owned(&shared.hub, rank);
-                let _ = shared.conns[(rank - 1) as usize].send(&Frame::HubReply { req, body });
-            }
+            Ok(Frame::Hub { req, body }) => shared.router.route(&shared.hub, rank, req, body),
+            Ok(Frame::HubReply { req, body }) => shared.router.complete(req, body),
             Ok(Frame::Sync { sig }) => {
                 let _ = sync_tx.send((rank, sig));
             }
@@ -621,6 +616,7 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
 fn worker_reader(
     mut rx: Box<dyn FrameRx>,
     host: Arc<ExecHost>,
+    hub: Arc<ChunkHub>,
     hub_link: Arc<HubLink>,
     decls: Arc<DeclStore>,
     outputs: OutputBuf,
@@ -653,6 +649,11 @@ fn worker_reader(
                     env,
                 },
             ),
+            Ok(Frame::Hub { req, body }) => {
+                // A claim on a lease opened here, relayed by the master.
+                let body = body.serve(&hub);
+                let _ = writer.send(&Frame::HubReply { req, body });
+            }
             Ok(Frame::HubReply { req, body }) => hub_link.complete(req, body),
             Ok(Frame::Output { app, graph, token }) => {
                 // Decoded here, straight out of the received frame.
@@ -1008,13 +1009,14 @@ impl NetEngine {
             rank as u16,
             rt.clone(),
         ));
-        let hub_link = Arc::new(HubLink::new(writer.clone()));
+        let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
+        let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
         let outputs: OutputBuf = Arc::new(Mutex::new(HashMap::new()));
         let (release_tx, release_rx) = unbounded();
         let (shutdown_tx, shutdown_rx) = unbounded();
         let reader = {
             let host = host.clone();
-            let hub_link = hub_link.clone();
+            let hub = hub.clone();
             let decls = decls.clone();
             let outputs = outputs.clone();
             let writer = writer.clone();
@@ -1025,6 +1027,7 @@ impl NetEngine {
                     worker_reader(
                         rx,
                         host,
+                        hub,
                         hub_link,
                         decls,
                         outputs,
@@ -1044,8 +1047,7 @@ impl NetEngine {
                 sig: DeclSig::new(),
                 writer,
                 host,
-                hub_link,
-                hub: None,
+                hub,
                 outputs,
                 release_rx,
                 shutdown_rx,
@@ -1179,17 +1181,24 @@ impl Master {
             rxs.push(link.rx);
         }
 
+        let dead: Arc<[AtomicBool]> = (0..worker_count).map(|_| AtomicBool::new(false)).collect();
+        let router = Arc::new(HubRouter::new(
+            conns.clone(),
+            dead.clone(),
+            cfg.timeouts.exec,
+        ));
         let shared = Arc::new(MasterShared {
             conns,
             meter,
             ns,
             node_rank: OnceLock::new(),
-            hub: Arc::new(ChunkHub::new()),
+            hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
+            router,
             pending: Mutex::new(HashMap::new()),
             seq: AtomicU64::new(0),
             timeouts: cfg.timeouts,
             decls,
-            dead: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
+            dead,
             last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
             fail: OnceLock::new(),
@@ -1703,8 +1712,8 @@ impl dps_core::Engine for NetEngine {
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
         match &mut self.role {
             Role::Master(m) => m.mt.set_feedback_sink(sink),
-            // Chunk reports land on the master (the hub and the sink live
-            // there); the worker's sink object is never fed.
+            // Chunk reports land on the master (the sink lives there); the
+            // worker's sink object is never fed.
             Role::Worker(_) => {}
         }
     }
@@ -1714,7 +1723,7 @@ impl dps_core::Engine for NetEngine {
             Role::Master(m) => {
                 assert!(!m.ready, "register the trace sink before the first run");
                 // The embedded control plane records wave/op/token events;
-                // the cluster-wide chunk hub bumps the lease/claim counters;
+                // rank 0's chunk hub bumps the lease/claim counters;
                 // loopback harness lanes write into the collector directly.
                 m.mt.set_trace_sink(sink.clone());
                 m.shared.hub.attach_metrics(sink.metrics_arc());
@@ -1785,12 +1794,7 @@ impl dps_core::Engine for NetEngine {
     fn chunk_hub(&mut self) -> Arc<ChunkHub> {
         match &mut self.role {
             Role::Master(m) => m.shared.hub.clone(),
-            Role::Worker(w) => {
-                if w.hub.is_none() {
-                    w.hub = Some(Arc::new(ChunkHub::remote(w.hub_link.clone())));
-                }
-                w.hub.clone().expect("just installed")
-            }
+            Role::Worker(w) => w.hub.clone(),
         }
     }
 }
@@ -1800,6 +1804,7 @@ mod tests {
     use super::*;
     use dps_core::prelude::*;
     use dps_core::Engine;
+    use dps_sched::remote::HubRequest;
 
     dps_token! { pub struct Job { pub shards: u32 } }
     dps_token! { pub struct Shard { pub value: u64 } }
@@ -1871,6 +1876,17 @@ mod tests {
         assert!(bytes < 23 * 200, "{bytes} wire bytes");
     }
 
+    /// How long a test waits for something another thread is about to do.
+    const PATIENCE: Duration = Duration::from_secs(20);
+
+    fn until(what: &str, done: &dyn Fn() -> bool) {
+        let deadline = Instant::now() + PATIENCE;
+        while !done() {
+            assert!(Instant::now() < deadline, "never saw {what}");
+            std::thread::yield_now();
+        }
+    }
+
     /// A leaf that tells the test it started, then holds its lane until
     /// the test lets one execution go (or closes the gate for good).
     struct Hold {
@@ -1924,14 +1940,7 @@ mod tests {
             Role::Master(m) => m.shared.clone(),
             Role::Worker(_) => unreachable!("loopback engines are masters"),
         };
-        let patience = Duration::from_secs(20);
-        let until = |what: &str, done: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + patience;
-            while !done() {
-                assert!(Instant::now() < deadline, "never saw {what}");
-                std::thread::yield_now();
-            }
-        };
+        let patience = PATIENCE;
 
         eng.submit(
             g,
@@ -1988,5 +1997,86 @@ mod tests {
         // Eight if the whole wave was queued before the proxy first waited.
         let peak = sink.metrics().gauge(dps_obs::Gauge::RemoteInFlightPeak);
         assert!(peak >= SHARDS as u64 - 1, "in-flight peak {peak}");
+    }
+
+    /// Claims and closes on a lease of rank 1 — six from ops of the master
+    /// process, five relayed for rank 2 — wait on a home that never answers
+    /// (a loopback harness does not speak the hub protocol) when rank 1 is
+    /// declared dead: every one of them is refused then and there — the
+    /// exec timeout is an hour — the relay table is empty, and from then on
+    /// such a claim is refused without a frame.
+    #[test]
+    fn declare_dead_answers_every_relayed_claim_at_once() {
+        const HERE: usize = 6;
+        const FROM_RANK_2: usize = 5;
+        let mut cfg = NetEngineConfig::default();
+        cfg.timeouts.exec = Duration::from_secs(3600);
+        cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
+        let mut eng = NetEngine::loopback_with(3, cfg);
+        let sink = TraceCollector::new();
+        eng.set_trace_sink(sink.clone());
+        let shared = match &eng.role {
+            Role::Master(m) => m.shared.clone(),
+            Role::Worker(_) => unreachable!("loopback engines are masters"),
+        };
+        let frames = || sink.metrics().get(dps_obs::Counter::FramesSent) as usize;
+        let lease = 1u64 << 40; // the first lease rank 1 would open
+
+        // Whatever fails below, the parked ops are let go: the scope joins
+        // them before a panic can leave it.
+        struct LetGo<'a>(&'a MasterShared);
+        impl Drop for LetGo<'_> {
+            fn drop(&mut self) {
+                self.0.declare_dead(1, "the test is over");
+            }
+        }
+
+        std::thread::scope(|s| {
+            let _let_go = LetGo(&shared);
+            let hub = &shared.hub;
+            let ops: Vec<_> = (0..HERE)
+                .map(|i| match i % 2 {
+                    0 => s.spawn(move || hub.claim(lease).is_none()),
+                    _ => s.spawn(move || !hub.close(lease)),
+                })
+                .collect();
+            for req in 0..FROM_RANK_2 as u64 {
+                let body = HubRequest::Claim { id: lease };
+                shared.router.route(hub, 2, req, body);
+            }
+            // One `Hub` frame each, to rank 1 (an entry is in the table
+            // just before its frame is counted).
+            until("every operation relayed", &|| {
+                shared.router.in_flight() == HERE + FROM_RANK_2 && frames() == HERE + FROM_RANK_2
+            });
+
+            let declared = Instant::now();
+            assert!(shared.declare_dead(1, "declared dead by the test"));
+            assert_eq!(shared.router.in_flight(), 0, "a relay outlived its home");
+            for op in ops {
+                assert!(op.join().expect("op panicked"), "answered, but not refused");
+            }
+            assert!(
+                declared.elapsed() < PATIENCE,
+                "a claim waited out its timeout"
+            );
+            assert_eq!(
+                frames(),
+                HERE + 2 * FROM_RANK_2,
+                "one HubReply per claim of rank 2"
+            );
+        });
+
+        assert!(shared.hub.claim(lease).is_none());
+        shared
+            .router
+            .route(&shared.hub, 2, 99, HubRequest::Close { id: lease });
+        assert_eq!(shared.router.in_flight(), 0, "relayed to a tombstone");
+        assert_eq!(
+            frames(),
+            HERE + 2 * FROM_RANK_2 + 1,
+            "rank 2 is told at once"
+        );
+        eng.shutdown();
     }
 }

@@ -1,7 +1,8 @@
 //! Worker-side execution: the declaration store shared by SPMD roles, the
 //! connection writer every task of a kernel sends through ([`Conn`]), the
-//! per-thread executor host that replays [`Frame::Exec`] tasks, and the
-//! forwarding chunk-hub delegate.
+//! per-thread executor host that replays [`Frame::Exec`] tasks, and the two
+//! ends of the chunk-hub protocol ([`HubLink`] on a worker, [`HubRouter`]
+//! on the master).
 //!
 //! A worker kernel holds the *operations* of the threads its node hosts —
 //! the master keeps everything else (wave accounting, flow control,
@@ -15,17 +16,17 @@ use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::internal::kernel::{Instances, Wave};
 use dps_core::internal::ExecInfo;
 use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
 use dps_obs::{Counter, MetricsRegistry};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
-use dps_sched::{ChunkCalc, ChunkLease};
+use dps_sched::{Chunk, ChunkHub};
 use dps_serial::Bytes;
 use parking_lot::Mutex;
 
@@ -37,9 +38,6 @@ use crate::transport::FrameTx;
 /// (the master only sends work after the sync barrier, so a miss here means
 /// the SPMD driver diverged despite the signature check).
 const DECL_WAIT: Duration = Duration::from_secs(10);
-
-/// How long a forwarded hub operation waits for its reply.
-const HUB_WAIT: Duration = Duration::from_secs(60);
 
 pub(crate) struct TcDecl {
     pub nodes: Vec<u32>,
@@ -455,24 +453,58 @@ fn bad_envelope(node: &str) -> DpsError {
 }
 
 // ---------------------------------------------------------------------------
-// The forwarding chunk hub
+// Chunk-hub traffic: requester → home, through rank 0
 // ---------------------------------------------------------------------------
 
-/// Worker-side [`RemoteHub`] delegate: frames each hub operation as a
-/// [`Frame::Hub`], ships it to the master, and blocks the claiming op until
-/// the matching [`Frame::HubReply`] is routed back via
+/// Park the calling op until its hub operation is answered. A reply slot
+/// dropped unanswered and an expired wait both read as "no answer", which
+/// callers turn into the unknown-lease result — an executor lane always
+/// lives to send its `Done`.
+fn await_hub_reply(rx: &Receiver<HubResponse>, exec: Duration) -> Option<HubResponse> {
+    match rx.recv_timeout(exec) {
+        Ok(resp) => Some(resp),
+        Err(RecvTimeoutError::Disconnected) => None,
+        Err(RecvTimeoutError::Timeout) => {
+            eprintln!(
+                "dps-netengine: no answer to a chunk-hub operation within exec timeout \
+                 {exec:?} (DPS_NET_EXEC_TIMEOUT_MS)"
+            );
+            None
+        }
+    }
+}
+
+fn claimed(answer: Option<HubResponse>) -> Option<Chunk> {
+    match answer {
+        Some(HubResponse::Claimed { chunk }) => chunk,
+        _ => None,
+    }
+}
+
+fn closed(answer: Option<HubResponse>) -> bool {
+    matches!(answer, Some(HubResponse::Closed { closed: true }))
+}
+
+/// A worker's [`RemoteHub`] delegate, reached only for leases homed at
+/// another rank: frames the operation as a [`Frame::Hub`], ships it to the
+/// master (which serves or relays it, see [`HubRouter`]), and blocks the
+/// claiming op until the matching [`Frame::HubReply`] is routed back via
 /// [`complete`](Self::complete). One synchronous round-trip per chunk —
 /// the cost model of distributed chunk calculation.
 pub(crate) struct HubLink {
     writer: Arc<Conn>,
+    /// [`NetTimeouts::exec`](crate::NetTimeouts::exec): how long an answer
+    /// may take.
+    exec: Duration,
     pending: Mutex<HashMap<u64, Sender<HubResponse>>>,
     next: AtomicU64,
 }
 
 impl HubLink {
-    pub fn new(writer: Arc<Conn>) -> Self {
+    pub fn new(writer: Arc<Conn>, exec: Duration) -> Self {
         Self {
             writer,
+            exec,
             pending: Mutex::new(HashMap::new()),
             next: AtomicU64::new(0),
         }
@@ -485,43 +517,168 @@ impl HubLink {
         }
     }
 
-    fn round_trip(&self, body: HubRequest) -> HubResponse {
+    fn round_trip(&self, body: HubRequest) -> Option<HubResponse> {
         let req = self.next.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = unbounded();
         self.pending.lock().insert(req, tx);
-        self.writer
-            .send(&Frame::Hub { req, body })
-            .expect("master connection lost during a hub operation");
-        match rx.recv_timeout(HUB_WAIT) {
-            Ok(resp) => resp,
-            Err(_) => {
-                self.pending.lock().remove(&req);
-                panic!("master did not answer a chunk-hub operation within {HUB_WAIT:?}")
-            }
+        let answer = match self.writer.send(&Frame::Hub { req, body }) {
+            Ok(()) => await_hub_reply(&rx, self.exec),
+            Err(_) => None,
+        };
+        if answer.is_none() {
+            self.pending.lock().remove(&req);
         }
+        answer
     }
 }
 
 impl RemoteHub for HubLink {
-    fn open(&self, calc: ChunkCalc) -> ChunkLease {
-        match self.round_trip(HubRequest::Open { calc }) {
-            HubResponse::Opened { lease } => lease,
-            other => unreachable!("open answered with {other:?}"),
-        }
-    }
-
-    fn claim(&self, id: u64) -> Option<dps_sched::Chunk> {
-        match self.round_trip(HubRequest::Claim { id }) {
-            HubResponse::Claimed { chunk } => chunk,
-            other => unreachable!("claim answered with {other:?}"),
-        }
+    fn claim(&self, id: u64) -> Option<Chunk> {
+        claimed(self.round_trip(HubRequest::Claim { id }))
     }
 
     fn close(&self, id: u64) -> bool {
-        match self.round_trip(HubRequest::Close { id }) {
-            HubResponse::Closed { closed } => closed,
-            other => unreachable!("close answered with {other:?}"),
+        closed(self.round_trip(HubRequest::Close { id }))
+    }
+}
+
+/// Who waits for the answer to a relayed hub operation.
+enum Asker {
+    /// Another rank, under its own request id: the answer goes back on its
+    /// connection as a `HubReply`.
+    Rank { rank: u32, req: u64 },
+    /// An op running in the master process, parked in [`HubRouter::ask`].
+    Here(Sender<HubResponse>),
+}
+
+/// One operation forwarded to its lease's home and not answered yet.
+struct Relay {
+    /// What was asked: names the home, and the answer if that home dies
+    /// first ([`HubRequest::refused`]).
+    body: HubRequest,
+    asker: Asker,
+}
+
+/// Rank 0's half of the hub protocol — the topology is a star, so every
+/// `Hub` frame passes here. An operation on a lease homed at rank 0 is
+/// served on the spot; one homed at a worker is forwarded on that worker's
+/// connection and *remembered*, and the `HubReply` that comes back is
+/// handed to whoever asked. Nothing here waits: connection readers call
+/// [`route`](Self::route) and [`complete`](Self::complete) and return, so
+/// two workers draining each other's leases never hold up each other's
+/// reader. The master's own ops reach worker-homed leases through the same
+/// table, as the [`RemoteHub`] delegate of rank 0's hub.
+pub(crate) struct HubRouter {
+    /// Writer of the connection to worker rank `r` at index `r - 1`.
+    conns: Vec<Arc<Conn>>,
+    /// The master's tombstones, same indexing. Read under the `relays`
+    /// lock, which `rank_down` sweeps under after the flag is raised: a
+    /// relay either sees the tombstone or is swept — never left to the
+    /// exec timeout.
+    dead: Arc<[AtomicBool]>,
+    exec: Duration,
+    relays: Mutex<HashMap<u64, Relay>>,
+    next: AtomicU64,
+}
+
+impl HubRouter {
+    pub fn new(conns: Vec<Arc<Conn>>, dead: Arc<[AtomicBool]>, exec: Duration) -> Self {
+        Self {
+            conns,
+            dead,
+            exec,
+            relays: Mutex::new(HashMap::new()),
+            next: AtomicU64::new(0),
         }
+    }
+
+    fn answer(&self, asker: Asker, body: HubResponse) {
+        match asker {
+            Asker::Rank { rank, req } => {
+                let _ = self.conns[(rank - 1) as usize].send(&Frame::HubReply { req, body });
+            }
+            Asker::Here(tx) => {
+                let _ = tx.send(body);
+            }
+        }
+    }
+
+    /// Send `body` to the rank its lease is homed at and remember who
+    /// asked. A home that is no rank of this cluster, is tombstoned, or
+    /// cannot be written to is answered for at once.
+    fn forward(&self, body: HubRequest, asker: Asker) {
+        let home = ChunkHub::home_of(body.id());
+        let at = home.wrapping_sub(1) as usize;
+        let Some(conn) = self.conns.get(at) else {
+            return self.answer(asker, body.refused());
+        };
+        let req = self.next.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut relays = self.relays.lock();
+            if self.dead[at].load(Ordering::Acquire) {
+                drop(relays);
+                return self.answer(asker, body.refused());
+            }
+            relays.insert(req, Relay { body, asker });
+        }
+        if conn.send(&Frame::Hub { req, body }).is_err() {
+            self.complete(req, body.refused());
+        }
+    }
+
+    /// A `Hub` frame arrived from worker `rank`: answer it from `hub` —
+    /// rank 0's — if the lease lives there, forward it to its home if not.
+    pub fn route(&self, hub: &ChunkHub, rank: u32, req: u64, body: HubRequest) {
+        let asker = Asker::Rank { rank, req };
+        if ChunkHub::home_of(body.id()) == 0 {
+            self.answer(asker, body.serve(hub));
+        } else {
+            self.forward(body, asker);
+        }
+    }
+
+    /// A `HubReply` arrived from a home rank: hand it to whoever asked.
+    pub fn complete(&self, req: u64, body: HubResponse) {
+        let relay = self.relays.lock().remove(&req);
+        if let Some(relay) = relay {
+            self.answer(relay.asker, body);
+        }
+    }
+
+    /// `rank` was declared dead: its leases died with it, so everything
+    /// still waiting on it is answered now. Call after raising its flag.
+    pub fn rank_down(&self, rank: u32) {
+        let orphaned: Vec<Relay> = self
+            .relays
+            .lock()
+            .extract_if(|_, relay| ChunkHub::home_of(relay.body.id()) == rank)
+            .map(|(_, relay)| relay)
+            .collect();
+        for relay in orphaned {
+            self.answer(relay.asker, relay.body.refused());
+        }
+    }
+
+    /// Operations forwarded and not answered yet.
+    #[cfg(test)]
+    pub fn in_flight(&self) -> usize {
+        self.relays.lock().len()
+    }
+
+    fn ask(&self, body: HubRequest) -> Option<HubResponse> {
+        let (tx, rx) = unbounded();
+        self.forward(body, Asker::Here(tx));
+        await_hub_reply(&rx, self.exec)
+    }
+}
+
+impl RemoteHub for HubRouter {
+    fn claim(&self, id: u64) -> Option<Chunk> {
+        claimed(self.ask(HubRequest::Claim { id }))
+    }
+
+    fn close(&self, id: u64) -> bool {
+        closed(self.ask(HubRequest::Close { id }))
     }
 }
 
@@ -529,81 +686,205 @@ impl RemoteHub for HubLink {
 mod tests {
     use super::*;
     use crate::transport::{LoopbackTransport, Transport};
-    use dps_sched::{ChunkHub, PolicyKind};
+    use dps_sched::{ChunkCalc, PolicyKind};
+    use std::sync::Barrier;
+    use std::thread::JoinHandle;
 
-    /// A HubLink over a real loopback connection against a served
-    /// [`ChunkHub`] claims the exact chunk sequence a local hub would
-    /// produce.
-    #[test]
-    fn hub_link_round_trips_chunk_traffic() {
+    /// Counts the frames one party puts on its connection.
+    struct Counted(Box<dyn FrameTx>, Arc<AtomicU64>);
+    impl FrameTx for Counted {
+        fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.send(frame)
+        }
+    }
+
+    /// The hub protocol of a master and `sent.len()` workers over loopback
+    /// connections, each party with its own homed hub and a reader doing
+    /// what `master_reader` / `worker_reader` do with `Hub` and `HubReply`.
+    struct Cluster {
+        router: Arc<HubRouter>,
+        /// Hub of rank `r` at index `r`.
+        hubs: Vec<Arc<ChunkHub>>,
+        /// Frames worker rank `r` sent, at index `r - 1`.
+        sent: Vec<Arc<AtomicU64>>,
+        readers: Vec<JoinHandle<()>>,
+    }
+
+    /// Long enough for a loaded box, short enough that a claim nobody
+    /// answers fails the test instead of hanging it.
+    const EXEC: Duration = Duration::from_secs(20);
+
+    fn cluster(workers: u32) -> Cluster {
         let t = LoopbackTransport::new();
         let (addr, mut acceptor) = t.bind().unwrap();
-        let worker_side = t.connect(&addr).unwrap();
-        let master_side = acceptor.accept().unwrap();
-
-        // Master: serve Hub frames against a real hub until the peer hangs
-        // up.
-        let server = std::thread::spawn(move || {
-            let hub = ChunkHub::new();
-            let mut rx = master_side.rx;
-            let tx = Conn::new(master_side.tx, Arc::default());
-            while let Ok(bytes) = rx.recv() {
-                match proto::decode_frame(bytes).unwrap() {
-                    Frame::Hub { req, body } => {
-                        let body = body.serve(&hub);
-                        tx.send(&Frame::HubReply { req, body }).unwrap();
+        let mut worker_sides = Vec::new();
+        let mut master_rxs = Vec::new();
+        let mut conns = Vec::new();
+        for _ in 0..workers {
+            worker_sides.push(t.connect(&addr).unwrap());
+            let master_side = acceptor.accept().unwrap();
+            conns.push(Arc::new(Conn::new(master_side.tx, Arc::default())));
+            master_rxs.push(master_side.rx);
+        }
+        let dead = (0..workers).map(|_| AtomicBool::new(false)).collect();
+        let router = Arc::new(HubRouter::new(conns, dead, EXEC));
+        let mut hubs = vec![Arc::new(ChunkHub::homed(0, Some(router.clone())))];
+        let mut readers = Vec::new();
+        for (i, mut rx) in master_rxs.into_iter().enumerate() {
+            let (router, hub) = (router.clone(), hubs[0].clone());
+            readers.push(std::thread::spawn(move || {
+                while let Ok(bytes) = rx.recv() {
+                    match proto::decode_frame(bytes).unwrap() {
+                        Frame::Hub { req, body } => router.route(&hub, i as u32 + 1, req, body),
+                        Frame::HubReply { req, body } => router.complete(req, body),
+                        other => panic!("unexpected frame {other:?}"),
                     }
-                    other => panic!("unexpected frame {other:?}"),
                 }
-            }
-        });
-
-        // Worker: forwarding hub over the link, plus a reader routing
-        // replies. The reader holds only a weak handle so dropping the hub
-        // tears the whole connection down (link → writer → server → reader).
-        let link = Arc::new(HubLink::new(Arc::new(Conn::new(
-            worker_side.tx,
-            Arc::default(),
-        ))));
-        let reader_link = Arc::downgrade(&link);
-        let mut rx = worker_side.rx;
-        let reader = std::thread::spawn(move || {
-            while let Ok(bytes) = rx.recv() {
-                match proto::decode_frame(bytes).unwrap() {
-                    Frame::HubReply { req, body } => {
-                        if let Some(link) = reader_link.upgrade() {
-                            link.complete(req, body);
+            }));
+        }
+        let mut sent = Vec::new();
+        for (i, side) in worker_sides.into_iter().enumerate() {
+            let count = Arc::new(AtomicU64::new(0));
+            let tx = Box::new(Counted(side.tx, count.clone()));
+            let writer = Arc::new(Conn::new(tx, Arc::default()));
+            let link = Arc::new(HubLink::new(writer.clone(), EXEC));
+            let hub = Arc::new(ChunkHub::homed(i as u32 + 1, Some(link.clone())));
+            sent.push(count);
+            hubs.push(hub.clone());
+            let mut rx = side.rx;
+            readers.push(std::thread::spawn(move || {
+                while let Ok(bytes) = rx.recv() {
+                    match proto::decode_frame(bytes).unwrap() {
+                        Frame::Hub { req, body } => {
+                            let body = body.serve(&hub);
+                            writer.send(&Frame::HubReply { req, body }).unwrap();
                         }
+                        Frame::HubReply { req, body } => link.complete(req, body),
+                        Frame::Shutdown => break,
+                        other => panic!("unexpected frame {other:?}"),
                     }
-                    other => panic!("unexpected frame {other:?}"),
                 }
-            }
-        });
+            }));
+        }
+        Cluster {
+            router,
+            hubs,
+            sent,
+            readers,
+        }
+    }
 
-        let forwarding = ChunkHub::remote(link.clone());
-        let lease = forwarding.open(ChunkCalc::new(PolicyKind::Tss, 100, 4, &[]));
-        let local = ChunkHub::new();
-        let local_lease = local.open(ChunkCalc::new(PolicyKind::Tss, 100, 4, &[]));
-        let mut covered = 0;
-        loop {
-            let remote = forwarding.claim(lease.id);
-            let reference = local.claim(local_lease.id);
-            assert_eq!(
-                remote.as_ref().map(|c| (c.seq, c.start, c.len)),
-                reference.as_ref().map(|c| (c.seq, c.start, c.len)),
-                "distributed chunk sequence must match the local scheduler"
-            );
-            match remote {
-                Some(c) => covered += c.len,
-                None => break,
+    impl Cluster {
+        /// Worker readers leave on `Shutdown` and drop their writers, the
+        /// master's readers on the end-of-file that follows.
+        fn stop(self) {
+            for conn in &self.router.conns {
+                conn.send(&Frame::Shutdown).unwrap();
+            }
+            drop(self.hubs);
+            for reader in self.readers {
+                reader.join().unwrap();
             }
         }
-        assert_eq!(covered, 100);
-        assert!(!forwarding.close(lease.id), "already drained");
+    }
 
-        drop(forwarding);
-        drop(link);
-        reader.join().unwrap();
-        server.join().unwrap();
+    /// Claim lease `id` through `hub` until it is dry: the chunks, and how
+    /// many times `claim` was called.
+    fn drain(hub: &ChunkHub, id: u64, start: &Barrier) -> (Vec<Chunk>, u64) {
+        start.wait();
+        let mut chunks = Vec::new();
+        while let Some(c) = hub.claim(id) {
+            chunks.push(c);
+        }
+        let calls = chunks.len() as u64 + 1;
+        (chunks, calls)
+    }
+
+    /// Rank 1 opens a lease; rank 1, rank 2 and an op on the master claim
+    /// it down at once — locally, through the relay, through the master's
+    /// delegate. Together they claim exactly the chunk sequence a private
+    /// hub hands out, and the only frames rank 1 sends are its answers to
+    /// the other two: its own claims never leave its memory.
+    #[test]
+    fn hub_link_round_trips_chunk_traffic() {
+        let c = cluster(2);
+        let calc = || ChunkCalc::new(PolicyKind::Fac, 3000, 4, &[]);
+        let lease = c.hubs[1].open(calc());
+        assert_eq!(ChunkHub::home_of(lease.id), 1);
+        assert_eq!(c.sent[0].load(Ordering::Relaxed), 0, "open is local");
+
+        let start = Barrier::new(3);
+        let (hubs, start) = (&c.hubs, &start);
+        let [local, relayed, from_master] = std::thread::scope(|s| {
+            [1usize, 2, 0]
+                .map(|rank| s.spawn(move || drain(&hubs[rank], lease.id, start)))
+                .map(|t| t.join().expect("claimer panicked"))
+        });
+        let mut all: Vec<Chunk> = [&local.0, &relayed.0, &from_master.0]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        all.sort_by_key(|c| c.seq);
+        let reference = ChunkHub::new();
+        let reference_lease = reference.open(calc());
+        let expect: Vec<Chunk> =
+            std::iter::from_fn(|| reference.claim(reference_lease.id)).collect();
+        assert_eq!(all, expect, "the partition of the local scheduler, exactly");
+        assert_eq!(lease.chunks as usize, expect.len());
+
+        assert_eq!(
+            c.sent[0].load(Ordering::Relaxed),
+            relayed.1 + from_master.1,
+            "rank 1 sends one HubReply per foreign claim and nothing for its own {}",
+            local.1
+        );
+        assert_eq!(c.sent[1].load(Ordering::Relaxed), relayed.1);
+        assert_eq!(c.router.in_flight(), 0);
+        assert!(!c.hubs[2].close(lease.id), "already drained");
+        assert!(c.hubs[1].abandoned_leases().is_empty());
+
+        // A lease of the master's costs a worker the one round trip it
+        // always did, served at rank 0 without a relay.
+        let theirs = c.hubs[0].open(ChunkCalc::new(PolicyKind::Static, 10, 2, &[]));
+        let before = c.sent[1].load(Ordering::Relaxed);
+        assert_eq!(c.hubs[2].claim(theirs.id).map(|c| c.len), Some(5));
+        assert!(c.hubs[2].close(theirs.id));
+        assert_eq!(c.sent[1].load(Ordering::Relaxed), before + 2);
+        assert_eq!(
+            c.sent[0].load(Ordering::Relaxed),
+            relayed.1 + from_master.1 + 1
+        );
+        c.stop();
+    }
+
+    /// Two ranks each drain the *other's* lease at the same time: every
+    /// claim of one is served by the reader of the other while that
+    /// other's own claim is parked, so neither reader may ever wait.
+    #[test]
+    fn two_ranks_draining_each_others_leases_complete() {
+        const ITERS: u64 = 400;
+        let c = cluster(2);
+        let calc = || ChunkCalc::new(PolicyKind::Ss, ITERS, 2, &[]);
+        let (of_one, of_two) = (c.hubs[1].open(calc()), c.hubs[2].open(calc()));
+        let start = Barrier::new(2);
+        let (by_one, by_two) = std::thread::scope(|s| {
+            let one = s.spawn(|| drain(&c.hubs[1], of_two.id, &start));
+            let two = s.spawn(|| drain(&c.hubs[2], of_one.id, &start));
+            (one.join().unwrap(), two.join().unwrap())
+        });
+        for (chunks, _) in [by_one, by_two] {
+            let starts: Vec<u64> = chunks.iter().map(|c| c.start).collect();
+            assert_eq!(
+                starts,
+                (0..ITERS).collect::<Vec<_>>(),
+                "every iteration, once"
+            );
+        }
+        assert_eq!(c.router.in_flight(), 0);
+        assert!(c.hubs[1].abandoned_leases().is_empty());
+        assert!(c.hubs[2].abandoned_leases().is_empty());
+        c.stop();
     }
 }

@@ -16,9 +16,10 @@
 //! * **Workers** record the driver's declarations (verified against the
 //!   master's by signature at the sync barrier), execute shipped
 //!   operations with real per-thread state, claim scheduled-loop chunks
-//!   from the master-hosted [`ChunkHub`](dps_sched::ChunkHub) over the
-//!   wire, and see every run's outputs re-broadcast so SPMD asserts hold
-//!   on all kernels.
+//!   from the [`ChunkHub`](dps_sched::ChunkHub) of the rank that opened
+//!   the lease — their own memory for a lease they opened, the wire
+//!   otherwise — and see every run's outputs re-broadcast so SPMD asserts
+//!   hold on all kernels.
 //!
 //! Kernels locate each other through the `dps_net::NameServer` (`kernel0`
 //! is the master, `kernel{n}` hosts cluster node `n`). Frames travel over

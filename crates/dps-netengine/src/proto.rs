@@ -18,8 +18,8 @@
 //! | `Sync` | worker → master | declarations done; carries the declaration signature |
 //! | `Exec` | master → worker | run one op execution point ([`TaskKind`]) |
 //! | `Done` | worker → master | the `Exec` reply: posted tokens + chunk reports, or an error |
-//! | `Hub` | worker → master | one [`HubRequest`] against the master's chunk hub |
-//! | `HubReply` | master → worker | the matching [`HubResponse`] |
+//! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
+//! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
 //! | `Output` | master → worker | a token left a graph (broadcast, so SPMD asserts see outputs) |
 //! | `Release` | master → worker | one `run_to_idle` finished (error message if it failed) |
 //! | `Shutdown` | master → worker | the run is over; stop executors and exit |
@@ -202,7 +202,8 @@ pub enum Frame<'a> {
         /// Set if the execution failed; the master fails the run with it.
         error: Option<String>,
     },
-    /// One chunk-hub operation against the master-hosted hub.
+    /// One chunk-hub operation on a lease the sender did not open, on its
+    /// way to the rank that did (rank 0 serves its own and relays the rest).
     Hub {
         /// Reply-matching request id.
         req: u64,
@@ -213,7 +214,7 @@ pub enum Frame<'a> {
     HubReply {
         /// Matches the `Hub` request id.
         req: u64,
-        /// The hub's answer.
+        /// The home hub's answer.
         body: HubResponse,
     },
     /// A token left graph (`app`, `graph`) on the master. Broadcast so the
@@ -618,6 +619,64 @@ mod tests {
             assert_eq!(bytes.len(), frame.wire_size());
             assert_eq!(&decode_frame(bytes).unwrap(), frame);
         }
+    }
+
+    /// The hub frames, byte for byte as the commit before leases got a
+    /// home rank wrote them: `Claim` / `Close` and `Claimed` / `Closed`
+    /// keep tags 1 and 2 now that `Open` / `Opened` (tag 0) no longer
+    /// travel, and a home rank is just high bits of the same `u64`.
+    #[test]
+    fn hub_frames_keep_their_golden_bytes() {
+        let chunk = dps_sched::Chunk {
+            seq: 3,
+            start: 128,
+            len: 32,
+            worker: 2,
+        };
+        let golden = [
+            (
+                Frame::Hub {
+                    req: 7,
+                    body: HubRequest::Claim { id: 2 << 40 | 5 },
+                },
+                "050000000700000000000000010000000500000000020000",
+            ),
+            (
+                Frame::Hub {
+                    req: 8,
+                    body: HubRequest::Close { id: 3 },
+                },
+                "050000000800000000000000020000000300000000000000",
+            ),
+            (
+                Frame::HubReply {
+                    req: 7,
+                    body: HubResponse::Claimed { chunk: Some(chunk) },
+                },
+                "0600000007000000000000000100000001030000008000000000000000200000\
+                 000000000002000000",
+            ),
+            (
+                Frame::HubReply {
+                    req: 9,
+                    body: HubResponse::Claimed { chunk: None },
+                },
+                "0600000009000000000000000100000000",
+            ),
+            (
+                Frame::HubReply {
+                    req: 8,
+                    body: HubResponse::Closed { closed: true },
+                },
+                "0600000008000000000000000200000001",
+            ),
+        ];
+        for (frame, want) in &golden {
+            let bytes = dps_serial::to_bytes(frame);
+            assert_eq!(hex(&bytes), *want, "{frame:?}");
+            assert_eq!(&decode_frame(bytes).unwrap(), frame);
+        }
+        assert_eq!(dps_serial::WIRE_FORMAT_VERSION, 2);
     }
 
     /// A live token in a frame is exactly `encode_token`'s bytes in a byte

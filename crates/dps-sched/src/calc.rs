@@ -18,10 +18,11 @@
 //! * [`ChunkHub`] hands out [`IterCounter`]s under lease ids so split
 //!   operations (which announce a range) and worker operations (which claim
 //!   chunks) can rendezvous without tokens carrying shared pointers. Lease
-//!   ids are plain `u64`s, which is what lets the multi-process engine
-//!   forward `open`/`claim`/`close` over the wire
-//!   ([`RemoteHub`](crate::remote::RemoteHub)): the master hosts the real
-//!   counters and an iteration is handed out exactly once cluster-wide.
+//!   ids are plain `u64`s that name the rank whose hub opened them, which
+//!   is what lets the multi-process engine run one hub per process: a
+//!   lease lives where it was opened, only a claim made from another
+//!   process crosses the wire ([`RemoteHub`](crate::remote::RemoteHub)),
+//!   and an iteration is handed out exactly once cluster-wide.
 //!
 //! The full local cycle — announce a range, claim it down chunk by chunk:
 //!
@@ -41,7 +42,7 @@
 //! assert!(!hub.close(lease.id), "already drained");
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -370,10 +371,6 @@ struct LeaseSlot {
     counter: OnceLock<Arc<IterCounter>>,
     /// Drained or explicitly closed: claims return `None` from here on.
     closed: AtomicBool,
-    /// Opening party ([`ChunkHub::NO_OWNER`] until tagged): distributed
-    /// engines stamp the worker rank that announced the range so a node
-    /// failure can expire exactly that rank's open leases.
-    owner: AtomicU32,
 }
 
 impl LeaseSlot {
@@ -381,7 +378,6 @@ impl LeaseSlot {
         Self {
             counter: OnceLock::new(),
             closed: AtomicBool::new(false),
-            owner: AtomicU32::new(ChunkHub::NO_OWNER),
         }
     }
 }
@@ -392,10 +388,15 @@ const LEASE_SEG0_BITS: u32 = 5;
 /// Lease segments double in size; 32 of them cover ~2³⁶ lease ids.
 const LEASE_SEGS: usize = 32;
 
-/// Map a lease id to its `(segment, offset)` in the doubling directory.
+/// Bits of a lease id below the rank that issued it: `home << HOME_SHIFT | n`
+/// for the hub's `n`-th lease.
+const HOME_SHIFT: u32 = 40;
+
+/// Map a hub's `n`-th lease to its `(segment, offset)` in the doubling
+/// directory.
 #[inline]
-fn lease_locate(id: u64) -> Option<(usize, usize)> {
-    let pos = (id as usize).checked_add(1 << LEASE_SEG0_BITS)?;
+fn lease_locate(n: u64) -> Option<(usize, usize)> {
+    let pos = (n as usize).checked_add(1 << LEASE_SEG0_BITS)?;
     let seg = (pos.ilog2() - LEASE_SEG0_BITS) as usize;
     (seg < LEASE_SEGS).then(|| (seg, pos - (1usize << (seg as u32 + LEASE_SEG0_BITS))))
 }
@@ -407,15 +408,29 @@ fn lease_locate(id: u64) -> Option<(usize, usize)> {
 ///
 /// # Multi-range, lock-free
 ///
-/// Lease ids are dense (`fetch_add`), so the directory is a doubling array
-/// of slots indexed by id — not a locked map. [`claim`](Self::claim)
-/// resolves a lease with two atomic loads (slot lookup + drained check) and
-/// then claims on the lease's own [`IterCounter`]: no lock is taken and no
-/// `Arc` is cloned on the per-chunk path, so **any number of concurrent
-/// scheduled loops share one hub without contending** with each other.
-/// [`open`](Self::open) is equally lock-free (one `fetch_add` plus a
-/// `OnceLock` publication), so ranges can be announced while other leases
-/// are being drained.
+/// A hub numbers its leases densely (`fetch_add`), so the directory is a
+/// doubling array of slots indexed by that number — not a locked map.
+/// [`claim`](Self::claim) resolves a lease with two atomic loads (slot
+/// lookup + drained check) and then claims on the lease's own
+/// [`IterCounter`]: no lock is taken and no `Arc` is cloned on the
+/// per-chunk path, so **any number of concurrent scheduled loops share one
+/// hub without contending** with each other. [`open`](Self::open) is
+/// equally lock-free (one `fetch_add` plus a `OnceLock` publication), so
+/// ranges can be announced while other leases are being drained.
+///
+/// # A lease lives where it was opened
+///
+/// Every hub has a home rank — 0 for [`new`](Self::new), which is every
+/// hub of a single-process engine — and issues the ids `home << 40 | n`,
+/// so an id says whose directory holds its counter
+/// ([`home_of`](Self::home_of)). `open` is always local; `claim` and
+/// `close` of an id homed here are the path above (one shift-and-compare
+/// more); only an id homed at *another* rank goes to the
+/// [`RemoteHub`] delegate of a hub built with [`homed`](Self::homed), and
+/// is `None` / `false` without one. Nothing of a foreign lease is kept
+/// here: [`progress`](Self::progress), [`open_leases`](Self::open_leases)
+/// and [`abandoned_leases`](Self::abandoned_leases) describe this hub's own
+/// leases, and a rank's leases die with it.
 ///
 /// A drained lease is marked closed by the claim that observes exhaustion
 /// (in one atomic `swap` — the old map-based hub's check-then-relock window
@@ -427,14 +442,14 @@ fn lease_locate(id: u64) -> Option<(usize, usize)> {
 pub struct ChunkHub {
     /// Doubling lease segments, allocated on first touch.
     segments: [OnceLock<Box<[LeaseSlot]>>; LEASE_SEGS],
-    /// Next lease id.
+    /// The rank this hub is home to: the high bits of every id it issues.
+    home: u64,
+    /// Leases issued so far; the next one's number.
     next: AtomicU64,
     /// Leases opened and not yet drained/closed.
     open: AtomicU64,
-    /// Forwarding delegate: when set, every hub operation is relayed to the
-    /// process that owns the real lease directory (see [`RemoteHub`]) and
-    /// the local slots above stay empty.
-    remote: Option<Arc<dyn RemoteHub>>,
+    /// Where `claim` / `close` of a lease homed at another rank go.
+    foreign: Option<Arc<dyn RemoteHub>>,
     /// Metrics sink, published once by an engine when tracing is enabled.
     /// Reads cost one atomic load plus a relaxed `fetch_add` — the claim
     /// path stays lock-free whether or not a registry is attached.
@@ -444,40 +459,49 @@ pub struct ChunkHub {
 impl std::fmt::Debug for ChunkHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkHub")
+            .field("home", &self.home)
             .field("open", &self.open.load(Ordering::Relaxed))
-            .field("remote", &self.remote.is_some())
+            .field("foreign", &self.foreign.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Default for ChunkHub {
     fn default() -> Self {
-        Self {
-            segments: std::array::from_fn(|_| OnceLock::new()),
-            next: AtomicU64::new(0),
-            open: AtomicU64::new(0),
-            remote: None,
-            metrics: OnceLock::new(),
-        }
+        Self::homed(0, None)
     }
 }
 
 impl ChunkHub {
-    /// Empty hub.
+    /// Empty hub, home rank 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A forwarding hub: every operation is relayed through `delegate` to
-    /// the process hosting the real lease directory. Used by distributed
-    /// engines on worker processes so split and worker operations written
-    /// against a plain [`ChunkHub`] transparently rendezvous on the
-    /// master's hub.
-    pub fn remote(delegate: Arc<dyn RemoteHub>) -> Self {
+    /// Empty hub of process `home` of a distributed engine. Operations on
+    /// leases it issued stay in its memory; `foreign` carries the `claim`s
+    /// and `close`s of leases homed at other ranks to them.
+    ///
+    /// # Panics
+    /// If `home` does not fit the 24 bits a lease id has for it.
+    pub fn homed(home: u32, foreign: Option<Arc<dyn RemoteHub>>) -> Self {
+        assert!(
+            u64::from(home) < 1 << (64 - HOME_SHIFT),
+            "home rank {home} does not fit a lease id"
+        );
         Self {
-            remote: Some(delegate),
-            ..Self::default()
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            home: u64::from(home),
+            next: AtomicU64::new(0),
+            open: AtomicU64::new(0),
+            foreign,
+            metrics: OnceLock::new(),
         }
+    }
+
+    /// The rank whose hub issued lease `id`, and holds its counter.
+    pub fn home_of(id: u64) -> u32 {
+        (id >> HOME_SHIFT) as u32
     }
 
     /// Attach a metrics registry: [`open`](Self::open) bumps `LeasesOpened`,
@@ -490,9 +514,25 @@ impl ChunkHub {
         let _ = self.metrics.set(metrics);
     }
 
-    /// The slot of lease `id`, if its segment was ever touched.
+    /// The id of this hub's `n`-th lease.
+    fn id_of(&self, n: u64) -> u64 {
+        self.home << HOME_SHIFT | n
+    }
+
+    /// Was lease `id` issued by this hub?
+    #[inline]
+    fn is_home(&self, id: u64) -> bool {
+        id >> HOME_SHIFT == self.home
+    }
+
+    /// The slot of lease `id`, if it is homed here and its segment was ever
+    /// touched.
+    #[inline]
     fn slot(&self, id: u64) -> Option<&LeaseSlot> {
-        let (seg, idx) = lease_locate(id)?;
+        if !self.is_home(id) {
+            return None;
+        }
+        let (seg, idx) = lease_locate(id & ((1 << HOME_SHIFT) - 1))?;
         self.segments[seg].get().map(|s| &s[idx])
     }
 
@@ -501,13 +541,10 @@ impl ChunkHub {
         if let Some(m) = self.metrics.get() {
             m.add(dps_obs::Counter::LeasesOpened, 1);
         }
-        if let Some(r) = &self.remote {
-            return r.open(calc);
-        }
         let counter = IterCounter::new(calc);
         let chunks = counter.chunk_count();
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        let (seg, idx) = lease_locate(id).expect("lease id space exhausted");
+        let n = self.next.fetch_add(1, Ordering::Relaxed);
+        let (seg, idx) = lease_locate(n).expect("lease id space exhausted");
         let slots = self.segments[seg].get_or_init(|| {
             (0..(1usize << (seg as u32 + LEASE_SEG0_BITS)))
                 .map(|_| LeaseSlot::new())
@@ -518,7 +555,10 @@ impl ChunkHub {
             .set(Arc::new(counter))
             .expect("lease ids are unique");
         self.open.fetch_add(1, Ordering::Relaxed);
-        ChunkLease { id, chunks }
+        ChunkLease {
+            id: self.id_of(n),
+            chunks,
+        }
     }
 
     /// Open a batch of ranges in one call — one lease per range, in order.
@@ -543,13 +583,20 @@ impl ChunkHub {
         was_open
     }
 
-    /// Claim the next chunk of lease `id`: lock-free lease resolution plus
-    /// one CAS on the lease's own counter. `None` when the lease is
-    /// drained, [`close`](Self::close)d, or unknown.
+    /// Claim the next chunk of lease `id`: for a lease homed here,
+    /// lock-free lease resolution plus one CAS on the lease's own counter;
+    /// for one homed elsewhere, whatever the delegate answers. `None` when
+    /// the lease is drained, [`close`](Self::close)d, or unknown.
     pub fn claim(&self, id: u64) -> Option<Chunk> {
-        if let Some(r) = &self.remote {
-            return r.claim(id);
+        if !self.is_home(id) {
+            return self.foreign.as_ref()?.claim(id);
         }
+        self.claim_here(id)
+    }
+
+    /// [`claim`](Self::claim) against this hub's own directory only.
+    #[inline]
+    pub(crate) fn claim_here(&self, id: u64) -> Option<Chunk> {
         let slot = self.slot(id)?;
         if slot.closed.load(Ordering::Acquire) {
             return None;
@@ -568,65 +615,22 @@ impl ChunkHub {
     /// each — closing races a concurrent claim exactly like draining does.
     /// Returns `true` if this call closed the lease (it was open).
     pub fn close(&self, id: u64) -> bool {
-        if let Some(r) = &self.remote {
-            return r.close(id);
+        if !self.is_home(id) {
+            return self.foreign.as_ref().is_some_and(|f| f.close(id));
         }
+        self.close_here(id)
+    }
+
+    /// [`close`](Self::close) against this hub's own directory only.
+    pub(crate) fn close_here(&self, id: u64) -> bool {
         match self.slot(id) {
             Some(slot) if slot.counter.get().is_some() => self.retire(slot),
             _ => false,
         }
     }
 
-    /// Sentinel owner of an untagged lease (see [`set_owner`](Self::set_owner)).
-    pub const NO_OWNER: u32 = u32::MAX;
-
-    /// Tag lease `id` with the party that opened it. Distributed engines
-    /// call this while serving a remote `Open` so that
-    /// [`expire_owner`](Self::expire_owner) can retire a dead rank's leases.
-    /// No-op on a forwarding hub (ownership is tracked where the directory
-    /// lives) and for unknown ids.
-    pub fn set_owner(&self, id: u64, owner: u32) {
-        if self.remote.is_some() {
-            return;
-        }
-        if let Some(slot) = self.slot(id) {
-            slot.owner.store(owner, Ordering::Release);
-        }
-    }
-
-    /// The owner tag of lease `id`, if it was ever tagged.
-    pub fn owner_of(&self, id: u64) -> Option<u32> {
-        if self.remote.is_some() {
-            return None;
-        }
-        let owner = self.slot(id)?.owner.load(Ordering::Acquire);
-        (owner != Self::NO_OWNER).then_some(owner)
-    }
-
-    /// Close every still-open lease tagged with `owner` — the recovery
-    /// sweep for a dead node: its announced-but-undrained ranges stop
-    /// handing out chunks, so survivors re-announce and re-claim the work
-    /// in fresh waves instead of spinning on a lease whose split died.
-    /// Returns the ids this call expired.
-    pub fn expire_owner(&self, owner: u32) -> Vec<u64> {
-        if self.remote.is_some() {
-            return Vec::new();
-        }
-        (0..self.leases_issued())
-            .filter(|&id| {
-                self.slot(id)
-                    .is_some_and(|s| s.owner.load(Ordering::Acquire) == owner)
-                    && self.close(id)
-            })
-            .collect()
-    }
-
-    /// The counter behind lease `id`, if still open. Always `None` on a
-    /// forwarding hub — the counter lives in the owning process.
+    /// The counter behind lease `id`, if it is homed here and still open.
     pub fn counter(&self, id: u64) -> Option<Arc<IterCounter>> {
-        if self.remote.is_some() {
-            return None;
-        }
         let slot = self.slot(id)?;
         if slot.closed.load(Ordering::Acquire) {
             return None;
@@ -634,29 +638,22 @@ impl ChunkHub {
         slot.counter.get().cloned()
     }
 
-    /// Leases not yet drained. A forwarding hub reports `0`: the owning
-    /// process tracks lease lifetimes.
+    /// Leases of this hub not yet drained.
     pub fn open_leases(&self) -> usize {
         self.open.load(Ordering::Relaxed) as usize
     }
 
-    /// Lease ids handed out so far (all ids in `0..leases_issued()` were
-    /// opened at some point). A forwarding hub reports `0`.
+    /// How many leases this hub has issued: the ids `home << 40 | n` for
+    /// every `n` below it were opened at some point.
     pub fn leases_issued(&self) -> u64 {
-        if self.remote.is_some() {
-            return 0;
-        }
         self.next.load(Ordering::Relaxed)
     }
 
     /// Progress of lease `id` regardless of open/closed state — the
     /// invariant-layer view (unlike [`counter`](Self::counter), which hides
-    /// retired leases from claimers). `None` for unknown ids or on a
-    /// forwarding hub.
+    /// retired leases from claimers). `None` for ids that are unknown or
+    /// homed elsewhere.
     pub fn progress(&self, id: u64) -> Option<LeaseProgress> {
-        if self.remote.is_some() {
-            return None;
-        }
         let slot = self.slot(id)?;
         let counter = slot.counter.get()?;
         Some(LeaseProgress {
@@ -668,15 +665,15 @@ impl ChunkHub {
         })
     }
 
-    /// Every lease still open (announced but neither drained nor closed),
-    /// with its claim progress. Empty after a clean run — a scheduled wave
-    /// that completes drains or closes all of its leases, so anything left
-    /// here was **abandoned**: the range was announced and then lost, which
-    /// is only legitimate downstream of an injected node failure. The
-    /// simulation-testing harness checks exactly that.
+    /// Every lease of this hub still open (announced but neither drained
+    /// nor closed), with its claim progress. Empty after a clean run — a
+    /// scheduled wave that completes drains or closes all of its leases, so
+    /// anything left here was **abandoned**: the range was announced and
+    /// then lost, which is only legitimate downstream of an injected node
+    /// failure. The simulation-testing harness checks exactly that.
     pub fn abandoned_leases(&self) -> Vec<LeaseProgress> {
         (0..self.leases_issued())
-            .filter_map(|id| self.progress(id))
+            .filter_map(|n| self.progress(self.id_of(n)))
             .filter(|p| !p.closed)
             .collect()
     }
@@ -884,33 +881,6 @@ mod tests {
         assert!(hub.counter(drained.id).is_none());
         // The recovery path closes the survivor; nothing is abandoned.
         assert!(hub.close(stuck.id));
-        assert!(hub.abandoned_leases().is_empty());
-    }
-
-    /// Owner-tagged leases expire exactly by owner: the dead rank's open
-    /// ranges close, everyone else's keep draining.
-    #[test]
-    fn expire_owner_closes_only_that_ranks_leases() {
-        let hub = ChunkHub::new();
-        let mine = hub.open(ChunkCalc::new(PolicyKind::Ss, 8, 2, &uniform(2)));
-        let theirs = hub.open(ChunkCalc::new(PolicyKind::Ss, 8, 2, &uniform(2)));
-        let untagged = hub.open(ChunkCalc::new(PolicyKind::Ss, 8, 2, &uniform(2)));
-        hub.set_owner(mine.id, 1);
-        hub.set_owner(theirs.id, 2);
-        assert_eq!(hub.owner_of(mine.id), Some(1));
-        assert_eq!(hub.owner_of(untagged.id), None);
-
-        let expired = hub.expire_owner(1);
-        assert_eq!(expired, vec![mine.id], "only rank 1's lease expires");
-        assert!(hub.claim(mine.id).is_none(), "expired lease hands nothing");
-        assert!(hub.claim(theirs.id).is_some(), "rank 2 keeps draining");
-        assert!(hub.claim(untagged.id).is_some(), "untagged keeps draining");
-
-        // A second sweep finds nothing left to expire (close is once-only).
-        assert!(hub.expire_owner(1).is_empty());
-        // Draining the survivors leaves nothing abandoned.
-        while hub.claim(theirs.id).is_some() {}
-        while hub.claim(untagged.id).is_some() {}
         assert!(hub.abandoned_leases().is_empty());
     }
 }

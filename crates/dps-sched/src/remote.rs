@@ -1,78 +1,71 @@
-//! Wire framing for the cluster-shared scheduling state: chunk-lease
-//! traffic against a master-hosted [`ChunkHub`] and feedback-report
-//! batches flowing back to the master's [`FeedbackBoard`].
+//! Chunk-lease traffic between processes: **a lease lives where it was
+//! opened; claims go to its home.**
 //!
 //! Shared-memory engines hand every operation the same `Arc<ChunkHub>`.
-//! Across process boundaries that `Arc` cannot travel, so a distributed
-//! engine splits the hub in two:
+//! Across process boundaries that `Arc` cannot travel, so every process of
+//! a distributed engine holds its own [`ChunkHub`], homed at its rank
+//! ([`ChunkHub::homed`]). A lease id carries the rank that opened it
+//! ([`ChunkHub::home_of`]), and that rank's hub holds the lease's counter:
 //!
-//! * the **master** process keeps a real [`ChunkHub`] (the lease directory
-//!   and the atomic claim counters) and answers [`HubRequest`]s with
-//!   [`HubRequest::serve`];
-//! * every **worker** process holds a forwarding hub
-//!   ([`ChunkHub::remote`]) whose [`RemoteHub`] delegate frames each
-//!   operation as a [`HubRequest`], ships it, and blocks on the matching
-//!   [`HubResponse`].
+//! * `open` never leaves the process, and neither does a `claim` or `close`
+//!   of a lease opened there — the lock-free path of a private hub;
+//! * a `claim` or `close` of a lease opened *elsewhere* goes through the
+//!   hub's [`RemoteHub`] delegate, which frames it as a [`HubRequest`],
+//!   ships it towards the lease's home and blocks on the [`HubResponse`] —
+//!   one round trip per chunk, the cost model of arXiv:2101.07050's
+//!   distributed chunk calculation (one shared-state access per chunk);
+//! * the home answers with [`HubRequest::serve`], from its own directory
+//!   only. A home that is gone is answered for with
+//!   [`HubRequest::refused`]: its leases died with it.
 //!
-//! The arithmetic stays byte-identical on both sides because the *whole*
-//! fixed [`ChunkCalc`] travels in [`HubRequest::Open`] — including the
-//! normalized AWF weights and the precomputed TSS parameters — rather
-//! than being re-derived from `(kind, total, workers)` at the master.
+//! The chunk arithmetic never travels: the home evaluates its own
+//! [`ChunkCalc`](crate::ChunkCalc) and ships the finished [`Chunk`].
 //!
-//! Feedback travels the other way: workers batch `(iters, secs)` pairs per
-//! completed chunk into a [`ChunkReport`] and the master applies it to its
-//! sink in one [`FeedbackSink::report_batch`] call.
-//!
-//! This module defines only the framing and the forwarding seam; the
-//! transport (sockets, channels) belongs to the engine crates.
+//! This module defines only the framing and the delegate seam; the
+//! transport (sockets, channels) and the routing between ranks belong to
+//! the engine crates.
 //!
 //! ```
 //! use dps_sched::{ChunkCalc, ChunkHub, PolicyKind};
 //! use dps_sched::remote::{HubRequest, HubResponse};
 //!
-//! // Worker side: frame a claim.
-//! let bytes = dps_serial::to_bytes(&HubRequest::Claim { id: 7 });
+//! // Rank 2 opens a lease; the id names its home.
+//! let home = ChunkHub::homed(2, None);
+//! let lease = home.open(ChunkCalc::new(PolicyKind::Gss, 100, 4, &[]));
+//! assert_eq!(ChunkHub::home_of(lease.id), 2);
 //!
-//! // Master side: decode, serve against the real hub, frame the reply.
-//! let hub = ChunkHub::new();
-//! let lease = hub.open(ChunkCalc::new(PolicyKind::Gss, 100, 4, &[]));
+//! // Another rank frames a claim; rank 2 decodes and serves it.
+//! let bytes = dps_serial::to_bytes(&HubRequest::Claim { id: lease.id });
 //! let req: HubRequest = dps_serial::from_bytes(&bytes).unwrap();
-//! let resp = req.serve(&hub);
-//! assert!(matches!(resp, HubResponse::Claimed { chunk: None })); // lease 7 unknown
-//! let first = hub.claim(lease.id).unwrap();
-//! assert_eq!(first.start, 0);
-//! ```
+//! let HubResponse::Claimed { chunk } = req.serve(&home) else { unreachable!() };
+//! assert_eq!(chunk.unwrap().start, 0);
 //!
-//! [`FeedbackBoard`]: crate::FeedbackBoard
-//! [`FeedbackSink::report_batch`]: crate::FeedbackSink::report_batch
+//! // A hub serves only what it is home to.
+//! let elsewhere = ChunkHub::new();
+//! assert_eq!(req.serve(&elsewhere), req.refused());
+//! ```
 
-use dps_serial::{impl_wire, impl_wire_enum, Reader, Wire, WireError, Writer};
+use dps_serial::{impl_wire, impl_wire_enum};
 
-use crate::calc::{ChunkCalc, ChunkHub, ChunkLease};
-use crate::policy::PolicyKind;
+use crate::calc::ChunkHub;
 use crate::scheduler::Chunk;
 
-/// Worker-side delegate a forwarding [`ChunkHub`] relays every operation
-/// through (see [`ChunkHub::remote`]). Implementations frame the call as a
-/// [`HubRequest`], send it to the master, and block on the matching
-/// [`HubResponse`] — each method is one synchronous round-trip on the
-/// per-chunk path, which is exactly the cost model of arXiv:2101.07050's
-/// distributed chunk calculation (one shared-state access per chunk).
+/// The delegate a [`ChunkHub`] hands the operations on leases homed at
+/// another rank (see [`ChunkHub::homed`]). Implementations frame the call
+/// as a [`HubRequest`], send it towards the lease's home, and block on the
+/// matching [`HubResponse`]; a home that cannot be reached answers like an
+/// unknown lease (`None` / `false`).
 pub trait RemoteHub: Send + Sync {
-    /// Forward [`ChunkHub::open`].
-    fn open(&self, calc: ChunkCalc) -> ChunkLease;
-    /// Forward [`ChunkHub::claim`].
+    /// [`ChunkHub::claim`] of a lease homed elsewhere.
     fn claim(&self, id: u64) -> Option<Chunk>;
-    /// Forward [`ChunkHub::close`].
+    /// [`ChunkHub::close`] of a lease homed elsewhere.
     fn close(&self, id: u64) -> bool;
 }
 
-/// One hub operation, framed. `Open` carries the full fixed calculation so
-/// master and workers run byte-identical chunk arithmetic.
-#[derive(Debug, Clone, PartialEq)]
+/// One operation on a lease, framed for its home rank. (Tag 0 was `Open`,
+/// which no longer travels.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HubRequest {
-    /// [`ChunkHub::open`] — announce a range, get a lease.
-    Open { calc: ChunkCalc },
     /// [`ChunkHub::claim`] — next chunk of lease `id`, if any.
     Claim { id: u64 },
     /// [`ChunkHub::close`] — retire lease `id` early.
@@ -80,142 +73,69 @@ pub enum HubRequest {
 }
 
 impl HubRequest {
-    /// Apply this request to the real hub (master side) and produce the
-    /// response frame to ship back.
+    /// The lease this request is about; [`ChunkHub::home_of`] it is the
+    /// rank that answers.
+    pub fn id(&self) -> u64 {
+        match *self {
+            HubRequest::Claim { id } | HubRequest::Close { id } => id,
+        }
+    }
+
+    /// Answer this request from `hub`'s own directory. Never consults the
+    /// hub's delegate: a lease homed elsewhere is [`refused`](Self::refused)
+    /// like any unknown one, so a connection reader can serve without ever
+    /// waiting on another connection.
     pub fn serve(self, hub: &ChunkHub) -> HubResponse {
         match self {
-            HubRequest::Open { calc } => HubResponse::Opened {
-                lease: hub.open(calc),
-            },
             HubRequest::Claim { id } => HubResponse::Claimed {
-                chunk: hub.claim(id),
+                chunk: hub.claim_here(id),
             },
             HubRequest::Close { id } => HubResponse::Closed {
-                closed: hub.close(id),
+                closed: hub.close_here(id),
             },
         }
     }
 
-    /// Like [`serve`](Self::serve), but stamps any lease this request opens
-    /// with `owner` (the requesting worker's rank). Distributed masters use
-    /// this so [`ChunkHub::expire_owner`] can retire a dead rank's open
-    /// leases when its process is lost.
-    pub fn serve_owned(self, hub: &ChunkHub, owner: u32) -> HubResponse {
-        let resp = self.serve(hub);
-        if let HubResponse::Opened { lease } = &resp {
-            hub.set_owner(lease.id, owner);
+    /// The answer for a lease nobody holds — unknown, or homed at a rank
+    /// that is down: no chunk, nothing closed.
+    pub fn refused(self) -> HubResponse {
+        match self {
+            HubRequest::Claim { .. } => HubResponse::Claimed { chunk: None },
+            HubRequest::Close { .. } => HubResponse::Closed { closed: false },
         }
-        resp
     }
 }
 
-/// The master's answer to a [`HubRequest`], variant-matched by position:
-/// `Open → Opened`, `Claim → Claimed`, `Close → Closed`.
+/// The home's answer to a [`HubRequest`], variant-matched by position:
+/// `Claim → Claimed`, `Close → Closed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HubResponse {
-    /// Lease handed out for an announced range.
-    Opened { lease: ChunkLease },
     /// Next chunk, or `None` when the lease is drained/closed/unknown.
     Claimed { chunk: Option<Chunk> },
     /// Whether the close retired an open lease.
     Closed { closed: bool },
 }
 
-/// A batch of completed-chunk measurements from one worker: the framed form
-/// of one [`FeedbackSink::report_batch`](crate::FeedbackSink::report_batch)
-/// call. `secs` are in the reporting engine's own notion of time — only
-/// relative rates matter to the adaptive policies.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ChunkReport {
-    /// Worker index within the executing collection.
-    pub worker: u64,
-    /// `(iters, secs)` per completed chunk, in completion order.
-    pub chunks: Vec<(u64, f64)>,
-}
-
-impl_wire!(ChunkLease { id, chunks });
 impl_wire!(Chunk {
     seq,
     start,
     len,
     worker
 });
-impl_wire!(ChunkReport { worker, chunks });
 impl_wire_enum!(HubRequest {
-    0 => Open { calc },
     1 => Claim { id },
     2 => Close { id },
 });
 impl_wire_enum!(HubResponse {
-    0 => Opened { lease },
     1 => Claimed { chunk },
     2 => Closed { closed },
 });
 
-impl Wire for PolicyKind {
-    fn wire_size(&self) -> usize {
-        1
-    }
-    fn encode(&self, w: &mut Writer) {
-        // Stable index into `PolicyKind::ALL` (append-only by convention).
-        let idx = PolicyKind::ALL
-            .iter()
-            .position(|k| k == self)
-            .expect("every PolicyKind is listed in ALL");
-        w.put_u8(idx as u8);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let idx = r.get_u8()?;
-        PolicyKind::ALL
-            .get(idx as usize)
-            .copied()
-            .ok_or(WireError::InvalidDiscriminant {
-                type_name: "PolicyKind",
-                value: idx as u32,
-            })
-    }
-}
-
-/// All fixed parameters travel — weights and TSS terms included — so the
-/// decoded calculation replays the policy with byte-identical floats.
-impl Wire for ChunkCalc {
-    fn wire_size(&self) -> usize {
-        self.kind.wire_size() + 8 * 2 + self.weights.wire_size() + 8 * 2
-    }
-    fn encode(&self, w: &mut Writer) {
-        self.kind.encode(w);
-        w.put_u64(self.total);
-        w.put_u64(self.workers);
-        self.weights.encode(w);
-        w.put_f64(self.tss_first);
-        w.put_f64(self.tss_decrement);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            kind: PolicyKind::decode(r)?,
-            total: r.get_u64()?,
-            workers: r.get_u64()?,
-            weights: Vec::<f64>::decode(r)?,
-            tss_first: r.get_f64()?,
-            tss_decrement: r.get_f64()?,
-        })
-    }
-}
-
-impl PartialEq for ChunkCalc {
-    fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind
-            && self.total == other.total
-            && self.workers == other.workers
-            && self.weights == other.weights
-            && self.tss_first == other.tss_first
-            && self.tss_decrement == other.tss_decrement
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChunkCalc, PolicyKind};
+    use dps_serial::Wire;
     use std::sync::Arc;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
@@ -227,15 +147,8 @@ mod tests {
 
     #[test]
     fn hub_frames_round_trip() {
-        for kind in PolicyKind::ALL {
-            let calc = ChunkCalc::new(kind, 1000, 4, &[0.4, 0.3, 0.2, 0.1]);
-            roundtrip(&HubRequest::Open { calc });
-        }
         roundtrip(&HubRequest::Claim { id: u64::MAX });
         roundtrip(&HubRequest::Close { id: 0 });
-        roundtrip(&HubResponse::Opened {
-            lease: ChunkLease { id: 7, chunks: 13 },
-        });
         roundtrip(&HubResponse::Claimed {
             chunk: Some(Chunk {
                 seq: 3,
@@ -246,69 +159,53 @@ mod tests {
         });
         roundtrip(&HubResponse::Claimed { chunk: None });
         roundtrip(&HubResponse::Closed { closed: true });
-        roundtrip(&ChunkReport {
-            worker: 5,
-            chunks: vec![(10, 0.5), (20, 0.25)],
-        });
+        // The tag `Open` used to travel under is not reassigned.
+        let open = dps_serial::to_bytes(&0u32);
+        assert!(dps_serial::from_bytes::<HubRequest>(&open).is_err());
+        assert!(dps_serial::from_bytes::<HubResponse>(&open).is_err());
     }
 
-    /// The decoded calculation produces the same chunk sequence as the
-    /// original — the property the distributed engine's byte-identical
-    /// guarantee rests on.
-    #[test]
-    fn decoded_calc_replays_identical_chunks() {
-        for kind in PolicyKind::ALL {
-            let calc = ChunkCalc::new(kind, 777, 3, &[0.5, 0.25, 0.25]);
-            let back: ChunkCalc = dps_serial::from_bytes(&dps_serial::to_bytes(&calc)).unwrap();
-            let (mut seq, mut start) = (0u32, 0u64);
-            loop {
-                let (a, b) = (calc.len_at(seq, start), back.len_at(seq, start));
-                assert_eq!(a, b, "{kind:?} chunk {seq}");
-                if a == 0 {
-                    break;
-                }
-                start += a;
-                seq += 1;
+    /// The home's directory, reached the way a distributed engine reaches
+    /// it: frame, serve, unframe.
+    struct Direct(Arc<ChunkHub>);
+    impl RemoteHub for Direct {
+        fn claim(&self, id: u64) -> Option<Chunk> {
+            match (HubRequest::Claim { id }).serve(&self.0) {
+                HubResponse::Claimed { chunk } => chunk,
+                other => unreachable!("claim answered with {other:?}"),
             }
-            assert_eq!(start, 777, "{kind:?} covers the range");
+        }
+        fn close(&self, id: u64) -> bool {
+            match (HubRequest::Close { id }).serve(&self.0) {
+                HubResponse::Closed { closed } => closed,
+                other => unreachable!("close answered with {other:?}"),
+            }
         }
     }
 
-    /// A forwarding hub relays everything to its delegate.
+    /// Only the operations on a lease homed elsewhere reach the delegate,
+    /// and they land in the home's directory, not the caller's.
     #[test]
-    fn forwarding_hub_delegates() {
-        struct Direct(ChunkHub);
-        impl RemoteHub for Direct {
-            fn open(&self, calc: ChunkCalc) -> ChunkLease {
-                match (HubRequest::Open { calc }).serve(&self.0) {
-                    HubResponse::Opened { lease } => lease,
-                    _ => unreachable!(),
-                }
-            }
-            fn claim(&self, id: u64) -> Option<Chunk> {
-                match (HubRequest::Claim { id }).serve(&self.0) {
-                    HubResponse::Claimed { chunk } => chunk,
-                    _ => unreachable!(),
-                }
-            }
-            fn close(&self, id: u64) -> bool {
-                match (HubRequest::Close { id }).serve(&self.0) {
-                    HubResponse::Closed { closed } => closed,
-                    _ => unreachable!(),
-                }
-            }
-        }
-        let master = Direct(ChunkHub::new());
-        let worker = ChunkHub::remote(Arc::new(master));
-        let lease = worker.open(ChunkCalc::new(PolicyKind::Static, 10, 2, &[]));
-        assert_eq!(lease.chunks, 2);
+    fn foreign_leases_go_to_their_home() {
+        let home = Arc::new(ChunkHub::homed(1, None));
+        let caller = ChunkHub::homed(2, Some(Arc::new(Direct(home.clone()))));
+        let theirs = home.open(ChunkCalc::new(PolicyKind::Static, 10, 2, &[]));
+        let mine = caller.open(ChunkCalc::new(PolicyKind::Ss, 3, 2, &[]));
+        assert_eq!(ChunkHub::home_of(theirs.id), 1);
+        assert_eq!(ChunkHub::home_of(mine.id), 2);
+
         let mut covered = 0;
-        while let Some(c) = worker.claim(lease.id) {
+        while let Some(c) = caller.claim(theirs.id) {
             covered += c.len;
         }
         assert_eq!(covered, 10);
-        assert!(!worker.close(lease.id), "already drained");
-        assert_eq!(worker.open_leases(), 0, "forwarding hub tracks nothing");
-        assert!(worker.counter(lease.id).is_none());
+        assert!(!caller.close(theirs.id), "already drained");
+        assert_eq!(home.open_leases(), 0, "drained at its home");
+        assert_eq!(caller.open_leases(), 1, "the caller tracks only its own");
+        assert!(caller.progress(theirs.id).is_none());
+
+        assert!(home.claim(mine.id).is_none(), "rank 1 has no delegate");
+        assert!(caller.close(mine.id));
+        assert!(caller.abandoned_leases().is_empty());
     }
 }

@@ -116,7 +116,8 @@ pub struct NetRunOutcome {
     pub output: Option<Vec<u8>>,
     /// The error, if it did not.
     pub error: Option<DpsError>,
-    /// Chunk-hub leases opened but never completed.
+    /// Leases of the master's own chunk hub opened but never completed
+    /// (each worker checks its hub in [`run_net_worker`]).
     pub abandoned_leases: usize,
 }
 
@@ -250,8 +251,8 @@ pub fn check_net_run(
 
 /// The worker-process half of one net-mode run: build the same engine
 /// configuration from the same parsed arguments, run the workload, exit.
-/// Returns `true` when the worker's outcome is acceptable — success, or a
-/// clean degradation (the expected fate of a survivor whose master
+/// Returns `true` when the worker's outcome is acceptable — success with no
+/// chunk lease of its own hub left open, or a clean degradation (the expected fate of a survivor whose master
 /// reported `NodeDown`, or of a rank the schedule kills before this
 /// returns). The master's shutdown treats a non-zero exit of a *live*
 /// worker as a failure, so anything unexpected must return `false`.
@@ -265,8 +266,15 @@ pub fn run_net_worker(cfg: &VoprConfig) -> bool {
         }
     };
     let result = run_canonical(&mut eng, cfg.workload);
+    // The leases this rank's ops opened live in its own hub, out of the
+    // master's sight: the zero-abandoned-leases invariant is checked here.
+    let abandoned = eng.chunk_hub().abandoned_leases().len();
     eng.shutdown();
     match result {
+        Ok(_) if abandoned != 0 => {
+            eprintln!("vopr worker: {abandoned} chunk lease(s) abandoned on a completed run");
+            false
+        }
         Ok(_) => true,
         Err(DpsError::NodeDown { .. }) | Err(DpsError::IncompleteWaves { .. }) => true,
         Err(e) => {
