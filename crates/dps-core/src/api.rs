@@ -2,12 +2,11 @@
 //!
 //! The paper's promise is that a flow graph is *independent of the machinery
 //! that executes it*. The [`Engine`] trait is that machinery's contract:
-//! [`SimEngine`](crate::SimEngine) (deterministic virtual time) and
-//! `dps_mt::MtEngine` (real OS threads) both implement it, so application
-//! crates, examples and tests write **one** generic driver
-//! (`fn run<E: Engine>(eng: &mut E, …)`) instead of hand-duplicated
-//! per-engine code paths. A third backend (async, sharded) is one more
-//! `impl Engine`, not a fork of the tree.
+//! [`SimEngine`](crate::SimEngine) (deterministic virtual time),
+//! `dps_mt::MtEngine` (real OS threads) and `dps_netengine::NetEngine`
+//! (OS processes over sockets) implement it, so application crates,
+//! examples and tests write **one** generic driver
+//! (`fn run<E: Engine>(eng: &mut E, …)`) instead of per-engine code paths.
 //!
 //! On top of the trait, [`Application`] is a small typed front door: it pairs
 //! a built graph with its entry/exit token types so user code calls

@@ -12,6 +12,7 @@
 //! The companion `dps-mt` crate runs the same graphs on real OS threads.
 
 use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -22,14 +23,16 @@ use dps_obs::{Counter, EventKind, LabelId, TraceCollector, TraceWriter};
 use dps_sched::FeedbackSink;
 
 use crate::builder::GraphBuilder;
-use crate::envelope::{Envelope, GNodeId, WaveKey};
+use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::{Flowgraph, OpKind};
-use crate::kernel::{self, CallReturn, CloseTo, Exit, Flow, Instances, Pins, Routed, Wave};
-use crate::ops::{ExecInfo, OpOutput, ThreadData};
+use crate::kernel::{
+    self, Arrival, At, CallReturn, FlowKey, Flows, Instances, Pins, Served, Substrate, Wave,
+};
+use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
 use crate::threads::ThreadCollection;
-use crate::token::{register_token, wire_roundtrip, Token, TokenBox, TokenRegistry};
+use crate::token::{register_token, Token, TokenBox, TokenRegistry};
 
 /// Engine tunables.
 #[derive(Debug, Clone)]
@@ -79,21 +82,11 @@ struct ThreadKey {
     thread: u32,
 }
 
-enum Payload {
-    /// A data object.
-    Token(TokenBox),
-    /// Wave-close control info: the producer finished; the wave holds
-    /// `total` tokens. Sent only when the final data object was already in
-    /// flight before the producer knew the count.
-    Close { total: u32 },
-}
-
 struct Delivery {
-    graph: u32,
-    node: GNodeId,
+    to: At,
     kind: OpKind,
     interactive: bool,
-    payload: Payload,
+    what: Arrival,
     env: Envelope,
 }
 
@@ -116,26 +109,13 @@ struct TcRt {
     threads: Vec<ThreadRt>,
 }
 
-/// One wave's posts on their way out, in virtual time.
+/// What the simulator keeps per flow: each pending post also waits for its
+/// virtual send instant.
+#[derive(Default)]
 struct FlowRt {
-    /// Each pending post waits for its virtual send instant.
-    flow: Flow<(SimTime, TokenBox)>,
-    /// Cluster node of the producing thread.
-    src: NodeId,
     /// The split's thread, stalled while posts are flow-blocked.
     stalled_thread: Option<ThreadKey>,
     pump_scheduled: bool,
-}
-
-impl FlowRt {
-    fn new(flow: Flow<(SimTime, TokenBox)>, src: NodeId) -> Self {
-        Self {
-            flow,
-            src,
-            stalled_thread: None,
-            pump_scheduled: false,
-        }
-    }
 }
 
 struct GraphRt {
@@ -145,9 +125,10 @@ struct GraphRt {
     /// `(node, thread)`; a wave is entered when its first token is routed
     /// (that is where a stream's output wave id is allocated).
     inst: Instances,
-    pins: Pins,
-    /// Keyed by `(producing node, wave)`.
-    flows: HashMap<(u32, u64), FlowRt>,
+    /// The kernel borrows the two tables through `&self` (a mutex on
+    /// `dps-mt`), next to what it asks about liveness and freshness.
+    pins: RefCell<Pins>,
+    flows: RefCell<Flows<Sim<Rt>>>,
 }
 
 struct AppRt {
@@ -202,6 +183,10 @@ impl Rt {
         &mut self.apps[app as usize].graphs[graph as usize]
     }
 
+    fn g(&self, app: u32, graph: u32) -> &GraphRt {
+        &self.apps[app as usize].graphs[graph as usize]
+    }
+
     fn fail(&mut self, e: DpsError) {
         if self.fatal.is_none() {
             self.fatal = Some(e);
@@ -223,9 +208,18 @@ impl Rt {
             .map_or(LabelId(0), |t| t.collector.label(name))
     }
 
-    /// The interned label of a graph's name.
-    fn graph_label(&self, app: u32, graph: u32) -> LabelId {
-        self.trace_label(self.apps[app as usize].graphs[graph as usize].def.name())
+    /// Record a boundary of a wave of `at`'s graph on the track `ran` ran on.
+    fn trace_wave(
+        &mut self,
+        ran: &Ran,
+        at: At,
+        when: SimTime,
+        edge: impl Fn(LabelId) -> EventKind,
+    ) {
+        if self.trace.is_some() {
+            let graph = self.trace_label(self.g(at.app, at.graph).def.name());
+            self.trace_on(when, ran.host.0 as u16, ran.tk.thread as u16, edge(graph));
+        }
     }
 
     /// Bump a metrics counter on the attached sink.
@@ -452,8 +446,8 @@ impl SimEngine {
             def,
             routes,
             inst: Instances::default(),
-            pins: Pins::default(),
-            flows: HashMap::new(),
+            pins: RefCell::default(),
+            flows: RefCell::default(),
         });
         Ok(GraphHandle { app, graph })
     }
@@ -484,7 +478,11 @@ impl SimEngine {
     ) -> Result<()> {
         let src = self.sim.world.apps[graph.app as usize].home;
         self.sim.schedule_at(at, move |sim| {
-            inject_internal(sim, graph.app, graph.graph, token, Envelope::root(), src);
+            if sim.world.fatal.is_none() {
+                let (app, graph) = (graph.app, graph.graph);
+                let node = sim.world.g(app, graph).def.entry();
+                kernel::deliver(sim, At { app, graph, node }, src.0, token, Envelope::root());
+            }
         });
         Ok(())
     }
@@ -511,12 +509,12 @@ impl SimEngine {
                         wave.expected()
                     ));
                 }
-                for ((node, wv), f) in &g.flows {
-                    if f.flow.pending() > 0 {
+                for ((node, wv), f) in g.flows.borrow().iter() {
+                    if f.pending() > 0 {
                         stuck.push(format!(
                             "graph {} flow from node g{node} wave {wv}: {} posts undelivered",
                             g.def.name(),
-                            f.flow.pending()
+                            f.pending()
                         ));
                     }
                 }
@@ -718,24 +716,11 @@ impl SimEngine {
 // ---------------------------------------------------------------------------
 // Execution internals (free functions over Sim<Rt>).
 //
-// What a wave *means* — counting, completion, numbering, the flow window,
-// pinning, graph exits — is `crate::kernel`. What is written here is the
-// simulator's substrate: which virtual instant each step happens at, the
-// per-thread queues, CPU pools and stalls, the modeled network, tracing.
+// What a wave *means*, and the path of a token between two operations, is
+// `crate::kernel`. What is written here is the simulator's substrate: which
+// virtual instant each step happens at, the per-thread queues, CPU pools and
+// stalls, the modeled network, tracing.
 // ---------------------------------------------------------------------------
-
-impl Rt {
-    /// `DpsError::NodeDown` for work bound to `thread` of collection `tc`,
-    /// whose node is dead, at graph node `target`.
-    fn node_down(&self, app: u32, tc: u32, thread: u32, graph: u32, target: GNodeId) -> DpsError {
-        let a = &self.apps[app as usize];
-        let host = a.tcs[tc as usize].nodes[thread as usize];
-        DpsError::NodeDown {
-            node: self.cluster.spec().node(host).name.clone(),
-            target: a.graphs[graph as usize].def.node(target).name.clone(),
-        }
-    }
-}
 
 /// The body of [`SimEngine::fail_node`], callable from a scheduled event
 /// (errors land in `world.fatal` and surface from the run loop).
@@ -762,24 +747,18 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
     // Tokens re-route first — a fresh merge wave's first re-routed
     // token re-pins the wave to a live thread — and wave-close messages
     // re-deliver after, so they follow their wave to its new home.
-    let mut tokens: Vec<(u32, Delivery)> = Vec::new();
-    let mut closes: Vec<(u32, Delivery)> = Vec::new();
-    for (app_idx, app) in sim.world.apps.iter_mut().enumerate() {
-        for tc in &mut app.tcs {
-            for (thread, rt) in tc.threads.iter_mut().enumerate() {
-                if tc.nodes[thread] == node {
-                    rt.assigned = 0;
-                    for d in rt.queue.drain(..) {
-                        match d.payload {
-                            Payload::Token(_) => tokens.push((app_idx as u32, d)),
-                            Payload::Close { .. } => closes.push((app_idx as u32, d)),
-                        }
-                    }
-                }
+    let mut drained: Vec<Delivery> = Vec::new();
+    for tc in sim.world.apps.iter_mut().flat_map(|app| &mut app.tcs) {
+        for (thread, rt) in tc.threads.iter_mut().enumerate() {
+            if tc.nodes[thread] == node {
+                rt.assigned = 0;
+                drained.extend(rt.queue.drain(..));
             }
         }
     }
-    let stranded = tokens.len() as u32;
+    let is_close = |d: &Delivery| matches!(d.what, Arrival::Close(_));
+    drained.sort_by_key(is_close);
+    let stranded = drained.iter().filter(|d| !is_close(d)).count() as u32;
     if stranded > 0 {
         sim.world.trace_on(
             now,
@@ -800,160 +779,294 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
             detail: stranded as u64,
         },
     );
-    for (app, d) in tokens {
-        let Payload::Token(token) = d.payload else {
-            unreachable!("partitioned above");
-        };
-        sim.world.requeued += 1;
-        let src = sim.world.apps[app as usize].home;
-        route_and_send(sim, app, d.graph, d.node, src, token, d.env);
+    for d in drained {
+        let src = sim.world.apps[d.to.app as usize].home;
+        let moved = kernel::reroute(sim, d.to, src.0, d.what, d.env);
+        sim.world.requeued += moved as u64;
     }
-    for (app, d) in closes {
-        let Payload::Close { total } = d.payload else {
-            unreachable!("partitioned above");
+}
+
+/// One execution in virtual time: where it ran, from when, for how long.
+struct Ran {
+    tk: ThreadKey,
+    host: NodeId,
+    /// Wave id its span is traced under.
+    wave: u32,
+    start: SimTime,
+    hold: SimSpan,
+}
+
+impl Substrate for Sim<Rt> {
+    type Post = (SimTime, TokenBox);
+    type FlowExt = FlowRt;
+    type Lane = Ran;
+
+    fn def(&self, app: u32, graph: u32) -> &Flowgraph {
+        &self.world.g(app, graph).def
+    }
+
+    fn threads(&self, app: u32, tc: u32) -> usize {
+        self.world.apps[app as usize].tcs[tc as usize].nodes.len()
+    }
+
+    fn host(&self, app: u32, tc: u32, thread: u32) -> u32 {
+        self.world.apps[app as usize].tcs[tc as usize].nodes[thread as usize].0
+    }
+
+    fn node_up(&self, node: u32) -> bool {
+        self.world.cluster.is_alive(NodeId(node))
+    }
+
+    fn node_name(&self, node: u32) -> String {
+        self.world.cluster.spec().node(NodeId(node)).name.clone()
+    }
+
+    fn load(&self, app: u32, tc: u32) -> Vec<u32> {
+        let tc = &self.world.apps[app as usize].tcs[tc as usize];
+        let assigned = |(t, &n): (&ThreadRt, &NodeId)| match self.world.cluster.is_alive(n) {
+            true => t.assigned,
+            false => u32::MAX,
         };
-        if deliver_close(sim, app, d.graph, d.env, total) {
-            sim.world.requeued += 1;
+        tc.threads.iter().zip(&tc.nodes).map(assigned).collect()
+    }
+
+    fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
+        let g = self.world.graph(to.app, to.graph);
+        g.routes[to.node.0 as usize].route_dyn(token, info, &g.def.node(to.node).name)
+    }
+
+    fn registry(&self, app: u32) -> Option<&TokenRegistry> {
+        let on = self.world.cfg.enforce_serialization;
+        on.then(|| &self.world.apps[app as usize].registry)
+    }
+
+    fn service(&self, name: &str) -> Option<(u32, u32)> {
+        self.world.services.get(name).map(|g| (g.app, g.graph))
+    }
+
+    fn remember_call(&mut self, ret: CallReturn) -> u64 {
+        self.world.next_call += 1;
+        let id = self.world.next_call - 1;
+        self.world.pending_calls.insert(id, ret);
+        id
+    }
+
+    fn call_return(&self, id: u64) -> Option<CallReturn> {
+        self.world.pending_calls.get(&id).cloned()
+    }
+
+    fn pins<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R {
+        f(&mut self.world.g(app, graph).pins.borrow_mut())
+    }
+
+    fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
+        f(&mut self.world.g(app, graph).flows.borrow_mut())
+    }
+
+    /// Partial state lost with a node surfaces lazily, when something is
+    /// routed to it.
+    fn fresh(&self, app: u32, graph: u32, key: &WaveKey) -> bool {
+        let waves = &self.world.g(app, graph).inst.waves;
+        waves.get(key).is_none_or(Wave::is_fresh)
+    }
+
+    /// The wave's record is entered at routing time — that keeps wave ids
+    /// allocated in routing order — and outlives a move.
+    fn pinned(&mut self, to: At, key: WaveKey, parked: Option<u32>) -> Result<Option<u32>> {
+        let world = &mut self.world;
+        let g = &mut world.apps[to.app as usize].graphs[to.graph as usize];
+        let wave = g.inst.waves.entry(key).or_insert_with(|| {
+            world.next_wave += 1;
+            Wave::new(to.graph, to.node, world.next_wave - 1)
+        });
+        if let Some(total) = parked {
+            wave.close(total, &g.def.node(to.node).name)?;
+        }
+        Ok(None)
+    }
+
+    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope) {
+        let g = self.world.g(to.app, to.graph);
+        let gnode = g.def.node(to.node);
+        let tk = ThreadKey {
+            app: to.app,
+            tc: gnode.tc,
+            thread,
+        };
+        let d = Delivery {
+            to,
+            kind: gnode.kind,
+            interactive: g.def.is_interactive(),
+            what,
+            env,
+        };
+        self.world.thread(tk).assigned += 1;
+        match d.what {
+            Arrival::Token(_) => send_token(self, tk, NodeId(src), d),
+            // Control info of the wave's own node: it lands at once.
+            Arrival::Close(_) => {
+                self.world.thread(tk).queue.push_back(d);
+                kick_thread(self, tk);
+            }
         }
     }
-}
 
-fn inject_internal(
-    sim: &mut Sim<Rt>,
-    app: u32,
-    graph: u32,
-    token: TokenBox,
-    env: Envelope,
-    src: NodeId,
-) {
-    if sim.world.fatal.is_some() {
-        return;
-    }
-    let entry = sim.world.graph(app, graph).def.entry();
-    route_and_send(sim, app, graph, entry, src, token, env);
-}
-
-/// Deliver `token` to graph node `to` (already chosen): route to a thread,
-/// plan the network transfer, and enqueue the delivery.
-fn route_and_send(
-    sim: &mut Sim<Rt>,
-    app: u32,
-    graph: u32,
-    to: GNodeId,
-    src: NodeId,
-    token: TokenBox,
-    env: Envelope,
-) {
-    let now = sim.now();
-    // Routing: build load info, run the route, apply the wave pin.
-    let (tc_idx, kind, interactive) = {
-        let g = sim.world.graph(app, graph);
-        let n = g.def.node(to);
-        (n.tc, n.kind, g.def.is_interactive())
-    };
-    // Threads on failed nodes report infinite load so load-aware routes
-    // (LeastLoaded, ChunkRoute) steer work away from them.
-    let load: Vec<u32> = {
-        let tc = &sim.world.apps[app as usize].tcs[tc_idx as usize];
-        tc.threads
-            .iter()
-            .zip(&tc.nodes)
-            .map(|(t, &n)| {
-                if sim.world.cluster.is_alive(n) {
-                    t.assigned
-                } else {
-                    u32::MAX
+    /// A post also waits for its virtual send instant, and a flow with
+    /// nothing left to release unstalls its split's thread.
+    fn next_post(
+        &mut self,
+        app: u32,
+        graph: u32,
+        key: FlowKey,
+    ) -> Option<(TokenBox, Envelope, u32)> {
+        if self.world.fatal.is_some() {
+            return None;
+        }
+        let (now, window) = (self.now(), self.world.cfg.flow_window);
+        let flows = self.world.graph(app, graph).flows.get_mut();
+        let f = flows.get_mut(&key)?;
+        match f.front(window) {
+            Some(&(send_at, _)) if send_at > now => {
+                if !std::mem::replace(&mut f.ext.pump_scheduled, true) {
+                    self.schedule_at(send_at, move |sim| {
+                        let flows = sim.world.graph(app, graph).flows.get_mut();
+                        if let Some(f) = flows.get_mut(&key) {
+                            f.ext.pump_scheduled = false;
+                        }
+                        kernel::pump(sim, app, graph, key);
+                    });
                 }
-            })
-            .collect()
-    };
-    let routed = {
-        let g = sim.world.graph(app, graph);
-        let info = RouteInfo {
-            thread_count: load.len(),
-            load: Some(&load),
+                return None;
+            }
+            Some(_) => {
+                let ((_, token), env) = f.pop(window).expect("front admitted it");
+                return Some((token, env, f.src));
+            }
+            None => {}
+        }
+        if f.is_flushed() {
+            let unstall = f.ext.stalled_thread.take();
+            if f.is_drained() {
+                flows.remove(&key);
+            }
+            if let Some(tk) = unstall {
+                self.world.thread(tk).stalls -= 1;
+                kick_thread(self, tk);
+            }
+        }
+        None
+    }
+
+    fn leave(&mut self, (send_at, token): Self::Post, from: At, src: u32, env: Envelope) {
+        self.schedule_at(send_at, move |sim| {
+            if sim.world.fatal.is_none() {
+                kernel::emit(sim, from, src, token, env);
+            }
+        });
+    }
+
+    fn output(&mut self, app: u32, graph: u32, token: TokenBox) {
+        let now = self.now();
+        let outputs = self.world.outputs.entry((app, graph)).or_default();
+        outputs.push((now, token));
+    }
+
+    fn fail(&mut self, _app: u32, e: DpsError) {
+        self.world.fail(e);
+    }
+
+    /// The chunk's virtual execution time goes to the registered feedback
+    /// sink at its virtual completion instant (paper-model analogue of the
+    /// DLS literature's per-chunk completion messages).
+    fn report(&mut self, ran: &mut Ran, iters: u64) {
+        let (tk, host, hold) = (ran.tk, ran.host, ran.hold);
+        let done = ran.start + hold;
+        self.world.trace_on(
+            done,
+            host.0 as u16,
+            tk.thread as u16,
+            EventKind::ChunkExec {
+                iters,
+                nanos: hold.as_nanos(),
+            },
+        );
+        let Some(sink) = self.world.feedback.clone() else {
+            return;
         };
-        g.routes[to.0 as usize].route_dyn(token.as_ref(), &info, &g.def.node(to).name)
-    };
-    let mut thread = match routed {
-        Ok(i) => i as u32,
-        Err(e) => {
-            sim.world.fail(e);
+        kernel::note_reporter(&mut self.world.feedback_tcs, tk.app, tk.tc);
+        let worker = tk.thread as usize;
+        self.schedule_at(done, move |sim| {
+            // A report from a node that failed mid-execution is dropped: the
+            // chunk's virtual completion never happened, and it must not
+            // repopulate measurements `worker_lost` just cleared.
+            if sim.world.cluster.is_alive(host) {
+                sink.report_chunk(worker, iters, hold.as_secs_f64());
+                let at = sim.now();
+                sim.world.trace_on(
+                    at,
+                    host.0 as u16,
+                    worker as u16,
+                    EventKind::ChunkReport {
+                        worker: worker as u32,
+                        iters,
+                        nanos: hold.as_nanos(),
+                    },
+                );
+                sim.world.trace_add(Counter::ChunkReports, 1);
+            }
+        });
+    }
+
+    fn span(&mut self, ran: &mut Ran, at: At) {
+        if self.world.trace.is_none() {
             return;
         }
-    };
-
-    // Merge/stream waves: all tokens of one wave execute on one thread
-    // instance (kernel rule 6).
-    if matches!(kind, OpKind::Merge | OpKind::Stream) {
-        let key = env.wave_key().expect("validated: merges are under a split");
-        let world = &mut sim.world;
-        let a = &mut world.apps[app as usize];
-        let g = &mut a.graphs[graph as usize];
-        let (cluster, hosts) = (&world.cluster, &a.tcs[tc_idx as usize].nodes);
-        let alive = |t: u32| cluster.is_alive(hosts[t as usize]);
-        let fresh = || g.inst.waves.get(&key).is_none_or(Wave::is_fresh);
-        match g.pins.route(&key, thread, alive, fresh) {
-            Ok(Routed::Follow(pinned)) => thread = pinned,
-            Ok(Routed::Pinned { parked }) => {
-                // The wave's record outlives a move; a new one takes the
-                // next wave id for its stream output.
-                let wave = g.inst.waves.entry(key).or_insert_with(|| {
-                    let out_wave = world.next_wave;
-                    world.next_wave += 1;
-                    Wave::new(graph, to, out_wave)
-                });
-                if let Some(total) = parked {
-                    if let Err(e) = wave.close(total, &g.def.node(to).name) {
-                        world.fail(e);
-                        return;
-                    }
-                }
-            }
-            Err(dead) => {
-                let e = world.node_down(app, tc_idx, dead, graph, to);
-                world.fail(e);
-                return;
-            }
+        let name = &self.world.g(at.app, at.graph).def.node(at.node).name;
+        let (op, wave) = (self.world.trace_label(name), ran.wave);
+        for (at, kind) in [
+            (ran.start, EventKind::OpStart { op, wave }),
+            (ran.start + ran.hold, EventKind::OpEnd { op, wave }),
+        ] {
+            self.world
+                .trace_on(at, ran.host.0 as u16, ran.tk.thread as u16, kind);
         }
     }
 
-    let tk = ThreadKey {
-        app,
-        tc: tc_idx,
-        thread,
-    };
-    let dst = sim.world.apps[app as usize].tcs[tc_idx as usize].nodes[thread as usize];
-    if !sim.world.cluster.is_alive(dst) {
-        // The route insisted on a dead thread (stateful affinity, or the
-        // whole collection is down): the work cannot be re-queued.
-        let e = sim.world.node_down(app, tc_idx, thread, graph, to);
-        sim.world.fail(e);
-        return;
+    fn opened(&mut self, ran: &mut Ran, at: At) -> u64 {
+        self.world.next_wave += 1;
+        let id = self.world.next_wave - 1;
+        let wave = id as u32;
+        let started = |graph| EventKind::WaveStart { graph, wave };
+        self.world.trace_wave(ran, at, ran.start, started);
+        id
     }
-    let bytes = (token.payload_size() + env.wire_bytes() + 10) as u64;
 
-    // The multi-kernel debugging mode: force the full networking code path.
-    let token = if sim.world.cfg.enforce_serialization && src != dst {
-        match wire_roundtrip(token.as_ref(), &sim.world.apps[app as usize].registry) {
-            Ok(t) => t,
-            Err(e) => {
-                sim.world.fail(e);
-                return;
-            }
-        }
-    } else {
-        token
+    fn wave_done(&mut self, ran: &mut Ran, at: At, key: &WaveKey) {
+        let wave = ran.wave;
+        let ended = |graph| EventKind::WaveEnd { graph, wave };
+        self.world.trace_wave(ran, at, ran.start + ran.hold, ended);
+        self.world.trace_drain();
+        self.world.graph(at.app, at.graph).inst.waves.remove(key);
+    }
+}
+
+/// Move the token of `d` from cluster node `src` to thread `tk` of node
+/// `to`: plan the network transfer (with its seeded wire faults), trace it,
+/// and enqueue the delivery when it lands.
+fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
+    let Arrival::Token(token) = &d.what else {
+        unreachable!("closes land at once");
     };
-
-    sim.world.thread(tk).assigned += 1;
-    let app_id = sim.world.apps[app as usize].id;
+    let now = sim.now();
+    let dst = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
+    let bytes = (token.payload_size() + d.env.wire_bytes() + 10) as u64;
+    let app_id = sim.world.apps[tk.app as usize].id;
     // Tracing: one flow id ties this enqueue to its delivery below.
     let flow_trace = if sim.world.trace.is_some() {
         let flow = sim.world.next_flow;
         sim.world.next_flow += 1;
         let label = sim.world.trace_label(token.type_name());
-        let wave = env.frames.last().map_or(0, |f| f.wave as u32);
+        let wave = d.env.frames.last().map_or(0, |f| f.wave as u32);
         sim.world.trace_on(
             now,
             src.0 as u16,
@@ -986,38 +1099,17 @@ fn route_and_send(
                     sim.world
                         .trace_add(Counter::WireBytesSent, extra_copies * plan.wire_bytes);
                 }
-                if d.retransmits > 0 {
-                    sim.world.trace_on(
-                        now,
-                        src.0 as u16,
-                        0,
-                        EventKind::Fault {
-                            code: dps_obs::fault_code::NET_DROP,
-                            detail: d.retransmits as u64,
-                        },
-                    );
-                }
-                if d.duplicates > 0 {
-                    sim.world.trace_on(
-                        now,
-                        src.0 as u16,
-                        0,
-                        EventKind::Fault {
-                            code: dps_obs::fault_code::NET_DUP,
-                            detail: d.duplicates as u64,
-                        },
-                    );
-                }
-                if d.extra_delay > SimSpan::ZERO && d.retransmits == 0 {
-                    sim.world.trace_on(
-                        now,
-                        src.0 as u16,
-                        0,
-                        EventKind::Fault {
-                            code: dps_obs::fault_code::NET_DELAY,
-                            detail: d.extra_delay.as_nanos(),
-                        },
-                    );
+                use dps_obs::fault_code::{NET_DELAY, NET_DROP, NET_DUP};
+                let delayed = d.extra_delay > SimSpan::ZERO && d.retransmits == 0;
+                for (code, detail) in [
+                    (NET_DROP, d.retransmits as u64),
+                    (NET_DUP, d.duplicates as u64),
+                    (NET_DELAY, d.extra_delay.as_nanos() * delayed as u64),
+                ] {
+                    if detail > 0 {
+                        let fault = EventKind::Fault { code, detail };
+                        sim.world.trace_on(now, src.0 as u16, 0, fault);
+                    }
                 }
             }
         }
@@ -1071,7 +1163,7 @@ fn route_and_send(
                 EventKind::Requeue { tokens: 1 },
             );
             sim.world.trace_add(Counter::Requeues, 1);
-            route_and_send(sim, app, graph, to, src, token, env);
+            kernel::reroute(sim, d.to, src.0, d.what, d.env);
             return;
         }
         if let Some((label, wave, flow)) = flow_trace {
@@ -1088,14 +1180,7 @@ fn route_and_send(
             );
             sim.world.trace_add(Counter::TokensDelivered, 1);
         }
-        sim.world.thread(tk).queue.push_back(Delivery {
-            graph,
-            node: to,
-            kind,
-            interactive,
-            payload: Payload::Token(token),
-            env,
-        });
+        sim.world.thread(tk).queue.push_back(d);
         kick_thread(sim, tk);
     });
 }
@@ -1145,440 +1230,101 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
         )
     };
     let pool = sim.world.node_pools[node.index()];
-    sim.pool_acquire(pool, move |sim| run_delivery(sim, tk, node, delivery));
+    sim.pool_acquire(pool, move |sim| {
+        run(sim, tk, node, delivery).unwrap_or_else(|e| {
+            sim.world.fail(e);
+            SimSpan::ZERO
+        })
+    });
 }
 
-/// Execute one delivery on its thread; returns the CPU hold span.
-fn run_delivery(sim: &mut Sim<Rt>, tk: ThreadKey, node: NodeId, d: Delivery) -> SimSpan {
+/// Execute one delivery on its thread: run the operation it calls for, hand
+/// what it posted to the kernel, and free the thread when its virtual hold —
+/// the span returned, for which the CPU is held — is over.
+fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<SimSpan> {
     if sim.world.fatal.is_some() {
-        return SimSpan::ZERO;
+        return Ok(SimSpan::ZERO);
     }
     let start = sim.now();
-    match d.kind {
-        OpKind::Split | OpKind::Leaf => run_exec(sim, tk, node, d, start),
-        OpKind::Merge | OpKind::Stream => run_wave(sim, tk, node, d, start),
-        OpKind::Call | OpKind::CallSplit => run_call(sim, tk, node, d, start),
-    }
-}
-
-fn exec_info(sim: &Sim<Rt>, tk: ThreadKey, node: NodeId, start: SimTime) -> ExecInfo {
-    ExecInfo {
+    let info = ExecInfo {
         thread_index: tk.thread as usize,
-        thread_count: sim.world.apps[tk.app as usize].tcs[tk.tc as usize]
-            .threads
-            .len(),
-        node_flops: sim.world.cluster.spec().node(node).flops,
+        thread_count: sim.threads(tk.app, tk.tc),
+        node_flops: sim.world.cluster.spec().node(host).flops,
         start_nanos: start.as_nanos(),
-    }
-}
-
-/// Record the span `[start, end]` of the operation at graph node `gnode`
-/// on track `(node, tk.thread)`.
-fn trace_op(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    (graph, gnode): (u32, GNodeId),
-    wave: u32,
-    (start, end): (SimTime, SimTime),
-) {
-    if sim.world.trace.is_none() {
-        return;
-    }
-    let a = &sim.world.apps[tk.app as usize];
-    let op = sim
-        .world
-        .trace_label(&a.graphs[graph as usize].def.node(gnode).name);
-    let track = (node.0 as u16, tk.thread as u16);
-    for (at, kind) in [
-        (start, EventKind::OpStart { op, wave }),
-        (end, EventKind::OpEnd { op, wave }),
-    ] {
-        sim.world.trace_on(at, track.0, track.1, kind);
-    }
-}
-
-/// Split/leaf execution.
-fn run_exec(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    d: Delivery,
-    start: SimTime,
-) -> SimSpan {
-    let info = exec_info(sim, tk, node, start);
-    let Payload::Token(in_token) = d.payload else {
-        unreachable!("closes only target merge/stream nodes");
     };
-    let mut out = OpOutput::default();
-    let res = {
-        let a = &mut sim.world.apps[tk.app as usize];
-        let g = &mut a.graphs[d.graph as usize];
-        let gnode = g.def.node(d.node);
-        let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
-        g.inst
-            .node_op((d.node.0, tk.thread), gnode)
-            .and_then(|op| op.on_token(&mut out, data, info, &gnode.name, in_token))
-    };
-    if let Err(e) = res {
-        sim.world.fail(e);
-        return SimSpan::ZERO;
-    }
-
     let overhead = sim.world.cfg.op_overhead;
-    let hold = overhead + out.charged;
-    report_completion(sim, tk, &out, hold, start);
-    let env_wave = d.env.frames.last().map_or(0, |f| f.wave as u32);
-    let (at, span) = ((d.graph, d.node), (start, start + hold));
-    trace_op(sim, tk, node, at, env_wave, span);
-
-    let split_flow = match d.kind {
-        OpKind::Split => {
-            // Open a wave: flow control meters its posts out; the split's
-            // thread stalls while posts are blocked (paper §3).
-            let wave = sim.world.next_wave;
-            sim.world.next_wave += 1;
-            if sim.world.trace.is_some() {
-                let graph_label = sim.world.graph_label(tk.app, d.graph);
-                sim.world.trace_on(start, node.0 as u16, tk.thread as u16, {
-                    EventKind::WaveStart {
-                        graph: graph_label,
-                        wave: wave as u32,
-                    }
-                });
+    let at = d.to;
+    let a = &mut sim.world.apps[tk.app as usize];
+    let g = &mut a.graphs[at.graph as usize];
+    let gnode = g.def.node(at.node);
+    let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
+    let env = d.env;
+    let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
+    // Each post leaves after the framework overhead plus its own offset.
+    let timed = |posts: Vec<crate::ops::Post>| -> Vec<(SimTime, TokenBox)> {
+        let sent = |p: crate::ops::Post| (start + overhead + p.offset, p.token);
+        posts.into_iter().map(sent).collect()
+    };
+    let ran = |hold| Ran {
+        tk,
+        host,
+        wave: env_wave,
+        start,
+        hold,
+    };
+    let (hold, split_flow) = match (d.kind, d.what) {
+        (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
+            let slot = Served::Node(&mut g.inst, (at.node.0, tk.thread));
+            let out = kernel::step(slot, gnode, Some(token), false, data, info)?;
+            let hold = overhead + out.charged;
+            let posts = timed(out.posts);
+            let marked = out.completed_iters;
+            let flow = kernel::after_exec(sim, &mut ran(hold), at, host.0, env, posts, marked)?;
+            (hold, flow)
+        }
+        (OpKind::Merge | OpKind::Stream, what) => {
+            let key = env.wave_key().expect("validated depth >= 1");
+            let wave = g.inst.waves.get_mut(&key).expect("wave entered at routing");
+            match wave.arrive(at, host.0, &gnode.name, what, env, key)? {
+                Some((token, step)) => {
+                    let served = Served::Wave(wave);
+                    let out = kernel::step(served, gnode, token, step.completes, data, info)?;
+                    let hold = overhead + out.charged;
+                    let posts = timed(out.posts);
+                    kernel::after_wave(sim, &mut ran(hold), step, posts, out.completed_iters)?;
+                    (hold, None)
+                }
+                // The finalize waits for the remaining data objects.
+                None => (overhead, None),
             }
-            let g = sim.world.graph(tk.app, d.graph);
-            let posts = out
-                .posts
-                .into_iter()
-                .map(|post| (start + overhead + post.offset, post.token));
-            let flow = kernel::open_wave(&g.def, d.node, wave, &d.env, posts);
-            g.flows.insert((d.node.0, wave), FlowRt::new(flow, node));
-            pump_flow(sim, tk.app, d.graph, (d.node.0, wave));
-            Some((d.node.0, wave))
         }
-        OpKind::Leaf => {
-            let post = out.posts.pop().expect("leaf contract checked");
-            let send_at = start + overhead + post.offset;
-            let (graph, from, env) = (d.graph, d.node, d.env);
-            sim.schedule_at(send_at, move |sim| {
-                emit(sim, tk.app, graph, from, node, post.token, env);
+        (OpKind::Call | OpKind::CallSplit, Arrival::Token(token)) => {
+            let (to, callee_env) = kernel::call(sim, at, env)?;
+            sim.schedule_at(start + overhead, move |sim| {
+                if sim.world.fatal.is_none() {
+                    kernel::deliver(sim, to, host.0, token, callee_env);
+                }
             });
-            None
+            (overhead, None)
         }
-        _ => unreachable!("run_exec handles split/leaf only"),
+        (_, Arrival::Close(_)) => unreachable!("closes only target merge/stream nodes"),
     };
     // At op completion: free the thread, stalling it if it opened a wave
     // that still has blocked posts.
     sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, d.graph, split_flow);
+        finish_exec(sim, tk, at.graph, split_flow)
     });
-    hold
-}
-
-/// One step of a merge/stream wave: consume a token of it, or take its
-/// wave-close; finalize when that completes the wave (kernel rule 1).
-fn run_wave(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    mut d: Delivery,
-    start: SimTime,
-) -> SimSpan {
-    let info = exec_info(sim, tk, node, start);
-    let overhead = sim.world.cfg.op_overhead;
-    let key = d.env.wave_key().expect("validated depth >= 1");
-    let frame = d.env.pop().expect("validated depth >= 1");
-    let (graph, from, parent_env) = (d.graph, d.node, d.env);
-    let consumed = matches!(d.payload, Payload::Token(_));
-
-    let mut out = OpOutput::default();
-    let res = {
-        let a = &mut sim.world.apps[tk.app as usize];
-        let g = &mut a.graphs[graph as usize];
-        let gnode = g.def.node(from);
-        let name = &gnode.name;
-        let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
-        let wave = g.inst.waves.get_mut(&key).expect("wave entered at routing");
-        let counted = match d.payload {
-            Payload::Token(_) => wave.admit(frame.total, name),
-            Payload::Close { total } => wave.close(total, name),
-        };
-        counted.and_then(|completes| {
-            if let Payload::Token(token) = d.payload {
-                wave.op(gnode)?
-                    .on_token(&mut out, data, info, name, token)?;
-            }
-            if completes {
-                wave.op(gnode)?.on_finalize(&mut out, data, info, name)?;
-            }
-            Ok(completes)
-        })
-    };
-    let completes = match res {
-        Ok(completes) => completes,
-        Err(e) => {
-            sim.world.fail(e);
-            return SimSpan::ZERO;
-        }
-    };
-    if !consumed && !completes {
-        // The finalize waits for the remaining data objects.
-        sim.schedule_at(start + overhead, move |sim| {
-            finish_exec(sim, tk, graph, None);
-        });
-        return overhead;
-    }
-
-    let hold = overhead + out.charged;
-    let (at, span, wave32) = ((graph, from), (start, start + hold), frame.wave as u32);
-    // A consume's span is recorded before its posts leave, a close's after:
-    // recorded schedules (and their hashes) keep their event order.
-    if consumed {
-        report_completion(sim, tk, &out, hold, start);
-        trace_op(sim, tk, node, at, wave32, span);
-    }
-    match d.kind {
-        OpKind::Merge => {
-            if completes {
-                let post = out.posts.pop().expect("merge contract checked");
-                let send_at = start + overhead + post.offset;
-                sim.schedule_at(send_at, move |sim| {
-                    emit(sim, tk.app, graph, from, node, post.token, parent_env);
-                });
-            }
-        }
-        OpKind::Stream => {
-            let posted = stream_posts(
-                sim,
-                tk,
-                graph,
-                from,
-                node,
-                &key,
-                out.posts,
-                &parent_env,
-                completes,
-                start + overhead,
-            );
-            if let Err(e) = posted {
-                sim.world.fail(e);
-                return SimSpan::ZERO;
-            }
-        }
-        _ => unreachable!("run_wave handles merge/stream only"),
-    }
-    if !consumed {
-        trace_op(sim, tk, node, at, wave32, span);
-    }
-    if completes {
-        if sim.world.trace.is_some() {
-            let wave_end = EventKind::WaveEnd {
-                graph: sim.world.graph_label(tk.app, graph),
-                wave: wave32,
-            };
-            sim.world
-                .trace_on(span.1, node.0 as u16, tk.thread as u16, wave_end);
-            sim.world.trace_drain();
-        }
-        let g = sim.world.graph(tk.app, graph);
-        g.inst.waves.remove(&key);
-        g.pins.remove(&key);
-    }
-    if consumed {
-        // Credit the producing flow: one token of (frame.src, frame.wave)
-        // has been consumed by its matching merge/stream.
-        credit_flow(sim, tk.app, graph, (frame.src.0, frame.wave));
-    }
-    sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, graph, None);
-    });
-    hold
-}
-
-/// A call node forwards the token into the callee service graph.
-fn run_call(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    node: NodeId,
-    d: Delivery,
-    start: SimTime,
-) -> SimSpan {
-    let service = sim
-        .world
-        .graph(tk.app, d.graph)
-        .def
-        .node(d.node)
-        .service
-        .clone()
-        .expect("call nodes carry a service name");
-    let Some(&target) = sim.world.services.get(&service) else {
-        sim.world.fail(DpsError::UnknownService { name: service });
-        return SimSpan::ZERO;
-    };
-    let call_id = sim.world.next_call;
-    sim.world.next_call += 1;
-    let (ret, callee_env) = kernel::call(call_id, tk.app, d.graph, d.node, d.env);
-    sim.world.pending_calls.insert(call_id, ret);
-    let hold = sim.world.cfg.op_overhead;
-    let Payload::Token(token) = d.payload else {
-        unreachable!("closes only target merge/stream nodes");
-    };
-    sim.schedule_at(start + hold, move |sim| {
-        inject_internal(sim, target.app, target.graph, token, callee_env, node);
-    });
-    let graph = d.graph;
-    sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, graph, None);
-    });
-    hold
-}
-
-/// Queue a stream's posts on its output-wave flow (kernel rule 3), each
-/// leaving `posted_at` plus its own offset into the operation; a total that
-/// no pending post can carry goes out as a wave-close.
-#[allow(clippy::too_many_arguments)]
-fn stream_posts(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    graph: u32,
-    gnode: GNodeId,
-    src: NodeId,
-    key: &WaveKey,
-    posts: Vec<crate::ops::Post>,
-    parent_env: &Envelope,
-    completes: bool,
-    posted_at: SimTime,
-) -> Result<()> {
-    if posts.is_empty() && !completes {
-        return Ok(());
-    }
-    let g = sim.world.graph(tk.app, graph);
-    let wave = g.inst.waves.get_mut(key).expect("consuming it right now");
-    let flow_key = (gnode.0, wave.out_wave());
-    let f = g
-        .flows
-        .entry(flow_key)
-        .or_insert_with(|| FlowRt::new(Flow::stream(), src));
-    let posts = posts
-        .into_iter()
-        .map(|post| (posted_at + post.offset, post.token));
-    let close = wave.append(&mut f.flow, g.def.node(gnode), parent_env, posts, completes)?;
-    if let Some((close_env, total)) = close {
-        deliver_close(sim, tk.app, graph, close_env, total);
-    }
-    pump_flow(sim, tk.app, graph, flow_key);
-    Ok(())
-}
-
-/// Hand a wave-close (final token count) to the thread its wave is pinned
-/// on, or park it until the wave has one (kernel rule 6). `false` when the
-/// wave's partial state died with its node — the run fails `NodeDown`.
-fn deliver_close(sim: &mut Sim<Rt>, app: u32, graph: u32, env: Envelope, total: u32) -> bool {
-    let key = env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let merge_node = match kernel::close_node(&sim.world.graph(app, graph).def, &key) {
-        Ok(n) => n,
-        Err(e) => {
-            sim.world.fail(e);
-            return false;
-        }
-    };
-    let world = &mut sim.world;
-    let a = &mut world.apps[app as usize];
-    let g = &mut a.graphs[graph as usize];
-    let gnode = g.def.node(merge_node);
-    let (tc, kind) = (gnode.tc, gnode.kind);
-    let (cluster, hosts) = (&world.cluster, &a.tcs[tc as usize].nodes);
-    let alive = |t: u32| cluster.is_alive(hosts[t as usize]);
-    let fresh = || g.inst.waves.get(&key).is_none_or(Wave::is_fresh);
-    match g.pins.close(&key, total, alive, fresh) {
-        Ok(CloseTo::Deliver(thread)) => {
-            let interactive = g.def.is_interactive();
-            let tk = ThreadKey { app, tc, thread };
-            let t = world.thread(tk);
-            t.assigned += 1;
-            t.queue.push_back(Delivery {
-                graph,
-                node: merge_node,
-                kind,
-                interactive,
-                payload: Payload::Close { total },
-                env,
-            });
-            kick_thread(sim, tk);
-            true
-        }
-        Ok(CloseTo::Parked) => true,
-        Err(dead) => {
-            let e = world.node_down(app, tc, dead, graph, merge_node);
-            world.fail(e);
-            false
-        }
-    }
-}
-
-/// If the finished execution marked a scheduled chunk complete, report its
-/// virtual execution time to the registered feedback sink at the chunk's
-/// virtual completion instant (paper-model analogue of the DLS literature's
-/// per-chunk completion messages).
-fn report_completion(
-    sim: &mut Sim<Rt>,
-    tk: ThreadKey,
-    out: &OpOutput,
-    hold: SimSpan,
-    start: SimTime,
-) {
-    let Some(iters) = out.completed_iters else {
-        return;
-    };
-    let host = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
-    sim.world.trace_on(
-        start + hold,
-        host.0 as u16,
-        tk.thread as u16,
-        EventKind::ChunkExec {
-            iters,
-            nanos: hold.as_nanos(),
-        },
-    );
-    let Some(sink) = sim.world.feedback.clone() else {
-        return;
-    };
-    kernel::note_reporter(&mut sim.world.feedback_tcs, tk.app, tk.tc);
-    let worker = tk.thread as usize;
-    let secs = hold.as_secs_f64();
-    let nanos = hold.as_nanos();
-    sim.schedule_at(start + hold, move |sim| {
-        // A report from a node that failed mid-execution is dropped: the
-        // chunk's virtual completion never happened, and it must not
-        // repopulate measurements `worker_lost` just cleared.
-        if sim.world.cluster.is_alive(host) {
-            sink.report_chunk(worker, iters, secs);
-            let at = sim.now();
-            sim.world.trace_on(
-                at,
-                host.0 as u16,
-                worker as u16,
-                EventKind::ChunkReport {
-                    worker: worker as u32,
-                    iters,
-                    nanos,
-                },
-            );
-            sim.world.trace_add(Counter::ChunkReports, 1);
-        }
-    });
+    Ok(hold)
 }
 
 /// Op completion: free the thread (stalling it if a split wave still has
 /// flow-blocked posts) and start the next queued delivery.
-fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<(u32, u64)>) {
+fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<FlowKey>) {
     if let Some(key) = split_flow {
         let g = sim.world.graph(tk.app, graph);
-        if let Some(f) = g.flows.get_mut(&key).filter(|f| f.flow.pending() > 0) {
-            f.stalled_thread = Some(tk);
+        let blocked = |f: &&mut kernel::Flow<_, _>| f.pending() > 0;
+        if let Some(f) = g.flows.get_mut().get_mut(&key).filter(blocked) {
+            f.ext.stalled_thread = Some(tk);
             sim.world.thread(tk).stalls += 1;
         }
     }
@@ -1586,93 +1332,4 @@ fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<
     t.running = false;
     t.assigned = t.assigned.saturating_sub(1);
     kick_thread(sim, tk);
-}
-
-/// Release the posts of flow `key` (its producing node, its wave) that the
-/// window admits and whose virtual send instant has come.
-fn pump_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
-    if sim.world.fatal.is_some() {
-        return;
-    }
-    let now = sim.now();
-    let window = sim.world.cfg.flow_window;
-    loop {
-        let g = sim.world.graph(app, graph);
-        let Some(f) = g.flows.get_mut(&key) else {
-            return;
-        };
-        let Some(&(send_at, _)) = f.flow.front(window) else {
-            break;
-        };
-        if send_at > now {
-            if !f.pump_scheduled {
-                f.pump_scheduled = true;
-                sim.schedule_at(send_at, move |sim| {
-                    if let Some(f) = sim.world.graph(app, graph).flows.get_mut(&key) {
-                        f.pump_scheduled = false;
-                    }
-                    pump_flow(sim, app, graph, key);
-                });
-            }
-            break;
-        }
-        let ((_, token), env) = f.flow.pop(window).expect("front admitted it");
-        let src = f.src;
-        emit(sim, app, graph, GNodeId(key.0), src, token, env);
-    }
-    // Drain: unstall the producing thread and drop exhausted flows.
-    let g = sim.world.graph(app, graph);
-    if let Some(f) = g.flows.get_mut(&key) {
-        if f.flow.is_flushed() {
-            let unstall = f.stalled_thread.take();
-            if f.flow.is_drained() {
-                g.flows.remove(&key);
-            }
-            if let Some(tk) = unstall {
-                sim.world.thread(tk).stalls -= 1;
-                kick_thread(sim, tk);
-            }
-        }
-    }
-}
-
-/// A merge consumed one token of flow `key`: return a credit.
-fn credit_flow(sim: &mut Sim<Rt>, app: u32, graph: u32, key: (u32, u64)) {
-    if let Some(f) = sim.world.graph(app, graph).flows.get_mut(&key) {
-        f.flow.credit();
-        pump_flow(sim, app, graph, key);
-    }
-}
-
-/// A token leaves node `from`: on to its successor, out as a graph output,
-/// or back into the calling graph (kernel rule 5).
-fn emit(
-    sim: &mut Sim<Rt>,
-    mut app: u32,
-    mut graph: u32,
-    mut from: GNodeId,
-    src: NodeId,
-    token: TokenBox,
-    mut env: Envelope,
-) {
-    if sim.world.fatal.is_some() {
-        return;
-    }
-    loop {
-        let world = &sim.world;
-        let def = &world.apps[app as usize].graphs[graph as usize].def;
-        let returns = |id: u64| world.pending_calls.get(&id).cloned();
-        match kernel::exit(def, from, token.as_ref(), &env, returns) {
-            Ok(Exit::To(next)) => return route_and_send(sim, app, graph, next, src, token, env),
-            Ok(Exit::Return(ret)) => {
-                (app, graph, from, env) = (ret.app, ret.graph, ret.node, ret.env)
-            }
-            Ok(Exit::Output) => {
-                let now = sim.now();
-                let outputs = sim.world.outputs.entry((app, graph)).or_default();
-                return outputs.push((now, token));
-            }
-            Err(e) => return sim.world.fail(e),
-        }
-    }
 }

@@ -1,25 +1,34 @@
-//! The rules of a wave: what a flow graph means, whatever executes it.
+//! The rules of a wave and the path of a token: what a flow graph means,
+//! whatever executes it.
 //!
 //! Wave counting, merge completion, stream numbering, flow-control credits,
 //! wave pinning, graph exits and call returns are properties of the *graph*.
-//! They are written here once, and every engine — the simulator in this
-//! crate, the `dps-mt` worker, the `dps-netengine` executor lane — calls
-//! them; `docs/ARCHITECTURE.md` §1 "The rules of a wave" is the reference
-//! table.
+//! They are written here once — the rules as plain tables and functions,
+//! the steps that apply them to a token as one driver — and every engine
+//! (the simulator in this crate, the `dps-mt` worker, the `dps-netengine`
+//! executor lane) runs them; `docs/ARCHITECTURE.md` §1 is the reference.
 //!
-//! The one contract: **every rule is pure over the tables passed in.**
-//! Nothing here takes a lock, reads a clock, records a trace event, sends a
-//! message or schedules anything. The caller owns locking (a `&mut` here is
-//! whatever its mutex yields), time (when a released post actually leaves)
-//! and tracing; a rule only says what happens to the wave.
+//! **The rules are pure over the tables passed in.** No rule takes a lock,
+//! reads a clock, records a trace event, sends a message or schedules
+//! anything; a rule only says what happens to the wave.
+//!
+//! **The driver is generic over one [`Substrate`], statically dispatched**
+//! (`fn deliver<S: Substrate>`, never a trait object). The substrate owns
+//! the locks, the clock, the queues and the trace: it lends the pin and flow
+//! tables for the length of one closure, says which nodes are up and how
+//! loaded their threads are, and moves a token or a close to a thread. The
+//! driver calls a rule inside such a closure and moves only after it
+//! returned — **a lock is never held across a move.**
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
 use crate::error::{DpsError, Result};
-use crate::graph::{Flowgraph, GraphNode};
-use crate::ops::DynOp;
-use crate::token::Token;
+use crate::graph::{Flowgraph, GraphNode, OpKind};
+use crate::ops::{DynOp, ExecInfo, OpOutput};
+use crate::route::RouteInfo;
+use crate::token::{wire_roundtrip, Token, TokenBox, TokenRegistry};
 
 fn make_op(gnode: &GraphNode) -> Result<Box<dyn DynOp>> {
     gnode.make_op().ok_or_else(|| DpsError::OperationContract {
@@ -33,8 +42,8 @@ fn make_op(gnode: &GraphNode) -> Result<Box<dyn DynOp>> {
 // ---------------------------------------------------------------------------
 
 /// One live wave at the merge/stream node consuming it: how many of its
-/// tokens arrived against how many its producer posted (rule 1), where its
-/// stream output stands (rule 3), and its operation instance (rule 7).
+/// tokens arrived against how many its producer posted (rule 1), the id its
+/// stream output travels under (rule 3), and its operation instance (rule 7).
 ///
 /// A thread that only accounts for a wave executed elsewhere (`dps-mt`
 /// with a remote host) never asks for the instance; the host executing it
@@ -46,8 +55,8 @@ pub struct Wave {
     pub node: GNodeId,
     received: u32,
     expected: Option<u32>,
-    out_wave: u64,
-    out_index: u32,
+    /// The id its posts travel under, if `node` is a stream.
+    pub out_wave: u64,
     op: Option<Box<dyn DynOp>>,
 }
 
@@ -61,7 +70,6 @@ impl Wave {
             received: 0,
             expected: None,
             out_wave,
-            out_index: 0,
             op: None,
         }
     }
@@ -116,11 +124,6 @@ impl Wave {
         self.expected
     }
 
-    /// The id this wave's stream output travels under.
-    pub fn out_wave(&self) -> u64 {
-        self.out_wave
-    }
-
     /// Rule 7: a merge/stream has one operation instance per wave, made on
     /// first use and dropped with the wave.
     #[inline]
@@ -129,56 +132,6 @@ impl Wave {
             self.op = Some(make_op(gnode)?);
         }
         Ok(self.op.as_deref_mut().expect("made above"))
-    }
-
-    /// Rule 3: queue what one consume (or the finalize, `completes`) of a
-    /// stream posted onto the wave's output `flow`. Posts are numbered
-    /// contiguously from 0 across the whole wave. When the wave completes,
-    /// the total rides on the last post still pending; if none is — the last
-    /// data object is already in flight — it must travel as a wave-close,
-    /// and this returns that close's envelope and total for the caller to
-    /// deliver.
-    pub fn append<P>(
-        &mut self,
-        flow: &mut Flow<P>,
-        stream: &GraphNode,
-        parent_env: &Envelope,
-        posts: impl IntoIterator<Item = P>,
-        completes: bool,
-    ) -> Result<Option<(Envelope, u32)>> {
-        let out_wave = self.out_wave;
-        let framed = |index, total| {
-            let mut env = parent_env.clone();
-            env.push(Frame {
-                src: stream.id,
-                wave: out_wave,
-                index,
-                total,
-            });
-            env
-        };
-        for post in posts {
-            flow.pending.push_back((post, framed(self.out_index, None)));
-            self.out_index += 1;
-        }
-        if !completes {
-            return Ok(None);
-        }
-        let total = self.out_index;
-        if total == 0 {
-            return Err(DpsError::OperationContract {
-                node: stream.name.clone(),
-                reason: "stream operation posted no tokens across its wave".into(),
-            });
-        }
-        flow.complete = true;
-        Ok(match flow.pending.back_mut() {
-            Some((_, env)) => {
-                env.frames.last_mut().expect("framed above").total = Some(total);
-                None
-            }
-            None => Some((framed(0, Some(total)), total)),
-        })
     }
 }
 
@@ -213,29 +166,88 @@ impl Instances {
 
 /// Rule 4: the posts of one wave on their way out, metered by the flow
 /// window. `P` is whatever the engine holds per pending post next to its
-/// envelope (the token; on the simulator also its send time).
+/// envelope (the token; on the simulator also its send time), `X` what it
+/// keeps per flow.
 ///
 /// A post is *pending* until released, then *outstanding* until the
 /// matching merge consumed it and returned the credit.
-pub struct Flow<P> {
+pub struct Flow<P, X = ()> {
+    /// Cluster node of the producing thread.
+    pub src: u32,
+    /// The engine's own per-flow state.
+    pub ext: X,
     pending: VecDeque<(P, Envelope)>,
     outstanding: u32,
+    /// Posts a stream appended so far: the next one's index in the wave.
+    appended: u32,
     /// No further post will be appended (always true for a split's wave).
     complete: bool,
     /// No merge of this graph returns credits (rule 2): not window-limited.
     unbounded: bool,
 }
 
-impl<P> Flow<P> {
+impl<P, X: Default> Flow<P, X> {
     /// The still-open output flow of a stream wave (filled by
-    /// [`Wave::append`]).
-    pub fn stream() -> Self {
+    /// [`append`](Self::append)), leaving from cluster node `src`.
+    pub fn stream(src: u32) -> Self {
         Self {
+            src,
+            ext: X::default(),
             pending: VecDeque::new(),
             outstanding: 0,
+            appended: 0,
             complete: false,
             unbounded: false,
         }
+    }
+
+    /// Rule 3: queue what one consume (or the finalize, `completes`) of
+    /// `stream` posted onto this flow, the output of one of its waves
+    /// travelling as wave `out_wave`. Posts are numbered contiguously from 0
+    /// across the whole wave. When the wave completes, the total rides on
+    /// the last post still pending; if none is — the last data object is
+    /// already in flight — it must travel as a wave-close, and this returns
+    /// that close's envelope and total for the caller to deliver.
+    pub fn append(
+        &mut self,
+        stream: &GraphNode,
+        out_wave: u64,
+        parent_env: &Envelope,
+        posts: impl IntoIterator<Item = P>,
+        completes: bool,
+    ) -> Result<Option<(Envelope, u32)>> {
+        let framed = |index, total| {
+            let mut env = parent_env.clone();
+            env.push(Frame {
+                src: stream.id,
+                wave: out_wave,
+                index,
+                total,
+            });
+            env
+        };
+        for post in posts {
+            self.pending.push_back((post, framed(self.appended, None)));
+            self.appended += 1;
+        }
+        if !completes {
+            return Ok(None);
+        }
+        let total = self.appended;
+        if total == 0 {
+            return Err(DpsError::OperationContract {
+                node: stream.name.clone(),
+                reason: "stream operation posted no tokens across its wave".into(),
+            });
+        }
+        self.complete = true;
+        Ok(match self.pending.back_mut() {
+            Some((_, env)) => {
+                env.frames.last_mut().expect("framed above").total = Some(total);
+                None
+            }
+            None => Some((framed(0, Some(total)), total)),
+        })
     }
 
     fn open(&self, window: u32) -> bool {
@@ -293,13 +305,14 @@ impl<P> Flow<P> {
 /// in it; the last one carries the total. A split with no matching merge in
 /// its own graph (the exit split of a serving graph) opens an unbounded
 /// flow.
-pub fn open_wave<P>(
+pub fn open_wave<P, X: Default>(
     def: &Flowgraph,
     split: GNodeId,
     wave: u64,
     env: &Envelope,
     posts: impl ExactSizeIterator<Item = P>,
-) -> Flow<P> {
+    src: u32,
+) -> Flow<P, X> {
     let total = posts.len() as u32;
     let pending = posts
         .enumerate()
@@ -316,8 +329,11 @@ pub fn open_wave<P>(
         })
         .collect();
     Flow {
+        src,
+        ext: X::default(),
         pending,
         outstanding: 0,
+        appended: total,
         complete: true,
         unbounded: def.matching_pop(split).is_none(),
     }
@@ -419,6 +435,11 @@ impl Pins {
     pub fn remove(&mut self, key: &WaveKey) {
         self.0.remove(key);
     }
+
+    /// No wave is pinned and no total parked.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// The node a wave-close for `key` is consumed at: the merge/stream matching
@@ -434,47 +455,26 @@ pub fn close_node(def: &Flowgraph, key: &WaveKey) -> Result<GNodeId> {
 // Rule 5: leaving a graph, and calling into one
 // ---------------------------------------------------------------------------
 
+/// One graph node of one application: where a delivery goes, or where an
+/// operation ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct At {
+    /// Application.
+    pub app: u32,
+    /// Graph within it.
+    pub graph: u32,
+    /// Node within the graph.
+    pub node: GNodeId,
+}
+
 /// Where the result of a graph call continues: the call node, and the
 /// envelope the call was made under.
 #[derive(Debug, Clone)]
 pub struct CallReturn {
-    /// Calling application.
-    pub app: u32,
-    /// Graph of the call node.
-    pub graph: u32,
     /// The call node.
-    pub node: GNodeId,
+    pub at: At,
     /// Envelope of the token that made the call.
     pub env: Envelope,
-}
-
-/// Rule 5, outbound: the token at call node `node` enters the callee graph
-/// under a root envelope whose call stack is the caller's plus this call.
-/// Returns what to remember under `call_id` and the callee envelope.
-pub fn call(
-    call_id: u64,
-    app: u32,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
-) -> (CallReturn, Envelope) {
-    let mut callee = Envelope::root();
-    callee.calls = env.calls.clone();
-    callee.calls.push(CallFrame {
-        caller_app: app,
-        caller_graph: graph,
-        call_node: node,
-        call_id,
-    });
-    (
-        CallReturn {
-            app,
-            graph,
-            node,
-            env,
-        },
-        callee,
-    )
 }
 
 /// Where a token goes when it leaves a node.
@@ -568,4 +568,456 @@ pub fn lost_workers<'a, N: PartialEq + 'a>(
         }
     }
     lost
+}
+
+// ---------------------------------------------------------------------------
+// The path of a token: the steps that apply the rules, over any substrate
+// ---------------------------------------------------------------------------
+
+/// What reaches a thread for a node: a data object, or — at a merge/stream
+/// — the close of its wave, carrying the wave's total.
+pub enum Arrival {
+    /// A data object.
+    Token(TokenBox),
+    /// The wave holds this many tokens; sent only when the last data object
+    /// was in flight before its producer knew the count.
+    Close(u32),
+}
+
+/// Key of a wave's outgoing flow: its producing node and the wave.
+pub type FlowKey = (u32, u64);
+
+/// The flow table of one graph, as substrate `S` keeps it.
+pub type Flows<S> = HashMap<FlowKey, Flow<<S as Substrate>::Post, <S as Substrate>::FlowExt>>;
+
+/// What an engine adds around the rules: where the tables live and under
+/// which lock, which nodes are up, the id counters, how a token moves, what
+/// the clock and the trace see. Cluster nodes are plain indices here.
+pub trait Substrate {
+    /// A post waiting in a flow: the token and, on a substrate with a clock,
+    /// the instant it may leave.
+    type Post;
+    /// What the substrate keeps per flow beside the kernel's record.
+    type FlowExt: Default;
+    /// The executing thread's own state, for the hooks that act on it.
+    type Lane;
+
+    /// A declared graph.
+    fn def(&self, app: u32, graph: u32) -> &Flowgraph;
+    /// Number of threads of collection `tc`.
+    fn threads(&self, app: u32, tc: u32) -> usize;
+    /// Cluster node hosting a thread.
+    fn host(&self, app: u32, tc: u32, thread: u32) -> u32;
+    /// Whether a cluster node is alive.
+    fn node_up(&self, node: u32) -> bool;
+    /// A cluster node's declared name, for `NodeDown`.
+    fn node_name(&self, node: u32) -> String;
+    /// The load signal: deliveries assigned to each thread of `tc` and not
+    /// finished; `u32::MAX` for a thread on a dead node.
+    fn load(&self, app: u32, tc: u32) -> Vec<u32>;
+    /// Run the route installed at `to`.
+    fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize>;
+    /// `app`'s token registry when tokens crossing nodes must take the full
+    /// serialize/deserialize round trip (the multi-kernel debugging mode).
+    fn registry(&self, app: u32) -> Option<&TokenRegistry>;
+    /// The graph exposed as service `name`.
+    fn service(&self, name: &str) -> Option<(u32, u32)>;
+    /// Allocate a call id and remember where its result continues.
+    fn remember_call(&mut self, ret: CallReturn) -> u64;
+    /// Where the result of call `id` continues.
+    fn call_return(&self, id: u64) -> Option<CallReturn>;
+    /// The pin table of `graph`, under its lock for the length of `f`.
+    fn pins<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R;
+    /// The flow table of `graph`, under its lock for the length of `f`.
+    fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R;
+    /// Whether wave `key`, pinned on a dead thread, consumed nothing there.
+    fn fresh(&self, app: u32, graph: u32, key: &WaveKey) -> bool;
+    /// Wave `key` was just pinned by the token being delivered; `parked` is
+    /// a total that waited for that. A substrate that keeps a wave's record
+    /// where it routes enters it now and counts the total in place; any
+    /// other hands the total back, to be sent there ahead of the token.
+    fn pinned(&mut self, to: At, key: WaveKey, parked: Option<u32>) -> Result<Option<u32>>;
+    /// Move a token or a close from cluster node `src` to `thread` of `to`'s
+    /// collection (alive when checked). No table is borrowed.
+    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope);
+    /// Rule 4 on this substrate's clock: release the next post of flow `key`
+    /// that the window admits and whose time has come, with its envelope and
+    /// source node; drop the flow once drained. A substrate that holds a
+    /// post back calls [`pump`] again when it is due.
+    fn next_post(
+        &mut self,
+        app: u32,
+        graph: u32,
+        key: FlowKey,
+    ) -> Option<(TokenBox, Envelope, u32)>;
+    /// A single post leaves node `from`: [`emit`] it when it is due.
+    fn leave(&mut self, post: Self::Post, from: At, src: u32, env: Envelope);
+    /// A token left `graph` altogether.
+    fn output(&mut self, app: u32, graph: u32, token: TokenBox);
+    /// A runtime error of `app`: the run fails with it.
+    fn fail(&mut self, app: u32, e: DpsError);
+    /// The operation that ran on `lane` marked a scheduled chunk of `iters`
+    /// iterations complete: report it to the feedback sink.
+    fn report(&mut self, lane: &mut Self::Lane, iters: u64);
+    /// Record the span of the operation at `at` that ran on `lane`.
+    fn span(&mut self, lane: &mut Self::Lane, at: At);
+    /// The split at `at` opens a wave: allocate its id.
+    fn opened(&mut self, lane: &mut Self::Lane, at: At) -> u64;
+    /// Wave `key`, consumed on `lane` at `at`, completed: drop its record.
+    fn wave_done(&mut self, lane: &mut Self::Lane, at: At, key: &WaveKey);
+}
+
+fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
+    DpsError::NodeDown {
+        node: s.node_name(s.host(to.app, tc, thread)),
+        target: s.def(to.app, to.graph).node(to.node).name.clone(),
+    }
+}
+
+/// Which operation instance serves a delivery (rule 7).
+pub enum Served<'a> {
+    /// The split/leaf instance in this slot of the thread's table.
+    Node(&'a mut Instances, (u32, u32)),
+    /// The instance of this merge/stream wave.
+    Wave(&'a mut Wave),
+}
+
+/// Run the operation at `gnode` for one arrival: `on_token` if a token
+/// arrived, then `on_finalize` if the arrival completes the wave.
+pub fn step(
+    served: Served<'_>,
+    gnode: &GraphNode,
+    token: Option<TokenBox>,
+    finalize: bool,
+    data: &mut dyn Any,
+    info: ExecInfo,
+) -> Result<OpOutput> {
+    let op = match served {
+        Served::Node(inst, slot) => inst.node_op(slot, gnode)?,
+        Served::Wave(wave) => wave.op(gnode)?,
+    };
+    let mut out = OpOutput::default();
+    if let Some(token) = token {
+        op.on_token(&mut out, data, info, &gnode.name, token)?;
+    }
+    if finalize {
+        op.on_finalize(&mut out, data, info, &gnode.name)?;
+    }
+    Ok(out)
+}
+
+/// Deliver `token` to node `to`: route it to a thread (a one-thread
+/// collection takes no load snapshot — routing there is forced), follow or
+/// set the wave's pin (rule 6), and hand it to the substrate. Work bound to
+/// a dead node that cannot move fails the run `NodeDown`.
+pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: Envelope) {
+    let At { app, graph, node } = to;
+    let (tc, kind) = {
+        let n = s.def(app, graph).node(node);
+        (n.tc, n.kind)
+    };
+    let thread_count = s.threads(app, tc);
+    let load = (thread_count > 1).then(|| s.load(app, tc));
+    let info = RouteInfo {
+        thread_count,
+        load: load.as_deref(),
+    };
+    let mut thread = match s.route(to, token.as_ref(), &info) {
+        Ok(i) => i as u32,
+        Err(e) => return s.fail(app, e),
+    };
+    if matches!(kind, OpKind::Merge | OpKind::Stream) {
+        let key = env.wave_key().expect("validated: merges are under a split");
+        let alive = |t| s.node_up(s.host(app, tc, t));
+        let pin = s.pins(app, graph, |pins| {
+            pins.route(&key, thread, alive, || s.fresh(app, graph, &key))
+        });
+        match pin {
+            Ok(Routed::Follow(pinned)) => thread = pinned,
+            Ok(Routed::Pinned { parked }) => match s.pinned(to, key, parked) {
+                Ok(Some(total)) => {
+                    let mut ahead = env.clone();
+                    ahead.frames.last_mut().expect("keyed above").total = Some(total);
+                    s.send(to, thread, src, Arrival::Close(total), ahead);
+                }
+                Ok(None) => {}
+                Err(e) => return s.fail(app, e),
+            },
+            Err(dead) => return s.fail(app, node_down(s, to, tc, dead)),
+        }
+    }
+    let dst = s.host(app, tc, thread);
+    if !s.node_up(dst) {
+        // The route insisted on a dead thread (stateful affinity, or the
+        // whole collection is down): the work cannot be re-queued.
+        return s.fail(app, node_down(s, to, tc, thread));
+    }
+    let token = match s.registry(app).filter(|_| src != dst) {
+        Some(registry) => match wire_roundtrip(token.as_ref(), registry) {
+            Ok(t) => t,
+            Err(e) => return s.fail(app, e),
+        },
+        None => token,
+    };
+    s.send(to, thread, src, Arrival::Token(token), env);
+}
+
+/// `token` leaves node `from` (rule 5): on to its successor, back into the
+/// calling graph and on from the call node, or out as an output.
+pub fn emit<S: Substrate>(s: &mut S, mut from: At, src: u32, token: TokenBox, mut env: Envelope) {
+    loop {
+        let def = s.def(from.app, from.graph);
+        let next = exit(def, from.node, token.as_ref(), &env, |id| s.call_return(id));
+        match next {
+            Ok(Exit::To(node)) => return deliver(s, At { node, ..from }, src, token, env),
+            Ok(Exit::Return(ret)) => (from, env) = (ret.at, ret.env),
+            Ok(Exit::Output) => return s.output(from.app, from.graph, token),
+            Err(e) => return s.fail(from.app, e),
+        }
+    }
+}
+
+/// Hand the close of the wave `env` names to the thread the wave is pinned
+/// on, or park it until it has one (rule 6). `false` when the wave's
+/// partial state died with its node — the run fails `NodeDown`.
+pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total: u32) -> bool {
+    let key = env
+        .wave_key()
+        .expect("close envelopes carry the wave frame");
+    let node = match close_node(s.def(app, graph), &key) {
+        Ok(n) => n,
+        Err(e) => {
+            s.fail(app, e);
+            return false;
+        }
+    };
+    let (to, tc) = (At { app, graph, node }, s.def(app, graph).node(node).tc);
+    let alive = |t| s.node_up(s.host(app, tc, t));
+    let found = s.pins(app, graph, |pins| {
+        pins.close(&key, total, alive, || s.fresh(app, graph, &key))
+    });
+    match found {
+        // A close is control info of the wave's own node: never on a wire.
+        Ok(CloseTo::Deliver(thread)) => {
+            let host = s.host(app, tc, thread);
+            s.send(to, thread, host, Arrival::Close(total), env)
+        }
+        Ok(CloseTo::Parked) => {}
+        Err(dead) => {
+            s.fail(app, node_down(s, to, tc, dead));
+            return false;
+        }
+    }
+    true
+}
+
+/// An arrival stranded on a dead node goes back to the router: a token is
+/// delivered again (a fresh wave's first one re-pins it), a close follows
+/// its wave or parks. `false` when it cannot move (`NodeDown` was raised).
+pub fn reroute<S: Substrate>(s: &mut S, to: At, src: u32, what: Arrival, env: Envelope) -> bool {
+    match what {
+        Arrival::Token(token) => deliver(s, to, src, token, env),
+        Arrival::Close(total) => return close(s, to.app, to.graph, env, total),
+    }
+    true
+}
+
+/// Release what flow `key` may release now; each post goes through [`emit`].
+pub fn pump<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
+    while let Some((token, env, src)) = s.next_post(app, graph, key) {
+        let node = GNodeId(key.0);
+        emit(s, At { app, graph, node }, src, token, env);
+    }
+}
+
+/// The matching merge consumed one token of flow `key`: return the credit.
+pub fn credit<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
+    let credited = s.flows(app, graph, |flows| {
+        flows.get_mut(&key).map(Flow::credit).is_some()
+    });
+    if credited {
+        pump(s, app, graph, key);
+    }
+}
+
+fn contract(s: &impl Substrate, at: At, reason: String) -> DpsError {
+    DpsError::OperationContract {
+        node: s.def(at.app, at.graph).node(at.node).name.clone(),
+        reason,
+    }
+}
+
+/// A split/leaf ran at `at` on cluster node `src` and came back with
+/// `posts`: a split's open a wave behind the flow window (rule 2) — the key
+/// of that flow is returned — a leaf's single post moves on.
+pub fn after_exec<S: Substrate>(
+    s: &mut S,
+    lane: &mut S::Lane,
+    at: At,
+    src: u32,
+    env: Envelope,
+    mut posts: Vec<S::Post>,
+    marked: Option<u64>,
+) -> Result<Option<FlowKey>> {
+    if let Some(iters) = marked {
+        s.report(lane, iters);
+    }
+    s.span(lane, at);
+    match s.def(at.app, at.graph).node(at.node).kind {
+        OpKind::Split => {
+            let wave = s.opened(lane, at);
+            let def = s.def(at.app, at.graph);
+            let flow = open_wave(def, at.node, wave, &env, posts.into_iter(), src);
+            let key = (at.node.0, wave);
+            s.flows(at.app, at.graph, |flows| flows.insert(key, flow));
+            pump(s, at.app, at.graph, key);
+            Ok(Some(key))
+        }
+        OpKind::Leaf => {
+            // A local leaf is held to this by its adapter; a remote one is
+            // only as good as the process that answered.
+            let n = posts.len();
+            let (Some(post), 1) = (posts.pop(), n) else {
+                let reason = format!("leaf execution returned {n} posts (exactly 1 required)");
+                return Err(contract(s, at, reason));
+            };
+            s.leave(post, at, src, env);
+            Ok(None)
+        }
+        _ => unreachable!("only splits and leaves execute"),
+    }
+}
+
+/// One step of a merge/stream wave, as [`after_wave`] takes it over.
+pub struct WaveStep {
+    /// The merge/stream node.
+    pub at: At,
+    /// Cluster node it ran on.
+    pub src: u32,
+    /// The wave.
+    pub key: WaveKey,
+    /// The arrival's envelope, the wave's frame popped.
+    pub parent_env: Envelope,
+    /// The id the wave's stream output travels under.
+    pub out_wave: u64,
+    /// The arrival completed the wave: its finalize ran.
+    pub completes: bool,
+    /// The arrival was a token (it returns a flow credit), not the close.
+    pub consumed: bool,
+}
+
+impl Wave {
+    /// Rule 1 for one arrival at `at`, on cluster node `src`: count it into
+    /// this wave (`key`, the top frame of `env`). `None` when a close finds
+    /// data objects still missing — the finalize waits for them; else the
+    /// token to consume, if one arrived, and the step [`after_wave`] takes
+    /// over once [`step`] ran.
+    #[inline]
+    pub fn arrive(
+        &mut self,
+        at: At,
+        src: u32,
+        name: &str,
+        what: Arrival,
+        mut env: Envelope,
+        key: WaveKey,
+    ) -> Result<Option<(Option<TokenBox>, WaveStep)>> {
+        let frame = env.pop().expect("validated depth >= 1");
+        let (token, completes) = match what {
+            Arrival::Token(token) => (Some(token), self.admit(frame.total, name)?),
+            Arrival::Close(total) => (None, self.close(total, name)?),
+        };
+        let step = WaveStep {
+            at,
+            src,
+            key,
+            parent_env: env,
+            out_wave: self.out_wave,
+            completes,
+            consumed: token.is_some(),
+        };
+        Ok((step.consumed || completes).then_some((token, step)))
+    }
+}
+
+/// A consume and/or finalize ran and came back with `posts`: a completed
+/// merge's output moves on, a stream's posts join its output flow (rule 3;
+/// a total no pending post can carry goes out as a close); a completed wave
+/// leaves the tables, a consumed token returns its credit.
+pub fn after_wave<S: Substrate>(
+    s: &mut S,
+    lane: &mut S::Lane,
+    step: WaveStep,
+    mut posts: Vec<S::Post>,
+    marked: Option<u64>,
+) -> Result<()> {
+    let (at, src, out_wave, completes) = (step.at, step.src, step.out_wave, step.completes);
+    let At { app, graph, node } = at;
+    // The report is made before any post can be seen downstream. A consume's
+    // span is recorded before its posts leave, a close's after: recorded
+    // schedules (and their hashes) keep their event order.
+    if let Some(iters) = marked {
+        s.report(lane, iters);
+    }
+    if step.consumed {
+        s.span(lane, at);
+    }
+    match s.def(app, graph).node(node).kind {
+        OpKind::Merge if completes => {
+            let Some(post) = posts.pop() else {
+                let reason = "merge wave completed without an output".into();
+                return Err(contract(s, at, reason));
+            };
+            s.leave(post, at, src, step.parent_env);
+        }
+        OpKind::Stream if completes || !posts.is_empty() => {
+            let flow_key = (node.0, out_wave);
+            let stream = s.def(app, graph).node(node);
+            let closing = s.flows(app, graph, |flows| {
+                let f = flows.entry(flow_key).or_insert_with(|| Flow::stream(src));
+                f.append(stream, out_wave, &step.parent_env, posts, completes)
+            })?;
+            if let Some((close_env, total)) = closing {
+                close(s, app, graph, close_env, total);
+            }
+            pump(s, app, graph, flow_key);
+        }
+        OpKind::Merge | OpKind::Stream => {}
+        _ => unreachable!("only merges and streams consume waves"),
+    }
+    if !step.consumed {
+        s.span(lane, at);
+    }
+    if completes {
+        s.wave_done(lane, at, &step.key);
+        s.pins(app, graph, |pins| pins.remove(&step.key));
+    }
+    if step.consumed {
+        credit(s, app, graph, (step.key.src.0, step.key.wave));
+    }
+    Ok(())
+}
+
+/// The token at call node `at` enters the graph its service names (rule 5),
+/// under a root envelope whose call stack is the caller's plus this call.
+/// Returns the callee's entry and that envelope: the substrate delivers
+/// the token there once the call's own overhead has passed.
+pub fn call<S: Substrate>(s: &mut S, at: At, env: Envelope) -> Result<(At, Envelope)> {
+    let service = s.def(at.app, at.graph).node(at.node).service.as_deref();
+    let service = service.expect("call nodes carry a service name");
+    let Some((app, graph)) = s.service(service) else {
+        let name = service.to_string();
+        return Err(DpsError::UnknownService { name });
+    };
+    let mut callee = Envelope::root();
+    callee.calls = env.calls.clone();
+    let call_id = s.remember_call(CallReturn { at, env });
+    callee.calls.push(CallFrame {
+        caller_app: at.app,
+        caller_graph: at.graph,
+        call_node: at.node,
+        call_id,
+    });
+    let node = s.def(app, graph).entry();
+    Ok((At { app, graph, node }, callee))
 }

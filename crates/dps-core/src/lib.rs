@@ -49,8 +49,8 @@
 //!   deployment model — with an `MtEngine` as the master's control plane.
 //!
 //! What a graph *means* on all three — wave counting, merge completion,
-//! flow-control credits, wave pinning, graph exits — is written once, in
-//! the `kernel` module the engines share (`docs/ARCHITECTURE.md` §1).
+//! flow-control credits, wave pinning, graph exits, the path of a token —
+//! is written once, in the `kernel` module they share (`docs/ARCHITECTURE.md` §1).
 //!
 //! Engine-specific features (failure injection, thread-state access,
 //! virtual-time scheduling) stay on the concrete types; the
@@ -96,7 +96,7 @@ pub use dps_sched;
 /// (`dps-mt`). Not part of the stable public API.
 #[doc(hidden)]
 pub mod internal {
-    /// The rules of a wave, shared by every engine.
+    /// The rules of a wave and the path of a token, shared by every engine.
     pub mod kernel {
         pub use crate::kernel::*;
     }

@@ -1,12 +1,22 @@
 //! The rules of a wave (`dps_core::internal::kernel`), driven with no
 //! engine: no queue, no clock, no thread. Whatever an engine does around
-//! these calls, this is what the wave does.
+//! these calls, this is what the wave does. The second half runs the
+//! kernel's driver — the path of a token — over a `Substrate` that is
+//! nothing but queues and a seed.
+
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 
 use dps_core::internal::kernel::{
-    self, CallReturn, CloseTo, Exit, Flow, Instances, Pins, Routed, Wave,
+    self, Arrival, At, CallReturn, CloseTo, Exit, Flow, FlowKey, Flows, Instances, Pins, Routed,
+    Served, Substrate, Wave,
 };
+use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
-use dps_core::{Envelope, Flowgraph, Frame, GNodeId, ThreadCollection, WaveKey};
+use dps_core::{
+    CallFrame, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection, TokenRegistry,
+    WaveKey,
+};
 use proptest::prelude::*;
 
 dps_token! { pub struct In { pub n: u32 } }
@@ -175,14 +185,13 @@ proptest! {
         let stream = def.node(STREAM);
         let mut parent = Envelope::root();
         parent.push(Frame { src: SPLIT, wave: 3, index: 5, total: None });
-        let mut wave = Wave::new(0, STREAM, 77);
-        let mut flow: Flow<u32> = Flow::stream();
+        let mut flow: Flow<u32> = Flow::stream(0);
         let mut released = Vec::new();
         let mut next = 0u32;
         for &(posts, drain) in &steps {
             let ids: Vec<u32> = (next..next + posts).collect();
             next += posts;
-            let close = wave.append(&mut flow, stream, &parent, ids, false).unwrap();
+            let close = flow.append(stream, 77, &parent, ids, false).unwrap();
             prop_assert!(close.is_none(), "only a completed wave has a total to send");
             if drain {
                 while let Some(post) = flow.pop(0) {
@@ -193,7 +202,7 @@ proptest! {
         }
         let ids: Vec<u32> = (next..next + at_finalize).collect();
         next += at_finalize;
-        let close = wave.append(&mut flow, stream, &parent, ids, true);
+        let close = flow.append(stream, 77, &parent, ids, true);
         if next == 0 {
             let e = close.unwrap_err().to_string();
             prop_assert!(e.contains("posted no tokens across its wave"), "{e}");
@@ -241,7 +250,7 @@ proptest! {
         script in proptest::collection::vec(any::<bool>(), 1..80),
     ) {
         let def = pipeline();
-        let mut flow = kernel::open_wave(&def, SPLIT, 9, &Envelope::root(), 0..n);
+        let mut flow: Flow<usize> = kernel::open_wave(&def, SPLIT, 9, &Envelope::root(), 0..n, 0);
         let mut released = Vec::new();
         let mut credited = 0usize;
         // Follow the script, then alternate until the flow is drained.
@@ -288,8 +297,9 @@ proptest! {
     /// 0 means no limit for any flow.
     #[test]
     fn an_unbounded_flow_ignores_the_window(n in 1usize..30, window in 1u32..4) {
-        let mut exit = kernel::open_wave(&serving(), SPLIT, 1, &Envelope::root(), 0..n);
-        let mut unlimited = kernel::open_wave(&pipeline(), SPLIT, 1, &Envelope::root(), 0..n);
+        let mut exit: Flow<usize> = kernel::open_wave(&serving(), SPLIT, 1, &Envelope::root(), 0..n, 0);
+        let mut unlimited: Flow<usize> =
+            kernel::open_wave(&pipeline(), SPLIT, 1, &Envelope::root(), 0..n, 0);
         for i in 0..n {
             prop_assert_eq!(exit.pop(window).map(|(id, _)| id), Some(i));
             prop_assert_eq!(unlimited.pop(0).map(|(id, _)| id), Some(i));
@@ -363,7 +373,7 @@ fn instances_are_per_slot_and_per_wave() {
     let wave = inst.waves.get_mut(&key(1)).unwrap();
     let first = addr(wave.op(def.node(MERGE)).unwrap());
     assert_eq!(first, addr(wave.op(def.node(MERGE)).unwrap()));
-    assert_eq!(wave.out_wave(), 10);
+    assert_eq!(wave.out_wave, 10);
     assert!(inst.waves.remove(&key(1)).is_some());
     assert!(inst.waves.is_empty());
 }
@@ -402,20 +412,29 @@ fn exit_picks_successor_output_or_return() {
     let e = kernel::exit(&def, MERGE, &out, &framed, no_calls).unwrap_err();
     assert!(e.to_string().contains("1 unmerged frames"), "{e}");
 
-    // A call: the callee envelope is a root with the call stacked on.
-    let (ret, callee) = kernel::call(41, 0, 0, STREAM, framed.clone());
-    assert!(callee.frames.is_empty());
-    assert_eq!(callee.calls.len(), 1);
-    assert_eq!(
-        (callee.calls[0].call_id, callee.calls[0].call_node),
-        (41, STREAM)
-    );
+    // Inside call 41, made at STREAM under `framed`.
+    let mut callee = Envelope::root();
+    callee.calls.push(CallFrame {
+        caller_app: 0,
+        caller_graph: 0,
+        call_node: STREAM,
+        call_id: 41,
+    });
+    let caller = At {
+        app: 0,
+        graph: 0,
+        node: STREAM,
+    };
+    let ret = CallReturn {
+        at: caller,
+        env: framed.clone(),
+    };
     let returns = |id: u64| (id == 41).then(|| ret.clone());
 
     // Plain return: back under the caller's envelope, from the call node.
     match kernel::exit(&svc, SPLIT, &out, &callee, returns).unwrap() {
         Exit::Return(r) => {
-            assert_eq!((r.app, r.graph, r.node), (0, 0, STREAM));
+            assert_eq!(r.at, caller);
             assert_eq!(r.env, framed);
         }
         other => panic!("{other:?}"),
@@ -472,4 +491,416 @@ fn a_close_goes_to_the_matching_merge() {
     assert_eq!(kernel::close_node(&def, &k).unwrap(), MERGE);
     let e = kernel::close_node(&serving(), &key(1)).unwrap_err();
     assert!(e.to_string().contains("no matching merge"), "{e}");
+}
+
+// ---------------------------------------------------------------------------
+// The path of a token, over a substrate with no engine behind it
+// ---------------------------------------------------------------------------
+
+struct Inc;
+impl LeafOperation for Inc {
+    type Thread = ();
+    type In = Mid;
+    type Out = Mid;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Mid>, t: Mid) {
+        ctx.post(Mid { i: t.i + 1 });
+    }
+}
+
+/// What sits between the split and the merge of application 0.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Leaf,
+    Stream,
+    /// A call into application 1, whose graph is one leaf.
+    Call,
+}
+
+const THREADS: usize = 3;
+
+/// Application 0: split → `shape` → merge; application 1: `svc`. Everything
+/// but the split goes wherever the load is least, so it can leave a dead
+/// node.
+fn apps(shape: Shape) -> Vec<Flowgraph> {
+    let tc: ThreadCollection<()> = ThreadCollection::from_raw(0, 0, THREADS);
+    let mut b = GraphBuilder::new("main");
+    let s = b.split(&tc, || ToThread(0), Fan::default);
+    let m = b.merge(&tc, LeastLoaded::new, Count::default);
+    let middle = match shape {
+        Shape::Leaf => b.leaf(&tc, LeastLoaded::new, || Inc),
+        Shape::Stream => b.stream(&tc, LeastLoaded::new, || Relay),
+        Shape::Call => b.call::<Mid, Mid, (), _>("svc", &tc, LeastLoaded::new),
+    };
+    b.add(s >> middle >> m);
+    let tc: ThreadCollection<()> = ThreadCollection::from_raw(1, 0, THREADS);
+    let mut svc = GraphBuilder::new("svc");
+    let _ = svc.leaf(&tc, LeastLoaded::new, || Inc);
+    [b, svc].map(|b| b.assemble_for_engine().unwrap().0).into()
+}
+
+/// The third `Substrate`: one in-memory queue per thread (thread `t` of
+/// every collection lives on cluster node `t`), a seeded pick of which
+/// non-empty queue runs next, a kill list. No clock, no lock, no trace.
+struct Fake {
+    apps: Vec<Flowgraph>,
+    routes: Vec<Vec<Box<dyn DynRoute>>>,
+    pins: Vec<RefCell<Pins>>,
+    flows: Vec<RefCell<Flows<Fake>>>,
+    queues: Vec<VecDeque<(At, Arrival, Envelope)>>,
+    /// Each thread's op instances and the waves it consumes.
+    lanes: Vec<Instances>,
+    dead: Vec<bool>,
+    window: u32,
+    /// Wave and call ids.
+    ids: u64,
+    calls: HashMap<u64, CallReturn>,
+    outputs: Vec<Vec<u8>>,
+    errors: Vec<DpsError>,
+    rng: dps_des::SplitMix64,
+    completed: Vec<WaveKey>,
+    peak_outstanding: u32,
+}
+
+impl Substrate for Fake {
+    type Post = TokenBox;
+    type FlowExt = ();
+    type Lane = usize;
+
+    fn def(&self, app: u32, _graph: u32) -> &Flowgraph {
+        &self.apps[app as usize]
+    }
+    fn threads(&self, _app: u32, _tc: u32) -> usize {
+        THREADS
+    }
+    fn host(&self, _app: u32, _tc: u32, thread: u32) -> u32 {
+        thread
+    }
+    fn node_up(&self, node: u32) -> bool {
+        !self.dead[node as usize]
+    }
+    fn node_name(&self, node: u32) -> String {
+        format!("node{node}")
+    }
+    fn load(&self, _app: u32, _tc: u32) -> Vec<u32> {
+        let load = |(q, &dead): (&VecDeque<_>, &bool)| if dead { u32::MAX } else { q.len() as u32 };
+        self.queues.iter().zip(&self.dead).map(load).collect()
+    }
+    fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
+        let name = &self.apps[to.app as usize].node(to.node).name;
+        self.routes[to.app as usize][to.node.0 as usize].route_dyn(token, info, name)
+    }
+    fn registry(&self, _app: u32) -> Option<&TokenRegistry> {
+        None
+    }
+    fn service(&self, name: &str) -> Option<(u32, u32)> {
+        (name == "svc").then_some((1, 0))
+    }
+    fn remember_call(&mut self, ret: CallReturn) -> u64 {
+        self.ids += 1;
+        self.calls.insert(self.ids, ret);
+        self.ids
+    }
+    fn call_return(&self, id: u64) -> Option<CallReturn> {
+        self.calls.get(&id).cloned()
+    }
+    fn pins<R>(&self, app: u32, _graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R {
+        f(&mut self.pins[app as usize].borrow_mut())
+    }
+    fn flows<R>(&self, app: u32, _graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
+        f(&mut self.flows[app as usize].borrow_mut())
+    }
+    fn fresh(&self, _app: u32, _graph: u32, key: &WaveKey) -> bool {
+        let fresh = |lane: &Instances| lane.waves.get(key).is_none_or(Wave::is_fresh);
+        self.lanes.iter().all(fresh)
+    }
+    fn pinned(&mut self, _: At, _: WaveKey, parked: Option<u32>) -> Result<Option<u32>> {
+        Ok(parked)
+    }
+    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
+        self.queues[thread as usize].push_back((to, what, env));
+    }
+    fn next_post(
+        &mut self,
+        app: u32,
+        _graph: u32,
+        key: FlowKey,
+    ) -> Option<(TokenBox, Envelope, u32)> {
+        let flows = self.flows[app as usize].get_mut();
+        let f = flows.get_mut(&key)?;
+        let Some((token, env)) = f.pop(self.window) else {
+            if f.is_drained() {
+                flows.remove(&key);
+            }
+            return None;
+        };
+        self.peak_outstanding = self.peak_outstanding.max(f.outstanding());
+        Some((token, env, f.src))
+    }
+    fn leave(&mut self, post: TokenBox, from: At, src: u32, env: Envelope) {
+        kernel::emit(self, from, src, post, env);
+    }
+    fn output(&mut self, _app: u32, _graph: u32, token: TokenBox) {
+        self.outputs.push(dps_core::serial::to_bytes(
+            dps_core::downcast::<Out>(token).unwrap().as_ref(),
+        ));
+    }
+    fn fail(&mut self, _app: u32, e: DpsError) {
+        self.errors.push(e);
+    }
+    fn report(&mut self, _lane: &mut usize, _iters: u64) {}
+    fn span(&mut self, _lane: &mut usize, _at: At) {}
+    fn opened(&mut self, _lane: &mut usize, _at: At) -> u64 {
+        self.ids += 1;
+        self.ids
+    }
+    fn wave_done(&mut self, lane: &mut usize, _at: At, key: &WaveKey) {
+        self.lanes[*lane].waves.remove(key);
+        self.completed.push(key.clone());
+    }
+}
+
+impl Fake {
+    fn new(shape: Shape, window: u32, seed: u64) -> Self {
+        let apps = apps(shape);
+        Fake {
+            routes: apps
+                .iter()
+                .map(|def| def.nodes().iter().map(|n| n.make_route()).collect())
+                .collect(),
+            pins: apps.iter().map(|_| RefCell::default()).collect(),
+            flows: apps.iter().map(|_| RefCell::default()).collect(),
+            queues: (0..THREADS).map(|_| VecDeque::new()).collect(),
+            lanes: (0..THREADS).map(|_| Instances::default()).collect(),
+            dead: vec![false; THREADS],
+            window,
+            ids: 0,
+            calls: HashMap::new(),
+            outputs: Vec::new(),
+            errors: Vec::new(),
+            rng: dps_des::SplitMix64::new(seed),
+            completed: Vec::new(),
+            peak_outstanding: 0,
+            apps,
+        }
+    }
+
+    fn inject(&mut self, n: u32) {
+        let entry = At {
+            app: 0,
+            graph: 0,
+            node: self.apps[0].entry(),
+        };
+        kernel::deliver(self, entry, 0, Box::new(In { n }), Envelope::root());
+    }
+
+    /// Run the head of one non-empty queue; `false` once all are empty.
+    fn step(&mut self) -> bool {
+        let ready: Vec<usize> = (0..THREADS)
+            .filter(|&t| !self.queues[t].is_empty())
+            .collect();
+        if ready.is_empty() {
+            return false;
+        }
+        let thread = ready[(self.rng.next_u64() % ready.len() as u64) as usize];
+        let (at, what, env) = self.queues[thread].pop_front().unwrap();
+        if let Err(e) = self.run(thread, at, what, env) {
+            self.errors.push(e);
+        }
+        true
+    }
+
+    fn run(&mut self, thread: usize, at: At, what: Arrival, env: Envelope) -> Result<()> {
+        let gnode = self.apps[at.app as usize].node(at.node);
+        let info = ExecInfo {
+            thread_index: thread,
+            thread_count: THREADS,
+            node_flops: 1e9,
+            start_nanos: 0,
+        };
+        let tokens = |out: dps_core::OpOutput| out.posts.into_iter().map(|p| p.token).collect();
+        let (mut lane, src) = (thread, thread as u32);
+        match (gnode.kind, what) {
+            (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
+                let slot = Served::Node(&mut self.lanes[thread], (at.app, at.node.0));
+                let out = kernel::step(slot, gnode, Some(token), false, &mut (), info)?;
+                kernel::after_exec(self, &mut lane, at, src, env, tokens(out), None).map(drop)
+            }
+            (OpKind::Merge | OpKind::Stream, what) => {
+                let key = env.wave_key().unwrap();
+                let ids = &mut self.ids;
+                let waves = &mut self.lanes[thread].waves;
+                let wave = waves.entry(key.clone()).or_insert_with(|| {
+                    *ids += 1;
+                    Wave::new(at.graph, at.node, *ids)
+                });
+                let Some((token, step)) = wave.arrive(at, src, &gnode.name, what, env, key)? else {
+                    return Ok(());
+                };
+                let served = Served::Wave(wave);
+                let out = kernel::step(served, gnode, token, step.completes, &mut (), info)?;
+                kernel::after_wave(self, &mut lane, step, tokens(out), None)
+            }
+            (_, Arrival::Token(token)) => {
+                let (entry, callee_env) = kernel::call(self, at, env)?;
+                kernel::deliver(self, entry, src, token, callee_env);
+                Ok(())
+            }
+            (_, Arrival::Close(_)) => unreachable!("closes only target merge/stream nodes"),
+        }
+    }
+
+    /// Kill cluster node `node` the way the simulator does: what its thread
+    /// had queued goes back to the router, tokens first, closes after.
+    fn kill(&mut self, node: usize) {
+        self.dead[node] = true;
+        let stranded: Vec<_> = self.queues[node].drain(..).collect();
+        let (tokens, closes): (Vec<_>, Vec<_>) = stranded
+            .into_iter()
+            .partition(|(_, what, _)| matches!(what, Arrival::Token(_)));
+        for (at, what, env) in tokens.into_iter().chain(closes) {
+            kernel::reroute(self, at, node as u32, what, env);
+        }
+    }
+
+    /// The merge of application 0.
+    fn merge(&self) -> &dps_core::GraphNode {
+        let is_merge = |n: &&dps_core::GraphNode| n.kind == OpKind::Merge;
+        self.apps[0].nodes().iter().find(is_merge).unwrap()
+    }
+
+    /// The thread the (one) live merge wave of application 0 is consuming
+    /// on and how many tokens it has consumed there, or the thread a first
+    /// token for it is queued on.
+    fn merge_wave(&self) -> Option<(usize, u32)> {
+        let merge = self.merge();
+        let consuming = self.lanes.iter().enumerate().find_map(|(t, lane)| {
+            let wave = lane.waves.values().find(|w| w.node == merge.id)?;
+            Some((t, wave.received()))
+        });
+        let queued = || {
+            let is_merge = |(at, ..): &(At, Arrival, Envelope)| at.app == 0 && at.node == merge.id;
+            let holds = |q: &VecDeque<_>| q.iter().any(is_merge);
+            Some((self.queues.iter().position(holds)?, 0))
+        };
+        consuming.or_else(queued)
+    }
+}
+
+/// A leaf that comes back with other than one post, or a completed merge
+/// with none — a remote host is only as good as the process that answered —
+/// is a contract error on any substrate.
+#[test]
+fn a_miscounted_reply_is_a_contract_error() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let at = |node| At {
+        app: 0,
+        graph: 0,
+        node,
+    };
+    let is_leaf = |n: &&dps_core::GraphNode| n.kind == OpKind::Leaf;
+    let leaf = at(fake.apps[0].nodes().iter().find(is_leaf).unwrap().id);
+    let (split, merge) = (fake.apps[0].entry(), at(fake.merge().id));
+    let post = || Box::new(Mid { i: 0 }) as TokenBox;
+    for posts in [vec![], vec![post(), post()]] {
+        let n = posts.len();
+        let root = Envelope::root();
+        let e = kernel::after_exec(&mut fake, &mut 0, leaf, 0, root, posts, None).unwrap_err();
+        assert!(
+            e.to_string().contains(&format!("returned {n} posts")),
+            "{e}"
+        );
+    }
+    let mut env = Envelope::root();
+    env.push(Frame {
+        src: split,
+        wave: 1,
+        index: 0,
+        total: Some(1),
+    });
+    let key = env.wave_key().unwrap();
+    let mut wave = Wave::new(0, merge.node, 0);
+    let last = Arrival::Token(post());
+    let (_, step) = wave
+        .arrive(merge, 0, "merge", last, env, key)
+        .unwrap()
+        .unwrap();
+    assert!(step.completes && step.consumed);
+    let e = kernel::after_wave(&mut fake, &mut 0, step, vec![], None).unwrap_err();
+    assert!(e.to_string().contains("completed without an output"), "{e}");
+}
+
+proptest! {
+    /// Whatever order the queues run in, under any flow window: the same
+    /// outputs, every wave completed once, nothing left in any table, and
+    /// never more posts outstanding than the window admits.
+    #[test]
+    fn every_delivery_order_yields_the_same_outputs(
+        shape in prop_oneof![Just(Shape::Leaf), Just(Shape::Stream), Just(Shape::Call)],
+        window in prop_oneof![Just(0u32), Just(1u32), Just(3u32)],
+        sizes in proptest::collection::vec(1u32..7, 1..4),
+        seed in any::<u64>(),
+    ) {
+        let run = |seed: u64| {
+            let mut fake = Fake::new(shape, window, seed);
+            for &n in &sizes {
+                fake.inject(n);
+            }
+            while fake.step() {}
+            fake
+        };
+        let (mut fake, mut reference) = (run(seed), run(0));
+        prop_assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+        fake.outputs.sort();
+        reference.outputs.sort();
+        prop_assert_eq!(fake.outputs.len(), sizes.len());
+        prop_assert_eq!(&fake.outputs, &reference.outputs);
+
+        // One wave per split, and one more per stream.
+        let waves = sizes.len() * if matches!(shape, Shape::Stream) { 2 } else { 1 };
+        prop_assert_eq!(fake.completed.len(), waves);
+        fake.completed.sort_by_key(|k| (k.wave, k.src));
+        fake.completed.dedup();
+        prop_assert_eq!(fake.completed.len(), waves, "a wave completed twice");
+
+        prop_assert!(fake.lanes.iter().all(|lane| lane.waves.is_empty()));
+        prop_assert!(fake.pins.iter().all(|pins| pins.borrow().is_empty()));
+        prop_assert!(fake.flows.iter().all(|flows| flows.borrow().is_empty()));
+        if window > 0 {
+            prop_assert!(fake.peak_outstanding <= window, "{} > {window}", fake.peak_outstanding);
+        }
+    }
+
+    /// Rule 6 through the driver. A node killed while the merge wave has
+    /// consumed nothing on it: the wave moves and the run completes. Killed
+    /// after a consume: `NodeDown`, naming that node and the merge.
+    #[test]
+    fn a_kill_moves_a_fresh_wave_and_loses_a_consumed_one(
+        shape in prop_oneof![Just(Shape::Leaf), Just(Shape::Stream), Just(Shape::Call)],
+        consumed in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        const N: u32 = 5;
+        let mut fake = Fake::new(shape, 0, seed);
+        fake.inject(N);
+        let victim = loop {
+            match fake.merge_wave() {
+                Some((thread, received)) if received >= consumed as u32 => break thread,
+                _ => prop_assert!(fake.step(), "the merge wave never showed up"),
+            }
+        };
+        // Thread 0 also runs the split; its queue is re-routed like any other.
+        fake.kill(victim);
+        while fake.step() {}
+        if consumed {
+            let down = DpsError::NodeDown {
+                node: format!("node{victim}"),
+                target: fake.merge().name.clone(),
+            };
+            prop_assert!(fake.errors.contains(&down), "{:?}", fake.errors);
+            prop_assert!(fake.outputs.is_empty());
+        } else {
+            prop_assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+            prop_assert_eq!(&fake.outputs, &[dps_core::serial::to_bytes(&Out { n: N })]);
+        }
+    }
 }

@@ -9,7 +9,7 @@ use dps_sched::FeedbackSink;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
-use dps_cluster::{resolve_mapping, ClusterSpec, NodeId};
+use dps_cluster::{resolve_mapping, ClusterSpec};
 use dps_core::internal::kernel;
 use dps_core::{
     register_token, DpsError, GraphBuilder, Result, ThreadData, TokenBox, TokenRegistry,
@@ -379,9 +379,6 @@ impl MtEngine {
             trace: self.trace.clone(),
             dead: (0..self.spec.len())
                 .map(|_| AtomicBool::new(false))
-                .collect(),
-            node_names: (0..self.spec.len())
-                .map(|i| self.spec.node(NodeId(i as u32)).name.clone())
                 .collect(),
             feedback_tcs: Mutex::new(Vec::new()),
         });

@@ -1,5 +1,10 @@
 //! Worker threads: one OS thread per DPS thread, driving operations from a
 //! token queue — the paper's macro data flow execution.
+//!
+//! The path of a token between two operations is `dps_core`'s kernel
+//! driver. This file is its [`Substrate`] on OS threads — channels, atomic
+//! counters, one mutex per table, wall-clock tracing — and the worker loop
+//! with its two-phase remote pipeline.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -12,12 +17,13 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
-    self, CallReturn, CloseTo, Exit, Flow, Instances, Pins, Routed, Wave,
+    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, Instances, Pins, Served, Substrate, Wave,
+    WaveStep,
 };
-use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
+use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::{
-    wire_roundtrip, DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox,
-    TokenRegistry, WaveKey,
+    DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox, TokenRegistry,
+    WaveKey,
 };
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
@@ -26,22 +32,10 @@ use crate::remote::{remote_for, RemoteExec, RemoteKind, RemotePending, RemoteTas
 
 /// Message to a worker thread.
 pub(crate) enum Msg {
-    /// Process a token at a graph node.
-    Deliver {
-        graph: u32,
-        node: GNodeId,
-        token: TokenBox,
-        env: Envelope,
-    },
-    /// Wave-close control info: the producer of the wave identified by
-    /// `env` finished after its final data object was already in flight;
-    /// `total` is the wave size.
-    Close {
-        graph: u32,
-        node: GNodeId,
-        env: Envelope,
-        total: u32,
-    },
+    /// A token to process at a node of a graph of the receiving thread's
+    /// application (`At` less the `app`: the queues of a token-bound run
+    /// hold one of these per token), or the close of a wave consumed there.
+    Arrive(u32, GNodeId, Arrival, Envelope),
     /// Terminate the worker.
     Stop,
     /// Wakeup after the worker's node was marked dead (`fail_node`): the
@@ -84,34 +78,6 @@ impl SharedTc {
             self.queued[thread].fetch_sub(1, Ordering::Relaxed);
         }
     }
-
-    /// Per-thread backlog with dead-node awareness: threads hosted on a
-    /// failed node report infinite load, so load-aware routes
-    /// (`LeastLoaded`, `ChunkRoute`) shed their work to live threads —
-    /// the same signal shape the simulator's `fail_node` produces.
-    fn load_snapshot(&self, dead: &[AtomicBool]) -> Vec<u32> {
-        self.queued
-            .iter()
-            .zip(&self.nodes)
-            .map(|(q, &n)| {
-                if dead
-                    .get(n as usize)
-                    .is_some_and(|d| d.load(Ordering::Acquire))
-                {
-                    u32::MAX
-                } else {
-                    q.load(Ordering::Relaxed)
-                }
-            })
-            .collect()
-    }
-}
-
-/// One wave's posts on their way out (keyed by producing node and wave).
-pub(crate) struct MtFlow {
-    flow: Flow<TokenBox>,
-    /// Cluster node of the producing thread.
-    src_node: u32,
 }
 
 /// One graph node's installed route. Stateless routes (declared via
@@ -150,7 +116,7 @@ pub(crate) struct SharedGraph {
     /// Which thread each live wave consumes on, and the wave totals still
     /// waiting for their wave to get one: the two change together.
     pub pins: Mutex<Pins>,
-    pub flows: Mutex<HashMap<(u32, u64), MtFlow>>,
+    pub flows: Mutex<HashMap<FlowKey, Flow<TokenBox>>>,
 }
 
 pub(crate) struct SharedApp {
@@ -189,8 +155,6 @@ pub(crate) struct Shared {
     /// re-routing stranded work, so no message is ever lost to a closed
     /// channel).
     pub dead: Vec<AtomicBool>,
-    /// Declared cluster node names (`node0..`), for NodeDown diagnostics.
-    pub node_names: Vec<String>,
     /// Collections that have actually reported to the feedback sink —
     /// `fail_node` translates a dead node into *these* collections' thread
     /// indices for `FeedbackSink::worker_lost` (an unrelated collection on
@@ -205,17 +169,10 @@ impl Shared {
             .get(node as usize)
             .is_some_and(|d| d.load(Ordering::Acquire))
     }
-
-    fn node_name(&self, node: u32) -> String {
-        self.node_names
-            .get(node as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("node{node}"))
-    }
 }
 
 /// Per-worker mutable state.
-struct Worker {
+pub(crate) struct Worker {
     app: u32,
     tc: u32,
     thread: u32,
@@ -230,6 +187,16 @@ struct Worker {
     remote: Option<Arc<dyn RemoteExec>>,
     /// This thread's trace writer (one SPSC ring), when a sink is attached.
     trace: Option<TraceWriter>,
+    /// The operation that just ran *here*, from phase 1 until the kernel
+    /// has its span recorded; `None` for one the remote host ran and timed.
+    span: Option<Span>,
+}
+
+/// A local operation's wall-clock start and the wave it is traced under.
+struct Span {
+    t0: Instant,
+    t0n: Option<u64>,
+    wave: u32,
 }
 
 impl Worker {
@@ -289,9 +256,10 @@ pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
 }
 
 /// Inject a token into a graph entry from outside (the run driver).
-pub(crate) fn inject(shared: &Arc<Shared>, app: u32, graph: u32, token: TokenBox, src_node: u32) {
-    let entry = shared.defs[app as usize][graph as usize].entry();
-    route_and_send(shared, app, graph, entry, src_node, token, Envelope::root());
+pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox, src_node: u32) {
+    let node = shared.defs[app as usize][graph as usize].entry();
+    let entry = At { app, graph, node };
+    kernel::deliver(&mut shared, entry, src_node, token, Envelope::root());
 }
 
 /// How many remote operations one worker thread ships before it waits for
@@ -304,21 +272,9 @@ const REMOTE_PIPELINE_DEPTH: usize = 16;
 /// What phase 2 of a shipped operation needs from its phase 1.
 enum Cont {
     /// A split/leaf execution: its posts leave under `env`.
-    Exec {
-        graph: u32,
-        node: GNodeId,
-        env: Envelope,
-    },
-    /// One step of the merge/stream wave `key`: a consume (`consumed`, it
-    /// returns a flow credit) or the finalize a late close triggers.
-    Wave {
-        graph: u32,
-        node: GNodeId,
-        key: WaveKey,
-        parent_env: Envelope,
-        completes: bool,
-        consumed: bool,
-    },
+    Exec { at: At, env: Envelope },
+    /// One step of a merge/stream wave.
+    Wave(WaveStep),
 }
 
 /// How phase 1 of a message left it.
@@ -354,6 +310,7 @@ pub(crate) fn worker_loop(
     data: Box<dyn Any + Send>,
     rx: Receiver<Msg>,
 ) {
+    let mut shared: &Shared = &shared;
     let node = shared.apps[app as usize].tcs[tc as usize].nodes[thread as usize];
     let mut w = Worker {
         app,
@@ -367,6 +324,7 @@ pub(crate) fn worker_loop(
             .trace
             .as_ref()
             .map(|c| c.writer(node as u16, thread as u16)),
+        span: None,
     };
     let mut inflight = InFlight::new();
     let mut stopped = false;
@@ -384,7 +342,7 @@ pub(crate) fn worker_loop(
         let msg = match next {
             Ok(msg) => msg,
             Err(TryRecvError::Empty) => {
-                finish_oldest(&shared, &mut w, &mut inflight);
+                finish_oldest(shared, &mut w, &mut inflight);
                 continue;
             }
             Err(TryRecvError::Disconnected) => break,
@@ -396,11 +354,11 @@ pub(crate) fn worker_loop(
             // it drains to live threads. What was already shipped is
             // finished first (a dead host fails those waits at once), so
             // no phase 2 finds its wave gone.
-            finish_all(&shared, &mut w, &mut inflight);
+            finish_all(shared, &mut w, &mut inflight);
             dead = true;
-            abandon_waves(&shared, &mut w);
+            abandon_waves(shared, &mut w);
         }
-        let begun = match msg {
+        let (at, what, env) = match msg {
             Msg::Stop => {
                 stopped = true;
                 break;
@@ -408,53 +366,31 @@ pub(crate) fn worker_loop(
             // A bare wakeup (sent raw, not counted in the backlog): the
             // dead-set re-check above did the work.
             Msg::Fail => continue,
-            Msg::Deliver {
-                graph,
-                node: gnode,
-                token,
-                env,
-            } => {
-                if dead {
-                    // Stranded delivery: hand it back to the router, which
-                    // sees this node's threads at infinite load and (for
-                    // fresh merge waves) re-pins the wave elsewhere.
-                    route_and_send(&shared, app, graph, gnode, node, token, env);
-                    Ok(Begun::Finished)
-                } else {
-                    match shared.defs[app as usize][graph as usize].node(gnode).kind {
-                        OpKind::Split | OpKind::Leaf => {
-                            begin_exec(&shared, &mut w, &mut inflight, graph, gnode, token, env)
-                        }
-                        OpKind::Merge | OpKind::Stream => {
-                            let token = Arrival::Token(token);
-                            begin_wave(&shared, &mut w, &mut inflight, graph, gnode, env, token)
-                        }
-                        OpKind::Call | OpKind::CallSplit => {
-                            // A call has no remote half: it goes out behind
-                            // the posts of everything shipped before it.
-                            finish_all(&shared, &mut w, &mut inflight);
-                            handle_call(&shared, &mut w, graph, gnode, token, env)
-                                .map(|()| Begun::Finished)
-                        }
-                    }
-                }
+            Msg::Arrive(graph, node, what, env) => (At { app, graph, node }, what, env),
+        };
+        let kind = shared.defs[app as usize][at.graph as usize]
+            .node(at.node)
+            .kind;
+        let begun = match (what, kind) {
+            // Stranded on a tombstone: back to the router, which sees this
+            // node's threads at infinite load.
+            (what, _) if dead => {
+                kernel::reroute(&mut shared, at, node, what, env);
+                Ok(Begun::Finished)
             }
-            Msg::Close {
-                graph,
-                node: gnode,
-                env,
-                total,
-            } => {
-                if dead {
-                    // Wave-close messages follow their wave to its new home
-                    // (or park until a re-routed token re-pins it).
-                    send_close(&shared, app, graph, env, total);
-                    Ok(Begun::Finished)
-                } else {
-                    let close = Arrival::Close(total);
-                    begin_wave(&shared, &mut w, &mut inflight, graph, gnode, env, close)
-                }
+            (Arrival::Token(token), OpKind::Split | OpKind::Leaf) => {
+                begin_exec(shared, &mut w, &mut inflight, at, token, env)
             }
+            (Arrival::Token(token), OpKind::Call | OpKind::CallSplit) => {
+                // A call has no remote half: it goes out behind the posts
+                // of everything shipped before it.
+                finish_all(shared, &mut w, &mut inflight);
+                kernel::call(&mut shared, at, env).map(|(entry, callee_env)| {
+                    kernel::deliver(&mut shared, entry, node, token, callee_env);
+                    Begun::Finished
+                })
+            }
+            (what, _) => begin_wave(shared, &mut w, &mut inflight, at, env, what),
         };
         match begun {
             Ok(Begun::InFlight) => {
@@ -466,12 +402,12 @@ pub(crate) fn worker_loop(
                 continue;
             }
             Ok(Begun::Finished) => {}
-            Err(e) => send_error(&shared, app, e),
+            Err(e) => send_error(shared, app, e),
         }
-        retire(&shared, &w);
+        retire(shared, &w);
     }
     // Stop, or the channel died: every reply still owed is consumed first.
-    finish_all(&shared, &mut w, &mut inflight);
+    finish_all(shared, &mut w, &mut inflight);
     if !stopped {
         // The channel died under the worker (abnormal teardown): record the
         // thread's death as a terminal node-down event.
@@ -494,7 +430,7 @@ fn retire(shared: &Shared, w: &Worker) {
 }
 
 /// Wait for the oldest shipped operation and run its phase 2.
-fn finish_oldest(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
+fn finish_oldest(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
     let Some((pending, cont)) = inflight.pop_front() else {
         return;
     };
@@ -510,7 +446,7 @@ fn finish_oldest(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) 
 
 /// Finish everything shipped, in order, before a step that must not
 /// overtake it.
-fn finish_all(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
+fn finish_all(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
     while !inflight.is_empty() {
         finish_oldest(shared, w, inflight);
     }
@@ -521,45 +457,23 @@ fn finish_all(shared: &Arc<Shared>, w: &mut Worker, inflight: &mut InFlight) {
 /// here) and surfaces as [`DpsError::NodeDown`]; its pin is removed, so what
 /// is still pinned on a dead node afterwards is a wave nothing was consumed
 /// of — the one kind that can move (kernel rule 6).
-fn abandon_waves(shared: &Arc<Shared>, w: &mut Worker) {
+fn abandon_waves(shared: &Shared, w: &mut Worker) {
     let inst = std::mem::take(&mut w.inst);
     for (key, wave) in inst.waves {
         let target = &shared.defs[w.app as usize][wave.graph as usize].node(wave.node);
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
         g.pins.lock().remove(&key);
-        send_error(shared, w.app, node_down(shared, w.node, &target.name));
-    }
-}
-
-/// If the finished execution marked a scheduled chunk complete, report its
-/// wall-clock execution time to the registered feedback sink — the
-/// real-thread half of the dynamic loop-scheduling feedback channel.
-fn report_completion(shared: &Shared, w: &mut Worker, out: &OpOutput, started: Instant) {
-    let Some(iters) = out.completed_iters else {
-        return;
-    };
-    let nanos = started.elapsed().as_nanos() as u64;
-    w.trace(shared, EventKind::ChunkExec { iters, nanos });
-    if let Some(sink) = shared.feedback.as_ref() {
-        kernel::note_reporter(&mut shared.feedback_tcs.lock(), w.app, w.tc);
-        sink.report_chunk(w.thread as usize, iters, started.elapsed().as_secs_f64());
-        w.trace(
-            shared,
-            EventKind::ChunkReport {
-                worker: w.thread,
-                iters,
-                nanos,
-            },
-        );
-        if let Some(c) = &shared.trace {
-            c.metrics().add(Counter::ChunkReports, 1);
-        }
+        let down = DpsError::NodeDown {
+            node: shared.node_name(w.node),
+            target: target.name.clone(),
+        };
+        send_error(shared, w.app, down);
     }
 }
 
 /// Apply remotely-measured chunk completions to the master's feedback sink
 /// under the executing thread's index — the distributed counterpart of
-/// [`report_completion`] (the remote host measured the wall-clock time).
+/// `Substrate::report` (the remote host measured the wall-clock time).
 fn apply_reports(shared: &Shared, app: u32, tc: u32, thread: u32, reports: &[(u64, f64)]) {
     if let (false, Some(sink)) = (reports.is_empty(), shared.feedback.as_ref()) {
         kernel::note_reporter(&mut shared.feedback_tcs.lock(), app, tc);
@@ -578,120 +492,59 @@ fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
     }
 }
 
-/// Record the op span `[start, now]` on this worker's track.
-fn trace_op(shared: &Shared, w: &mut Worker, name: &str, wave: u32, start: Option<u64>) {
-    if let (Some(start), Some(c)) = (start, shared.trace.as_ref()) {
-        let op = c.label(name);
-        let end = c.now_nanos();
-        if let Some(wtr) = w.trace.as_mut() {
-            wtr.record(start, EventKind::OpStart { op, wave });
-            wtr.record(end, EventKind::OpEnd { op, wave });
-        }
-    }
+/// Run the operation `served` picks, here, and note its span for the kernel
+/// to record (`env_wave`: the wave it is traced under).
+fn run_here(
+    shared: &Shared,
+    span: &mut Option<Span>,
+    env_wave: u32,
+    run: impl FnOnce() -> Result<dps_core::internal::OpOutput, DpsError>,
+) -> Result<(Vec<TokenBox>, Option<u64>), DpsError> {
+    let started = Span {
+        t0n: shared.trace.as_ref().map(|c| c.now_nanos()),
+        t0: Instant::now(),
+        wave: env_wave,
+    };
+    let out = run()?;
+    *span = Some(started);
+    let posts = out.posts.into_iter().map(|p| p.token).collect();
+    Ok((posts, out.completed_iters))
 }
 
 /// Phase 1 of a split/leaf delivery: ship the operation, or run it and go
 /// straight on to phase 2.
 fn begin_exec(
-    shared: &Arc<Shared>,
+    mut shared: &Shared,
     w: &mut Worker,
     inflight: &mut InFlight,
-    graph: u32,
-    node: GNodeId,
+    at: At,
     token: TokenBox,
     env: Envelope,
 ) -> Result<Begun, DpsError> {
-    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
-    match &w.remote {
-        Some(r) => {
-            let pending = r.begin(RemoteTask {
-                app: w.app,
-                tc: w.tc,
-                thread: w.thread,
-                graph,
-                node,
-                kind: RemoteKind::Exec,
-                token: Some(token),
-                env: env.clone(),
-            });
-            inflight.push_back((pending, Cont::Exec { graph, node, env }));
-            Ok(Begun::InFlight)
-        }
-        None => {
-            let info = exec_info(shared, w);
-            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-            let op = w.inst.node_op((graph, node.0), gnode)?;
-            let mut out = OpOutput::default();
-            let t0 = Instant::now();
-            op.on_token(&mut out, w.data.as_mut(), info, &gnode.name, token)?;
-            report_completion(shared, w, &out, t0);
-            let wave = env.frames.last().map_or(0, |f| f.wave as u32);
-            trace_op(shared, w, &gnode.name, wave, t0n);
-            let posts = out.posts.into_iter().map(|p| p.token).collect();
-            finish_exec(shared, w, graph, node, env, posts)?;
-            Ok(Begun::Finished)
-        }
+    if let Some(r) = &w.remote {
+        let pending = r.begin(RemoteTask {
+            app: w.app,
+            tc: w.tc,
+            thread: w.thread,
+            graph: at.graph,
+            node: at.node,
+            kind: RemoteKind::Exec,
+            token: Some(token),
+            env: env.clone(),
+        });
+        inflight.push_back((pending, Cont::Exec { at, env }));
+        return Ok(Begun::InFlight);
     }
-}
-
-/// Phase 2 of a split/leaf delivery: a split's posts open a wave behind the
-/// flow window, a leaf's single post moves on.
-fn finish_exec(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    env: Envelope,
-    mut posts: Vec<TokenBox>,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let gnode = def.node(node);
-    match gnode.kind {
-        OpKind::Split => {
-            let wave = shared.wave_counter.fetch_add(1, Ordering::Relaxed);
-            if let Some(c) = shared.trace.as_ref() {
-                let graph_label = c.label(def.name());
-                w.trace(
-                    shared,
-                    EventKind::WaveStart {
-                        graph: graph_label,
-                        wave: wave as u32,
-                    },
-                );
-            }
-            let flow = MtFlow {
-                flow: kernel::open_wave(def, node, wave, &env, posts.into_iter()),
-                src_node: w.node,
-            };
-            let g = &shared.apps[w.app as usize].graphs[graph as usize];
-            g.flows.lock().insert((node.0, wave), flow);
-            pump_flow(shared, w.app, graph, (node.0, wave));
-        }
-        OpKind::Leaf => {
-            // Local leaves are held to this by their adapter; a remote one
-            // is only as good as the process that answered.
-            if posts.len() != 1 {
-                return Err(DpsError::OperationContract {
-                    node: gnode.name.clone(),
-                    reason: format!(
-                        "leaf execution returned {} posts (exactly 1 required)",
-                        posts.len()
-                    ),
-                });
-            }
-            let post = posts.pop().expect("length checked");
-            emit(shared, w.app, graph, node, w.node, post, env);
-        }
-        _ => unreachable!("only splits and leaves execute"),
-    }
-    Ok(())
-}
-
-/// What reaches a merge/stream wave: one of its tokens, or its wave-close
-/// carrying the total.
-enum Arrival {
-    Token(TokenBox),
-    Close(u32),
+    let gnode = shared.defs[w.app as usize][at.graph as usize].node(at.node);
+    let info = exec_info(shared, w);
+    let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
+    let slot = Served::Node(&mut w.inst, (at.graph, at.node.0));
+    let data = w.data.as_mut();
+    let (posts, marked) = run_here(shared, &mut w.span, env_wave, || {
+        kernel::step(slot, gnode, Some(token), false, data, info)
+    })?;
+    kernel::after_exec(&mut shared, w, at, w.node, env, posts, marked)?;
+    Ok(Begun::Finished)
 }
 
 /// Phase 1 of a merge/stream delivery: account for what arrived (kernel
@@ -699,435 +552,250 @@ enum Arrival {
 /// if it completes the wave; for a close, the finalize alone, once every
 /// data object was consumed — or run it and go straight on to phase 2.
 fn begin_wave(
-    shared: &Arc<Shared>,
+    mut shared: &Shared,
     w: &mut Worker,
     inflight: &mut InFlight,
-    graph: u32,
-    node: GNodeId,
-    mut env: Envelope,
+    at: At,
+    env: Envelope,
     arrival: Arrival,
 ) -> Result<Begun, DpsError> {
-    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
-    let name = &gnode.name;
+    let gnode = shared.defs[w.app as usize][at.graph as usize].node(at.node);
     let info = exec_info(shared, w);
     let key = env.wave_key().expect("validated depth >= 1");
     let wave = w.inst.waves.entry(key.clone()).or_insert_with(|| {
-        Wave::new(
-            graph,
-            node,
-            shared.wave_counter.fetch_add(1, Ordering::Relaxed),
-        )
+        let out_wave = shared.wave_counter.fetch_add(1, Ordering::Relaxed);
+        Wave::new(at.graph, at.node, out_wave)
     });
-    let (token, completes) = match arrival {
-        Arrival::Token(token) => {
-            let inline_total = env.top().and_then(|f| f.total);
-            (Some(token), wave.admit(inline_total, name)?)
-        }
-        Arrival::Close(total) => {
-            if !wave.close(total, name)? {
-                // The finalize waits for the remaining data objects.
-                return Ok(Begun::Finished);
-            }
-            (None, true)
-        }
+    // The remote side re-derives the wave identity from the envelope, so it
+    // is sent the frame `arrive` pops.
+    let task_env = w.remote.is_some().then(|| env.clone());
+    // The wave stays in the table until phase 2 removes it.
+    let Some((token, step)) = wave.arrive(at, w.node, &gnode.name, arrival, env, key)? else {
+        // The finalize waits for the remaining data objects.
+        return Ok(Begun::Finished);
     };
-    let consumed = token.is_some();
-    // The wave stays in the table until phase 2: steps of it that are still
-    // in flight ahead of a finalize advance its stream numbering.
-    match &w.remote {
-        Some(r) => {
-            let kind = match consumed {
-                true => RemoteKind::Consume { completes },
-                false => RemoteKind::Finalize,
-            };
-            // The remote side re-derives the wave identity from the
-            // envelope, so it is sent the frame popped below.
-            let pending = r.begin(RemoteTask {
-                app: w.app,
-                tc: w.tc,
-                thread: w.thread,
-                graph,
-                node,
-                kind,
-                token,
-                env: env.clone(),
-            });
-            env.pop();
-            let cont = Cont::Wave {
-                graph,
-                node,
-                key,
-                parent_env: env,
-                completes,
-                consumed,
-            };
-            inflight.push_back((pending, cont));
-            Ok(Begun::InFlight)
-        }
-        None => {
-            env.pop();
-            let t0n = shared.trace.as_ref().map(|c| c.now_nanos());
-            let op = wave.op(gnode)?;
-            let mut out = OpOutput::default();
-            let t0 = Instant::now();
-            if let Some(token) = token {
-                op.on_token(&mut out, w.data.as_mut(), info, name, token)?;
-            }
-            if completes {
-                op.on_finalize(&mut out, w.data.as_mut(), info, name)?;
-            }
-            report_completion(shared, w, &out, t0);
-            trace_op(shared, w, name, key.wave as u32, t0n);
-            let posts = out.posts.into_iter().map(|p| p.token).collect();
-            finish_wave(
-                shared, w, graph, node, &key, env, completes, consumed, posts,
-            )?;
-            Ok(Begun::Finished)
-        }
+    let completes = step.completes;
+    if let (Some(r), Some(env)) = (&w.remote, task_env) {
+        let kind = match step.consumed {
+            true => RemoteKind::Consume { completes },
+            false => RemoteKind::Finalize,
+        };
+        let pending = r.begin(RemoteTask {
+            app: w.app,
+            tc: w.tc,
+            thread: w.thread,
+            graph: at.graph,
+            node: at.node,
+            kind,
+            token,
+            env,
+        });
+        inflight.push_back((pending, Cont::Wave(step)));
+        return Ok(Begun::InFlight);
     }
+    let data = w.data.as_mut();
+    let (posts, marked) = run_here(shared, &mut w.span, step.key.wave as u32, || {
+        kernel::step(Served::Wave(wave), gnode, token, completes, data, info)
+    })?;
+    kernel::after_wave(&mut shared, w, step, posts, marked)?;
+    Ok(Begun::Finished)
 }
 
-/// Phase 2 of a shipped operation: apply the posts it came back with.
+/// Phase 2 of a shipped operation: apply the posts it came back with. The
+/// numbering of a stream's posts advances here and nowhere else — two
+/// consumes of one wave can be in flight together.
 fn finish(
-    shared: &Arc<Shared>,
+    mut shared: &Shared,
     w: &mut Worker,
     cont: Cont,
     posts: Vec<TokenBox>,
 ) -> Result<(), DpsError> {
     match cont {
-        Cont::Exec { graph, node, env } => finish_exec(shared, w, graph, node, env, posts),
-        Cont::Wave {
-            graph,
-            node,
-            key,
-            parent_env,
-            completes,
-            consumed,
-        } => finish_wave(
-            shared, w, graph, node, &key, parent_env, completes, consumed, posts,
-        ),
+        Cont::Exec { at, env } => {
+            kernel::after_exec(&mut shared, w, at, w.node, env, posts, None).map(drop)
+        }
+        Cont::Wave(step) => kernel::after_wave(&mut shared, w, step, posts, None),
     }
 }
 
-/// Phase 2 of a consume (`consumed`) or finalize: a completed merge emits
-/// its output, a stream queues its posts; a completed wave leaves the
-/// table, a consumed token returns its flow credit.
-#[allow(clippy::too_many_arguments)]
-fn finish_wave(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    key: &WaveKey,
-    parent_env: Envelope,
-    completes: bool,
-    consumed: bool,
-    mut posts: Vec<TokenBox>,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let gnode = def.node(node);
-    match gnode.kind {
-        OpKind::Merge => {
-            if completes {
-                let post = posts.pop().ok_or_else(|| DpsError::OperationContract {
-                    node: gnode.name.clone(),
-                    reason: "merge wave completed without an output".into(),
-                })?;
-                emit(shared, w.app, graph, node, w.node, post, parent_env);
-            }
-        }
-        OpKind::Stream => {
-            if !posts.is_empty() || completes {
-                finish_stream(shared, w, graph, node, key, &parent_env, completes, posts)?;
-            }
-        }
-        _ => unreachable!("only merges and streams consume waves"),
+/// The kernel's substrate on OS threads. Everything shared is behind
+/// `&Shared`: a table is locked for the kernel call alone, and a move is a
+/// channel send with no lock held.
+impl Substrate for &Shared {
+    type Post = TokenBox;
+    type FlowExt = ();
+    type Lane = Worker;
+
+    fn def(&self, app: u32, graph: u32) -> &Flowgraph {
+        &self.defs[app as usize][graph as usize]
     }
-    if completes {
-        if let Some(c) = shared.trace.as_ref() {
-            let graph_label = c.label(def.name());
+
+    fn threads(&self, app: u32, tc: u32) -> usize {
+        self.apps[app as usize].tcs[tc as usize].senders.len()
+    }
+
+    fn host(&self, app: u32, tc: u32, thread: u32) -> u32 {
+        self.apps[app as usize].tcs[tc as usize].nodes[thread as usize]
+    }
+
+    fn node_up(&self, node: u32) -> bool {
+        !self.node_dead(node)
+    }
+
+    /// (`MtEngine`'s cluster is always `ClusterSpec::uniform`.)
+    fn node_name(&self, node: u32) -> String {
+        format!("node{node}")
+    }
+
+    /// The live per-thread backlog.
+    fn load(&self, app: u32, tc: u32) -> Vec<u32> {
+        let tc = &self.apps[app as usize].tcs[tc as usize];
+        let backlog = |(q, &n): (&CachePadded<AtomicU32>, &u32)| match self.node_dead(n) {
+            true => u32::MAX,
+            false => q.load(Ordering::Relaxed),
+        };
+        tc.queued.iter().zip(&tc.nodes).map(backlog).collect()
+    }
+
+    fn route(
+        &mut self,
+        to: At,
+        token: &dyn Token,
+        info: &RouteInfo<'_>,
+    ) -> dps_core::Result<usize> {
+        let name = &self.def(to.app, to.graph).node(to.node).name;
+        let g = &self.apps[to.app as usize].graphs[to.graph as usize];
+        g.routes[to.node.0 as usize].route(token, info, name)
+    }
+
+    fn registry(&self, app: u32) -> Option<&TokenRegistry> {
+        self.enforce_serialization
+            .then(|| &self.registries[app as usize])
+    }
+
+    fn service(&self, name: &str) -> Option<(u32, u32)> {
+        self.services.get(name).copied()
+    }
+
+    fn remember_call(&mut self, ret: CallReturn) -> u64 {
+        let id = self.call_counter.fetch_add(1, Ordering::Relaxed);
+        self.pending_calls.lock().insert(id, ret);
+        id
+    }
+
+    fn call_return(&self, id: u64) -> Option<CallReturn> {
+        self.pending_calls.lock().get(&id).cloned()
+    }
+
+    fn pins<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R {
+        f(&mut self.apps[app as usize].graphs[graph as usize].pins.lock())
+    }
+
+    fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
+        f(&mut self.apps[app as usize].graphs[graph as usize].flows.lock())
+    }
+
+    /// Tombstones raise `NodeDown` for the waves they held state for and
+    /// remove their pins, so a pin still on a dead node is a fresh wave's.
+    fn fresh(&self, _app: u32, _graph: u32, _key: &WaveKey) -> bool {
+        true
+    }
+
+    /// The wave's record is entered by the thread that consumes it.
+    fn pinned(&mut self, _: At, _: WaveKey, parked: Option<u32>) -> dps_core::Result<Option<u32>> {
+        Ok(parked)
+    }
+
+    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
+        let tc = self.def(to.app, to.graph).node(to.node).tc;
+        let msg = Msg::Arrive(to.graph, to.node, what, env);
+        self.apps[to.app as usize].tcs[tc as usize].enqueue(thread as usize, msg);
+    }
+
+    fn next_post(
+        &mut self,
+        app: u32,
+        graph: u32,
+        key: FlowKey,
+    ) -> Option<(TokenBox, Envelope, u32)> {
+        let mut flows = self.apps[app as usize].graphs[graph as usize].flows.lock();
+        let f = flows.get_mut(&key)?;
+        let Some((token, env)) = f.pop(self.flow_window) else {
+            if f.is_drained() {
+                flows.remove(&key);
+            }
+            return None;
+        };
+        Some((token, env, f.src))
+    }
+
+    fn leave(&mut self, post: TokenBox, from: At, src: u32, env: Envelope) {
+        kernel::emit(self, from, src, post, env);
+    }
+
+    fn output(&mut self, app: u32, graph: u32, token: TokenBox) {
+        let _ = self.output_tx.send(Output { app, graph, token });
+    }
+
+    fn fail(&mut self, app: u32, e: DpsError) {
+        send_error(self, app, e);
+    }
+
+    /// The wall-clock execution time of the chunk goes to the registered
+    /// feedback sink — the real-thread half of the dynamic loop-scheduling
+    /// feedback channel. (A remote host's reports come back with its posts.)
+    fn report(&mut self, w: &mut Worker, iters: u64) {
+        let Some(started) = w.span.as_ref().map(|span| span.t0) else {
+            return;
+        };
+        let nanos = started.elapsed().as_nanos() as u64;
+        w.trace(self, EventKind::ChunkExec { iters, nanos });
+        if let Some(sink) = self.feedback.as_ref() {
+            kernel::note_reporter(&mut self.feedback_tcs.lock(), w.app, w.tc);
+            sink.report_chunk(w.thread as usize, iters, started.elapsed().as_secs_f64());
+            let worker = w.thread;
             w.trace(
-                shared,
-                EventKind::WaveEnd {
-                    graph: graph_label,
-                    wave: key.wave as u32,
+                self,
+                EventKind::ChunkReport {
+                    worker,
+                    iters,
+                    nanos,
                 },
             );
+            if let Some(c) = &self.trace {
+                c.metrics().add(Counter::ChunkReports, 1);
+            }
+        }
+    }
+
+    fn span(&mut self, w: &mut Worker, at: At) {
+        let Some(span) = w.span.take() else {
+            return;
+        };
+        if let (Some(start), Some(c), Some(wtr)) = (span.t0n, &self.trace, &mut w.trace) {
+            let op = c.label(&self.def(at.app, at.graph).node(at.node).name);
+            let wave = span.wave;
+            wtr.record(start, EventKind::OpStart { op, wave });
+            wtr.record(c.now_nanos(), EventKind::OpEnd { op, wave });
+        }
+    }
+
+    fn opened(&mut self, w: &mut Worker, at: At) -> u64 {
+        let id = self.wave_counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(c) = &self.trace {
+            let (graph, wave) = (c.label(self.def(at.app, at.graph).name()), id as u32);
+            w.trace(self, EventKind::WaveStart { graph, wave });
+        }
+        id
+    }
+
+    fn wave_done(&mut self, w: &mut Worker, at: At, key: &WaveKey) {
+        if let Some(c) = &self.trace {
+            let graph = c.label(self.def(at.app, at.graph).name());
+            let wave = key.wave as u32;
+            w.trace(self, EventKind::WaveEnd { graph, wave });
             c.drain();
         }
         w.inst.waves.remove(key);
-        let g = &shared.apps[w.app as usize].graphs[graph as usize];
-        g.pins.lock().remove(key);
     }
-    if consumed {
-        credit_flow(shared, w.app, graph, (key.src.0, key.wave));
-    }
-    Ok(())
-}
-
-/// Queue a stream's posts on its output flow (kernel rule 3); a total that
-/// no pending post can carry goes out as a wave-close.
-///
-/// The wave's numbering is read and advanced here, in phase 2, and nowhere
-/// else: two consumes of one wave can be in flight together, and numbering
-/// their posts in phase 1 would start both from the same base.
-#[allow(clippy::too_many_arguments)]
-fn finish_stream(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    key: &WaveKey,
-    parent_env: &Envelope,
-    completes: bool,
-    posts: Vec<TokenBox>,
-) -> Result<(), DpsError> {
-    let gnode = shared.defs[w.app as usize][graph as usize].node(node);
-    let Some(wave) = w.inst.waves.get_mut(key) else {
-        return Err(DpsError::OperationContract {
-            node: gnode.name.clone(),
-            reason: "stream wave was completed twice".into(),
-        });
-    };
-    let flow_key = (node.0, wave.out_wave());
-    let close = {
-        let g = &shared.apps[w.app as usize].graphs[graph as usize];
-        let mut flows = g.flows.lock();
-        let f = flows.entry(flow_key).or_insert_with(|| MtFlow {
-            flow: Flow::stream(),
-            src_node: w.node,
-        });
-        wave.append(&mut f.flow, gnode, parent_env, posts, completes)?
-    };
-    if let Some((close_env, total)) = close {
-        send_close(shared, w.app, graph, close_env, total);
-    }
-    pump_flow(shared, w.app, graph, flow_key);
-    Ok(())
-}
-
-fn handle_call(
-    shared: &Arc<Shared>,
-    w: &mut Worker,
-    graph: u32,
-    node: GNodeId,
-    token: TokenBox,
-    env: Envelope,
-) -> Result<(), DpsError> {
-    let def = &shared.defs[w.app as usize][graph as usize];
-    let service = def
-        .node(node)
-        .service
-        .clone()
-        .expect("call nodes carry a service name");
-    let Some(&(t_app, t_graph)) = shared.services.get(&service) else {
-        return Err(DpsError::UnknownService { name: service });
-    };
-    let call_id = shared.call_counter.fetch_add(1, Ordering::Relaxed);
-    let (ret, callee_env) = kernel::call(call_id, w.app, graph, node, env);
-    shared.pending_calls.lock().insert(call_id, ret);
-    let entry = shared.defs[t_app as usize][t_graph as usize].entry();
-    route_and_send(shared, t_app, t_graph, entry, w.node, token, callee_env);
-    Ok(())
-}
-
-/// `DpsError::NodeDown` for work bound to dead cluster node `node` at graph
-/// node `target`.
-fn node_down(shared: &Shared, node: u32, target: &str) -> DpsError {
-    DpsError::NodeDown {
-        node: shared.node_name(node),
-        target: target.to_string(),
-    }
-}
-
-/// Send a wave-close to the thread its wave is pinned on, or park it until
-/// the wave has one (kernel rule 6).
-fn send_close(shared: &Arc<Shared>, app: u32, graph: u32, close_env: Envelope, total: u32) {
-    let key = close_env
-        .wave_key()
-        .expect("close envelopes carry the wave frame");
-    let def = &shared.defs[app as usize][graph as usize];
-    let merge_node = match kernel::close_node(def, &key) {
-        Ok(n) => n,
-        Err(e) => return send_error(shared, app, e),
-    };
-    let gnode = def.node(merge_node);
-    let shared_tc = &shared.apps[app as usize].tcs[gnode.tc as usize];
-    let alive = |t: u32| !shared.node_dead(shared_tc.nodes[t as usize]);
-    // Tombstones remove the pins of the waves they held state for, so a pin
-    // still on a dead node is a fresh wave's.
-    let to = shared.apps[app as usize].graphs[graph as usize]
-        .pins
-        .lock()
-        .close(&key, total, alive, || true);
-    match to {
-        Ok(CloseTo::Deliver(thread)) => shared_tc.enqueue(
-            thread as usize,
-            Msg::Close {
-                graph,
-                node: merge_node,
-                env: close_env,
-                total,
-            },
-        ),
-        Ok(CloseTo::Parked) => {}
-        Err(dead) => {
-            let e = node_down(shared, shared_tc.nodes[dead as usize], &gnode.name);
-            send_error(shared, app, e)
-        }
-    }
-}
-
-/// A token leaves node `from` of `graph`: on to its successor, out as a
-/// graph output, or back into the calling graph (kernel rule 5).
-fn emit(
-    shared: &Arc<Shared>,
-    mut app: u32,
-    mut graph: u32,
-    mut from: GNodeId,
-    src_node: u32,
-    token: TokenBox,
-    mut env: Envelope,
-) {
-    loop {
-        let def = &shared.defs[app as usize][graph as usize];
-        let returns = |id: u64| shared.pending_calls.lock().get(&id).cloned();
-        match kernel::exit(def, from, token.as_ref(), &env, returns) {
-            Ok(Exit::To(next)) => {
-                return route_and_send(shared, app, graph, next, src_node, token, env)
-            }
-            Ok(Exit::Return(ret)) => {
-                (app, graph, from, env) = (ret.app, ret.graph, ret.node, ret.env)
-            }
-            Ok(Exit::Output) => {
-                let _ = shared.output_tx.send(Output { app, graph, token });
-                return;
-            }
-            Err(e) => return send_error(shared, app, e),
-        }
-    }
-}
-
-fn route_and_send(
-    shared: &Arc<Shared>,
-    app: u32,
-    graph: u32,
-    to: GNodeId,
-    src_node: u32,
-    token: TokenBox,
-    env: Envelope,
-) {
-    let def = &shared.defs[app as usize][graph as usize];
-    let gnode = def.node(to);
-    let g = &shared.apps[app as usize].graphs[graph as usize];
-    let shared_tc = &shared.apps[app as usize].tcs[gnode.tc as usize];
-    let thread_count = shared_tc.senders.len();
-    // Live per-thread backlog: load-balancing routes on real OS threads see
-    // the same signal shape as on the simulator. Single-thread collections
-    // (masters, merge homes) skip the snapshot — routing there is forced.
-    let load = (thread_count > 1).then(|| shared_tc.load_snapshot(&shared.dead));
-    let info = RouteInfo {
-        thread_count,
-        load: load.as_deref(),
-    };
-    let routed = g.routes[to.0 as usize].route(token.as_ref(), &info, &gnode.name);
-    let mut thread = match routed {
-        Ok(i) => i as u32,
-        Err(e) => {
-            send_error(shared, app, e);
-            return;
-        }
-    };
-    if matches!(gnode.kind, OpKind::Merge | OpKind::Stream) {
-        let key = env.wave_key().expect("validated: merges are under a split");
-        let alive = |t: u32| !shared.node_dead(shared_tc.nodes[t as usize]);
-        // A pin still on a dead node is a fresh wave's (see `send_close`).
-        let pin = g.pins.lock().route(&key, thread, alive, || true);
-        match pin {
-            Ok(Routed::Follow(pinned)) => thread = pinned,
-            Ok(Routed::Pinned { parked: None }) => {}
-            Ok(Routed::Pinned {
-                parked: Some(total),
-            }) => {
-                // A close got ahead of the wave's first token: it goes to
-                // the wave's new home ahead of that token.
-                let mut close_env = env.clone();
-                if let Some(f) = close_env.frames.last_mut() {
-                    f.total = Some(total);
-                }
-                let close = Msg::Close {
-                    graph,
-                    node: to,
-                    env: close_env,
-                    total,
-                };
-                shared_tc.enqueue(thread as usize, close);
-            }
-            Err(dead) => {
-                let e = node_down(shared, shared_tc.nodes[dead as usize], &gnode.name);
-                return send_error(shared, app, e);
-            }
-        }
-    }
-    let dst_node = shared_tc.nodes[thread as usize];
-    if shared.node_dead(dst_node) {
-        // The route insisted on a dead thread (stateful affinity, or the
-        // whole collection is down): the work cannot be re-queued.
-        return send_error(shared, app, node_down(shared, dst_node, &gnode.name));
-    }
-    let token = if shared.enforce_serialization && src_node != dst_node {
-        match wire_roundtrip(token.as_ref(), &shared.registries[app as usize]) {
-            Ok(t) => t,
-            Err(e) => {
-                send_error(shared, app, e);
-                return;
-            }
-        }
-    } else {
-        token
-    };
-    shared_tc.enqueue(
-        thread as usize,
-        Msg::Deliver {
-            graph,
-            node: to,
-            token,
-            env,
-        },
-    );
-}
-
-/// Release the pending posts of flow `key` (its producing node, its wave)
-/// that the window admits, and drop the flow once it is drained.
-fn pump_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
-    let g = &shared.apps[app as usize].graphs[graph as usize];
-    loop {
-        let (token, env, src_node) = {
-            let mut flows = g.flows.lock();
-            let Some(f) = flows.get_mut(&key) else {
-                return;
-            };
-            let Some((token, env)) = f.flow.pop(shared.flow_window) else {
-                if f.flow.is_drained() {
-                    flows.remove(&key);
-                }
-                return;
-            };
-            (token, env, f.src_node)
-        };
-        emit(shared, app, graph, GNodeId(key.0), src_node, token, env);
-    }
-}
-
-/// A merge consumed one token of flow `key`: return a credit.
-fn credit_flow(shared: &Arc<Shared>, app: u32, graph: u32, key: (u32, u64)) {
-    {
-        let g = &shared.apps[app as usize].graphs[graph as usize];
-        let mut flows = g.flows.lock();
-        let Some(f) = flows.get_mut(&key) else {
-            return;
-        };
-        f.flow.credit();
-    }
-    pump_flow(shared, app, graph, key);
 }

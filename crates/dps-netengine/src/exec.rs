@@ -21,7 +21,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::{Instances, Wave};
+use dps_core::internal::kernel::{self, Instances, Served, Wave};
 use dps_core::internal::ExecInfo;
 use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
 use dps_obs::{Counter, MetricsRegistry};
@@ -379,22 +379,38 @@ fn run_job(
     inst: &mut Instances,
     job: Job,
 ) -> Result<JobOutput, DpsError> {
-    let token = if job.token.is_empty() {
-        None
-    } else {
-        Some(proto::decode_token(&ctx.registry, &job.token)?)
-    };
     let gnode = ctx.def.node(job.node);
-    let name = gnode.name.as_str();
+    let contract = |reason: &str| DpsError::OperationContract {
+        node: gnode.name.clone(),
+        reason: reason.into(),
+    };
     if matches!(gnode.kind, OpKind::Call) {
-        return Err(DpsError::OperationContract {
-            node: name.into(),
-            reason: "call nodes execute on the master, never remotely".into(),
-        });
+        return Err(contract("call nodes execute on the master, never remotely"));
     }
+    let token = match job.kind {
+        TaskKind::Finalize => None,
+        _ if job.token.is_empty() => return Err(contract("remote task arrived without its token")),
+        _ => Some(proto::decode_token(&ctx.registry, &job.token)?),
+    };
     // The master counts the wave and numbers its output; this side holds
-    // only the wave's operation instance.
-    let hosted = || Wave::new(job.graph, job.node, 0);
+    // only the wave's operation instance, from its first step to the one
+    // that finalizes it.
+    let finalize = matches!(job.kind, TaskKind::ConsumeCompletes | TaskKind::Finalize);
+    let key = match job.kind {
+        TaskKind::Exec => None,
+        _ => Some(
+            job.env
+                .wave_key()
+                .ok_or_else(|| contract("remote consume/finalize without a wave frame"))?,
+        ),
+    };
+    let served = match &key {
+        None => Served::Node(inst, (job.graph, job.node.0)),
+        Some(key) => {
+            let hosted = || Wave::new(job.graph, job.node, 0);
+            Served::Wave(inst.waves.entry(key.clone()).or_insert_with(hosted))
+        }
+    };
     let info = ExecInfo {
         thread_index: thread as usize,
         thread_count: ctx.thread_count,
@@ -402,54 +418,16 @@ fn run_job(
         start_nanos: 0,
     };
     let data = data.get_or_insert_with(|| (ctx.factory)());
-    let mut out = dps_core::internal::OpOutput::default();
     let t0 = Instant::now();
-    match job.kind {
-        TaskKind::Exec => {
-            let op = inst.node_op((job.graph, job.node.0), gnode)?;
-            let token = token.ok_or_else(|| missing_token(name))?;
-            op.on_token(&mut out, data.as_mut(), info, name, token)?;
-        }
-        TaskKind::Consume | TaskKind::ConsumeCompletes => {
-            let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
-            let op = inst
-                .waves
-                .entry(key.clone())
-                .or_insert_with(hosted)
-                .op(gnode)?;
-            let token = token.ok_or_else(|| missing_token(name))?;
-            op.on_token(&mut out, data.as_mut(), info, name, token)?;
-            if job.kind == TaskKind::ConsumeCompletes {
-                op.on_finalize(&mut out, data.as_mut(), info, name)?;
-                inst.waves.remove(&key);
-            }
-        }
-        TaskKind::Finalize => {
-            let key = job.env.wave_key().ok_or_else(|| bad_envelope(name))?;
-            let mut wave = inst.waves.remove(&key).unwrap_or_else(hosted);
-            wave.op(gnode)?
-                .on_finalize(&mut out, data.as_mut(), info, name)?;
-        }
+    let out = kernel::step(served, gnode, token, finalize, data.as_mut(), info)?;
+    if let (Some(key), true) = (&key, finalize) {
+        inst.waves.remove(key);
     }
     let reports = out
         .completed_iters
         .map(|iters| vec![(iters, t0.elapsed().as_secs_f64())])
         .unwrap_or_default();
     Ok((out.posts.into_iter().map(|p| p.token).collect(), reports))
-}
-
-fn missing_token(node: &str) -> DpsError {
-    DpsError::OperationContract {
-        node: node.into(),
-        reason: "remote task arrived without its token".into(),
-    }
-}
-
-fn bad_envelope(node: &str) -> DpsError {
-    DpsError::OperationContract {
-        node: node.into(),
-        reason: "remote consume/finalize without a wave frame".into(),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@
 //! Everything concurrent in this crate — connection readers, per-thread
 //! executors, worker-process harnesses — is spawned through an
 //! [`AsyncRuntime`] instead of calling `std::thread` directly. The engine
-//! needs exactly two capabilities (spawn a named task, sleep), so the trait
-//! is deliberately tiny: the default [`ThreadRuntime`] backs every task
+//! needs exactly one capability (spawn a named task), so the trait is
+//! deliberately tiny: the default [`ThreadRuntime`] backs every task
 //! with one OS thread, and an engine embedded into a host with its own
 //! scheduler substitutes one `impl AsyncRuntime` without touching engine
 //! code.
-
-use std::time::Duration;
 
 /// Handle to a spawned task; joining waits for it to finish. Dropping the
 /// handle detaches the task.
@@ -19,14 +17,11 @@ pub trait TaskHandle: Send {
     fn join(self: Box<Self>);
 }
 
-/// The execution substrate: spawn concurrent tasks, sleep.
+/// The execution substrate: spawn concurrent tasks.
 pub trait AsyncRuntime: Send + Sync {
     /// Run `f` concurrently under a human-readable `name` (surfaces in
     /// thread listings and panic messages on thread-backed runtimes).
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> Box<dyn TaskHandle>;
-
-    /// Block the calling task for `d`.
-    fn sleep(&self, d: Duration);
 }
 
 /// The default runtime: one OS thread per task.
@@ -48,10 +43,6 @@ impl AsyncRuntime for ThreadRuntime {
             .spawn(f)
             .expect("spawn runtime task");
         Box::new(ThreadTask(handle))
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
     }
 }
 
@@ -80,6 +71,5 @@ mod tests {
             h.join();
         }
         assert_eq!(hits.load(Ordering::SeqCst), 4);
-        rt.sleep(Duration::from_millis(1));
     }
 }

@@ -8,6 +8,8 @@
 //! seeded configuration must produce **byte-identical** trace logs — which
 //! makes `schedule_hash` a one-word fingerprint of an entire schedule.
 
+use std::sync::{Arc, Mutex};
+
 use dps::cluster::ClusterSpec;
 use dps::core::prelude::*;
 use dps::core::{dps_token, EngineConfig};
@@ -218,6 +220,7 @@ impl MergeOperation for CountPieces {
         self.0 += 1;
     }
     fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Count>) {
+        ctx.mark_chunk(self.0 as u64);
         ctx.post(Count { n: self.0 });
     }
 }
@@ -267,4 +270,47 @@ fn a_finalize_triggered_by_a_wave_close_is_an_op_span_on_sim_and_mt() {
     // the close triggers (the total riding inline would make it 2N).
     assert_eq!(sim_spans, 2 * N as usize + 1);
     assert_eq!(mt_spans, sim_spans);
+}
+
+/// Chunk reports as the feedback sink receives them: `(worker, iters)`.
+#[derive(Default)]
+struct Reports(Mutex<Vec<(usize, u64)>>);
+impl dps::sched::FeedbackSink for Reports {
+    fn report_chunk(&self, worker: usize, iters: u64, _secs: f64) {
+        self.0.lock().unwrap().push((worker, iters));
+    }
+}
+
+/// The same driver on either engine, with a sink and a trace attached:
+/// what the sink heard, and how many `ChunkExec` / `ChunkReport` events the
+/// trace holds.
+fn chunk_reports_of_a_closed_wave<E: Engine>(eng: &mut E, n: u32) -> (Vec<(usize, u64)>, usize) {
+    let (sink, trace) = (Arc::new(Reports::default()), TraceCollector::new());
+    eng.set_feedback_sink(sink.clone());
+    eng.set_trace_sink(trace.clone());
+    assert_eq!(count_through_a_closed_wave(eng, n), n - 1);
+    let chunk = |e: &&dps::obs::TraceEvent| {
+        matches!(
+            e.kind,
+            EventKind::ChunkExec { .. } | EventKind::ChunkReport { .. }
+        )
+    };
+    let events = trace.take_log().events.iter().filter(chunk).count();
+    let heard = sink.0.lock().unwrap().clone();
+    (heard, events)
+}
+
+/// A merge that marks a chunk in `finalize` is reported whichever arrival
+/// completes its wave — here the wave-close, after the last data object.
+#[test]
+fn a_chunk_marked_in_a_close_triggered_finalize_is_reported_on_sim_and_mt() {
+    const N: u32 = 4;
+    let mut sim = SimEngine::new(ClusterSpec::paper_testbed(1));
+    let on_sim = chunk_reports_of_a_closed_wave(&mut sim, N);
+    let mut mt = MtEngine::new(1);
+    let on_mt = chunk_reports_of_a_closed_wave(&mut mt, N);
+    mt.shutdown();
+    let one_report = (vec![(0, (N - 1) as u64)], 2);
+    assert_eq!(on_sim, one_report, "sim");
+    assert_eq!(on_mt, one_report, "mt");
 }
