@@ -10,7 +10,8 @@
 //!    applied,
 //! 3. `A' = B − L21 · T12`, recursively factorized.
 
-use crate::matrix::{gemm, Matrix};
+use crate::kernel::{gemm_acc, trsm_view};
+use crate::matrix::Matrix;
 
 /// Result of a (panel or full) LU factorization: `L` is unit lower
 /// triangular, `U` upper triangular, and `pivots[k] = p` means rows `k` and
@@ -53,7 +54,10 @@ impl LuFactors {
 /// ([`kernel::panel_lu_blocked`](crate::kernel::panel_lu_blocked)), which
 /// is bitwise identical to the unblocked elimination — same pivots, same
 /// bits. Returns the pivot record. Panics if the panel is singular to
-/// working precision (the experiment matrices are diagonally dominant).
+/// working precision. Partial pivoting is what keeps that from happening:
+/// the LU experiments factor `Matrix::random_general` — uniform entries, no
+/// diagonal dominance — so nearly every column swaps rows (only the matmul
+/// operands, `Matrix::random`, are diagonally dominant).
 pub fn panel_lu(panel: &mut Matrix) -> Vec<usize> {
     crate::kernel::panel_lu_blocked(panel)
 }
@@ -118,16 +122,25 @@ pub fn blocked_lu(a: &Matrix, r: usize) -> LuFactors {
         if kb + 1 == nb {
             break;
         }
+        // Steps 2 and 3 run on `lu` itself. A kernel holds its output
+        // mutably and may read only rows on the other side of a split, so
+        // the two blocks that share rows with an output — `L11` with
+        // `A12`, `L21` with `B` — are copied out first (as
+        // `panel_lu_blocked` does with its own `L21`); the trailing matrix
+        // itself is never copied.
+        let (w, below) = (n - k0 - r, m - r);
         // Step 2: T12 = L11⁻¹ · A12.
         let l11 = lu.block(k0, k0, r, r);
-        let mut a12 = lu.block(k0, k0 + r, r, n - k0 - r);
-        trsm_lower_unit(&l11, &mut a12);
-        lu.set_block(k0, k0 + r, &a12);
-        // Step 3: A' = B − L21 · T12.
-        let l21 = lu.block(k0 + r, k0, m - r, r);
-        let mut b = lu.block(k0 + r, k0 + r, m - r, n - k0 - r);
-        gemm(-1.0, &l21, &a12, 1.0, &mut b);
-        lu.set_block(k0 + r, k0 + r, &b);
+        trsm_view(l11.view(), lu.view_mut().block(k0, k0 + r, r, w));
+        // Step 3: A' = B − L21 · T12, with T12 above the split and B below.
+        let l21 = lu.block(k0 + r, k0, below, r);
+        let (top, bottom) = lu.view_mut().split_rows_mut(k0 + r);
+        gemm_acc(
+            -1.0,
+            l21.view(),
+            top.view().block(k0, k0 + r, r, w),
+            bottom.block(0, k0 + r, below, w),
+        );
     }
     LuFactors { lu, pivots }
 }
@@ -204,6 +217,29 @@ mod tests {
                 .filter(|&(i, &p)| p != i)
                 .count();
             assert!(swaps > 0, "expected non-trivial pivoting");
+        }
+    }
+
+    #[test]
+    fn blocked_lu_bits_are_those_of_the_copying_driver() {
+        // Fingerprints (FNV-1a over every element's bits, then every
+        // pivot) of the driver that copied the trailing matrix out and
+        // back each step, captured from the commit before the update ran
+        // in place: same kernels in the same order, so the same bits.
+        for (n, r, seed, expect) in [
+            (64, 8, 3, 0x62b9_19bd_8751_832d_u64),
+            (96, 32, 5, 0xa220_d28e_bcd8_aa70),  // n/r odd
+            (160, 32, 9, 0x4408_a4ba_c44c_6afb), // n/r odd
+        ] {
+            let f = blocked_lu(&Matrix::random_general(n, n, seed), r);
+            let mut h = dps_obs::Fnv1a::new();
+            for v in f.lu.as_slice() {
+                h.write_u64(v.to_bits());
+            }
+            for &p in &f.pivots {
+                h.write_u64(p as u64);
+            }
+            assert_eq!(h.finish(), expect, "n={n} r={r} seed={seed}");
         }
     }
 

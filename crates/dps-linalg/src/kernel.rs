@@ -44,8 +44,18 @@
 //! (two `f64` lanes on baseline x86-64) without any arch-specific
 //! intrinsics. Partial edge tiles run the same loop with guarded loads and
 //! stores — the pad lanes accumulate zeros and are never written back.
+//!
+//! # Blocks where they lie
+//!
+//! [`gemm_acc`] and [`trsm_view`] take [`MatRef`] / [`MatMut`] views — a
+//! block of a larger row-major buffer, rows a leading dimension apart —
+//! and the `Matrix` entry points are thin wrappers over the same cores.
+//! Where a block lies changes which addresses are read, never the order
+//! of an element's chain, so the contract above holds for a sub-block
+//! exactly as for a whole matrix (proptests: "kernels on views").
 
 use crate::matrix::Matrix;
+use crate::view::{MatMut, MatRef};
 
 /// Microkernel tile height (rows of `C` held in registers).
 pub const MR: usize = 4;
@@ -74,7 +84,7 @@ pub fn uses_blocked(m: usize, n: usize, k: usize) -> bool {
 /// scalar rather than the `C` row, so it is only *mathematically* equal to
 /// the other kernels.
 pub fn gemm_naive(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, kdim, n) = check_dims(a, b, c);
+    let (m, kdim, n) = check_dims(a.view(), b.view(), c.view());
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;
@@ -94,58 +104,43 @@ pub fn gemm_naive(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix)
 /// `c += (alpha·a[i,k]) · b[k,j]` for `k` ascending — the exact chain the
 /// blocked kernel reproduces.
 pub fn gemm_scalar(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, kdim, n) = check_dims(a, b, c);
     scale(beta, c.as_mut_slice());
-    gemm_scalar_strided(
-        alpha,
-        a.as_slice(),
-        kdim,
-        m,
-        kdim,
-        b.as_slice(),
-        n,
-        c.as_mut_slice(),
-        n,
-        n,
-    );
+    gemm_scalar_core(alpha, a.view(), b.view(), c.view_mut());
 }
 
 /// Packed blocked GEMM (`C = alpha·A·B + beta·C`), bitwise identical to
 /// [`gemm_scalar`]. See the module docs for the blocking scheme and the
 /// determinism contract.
 pub fn gemm_blocked(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, kdim, n) = check_dims(a, b, c);
     scale(beta, c.as_mut_slice());
-    gemm_blocked_strided(
-        alpha,
-        a.as_slice(),
-        kdim,
-        m,
-        kdim,
-        b.as_slice(),
-        n,
-        c.as_mut_slice(),
-        n,
-        n,
-    );
+    gemm_blocked_core(alpha, a.view(), b.view(), c.view_mut());
 }
 
 /// GEMM with automatic kernel selection: blocked above
 /// [`BLOCK_THRESHOLD`], scalar `ikj` below. Both paths produce identical
 /// bits, so the threshold is purely a performance knob.
 pub fn gemm_auto(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    if uses_blocked(a.rows(), b.cols(), a.cols()) {
-        gemm_blocked(alpha, a, b, beta, c);
+    scale(beta, c.as_mut_slice());
+    gemm_acc(alpha, a.view(), b.view(), c.view_mut());
+}
+
+/// `C += alpha·A·B` on views — the form every in-place step takes (the LU
+/// trailing update, a matmul tile), with the kernel selection of
+/// [`gemm_auto`]: the operands stay where they lie, and each element of
+/// `C` continues its one ascending-`k` chain.
+pub fn gemm_acc(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
+    if uses_blocked(a.rows, b.cols, a.cols) {
+        gemm_blocked_core(alpha, a, b, c);
     } else {
-        gemm_scalar(alpha, a, b, beta, c);
+        gemm_scalar_core(alpha, a, b, c);
     }
 }
 
-fn check_dims(a: &Matrix, b: &Matrix, c: &Matrix) -> (usize, usize, usize) {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert_eq!(c.rows(), a.rows(), "C rows");
-    assert_eq!(c.cols(), b.cols(), "C cols");
-    (a.rows(), a.cols(), b.cols())
+fn check_dims(a: MatRef<'_>, b: MatRef<'_>, c: MatRef<'_>) -> (usize, usize, usize) {
+    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+    assert_eq!(c.rows, a.rows, "C rows");
+    assert_eq!(c.cols, b.cols, "C cols");
+    (a.rows, a.cols, b.cols)
 }
 
 fn scale(beta: f64, c: &mut [f64]) {
@@ -156,26 +151,17 @@ fn scale(beta: f64, c: &mut [f64]) {
     }
 }
 
-// --- strided cores ------------------------------------------------------------
+// --- cores --------------------------------------------------------------------
 //
-// The in-place factorizations below need `C += alpha·A·B` over sub-blocks
-// of a shared buffer, so the cores take raw row-major slices with explicit
-// leading dimensions (`ld*` = row stride) and no beta pass.
+// `C += alpha·A·B` with no beta pass. Each core unpacks its views into raw
+// row-major slices and leading dimensions (`ld*` = row stride) once, so
+// the loops index exactly as they would over whole matrices.
 
-/// `C += alpha·A·B` in scalar `ikj` order over strided buffers.
-#[allow(clippy::too_many_arguments)]
-fn gemm_scalar_strided(
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    m: usize,
-    kdim: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-    n: usize,
-) {
+/// `C += alpha·A·B` in scalar `ikj` order.
+fn gemm_scalar_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
+    let (m, kdim, n) = check_dims(a, b, c.view());
+    let (lda, ldb, ldc) = (a.ld, b.ld, c.ld);
+    let (a, b, c) = (a.data, b.data, c.data);
     for i in 0..m {
         let c_row = &mut c[i * ldc..i * ldc + n];
         for k in 0..kdim {
@@ -189,23 +175,14 @@ fn gemm_scalar_strided(
 }
 
 /// `C += alpha·A·B` through the packed microkernel, bitwise identical to
-/// [`gemm_scalar_strided`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_strided(
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    m: usize,
-    kdim: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-    n: usize,
-) {
+/// [`gemm_scalar_core`].
+fn gemm_blocked_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
+    let (m, kdim, n) = check_dims(a, b, c.view());
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
+    let (lda, ldb, ldc) = (a.ld, b.ld, c.ld);
+    let (a, b, c) = (a.data, b.data, c.data);
     // Pack B once: NR-column panels, k-major, zero-padded to full NR.
     let n_panels = n.div_ceil(NR);
     let mut bp = vec![0.0f64; n_panels * kdim * NR];
@@ -311,37 +288,35 @@ pub const TRSM_BLOCK: usize = 32;
 /// diagonal triangle finishes scalar. Per element the subtraction chain is
 /// `k = 0..i` ascending — bitwise identical to the unblocked solve.
 pub fn trsm_blocked(l: &Matrix, b: &mut Matrix) {
-    let n = l.rows();
-    assert_eq!(l.cols(), n, "L must be square");
-    assert_eq!(b.rows(), n, "dimension mismatch");
-    let cols = b.cols();
-    let ld = l.as_slice();
-    let bd = b.as_mut_slice();
+    trsm_view(l.view(), b.view_mut());
+}
+
+/// [`trsm_blocked`] on views: `L` is read and `B` solved where they lie —
+/// `L11` in a token's panel, `U_kj` in the rows of its owner's column.
+pub fn trsm_view(l: MatRef<'_>, mut b: MatMut<'_>) {
+    let n = l.rows;
+    assert_eq!(l.cols, n, "L must be square");
+    assert_eq!(b.rows, n, "dimension mismatch");
+    let (cols, ldl, ldb) = (b.cols, l.ld, b.ld);
     let mut i0 = 0;
     while i0 < n {
         let tb = TRSM_BLOCK.min(n - i0);
         if i0 > 0 {
             // B[i0..i0+tb] += (−1) · L[i0..i0+tb, 0..i0] · B[0..i0]
-            let (solved, rest) = bd.split_at_mut(i0 * cols);
-            gemm_blocked_strided(
+            let (solved, rest) = b.view_mut().split_rows_mut(i0);
+            gemm_blocked_core(
                 -1.0,
-                &ld[i0 * n..],
-                n,
-                tb,
-                i0,
-                solved,
-                cols,
-                &mut rest[..tb * cols],
-                cols,
-                cols,
+                l.block(i0, 0, tb, i0),
+                solved.view(),
+                rest.block(0, 0, tb, cols),
             );
         }
         // Diagonal triangle: forward substitution inside the block.
         for i in i0 + 1..i0 + tb {
             for k in i0..i {
-                let lik = ld[i * n + k];
-                let (top, row_i) = bd.split_at_mut(i * cols);
-                let row_k = &top[k * cols..k * cols + cols];
+                let lik = l.data[i * ldl + k];
+                let (top, row_i) = b.data.split_at_mut(i * ldb);
+                let row_k = &top[k * ldb..k * ldb + cols];
                 for (x, bk) in row_i[..cols].iter_mut().zip(row_k) {
                     *x -= lik * bk;
                 }
@@ -454,20 +429,12 @@ pub fn panel_lu_blocked(panel: &mut Matrix) -> Vec<usize> {
                         l21[i * ib + k] = panel[(right0 + i, c0 + k)];
                     }
                 }
-                let ldp = r;
-                let data = panel.as_mut_slice();
-                let (top, below) = data.split_at_mut(right0 * ldp);
-                gemm_blocked_strided(
+                let (top, below) = panel.view_mut().split_rows_mut(right0);
+                gemm_blocked_core(
                     -1.0,
-                    &l21,
-                    ib,
-                    rows_below,
-                    ib,
-                    &top[c0 * ldp + right0..],
-                    ldp,
-                    &mut below[right0..],
-                    ldp,
-                    rn,
+                    MatRef::from_slice(&l21, rows_below, ib),
+                    top.view().block(c0, right0, ib, rn),
+                    below.block(0, right0, rows_below, rn),
                 );
             }
         }

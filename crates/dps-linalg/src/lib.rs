@@ -7,6 +7,9 @@
 //! kernels from scratch:
 //!
 //! * [`Matrix`] — dense row-major `f64` matrix with block extraction.
+//! * [`MatRef`] / [`MatMut`] — strided views of a block where it lies (in a
+//!   [`Matrix`], in a token's `Buffer<f64>`), so an operation runs the
+//!   kernels on its owner's storage instead of on a copy.
 //! * [`gemm`] / [`Matrix::matmul`] — general matrix multiply, dispatching
 //!   between the scalar `ikj` fallback and the packed blocked kernel.
 //! * [`kernel`] — the cache-blocked microkernels (packed `MR×NR` gemm,
@@ -33,6 +36,8 @@ pub mod flops;
 pub mod kernel;
 mod matrix;
 pub mod parallel;
+mod view;
 
 pub use factor::{apply_row_swaps, blocked_lu, lu_residual, panel_lu, trsm_lower_unit, LuFactors};
 pub use matrix::{gemm, Matrix};
+pub use view::{MatMut, MatRef};

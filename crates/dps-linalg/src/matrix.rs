@@ -2,6 +2,8 @@
 
 use dps_des::SplitMix64;
 
+use crate::view::{MatMut, MatRef};
+
 /// Dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -92,6 +94,18 @@ impl Matrix {
     /// Consume into the flat buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
+    }
+
+    /// Read-only view of the whole matrix; [`MatRef::block`] narrows it to a
+    /// sub-block without copying.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef::from_slice(&self.data, self.rows, self.cols)
+    }
+
+    /// Mutable view of the whole matrix; [`MatMut::block`] and
+    /// [`MatMut::split_rows_mut`] narrow it without copying.
+    pub fn view_mut(&mut self) -> MatMut<'_> {
+        MatMut::from_slice(&mut self.data, self.rows, self.cols)
     }
 
     /// Copy of the `rows × cols` block whose top-left corner is `(r0, c0)`.

@@ -6,7 +6,8 @@
 //!
 //! * **(a)** the entry split factors the top-left panel and posts one task
 //!   per other block column, each carrying the panel (`L11`, `L21`) and the
-//!   pivot record — that broadcast is the step's communication;
+//!   pivot record — that broadcast is the step's communication (a handle
+//!   per task where sender and receiver share an address space);
 //! * **(b)/(d)** a leaf per column applies the row flips, solves the
 //!   triangular system (`trsm`), and performs its column's trailing-matrix
 //!   multiplications, then posts a notification; the notification for the
@@ -37,7 +38,7 @@
 //! The trailing update — the `A_ij -= L21 · U_kj` gemm dominating each
 //! step — is no longer one monolithic task per block column. The column
 //! worker (`ColumnWork`) is a nested *split*: it performs the row flips
-//! and the `trsm`, then opens a [`dps_sched::ChunkHub`] lease
+//! and the `trsm` (once per column), then opens a [`dps_sched::ChunkHub`] lease
 //! over the column's tail *row blocks* and posts a wave of boundary-free
 //! [`UpdTicket`]s (the distributed chunk-calculation protocol of the
 //! `ScheduledSplit` machinery: tickets carry only the lease id, and each
@@ -52,6 +53,24 @@
 //! the *row* dimension only, so every element's ascending-`k`
 //! accumulation chain is untouched and the factorization stays bitwise
 //! identical to the sequential reference at any granularity.
+//!
+//! # Who copies a block
+//!
+//! A block is copied when it changes owner, not when an operation reads
+//! it. The collector factors a panel into one `Buffer<f64>` (pivots: one
+//! `Buffer<u32>`) and every task of the step carries a *handle* to it — on
+//! one node the "broadcast" is a reference count, over TCP each remote
+//! task is encoded from the same allocation. A column worker solves
+//! `U_kj` where `A_kj` lies in its column, reading `L11` out of the
+//! token; keeps the token's handle (not a copy of `L21`) for the chunks;
+//! and each chunk runs the gemm on views — `L21`'s rows in the shared
+//! panel, `U_kj` above a row split of the column, the chunk's tail rows
+//! below it (`MatMut::split_rows_mut`, which is what makes in-place safe
+//! without `unsafe`). Two copies per step remain, because two owners must
+//! work at once: the next panel's rows leave their column for the
+//! collector (which factors them while the worker keeps updating the
+//! column), and the factored panel comes home. `tests/copy_budget.rs`
+//! holds the whole run to a small multiple of the matrix.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -64,9 +83,11 @@ use dps_des::SimSpan;
 use dps_sched::{Chunk, ChunkCalc, ChunkHub, Distribution, PolicyKind};
 use dps_serial::Buffer;
 
-use crate::factor::{panel_lu, trsm_lower_unit, LuFactors};
+use crate::factor::{panel_lu, LuFactors};
 use crate::flops;
-use crate::matrix::{gemm, Matrix};
+use crate::kernel::{gemm_acc, trsm_view};
+use crate::matrix::Matrix;
+use crate::view::MatRef;
 
 dps_token! {
     /// Kick-off order (also the trigger between merge and split in the
@@ -153,11 +174,13 @@ pub struct ColumnStore {
     /// Block columns owned by this thread: `j → n×r column`.
     pub cols: HashMap<u32, Matrix>,
     /// Pivot records per step (recorded by the owner of each panel).
-    pub pivots: HashMap<u32, Vec<u32>>,
-    /// `L21` strips of in-flight chunked trailing updates, keyed `(k, j)`:
-    /// stashed by the column worker, consumed chunk by chunk, dropped with
-    /// the last chunk.
-    pub panels: HashMap<(u32, u32), Matrix>,
+    pub pivots: HashMap<u32, Buffer<u32>>,
+    /// The step's shared panel for each in-flight chunked trailing update,
+    /// keyed `(k, j)`: a handle to the buffer the task arrived with — the
+    /// one allocation every column of the step reads `L21` from — stashed
+    /// by the column worker, read chunk by chunk, dropped with the last
+    /// chunk.
+    pub panels: HashMap<(u32, u32), Buffer<f64>>,
     /// Chunks still outstanding per in-flight trailing update `(k, j)`.
     pub pending: HashMap<(u32, u32), u32>,
 }
@@ -167,7 +190,7 @@ pub struct ColumnStore {
 #[derive(Default)]
 pub struct PanelStore {
     /// `k → (packed panel rows k·r.., pivots)`.
-    pub cache: HashMap<u32, (Vec<f64>, Vec<u32>)>,
+    pub cache: HashMap<u32, (Buffer<f64>, Buffer<u32>)>,
 }
 
 /// FLOP cost of factoring panel `k`.
@@ -176,8 +199,18 @@ fn panel_cost(k: u32, nb: u32, r: u32) -> f64 {
     flops::panel_lu(rows, r as usize)
 }
 
-/// Build the step-`k` task for column `j`.
-fn make_task(k: u32, j: u32, nb: u32, r: u32, panel: &[f64], pivots: &[u32]) -> LuTask {
+/// Factor a panel that has just changed hands and seal it for the step:
+/// one buffer of factors and one of pivots, which every task of the step
+/// holds a handle to.
+fn factor_panel(rows: usize, r: usize, data: Vec<f64>) -> (Buffer<f64>, Buffer<u32>) {
+    let mut panel = Matrix::from_vec(rows, r, data);
+    let pivots = panel_lu(&mut panel).into_iter().map(|p| p as u32).collect();
+    (panel.into_vec().into(), pivots)
+}
+
+/// Build the step-`k` task for column `j`: a handle to the step's panel
+/// and pivots, not a copy of them.
+fn make_task(k: u32, j: u32, nb: u32, r: u32, panel: &Buffer<f64>, pivots: &Buffer<u32>) -> LuTask {
     let needs_panel = j >= k; // updates and the store-back carry data
     LuTask {
         k,
@@ -185,18 +218,18 @@ fn make_task(k: u32, j: u32, nb: u32, r: u32, panel: &[f64], pivots: &[u32]) -> 
         nb,
         r,
         panel: if needs_panel {
-            panel.to_vec().into()
+            panel.clone()
         } else {
             Buffer::new()
         },
-        pivots: pivots.to_vec().into(),
+        pivots: pivots.clone(),
     }
 }
 
 /// All step-`k` tasks in priority order: the factored panel's store-back
 /// first, then trailing updates (the next panel column leading), then the
 /// cheap row flips.
-fn step_tasks(k: u32, nb: u32, r: u32, panel: &[f64], pivots: &[u32]) -> Vec<LuTask> {
+fn step_tasks(k: u32, nb: u32, r: u32, panel: &Buffer<f64>, pivots: &Buffer<u32>) -> Vec<LuTask> {
     let mut out = Vec::with_capacity(nb as usize);
     out.push(make_task(k, k, nb, r, panel, pivots));
     for j in k + 1..nb {
@@ -213,7 +246,7 @@ enum HeadOutcome {
     /// No trailing work (row flips, store-back): the ticket passes straight
     /// through to the notification.
     Done { cost: f64 },
-    /// Flips + trsm done, the `L21` strip is stashed; the trailing update
+    /// Flips + trsm done, the step's panel is stashed; the trailing update
     /// covers `tail_blocks` row blocks awaiting chunked execution.
     Update { cost: f64, tail_blocks: u64 },
 }
@@ -231,13 +264,14 @@ fn run_head_task(store: &mut ColumnStore, t: &LuTask) -> HeadOutcome {
     if j == k {
         // Store-back: the collector factored this panel remotely. An empty
         // panel is the entry split's self-acknowledgement (it factored
-        // locally); only the pivot record travels then.
+        // locally); only the pivot record travels then. Rows `k·r..n` of
+        // an `n × r` column are one contiguous run, so the factored panel
+        // coming home — one of the two copies a step needs — is a single
+        // `copy_from_slice`.
         if !t.panel.is_empty() {
-            let panel_rows = n - k * r;
-            let panel = Matrix::from_vec(panel_rows, r, t.panel.to_vec());
-            col.set_block(k * r, 0, &panel);
+            col.as_mut_slice()[k * r * r..].copy_from_slice(&t.panel);
         }
-        store.pivots.insert(t.k, t.pivots.to_vec());
+        store.pivots.insert(t.k, t.pivots.clone());
         return HeadOutcome::Done {
             cost: t.panel.len() as f64,
         };
@@ -250,21 +284,19 @@ fn run_head_task(store: &mut ColumnStore, t: &LuTask) -> HeadOutcome {
     if j < k {
         return HeadOutcome::Done { cost };
     }
+    // trsm: U_kj = L11⁻¹ · A_kj, solved where A_kj lies (rows k·r.. of the
+    // column) with L11 read straight out of the token's panel.
     let panel_rows = n - k * r;
-    let panel = Matrix::from_vec(panel_rows, r, t.panel.to_vec());
-    // trsm: U_kj = L11⁻¹ · A_kj.
-    let l11 = panel.block(0, 0, r, r);
-    let mut u_kj = col.block(k * r, 0, r, r);
-    trsm_lower_unit(&l11, &mut u_kj);
-    col.set_block(k * r, 0, &u_kj);
+    let l11 = MatRef::from_slice(&t.panel, panel_rows, r).block(0, 0, r, r);
+    trsm_view(l11, col.view_mut().block(k * r, 0, r, r));
     cost += flops::trsm(r, r);
-    // Stash the L21 strip for the chunked trailing update (j > k implies
-    // k < nb−1, so the tail is non-empty).
-    let below = panel_rows - r;
-    store.panels.insert((t.k, t.j), panel.block(r, 0, below, r));
+    // Keep a handle to the panel for the chunked trailing update, which
+    // reads L21 from its rows r.. (j > k implies k < nb−1, so the tail is
+    // non-empty).
+    store.panels.insert((t.k, t.j), t.panel.clone());
     HeadOutcome::Update {
         cost,
-        tail_blocks: (below / r) as u64,
+        tail_blocks: ((panel_rows - r) / r) as u64,
     }
 }
 
@@ -276,22 +308,29 @@ fn run_update_chunk(store: &mut ColumnStore, t: &UpdTicket, c: &Chunk) -> (f64, 
     let (k, j, nb, r) = (t.k as usize, t.j as usize, t.nb as usize, t.r as usize);
     let n = nb * r;
     let chunk_rows = c.len as usize * r;
-    let l21 = store
+    let panel = store
         .panels
         .get(&(t.k, t.j))
-        .expect("head stashed the L21 strip")
-        .block(c.start as usize * r, 0, chunk_rows, r);
+        .expect("head stashed the step's panel");
     let col = store
         .cols
         .get_mut(&t.j)
         .expect("ticket routed to the column owner");
-    let u_kj = col.block(k * r, 0, r, r);
-    let row0 = (k + 1 + c.start as usize) * r;
-    let mut tail = col.block(row0, 0, chunk_rows, r);
     // A_ij -= L21 · U_kj, restricted to this chunk's rows: splitting the
-    // row dimension never touches an element's k-accumulation chain.
-    gemm(-1.0, &l21, &u_kj, 1.0, &mut tail);
-    col.set_block(row0, 0, &tail);
+    // row dimension never touches an element's k-accumulation chain. All
+    // three operands stay where they lie — L21's rows in the shared panel
+    // (below its r rows of L11), U_kj above the split of the column, the
+    // chunk's tail rows below it.
+    let l21 =
+        MatRef::from_slice(panel, n - k * r, r).block(r + c.start as usize * r, 0, chunk_rows, r);
+    let row0 = (k + 1 + c.start as usize) * r;
+    let (above, below) = col.view_mut().split_rows_mut(row0);
+    gemm_acc(
+        -1.0,
+        l21,
+        above.view().block(k * r, 0, r, r),
+        below.block(0, 0, chunk_rows, r),
+    );
     let cost = flops::gemm_cost(chunk_rows, r, r);
     let rem = store
         .pending
@@ -305,10 +344,11 @@ fn run_update_chunk(store: &mut ColumnStore, t: &UpdTicket, c: &Chunk) -> (f64, 
         store.panels.remove(&(t.k, t.j));
         // If this column becomes the next panel, ship its updated rows
         // with the notification (zero network cost: the collector sits on
-        // this node).
+        // this node). This is the other copy a step needs: the rows leave
+        // their column for the collector, which factors them while this
+        // worker keeps updating (and flipping rows of) the column.
         if j == k + 1 {
-            let col = store.cols.get(&t.j).expect("column present");
-            next_panel = col.block((k + 1) * r, 0, n - (k + 1) * r, r).into_vec();
+            next_panel = col.as_slice()[(k + 1) * r * r..].to_vec();
         }
     }
     (cost, finished, next_panel)
@@ -325,14 +365,14 @@ impl SplitOperation for StartSplit {
     fn execute(&mut self, ctx: &mut OpCtx<'_, ColumnStore, LuTask>, s: LuStart) {
         let (nb, r) = (s.nb, s.r);
         ctx.charge_flops(panel_cost(0, nb, r));
-        let n = (nb * r) as usize;
         let store = ctx.thread();
+        // Column 0 is the panel, whole: factor it where it lies. The tasks
+        // get a copy — the column's rows go on being flipped by later
+        // steps while the step-0 tasks are still reading the panel.
         let col = store.cols.get_mut(&0).expect("column 0 is local");
-        let mut panel = col.block(0, 0, n, r as usize);
-        let piv: Vec<u32> = panel_lu(&mut panel).into_iter().map(|p| p as u32).collect();
-        col.set_block(0, 0, &panel);
+        let piv: Buffer<u32> = panel_lu(col).into_iter().map(|p| p as u32).collect();
+        let panel: Buffer<f64> = col.as_slice().to_vec().into();
         store.pivots.insert(0, piv.clone());
-        let packed = panel.into_vec();
         // Self-acknowledgement first: every column — including this one —
         // must emit a step-0 notification, because all later tasks for a
         // column are posted in response to its previous notification.
@@ -342,10 +382,10 @@ impl SplitOperation for StartSplit {
             nb,
             r,
             panel: Buffer::new(),
-            pivots: piv.clone().into(),
+            pivots: piv.clone(),
         });
         for j in 1..nb {
-            ctx.post(make_task(0, j, nb, r, &packed, &piv));
+            ctx.post(make_task(0, j, nb, r, &panel, &piv));
         }
     }
 }
@@ -481,7 +521,7 @@ struct StepStream {
     k: u32,
     nb: u32,
     r: u32,
-    panel: Option<(Vec<f64>, Vec<u32>)>,
+    panel: Option<(Buffer<f64>, Buffer<u32>)>,
     waiting: Vec<u32>,
 }
 
@@ -516,9 +556,7 @@ impl StreamOperation for StepStream {
             // step (the pipelining of Fig. 13).
             ctx.charge_flops(panel_cost(next, self.nb, self.r));
             let rows = (self.nb - next) as usize * self.r as usize;
-            let mut panel = Matrix::from_vec(rows, self.r as usize, n.panel.into_vec());
-            let piv: Vec<u32> = panel_lu(&mut panel).into_iter().map(|p| p as u32).collect();
-            self.panel = Some((panel.into_vec(), piv));
+            self.panel = Some(factor_panel(rows, self.r as usize, n.panel.into_vec()));
             // Send the factors home first, then release whoever already
             // reported (updates lead, flips trail).
             self.post_task(ctx, next);
@@ -571,10 +609,8 @@ impl MergeOperation for StepMerge {
         let next = self.k + 1;
         ctx.charge_flops(panel_cost(next, self.nb, self.r));
         let rows = (self.nb - next) as usize * self.r as usize;
-        let mut panel =
-            Matrix::from_vec(rows, self.r as usize, std::mem::take(&mut self.panel_data));
-        let piv: Vec<u32> = panel_lu(&mut panel).into_iter().map(|p| p as u32).collect();
-        ctx.thread().cache.insert(next, (panel.into_vec(), piv));
+        let factored = factor_panel(rows, self.r as usize, std::mem::take(&mut self.panel_data));
+        ctx.thread().cache.insert(next, factored);
         ctx.post(LuStart {
             nb: self.nb,
             r: self.r,
@@ -660,7 +696,7 @@ impl LeafOperation for ExtractColumn {
             j: d.j,
             rows: col.rows() as u32,
             data: col.into_vec().into(),
-            pivots: pivots.into(),
+            pivots,
         });
     }
 }
@@ -729,9 +765,10 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
 
     let app = eng.app("lu");
     eng.preload_app(app); // steady-state measurement, as in the paper
-                          // The hub the chunked trailing updates announce to and claim from —
-                          // process-local on the shared-memory engines, one per process
-                          // (homed at its rank) on the distributed engine.
+
+    // The hub the chunked trailing updates announce to and claim from —
+    // process-local on the shared-memory engines, one per process (homed
+    // at its rank) on the distributed engine.
     let hub = eng.chunk_hub();
     let update_chunks = cfg.update_chunks.max(1);
     let worker_map = default_mapping(cfg.nodes, cfg.threads_per_node);
@@ -999,6 +1036,24 @@ mod tests {
         let reference = blocked_lu(&a, cfg.r);
         assert_eq!(rep.factors.pivots, reference.pivots);
         rep
+    }
+
+    #[test]
+    fn a_steps_tasks_alias_one_panel() {
+        // The collector factors the panel into one buffer; the store-back
+        // and every trailing update of the step hold a handle to it, and
+        // the row flips carry none.
+        let (panel, pivots) = factor_panel(24, 8, Matrix::random_general(24, 8, 1).into_vec());
+        let tasks = step_tasks(2, 5, 8, &panel, &pivots);
+        assert_eq!(tasks.len(), 5);
+        for t in &tasks {
+            assert_eq!(t.pivots.as_ptr(), pivots.as_ptr(), "column {}", t.j);
+            if t.j >= t.k {
+                assert_eq!(t.panel.as_ptr(), panel.as_ptr(), "column {}", t.j);
+            } else {
+                assert!(t.panel.is_empty(), "column {}", t.j);
+            }
+        }
     }
 
     #[test]

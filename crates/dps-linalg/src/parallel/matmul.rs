@@ -29,7 +29,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::flops;
+use crate::kernel::gemm_acc;
 use crate::matrix::Matrix;
+use crate::view::MatRef;
 
 dps_token! {
     /// Kick-off order for one multiplication.
@@ -110,33 +112,54 @@ pub struct MasterState {
 /// keyed by result-block index.
 #[derive(Default)]
 pub struct WorkerStore {
-    blocks: HashMap<(u32, u32), (Vec<f64>, Vec<f64>)>,
+    blocks: HashMap<(u32, u32), (Buffer<f64>, Buffer<f64>)>,
 }
 
-fn pack_row_blocks(m: &Matrix, i: usize, bs: usize, s: usize) -> Vec<f64> {
+/// A strip of `s` blocks of `m` concatenated row-major — block `k`'s
+/// top-left corner is `corner(k)` — each copied once, straight from the
+/// rows of the operand.
+fn pack_strip(
+    m: &Matrix,
+    bs: usize,
+    s: usize,
+    corner: impl Fn(usize) -> (usize, usize),
+) -> Buffer<f64> {
     let mut out = Vec::with_capacity(s * bs * bs);
     for k in 0..s {
-        out.extend_from_slice(m.block(i * bs, k * bs, bs, bs).as_slice());
+        let (r0, c0) = corner(k);
+        let block = m.view().block(r0, c0, bs, bs);
+        for i in 0..bs {
+            out.extend_from_slice(block.row(i));
+        }
     }
-    out
+    out.into()
 }
 
-fn pack_col_blocks(m: &Matrix, j: usize, bs: usize, s: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(s * bs * bs);
-    for k in 0..s {
-        out.extend_from_slice(m.block(k * bs, j * bs, bs, bs).as_slice());
-    }
-    out
+/// Every row strip of `a` and every column strip of `b`, each packed once:
+/// the `s²` tasks of a multiplication hold handles to these `2s` buffers —
+/// a strip is reused by every task that needs it, not packed again.
+fn pack_strips(st: &MasterState, bs: usize, s: usize) -> (Vec<Buffer<f64>>, Vec<Buffer<f64>>) {
+    (
+        (0..s)
+            .map(|i| pack_strip(&st.a, bs, s, |k| (i * bs, k * bs)))
+            .collect(),
+        (0..s)
+            .map(|j| pack_strip(&st.b, bs, s, |k| (k * bs, j * bs)))
+            .collect(),
+    )
 }
 
-/// `C_ij = Σ_k A_ik · B_kj` over packed operand buffers.
+/// `C_ij = Σ_k A_ik · B_kj` over packed operand buffers, each tile
+/// multiplied where it lies in its strip.
 fn multiply_packed(a: &[f64], b: &[f64], bs: usize) -> Vec<f64> {
-    let s = a.len() / (bs * bs);
     let mut c = Matrix::zeros(bs, bs);
-    for k in 0..s {
-        let ak = Matrix::from_vec(bs, bs, a[k * bs * bs..(k + 1) * bs * bs].to_vec());
-        let bk = Matrix::from_vec(bs, bs, b[k * bs * bs..(k + 1) * bs * bs].to_vec());
-        crate::matrix::gemm(1.0, &ak, &bk, 1.0, &mut c);
+    for (ak, bk) in a.chunks_exact(bs * bs).zip(b.chunks_exact(bs * bs)) {
+        gemm_acc(
+            1.0,
+            MatRef::from_slice(ak, bs, bs),
+            MatRef::from_slice(bk, bs, bs),
+            c.view_mut(),
+        );
     }
     c.into_vec()
 }
@@ -151,21 +174,17 @@ impl SplitOperation for SplitTasks {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, BlockTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        // Snapshot operands (the master thread owns them).
-        let (a, b) = {
-            let st = ctx.thread();
-            (st.a.clone(), st.b.clone())
-        };
-        for i in 0..s {
-            for j in 0..s {
+        let (rows, cols) = pack_strips(ctx.thread(), bs, s);
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in cols.iter().enumerate() {
                 // Packing cost: one pass over the task's operand bytes.
                 ctx.charge_flops((2 * s * bs * bs) as f64);
                 ctx.post(BlockTask {
                     i: i as u32,
                     j: j as u32,
                     bs: bs as u32,
-                    a: pack_row_blocks(&a, i, bs, s).into(),
-                    b: pack_col_blocks(&b, j, bs, s).into(),
+                    a: a.clone(),
+                    b: b.clone(),
                 });
             }
         }
@@ -206,12 +225,12 @@ impl MergeOperation for AssembleC {
             self.c = Some(Matrix::zeros(self.n, self.n));
         }
         let bs = r.bs as usize;
-        let block = Matrix::from_vec(bs, bs, r.c.into_vec());
-        self.c.as_mut().expect("initialized above").set_block(
-            r.i as usize * bs,
-            r.j as usize * bs,
-            &block,
-        );
+        self.c
+            .as_mut()
+            .expect("initialized above")
+            .view_mut()
+            .block(r.i as usize * bs, r.j as usize * bs, bs, bs)
+            .copy_from(MatRef::from_slice(&r.c, bs, bs));
     }
     fn finalize(&mut self, ctx: &mut OpCtx<'_, MasterState, MulDone>) {
         let c = self.c.take().expect("at least one block");
@@ -232,19 +251,16 @@ impl SplitOperation for SplitStores {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, StoreTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        let (a, b) = {
-            let st = ctx.thread();
-            (st.a.clone(), st.b.clone())
-        };
-        for i in 0..s {
-            for j in 0..s {
+        let (rows, cols) = pack_strips(ctx.thread(), bs, s);
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in cols.iter().enumerate() {
                 ctx.charge_flops((2 * s * bs * bs) as f64);
                 ctx.post(StoreTask {
                     i: i as u32,
                     j: j as u32,
                     bs: bs as u32,
-                    a: pack_row_blocks(&a, i, bs, s).into(),
-                    b: pack_col_blocks(&b, j, bs, s).into(),
+                    a: a.clone(),
+                    b: b.clone(),
                 });
             }
         }
@@ -257,9 +273,7 @@ impl LeafOperation for StoreBlocks {
     type In = StoreTask;
     type Out = StoreDone;
     fn execute(&mut self, ctx: &mut OpCtx<'_, WorkerStore, StoreDone>, t: StoreTask) {
-        ctx.thread()
-            .blocks
-            .insert((t.i, t.j), (t.a.into_vec(), t.b.into_vec()));
+        ctx.thread().blocks.insert((t.i, t.j), (t.a, t.b));
         ctx.post(StoreDone { i: t.i, j: t.j });
     }
 }
