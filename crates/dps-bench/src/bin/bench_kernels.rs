@@ -84,7 +84,10 @@ fn main() {
     } else {
         &[64, 128, 256, 384]
     };
-    println!("gemm single-thread GFLOP/s (best of 3)");
+    println!(
+        "gemm single-thread GFLOP/s (best of 3; blocked kernel at `{}` lanes)",
+        dps_linalg::kernel::lanes()
+    );
     let mut gemm_rows = Vec::new();
     for &n in sizes {
         let naive = gemm_gflops(n, |a, b, c| gemm_naive(1.0, a, b, 0.0, c));

@@ -12,7 +12,8 @@
 //! # The determinism contract
 //!
 //! Every kernel computes each output element through **one
-//! multiply-accumulate chain in ascending `k` order**:
+//! multiply-accumulate chain in ascending `k` order, the multiply and the
+//! add rounded separately on every host**:
 //!
 //! * [`gemm_blocked`] loads the `C` tile into registers, accumulates over
 //!   the full inner dimension (`KC = K`, no partial products merged out of
@@ -35,15 +36,60 @@
 //! ulp-bounded oracle — its accumulation order differs, so it is *not*
 //! bit-comparable.
 //!
+//! The third clause — separate rounding — is what lets the same source run
+//! on wider vector units (below) without moving a bit. Nothing here calls
+//! `mul_add`, no `#[target_feature]` names `fma`, and rustc never
+//! contracts a written-out `a * b + c` into a fused multiply-add on its
+//! own — which is the part that carries the weight: `avx512f` *implies*
+//! `fma` in the compiler's feature table, so the widest instantiation has
+//! the instruction available and does not use it. A fused chain rounds
+//! once where this one rounds twice, so it would differ in the last place
+//! on ordinary data; the test `a_fused_multiply_add_would_differ` holds an
+//! input where it differs outright, in every lane of every tile shape, so
+//! a compiler or a flag that starts fusing fails a test by name.
+//!
 //! # Blocking scheme
 //!
 //! `B` is packed once into `NR`-column panels, `A` row-panel by row-panel
-//! into `MR`-row panels with `alpha` pre-multiplied; the microkernel keeps
-//! an `MR × NR` accumulator tile in registers and streams both packed
-//! panels with unit stride, so the compiler autovectorizes the inner loop
-//! (two `f64` lanes on baseline x86-64) without any arch-specific
-//! intrinsics. Partial edge tiles run the same loop with guarded loads and
-//! stores — the pad lanes accumulate zeros and are never written back.
+//! into `MR`-row panels with `alpha` pre-multiplied; the one tile function
+//! keeps an `MR × NR` accumulator tile in registers and streams both
+//! packed panels with unit stride, so the compiler autovectorizes the
+//! inner loop to whatever lane width it is compiled for, without any
+//! arch-specific intrinsic or `asm!`. Loads and stores of the tile are
+//! guarded by the tile's real extent: a partial edge tile runs the same
+//! loop, its pad lanes accumulate zeros and are never written back.
+//!
+//! # Lanes
+//!
+//! That tile function is compiled three times ([`Lanes`]), and every call
+//! picks the widest instantiation the CPU it runs on reports:
+//!
+//! | level | lanes (`f64`) | gemm tile `MR × NR` |
+//! |---|---|---|
+//! | [`Lanes::Baseline`] | the build target's (2 on x86-64: SSE2) | 4 × 8 |
+//! | [`Lanes::Avx2`] | 4 | 4 × 8 |
+//! | [`Lanes::Avx512`] | 8 | 8 × 16 |
+//!
+//! The tile follows the lane width: 4 × 8 under AVX-512F is four
+//! accumulator registers deep — every add waits for the one before it —
+//! and measured no faster than AVX2; 8 × 16 is sixteen of the thirty-two
+//! 512-bit registers. The short row loops — [`trsm_view`]'s diagonal
+//! triangle and [`panel_lu_blocked`]'s sub-panel, at most a block wide —
+//! run under the same dispatch but never above AVX2 (`ROW_LANES`): on
+//! ≤ 64 elements the 512-bit loop spends more in its remainder than it
+//! saves. The scalar references ([`gemm_scalar`], [`gemm_naive`],
+//! [`panel_lu_naive`]) are never dispatched: they are the oracle, at the
+//! oracle's lane width, so every blocked-vs-scalar test is also a
+//! wide-vs-baseline test. Virtual time never sees any of this:
+//! [`uses_blocked`] and `flops::*` are functions of the shape alone.
+//!
+//! Why a run-time dispatch and not `-C target-cpu=native`: a `NetEngine`
+//! rank runs the master's binary, possibly on an older CPU, where a
+//! natively tuned build dies with `SIGILL` instead of running two lanes
+//! wide; and ranks on different CPUs still agree bit for bit because the
+//! contract above does not depend on the level. The price is this crate's
+//! only `unsafe`: the two calls in `on_lanes`, each of a
+//! `#[target_feature]` wrapper under the detection that makes it sound.
 //!
 //! # Blocks where they lie
 //!
@@ -57,10 +103,104 @@
 use crate::matrix::Matrix;
 use crate::view::{MatMut, MatRef};
 
-/// Microkernel tile height (rows of `C` held in registers).
-pub const MR: usize = 4;
-/// Microkernel tile width (columns of `C` held in registers).
-pub const NR: usize = 8;
+/// The vector unit a kernel call runs on: which of the three compiled
+/// copies of the tile loop (module docs, "Lanes"). Ordered narrowest to
+/// widest. The level changes how many elements one instruction covers,
+/// never a bit of any element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Lanes {
+    /// The build target's own lanes (SSE2 on x86-64). The only level that
+    /// runs on a CPU without AVX2 or on another architecture, and the
+    /// lane width of the scalar oracles.
+    Baseline,
+    /// 256-bit lanes.
+    Avx2,
+    /// 512-bit lanes (AVX-512F), and the taller gemm tile that fills them.
+    Avx512,
+}
+
+impl Lanes {
+    /// The widest level the CPU this runs on reports (one cached atomic
+    /// load per feature). `Avx512` only on a CPU that also reports AVX2,
+    /// so every level at or below the result is safe to run.
+    pub fn detect() -> Lanes {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return if std::arch::is_x86_feature_detected!("avx512f") {
+                Lanes::Avx512
+            } else {
+                Lanes::Avx2
+            };
+        }
+        Lanes::Baseline
+    }
+}
+
+impl std::fmt::Display for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Lanes::Baseline => "baseline",
+            Lanes::Avx2 => "avx2",
+            Lanes::Avx512 => "avx512f",
+        })
+    }
+}
+
+/// The level every kernel call in this process runs at: [`Lanes::detect`].
+/// Read-only — there is nothing to set; a benchmark or a test log prints
+/// it to say which instantiation its numbers came from.
+pub fn lanes() -> Lanes {
+    Lanes::detect()
+}
+
+/// Cap on the short row loops (the trsm triangle, the panel's sub-panel
+/// and right-strip triangle): their rows are at most a block wide, and the
+/// 512 × 64 panel measured slower under AVX-512F than under AVX2.
+const ROW_LANES: Lanes = Lanes::Avx2;
+
+/// A loop nest the dispatch compiles once per level. Every `run` is
+/// `#[inline(always)]`: being inlined into a `#[target_feature]` wrapper
+/// is what compiles its loops for that wrapper's lanes, and a closure —
+/// which cannot carry the attribute, and would be called from all three
+/// wrappers — is left out of line at the baseline.
+trait Body {
+    type Out;
+    /// Run at `lanes`, the level of the wrapper this is inlined into.
+    fn run(self, lanes: Lanes) -> Self::Out;
+}
+
+/// The one dispatch point: run `body` compiled for `lanes`, or for the
+/// widest level this CPU has if that is narrower. Off x86-64 only the
+/// unconditional tail is left, and `lanes` has nothing to select.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+#[inline(always)]
+fn on_lanes<B: Body>(lanes: Lanes, body: B) -> B::Out {
+    #[cfg(target_arch = "x86_64")]
+    match lanes.min(Lanes::detect()) {
+        // SAFETY: the level is at most `Lanes::detect()`, which returns
+        // `Avx512` only if the running CPU reports avx512f.
+        Lanes::Avx512 => return unsafe { with_avx512(body) },
+        // SAFETY: as above — `detect()` returns `Avx2` or wider only if
+        // the running CPU reports avx2.
+        Lanes::Avx2 => return unsafe { with_avx2(body) },
+        Lanes::Baseline => {}
+    }
+    // The baseline instantiation: what runs on a CPU without AVX2 or off
+    // x86, at the lane width of the scalar oracles.
+    body.run(Lanes::Baseline)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn with_avx512<B: Body>(body: B) -> B::Out {
+    body.run(Lanes::Avx512)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn with_avx2<B: Body>(body: B) -> B::Out {
+    body.run(Lanes::Avx2)
+}
 
 /// Problem volume (`m·n·k`) above which [`gemm_auto`] picks the packed
 /// blocked path; below it the packing traffic outweighs the reuse.
@@ -113,7 +253,7 @@ pub fn gemm_scalar(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix
 /// determinism contract.
 pub fn gemm_blocked(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     scale(beta, c.as_mut_slice());
-    gemm_blocked_core(alpha, a.view(), b.view(), c.view_mut());
+    gemm_blocked_core(Lanes::detect(), alpha, a.view(), b.view(), c.view_mut());
 }
 
 /// GEMM with automatic kernel selection: blocked above
@@ -130,7 +270,7 @@ pub fn gemm_auto(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) 
 /// `C` continues its one ascending-`k` chain.
 pub fn gemm_acc(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     if uses_blocked(a.rows, b.cols, a.cols) {
-        gemm_blocked_core(alpha, a, b, c);
+        gemm_blocked_core(Lanes::detect(), alpha, a, b, c);
     } else {
         gemm_scalar_core(alpha, a, b, c);
     }
@@ -155,9 +295,12 @@ fn scale(beta: f64, c: &mut [f64]) {
 //
 // `C += alpha·A·B` with no beta pass. Each core unpacks its views into raw
 // row-major slices and leading dimensions (`ld*` = row stride) once, so
-// the loops index exactly as they would over whole matrices.
+// the loops index exactly as they would over whole matrices. The blocked
+// cores take the level to run at; production passes `Lanes::detect()`,
+// the tests in this file every level at or below it.
 
-/// `C += alpha·A·B` in scalar `ikj` order.
+/// `C += alpha·A·B` in scalar `ikj` order. Never dispatched: this is the
+/// oracle, compiled for the build target's lanes only.
 fn gemm_scalar_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     let (m, kdim, n) = check_dims(a, b, c.view());
     let (lda, ldb, ldc) = (a.ld, b.ld, c.ld);
@@ -174,10 +317,44 @@ fn gemm_scalar_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     }
 }
 
-/// `C += alpha·A·B` through the packed microkernel, bitwise identical to
-/// [`gemm_scalar_core`].
-fn gemm_blocked_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
-    let (m, kdim, n) = check_dims(a, b, c.view());
+/// `C += alpha·A·B` through the packed tile loop at `lanes`, bitwise
+/// identical to [`gemm_scalar_core`] at every level.
+fn gemm_blocked_core(lanes: Lanes, alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
+    check_dims(a, b, c.view());
+    on_lanes(lanes, PackedGemm { alpha, a, b, c });
+}
+
+struct PackedGemm<'a> {
+    alpha: f64,
+    a: MatRef<'a>,
+    b: MatRef<'a>,
+    c: MatMut<'a>,
+}
+
+impl Body for PackedGemm<'_> {
+    type Out = ();
+    /// The tile shapes of the module docs' table.
+    #[inline(always)]
+    fn run(self, lanes: Lanes) {
+        let Self { alpha, a, b, c } = self;
+        match lanes {
+            Lanes::Avx512 => gemm_packed::<8, 16>(alpha, a, b, c),
+            Lanes::Avx2 | Lanes::Baseline => gemm_packed::<4, 8>(alpha, a, b, c),
+        }
+    }
+}
+
+/// The packed gemm, written once for any `MR × NR` register tile and
+/// inlined into each of [`on_lanes`]' three levels: pack `B`, then per `MR`
+/// rows of `A` pack them and sweep one [`tile`] per column panel.
+#[inline(always)]
+fn gemm_packed<const MR: usize, const NR: usize>(
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    c: MatMut<'_>,
+) {
+    let (m, kdim, n) = (a.rows, a.cols, b.cols);
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
@@ -201,7 +378,11 @@ fn gemm_blocked_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     for p in 0..m.div_ceil(MR) {
         let i0 = p * MR;
         let mr = MR.min(m - i0);
-        ap.iter_mut().for_each(|v| *v = 0.0);
+        if mr < MR {
+            // Only the last, partial panel has pad rows; a full one
+            // overwrites every element it would zero.
+            ap.fill(0.0);
+        }
         for i in 0..mr {
             let src = &a[(i0 + i) * lda..(i0 + i) * lda + kdim];
             for (k, &v) in src.iter().enumerate() {
@@ -214,42 +395,22 @@ fn gemm_blocked_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
             let bpanel = &bp[q * kdim * NR..(q + 1) * kdim * NR];
             let ctile = &mut c[i0 * ldc + j0..];
             if mr == MR && nr == NR {
-                microkernel_full(kdim, &ap, bpanel, ctile, ldc);
+                // The same function with its guards known at compile time:
+                // they fold away and the tile stays in registers.
+                tile::<MR, NR>(kdim, &ap, bpanel, ctile, ldc, MR, NR);
             } else {
-                microkernel_edge(kdim, &ap, bpanel, ctile, ldc, mr, nr);
+                tile::<MR, NR>(kdim, &ap, bpanel, ctile, ldc, mr, nr);
             }
         }
     }
 }
 
-/// Full `MR × NR` register tile: load `C`, accumulate the whole `k` range
-/// with unit-stride packed operands, store back. One chain per element.
-#[inline]
-fn microkernel_full(kdim: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (i, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[i * ldc..i * ldc + NR]);
-    }
-    for k in 0..kdim {
-        let av = &ap[k * MR..k * MR + MR];
-        let bv = &bp[k * NR..k * NR + NR];
-        for (i, row) in acc.iter_mut().enumerate() {
-            let aik = av[i];
-            for (cv, b) in row.iter_mut().zip(bv) {
-                *cv += aik * b;
-            }
-        }
-    }
-    for (i, row) in acc.iter().enumerate() {
-        c[i * ldc..i * ldc + NR].copy_from_slice(row);
-    }
-}
-
-/// Edge tile (`mr ≤ MR`, `nr ≤ NR`): same accumulation loop with guarded
-/// loads and stores. Pad lanes start at zero, accumulate padded zeros, and
-/// are never written back.
-#[inline]
-fn microkernel_edge(
+/// One `MR × NR` register tile, of which `mr × nr` is real: load `C`,
+/// accumulate the whole `k` range with unit-stride packed operands, store
+/// back. One chain per element; pad lanes start at zero, accumulate padded
+/// zeros, and are never written back.
+#[inline(always)]
+fn tile<const MR: usize, const NR: usize>(
     kdim: usize,
     ap: &[f64],
     bp: &[f64],
@@ -293,36 +454,58 @@ pub fn trsm_blocked(l: &Matrix, b: &mut Matrix) {
 
 /// [`trsm_blocked`] on views: `L` is read and `B` solved where they lie —
 /// `L11` in a token's panel, `U_kj` in the rows of its owner's column.
-pub fn trsm_view(l: MatRef<'_>, mut b: MatMut<'_>) {
-    let n = l.rows;
-    assert_eq!(l.cols, n, "L must be square");
-    assert_eq!(b.rows, n, "dimension mismatch");
-    let (cols, ldl, ldb) = (b.cols, l.ld, b.ld);
-    let mut i0 = 0;
-    while i0 < n {
-        let tb = TRSM_BLOCK.min(n - i0);
-        if i0 > 0 {
-            // B[i0..i0+tb] += (−1) · L[i0..i0+tb, 0..i0] · B[0..i0]
-            let (solved, rest) = b.view_mut().split_rows_mut(i0);
-            gemm_blocked_core(
-                -1.0,
-                l.block(i0, 0, tb, i0),
-                solved.view(),
-                rest.block(0, 0, tb, cols),
-            );
-        }
-        // Diagonal triangle: forward substitution inside the block.
-        for i in i0 + 1..i0 + tb {
-            for k in i0..i {
-                let lik = l.data[i * ldl + k];
-                let (top, row_i) = b.data.split_at_mut(i * ldb);
-                let row_k = &top[k * ldb..k * ldb + cols];
-                for (x, bk) in row_i[..cols].iter_mut().zip(row_k) {
-                    *x -= lik * bk;
+pub fn trsm_view(l: MatRef<'_>, b: MatMut<'_>) {
+    trsm_core(Lanes::detect(), l, b);
+}
+
+/// [`trsm_view`] at `lanes`: the gemm calls at that level, the diagonal
+/// triangle's row loop at no more than [`ROW_LANES`].
+fn trsm_core(lanes: Lanes, l: MatRef<'_>, b: MatMut<'_>) {
+    assert_eq!(l.cols, l.rows, "L must be square");
+    assert_eq!(b.rows, l.rows, "dimension mismatch");
+    on_lanes(lanes.min(ROW_LANES), BlockedTrsm { lanes, l, b });
+}
+
+struct BlockedTrsm<'a> {
+    /// Level of the gemm calls (the body itself runs at `ROW_LANES`).
+    lanes: Lanes,
+    l: MatRef<'a>,
+    b: MatMut<'a>,
+}
+
+impl Body for BlockedTrsm<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run(self, _: Lanes) {
+        let Self { lanes, l, mut b } = self;
+        let (n, cols, ldl, ldb) = (l.rows, b.cols, l.ld, b.ld);
+        let mut i0 = 0;
+        while i0 < n {
+            let tb = TRSM_BLOCK.min(n - i0);
+            if i0 > 0 {
+                // B[i0..i0+tb] += (−1) · L[i0..i0+tb, 0..i0] · B[0..i0]
+                let (solved, rest) = b.view_mut().split_rows_mut(i0);
+                gemm_blocked_core(
+                    lanes,
+                    -1.0,
+                    l.block(i0, 0, tb, i0),
+                    solved.view(),
+                    rest.block(0, 0, tb, cols),
+                );
+            }
+            // Diagonal triangle: forward substitution inside the block.
+            for i in i0 + 1..i0 + tb {
+                for k in i0..i {
+                    let lik = l.data[i * ldl + k];
+                    let (top, row_i) = b.data.split_at_mut(i * ldb);
+                    let row_k = &top[k * ldb..k * ldb + cols];
+                    for (x, bk) in row_i[..cols].iter_mut().zip(row_k) {
+                        *x -= lik * bk;
+                    }
                 }
             }
+            i0 += tb;
         }
-        i0 += tb;
     }
 }
 
@@ -382,65 +565,94 @@ fn pivot_row(panel: &Matrix, k: usize, m: usize) -> usize {
 /// still accumulates in ascending `k` order, and every pivot decision sees
 /// exactly the unblocked values.
 pub fn panel_lu_blocked(panel: &mut Matrix) -> Vec<usize> {
-    let m = panel.rows();
-    let r = panel.cols();
-    assert!(m >= r, "panel must be at least as tall as wide");
-    let mut pivots = Vec::with_capacity(r);
-    let mut c0 = 0;
-    while c0 < r {
-        let ib = PANEL_BLOCK.min(r - c0);
-        // Factor the sub-panel (columns c0..c0+ib, rows c0..m).
-        for k in c0..c0 + ib {
-            let p = pivot_row(panel, k, m);
-            panel.swap_rows(k, p);
-            pivots.push(p);
-            let akk = panel[(k, k)];
-            for i in k + 1..m {
-                let lik = panel[(i, k)] / akk;
-                panel[(i, k)] = lik;
-                for j in k + 1..c0 + ib {
-                    let upd = lik * panel[(k, j)];
-                    panel[(i, j)] -= upd;
-                }
-            }
-        }
-        let right0 = c0 + ib;
-        if right0 < r {
-            let rn = r - right0;
-            // Deferred right-strip rows c0..c0+ib: the trsm triangle
-            // (k = c0..i ascending, continuing each element's chain).
-            for i in c0 + 1..c0 + ib {
-                for k in c0..i {
-                    let lik = panel[(i, k)];
-                    for j in right0..r {
-                        let upd = lik * panel[(k, j)];
-                        panel[(i, j)] -= upd;
+    panel_lu_core(Lanes::detect(), panel)
+}
+
+/// [`panel_lu_blocked`] at `lanes`: the gemm call at that level, the row
+/// loops at no more than [`ROW_LANES`].
+fn panel_lu_core(lanes: Lanes, panel: &mut Matrix) -> Vec<usize> {
+    assert!(
+        panel.rows() >= panel.cols(),
+        "panel must be at least as tall as wide"
+    );
+    on_lanes(lanes.min(ROW_LANES), BlockedPanelLu { lanes, panel })
+}
+
+struct BlockedPanelLu<'a> {
+    /// Level of the gemm call (the body itself runs at `ROW_LANES`).
+    lanes: Lanes,
+    panel: &'a mut Matrix,
+}
+
+impl Body for BlockedPanelLu<'_> {
+    type Out = Vec<usize>;
+    /// The row loops walk row slices of the panel's buffer — the oracle's
+    /// `panel[(i, j)]` costs a multiply and a bounds check per element —
+    /// doing the oracle's operations in the oracle's order.
+    #[inline(always)]
+    fn run(self, _: Lanes) -> Vec<usize> {
+        let Self { lanes, panel } = self;
+        let (m, r) = (panel.rows(), panel.cols());
+        let mut pivots = Vec::with_capacity(r);
+        let mut c0 = 0;
+        while c0 < r {
+            let ib = PANEL_BLOCK.min(r - c0);
+            let right0 = c0 + ib;
+            // Factor the sub-panel (columns c0..right0, rows c0..m).
+            for k in c0..right0 {
+                let p = pivot_row(panel, k, m);
+                panel.swap_rows(k, p);
+                pivots.push(p);
+                let (top, below) = panel.as_mut_slice().split_at_mut((k + 1) * r);
+                let row_k = &top[k * r..];
+                let akk = row_k[k];
+                for row_i in below.chunks_exact_mut(r) {
+                    let lik = row_i[k] / akk;
+                    row_i[k] = lik;
+                    for (x, u) in row_i[k + 1..right0].iter_mut().zip(&row_k[k + 1..right0]) {
+                        *x -= lik * u;
                     }
                 }
             }
-            // Rows below the sub-panel: one gemm with the L21 strip. The
-            // strip is copied out first — it shares rows with the target
-            // block — which doubles as the microkernel's packing copy.
-            let rows_below = m - right0;
-            if rows_below > 0 {
-                let mut l21 = vec![0.0f64; rows_below * ib];
-                for i in 0..rows_below {
-                    for k in 0..ib {
-                        l21[i * ib + k] = panel[(right0 + i, c0 + k)];
+            if right0 < r {
+                let rn = r - right0;
+                // Deferred right-strip rows c0..right0: the trsm triangle
+                // (k = c0..i ascending, continuing each element's chain).
+                for i in c0 + 1..right0 {
+                    let (top, rest) = panel.as_mut_slice().split_at_mut(i * r);
+                    let row_i = &mut rest[..r];
+                    for (k, row_k) in top.chunks_exact(r).enumerate().skip(c0) {
+                        let lik = row_i[k];
+                        for (x, u) in row_i[right0..].iter_mut().zip(&row_k[right0..]) {
+                            *x -= lik * u;
+                        }
                     }
                 }
-                let (top, below) = panel.view_mut().split_rows_mut(right0);
-                gemm_blocked_core(
-                    -1.0,
-                    MatRef::from_slice(&l21, rows_below, ib),
-                    top.view().block(c0, right0, ib, rn),
-                    below.block(0, right0, rows_below, rn),
-                );
+                // Rows below the sub-panel: one gemm with the L21 strip. The
+                // strip is copied out first — it shares rows with the target
+                // block — which doubles as the tile loop's packing copy.
+                let rows_below = m - right0;
+                if rows_below > 0 {
+                    let mut l21 = vec![0.0f64; rows_below * ib];
+                    for i in 0..rows_below {
+                        for k in 0..ib {
+                            l21[i * ib + k] = panel[(right0 + i, c0 + k)];
+                        }
+                    }
+                    let (top, below) = panel.view_mut().split_rows_mut(right0);
+                    gemm_blocked_core(
+                        lanes,
+                        -1.0,
+                        MatRef::from_slice(&l21, rows_below, ib),
+                        top.view().block(c0, right0, ib, rn),
+                        below.block(0, right0, rows_below, rn),
+                    );
+                }
             }
+            c0 += ib;
         }
-        c0 += ib;
+        pivots
     }
-    pivots
 }
 
 #[cfg(test)]
@@ -534,5 +746,161 @@ mod tests {
         assert_bits_eq(&c1, &c2, "auto dispatch");
         assert!(uses_blocked(16, 16, 16));
         assert!(!uses_blocked(15, 15, 15));
+    }
+
+    // --- every level this host has, against the baseline oracles -----------------
+    //
+    // Production only ever runs `Lanes::detect()`; these run each level at
+    // or below it, on blocks at `AT` inside a larger buffer (offset > 0,
+    // leading dimension > cols), and compare bits with the undispatched
+    // scalar code.
+
+    fn levels() -> impl Iterator<Item = Lanes> {
+        [Lanes::Baseline, Lanes::Avx2, Lanes::Avx512]
+            .into_iter()
+            .filter(|&l| l <= Lanes::detect())
+    }
+
+    const AT: (usize, usize) = (2, 3);
+
+    /// A buffer with a `rows × cols` block at `AT`, one spare row below it
+    /// and two spare columns to its right.
+    fn framed(rows: usize, cols: usize, seed: u64) -> Matrix {
+        Matrix::random_general(AT.0 + rows + 1, AT.1 + cols + 2, seed)
+    }
+
+    fn blk(m: &Matrix, rows: usize, cols: usize) -> MatRef<'_> {
+        m.view().block(AT.0, AT.1, rows, cols)
+    }
+
+    fn blk_mut(m: &mut Matrix, rows: usize, cols: usize) -> MatMut<'_> {
+        m.view_mut().block(AT.0, AT.1, rows, cols)
+    }
+
+    fn assert_frame_untouched(
+        before: &Matrix,
+        after: &Matrix,
+        rows: usize,
+        cols: usize,
+        what: &str,
+    ) {
+        for i in 0..before.rows() {
+            for j in 0..before.cols() {
+                let inside = (AT.0..AT.0 + rows).contains(&i) && (AT.1..AT.1 + cols).contains(&j);
+                assert!(
+                    inside || before[(i, j)].to_bits() == after[(i, j)].to_bits(),
+                    "{what}: ({i}, {j}) lies outside the block and changed"
+                );
+            }
+        }
+    }
+
+    /// The CI log's record of which instantiations this runner exercised
+    /// (`cargo test -p dps-linalg lanes_report -- --nocapture`).
+    #[test]
+    fn lanes_report() {
+        let ran: Vec<String> = levels().map(|l| l.to_string()).collect();
+        println!(
+            "dps-linalg kernels run at `{}` on this host; levels tested: {}",
+            lanes(),
+            ran.join(", ")
+        );
+        assert_eq!(lanes(), Lanes::detect());
+        assert_eq!(ran[0], "baseline");
+    }
+
+    #[test]
+    fn gemm_at_every_level_is_bitwise_the_scalar_core() {
+        // Shapes straddle both tile shapes (4 × 8, 8 × 16) and
+        // `BLOCK_THRESHOLD`; the blocked core is called directly, so it
+        // also runs the shapes `gemm_acc` would hand to the scalar one.
+        for lanes in levels() {
+            for m in [1, 3, 4, 7, 8, 9, 15, 16, 17, 33] {
+                for n in [1, 7, 8, 9, 15, 16, 17, 31, 33] {
+                    for k in [1, 2, 8, 17, 64] {
+                        let seed = (m * 10_000 + n * 100 + k) as u64;
+                        let a = framed(m, k, seed);
+                        let b = framed(k, n, seed + 1);
+                        let c0 = framed(m, n, seed + 2);
+                        for alpha in [1.0, -1.0, 0.5] {
+                            let what = format!("{lanes} gemm {m}×{k}×{n} alpha {alpha}");
+                            let (mut want, mut got) = (c0.clone(), c0.clone());
+                            let (av, bv) = (blk(&a, m, k), blk(&b, k, n));
+                            gemm_scalar_core(alpha, av, bv, blk_mut(&mut want, m, n));
+                            gemm_blocked_core(lanes, alpha, av, bv, blk_mut(&mut got, m, n));
+                            assert_bits_eq(&want, &got, &what);
+                            assert_frame_untouched(&c0, &got, m, n, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trsm_at_every_level_is_bitwise_forward_substitution() {
+        for lanes in levels() {
+            for n in [1, 7, 31, 32, 33, 64, 70] {
+                for cols in [1, 5, 8, 17, 33] {
+                    let what = format!("{lanes} trsm n={n} cols={cols}");
+                    let l = framed(n, n, 6 + n as u64);
+                    let b0 = framed(n, cols, 7 + (n * cols) as u64);
+                    let mut want = b0.clone();
+                    for i in 0..n {
+                        for k in 0..i {
+                            let lik = l[(AT.0 + i, AT.1 + k)];
+                            for j in 0..cols {
+                                let upd = lik * want[(AT.0 + k, AT.1 + j)];
+                                want[(AT.0 + i, AT.1 + j)] -= upd;
+                            }
+                        }
+                    }
+                    let mut got = b0.clone();
+                    trsm_core(lanes, blk(&l, n, n), blk_mut(&mut got, n, cols));
+                    assert_bits_eq(&want, &got, &what);
+                    assert_frame_untouched(&b0, &got, n, cols, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panel_lu_at_every_level_is_bitwise_naive() {
+        for lanes in levels() {
+            for (m, r) in [(4, 4), (12, 5), (40, 16), (33, 20), (96, 32), (70, 64)] {
+                let p0 = Matrix::random_general(m, r, 11 + (m + r) as u64);
+                let (mut p1, mut p2) = (p0.clone(), p0.clone());
+                let piv1 = panel_lu_naive(&mut p1);
+                let piv2 = panel_lu_core(lanes, &mut p2);
+                assert_eq!(piv1, piv2, "{lanes} pivots m={m} r={r}");
+                assert_bits_eq(&p1, &p2, &format!("{lanes} panel {m}×{r}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_fused_multiply_add_would_differ() {
+        // c + a·b with c = −1, a = 1 + 2⁻³⁰, b = 1 − 2⁻³⁰: the product is
+        // 1 − 2⁻⁶⁰, which rounds to 1, so a rounded multiply then a rounded
+        // add give exactly 0; a fused multiply-add keeps the 2⁻⁶⁰ and gives
+        // −2⁻⁶⁰. 19 × 37 puts that input in every lane of full tiles and of
+        // edge tiles of both tile shapes.
+        let eps = 2.0f64.powi(-30);
+        let (a, b) = (1.0 + eps, 1.0 - eps);
+        assert_eq!(a * b - 1.0, 0.0);
+        assert_eq!(a.mul_add(b, -1.0), -(2.0f64.powi(-60)));
+        let (m, n) = (19, 37);
+        let av = Matrix::from_fn(m, 1, |_, _| a);
+        let bv = Matrix::from_fn(1, n, |_, _| b);
+        for lanes in levels() {
+            let mut c = Matrix::from_fn(m, n, |_, _| -1.0);
+            gemm_blocked_core(lanes, 1.0, av.view(), bv.view(), c.view_mut());
+            for (i, v) in c.as_slice().iter().enumerate() {
+                assert!(
+                    v.to_bits() == 0.0f64.to_bits(),
+                    "{lanes}: element {i} is {v:e}, not 0: the multiply and the add were fused"
+                );
+            }
+        }
     }
 }

@@ -3,8 +3,10 @@
 //! The paper evaluates DPS on block-based matrix multiplication (Table 1:
 //! overlap of communication and computation) and on block LU factorization
 //! with partial pivoting (Fig. 11–15). It notes that "no optimized linear
-//! algebra library was used"; accordingly this crate implements the scalar
-//! kernels from scratch:
+//! algebra library was used"; accordingly this crate implements its
+//! kernels from scratch — plain loops, no intrinsics, compiled for the
+//! vector unit of the CPU they run on ([`kernel::Lanes`]) with the bits of
+//! the scalar loop:
 //!
 //! * [`Matrix`] — dense row-major `f64` matrix with block extraction.
 //! * [`MatRef`] / [`MatMut`] — strided views of a block where it lies (in a
@@ -12,10 +14,10 @@
 //!   kernels on its owner's storage instead of on a copy.
 //! * [`gemm`] / [`Matrix::matmul`] — general matrix multiply, dispatching
 //!   between the scalar `ikj` fallback and the packed blocked kernel.
-//! * [`kernel`] — the cache-blocked microkernels (packed `MR×NR` gemm,
-//!   blocked trsm, blocked panel factorization) with a pinned accumulation
-//!   order: blocked and scalar paths produce identical bits, preserving
-//!   the cross-engine byte-identity contract.
+//! * [`kernel`] — the cache-blocked kernels (packed `MR×NR` gemm, blocked
+//!   trsm, blocked panel factorization) with a pinned accumulation order:
+//!   blocked and scalar paths, at every lane width, produce identical
+//!   bits, preserving the cross-engine byte-identity contract.
 //! * [`panel_lu`] — rectangular LU factorization with partial pivoting of a
 //!   block column (paper step 1).
 //! * [`trsm_lower_unit`] — triangular solve `L₁₁·X = B` (paper step 2, the

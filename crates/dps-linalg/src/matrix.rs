@@ -251,6 +251,26 @@ mod tests {
     }
 
     #[test]
+    fn matmul_bits_are_those_of_the_two_lane_kernel() {
+        // Fingerprints (FNV-1a over every element's bits) captured from the
+        // commit before the gemm tile was compiled for wider lanes. Neither
+        // shape is a multiple of a tile: partial tiles in both dimensions
+        // under 4 × 8 and under 8 × 16.
+        for (m, k, n, seeds, expect) in [
+            (100, 100, 100, (8, 9), 0x4099_bbc9_1e95_a39c_u64),
+            (37, 53, 29, (10, 11), 0x4c6d_fc50_be05_508a),
+        ] {
+            let a = Matrix::random_general(m, k, seeds.0);
+            let b = Matrix::random_general(k, n, seeds.1);
+            let mut h = dps_obs::Fnv1a::new();
+            for v in a.matmul(&b).as_slice() {
+                h.write_u64(v.to_bits());
+            }
+            assert_eq!(h.finish(), expect, "{m}×{k} · {k}×{n}");
+        }
+    }
+
+    #[test]
     fn block_roundtrip() {
         let m = Matrix::from_fn(6, 6, |i, j| (i * 10 + j) as f64);
         let b = m.block(2, 3, 2, 2);

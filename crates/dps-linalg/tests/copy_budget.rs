@@ -11,7 +11,10 @@
 //! above, staging and gather included (and the kernels' packing scratch,
 //! which is most of what is left). The bounds are 1.5 × what the commit
 //! that introduced them measured — LU 6.0 ×, matmul 10.3 × the matrix —
-//! where the commit before it measured 21.0 × and 34.3 ×.
+//! where the commit before it measured 21.0 × and 34.3 ×. Those readings
+//! are the 4 × 8 gemm tile's (baseline and AVX2 lanes); on an AVX-512F
+//! host the 8 × 16 tile packs an `A` panel twice as tall per gemm call and
+//! they read 6.2 × and 10.6 ×, so there the same bounds are 1.45 ×.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

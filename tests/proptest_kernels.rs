@@ -156,7 +156,7 @@ proptest! {
     /// edges, so both cores and their edge kernels run on strided data.
     #[test]
     fn gemm_acc_on_sub_blocks_is_copy_out_scalar_copy_in(
-        shape in (1usize..24, 1usize..24, 1usize..24),
+        shape in (1usize..40, 1usize..40, 1usize..40),
         a_at in (0usize..4, 0usize..4, 0usize..4),
         bc_at in (0usize..4, 0usize..4, 0usize..3, 0usize..4),
         seed in 0u64..1000,
