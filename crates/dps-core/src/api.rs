@@ -19,12 +19,12 @@
 //! behind it offers.
 
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use dps_sched::FeedbackSink;
 
 use crate::builder::GraphBuilder;
+use crate::decls::{AppHandle, Decls, GraphHandle};
 use crate::error::{DpsError, Result};
 use crate::ops::ThreadData;
 use crate::threads::ThreadCollection;
@@ -113,47 +113,64 @@ pub struct EngineCaps {
 /// assert_eq!(total_on(&mut sim), 45);
 /// ```
 pub trait Engine {
-    /// Handle to a registered application.
-    type App: Copy + Eq + Hash + Debug;
-    /// Handle to a built graph.
-    type Graph: Copy + Eq + Hash + Debug;
-
     /// Short engine name for diagnostics and tables (e.g. `"sim"`, `"mt"`).
     fn name(&self) -> &'static str;
 
     /// What this engine can do beyond the portable core.
     fn caps(&self) -> EngineCaps;
 
+    /// Run `f` on the engine's declaration table: the one declaration hook
+    /// an engine implements. The five declaration steps below are provided
+    /// over it and written once, in [`Decls`]. Engines with
+    /// [`EngineCaps::declare_before_run`] panic here once a run has begun.
+    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R;
+
     /// Register a parallel application.
-    fn app(&mut self, name: &str) -> Self::App;
+    fn app(&mut self, name: &str) -> AppHandle {
+        self.declare(|d| d.app(name))
+    }
 
     /// Pre-start `app`'s instance everywhere it could run, skipping lazy
     /// launch delays (steady-state measurement, as the paper reports its
     /// experiments). A no-op on engines without an instance-launch model.
-    fn preload_app(&mut self, app: Self::App) {
+    fn preload_app(&mut self, app: AppHandle) {
         let _ = app;
     }
 
     /// Register token type `T` with `app`'s deserialization factory
     /// (needed when serialization enforcement is on).
-    fn register_token<T>(&mut self, app: Self::App)
+    fn register_token<T>(&mut self, app: AppHandle)
     where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + Debug + Send + 'static;
+        T: dps_serial::Wire + dps_serial::Identified + Clone + Debug + Send + 'static,
+    {
+        self.declare(|d| d.register_token::<T>(app))
+    }
 
     /// Create and map a thread collection (`"node0*2 node1"` syntax).
     fn thread_collection<Td: ThreadData>(
         &mut self,
-        app: Self::App,
+        app: AppHandle,
         name: &str,
         mapping: &str,
-    ) -> Result<ThreadCollection<Td>>;
+    ) -> Result<ThreadCollection<Td>> {
+        let _ = name;
+        self.declare(|d| d.thread_collection(app, mapping))
+    }
 
-    /// Validate a built graph and install it into its application.
-    fn build_graph(&mut self, builder: GraphBuilder) -> Result<Self::Graph>;
+    /// Validate a built graph and install it into its application. A node on
+    /// a collection the application never declared is
+    /// [`DpsError::UnmappedCollection`], one whose operation expects another
+    /// thread-data type than its collection holds [`DpsError::InvalidGraph`]
+    /// — here, on every engine, before anything runs.
+    fn build_graph(&mut self, builder: GraphBuilder) -> Result<GraphHandle> {
+        self.declare(|d| d.build_graph(builder))
+    }
 
     /// Expose a graph as a named parallel service callable from other
     /// applications' graphs.
-    fn expose_service(&mut self, graph: Self::Graph, name: &str);
+    fn expose_service(&mut self, graph: GraphHandle, name: &str) {
+        self.declare(|d| d.expose_service(graph, name))
+    }
 
     /// Register the sink receiving per-chunk completion reports (dynamic
     /// loop scheduling). The simulator reports virtual times, the threaded
@@ -171,17 +188,17 @@ pub trait Engine {
     }
 
     /// Submit a token into a graph's entry.
-    fn submit(&mut self, graph: Self::Graph, token: TokenBox) -> Result<()>;
+    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()>;
 
     /// Drive execution until `graph` has produced at least
     /// `expected_outputs` undrained outputs. The simulator drains its event
     /// queue; the threaded engine blocks until the outputs arrive (or its
     /// run timeout reports the DPS deadlock analogue).
-    fn run_to_idle(&mut self, graph: Self::Graph, expected_outputs: usize) -> Result<()>;
+    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()>;
 
     /// Drain the tokens that left `graph`. Output order is deterministic on
     /// virtual-time engines and unspecified on wall-clock engines.
-    fn take_outputs(&mut self, graph: Self::Graph) -> Vec<TokenBox>;
+    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox>;
 
     /// Seconds elapsed in the engine's own notion of time (virtual seconds
     /// on the simulator, wall-clock seconds on OS threads). Meaningful as
@@ -190,13 +207,12 @@ pub trait Engine {
 
     /// The [`ChunkHub`](dps_sched::ChunkHub) scheduled applications should
     /// announce ranges to and claim chunks from. Shared-memory engines
-    /// return a fresh private hub per call (each scheduled setup owns its
-    /// leases); distributed engines override this with the process's own
-    /// hub, homed at its rank — a lease lives where it was opened and a
-    /// claim from another process travels to that home — so split
-    /// operations announcing a range and worker operations claiming chunks
-    /// rendezvous across process boundaries. Portable setup code must obtain its hub here instead of
-    /// constructing one directly.
+    /// return a fresh private hub per call: each scheduled setup owns its
+    /// leases. Distributed engines return the process's own hub, homed at
+    /// its rank: a lease lives where it was opened, and a claim from another
+    /// process travels to that home, so the split that announces a range and
+    /// the workers that claim its chunks meet across process boundaries.
+    /// Portable setup code obtains its hub here, never by constructing one.
     fn chunk_hub(&mut self) -> Arc<dps_sched::ChunkHub> {
         Arc::new(dps_sched::ChunkHub::new())
     }
@@ -235,9 +251,9 @@ pub trait Engine {
 /// assert_eq!(square_on(&mut sim, 7), 49);
 /// ```
 pub struct Application<E: Engine, In: Token, Out: Token> {
-    graph: E::Graph,
+    graph: GraphHandle,
     name: String,
-    _m: std::marker::PhantomData<fn(In) -> Out>,
+    _m: std::marker::PhantomData<fn(&mut E, In) -> Out>,
 }
 
 impl<E: Engine, In, Out> Application<E, In, Out>
@@ -269,7 +285,7 @@ where
     }
 
     /// Wrap an already-built graph handle (no entry-type check possible).
-    pub fn from_graph(graph: E::Graph, name: impl Into<String>) -> Self {
+    pub fn from_graph(graph: GraphHandle, name: impl Into<String>) -> Self {
         Self {
             graph,
             name: name.into(),
@@ -278,7 +294,7 @@ where
     }
 
     /// The underlying graph handle, for engine-specific operations.
-    pub fn graph(&self) -> E::Graph {
+    pub fn graph(&self) -> GraphHandle {
         self.graph
     }
 
@@ -342,9 +358,6 @@ where
 // ---------------------------------------------------------------------------
 
 impl Engine for crate::engine::SimEngine {
-    type App = crate::engine::AppHandle;
-    type Graph = crate::engine::GraphHandle;
-
     fn name(&self) -> &'static str {
         "sim"
     }
@@ -359,36 +372,12 @@ impl Engine for crate::engine::SimEngine {
         }
     }
 
-    fn app(&mut self, name: &str) -> Self::App {
-        crate::engine::SimEngine::app(self, name)
+    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
+        crate::engine::SimEngine::declare(self, f)
     }
 
-    fn preload_app(&mut self, app: Self::App) {
+    fn preload_app(&mut self, app: AppHandle) {
         crate::engine::SimEngine::preload_app(self, app)
-    }
-
-    fn register_token<T>(&mut self, app: Self::App)
-    where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + Debug + Send + 'static,
-    {
-        crate::engine::SimEngine::register_token::<T>(self, app)
-    }
-
-    fn thread_collection<Td: ThreadData>(
-        &mut self,
-        app: Self::App,
-        name: &str,
-        mapping: &str,
-    ) -> Result<ThreadCollection<Td>> {
-        crate::engine::SimEngine::thread_collection(self, app, name, mapping)
-    }
-
-    fn build_graph(&mut self, builder: GraphBuilder) -> Result<Self::Graph> {
-        crate::engine::SimEngine::build_graph(self, builder)
-    }
-
-    fn expose_service(&mut self, graph: Self::Graph, name: &str) {
-        crate::engine::SimEngine::expose_service(self, graph, name)
     }
 
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
@@ -399,11 +388,11 @@ impl Engine for crate::engine::SimEngine {
         crate::engine::SimEngine::set_trace_sink(self, sink)
     }
 
-    fn submit(&mut self, graph: Self::Graph, token: TokenBox) -> Result<()> {
+    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
         self.inject_boxed_at(self.now(), graph, token)
     }
 
-    fn run_to_idle(&mut self, graph: Self::Graph, expected_outputs: usize) -> Result<()> {
+    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
         self.run_until_idle()?;
         let have = self.outputs_count(graph);
         if have < expected_outputs {
@@ -416,7 +405,7 @@ impl Engine for crate::engine::SimEngine {
         Ok(())
     }
 
-    fn take_outputs(&mut self, graph: Self::Graph) -> Vec<TokenBox> {
+    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
         crate::engine::SimEngine::take_outputs(self, graph)
             .into_iter()
             .map(|(_, tok)| tok)

@@ -100,8 +100,8 @@ impl<I: Token, M: Token, O: Token> Shr<NodeRef<M, O>> for Path<I, M> {
 }
 
 /// Builds a flow graph from typed nodes and `>>` paths; consumed by
-/// [`SimEngine::build_graph`](crate::SimEngine::build_graph) (or the
-/// threaded engine) which validates and installs it.
+/// [`Engine::build_graph`](crate::Engine::build_graph), which validates and
+/// installs it.
 pub struct GraphBuilder {
     pub(crate) name: String,
     pub(crate) nodes: Vec<GraphNode>,

@@ -11,28 +11,28 @@
 //!
 //! The companion `dps-mt` crate runs the same graphs on real OS threads.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use dps_cluster::{resolve_mapping, AppId, Cluster, ClusterSpec};
+use dps_cluster::{AppId, Cluster, ClusterSpec};
 use dps_des::{PoolId, Sim, SimSpan, SimTime};
 use dps_net::NodeId;
 use dps_obs::{Counter, EventKind, LabelId, TraceCollector, TraceWriter};
 use dps_sched::FeedbackSink;
 
-use crate::builder::GraphBuilder;
+use crate::decls::{AppHandle, Decls, GraphHandle};
 use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
-use crate::graph::{Flowgraph, OpKind};
+use crate::graph::OpKind;
 use crate::kernel::{
     self, Arrival, At, CallReturn, FlowKey, Flows, Instances, Pins, Served, Substrate, Wave,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
 use crate::threads::ThreadCollection;
-use crate::token::{register_token, Token, TokenBox, TokenRegistry};
+use crate::token::{Token, TokenBox};
 
 /// Engine tunables.
 #[derive(Debug, Clone)]
@@ -61,18 +61,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Handle to an application registered with an engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AppHandle {
-    pub(crate) app: u32,
-}
-
-/// Handle to a built graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GraphHandle {
-    pub(crate) app: u32,
-    pub(crate) graph: u32,
-}
+/// Where the user started every application's binary: its instance there is
+/// preloaded, and tokens injected from outside enter from it.
+const HOME: NodeId = NodeId(0);
 
 /// Address of one DPS thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,9 +93,8 @@ struct ThreadRt {
     assigned: u32,
 }
 
+/// The running half of a declared collection.
 struct TcRt {
-    td_type: TypeId,
-    nodes: Vec<NodeId>,
     data: Vec<Box<dyn Any + Send>>,
     threads: Vec<ThreadRt>,
 }
@@ -118,8 +108,8 @@ struct FlowRt {
     pump_scheduled: bool,
 }
 
+/// The running half of a declared graph.
 struct GraphRt {
-    def: Flowgraph,
     routes: Vec<Box<dyn DynRoute>>,
     /// Operation instances of the whole graph: split/leaf slots are
     /// `(node, thread)`; a wave is entered when its first token is routed
@@ -131,10 +121,9 @@ struct GraphRt {
     flows: RefCell<Flows<Sim<Rt>>>,
 }
 
+/// The running half of a declared application.
+#[derive(Default)]
 struct AppRt {
-    id: AppId,
-    home: NodeId,
-    registry: TokenRegistry,
     tcs: Vec<TcRt>,
     graphs: Vec<GraphRt>,
 }
@@ -142,8 +131,9 @@ struct AppRt {
 struct Rt {
     cluster: Cluster,
     cfg: EngineConfig,
+    /// What was declared; `apps` mirrors its shape.
+    decls: Decls,
     apps: Vec<AppRt>,
-    services: HashMap<String, GraphHandle>,
     node_pools: Vec<PoolId>,
     next_wave: u64,
     next_call: u64,
@@ -175,6 +165,39 @@ struct SimTrace {
 }
 
 impl Rt {
+    /// Give whatever was declared since the last call its running half: an
+    /// application's home instance is preloaded — instances on other nodes
+    /// launch lazily when the first token arrives — a collection gets its
+    /// threads' state and queues, a graph its routes and tables.
+    fn materialise(&mut self) {
+        for (i, decl) in self.decls.apps().iter().enumerate() {
+            if i == self.apps.len() {
+                self.cluster.deploy.preload(AppId(i as u32), HOME);
+                self.apps.push(AppRt::default());
+            }
+            let a = &mut self.apps[i];
+            for tc in &decl.tcs[a.tcs.len()..] {
+                a.tcs.push(TcRt {
+                    data: tc.nodes.iter().map(|_| (tc.factory)()).collect(),
+                    threads: tc.nodes.iter().map(|_| ThreadRt::default()).collect(),
+                });
+            }
+            for def in &decl.graphs[a.graphs.len()..] {
+                a.graphs.push(GraphRt {
+                    routes: def.nodes().iter().map(|n| n.make_route()).collect(),
+                    inst: Instances::default(),
+                    pins: RefCell::default(),
+                    flows: RefCell::default(),
+                });
+            }
+        }
+    }
+
+    /// The cluster node hosting a thread.
+    fn host(&self, tk: ThreadKey) -> NodeId {
+        NodeId(self.decls.host(tk.app, tk.tc, tk.thread))
+    }
+
     fn thread(&mut self, tk: ThreadKey) -> &mut ThreadRt {
         &mut self.apps[tk.app as usize].tcs[tk.tc as usize].threads[tk.thread as usize]
     }
@@ -217,7 +240,7 @@ impl Rt {
         edge: impl Fn(LabelId) -> EventKind,
     ) {
         if self.trace.is_some() {
-            let graph = self.trace_label(self.g(at.app, at.graph).def.name());
+            let graph = self.trace_label(self.decls.def(at.app, at.graph).name());
             self.trace_on(when, ran.host.0 as u16, ran.tk.thread as u16, edge(graph));
         }
     }
@@ -304,13 +327,14 @@ impl SimEngine {
 
     /// Engine over `spec` with explicit configuration.
     pub fn with_config(spec: ClusterSpec, cfg: EngineConfig) -> Self {
+        let decls = Decls::new(spec.clone());
         let cluster = Cluster::new(spec);
         let n = cluster.len();
         let rt = Rt {
             cluster,
             cfg,
+            decls,
             apps: Vec::new(),
-            services: HashMap::new(),
             node_pools: Vec::new(),
             next_wave: 0,
             next_call: 0,
@@ -333,22 +357,13 @@ impl SimEngine {
         Self { sim }
     }
 
-    /// Register a parallel application. Its instance on the *home node*
-    /// (node 0) is preloaded — that is where the user started the binary;
-    /// instances on other nodes launch lazily when the first token arrives.
-    pub fn app(&mut self, _name: &str) -> AppHandle {
-        let idx = self.sim.world.apps.len() as u32;
-        let id = AppId(idx);
-        let home = NodeId(0);
-        self.sim.world.cluster.deploy.preload(id, home);
-        self.sim.world.apps.push(AppRt {
-            id,
-            home,
-            registry: TokenRegistry::new(),
-            tcs: Vec::new(),
-            graphs: Vec::new(),
-        });
-        AppHandle { app: idx }
+    /// [`Engine::declare`](crate::Engine::declare): declarations are welcome
+    /// at any time, and what `f` declared can run as soon as this returns.
+    pub(crate) fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
+        let world = &mut self.sim.world;
+        let r = f(&mut world.decls);
+        world.materialise();
+        r
     }
 
     /// Pre-start `app`'s instance on every cluster node, skipping the lazy
@@ -356,107 +371,10 @@ impl SimEngine {
     /// steady state, as the paper does (its ≈1 s start-up on 8 nodes is
     /// reported separately from the experiment timings).
     pub fn preload_app(&mut self, app: AppHandle) {
-        let id = self.sim.world.apps[app.app as usize].id;
         let nodes: Vec<_> = self.sim.world.cluster.spec().node_ids().collect();
         for node in nodes {
-            self.sim.world.cluster.deploy.preload(id, node);
+            self.sim.world.cluster.deploy.preload(AppId(app.app), node);
         }
-    }
-
-    /// Register token type `T` with `app`'s deserialization factory
-    /// (needed only when `enforce_serialization` is on).
-    pub fn register_token<T>(&mut self, app: AppHandle)
-    where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + std::fmt::Debug + Send + 'static,
-    {
-        register_token::<T>(&mut self.sim.world.apps[app.app as usize].registry);
-    }
-
-    /// Create and map a thread collection in one step (paper §3:
-    /// `new ThreadCollection<ComputeThread>("proc")` followed by
-    /// `map("nodeA*2 nodeB")`).
-    pub fn thread_collection<Td: ThreadData>(
-        &mut self,
-        app: AppHandle,
-        _name: &str,
-        mapping: &str,
-    ) -> Result<ThreadCollection<Td>> {
-        let nodes = resolve_mapping(self.sim.world.cluster.spec(), mapping)?;
-        let a = &mut self.sim.world.apps[app.app as usize];
-        let tc_idx = a.tcs.len() as u32;
-        let count = nodes.len();
-        a.tcs.push(TcRt {
-            td_type: TypeId::of::<Td>(),
-            data: (0..count)
-                .map(|_| Box::new(Td::default()) as Box<dyn Any + Send>)
-                .collect(),
-            threads: (0..count).map(|_| ThreadRt::default()).collect(),
-            nodes,
-        });
-        Ok(ThreadCollection {
-            app: app.app,
-            tc: tc_idx,
-            threads: count,
-            _m: std::marker::PhantomData,
-        })
-    }
-
-    /// Validate a built graph and install it into its application.
-    pub fn build_graph(&mut self, builder: GraphBuilder) -> Result<GraphHandle> {
-        let app = builder.app.ok_or_else(|| DpsError::InvalidGraph {
-            reason: "graph has no nodes".into(),
-        })?;
-        let GraphBuilder {
-            name,
-            nodes,
-            edges,
-            interactive,
-            serving,
-            registrations,
-            ..
-        } = builder;
-        // Cross-check collections exist and thread-data types line up.
-        {
-            let a = &self.sim.world.apps[app as usize];
-            for n in &nodes {
-                let tc = a
-                    .tcs
-                    .get(n.tc as usize)
-                    .ok_or_else(|| DpsError::UnmappedCollection {
-                        name: format!("tc#{}", n.tc),
-                    })?;
-                if tc.td_type != n.td_type {
-                    return Err(DpsError::InvalidGraph {
-                        reason: format!(
-                            "node {} expects a different thread-data type than collection tc#{}",
-                            n.name, n.tc
-                        ),
-                    });
-                }
-            }
-        }
-        let mut def = Flowgraph::assemble(name, nodes, &edges, serving)?;
-        def.set_interactive(interactive);
-        def.set_registrations(registrations);
-        let routes = def.nodes().iter().map(|n| (n.route_factory)()).collect();
-        let a = &mut self.sim.world.apps[app as usize];
-        def.register_tokens(&mut a.registry);
-        let graph = a.graphs.len() as u32;
-        a.graphs.push(GraphRt {
-            def,
-            routes,
-            inst: Instances::default(),
-            pins: RefCell::default(),
-            flows: RefCell::default(),
-        });
-        Ok(GraphHandle { app, graph })
-    }
-
-    /// Expose a graph as a named parallel service callable from other
-    /// applications' graphs (paper §5, *Exposing the Game of Life as a
-    /// parallel service*).
-    pub fn expose_service(&mut self, graph: GraphHandle, name: &str) {
-        self.sim.world.services.insert(name.to_string(), graph);
     }
 
     /// Inject a token into a graph's entry at the current virtual time.
@@ -476,12 +394,12 @@ impl SimEngine {
         graph: GraphHandle,
         token: TokenBox,
     ) -> Result<()> {
-        let src = self.sim.world.apps[graph.app as usize].home;
         self.sim.schedule_at(at, move |sim| {
             if sim.world.fatal.is_none() {
-                let (app, graph) = (graph.app, graph.graph);
-                let node = sim.world.g(app, graph).def.entry();
-                kernel::deliver(sim, At { app, graph, node }, src.0, token, Envelope::root());
+                let GraphHandle { app, graph } = graph;
+                let node = sim.world.decls.def(app, graph).entry();
+                let entry = At { app, graph, node };
+                kernel::deliver(sim, entry, HOME.0, token, Envelope::root());
             }
         });
         Ok(())
@@ -496,13 +414,14 @@ impl SimEngine {
             return Err(e);
         }
         let mut stuck: Vec<String> = Vec::new();
-        for a in &self.sim.world.apps {
-            for g in &a.graphs {
+        let world = &self.sim.world;
+        for (a, decl) in world.apps.iter().zip(world.decls.apps()) {
+            for (g, def) in a.graphs.iter().zip(&decl.graphs) {
                 for (key, wave) in &g.inst.waves {
-                    let node = g.def.node(key.src);
+                    let node = def.node(key.src);
                     stuck.push(format!(
                         "graph {} wave at {} from {}: received {}, expected {:?}",
-                        g.def.name(),
+                        def.name(),
                         node.name,
                         key.src,
                         wave.received(),
@@ -513,7 +432,7 @@ impl SimEngine {
                     if f.pending() > 0 {
                         stuck.push(format!(
                             "graph {} flow from node g{node} wave {wv}: {} posts undelivered",
-                            g.def.name(),
+                            def.name(),
                             f.pending()
                         ));
                     }
@@ -737,9 +656,9 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
     );
     sim.world.trace_add(Counter::NodesDown, 1);
     if let Some(sink) = &sim.world.feedback {
-        let apps = &sim.world.apps;
+        let apps = sim.world.decls.apps();
         let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
-        for worker in kernel::lost_workers(&sim.world.feedback_tcs, hosts, &node) {
+        for worker in kernel::lost_workers(&sim.world.feedback_tcs, hosts, &node.0) {
             sink.worker_lost(worker);
         }
     }
@@ -748,9 +667,12 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
     // token re-pins the wave to a live thread — and wave-close messages
     // re-deliver after, so they follow their wave to its new home.
     let mut drained: Vec<Delivery> = Vec::new();
-    for tc in sim.world.apps.iter_mut().flat_map(|app| &mut app.tcs) {
-        for (thread, rt) in tc.threads.iter_mut().enumerate() {
-            if tc.nodes[thread] == node {
+    let world = &mut sim.world;
+    let declared = world.decls.apps().iter().flat_map(|app| &app.tcs);
+    let running = world.apps.iter_mut().flat_map(|app| &mut app.tcs);
+    for (tc, decl) in running.zip(declared) {
+        for (rt, &host) in tc.threads.iter_mut().zip(&decl.nodes) {
+            if host == node.0 {
                 rt.assigned = 0;
                 drained.extend(rt.queue.drain(..));
             }
@@ -780,8 +702,7 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
         },
     );
     for d in drained {
-        let src = sim.world.apps[d.to.app as usize].home;
-        let moved = kernel::reroute(sim, d.to, src.0, d.what, d.env);
+        let moved = kernel::reroute(sim, d.to, HOME.0, d.what, d.env);
         sim.world.requeued += moved as u64;
     }
 }
@@ -801,47 +722,34 @@ impl Substrate for Sim<Rt> {
     type FlowExt = FlowRt;
     type Lane = Ran;
 
-    fn def(&self, app: u32, graph: u32) -> &Flowgraph {
-        &self.world.g(app, graph).def
-    }
-
-    fn threads(&self, app: u32, tc: u32) -> usize {
-        self.world.apps[app as usize].tcs[tc as usize].nodes.len()
-    }
-
-    fn host(&self, app: u32, tc: u32, thread: u32) -> u32 {
-        self.world.apps[app as usize].tcs[tc as usize].nodes[thread as usize].0
+    fn decls(&self) -> &Decls {
+        &self.world.decls
     }
 
     fn node_up(&self, node: u32) -> bool {
         self.world.cluster.is_alive(NodeId(node))
     }
 
-    fn node_name(&self, node: u32) -> String {
-        self.world.cluster.spec().node(NodeId(node)).name.clone()
-    }
-
     fn load(&self, app: u32, tc: u32) -> Vec<u32> {
-        let tc = &self.world.apps[app as usize].tcs[tc as usize];
-        let assigned = |(t, &n): (&ThreadRt, &NodeId)| match self.world.cluster.is_alive(n) {
+        let world = &self.world;
+        let hosts = &world.decls.apps()[app as usize].tcs[tc as usize].nodes;
+        let assigned = |(t, &n): (&ThreadRt, &u32)| match world.cluster.is_alive(NodeId(n)) {
             true => t.assigned,
             false => u32::MAX,
         };
-        tc.threads.iter().zip(&tc.nodes).map(assigned).collect()
+        let threads = &world.apps[app as usize].tcs[tc as usize].threads;
+        threads.iter().zip(hosts).map(assigned).collect()
     }
 
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
-        let g = self.world.graph(to.app, to.graph);
-        g.routes[to.node.0 as usize].route_dyn(token, info, &g.def.node(to.node).name)
+        let world = &mut self.world;
+        let name = &world.decls.def(to.app, to.graph).node(to.node).name;
+        let g = &mut world.apps[to.app as usize].graphs[to.graph as usize];
+        g.routes[to.node.0 as usize].route_dyn(token, info, name)
     }
 
-    fn registry(&self, app: u32) -> Option<&TokenRegistry> {
-        let on = self.world.cfg.enforce_serialization;
-        on.then(|| &self.world.apps[app as usize].registry)
-    }
-
-    fn service(&self, name: &str) -> Option<(u32, u32)> {
-        self.world.services.get(name).map(|g| (g.app, g.graph))
+    fn enforce_serialization(&self) -> bool {
+        self.world.cfg.enforce_serialization
     }
 
     fn remember_call(&mut self, ret: CallReturn) -> u64 {
@@ -880,14 +788,14 @@ impl Substrate for Sim<Rt> {
             Wave::new(to.graph, to.node, world.next_wave - 1)
         });
         if let Some(total) = parked {
-            wave.close(total, &g.def.node(to.node).name)?;
+            wave.close(total, &world.decls.def(to.app, to.graph).node(to.node).name)?;
         }
         Ok(None)
     }
 
     fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope) {
-        let g = self.world.g(to.app, to.graph);
-        let gnode = g.def.node(to.node);
+        let def = self.world.decls.def(to.app, to.graph);
+        let gnode = def.node(to.node);
         let tk = ThreadKey {
             app: to.app,
             tc: gnode.tc,
@@ -896,7 +804,7 @@ impl Substrate for Sim<Rt> {
         let d = Delivery {
             to,
             kind: gnode.kind,
-            interactive: g.def.is_interactive(),
+            interactive: def.is_interactive(),
             what,
             env,
         };
@@ -1021,7 +929,7 @@ impl Substrate for Sim<Rt> {
         if self.world.trace.is_none() {
             return;
         }
-        let name = &self.world.g(at.app, at.graph).def.node(at.node).name;
+        let name = &self.world.decls.def(at.app, at.graph).node(at.node).name;
         let (op, wave) = (self.world.trace_label(name), ran.wave);
         for (at, kind) in [
             (ran.start, EventKind::OpStart { op, wave }),
@@ -1058,9 +966,8 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
         unreachable!("closes land at once");
     };
     let now = sim.now();
-    let dst = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
+    let dst = sim.world.host(tk);
     let bytes = (token.payload_size() + d.env.wire_bytes() + 10) as u64;
-    let app_id = sim.world.apps[tk.app as usize].id;
     // Tracing: one flow id ties this enqueue to its delivery below.
     let flow_trace = if sim.world.trace.is_some() {
         let flow = sim.world.next_flow;
@@ -1085,7 +992,7 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
     let mut plan = sim
         .world
         .cluster
-        .deliver_token(now, app_id, src, dst, bytes);
+        .deliver_token(now, AppId(tk.app), src, dst, bytes);
     // Seeded fault injection: drops become retransmit timeouts, delays add
     // jitter, duplicates cost wire bytes — the payload itself always
     // arrives (reliable transport), so correctness invariants still bind.
@@ -1198,15 +1105,13 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
     if sim.world.fatal.is_some() {
         return;
     }
-    {
-        // A failed node executes nothing; its queue is drained by
-        // `fail_node` and new deliveries are re-routed before they land.
-        let host = sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize];
-        if !sim.world.cluster.is_alive(host) {
-            return;
-        }
+    // A failed node executes nothing; its queue is drained by `fail_node`
+    // and new deliveries are re-routed before they land.
+    let node = sim.world.host(tk);
+    if !sim.world.cluster.is_alive(node) {
+        return;
     }
-    let (node, delivery) = {
+    let delivery = {
         let stalled = sim.world.thread(tk).stalls > 0;
         let t = sim.world.thread(tk);
         if t.running {
@@ -1224,10 +1129,7 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
         let Some(pos) = pos else { return };
         let delivery = t.queue.remove(pos).expect("position is valid");
         t.running = true;
-        (
-            sim.world.apps[tk.app as usize].tcs[tk.tc as usize].nodes[tk.thread as usize],
-            delivery,
-        )
+        delivery
     };
     let pool = sim.world.node_pools[node.index()];
     sim.pool_acquire(pool, move |sim| {
@@ -1248,15 +1150,15 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     let start = sim.now();
     let info = ExecInfo {
         thread_index: tk.thread as usize,
-        thread_count: sim.threads(tk.app, tk.tc),
+        thread_count: sim.world.decls.threads(tk.app, tk.tc),
         node_flops: sim.world.cluster.spec().node(host).flops,
         start_nanos: start.as_nanos(),
     };
     let overhead = sim.world.cfg.op_overhead;
     let at = d.to;
+    let gnode = sim.world.decls.def(tk.app, at.graph).node(at.node);
     let a = &mut sim.world.apps[tk.app as usize];
     let g = &mut a.graphs[at.graph as usize];
-    let gnode = g.def.node(at.node);
     let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
     let env = d.env;
     let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);

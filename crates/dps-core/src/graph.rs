@@ -85,7 +85,8 @@ pub struct GraphNode {
     pub service: Option<String>,
     pub(crate) op_factory: Option<OpFactory>,
     pub(crate) route_factory: RouteFactory,
-    /// Thread-data type expected on the collection (runtime cross-check).
+    /// Thread-data type expected on the collection (checked against it by
+    /// `Decls::build_graph`).
     pub(crate) td_type: std::any::TypeId,
 }
 
@@ -112,12 +113,6 @@ impl GraphNode {
     #[doc(hidden)]
     pub fn make_route(&self) -> Box<dyn DynRoute> {
         (self.route_factory)()
-    }
-
-    /// Thread-data `TypeId` expected by this node (engine use only).
-    #[doc(hidden)]
-    pub fn thread_data_type(&self) -> std::any::TypeId {
-        self.td_type
     }
 }
 

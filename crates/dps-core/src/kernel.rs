@@ -23,12 +23,13 @@
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 
+use crate::decls::{Decls, GraphHandle};
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::{Flowgraph, GraphNode, OpKind};
 use crate::ops::{DynOp, ExecInfo, OpOutput};
 use crate::route::RouteInfo;
-use crate::token::{wire_roundtrip, Token, TokenBox, TokenRegistry};
+use crate::token::{wire_roundtrip, Token, TokenBox};
 
 fn make_op(gnode: &GraphNode) -> Result<Box<dyn DynOp>> {
     gnode.make_op().ok_or_else(|| DpsError::OperationContract {
@@ -602,26 +603,20 @@ pub trait Substrate {
     /// The executing thread's own state, for the hooks that act on it.
     type Lane;
 
-    /// A declared graph.
-    fn def(&self, app: u32, graph: u32) -> &Flowgraph;
-    /// Number of threads of collection `tc`.
-    fn threads(&self, app: u32, tc: u32) -> usize;
-    /// Cluster node hosting a thread.
-    fn host(&self, app: u32, tc: u32, thread: u32) -> u32;
+    /// What was declared: the graphs, where each collection's threads live,
+    /// the services, the registries, the node names. Frozen while tokens
+    /// move — reading it takes no lock.
+    fn decls(&self) -> &Decls;
     /// Whether a cluster node is alive.
     fn node_up(&self, node: u32) -> bool;
-    /// A cluster node's declared name, for `NodeDown`.
-    fn node_name(&self, node: u32) -> String;
     /// The load signal: deliveries assigned to each thread of `tc` and not
     /// finished; `u32::MAX` for a thread on a dead node.
     fn load(&self, app: u32, tc: u32) -> Vec<u32>;
     /// Run the route installed at `to`.
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize>;
-    /// `app`'s token registry when tokens crossing nodes must take the full
-    /// serialize/deserialize round trip (the multi-kernel debugging mode).
-    fn registry(&self, app: u32) -> Option<&TokenRegistry>;
-    /// The graph exposed as service `name`.
-    fn service(&self, name: &str) -> Option<(u32, u32)>;
+    /// Whether tokens crossing nodes must take the full serialize/deserialize
+    /// round trip (the multi-kernel debugging mode).
+    fn enforce_serialization(&self) -> bool;
     /// Allocate a call id and remember where its result continues.
     fn remember_call(&mut self, ret: CallReturn) -> u64;
     /// Where the result of call `id` continues.
@@ -668,9 +663,10 @@ pub trait Substrate {
 }
 
 fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
+    let d = s.decls();
     DpsError::NodeDown {
-        node: s.node_name(s.host(to.app, tc, thread)),
-        target: s.def(to.app, to.graph).node(to.node).name.clone(),
+        node: d.node_name(d.host(to.app, tc, thread)).to_string(),
+        target: d.def(to.app, to.graph).node(to.node).name.clone(),
     }
 }
 
@@ -713,10 +709,10 @@ pub fn step(
 pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: Envelope) {
     let At { app, graph, node } = to;
     let (tc, kind) = {
-        let n = s.def(app, graph).node(node);
+        let n = s.decls().def(app, graph).node(node);
         (n.tc, n.kind)
     };
-    let thread_count = s.threads(app, tc);
+    let thread_count = s.decls().threads(app, tc);
     let load = (thread_count > 1).then(|| s.load(app, tc));
     let info = RouteInfo {
         thread_count,
@@ -728,7 +724,7 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: 
     };
     if matches!(kind, OpKind::Merge | OpKind::Stream) {
         let key = env.wave_key().expect("validated: merges are under a split");
-        let alive = |t| s.node_up(s.host(app, tc, t));
+        let alive = |t| s.node_up(s.decls().host(app, tc, t));
         let pin = s.pins(app, graph, |pins| {
             pins.route(&key, thread, alive, || s.fresh(app, graph, &key))
         });
@@ -746,18 +742,18 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: 
             Err(dead) => return s.fail(app, node_down(s, to, tc, dead)),
         }
     }
-    let dst = s.host(app, tc, thread);
+    let dst = s.decls().host(app, tc, thread);
     if !s.node_up(dst) {
         // The route insisted on a dead thread (stateful affinity, or the
         // whole collection is down): the work cannot be re-queued.
         return s.fail(app, node_down(s, to, tc, thread));
     }
-    let token = match s.registry(app).filter(|_| src != dst) {
-        Some(registry) => match wire_roundtrip(token.as_ref(), registry) {
+    let token = match s.enforce_serialization() && src != dst {
+        true => match wire_roundtrip(token.as_ref(), s.decls().registry(app)) {
             Ok(t) => t,
             Err(e) => return s.fail(app, e),
         },
-        None => token,
+        false => token,
     };
     s.send(to, thread, src, Arrival::Token(token), env);
 }
@@ -766,7 +762,7 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: 
 /// calling graph and on from the call node, or out as an output.
 pub fn emit<S: Substrate>(s: &mut S, mut from: At, src: u32, token: TokenBox, mut env: Envelope) {
     loop {
-        let def = s.def(from.app, from.graph);
+        let def = s.decls().def(from.app, from.graph);
         let next = exit(def, from.node, token.as_ref(), &env, |id| s.call_return(id));
         match next {
             Ok(Exit::To(node)) => return deliver(s, At { node, ..from }, src, token, env),
@@ -784,22 +780,23 @@ pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total
     let key = env
         .wave_key()
         .expect("close envelopes carry the wave frame");
-    let node = match close_node(s.def(app, graph), &key) {
+    let node = match close_node(s.decls().def(app, graph), &key) {
         Ok(n) => n,
         Err(e) => {
             s.fail(app, e);
             return false;
         }
     };
-    let (to, tc) = (At { app, graph, node }, s.def(app, graph).node(node).tc);
-    let alive = |t| s.node_up(s.host(app, tc, t));
+    let to = At { app, graph, node };
+    let tc = s.decls().def(app, graph).node(node).tc;
+    let alive = |t| s.node_up(s.decls().host(app, tc, t));
     let found = s.pins(app, graph, |pins| {
         pins.close(&key, total, alive, || s.fresh(app, graph, &key))
     });
     match found {
         // A close is control info of the wave's own node: never on a wire.
         Ok(CloseTo::Deliver(thread)) => {
-            let host = s.host(app, tc, thread);
+            let host = s.decls().host(app, tc, thread);
             s.send(to, thread, host, Arrival::Close(total), env)
         }
         Ok(CloseTo::Parked) => {}
@@ -842,7 +839,7 @@ pub fn credit<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
 
 fn contract(s: &impl Substrate, at: At, reason: String) -> DpsError {
     DpsError::OperationContract {
-        node: s.def(at.app, at.graph).node(at.node).name.clone(),
+        node: s.decls().def(at.app, at.graph).node(at.node).name.clone(),
         reason,
     }
 }
@@ -863,10 +860,10 @@ pub fn after_exec<S: Substrate>(
         s.report(lane, iters);
     }
     s.span(lane, at);
-    match s.def(at.app, at.graph).node(at.node).kind {
+    match s.decls().def(at.app, at.graph).node(at.node).kind {
         OpKind::Split => {
             let wave = s.opened(lane, at);
-            let def = s.def(at.app, at.graph);
+            let def = s.decls().def(at.app, at.graph);
             let flow = open_wave(def, at.node, wave, &env, posts.into_iter(), src);
             let key = (at.node.0, wave);
             s.flows(at.app, at.graph, |flows| flows.insert(key, flow));
@@ -962,7 +959,7 @@ pub fn after_wave<S: Substrate>(
     if step.consumed {
         s.span(lane, at);
     }
-    match s.def(app, graph).node(node).kind {
+    match s.decls().def(app, graph).node(node).kind {
         OpKind::Merge if completes => {
             let Some(post) = posts.pop() else {
                 let reason = "merge wave completed without an output".into();
@@ -972,7 +969,7 @@ pub fn after_wave<S: Substrate>(
         }
         OpKind::Stream if completes || !posts.is_empty() => {
             let flow_key = (node.0, out_wave);
-            let stream = s.def(app, graph).node(node);
+            let stream = s.decls().def(app, graph).node(node);
             let closing = s.flows(app, graph, |flows| {
                 let f = flows.entry(flow_key).or_insert_with(|| Flow::stream(src));
                 f.append(stream, out_wave, &step.parent_env, posts, completes)
@@ -1003,9 +1000,14 @@ pub fn after_wave<S: Substrate>(
 /// Returns the callee's entry and that envelope: the substrate delivers
 /// the token there once the call's own overhead has passed.
 pub fn call<S: Substrate>(s: &mut S, at: At, env: Envelope) -> Result<(At, Envelope)> {
-    let service = s.def(at.app, at.graph).node(at.node).service.as_deref();
+    let service = s
+        .decls()
+        .def(at.app, at.graph)
+        .node(at.node)
+        .service
+        .as_deref();
     let service = service.expect("call nodes carry a service name");
-    let Some((app, graph)) = s.service(service) else {
+    let Some(GraphHandle { app, graph }) = s.decls().service(service) else {
         let name = service.to_string();
         return Err(DpsError::UnknownService { name });
     };
@@ -1018,6 +1020,6 @@ pub fn call<S: Substrate>(s: &mut S, at: At, env: Envelope) -> Result<(At, Envel
         call_node: at.node,
         call_id,
     });
-    let node = s.def(app, graph).entry();
+    let node = s.decls().def(app, graph).entry();
     Ok((At { app, graph, node }, callee))
 }

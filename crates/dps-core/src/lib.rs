@@ -59,6 +59,7 @@
 
 mod api;
 mod builder;
+mod decls;
 mod engine;
 mod envelope;
 mod error;
@@ -72,7 +73,8 @@ mod token;
 
 pub use api::{Application, Engine, EngineCaps};
 pub use builder::{GraphBuilder, NodeRef, Path};
-pub use engine::{AppHandle, EngineConfig, GraphHandle, SimEngine};
+pub use decls::{AppDecl, AppHandle, DataFactory, Decls, GraphHandle, TcDecl};
+pub use engine::{EngineConfig, SimEngine};
 pub use envelope::{CallFrame, Envelope, Frame, FrameKey, GNodeId, WaveKey};
 pub use error::{DpsError, Result};
 pub use graph::{Flowgraph, GraphNode, OpKind};
@@ -108,8 +110,9 @@ pub mod internal {
 pub mod prelude {
     pub use crate::api::{Application, Engine, EngineCaps};
     pub use crate::builder::GraphBuilder;
+    pub use crate::decls::{AppHandle, GraphHandle};
     pub use crate::dps_token;
-    pub use crate::engine::{AppHandle, EngineConfig, GraphHandle, SimEngine};
+    pub use crate::engine::{EngineConfig, SimEngine};
     pub use crate::error::{DpsError, Result};
     pub use crate::ops::{LeafOperation, MergeOperation, OpCtx, SplitOperation, StreamOperation};
     pub use crate::route;

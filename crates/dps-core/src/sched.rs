@@ -42,6 +42,7 @@ use dps_des::SimSpan;
 use dps_sched::{ChunkCalc, ChunkHub, FeedbackBoard, PolicyKind};
 
 use crate::api::Engine;
+use crate::decls::{AppHandle, GraphHandle};
 use crate::dps_token;
 use crate::error::Result;
 use crate::ops::{LeafOperation, MergeOperation, OpCtx, SplitOperation};
@@ -353,14 +354,14 @@ impl MergeOperation for CollectChunks {
 /// split lets engine-generic setup code declare every graph first and run
 /// afterwards — the contract engines with
 /// [`declare_before_run`](crate::EngineCaps::declare_before_run) enforce.
-pub struct Calibration<E: Engine> {
-    graph: E::Graph,
+pub struct Calibration {
+    graph: GraphHandle,
     workers: usize,
 }
 
-impl<E: Engine> Calibration<E> {
+impl Calibration {
     /// The calibration graph handle.
-    pub fn graph(&self) -> E::Graph {
+    pub fn graph(&self) -> GraphHandle {
         self.graph
     }
 
@@ -368,7 +369,7 @@ impl<E: Engine> Calibration<E> {
     /// measured chunk per round, reported to the board registered at build
     /// time through the engine's feedback channel (virtual time on the
     /// simulator, wall clock on OS threads).
-    pub fn run(&self, eng: &mut E, rounds: u32) -> Result<()> {
+    pub fn run<E: Engine>(&self, eng: &mut E, rounds: u32) -> Result<()> {
         for step in 0..rounds {
             eng.submit(
                 self.graph,
@@ -389,7 +390,7 @@ impl<E: Engine> Calibration<E> {
     /// `board`'s measured weights: unit `i` belongs to the worker the
     /// chunk policy hands it to. The placement step shared by the LU
     /// (block columns) and matmul (result blocks) drivers.
-    pub fn partition(
+    pub fn partition<E: Engine>(
         &self,
         eng: &mut E,
         board: &FeedbackBoard,
@@ -414,11 +415,11 @@ impl<E: Engine> Calibration<E> {
 /// all other declarations.
 pub fn build_calibration<E: Engine>(
     eng: &mut E,
-    app: E::App,
+    app: AppHandle,
     worker_mapping: &str,
     hub: &Arc<ChunkHub>,
     board: &Arc<FeedbackBoard>,
-) -> Result<Calibration<E>> {
+) -> Result<Calibration> {
     eng.set_feedback_sink(board.clone());
     let master: ThreadCollection<()> = eng.thread_collection(app, "calib-master", "node0")?;
     let workers: ThreadCollection<()> = eng.thread_collection(app, "calib", worker_mapping)?;
@@ -448,8 +449,8 @@ pub fn build_calibration<E: Engine>(
 /// Declare with [`build_placement`] *before* the graphs whose routes read
 /// the [`OwnerMap`]; after all declarations, [`resolve`](Self::resolve)
 /// runs the warm-up and installs the measured partition.
-pub struct Placement<E: Engine> {
-    calibration: Calibration<E>,
+pub struct Placement {
+    calibration: Calibration,
     board: Arc<FeedbackBoard>,
     kind: PolicyKind,
 }
@@ -459,10 +460,10 @@ pub struct Placement<E: Engine> {
 /// `Ok(None)` for static distributions.
 pub fn build_placement<E: Engine>(
     eng: &mut E,
-    app: E::App,
+    app: AppHandle,
     worker_mapping: &str,
     dist: Distribution,
-) -> Result<Option<Placement<E>>> {
+) -> Result<Option<Placement>> {
     let Distribution::Scheduled(kind) = dist else {
         return Ok(None);
     };
@@ -476,10 +477,16 @@ pub fn build_placement<E: Engine>(
     }))
 }
 
-impl<E: Engine> Placement<E> {
+impl Placement {
     /// Run `rounds` calibration waves and resolve `owners` for `items`
     /// work units from the policy's partition under the measured weights.
-    pub fn resolve(&self, eng: &mut E, owners: &OwnerMap, items: u64, rounds: u32) -> Result<()> {
+    pub fn resolve<E: Engine>(
+        &self,
+        eng: &mut E,
+        owners: &OwnerMap,
+        items: u64,
+        rounds: u32,
+    ) -> Result<()> {
         owners.resolve(
             self.calibration
                 .partition(eng, &self.board, self.kind, items, rounds)?,
@@ -501,7 +508,7 @@ impl<E: Engine> Placement<E> {
 /// [`declare_before_run`](crate::EngineCaps::declare_before_run) engine.
 pub fn calibrate_rates<E: Engine>(
     eng: &mut E,
-    app: E::App,
+    app: AppHandle,
     worker_mapping: &str,
     hub: &Arc<ChunkHub>,
     board: &Arc<FeedbackBoard>,

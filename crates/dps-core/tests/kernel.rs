@@ -14,8 +14,7 @@ use dps_core::internal::kernel::{
 use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
 use dps_core::{
-    CallFrame, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection, TokenRegistry,
-    WaveKey,
+    CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection, WaveKey,
 };
 use proptest::prelude::*;
 
@@ -518,11 +517,15 @@ enum Shape {
 
 const THREADS: usize = 3;
 
-/// Application 0: split → `shape` → merge; application 1: `svc`. Everything
-/// but the split goes wherever the load is least, so it can leave a dead
-/// node.
-fn apps(shape: Shape) -> Vec<Flowgraph> {
-    let tc: ThreadCollection<()> = ThreadCollection::from_raw(0, 0, THREADS);
+/// Application 0: split → `shape` → merge; application 1: the service
+/// `svc`. Thread `t` of either collection lives on cluster node `t`.
+/// Everything but the split goes wherever the load is least, so it can
+/// leave a dead node.
+fn declare(shape: Shape) -> Decls {
+    let mut d = Decls::new(dps_cluster::ClusterSpec::uniform(THREADS, 1));
+    let mapping = dps_cluster::default_mapping(THREADS, 1);
+    let main = d.app("main");
+    let tc: ThreadCollection<()> = d.thread_collection(main, &mapping).unwrap();
     let mut b = GraphBuilder::new("main");
     let s = b.split(&tc, || ToThread(0), Fan::default);
     let m = b.merge(&tc, LeastLoaded::new, Count::default);
@@ -532,17 +535,21 @@ fn apps(shape: Shape) -> Vec<Flowgraph> {
         Shape::Call => b.call::<Mid, Mid, (), _>("svc", &tc, LeastLoaded::new),
     };
     b.add(s >> middle >> m);
-    let tc: ThreadCollection<()> = ThreadCollection::from_raw(1, 0, THREADS);
+    d.build_graph(b).unwrap();
+    let app = d.app("svc");
+    let tc: ThreadCollection<()> = d.thread_collection(app, &mapping).unwrap();
     let mut svc = GraphBuilder::new("svc");
     let _ = svc.leaf(&tc, LeastLoaded::new, || Inc);
-    [b, svc].map(|b| b.assemble_for_engine().unwrap().0).into()
+    let svc = d.build_graph(svc).unwrap();
+    d.expose_service(svc, "svc");
+    d
 }
 
-/// The third `Substrate`: one in-memory queue per thread (thread `t` of
-/// every collection lives on cluster node `t`), a seeded pick of which
-/// non-empty queue runs next, a kill list. No clock, no lock, no trace.
+/// The third `Substrate`: one in-memory queue per thread, a seeded pick of
+/// which non-empty queue runs next, a kill list. No clock, no lock, no
+/// trace.
 struct Fake {
-    apps: Vec<Flowgraph>,
+    decls: Decls,
     routes: Vec<Vec<Box<dyn DynRoute>>>,
     pins: Vec<RefCell<Pins>>,
     flows: Vec<RefCell<Flows<Fake>>>,
@@ -566,34 +573,22 @@ impl Substrate for Fake {
     type FlowExt = ();
     type Lane = usize;
 
-    fn def(&self, app: u32, _graph: u32) -> &Flowgraph {
-        &self.apps[app as usize]
-    }
-    fn threads(&self, _app: u32, _tc: u32) -> usize {
-        THREADS
-    }
-    fn host(&self, _app: u32, _tc: u32, thread: u32) -> u32 {
-        thread
+    fn decls(&self) -> &Decls {
+        &self.decls
     }
     fn node_up(&self, node: u32) -> bool {
         !self.dead[node as usize]
-    }
-    fn node_name(&self, node: u32) -> String {
-        format!("node{node}")
     }
     fn load(&self, _app: u32, _tc: u32) -> Vec<u32> {
         let load = |(q, &dead): (&VecDeque<_>, &bool)| if dead { u32::MAX } else { q.len() as u32 };
         self.queues.iter().zip(&self.dead).map(load).collect()
     }
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
-        let name = &self.apps[to.app as usize].node(to.node).name;
+        let name = &self.decls.def(to.app, 0).node(to.node).name;
         self.routes[to.app as usize][to.node.0 as usize].route_dyn(token, info, name)
     }
-    fn registry(&self, _app: u32) -> Option<&TokenRegistry> {
-        None
-    }
-    fn service(&self, name: &str) -> Option<(u32, u32)> {
-        (name == "svc").then_some((1, 0))
+    fn enforce_serialization(&self) -> bool {
+        false
     }
     fn remember_call(&mut self, ret: CallReturn) -> u64 {
         self.ids += 1;
@@ -661,11 +656,12 @@ impl Substrate for Fake {
 
 impl Fake {
     fn new(shape: Shape, window: u32, seed: u64) -> Self {
-        let apps = apps(shape);
+        let decls = declare(shape);
+        let apps = decls.apps();
         Fake {
             routes: apps
                 .iter()
-                .map(|def| def.nodes().iter().map(|n| n.make_route()).collect())
+                .map(|a| a.graphs[0].nodes().iter().map(|n| n.make_route()).collect())
                 .collect(),
             pins: apps.iter().map(|_| RefCell::default()).collect(),
             flows: apps.iter().map(|_| RefCell::default()).collect(),
@@ -680,7 +676,7 @@ impl Fake {
             rng: dps_des::SplitMix64::new(seed),
             completed: Vec::new(),
             peak_outstanding: 0,
-            apps,
+            decls,
         }
     }
 
@@ -688,7 +684,7 @@ impl Fake {
         let entry = At {
             app: 0,
             graph: 0,
-            node: self.apps[0].entry(),
+            node: self.main().entry(),
         };
         kernel::deliver(self, entry, 0, Box::new(In { n }), Envelope::root());
     }
@@ -710,7 +706,7 @@ impl Fake {
     }
 
     fn run(&mut self, thread: usize, at: At, what: Arrival, env: Envelope) -> Result<()> {
-        let gnode = self.apps[at.app as usize].node(at.node);
+        let gnode = self.decls.def(at.app, 0).node(at.node);
         let info = ExecInfo {
             thread_index: thread,
             thread_count: THREADS,
@@ -762,10 +758,15 @@ impl Fake {
         }
     }
 
+    /// The graph of application 0.
+    fn main(&self) -> &Flowgraph {
+        self.decls.def(0, 0)
+    }
+
     /// The merge of application 0.
     fn merge(&self) -> &dps_core::GraphNode {
         let is_merge = |n: &&dps_core::GraphNode| n.kind == OpKind::Merge;
-        self.apps[0].nodes().iter().find(is_merge).unwrap()
+        self.main().nodes().iter().find(is_merge).unwrap()
     }
 
     /// The thread the (one) live merge wave of application 0 is consuming
@@ -798,8 +799,8 @@ fn a_miscounted_reply_is_a_contract_error() {
         node,
     };
     let is_leaf = |n: &&dps_core::GraphNode| n.kind == OpKind::Leaf;
-    let leaf = at(fake.apps[0].nodes().iter().find(is_leaf).unwrap().id);
-    let (split, merge) = (fake.apps[0].entry(), at(fake.merge().id));
+    let leaf = at(fake.main().nodes().iter().find(is_leaf).unwrap().id);
+    let (split, merge) = (fake.main().entry(), at(fake.merge().id));
     let post = || Box::new(Mid { i: 0 }) as TokenBox;
     for posts in [vec![], vec![post(), post()]] {
         let n = posts.len();

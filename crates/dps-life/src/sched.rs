@@ -345,8 +345,7 @@ impl LeafOperation for ExtractWorld {
 }
 
 /// Build the scheduled iteration graph over already-created collections.
-/// Engine-agnostic: pass the builder to `SimEngine::build_graph` or
-/// `MtEngine::build_graph`.
+/// Engine-agnostic: pass the builder to any `Engine::build_graph`.
 pub fn scheduled_step_builder(
     ctl: &ThreadCollection<()>,
     store: &ThreadCollection<WorldState>,
@@ -390,25 +389,25 @@ pub fn world_dump_builder(store: &ThreadCollection<WorldState>) -> GraphBuilder 
 /// A scheduled Life application set up on any [`Engine`]: its collections,
 /// graphs and feedback board — everything a driver (or a failure-injection
 /// test) needs.
-pub struct ScheduledLife<E: Engine> {
+pub struct ScheduledLife {
     /// The owning application.
-    pub app: E::App,
+    pub app: AppHandle,
     /// The one-thread master collection holding the [`WorldState`].
     pub store: ThreadCollection<WorldState>,
     /// The scheduled iteration graph (`IterRange → IterDone`).
-    pub step: E::Graph,
+    pub step: GraphHandle,
     /// The world-loader graph (`LoadWorld → WorldLoaded`).
-    pub loader: E::Graph,
+    pub loader: GraphHandle,
     /// The world-dump graph (`DumpOrder → WorldDump`).
-    pub dumper: E::Graph,
+    pub dumper: GraphHandle,
     /// The feedback board AWF-family policies adapt from.
     pub board: Arc<FeedbackBoard>,
 }
 
-impl<E: Engine> ScheduledLife<E> {
+impl ScheduledLife {
     /// Advance the world one generation; returns the committed iteration
     /// report.
-    pub fn step_once(&self, eng: &mut E, rows: usize, iter: u32) -> Result<IterDone> {
+    pub fn step_once<E: Engine>(&self, eng: &mut E, rows: usize, iter: u32) -> Result<IterDone> {
         eng.submit(
             self.step,
             Box::new(IterRange {
@@ -423,7 +422,7 @@ impl<E: Engine> ScheduledLife<E> {
     }
 
     /// Gather the master store's current world.
-    pub fn dump(&self, eng: &mut E) -> Result<World> {
+    pub fn dump<E: Engine>(&self, eng: &mut E) -> Result<World> {
         eng.submit(self.dumper, Box::new(DumpOrder { tag: 0 }))?;
         eng.run_to_idle(self.dumper, 1)?;
         let out = eng.take_outputs(self.dumper).pop().expect("one WorldDump");
@@ -447,7 +446,7 @@ pub fn setup_scheduled_life<E: Engine>(
     cfg: &LifeConfig,
     kind: PolicyKind,
     world: &World,
-) -> Result<ScheduledLife<E>> {
+) -> Result<ScheduledLife> {
     let app = eng.app("life-sched");
     eng.preload_app(app);
     let board = Arc::new(FeedbackBoard::for_policy(kind));

@@ -9,11 +9,9 @@ use dps_sched::FeedbackSink;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
-use dps_cluster::{resolve_mapping, ClusterSpec};
+use dps_cluster::ClusterSpec;
 use dps_core::internal::kernel;
-use dps_core::{
-    register_token, DpsError, GraphBuilder, Result, ThreadData, TokenBox, TokenRegistry,
-};
+use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
 use crate::remote::RemoteExec;
@@ -42,37 +40,16 @@ impl Default for MtConfig {
     }
 }
 
-/// Handle to a graph installed in the threaded engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MtGraph {
-    pub(crate) app: u32,
-    pub(crate) graph: u32,
-}
-
-struct AppDecl {
-    name: String,
-    registry: TokenRegistry,
-    tcs: Vec<TcDecl>,
-    /// `Arc` so layered engines can keep a handle to the same definition
-    /// they install (see [`MtEngine::install_graph`]).
-    graphs: Vec<Arc<dps_core::Flowgraph>>,
-}
-
-struct TcDecl {
-    nodes: Vec<u32>,
-    data_factory: Box<dyn Fn() -> Box<dyn std::any::Any + Send> + Send>,
-}
-
 /// The threaded execution engine.
 ///
 /// Lifecycle: declare applications, thread collections and graphs; the
 /// worker threads spawn on the first [`submit`](Self::submit) call;
 /// [`shutdown`](Self::shutdown) joins them.
 pub struct MtEngine {
-    spec: ClusterSpec,
     cfg: MtConfig,
-    apps: Vec<AppDecl>,
-    services: HashMap<String, (u32, u32)>,
+    /// What was declared. The worker threads share it while they run, which
+    /// is what closes it to further declarations.
+    decls: Arc<Decls>,
     shared: Option<Arc<Shared>>,
     output_rx: Option<Receiver<Output>>,
     error_rx: Option<Receiver<DpsError>>,
@@ -87,12 +64,6 @@ pub struct MtEngine {
     trace: Option<Arc<dps_obs::TraceCollector>>,
 }
 
-/// Handle to an application declared in the threaded engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MtApp {
-    app: u32,
-}
-
 impl MtEngine {
     /// Engine with `nodes` virtual nodes (named `node0..`) — each node is a
     /// distinct address space for the serialization-enforcement mode.
@@ -103,10 +74,8 @@ impl MtEngine {
     /// Engine with explicit configuration.
     pub fn with_config(nodes: usize, cfg: MtConfig) -> Self {
         Self {
-            spec: ClusterSpec::uniform(nodes, 1),
             cfg,
-            apps: Vec::new(),
-            services: HashMap::new(),
+            decls: Arc::new(Decls::new(ClusterSpec::uniform(nodes, 1))),
             shared: None,
             output_rx: None,
             error_rx: None,
@@ -202,83 +171,19 @@ impl MtEngine {
         self.node_flops
     }
 
-    /// Declare an application. The name is kept (matching `SimEngine::app`
-    /// semantics) and surfaces in error messages and the feedback /
-    /// calibration paths; read it back with [`app_name`](Self::app_name).
-    pub fn app(&mut self, name: &str) -> MtApp {
-        assert!(self.shared.is_none(), "declare apps before the first run");
-        let app = self.apps.len() as u32;
-        self.apps.push(AppDecl {
-            name: name.to_string(),
-            registry: TokenRegistry::new(),
-            tcs: Vec::new(),
-            graphs: Vec::new(),
-        });
-        MtApp { app }
+    /// The name `app` was declared with; it also qualifies the node names in
+    /// this engine's runtime errors (`app:node`).
+    pub fn app_name(&self, app: AppHandle) -> &str {
+        self.decls.app_name(app.app)
     }
 
-    /// The name `app` was declared with.
-    pub fn app_name(&self, app: MtApp) -> &str {
-        &self.apps[app.app as usize].name
-    }
-
-    /// Register a token type for deserialization (needed with
-    /// `enforce_serialization`).
-    pub fn register_token<T>(&mut self, app: MtApp)
-    where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + std::fmt::Debug + Send + 'static,
-    {
-        register_token::<T>(&mut self.apps[app.app as usize].registry);
-    }
-
-    /// Create and map a thread collection (`"node0*2 node1"` syntax).
-    pub fn thread_collection<Td: ThreadData>(
-        &mut self,
-        app: MtApp,
-        _name: &str,
-        mapping: &str,
-    ) -> Result<dps_core::ThreadCollection<Td>> {
-        assert!(
-            self.shared.is_none(),
-            "declare collections before the first run"
-        );
-        let nodes: Vec<u32> = resolve_mapping(&self.spec, mapping)?
-            .into_iter()
-            .map(|n| n.0)
-            .collect();
-        let a = &mut self.apps[app.app as usize];
-        let tc = a.tcs.len() as u32;
-        let count = nodes.len();
-        a.tcs.push(TcDecl {
-            nodes,
-            data_factory: Box::new(|| Box::new(Td::default())),
-        });
-        Ok(dps_core::ThreadCollection::from_raw(app.app, tc, count))
-    }
-
-    /// Validate and install a graph.
-    pub fn build_graph(&mut self, builder: GraphBuilder) -> Result<MtGraph> {
-        let (def, app) = builder.assemble_for_engine()?;
-        Ok(self.install_graph(MtApp { app }, Arc::new(def)))
-    }
-
-    /// Install an already-assembled graph shared by `Arc`. Layered engines
-    /// that keep their own copy of the definition (the network engine
-    /// shares one `Flowgraph` between its master-side threads and its
-    /// in-process worker harnesses) install through here; plain users go
-    /// through [`build_graph`](Self::build_graph).
-    pub fn install_graph(&mut self, app: MtApp, def: Arc<dps_core::Flowgraph>) -> MtGraph {
-        assert!(self.shared.is_none(), "build graphs before the first run");
-        let a = &mut self.apps[app.app as usize];
-        // Token types the graph declaration captured become decodable
-        // without explicit register_token calls.
-        def.register_tokens(&mut a.registry);
-        let graph = a.graphs.len() as u32;
-        a.graphs.push(def);
-        MtGraph {
-            app: app.app,
-            graph,
-        }
+    /// Run a table declared elsewhere: a layered engine that takes the
+    /// declarations itself (the network engine's master shares one table
+    /// with its in-process worker harnesses) hands the finished table over
+    /// before the first run, in place of declaring on this engine.
+    pub fn adopt(&mut self, decls: Arc<Decls>) {
+        assert!(self.shared.is_none(), "adopt a table before the first run");
+        self.decls = decls;
     }
 
     /// Install the remote-execution hook consulted at every op-execution
@@ -295,36 +200,24 @@ impl MtEngine {
         self.remote = Some(hook);
     }
 
-    /// Expose a graph as a named parallel service.
-    pub fn expose_service(&mut self, graph: MtGraph, name: &str) {
-        self.services
-            .insert(name.to_string(), (graph.app, graph.graph));
-    }
-
     fn ensure_started(&mut self) {
         if self.shared.is_some() {
             return;
         }
         let (output_tx, output_rx) = unbounded();
         let (error_tx, error_rx) = unbounded();
-        let mut shared_apps = Vec::with_capacity(self.apps.len());
+        let mut shared_apps = Vec::new();
         let mut receivers: Vec<Vec<Vec<Receiver<Msg>>>> = Vec::new();
-        for a in &self.apps {
+        for a in self.decls.apps() {
             let mut tcs = Vec::new();
             let mut app_rx = Vec::new();
             for tc in &a.tcs {
-                let mut senders: Vec<Sender<Msg>> = Vec::new();
-                let mut rxs = Vec::new();
-                for _ in 0..tc.nodes.len() {
-                    let (tx, rx) = unbounded();
-                    senders.push(tx);
-                    rxs.push(rx);
-                }
+                let (senders, rxs): (Vec<Sender<Msg>>, Vec<_>) =
+                    tc.nodes.iter().map(|_| unbounded()).unzip();
                 let queued = (0..tc.nodes.len())
                     .map(|_| CachePadded::new(AtomicU32::new(0)))
                     .collect();
                 tcs.push(SharedTc {
-                    nodes: tc.nodes.clone(),
                     senders,
                     queued,
                     metrics: self.trace.as_ref().map(|c| c.metrics_arc()),
@@ -347,27 +240,11 @@ impl MtEngine {
             shared_apps.push(SharedApp { tcs, graphs });
             receivers.push(app_rx);
         }
-        // Graph definitions move into the shared state as a parallel vec
-        // (Flowgraph is Sync now that factories are Sync).
-        let defs: Vec<Vec<Arc<dps_core::Flowgraph>>> = self
-            .apps
-            .iter_mut()
-            .map(|a| std::mem::take(&mut a.graphs))
-            .collect();
-        let registries: Vec<TokenRegistry> = self
-            .apps
-            .iter_mut()
-            .map(|a| std::mem::replace(&mut a.registry, TokenRegistry::new()))
-            .collect();
-        let app_names: Vec<String> = self.apps.iter().map(|a| a.name.clone()).collect();
         let shared = Arc::new(Shared {
             flow_window: self.cfg.flow_window,
             enforce_serialization: self.cfg.enforce_serialization,
             apps: shared_apps,
-            app_names,
-            defs,
-            registries,
-            services: self.services.clone(),
+            decls: Arc::clone(&self.decls),
             wave_counter: AtomicU64::new(0),
             call_counter: AtomicU64::new(0),
             pending_calls: Mutex::new(HashMap::new()),
@@ -377,7 +254,7 @@ impl MtEngine {
             node_flops: self.node_flops,
             remote: self.remote.clone(),
             trace: self.trace.clone(),
-            dead: (0..self.spec.len())
+            dead: (0..self.decls.nodes())
                 .map(|_| AtomicBool::new(false))
                 .collect(),
             feedback_tcs: Mutex::new(Vec::new()),
@@ -387,7 +264,7 @@ impl MtEngine {
             for (tc_idx, rxs) in app_rx.into_iter().enumerate() {
                 for (th_idx, rx) in rxs.into_iter().enumerate() {
                     let shared = Arc::clone(&shared);
-                    let data = (self.apps[app_idx].tcs[tc_idx].data_factory)();
+                    let data = (self.decls.apps()[app_idx].tcs[tc_idx].factory)();
                     let handle = std::thread::Builder::new()
                         .name(format!("dps-a{app_idx}t{tc_idx}i{th_idx}"))
                         .spawn(move || {
@@ -415,7 +292,7 @@ impl MtEngine {
     /// [`drain_outputs`](Self::drain_outputs); drivers written against
     /// [`dps_core::Engine`] reach the same three steps as `submit`,
     /// `run_to_idle` and `take_outputs`.
-    pub fn submit(&mut self, graph: MtGraph, token: TokenBox) {
+    pub fn submit(&mut self, graph: GraphHandle, token: TokenBox) {
         self.ensure_started();
         let shared = Arc::clone(self.shared.as_ref().expect("started"));
         crate::worker::inject(&shared, graph.app, graph.graph, token, 0);
@@ -424,7 +301,7 @@ impl MtEngine {
     /// Block until `graph` has produced at least `expected_outputs`
     /// undrained outputs, or a worker reported an error, or the run
     /// timeout expires (the DPS deadlock analogue).
-    pub fn wait_for_outputs(&mut self, graph: MtGraph, expected_outputs: usize) -> Result<()> {
+    pub fn wait_for_outputs(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
         self.ensure_started();
         let deadline = Instant::now() + self.cfg.run_timeout;
         let key = (graph.app, graph.graph);
@@ -443,7 +320,7 @@ impl MtEngine {
                     waves: vec![format!(
                         "application {}: timed out after {:?} waiting for {} outputs \
                          ({} received)",
-                        self.apps[graph.app as usize].name,
+                        self.decls.app_name(graph.app),
                         self.cfg.run_timeout,
                         expected_outputs,
                         self.out_buf.get(&key).map(Vec::len).unwrap_or(0)
@@ -468,7 +345,7 @@ impl MtEngine {
     }
 
     /// Drain the outputs `graph` has produced so far (unordered).
-    pub fn drain_outputs(&mut self, graph: MtGraph) -> Vec<TokenBox> {
+    pub fn drain_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
         // Sweep anything already sitting in the channel first.
         if let Some(rx) = self.output_rx.as_ref() {
             while let Ok(out) = rx.try_recv() {
@@ -572,7 +449,8 @@ impl FailHandle {
             return Ok(()); // already dead
         }
         if let Some(sink) = &self.feedback {
-            let hosts = |app: u32, tc: u32| &shared.apps[app as usize].tcs[tc as usize].nodes[..];
+            let apps = shared.decls.apps();
+            let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
             let lost = kernel::lost_workers(&shared.feedback_tcs.lock(), hosts, &node);
             for worker in lost {
                 sink.worker_lost(worker);
@@ -582,9 +460,9 @@ impl FailHandle {
         // wakeup is not a counted backlog message), tallying the backlog
         // they will re-route for the trace breadcrumb.
         let mut stranded = 0u64;
-        for app in &shared.apps {
-            for tc in &app.tcs {
-                for (t, &host) in tc.nodes.iter().enumerate() {
+        for (app, decl) in shared.apps.iter().zip(shared.decls.apps()) {
+            for (tc, decl) in app.tcs.iter().zip(&decl.tcs) {
+                for (t, &host) in decl.nodes.iter().enumerate() {
                     if host == node {
                         stranded += tc.queued[t].load(Ordering::Relaxed) as u64;
                         let _ = tc.senders[t].send(Msg::Fail);
@@ -626,9 +504,6 @@ impl FailHandle {
 /// [`submit`](dps_core::Engine::submit)
 /// ([`EngineCaps::declare_before_run`](dps_core::EngineCaps)).
 impl dps_core::Engine for MtEngine {
-    type App = MtApp;
-    type Graph = MtGraph;
-
     fn name(&self) -> &'static str {
         "mt"
     }
@@ -643,32 +518,10 @@ impl dps_core::Engine for MtEngine {
         }
     }
 
-    fn app(&mut self, name: &str) -> Self::App {
-        MtEngine::app(self, name)
-    }
-
-    fn register_token<T>(&mut self, app: Self::App)
-    where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + std::fmt::Debug + Send + 'static,
-    {
-        MtEngine::register_token::<T>(self, app)
-    }
-
-    fn thread_collection<Td: ThreadData>(
-        &mut self,
-        app: Self::App,
-        name: &str,
-        mapping: &str,
-    ) -> Result<dps_core::ThreadCollection<Td>> {
-        MtEngine::thread_collection(self, app, name, mapping)
-    }
-
-    fn build_graph(&mut self, builder: GraphBuilder) -> Result<Self::Graph> {
-        MtEngine::build_graph(self, builder)
-    }
-
-    fn expose_service(&mut self, graph: Self::Graph, name: &str) {
-        MtEngine::expose_service(self, graph, name)
+    /// The table is shared with the worker threads from the first run on,
+    /// and closed to declarations while it is.
+    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
+        f(Arc::get_mut(&mut self.decls).expect("declarations precede the first run"))
     }
 
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
@@ -679,16 +532,16 @@ impl dps_core::Engine for MtEngine {
         MtEngine::set_trace_sink(self, sink)
     }
 
-    fn submit(&mut self, graph: Self::Graph, token: TokenBox) -> Result<()> {
+    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
         MtEngine::submit(self, graph, token);
         Ok(())
     }
 
-    fn run_to_idle(&mut self, graph: Self::Graph, expected_outputs: usize) -> Result<()> {
+    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
         self.wait_for_outputs(graph, expected_outputs)
     }
 
-    fn take_outputs(&mut self, graph: Self::Graph) -> Vec<TokenBox> {
+    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
         self.drain_outputs(graph)
     }
 

@@ -27,5 +27,5 @@ mod engine;
 pub mod remote;
 mod worker;
 
-pub use engine::{FailHandle, MtApp, MtConfig, MtEngine, MtGraph};
+pub use engine::{FailHandle, MtConfig, MtEngine};
 pub use remote::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};

@@ -21,10 +21,7 @@ use dps_core::internal::kernel::{
     WaveStep,
 };
 use dps_core::internal::{DynRoute, ExecInfo};
-use dps_core::{
-    DpsError, Envelope, Flowgraph, GNodeId, OpKind, RouteInfo, Token, TokenBox, TokenRegistry,
-    WaveKey,
-};
+use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
 
@@ -53,7 +50,6 @@ pub(crate) struct Output {
 }
 
 pub(crate) struct SharedTc {
-    pub nodes: Vec<u32>,
     pub senders: Vec<Sender<Msg>>,
     /// Live per-thread backlog (messages sent and not yet fully processed)
     /// — the load signal for `LeastLoaded`/`ChunkRoute` routing and the
@@ -127,13 +123,11 @@ pub(crate) struct SharedApp {
 pub(crate) struct Shared {
     pub flow_window: u32,
     pub enforce_serialization: bool,
+    /// The running half of `decls`, same shape: queues per collection,
+    /// routes and tables per graph.
     pub apps: Vec<SharedApp>,
-    /// Declared application names, surfaced in runtime error messages
-    /// (matching `SimEngine::app` semantics).
-    pub app_names: Vec<String>,
-    pub defs: Vec<Vec<Arc<Flowgraph>>>,
-    pub registries: Vec<TokenRegistry>,
-    pub services: HashMap<String, (u32, u32)>,
+    /// What was declared, frozen for the run.
+    pub decls: Arc<Decls>,
     pub wave_counter: AtomicU64,
     pub call_counter: AtomicU64,
     pub pending_calls: Mutex<HashMap<u64, CallReturn>>,
@@ -212,11 +206,7 @@ impl Worker {
 /// application's declared name (`app:node`) so multi-application runs
 /// produce attributable diagnostics.
 pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
-    let name = shared
-        .app_names
-        .get(app as usize)
-        .map(String::as_str)
-        .unwrap_or("?");
+    let name = shared.decls.app_name(app);
     let tag = |node: String| format!("{name}:{node}");
     let e = match e {
         DpsError::NoRoute { node, token_type } => DpsError::NoRoute {
@@ -257,7 +247,7 @@ pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
 
 /// Inject a token into a graph entry from outside (the run driver).
 pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox, src_node: u32) {
-    let node = shared.defs[app as usize][graph as usize].entry();
+    let node = shared.decls.def(app, graph).entry();
     let entry = At { app, graph, node };
     kernel::deliver(&mut shared, entry, src_node, token, Envelope::root());
 }
@@ -311,7 +301,7 @@ pub(crate) fn worker_loop(
     rx: Receiver<Msg>,
 ) {
     let mut shared: &Shared = &shared;
-    let node = shared.apps[app as usize].tcs[tc as usize].nodes[thread as usize];
+    let node = shared.decls.host(app, tc, thread);
     let mut w = Worker {
         app,
         tc,
@@ -368,9 +358,7 @@ pub(crate) fn worker_loop(
             Msg::Fail => continue,
             Msg::Arrive(graph, node, what, env) => (At { app, graph, node }, what, env),
         };
-        let kind = shared.defs[app as usize][at.graph as usize]
-            .node(at.node)
-            .kind;
+        let kind = shared.decls.def(app, at.graph).node(at.node).kind;
         let begun = match (what, kind) {
             // Stranded on a tombstone: back to the router, which sees this
             // node's threads at infinite load.
@@ -460,11 +448,11 @@ fn finish_all(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
 fn abandon_waves(shared: &Shared, w: &mut Worker) {
     let inst = std::mem::take(&mut w.inst);
     for (key, wave) in inst.waves {
-        let target = &shared.defs[w.app as usize][wave.graph as usize].node(wave.node);
+        let target = shared.decls.def(w.app, wave.graph).node(wave.node);
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
         g.pins.lock().remove(&key);
         let down = DpsError::NodeDown {
-            node: shared.node_name(w.node),
+            node: shared.decls.node_name(w.node).to_string(),
             target: target.name.clone(),
         };
         send_error(shared, w.app, down);
@@ -484,7 +472,7 @@ fn apply_reports(shared: &Shared, app: u32, tc: u32, thread: u32, reports: &[(u6
 fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
     ExecInfo {
         thread_index: w.thread as usize,
-        thread_count: shared.apps[w.app as usize].tcs[w.tc as usize].senders.len(),
+        thread_count: shared.decls.threads(w.app, w.tc),
         // Wall-clock engine: charges don't advance a clock, but cost models
         // calling charge_flops see the calibrated host rate.
         node_flops: shared.node_flops,
@@ -535,7 +523,7 @@ fn begin_exec(
         inflight.push_back((pending, Cont::Exec { at, env }));
         return Ok(Begun::InFlight);
     }
-    let gnode = shared.defs[w.app as usize][at.graph as usize].node(at.node);
+    let gnode = shared.decls.def(w.app, at.graph).node(at.node);
     let info = exec_info(shared, w);
     let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     let slot = Served::Node(&mut w.inst, (at.graph, at.node.0));
@@ -559,7 +547,7 @@ fn begin_wave(
     env: Envelope,
     arrival: Arrival,
 ) -> Result<Begun, DpsError> {
-    let gnode = shared.defs[w.app as usize][at.graph as usize].node(at.node);
+    let gnode = shared.decls.def(w.app, at.graph).node(at.node);
     let info = exec_info(shared, w);
     let key = env.wave_key().expect("validated depth >= 1");
     let wave = w.inst.waves.entry(key.clone()).or_insert_with(|| {
@@ -626,35 +614,23 @@ impl Substrate for &Shared {
     type FlowExt = ();
     type Lane = Worker;
 
-    fn def(&self, app: u32, graph: u32) -> &Flowgraph {
-        &self.defs[app as usize][graph as usize]
-    }
-
-    fn threads(&self, app: u32, tc: u32) -> usize {
-        self.apps[app as usize].tcs[tc as usize].senders.len()
-    }
-
-    fn host(&self, app: u32, tc: u32, thread: u32) -> u32 {
-        self.apps[app as usize].tcs[tc as usize].nodes[thread as usize]
+    fn decls(&self) -> &Decls {
+        &self.decls
     }
 
     fn node_up(&self, node: u32) -> bool {
         !self.node_dead(node)
     }
 
-    /// (`MtEngine`'s cluster is always `ClusterSpec::uniform`.)
-    fn node_name(&self, node: u32) -> String {
-        format!("node{node}")
-    }
-
     /// The live per-thread backlog.
     fn load(&self, app: u32, tc: u32) -> Vec<u32> {
-        let tc = &self.apps[app as usize].tcs[tc as usize];
+        let hosts = &self.decls.apps()[app as usize].tcs[tc as usize].nodes;
         let backlog = |(q, &n): (&CachePadded<AtomicU32>, &u32)| match self.node_dead(n) {
             true => u32::MAX,
             false => q.load(Ordering::Relaxed),
         };
-        tc.queued.iter().zip(&tc.nodes).map(backlog).collect()
+        let queued = &self.apps[app as usize].tcs[tc as usize].queued;
+        queued.iter().zip(hosts).map(backlog).collect()
     }
 
     fn route(
@@ -663,18 +639,13 @@ impl Substrate for &Shared {
         token: &dyn Token,
         info: &RouteInfo<'_>,
     ) -> dps_core::Result<usize> {
-        let name = &self.def(to.app, to.graph).node(to.node).name;
+        let name = &self.decls.def(to.app, to.graph).node(to.node).name;
         let g = &self.apps[to.app as usize].graphs[to.graph as usize];
         g.routes[to.node.0 as usize].route(token, info, name)
     }
 
-    fn registry(&self, app: u32) -> Option<&TokenRegistry> {
+    fn enforce_serialization(&self) -> bool {
         self.enforce_serialization
-            .then(|| &self.registries[app as usize])
-    }
-
-    fn service(&self, name: &str) -> Option<(u32, u32)> {
-        self.services.get(name).copied()
     }
 
     fn remember_call(&mut self, ret: CallReturn) -> u64 {
@@ -707,7 +678,7 @@ impl Substrate for &Shared {
     }
 
     fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
-        let tc = self.def(to.app, to.graph).node(to.node).tc;
+        let tc = self.decls.def(to.app, to.graph).node(to.node).tc;
         let msg = Msg::Arrive(to.graph, to.node, what, env);
         self.apps[to.app as usize].tcs[tc as usize].enqueue(thread as usize, msg);
     }
@@ -773,7 +744,7 @@ impl Substrate for &Shared {
             return;
         };
         if let (Some(start), Some(c), Some(wtr)) = (span.t0n, &self.trace, &mut w.trace) {
-            let op = c.label(&self.def(at.app, at.graph).node(at.node).name);
+            let op = c.label(&self.decls.def(at.app, at.graph).node(at.node).name);
             let wave = span.wave;
             wtr.record(start, EventKind::OpStart { op, wave });
             wtr.record(c.now_nanos(), EventKind::OpEnd { op, wave });
@@ -783,7 +754,7 @@ impl Substrate for &Shared {
     fn opened(&mut self, w: &mut Worker, at: At) -> u64 {
         let id = self.wave_counter.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = &self.trace {
-            let (graph, wave) = (c.label(self.def(at.app, at.graph).name()), id as u32);
+            let (graph, wave) = (c.label(self.decls.def(at.app, at.graph).name()), id as u32);
             w.trace(self, EventKind::WaveStart { graph, wave });
         }
         id
@@ -791,7 +762,7 @@ impl Substrate for &Shared {
 
     fn wave_done(&mut self, w: &mut Worker, at: At, key: &WaveKey) {
         if let Some(c) = &self.trace {
-            let graph = c.label(self.def(at.app, at.graph).name());
+            let graph = c.label(self.decls.def(at.app, at.graph).name());
             let wave = key.wave as u32;
             w.trace(self, EventKind::WaveEnd { graph, wave });
             c.drain();

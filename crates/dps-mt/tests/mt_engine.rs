@@ -2,7 +2,7 @@
 //! engine runs, executed on OS threads with genuinely concurrent operations.
 
 use dps_core::prelude::*;
-use dps_mt::{MtConfig, MtEngine, MtGraph};
+use dps_mt::{MtConfig, MtEngine};
 
 dps_token! { pub struct Job { pub n: u32 } }
 dps_token! { pub struct Piece { pub i: u32, pub v: u64 } }
@@ -56,7 +56,7 @@ impl MergeOperation for Sum {
     }
 }
 
-fn build(eng: &mut MtEngine, nodes: usize) -> dps_mt::MtGraph {
+fn build(eng: &mut MtEngine, nodes: usize) -> GraphHandle {
     let app = eng.app("mt-demo");
     let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
     let mapping: Vec<String> = (0..nodes).map(|i| format!("node{i}")).collect();
@@ -79,7 +79,7 @@ fn expected_sum(n: u32) -> u64 {
 /// return them (unordered).
 fn run(
     eng: &mut MtEngine,
-    g: MtGraph,
+    g: GraphHandle,
     inputs: Vec<TokenBox>,
     expected: usize,
 ) -> Result<Vec<TokenBox>> {
@@ -91,7 +91,7 @@ fn run(
 }
 
 /// One `Job` in, the sum of the one `Total` out.
-fn run_sum(eng: &mut MtEngine, g: MtGraph, input: TokenBox) -> u64 {
+fn run_sum(eng: &mut MtEngine, g: GraphHandle, input: TokenBox) -> u64 {
     let out = run(eng, g, vec![input], 1)
         .unwrap()
         .pop()
@@ -444,7 +444,7 @@ mod pipelined_remote {
             self.release.send(()).unwrap();
         }
 
-        fn one_total(&mut self, g: dps_mt::MtGraph) -> u64 {
+        fn one_total(&mut self, g: GraphHandle) -> u64 {
             self.eng.wait_for_outputs(g, 1).unwrap();
             let out = self.eng.drain_outputs(g).pop().expect("one output");
             downcast::<Total>(out).unwrap().sum
@@ -452,7 +452,7 @@ mod pipelined_remote {
 
         /// The `sumsq` graph of the tests above with its leaf on the remote
         /// node, played by the script and routed through a [`Tap`].
-        fn squares(&mut self) -> (dps_mt::MtGraph, Receiver<Option<Vec<u32>>>) {
+        fn squares(&mut self) -> (GraphHandle, Receiver<Option<Vec<u32>>>) {
             let (tap, taps) = channel();
             let mut b = GraphBuilder::new("sumsq");
             let s = b.split(&self.main, || ToThread(0), || Fan);

@@ -5,9 +5,10 @@
 //! accounting, flow control, routing, service calls) and installs a
 //! [`RemoteExec`] hook that ships op executions of remotely-hosted cluster
 //! nodes to their worker kernels as [`Frame::Exec`] messages. Workers run
-//! the same driver code: their declarations are *recorded* (and folded into
-//! a [`DeclSig`] the master verifies at the sync barrier), their `submit`s
-//! are no-ops, and their `run_to_idle`s block until the master broadcasts
+//! the same driver code: their declarations fill the same kind of table as
+//! the master's (whose [signature](Decls::signature) the master checks
+//! theirs against at the sync barrier), their `submit`s are no-ops, and
+//! their `run_to_idle`s block until the master broadcasts
 //! the run's outputs and its [`Frame::Release`] — so driver-side asserts
 //! after a run observe identical outputs on every kernel.
 
@@ -19,11 +20,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_cluster::{resolve_mapping, ClusterSpec};
-use dps_core::{DpsError, GraphBuilder, Result, ThreadCollection, TokenBox};
+use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
 use dps_mt::{
-    FailHandle, MtApp, MtConfig, MtEngine, MtGraph, RemoteExec, RemoteKind, RemoteOutcome,
-    RemotePending, RemoteTask,
+    FailHandle, MtConfig, MtEngine, RemoteExec, RemoteKind, RemoteOutcome, RemotePending,
+    RemoteTask,
 };
 use dps_net::{NameServer, NodeId};
 use dps_obs::TraceCollector;
@@ -31,9 +31,9 @@ use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::Bytes;
 use parking_lot::Mutex;
 
-use crate::exec::{AppDecl, Conn, DeclStore, ExecHost, HubLink, HubRouter, Job, TcDecl, WireMeter};
+use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, Job, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
-use crate::proto::{self, send_frame, DeclSig, Frame, Payload, TaskKind};
+use crate::proto::{self, send_frame, Frame, Payload, TaskKind};
 use crate::runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
@@ -153,17 +153,6 @@ impl Default for NetEngineConfig {
     }
 }
 
-/// Handle to an application declared in the network engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NetApp(pub(crate) u32);
-
-/// Handle to a graph installed in the network engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NetGraph {
-    pub(crate) app: u32,
-    pub(crate) graph: u32,
-}
-
 /// The multi-process execution engine (see the module docs).
 pub struct NetEngine {
     role: Role,
@@ -212,9 +201,9 @@ struct MasterShared {
     seq: AtomicU64,
     /// Every deadline the engine enforces.
     timeouts: NetTimeouts,
-    /// Declaration mirror (host placement for the hook, token registries
-    /// for decoding posted tokens — shared with in-process harnesses in
-    /// loopback mode).
+    /// The declaration table (shared with the in-process harnesses in
+    /// loopback mode), frozen and handed to the embedded control plane at
+    /// the first-run barrier.
     decls: Arc<DeclStore>,
     /// Tombstone flags: `dead[r - 1]` is set once rank `r` is declared
     /// dead (EOF, protocol corruption, or a missed heartbeat budget).
@@ -289,11 +278,7 @@ impl MasterShared {
 
 struct Master {
     mt: MtEngine,
-    spec: ClusterSpec,
-    apps: Vec<MtApp>,
-    graphs: HashMap<(u32, u32), MtGraph>,
     shared: Arc<MasterShared>,
-    sig: DeclSig,
     sync_rx: Receiver<(u32, u64)>,
     /// Loopback harnesses share the master's declarations — no sync
     /// barrier needed.
@@ -323,9 +308,7 @@ struct Master {
 
 struct Worker {
     rank: u32,
-    spec: ClusterSpec,
     decls: Arc<DeclStore>,
-    sig: DeclSig,
     writer: Arc<Conn>,
     host: Arc<ExecHost>,
     /// This rank's chunk hub: the leases its ops open live here, the
@@ -353,11 +336,17 @@ struct Worker {
 /// frames of one DPS thread leave on one FIFO connection, in `begin` order,
 /// and the worker's [`ExecHost`] runs them on one executor lane that
 /// executes and replies strictly in arrival order.
-struct NetRemote(Arc<MasterShared>);
+struct NetRemote {
+    shared: Arc<MasterShared>,
+    /// The frozen table: which cluster node hosts a thread, which registry
+    /// decodes the tokens it posts.
+    decls: Arc<Decls>,
+}
 
 /// One shipped `Exec` whose `Done` has not been consumed yet.
 struct NetPending {
     shared: Arc<MasterShared>,
+    decls: Arc<Decls>,
     app: u32,
     /// The cluster node hosting the executing thread (names the kernel on
     /// the failure paths).
@@ -381,7 +370,7 @@ impl NetRemote {
         host: u32,
         task: RemoteTask,
     ) -> std::result::Result<(u64, Receiver<DoneReply>), DpsError> {
-        let s = &self.0;
+        let s = &self.shared;
         let ranks = s.node_rank.get().expect("resolved before the hook is set");
         let rank = ranks
             .get(host as usize)
@@ -442,14 +431,11 @@ impl RemoteExec for NetRemote {
     }
 
     fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending> {
-        let s = &self.0;
-        // The hook is only consulted for declared threads, so the decl
-        // mirror always knows the hosting cluster node.
-        let host = s
-            .decls
-            .with(|d| d.apps[task.app as usize].tcs[task.tc as usize].nodes[task.thread as usize]);
+        // The hook is only consulted for declared threads.
+        let host = self.decls.host(task.app, task.tc, task.thread);
         Box::new(NetPending {
-            shared: s.clone(),
+            shared: self.shared.clone(),
+            decls: self.decls.clone(),
             app: task.app,
             host,
             reply: self.ship(host, task),
@@ -463,6 +449,7 @@ impl RemotePending for NetPending {
     fn wait(self: Box<Self>) -> std::result::Result<RemoteOutcome, DpsError> {
         let NetPending {
             shared: s,
+            decls,
             app,
             host,
             reply,
@@ -495,13 +482,12 @@ impl RemotePending for NetPending {
                 reason: msg,
             });
         }
-        let posts = s.decls.with(|d| {
-            let reg = &d.apps[app as usize].registry;
-            done.posts
-                .iter()
-                .map(|b| proto::decode_token(reg, b))
-                .collect::<std::result::Result<Vec<_>, _>>()
-        })?;
+        let reg = decls.registry(app);
+        let posts = done
+            .posts
+            .iter()
+            .map(|b| proto::decode_token(reg, b))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(RemoteOutcome {
             posts,
             reports: done.reports,
@@ -659,7 +645,7 @@ fn worker_reader(
                 // Decoded here, straight out of the received frame.
                 let token = token.into_bytes();
                 let decoded = decls.with(|d| {
-                    d.apps
+                    d.apps()
                         .get(app as usize)
                         .map(|a| proto::decode_token(&a.registry, &token))
                 });
@@ -769,7 +755,7 @@ impl NetEngine {
         assert!(nodes >= 1, "the cluster needs at least the master node");
         let transport = LoopbackTransport::new();
         let (addr, mut acceptor) = transport.bind().expect("loopback bind");
-        let decls = Arc::new(DeclStore::default());
+        let decls = DeclStore::over(nodes);
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
         let node_flops = mt.node_flops();
 
@@ -925,7 +911,7 @@ impl NetEngine {
             }
         }
 
-        let decls = Arc::new(DeclStore::default());
+        let decls = DeclStore::over(nodes);
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
         let node_flops = mt.node_flops();
         let mut links = Vec::new();
@@ -1000,7 +986,7 @@ impl NetEngine {
             duplex = arm_duplex(duplex, wf.cfg, wf.stream(rank, 1));
         }
 
-        let decls = Arc::new(DeclStore::default());
+        let decls = DeclStore::over(nodes);
         let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
         let host = Arc::new(ExecHost::new(
             decls.clone(),
@@ -1042,9 +1028,7 @@ impl NetEngine {
         Ok(NetEngine {
             role: Role::Worker(Box::new(Worker {
                 rank,
-                spec: ClusterSpec::uniform(nodes, 1),
                 decls,
-                sig: DeclSig::new(),
                 writer,
                 host,
                 hub,
@@ -1226,11 +1210,7 @@ impl Master {
 
         Master {
             mt,
-            spec: ClusterSpec::uniform(worker_count + 1, 1),
-            apps: Vec::new(),
-            graphs: HashMap::new(),
             shared,
-            sig: DeclSig::new(),
             sync_rx,
             presynced: children.is_empty(),
             ready: false,
@@ -1248,14 +1228,16 @@ impl Master {
     }
 
     /// First-submit barrier: wait for every worker's declaration signature,
-    /// refuse divergent schedules, then install the remote hook so the
-    /// embedded engine starts shipping remote executions.
+    /// refuse divergent schedules, then hand the finished table to the
+    /// embedded engine and install the remote hook so it starts shipping
+    /// remote executions.
     fn ensure_net_ready(&mut self) -> Result<()> {
         if self.ready {
             return Ok(());
         }
+        let table = self.shared.decls.frozen();
         if !self.presynced {
-            let expect = self.sig.finish();
+            let expect = table.signature();
             let want = self.shared.conns.len();
             let deadline = Instant::now() + self.shared.timeouts.connect;
             let mut synced = 0usize;
@@ -1300,14 +1282,17 @@ impl Master {
                 }
             }
         }
+        self.mt.adopt(table.clone());
         if !self.shared.conns.is_empty() {
             let nodes = self.shared.conns.len() as u32 + 1;
             let ranks = (0..nodes)
                 .map(|n| self.shared.ns.lookup(&format!("kernel{n}")).map(|id| id.0))
                 .collect();
             let _ = self.shared.node_rank.set(ranks);
-            self.mt
-                .set_remote_exec(Arc::new(NetRemote(self.shared.clone())));
+            self.mt.set_remote_exec(Arc::new(NetRemote {
+                shared: self.shared.clone(),
+                decls: table,
+            }));
             // Hand the liveness layer its tombstoning lever into the control
             // plane (valid only once the engine threads exist, which
             // `fail_handle` ensures). A rank that died before this point is
@@ -1324,16 +1309,15 @@ impl Master {
         Ok(())
     }
 
-    fn run_to_idle(&mut self, g: NetGraph, expected: usize) -> Result<()> {
+    fn run_to_idle(&mut self, g: GraphHandle, expected: usize) -> Result<()> {
         self.ensure_net_ready()?;
         self.run_seq += 1;
-        let mtg = self.graphs[&(g.app, g.graph)];
-        match self.mt.wait_for_outputs(mtg, expected) {
+        match self.mt.wait_for_outputs(g, expected) {
             Ok(()) => {
                 // Outputs first, then the release, on each connection: FIFO
                 // framing guarantees the worker's returning run_to_idle
                 // already sees every output.
-                let outs = self.mt.drain_outputs(mtg);
+                let outs = self.mt.drain_outputs(g);
                 for tok in &outs {
                     self.broadcast(&Frame::Output {
                         app: g.app,
@@ -1504,9 +1488,8 @@ impl Worker {
             return;
         }
         self.synced = true;
-        let _ = self.writer.send(&Frame::Sync {
-            sig: self.sig.finish(),
-        });
+        let sig = self.decls.with(Decls::signature);
+        let _ = self.writer.send(&Frame::Sync { sig });
     }
 
     fn run_to_idle(&mut self) -> Result<()> {
@@ -1556,14 +1539,10 @@ impl Worker {
 // The Engine implementation
 // ---------------------------------------------------------------------------
 
-/// The unified engine API over both roles. Declarations run everywhere
-/// (the master forwards them into its embedded engine, workers record
-/// them); submission and running are master-driven with workers following
-/// the release protocol.
+/// The unified engine API over both roles. Declarations fill the same
+/// table everywhere; submission and running are master-driven with workers
+/// following the release protocol.
 impl dps_core::Engine for NetEngine {
-    type App = NetApp;
-    type Graph = NetGraph;
-
     fn name(&self) -> &'static str {
         "net"
     }
@@ -1578,135 +1557,14 @@ impl dps_core::Engine for NetEngine {
         }
     }
 
-    fn app(&mut self, name: &str) -> Self::App {
-        match &mut self.role {
-            Role::Master(m) => {
-                let mta = m.mt.app(name);
-                m.apps.push(mta);
-                let idx = m.apps.len() as u32 - 1;
-                m.sig.app(name);
-                m.shared.decls.update(|d| d.apps.push(AppDecl::default()));
-                NetApp(idx)
-            }
-            Role::Worker(w) => {
-                let idx = w.decls.update(|d| {
-                    d.apps.push(AppDecl::default());
-                    d.apps.len() as u32 - 1
-                });
-                w.sig.app(name);
-                NetApp(idx)
-            }
-        }
-    }
-
-    fn register_token<T>(&mut self, app: Self::App)
-    where
-        T: dps_serial::Wire + dps_serial::Identified + Clone + std::fmt::Debug + Send + 'static,
-    {
-        let wire_id = <T as dps_serial::Identified>::wire_id().0;
-        match &mut self.role {
-            Role::Master(m) => {
-                m.mt.register_token::<T>(m.apps[app.0 as usize]);
-                m.sig.token(wire_id);
-                m.shared.decls.update(|d| {
-                    dps_core::register_token::<T>(Arc::make_mut(
-                        &mut d.apps[app.0 as usize].registry,
-                    ))
-                });
-            }
-            Role::Worker(w) => {
-                w.sig.token(wire_id);
-                w.decls.update(|d| {
-                    dps_core::register_token::<T>(Arc::make_mut(
-                        &mut d.apps[app.0 as usize].registry,
-                    ))
-                });
-            }
-        }
-    }
-
-    fn thread_collection<Td: dps_core::ThreadData>(
-        &mut self,
-        app: Self::App,
-        name: &str,
-        mapping: &str,
-    ) -> Result<ThreadCollection<Td>> {
-        match &mut self.role {
-            Role::Master(m) => {
-                let tc =
-                    m.mt.thread_collection::<Td>(m.apps[app.0 as usize], name, mapping)?;
-                let nodes: Vec<u32> = resolve_mapping(&m.spec, mapping)?
-                    .into_iter()
-                    .map(|n| n.0)
-                    .collect();
-                m.sig.thread_collection(app.0, &nodes);
-                m.shared.decls.update(|d| {
-                    d.apps[app.0 as usize].tcs.push(TcDecl {
-                        nodes,
-                        factory: Arc::new(|| Box::new(Td::default())),
-                    })
-                });
-                Ok(tc)
-            }
-            Role::Worker(w) => {
-                let nodes: Vec<u32> = resolve_mapping(&w.spec, mapping)?
-                    .into_iter()
-                    .map(|n| n.0)
-                    .collect();
-                w.sig.thread_collection(app.0, &nodes);
-                let count = nodes.len();
-                let tc = w.decls.update(|d| {
-                    let a = &mut d.apps[app.0 as usize];
-                    a.tcs.push(TcDecl {
-                        nodes,
-                        factory: Arc::new(|| Box::new(Td::default())),
-                    });
-                    a.tcs.len() as u32 - 1
-                });
-                Ok(ThreadCollection::from_raw(app.0, tc, count))
-            }
-        }
-    }
-
-    fn build_graph(&mut self, builder: GraphBuilder) -> Result<Self::Graph> {
-        let (def, app) = builder.assemble_for_engine()?;
-        let def = Arc::new(def);
-        match &mut self.role {
-            Role::Master(m) => {
-                let mtg = m.mt.install_graph(m.apps[app as usize], def.clone());
-                let graph = m.shared.decls.update(|d| {
-                    let a = &mut d.apps[app as usize];
-                    def.register_tokens(Arc::make_mut(&mut a.registry));
-                    a.graphs.push(def.clone());
-                    a.graphs.len() as u32 - 1
-                });
-                m.sig.graph(app, &def);
-                m.graphs.insert((app, graph), mtg);
-                Ok(NetGraph { app, graph })
-            }
-            Role::Worker(w) => {
-                let graph = w.decls.update(|d| {
-                    let a = &mut d.apps[app as usize];
-                    def.register_tokens(Arc::make_mut(&mut a.registry));
-                    a.graphs.push(def.clone());
-                    a.graphs.len() as u32 - 1
-                });
-                w.sig.graph(app, &def);
-                Ok(NetGraph { app, graph })
-            }
-        }
-    }
-
-    fn expose_service(&mut self, graph: Self::Graph, name: &str) {
-        match &mut self.role {
-            Role::Master(m) => {
-                m.mt.expose_service(m.graphs[&(graph.app, graph.graph)], name);
-                m.sig.service(graph.app, graph.graph, name);
-            }
-            Role::Worker(w) => {
-                w.sig.service(graph.app, graph.graph, name);
-            }
-        }
+    /// Every role declares on a table of its own kernel, closed once the
+    /// master froze its own at the first-run barrier.
+    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
+        let decls = match &self.role {
+            Role::Master(m) => &m.shared.decls,
+            Role::Worker(w) => &w.decls,
+        };
+        decls.update(f)
     }
 
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
@@ -1742,12 +1600,11 @@ impl dps_core::Engine for NetEngine {
         }
     }
 
-    fn submit(&mut self, graph: Self::Graph, token: TokenBox) -> Result<()> {
+    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
         match &mut self.role {
             Role::Master(m) => {
                 m.ensure_net_ready()?;
-                let mtg = m.graphs[&(graph.app, graph.graph)];
-                m.mt.submit(mtg, token);
+                m.mt.submit(graph, token);
                 Ok(())
             }
             Role::Worker(w) => {
@@ -1759,7 +1616,7 @@ impl dps_core::Engine for NetEngine {
         }
     }
 
-    fn run_to_idle(&mut self, graph: Self::Graph, expected_outputs: usize) -> Result<()> {
+    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
         match &mut self.role {
             Role::Master(m) => m.run_to_idle(graph, expected_outputs),
             Role::Worker(w) => {
@@ -1770,7 +1627,7 @@ impl dps_core::Engine for NetEngine {
         }
     }
 
-    fn take_outputs(&mut self, graph: Self::Graph) -> Vec<TokenBox> {
+    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
         match &mut self.role {
             Role::Master(m) => m
                 .out_buf

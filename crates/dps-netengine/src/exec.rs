@@ -1,4 +1,4 @@
-//! Worker-side execution: the declaration store shared by SPMD roles, the
+//! Worker-side execution: the lock around the declaration table, the
 //! connection writer every task of a kernel sends through ([`Conn`]), the
 //! per-thread executor host that replays [`Frame::Exec`] tasks, and the two
 //! ends of the chunk-hub protocol ([`HubLink`] on a worker, [`HubRouter`]
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::internal::kernel::{self, Instances, Served, Wave};
 use dps_core::internal::ExecInfo;
-use dps_core::{DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
+use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
 use dps_obs::{Counter, MetricsRegistry};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
@@ -39,45 +39,42 @@ use crate::transport::FrameTx;
 /// the SPMD driver diverged despite the signature check).
 const DECL_WAIT: Duration = Duration::from_secs(10);
 
-pub(crate) struct TcDecl {
-    pub nodes: Vec<u32>,
-    pub factory: Arc<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>,
-}
-
-#[derive(Default)]
-pub(crate) struct AppDecl {
-    /// Shared with the executor lanes, which snapshot it; declarations
-    /// precede every run, so `Arc::make_mut` never copies in practice.
-    pub registry: Arc<TokenRegistry>,
-    pub tcs: Vec<TcDecl>,
-    pub graphs: Vec<Arc<Flowgraph>>,
-}
-
-#[derive(Default)]
-pub(crate) struct Decls {
-    pub apps: Vec<AppDecl>,
-}
-
-/// Declarations, shared between the declaring role and the executors. The
-/// condvar wakes executors waiting for a graph that is still being
-/// declared (loopback harnesses start before the master finishes
+/// The declaration table, shared between the declaring role and the
+/// executors. The condvar wakes executors waiting for a graph that is still
+/// being declared (loopback harnesses start before the master finishes
 /// declaring).
-#[derive(Default)]
 pub(crate) struct DeclStore {
-    inner: StdMutex<Decls>,
+    inner: StdMutex<Arc<Decls>>,
     ready: Condvar,
 }
 
 impl DeclStore {
+    /// An empty table over a cluster of `nodes` nodes, `node0..`.
+    pub fn over(nodes: usize) -> Arc<Self> {
+        let decls = Decls::new(dps_cluster::ClusterSpec::uniform(nodes, 1));
+        Arc::new(Self {
+            inner: StdMutex::new(Arc::new(decls)),
+            ready: Condvar::new(),
+        })
+    }
+
     pub fn with<R>(&self, f: impl FnOnce(&Decls) -> R) -> R {
         f(&self.inner.lock().expect("decl store poisoned"))
     }
 
-    /// Mutate under the lock and wake executor waiters.
+    /// Declare under the lock and wake executor waiters.
     pub fn update<R>(&self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        let r = f(&mut self.inner.lock().expect("decl store poisoned"));
+        let mut table = self.inner.lock().expect("decl store poisoned");
+        let r = f(Arc::get_mut(&mut table).expect("declarations precede the first run"));
         self.ready.notify_all();
         r
+    }
+
+    /// The finished table, to be read without this lock from now on. While
+    /// anyone holds it, [`update`](Self::update) panics: every declaration
+    /// precedes the first run.
+    pub fn frozen(&self) -> Arc<Decls> {
+        self.inner.lock().expect("decl store poisoned").clone()
     }
 
     /// Block until `predicate` holds (graph installed, collection mapped),
@@ -259,7 +256,7 @@ impl ExecHost {
 struct NodeCtx {
     def: Arc<Flowgraph>,
     thread_count: usize,
-    factory: Arc<dyn Fn() -> Box<dyn Any + Send> + Send + Sync>,
+    factory: DataFactory,
     /// Token registry of the owning application.
     registry: Arc<TokenRegistry>,
     /// Trace label of the node's operation (the empty label without a sink).
@@ -277,7 +274,7 @@ impl NodeCtx {
         node: dps_core::GNodeId,
     ) -> Result<Self, DpsError> {
         let mut ctx = decls.wait_for(|d| {
-            let a = d.apps.get(app as usize)?;
+            let a = d.apps().get(app as usize)?;
             let tcd = a.tcs.get(tc as usize)?;
             Some(NodeCtx {
                 def: a.graphs.get(graph as usize)?.clone(),

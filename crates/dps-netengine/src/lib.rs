@@ -96,7 +96,7 @@ pub mod proto;
 pub mod runtime;
 pub mod transport;
 
-pub use engine::{NetApp, NetEngine, NetEngineConfig, NetGraph, NetTimeouts};
+pub use engine::{NetEngine, NetEngineConfig, NetTimeouts};
 pub use fault::{NetKill, WireFaults};
 pub use runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
 pub use transport::{

@@ -163,11 +163,11 @@ pub enum Frame<'a> {
         /// Master-calibrated FLOP/s for `charge_flops` cost models.
         node_flops: f64,
     },
-    /// Worker finished declaring; `sig` is its declaration signature
-    /// ([`DeclSig`]) — the master refuses to run if it differs from its
-    /// own (the SPMD driver diverged).
+    /// Worker finished declaring; `sig` is the signature of its table
+    /// ([`dps_core::Decls::signature`]) — the master refuses to run if it
+    /// differs from its own (the SPMD driver diverged).
     Sync {
-        /// Declaration-stream signature.
+        /// Declaration-table signature.
         sig: u64,
     },
     /// Run one op execution point on the worker hosting this thread.
@@ -329,112 +329,6 @@ pub fn encode_token(tok: &dyn Token) -> Vec<u8> {
 pub fn decode_token(reg: &TokenRegistry, bytes: &[u8]) -> Result<TokenBox, DpsError> {
     reg.decode_tagged(&mut Reader::new(bytes))
         .map_err(|e| DpsError::Wire(e.to_string()))
-}
-
-/// FNV-1a accumulator over the declaration event stream.
-///
-/// Master and workers run the *same* SPMD driver; each records every
-/// declaration (apps, token registrations, thread collections, graphs,
-/// services) into a `DeclSig` as it happens. The worker ships its final
-/// hash in [`Frame::Sync`]; a mismatch means the processes declared
-/// different schedules and the run is refused before any token moves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeclSig(u64);
-
-impl Default for DeclSig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeclSig {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        DeclSig(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold raw bytes.
-    pub fn push_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Fold a string (length-delimited, so `"ab" + "c"` ≠ `"a" + "bc"`).
-    pub fn push_str(&mut self, s: &str) {
-        self.push_u64(s.len() as u64);
-        self.push_bytes(s.as_bytes());
-    }
-
-    /// Fold an integer.
-    pub fn push_u64(&mut self, v: u64) {
-        self.push_bytes(&v.to_le_bytes());
-    }
-
-    /// The accumulated signature.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// Record an application declaration.
-    pub fn app(&mut self, name: &str) {
-        self.push_str("app");
-        self.push_str(name);
-    }
-
-    /// Record a token-type registration.
-    pub fn token(&mut self, wire_id: u64) {
-        self.push_str("tok");
-        self.push_u64(wire_id);
-    }
-
-    /// Record a thread collection (its resolved node placement).
-    pub fn thread_collection(&mut self, app: u32, nodes: &[u32]) {
-        self.push_str("tc");
-        self.push_u64(u64::from(app));
-        self.push_u64(nodes.len() as u64);
-        for &n in nodes {
-            self.push_u64(u64::from(n));
-        }
-    }
-
-    /// Record an installed graph: name plus the per-node structure that
-    /// determines execution (kind, owning collection, token types).
-    pub fn graph(&mut self, app: u32, def: &dps_core::Flowgraph) {
-        self.push_str("graph");
-        self.push_u64(u64::from(app));
-        self.push_str(def.name());
-        self.push_u64(def.len() as u64);
-        for node in def.nodes() {
-            self.push_str(&node.name);
-            self.push_u64(kind_index(node.kind));
-            self.push_u64(u64::from(node.tc));
-            self.push_u64(node.in_type.0);
-            for (out, _) in &node.out_types {
-                self.push_u64(out.0);
-            }
-        }
-    }
-
-    /// Record a service exposure.
-    pub fn service(&mut self, app: u32, graph: u32, name: &str) {
-        self.push_str("svc");
-        self.push_u64(u64::from(app));
-        self.push_u64(u64::from(graph));
-        self.push_str(name);
-    }
-}
-
-fn kind_index(kind: dps_core::OpKind) -> u64 {
-    match kind {
-        dps_core::OpKind::Split => 0,
-        dps_core::OpKind::Leaf => 1,
-        dps_core::OpKind::Merge => 2,
-        dps_core::OpKind::Stream => 3,
-        dps_core::OpKind::Call => 4,
-        dps_core::OpKind::CallSplit => 5,
-    }
 }
 
 #[cfg(test)]
@@ -714,32 +608,6 @@ mod tests {
         w.put_u8(9);
         let bytes = w.into_bytes();
         assert!(TaskKind::decode(&mut Reader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn decl_sig_is_order_sensitive_and_deterministic() {
-        let stream = |order: &[&str]| {
-            let mut s = DeclSig::new();
-            for name in order {
-                s.app(name);
-            }
-            s.token(42);
-            s.thread_collection(0, &[0, 1, 1]);
-            s.finish()
-        };
-        assert_eq!(stream(&["a", "b"]), stream(&["a", "b"]));
-        assert_ne!(stream(&["a", "b"]), stream(&["b", "a"]));
-    }
-
-    #[test]
-    fn decl_sig_delimits_strings() {
-        let mut a = DeclSig::new();
-        a.push_str("ab");
-        a.push_str("c");
-        let mut b = DeclSig::new();
-        b.push_str("a");
-        b.push_str("bc");
-        assert_ne!(a.finish(), b.finish());
     }
 
     #[test]

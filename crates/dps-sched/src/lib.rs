@@ -20,10 +20,14 @@
 //! | [`AdaptiveWeightedFactoring`] (AWF) | factoring batches of `⌈R/2⌉` iterations, divided ∝ measured per-worker rates |
 //! | AWF-B / AWF-C ([`PolicyKind::AwfB`]/[`PolicyKind::AwfC`]) | AWF sizing with **batch-** vs **chunk-time** recency-weighted rate estimation ([`RateEstimator`]) |
 //!
-//! The [`ChunkScheduler`] drives a policy over a concrete iteration range
-//! and guarantees the partition invariants: every chunk is non-empty,
+//! The [`ChunkScheduler`] drives a policy object over a concrete iteration
+//! range and guarantees the partition invariants: every chunk is non-empty,
 //! chunks are contiguous and non-overlapping, and their lengths sum to `N`
-//! (property-tested in the workspace's `proptest_schedules`).
+//! (property-tested in the workspace's `proptest_schedules`). It and the six
+//! policy structs are the *reference*: every chunk a running schedule
+//! claims — and [`partition_owners`], the placement of stateful work — is
+//! sized by the closed-form [`ChunkCalc`] below, which the proptests hold to
+//! the scheduler's sequence chunk for chunk.
 //!
 //! ## The feedback protocol
 //!
@@ -37,8 +41,8 @@
 //!
 //! ## Distributed chunk calculation
 //!
-//! Driving a policy centrally serializes every chunk on one thread. The
-//! `calc` module removes that master bottleneck (Eleliemy & Ciorba,
+//! Driving a policy centrally would serialize every chunk on one thread.
+//! The `calc` module removes that master bottleneck (Eleliemy & Ciorba,
 //! arXiv:2101.07050): a [`ChunkCalc`] evaluates any chunk's boundaries
 //! *closed-form from its sequence number*, an [`IterCounter`] shares the
 //! claim state as one atomic word, and a [`ChunkHub`] leases counters to

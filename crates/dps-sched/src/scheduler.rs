@@ -1,5 +1,6 @@
 //! Driving a chunk policy over a concrete iteration range.
 
+use crate::calc::{ChunkCalc, IterCounter};
 use crate::policy::{ChunkPolicy, PolicyKind};
 
 /// One scheduled chunk: the half-open iteration range
@@ -30,6 +31,9 @@ impl Chunk {
 /// returns: chunks are non-empty, contiguous, non-overlapping, and sum to
 /// `total`. Workers are cycled round-robin, which is the batch order the
 /// FAC/AWF family assumes (one chunk per worker per batch).
+///
+/// Nothing in production sizes a chunk through this: it is the reference
+/// the closed-form [`ChunkCalc`] is property-tested against.
 pub struct ChunkScheduler {
     policy: Box<dyn ChunkPolicy>,
     next_start: u64,
@@ -100,9 +104,9 @@ impl ChunkScheduler {
 /// processed. With AWF weights from a calibrated feedback board, fast
 /// workers own proportionally more units.
 pub fn partition_owners(kind: PolicyKind, items: u64, workers: usize, weights: &[f64]) -> Vec<u32> {
-    let mut sched = ChunkScheduler::new(kind.build(), items, workers, weights);
+    let counter = IterCounter::new(ChunkCalc::new(kind, items, workers, weights));
     let mut owners = vec![0u32; items as usize];
-    while let Some(c) = sched.next_chunk() {
+    while let Some(c) = counter.claim() {
         for slot in &mut owners[c.start as usize..c.end() as usize] {
             *slot = c.worker;
         }

@@ -91,6 +91,14 @@ impl<B> Registry<B> {
         self.factories.contains_key(&id)
     }
 
+    /// Every registered id, ascending — the registry's content in an order
+    /// that does not depend on registration order.
+    pub fn ids(&self) -> Vec<WireId> {
+        let mut ids: Vec<WireId> = self.factories.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Registered name for `id`, if any.
     pub fn name_of(&self, id: WireId) -> Option<&'static str> {
         self.factories.get(&id).map(|(n, _)| *n)

@@ -494,8 +494,8 @@ fn dls_runs_on_real_threads_via_the_generic_driver() {
     assert!(rep.chunks.iter().all(|&c| c >= 1));
 }
 
-/// Satellite: `MtEngine::app` keeps the declared name (matching
-/// `SimEngine::app` semantics) and surfaces it in runtime error messages.
+/// `MtEngine` keeps the name an application was declared under and
+/// qualifies the node names of its runtime errors with it.
 #[test]
 fn mt_engine_app_name_is_stored_and_surfaced_in_errors() {
     dps_token! { pub struct Ping { pub x: u32 } }
@@ -525,5 +525,94 @@ fn mt_engine_app_name_is_stored_and_surfaced_in_errors() {
         msg.contains("volume-unit"),
         "error must carry the app name: {msg}"
     );
+    eng.shutdown();
+}
+
+/// A graph is checked against the collections it names where it is
+/// declared, on every engine: a node on a collection its application never
+/// declared, or whose operation expects another thread-data type than the
+/// collection holds, never reaches a run. Nothing is submitted.
+fn rejects_bad_declarations<E: Engine>(eng: &mut E) {
+    use dps::core::DpsError;
+    dps_token! { pub struct Tick { pub x: u32 } }
+
+    struct Count;
+    impl LeafOperation for Count {
+        type Thread = u64;
+        type In = Tick;
+        type Out = Tick;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, u64, Tick>, t: Tick) {
+            *ctx.thread() += 1;
+            ctx.post(t);
+        }
+    }
+
+    let app = eng.app("bad");
+    let declared: ThreadCollection<()> = eng.thread_collection(app, "t", "node0").unwrap();
+    let (app_index, tc_index) = declared.raw_ids();
+
+    let ghost: ThreadCollection<u64> = ThreadCollection::from_raw(app_index, tc_index + 7, 1);
+    let mut b = GraphBuilder::new("ghost");
+    let _ = b.leaf(&ghost, || ToThread(0), || Count);
+    let err = eng.build_graph(b).unwrap_err();
+    assert!(
+        matches!(err, DpsError::UnmappedCollection { .. }),
+        "{}: {err}",
+        eng.name()
+    );
+
+    let mistyped: ThreadCollection<u64> = ThreadCollection::from_raw(app_index, tc_index, 1);
+    let mut b = GraphBuilder::new("mistyped");
+    let _ = b.leaf(&mistyped, || ToThread(0), || Count);
+    let err = eng.build_graph(b).unwrap_err();
+    assert!(
+        matches!(&err, DpsError::InvalidGraph { reason } if reason.contains("thread-data type")),
+        "{}: {err}",
+        eng.name()
+    );
+}
+
+#[test]
+fn every_engine_rejects_bad_declarations_at_build_graph() {
+    rejects_bad_declarations(&mut SimEngine::new(ClusterSpec::paper_testbed(2)));
+    rejects_bad_declarations(&mut MtEngine::new(2));
+    rejects_bad_declarations(&mut NetEngine::loopback(2));
+}
+
+/// The SPMD refusal, across two real processes: the worker kernel exposes
+/// one service the master does not, so the tables' signatures differ and
+/// the master's first `submit` refuses the run before any token moves. The
+/// worker's own `submit` only announces its signature; its `run_to_idle`
+/// fails once the master hangs up, which it tolerates. Both exit cleanly.
+#[test]
+fn a_diverged_worker_is_refused_at_the_first_submit_across_processes() {
+    use dps::core::DpsError;
+
+    let test = "a_diverged_worker_is_refused_at_the_first_submit_across_processes";
+    let mut eng = NetEngine::from_env(2, spmd_test_config(test)).expect("net engine setup");
+    let app = eng.app("spmd");
+    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0 node1").unwrap();
+    let mut b = GraphBuilder::new("scatter-gather");
+    let s = b.split(&main, || ToThread(0), || Scatter);
+    let l = b.leaf(&main, || ToThread(1), || SumShard);
+    let m = b.merge(&main, || ToThread(0), Gather::default);
+    b.add(s >> l >> m);
+    let g = eng.build_graph(b).unwrap();
+    if !eng.is_master() {
+        eng.expose_service(g, "only-on-the-worker");
+    }
+    let submitted = eng.submit(g, Box::new(input(2, 10)));
+    if eng.is_master() {
+        let err = submitted.unwrap_err();
+        assert!(
+            matches!(&err, DpsError::InvalidGraph { reason }
+                if reason.contains("declared a different schedule")),
+            "{err}"
+        );
+    } else {
+        submitted.unwrap();
+        let err = eng.run_to_idle(g, 1).unwrap_err();
+        assert!(matches!(err, DpsError::IncompleteWaves { .. }), "{err}");
+    }
     eng.shutdown();
 }

@@ -198,6 +198,28 @@ proptest! {
         prop_assert_eq!(counter.claim(), None);
         prop_assert_eq!(counter.chunk_count(), count);
     }
+
+    /// `partition_owners` — the placement of stateful work, sized like
+    /// every claim through `ChunkCalc` — gives each unit the worker the
+    /// central scheduler's chunk would have, for every policy and any
+    /// weights.
+    #[test]
+    fn partition_owners_match_the_scheduler_driven_partition(
+        items in 0u64..2001,
+        rates in proptest::collection::vec(1u32..1000, 1..17),
+    ) {
+        let raw: Vec<f64> = rates.iter().map(|&r| f64::from(r) / 100.0).collect();
+        let workers = raw.len();
+        for kind in PolicyKind::ALL {
+            let mut central = ChunkScheduler::new(kind.build(), items, workers, &raw);
+            let mut expect = Vec::with_capacity(items as usize);
+            while let Some(c) = central.next_chunk() {
+                expect.extend((0..c.len).map(|_| c.worker));
+            }
+            let owners = dps::sched::partition_owners(kind, items, workers, &raw);
+            prop_assert_eq!(owners, expect, "{:?} items={} workers={}", kind, items, workers);
+        }
+    }
 }
 
 fn skewed_lu(dist: Distribution) -> LuConfig {
