@@ -27,7 +27,7 @@ use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::OpKind;
 use crate::kernel::{
-    self, Arrival, At, CallReturn, FlowKey, Flows, Instances, Pins, Served, Substrate, Wave,
+    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, Pins, Served, Substrate, Wave,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
@@ -137,7 +137,7 @@ struct Rt {
     node_pools: Vec<PoolId>,
     next_wave: u64,
     next_call: u64,
-    pending_calls: HashMap<u64, CallReturn>,
+    pending_calls: IdMap<u64, CallReturn>,
     outputs: HashMap<(u32, u32), Vec<(SimTime, TokenBox)>>,
     fatal: Option<DpsError>,
     /// Chunk-completion reports (virtual time) go here, if registered —
@@ -338,7 +338,7 @@ impl SimEngine {
             node_pools: Vec::new(),
             next_wave: 0,
             next_call: 0,
-            pending_calls: HashMap::new(),
+            pending_calls: IdMap::default(),
             outputs: HashMap::new(),
             fatal: None,
             feedback: None,
@@ -1163,10 +1163,7 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     let env = d.env;
     let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     // Each post leaves after the framework overhead plus its own offset.
-    let timed = |posts: Vec<crate::ops::Post>| -> Vec<(SimTime, TokenBox)> {
-        let sent = |p: crate::ops::Post| (start + overhead + p.offset, p.token);
-        posts.into_iter().map(sent).collect()
-    };
+    let timed = move |p: crate::ops::Post| (start + overhead + p.offset, p.token);
     let ran = |hold| Ran {
         tk,
         host,
@@ -1179,7 +1176,7 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
             let slot = Served::Node(&mut g.inst, (at.node.0, tk.thread));
             let out = kernel::step(slot, gnode, Some(token), false, data, info)?;
             let hold = overhead + out.charged;
-            let posts = timed(out.posts);
+            let posts = out.posts.into_iter().map(timed);
             let marked = out.completed_iters;
             let flow = kernel::after_exec(sim, &mut ran(hold), at, host.0, env, posts, marked)?;
             (hold, flow)
@@ -1192,7 +1189,7 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
                     let served = Served::Wave(wave);
                     let out = kernel::step(served, gnode, token, step.completes, data, info)?;
                     let hold = overhead + out.charged;
-                    let posts = timed(out.posts);
+                    let posts = out.posts.into_iter().map(timed);
                     kernel::after_wave(sim, &mut ran(hold), step, posts, out.completed_iters)?;
                     (hold, None)
                 }

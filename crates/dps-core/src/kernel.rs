@@ -22,6 +22,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::decls::{Decls, GraphHandle};
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
@@ -30,6 +31,40 @@ use crate::graph::{Flowgraph, GraphNode, OpKind};
 use crate::ops::{DynOp, ExecInfo, OpOutput};
 use crate::route::RouteInfo;
 use crate::token::{wire_roundtrip, Token, TokenBox};
+
+/// The hasher of every kernel table. Their keys are ids this program issued
+/// itself — graph, node, thread, wave and call numbers, on the wire only
+/// between processes of one binary — so a table needs no seeded hash: each
+/// integer the derived `Hash` of a key emits is folded in with one rotate and
+/// one multiply. It is deterministic, and nothing may lean on that: no rule
+/// reads a table in iteration order (a listing sorts what it collects).
+#[derive(Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by ids: a `HashMap` over [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 fn make_op(gnode: &GraphNode) -> Result<Box<dyn DynOp>> {
     gnode.make_op().ok_or_else(|| DpsError::OperationContract {
@@ -141,10 +176,10 @@ impl Wave {
 /// made on first use and kept; a merge/stream has one per [`Wave`].
 #[derive(Default)]
 pub struct Instances {
-    nodes: HashMap<(u32, u32), Box<dyn DynOp>>,
+    nodes: IdMap<(u32, u32), Box<dyn DynOp>>,
     /// The live waves: entered when the wave is first heard of, removed by
     /// the caller when it completes.
-    pub waves: HashMap<WaveKey, Wave>,
+    pub waves: IdMap<WaveKey, Wave>,
 }
 
 impl Instances {
@@ -360,7 +395,7 @@ enum Slot {
 /// consumed) moves; one with partial state is lost and the caller reports
 /// `NodeDown` for the thread returned as the error.
 #[derive(Default)]
-pub struct Pins(HashMap<WaveKey, Slot>);
+pub struct Pins(IdMap<WaveKey, Slot>);
 
 /// Where [`Pins::route`] sends a token.
 #[derive(Debug, PartialEq, Eq)]
@@ -589,7 +624,7 @@ pub enum Arrival {
 pub type FlowKey = (u32, u64);
 
 /// The flow table of one graph, as substrate `S` keeps it.
-pub type Flows<S> = HashMap<FlowKey, Flow<<S as Substrate>::Post, <S as Substrate>::FlowExt>>;
+pub type Flows<S> = IdMap<FlowKey, Flow<<S as Substrate>::Post, <S as Substrate>::FlowExt>>;
 
 /// What an engine adds around the rules: where the tables live and under
 /// which lock, which nodes are up, the id counters, how a token moves, what
@@ -627,6 +662,15 @@ pub trait Substrate {
     fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R;
     /// Whether wave `key`, pinned on a dead thread, consumed nothing there.
     fn fresh(&self, app: u32, graph: u32, key: &WaveKey) -> bool;
+    /// Rule 6 for a token of wave `key` that its route sent to thread
+    /// `routed` of collection `tc`: [`Pins::route`] on the graph's table. A
+    /// substrate may answer [`Routed::Follow`] from what the table told it
+    /// before, as long as the table would say the same now.
+    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> std::result::Result<Routed, u32> {
+        self.pins(to.app, to.graph, |pins| {
+            route_pin(self, pins, to, tc, key, routed)
+        })
+    }
     /// Wave `key` was just pinned by the token being delivered; `parked` is
     /// a total that waited for that. A substrate that keeps a wave's record
     /// where it routes enters it now and counts the total in place; any
@@ -660,6 +704,21 @@ pub trait Substrate {
     fn opened(&mut self, lane: &mut Self::Lane, at: At) -> u64;
     /// Wave `key`, consumed on `lane` at `at`, completed: drop its record.
     fn wave_done(&mut self, lane: &mut Self::Lane, at: At, key: &WaveKey);
+}
+
+/// [`Pins::route`] on `pins`, the table of `to`'s graph, as substrate `s`
+/// sees liveness and freshness: the whole of the provided [`Substrate::pin`].
+pub fn route_pin<S: Substrate + ?Sized>(
+    s: &S,
+    pins: &mut Pins,
+    to: At,
+    tc: u32,
+    key: &WaveKey,
+    routed: u32,
+) -> std::result::Result<Routed, u32> {
+    let At { app, graph, .. } = to;
+    let alive = |t| s.node_up(s.decls().host(app, tc, t));
+    pins.route(key, routed, alive, || s.fresh(app, graph, key))
 }
 
 fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
@@ -724,11 +783,7 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: 
     };
     if matches!(kind, OpKind::Merge | OpKind::Stream) {
         let key = env.wave_key().expect("validated: merges are under a split");
-        let alive = |t| s.node_up(s.decls().host(app, tc, t));
-        let pin = s.pins(app, graph, |pins| {
-            pins.route(&key, thread, alive, || s.fresh(app, graph, &key))
-        });
-        match pin {
+        match s.pin(to, tc, &key, thread) {
             Ok(Routed::Follow(pinned)) => thread = pinned,
             Ok(Routed::Pinned { parked }) => match s.pinned(to, key, parked) {
                 Ok(Some(total)) => {
@@ -846,16 +901,19 @@ fn contract(s: &impl Substrate, at: At, reason: String) -> DpsError {
 
 /// A split/leaf ran at `at` on cluster node `src` and came back with
 /// `posts`: a split's open a wave behind the flow window (rule 2) — the key
-/// of that flow is returned — a leaf's single post moves on.
+/// of that flow is returned — a leaf's single post moves on. `posts` is
+/// taken as it comes — an operation's own `Vec` mapped to what the substrate
+/// holds per post — so no second collection is built to hand it over.
 pub fn after_exec<S: Substrate>(
     s: &mut S,
     lane: &mut S::Lane,
     at: At,
     src: u32,
     env: Envelope,
-    mut posts: Vec<S::Post>,
+    posts: impl IntoIterator<Item = S::Post, IntoIter: ExactSizeIterator>,
     marked: Option<u64>,
 ) -> Result<Option<FlowKey>> {
+    let mut posts = posts.into_iter();
     if let Some(iters) = marked {
         s.report(lane, iters);
     }
@@ -864,7 +922,7 @@ pub fn after_exec<S: Substrate>(
         OpKind::Split => {
             let wave = s.opened(lane, at);
             let def = s.decls().def(at.app, at.graph);
-            let flow = open_wave(def, at.node, wave, &env, posts.into_iter(), src);
+            let flow = open_wave(def, at.node, wave, &env, posts, src);
             let key = (at.node.0, wave);
             s.flows(at.app, at.graph, |flows| flows.insert(key, flow));
             pump(s, at.app, at.graph, key);
@@ -874,7 +932,7 @@ pub fn after_exec<S: Substrate>(
             // A local leaf is held to this by its adapter; a remote one is
             // only as good as the process that answered.
             let n = posts.len();
-            let (Some(post), 1) = (posts.pop(), n) else {
+            let (Some(post), 1) = (posts.next(), n) else {
                 let reason = format!("leaf execution returned {n} posts (exactly 1 required)");
                 return Err(contract(s, at, reason));
             };
@@ -945,9 +1003,10 @@ pub fn after_wave<S: Substrate>(
     s: &mut S,
     lane: &mut S::Lane,
     step: WaveStep,
-    mut posts: Vec<S::Post>,
+    posts: impl IntoIterator<Item = S::Post, IntoIter: ExactSizeIterator>,
     marked: Option<u64>,
 ) -> Result<()> {
+    let posts = posts.into_iter();
     let (at, src, out_wave, completes) = (step.at, step.src, step.out_wave, step.completes);
     let At { app, graph, node } = at;
     // The report is made before any post can be seen downstream. A consume's
@@ -961,13 +1020,13 @@ pub fn after_wave<S: Substrate>(
     }
     match s.decls().def(app, graph).node(node).kind {
         OpKind::Merge if completes => {
-            let Some(post) = posts.pop() else {
+            let Some(post) = posts.last() else {
                 let reason = "merge wave completed without an output".into();
                 return Err(contract(s, at, reason));
             };
             s.leave(post, at, src, step.parent_env);
         }
-        OpKind::Stream if completes || !posts.is_empty() => {
+        OpKind::Stream if completes || posts.len() > 0 => {
             let flow_key = (node.0, out_wave);
             let stream = s.decls().def(app, graph).node(node);
             let closing = s.flows(app, graph, |flows| {

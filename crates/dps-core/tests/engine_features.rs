@@ -728,3 +728,104 @@ fn wave_close_for_partial_state_on_a_dead_node_is_node_down() {
     }
     assert_eq!(outputs, 0);
 }
+
+// --- the one listing that walks the kernel's tables ---------------------------
+
+/// Posts `n` parts that each hold their leaf for 1 ms — a lone part for 10 s.
+struct FanHold;
+impl SplitOperation for FanHold {
+    type Thread = ();
+    type In = Start;
+    type Out = Part;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Part>, s: Start) {
+        let v = if s.n == 1 { 10_000 } else { 1 };
+        for i in 0..s.n {
+            ctx.post(Part { i, v });
+        }
+    }
+}
+
+struct HoldMillis;
+impl LeafOperation for HoldMillis {
+    type Thread = ();
+    type In = Part;
+    type Out = Part;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Part>, p: Part) {
+        ctx.charge(SimSpan::from_millis(u64::from(p.v)));
+        ctx.post(p);
+    }
+}
+
+route!(pub ByParity for Part = |p, info| p.i as usize % info.thread_count);
+
+/// Three waves under a window of 2, even parts to node1, odd ones to node2.
+/// The lone part of the first wave occupies node1 for 10 s; behind it queue
+/// part 0 of a 2-wave and parts 0 and 2 of a 4-wave, whose odd parts meanwhile
+/// reach the merge. Then node1's kernel dies *without* `fail_node`'s re-queue,
+/// so what it had queued is stranded: two waves short of tokens and one flow
+/// out of credits. Returns what `run_until_idle` lists.
+fn strand_two_waves_and_a_flow(sizes: [u32; 2]) -> Vec<String> {
+    let cfg = EngineConfig {
+        flow_window: 2,
+        ..EngineConfig::default()
+    };
+    let mut eng = SimEngine::with_config(ClusterSpec::paper_testbed(3), cfg);
+    let app = eng.app("stuck");
+    eng.preload_app(app);
+    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0*3").unwrap();
+    let work: ThreadCollection<()> = eng.thread_collection(app, "w", "node1 node2").unwrap();
+    let mut b = GraphBuilder::new("stuck");
+    let split = b.split(&main, RoundRobin::new, || FanHold);
+    let leaf = b.leaf(&work, || ByParity, || HoldMillis);
+    let merge = b.merge(&main, || ToThread(0), SumParts::default);
+    b.add(split >> leaf >> merge);
+    let g = eng.build_graph(b).unwrap();
+    // A leaf-only graph: its one token is the clock tick the kill waits for.
+    let mut tick = GraphBuilder::new("tick");
+    let _ = tick.leaf(&main, || ToThread(0), || Inc);
+    let tick = eng.build_graph(tick).unwrap();
+
+    eng.inject(g, Start { n: 1 }).unwrap();
+    for n in sizes {
+        eng.inject_at(SimTime(10_000_000), g, Start { n }).unwrap();
+    }
+    let kill_at = SimTime(1_000_000_000);
+    eng.inject_at(kill_at, tick, Part { i: 0, v: 0 }).unwrap();
+    while eng.now() < kill_at {
+        assert!(eng.step_once().unwrap(), "the tick never came");
+    }
+    assert_eq!(
+        eng.queued_deliveries(),
+        3,
+        "the three parts behind the lone one"
+    );
+    eng.cluster_mut().fail_node(dps_net::NodeId(1));
+    match eng.run_until_idle() {
+        Err(DpsError::IncompleteWaves { waves }) => waves,
+        other => panic!("expected IncompleteWaves, got {other:?}"),
+    }
+}
+
+/// `run_until_idle`'s listing of stuck waves and blocked flows walks two hash
+/// tables, and sorts what it collects: the message does not depend on the
+/// order the tables yield their entries in. Injecting the two waves the other
+/// way round swaps their ids, hence their places in both tables.
+#[test]
+fn the_incomplete_waves_listing_does_not_depend_on_table_order() {
+    let (listed, swapped) = (
+        strand_two_waves_and_a_flow([2, 4]),
+        strand_two_waves_and_a_flow([4, 2]),
+    );
+    for list in [&listed, &swapped] {
+        assert!(list.is_sorted(), "{list:?}");
+        assert_eq!(list.len(), 3, "{list:?}");
+        assert!(list[0].contains("flow from node") && list[0].ends_with(": 1 posts undelivered"));
+        assert!(list[1].ends_with("received 1, expected None"), "{list:?}");
+        assert!(
+            list[2].ends_with("received 1, expected Some(2)"),
+            "{list:?}"
+        );
+    }
+    assert_eq!(listed[1..], swapped[1..]);
+    assert_ne!(listed[0], swapped[0], "the blocked flow names its wave id");
+}

@@ -8,8 +8,8 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use dps_core::internal::kernel::{
-    self, Arrival, At, CallReturn, CloseTo, Exit, Flow, FlowKey, Flows, Instances, Pins, Routed,
-    Served, Substrate, Wave,
+    self, Arrival, At, CallReturn, CloseTo, Exit, Flow, FlowKey, Flows, IdHasher, IdMap, Instances,
+    Pins, Routed, Served, Substrate, Wave,
 };
 use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
@@ -377,6 +377,102 @@ fn instances_are_per_slot_and_per_wave() {
     assert!(inst.waves.is_empty());
 }
 
+/// Distinct values of the low `bits` bits of the hashes of `keys` — where
+/// `std`'s table looks for a key's bucket first.
+fn buckets_hit<K: std::hash::Hash>(
+    hasher: &impl std::hash::BuildHasher,
+    keys: impl Iterator<Item = K>,
+    bits: u32,
+) -> usize {
+    let mut hit = vec![false; 1 << bits];
+    for k in keys {
+        hit[(hasher.hash_one(k) & ((1 << bits) - 1)) as usize] = true;
+    }
+    hit.iter().filter(|&&h| h).count()
+}
+
+/// The tables' hasher against the one it replaced, on the key shapes the
+/// engines use. A degenerate multiply (an even constant, a lost rotate)
+/// would crowd sequential ids into few buckets: it must spread them over the
+/// bucket indices as widely as a seeded hash does, and a million of them
+/// must fit the same table and all be found.
+#[test]
+fn sequential_ids_spread_like_a_seeded_hash() {
+    use std::hash::BuildHasherDefault;
+    let (ours, seeded) = (
+        BuildHasherDefault::<IdHasher>::default(),
+        HashMap::<u8, u8>::new().hasher().clone(),
+    );
+    // (src, wave) as a flow is keyed, a million waves over four producers.
+    const WAVES: u64 = 1_000_000;
+    let flow_keys = || (0..WAVES).map(|w| -> FlowKey { ((w % 4) as u32, w) });
+    let mut table: IdMap<FlowKey, ()> = IdMap::default();
+    let mut reference: HashMap<FlowKey, ()> = HashMap::new();
+    for k in flow_keys() {
+        table.insert(k, ());
+        reference.insert(k, ());
+    }
+    assert_eq!(table.len(), WAVES as usize);
+    assert!(flow_keys().all(|k| table.contains_key(&k)));
+    assert!(!table.contains_key(&(0, WAVES)));
+    assert!(table.capacity() <= reference.capacity());
+    drop((table, reference));
+    let spread = |hit: usize, of: usize| assert!(hit * 10 >= of * 9, "{hit} buckets against {of}");
+    spread(
+        buckets_hit(&ours, flow_keys(), 20),
+        buckets_hit(&seeded, flow_keys(), 20),
+    );
+    // (graph, node) / (node, thread) slots, and call ids.
+    let slots = || (0..16u32).flat_map(|g| (0..64u32).map(move |n| (g, n)));
+    spread(
+        buckets_hit(&ours, slots(), 10),
+        buckets_hit(&seeded, slots(), 10),
+    );
+    spread(
+        buckets_hit(&ours, 0..4096u64, 12),
+        buckets_hit(&seeded, 0..4096u64, 12),
+    );
+    // Whole wave keys, nested one frame deep inside a call.
+    let nested = || {
+        (0..4096u64).map(|w| {
+            let mut env = Envelope::root();
+            env.calls.push(CallFrame {
+                caller_app: 0,
+                caller_graph: 0,
+                call_node: GNodeId(1),
+                call_id: w / 8,
+            });
+            for (src, wave) in [(SPLIT, w / 8), (GNodeId(3), w)] {
+                env.push(Frame {
+                    src,
+                    wave,
+                    index: 0,
+                    total: None,
+                });
+            }
+            env.wave_key().unwrap()
+        })
+    };
+    spread(
+        buckets_hit(&ours, nested(), 12),
+        buckets_hit(&seeded, nested(), 12),
+    );
+}
+
+/// The top seven bits of a hash are what `std`'s table compares before it
+/// compares keys: over sequential wave ids they must not repeat one value.
+#[test]
+fn the_top_bits_of_sequential_wave_ids_vary() {
+    use std::hash::BuildHasher;
+    let hasher = std::hash::BuildHasherDefault::<IdHasher>::default();
+    let mut seen = [false; 128];
+    for w in 0..10_000 {
+        seen[(hasher.hash_one(key(w)) >> 57) as usize] = true;
+    }
+    let distinct = seen.iter().filter(|&&s| s).count();
+    assert!(distinct >= 100, "{distinct} of 128 control-byte values");
+}
+
 /// Rule 5: where a token goes when it leaves a node.
 #[test]
 fn exit_picks_successor_output_or_return() {
@@ -713,7 +809,7 @@ impl Fake {
             node_flops: 1e9,
             start_nanos: 0,
         };
-        let tokens = |out: dps_core::OpOutput| out.posts.into_iter().map(|p| p.token).collect();
+        let tokens = |out: dps_core::OpOutput| out.posts.into_iter().map(|p| p.token);
         let (mut lane, src) = (thread, thread as u32);
         match (gnode.kind, what) {
             (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {

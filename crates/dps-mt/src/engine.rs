@@ -15,12 +15,16 @@ use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
 use crate::remote::RemoteExec;
-use crate::worker::{worker_loop, Msg, Output, Shared, SharedApp, SharedGraph, SharedTc};
+use crate::worker::{worker_loop, Followed, Msg, Output, Shared, SharedApp, SharedGraph, SharedTc};
 
 /// Tunables of the threaded engine.
 #[derive(Debug, Clone)]
 pub struct MtConfig {
-    /// Max tokens in flight per split/merge pair (0 = unlimited).
+    /// Max tokens in flight per split/merge pair (0 = unlimited). The default
+    /// is 8, not the simulator's 64: here a released token is memory and a
+    /// queue slot now, not a virtual instant. Measured on the repo benchmark,
+    /// 64 left `lu_mt` and `lu_net` unresolved and cost `matmul_net` (2 MiB
+    /// tasks) 0.119 → 0.138 s and 0.127 → 0.140 s.
     pub flow_window: u32,
     /// Force serialize/deserialize round trips across virtual node
     /// boundaries (the paper's multi-kernel debugging mode).
@@ -234,7 +238,8 @@ impl MtEngine {
                         .map(|n| crate::worker::RouteCell::install(n.make_route()))
                         .collect(),
                     pins: Mutex::default(),
-                    flows: Mutex::new(HashMap::new()),
+                    followed: Followed::new(),
+                    flows: Mutex::default(),
                 })
                 .collect();
             shared_apps.push(SharedApp { tcs, graphs });
@@ -245,9 +250,7 @@ impl MtEngine {
             enforce_serialization: self.cfg.enforce_serialization,
             apps: shared_apps,
             decls: Arc::clone(&self.decls),
-            wave_counter: AtomicU64::new(0),
-            call_counter: AtomicU64::new(0),
-            pending_calls: Mutex::new(HashMap::new()),
+            wave_counter: CachePadded::new(AtomicU64::new(0)),
             output_tx,
             error_tx,
             feedback: self.feedback.clone(),
@@ -257,7 +260,7 @@ impl MtEngine {
             dead: (0..self.decls.nodes())
                 .map(|_| AtomicBool::new(false))
                 .collect(),
-            feedback_tcs: Mutex::new(Vec::new()),
+            rare: CachePadded::default(),
         });
         // Spawn one OS thread per DPS thread.
         for (app_idx, app_rx) in receivers.into_iter().enumerate() {
@@ -287,14 +290,19 @@ impl MtEngine {
         self.error_rx = Some(error_rx);
     }
 
+    /// The running half, started if need be.
+    pub(crate) fn started(&mut self) -> Arc<Shared> {
+        self.ensure_started();
+        Arc::clone(self.shared.as_ref().expect("started"))
+    }
+
     /// Submit a token into a graph's entry (starting the worker threads on
     /// first use). Pair with [`wait_for_outputs`](Self::wait_for_outputs) +
     /// [`drain_outputs`](Self::drain_outputs); drivers written against
     /// [`dps_core::Engine`] reach the same three steps as `submit`,
     /// `run_to_idle` and `take_outputs`.
     pub fn submit(&mut self, graph: GraphHandle, token: TokenBox) {
-        self.ensure_started();
-        let shared = Arc::clone(self.shared.as_ref().expect("started"));
+        let shared = self.started();
         crate::worker::inject(&shared, graph.app, graph.graph, token, 0);
     }
 
@@ -384,9 +392,8 @@ impl MtEngine {
     /// scripted call performs — without needing `&mut MtEngine` on the
     /// detecting thread. Spawns the worker threads if needed.
     pub fn fail_handle(&mut self) -> FailHandle {
-        self.ensure_started();
         FailHandle {
-            shared: Arc::clone(self.shared.as_ref().expect("started")),
+            shared: self.started(),
             feedback: self.feedback.clone(),
             trace: self.trace.clone(),
         }
@@ -448,10 +455,15 @@ impl FailHandle {
         if flag.swap(true, Ordering::AcqRel) {
             return Ok(()); // already dead
         }
+        // A followed pin on the dead node is refused from the flag alone;
+        // dropping every graph's note as well leaves no trace of it.
+        for graph in shared.apps.iter().flat_map(|app| &app.graphs) {
+            graph.followed.reset();
+        }
         if let Some(sink) = &self.feedback {
             let apps = shared.decls.apps();
             let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
-            let lost = kernel::lost_workers(&shared.feedback_tcs.lock(), hosts, &node);
+            let lost = kernel::lost_workers(&shared.rare.feedback_tcs.lock(), hosts, &node);
             for worker in lost {
                 sink.worker_lost(worker);
             }

@@ -3,11 +3,12 @@
 //!
 //! The path of a token between two operations is `dps_core`'s kernel
 //! driver. This file is its [`Substrate`] on OS threads — channels, atomic
-//! counters, one mutex per table, wall-clock tracing — and the worker loop
-//! with its two-phase remote pipeline.
+//! counters, one mutex per table (and one word in front of the pin table's,
+//! so a token following its wave takes none), wall-clock tracing — and the
+//! worker loop with its two-phase remote pipeline.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,10 +18,10 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
-    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, Instances, Pins, Served, Substrate, Wave,
-    WaveStep,
+    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, IdMap, Instances, Pins, Routed, Served,
+    Substrate, Wave, WaveStep,
 };
-use dps_core::internal::{DynRoute, ExecInfo};
+use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
 use parking_lot::Mutex;
@@ -107,12 +108,80 @@ impl RouteCell {
     }
 }
 
+/// The wave most recently pinned or followed in one graph and the thread it
+/// is pinned on, in one word: what the pin table last answered, kept in
+/// front of its mutex so the 2nd…n-th token of a wave asks no table.
+///
+/// A wave is named by its id alone: every id a graph of this engine sees was
+/// issued by the engine's one `wave_counter`, never twice. The word is set
+/// only under the graph's `pins` mutex, to what [`Pins::route`] just said,
+/// and cleared — by whoever removes that wave's pin, or kills a node —
+/// without it; a reader trusts it only while the thread's node is up, which
+/// is the one way a pin changes under a live wave (rule 6). `Release` stores
+/// pair with the reader's `Acquire` load; the word publishes nothing but
+/// itself.
+pub(crate) struct Followed(CachePadded<AtomicU64>);
+
+impl Followed {
+    const THREAD_BITS: u32 = 16;
+    const NONE: u64 = u64::MAX;
+
+    pub(crate) fn new() -> Self {
+        Followed(CachePadded::new(AtomicU64::new(Self::NONE)))
+    }
+
+    /// `(wave, thread)` as one word, or `None` for a pair that does not fit
+    /// (such a wave is simply never cached).
+    fn pack(wave: u64, thread: u32) -> Option<u64> {
+        let fits = wave < Self::NONE >> Self::THREAD_BITS && thread >> Self::THREAD_BITS == 0;
+        let word = fits.then_some(wave << Self::THREAD_BITS | u64::from(thread))?;
+        debug_assert_eq!(Self::unpack(word), Some((wave, thread)));
+        Some(word)
+    }
+
+    fn unpack(word: u64) -> Option<(u64, u32)> {
+        let thread = (word & ((1 << Self::THREAD_BITS) - 1)) as u32;
+        (word != Self::NONE).then_some((word >> Self::THREAD_BITS, thread))
+    }
+
+    /// The thread `wave` was last seen pinned on, if it is the wave noted.
+    fn thread_of(&self, wave: u64) -> Option<u32> {
+        let (noted, thread) = Self::unpack(self.0.load(Ordering::Acquire))?;
+        (noted == wave).then_some(thread)
+    }
+
+    /// The pin table just said `wave` is pinned on `thread`. Call with the
+    /// table's mutex held.
+    fn note(&self, wave: u64, thread: u32) {
+        if let Some(word) = Self::pack(wave, thread) {
+            self.0.store(word, Ordering::Release);
+        }
+    }
+
+    /// The pin of `wave` is being removed: forget it if it is the one noted.
+    fn forget(&self, wave: u64) {
+        let word = self.0.load(Ordering::Acquire);
+        if Self::unpack(word).is_some_and(|(noted, _)| noted == wave) {
+            // Lost to a newer note: that one is right.
+            let _ =
+                (self.0).compare_exchange(word, Self::NONE, Ordering::AcqRel, Ordering::Relaxed);
+        }
+    }
+
+    /// A node died: whatever is noted goes back through the table once.
+    pub(crate) fn reset(&self) {
+        self.0.store(Self::NONE, Ordering::Release);
+    }
+}
+
 pub(crate) struct SharedGraph {
     pub routes: Vec<RouteCell>,
     /// Which thread each live wave consumes on, and the wave totals still
     /// waiting for their wave to get one: the two change together.
     pub pins: Mutex<Pins>,
-    pub flows: Mutex<HashMap<FlowKey, Flow<TokenBox>>>,
+    /// The last `Follow` / `Pinned` answer of `pins`, on a line of its own.
+    pub followed: Followed,
+    pub flows: Mutex<IdMap<FlowKey, Flow<TokenBox>>>,
 }
 
 pub(crate) struct SharedApp {
@@ -128,9 +197,7 @@ pub(crate) struct Shared {
     pub apps: Vec<SharedApp>,
     /// What was declared, frozen for the run.
     pub decls: Arc<Decls>,
-    pub wave_counter: AtomicU64,
-    pub call_counter: AtomicU64,
-    pub pending_calls: Mutex<HashMap<u64, CallReturn>>,
+    pub wave_counter: CachePadded<AtomicU64>,
     pub output_tx: Sender<Output>,
     pub error_tx: Sender<DpsError>,
     /// Chunk-completion reports (wall-clock) go here, if registered — the
@@ -149,10 +216,23 @@ pub(crate) struct Shared {
     /// re-routing stranded work, so no message is ever lost to a closed
     /// channel).
     pub dead: Vec<AtomicBool>,
+    /// Everything above but `wave_counter` is only read while tokens move
+    /// (`dead`, `decls` and `apps` by every delivery). What a run writes
+    /// once per graph call or per worker sits together on lines of its own,
+    /// so such a write never takes a line those reads hit.
+    pub rare: CachePadded<Rare>,
+}
+
+/// The rarely written part of [`Shared`].
+#[derive(Default)]
+pub(crate) struct Rare {
+    pub call_counter: AtomicU64,
+    pub pending_calls: Mutex<IdMap<u64, CallReturn>>,
     /// Collections that have actually reported to the feedback sink —
     /// `fail_node` translates a dead node into *these* collections' thread
     /// indices for `FeedbackSink::worker_lost` (an unrelated collection on
     /// the dead node must not wipe a live worker sharing a thread index).
+    /// Each worker notes its collection once, ahead of its first report.
     pub feedback_tcs: Mutex<Vec<(u32, u32)>>,
 }
 
@@ -184,6 +264,8 @@ pub(crate) struct Worker {
     /// The operation that just ran *here*, from phase 1 until the kernel
     /// has its span recorded; `None` for one the remote host ran and timed.
     span: Option<Span>,
+    /// This thread's collection is in `feedback_tcs`.
+    reports: bool,
 }
 
 /// A local operation's wall-clock start and the wave it is traced under.
@@ -199,6 +281,17 @@ impl Worker {
         if let (Some(w), Some(c)) = (self.trace.as_mut(), shared.trace.as_ref()) {
             w.record(c.now_nanos(), kind);
         }
+    }
+
+    /// The feedback sink, for a chunk report under this thread's index —
+    /// measured here or by a remote host. Its collection is noted for
+    /// `fail_node` (kernel rule 8) ahead of the first one.
+    fn sink<'a>(&mut self, shared: &'a Shared) -> Option<&'a dyn FeedbackSink> {
+        let sink = shared.feedback.as_deref()?;
+        if !std::mem::replace(&mut self.reports, true) {
+            kernel::note_reporter(&mut shared.rare.feedback_tcs.lock(), self.app, self.tc);
+        }
+        Some(sink)
     }
 }
 
@@ -315,6 +408,7 @@ pub(crate) fn worker_loop(
             .as_ref()
             .map(|c| c.writer(node as u16, thread as u16)),
         span: None,
+        reports: false,
     };
     let mut inflight = InFlight::new();
     let mut stopped = false;
@@ -423,7 +517,11 @@ fn finish_oldest(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
         return;
     };
     let done = pending.wait().and_then(|outcome| {
-        apply_reports(shared, w.app, w.tc, w.thread, &outcome.reports);
+        // The remote host measured the wall-clock time: the distributed
+        // counterpart of `Substrate::report`.
+        if let (false, Some(sink)) = (outcome.reports.is_empty(), w.sink(shared)) {
+            sink.report_batch(w.thread as usize, &outcome.reports);
+        }
         finish(shared, w, cont, outcome.posts)
     });
     if let Err(e) = done {
@@ -451,21 +549,12 @@ fn abandon_waves(shared: &Shared, w: &mut Worker) {
         let target = shared.decls.def(w.app, wave.graph).node(wave.node);
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
         g.pins.lock().remove(&key);
+        g.followed.forget(key.wave);
         let down = DpsError::NodeDown {
             node: shared.decls.node_name(w.node).to_string(),
             target: target.name.clone(),
         };
         send_error(shared, w.app, down);
-    }
-}
-
-/// Apply remotely-measured chunk completions to the master's feedback sink
-/// under the executing thread's index — the distributed counterpart of
-/// `Substrate::report` (the remote host measured the wall-clock time).
-fn apply_reports(shared: &Shared, app: u32, tc: u32, thread: u32, reports: &[(u64, f64)]) {
-    if let (false, Some(sink)) = (reports.is_empty(), shared.feedback.as_ref()) {
-        kernel::note_reporter(&mut shared.feedback_tcs.lock(), app, tc);
-        sink.report_batch(thread as usize, reports);
     }
 }
 
@@ -486,8 +575,8 @@ fn run_here(
     shared: &Shared,
     span: &mut Option<Span>,
     env_wave: u32,
-    run: impl FnOnce() -> Result<dps_core::internal::OpOutput, DpsError>,
-) -> Result<(Vec<TokenBox>, Option<u64>), DpsError> {
+    run: impl FnOnce() -> Result<OpOutput, DpsError>,
+) -> Result<OpOutput, DpsError> {
     let started = Span {
         t0n: shared.trace.as_ref().map(|c| c.now_nanos()),
         t0: Instant::now(),
@@ -495,8 +584,13 @@ fn run_here(
     };
     let out = run()?;
     *span = Some(started);
-    let posts = out.posts.into_iter().map(|p| p.token).collect();
-    Ok((posts, out.completed_iters))
+    Ok(out)
+}
+
+/// What an operation that ran here posted, as the kernel takes it: a post's
+/// virtual-time offset means nothing on the wall clock.
+fn tokens(out: OpOutput) -> impl ExactSizeIterator<Item = TokenBox> {
+    out.posts.into_iter().map(|p| p.token)
 }
 
 /// Phase 1 of a split/leaf delivery: ship the operation, or run it and go
@@ -528,10 +622,11 @@ fn begin_exec(
     let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     let slot = Served::Node(&mut w.inst, (at.graph, at.node.0));
     let data = w.data.as_mut();
-    let (posts, marked) = run_here(shared, &mut w.span, env_wave, || {
+    let out = run_here(shared, &mut w.span, env_wave, || {
         kernel::step(slot, gnode, Some(token), false, data, info)
     })?;
-    kernel::after_exec(&mut shared, w, at, w.node, env, posts, marked)?;
+    let marked = out.completed_iters;
+    kernel::after_exec(&mut shared, w, at, w.node, env, tokens(out), marked)?;
     Ok(Begun::Finished)
 }
 
@@ -582,10 +677,11 @@ fn begin_wave(
         return Ok(Begun::InFlight);
     }
     let data = w.data.as_mut();
-    let (posts, marked) = run_here(shared, &mut w.span, step.key.wave as u32, || {
+    let out = run_here(shared, &mut w.span, step.key.wave as u32, || {
         kernel::step(Served::Wave(wave), gnode, token, completes, data, info)
     })?;
-    kernel::after_wave(&mut shared, w, step, posts, marked)?;
+    let marked = out.completed_iters;
+    kernel::after_wave(&mut shared, w, step, tokens(out), marked)?;
     Ok(Begun::Finished)
 }
 
@@ -607,8 +703,9 @@ fn finish(
 }
 
 /// The kernel's substrate on OS threads. Everything shared is behind
-/// `&Shared`: a table is locked for the kernel call alone, and a move is a
-/// channel send with no lock held.
+/// `&Shared`: a table is locked for the kernel call alone — the pin table not
+/// at all for a token that follows the wave noted in [`Followed`] — and a
+/// move is a channel send with no lock held.
 impl Substrate for &Shared {
     type Post = TokenBox;
     type FlowExt = ();
@@ -649,13 +746,13 @@ impl Substrate for &Shared {
     }
 
     fn remember_call(&mut self, ret: CallReturn) -> u64 {
-        let id = self.call_counter.fetch_add(1, Ordering::Relaxed);
-        self.pending_calls.lock().insert(id, ret);
+        let id = self.rare.call_counter.fetch_add(1, Ordering::Relaxed);
+        self.rare.pending_calls.lock().insert(id, ret);
         id
     }
 
     fn call_return(&self, id: u64) -> Option<CallReturn> {
-        self.pending_calls.lock().get(&id).cloned()
+        self.rare.pending_calls.lock().get(&id).cloned()
     }
 
     fn pins<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R {
@@ -670,6 +767,25 @@ impl Substrate for &Shared {
     /// remove their pins, so a pin still on a dead node is a fresh wave's.
     fn fresh(&self, _app: u32, _graph: u32, _key: &WaveKey) -> bool {
         true
+    }
+
+    /// The wave noted in front of the table is followed without the table's
+    /// lock while its thread's node is up; anything else — another wave, a
+    /// fresh one, a dead pin — asks the table, and what it says is noted.
+    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> Result<Routed, u32> {
+        let g = &self.apps[to.app as usize].graphs[to.graph as usize];
+        let up = |t: &u32| !self.node_dead(self.decls.host(to.app, tc, *t));
+        if let Some(thread) = g.followed.thread_of(key.wave).filter(up) {
+            return Ok(Routed::Follow(thread));
+        }
+        let mut pins = g.pins.lock();
+        let answer = kernel::route_pin(self, &mut pins, to, tc, key, routed);
+        match answer {
+            Ok(Routed::Follow(thread)) => g.followed.note(key.wave, thread),
+            Ok(Routed::Pinned { .. }) => g.followed.note(key.wave, routed),
+            Err(_) => {}
+        }
+        answer
     }
 
     /// The wave's record is entered by the thread that consumes it.
@@ -719,11 +835,12 @@ impl Substrate for &Shared {
         let Some(started) = w.span.as_ref().map(|span| span.t0) else {
             return;
         };
-        let nanos = started.elapsed().as_nanos() as u64;
+        // One reading of the clock: the trace and the sink see one duration.
+        let took = started.elapsed();
+        let nanos = took.as_nanos() as u64;
         w.trace(self, EventKind::ChunkExec { iters, nanos });
-        if let Some(sink) = self.feedback.as_ref() {
-            kernel::note_reporter(&mut self.feedback_tcs.lock(), w.app, w.tc);
-            sink.report_chunk(w.thread as usize, iters, started.elapsed().as_secs_f64());
+        if let Some(sink) = w.sink(self) {
+            sink.report_chunk(w.thread as usize, iters, took.as_secs_f64());
             let worker = w.thread;
             w.trace(
                 self,
@@ -768,5 +885,300 @@ impl Substrate for &Shared {
             c.drain();
         }
         w.inst.waves.remove(key);
+        let g = &self.apps[at.app as usize].graphs[at.graph as usize];
+        g.followed.forget(key.wave);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MtEngine;
+    use dps_core::prelude::*;
+    use dps_core::sched::{ChunkRoute, ChunkWorker, CollectChunks, IterRange, ScheduledSplit};
+    use dps_core::Engine;
+
+    dps_token! { pub struct Job { pub n: u32 } }
+    dps_token! { pub struct Piece { pub i: u32 } }
+
+    struct Fan;
+    impl SplitOperation for Fan {
+        type Thread = ();
+        type In = Job;
+        type Out = Piece;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, (), Piece>, j: Job) {
+            (0..j.n).for_each(|i| ctx.post(Piece { i }));
+        }
+    }
+    #[derive(Default)]
+    struct Count(u32);
+    impl MergeOperation for Count {
+        type Thread = ();
+        type In = Piece;
+        type Out = Job;
+        fn consume(&mut self, _ctx: &mut OpCtx<'_, (), Job>, _p: Piece) {
+            self.0 += 1;
+        }
+        fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Job>) {
+            ctx.post(Job { n: self.0 });
+        }
+    }
+
+    /// A started two-node engine over split (node0) → merge on `node0 node1`,
+    /// and where a token of wave `wave` asks for its pin.
+    struct Rig {
+        eng: MtEngine,
+        shared: Arc<Shared>,
+        graph: GraphHandle,
+        merge: At,
+        tc: u32,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let mut eng = MtEngine::new(2);
+            let app = eng.app("pins");
+            let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+            let sinks: ThreadCollection<()> =
+                eng.thread_collection(app, "s", "node0 node1").unwrap();
+            let mut b = GraphBuilder::new("pins");
+            let split = b.split(&main, || ToThread(0), || Fan);
+            let merge = b.merge(&sinks, LeastLoaded::new, Count::default);
+            b.add(split >> merge);
+            let graph = eng.build_graph(b).unwrap();
+            let shared = eng.started();
+            let merge = At {
+                app: graph.app,
+                graph: graph.graph,
+                node: GNodeId(1),
+            };
+            let tc = shared.decls.def(merge.app, merge.graph).node(merge.node).tc;
+            Rig {
+                eng,
+                shared,
+                graph,
+                merge,
+                tc,
+            }
+        }
+
+        fn key(wave: u64) -> WaveKey {
+            WaveKey {
+                src: GNodeId(0),
+                wave,
+                parents: Vec::new(),
+                calls: Vec::new(),
+            }
+        }
+
+        /// A token of `wave` that its route sent to `routed` asks for its pin.
+        fn pin(&self, wave: u64, routed: u32) -> std::result::Result<Routed, u32> {
+            let shared: &Shared = &self.shared;
+            shared.pin(self.merge, self.tc, &Self::key(wave), routed)
+        }
+
+        fn g(&self) -> &SharedGraph {
+            &self.shared.apps[self.merge.app as usize].graphs[self.merge.graph as usize]
+        }
+    }
+
+    #[test]
+    fn the_word_holds_what_fits_and_nothing_else() {
+        let f = Followed::new();
+        assert_eq!(f.thread_of(0), None);
+        f.note(0, 3);
+        assert_eq!(f.thread_of(0), Some(3));
+        assert_eq!(f.thread_of(1), None);
+        // A wave id or a thread index too wide for the word is not noted —
+        // and does not disturb what is.
+        for (wave, thread) in [
+            (1 << 48, 0),
+            (u64::MAX, 0),
+            (u64::MAX >> 16, 0xffff),
+            (7, 1 << 16),
+        ] {
+            f.note(wave, thread);
+            assert_eq!(f.thread_of(wave), None, "{wave:#x} {thread:#x}");
+            assert_eq!(f.thread_of(0), Some(3));
+        }
+        let widest = (u64::MAX >> 16) - 1;
+        f.note(widest, 0xffff);
+        assert_eq!(f.thread_of(widest), Some(0xffff));
+        f.forget(0);
+        assert_eq!(f.thread_of(widest), Some(0xffff), "another wave's removal");
+        f.forget(widest);
+        assert_eq!(f.thread_of(widest), None);
+    }
+
+    /// (a) The 2nd…n-th token of a wave takes no lock: with the pin table's
+    /// mutex held by this thread, a locking lookup would never return.
+    #[test]
+    fn a_followed_wave_is_answered_with_the_pin_table_locked() {
+        let rig = Rig::new();
+        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        let held = rig.g().pins.lock();
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
+        assert_eq!(rig.pin(1, 1), Ok(Routed::Follow(1)));
+        drop(held);
+    }
+
+    /// (b) Another wave, and a wave whose pin was removed, ask the table.
+    #[test]
+    fn another_wave_and_a_removed_one_ask_the_table() {
+        let mut rig = Rig::new();
+        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(2, 0), Ok(Routed::Pinned { parked: None }));
+        // The table has both; the word has the later one, and wave 1's next
+        // token is a miss that the table answers.
+        assert_eq!(rig.g().followed.thread_of(1), None);
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
+        assert_eq!(rig.g().followed.thread_of(1), Some(1));
+
+        // Wave 1 completes on its thread: `wave_done`, then the kernel's
+        // removal of the pin. A token of that id (there is none in a real
+        // run) would find neither the word nor the table.
+        let mut shared: &Shared = &rig.shared;
+        let mut lane = Worker {
+            app: rig.merge.app,
+            tc: rig.tc,
+            thread: 1,
+            node: 1,
+            data: Box::new(()),
+            inst: Instances::default(),
+            remote: None,
+            trace: None,
+            span: None,
+            reports: false,
+        };
+        shared.wave_done(&mut lane, rig.merge, &Rig::key(1));
+        shared.pins(rig.merge.app, rig.merge.graph, |p| p.remove(&Rig::key(1)));
+        assert_eq!(rig.g().followed.thread_of(1), None);
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Pinned { parked: None }));
+        rig.eng.shutdown();
+    }
+
+    /// (b) The pinned thread's node dies before the wave consumed anything:
+    /// the word is not honoured, the table re-pins the wave on the thread the
+    /// route picked, and the tokens after that follow it *there*.
+    #[test]
+    fn a_dead_pin_is_never_followed() {
+        let mut rig = Rig::new();
+        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
+        let fail = rig.eng.fail_handle();
+        fail.fail_node(1).unwrap();
+        assert_eq!(rig.g().followed.thread_of(1), None, "dropped by fail_node");
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Pinned { parked: None }));
+        for routed in [1, 0, 1] {
+            assert_eq!(rig.pin(1, routed), Ok(Routed::Follow(0)));
+        }
+        // Even a note that names the tombstone (one set by a delivery that
+        // looked the thread up just before the node died) is refused.
+        rig.g().followed.note(1, 1);
+        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(0)));
+        assert_eq!(rig.g().followed.thread_of(1), Some(0));
+    }
+
+    /// (c) The word belongs to one graph of one engine: a second engine in
+    /// the process that issues the same wave id sees nothing of it.
+    #[test]
+    fn two_engines_do_not_share_a_word() {
+        let (a, b) = (Rig::new(), Rig::new());
+        assert_eq!(a.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(b.g().followed.thread_of(1), None);
+        assert_eq!(b.pin(1, 0), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(a.pin(1, 0), Ok(Routed::Follow(1)));
+        assert_eq!(b.pin(1, 1), Ok(Routed::Follow(0)));
+    }
+
+    /// A whole run leaves the word empty, as it leaves the tables.
+    #[test]
+    fn a_completed_run_forgets_its_waves() {
+        let mut rig = Rig::new();
+        for n in [1, 5, 64] {
+            rig.eng.submit(rig.graph, Box::new(Job { n }));
+            rig.eng.wait_for_outputs(rig.graph, 1).unwrap();
+            let out = rig.eng.drain_outputs(rig.graph).pop().unwrap();
+            assert_eq!(downcast::<Job>(out).unwrap().n, n);
+        }
+        // An output leaves ahead of its wave's removal: join the threads.
+        rig.eng.shutdown();
+        assert!(rig.g().pins.lock().is_empty());
+        assert_eq!(rig.g().followed.0.load(Ordering::Acquire), Followed::NONE);
+    }
+
+    /// What the feedback sink was told, per report.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<(usize, u64, f64)>>);
+    impl FeedbackSink for Recorder {
+        fn report_chunk(&self, worker: usize, iters: u64, secs: f64) {
+            self.0.lock().push((worker, iters, secs));
+        }
+    }
+
+    /// One reading of the clock per chunk: the duration on the trace is the
+    /// duration the sink was given. And a worker notes its collection once.
+    #[test]
+    fn the_trace_and_the_sink_see_one_duration_per_chunk() {
+        const CHUNKS: u64 = 200;
+        let mut eng = MtEngine::new(2);
+        let (sink, trace) = (Arc::new(Recorder::default()), TraceCollector::new());
+        eng.set_feedback_sink(sink.clone());
+        eng.set_trace_sink(trace.clone());
+        let app = eng.app("dls");
+        let master: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+        let workers: ThreadCollection<()> = eng.thread_collection(app, "w", "node0 node1").unwrap();
+        let hub = eng.chunk_hub();
+        let mut b = GraphBuilder::new("dls");
+        let split_hub = hub.clone();
+        let split = b.split(
+            &master,
+            || ToThread(0),
+            move || ScheduledSplit::new(dps_sched::PolicyKind::Ss, 2, split_hub.clone()),
+        );
+        let work = b.leaf(&workers, ChunkRoute::new, move || {
+            ChunkWorker::uniform(1.0, hub.clone())
+        });
+        let merge = b.merge(&master, || ToThread(0), CollectChunks::default);
+        b.add(split >> work >> merge);
+        let g = eng.build_graph(b).unwrap();
+        let range = IterRange {
+            start: 0,
+            len: CHUNKS,
+            step: 0,
+        };
+        eng.submit(g, Box::new(range));
+        eng.wait_for_outputs(g, 1).unwrap();
+        let shared = eng.started();
+        // The workers are the application's second collection.
+        assert_eq!(*shared.rare.feedback_tcs.lock(), [(app.app, 1)]);
+        eng.shutdown();
+
+        let mut told: Vec<(u32, u64)> = sink
+            .0
+            .lock()
+            .iter()
+            .map(|r| (r.0 as u32, (r.2 * 1e9).round() as u64))
+            .collect();
+        let mut traced: Vec<(u32, u64)> = trace
+            .take_log()
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ChunkReport { worker, nanos, .. } => Some((worker, nanos)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(told.len() as u64, CHUNKS);
+        assert_eq!(traced.len() as u64, CHUNKS);
+        told.sort_unstable();
+        traced.sort_unstable();
+        for (told, traced) in told.iter().zip(&traced) {
+            assert_eq!(told.0, traced.0);
+            assert!(
+                told.1.abs_diff(traced.1) <= 1,
+                "sink {told:?}, trace {traced:?}"
+            );
+        }
     }
 }

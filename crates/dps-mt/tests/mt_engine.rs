@@ -250,6 +250,96 @@ fn timeout_reports_deadlock_shape() {
     assert!(err.to_string().contains("timed out"));
 }
 
+/// A node killed from *inside* a chunk, half-way through a 20 k-chunk
+/// self-scheduled loop (the graph of `dps_bench::dls::run_dls`, every ticket
+/// released at once): no sleep decides when, and every merge token behind the
+/// first follows its wave without the pin table's lock while it happens. The
+/// survivor finishes the loop — each iteration scheduled exactly once, the
+/// lease drained — or the run fails `NodeDown`; it never hangs, and the
+/// tombstone runs nothing it drains.
+#[test]
+fn a_scheduled_loop_survives_a_kill_fired_from_inside_a_chunk() {
+    use dps_core::sched::{
+        ChunkRoute, ChunkWorker, CollectChunks, IterRange, RangeDone, ScheduledSplit,
+    };
+    use dps_core::{DpsError, Engine};
+    use dps_sched::{FeedbackBoard, PolicyKind};
+    use std::sync::{Arc, OnceLock};
+
+    const ITERS: u64 = 20_000;
+    let cfg = MtConfig {
+        flow_window: 0,
+        ..MtConfig::default()
+    };
+    let mut eng = MtEngine::with_config(2, cfg);
+    let board = Arc::new(FeedbackBoard::for_policy(PolicyKind::Ss));
+    eng.set_feedback_sink(board.clone());
+    let app = eng.app("dls");
+    let master: ThreadCollection<()> = eng.thread_collection(app, "master", "node0").unwrap();
+    let workers: ThreadCollection<()> = eng
+        .thread_collection(app, "workers", "node0 node1")
+        .unwrap();
+    let hub = eng.chunk_hub();
+    let kill: Arc<OnceLock<dps_mt::FailHandle>> = Arc::default();
+
+    let mut b = GraphBuilder::new("dls-ss");
+    let (split_hub, split_board) = (hub.clone(), board.clone());
+    let split = b.split(
+        &master,
+        || ToThread(0),
+        move || {
+            ScheduledSplit::with_feedback(PolicyKind::Ss, 2, split_hub.clone(), split_board.clone())
+        },
+    );
+    let (work_hub, armed) = (hub.clone(), kill.clone());
+    let work = b.leaf(&workers, ChunkRoute::new, move || {
+        let armed = armed.clone();
+        let cost = move |i: u64| {
+            if i == ITERS / 2 {
+                let kill = armed.get().expect("armed before the first submit");
+                kill.fail_node(1).expect("node1 exists");
+            }
+            1.0
+        };
+        ChunkWorker::new(Arc::new(cost), work_hub.clone())
+    });
+    let merge = b.merge(&master, || ToThread(0), CollectChunks::default);
+    b.add(split >> work >> merge);
+    let g = eng.build_graph(b).unwrap();
+    assert!(kill.set(eng.fail_handle()).is_ok());
+
+    let range = IterRange {
+        start: 0,
+        len: ITERS,
+        step: 0,
+    };
+    eng.submit(g, Box::new(range));
+    let completed = match eng.wait_for_outputs(g, 1) {
+        Ok(()) => {
+            let done = eng.drain_outputs(g).pop().expect("one RangeDone");
+            let done = downcast::<RangeDone>(done).expect("a RangeDone");
+            assert_eq!(done.iters, ITERS, "every iteration scheduled exactly once");
+            assert_eq!(u64::from(done.chunks), ITERS, "one-iteration chunks");
+            assert_eq!(hub.abandoned_leases(), []);
+            true
+        }
+        // The split was still releasing tickets: one was routed to node1 on
+        // a load snapshot taken just before it died.
+        Err(DpsError::NodeDown { .. }) => false,
+        Err(e) => panic!("neither completed nor NodeDown: {e}"),
+    };
+    let kill = kill.get().expect("armed");
+    assert!(kill.is_dead(1) && !kill.is_dead(0));
+    eng.shutdown();
+    // `worker_lost` wiped worker 1 at the kill; all it can have reported
+    // since is the chunk it was running then. The survivor ran the rest.
+    let stats = board.stats(2);
+    assert!(stats[1].chunks <= 1, "the tombstone ran chunks: {stats:?}");
+    if completed {
+        assert!(stats[0].chunks >= ITERS / 2 - 3, "{stats:?}");
+    }
+}
+
 // --- the remote-execution seam, against a scripted in-process hook ----------
 
 mod pipelined_remote {
