@@ -190,19 +190,14 @@ fn bench_engine_end_to_end(c: &mut Criterion) {
 }
 
 /// The per-chunk hot path in isolation: feedback reports on the sharded
-/// board vs the legacy mutex board, and lock-free hub claims vs a raw
-/// counter claim. Single-threaded ns/op; the `bench_hotpath` bin measures
-/// the multi-worker throughput and emits `BENCH_hotpath.json`.
+/// board, and lock-free hub claims vs a raw counter claim. Single-threaded
+/// ns/op; the repository benchmark's `sched.*` probes measure the
+/// multi-worker throughput.
 fn bench_hotpath(c: &mut Criterion) {
-    use dps_sched::legacy::LegacyFeedbackBoard;
     use dps_sched::{ChunkCalc, ChunkHub, FeedbackBoard, FeedbackSink, IterCounter, PolicyKind};
 
     c.bench_function("hotpath/report_sharded", |b| {
         let board = FeedbackBoard::new();
-        b.iter(|| board.report_chunk(black_box(3), 16, 1.0e-4))
-    });
-    c.bench_function("hotpath/report_legacy", |b| {
-        let board = LegacyFeedbackBoard::new();
         b.iter(|| board.report_chunk(black_box(3), 16, 1.0e-4))
     });
     c.bench_function("hotpath/weights_fold_8", |b| {

@@ -18,7 +18,10 @@
 //!
 //! `cargo bench -p dps-bench` additionally runs Criterion micro-benchmarks
 //! of the framework's hot paths (serialization, envelopes, routing, the DES
-//! engine, and the numeric kernels).
+//! engine, and the numeric kernels). Wall-clock throughput and end-to-end
+//! makespans are not measured here: that is the repository benchmark
+//! (`benchmark/`, declared by `BENCHMARK.json`), which builds against this
+//! crate's [`dls`] driver.
 
 pub mod calib;
 pub mod dls;

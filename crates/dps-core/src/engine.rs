@@ -27,7 +27,7 @@ use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::OpKind;
 use crate::kernel::{
-    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, Pins, Served, Substrate, Wave,
+    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, Pins, Served, Substrate,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
@@ -91,6 +91,8 @@ struct ThreadRt {
     /// alone is blind to in-flight tokens: a burst routed before any
     /// delivery lands would all pick the same thread.
     assigned: u32,
+    /// This thread's op instances and the waves it consumes.
+    inst: Instances,
 }
 
 /// The running half of a declared collection.
@@ -111,12 +113,8 @@ struct FlowRt {
 /// The running half of a declared graph.
 struct GraphRt {
     routes: Vec<Box<dyn DynRoute>>,
-    /// Operation instances of the whole graph: split/leaf slots are
-    /// `(node, thread)`; a wave is entered when its first token is routed
-    /// (that is where a stream's output wave id is allocated).
-    inst: Instances,
     /// The kernel borrows the two tables through `&self` (a mutex on
-    /// `dps-mt`), next to what it asks about liveness and freshness.
+    /// `dps-mt`), next to what it asks about liveness.
     pins: RefCell<Pins>,
     flows: RefCell<Flows<Sim<Rt>>>,
 }
@@ -185,7 +183,6 @@ impl Rt {
             for def in &decl.graphs[a.graphs.len()..] {
                 a.graphs.push(GraphRt {
                     routes: def.nodes().iter().map(|n| n.make_route()).collect(),
-                    inst: Instances::default(),
                     pins: RefCell::default(),
                     flows: RefCell::default(),
                 });
@@ -416,18 +413,19 @@ impl SimEngine {
         let mut stuck: Vec<String> = Vec::new();
         let world = &self.sim.world;
         for (a, decl) in world.apps.iter().zip(world.decls.apps()) {
+            let threads = a.tcs.iter().flat_map(|tc| &tc.threads);
+            for (key, wave) in threads.flat_map(|t| &t.inst.waves) {
+                let def = &decl.graphs[wave.graph as usize];
+                stuck.push(format!(
+                    "graph {} wave at {} from {}: received {}, expected {:?}",
+                    def.name(),
+                    def.node(key.src).name,
+                    key.src,
+                    wave.received(),
+                    wave.expected()
+                ));
+            }
             for (g, def) in a.graphs.iter().zip(&decl.graphs) {
-                for (key, wave) in &g.inst.waves {
-                    let node = def.node(key.src);
-                    stuck.push(format!(
-                        "graph {} wave at {} from {}: received {}, expected {:?}",
-                        def.name(),
-                        node.name,
-                        key.src,
-                        wave.received(),
-                        wave.expected()
-                    ));
-                }
                 for ((node, wv), f) in g.flows.borrow().iter() {
                     if f.pending() > 0 {
                         stuck.push(format!(
@@ -662,21 +660,28 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
             sink.worker_lost(worker);
         }
     }
-    // Drain every queue of every thread hosted on the dead node.
-    // Tokens re-route first — a fresh merge wave's first re-routed
-    // token re-pins the wave to a live thread — and wave-close messages
-    // re-deliver after, so they follow their wave to its new home.
+    // Every thread hosted on the dead node gives its waves up, then its
+    // queue is drained. Tokens re-route first — a wave's first re-routed
+    // token re-pins it to a live thread — and wave-close messages re-deliver
+    // after, so they follow their wave to its new home.
     let mut drained: Vec<Delivery> = Vec::new();
+    let mut lanes = Vec::new();
     let world = &mut sim.world;
-    let declared = world.decls.apps().iter().flat_map(|app| &app.tcs);
-    let running = world.apps.iter_mut().flat_map(|app| &mut app.tcs);
-    for (tc, decl) in running.zip(declared) {
-        for (rt, &host) in tc.threads.iter_mut().zip(&decl.nodes) {
-            if host == node.0 {
-                rt.assigned = 0;
-                drained.extend(rt.queue.drain(..));
+    let declared = world.decls.apps().iter().map(|app| &app.tcs);
+    let running = world.apps.iter_mut().map(|app| &mut app.tcs);
+    for (app, (tcs, decls)) in running.zip(declared).enumerate() {
+        for (tc, decl) in tcs.iter_mut().zip(decls) {
+            for (thread, (rt, &host)) in tc.threads.iter_mut().zip(&decl.nodes).enumerate() {
+                if host == node.0 {
+                    rt.assigned = 0;
+                    drained.extend(rt.queue.drain(..));
+                    lanes.push((app as u32, thread as u32, std::mem::take(&mut rt.inst)));
+                }
             }
         }
+    }
+    for (app, thread, lane) in lanes {
+        kernel::lose(sim, app, thread, lane);
     }
     let is_close = |d: &Delivery| matches!(d.what, Arrival::Close(_));
     drained.sort_by_key(is_close);
@@ -701,9 +706,9 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
             detail: stranded as u64,
         },
     );
+    sim.world.requeued += drained.len() as u64;
     for d in drained {
-        let moved = kernel::reroute(sim, d.to, HOME.0, d.what, d.env);
-        sim.world.requeued += moved as u64;
+        kernel::reroute(sim, d.to, HOME.0, d.what, d.env);
     }
 }
 
@@ -769,28 +774,6 @@ impl Substrate for Sim<Rt> {
 
     fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
         f(&mut self.world.g(app, graph).flows.borrow_mut())
-    }
-
-    /// Partial state lost with a node surfaces lazily, when something is
-    /// routed to it.
-    fn fresh(&self, app: u32, graph: u32, key: &WaveKey) -> bool {
-        let waves = &self.world.g(app, graph).inst.waves;
-        waves.get(key).is_none_or(Wave::is_fresh)
-    }
-
-    /// The wave's record is entered at routing time — that keeps wave ids
-    /// allocated in routing order — and outlives a move.
-    fn pinned(&mut self, to: At, key: WaveKey, parked: Option<u32>) -> Result<Option<u32>> {
-        let world = &mut self.world;
-        let g = &mut world.apps[to.app as usize].graphs[to.graph as usize];
-        let wave = g.inst.waves.entry(key).or_insert_with(|| {
-            world.next_wave += 1;
-            Wave::new(to.graph, to.node, world.next_wave - 1)
-        });
-        if let Some(total) = parked {
-            wave.close(total, &world.decls.def(to.app, to.graph).node(to.node).name)?;
-        }
-        Ok(None)
     }
 
     fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope) {
@@ -954,7 +937,7 @@ impl Substrate for Sim<Rt> {
         let ended = |graph| EventKind::WaveEnd { graph, wave };
         self.world.trace_wave(ran, at, ran.start + ran.hold, ended);
         self.world.trace_drain();
-        self.world.graph(at.app, at.graph).inst.waves.remove(key);
+        self.world.thread(ran.tk).inst.waves.remove(key);
     }
 }
 
@@ -1156,10 +1139,11 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     };
     let overhead = sim.world.cfg.op_overhead;
     let at = d.to;
-    let gnode = sim.world.decls.def(tk.app, at.graph).node(at.node);
-    let a = &mut sim.world.apps[tk.app as usize];
-    let g = &mut a.graphs[at.graph as usize];
-    let data = a.tcs[tk.tc as usize].data[tk.thread as usize].as_mut();
+    let world = &mut sim.world;
+    let gnode = world.decls.def(tk.app, at.graph).node(at.node);
+    let tc = &mut world.apps[tk.app as usize].tcs[tk.tc as usize];
+    let data = tc.data[tk.thread as usize].as_mut();
+    let inst = &mut tc.threads[tk.thread as usize].inst;
     let env = d.env;
     let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     // Each post leaves after the framework overhead plus its own offset.
@@ -1173,7 +1157,7 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     };
     let (hold, split_flow) = match (d.kind, d.what) {
         (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
-            let slot = Served::Node(&mut g.inst, (at.node.0, tk.thread));
+            let slot = Served::Node(inst, (at.graph, at.node.0));
             let out = kernel::step(slot, gnode, Some(token), false, data, info)?;
             let hold = overhead + out.charged;
             let posts = out.posts.into_iter().map(timed);
@@ -1182,10 +1166,12 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
             (hold, flow)
         }
         (OpKind::Merge | OpKind::Stream, what) => {
-            let key = env.wave_key().expect("validated depth >= 1");
-            let wave = g.inst.waves.get_mut(&key).expect("wave entered at routing");
-            match wave.arrive(at, host.0, &gnode.name, what, env, key)? {
-                Some((token, step)) => {
+            let out_wave = || {
+                world.next_wave += 1;
+                world.next_wave - 1
+            };
+            match inst.arrive(at, host.0, &gnode.name, what, env, out_wave)? {
+                Some((wave, token, step)) => {
                     let served = Served::Wave(wave);
                     let out = kernel::step(served, gnode, token, step.completes, data, info)?;
                     let hold = overhead + out.charged;

@@ -93,6 +93,9 @@ pub struct Wave {
     expected: Option<u32>,
     /// The id its posts travel under, if `node` is a stream.
     pub out_wave: u64,
+    /// The envelope of a close that found data objects still missing: what
+    /// [`lose`] hands the total back under if nothing was consumed here.
+    closed_under: Option<Envelope>,
     op: Option<Box<dyn DynOp>>,
 }
 
@@ -106,6 +109,7 @@ impl Wave {
             received: 0,
             expected: None,
             out_wave,
+            closed_under: None,
             op: None,
         }
     }
@@ -145,11 +149,6 @@ impl Wave {
         }
     }
 
-    /// No token consumed yet: nothing is lost if the wave moves (rule 6).
-    pub fn is_fresh(&self) -> bool {
-        self.received == 0
-    }
-
     /// Tokens counted in so far.
     pub fn received(&self) -> u32 {
         self.received
@@ -171,21 +170,20 @@ impl Wave {
     }
 }
 
-/// Rule 7: the operation instances within one scope — a DPS thread, or one
-/// graph of the simulator. A split/leaf node has one instance per thread,
-/// made on first use and kept; a merge/stream has one per [`Wave`].
+/// Rule 7: the operation instances of one DPS thread. A split/leaf node has
+/// one instance per thread, made on first use and kept; a merge/stream has
+/// one per [`Wave`].
 #[derive(Default)]
 pub struct Instances {
     nodes: IdMap<(u32, u32), Box<dyn DynOp>>,
-    /// The live waves: entered when the wave is first heard of, removed by
-    /// the caller when it completes.
+    /// The waves this thread consumes: entered by [`arrive`](Self::arrive)
+    /// on the first arrival, removed by the caller when the wave completes,
+    /// given up by [`lose`] when the thread's node dies.
     pub waves: IdMap<WaveKey, Wave>,
 }
 
 impl Instances {
-    /// The split/leaf instance in `slot` — any pair that names (graph, node,
-    /// thread) within this table: a per-thread table passes `(graph, node)`,
-    /// a per-graph one `(node, thread)`.
+    /// The split/leaf instance in slot `(graph, node)`.
     pub fn node_op(&mut self, slot: (u32, u32), gnode: &GraphNode) -> Result<&mut dyn DynOp> {
         use std::collections::hash_map::Entry;
         Ok(match self.nodes.entry(slot) {
@@ -391,9 +389,8 @@ enum Slot {
 /// and a wave-close follows them; a total that arrives before the wave has
 /// a home is parked here until it gets one.
 ///
-/// When the pinned thread's node has died, a *fresh* wave (nothing
-/// consumed) moves; one with partial state is lost and the caller reports
-/// `NodeDown` for the thread returned as the error.
+/// A pin found on a thread whose node has died always moves: what that
+/// thread had consumed of the wave it gave up itself, when it died ([`lose`]).
 #[derive(Default)]
 pub struct Pins(IdMap<WaveKey, Slot>);
 
@@ -403,8 +400,8 @@ pub enum Routed {
     /// The wave is pinned on this live thread.
     Follow(u32),
     /// The wave is now pinned on the thread the route picked; `parked` is
-    /// the total of a close that was waiting for it, to be applied there
-    /// ahead of the token.
+    /// the total of a close that was waiting for it, which the token takes
+    /// along on its own frame.
     Pinned {
         /// The parked wave total, if one was waiting.
         parked: Option<u32>,
@@ -422,52 +419,42 @@ pub enum CloseTo {
 
 impl Pins {
     /// A token of wave `key` was routed to thread `routed`. `alive(t)` says
-    /// whether thread `t`'s node is up; `fresh()` — asked only about a dead
-    /// pin — whether the wave has consumed nothing there.
-    pub fn route(
-        &mut self,
-        key: &WaveKey,
-        routed: u32,
-        alive: impl Fn(u32) -> bool,
-        fresh: impl FnOnce() -> bool,
-    ) -> std::result::Result<Routed, u32> {
+    /// whether thread `t`'s node is up.
+    pub fn route(&mut self, key: &WaveKey, routed: u32, alive: impl Fn(u32) -> bool) -> Routed {
         let Some(slot) = self.0.get_mut(key) else {
             self.0.insert(key.clone(), Slot::Pinned(routed));
-            return Ok(Routed::Pinned { parked: None });
+            return Routed::Pinned { parked: None };
         };
-        match *slot {
-            Slot::Pinned(t) if alive(t) => return Ok(Routed::Follow(t)),
-            Slot::Pinned(t) if !fresh() => return Err(t),
-            _ => {}
-        }
-        match std::mem::replace(slot, Slot::Pinned(routed)) {
-            Slot::Pinned(_) => Ok(Routed::Pinned { parked: None }),
-            Slot::Parked(total) => Ok(Routed::Pinned {
-                parked: Some(total),
-            }),
-        }
+        let parked = match *slot {
+            Slot::Pinned(t) if alive(t) => return Routed::Follow(t),
+            Slot::Pinned(_) => None,
+            Slot::Parked(total) => Some(total),
+        };
+        *slot = Slot::Pinned(routed);
+        Routed::Pinned { parked }
     }
 
     /// The close of wave `key` (carrying `total`) looks for the wave: alive
-    /// pin ⇒ deliver there; no pin, or a dead pin on a fresh wave (which is
-    /// un-pinned) ⇒ park; dead pin with partial state ⇒ `Err(thread)`.
-    pub fn close(
-        &mut self,
-        key: &WaveKey,
-        total: u32,
-        alive: impl Fn(u32) -> bool,
-        fresh: impl FnOnce() -> bool,
-    ) -> std::result::Result<CloseTo, u32> {
+    /// pin ⇒ deliver there; no pin, or a dead one (which is dropped) ⇒ park.
+    pub fn close(&mut self, key: &WaveKey, total: u32, alive: impl Fn(u32) -> bool) -> CloseTo {
         match self.0.get(key) {
-            Some(&Slot::Pinned(t)) if alive(t) => return Ok(CloseTo::Deliver(t)),
-            Some(&Slot::Pinned(t)) if !fresh() => return Err(t),
-            _ => {}
+            Some(&Slot::Pinned(t)) if alive(t) => CloseTo::Deliver(t),
+            _ => {
+                self.0.insert(key.clone(), Slot::Parked(total));
+                CloseTo::Parked
+            }
         }
-        self.0.insert(key.clone(), Slot::Parked(total));
-        Ok(CloseTo::Parked)
     }
 
-    /// The wave completed (or is lost): forget it.
+    /// `thread` gave wave `key` up: drop the pin, unless the wave has moved
+    /// on to another thread since.
+    fn unpin(&mut self, key: &WaveKey, thread: u32) {
+        if matches!(self.0.get(key), Some(&Slot::Pinned(t)) if t == thread) {
+            self.0.remove(key);
+        }
+    }
+
+    /// The wave completed: forget it.
     pub fn remove(&mut self, key: &WaveKey) {
         self.0.remove(key);
     }
@@ -660,22 +647,15 @@ pub trait Substrate {
     fn pins<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Pins) -> R) -> R;
     /// The flow table of `graph`, under its lock for the length of `f`.
     fn flows<R>(&self, app: u32, graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R;
-    /// Whether wave `key`, pinned on a dead thread, consumed nothing there.
-    fn fresh(&self, app: u32, graph: u32, key: &WaveKey) -> bool;
     /// Rule 6 for a token of wave `key` that its route sent to thread
     /// `routed` of collection `tc`: [`Pins::route`] on the graph's table. A
     /// substrate may answer [`Routed::Follow`] from what the table told it
     /// before, as long as the table would say the same now.
-    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> std::result::Result<Routed, u32> {
+    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> Routed {
         self.pins(to.app, to.graph, |pins| {
             route_pin(self, pins, to, tc, key, routed)
         })
     }
-    /// Wave `key` was just pinned by the token being delivered; `parked` is
-    /// a total that waited for that. A substrate that keeps a wave's record
-    /// where it routes enters it now and counts the total in place; any
-    /// other hands the total back, to be sent there ahead of the token.
-    fn pinned(&mut self, to: At, key: WaveKey, parked: Option<u32>) -> Result<Option<u32>>;
     /// Move a token or a close from cluster node `src` to `thread` of `to`'s
     /// collection (alive when checked). No table is borrowed.
     fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope);
@@ -707,7 +687,7 @@ pub trait Substrate {
 }
 
 /// [`Pins::route`] on `pins`, the table of `to`'s graph, as substrate `s`
-/// sees liveness and freshness: the whole of the provided [`Substrate::pin`].
+/// sees liveness: the whole of the provided [`Substrate::pin`].
 pub fn route_pin<S: Substrate + ?Sized>(
     s: &S,
     pins: &mut Pins,
@@ -715,10 +695,8 @@ pub fn route_pin<S: Substrate + ?Sized>(
     tc: u32,
     key: &WaveKey,
     routed: u32,
-) -> std::result::Result<Routed, u32> {
-    let At { app, graph, .. } = to;
-    let alive = |t| s.node_up(s.decls().host(app, tc, t));
-    pins.route(key, routed, alive, || s.fresh(app, graph, key))
+) -> Routed {
+    pins.route(key, routed, |t| s.node_up(s.decls().host(to.app, tc, t)))
 }
 
 fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
@@ -761,47 +739,70 @@ pub fn step(
     Ok(out)
 }
 
-/// Deliver `token` to node `to`: route it to a thread (a one-thread
-/// collection takes no load snapshot — routing there is forced), follow or
-/// set the wave's pin (rule 6), and hand it to the substrate. Work bound to
-/// a dead node that cannot move fails the run `NodeDown`.
-pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, env: Envelope) {
+/// Route `token` to one of the `thread_count` threads of `to`'s collection
+/// `tc`, on a load snapshot taken now (a one-thread collection takes none —
+/// routing there is forced), and follow or set the wave's pin (rule 6): a
+/// total that was parked for the wave rides on, on the token's own frame.
+/// `None` when the route failed the run.
+#[inline]
+fn route_to<S: Substrate>(
+    s: &mut S,
+    to: At,
+    (tc, thread_count): (u32, usize),
+    token: &dyn Token,
+    env: &mut Envelope,
+    key: Option<&WaveKey>,
+) -> Option<u32> {
+    let load = (thread_count > 1).then(|| s.load(to.app, tc));
+    let info = RouteInfo {
+        thread_count,
+        load: load.as_deref(),
+    };
+    let routed = s.route(to, token, &info);
+    let thread = routed.map_err(|e| s.fail(to.app, e)).ok()? as u32;
+    let Some(key) = key else { return Some(thread) };
+    Some(match s.pin(to, tc, key, thread) {
+        Routed::Follow(pinned) => pinned,
+        Routed::Pinned { parked: None } => thread,
+        Routed::Pinned { parked } => {
+            env.frames.last_mut().expect("keyed by it").total = parked;
+            thread
+        }
+    })
+}
+
+/// Deliver `token` to node `to`: route it to a thread and hand it to the
+/// substrate. Work bound to a dead node that cannot move fails the run
+/// `NodeDown`.
+pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut env: Envelope) {
     let At { app, graph, node } = to;
     let (tc, kind) = {
         let n = s.decls().def(app, graph).node(node);
         (n.tc, n.kind)
     };
-    let thread_count = s.decls().threads(app, tc);
-    let load = (thread_count > 1).then(|| s.load(app, tc));
-    let info = RouteInfo {
-        thread_count,
-        load: load.as_deref(),
+    let key = matches!(kind, OpKind::Merge | OpKind::Stream)
+        .then(|| env.wave_key().expect("validated: merges are under a split"));
+    let threads = (tc, s.decls().threads(app, tc));
+    let Some(mut thread) = route_to(s, to, threads, token.as_ref(), &mut env, key.as_ref()) else {
+        return;
     };
-    let mut thread = match s.route(to, token.as_ref(), &info) {
-        Ok(i) => i as u32,
-        Err(e) => return s.fail(app, e),
-    };
-    if matches!(kind, OpKind::Merge | OpKind::Stream) {
-        let key = env.wave_key().expect("validated: merges are under a split");
-        match s.pin(to, tc, &key, thread) {
-            Ok(Routed::Follow(pinned)) => thread = pinned,
-            Ok(Routed::Pinned { parked }) => match s.pinned(to, key, parked) {
-                Ok(Some(total)) => {
-                    let mut ahead = env.clone();
-                    ahead.frames.last_mut().expect("keyed above").total = Some(total);
-                    s.send(to, thread, src, Arrival::Close(total), ahead);
-                }
-                Ok(None) => {}
-                Err(e) => return s.fail(app, e),
-            },
-            Err(dead) => return s.fail(app, node_down(s, to, tc, dead)),
-        }
-    }
-    let dst = s.decls().host(app, tc, thread);
+    let mut dst = s.decls().host(app, tc, thread);
     if !s.node_up(dst) {
-        // The route insisted on a dead thread (stateful affinity, or the
-        // whole collection is down): the work cannot be re-queued.
-        return s.fail(app, node_down(s, to, tc, thread));
+        // The thread was picked from a snapshot older than its node's death,
+        // or is a pin that died since it was looked up: route once more, on
+        // a snapshot taken now (a dead pin moves).
+        if threads.1 > 1 {
+            match route_to(s, to, threads, token.as_ref(), &mut env, key.as_ref()) {
+                Some(again) => thread = again,
+                None => return,
+            }
+            dst = s.decls().host(app, tc, thread);
+        }
+        if !s.node_up(dst) {
+            // The route insists on a dead thread (stateful affinity, or the
+            // whole collection is down): the work cannot be re-queued.
+            return s.fail(app, node_down(s, to, tc, thread));
+        }
     }
     let token = match s.enforce_serialization() && src != dst {
         true => match wire_roundtrip(token.as_ref(), s.decls().registry(app)) {
@@ -829,49 +830,60 @@ pub fn emit<S: Substrate>(s: &mut S, mut from: At, src: u32, token: TokenBox, mu
 }
 
 /// Hand the close of the wave `env` names to the thread the wave is pinned
-/// on, or park it until it has one (rule 6). `false` when the wave's
-/// partial state died with its node — the run fails `NodeDown`.
-pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total: u32) -> bool {
+/// on, or park it until a token pins the wave and takes it along (rule 6).
+pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total: u32) {
     let key = env
         .wave_key()
         .expect("close envelopes carry the wave frame");
     let node = match close_node(s.decls().def(app, graph), &key) {
         Ok(n) => n,
-        Err(e) => {
-            s.fail(app, e);
-            return false;
-        }
+        Err(e) => return s.fail(app, e),
     };
-    let to = At { app, graph, node };
     let tc = s.decls().def(app, graph).node(node).tc;
     let alive = |t| s.node_up(s.decls().host(app, tc, t));
-    let found = s.pins(app, graph, |pins| {
-        pins.close(&key, total, alive, || s.fresh(app, graph, &key))
-    });
-    match found {
+    let found = s.pins(app, graph, |pins| pins.close(&key, total, alive));
+    if let CloseTo::Deliver(thread) = found {
         // A close is control info of the wave's own node: never on a wire.
-        Ok(CloseTo::Deliver(thread)) => {
-            let host = s.decls().host(app, tc, thread);
-            s.send(to, thread, host, Arrival::Close(total), env)
-        }
-        Ok(CloseTo::Parked) => {}
-        Err(dead) => {
-            s.fail(app, node_down(s, to, tc, dead));
-            return false;
-        }
+        let host = s.decls().host(app, tc, thread);
+        let to = At { app, graph, node };
+        s.send(to, thread, host, Arrival::Close(total), env)
     }
-    true
 }
 
 /// An arrival stranded on a dead node goes back to the router: a token is
-/// delivered again (a fresh wave's first one re-pins it), a close follows
-/// its wave or parks. `false` when it cannot move (`NodeDown` was raised).
-pub fn reroute<S: Substrate>(s: &mut S, to: At, src: u32, what: Arrival, env: Envelope) -> bool {
+/// delivered again (the first one of its wave re-pins it), a close follows
+/// its wave or parks.
+pub fn reroute<S: Substrate>(s: &mut S, to: At, src: u32, what: Arrival, env: Envelope) {
     match what {
         Arrival::Token(token) => deliver(s, to, src, token, env),
-        Arrival::Close(total) => return close(s, to.app, to.graph, env, total),
+        Arrival::Close(total) => close(s, to.app, to.graph, env, total),
     }
-    true
+}
+
+/// Rule 6, the loss: the node of thread `thread` died, and `lane` — its
+/// instances — dies with it. A wave it counted a token of is lost: the run
+/// fails `NodeDown`. A wave it counted none of moves, and a total it had
+/// heard goes back through [`close`] — to follow the new pin, or to park.
+/// Either way the wave is un-pinned, so a pin still found on a dead thread
+/// is a wave nothing was consumed of.
+pub fn lose<S: Substrate>(s: &mut S, app: u32, thread: u32, lane: Instances) {
+    // No rule reads a table in iteration order: by wave id.
+    let mut waves: Vec<_> = lane.waves.into_iter().collect();
+    waves.sort_by_key(|(key, _)| key.wave);
+    for (key, wave) in waves {
+        s.pins(app, wave.graph, |pins| pins.unpin(&key, thread));
+        if wave.received > 0 {
+            let at = At {
+                app,
+                graph: wave.graph,
+                node: wave.node,
+            };
+            let tc = s.decls().def(app, wave.graph).node(wave.node).tc;
+            s.fail(app, node_down(s, at, tc, thread));
+        } else if let (Some(total), Some(env)) = (wave.expected, wave.closed_under) {
+            close(s, app, wave.graph, env, total);
+        }
+    }
 }
 
 /// Release what flow `key` may release now; each post goes through [`emit`].
@@ -961,12 +973,14 @@ pub struct WaveStep {
     pub consumed: bool,
 }
 
-impl Wave {
-    /// Rule 1 for one arrival at `at`, on cluster node `src`: count it into
-    /// this wave (`key`, the top frame of `env`). `None` when a close finds
-    /// data objects still missing — the finalize waits for them; else the
-    /// token to consume, if one arrived, and the step [`after_wave`] takes
-    /// over once [`step`] ran.
+impl Instances {
+    /// Rule 1 for one arrival at `at`, on this thread of cluster node `src`:
+    /// find the record of the wave `env` names on its top frame, or enter it
+    /// — only then is the key cloned and `out_wave` asked for the id the
+    /// wave's stream output travels under — and count the arrival in. `None`
+    /// when a close finds data objects still missing — the finalize waits for
+    /// them; else the wave, the token to consume, if one arrived, and the
+    /// step [`after_wave`] takes over once [`step`] ran.
     #[inline]
     pub fn arrive(
         &mut self,
@@ -975,23 +989,34 @@ impl Wave {
         name: &str,
         what: Arrival,
         mut env: Envelope,
-        key: WaveKey,
-    ) -> Result<Option<(Option<TokenBox>, WaveStep)>> {
-        let frame = env.pop().expect("validated depth >= 1");
+        out_wave: impl FnOnce() -> u64,
+    ) -> Result<Option<(&mut Wave, Option<TokenBox>, WaveStep)>> {
+        let key = env.wave_key().expect("validated depth >= 1");
+        if !self.waves.contains_key(&key) {
+            let entered = Wave::new(at.graph, at.node, out_wave());
+            self.waves.insert(key.clone(), entered);
+        }
+        let wave = self.waves.get_mut(&key).expect("entered above");
+        let frame = env.pop().expect("keyed by it");
         let (token, completes) = match what {
-            Arrival::Token(token) => (Some(token), self.admit(frame.total, name)?),
-            Arrival::Close(total) => (None, self.close(total, name)?),
+            Arrival::Token(token) => (Some(token), wave.admit(frame.total, name)?),
+            Arrival::Close(total) if wave.close(total, name)? => (None, true),
+            Arrival::Close(_) => {
+                env.push(frame);
+                wave.closed_under = Some(env);
+                return Ok(None);
+            }
         };
         let step = WaveStep {
             at,
             src,
             key,
             parent_env: env,
-            out_wave: self.out_wave,
+            out_wave: wave.out_wave,
             completes,
             consumed: token.is_some(),
         };
-        Ok((step.consumed || completes).then_some((token, step)))
+        Ok(Some((wave, token, step)))
     }
 }
 

@@ -713,6 +713,19 @@ fn wave_close_follows_a_fresh_wave_off_a_dead_node() {
     assert_eq!(eng.queued_deliveries(), 0);
 }
 
+/// The wave's close has landed on node1 and been counted there while the
+/// wave's one token is still on its way (the first transfer to a node pays
+/// the connection set-up), then node1 dies. Nothing was consumed, so the wave
+/// moves — and the total node1 had heard moves with it.
+#[test]
+fn a_wave_that_only_heard_its_close_moves_off_a_dead_node() {
+    let (outcome, eng, outputs) = close_meets_dead_pin(&[0, 0], 1_000);
+    outcome.expect("a wave nothing was consumed of moves, with its total");
+    assert_eq!(outputs, 1);
+    assert_eq!(eng.requeued(), 1, "the token alone: the close had run");
+    assert_eq!(eng.queued_deliveries(), 0);
+}
+
 /// Same shape, but node1 dies after it consumed the wave's first token and
 /// before the close: the wave's partial state is gone, which is `NodeDown`
 /// naming the node and the merge — as a late *token* of that wave gets.

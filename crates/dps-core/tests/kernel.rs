@@ -126,7 +126,6 @@ proptest! {
     ) {
         let how = if inline { Total::Inline } else { Total::CloseAfter(close_at % (n + 1)) };
         let mut wave = Wave::new(0, MERGE, 0);
-        prop_assert!(wave.is_fresh());
         let mut completions = Vec::new();
         for (arrived, &token) in shuffled(n, &keys).iter().enumerate() {
             if let Total::CloseAfter(k) = how {
@@ -139,7 +138,6 @@ proptest! {
                 _ => None,
             };
             completions.push(wave.admit(inline_total, "merge").unwrap());
-            prop_assert!(!wave.is_fresh());
         }
         if let Total::CloseAfter(k) = how {
             if k == n {
@@ -307,45 +305,43 @@ proptest! {
         prop_assert!(exit.is_flushed() && !exit.is_drained());
     }
 
-    /// (d) Rule 6, the table. `alive`/`fresh` are what the engine observes.
+    /// (d) Rule 6, the table. `alive` is what the engine observes; a dead pin
+    /// always moves — what its thread had consumed is the loss rule's.
     #[test]
     fn the_pin_and_close_rule_table(pinned in 0u32..8, routed in 0u32..8, total in 1u32..99) {
         let k = key(4);
         let up = |_: u32| true;
         let down = |_: u32| false;
-        let unasked = || -> bool { panic!("freshness only matters for a dead pin") };
         let pin = || {
             let mut pins = Pins::default();
-            let first = pins.route(&k, pinned, up, unasked);
-            assert_eq!(first, Ok(Routed::Pinned { parked: None }), "first-routed pins");
+            let first = pins.route(&k, pinned, up);
+            assert_eq!(first, Routed::Pinned { parked: None }, "first-routed pins");
             pins
         };
 
         // Token rows.
-        prop_assert_eq!(pin().route(&k, routed, up, unasked), Ok(Routed::Follow(pinned)));
+        prop_assert_eq!(pin().route(&k, routed, up), Routed::Follow(pinned));
         let mut pins = pin();
-        let moved = pins.route(&k, routed, down, || true);
-        prop_assert_eq!(moved, Ok(Routed::Pinned { parked: None }), "dead + fresh: re-pin");
-        prop_assert_eq!(pins.route(&k, pinned, up, unasked), Ok(Routed::Follow(routed)));
-        prop_assert_eq!(pin().route(&k, routed, down, || false), Err(pinned), "dead + partial");
+        let moved = pins.route(&k, routed, down);
+        prop_assert_eq!(moved, Routed::Pinned { parked: None }, "dead pin: re-pin");
+        prop_assert_eq!(pins.route(&k, pinned, up), Routed::Follow(routed));
 
         // Close rows.
-        prop_assert_eq!(pin().close(&k, total, up, unasked), Ok(CloseTo::Deliver(pinned)));
-        prop_assert_eq!(pin().close(&k, total, down, || false), Err(pinned), "dead + partial");
+        prop_assert_eq!(pin().close(&k, total, up), CloseTo::Deliver(pinned));
         let mut early = Pins::default();
-        prop_assert_eq!(early.close(&k, total, up, unasked), Ok(CloseTo::Parked), "no pin yet");
+        prop_assert_eq!(early.close(&k, total, up), CloseTo::Parked, "no pin yet");
         let mut unpinned = pin();
-        let parked = unpinned.close(&k, total, down, || true);
-        prop_assert_eq!(parked, Ok(CloseTo::Parked), "dead + fresh: un-pin and park");
+        let parked = unpinned.close(&k, total, down);
+        prop_assert_eq!(parked, CloseTo::Parked, "dead pin: un-pin and park");
         for mut pins in [early, unpinned] {
             // The next token pins the wave and picks the parked total up, once.
-            let picked = pins.route(&k, routed, down, unasked);
-            prop_assert_eq!(picked, Ok(Routed::Pinned { parked: Some(total) }));
-            prop_assert_eq!(pins.route(&k, pinned, up, unasked), Ok(Routed::Follow(routed)));
+            let picked = pins.route(&k, routed, down);
+            prop_assert_eq!(picked, Routed::Pinned { parked: Some(total) });
+            prop_assert_eq!(pins.route(&k, pinned, up), Routed::Follow(routed));
             // Other waves are other rows.
-            prop_assert_eq!(pins.route(&key(5), pinned, up, unasked), Ok(Routed::Pinned { parked: None }));
+            prop_assert_eq!(pins.route(&key(5), pinned, up), Routed::Pinned { parked: None });
             pins.remove(&k);
-            prop_assert_eq!(pins.route(&k, pinned, up, unasked), Ok(Routed::Pinned { parked: None }));
+            prop_assert_eq!(pins.route(&k, pinned, up), Routed::Pinned { parked: None });
         }
     }
 }
@@ -653,6 +649,9 @@ struct Fake {
     /// Each thread's op instances and the waves it consumes.
     lanes: Vec<Instances>,
     dead: Vec<bool>,
+    /// A node that dies inside the next `route` hook: after the snapshot the
+    /// route decides on was taken, before the destination is checked.
+    dies_in_route: Option<usize>,
     window: u32,
     /// Wave and call ids.
     ids: u64,
@@ -680,6 +679,9 @@ impl Substrate for Fake {
         self.queues.iter().zip(&self.dead).map(load).collect()
     }
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
+        if let Some(node) = self.dies_in_route.take() {
+            self.kill(node);
+        }
         let name = &self.decls.def(to.app, 0).node(to.node).name;
         self.routes[to.app as usize][to.node.0 as usize].route_dyn(token, info, name)
     }
@@ -699,13 +701,6 @@ impl Substrate for Fake {
     }
     fn flows<R>(&self, app: u32, _graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
         f(&mut self.flows[app as usize].borrow_mut())
-    }
-    fn fresh(&self, _app: u32, _graph: u32, key: &WaveKey) -> bool {
-        let fresh = |lane: &Instances| lane.waves.get(key).is_none_or(Wave::is_fresh);
-        self.lanes.iter().all(fresh)
-    }
-    fn pinned(&mut self, _: At, _: WaveKey, parked: Option<u32>) -> Result<Option<u32>> {
-        Ok(parked)
     }
     fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
         self.queues[thread as usize].push_back((to, what, env));
@@ -764,6 +759,7 @@ impl Fake {
             queues: (0..THREADS).map(|_| VecDeque::new()).collect(),
             lanes: (0..THREADS).map(|_| Instances::default()).collect(),
             dead: vec![false; THREADS],
+            dies_in_route: None,
             window,
             ids: 0,
             calls: HashMap::new(),
@@ -818,14 +814,14 @@ impl Fake {
                 kernel::after_exec(self, &mut lane, at, src, env, tokens(out), None).map(drop)
             }
             (OpKind::Merge | OpKind::Stream, what) => {
-                let key = env.wave_key().unwrap();
                 let ids = &mut self.ids;
-                let waves = &mut self.lanes[thread].waves;
-                let wave = waves.entry(key.clone()).or_insert_with(|| {
+                let out_wave = || {
                     *ids += 1;
-                    Wave::new(at.graph, at.node, *ids)
-                });
-                let Some((token, step)) = wave.arrive(at, src, &gnode.name, what, env, key)? else {
+                    *ids
+                };
+                let arrived =
+                    self.lanes[thread].arrive(at, src, &gnode.name, what, env, out_wave)?;
+                let Some((wave, token, step)) = arrived else {
                     return Ok(());
                 };
                 let served = Served::Wave(wave);
@@ -841,10 +837,13 @@ impl Fake {
         }
     }
 
-    /// Kill cluster node `node` the way the simulator does: what its thread
-    /// had queued goes back to the router, tokens first, closes after.
+    /// Kill cluster node `node` the way the simulator does: its thread gives
+    /// its waves up, and what it had queued goes back to the router, tokens
+    /// first, closes after.
     fn kill(&mut self, node: usize) {
         self.dead[node] = true;
+        let lane = std::mem::take(&mut self.lanes[node]);
+        kernel::lose(self, 0, node as u32, lane);
         let stranded: Vec<_> = self.queues[node].drain(..).collect();
         let (tokens, closes): (Vec<_>, Vec<_>) = stranded
             .into_iter()
@@ -914,11 +913,10 @@ fn a_miscounted_reply_is_a_contract_error() {
         index: 0,
         total: Some(1),
     });
-    let key = env.wave_key().unwrap();
-    let mut wave = Wave::new(0, merge.node, 0);
     let last = Arrival::Token(post());
-    let (_, step) = wave
-        .arrive(merge, 0, "merge", last, env, key)
+    let mut lane = Instances::default();
+    let (_, _, step) = lane
+        .arrive(merge, 0, "merge", last, env, || 0)
         .unwrap()
         .unwrap();
     assert!(step.completes && step.consumed);
@@ -1000,4 +998,128 @@ proptest! {
             prop_assert_eq!(&fake.outputs, &[dps_core::serial::to_bytes(&Out { n: N })]);
         }
     }
+}
+
+/// The merge of application 0 as a delivery target, and the envelope of
+/// token `index` of a wave of the split's that was opened by hand.
+fn merge_wave_by_hand(fake: &Fake) -> (At, impl Fn(u32, Option<u32>) -> Envelope) {
+    let (split, merge) = (fake.main().entry(), fake.merge().id);
+    let at = At {
+        app: 0,
+        graph: 0,
+        node: merge,
+    };
+    let env = move |index, total| {
+        let mut env = Envelope::root();
+        env.push(Frame {
+            src: split,
+            wave: 77,
+            index,
+            total,
+        });
+        env
+    };
+    (at, env)
+}
+
+fn mid() -> TokenBox {
+    Box::new(Mid { i: 0 })
+}
+
+/// Rule 1's parking through the driver: a total that waited for its wave
+/// rides on the token that pins it, on that token's own frame — one message,
+/// not a close sent ahead of the token.
+#[test]
+fn a_parked_total_rides_on_the_token_that_pins_the_wave() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let (merge, env) = merge_wave_by_hand(&fake);
+    kernel::close(&mut fake, 0, 0, env(0, Some(3)), 3);
+    assert!(fake.queues.iter().all(VecDeque::is_empty), "parked");
+    kernel::deliver(&mut fake, merge, 0, mid(), env(0, None));
+    let queued: Vec<_> = fake.queues.iter().flatten().collect();
+    assert_eq!(queued.len(), 1, "the token alone");
+    let (at, what, env) = queued[0];
+    assert!(*at == merge && matches!(what, Arrival::Token(_)));
+    assert_eq!(env.top().unwrap().total, Some(3));
+    assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+}
+
+/// Rule 6, the loss of a wave that has only heard its close. FIFO queues
+/// never produce it by stepping (a close is sent behind the wave's first
+/// token); the simulator, whose close lands at once while tokens travel,
+/// does. The close is counted into thread 1's record while the wave's two
+/// tokens are still in flight, then node 1 dies: the record is gone, the
+/// total is parked again, the next token re-pins the wave on a live thread
+/// and takes the total along, and the wave completes there.
+#[test]
+fn a_wave_that_only_heard_its_close_survives_its_node() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let (merge, env) = merge_wave_by_hand(&fake);
+    let key = env(0, None).wave_key().unwrap();
+    let pinned = fake.pins(0, 0, |pins| pins.route(&key, 1, |_| true));
+    assert_eq!(pinned, Routed::Pinned { parked: None });
+    let close = Arrival::Close(2);
+    let heard = fake.lanes[1].arrive(merge, 1, "merge", close, env(0, Some(2)), || 9);
+    assert!(heard.unwrap().is_none(), "two tokens missing");
+
+    fake.kill(1);
+    assert!(fake.lanes[1].waves.is_empty());
+    assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+    assert!(fake.queues.iter().all(VecDeque::is_empty), "parked");
+
+    kernel::deliver(&mut fake, merge, 0, mid(), env(0, None));
+    let home = fake.queues.iter().position(|q| !q.is_empty()).unwrap();
+    assert_ne!(home, 1, "re-pinned on a live thread");
+    assert_eq!(fake.queues[home][0].2.top().unwrap().total, Some(2));
+    kernel::deliver(&mut fake, merge, 0, mid(), env(1, None));
+    assert_eq!(fake.queues[home].len(), 2, "the second token follows");
+    while fake.step() {}
+    assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+    assert_eq!(fake.outputs, [dps_core::serial::to_bytes(&Out { n: 2 })]);
+    assert!(fake.lanes.iter().all(|lane| lane.waves.is_empty()));
+    assert!(fake.pins[0].borrow().is_empty());
+}
+
+/// `deliver` routes on a load snapshot. A node that dies after the snapshot
+/// was taken and before the destination is checked — inside the `route` hook
+/// here — is routed around on a second snapshot: a leaf token lands on a
+/// live thread, a merge token re-pins its wave there, and no error is raised.
+/// A route that insists on the dead thread still fails the run `NodeDown`.
+#[test]
+fn a_node_that_dies_under_the_load_snapshot_is_routed_around() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let (merge, env) = merge_wave_by_hand(&fake);
+    let is_leaf = |n: &&dps_core::GraphNode| n.kind == OpKind::Leaf;
+    let leaf = At {
+        node: fake.main().nodes().iter().find(is_leaf).unwrap().id,
+        ..merge
+    };
+    // With nothing queued the least loaded thread is 0, then 1.
+    fake.dies_in_route = Some(0);
+    kernel::deliver(&mut fake, leaf, 2, mid(), env(0, None));
+    assert!(fake.dead[0] && fake.errors.is_empty(), "{:?}", fake.errors);
+    let depths = |fake: &Fake| fake.queues.iter().map(VecDeque::len).collect::<Vec<_>>();
+    assert_eq!(depths(&fake), [0, 1, 0]);
+
+    fake.dies_in_route = Some(2);
+    fake.queues[1].clear();
+    fake.queues[1].push_back((leaf, Arrival::Token(mid()), env(0, None)));
+    fake.queues[1].push_back((leaf, Arrival::Token(mid()), env(0, None)));
+    // Thread 2 is the least loaded live one until it dies under the route.
+    kernel::deliver(&mut fake, merge, 1, mid(), env(0, None));
+    assert!(fake.dead[2] && fake.errors.is_empty(), "{:?}", fake.errors);
+    assert_eq!(depths(&fake), [0, 3, 0]);
+    kernel::deliver(&mut fake, merge, 1, mid(), env(1, Some(2)));
+    assert_eq!(fake.queues[1].len(), 4, "the wave is pinned where it moved");
+
+    // The split's route is `ToThread(0)`, whatever the snapshot says.
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    fake.dies_in_route = Some(0);
+    fake.inject(1);
+    let down = DpsError::NodeDown {
+        node: "node0".into(),
+        target: fake.main().node(fake.main().entry()).name.clone(),
+    };
+    assert_eq!(fake.errors, [down]);
+    assert!(fake.queues.iter().all(VecDeque::is_empty));
 }

@@ -19,7 +19,7 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, Flow, FlowKey, Flows, IdMap, Instances, Pins, Routed, Served,
-    Substrate, Wave, WaveStep,
+    Substrate, WaveStep,
 };
 use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
@@ -433,14 +433,14 @@ pub(crate) fn worker_loop(
         };
         if !dead && shared.node_dead(node) {
             // The node was killed: become a tombstone. The thread stays
-            // alive so late sends never hit a closed channel; it abandons
-            // its partial wave state and from now on re-routes everything
+            // alive so late sends never hit a closed channel; it gives its
+            // waves up (kernel rule 6) and from now on re-routes everything
             // it drains to live threads. What was already shipped is
             // finished first (a dead host fails those waits at once), so
             // no phase 2 finds its wave gone.
             finish_all(shared, &mut w, &mut inflight);
             dead = true;
-            abandon_waves(shared, &mut w);
+            give_up(shared, &mut w);
         }
         let (at, what, env) = match msg {
             Msg::Stop => {
@@ -538,24 +538,15 @@ fn finish_all(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
     }
 }
 
-/// A worker whose node was killed enters tombstone mode: every wave this
-/// thread had heard of is unrecoverable (its op instance and counts die
-/// here) and surfaces as [`DpsError::NodeDown`]; its pin is removed, so what
-/// is still pinned on a dead node afterwards is a wave nothing was consumed
-/// of — the one kind that can move (kernel rule 6).
-fn abandon_waves(shared: &Shared, w: &mut Worker) {
-    let inst = std::mem::take(&mut w.inst);
-    for (key, wave) in inst.waves {
-        let target = shared.decls.def(w.app, wave.graph).node(wave.node);
+/// A tombstone gives its waves up; none stays noted before a pin table.
+#[cold]
+fn give_up(mut shared: &Shared, w: &mut Worker) {
+    let lane = std::mem::take(&mut w.inst);
+    for (key, wave) in &lane.waves {
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
-        g.pins.lock().remove(&key);
         g.followed.forget(key.wave);
-        let down = DpsError::NodeDown {
-            node: shared.decls.node_name(w.node).to_string(),
-            target: target.name.clone(),
-        };
-        send_error(shared, w.app, down);
     }
+    kernel::lose(&mut shared, w.app, w.thread, lane);
 }
 
 fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
@@ -644,16 +635,15 @@ fn begin_wave(
 ) -> Result<Begun, DpsError> {
     let gnode = shared.decls.def(w.app, at.graph).node(at.node);
     let info = exec_info(shared, w);
-    let key = env.wave_key().expect("validated depth >= 1");
-    let wave = w.inst.waves.entry(key.clone()).or_insert_with(|| {
-        let out_wave = shared.wave_counter.fetch_add(1, Ordering::Relaxed);
-        Wave::new(at.graph, at.node, out_wave)
-    });
     // The remote side re-derives the wave identity from the envelope, so it
     // is sent the frame `arrive` pops.
     let task_env = w.remote.is_some().then(|| env.clone());
+    let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
     // The wave stays in the table until phase 2 removes it.
-    let Some((token, step)) = wave.arrive(at, w.node, &gnode.name, arrival, env, key)? else {
+    let arrived = w
+        .inst
+        .arrive(at, w.node, &gnode.name, arrival, env, out_wave)?;
+    let Some((wave, token, step)) = arrived else {
         // The finalize waits for the remaining data objects.
         return Ok(Begun::Finished);
     };
@@ -763,34 +753,22 @@ impl Substrate for &Shared {
         f(&mut self.apps[app as usize].graphs[graph as usize].flows.lock())
     }
 
-    /// Tombstones raise `NodeDown` for the waves they held state for and
-    /// remove their pins, so a pin still on a dead node is a fresh wave's.
-    fn fresh(&self, _app: u32, _graph: u32, _key: &WaveKey) -> bool {
-        true
-    }
-
     /// The wave noted in front of the table is followed without the table's
     /// lock while its thread's node is up; anything else — another wave, a
-    /// fresh one, a dead pin — asks the table, and what it says is noted.
-    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> Result<Routed, u32> {
+    /// new one, a dead pin — asks the table, and what it says is noted.
+    fn pin(&self, to: At, tc: u32, key: &WaveKey, routed: u32) -> Routed {
         let g = &self.apps[to.app as usize].graphs[to.graph as usize];
         let up = |t: &u32| !self.node_dead(self.decls.host(to.app, tc, *t));
         if let Some(thread) = g.followed.thread_of(key.wave).filter(up) {
-            return Ok(Routed::Follow(thread));
+            return Routed::Follow(thread);
         }
         let mut pins = g.pins.lock();
         let answer = kernel::route_pin(self, &mut pins, to, tc, key, routed);
         match answer {
-            Ok(Routed::Follow(thread)) => g.followed.note(key.wave, thread),
-            Ok(Routed::Pinned { .. }) => g.followed.note(key.wave, routed),
-            Err(_) => {}
+            Routed::Follow(thread) => g.followed.note(key.wave, thread),
+            Routed::Pinned { .. } => g.followed.note(key.wave, routed),
         }
         answer
-    }
-
-    /// The wave's record is entered by the thread that consumes it.
-    fn pinned(&mut self, _: At, _: WaveKey, parked: Option<u32>) -> dps_core::Result<Option<u32>> {
-        Ok(parked)
     }
 
     fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
@@ -972,7 +950,7 @@ mod tests {
         }
 
         /// A token of `wave` that its route sent to `routed` asks for its pin.
-        fn pin(&self, wave: u64, routed: u32) -> std::result::Result<Routed, u32> {
+        fn pin(&self, wave: u64, routed: u32) -> Routed {
             let shared: &Shared = &self.shared;
             shared.pin(self.merge, self.tc, &Self::key(wave), routed)
         }
@@ -1015,10 +993,10 @@ mod tests {
     #[test]
     fn a_followed_wave_is_answered_with_the_pin_table_locked() {
         let rig = Rig::new();
-        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(1, 1), Routed::Pinned { parked: None });
         let held = rig.g().pins.lock();
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
-        assert_eq!(rig.pin(1, 1), Ok(Routed::Follow(1)));
+        assert_eq!(rig.pin(1, 0), Routed::Follow(1));
+        assert_eq!(rig.pin(1, 1), Routed::Follow(1));
         drop(held);
     }
 
@@ -1026,12 +1004,12 @@ mod tests {
     #[test]
     fn another_wave_and_a_removed_one_ask_the_table() {
         let mut rig = Rig::new();
-        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
-        assert_eq!(rig.pin(2, 0), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(1, 1), Routed::Pinned { parked: None });
+        assert_eq!(rig.pin(2, 0), Routed::Pinned { parked: None });
         // The table has both; the word has the later one, and wave 1's next
         // token is a miss that the table answers.
         assert_eq!(rig.g().followed.thread_of(1), None);
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
+        assert_eq!(rig.pin(1, 0), Routed::Follow(1));
         assert_eq!(rig.g().followed.thread_of(1), Some(1));
 
         // Wave 1 completes on its thread: `wave_done`, then the kernel's
@@ -1053,7 +1031,7 @@ mod tests {
         shared.wave_done(&mut lane, rig.merge, &Rig::key(1));
         shared.pins(rig.merge.app, rig.merge.graph, |p| p.remove(&Rig::key(1)));
         assert_eq!(rig.g().followed.thread_of(1), None);
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(1, 0), Routed::Pinned { parked: None });
         rig.eng.shutdown();
     }
 
@@ -1063,19 +1041,19 @@ mod tests {
     #[test]
     fn a_dead_pin_is_never_followed() {
         let mut rig = Rig::new();
-        assert_eq!(rig.pin(1, 1), Ok(Routed::Pinned { parked: None }));
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(1)));
+        assert_eq!(rig.pin(1, 1), Routed::Pinned { parked: None });
+        assert_eq!(rig.pin(1, 0), Routed::Follow(1));
         let fail = rig.eng.fail_handle();
         fail.fail_node(1).unwrap();
         assert_eq!(rig.g().followed.thread_of(1), None, "dropped by fail_node");
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(rig.pin(1, 0), Routed::Pinned { parked: None });
         for routed in [1, 0, 1] {
-            assert_eq!(rig.pin(1, routed), Ok(Routed::Follow(0)));
+            assert_eq!(rig.pin(1, routed), Routed::Follow(0));
         }
         // Even a note that names the tombstone (one set by a delivery that
         // looked the thread up just before the node died) is refused.
         rig.g().followed.note(1, 1);
-        assert_eq!(rig.pin(1, 0), Ok(Routed::Follow(0)));
+        assert_eq!(rig.pin(1, 0), Routed::Follow(0));
         assert_eq!(rig.g().followed.thread_of(1), Some(0));
     }
 
@@ -1084,11 +1062,11 @@ mod tests {
     #[test]
     fn two_engines_do_not_share_a_word() {
         let (a, b) = (Rig::new(), Rig::new());
-        assert_eq!(a.pin(1, 1), Ok(Routed::Pinned { parked: None }));
+        assert_eq!(a.pin(1, 1), Routed::Pinned { parked: None });
         assert_eq!(b.g().followed.thread_of(1), None);
-        assert_eq!(b.pin(1, 0), Ok(Routed::Pinned { parked: None }));
-        assert_eq!(a.pin(1, 0), Ok(Routed::Follow(1)));
-        assert_eq!(b.pin(1, 1), Ok(Routed::Follow(0)));
+        assert_eq!(b.pin(1, 0), Routed::Pinned { parked: None });
+        assert_eq!(a.pin(1, 0), Routed::Follow(1));
+        assert_eq!(b.pin(1, 1), Routed::Follow(0));
     }
 
     /// A whole run leaves the word empty, as it leaves the tables.

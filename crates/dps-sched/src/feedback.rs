@@ -15,9 +15,9 @@
 //! cross-worker cache-line traffic. All folding (rate estimation, trimming,
 //! recency weighting, normalization) happens on the **read side**
 //! ([`weights`](FeedbackBoard::weights) runs once per scheduling wave, not
-//! once per chunk) and reproduces the pre-sharding implementation
-//! ([`LegacyFeedbackBoard`](crate::legacy::LegacyFeedbackBoard)) bit for
-//! bit — property-tested in `tests/proptest_feedback.rs`.
+//! once per chunk) and reproduces the pre-sharding mutex-based
+//! implementation bit for bit — property-tested against that board, kept as
+//! the oracle of `tests/proptest_feedback.rs`.
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -25,10 +25,10 @@ use std::sync::OnceLock;
 use crate::policy::PolicyKind;
 
 /// Per-worker chunk samples kept for the sample-based estimators.
-pub(crate) const MAX_SAMPLES: usize = 64;
+const MAX_SAMPLES: usize = 64;
 
 /// Per-worker batch totals kept for the batch-weighted estimator.
-pub(crate) const MAX_BATCHES: usize = 32;
+const MAX_BATCHES: usize = 32;
 
 /// Where engines deliver per-chunk completion reports.
 ///
@@ -103,10 +103,7 @@ pub enum RateEstimator {
 }
 
 /// Trimmed-mean rate over `(iters, secs)` measurements.
-pub(crate) fn trimmed_rate<'a>(
-    samples: impl Iterator<Item = &'a (f64, f64)>,
-    trim: f64,
-) -> Option<f64> {
+fn trimmed_rate<'a>(samples: impl Iterator<Item = &'a (f64, f64)>, trim: f64) -> Option<f64> {
     let mut sorted: Vec<f64> = samples
         .filter(|&&(iters, secs)| secs > 0.0 && iters > 0.0)
         .map(|&(iters, secs)| iters / secs)
@@ -127,9 +124,7 @@ pub(crate) fn trimmed_rate<'a>(
 /// arrival order: measurement `j` (0-based) carries weight `j + 1`, so
 /// `rate = Σ (j+1)·iters_j / Σ (j+1)·secs_j` — the AWF-B/AWF-C
 /// weighted-performance formula.
-pub(crate) fn recency_weighted_rate<'a>(
-    measurements: impl Iterator<Item = &'a (f64, f64)>,
-) -> Option<f64> {
+fn recency_weighted_rate<'a>(measurements: impl Iterator<Item = &'a (f64, f64)>) -> Option<f64> {
     let (mut wi, mut ws) = (0.0f64, 0.0f64);
     for (j, &(iters, secs)) in measurements.enumerate() {
         let w = (j + 1) as f64;
@@ -141,7 +136,7 @@ pub(crate) fn recency_weighted_rate<'a>(
 
 /// Normalize per-worker rates into weights summing to 1; unmeasured workers
 /// are assumed to run at the mean measured rate (uniform on a cold board).
-pub(crate) fn weights_from_rates(rates: Vec<Option<f64>>, workers: usize) -> Vec<f64> {
+fn weights_from_rates(rates: Vec<Option<f64>>, workers: usize) -> Vec<f64> {
     let measured: Vec<f64> = rates.iter().filter_map(|r| *r).collect();
     if measured.is_empty() {
         return vec![1.0 / workers.max(1) as f64; workers];

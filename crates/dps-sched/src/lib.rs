@@ -57,16 +57,14 @@
 //! contending) and [`FeedbackBoard`] reports are wait-free single-writer
 //! seqlock writes into per-worker cache-line-padded slots; all rate
 //! estimation folds on the infrequent read side. The pre-sharding
-//! mutex-based board survives as [`legacy::LegacyFeedbackBoard`], the
-//! baseline the differential proptest and the `bench_hotpath` benchmark
-//! compare against.
+//! mutex-based board survives under `tests/` only, as the oracle of the
+//! differential proptest.
 //!
 //! This crate is engine-independent: `dps-core`'s `ScheduledSplit`
 //! operation plugs these policies into flow graphs.
 
 mod calc;
 mod feedback;
-pub mod legacy;
 mod policy;
 pub mod remote;
 mod scheduler;

@@ -1,25 +1,65 @@
-//! The pre-sharding, mutex-based [`FeedbackBoard`](crate::FeedbackBoard)
-//! implementation, kept as the **reference baseline**:
+//! The pre-sharding, mutex-based feedback board: the oracle of the
+//! differential property test in `proptest_feedback.rs`, which asserts the
+//! sharded `FeedbackBoard` reproduces this implementation's rates, weights
+//! and statistics byte for byte over randomized report sequences.
 //!
-//! * the differential property test (`tests/proptest_feedback.rs`) asserts
-//!   the sharded board reproduces this implementation's rates, weights and
-//!   statistics byte for byte over randomized report sequences;
-//! * the `bench_hotpath` binary (dps-bench) measures report throughput
-//!   against it, so every committed `BENCH_hotpath.json` carries its own
-//!   before/after comparison.
-//!
-//! Three coarse `parking_lot::Mutex`es guard the per-worker vectors, so
-//! every [`report_chunk`](crate::FeedbackSink::report_chunk) from every
-//! worker serializes on the same cache lines — the master-side bottleneck
-//! the sharded board removes. Do not use this type in new code; it exists
-//! to keep the fast path honest.
+//! Three coarse mutexes guard the per-worker vectors, and every estimator is
+//! the plain arithmetic over plain deques. A reference does not import what
+//! it checks: the window sizes and the rate formulas are written out here.
 
 use std::collections::VecDeque;
 
+use dps_sched::{FeedbackSink, RateEstimator, WorkerStats};
 use parking_lot::Mutex;
 
-use crate::feedback::{FeedbackSink, RateEstimator, WorkerStats, MAX_BATCHES, MAX_SAMPLES};
-use crate::policy::PolicyKind;
+/// Per-worker chunk samples kept for the sample-based estimators.
+const MAX_SAMPLES: usize = 64;
+
+/// Per-worker batch totals kept for the batch-weighted estimator.
+const MAX_BATCHES: usize = 32;
+
+/// Trimmed-mean rate over `(iters, secs)` measurements.
+fn trimmed_rate<'a>(samples: impl Iterator<Item = &'a (f64, f64)>, trim: f64) -> Option<f64> {
+    let mut sorted: Vec<f64> = samples
+        .filter(|&&(iters, secs)| secs > 0.0 && iters > 0.0)
+        .map(|&(iters, secs)| iters / secs)
+        .collect();
+    if sorted.is_empty() {
+        return None;
+    }
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
+    let drop = ((sorted.len() as f64) * trim).floor() as usize;
+    let kept = &sorted[drop..sorted.len() - drop];
+    if kept.is_empty() {
+        return None;
+    }
+    Some(kept.iter().sum::<f64>() / kept.len() as f64)
+}
+
+/// Linearly recency-weighted rate over `(iters, secs)` measurements in
+/// arrival order: `rate = Σ (j+1)·iters_j / Σ (j+1)·secs_j`.
+fn recency_weighted_rate<'a>(measurements: impl Iterator<Item = &'a (f64, f64)>) -> Option<f64> {
+    let (mut wi, mut ws) = (0.0f64, 0.0f64);
+    for (j, &(iters, secs)) in measurements.enumerate() {
+        let w = (j + 1) as f64;
+        wi += w * iters;
+        ws += w * secs;
+    }
+    (ws > 0.0 && wi > 0.0).then(|| wi / ws)
+}
+
+/// Normalize per-worker rates into weights summing to 1; unmeasured workers
+/// are assumed to run at the mean measured rate (uniform on a cold board).
+fn weights_from_rates(rates: Vec<Option<f64>>, workers: usize) -> Vec<f64> {
+    let measured: Vec<f64> = rates.iter().filter_map(|r| *r).collect();
+    if measured.is_empty() {
+        return vec![1.0 / workers.max(1) as f64; workers];
+    }
+    let mean = measured.iter().sum::<f64>() / measured.len() as f64;
+    let filled: Vec<f64> = rates.into_iter().map(|r| r.unwrap_or(mean)).collect();
+    let total: f64 = filled.iter().sum();
+    filled.into_iter().map(|r| r / total).collect()
+}
 
 /// Per-worker batch accounting for [`RateEstimator::BatchWeighted`].
 #[derive(Debug, Default, Clone)]
@@ -31,9 +71,7 @@ struct BatchTrack {
     open: (f64, f64),
 }
 
-/// The coarse-grained (three-mutex) feedback board, preserved verbatim as
-/// the baseline the sharded [`FeedbackBoard`](crate::FeedbackBoard) is
-/// differential-tested and benchmarked against.
+/// The coarse-grained (three-mutex) feedback board.
 #[derive(Debug)]
 pub struct LegacyFeedbackBoard {
     stats: Mutex<Vec<WorkerStats>>,
@@ -44,18 +82,7 @@ pub struct LegacyFeedbackBoard {
     estimator: RateEstimator,
 }
 
-impl Default for LegacyFeedbackBoard {
-    fn default() -> Self {
-        Self::with_estimator(RateEstimator::Aggregate)
-    }
-}
-
 impl LegacyFeedbackBoard {
-    /// Empty board with the aggregate rate estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty board with an explicit rate estimator.
     pub fn with_estimator(estimator: RateEstimator) -> Self {
         let estimator = match estimator {
@@ -68,26 +95,6 @@ impl LegacyFeedbackBoard {
             batches: Mutex::new(Vec::new()),
             estimator,
         }
-    }
-
-    /// Empty board with the outlier-resistant trimmed-mean estimator.
-    pub fn with_trimmed_rates(trim: f64) -> Self {
-        Self::with_estimator(RateEstimator::Trimmed(trim))
-    }
-
-    /// The board an AWF-family policy expects (see
-    /// [`FeedbackBoard::for_policy`](crate::FeedbackBoard::for_policy)).
-    pub fn for_policy(kind: PolicyKind) -> Self {
-        Self::with_estimator(match kind {
-            PolicyKind::AwfB => RateEstimator::BatchWeighted,
-            PolicyKind::AwfC => RateEstimator::ChunkWeighted,
-            _ => RateEstimator::Aggregate,
-        })
-    }
-
-    /// The estimator this board was constructed with.
-    pub fn estimator(&self) -> RateEstimator {
-        self.estimator
     }
 
     /// Snapshot of the per-worker statistics (at least `workers` entries).
@@ -112,21 +119,13 @@ impl LegacyFeedbackBoard {
             RateEstimator::Trimmed(trim) => {
                 let samples = self.samples.lock();
                 (0..workers)
-                    .map(|w| {
-                        samples
-                            .get(w)
-                            .and_then(|s| crate::feedback::trimmed_rate(s.iter(), trim))
-                    })
+                    .map(|w| samples.get(w).and_then(|s| trimmed_rate(s.iter(), trim)))
                     .collect()
             }
             RateEstimator::ChunkWeighted => {
                 let samples = self.samples.lock();
                 (0..workers)
-                    .map(|w| {
-                        samples
-                            .get(w)
-                            .and_then(|s| crate::feedback::recency_weighted_rate(s.iter()))
-                    })
+                    .map(|w| samples.get(w).and_then(|s| recency_weighted_rate(s.iter())))
                     .collect()
             }
             RateEstimator::BatchWeighted => {
@@ -137,20 +136,19 @@ impl LegacyFeedbackBoard {
                     .map(|w| {
                         batches
                             .get(w)
-                            .and_then(|t| crate::feedback::recency_weighted_rate(t.closed.iter()))
+                            .and_then(|t| recency_weighted_rate(t.closed.iter()))
                     })
                     .collect()
             }
         }
     }
 
-    /// Per-worker weights, normalized to sum to 1 (see
-    /// [`FeedbackBoard::weights`](crate::FeedbackBoard::weights)).
+    /// Per-worker weights, normalized to sum to 1.
     pub fn weights(&self, workers: usize) -> Vec<f64> {
         if self.estimator == RateEstimator::BatchWeighted {
             self.roll_batches();
         }
-        crate::feedback::weights_from_rates(self.rates(workers), workers)
+        weights_from_rates(self.rates(workers), workers)
     }
 
     /// Close every worker's open batch (no-op for workers that reported

@@ -9,8 +9,10 @@
 //! moved the estimator folding to the read side, and this test pins down
 //! that the fold replays the legacy arithmetic exactly.
 
-use dps_sched::legacy::LegacyFeedbackBoard;
+mod legacy;
+
 use dps_sched::{partition_owners, FeedbackBoard, FeedbackSink, PolicyKind, RateEstimator};
+use legacy::LegacyFeedbackBoard;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
