@@ -35,6 +35,6 @@ mod timeline;
 
 pub use pool::{Pool, PoolId};
 pub use rng::SplitMix64;
-pub use sim::{EventId, RunLimit, RunStats, Sim};
+pub use sim::{RunLimit, RunStats, Sim};
 pub use time::{SimSpan, SimTime};
 pub use timeline::{MultiTimeline, Timeline};

@@ -1,14 +1,10 @@
 //! The event loop.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::pool::PoolTable;
 use crate::time::{SimSpan, SimTime};
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(pub(crate) u64);
 
 /// Callback type for events: full access to the simulation (world + clock +
 /// scheduler), so handlers can mutate state and schedule follow-up events.
@@ -24,7 +20,6 @@ struct Entry<S> {
     at: SimTime,
     key: u64,
     seq: u64,
-    id: EventId,
     f: EventFn<S>,
 }
 
@@ -97,9 +92,7 @@ pub struct Sim<S> {
     pub world: S,
     now: SimTime,
     next_seq: u64,
-    next_event: u64,
     heap: BinaryHeap<Reverse<Entry<S>>>,
-    cancelled: HashSet<EventId>,
     tie_break: Option<TieBreakFn>,
     pub(crate) pools: PoolTable<S>,
 }
@@ -111,9 +104,7 @@ impl<S> Sim<S> {
             world,
             now: SimTime::ZERO,
             next_seq: 0,
-            next_event: 0,
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             tie_break: None,
             pools: PoolTable::new(),
         }
@@ -141,9 +132,9 @@ impl<S> Sim<S> {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// Schedule `f` at absolute time `at`.
@@ -151,14 +142,12 @@ impl<S> Sim<S> {
     /// # Panics
     /// Panics if `at` is in the past — causality violations are always bugs
     /// in the model, never recoverable conditions.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<S>) + 'static) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim<S>) + 'static) {
         assert!(
             at >= self.now,
             "event scheduled in the past: at={at}, now={}",
             self.now
         );
-        let id = EventId(self.next_event);
-        self.next_event += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = match &mut self.tie_break {
@@ -169,53 +158,29 @@ impl<S> Sim<S> {
             at,
             key,
             seq,
-            id,
             f: Box::new(f),
         }));
-        id
     }
 
     /// Schedule `f` after a delay of `d`.
-    pub fn schedule_in(&mut self, d: SimSpan, f: impl FnOnce(&mut Sim<S>) + 'static) -> EventId {
+    pub fn schedule_in(&mut self, d: SimSpan, f: impl FnOnce(&mut Sim<S>) + 'static) {
         self.schedule_at(self.now + d, f)
-    }
-
-    /// Cancel a pending event. Returns `true` if the event had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_event {
-            return false;
-        }
-        // Lazy cancellation: the heap entry stays and is skipped at pop time.
-        self.cancelled.insert(id)
     }
 
     /// Fire the single next event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(Reverse(entry)) = self.heap.pop() else {
-                return false;
-            };
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "heap returned an event in the past");
-            self.now = entry.at;
-            (entry.f)(self);
-            return true;
-        }
+        let Some(Reverse(entry)) = self.heap.pop() else {
+            return false;
+        };
+        debug_assert!(entry.at >= self.now, "heap returned an event in the past");
+        self.now = entry.at;
+        (entry.f)(self);
+        true
     }
 
     /// Time of the next pending event, if any, without firing it.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        loop {
-            let Reverse(entry) = self.heap.peek()?;
-            if self.cancelled.contains(&entry.id) {
-                let Reverse(e) = self.heap.pop().unwrap();
-                self.cancelled.remove(&e.id);
-                continue;
-            }
-            return Some(entry.at);
-        }
+    pub fn peek_next_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(entry)| entry.at)
     }
 
     /// Run until the event queue drains; returns run statistics.
@@ -309,18 +274,6 @@ mod tests {
             (-1..100).collect::<Vec<_>>(),
             "a permutation, no loss"
         );
-    }
-
-    #[test]
-    fn cancellation_skips_event() {
-        let mut sim = Sim::new(0u32);
-        let a = sim.schedule_at(SimTime(1), |s| s.world += 1);
-        sim.schedule_at(SimTime(2), |s| s.world += 10);
-        assert!(sim.cancel(a));
-        assert!(!sim.cancel(a), "double-cancel reports false");
-        let stats = sim.run();
-        assert_eq!(sim.world, 10);
-        assert_eq!(stats.events, 1);
     }
 
     #[test]

@@ -125,9 +125,11 @@ pub fn blocked_lu(a: &Matrix, r: usize) -> LuFactors {
         // Steps 2 and 3 run on `lu` itself. A kernel holds its output
         // mutably and may read only rows on the other side of a split, so
         // the two blocks that share rows with an output — `L11` with
-        // `A12`, `L21` with `B` — are copied out first (as
-        // `panel_lu_blocked` does with its own `L21`); the trailing matrix
-        // itself is never copied.
+        // `A12`, `L21` with `B` — are copied out first; the trailing
+        // matrix itself is never copied. (`panel_lu_blocked` reads its own
+        // `L21` where it lies: inside the kernel a gemm may pack `A` from
+        // the rows it updates, because it packs each row panel before it
+        // writes it.)
         let (w, below) = (n - k0 - r, m - r);
         // Step 2: T12 = L11⁻¹ · A12.
         let l11 = lu.block(k0, k0, r, r);

@@ -23,10 +23,16 @@
 //!   solved rows arrive via one gemm call (`k` ascending), then the
 //!   diagonal triangle finishes the chain (`x -= l·b` and `x += (−l)·b`
 //!   are the same IEEE-754 operation).
-//! * [`panel_lu_blocked`] is right-looking with an inner column block:
-//!   pivot decisions see exactly the values the unblocked elimination
-//!   would, because deferred right-strip updates are applied in ascending
-//!   `k` blocks before each sub-panel is factored.
+//! * [`panel_lu_blocked`] halves the columns recursively (factor the left
+//!   half, update the right half through the trsm triangle and one gemm,
+//!   factor the right half) down to 16-column strips factored unblocked.
+//!   A node's update brings in `k = lo..mid` after every `k < lo` its
+//!   ancestors brought in and before any `k ≥ mid` its right half will, so
+//!   each element still meets its `k` in ascending order — only the blocks
+//!   of `k` change, not their order — and it has met all of them before a
+//!   pivot scan reads it: every pivot decision sees exactly the unblocked
+//!   values. Row swaps move whole panel rows, so a row's deferred updates
+//!   travel with its multipliers.
 //!
 //! Consequently `gemm_blocked == gemm_scalar`, `trsm_blocked == the scalar
 //! solve`, and `panel_lu_blocked == the unblocked panel LU` **exactly**
@@ -74,13 +80,15 @@
 //! accumulator registers deep — every add waits for the one before it —
 //! and measured no faster than AVX2; 8 × 16 is sixteen of the thirty-two
 //! 512-bit registers. The short row loops — [`trsm_view`]'s diagonal
-//! triangle and [`panel_lu_blocked`]'s sub-panel, at most a block wide —
-//! run under the same dispatch but never above AVX2 (`ROW_LANES`): on
-//! ≤ 64 elements the 512-bit loop spends more in its remainder than it
-//! saves. The scalar references ([`gemm_scalar`], [`gemm_naive`],
-//! [`panel_lu_naive`]) are never dispatched: they are the oracle, at the
-//! oracle's lane width, so every blocked-vs-scalar test is also a
-//! wide-vs-baseline test. Virtual time never sees any of this:
+//! triangle, and [`panel_lu_blocked`]'s strips and triangles, whose gemm
+//! calls still run at the full level — run under the same dispatch but
+//! never above AVX2 (`ROW_LANES`): on ≤ 64 elements the 512-bit loop
+//! spends more in its remainder than it saves, and the panel's body,
+//! uncapped, took 2 % longer on a 512 × 64 panel and 1 % less on the
+//! sixteen panels of a 1024 × 1024 LU at `r = 64`. The scalar references
+//! ([`gemm_scalar`], [`gemm_naive`], [`panel_lu_naive`]) are never
+//! dispatched: they are the oracle, at the oracle's lane width, so every
+//! blocked-vs-scalar test is also a wide-vs-baseline test. Virtual time never sees any of this:
 //! [`uses_blocked`] and `flops::*` are functions of the shape alone.
 //!
 //! Why a run-time dispatch and not `-C target-cpu=native`: a `NetEngine`
@@ -153,9 +161,9 @@ pub fn lanes() -> Lanes {
     Lanes::detect()
 }
 
-/// Cap on the short row loops (the trsm triangle, the panel's sub-panel
-/// and right-strip triangle): their rows are at most a block wide, and the
-/// 512 × 64 panel measured slower under AVX-512F than under AVX2.
+/// Cap on the short row loops (the trsm triangle, the panel's strips and
+/// triangles): their rows are at most a block wide, and the 512 × 64
+/// panel measured slower under AVX-512F than under AVX2.
 const ROW_LANES: Lanes = Lanes::Avx2;
 
 /// A loop nest the dispatch compiles once per level. Every `run` is
@@ -321,12 +329,33 @@ fn gemm_scalar_core(alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
 /// identical to [`gemm_scalar_core`] at every level.
 fn gemm_blocked_core(lanes: Lanes, alpha: f64, a: MatRef<'_>, b: MatRef<'_>, c: MatMut<'_>) {
     check_dims(a, b, c.view());
+    let a = Lhs::Apart(a);
     on_lanes(lanes, PackedGemm { alpha, a, b, c });
+}
+
+/// [`gemm_blocked_core`] with `A` in the same rows as `C`: `A` is the
+/// first `b.rows()` columns of `ac`, `C` the rest. The panel's `L21` and
+/// the strip it updates lie so; `A` is packed straight from those rows,
+/// each row panel before the tiles of the same rows are written.
+fn gemm_beside_core(lanes: Lanes, alpha: f64, b: MatRef<'_>, ac: MatMut<'_>) {
+    assert_eq!(ac.cols, b.rows + b.cols, "A and C side by side");
+    let (a, c) = (Lhs::Beside, ac);
+    on_lanes(lanes, PackedGemm { alpha, a, b, c });
+}
+
+/// Where a packed gemm reads `A`.
+#[derive(Clone, Copy)]
+enum Lhs<'a> {
+    /// A block of its own.
+    Apart(MatRef<'a>),
+    /// The leading `B.rows()` columns of the view `C` is in (see
+    /// [`gemm_beside_core`]).
+    Beside,
 }
 
 struct PackedGemm<'a> {
     alpha: f64,
-    a: MatRef<'a>,
+    a: Lhs<'a>,
     b: MatRef<'a>,
     c: MatMut<'a>,
 }
@@ -350,16 +379,21 @@ impl Body for PackedGemm<'_> {
 #[inline(always)]
 fn gemm_packed<const MR: usize, const NR: usize>(
     alpha: f64,
-    a: MatRef<'_>,
+    a: Lhs<'_>,
     b: MatRef<'_>,
     c: MatMut<'_>,
 ) {
-    let (m, kdim, n) = (a.rows, a.cols, b.cols);
+    let (m, kdim, n) = (c.rows, b.rows, b.cols);
     if m == 0 || n == 0 || kdim == 0 {
         return;
     }
-    let (lda, ldb, ldc) = (a.ld, b.ld, c.ld);
-    let (a, b, c) = (a.data, b.data, c.data);
+    // Column of `c`'s view where `C` starts: past `A` when it lies beside.
+    let c0 = match a {
+        Lhs::Apart(_) => 0,
+        Lhs::Beside => kdim,
+    };
+    let (ldb, ldc) = (b.ld, c.ld);
+    let (b, c) = (b.data, c.data);
     // Pack B once: NR-column panels, k-major, zero-padded to full NR.
     let n_panels = n.div_ceil(NR);
     let mut bp = vec![0.0f64; n_panels * kdim * NR];
@@ -384,7 +418,10 @@ fn gemm_packed<const MR: usize, const NR: usize>(
             ap.fill(0.0);
         }
         for i in 0..mr {
-            let src = &a[(i0 + i) * lda..(i0 + i) * lda + kdim];
+            let src = match a {
+                Lhs::Apart(a) => &a.data[(i0 + i) * a.ld..][..kdim],
+                Lhs::Beside => &c[(i0 + i) * ldc..][..kdim],
+            };
             for (k, &v) in src.iter().enumerate() {
                 ap[k * MR + i] = alpha * v;
             }
@@ -393,7 +430,7 @@ fn gemm_packed<const MR: usize, const NR: usize>(
             let j0 = q * NR;
             let nr = NR.min(n - j0);
             let bpanel = &bp[q * kdim * NR..(q + 1) * kdim * NR];
-            let ctile = &mut c[i0 * ldc + j0..];
+            let ctile = &mut c[i0 * ldc + c0 + j0..];
             if mr == MR && nr == NR {
                 // The same function with its guards known at compile time:
                 // they fold away and the tile stays in registers.
@@ -511,8 +548,13 @@ impl Body for BlockedTrsm<'_> {
 
 // --- blocked panel factorization ---------------------------------------------
 
-/// Inner column-block width of [`panel_lu_blocked`].
-pub const PANEL_BLOCK: usize = 8;
+/// Width of [`panel_lu_blocked`]'s base case, and the grain of its
+/// splits: every split lies on a multiple of it, so the update of a
+/// panel whose width is a multiple of it runs on full gemm tiles.
+const PANEL_STRIP: usize = 16;
+
+/// Rows of a strip column updated at a time, in registers.
+const STRIP_ROWS: usize = 32;
 
 /// Unblocked rectangular panel LU with partial pivoting — the bitwise
 /// reference for [`panel_lu_blocked`] and the oracle of its proptests.
@@ -557,102 +599,229 @@ fn pivot_row(panel: &Matrix, k: usize, m: usize) -> usize {
     p
 }
 
-/// Blocked rectangular panel LU with partial pivoting, bitwise identical
-/// to [`panel_lu_naive`]: right-looking over [`PANEL_BLOCK`]-wide column
-/// blocks — factor the sub-panel scalar (full-width row swaps, elimination
-/// confined to the block), then push the deferred right-strip updates
-/// through the blocked trsm triangle and one gemm call. Every element
-/// still accumulates in ascending `k` order, and every pivot decision sees
+/// Recursive rectangular panel LU with partial pivoting, bitwise identical
+/// to [`panel_lu_naive`] (recursive LU after Toledo, 1997; LAPACK's
+/// `dgetrf2`). The columns are halved at a multiple of a 16-column strip
+/// until a half is one strip wide; a node factors its left half, finishes
+/// the rows above its split with the trsm triangle, updates every row
+/// below with one gemm whose inner dimension is the left half's width,
+/// then factors its right half. A strip is factored unblocked in one
+/// column-major copy per call, its row swaps applied to whole panel rows,
+/// and the gemm reads `L21` where it lies. Every element still
+/// accumulates in ascending `k` order, and every pivot decision sees
 /// exactly the unblocked values.
 pub fn panel_lu_blocked(panel: &mut Matrix) -> Vec<usize> {
     panel_lu_core(Lanes::detect(), panel)
 }
 
-/// [`panel_lu_blocked`] at `lanes`: the gemm call at that level, the row
-/// loops at no more than [`ROW_LANES`].
+/// [`panel_lu_blocked`] at `lanes`: the gemm calls at that level, the
+/// strip and triangle loops at no more than [`ROW_LANES`].
 fn panel_lu_core(lanes: Lanes, panel: &mut Matrix) -> Vec<usize> {
     assert!(
         panel.rows() >= panel.cols(),
         "panel must be at least as tall as wide"
     );
-    on_lanes(lanes.min(ROW_LANES), BlockedPanelLu { lanes, panel })
+    on_lanes(lanes.min(ROW_LANES), RecursivePanelLu { lanes, panel })
 }
 
-struct BlockedPanelLu<'a> {
-    /// Level of the gemm call (the body itself runs at `ROW_LANES`).
+struct RecursivePanelLu<'a> {
+    /// Level of the gemm calls (the body itself runs at `ROW_LANES`).
     lanes: Lanes,
     panel: &'a mut Matrix,
 }
 
-impl Body for BlockedPanelLu<'_> {
+impl Body for RecursivePanelLu<'_> {
     type Out = Vec<usize>;
-    /// The row loops walk row slices of the panel's buffer — the oracle's
-    /// `panel[(i, j)]` costs a multiply and a bounds check per element —
-    /// doing the oracle's operations in the oracle's order.
+    /// The halving tree in post-order, without recursion: a recursive
+    /// function is not inlined, so its inner levels would run at the
+    /// baseline instead of this wrapper's lanes. The tree's leaves are the
+    /// strips `c0..c0 + PANEL_STRIP`, left to right, and the one node to
+    /// update after a strip is the one whose split is where it ends.
     #[inline(always)]
     fn run(self, _: Lanes) -> Vec<usize> {
         let Self { lanes, panel } = self;
         let (m, r) = (panel.rows(), panel.cols());
         let mut pivots = Vec::with_capacity(r);
+        // One column-major copy serves every strip.
+        let mut strip = vec![0.0f64; m * PANEL_STRIP.min(r)];
         let mut c0 = 0;
         while c0 < r {
-            let ib = PANEL_BLOCK.min(r - c0);
-            let right0 = c0 + ib;
-            // Factor the sub-panel (columns c0..right0, rows c0..m).
-            for k in c0..right0 {
-                let p = pivot_row(panel, k, m);
-                panel.swap_rows(k, p);
-                pivots.push(p);
-                let (top, below) = panel.as_mut_slice().split_at_mut((k + 1) * r);
-                let row_k = &top[k * r..];
-                let akk = row_k[k];
-                for row_i in below.chunks_exact_mut(r) {
-                    let lik = row_i[k] / akk;
-                    row_i[k] = lik;
-                    for (x, u) in row_i[k + 1..right0].iter_mut().zip(&row_k[k + 1..right0]) {
-                        *x -= lik * u;
-                    }
-                }
+            let c1 = (c0 + PANEL_STRIP).min(r);
+            factor_strip(panel, c0, c1, &mut strip, &mut pivots);
+            if c1 < r {
+                let (lo, hi) = node_split_at(r, c1);
+                update_right_half(lanes, panel, lo, c1, hi);
             }
-            if right0 < r {
-                let rn = r - right0;
-                // Deferred right-strip rows c0..right0: the trsm triangle
-                // (k = c0..i ascending, continuing each element's chain).
-                for i in c0 + 1..right0 {
-                    let (top, rest) = panel.as_mut_slice().split_at_mut(i * r);
-                    let row_i = &mut rest[..r];
-                    for (k, row_k) in top.chunks_exact(r).enumerate().skip(c0) {
-                        let lik = row_i[k];
-                        for (x, u) in row_i[right0..].iter_mut().zip(&row_k[right0..]) {
-                            *x -= lik * u;
-                        }
-                    }
-                }
-                // Rows below the sub-panel: one gemm with the L21 strip. The
-                // strip is copied out first — it shares rows with the target
-                // block — which doubles as the tile loop's packing copy.
-                let rows_below = m - right0;
-                if rows_below > 0 {
-                    let mut l21 = vec![0.0f64; rows_below * ib];
-                    for i in 0..rows_below {
-                        for k in 0..ib {
-                            l21[i * ib + k] = panel[(right0 + i, c0 + k)];
-                        }
-                    }
-                    let (top, below) = panel.view_mut().split_rows_mut(right0);
-                    gemm_blocked_core(
-                        lanes,
-                        -1.0,
-                        MatRef::from_slice(&l21, rows_below, ib),
-                        top.view().block(c0, right0, ib, rn),
-                        below.block(0, right0, rows_below, rn),
-                    );
-                }
-            }
-            c0 += ib;
+            c0 = c1;
         }
         pivots
     }
+}
+
+/// The columns `lo..hi` of the node of the halving tree over `0..r` that
+/// splits at `at`, a strip boundary inside the panel. A node wider than
+/// one strip splits after half its strips, rounded down; its `lo` is a
+/// strip boundary, so its split is one too.
+#[inline(always)]
+fn node_split_at(r: usize, at: usize) -> (usize, usize) {
+    let (mut lo, mut hi) = (0, r);
+    loop {
+        let mid = lo + (hi - lo).div_ceil(PANEL_STRIP) / 2 * PANEL_STRIP;
+        match at.cmp(&mid) {
+            std::cmp::Ordering::Less => hi = mid,
+            std::cmp::Ordering::Greater => lo = mid,
+            std::cmp::Ordering::Equal => return (lo, hi),
+        }
+    }
+}
+
+/// A leaf: columns `c0..c1` of rows `c0..` factored unblocked in a
+/// column-major copy, left-looking — a column takes the rest of its chains
+/// (`k = c0..j`: forward substitution above the diagonal, [`STRIP_ROWS`]
+/// rows at a time in registers below it) just before its pivot scan and
+/// division, each run down one contiguous column. Every element gets the
+/// oracle's operations in the oracle's order; only the order *between*
+/// elements differs. A row swap swaps the copy's rows and the panel's
+/// whole rows (the strip's own columns there are stale until the copy is
+/// written back).
+#[inline(always)]
+fn factor_strip(
+    panel: &mut Matrix,
+    c0: usize,
+    c1: usize,
+    strip: &mut [f64],
+    pivots: &mut Vec<usize>,
+) {
+    let r = panel.cols();
+    let (h, w) = (panel.rows() - c0, c1 - c0);
+    let strip = &mut strip[..h * w];
+    // Eight rows at a time, so each column of the copy is written a whole
+    // cache line at a time.
+    let mut blocks = panel.as_slice()[c0 * r..].chunks_exact(8 * r);
+    for (b, rows) in (&mut blocks).enumerate() {
+        for (j, col) in strip.chunks_exact_mut(h).enumerate() {
+            for (a, x) in col[8 * b..8 * b + 8].iter_mut().enumerate() {
+                *x = rows[a * r + c0 + j];
+            }
+        }
+    }
+    let i0 = h - blocks.remainder().len() / r;
+    for (i, row) in blocks.remainder().chunks_exact(r).enumerate() {
+        for (j, &v) in row[c0..c1].iter().enumerate() {
+            strip[j * h + i0 + i] = v;
+        }
+    }
+    for j in 0..w {
+        let (left, right) = strip.split_at_mut(j * h);
+        let (u, lower) = right[..h].split_at_mut(j);
+        // Above the diagonal: forward substitution with the strip's `L`.
+        for i in 1..j {
+            let (done, x) = u.split_at_mut(i);
+            let mut xi = x[0];
+            for (k, &uk) in done.iter().enumerate() {
+                xi -= left[k * h + i] * uk;
+            }
+            x[0] = xi;
+        }
+        // From the diagonal down: the same chains, a register block of
+        // rows at a time, then the rows left over.
+        let mut rows = lower.chunks_exact_mut(STRIP_ROWS);
+        for (c, x) in (&mut rows).enumerate() {
+            let i0 = j + c * STRIP_ROWS;
+            let mut acc = [0.0f64; STRIP_ROWS];
+            acc.copy_from_slice(x);
+            for (k, &uk) in u.iter().enumerate() {
+                for (a, l) in acc.iter_mut().zip(&left[k * h + i0..][..STRIP_ROWS]) {
+                    *a -= l * uk;
+                }
+            }
+            x.copy_from_slice(&acc);
+        }
+        let tail = rows.into_remainder();
+        let i0 = h - tail.len();
+        for (t, x) in tail.iter_mut().enumerate() {
+            for (k, &uk) in u.iter().enumerate() {
+                *x -= left[k * h + i0 + t] * uk;
+            }
+        }
+        let p = j + first_max(lower, c0 + j);
+        pivots.push(c0 + p);
+        if p != j {
+            panel.swap_rows(c0 + j, c0 + p);
+            for col in strip.chunks_exact_mut(h) {
+                col.swap(j, p);
+            }
+        }
+        let col = &mut strip[j * h + j..(j + 1) * h];
+        let ajj = col[0];
+        for x in &mut col[1..] {
+            *x /= ajj;
+        }
+    }
+    for (i, row) in panel.as_mut_slice()[c0 * r..]
+        .chunks_exact_mut(r)
+        .enumerate()
+    {
+        for (j, v) in row[c0..c1].iter_mut().enumerate() {
+            *v = strip[j * h + i];
+        }
+    }
+}
+
+/// [`pivot_row`] on a contiguous column: the offset of its first element
+/// of largest magnitude, the column named `column` if that is not above
+/// zero. Two passes — a lane-wise maximum the compiler vectorizes, then
+/// the first element equal to it — with `pivot_row`'s answer: a NaN is
+/// never larger, so a NaN in first place is singular and one elsewhere is
+/// passed over, and a tie goes to the earlier row.
+#[inline(always)]
+fn first_max(col: &[f64], column: usize) -> usize {
+    const WAYS: usize = 8;
+    let mut acc = [0.0f64; WAYS];
+    let chunks = col.chunks_exact(WAYS);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (b, v) in acc.iter_mut().zip(chunk) {
+            let v = v.abs();
+            if v > *b {
+                *b = v;
+            }
+        }
+    }
+    let best = acc
+        .into_iter()
+        .chain(tail.iter().map(|v| v.abs()))
+        .fold(col[0].abs(), |b, v| if v > b { v } else { b });
+    assert!(best > 0.0, "panel is singular at column {column}");
+    col.iter()
+        .position(|v| v.abs() == best)
+        .expect("the maximum is an element of the column")
+}
+
+/// The update at a node's split `mid`, once its left half `lo..mid` is
+/// factored: the rows `lo..mid` of its right half `mid..hi` continue their
+/// chains with `k = lo..i` (the trsm triangle), and every row below takes
+/// `k = lo..mid` through one gemm whose `A` is its own columns `lo..mid`.
+#[inline(always)]
+fn update_right_half(lanes: Lanes, panel: &mut Matrix, lo: usize, mid: usize, hi: usize) {
+    let (m, r) = (panel.rows(), panel.cols());
+    for i in lo + 1..mid {
+        let (top, rest) = panel.as_mut_slice().split_at_mut(i * r);
+        let row_i = &mut rest[..r];
+        for (k, row_k) in top.chunks_exact(r).enumerate().skip(lo) {
+            let lik = row_i[k];
+            for (x, u) in row_i[mid..hi].iter_mut().zip(&row_k[mid..hi]) {
+                *x -= lik * u;
+            }
+        }
+    }
+    let (top, below) = panel.view_mut().split_rows_mut(mid);
+    gemm_beside_core(
+        lanes,
+        -1.0,
+        top.view().block(lo, mid, mid - lo, hi - mid),
+        below.block(0, lo, m - mid, hi - lo),
+    );
 }
 
 #[cfg(test)]
@@ -865,15 +1034,137 @@ mod tests {
     }
 
     #[test]
-    fn panel_lu_at_every_level_is_bitwise_naive() {
+    fn gemm_beside_at_every_level_is_the_gemm_on_a_copy_of_a() {
+        // `A` in the leading columns of `C`'s own rows, under a row split
+        // of the buffer `B` lies above — the panel's update.
         for lanes in levels() {
-            for (m, r) in [(4, 4), (12, 5), (40, 16), (33, 20), (96, 32), (70, 64)] {
+            for (m, k, n) in [
+                (1, 1, 1),
+                (9, 16, 16),
+                (33, 16, 32),
+                (70, 32, 17),
+                (7, 3, 40),
+            ] {
+                let what = format!("{lanes} gemm beside {m}×{k}×{n}");
+                let w0 = framed(k + m, k + n, (m * 100 + k * 10 + n) as u64);
+                let mut want = w0.clone();
+                let a = want.block(AT.0 + k, AT.1, m, k);
+                let (above, below) = want.view_mut().split_rows_mut(AT.0 + k);
+                let b = above.view().block(AT.0, AT.1 + k, k, n);
+                gemm_scalar_core(-1.0, a.view(), b, below.block(0, AT.1 + k, m, n));
+                let mut got = w0.clone();
+                let (above, below) = got.view_mut().split_rows_mut(AT.0 + k);
+                let b = above.view().block(AT.0, AT.1 + k, k, n);
+                gemm_beside_core(lanes, -1.0, b, below.block(0, AT.1, m, k + n));
+                assert_bits_eq(&want, &got, &what);
+                assert_frame_untouched(&w0, &got, k + m, k + n, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn panel_lu_at_every_level_is_bitwise_naive() {
+        // One strip, one split, two levels, and widths off the strip grain.
+        let shapes = [
+            (1, 1),
+            (4, 4),
+            (12, 5),
+            (16, 16),
+            (17, 16),
+            (33, 17),
+            (40, 16),
+            (33, 20),
+            (64, 64),
+            (96, 32),
+            (70, 64),
+            (200, 80),
+            (512, 32),
+            (960, 64),
+            (1024, 64),
+        ];
+        for lanes in levels() {
+            for (m, r) in shapes {
                 let p0 = Matrix::random_general(m, r, 11 + (m + r) as u64);
                 let (mut p1, mut p2) = (p0.clone(), p0.clone());
                 let piv1 = panel_lu_naive(&mut p1);
                 let piv2 = panel_lu_core(lanes, &mut p2);
                 assert_eq!(piv1, piv2, "{lanes} pivots m={m} r={r}");
                 assert_bits_eq(&p1, &p2, &format!("{lanes} panel {m}×{r}"));
+            }
+        }
+    }
+
+    /// The message a panel LU panics with, or `None` if it returns.
+    fn panic_of(lu: impl FnOnce() -> Vec<usize>) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lu)).err()?;
+        Some(match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p
+                .downcast::<&str>()
+                .map_or_else(|_| "?".into(), |s| s.to_string()),
+        })
+    }
+
+    #[test]
+    fn a_singular_panel_panics_at_the_naive_column() {
+        // A zero column stays zero under every update (0 − l·0), so the
+        // elimination reaches it with nothing to pivot on. A NaN on the
+        // diagonal is never "larger" than anything, so the scan keeps it
+        // and it is singular too: a NaN in row `i` of column 0 is passed
+        // over there, turns row `i` NaN, and is on the diagonal at step
+        // `i` (a row moves only when it is the pivot or the step's own).
+        let (m, r) = (50, 40);
+        for (col, nan) in [
+            (0, false),
+            (5, false),
+            (16, false),
+            (17, false),
+            (39, false),
+            (0, true),
+            (20, true),
+        ] {
+            let mut p0 = Matrix::random_general(m, r, 70 + col as u64);
+            if nan {
+                p0[(col, 0)] = f64::NAN;
+            } else {
+                for i in 0..m {
+                    p0[(i, col)] = 0.0;
+                }
+            }
+            let want = panic_of(|| panel_lu_naive(&mut p0.clone()));
+            assert_eq!(
+                want.as_deref(),
+                Some(format!("panel is singular at column {col}").as_str())
+            );
+            for lanes in levels() {
+                let got = panic_of(|| panel_lu_core(lanes, &mut p0.clone()));
+                assert_eq!(got, want, "{lanes}: column {col}, NaN {nan}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_below_the_diagonal_is_passed_over_as_the_naive_scan_does() {
+        // A NaN turns its whole row NaN, and a NaN row that reached the
+        // diagonal would be singular there: these rows lie below the last
+        // step. Ties, too: equal magnitudes go to the earlier row.
+        let (m, r) = (60, 33);
+        let mut p0 = Matrix::random_general(m, r, 91);
+        p0[(45, 0)] = f64::NAN;
+        p0[(40, 20)] = f64::NAN;
+        for (i, v) in [(3, -2.0), (30, 2.0), (50, -2.0)] {
+            p0[(i, 0)] = v;
+        }
+        for lanes in levels() {
+            let (mut p1, mut p2) = (p0.clone(), p0.clone());
+            let pivots = panel_lu_naive(&mut p1);
+            assert_eq!(pivots[0], 3, "the first of the tied rows");
+            assert_eq!(pivots, panel_lu_core(lanes, &mut p2), "{lanes}");
+            for (i, (x, y)) in p1.as_slice().iter().zip(p2.as_slice()).enumerate() {
+                assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "{lanes}: element {i} differs: {x:?} vs {y:?}"
+                );
             }
         }
     }
