@@ -198,6 +198,19 @@ impl Decls {
         self.apps[app as usize].tcs[tc as usize].nodes[thread as usize]
     }
 
+    /// A thread's index among the threads its cluster node hosts, counted in
+    /// declaration order: with the node, the trace track it records on.
+    pub fn node_thread(&self, app: u32, tc: u32, thread: u32) -> u32 {
+        let node = self.host(app, tc, thread);
+        let (app, tc) = (app as usize, tc as usize);
+        let before = self.apps[..=app].iter().enumerate().flat_map(|(a, decl)| {
+            let tcs = if a < app { decl.tcs.len() } else { tc };
+            decl.tcs[..tcs].iter().flat_map(|c| &c.nodes)
+        });
+        let same_tc = &self.apps[app].tcs[tc].nodes[..thread as usize];
+        before.chain(same_tc).filter(|&&n| n == node).count() as u32
+    }
+
     /// The graph exposed as service `name`.
     pub fn service(&self, name: &str) -> Option<GraphHandle> {
         self.services.get(name).copied()

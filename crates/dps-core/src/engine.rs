@@ -19,7 +19,7 @@ use std::sync::Arc;
 use dps_cluster::{AppId, Cluster, ClusterSpec};
 use dps_des::{PoolId, Sim, SimSpan, SimTime};
 use dps_net::NodeId;
-use dps_obs::{Counter, EventKind, LabelId, TraceCollector, TraceWriter};
+use dps_obs::{Counter, EventKind, TraceCollector};
 use dps_sched::FeedbackSink;
 
 use crate::decls::{AppHandle, Decls, GraphHandle};
@@ -27,7 +27,8 @@ use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::OpKind;
 use crate::kernel::{
-    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, Pins, Served, Substrate,
+    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent, Served,
+    Substrate, Tracer,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
@@ -147,19 +148,13 @@ struct Rt {
     /// Deliveries re-routed away from failed nodes (graceful degradation).
     requeued: u64,
     /// Attached trace sink: the simulator records every track through one
-    /// writer (single-threaded), stamping *virtual* nanoseconds.
-    trace: Option<SimTrace>,
-    /// Flow ids linking each `TokenEnqueue` to its `TokenDeliver`.
-    next_flow: u64,
+    /// writer (single-threaded), stamping *virtual* nanoseconds. Lent to
+    /// the kernel through `&self`.
+    tracer: RefCell<Option<Tracer>>,
     /// Seeded network fault injection (simulation testing): consulted once
     /// per cross-node transfer, perturbing delivery timing and wire cost —
     /// never payloads (the modeled transport is reliable).
     faults: Option<dps_net::FaultInjector>,
-}
-
-struct SimTrace {
-    collector: Arc<TraceCollector>,
-    writer: TraceWriter,
 }
 
 impl Rt {
@@ -216,44 +211,23 @@ impl Rt {
     /// Record a trace event at virtual time `at` on track `(node, thread)`
     /// — a no-op without an attached sink.
     fn trace_on(&mut self, at: SimTime, node: u16, thread: u16, kind: EventKind) {
-        if let Some(t) = &mut self.trace {
-            t.writer.record_on(at.as_nanos(), node, thread, kind);
-        }
-    }
-
-    /// Intern `name` into the attached sink's label table.
-    fn trace_label(&self, name: &str) -> LabelId {
-        self.trace
-            .as_ref()
-            .map_or(LabelId(0), |t| t.collector.label(name))
-    }
-
-    /// Record a boundary of a wave of `at`'s graph on the track `ran` ran on.
-    fn trace_wave(
-        &mut self,
-        ran: &Ran,
-        at: At,
-        when: SimTime,
-        edge: impl Fn(LabelId) -> EventKind,
-    ) {
-        if self.trace.is_some() {
-            let graph = self.trace_label(self.decls.def(at.app, at.graph).name());
-            self.trace_on(when, ran.host.0 as u16, ran.tk.thread as u16, edge(graph));
+        if let Some(t) = self.tracer.get_mut() {
+            t.writer().record_on(at.as_nanos(), node, thread, kind);
         }
     }
 
     /// Bump a metrics counter on the attached sink.
     fn trace_add(&self, c: Counter, n: u64) {
-        if let Some(t) = &self.trace {
-            t.collector.metrics().add(c, n);
+        if let Some(t) = &*self.tracer.borrow() {
+            t.collector().metrics().add(c, n);
         }
     }
 
     /// Drain writer rings into the sink's log (called at wave boundaries so
     /// the 16k-event rings never wrap on long runs).
     fn trace_drain(&self) {
-        if let Some(t) = &self.trace {
-            t.collector.drain();
+        if let Some(t) = &*self.tracer.borrow() {
+            t.collector().drain();
         }
     }
 }
@@ -341,8 +315,7 @@ impl SimEngine {
             feedback: None,
             feedback_tcs: Vec::new(),
             requeued: 0,
-            trace: None,
-            next_flow: 0,
+            tracer: RefCell::new(None),
             faults: None,
         };
         let mut sim = Sim::new(rt);
@@ -561,20 +534,13 @@ impl SimEngine {
     /// [`dps_obs::schedule_hash`]) is identical across replays of the same
     /// seeded workload.
     pub fn set_trace_sink(&mut self, sink: Arc<TraceCollector>) {
-        let writer = sink.writer(0, 0);
-        self.sim.world.trace = Some(SimTrace {
-            collector: sink,
-            writer,
-        });
+        *self.sim.world.tracer.get_mut() = Some(Tracer::new(sink, (0, 0)));
     }
 
     /// The attached trace sink, if any.
     pub fn trace_collector(&self) -> Option<Arc<TraceCollector>> {
-        self.sim
-            .world
-            .trace
-            .as_ref()
-            .map(|t| Arc::clone(&t.collector))
+        let tracer = self.sim.world.tracer.borrow();
+        tracer.as_ref().map(|t| Arc::clone(t.collector()))
     }
 
     /// Perturb delivery interleaving: install a seeded tie-break on the
@@ -716,8 +682,6 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
 struct Ran {
     tk: ThreadKey,
     host: NodeId,
-    /// Wave id its span is traced under.
-    wave: u32,
     start: SimTime,
     hold: SimSpan,
 }
@@ -776,7 +740,7 @@ impl Substrate for Sim<Rt> {
         f(&mut self.world.g(app, graph).flows.borrow_mut())
     }
 
-    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope) {
+    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope, sent: Sent) {
         let def = self.world.decls.def(to.app, to.graph);
         let gnode = def.node(to.node);
         let tk = ThreadKey {
@@ -793,7 +757,7 @@ impl Substrate for Sim<Rt> {
         };
         self.world.thread(tk).assigned += 1;
         match d.what {
-            Arrival::Token(_) => send_token(self, tk, NodeId(src), d),
+            Arrival::Token(_) => send_token(self, tk, NodeId(src), d, sent),
             // Control info of the wave's own node: it lands at once.
             Arrival::Close(_) => {
                 self.world.thread(tk).queue.push_back(d);
@@ -872,15 +836,6 @@ impl Substrate for Sim<Rt> {
     fn report(&mut self, ran: &mut Ran, iters: u64) {
         let (tk, host, hold) = (ran.tk, ran.host, ran.hold);
         let done = ran.start + hold;
-        self.world.trace_on(
-            done,
-            host.0 as u16,
-            tk.thread as u16,
-            EventKind::ChunkExec {
-                iters,
-                nanos: hold.as_nanos(),
-            },
-        );
         let Some(sink) = self.world.feedback.clone() else {
             return;
         };
@@ -908,70 +863,44 @@ impl Substrate for Sim<Rt> {
         });
     }
 
-    fn span(&mut self, ran: &mut Ran, at: At) {
-        if self.world.trace.is_none() {
-            return;
-        }
-        let name = &self.world.decls.def(at.app, at.graph).node(at.node).name;
-        let (op, wave) = (self.world.trace_label(name), ran.wave);
-        for (at, kind) in [
-            (ran.start, EventKind::OpStart { op, wave }),
-            (ran.start + ran.hold, EventKind::OpEnd { op, wave }),
-        ] {
-            self.world
-                .trace_on(at, ran.host.0 as u16, ran.tk.thread as u16, kind);
-        }
+    /// Virtual stamps: an execution's start and end, and now; one writer
+    /// for every track.
+    fn trace<R>(&self, on: On<'_, Ran>, f: impl FnOnce(Rec<'_>) -> R) -> Option<R> {
+        let mut tracer = self.world.tracer.borrow_mut();
+        let (tracer, now) = (tracer.as_mut()?, self.now().as_nanos());
+        Some(f(match on {
+            On::Lane(ran) => {
+                let (start, end) = (ran.start, ran.start + ran.hold);
+                let track = (ran.host.0 as u16, ran.tk.thread as u16);
+                Rec::at(tracer, track, now).op(start.as_nanos(), Some(end.as_nanos()))
+            }
+            On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
+        }))
     }
 
-    fn opened(&mut self, ran: &mut Ran, at: At) -> u64 {
+    fn opened(&mut self, _ran: &mut Ran, _at: At) -> u64 {
         self.world.next_wave += 1;
-        let id = self.world.next_wave - 1;
-        let wave = id as u32;
-        let started = |graph| EventKind::WaveStart { graph, wave };
-        self.world.trace_wave(ran, at, ran.start, started);
-        id
+        self.world.next_wave - 1
     }
 
-    fn wave_done(&mut self, ran: &mut Ran, at: At, key: &WaveKey) {
-        let wave = ran.wave;
-        let ended = |graph| EventKind::WaveEnd { graph, wave };
-        self.world.trace_wave(ran, at, ran.start + ran.hold, ended);
-        self.world.trace_drain();
+    fn wave_done(&mut self, ran: &mut Ran, _at: At, key: &WaveKey) {
         self.world.thread(ran.tk).inst.waves.remove(key);
     }
 }
 
 /// Move the token of `d` from cluster node `src` to thread `tk` of node
-/// `to`: plan the network transfer (with its seeded wire faults), trace it,
-/// and enqueue the delivery when it lands.
-fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
+/// `to`: plan the network transfer (with its seeded wire faults), trace its
+/// frames, and enqueue the delivery when it lands.
+fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: Sent) {
     let Arrival::Token(token) = &d.what else {
         unreachable!("closes land at once");
     };
     let now = sim.now();
     let dst = sim.world.host(tk);
     let bytes = (token.payload_size() + d.env.wire_bytes() + 10) as u64;
-    // Tracing: one flow id ties this enqueue to its delivery below.
-    let flow_trace = if sim.world.trace.is_some() {
-        let flow = sim.world.next_flow;
-        sim.world.next_flow += 1;
-        let label = sim.world.trace_label(token.type_name());
-        let wave = d.env.frames.last().map_or(0, |f| f.wave as u32);
-        sim.world.trace_on(
-            now,
-            src.0 as u16,
-            0,
-            EventKind::TokenEnqueue {
-                token: label,
-                wave,
-                flow,
-            },
-        );
-        sim.world.trace_add(Counter::TokensEnqueued, 1);
-        Some((label, wave, flow))
-    } else {
-        None
-    };
+    // A traced token's frames carry its type's label, as its flow does.
+    let label = (sim.world.tracer.get_mut().as_mut()).map(|t| t.token(token.as_ref()));
+    sim.world.trace_add(Counter::TokensEnqueued, 1);
     let mut plan = sim
         .world
         .cluster
@@ -1008,30 +937,16 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
     // FrameSend/FrameRecv pair per cross-node hop, with the model's own
     // wire-byte count (payload + DPS header), so the trace metrics agree
     // with `NetworkModel::wire_bytes_total` to the byte.
-    if let Some((label, _, _)) = flow_trace {
-        if plan.wire_bytes > 0 {
-            sim.world.trace_on(
-                plan.sender_done,
-                src.0 as u16,
-                0,
-                EventKind::FrameSend {
-                    frame: label,
-                    bytes: plan.wire_bytes,
-                },
-            );
-            sim.world.trace_on(
-                plan.delivered,
-                dst.0 as u16,
-                0,
-                EventKind::FrameRecv {
-                    frame: label,
-                    bytes: plan.wire_bytes,
-                },
-            );
-            sim.world.trace_add(Counter::FramesSent, 1);
-            sim.world.trace_add(Counter::FramesRecv, 1);
-            sim.world.trace_add(Counter::WireBytesSent, plan.wire_bytes);
-            sim.world.trace_add(Counter::WireBytesRecv, plan.wire_bytes);
+    if let (Some(frame), bytes @ 1..) = (label, plan.wire_bytes) {
+        let send = EventKind::FrameSend { frame, bytes };
+        let recv = EventKind::FrameRecv { frame, bytes };
+        sim.world.trace_on(plan.sender_done, src.0 as u16, 0, send);
+        sim.world.trace_on(plan.delivered, dst.0 as u16, 0, recv);
+        for counter in [Counter::FramesSent, Counter::FramesRecv] {
+            sim.world.trace_add(counter, 1);
+        }
+        for counter in [Counter::WireBytesSent, Counter::WireBytesRecv] {
+            sim.world.trace_add(counter, bytes);
         }
     }
     sim.schedule_at(plan.delivered, move |sim| {
@@ -1056,20 +971,17 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery) {
             kernel::reroute(sim, d.to, src.0, d.what, d.env);
             return;
         }
-        if let Some((label, wave, flow)) = flow_trace {
-            let at = sim.now();
-            sim.world.trace_on(
-                at,
-                dst.0 as u16,
-                tk.thread as u16,
-                EventKind::TokenDeliver {
-                    token: label,
-                    wave,
-                    flow,
-                },
-            );
-            sim.world.trace_add(Counter::TokensDelivered, 1);
+        if let Arrival::Token(token) = &d.what {
+            let (start, hold) = (sim.now(), SimSpan::ZERO);
+            let mut taker = Ran {
+                tk,
+                host: dst,
+                start,
+                hold,
+            };
+            kernel::taken(sim, &mut taker, token.as_ref(), &d.env, sent);
         }
+        sim.world.trace_add(Counter::TokensDelivered, 1);
         sim.world.thread(tk).queue.push_back(d);
         kick_thread(sim, tk);
     });
@@ -1145,13 +1057,11 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     let data = tc.data[tk.thread as usize].as_mut();
     let inst = &mut tc.threads[tk.thread as usize].inst;
     let env = d.env;
-    let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     // Each post leaves after the framework overhead plus its own offset.
     let timed = move |p: crate::ops::Post| (start + overhead + p.offset, p.token);
     let ran = |hold| Ran {
         tk,
         host,
-        wave: env_wave,
         start,
         hold,
     };

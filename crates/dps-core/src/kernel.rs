@@ -19,10 +19,20 @@
 //! loaded their threads are, and moves a token or a close to a thread. The
 //! driver calls a rule inside such a closure and moves only after it
 //! returned — **a lock is never held across a move.**
+//!
+//! **The driver records the life of a token, an operation and a wave**:
+//! which event, at which of the substrate's stamps, under which wave, label
+//! and flow id. The substrate only lends its clock, a track and a writer
+//! ([`Substrate::trace`]), so every engine records the same events the same
+//! way.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU64;
+use std::sync::Arc;
+
+use dps_obs::{EventKind, LabelId, TraceCollector, TraceWriter};
 
 use crate::decls::{Decls, GraphHandle};
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
@@ -480,7 +490,7 @@ pub fn close_node(def: &Flowgraph, key: &WaveKey) -> Result<GNodeId> {
 
 /// One graph node of one application: where a delivery goes, or where an
 /// operation ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct At {
     /// Application.
     pub app: u32,
@@ -594,6 +604,185 @@ pub fn lost_workers<'a, N: PartialEq + 'a>(
 }
 
 // ---------------------------------------------------------------------------
+// The record of a token, an operation and a wave
+// ---------------------------------------------------------------------------
+
+/// One thread's way into a trace sink: its writer, the labels it has
+/// interned — each on its first use, so an event takes no lock — and the
+/// flow ids it issues.
+pub struct Tracer {
+    collector: Arc<TraceCollector>,
+    writer: TraceWriter,
+    labels: IdMap<Label, LabelId>,
+    /// The next flow id; the writer's track sits in its high bits, so the
+    /// tracers of one sink never issue the same id.
+    next_flow: u64,
+}
+
+/// What a label names.
+#[derive(PartialEq, Eq, Hash)]
+enum Label {
+    Op(At),
+    Graph(u32, u32),
+    Token(u64),
+}
+
+impl Tracer {
+    /// A tracer writing into `collector` through a writer of its own, whose
+    /// track is `(node, thread)`.
+    pub fn new(collector: Arc<TraceCollector>, (node, thread): (u16, u16)) -> Self {
+        Self {
+            writer: collector.writer(node, thread),
+            collector,
+            labels: IdMap::default(),
+            next_flow: (u64::from(node) << 16 | u64::from(thread)) << 32,
+        }
+    }
+
+    /// The sink.
+    pub fn collector(&self) -> &Arc<TraceCollector> {
+        &self.collector
+    }
+
+    /// The writer, for what an engine records itself.
+    pub fn writer(&mut self) -> &mut TraceWriter {
+        &mut self.writer
+    }
+
+    /// The label of `token`'s type.
+    pub fn token(&mut self, token: &dyn Token) -> LabelId {
+        self.label(Label::Token(token.wire_id().0), token.type_name())
+    }
+
+    fn label(&mut self, key: Label, name: &str) -> LabelId {
+        let c = &self.collector;
+        *self.labels.entry(key).or_insert_with(|| c.label(name))
+    }
+
+    fn flow(&mut self) -> u64 {
+        self.next_flow += 1;
+        self.next_flow - 1
+    }
+
+    fn record(&mut self, (node, thread): (u16, u16), at: u64, kind: EventKind) {
+        self.writer.record_on(at, node, thread, kind);
+    }
+}
+
+/// Where [`Substrate::trace`] is asked to record.
+pub enum On<'a, L> {
+    /// The thread of this lane: it ran an operation, or takes a token.
+    Lane(&'a mut L),
+    /// A token leaves cluster node `n`, from the thread that sends it.
+    Node(u32),
+}
+
+/// What [`Substrate::trace`] lends: a tracer, a track and the stamps.
+pub struct Rec<'a> {
+    tracer: &'a mut Tracer,
+    track: (u16, u16),
+    now: u64,
+    start: u64,
+    end: Option<u64>,
+}
+
+impl<'a> Rec<'a> {
+    /// `tracer` on `track`, the clock reading `now`: off a lane.
+    pub fn at(tracer: &'a mut Tracer, track: (u16, u16), now: u64) -> Self {
+        let (start, end) = (now, None);
+        Self {
+            tracer,
+            track,
+            now,
+            start,
+            end,
+        }
+    }
+
+    /// On a lane whose operation started at `start` and ended at `end`;
+    /// `None` if it ran in another process, whose host records its span
+    /// (`start` is then when it was shipped).
+    pub fn op(self, start: u64, end: Option<u64>) -> Self {
+        Self { start, end, ..self }
+    }
+
+    fn record(&mut self, at: u64, kind: EventKind) {
+        self.tracer.record(self.track, at, kind);
+    }
+}
+
+/// The flow a token was sent under, if traced: it goes with the token from
+/// [`deliver`] to the [`taken`] of the thread that takes it. Its id is kept
+/// off by one, so that it fits in a queued message in eight bytes.
+pub type Sent = Option<NonZeroU64>;
+
+/// The wave an arrival under `env` is traced under: its top frame's.
+pub fn env_wave(env: &Envelope) -> u32 {
+    env.frames.last().map_or(0, |f| f.wave as u32)
+}
+
+/// The operation at `at` (named `name`) ran on the track `rec` lends, in
+/// wave `wave`: its span and, inside it, the chunk it marked complete —
+/// in time order, so a writer's ring stays sorted.
+pub fn ran(mut rec: Rec<'_>, at: At, name: &str, wave: u32, marked: Option<u64>) {
+    let Some(end) = rec.end else { return };
+    let op = rec.tracer.label(Label::Op(at), name);
+    rec.record(rec.start, EventKind::OpStart { op, wave });
+    if let Some(iters) = marked {
+        chunk(&mut rec, iters);
+    }
+    rec.record(end, EventKind::OpEnd { op, wave });
+}
+
+/// The lane's operation, which ran here, completed a chunk of `iters`
+/// iterations.
+fn chunk(rec: &mut Rec<'_>, iters: u64) {
+    if let Some(end) = rec.end {
+        let nanos = end - rec.start;
+        rec.record(end, EventKind::ChunkExec { iters, nanos });
+    }
+}
+
+/// Wave `wave` of `at`'s graph opens at the start of the split on `lane`,
+/// or closes at the end of the operation that completed it — and the sink
+/// drains its writers, so no ring fills up over a long run.
+fn wave_edge<S: Substrate>(s: &S, lane: &mut S::Lane, at: At, wave: u64, opens: bool) {
+    let name = s.decls().def(at.app, at.graph).name();
+    s.trace(On::Lane(lane), |mut rec| {
+        let graph = rec.tracer.label(Label::Graph(at.app, at.graph), name);
+        let (wave, end) = (wave as u32, rec.end.unwrap_or(rec.now));
+        match opens {
+            true => rec.record(rec.start, EventKind::WaveStart { graph, wave }),
+            false => {
+                rec.record(end, EventKind::WaveEnd { graph, wave });
+                rec.tracer.collector.drain();
+            }
+        }
+    });
+}
+
+/// `tok`, under `env`, leaves cluster node `src`: its flow starts.
+fn enqueue<S: Substrate>(s: &S, src: u32, tok: &dyn Token, env: &Envelope) -> Sent {
+    s.trace(On::Node(src), |mut rec| {
+        let (token, wave, flow) = (rec.tracer.token(tok), env_wave(env), rec.tracer.flow());
+        rec.record(rec.now, EventKind::TokenEnqueue { token, wave, flow });
+        NonZeroU64::MIN.saturating_add(flow)
+    })
+}
+
+/// The thread of `lane` took `tok`, under `env` and `sent` to it, off its
+/// queue: a traced token's flow ends.
+pub fn taken<S: Substrate>(s: &S, lane: &mut S::Lane, tok: &dyn Token, env: &Envelope, sent: Sent) {
+    let Some(flow) = sent.map(|flow| flow.get() - 1) else {
+        return;
+    };
+    s.trace(On::Lane(lane), |mut rec| {
+        let (token, wave) = (rec.tracer.token(tok), env_wave(env));
+        rec.record(rec.now, EventKind::TokenDeliver { token, wave, flow });
+    });
+}
+
+// ---------------------------------------------------------------------------
 // The path of a token: the steps that apply the rules, over any substrate
 // ---------------------------------------------------------------------------
 
@@ -658,7 +847,7 @@ pub trait Substrate {
     }
     /// Move a token or a close from cluster node `src` to `thread` of `to`'s
     /// collection (alive when checked). No table is borrowed.
-    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope);
+    fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope, sent: Sent);
     /// Rule 4 on this substrate's clock: release the next post of flow `key`
     /// that the window admits and whose time has come, with its envelope and
     /// source node; drop the flow once drained. A substrate that holds a
@@ -678,8 +867,9 @@ pub trait Substrate {
     /// The operation that ran on `lane` marked a scheduled chunk of `iters`
     /// iterations complete: report it to the feedback sink.
     fn report(&mut self, lane: &mut Self::Lane, iters: u64);
-    /// Record the span of the operation at `at` that ran on `lane`.
-    fn span(&mut self, lane: &mut Self::Lane, at: At);
+    /// Lend `f` the tracer, the track and the stamps of `on`; `None`, with
+    /// `f` not called, when no trace is attached there.
+    fn trace<R>(&self, on: On<'_, Self::Lane>, f: impl FnOnce(Rec<'_>) -> R) -> Option<R>;
     /// The split at `at` opens a wave: allocate its id.
     fn opened(&mut self, lane: &mut Self::Lane, at: At) -> u64;
     /// Wave `key`, consumed on `lane` at `at`, completed: drop its record.
@@ -811,7 +1001,8 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut e
         },
         false => token,
     };
-    s.send(to, thread, src, Arrival::Token(token), env);
+    let sent = enqueue(s, src, token.as_ref(), &env);
+    s.send(to, thread, src, Arrival::Token(token), env, sent);
 }
 
 /// `token` leaves node `from` (rule 5): on to its successor, back into the
@@ -846,7 +1037,7 @@ pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total
         // A close is control info of the wave's own node: never on a wire.
         let host = s.decls().host(app, tc, thread);
         let to = At { app, graph, node };
-        s.send(to, thread, host, Arrival::Close(total), env)
+        s.send(to, thread, host, Arrival::Close(total), env, None)
     }
 }
 
@@ -926,13 +1117,18 @@ pub fn after_exec<S: Substrate>(
     marked: Option<u64>,
 ) -> Result<Option<FlowKey>> {
     let mut posts = posts.into_iter();
+    let gnode = s.decls().def(at.app, at.graph).node(at.node);
+    let (kind, name) = (gnode.kind, &gnode.name);
+    s.trace(On::Lane(lane), |rec| {
+        ran(rec, at, name, env_wave(&env), marked)
+    });
     if let Some(iters) = marked {
         s.report(lane, iters);
     }
-    s.span(lane, at);
-    match s.decls().def(at.app, at.graph).node(at.node).kind {
+    match kind {
         OpKind::Split => {
             let wave = s.opened(lane, at);
+            wave_edge(s, lane, at, wave, true);
             let def = s.decls().def(at.app, at.graph);
             let flow = open_wave(def, at.node, wave, &env, posts, src);
             let key = (at.node.0, wave);
@@ -1034,14 +1230,22 @@ pub fn after_wave<S: Substrate>(
     let posts = posts.into_iter();
     let (at, src, out_wave, completes) = (step.at, step.src, step.out_wave, step.completes);
     let At { app, graph, node } = at;
-    // The report is made before any post can be seen downstream. A consume's
-    // span is recorded before its posts leave, a close's after: recorded
-    // schedules (and their hashes) keep their event order.
+    // A marked chunk is recorded and reported before any post can be seen
+    // downstream. A consume's span is recorded before its posts leave, a
+    // close's after: recorded schedules (and their hashes) keep their event
+    // order.
+    let wave = step.key.wave as u32;
+    let span = |s: &S, lane: &mut S::Lane, marked| {
+        let name = &s.decls().def(app, graph).node(node).name;
+        s.trace(On::Lane(lane), |rec| ran(rec, at, name, wave, marked));
+    };
+    if step.consumed {
+        span(s, lane, marked);
+    } else if let Some(iters) = marked {
+        s.trace(On::Lane(lane), |mut rec| chunk(&mut rec, iters));
+    }
     if let Some(iters) = marked {
         s.report(lane, iters);
-    }
-    if step.consumed {
-        s.span(lane, at);
     }
     match s.decls().def(app, graph).node(node).kind {
         OpKind::Merge if completes => {
@@ -1067,9 +1271,10 @@ pub fn after_wave<S: Substrate>(
         _ => unreachable!("only merges and streams consume waves"),
     }
     if !step.consumed {
-        s.span(lane, at);
+        span(s, lane, None);
     }
     if completes {
+        wave_edge(s, lane, at, step.key.wave, false);
         s.wave_done(lane, at, &step.key);
         s.pins(app, graph, |pins| pins.remove(&step.key));
     }

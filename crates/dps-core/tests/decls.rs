@@ -1,6 +1,7 @@
 //! The declaration table's signature: what two SPMD processes compare
 //! before the first token moves. Derived from the table, so it is the same
-//! for the same declarations and different when one of them differs.
+//! for the same declarations and different when one of them differs. And
+//! the trace track a declared thread records on.
 
 use dps_cluster::ClusterSpec;
 use dps_core::prelude::*;
@@ -106,4 +107,28 @@ fn one_differing_declaration_signs_differently() {
     for (what, schedule) in variants {
         assert_ne!(signature(schedule), base, "{what} does not show");
     }
+}
+
+/// Each thread of a node has an index of its own on that node, counted in
+/// declaration order across collections and applications: two collections
+/// with a thread 0 on one node record on two tracks.
+#[test]
+fn a_thread_is_indexed_among_the_threads_of_its_node() {
+    let mut d = Decls::new(ClusterSpec::uniform(2, 1));
+    let a = d.app("a");
+    let _: ThreadCollection<()> = d.thread_collection(a, "node0").unwrap();
+    let _: ThreadCollection<()> = d.thread_collection(a, "node0 node1 node0").unwrap();
+    let b = d.app("b");
+    let _: ThreadCollection<()> = d.thread_collection(b, "node1 node0").unwrap();
+    let tracks: Vec<(u32, u32)> = [
+        (0, 0, 0),
+        (0, 1, 0),
+        (0, 1, 1),
+        (0, 1, 2),
+        (1, 0, 0),
+        (1, 0, 1),
+    ]
+    .map(|(app, tc, thread)| (d.host(app, tc, thread), d.node_thread(app, tc, thread)))
+    .into();
+    assert_eq!(tracks, [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3)]);
 }

@@ -2,14 +2,14 @@
 //! engine: no queue, no clock, no thread. Whatever an engine does around
 //! these calls, this is what the wave does. The second half runs the
 //! kernel's driver — the path of a token — over a `Substrate` that is
-//! nothing but queues and a seed.
+//! nothing but queues, a seed and a step count for a clock.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, CloseTo, Exit, Flow, FlowKey, Flows, IdHasher, IdMap, Instances,
-    Pins, Routed, Served, Substrate, Wave,
+    On, Pins, Rec, Routed, Sent, Served, Substrate, Tracer, Wave,
 };
 use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
@@ -637,15 +637,19 @@ fn declare(shape: Shape) -> Decls {
     d
 }
 
+/// What waits in a thread's queue: where it goes, what it is, under which
+/// envelope, and a traced token's flow.
+type Queued = (At, Arrival, Envelope, Sent);
+
 /// The third `Substrate`: one in-memory queue per thread, a seeded pick of
-/// which non-empty queue runs next, a kill list. No clock, no lock, no
-/// trace.
+/// which non-empty queue runs next, a kill list. No lock; its clock counts
+/// the steps run, and a trace is attached on demand.
 struct Fake {
     decls: Decls,
     routes: Vec<Vec<Box<dyn DynRoute>>>,
     pins: Vec<RefCell<Pins>>,
     flows: Vec<RefCell<Flows<Fake>>>,
-    queues: Vec<VecDeque<(At, Arrival, Envelope)>>,
+    queues: Vec<VecDeque<Queued>>,
     /// Each thread's op instances and the waves it consumes.
     lanes: Vec<Instances>,
     dead: Vec<bool>,
@@ -661,6 +665,9 @@ struct Fake {
     rng: dps_des::SplitMix64,
     completed: Vec<WaveKey>,
     peak_outstanding: u32,
+    /// Steps run so far: every stamp.
+    clock: u64,
+    tracer: RefCell<Option<Tracer>>,
 }
 
 impl Substrate for Fake {
@@ -702,8 +709,8 @@ impl Substrate for Fake {
     fn flows<R>(&self, app: u32, _graph: u32, f: impl FnOnce(&mut Flows<Self>) -> R) -> R {
         f(&mut self.flows[app as usize].borrow_mut())
     }
-    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
-        self.queues[thread as usize].push_back((to, what, env));
+    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope, sent: Sent) {
+        self.queues[thread as usize].push_back((to, what, env, sent));
     }
     fn next_post(
         &mut self,
@@ -734,7 +741,16 @@ impl Substrate for Fake {
         self.errors.push(e);
     }
     fn report(&mut self, _lane: &mut usize, _iters: u64) {}
-    fn span(&mut self, _lane: &mut usize, _at: At) {}
+    /// Thread `t` records on track `(t, 0)`, a node `n` on `(n, 0)`; every
+    /// stamp is the step count.
+    fn trace<R>(&self, on: On<'_, usize>, f: impl FnOnce(Rec<'_>) -> R) -> Option<R> {
+        let mut tracer = self.tracer.borrow_mut();
+        let (tracer, now) = (tracer.as_mut()?, self.clock);
+        Some(f(match on {
+            On::Lane(thread) => Rec::at(tracer, (*thread as u16, 0), now).op(now, Some(now)),
+            On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
+        }))
+    }
     fn opened(&mut self, _lane: &mut usize, _at: At) -> u64 {
         self.ids += 1;
         self.ids
@@ -768,6 +784,8 @@ impl Fake {
             rng: dps_des::SplitMix64::new(seed),
             completed: Vec::new(),
             peak_outstanding: 0,
+            clock: 0,
+            tracer: RefCell::new(None),
             decls,
         }
     }
@@ -790,7 +808,11 @@ impl Fake {
             return false;
         }
         let thread = ready[(self.rng.next_u64() % ready.len() as u64) as usize];
-        let (at, what, env) = self.queues[thread].pop_front().unwrap();
+        let (at, what, env, sent) = self.queues[thread].pop_front().unwrap();
+        self.clock += 1;
+        if let Arrival::Token(token) = &what {
+            kernel::taken(self, &mut { thread }, token.as_ref(), &env, sent);
+        }
         if let Err(e) = self.run(thread, at, what, env) {
             self.errors.push(e);
         }
@@ -847,8 +869,8 @@ impl Fake {
         let stranded: Vec<_> = self.queues[node].drain(..).collect();
         let (tokens, closes): (Vec<_>, Vec<_>) = stranded
             .into_iter()
-            .partition(|(_, what, _)| matches!(what, Arrival::Token(_)));
-        for (at, what, env) in tokens.into_iter().chain(closes) {
+            .partition(|(_, what, ..)| matches!(what, Arrival::Token(_)));
+        for (at, what, env, _) in tokens.into_iter().chain(closes) {
             kernel::reroute(self, at, node as u32, what, env);
         }
     }
@@ -874,7 +896,7 @@ impl Fake {
             Some((t, wave.received()))
         });
         let queued = || {
-            let is_merge = |(at, ..): &(At, Arrival, Envelope)| at.app == 0 && at.node == merge.id;
+            let is_merge = |(at, ..): &Queued| at.app == 0 && at.node == merge.id;
             let holds = |q: &VecDeque<_>| q.iter().any(is_merge);
             Some((self.queues.iter().position(holds)?, 0))
         };
@@ -1038,7 +1060,7 @@ fn a_parked_total_rides_on_the_token_that_pins_the_wave() {
     kernel::deliver(&mut fake, merge, 0, mid(), env(0, None));
     let queued: Vec<_> = fake.queues.iter().flatten().collect();
     assert_eq!(queued.len(), 1, "the token alone");
-    let (at, what, env) = queued[0];
+    let (at, what, env, _) = queued[0];
     assert!(*at == merge && matches!(what, Arrival::Token(_)));
     assert_eq!(env.top().unwrap().total, Some(3));
     assert!(fake.errors.is_empty(), "{:?}", fake.errors);
@@ -1103,8 +1125,9 @@ fn a_node_that_dies_under_the_load_snapshot_is_routed_around() {
 
     fake.dies_in_route = Some(2);
     fake.queues[1].clear();
-    fake.queues[1].push_back((leaf, Arrival::Token(mid()), env(0, None)));
-    fake.queues[1].push_back((leaf, Arrival::Token(mid()), env(0, None)));
+    let queued = || (leaf, Arrival::Token(mid()), env(0, None), None);
+    fake.queues[1].push_back(queued());
+    fake.queues[1].push_back(queued());
     // Thread 2 is the least loaded live one until it dies under the route.
     kernel::deliver(&mut fake, merge, 1, mid(), env(0, None));
     assert!(fake.dead[2] && fake.errors.is_empty(), "{:?}", fake.errors);
@@ -1122,4 +1145,65 @@ fn a_node_that_dies_under_the_load_snapshot_is_routed_around() {
     };
     assert_eq!(fake.errors, [down]);
     assert!(fake.queues.iter().all(VecDeque::is_empty));
+}
+
+/// The driver records the life of a token, an operation and a wave itself:
+/// every event of one leaf wave, in order — `at node.thread kind label wave
+/// [flow]`, stamped with the step that recorded it.
+#[test]
+fn one_wave_is_recorded_by_the_kernel() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let sink = dps_obs::TraceCollector::new();
+    *fake.tracer.get_mut() = Some(Tracer::new(sink.clone(), (0, 0)));
+    fake.inject(2);
+    while fake.step() {}
+    assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+    let log = sink.take_log();
+    let line = |e: &dps_obs::TraceEvent| {
+        use dps_obs::EventKind::*;
+        let (kind, label, wave, flow) = match e.kind {
+            OpStart { op, wave } => ("OpStart", op, wave, None),
+            OpEnd { op, wave } => ("OpEnd", op, wave, None),
+            WaveStart { graph, wave } => ("WaveStart", graph, wave, None),
+            WaveEnd { graph, wave } => ("WaveEnd", graph, wave, None),
+            TokenEnqueue { token, wave, flow } => ("TokenEnqueue", token, wave, Some(flow)),
+            TokenDeliver { token, wave, flow } => ("TokenDeliver", token, wave, Some(flow)),
+            other => panic!("not a lifecycle event: {other:?}"),
+        };
+        let flow = flow.map_or(String::new(), |f| format!(" {f}"));
+        let label = log.label(label);
+        format!(
+            "{} {}.{} {kind} {label} {wave}{flow}",
+            e.at, e.node, e.thread
+        )
+    };
+    let got: Vec<String> = log.events.iter().map(line).collect();
+    let want = [
+        // The injected token; the split opens wave 1 at its own start.
+        "0 0.0 TokenEnqueue In 0 0",
+        "1 0.0 TokenDeliver In 0 0",
+        "1 0.0 OpStart Fan 0",
+        "1 0.0 OpEnd Fan 0",
+        "1 0.0 WaveStart main 1",
+        "1 0.0 TokenEnqueue Mid 1 1",
+        "1 0.0 TokenEnqueue Mid 1 2",
+        // The two leaves, on threads 0 and 1.
+        "2 0.0 TokenDeliver Mid 1 1",
+        "2 0.0 OpStart Inc 1",
+        "2 0.0 OpEnd Inc 1",
+        "2 0.0 TokenEnqueue Mid 1 3",
+        "3 1.0 TokenDeliver Mid 1 2",
+        "3 1.0 OpStart Inc 1",
+        "3 1.0 OpEnd Inc 1",
+        "3 1.0 TokenEnqueue Mid 1 4",
+        // The merge; the consume that completes the wave closes it.
+        "4 0.0 TokenDeliver Mid 1 3",
+        "4 0.0 OpStart Count 1",
+        "4 0.0 OpEnd Count 1",
+        "5 0.0 TokenDeliver Mid 1 4",
+        "5 0.0 OpStart Count 1",
+        "5 0.0 OpEnd Count 1",
+        "5 0.0 WaveEnd main 1",
+    ];
+    assert_eq!(got, want);
 }

@@ -10,7 +10,7 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
 use dps_cluster::ClusterSpec;
-use dps_core::internal::kernel;
+use dps_core::internal::kernel::{self, Tracer};
 use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
@@ -257,6 +257,8 @@ impl MtEngine {
             node_flops: self.node_flops,
             remote: self.remote.clone(),
             trace: self.trace.clone(),
+            // A track no cluster node has: its flow ids are its own.
+            outside: (self.trace.clone()).map(|c| Mutex::new(Tracer::new(c, (u16::MAX, 0)))),
             dead: (0..self.decls.nodes())
                 .map(|_| AtomicBool::new(false))
                 .collect(),
@@ -394,8 +396,6 @@ impl MtEngine {
     pub fn fail_handle(&mut self) -> FailHandle {
         FailHandle {
             shared: self.started(),
-            feedback: self.feedback.clone(),
-            trace: self.trace.clone(),
         }
     }
 
@@ -438,8 +438,6 @@ impl Drop for MtEngine {
 #[derive(Clone)]
 pub struct FailHandle {
     shared: Arc<Shared>,
-    feedback: Option<Arc<dyn FeedbackSink>>,
-    trace: Option<Arc<dps_obs::TraceCollector>>,
 }
 
 impl FailHandle {
@@ -460,7 +458,7 @@ impl FailHandle {
         for graph in shared.apps.iter().flat_map(|app| &app.graphs) {
             graph.followed.reset();
         }
-        if let Some(sink) = &self.feedback {
+        if let Some(sink) = &shared.feedback {
             let apps = shared.decls.apps();
             let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
             let lost = kernel::lost_workers(&shared.rare.feedback_tcs.lock(), hosts, &node);
@@ -482,7 +480,7 @@ impl FailHandle {
                 }
             }
         }
-        if let Some(c) = &self.trace {
+        if let Some(c) = &shared.trace {
             c.record_now(
                 node as u16,
                 0,

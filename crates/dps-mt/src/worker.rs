@@ -4,26 +4,28 @@
 //! The path of a token between two operations is `dps_core`'s kernel
 //! driver. This file is its [`Substrate`] on OS threads — channels, atomic
 //! counters, one mutex per table (and one word in front of the pin table's,
-//! so a token following its wave takes none), wall-clock tracing — and the
-//! worker loop with its two-phase remote pipeline.
+//! so a token following its wave takes none), a wall clock and one trace
+//! writer per worker — and the worker loop with its two-phase remote
+//! pipeline.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dps_sched::FeedbackSink;
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
-    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, IdMap, Instances, Pins, Routed, Served,
-    Substrate, WaveStep,
+    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Routed,
+    Sent, Served, Substrate, Tracer, WaveStep,
 };
 use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
-use dps_obs::{Counter, EventKind, Gauge, TraceCollector, TraceWriter};
+use dps_obs::{Counter, EventKind, Gauge, TraceCollector};
 use parking_lot::Mutex;
 
 use crate::remote::{remote_for, RemoteExec, RemoteKind, RemotePending, RemoteTask};
@@ -32,8 +34,9 @@ use crate::remote::{remote_for, RemoteExec, RemoteKind, RemotePending, RemoteTas
 pub(crate) enum Msg {
     /// A token to process at a node of a graph of the receiving thread's
     /// application (`At` less the `app`: the queues of a token-bound run
-    /// hold one of these per token), or the close of a wave consumed there.
-    Arrive(u32, GNodeId, Arrival, Envelope),
+    /// hold one of these per token), or the close of a wave consumed there;
+    /// with a traced token's flow.
+    Arrive(u32, GNodeId, Arrival, Envelope, Sent),
     /// Terminate the worker.
     Stop,
     /// Wakeup after the worker's node was marked dead (`fail_node`): the
@@ -209,8 +212,11 @@ pub(crate) struct Shared {
     /// cluster node it claims run in another process (see `crate::remote`).
     pub remote: Option<Arc<dyn RemoteExec>>,
     /// Attached trace sink (wall-clock timestamps); each worker thread
-    /// registers its own writer at startup.
+    /// registers its own writer at startup ([`TRACER`]).
     pub trace: Option<Arc<TraceCollector>>,
+    /// The tracer of the threads that run no worker, taken under its lock:
+    /// the driver's `submit` records the start of its token's flow here.
+    pub outside: Option<Mutex<Tracer>>,
     /// One flag per cluster node: `fail_node` marks a node dead here and
     /// its workers turn into tombstones (they keep draining their queues,
     /// re-routing stranded work, so no message is ever lost to a closed
@@ -245,6 +251,13 @@ impl Shared {
     }
 }
 
+thread_local! {
+    /// The tracer of the worker this thread runs, when a sink is attached:
+    /// one SPSC ring, through which a token the worker sends also has its
+    /// flow's start recorded, in order.
+    static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
+}
+
 /// Per-worker mutable state.
 pub(crate) struct Worker {
     app: u32,
@@ -259,30 +272,22 @@ pub(crate) struct Worker {
     /// The remote-execution hook, when it claims this thread's node: the
     /// thread is then a proxy, and its operations run in another process.
     remote: Option<Arc<dyn RemoteExec>>,
-    /// This thread's trace writer (one SPSC ring), when a sink is attached.
-    trace: Option<TraceWriter>,
-    /// The operation that just ran *here*, from phase 1 until the kernel
-    /// has its span recorded; `None` for one the remote host ran and timed.
+    /// The operation whose posts the kernel is applying, timed.
     span: Option<Span>,
     /// This thread's collection is in `feedback_tcs`.
     reports: bool,
 }
 
-/// A local operation's wall-clock start and the wave it is traced under.
+/// When an operation started and, if it ran here, how long it took — the
+/// one reading the trace and the feedback sink share (taken when a trace is
+/// attached or the operation marked a chunk). For an operation a remote
+/// host ran: when it was shipped.
 struct Span {
     t0: Instant,
-    t0n: Option<u64>,
-    wave: u32,
+    took: Option<Duration>,
 }
 
 impl Worker {
-    /// Record a trace event on this worker's track (no-op without a sink).
-    fn trace(&mut self, shared: &Shared, kind: EventKind) {
-        if let (Some(w), Some(c)) = (self.trace.as_mut(), shared.trace.as_ref()) {
-            w.record(c.now_nanos(), kind);
-        }
-    }
-
     /// The feedback sink, for a chunk report under this thread's index —
     /// measured here or by a remote host. Its collection is noted for
     /// `fail_node` (kernel rule 8) ahead of the first one.
@@ -370,9 +375,9 @@ enum Begun {
 }
 
 /// The remote operations a worker thread has shipped and not yet finished,
-/// oldest first. Each entry is one message still counted in the thread's
-/// backlog.
-type InFlight = VecDeque<(Box<dyn RemotePending>, Cont)>;
+/// oldest first, with when each was shipped. Each entry is one message still
+/// counted in the thread's backlog.
+type InFlight = VecDeque<(Box<dyn RemotePending>, Cont, Instant)>;
 
 /// The worker main loop.
 ///
@@ -395,6 +400,10 @@ pub(crate) fn worker_loop(
 ) {
     let mut shared: &Shared = &shared;
     let node = shared.decls.host(app, tc, thread);
+    let track = (
+        node as u16,
+        shared.decls.node_thread(app, tc, thread) as u16,
+    );
     let mut w = Worker {
         app,
         tc,
@@ -403,13 +412,10 @@ pub(crate) fn worker_loop(
         data,
         inst: Instances::default(),
         remote: remote_for(&shared.remote, node),
-        trace: shared
-            .trace
-            .as_ref()
-            .map(|c| c.writer(node as u16, thread as u16)),
         span: None,
         reports: false,
     };
+    TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, track)));
     let mut inflight = InFlight::new();
     let mut stopped = false;
     let mut dead = false;
@@ -450,7 +456,12 @@ pub(crate) fn worker_loop(
             // A bare wakeup (sent raw, not counted in the backlog): the
             // dead-set re-check above did the work.
             Msg::Fail => continue,
-            Msg::Arrive(graph, node, what, env) => (At { app, graph, node }, what, env),
+            Msg::Arrive(graph, node, what, env, sent) => {
+                if let (Arrival::Token(token), false) = (&what, dead) {
+                    kernel::taken(&shared, &mut w, token.as_ref(), &env, sent);
+                }
+                (At { app, graph, node }, what, env)
+            }
         };
         let kind = shared.decls.def(app, at.graph).node(at.node).kind;
         let begun = match (what, kind) {
@@ -494,11 +505,8 @@ pub(crate) fn worker_loop(
         // The channel died under the worker (abnormal teardown): record the
         // thread's death as a terminal node-down event.
         if let Some(c) = &shared.trace {
-            c.record_now(
-                node as u16,
-                thread as u16,
-                EventKind::NodeDown { node: node as u16 },
-            );
+            let (node, thread) = track;
+            c.record_now(node, thread, EventKind::NodeDown { node });
             c.metrics().add(Counter::NodesDown, 1);
         }
     }
@@ -513,9 +521,13 @@ fn retire(shared: &Shared, w: &Worker) {
 
 /// Wait for the oldest shipped operation and run its phase 2.
 fn finish_oldest(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
-    let Some((pending, cont)) = inflight.pop_front() else {
+    let Some((pending, cont, shipped)) = inflight.pop_front() else {
         return;
     };
+    w.span = Some(Span {
+        t0: shipped,
+        took: None,
+    });
     let done = pending.wait().and_then(|outcome| {
         // The remote host measured the wall-clock time: the distributed
         // counterpart of `Substrate::report`.
@@ -560,21 +572,17 @@ fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
     }
 }
 
-/// Run the operation `served` picks, here, and note its span for the kernel
-/// to record (`env_wave`: the wave it is traced under).
+/// Run the operation `served` picks, here, and time it for the kernel
+/// (`traced`: a trace is attached).
 fn run_here(
-    shared: &Shared,
+    traced: bool,
     span: &mut Option<Span>,
-    env_wave: u32,
     run: impl FnOnce() -> Result<OpOutput, DpsError>,
 ) -> Result<OpOutput, DpsError> {
-    let started = Span {
-        t0n: shared.trace.as_ref().map(|c| c.now_nanos()),
-        t0: Instant::now(),
-        wave: env_wave,
-    };
+    let t0 = Instant::now();
     let out = run()?;
-    *span = Some(started);
+    let took = (traced || out.completed_iters.is_some()).then(|| t0.elapsed());
+    *span = Some(Span { t0, took });
     Ok(out)
 }
 
@@ -605,15 +613,14 @@ fn begin_exec(
             token: Some(token),
             env: env.clone(),
         });
-        inflight.push_back((pending, Cont::Exec { at, env }));
+        inflight.push_back((pending, Cont::Exec { at, env }, Instant::now()));
         return Ok(Begun::InFlight);
     }
     let gnode = shared.decls.def(w.app, at.graph).node(at.node);
     let info = exec_info(shared, w);
-    let env_wave = env.frames.last().map_or(0, |f| f.wave as u32);
     let slot = Served::Node(&mut w.inst, (at.graph, at.node.0));
     let data = w.data.as_mut();
-    let out = run_here(shared, &mut w.span, env_wave, || {
+    let out = run_here(shared.trace.is_some(), &mut w.span, || {
         kernel::step(slot, gnode, Some(token), false, data, info)
     })?;
     let marked = out.completed_iters;
@@ -663,11 +670,11 @@ fn begin_wave(
             token,
             env,
         });
-        inflight.push_back((pending, Cont::Wave(step)));
+        inflight.push_back((pending, Cont::Wave(step), Instant::now()));
         return Ok(Begun::InFlight);
     }
     let data = w.data.as_mut();
-    let out = run_here(shared, &mut w.span, step.key.wave as u32, || {
+    let out = run_here(shared.trace.is_some(), &mut w.span, || {
         kernel::step(Served::Wave(wave), gnode, token, completes, data, info)
     })?;
     let marked = out.completed_iters;
@@ -771,9 +778,9 @@ impl Substrate for &Shared {
         answer
     }
 
-    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope) {
+    fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope, sent: Sent) {
         let tc = self.decls.def(to.app, to.graph).node(to.node).tc;
-        let msg = Msg::Arrive(to.graph, to.node, what, env);
+        let msg = Msg::Arrive(to.graph, to.node, what, env, sent);
         self.apps[to.app as usize].tcs[tc as usize].enqueue(thread as usize, msg);
     }
 
@@ -806,62 +813,61 @@ impl Substrate for &Shared {
         send_error(self, app, e);
     }
 
-    /// The wall-clock execution time of the chunk goes to the registered
-    /// feedback sink — the real-thread half of the dynamic loop-scheduling
-    /// feedback channel. (A remote host's reports come back with its posts.)
+    /// The chunk's wall-clock execution time goes to the feedback sink (a
+    /// remote host's reports come back with its posts).
     fn report(&mut self, w: &mut Worker, iters: u64) {
-        let Some(started) = w.span.as_ref().map(|span| span.t0) else {
+        let (Some(took), Some(sink)) = (w.span.as_ref().and_then(|s| s.took), w.sink(self)) else {
             return;
         };
-        // One reading of the clock: the trace and the sink see one duration.
-        let took = started.elapsed();
-        let nanos = took.as_nanos() as u64;
-        w.trace(self, EventKind::ChunkExec { iters, nanos });
-        if let Some(sink) = w.sink(self) {
-            sink.report_chunk(w.thread as usize, iters, took.as_secs_f64());
-            let worker = w.thread;
-            w.trace(
-                self,
-                EventKind::ChunkReport {
-                    worker,
-                    iters,
-                    nanos,
-                },
-            );
-            if let Some(c) = &self.trace {
-                c.metrics().add(Counter::ChunkReports, 1);
-            }
-        }
+        sink.report_chunk(w.thread as usize, iters, took.as_secs_f64());
+        let (worker, nanos) = (w.thread, took.as_nanos() as u64);
+        TRACER.with_borrow_mut(|t| {
+            let Some(t) = t else { return };
+            let at = t.collector().now_nanos();
+            let report = EventKind::ChunkReport {
+                worker,
+                iters,
+                nanos,
+            };
+            t.writer().record(at, report);
+            t.collector().metrics().add(Counter::ChunkReports, 1);
+        });
     }
 
-    fn span(&mut self, w: &mut Worker, at: At) {
-        let Some(span) = w.span.take() else {
-            return;
-        };
-        if let (Some(start), Some(c), Some(wtr)) = (span.t0n, &self.trace, &mut w.trace) {
-            let op = c.label(&self.decls.def(at.app, at.graph).node(at.node).name);
-            let wave = span.wave;
-            wtr.record(start, EventKind::OpStart { op, wave });
-            wtr.record(c.now_nanos(), EventKind::OpEnd { op, wave });
-        }
+    /// Wall-clock stamps, and the writer of the worker this thread runs —
+    /// a token a worker sends has its flow's start recorded on its own ring
+    /// — or, on any other thread, the `outside` one.
+    fn trace<R>(&self, on: On<'_, Worker>, f: impl FnOnce(Rec<'_>) -> R) -> Option<R> {
+        let c = self.trace.as_ref()?;
+        let now = c.now_nanos();
+        TRACER.with_borrow_mut(|own| {
+            let mut outside = self
+                .outside
+                .as_ref()
+                .filter(|_| own.is_none())
+                .map(|t| t.lock());
+            let tracer = own.as_mut().or(outside.as_deref_mut())?;
+            let track = tracer.writer().track();
+            Some(f(match on {
+                On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
+                On::Lane(Worker {
+                    span: Some(Span { t0, took }),
+                    ..
+                }) => {
+                    let start = c.stamp(*t0);
+                    let end = took.map(|took| start + took.as_nanos() as u64);
+                    Rec::at(tracer, track, now).op(start, end)
+                }
+                On::Lane(_) => Rec::at(tracer, track, now),
+            }))
+        })
     }
 
-    fn opened(&mut self, w: &mut Worker, at: At) -> u64 {
-        let id = self.wave_counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = &self.trace {
-            let (graph, wave) = (c.label(self.decls.def(at.app, at.graph).name()), id as u32);
-            w.trace(self, EventKind::WaveStart { graph, wave });
-        }
-        id
+    fn opened(&mut self, _w: &mut Worker, _at: At) -> u64 {
+        self.wave_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     fn wave_done(&mut self, w: &mut Worker, at: At, key: &WaveKey) {
-        if let Some(c) = &self.trace {
-            let graph = c.label(self.decls.def(at.app, at.graph).name());
-            let wave = key.wave as u32;
-            w.trace(self, EventKind::WaveEnd { graph, wave });
-            c.drain();
-        }
         w.inst.waves.remove(key);
         let g = &self.apps[at.app as usize].graphs[at.graph as usize];
         g.followed.forget(key.wave);
@@ -1024,7 +1030,6 @@ mod tests {
             data: Box::new(()),
             inst: Instances::default(),
             remote: None,
-            trace: None,
             span: None,
             reports: false,
         };

@@ -17,6 +17,7 @@ use std::io;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -31,10 +32,9 @@ use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::Bytes;
 use parking_lot::Mutex;
 
-use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, Job, WireMeter};
+use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
 use crate::proto::{self, send_frame, Frame, Payload, TaskKind};
-use crate::runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
 /// Every deadline the network engine enforces, in one place. Each field
@@ -287,7 +287,7 @@ struct Master {
     run_seq: u64,
     out_buf: HashMap<(u32, u32), Vec<TokenBox>>,
     children: Vec<Child>,
-    tasks: Vec<Box<dyn TaskHandle>>,
+    threads: Vec<JoinHandle<()>>,
     /// Dropped at shutdown: the heartbeat monitor's wait for its next tick
     /// ends the moment the channel closes.
     hb_stop: Option<Sender<()>>,
@@ -321,7 +321,7 @@ struct Worker {
     run_seq: u64,
     release_timeout: Duration,
     started: Instant,
-    tasks: Vec<Box<dyn TaskHandle>>,
+    threads: Vec<JoinHandle<()>>,
     down: bool,
 }
 
@@ -612,29 +612,7 @@ fn worker_reader(
 ) {
     while let Ok(bytes) = rx.recv() {
         match proto::decode_frame(bytes) {
-            Ok(Frame::Exec {
-                seq,
-                app,
-                tc,
-                thread,
-                graph,
-                node,
-                kind,
-                token,
-                env,
-            }) => host.dispatch(
-                app,
-                tc,
-                thread,
-                Job {
-                    seq,
-                    graph,
-                    node,
-                    kind,
-                    token: token.into_bytes(),
-                    env,
-                },
-            ),
+            Ok(exec @ Frame::Exec { .. }) => host.dispatch(exec),
             Ok(Frame::Hub { req, body }) => {
                 // A claim on a lease opened here, relayed by the master.
                 let body = body.serve(&hub);
@@ -691,29 +669,7 @@ fn worker_reader(
 fn harness_reader(mut rx: Box<dyn FrameRx>, host: Arc<ExecHost>, writer: Arc<Conn>) {
     while let Ok(bytes) = rx.recv() {
         match proto::decode_frame(bytes) {
-            Ok(Frame::Exec {
-                seq,
-                app,
-                tc,
-                thread,
-                graph,
-                node,
-                kind,
-                token,
-                env,
-            }) => host.dispatch(
-                app,
-                tc,
-                thread,
-                Job {
-                    seq,
-                    graph,
-                    node,
-                    kind,
-                    token: token.into_bytes(),
-                    env,
-                },
-            ),
+            Ok(exec @ Frame::Exec { .. }) => host.dispatch(exec),
             Ok(Frame::Ping { nonce }) => {
                 let _ = writer.send(&Frame::Pong { nonce });
             }
@@ -747,11 +703,6 @@ impl NetEngine {
 
     /// [`loopback`](Self::loopback) with explicit configuration.
     pub fn loopback_with(nodes: usize, cfg: NetEngineConfig) -> Self {
-        Self::loopback_on(nodes, cfg, Arc::new(ThreadRuntime))
-    }
-
-    /// [`loopback`](Self::loopback) on a caller-provided [`AsyncRuntime`].
-    pub fn loopback_on(nodes: usize, cfg: NetEngineConfig, rt: Arc<dyn AsyncRuntime>) -> Self {
         assert!(nodes >= 1, "the cluster needs at least the master node");
         let transport = LoopbackTransport::new();
         let (addr, mut acceptor) = transport.bind().expect("loopback bind");
@@ -760,7 +711,7 @@ impl NetEngine {
         let node_flops = mt.node_flops();
 
         let mut links = Vec::new();
-        let mut tasks: Vec<Box<dyn TaskHandle>> = Vec::new();
+        let mut threads = Vec::new();
         let mut harness_hosts = Vec::new();
         for rank in 1..nodes as u32 {
             let mut worker_side = transport.connect(&addr).expect("loopback connect");
@@ -778,24 +729,21 @@ impl NetEngine {
                 hwriter.clone(),
                 node_flops,
                 rank as u16,
-                rt.clone(),
             ));
             harness_hosts.push(host.clone());
             let hrx = worker_side.rx;
-            tasks.push(rt.spawn(
-                &format!("dps-net-harness{rank}"),
-                Box::new(move || harness_reader(hrx, host, hwriter)),
-            ));
+            threads.push(spawn(format!("dps-net-harness{rank}"), move || {
+                harness_reader(hrx, host, hwriter)
+            }));
         }
 
         NetEngine {
             role: Role::Master(Box::new(Master::start(
-                &rt,
                 &cfg,
                 mt,
                 decls,
                 links,
-                tasks,
+                threads,
                 Vec::new(),
                 harness_hosts,
             ))),
@@ -827,7 +775,6 @@ impl NetEngine {
 
     fn master_tcp(nodes: usize, cfg: NetEngineConfig) -> io::Result<Self> {
         assert!(nodes >= 1, "the cluster needs at least the master node");
-        let rt: Arc<dyn AsyncRuntime> = Arc::new(ThreadRuntime);
         let (addr, mut acceptor) = TcpTransport.bind()?;
         let worker_count = nodes - 1;
 
@@ -855,28 +802,25 @@ impl NetEngine {
             }
         }
 
-        // Accept on a task so the timeout stays enforceable, collect the
+        // Accept on a thread so the timeout stays enforceable, collect the
         // Hello of each worker, and slot connections by rank.
         let (acc_tx, acc_rx) = unbounded();
-        let accept_task = rt.spawn(
-            "dps-net-accept",
-            Box::new(move || {
-                for _ in 0..worker_count {
-                    let Ok(mut duplex) = acceptor.accept() else {
-                        break;
-                    };
-                    let Ok(bytes) = duplex.rx.recv() else {
-                        continue;
-                    };
-                    let Ok(Frame::Hello { rank }) = proto::decode_frame(bytes) else {
-                        continue;
-                    };
-                    if acc_tx.send((rank, duplex)).is_err() {
-                        break;
-                    }
+        let accept_thread = spawn("dps-net-accept".into(), move || {
+            for _ in 0..worker_count {
+                let Ok(mut duplex) = acceptor.accept() else {
+                    break;
+                };
+                let Ok(bytes) = duplex.rx.recv() else {
+                    continue;
+                };
+                let Ok(Frame::Hello { rank }) = proto::decode_frame(bytes) else {
+                    continue;
+                };
+                if acc_tx.send((rank, duplex)).is_err() {
+                    break;
                 }
-            }),
-        );
+            }
+        });
         let mut slots: Vec<Option<Duplex>> = (0..worker_count).map(|_| None).collect();
         let deadline = Instant::now() + cfg.timeouts.connect;
         for _ in 0..worker_count {
@@ -936,12 +880,11 @@ impl NetEngine {
 
         Ok(NetEngine {
             role: Role::Master(Box::new(Master::start(
-                &rt,
                 &cfg,
                 mt,
                 decls,
                 links,
-                vec![accept_task],
+                vec![accept_thread],
                 children,
                 Vec::new(),
             ))),
@@ -949,7 +892,6 @@ impl NetEngine {
     }
 
     fn worker_tcp(nodes: usize, cfg: NetEngineConfig, rank: u32, addr: &str) -> io::Result<Self> {
-        let rt: Arc<dyn AsyncRuntime> = Arc::new(ThreadRuntime);
         let deadline = Instant::now() + cfg.timeouts.connect;
         let mut duplex = loop {
             match TcpTransport.connect(addr) {
@@ -993,7 +935,6 @@ impl NetEngine {
             writer.clone(),
             node_flops,
             rank as u16,
-            rt.clone(),
         ));
         let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
         let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
@@ -1007,22 +948,19 @@ impl NetEngine {
             let outputs = outputs.clone();
             let writer = writer.clone();
             let rx = duplex.rx;
-            rt.spawn(
-                "dps-net-reader",
-                Box::new(move || {
-                    worker_reader(
-                        rx,
-                        host,
-                        hub,
-                        hub_link,
-                        decls,
-                        outputs,
-                        writer,
-                        release_tx,
-                        shutdown_tx,
-                    )
-                }),
-            )
+            spawn("dps-net-reader".into(), move || {
+                worker_reader(
+                    rx,
+                    host,
+                    hub,
+                    hub_link,
+                    decls,
+                    outputs,
+                    writer,
+                    release_tx,
+                    shutdown_tx,
+                )
+            })
         };
 
         Ok(NetEngine {
@@ -1039,7 +977,7 @@ impl NetEngine {
                 run_seq: 0,
                 release_timeout: cfg.timeouts.release,
                 started: Instant::now(),
-                tasks: vec![reader],
+                threads: vec![reader],
                 down: false,
             })),
         })
@@ -1116,6 +1054,12 @@ impl Drop for NetEngine {
     }
 }
 
+/// Run `f` on an OS thread of its own named `name`.
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let builder = std::thread::Builder::new().name(name);
+    builder.spawn(f).expect("spawn a network-engine thread")
+}
+
 fn kill_children(children: &mut Vec<Child>) {
     for mut child in children.drain(..) {
         let _ = child.kill();
@@ -1134,14 +1078,12 @@ impl Master {
     /// the heartbeat monitor. `children` are the worker processes (none in
     /// loopback mode, where `harness_hosts` stand in for them and share
     /// `decls`, so no sync barrier is needed).
-    #[allow(clippy::too_many_arguments)]
     fn start(
-        rt: &Arc<dyn AsyncRuntime>,
         cfg: &NetEngineConfig,
         mt: MtEngine,
         decls: Arc<DeclStore>,
         links: Vec<Duplex>,
-        mut tasks: Vec<Box<dyn TaskHandle>>,
+        mut threads: Vec<JoinHandle<()>>,
         children: Vec<Child>,
         harness_hosts: Vec<Arc<ExecHost>>,
     ) -> Master {
@@ -1194,18 +1136,16 @@ impl Master {
             let shared = shared.clone();
             let sync_tx = sync_tx.clone();
             let trace_tx = trace_tx.clone();
-            tasks.push(rt.spawn(
-                &format!("dps-net-reader{}", i + 1),
-                Box::new(move || master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)),
-            ));
+            threads.push(spawn(format!("dps-net-reader{}", i + 1), move || {
+                master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)
+            }));
         }
         let (hb_stop, hb_stopped) = unbounded();
         if worker_count > 0 {
             let hb = shared.clone();
-            tasks.push(rt.spawn(
-                "dps-net-heartbeat",
-                Box::new(move || heartbeat_monitor(hb, hb_stopped)),
-            ));
+            threads.push(spawn("dps-net-heartbeat".into(), move || {
+                heartbeat_monitor(hb, hb_stopped)
+            }));
         }
 
         Master {
@@ -1217,7 +1157,7 @@ impl Master {
             run_seq: 0,
             out_buf: HashMap::new(),
             children,
-            tasks,
+            threads,
             hb_stop: Some(hb_stop),
             down: false,
             trace: None,
@@ -1469,8 +1409,8 @@ impl Master {
                 Err(e) => failures.push(format!("waiting for a worker failed: {e}")),
             }
         }
-        for task in self.tasks.drain(..) {
-            task.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
         if !failures.is_empty() && !std::thread::panicking() {
             panic!("worker processes failed: {failures:?}");
@@ -1529,8 +1469,8 @@ impl Worker {
         // reader forwards its exit on either Shutdown or a closed socket).
         let _ = self.shutdown_rx.recv_timeout(self.release_timeout);
         self.host.stop();
-        for task in self.tasks.drain(..) {
-            task.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }

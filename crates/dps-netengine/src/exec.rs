@@ -18,20 +18,20 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::{self, Instances, Served, Wave};
+use dps_core::internal::kernel::{self, At, Instances, Rec, Served, Tracer, Wave};
 use dps_core::internal::ExecInfo;
 use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
-use dps_obs::{Counter, MetricsRegistry};
+use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
 use dps_serial::Bytes;
 use parking_lot::Mutex;
 
 use crate::proto::{self, Frame, Payload, TaskKind};
-use crate::runtime::{AsyncRuntime, TaskHandle};
 use crate::transport::FrameTx;
 
 /// How long an executor waits for a declaration to appear before giving up
@@ -154,7 +154,7 @@ impl FrameTx for &Conn {
 }
 
 /// One remote task, as dispatched to an executor lane.
-pub(crate) struct Job {
+struct Job {
     pub seq: u64,
     pub graph: u32,
     pub node: dps_core::GNodeId,
@@ -174,20 +174,13 @@ pub(crate) struct ExecHost {
     rank: u16,
     /// Trace sink, attached before the first run (like every declaration on
     /// this engine). Lanes snapshot it when they spawn.
-    trace: Mutex<Option<Arc<dps_obs::TraceCollector>>>,
+    trace: Mutex<Option<Arc<TraceCollector>>>,
     lanes: Mutex<HashMap<(u32, u32, u32), Sender<Job>>>,
-    rt: Arc<dyn AsyncRuntime>,
-    tasks: Mutex<Vec<Box<dyn TaskHandle>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl ExecHost {
-    pub fn new(
-        decls: Arc<DeclStore>,
-        writer: Arc<Conn>,
-        node_flops: f64,
-        rank: u16,
-        rt: Arc<dyn AsyncRuntime>,
-    ) -> Self {
+    pub fn new(decls: Arc<DeclStore>, writer: Arc<Conn>, node_flops: f64, rank: u16) -> Self {
         Self {
             decls,
             writer,
@@ -195,45 +188,61 @@ impl ExecHost {
             rank,
             trace: Mutex::new(None),
             lanes: Mutex::new(HashMap::new()),
-            rt,
-            tasks: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
         }
     }
 
     /// Attach the trace collector executor lanes record into. Must precede
     /// the first dispatched job of a traced run (lanes capture the sink as
     /// they spawn).
-    pub fn set_trace(&self, collector: Arc<dps_obs::TraceCollector>) {
+    pub fn set_trace(&self, collector: Arc<TraceCollector>) {
         *self.trace.lock() = Some(collector);
     }
 
     /// The attached collector, if any.
-    pub fn trace_collector(&self) -> Option<Arc<dps_obs::TraceCollector>> {
+    pub fn trace_collector(&self) -> Option<Arc<TraceCollector>> {
         self.trace.lock().clone()
     }
 
-    /// Route a task to its thread's executor lane, spawning the lane on
-    /// first use. Tasks for one (app, tc, thread) execute serially in
-    /// arrival order — the same ordering the thread would have locally.
-    pub fn dispatch(&self, app: u32, tc: u32, thread: u32, job: Job) {
+    /// Route the task of an `Exec` frame to its thread's executor lane,
+    /// spawning the lane on first use. Tasks for one (app, tc, thread)
+    /// execute serially in arrival order — the same ordering the thread
+    /// would have locally.
+    pub fn dispatch(&self, exec: Frame<'_>) {
+        let Frame::Exec {
+            seq,
+            app,
+            tc,
+            thread,
+            graph,
+            node,
+            kind,
+            token,
+            env,
+        } = exec
+        else {
+            unreachable!("only an Exec frame carries a task");
+        };
+        let token = token.into_bytes();
+        let job = Job {
+            seq,
+            graph,
+            node,
+            kind,
+            token,
+            env,
+        };
         let mut lanes = self.lanes.lock();
         let tx = lanes.entry((app, tc, thread)).or_insert_with(|| {
             let (tx, rx) = unbounded();
-            let decls = self.decls.clone();
-            let writer = self.writer.clone();
-            let node_flops = self.node_flops;
-            let trace = self
-                .trace
-                .lock()
-                .as_ref()
-                .map(|c| (c.clone(), c.writer(self.rank, thread as u16)));
-            let task = self.rt.spawn(
-                &format!("dps-net-a{app}t{tc}i{thread}"),
-                Box::new(move || {
-                    executor_loop(decls, writer, node_flops, app, tc, thread, trace, rx)
-                }),
-            );
-            self.tasks.lock().push(task);
+            let (decls, writer) = (self.decls.clone(), self.writer.clone());
+            let (host, trace) = ((self.node_flops, self.rank), self.trace.lock().clone());
+            let key = (app, tc, thread);
+            let spawned = std::thread::Builder::new()
+                .name(format!("dps-net-a{app}t{tc}i{thread}"))
+                .spawn(move || executor_loop(decls, writer, host, key, trace, rx))
+                .expect("spawn executor lane");
+            self.threads.lock().push(spawned);
             tx
         });
         let _ = tx.send(job);
@@ -243,8 +252,8 @@ impl ExecHost {
     /// first).
     pub fn stop(&self) {
         self.lanes.lock().clear();
-        for t in self.tasks.lock().drain(..) {
-            t.join();
+        for t in self.threads.lock().drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -259,21 +268,12 @@ struct NodeCtx {
     factory: DataFactory,
     /// Token registry of the owning application.
     registry: Arc<TokenRegistry>,
-    /// Trace label of the node's operation (the empty label without a sink).
-    label: dps_obs::LabelId,
 }
 
 impl NodeCtx {
     /// Wait for the SPMD declarations to catch up, then snapshot them.
-    fn resolve(
-        decls: &DeclStore,
-        trace: Option<&dps_obs::TraceCollector>,
-        app: u32,
-        tc: u32,
-        graph: u32,
-        node: dps_core::GNodeId,
-    ) -> Result<Self, DpsError> {
-        let mut ctx = decls.wait_for(|d| {
+    fn resolve(decls: &DeclStore, app: u32, tc: u32, graph: u32) -> Result<Self, DpsError> {
+        decls.wait_for(|d| {
             let a = d.apps().get(app as usize)?;
             let tcd = a.tcs.get(tc as usize)?;
             Some(NodeCtx {
@@ -281,13 +281,8 @@ impl NodeCtx {
                 thread_count: tcd.nodes.len(),
                 factory: tcd.factory.clone(),
                 registry: a.registry.clone(),
-                label: dps_obs::LabelId::default(),
             })
-        })?;
-        if let Some(c) = trace {
-            ctx.label = c.label(&ctx.def.node(node).name);
-        }
-        Ok(ctx)
+        })
     }
 }
 
@@ -295,56 +290,49 @@ impl NodeCtx {
 /// thread, replays jobs strictly in arrival order, replies with one `Done`
 /// frame per job in that same order — what lets the master keep several
 /// `Exec`s of the thread in flight.
-#[allow(clippy::too_many_arguments)]
 fn executor_loop(
     decls: Arc<DeclStore>,
     writer: Arc<Conn>,
-    node_flops: f64,
-    app: u32,
-    tc: u32,
-    thread: u32,
-    mut trace: Option<(Arc<dps_obs::TraceCollector>, dps_obs::TraceWriter)>,
+    (node_flops, rank): (f64, u16),
+    (app, tc, thread): (u32, u32, u32),
+    trace: Option<Arc<TraceCollector>>,
     rx: Receiver<Job>,
 ) {
     let mut data: Option<Box<dyn Any + Send>> = None;
     let mut inst = Instances::default();
     let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
+    // Made on the first job, whose declarations name the lane's track.
+    let mut tracer: Option<Tracer> = None;
     while let Ok(job) = rx.recv() {
         let seq = job.seq;
-        let ctx = match resolved.entry((job.graph, job.node.0)) {
+        let (graph, node) = (job.graph, job.node);
+        let at = At { app, graph, node };
+        let wave = kernel::env_wave(&job.env);
+        let outcome = match resolved.entry((graph, node.0)) {
             Entry::Occupied(e) => Ok(&*e.into_mut()),
-            Entry::Vacant(e) => NodeCtx::resolve(
-                &decls,
-                trace.as_ref().map(|(c, _)| &**c),
-                app,
-                tc,
-                job.graph,
-                job.node,
-            )
-            .map(|ctx| &*e.insert(ctx)),
-        };
-        // Trace coordinates snapshotted before the job consumes its parts:
-        // the op label from the declared graph, the wave from the envelope.
-        let span = trace.as_ref().map(|(c, _)| {
-            let op = ctx
-                .as_ref()
-                .map_or_else(|_| Default::default(), |x| x.label);
-            let wave = job.env.frames.last().map_or(0, |f| f.wave as u32);
-            (op, wave, c.now_nanos())
-        });
-        let outcome =
-            ctx.and_then(|ctx| run_job(ctx, node_flops, thread, &mut data, &mut inst, job));
-        if let (Some((c, w)), Some((op, wave, t0))) = (trace.as_mut(), span) {
-            let t1 = c.now_nanos();
-            w.record(t0, dps_obs::EventKind::OpStart { op, wave });
-            w.record(t1, dps_obs::EventKind::OpEnd { op, wave });
-            if let Ok((_, reports)) = &outcome {
-                for &(iters, secs) in reports {
-                    let nanos = (secs * 1e9) as u64;
-                    w.record(t1, dps_obs::EventKind::ChunkExec { iters, nanos });
-                }
-            }
+            Entry::Vacant(e) => NodeCtx::resolve(&decls, app, tc, graph).map(|ctx| &*e.insert(ctx)),
         }
+        .and_then(|ctx| {
+            let ran = run_job(ctx, node_flops, thread, &mut data, &mut inst, job)?;
+            if let Some(c) = &trace {
+                // On the thread's node, at its index among the threads
+                // that node hosts.
+                let t = tracer.get_or_insert_with(|| {
+                    let index = decls.with(|d| d.node_thread(app, tc, thread));
+                    Tracer::new(c.clone(), (rank, index as u16))
+                });
+                let start = c.stamp(ran.t0);
+                let end = start + ran.took.as_nanos() as u64;
+                let track = t.writer().track();
+                let rec = Rec::at(t, track, end).op(start, Some(end));
+                kernel::ran(rec, at, &ctx.def.node(node).name, wave, ran.marked);
+            }
+            let secs = ran.took.as_secs_f64();
+            Ok((
+                ran.posts,
+                Vec::from_iter(ran.marked.map(|iters| (iters, secs))),
+            ))
+        });
         let (posts, reports, error) = match outcome {
             Ok((posts, reports)) => (posts, reports, None),
             Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
@@ -361,12 +349,19 @@ fn executor_loop(
             break;
         }
     }
-    if let Some((c, _)) = &trace {
+    if let Some(c) = &trace {
         c.drain();
     }
 }
 
-type JobOutput = (Vec<TokenBox>, Vec<(u64, f64)>);
+/// What one job did: its posts, the chunk it marked complete, when its
+/// operation started and how long it took.
+struct Ran {
+    posts: Vec<TokenBox>,
+    marked: Option<u64>,
+    t0: Instant,
+    took: Duration,
+}
 
 fn run_job(
     ctx: &NodeCtx,
@@ -375,7 +370,7 @@ fn run_job(
     data: &mut Option<Box<dyn Any + Send>>,
     inst: &mut Instances,
     job: Job,
-) -> Result<JobOutput, DpsError> {
+) -> Result<Ran, DpsError> {
     let gnode = ctx.def.node(job.node);
     let contract = |reason: &str| DpsError::OperationContract {
         node: gnode.name.clone(),
@@ -417,14 +412,16 @@ fn run_job(
     let data = data.get_or_insert_with(|| (ctx.factory)());
     let t0 = Instant::now();
     let out = kernel::step(served, gnode, token, finalize, data.as_mut(), info)?;
+    let took = t0.elapsed();
     if let (Some(key), true) = (&key, finalize) {
         inst.waves.remove(key);
     }
-    let reports = out
-        .completed_iters
-        .map(|iters| vec![(iters, t0.elapsed().as_secs_f64())])
-        .unwrap_or_default();
-    Ok((out.posts.into_iter().map(|p| p.token).collect(), reports))
+    Ok(Ran {
+        posts: out.posts.into_iter().map(|p| p.token).collect(),
+        marked: out.completed_iters,
+        t0,
+        took,
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@
 //! is the master, `kernel{n}` hosts cluster node `n`). Frames travel over
 //! a pluggable [`Transport`] — real TCP for multi-process runs, an
 //! in-memory loopback with identical semantics for single-process tests —
-//! and all concurrency goes through the minimal [`AsyncRuntime`] seam
-//! (thread-backed by default).
+//! and every connection reader, executor lane and harness is an OS thread
+//! of its own.
 //!
 //! The driver below runs unchanged on all three engines; only the
 //! constructor differs:
@@ -93,12 +93,10 @@ mod engine;
 mod exec;
 pub mod fault;
 pub mod proto;
-pub mod runtime;
 pub mod transport;
 
 pub use engine::{NetEngine, NetEngineConfig, NetTimeouts};
 pub use fault::{NetKill, WireFaults};
-pub use runtime::{AsyncRuntime, TaskHandle, ThreadRuntime};
 pub use transport::{
     Acceptor, Duplex, FrameRx, FrameTx, LoopbackTransport, TcpTransport, Transport,
 };

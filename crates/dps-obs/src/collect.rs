@@ -134,6 +134,11 @@ impl TraceCollector {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// What [`now_nanos`](Self::now_nanos) read at `instant`.
+    pub fn stamp(&self, instant: Instant) -> u64 {
+        instant.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
     /// The metrics registry, shared with e.g. a `ChunkHub`.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -175,14 +180,17 @@ impl TraceCollector {
         });
     }
 
-    /// Drain every writer's ring into the pending log (stable-ordered by
-    /// timestamp). Engines call this once per wave and once at idle.
+    /// Drain every writer's ring into the pending log and order what was
+    /// drained stably by timestamp — cheap while each writer records in
+    /// time order, as the engines do but for a few events. Engines call this
+    /// once per wave and once at idle.
     pub fn drain(&self) {
         let rings = self.rings.lock().unwrap();
-        let mut fresh = Vec::new();
+        let mut log = self.log.lock().unwrap();
+        let fresh = log.len();
         let mut total_drops = 0;
         for r in rings.iter() {
-            r.drain_into(&mut fresh);
+            r.drain_into(&mut log);
             total_drops += r.dropped();
         }
         drop(rings);
@@ -191,11 +199,7 @@ impl TraceCollector {
             self.metrics
                 .add(Counter::EventsDropped, total_drops - folded);
         }
-        if fresh.is_empty() {
-            return;
-        }
-        fresh.sort_by_key(|e| e.at);
-        self.log.lock().unwrap().extend(fresh);
+        log[fresh..].sort_by_key(|e| e.at);
     }
 
     /// Append an already-merged log from another collector (the process
