@@ -27,8 +27,8 @@ use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
 use crate::graph::OpKind;
 use crate::kernel::{
-    self, Arrival, At, CallReturn, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent, Served,
-    Substrate, Tracer,
+    self, Arrival, At, CallReturn, Death, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent,
+    Served, Substrate, Tracer,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
@@ -487,13 +487,12 @@ impl SimEngine {
     ///
     /// Work that *cannot* move — tokens pinned by a stateful affinity route,
     /// or merge waves whose partial state lived on the dead node — surfaces
-    /// as [`DpsError::NodeDown`].
+    /// as [`DpsError::NodeDown`]. The first kill of a node wins: a second is
+    /// a no-op. A node the cluster does not have is
+    /// [`DpsError::InvalidGraph`].
     pub fn fail_node(&mut self, node: NodeId) -> Result<()> {
         fail_node_internal(&mut self.sim, node);
-        if let Some(e) = self.sim.world.fatal.take() {
-            return Err(e);
-        }
-        Ok(())
+        self.sim.world.fatal.take().map_or(Ok(()), Err)
     }
 
     /// Schedule a [`fail_node`](Self::fail_node) at virtual time `at` —
@@ -606,33 +605,19 @@ impl SimEngine {
 // ---------------------------------------------------------------------------
 
 /// The body of [`SimEngine::fail_node`], callable from a scheduled event
-/// (errors land in `world.fatal` and surface from the run loop).
+/// (errors land in `world.fatal` and surface from the run loop): every
+/// thread hosted on the dead node stops, and the kernel takes its instances
+/// and its queue. The stranded work is re-sent from the home node.
 fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
-    sim.world.cluster.fail_node(node);
-    let now = sim.now();
-    sim.world.trace_on(
-        now,
-        node.0 as u16,
-        0,
-        EventKind::NodeDown {
-            node: node.0 as u16,
-        },
-    );
-    sim.world.trace_add(Counter::NodesDown, 1);
-    if let Some(sink) = &sim.world.feedback {
-        let apps = sim.world.decls.apps();
-        let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
-        for worker in kernel::lost_workers(&sim.world.feedback_tcs, hosts, &node.0) {
-            sink.worker_lost(worker);
-        }
-    }
-    // Every thread hosted on the dead node gives its waves up, then its
-    // queue is drained. Tokens re-route first — a wave's first re-routed
-    // token re-pins it to a live thread — and wave-close messages re-deliver
-    // after, so they follow their wave to its new home.
-    let mut drained: Vec<Delivery> = Vec::new();
-    let mut lanes = Vec::new();
     let world = &mut sim.world;
+    if let Err(e) = kernel::known_node(&world.decls, node.0) {
+        return world.fail(e);
+    }
+    if !world.cluster.is_alive(node) {
+        return;
+    }
+    world.cluster.fail_node(node);
+    let (mut lanes, mut stranded) = (Vec::new(), Vec::new());
     let declared = world.decls.apps().iter().map(|app| &app.tcs);
     let running = world.apps.iter_mut().map(|app| &mut app.tcs);
     for (app, (tcs, decls)) in running.zip(declared).enumerate() {
@@ -640,42 +625,16 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
             for (thread, (rt, &host)) in tc.threads.iter_mut().zip(&decl.nodes).enumerate() {
                 if host == node.0 {
                     rt.assigned = 0;
-                    drained.extend(rt.queue.drain(..));
+                    stranded.extend(rt.queue.drain(..).map(|d| (d.to, d.what, d.env)));
                     lanes.push((app as u32, thread as u32, std::mem::take(&mut rt.inst)));
                 }
             }
         }
     }
-    for (app, thread, lane) in lanes {
-        kernel::lose(sim, app, thread, lane);
-    }
-    let is_close = |d: &Delivery| matches!(d.what, Arrival::Close(_));
-    drained.sort_by_key(is_close);
-    let stranded = drained.iter().filter(|d| !is_close(d)).count() as u32;
-    if stranded > 0 {
-        sim.world.trace_on(
-            now,
-            node.0 as u16,
-            0,
-            EventKind::Requeue { tokens: stranded },
-        );
-        sim.world.trace_add(Counter::Requeues, stranded as u64);
-    }
-    // The kill itself leaves a breadcrumb even when nothing was stranded —
-    // a perturbed run's Chrome trace shows *where* the harness struck.
-    sim.world.trace_on(
-        now,
-        node.0 as u16,
-        0,
-        EventKind::Fault {
-            code: dps_obs::fault_code::NODE_KILL,
-            detail: stranded as u64,
-        },
-    );
-    sim.world.requeued += drained.len() as u64;
-    for d in drained {
-        kernel::reroute(sim, d.to, HOME.0, d.what, d.env);
-    }
+    world.requeued += stranded.len() as u64;
+    let (sink, reporters) = (world.feedback.clone(), world.feedback_tcs.clone());
+    let feedback = sink.as_deref().map(|sink| (sink, &reporters[..]));
+    kernel::bury(sim, Death::Node(node.0, feedback), lanes, stranded, HOME.0);
 }
 
 /// One execution in virtual time: where it ran, from when, for how long.
@@ -953,6 +912,14 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: 
         if sim.world.fatal.is_some() {
             return;
         }
+        // The token lands on its thread: a lane of zero hold there.
+        let (start, hold) = (sim.now(), SimSpan::ZERO);
+        let mut taker = Ran {
+            tk,
+            host: dst,
+            start,
+            hold,
+        };
         if !sim.world.cluster.is_alive(dst) {
             // The node failed while the token was in flight: hand the
             // delivery back to the router, which now sees the death and
@@ -960,25 +927,10 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: 
             let t = sim.world.thread(tk);
             t.assigned = t.assigned.saturating_sub(1);
             sim.world.requeued += 1;
-            let at = sim.now();
-            sim.world.trace_on(
-                at,
-                dst.0 as u16,
-                tk.thread as u16,
-                EventKind::Requeue { tokens: 1 },
-            );
-            sim.world.trace_add(Counter::Requeues, 1);
-            kernel::reroute(sim, d.to, src.0, d.what, d.env);
-            return;
+            let stranded = vec![(d.to, d.what, d.env)];
+            return kernel::bury(sim, Death::Lane(&mut taker), Vec::new(), stranded, src.0);
         }
         if let Arrival::Token(token) = &d.what {
-            let (start, hold) = (sim.now(), SimSpan::ZERO);
-            let mut taker = Ran {
-                tk,
-                host: dst,
-                start,
-                hold,
-            };
             kernel::taken(sim, &mut taker, token.as_ref(), &d.env, sent);
         }
         sim.world.trace_add(Counter::TokensDelivered, 1);

@@ -20,11 +20,11 @@
 //! driver calls a rule inside such a closure and moves only after it
 //! returned — **a lock is never held across a move.**
 //!
-//! **The driver records the life of a token, an operation and a wave**:
-//! which event, at which of the substrate's stamps, under which wave, label
-//! and flow id. The substrate only lends its clock, a track and a writer
-//! ([`Substrate::trace`]), so every engine records the same events the same
-//! way.
+//! **The driver records the life of a token, an operation and a wave, and
+//! the death of a node**: which event, at which of the substrate's stamps,
+//! under which wave, label and flow id. The substrate only lends its clock,
+//! a track and a writer ([`Substrate::trace`]), so every engine records the
+//! same events the same way.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -32,7 +32,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
-use dps_obs::{EventKind, LabelId, TraceCollector, TraceWriter};
+use dps_obs::{fault_code, Counter, EventKind, LabelId, TraceCollector, TraceWriter};
+use dps_sched::FeedbackSink;
 
 use crate::decls::{Decls, GraphHandle};
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
@@ -188,7 +189,7 @@ pub struct Instances {
     nodes: IdMap<(u32, u32), Box<dyn DynOp>>,
     /// The waves this thread consumes: entered by [`arrive`](Self::arrive)
     /// on the first arrival, removed by the caller when the wave completes,
-    /// given up by [`lose`] when the thread's node dies.
+    /// given up by [`bury`] when the thread's node dies.
     pub waves: IdMap<WaveKey, Wave>,
 }
 
@@ -400,7 +401,7 @@ enum Slot {
 /// a home is parked here until it gets one.
 ///
 /// A pin found on a thread whose node has died always moves: what that
-/// thread had consumed of the wave it gave up itself, when it died ([`lose`]).
+/// thread had consumed of the wave it gave up itself, when it died ([`bury`]).
 #[derive(Default)]
 pub struct Pins(IdMap<WaveKey, Slot>);
 
@@ -575,32 +576,42 @@ fn unmerged(node: &str, frames: usize) -> DpsError {
 // ---------------------------------------------------------------------------
 
 /// Collection `(app, tc)` reported a chunk to the feedback sink: remember
-/// it, so [`lost_workers`] knows whose thread indices the sink speaks.
+/// it, so a dead node is told the sink in the thread indices it speaks.
 pub fn note_reporter(reporters: &mut Vec<(u32, u32)>, app: u32, tc: u32) {
     if !reporters.contains(&(app, tc)) {
         reporters.push((app, tc));
     }
 }
 
+/// The feedback sink, and the collections that reported to it
+/// ([`note_reporter`]).
+pub type Feedback<'a> = (&'a dyn FeedbackSink, &'a [(u32, u32)]);
+
 /// Rule 8: the `FeedbackSink::worker_lost` indices of cluster node `dead`.
 /// The sink's worker indices are thread indices within the *reporting*
-/// collections, so only those are consulted (`hosts(app, tc)` is the node of
-/// each of a collection's threads): an unrelated collection hosted on the
-/// dead node must not wipe a live worker that shares a thread index.
-pub fn lost_workers<'a, N: PartialEq + 'a>(
-    reporters: &[(u32, u32)],
-    hosts: impl Fn(u32, u32) -> &'a [N],
-    dead: &N,
-) -> Vec<usize> {
+/// collections, so only those are consulted: an unrelated collection hosted
+/// on the dead node must not wipe a live worker that shares a thread index.
+fn lost_workers(d: &Decls, reporters: &[(u32, u32)], dead: u32) -> Vec<usize> {
     let mut lost = Vec::new();
     for &(app, tc) in reporters {
-        for (thread, host) in hosts(app, tc).iter().enumerate() {
+        let hosts = &d.apps()[app as usize].tcs[tc as usize].nodes;
+        for (thread, &host) in hosts.iter().enumerate() {
             if host == dead && !lost.contains(&thread) {
                 lost.push(thread);
             }
         }
     }
     lost
+}
+
+/// A kill names cluster node `node`: `InvalidGraph` unless the cluster the
+/// declarations `d` are made over has it.
+pub fn known_node(d: &Decls, node: u32) -> Result<()> {
+    if node as usize >= d.nodes() {
+        let reason = format!("fail_node: no such cluster node {node}");
+        return Err(DpsError::InvalidGraph { reason });
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -708,6 +719,10 @@ impl<'a> Rec<'a> {
 
     fn record(&mut self, at: u64, kind: EventKind) {
         self.tracer.record(self.track, at, kind);
+    }
+
+    fn count(&self, counter: Counter, n: u64) {
+        self.tracer.collector.metrics().add(counter, n);
     }
 }
 
@@ -1041,23 +1056,13 @@ pub fn close<S: Substrate>(s: &mut S, app: u32, graph: u32, env: Envelope, total
     }
 }
 
-/// An arrival stranded on a dead node goes back to the router: a token is
-/// delivered again (the first one of its wave re-pins it), a close follows
-/// its wave or parks.
-pub fn reroute<S: Substrate>(s: &mut S, to: At, src: u32, what: Arrival, env: Envelope) {
-    match what {
-        Arrival::Token(token) => deliver(s, to, src, token, env),
-        Arrival::Close(total) => close(s, to.app, to.graph, env, total),
-    }
-}
-
 /// Rule 6, the loss: the node of thread `thread` died, and `lane` — its
 /// instances — dies with it. A wave it counted a token of is lost: the run
 /// fails `NodeDown`. A wave it counted none of moves, and a total it had
 /// heard goes back through [`close`] — to follow the new pin, or to park.
 /// Either way the wave is un-pinned, so a pin still found on a dead thread
 /// is a wave nothing was consumed of.
-pub fn lose<S: Substrate>(s: &mut S, app: u32, thread: u32, lane: Instances) {
+fn lose<S: Substrate>(s: &mut S, app: u32, thread: u32, lane: Instances) {
     // No rule reads a table in iteration order: by wave id.
     let mut waves: Vec<_> = lane.waves.into_iter().collect();
     waves.sort_by_key(|(key, _)| key.wave);
@@ -1073,6 +1078,75 @@ pub fn lose<S: Substrate>(s: &mut S, app: u32, thread: u32, lane: Instances) {
             s.fail(app, node_down(s, at, tc, thread));
         } else if let (Some(total), Some(env)) = (wave.expected, wave.closed_under) {
             close(s, app, wave.graph, env, total);
+        }
+    }
+}
+
+/// Who died, as [`bury`] is told.
+pub enum Death<'a, L> {
+    /// Cluster node `n` dies now, with the feedback sink to tell, if one is
+    /// registered. Recorded on the node's track.
+    Node(u32, Option<Feedback<'a>>),
+    /// The thread of this lane is on a node that died before, and still
+    /// held something: a token that landed there since, or what a tombstone
+    /// drains. Recorded on the lane's track.
+    Lane(&'a mut L),
+}
+
+/// Rules 6 and 8: a node died, and what its threads held is lost or moves —
+/// the one body of a kill, on every engine. `lanes` are its threads
+/// (application, index within the collection, instances), `stranded` the
+/// arrivals found on them (where headed, what, under which envelope).
+///
+/// A kill records `NodeDown` and tells the feedback sink which workers it
+/// lost; each lane gives its waves up (`lose`); a `Requeue` of the stranded
+/// tokens is recorded, and a kill's `Fault` breadcrumb repeats that count;
+/// then the stranded arrivals go back to the router from cluster node
+/// `from`: a token is delivered again, a close follows its wave or parks —
+/// tokens first, so a close follows its wave to where its first re-routed
+/// token re-pinned it.
+pub fn bury<S: Substrate>(
+    s: &mut S,
+    death: Death<'_, S::Lane>,
+    lanes: Vec<(u32, u32, Instances)>,
+    mut stranded: Vec<(At, Arrival, Envelope)>,
+    from: u32,
+) {
+    let on = match death {
+        Death::Node(node, feedback) => {
+            s.trace(On::Node(node), |mut rec| {
+                rec.record(rec.now, EventKind::NodeDown { node: node as u16 });
+                rec.count(Counter::NodesDown, 1);
+            });
+            if let Some((sink, reporters)) = feedback {
+                for worker in lost_workers(s.decls(), reporters, node) {
+                    sink.worker_lost(worker);
+                }
+            }
+            On::Node(node)
+        }
+        Death::Lane(lane) => On::Lane(lane),
+    };
+    for (app, thread, lane) in lanes {
+        lose(s, app, thread, lane);
+    }
+    stranded.sort_by_key(|(_, what, _)| matches!(what, Arrival::Close(_)));
+    let tokens = stranded.partition_point(|(_, what, _)| matches!(what, Arrival::Token(_))) as u32;
+    let killed = matches!(on, On::Node(_));
+    s.trace(on, |mut rec| {
+        if tokens > 0 {
+            rec.record(rec.now, EventKind::Requeue { tokens });
+            rec.count(Counter::Requeues, tokens.into());
+        }
+        if killed {
+            let (code, detail) = (fault_code::NODE_KILL, tokens.into());
+            rec.record(rec.now, EventKind::Fault { code, detail });
+        }
+    });
+    for (to, what, env) in stranded {
+        match what {
+            Arrival::Token(token) => deliver(s, to, from, token, env),
+            Arrival::Close(total) => close(s, to.app, to.graph, env, total),
         }
     }
 }

@@ -6,16 +6,20 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 
 use dps_core::internal::kernel::{
-    self, Arrival, At, CallReturn, CloseTo, Exit, Flow, FlowKey, Flows, IdHasher, IdMap, Instances,
-    On, Pins, Rec, Routed, Sent, Served, Substrate, Tracer, Wave,
+    self, Arrival, At, CallReturn, CloseTo, Death, Exit, Flow, FlowKey, Flows, IdHasher, IdMap,
+    Instances, On, Pins, Rec, Routed, Sent, Served, Substrate, Tracer, Wave,
 };
 use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
 use dps_core::{
-    CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection, WaveKey,
+    AppHandle, CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection,
+    WaveKey,
 };
+use dps_obs::{Counter, EventKind, TraceCollector, TraceLog};
+use dps_sched::FeedbackSink;
 use proptest::prelude::*;
 
 dps_token! { pub struct In { pub n: u32 } }
@@ -554,24 +558,6 @@ fn exit_picks_successor_output_or_return() {
     );
 }
 
-/// Rule 8: only collections that reported to the sink translate a dead
-/// node into worker indices, each index once.
-#[test]
-fn lost_workers_come_from_reporting_collections_only() {
-    // (app 0) tc 0: threads on nodes 1,2,1   tc 1: on 2,2   tc 2: on 1
-    let hosts: [&[u32]; 3] = [&[1, 2, 1], &[2, 2], &[1]];
-    let of = |_app: u32, tc: u32| hosts[tc as usize];
-    let mut reporters = Vec::new();
-    assert!(kernel::lost_workers(&reporters, of, &1).is_empty());
-    kernel::note_reporter(&mut reporters, 0, 0);
-    kernel::note_reporter(&mut reporters, 0, 1);
-    kernel::note_reporter(&mut reporters, 0, 0);
-    assert_eq!(reporters, [(0, 0), (0, 1)]);
-    assert_eq!(kernel::lost_workers(&reporters, of, &1), [0, 2]);
-    assert_eq!(kernel::lost_workers(&reporters, of, &2), [1, 0]);
-    assert!(kernel::lost_workers(&reporters, of, &3).is_empty());
-}
-
 /// The node a close is consumed at is the one matching the wave's opener.
 #[test]
 fn a_close_goes_to_the_matching_merge() {
@@ -641,6 +627,16 @@ fn declare(shape: Shape) -> Decls {
 /// envelope, and a traced token's flow.
 type Queued = (At, Arrival, Envelope, Sent);
 
+/// A feedback sink that keeps the workers it was told are lost.
+#[derive(Default)]
+struct LostWorkers(Mutex<Vec<usize>>);
+impl FeedbackSink for LostWorkers {
+    fn report_chunk(&self, _worker: usize, _iters: u64, _secs: f64) {}
+    fn worker_lost(&self, worker: usize) {
+        self.0.lock().unwrap().push(worker);
+    }
+}
+
 /// The third `Substrate`: one in-memory queue per thread, a seeded pick of
 /// which non-empty queue runs next, a kill list. No lock; its clock counts
 /// the steps run, and a trace is attached on demand.
@@ -668,6 +664,9 @@ struct Fake {
     /// Steps run so far: every stamp.
     clock: u64,
     tracer: RefCell<Option<Tracer>>,
+    /// The collections that reported to the feedback sink, and the sink.
+    reporters: Vec<(u32, u32)>,
+    lost: Arc<LostWorkers>,
 }
 
 impl Substrate for Fake {
@@ -786,8 +785,17 @@ impl Fake {
             peak_outstanding: 0,
             clock: 0,
             tracer: RefCell::new(None),
+            reporters: Vec::new(),
+            lost: Arc::default(),
             decls,
         }
+    }
+
+    /// Record the events of the rest of the run.
+    fn traced(&mut self) -> Arc<TraceCollector> {
+        let sink = TraceCollector::new();
+        *self.tracer.get_mut() = Some(Tracer::new(sink.clone(), (0, 0)));
+        sink
     }
 
     fn inject(&mut self, n: u32) {
@@ -859,20 +867,18 @@ impl Fake {
         }
     }
 
-    /// Kill cluster node `node` the way the simulator does: its thread gives
-    /// its waves up, and what it had queued goes back to the router, tokens
-    /// first, closes after.
+    /// Kill cluster node `node` the way the engines do: the kernel takes its
+    /// thread's instances and queue. The first kill wins.
     fn kill(&mut self, node: usize) {
-        self.dead[node] = true;
-        let lane = std::mem::take(&mut self.lanes[node]);
-        kernel::lose(self, 0, node as u32, lane);
-        let stranded: Vec<_> = self.queues[node].drain(..).collect();
-        let (tokens, closes): (Vec<_>, Vec<_>) = stranded
-            .into_iter()
-            .partition(|(_, what, ..)| matches!(what, Arrival::Token(_)));
-        for (at, what, env, _) in tokens.into_iter().chain(closes) {
-            kernel::reroute(self, at, node as u32, what, env);
+        if std::mem::replace(&mut self.dead[node], true) {
+            return;
         }
+        let lanes = vec![(0, node as u32, std::mem::take(&mut self.lanes[node]))];
+        let queued = self.queues[node].drain(..);
+        let stranded = queued.map(|(at, what, env, _)| (at, what, env)).collect();
+        let (sink, reporters) = (self.lost.clone(), self.reporters.clone());
+        let died = Death::Node(node as u32, Some((&*sink, &reporters[..])));
+        kernel::bury(self, died, lanes, stranded, node as u32);
     }
 
     /// The graph of application 0.
@@ -1150,34 +1156,44 @@ fn a_node_that_dies_under_the_load_snapshot_is_routed_around() {
 /// The driver records the life of a token, an operation and a wave itself:
 /// every event of one leaf wave, in order — `at node.thread kind label wave
 /// [flow]`, stamped with the step that recorded it.
+/// Every event of `log`, one line each: `at node.thread kind` and then, for
+/// a lifecycle event, `label wave [flow]`; for a kill's, its numbers.
+fn recorded(log: &TraceLog) -> Vec<String> {
+    let lifecycle = |kind, label, wave, flow: Option<u64>| {
+        let flow = flow.map_or(String::new(), |f| format!(" {f}"));
+        format!("{kind} {} {wave}{flow}", log.label(label))
+    };
+    let line = |e: &dps_obs::TraceEvent| {
+        use EventKind::*;
+        let what = match e.kind {
+            OpStart { op, wave } => lifecycle("OpStart", op, wave, None),
+            OpEnd { op, wave } => lifecycle("OpEnd", op, wave, None),
+            WaveStart { graph, wave } => lifecycle("WaveStart", graph, wave, None),
+            WaveEnd { graph, wave } => lifecycle("WaveEnd", graph, wave, None),
+            TokenEnqueue { token, wave, flow } => {
+                lifecycle("TokenEnqueue", token, wave, Some(flow))
+            }
+            TokenDeliver { token, wave, flow } => {
+                lifecycle("TokenDeliver", token, wave, Some(flow))
+            }
+            NodeDown { node } => format!("NodeDown {node}"),
+            Requeue { tokens } => format!("Requeue {tokens}"),
+            Fault { code, detail } => format!("Fault {code} {detail}"),
+            other => panic!("not an event the kernel records: {other:?}"),
+        };
+        format!("{} {}.{} {what}", e.at, e.node, e.thread)
+    };
+    log.events.iter().map(line).collect()
+}
+
 #[test]
 fn one_wave_is_recorded_by_the_kernel() {
     let mut fake = Fake::new(Shape::Leaf, 0, 0);
-    let sink = dps_obs::TraceCollector::new();
-    *fake.tracer.get_mut() = Some(Tracer::new(sink.clone(), (0, 0)));
+    let sink = fake.traced();
     fake.inject(2);
     while fake.step() {}
     assert!(fake.errors.is_empty(), "{:?}", fake.errors);
-    let log = sink.take_log();
-    let line = |e: &dps_obs::TraceEvent| {
-        use dps_obs::EventKind::*;
-        let (kind, label, wave, flow) = match e.kind {
-            OpStart { op, wave } => ("OpStart", op, wave, None),
-            OpEnd { op, wave } => ("OpEnd", op, wave, None),
-            WaveStart { graph, wave } => ("WaveStart", graph, wave, None),
-            WaveEnd { graph, wave } => ("WaveEnd", graph, wave, None),
-            TokenEnqueue { token, wave, flow } => ("TokenEnqueue", token, wave, Some(flow)),
-            TokenDeliver { token, wave, flow } => ("TokenDeliver", token, wave, Some(flow)),
-            other => panic!("not a lifecycle event: {other:?}"),
-        };
-        let flow = flow.map_or(String::new(), |f| format!(" {f}"));
-        let label = log.label(label);
-        format!(
-            "{} {}.{} {kind} {label} {wave}{flow}",
-            e.at, e.node, e.thread
-        )
-    };
-    let got: Vec<String> = log.events.iter().map(line).collect();
+    let got = recorded(&sink.take_log());
     let want = [
         // The injected token; the split opens wave 1 at its own start.
         "0 0.0 TokenEnqueue In 0 0",
@@ -1206,4 +1222,86 @@ fn one_wave_is_recorded_by_the_kernel() {
         "5 0.0 WaveEnd main 1",
     ];
     assert_eq!(got, want);
+}
+
+/// A kill through the driver, event by event: `NodeDown`, one `Requeue` of
+/// the stranded tokens and the `Fault` breadcrumb repeating their count;
+/// then the tokens go back to the router ahead of the close queued before
+/// them, so the wave re-pins where its first token went and the close
+/// follows it there. A token stranded on the dead node later is one more
+/// `Requeue`, with no second `NodeDown` or `Fault`; a second kill records
+/// nothing.
+#[test]
+fn one_kill_is_recorded_by_the_kernel() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let sink = fake.traced();
+    let (merge, env) = merge_wave_by_hand(&fake);
+    let key = env(0, None).wave_key().unwrap();
+    fake.pins(0, 0, |pins| pins.route(&key, 1, |_| true));
+    let queued = |what, env| (merge, what, env, None);
+    fake.queues[1].extend([
+        queued(Arrival::Close(3), env(0, Some(3))),
+        queued(Arrival::Token(mid()), env(0, None)),
+        queued(Arrival::Token(mid()), env(1, None)),
+    ]);
+    fake.kill(1);
+    fake.kill(1);
+    let tokens = |q: &VecDeque<Queued>| {
+        let is_token = |(_, what, ..): &Queued| matches!(what, Arrival::Token(_));
+        q.iter().map(is_token).collect::<Vec<_>>()
+    };
+    assert_eq!(tokens(&fake.queues[0]), [true, true, false]);
+    assert!(fake.queues[1].is_empty() && fake.queues[2].is_empty());
+
+    // The wave's third token lands on node 1's thread (on the simulator:
+    // one that was in flight there when the node died).
+    let node = fake.main().succs(fake.main().entry())[0];
+    let leaf = At { node, ..merge };
+    let late = vec![(leaf, Arrival::Token(mid()), env(2, None))];
+    fake.clock = 1;
+    kernel::bury(&mut fake, Death::Lane(&mut 1), Vec::new(), late, 1);
+    let want = [
+        "0 1.0 NodeDown 1",
+        "0 1.0 Requeue 2",
+        "0 1.0 Fault 1 2",
+        "0 1.0 TokenEnqueue Mid 77 0",
+        "0 1.0 TokenEnqueue Mid 77 1",
+        "1 1.0 Requeue 1",
+        "1 1.0 TokenEnqueue Mid 77 2",
+    ];
+    assert_eq!(recorded(&sink.take_log()), want);
+    let metrics = sink.metrics();
+    let counted = [Counter::NodesDown, Counter::Requeues].map(|c| metrics.get(c));
+    assert_eq!(counted, [1, 3]);
+
+    while fake.step() {}
+    assert!(fake.errors.is_empty(), "{:?}", fake.errors);
+    assert_eq!(fake.outputs, [dps_core::serial::to_bytes(&Out { n: 3 })]);
+}
+
+/// Rule 8 through a kill: only collections that reported to the sink
+/// translate a dead node into worker indices, each index once, in the order
+/// the collections reported; a node is told the sink once.
+#[test]
+fn lost_workers_come_from_reporting_collections_only() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    // Beside collection 0 (thread t on node t): collection 1 on nodes
+    // 1,2,1, collection 2 on 2,2, collection 3 on 1.
+    for mapping in ["node1 node2 node1", "node2 node2", "node1"] {
+        let app = AppHandle { app: 0 };
+        fake.decls.thread_collection::<()>(app, mapping).unwrap();
+    }
+    for tc in [1, 2, 1] {
+        kernel::note_reporter(&mut fake.reporters, 0, tc);
+    }
+    assert_eq!(fake.reporters, [(0, 1), (0, 2)]);
+    let lost = |fake: &Fake| fake.lost.0.lock().unwrap().clone();
+    // Node 0 hosts thread 0 of collection 0 alone, which never reported.
+    fake.kill(0);
+    assert!(lost(&fake).is_empty());
+    fake.kill(2);
+    assert_eq!(lost(&fake), [1, 0]);
+    fake.kill(1);
+    fake.kill(1);
+    assert_eq!(lost(&fake), [1, 0, 0, 2]);
 }

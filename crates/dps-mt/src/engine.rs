@@ -10,7 +10,7 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
 use dps_cluster::ClusterSpec;
-use dps_core::internal::kernel::{self, Tracer};
+use dps_core::internal::kernel::{self, Death, Tracer};
 use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
@@ -380,9 +380,10 @@ impl MtEngine {
     /// merge waves whose partial state died with the node) surfaces as
     /// [`DpsError::NodeDown`] from the run.
     ///
-    /// This is the OS-thread port of `SimEngine::fail_node`: the same
-    /// fault schedule applied to either engine leaves the same surviving
-    /// output set (differentially tested in the workspace's `vopr` tests).
+    /// The kill is the kernel's, as `SimEngine::fail_node`'s: the same fault
+    /// schedule applied to either engine leaves the same surviving output
+    /// set (differentially tested in the workspace's `vopr` tests). The
+    /// first kill of a node wins; an unknown node is `InvalidGraph`.
     pub fn fail_node(&mut self, node: u32) -> Result<()> {
         self.fail_handle().fail_node(node)
     }
@@ -444,57 +445,31 @@ impl FailHandle {
     /// Tombstone cluster node `node`: exactly the semantics of
     /// [`MtEngine::fail_node`], callable from any thread.
     pub fn fail_node(&self, node: u32) -> Result<()> {
-        let shared = &self.shared;
-        let Some(flag) = shared.dead.get(node as usize) else {
-            return Err(DpsError::InvalidGraph {
-                reason: format!("fail_node: no such cluster node {node}"),
-            });
-        };
-        if flag.swap(true, Ordering::AcqRel) {
-            return Ok(()); // already dead
+        let mut shared: &Shared = &self.shared;
+        kernel::known_node(&shared.decls, node)?;
+        if shared.dead[node as usize].swap(true, Ordering::AcqRel) {
+            return Ok(()); // the first caller won
         }
         // A followed pin on the dead node is refused from the flag alone;
         // dropping every graph's note as well leaves no trace of it.
         for graph in shared.apps.iter().flat_map(|app| &app.graphs) {
             graph.followed.reset();
         }
-        if let Some(sink) = &shared.feedback {
-            let apps = shared.decls.apps();
-            let hosts = |app: u32, tc: u32| &apps[app as usize].tcs[tc as usize].nodes[..];
-            let lost = kernel::lost_workers(&shared.rare.feedback_tcs.lock(), hosts, &node);
-            for worker in lost {
-                sink.worker_lost(worker);
-            }
-        }
-        // Wake every worker hosted on the dead node (raw sends: a Fail
-        // wakeup is not a counted backlog message), tallying the backlog
-        // they will re-route for the trace breadcrumb.
-        let mut stranded = 0u64;
+        // The node's workers hold what it had: each hands its waves and what
+        // it drains to the kernel itself, as a tombstone.
+        let reporters = shared.rare.feedback_tcs.lock().clone();
+        let feedback = (shared.feedback.as_deref()).map(|sink| (sink, &reporters[..]));
+        let died = Death::Node(node, feedback);
+        kernel::bury(&mut shared, died, Vec::new(), Vec::new(), node);
+        // Wake them (raw sends: a wake-up is not a counted backlog message).
         for (app, decl) in shared.apps.iter().zip(shared.decls.apps()) {
             for (tc, decl) in app.tcs.iter().zip(&decl.tcs) {
                 for (t, &host) in decl.nodes.iter().enumerate() {
                     if host == node {
-                        stranded += tc.queued[t].load(Ordering::Relaxed) as u64;
                         let _ = tc.senders[t].send(Msg::Fail);
                     }
                 }
             }
-        }
-        if let Some(c) = &shared.trace {
-            c.record_now(
-                node as u16,
-                0,
-                dps_obs::EventKind::NodeDown { node: node as u16 },
-            );
-            c.metrics().add(dps_obs::Counter::NodesDown, 1);
-            c.record_now(
-                node as u16,
-                0,
-                dps_obs::EventKind::Fault {
-                    code: dps_obs::fault_code::NODE_KILL,
-                    detail: stranded,
-                },
-            );
         }
         Ok(())
     }

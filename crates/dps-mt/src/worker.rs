@@ -20,8 +20,8 @@ use dps_sched::FeedbackSink;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
-    self, Arrival, At, CallReturn, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Routed,
-    Sent, Served, Substrate, Tracer, WaveStep,
+    self, Arrival, At, CallReturn, Death, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec,
+    Routed, Sent, Served, Substrate, Tracer, WaveStep,
 };
 use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
@@ -417,8 +417,6 @@ pub(crate) fn worker_loop(
     };
     TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, track)));
     let mut inflight = InFlight::new();
-    let mut stopped = false;
-    let mut dead = false;
     loop {
         // With replies owed, only a message that is already here is worth
         // another phase 1; otherwise the oldest reply is what to wait for.
@@ -435,29 +433,21 @@ pub(crate) fn worker_loop(
                 finish_oldest(shared, &mut w, &mut inflight);
                 continue;
             }
-            Err(TryRecvError::Disconnected) => break,
+            // The senders of `shared`, which this thread holds, include the
+            // one of its own channel.
+            Err(TryRecvError::Disconnected) => unreachable!("a worker's channel outlives it"),
         };
-        if !dead && shared.node_dead(node) {
-            // The node was killed: become a tombstone. The thread stays
-            // alive so late sends never hit a closed channel; it gives its
-            // waves up (kernel rule 6) and from now on re-routes everything
-            // it drains to live threads. What was already shipped is
-            // finished first (a dead host fails those waits at once), so
-            // no phase 2 finds its wave gone.
-            finish_all(shared, &mut w, &mut inflight);
-            dead = true;
-            give_up(shared, &mut w);
+        if shared.node_dead(node) {
+            match tombstone(shared, &mut w, &mut inflight, msg) {
+                true => continue,
+                false => break,
+            }
         }
         let (at, what, env) = match msg {
-            Msg::Stop => {
-                stopped = true;
-                break;
-            }
-            // A bare wakeup (sent raw, not counted in the backlog): the
-            // dead-set re-check above did the work.
-            Msg::Fail => continue,
+            Msg::Stop => break,
+            Msg::Fail => unreachable!("a wake-up is sent once the node is dead"),
             Msg::Arrive(graph, node, what, env, sent) => {
-                if let (Arrival::Token(token), false) = (&what, dead) {
+                if let Arrival::Token(token) = &what {
                     kernel::taken(&shared, &mut w, token.as_ref(), &env, sent);
                 }
                 (At { app, graph, node }, what, env)
@@ -465,12 +455,6 @@ pub(crate) fn worker_loop(
         };
         let kind = shared.decls.def(app, at.graph).node(at.node).kind;
         let begun = match (what, kind) {
-            // Stranded on a tombstone: back to the router, which sees this
-            // node's threads at infinite load.
-            (what, _) if dead => {
-                kernel::reroute(&mut shared, at, node, what, env);
-                Ok(Begun::Finished)
-            }
             (Arrival::Token(token), OpKind::Split | OpKind::Leaf) => {
                 begin_exec(shared, &mut w, &mut inflight, at, token, env)
             }
@@ -499,17 +483,8 @@ pub(crate) fn worker_loop(
         }
         retire(shared, &w);
     }
-    // Stop, or the channel died: every reply still owed is consumed first.
+    // Stopped: every reply still owed is consumed first.
     finish_all(shared, &mut w, &mut inflight);
-    if !stopped {
-        // The channel died under the worker (abnormal teardown): record the
-        // thread's death as a terminal node-down event.
-        if let Some(c) = &shared.trace {
-            let (node, thread) = track;
-            c.record_now(node, thread, EventKind::NodeDown { node });
-            c.metrics().add(Counter::NodesDown, 1);
-        }
-    }
 }
 
 /// A message is fully processed: drop it from this thread's backlog (the
@@ -550,15 +525,33 @@ fn finish_all(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
     }
 }
 
-/// A tombstone gives its waves up; none stays noted before a pin table.
+/// `msg` reached a thread whose node was killed: the thread is a tombstone,
+/// which stays on its channel so a late send never hits a closed one. What
+/// it had shipped is finished first (a dead host fails those waits at once),
+/// so no phase 2 finds its wave gone; then the kernel takes its waves (the
+/// lane is empty after the first time), none noted before a pin table, and
+/// what `msg` carries. `false` once `msg` is `Stop`.
 #[cold]
-fn give_up(mut shared: &Shared, w: &mut Worker) {
+fn tombstone(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight, msg: Msg) -> bool {
+    finish_all(shared, w, inflight);
     let lane = std::mem::take(&mut w.inst);
     for (key, wave) in &lane.waves {
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
         g.followed.forget(key.wave);
     }
-    kernel::lose(&mut shared, w.app, w.thread, lane);
+    let (app, lanes, from) = (w.app, vec![(w.app, w.thread, lane)], w.node);
+    let stop = matches!(msg, Msg::Stop);
+    let stranded = match msg {
+        Msg::Arrive(graph, node, what, env, _) => vec![(At { app, graph, node }, what, env)],
+        Msg::Fail | Msg::Stop => Vec::new(),
+    };
+    // A wake-up is sent raw: it is not counted in the backlog.
+    let counted = !stranded.is_empty();
+    kernel::bury(&mut shared, Death::Lane(w), lanes, stranded, from);
+    if counted {
+        retire(shared, w);
+    }
+    !stop
 }
 
 fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {

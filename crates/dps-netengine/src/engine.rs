@@ -249,9 +249,9 @@ impl MasterShared {
     /// in-flight executions immediately, answer every hub operation relayed
     /// to it (its leases died with it: claims on them find nothing from
     /// here on), and tombstone its cluster node in the
-    /// embedded control plane (`worker_lost` into feedback boards, token
-    /// re-routing, `NodeDown` for materialized waves, a `Fault{NODE_KILL}`
-    /// trace breadcrumb). Idempotent; a no-op during clean shutdown.
+    /// embedded control plane (`FailHandle::fail_node`, whose kill is the
+    /// kernel's, as on every engine). Idempotent; a no-op during clean
+    /// shutdown.
     fn declare_dead(&self, rank: u32, why: &str) -> bool {
         if self.closing.load(Ordering::Acquire) || rank == 0 {
             return false;
