@@ -7,7 +7,8 @@
 //! * **(a)** the entry split factors the top-left panel and posts one task
 //!   per other block column, each carrying the panel (`L11`, `L21`) and the
 //!   pivot record — that broadcast is the step's communication (a handle
-//!   per task where sender and receiver share an address space);
+//!   per task where sender and receiver share an address space, one copy
+//!   per connection between processes);
 //! * **(b)/(d)** a leaf per column applies the row flips, solves the
 //!   triangular system (`trsm`), and performs its column's trailing-matrix
 //!   multiplications, then posts a notification; the notification for the
@@ -59,8 +60,10 @@
 //! A block is copied when it changes owner, not when an operation reads
 //! it. The collector factors a panel into one `Buffer<f64>` (pivots: one
 //! `Buffer<u32>`) and every task of the step carries a *handle* to it — on
-//! one node the "broadcast" is a reference count, over TCP each remote
-//! task is encoded from the same allocation. A column worker solves
+//! one node the "broadcast" is a reference count; over TCP the panel
+//! crosses each connection once, by the connection's buffer table, and the
+//! tasks the worker kernel decodes share one allocation of it. A column
+//! worker solves
 //! `U_kj` where `A_kj` lies in its column, reading `L11` out of the
 //! token; keeps the token's handle (not a copy of `L21`) for the chunks;
 //! and each chunk runs the gemm on views — `L21`'s rows in the shared

@@ -8,7 +8,12 @@
 //!
 //! One task exists per result block `C_ij` and carries its `s` operand-block
 //! pairs (`2s·(n/s)²` values), reproducing exactly the paper's
-//! communication count. Two schedules are provided:
+//! communication count — what the simulator models. The tasks of row `i`
+//! hold one packed strip of `A`, those of column `j` one of `B`; between
+//! processes a connection's buffer table sends each strip to a worker
+//! kernel once, however many of its tasks read it, so at most `2n²`
+//! operand values cross a connection, plus the results. Two schedules are
+//! provided:
 //!
 //! * **Pipelined** (plain DPS): `split → multiply → merge`; the runtime
 //!   overlaps block transfers with block products automatically.

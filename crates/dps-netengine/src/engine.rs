@@ -29,7 +29,7 @@ use dps_mt::{
 use dps_net::{NameServer, NodeId};
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
-use dps_serial::Bytes;
+use dps_serial::{Bytes, Captured, RecvTable};
 use parking_lot::Mutex;
 
 use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
@@ -167,11 +167,17 @@ enum Role {
 /// `take_outputs` drains them.
 type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
 
+/// A worker's [`Frame::Trace`]: the run, the worker collector's clock, the
+/// encoded log.
+type TraceReply = (u64, (u64, u64), Bytes);
+
 /// Reply payload of a [`Frame::Done`], routed to the engine thread that
 /// shipped the `Exec`. The posts are views into the received frame; that
-/// thread decodes them when the reply reaches the head of its lane.
+/// thread decodes them, against what the frame captured of the
+/// connection's buffer table, when the reply reaches the head of its lane.
 struct DoneReply {
     posts: Vec<Bytes>,
+    shared: Captured,
     reports: Vec<(u64, f64)>,
     error: Option<String>,
 }
@@ -297,8 +303,9 @@ struct Master {
     /// Loopback harness hosts, retained so an attached trace sink reaches
     /// their executor lanes directly (no wire round in-process).
     harness_hosts: Vec<Arc<ExecHost>>,
-    /// `Trace` replies routed from the connection readers: `(run, bytes)`.
-    trace_rx: Receiver<(u64, Bytes)>,
+    /// `Trace` replies routed from the connection readers: `(run, clock,
+    /// bytes)`.
+    trace_rx: Receiver<TraceReply>,
     /// Ranks with a scheduled kill armed ([`NetEngineConfig::kills`]): the
     /// schedule may fire at any point — including between run completion
     /// and shutdown — so these ranks are allowed to die without their exit
@@ -486,7 +493,7 @@ impl RemotePending for NetPending {
         let posts = done
             .posts
             .iter()
-            .map(|b| proto::decode_token(reg, b))
+            .map(|b| proto::decode_received(reg, b, &done.shared))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(RemoteOutcome {
             posts,
@@ -509,8 +516,9 @@ fn master_reader(
     rank: u32,
     mut rx: Box<dyn FrameRx>,
     sync_tx: Sender<(u32, u64)>,
-    trace_tx: Sender<(u64, Bytes)>,
+    trace_tx: Sender<TraceReply>,
 ) {
+    let mut table = RecvTable::default();
     loop {
         let bytes = match rx.recv() {
             Ok(bytes) => bytes,
@@ -528,28 +536,32 @@ fn master_reader(
         };
         shared.touch(rank);
         shared.meter.count(bytes.len());
-        match proto::decode_frame(bytes) {
-            Ok(Frame::Done {
-                seq,
-                posts,
-                reports,
-                error,
-            }) => {
+        match proto::decode_frame_on(bytes, &mut table) {
+            Ok((
+                Frame::Done {
+                    seq,
+                    posts,
+                    reports,
+                    error,
+                },
+                captured,
+            )) => {
                 if let Some((_, tx)) = shared.pending.lock().remove(&seq) {
                     let _ = tx.send(DoneReply {
                         posts: posts.into_iter().map(Payload::into_bytes).collect(),
+                        shared: captured,
                         reports,
                         error,
                     });
                 }
             }
-            Ok(Frame::Hub { req, body }) => shared.router.route(&shared.hub, rank, req, body),
-            Ok(Frame::HubReply { req, body }) => shared.router.complete(req, body),
-            Ok(Frame::Sync { sig }) => {
+            Ok((Frame::Hub { req, body }, _)) => shared.router.route(&shared.hub, rank, req, body),
+            Ok((Frame::HubReply { req, body }, _)) => shared.router.complete(req, body),
+            Ok((Frame::Sync { sig }, _)) => {
                 let _ = sync_tx.send((rank, sig));
             }
-            Ok(Frame::Trace { run, bytes }) => {
-                let _ = trace_tx.send((run, bytes));
+            Ok((Frame::Trace { run, clock, bytes }, _)) => {
+                let _ = trace_tx.send((run, clock, bytes));
             }
             // Pong (and anything else): the `touch` above already reset
             // the heartbeat clock.
@@ -610,52 +622,53 @@ fn worker_reader(
     release_tx: Sender<(u64, Option<String>)>,
     shutdown_tx: Sender<()>,
 ) {
+    let mut table = RecvTable::default();
     while let Ok(bytes) = rx.recv() {
-        match proto::decode_frame(bytes) {
-            Ok(exec @ Frame::Exec { .. }) => host.dispatch(exec),
-            Ok(Frame::Hub { req, body }) => {
+        match proto::decode_frame_on(bytes, &mut table) {
+            Ok((exec @ Frame::Exec { .. }, captured)) => host.dispatch(exec, captured),
+            Ok((Frame::Hub { req, body }, _)) => {
                 // A claim on a lease opened here, relayed by the master.
                 let body = body.serve(&hub);
                 let _ = writer.send(&Frame::HubReply { req, body });
             }
-            Ok(Frame::HubReply { req, body }) => hub_link.complete(req, body),
-            Ok(Frame::Output { app, graph, token }) => {
+            Ok((Frame::HubReply { req, body }, _)) => hub_link.complete(req, body),
+            Ok((Frame::Output { app, graph, token }, captured)) => {
                 // Decoded here, straight out of the received frame.
                 let token = token.into_bytes();
                 let decoded = decls.with(|d| {
                     d.apps()
                         .get(app as usize)
-                        .map(|a| proto::decode_token(&a.registry, &token))
+                        .map(|a| proto::decode_received(&a.registry, &token, &captured))
                 });
                 match decoded {
                     Some(Ok(tok)) => outputs.lock().entry((app, graph)).or_default().push(tok),
                     _ => eprintln!("dps-netengine: dropping undecodable output of app {app}"),
                 }
             }
-            Ok(Frame::Release { run, error }) => {
+            Ok((Frame::Release { run, error }, _)) => {
                 let _ = release_tx.send((run, error));
             }
-            Ok(Frame::TraceReq { run }) => {
+            Ok((Frame::TraceReq { run }, _)) => {
                 // Always answer — the master waits for one reply per worker.
                 // Taking the log drains it, so each run ships only its own
                 // events; no sink means an empty payload.
-                let bytes = host
+                let (clock, bytes) = host
                     .trace_collector()
-                    .map(|c| dps_obs::wire::encode_log(&c.take_log()))
-                    .unwrap_or_default()
-                    .into();
-                let _ = writer.send(&Frame::Trace { run, bytes });
+                    .map(|c| (c.clock(), dps_obs::wire::encode_log(&c.take_log())))
+                    .unwrap_or_default();
+                let bytes = bytes.into();
+                let _ = writer.send(&Frame::Trace { run, clock, bytes });
             }
-            Ok(Frame::Ping { nonce }) => {
+            Ok((Frame::Ping { nonce }, _)) => {
                 let _ = writer.send(&Frame::Pong { nonce });
             }
-            Ok(Frame::Die) => {
+            Ok((Frame::Die, _)) => {
                 // Scheduled crash: die *abruptly* — no Release handshake, no
                 // host teardown — so the master's death detection is
                 // exercised against a real disappearance.
                 std::process::exit(86);
             }
-            Ok(Frame::Shutdown) => break,
+            Ok((Frame::Shutdown, _)) => break,
             Ok(_) => {}
             Err(_) => break,
         }
@@ -667,20 +680,21 @@ fn worker_reader(
 /// In-process worker harness used by loopback mode: executes `Exec` frames
 /// against the master's own declaration store.
 fn harness_reader(mut rx: Box<dyn FrameRx>, host: Arc<ExecHost>, writer: Arc<Conn>) {
+    let mut table = RecvTable::default();
     while let Ok(bytes) = rx.recv() {
-        match proto::decode_frame(bytes) {
-            Ok(exec @ Frame::Exec { .. }) => host.dispatch(exec),
-            Ok(Frame::Ping { nonce }) => {
+        match proto::decode_frame_on(bytes, &mut table) {
+            Ok((exec @ Frame::Exec { .. }, captured)) => host.dispatch(exec, captured),
+            Ok((Frame::Ping { nonce }, _)) => {
                 let _ = writer.send(&Frame::Pong { nonce });
             }
-            Ok(Frame::Die) => {
+            Ok((Frame::Die, _)) => {
                 // In-process stand-in for a crash: stop reading and drop the
                 // connection. The harness's executor lanes stay up (we can't
                 // kill a process we share), but from the master's side the
                 // rank goes silent exactly like a dead worker.
                 return;
             }
-            Ok(Frame::Shutdown) => break,
+            Ok((Frame::Shutdown, _)) => break,
             Ok(_) => {}
             Err(_) => break,
         }
@@ -1330,14 +1344,14 @@ impl Master {
                 .saturating_duration_since(Instant::now())
                 .min(Duration::from_millis(50));
             match self.trace_rx.recv_timeout(left) {
-                Ok((run, bytes)) => {
+                Ok((run, clock, bytes)) => {
                     if run != self.run_seq {
                         continue; // stale reply of an earlier, timed-out round
                     }
                     got += 1;
                     if !bytes.is_empty() {
                         match dps_obs::wire::decode_log(&bytes) {
-                            Some(log) => collector.ingest(&log),
+                            Some(log) => collector.ingest(&log, clock),
                             None => {
                                 eprintln!("dps-netengine: dropping an undecodable worker trace log")
                             }

@@ -28,7 +28,7 @@ use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenBox, TokenR
 use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
-use dps_serial::Bytes;
+use dps_serial::{Bytes, Captured, SendTable};
 use parking_lot::Mutex;
 
 use crate::proto::{self, Frame, Payload, TaskKind};
@@ -125,31 +125,44 @@ impl WireMeter {
 }
 
 /// The sending half of a connection as the tasks of a kernel share it:
-/// frames are encoded outside the lock and written one at a time.
+/// frames are encoded and written one at a time, through the connection's
+/// buffer table.
 pub(crate) struct Conn {
-    tx: Mutex<Box<dyn FrameTx>>,
+    link: Mutex<Link>,
     /// Shared by the master's connections; a worker's own is never
     /// attached (see [`WireMeter`]).
     meter: Arc<WireMeter>,
 }
 
+/// A connection's sending half and the table of what it has sent. A frame
+/// is encoded under the same lock it is written under, so the table's order
+/// is the wire's: a frame never names an id a frame ahead of it will add.
+struct Link {
+    tx: Box<dyn FrameTx>,
+    table: SendTable,
+}
+
 impl Conn {
     pub fn new(tx: Box<dyn FrameTx>, meter: Arc<WireMeter>) -> Self {
         Self {
-            tx: Mutex::new(tx),
+            link: Mutex::new(Link {
+                tx,
+                table: SendTable::default(),
+            }),
             meter,
         }
     }
 
     pub fn send(&self, frame: &Frame<'_>) -> io::Result<()> {
-        proto::send_frame(&mut &*self, frame)
-    }
-}
-
-impl FrameTx for &Conn {
-    fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.meter.count(frame.len());
-        self.tx.lock().send(frame)
+        let mut link = self.link.lock();
+        let parts = link.table.encode(frame);
+        self.meter.count(parts.iter().map(Vec::len).sum());
+        match parts.as_slice() {
+            [frame] => link.tx.send(frame),
+            parts => link
+                .tx
+                .send_parts(&parts.iter().map(Vec::as_slice).collect::<Vec<_>>()),
+        }
     }
 }
 
@@ -161,6 +174,8 @@ struct Job {
     pub kind: TaskKind,
     /// The tagged token: a view into the received `Exec` frame.
     pub token: Bytes,
+    /// What the frame captured of the connection's buffer table.
+    pub shared: Captured,
     pub env: dps_core::Envelope,
 }
 
@@ -204,11 +219,12 @@ impl ExecHost {
         self.trace.lock().clone()
     }
 
-    /// Route the task of an `Exec` frame to its thread's executor lane,
+    /// Route the task of an `Exec` frame, and what the frame captured of
+    /// the connection's buffer table, to its thread's executor lane,
     /// spawning the lane on first use. Tasks for one (app, tc, thread)
     /// execute serially in arrival order — the same ordering the thread
     /// would have locally.
-    pub fn dispatch(&self, exec: Frame<'_>) {
+    pub fn dispatch(&self, exec: Frame<'_>, shared: Captured) {
         let Frame::Exec {
             seq,
             app,
@@ -230,6 +246,7 @@ impl ExecHost {
             node,
             kind,
             token,
+            shared,
             env,
         };
         let mut lanes = self.lanes.lock();
@@ -382,7 +399,11 @@ fn run_job(
     let token = match job.kind {
         TaskKind::Finalize => None,
         _ if job.token.is_empty() => return Err(contract("remote task arrived without its token")),
-        _ => Some(proto::decode_token(&ctx.registry, &job.token)?),
+        _ => Some(proto::decode_received(
+            &ctx.registry,
+            &job.token,
+            &job.shared,
+        )?),
     };
     // The master counts the wave and numbers its output; this side holds
     // only the wave's operation instance, from its first step to the one
@@ -657,8 +678,9 @@ impl RemoteHub for HubRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{LoopbackTransport, Transport};
+    use crate::transport::{FrameRx, LoopbackTransport, Transport};
     use dps_sched::{ChunkCalc, PolicyKind};
+    use dps_serial::{Buffer, RecvTable};
     use std::sync::Barrier;
     use std::thread::JoinHandle;
 
@@ -858,5 +880,176 @@ mod tests {
         assert!(c.hubs[1].abandoned_leases().is_empty());
         assert!(c.hubs[2].abandoned_leases().is_empty());
         c.stop();
+    }
+
+    // -----------------------------------------------------------------------
+    // The connection buffer table, between a `Conn` and a reader
+    // -----------------------------------------------------------------------
+
+    dps_core::dps_token! {
+        pub struct Strip { pub i: u32, pub a: Buffer<f64>, pub b: Buffer<u32> }
+    }
+
+    fn registry() -> TokenRegistry {
+        let mut reg = TokenRegistry::new();
+        dps_core::register_token::<Strip>(&mut reg);
+        reg
+    }
+
+    /// The sending half of a loopback connection as a kernel shares it, and
+    /// the receiving half with the table its reader keeps.
+    fn link() -> (Conn, Box<dyn FrameRx>, RecvTable) {
+        let t = LoopbackTransport::new();
+        let (addr, mut acceptor) = t.bind().unwrap();
+        let client = t.connect(&addr).unwrap();
+        let server = acceptor.accept().unwrap();
+        let conn = Conn::new(client.tx, Arc::default());
+        (conn, server.rx, RecvTable::default())
+    }
+
+    fn output(tok: &Strip) -> Frame<'_> {
+        Frame::Output {
+            app: 0,
+            graph: 0,
+            token: Payload::Token(tok),
+        }
+    }
+
+    /// What a reader does with the next frame: apply its section, keep the
+    /// token's bytes and what the frame captured, for a decode later.
+    fn take(rx: &mut Box<dyn FrameRx>, table: &mut RecvTable) -> (Bytes, Captured) {
+        match proto::decode_frame_on(rx.recv().unwrap(), table).unwrap() {
+            (Frame::Output { token, .. }, captured) => (token.into_bytes(), captured),
+            (other, _) => panic!("expected an Output, got {other:?}"),
+        }
+    }
+
+    fn decode(received: &(Bytes, Captured)) -> Strip {
+        let tok = proto::decode_received(&registry(), &received.0, &received.1).unwrap();
+        *dps_core::downcast::<Strip>(tok).unwrap()
+    }
+
+    fn strip(i: u32, a: &Buffer<f64>, b: &Buffer<u32>) -> Strip {
+        Strip {
+            i,
+            a: a.clone(),
+            b: b.clone(),
+        }
+    }
+
+    /// A frame's token is decoded only after the reader has handled the
+    /// very next frame, which retires the entry the first one added: the
+    /// decode reads what the first frame captured, and the table is empty.
+    #[test]
+    fn a_frame_decodes_after_the_next_one_retired_its_entry() {
+        let (conn, mut rx, mut table) = link();
+        let panel: Buffer<f64> = (0..512).map(f64::from).collect();
+        let sent = strip(1, &panel, &Buffer::new());
+        conn.send(&output(&sent)).unwrap();
+        let want = Strip {
+            a: panel.to_vec().into(),
+            ..sent.clone()
+        };
+        drop((panel, sent));
+        conn.send(&Frame::Ping { nonce: 1 }).unwrap();
+
+        let first = take(&mut rx, &mut table);
+        assert_eq!(table.len(), 1, "the panel went by the table");
+        let (ping, _) = proto::decode_frame_on(rx.recv().unwrap(), &mut table).unwrap();
+        assert_eq!(ping, Frame::Ping { nonce: 1 });
+        assert!(table.is_empty(), "retired: {table:?}");
+        assert_eq!(decode(&first), want);
+    }
+
+    /// Two threads send through one connection at once, each frame naming a
+    /// buffer both share and one of the sender's own that the next frame
+    /// retires. Whichever frame adds an entry, the ones that name it
+    /// follow it; every token decodes equal to what was sent; and once the
+    /// senders have dropped their buffers, one more frame empties the
+    /// receiver's table.
+    #[test]
+    fn two_senders_on_one_connection_add_and_name_entries_in_wire_order() {
+        const ROUNDS: u32 = 200;
+        let (conn, mut rx, mut table) = link();
+        let common: Buffer<f64> = (0..300).map(|x| f64::from(x) * 0.5).collect();
+        let own = |i: u32| -> Buffer<u32> { (0..64).map(|x| x ^ i).collect() };
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for sender in [0, 1] {
+                let (conn, common, start) = (&conn, &common, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let i = sender * ROUNDS + round;
+                        let b = own(i);
+                        conn.send(&output(&strip(i, common, &b))).unwrap();
+                    }
+                });
+            }
+        });
+        let received: Vec<_> = (0..2 * ROUNDS).map(|_| take(&mut rx, &mut table)).collect();
+        drop(common);
+        conn.send(&Frame::Ping { nonce: 2 }).unwrap();
+        proto::decode_frame_on(rx.recv().unwrap(), &mut table).unwrap();
+        assert!(table.is_empty(), "{table:?}");
+
+        let common: Vec<f64> = (0..300).map(|x| f64::from(x) * 0.5).collect();
+        let mut seen: Vec<u32> = received
+            .iter()
+            .map(|r| {
+                let got = decode(r);
+                assert_eq!(got.a.as_slice(), &common[..]);
+                assert_eq!(got.b, own(got.i), "token {}", got.i);
+                got.i
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..2 * ROUNDS).collect::<Vec<_>>());
+    }
+
+    /// A buffer only one token holds goes inline: the frame adds nothing to
+    /// the table, and the receiver's `into_vec` hands back the allocation
+    /// the token was decoded into.
+    #[test]
+    fn a_singly_held_buffer_goes_inline_and_into_vec_is_a_move() {
+        let (conn, mut rx, mut table) = link();
+        let sent = Strip {
+            i: 7,
+            a: (0..4096).map(f64::from).collect(),
+            b: vec![1, 2, 3].into(),
+        };
+        conn.send(&output(&sent)).unwrap();
+        let received = take(&mut rx, &mut table);
+        assert!(table.is_empty());
+        assert_eq!(format!("{:?}", received.1), "[]", "nothing captured");
+        let got = decode(&received);
+        assert_eq!(got, sent);
+        let decoded_into = got.a.as_slice().as_ptr();
+        let moved = got.a.into_vec();
+        assert_eq!(moved.as_ptr(), decoded_into);
+    }
+
+    /// Without a table the encoding is the plain one, whoever else holds
+    /// the buffers: byte for byte what the commit before connection tables
+    /// wrote (captured there).
+    #[test]
+    fn to_bytes_of_a_token_with_shared_buffers_keeps_its_golden_bytes() {
+        let a: Buffer<f64> = vec![1.5, -2.0].into();
+        let b: Buffer<u32> = vec![7, 9].into();
+        let tok = strip(3, &a, &b);
+        let hex: String = dps_serial::to_bytes(&tok)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "0300000002000000000000000000f83f00000000000000c0\
+             020000000700000009000000"
+        );
+        let tagged: String = proto::encode_token(&tok)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert!(tagged.ends_with(&hex));
     }
 }

@@ -26,7 +26,8 @@
 //! a pluggable [`Transport`] — real TCP for multi-process runs, an
 //! in-memory loopback with identical semantics for single-process tests —
 //! and every connection reader, executor lane and harness is an OS thread
-//! of its own.
+//! of its own. Each connection keeps a table of the shared `Buffer`s it has
+//! carried, so a block many tasks hold crosses it once (see [`proto`]).
 //!
 //! The driver below runs unchanged on all three engines; only the
 //! constructor differs:

@@ -3,13 +3,22 @@
 //! broadcast.
 //!
 //! Every frame is one [`Frame`] value encoded with the workspace wire
-//! format (`dps-serial`) and shipped through a [`FrameTx`] by
-//! [`send_frame`]. Tokens travel *tagged*: a payload is prefixed with its
-//! [`WireId`](dps_serial::WireId) and the format version, exactly as
+//! format (`dps-serial`). Tokens travel *tagged*: a payload is prefixed with
+//! its [`WireId`](dps_serial::WireId) and the format version, exactly as
 //! `dps_core::wire_roundtrip` frames them, so the receiving kernel decodes
 //! through its own [`TokenRegistry`].
 //! A token is a [`Payload`] field of its frame: encoded in place when the
 //! frame is written, a view into the received buffer when it is read.
+//!
+//! A connection encodes every frame it sends through its
+//! [`SendTable`](dps_serial::SendTable), so a `Buffer` several tokens share
+//! crosses it once: the first frame that carries it adds it to the table,
+//! later frames name it by id. The connection's reader hands each frame to
+//! [`decode_frame_on`], which applies the frame's table section to the
+//! peer's [`RecvTable`] and returns what the frame captured of it; the
+//! frame's tokens decode against that ([`decode_received`]), on whichever
+//! thread and however late. The handshake frames and an injected `Die` go
+//! below the table, through [`send_frame`] and [`decode_frame`].
 //!
 //! | frame | direction | meaning |
 //! |---|---|---|
@@ -24,7 +33,7 @@
 //! | `Release` | master → worker | one `run_to_idle` finished (error message if it failed) |
 //! | `Shutdown` | master → worker | the run is over; stop executors and exit |
 //! | `TraceReq` | master → worker | ship your trace log of the finishing run |
-//! | `Trace` | worker → master | the encoded local trace log (empty when untraced) |
+//! | `Trace` | worker → master | the encoded local trace log (empty when untraced) and the worker's clock |
 //! | `Ping` | master → worker | liveness probe; a healthy worker answers immediately |
 //! | `Pong` | worker → master | the `Ping` echo (same `nonce`); resets the miss budget |
 //! | `Die` | master → worker | fault injection: crash the worker process *now* |
@@ -41,7 +50,7 @@ use std::io;
 
 use dps_core::{DpsError, Envelope, GNodeId, Token, TokenBox, TokenRegistry};
 use dps_sched::remote::{HubRequest, HubResponse};
-use dps_serial::{impl_wire_enum, Bytes, Reader, Wire, WireError, Writer};
+use dps_serial::{impl_wire_enum, Bytes, Captured, Reader, RecvTable, Wire, WireError, Writer};
 
 use crate::transport::FrameTx;
 
@@ -91,7 +100,7 @@ impl Wire for TaskKind {
 
 /// A tagged token as a field of a [`Frame`]: `u32` length, then wire id,
 /// format version and payload — the layout of a byte vector holding
-/// [`encode_token`]'s output.
+/// [`encode_token`]'s output (where the frame names no shared buffer).
 #[derive(Debug, Clone)]
 pub enum Payload<'a> {
     /// The encoded bytes: what a received frame holds (a view into the
@@ -124,6 +133,9 @@ impl PartialEq for Payload<'_> {
     }
 }
 
+/// A live token's `wire_size` is what it takes inline: an upper bound, since
+/// a connection table names shared buffers instead. Its length prefix is
+/// written after it.
 impl Wire for Payload<'_> {
     fn wire_size(&self) -> usize {
         4 + match self {
@@ -134,10 +146,7 @@ impl Wire for Payload<'_> {
     fn encode(&self, w: &mut Writer) {
         match self {
             Payload::Bytes(b) => b.encode(w),
-            Payload::Token(t) => {
-                w.put_len(TAG_LEN + t.payload_size());
-                put_tagged(w, *t);
-            }
+            Payload::Token(t) => w.put_len_prefixed(|w| put_tagged(w, *t)),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -252,6 +261,10 @@ pub enum Frame<'a> {
     Trace {
         /// Matches the `TraceReq` run ordinal.
         run: u64,
+        /// The worker collector's `TraceCollector::clock` — the system
+        /// clock and its own, read together — with which the master moves
+        /// the log onto its epoch. `(0, 0)` when no sink is attached.
+        clock: (u64, u64),
         /// `dps_obs::wire::encode_log` bytes (empty = no sink attached).
         bytes: Bytes,
     },
@@ -288,23 +301,37 @@ impl_wire_enum!(Frame<'a> {
     8 => Release { run, error },
     9 => Shutdown { },
     10 => TraceReq { run },
-    11 => Trace { run, bytes },
+    11 => Trace { run, clock, bytes },
     12 => Ping { nonce },
     13 => Pong { nonce },
     14 => Die { },
 });
 
-/// The one way a frame leaves a kernel: header fields and token payloads
-/// are encoded in a single pass into one exactly-sized buffer, and that
-/// buffer goes to the transport as one [`FrameTx::send`].
+/// Send a frame below any connection table (the handshake, an injected
+/// `Die`): header fields and token payloads are encoded in a single pass
+/// into one exactly-sized buffer, and that buffer goes to the transport as
+/// one [`FrameTx::send`].
 pub fn send_frame(tx: &mut dyn FrameTx, frame: &Frame<'_>) -> io::Result<()> {
     tx.send(&dps_serial::to_bytes(frame))
 }
 
-/// Decode a received frame in place: `bytes` becomes a shared buffer and
-/// every payload of the frame a view into it.
+/// Decode a frame sent below any connection table in place: `bytes`
+/// becomes a shared buffer and every payload of the frame a view into it.
 pub fn decode_frame(bytes: Vec<u8>) -> Result<Frame<'static>, WireError> {
     dps_serial::from_shared(&Bytes::from(bytes))
+}
+
+/// [`decode_frame`] of the next frame a connection received, whose peer's
+/// buffer table is `table`: the frame's table section is applied to it, and
+/// what the frame captured of it comes back for [`decode_received`].
+pub fn decode_frame_on(
+    bytes: Vec<u8>,
+    table: &mut RecvTable,
+) -> Result<(Frame<'static>, Captured), WireError> {
+    let bytes = Bytes::from(bytes);
+    let mut r = Reader::shared(&bytes);
+    let frame = Frame::decode(&mut r)?;
+    Ok((frame, table.apply(&mut r)?))
 }
 
 /// Bytes a tagged token spends on its wire id and format version.
@@ -327,7 +354,17 @@ pub fn encode_token(tok: &dyn Token) -> Vec<u8> {
 /// Decode a tagged token through `reg`; unknown wire ids and version
 /// mismatches surface as [`DpsError::Wire`].
 pub fn decode_token(reg: &TokenRegistry, bytes: &[u8]) -> Result<TokenBox, DpsError> {
-    reg.decode_tagged(&mut Reader::new(bytes))
+    decode_received(reg, bytes, &Captured::default())
+}
+
+/// [`decode_token`] of a token a received frame carried: the shared buffers
+/// it names come from what that frame `captured` ([`decode_frame_on`]).
+pub fn decode_received(
+    reg: &TokenRegistry,
+    bytes: &[u8],
+    captured: &Captured,
+) -> Result<TokenBox, DpsError> {
+    reg.decode_tagged(&mut Reader::new(bytes).resolving(captured))
         .map_err(|e| DpsError::Wire(e.to_string()))
 }
 
@@ -413,10 +450,12 @@ mod tests {
         roundtrip(&Frame::TraceReq { run: 5 });
         roundtrip(&Frame::Trace {
             run: 5,
+            clock: (1_760_000_000_000_000_000, 12_345),
             bytes: vec![7; 33].into(),
         });
         roundtrip(&Frame::Trace {
             run: 6,
+            clock: (0, 0),
             bytes: Bytes::new(),
         });
         roundtrip(&Frame::Ping { nonce: 41 });
@@ -431,7 +470,8 @@ mod tests {
     /// The encoded token-carrying frames, byte for byte as the commit
     /// before the single-pass encoder wrote them (captured there from
     /// `to_bytes` of the same frames with `encode_token` output in
-    /// `Vec<u8>` fields): the layout did not move.
+    /// `Vec<u8>` fields): the layout did not move. The `Trace` frame
+    /// carries the worker's clock between its run and its log.
     #[test]
     fn token_frames_keep_their_golden_bytes() {
         let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
@@ -502,9 +542,11 @@ mod tests {
             (
                 Frame::Trace {
                     run: 5,
+                    clock: (1, 2),
                     bytes: vec![7, 0, 255, 16, 32].into(),
                 },
-                "0b0000000500000000000000050000000700ff1020",
+                "0b00000005000000000000000100000000000000020000000000000005000000\
+                 0700ff1020",
             ),
         ];
         for (frame, want) in &golden {

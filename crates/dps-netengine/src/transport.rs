@@ -21,12 +21,13 @@
 //! moves whole frames through channels, so the prefix never materializes —
 //! but the observable unit (one `send` arrives as one `recv`) is the same.
 //!
-//! On TCP a frame costs one system call to send — prefix and payload leave
-//! in a single vectored write, so `TCP_NODELAY` never ships a lone prefix —
-//! and no copy. The receiver reads through a 64 KiB buffer, so a prefix
-//! and a small frame (or many) arrive in one read; a frame larger
-//! than the buffer is read straight into its own allocation, which is
-//! never zeroed first.
+//! On TCP a frame costs one system call to send — prefix and payload (a
+//! body and its buffer-table section, when the engine hands it over in
+//! parts) leave in a single vectored write, so `TCP_NODELAY` never ships a
+//! lone prefix — and no copy. The receiver reads through a 64 KiB buffer,
+//! so a prefix and a small frame (or many) arrive in one read; a frame
+//! larger than the buffer is read straight into its own allocation, which
+//! is never zeroed first.
 
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
@@ -44,6 +45,13 @@ pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
 pub trait FrameTx: Send {
     /// Transmit `frame` (the payload only; framing is the transport's job).
     fn send(&mut self, frame: &[u8]) -> io::Result<()>;
+
+    /// Transmit one frame given as `parts` back to back — a body and its
+    /// buffer-table section, neither copied into the other where the
+    /// transport can write several buffers at once.
+    fn send_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        self.send(&parts.concat())
+    }
 }
 
 /// Receiving half of a connection: one call yields one frame.
@@ -169,11 +177,18 @@ impl Acceptor for TcpAcceptor {
 
 impl FrameTx for TcpTx {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(frame.len())
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        let len = u32::try_from(parts.iter().map(|p| p.len()).sum::<usize>())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
         let prefix = len.to_le_bytes();
-        let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
-        let mut left = &mut parts[..];
+        let mut slices: Vec<IoSlice<'_>> = std::iter::once(&prefix[..])
+            .chain(parts.iter().copied())
+            .map(IoSlice::new)
+            .collect();
+        let mut left = &mut slices[..];
         // One vectored write almost always takes everything; a full socket
         // buffer may take a 2 MiB frame in several.
         while !left.is_empty() {
@@ -279,8 +294,12 @@ impl Acceptor for LoopAcceptor {
 
 impl FrameTx for ChanTx {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.send_parts(&[frame])
+    }
+
+    fn send_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
         self.0
-            .send(frame.to_vec())
+            .send(parts.concat())
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"))
     }
 }
@@ -312,6 +331,10 @@ mod tests {
         for p in &payloads {
             assert_eq!(&server.rx.recv().unwrap(), p);
         }
+        // A frame in parts arrives as one.
+        let (head, tail) = payloads[3].split_at(7);
+        client.tx.send_parts(&[head, &[], tail]).unwrap();
+        assert_eq!(server.rx.recv().unwrap(), payloads[3]);
         // And the other direction on the same duplex.
         server.tx.send(b"pong").unwrap();
         assert_eq!(client.rx.recv().unwrap(), b"pong");

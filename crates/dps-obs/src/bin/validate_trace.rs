@@ -4,7 +4,9 @@
 //! Usage: `validate_trace FILE [FILE...]`. Each file must parse as Chrome
 //! trace-event JSON and pass [`dps_obs::validate_chrome_trace`] (balanced
 //! op spans, async wave spans closed, flow arrows resolved, metadata
-//! records well-formed). Exits non-zero on the first invalid file.
+//! records well-formed, no op of a wave starting on a track before the
+//! wave's first token is delivered there). Exits non-zero on the first
+//! invalid file.
 
 use std::process::ExitCode;
 

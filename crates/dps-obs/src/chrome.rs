@@ -550,7 +550,10 @@ pub struct ChromeStats {
 /// invariants the exporters promise: every record carries `ph`/`pid`/`tid`,
 /// duration spans balance per track, async wave spans balance per
 /// `(pid, id)`, op spans nest under wave spans, and every flow-finish has a
-/// matching flow-start. Returns counts on success.
+/// matching flow-start. One causal rule too: on a track that takes tokens
+/// of wave `w`, no op of wave `w` starts before the first of them is
+/// delivered — which a log merged from processes with unaligned clocks
+/// breaks. Returns counts on success.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeStats, String> {
     let doc = parse_json(text)?;
     let events = doc.get("traceEvents").ok_or("missing traceEvents")?;
@@ -569,6 +572,10 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeStats, String> {
     let mut open_async: BTreeMap<(u64, String, u64), usize> = BTreeMap::new();
     let mut open_waves: BTreeMap<u64, usize> = BTreeMap::new();
     let mut open_flows: BTreeSet<u64> = BTreeSet::new();
+    // Per (pid, tid, wave): the first token delivery, and the first op
+    // start with its record index.
+    let mut first_delivery: BTreeMap<(u64, u64, u64), f64> = BTreeMap::new();
+    let mut first_op: BTreeMap<(u64, u64, u64), (f64, usize)> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
@@ -585,8 +592,10 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeStats, String> {
         ev.get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("record {i}: missing name"))?;
+        let mut ts = 0.0;
         if ph != "M" {
-            ev.get("ts")
+            ts = ev
+                .get("ts")
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("record {i}: missing ts"))?;
             // Async spans live on per-(cat, id) rows, not thread tracks.
@@ -595,6 +604,23 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeStats, String> {
             }
         }
         let cat = ev.get("cat").and_then(Json::as_str).unwrap_or("");
+        let wave = ev
+            .get("args")
+            .and_then(|a| a.get("wave"))
+            .and_then(Json::as_num);
+        match (ph, cat, wave) {
+            ("B", "op", Some(w)) => {
+                let first = first_op.entry((pid, tid, w as u64)).or_insert((ts, i));
+                if ts < first.0 {
+                    *first = (ts, i);
+                }
+            }
+            ("f", "token", Some(w)) => {
+                let first = first_delivery.entry((pid, tid, w as u64)).or_insert(ts);
+                *first = first.min(ts);
+            }
+            _ => {}
+        }
         match ph {
             "B" => {
                 let stack = stacks.entry((pid, tid)).or_default();
@@ -688,6 +714,16 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeStats, String> {
             return Err(format!("async span '{cat}' id {id} left open on pid {pid}"));
         }
     }
+    for (&(pid, tid, wave), &delivered) in &first_delivery {
+        if let Some(&(started, i)) = first_op.get(&(pid, tid, wave)) {
+            if started < delivered {
+                return Err(format!(
+                    "record {i}: an op of wave {wave} starts on ({pid},{tid}) at {started} µs, \
+                     before the track's first token of that wave is delivered at {delivered} µs"
+                ));
+            }
+        }
+    }
     stats.tracks = tracks.len();
     Ok(stats)
 }
@@ -756,6 +792,43 @@ mod tests {
             .is_err(),
             "flow finish without start"
         );
+    }
+
+    /// An op that starts before its track is handed the wave's first token
+    /// — a worker's stamps merged on their own clock — is refused.
+    #[test]
+    fn validator_rejects_an_op_before_its_wave_reaches_the_track() {
+        let c = TraceCollector::new();
+        let (op, tok) = (c.label("mm:multiply"), c.label("BlockTask"));
+        let mut w = c.writer(0, 0);
+        let deliver = |flow| EventKind::TokenDeliver {
+            token: tok,
+            wave: 4,
+            flow,
+        };
+        w.record_on(
+            5,
+            0,
+            0,
+            EventKind::TokenEnqueue {
+                token: tok,
+                wave: 4,
+                flow: 1,
+            },
+        );
+        w.record_on(260, 1, 0, deliver(1));
+        w.record_on(300, 1, 0, EventKind::OpStart { op, wave: 4 });
+        w.record_on(400, 1, 0, EventKind::OpEnd { op, wave: 4 });
+        let log = c.take_log();
+        assert!(validate_chrome_trace(&chrome_trace_json(&log)).is_ok());
+        let mut early = log;
+        for e in &mut early.events {
+            if matches!(e.kind, EventKind::OpStart { .. } | EventKind::OpEnd { .. }) {
+                e.at -= 231; // the op at 69, its token at 260
+            }
+        }
+        let err = validate_chrome_trace(&chrome_trace_json(&early)).unwrap_err();
+        assert!(err.contains("before the track's first token"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Instant, SystemTime};
 
 use crate::event::{EventKind, LabelId, TraceEvent};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
@@ -134,6 +134,17 @@ impl TraceCollector {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// The system clock and [`now_nanos`](Self::now_nanos), read together:
+    /// `(nanoseconds since the Unix epoch, now_nanos)`. Where two
+    /// collectors share one host's system clock, one's readings place the
+    /// other's stamps on its own epoch ([`ingest`](Self::ingest)).
+    pub fn clock(&self) -> (u64, u64) {
+        let unix = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .unwrap_or_default();
+        (unix.as_nanos() as u64, self.now_nanos())
+    }
+
     /// What [`now_nanos`](Self::now_nanos) read at `instant`.
     pub fn stamp(&self, instant: Instant) -> u64 {
         instant.saturating_duration_since(self.epoch).as_nanos() as u64
@@ -204,15 +215,23 @@ impl TraceCollector {
 
     /// Append an already-merged log from another collector (the process
     /// engine's master ingesting a worker's shipped trace), remapping the
-    /// foreign label ids into this collector's table.
-    pub fn ingest(&self, foreign: &TraceLog) {
+    /// foreign label ids into this collector's table and moving its stamps
+    /// from the foreign collector's epoch onto this one's. `clock` is the
+    /// foreign collector's [`clock`](Self::clock), read on the same host.
+    pub fn ingest(&self, foreign: &TraceLog, clock: (u64, u64)) {
         let map: Vec<LabelId> = {
             let mut labels = self.labels.lock().unwrap();
             foreign.labels.iter().map(|n| labels.intern(n)).collect()
         };
         let remap = |id: LabelId| map.get(id.0 as usize).copied().unwrap_or(LabelId(0));
+        // Each epoch in system-clock nanoseconds: where the clock stood
+        // when the collector read zero.
+        let epoch = |(unix, now): (u64, u64)| i128::from(unix) - i128::from(now);
+        let shift = epoch(clock) - epoch(self.clock());
+        let moved = |at: u64| (i128::from(at) + shift).clamp(0, i128::from(u64::MAX)) as u64;
         let mut log = self.log.lock().unwrap();
         log.extend(foreign.events.iter().map(|e| TraceEvent {
+            at: moved(e.at),
             kind: e.kind.map_labels(remap),
             ..*e
         }));
@@ -369,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_remaps_labels() {
+    fn ingest_remaps_labels_and_moves_stamps_onto_its_epoch() {
         let worker = TraceCollector::new();
         let lu = worker.label("lu");
         let mut w = worker.writer(2, 0);
@@ -378,7 +397,11 @@ mod tests {
 
         let master = TraceCollector::new();
         master.label("something-else"); // shift the id space
-        master.ingest(&shipped);
+
+        // A worker whose collector started three seconds after this one.
+        let (unix, now) = master.clock();
+        let started = 3_000_000_000;
+        master.ingest(&shipped, (unix - now + started + 5, 5));
         let log = master.take_log();
         assert_eq!(log.events.len(), 1);
         let EventKind::WaveStart { graph, .. } = log.events[0].kind else {
@@ -386,5 +409,8 @@ mod tests {
         };
         assert_eq!(log.label(graph), "lu");
         assert_eq!(log.events[0].node, 2, "track survives the ship");
+        // Read twice, the two clocks drift apart by far less than 1 ms.
+        let at = log.events[0].at;
+        assert!(at.abs_diff(started + 5) < 1_000_000, "stamped {at}");
     }
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::error::WireError;
 use crate::pod::Pod;
 use crate::reader::Reader;
+use crate::table::NAMED;
 use crate::wire::Wire;
 use crate::writer::Writer;
 
@@ -32,9 +33,12 @@ use crate::writer::Writer;
 ///   write — and [`into_vec`] of a shared buffer. A write to a buffer
 ///   nobody else holds copies nothing.
 ///
-/// An empty buffer holds no allocation at all. The wire format knows none
-/// of this: a buffer encodes as its length and its elements, and decodes
-/// into an allocation of its own.
+/// An empty buffer holds no allocation at all. Without a connection table
+/// the wire format knows none of this: a buffer encodes as its length and
+/// its elements, and decodes into an allocation of its own. A frame
+/// encoded through a connection's [`SendTable`](crate::SendTable) names a
+/// shared buffer by id instead, so it crosses that connection once, and
+/// every value the peer decodes from it shares one allocation there too.
 ///
 /// [`as_slice`]: Buffer::as_slice
 /// [`as_mut_slice`]: Buffer::as_mut_slice
@@ -130,11 +134,24 @@ impl<T: Pod> Wire for Buffer<T> {
         4 + self.len() * T::WIDTH
     }
     fn encode(&self, w: &mut Writer) {
+        if let Some(id) = self.data.as_ref().and_then(|data| w.name(data)) {
+            w.put_u32(NAMED);
+            w.put_u64(id);
+            return;
+        }
         w.put_len(self.len());
         T::encode_slice(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len()?;
+        let len = match r.get_u32()? {
+            NAMED => {
+                let id = r.get_u64()?;
+                return Ok(Self {
+                    data: Some(r.named(id)?),
+                });
+            }
+            len => r.check_len(len)?,
+        };
         Ok(Self::from_vec(T::decode_slice(len, r)?))
     }
 }

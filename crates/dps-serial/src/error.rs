@@ -50,6 +50,12 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A buffer named by id is not one the frame's connection table holds
+    /// for it, or its bytes are not a run of the named element type.
+    SharedBuffer {
+        /// The id the buffer was named by.
+        id: u64,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -78,6 +84,11 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decode")
             }
+            WireError::SharedBuffer { id } => write!(
+                f,
+                "shared buffer {id} is not in this frame's connection table, \
+                 or not a run of the elements named"
+            ),
         }
     }
 }

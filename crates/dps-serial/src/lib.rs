@@ -13,6 +13,8 @@
 //!   [`Bytes`], zero-copy on decode from a [shared](Reader::shared) buffer.
 //! * [`Buffer`] — variable-size array of *simple* (plain-old-data) elements,
 //!   bulk-copied on the wire (the paper's `Buffer<int>`).
+//! * [`SendTable`] / [`RecvTable`] / [`Captured`] — a connection's table
+//!   of the shared buffers it has carried, so each crosses it once.
 //! * [`Vector`] — variable-size array of *complex* (nested `Wire`) elements
 //!   (the paper's `Vector<Something>`).
 //! * [`CT`] — transparent wrapper marking a simple type embedded in a complex
@@ -54,6 +56,7 @@ mod maps;
 mod pod;
 mod reader;
 mod registry;
+mod table;
 mod wire;
 mod writer;
 
@@ -64,6 +67,7 @@ pub use id::{hash_name, Identified, WireId, WIRE_FORMAT_VERSION};
 pub use pod::Pod;
 pub use reader::Reader;
 pub use registry::{encode_tagged, tagged_size, DecodeFn, Registry};
+pub use table::{Captured, RecvTable, SendTable};
 pub use wire::Wire;
 pub use writer::Writer;
 

@@ -15,8 +15,9 @@ use crate::writer::Writer;
 /// padding, so `Pod` instead guarantees a fixed `WIDTH` and bulk slice
 /// encode/decode: one pass over the slice into (or out of) a region sized up
 /// front, which compiles to a vectorised copy on little-endian hosts — and
-/// to a plain memcpy for `u8`.
-pub trait Pod: Wire + Copy + Sized {
+/// to a plain memcpy for `u8`. Every `Pod` is a plain value a connection
+/// table can hold behind a type-erased handle (`Send + Sync + 'static`).
+pub trait Pod: Wire + Copy + Sized + Send + Sync + 'static {
     /// Serialized width of every value of this type, in bytes.
     const WIDTH: usize;
 

@@ -1,8 +1,12 @@
 //! Bounds-checked little-endian byte reader.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use crate::error::WireError;
+use crate::pod::Pod;
+use crate::table::Captured;
 
 /// Sanity cap on decoded length prefixes: a single DPS container larger than
 /// this (1 GiB of elements) indicates stream corruption rather than a real
@@ -20,6 +24,9 @@ pub struct Reader<'a> {
     /// The shared buffer `buf` views, when there is one: byte runs then
     /// decode as slices of it instead of copies.
     shared: Option<&'a Bytes>,
+    /// What the received frame `buf` belongs to captured of its
+    /// connection's table: a named [`Buffer`](crate::Buffer) decodes from it.
+    captured: Option<&'a Captured>,
 }
 
 impl<'a> Reader<'a> {
@@ -29,6 +36,7 @@ impl<'a> Reader<'a> {
             buf,
             pos: 0,
             shared: None,
+            captured: None,
         }
     }
 
@@ -40,6 +48,25 @@ impl<'a> Reader<'a> {
             buf,
             pos: 0,
             shared: Some(buf),
+            captured: None,
+        }
+    }
+
+    /// The same reader, resolving the shared buffers a received frame names
+    /// from what [`RecvTable::apply`](crate::RecvTable::apply) captured for
+    /// it.
+    pub fn resolving(self, captured: &'a Captured) -> Self {
+        Self {
+            captured: Some(captured),
+            ..self
+        }
+    }
+
+    /// The elements of the shared buffer named `id`.
+    pub(crate) fn named<T: Pod>(&self, id: u64) -> Result<Arc<Vec<T>>, WireError> {
+        match self.captured {
+            Some(captured) => captured.get(id),
+            None => Err(WireError::SharedBuffer { id }),
         }
     }
 
@@ -142,7 +169,14 @@ impl<'a> Reader<'a> {
     /// rejecting implausible values before any allocation happens.
     #[inline]
     pub fn get_len(&mut self) -> Result<usize, WireError> {
-        let len = self.get_u32()? as u64;
+        let len = self.get_u32()?;
+        self.check_len(len)
+    }
+
+    /// [`get_len`](Self::get_len)'s checks of a length prefix already read.
+    #[inline]
+    pub(crate) fn check_len(&self, len: u32) -> Result<usize, WireError> {
+        let len = u64::from(len);
         if len > MAX_WIRE_LEN {
             return Err(WireError::LengthOverflow { len });
         }

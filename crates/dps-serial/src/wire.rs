@@ -11,7 +11,9 @@ use crate::writer::Writer;
 /// single declaration of its fields (see [`impl_wire!`](crate::impl_wire)).
 ///
 /// Invariants:
-/// * `encode` writes exactly `wire_size()` bytes;
+/// * `encode` writes exactly `wire_size()` bytes — at most that many into a
+///   writer of a connection table ([`SendTable`](crate::SendTable)), which
+///   names a shared buffer instead of writing it;
 /// * `decode(encode(v)) == v` for every value (round-trip);
 /// * the encoding is independent of host endianness and platform word size.
 pub trait Wire {

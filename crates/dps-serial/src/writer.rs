@@ -1,6 +1,11 @@
 //! Growable little-endian byte writer.
 
+use std::sync::Arc;
+
 use bytes::{BufMut, BytesMut};
+
+use crate::pod::Pod;
+use crate::table::SendTable;
 
 /// A growable byte sink used by [`Wire::encode`](crate::Wire::encode).
 ///
@@ -8,17 +13,22 @@ use bytes::{BufMut, BytesMut};
 /// keeps the format trivially deterministic across nodes — the property DPS
 /// relies on when a kernel deserializes a data object produced by another
 /// application instance.
+///
+/// A writer made by [`SendTable::encode`] also names the shared
+/// [`Buffer`](crate::Buffer)s it meets through that connection table; one
+/// made by [`new`](Self::new) or [`with_capacity`](Self::with_capacity)
+/// writes every buffer whole.
 #[derive(Debug, Default)]
-pub struct Writer {
-    buf: BytesMut,
+pub struct Writer<'t> {
+    pub(crate) buf: BytesMut,
+    /// The table of the connection a frame is encoded for, if any.
+    pub(crate) table: Option<&'t mut SendTable>,
 }
 
-impl Writer {
+impl Writer<'static> {
     /// Create an empty writer.
     pub fn new() -> Self {
-        Self {
-            buf: BytesMut::new(),
-        }
+        Self::with_capacity(0)
     }
 
     /// Create a writer with `cap` bytes preallocated (typically the value of
@@ -27,7 +37,16 @@ impl Writer {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             buf: BytesMut::with_capacity(cap),
+            table: None,
         }
+    }
+}
+
+impl<'t> Writer<'t> {
+    /// The id `data` goes by on the connection whose table this writer
+    /// encodes for, if it is named rather than written whole.
+    pub(crate) fn name<T: Pod>(&mut self, data: &Arc<Vec<T>>) -> Option<u64> {
+        self.table.as_deref_mut()?.name(data)
     }
 
     /// Number of bytes written so far.
@@ -138,6 +157,20 @@ impl Writer {
         self.put_u32(v);
     }
 
+    /// Write what `f` writes behind a `u32` length prefix — for a value whose
+    /// length is known only once it is written: under a connection table a
+    /// value that names a shared buffer is shorter than its `wire_size`.
+    ///
+    /// # Panics
+    /// Panics if `f` writes more than `u32::MAX` bytes.
+    pub fn put_len_prefixed(&mut self, f: impl FnOnce(&mut Self)) {
+        let at = self.len();
+        self.put_u32(0);
+        f(self);
+        let len = u32::try_from(self.len() - at - 4).expect("wire length exceeds u32::MAX");
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Append raw bytes verbatim (used for the [`Buffer`](crate::Buffer)
     /// bulk fast path and for pre-serialized payloads).
     #[inline]
@@ -179,6 +212,14 @@ mod tests {
         assert_eq!(bytes.len(), 9);
         assert_eq!(bytes[0], 7);
         assert_eq!(bytes.as_ptr(), written, "the buffer is handed over");
+    }
+
+    #[test]
+    fn a_length_prefix_is_written_after_its_run() {
+        let mut w = Writer::new();
+        w.put_u8(9);
+        w.put_len_prefixed(|w| w.put_slice(&[1, 2, 3]));
+        assert_eq!(w.as_slice(), &[9, 3, 0, 0, 0, 1, 2, 3]);
     }
 
     #[test]

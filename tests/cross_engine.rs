@@ -381,6 +381,180 @@ fn chunked_lu_is_byte_identical_across_engines() {
     }
 }
 
+/// The pipelined matrix multiply on the simulator, on OS threads and over
+/// the in-process wire protocol: the same product, bit for bit. Over the
+/// wire, the operand strips every task of a row or column shares cross the
+/// connection once and decode into one allocation on the worker.
+#[test]
+fn matmul_is_byte_identical_across_engines() {
+    use dps::linalg::parallel::matmul::{run_matmul, MatMulConfig};
+    use dps::sched::Distribution;
+
+    let cfg = MatMulConfig {
+        n: 64,
+        s: 4,
+        pipelined: true,
+        seed: 9,
+        nodes: 3,
+        threads_per_node: 1,
+        dist: Distribution::Static,
+    };
+    let sim = {
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(cfg.nodes));
+        run_matmul(&mut eng, &cfg, 0).unwrap().c
+    };
+    let mt = {
+        let mut eng = MtEngine::new(cfg.nodes);
+        let rep = run_matmul(&mut eng, &cfg, 0).unwrap();
+        eng.shutdown();
+        rep.c
+    };
+    let net = {
+        let mut eng = NetEngine::loopback(cfg.nodes);
+        let rep = run_matmul(&mut eng, &cfg, 0).unwrap();
+        eng.shutdown();
+        rep.c
+    };
+    assert_eq!(sim.as_slice(), mt.as_slice(), "sim product bits diverged");
+    assert_eq!(net.as_slice(), mt.as_slice(), "net product bits diverged");
+}
+
+/// On every track of a merged trace, no operation of a wave starts before
+/// the first token of that wave is delivered to the track. Returns how many
+/// (track, wave) pairs on a worker's node (`node ≥ 1`) were checked.
+fn ops_follow_deliveries(log: &dps::obs::TraceLog) -> usize {
+    use dps::obs::EventKind;
+    use std::collections::BTreeMap;
+
+    let mut delivered: BTreeMap<(u16, u16, u32), u64> = BTreeMap::new();
+    let mut started: BTreeMap<(u16, u16, u32), u64> = BTreeMap::new();
+    for e in &log.events {
+        let (first, wave) = match e.kind {
+            EventKind::TokenDeliver { wave, .. } => (&mut delivered, wave),
+            EventKind::OpStart { wave, .. } => (&mut started, wave),
+            _ => continue,
+        };
+        let at = first.entry((e.node, e.thread, wave)).or_insert(e.at);
+        *at = (*at).min(e.at);
+    }
+    let mut remote = 0;
+    for (&(node, thread, wave), &at) in &delivered {
+        if let Some(&start) = started.get(&(node, thread, wave)) {
+            assert!(
+                start >= at,
+                "an op of wave {wave} starts on ({node},{thread}) at {start} ns, \
+                 {} ns before the wave's first token is delivered there",
+                at - start
+            );
+            remote += usize::from(node >= 1);
+        }
+    }
+    remote
+}
+
+/// Chunked pipelined LU across two real processes over TCP, traced: the
+/// factors are bit for bit `MtEngine`'s, and the log the master merges —
+/// the worker's stamps moved onto the master's clock — never has an
+/// operation start on a track before its wave's first token reached that
+/// track.
+#[test]
+fn traced_chunked_lu_across_processes_matches_mt_in_order() {
+    use dps::linalg::parallel::lu::{run_lu, LuConfig};
+    use dps::obs::TraceCollector;
+    use dps::sched::Distribution;
+
+    let cfg = LuConfig {
+        n: 64,
+        r: 8,
+        pipelined: true,
+        seed: 17,
+        nodes: 2,
+        threads_per_node: 1,
+        dist: Distribution::Static,
+        update_chunks: 3,
+    };
+    // Made first: the master's clock starts before it spawns the worker,
+    // the worker's only once that process runs.
+    let sink = TraceCollector::new();
+    let mt = {
+        let mut eng = MtEngine::new(cfg.nodes);
+        let rep = run_lu(&mut eng, &cfg).unwrap();
+        eng.shutdown();
+        rep.factors
+    };
+    let mut eng = NetEngine::from_env(
+        cfg.nodes,
+        spmd_test_config("traced_chunked_lu_across_processes_matches_mt_in_order"),
+    )
+    .expect("net engine setup");
+    eng.set_trace_sink(sink.clone());
+    let net = run_lu(&mut eng, &cfg).unwrap().factors;
+    eng.shutdown();
+    assert_eq!(net.pivots, mt.pivots, "pivots diverged");
+    assert_eq!(net.lu, mt.lu, "factor bits diverged");
+    if eng.is_master() {
+        let checked = ops_follow_deliveries(&sink.take_log());
+        assert!(checked > 0, "no worker track took a token");
+    }
+}
+
+/// A traced matrix multiply across two real processes over TCP sends the
+/// frames it always did, and far fewer bytes: each operand strip crosses
+/// the connection at most once, however many of the worker's tasks read
+/// it. The bound is that, plus the result blocks coming back, plus the
+/// product broadcast, plus a kilobyte a frame; sending a strip once per
+/// task, as a connection without a buffer table does, exceeds it.
+#[test]
+fn traced_matmul_across_processes_sends_each_strip_once() {
+    use dps::linalg::parallel::matmul::{run_matmul, MatMulConfig};
+    use dps::obs::{Counter, TraceCollector};
+    use dps::sched::Distribution;
+    use std::time::Duration;
+
+    let cfg = MatMulConfig {
+        n: 256,
+        s: 4,
+        pipelined: true,
+        seed: 3,
+        nodes: 2,
+        threads_per_node: 1,
+        dist: Distribution::Static,
+    };
+    let mt = {
+        let mut eng = MtEngine::new(cfg.nodes);
+        let rep = run_matmul(&mut eng, &cfg, 0).unwrap();
+        eng.shutdown();
+        rep.c
+    };
+    // No heartbeat joins the count.
+    let mut net_cfg = spmd_test_config("traced_matmul_across_processes_sends_each_strip_once");
+    net_cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
+    let mut eng = NetEngine::from_env(cfg.nodes, net_cfg).expect("net engine setup");
+    let sink = TraceCollector::new();
+    eng.set_trace_sink(sink.clone());
+    let net = run_matmul(&mut eng, &cfg, 0).unwrap().c;
+    let metrics = sink.metrics();
+    let (frames, bytes) = (
+        metrics.get(Counter::FramesSent),
+        metrics.get(Counter::WireBytesSent),
+    );
+    eng.shutdown();
+    assert_eq!(net.as_slice(), mt.as_slice(), "product bits diverged");
+    if eng.is_master() {
+        assert_eq!(frames, MATMUL_FRAMES, "frames through rank 0");
+        let (n, s) = (cfg.n as u64, cfg.s as u64);
+        let block = (n / s) * (n / s) * 8;
+        let strips = 2 * s * (s * block);
+        let results = s * s * block + n * n * 8;
+        let bound = strips + results + frames * 1024;
+        assert!(bytes <= bound, "{bytes} wire bytes, bound {bound}");
+    }
+}
+
+/// Frames through rank 0 of `traced_matmul_across_processes_sends_each_strip_once`,
+/// as the commit before connection buffer tables counted them.
+const MATMUL_FRAMES: u64 = 25;
+
 /// Fault tolerance across real processes: a worker carrying a scheduled
 /// kill dies abruptly mid-scheduled-LU (no Release handshake — the master
 /// sees a plain EOF/connection reset). The run must **never hang**: it
