@@ -28,7 +28,7 @@ use crate::error::{DpsError, Result};
 use crate::graph::OpKind;
 use crate::kernel::{
     self, Arrival, At, CallReturn, Death, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent,
-    Served, Substrate, Tracer,
+    Serve, Substrate, Tracer,
 };
 use crate::ops::{ExecInfo, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
@@ -987,9 +987,11 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
     });
 }
 
-/// Execute one delivery on its thread: run the operation it calls for, hand
-/// what it posted to the kernel, and free the thread when its virtual hold —
-/// the span returned, for which the CPU is held — is over.
+/// Execute one delivery on its thread, in virtual time: run the operation
+/// the kernel says it calls for at the delivery's start, its posts leaving
+/// after the framework overhead plus their own offsets; deliver a call's
+/// token once the overhead has passed; and free the thread when its virtual
+/// hold — the span returned, for which the CPU is held — is over.
 fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<SimSpan> {
     if sim.world.fatal.is_some() {
         return Ok(SimSpan::ZERO);
@@ -1002,50 +1004,33 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
         start_nanos: start.as_nanos(),
     };
     let overhead = sim.world.cfg.op_overhead;
-    let at = d.to;
     let world = &mut sim.world;
-    let gnode = world.decls.def(tk.app, at.graph).node(at.node);
     let tc = &mut world.apps[tk.app as usize].tcs[tk.tc as usize];
     let data = tc.data[tk.thread as usize].as_mut();
     let inst = &mut tc.threads[tk.thread as usize].inst;
-    let env = d.env;
-    // Each post leaves after the framework overhead plus its own offset.
-    let timed = move |p: crate::ops::Post| (start + overhead + p.offset, p.token);
+    let out_wave = || {
+        world.next_wave += 1;
+        world.next_wave - 1
+    };
     let ran = |hold| Ran {
         tk,
         host,
         start,
         hold,
     };
-    let (hold, split_flow) = match (d.kind, d.what) {
-        (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
-            let slot = Served::Node(inst, (at.graph, at.node.0));
-            let out = kernel::step(slot, gnode, Some(token), false, data, info)?;
+    let at = d.to;
+    let (hold, split_flow) = match kernel::serve(&world.decls, inst, at, d.what, d.env, out_wave)? {
+        Serve::Run(ready, then) => {
+            let out = ready.run(data, info)?;
             let hold = overhead + out.charged;
-            let posts = out.posts.into_iter().map(timed);
+            // Each post leaves after the framework overhead plus its own offset.
+            let posts = out.posts.into_iter();
+            let timed = posts.map(|p| (start + overhead + p.offset, p.token));
             let marked = out.completed_iters;
-            let flow = kernel::after_exec(sim, &mut ran(hold), at, host.0, env, posts, marked)?;
+            let flow = kernel::then(sim, &mut ran(hold), then, host.0, timed, marked)?;
             (hold, flow)
         }
-        (OpKind::Merge | OpKind::Stream, what) => {
-            let out_wave = || {
-                world.next_wave += 1;
-                world.next_wave - 1
-            };
-            match inst.arrive(at, host.0, &gnode.name, what, env, out_wave)? {
-                Some((wave, token, step)) => {
-                    let served = Served::Wave(wave);
-                    let out = kernel::step(served, gnode, token, step.completes, data, info)?;
-                    let hold = overhead + out.charged;
-                    let posts = out.posts.into_iter().map(timed);
-                    kernel::after_wave(sim, &mut ran(hold), step, posts, out.completed_iters)?;
-                    (hold, None)
-                }
-                // The finalize waits for the remaining data objects.
-                None => (overhead, None),
-            }
-        }
-        (OpKind::Call | OpKind::CallSplit, Arrival::Token(token)) => {
+        Serve::Call(at, env, token) => {
             let (to, callee_env) = kernel::call(sim, at, env)?;
             sim.schedule_at(start + overhead, move |sim| {
                 if sim.world.fatal.is_none() {
@@ -1054,7 +1039,7 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
             });
             (overhead, None)
         }
-        (_, Arrival::Close(_)) => unreachable!("closes only target merge/stream nodes"),
+        Serve::Wait => (overhead, None),
     };
     // At op completion: free the thread, stalling it if it opened a wave
     // that still has blocked posts.

@@ -187,8 +187,8 @@ impl Wave {
 #[derive(Default)]
 pub struct Instances {
     nodes: IdMap<(u32, u32), Box<dyn DynOp>>,
-    /// The waves this thread consumes: entered by [`arrive`](Self::arrive)
-    /// on the first arrival, removed by the caller when the wave completes,
+    /// The waves this thread consumes: entered by [`serve`] on the first
+    /// arrival, removed by the caller when the wave completes,
     /// given up by [`bury`] when the thread's node dies.
     pub waves: IdMap<WaveKey, Wave>,
 }
@@ -1176,21 +1176,152 @@ fn contract(s: &impl Substrate, at: At, reason: String) -> DpsError {
     }
 }
 
+/// An operation [`serve`] found ready to run, here or in another process.
+pub struct Ready<'a> {
+    /// The operation instance (rule 7).
+    pub served: Served<'a>,
+    /// The node it serves.
+    pub gnode: &'a GraphNode,
+    /// The token to consume; `None` for a close that completed its wave.
+    pub token: Option<TokenBox>,
+    /// The arrival completes a merge/stream wave: its finalize runs.
+    pub completes: bool,
+}
+
+impl Ready<'_> {
+    /// Run it here: [`step`].
+    #[inline]
+    pub fn run(self, data: &mut dyn Any, info: ExecInfo) -> Result<OpOutput> {
+        step(
+            self.served,
+            self.gnode,
+            self.token,
+            self.completes,
+            data,
+            info,
+        )
+    }
+}
+
+/// What an arrival at a thread calls for.
+pub enum Serve<'a> {
+    /// Run the operation, then hand its posts to [`then`] with the `Then`.
+    Run(Ready<'a>, Then),
+    /// A token reached call node `At` under this envelope: the engine makes
+    /// the [`call`] and delivers the token to the callee when it chooses.
+    Call(At, Envelope, TokenBox),
+    /// A close found data objects still missing: the finalize waits for them.
+    Wait,
+}
+
+/// What `what`, arriving under `env` at node `at` on a thread whose
+/// instances are `inst`, calls for — on every engine. A split/leaf token
+/// runs the node's instance. A merge/stream arrival finds the record of the
+/// wave `env` names on its top frame, or enters it — only then is the key
+/// cloned and `out_wave` asked for the id the wave's stream output travels
+/// under — is counted in (rule 1) and runs the wave's instance, unless it is
+/// a close that finds data objects missing. A call node's token makes a
+/// graph call. No substrate is borrowed, so an engine can lend its
+/// declarations and a thread's instances side by side.
+#[inline]
+pub fn serve<'a>(
+    d: &'a Decls,
+    inst: &'a mut Instances,
+    at: At,
+    what: Arrival,
+    mut env: Envelope,
+    out_wave: impl FnOnce() -> u64,
+) -> Result<Serve<'a>> {
+    let gnode = d.def(at.app, at.graph).node(at.node);
+    let (served, token, completes, then) = match (gnode.kind, what) {
+        (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
+            let served = Served::Node(inst, (at.graph, at.node.0));
+            (served, Some(token), false, Then::Exec(at, env))
+        }
+        (OpKind::Merge | OpKind::Stream, what) => {
+            let key = env.wave_key().expect("validated depth >= 1");
+            if !inst.waves.contains_key(&key) {
+                let entered = Wave::new(at.graph, at.node, out_wave());
+                inst.waves.insert(key.clone(), entered);
+            }
+            let wave = inst.waves.get_mut(&key).expect("entered above");
+            let frame = env.pop().expect("keyed by it");
+            let (token, completes) = match what {
+                Arrival::Token(token) => (Some(token), wave.admit(frame.total, &gnode.name)?),
+                Arrival::Close(total) if wave.close(total, &gnode.name)? => (None, true),
+                Arrival::Close(_) => {
+                    env.push(frame);
+                    wave.closed_under = Some(env);
+                    return Ok(Serve::Wait);
+                }
+            };
+            let step = WaveStep {
+                at,
+                key,
+                parent_env: env,
+                out_wave: wave.out_wave,
+                completes,
+                consumed: token.is_some(),
+            };
+            (Served::Wave(wave), token, completes, Then::Wave(step))
+        }
+        (OpKind::Call | OpKind::CallSplit, Arrival::Token(token)) => {
+            return Ok(Serve::Call(at, env, token));
+        }
+        (_, Arrival::Close(_)) => unreachable!("closes only target merge/stream nodes"),
+    };
+    let ready = Ready {
+        served,
+        gnode,
+        token,
+        completes,
+    };
+    Ok(Serve::Run(ready, then))
+}
+
+/// What the posts of the operation [`serve`] picked call for, once it ran —
+/// here, or in another process that sent them back.
+pub enum Then {
+    /// A split/leaf ran at `At`, under this envelope.
+    Exec(At, Envelope),
+    /// A merge/stream consumed and/or finalized one step of its wave.
+    Wave(WaveStep),
+}
+
+/// The operation [`serve`] picked ran on `lane`, on cluster node `src`, and
+/// came back with `posts`, having marked a scheduled chunk of `marked`
+/// iterations complete: apply them as `then` says. `posts` is taken as it
+/// comes — an operation's own `Vec` mapped to what the substrate holds per
+/// post — so no second collection is built to hand it over. A split returns
+/// the key of the flow it opened.
+pub fn then<S: Substrate>(
+    s: &mut S,
+    lane: &mut S::Lane,
+    then: Then,
+    src: u32,
+    posts: impl IntoIterator<Item = S::Post, IntoIter: ExactSizeIterator>,
+    marked: Option<u64>,
+) -> Result<Option<FlowKey>> {
+    match then {
+        Then::Exec(at, env) => after_exec(s, lane, at, src, env, posts.into_iter(), marked),
+        Then::Wave(step) => {
+            after_wave(s, lane, step, src, posts.into_iter(), marked).map(|()| None)
+        }
+    }
+}
+
 /// A split/leaf ran at `at` on cluster node `src` and came back with
 /// `posts`: a split's open a wave behind the flow window (rule 2) — the key
-/// of that flow is returned — a leaf's single post moves on. `posts` is
-/// taken as it comes — an operation's own `Vec` mapped to what the substrate
-/// holds per post — so no second collection is built to hand it over.
-pub fn after_exec<S: Substrate>(
+/// of that flow is returned — a leaf's single post moves on.
+fn after_exec<S: Substrate>(
     s: &mut S,
     lane: &mut S::Lane,
     at: At,
     src: u32,
     env: Envelope,
-    posts: impl IntoIterator<Item = S::Post, IntoIter: ExactSizeIterator>,
+    mut posts: impl ExactSizeIterator<Item = S::Post>,
     marked: Option<u64>,
 ) -> Result<Option<FlowKey>> {
-    let mut posts = posts.into_iter();
     let gnode = s.decls().def(at.app, at.graph).node(at.node);
     let (kind, name) = (gnode.kind, &gnode.name);
     s.trace(On::Lane(lane), |rec| {
@@ -1225,84 +1356,36 @@ pub fn after_exec<S: Substrate>(
     }
 }
 
-/// One step of a merge/stream wave, as [`after_wave`] takes it over.
+/// One step of a merge/stream wave, from [`serve`] to [`then`].
 pub struct WaveStep {
     /// The merge/stream node.
-    pub at: At,
-    /// Cluster node it ran on.
-    pub src: u32,
+    at: At,
     /// The wave.
-    pub key: WaveKey,
+    key: WaveKey,
     /// The arrival's envelope, the wave's frame popped.
-    pub parent_env: Envelope,
+    parent_env: Envelope,
     /// The id the wave's stream output travels under.
-    pub out_wave: u64,
+    out_wave: u64,
     /// The arrival completed the wave: its finalize ran.
-    pub completes: bool,
+    completes: bool,
     /// The arrival was a token (it returns a flow credit), not the close.
-    pub consumed: bool,
+    consumed: bool,
 }
 
-impl Instances {
-    /// Rule 1 for one arrival at `at`, on this thread of cluster node `src`:
-    /// find the record of the wave `env` names on its top frame, or enter it
-    /// — only then is the key cloned and `out_wave` asked for the id the
-    /// wave's stream output travels under — and count the arrival in. `None`
-    /// when a close finds data objects still missing — the finalize waits for
-    /// them; else the wave, the token to consume, if one arrived, and the
-    /// step [`after_wave`] takes over once [`step`] ran.
-    #[inline]
-    pub fn arrive(
-        &mut self,
-        at: At,
-        src: u32,
-        name: &str,
-        what: Arrival,
-        mut env: Envelope,
-        out_wave: impl FnOnce() -> u64,
-    ) -> Result<Option<(&mut Wave, Option<TokenBox>, WaveStep)>> {
-        let key = env.wave_key().expect("validated depth >= 1");
-        if !self.waves.contains_key(&key) {
-            let entered = Wave::new(at.graph, at.node, out_wave());
-            self.waves.insert(key.clone(), entered);
-        }
-        let wave = self.waves.get_mut(&key).expect("entered above");
-        let frame = env.pop().expect("keyed by it");
-        let (token, completes) = match what {
-            Arrival::Token(token) => (Some(token), wave.admit(frame.total, name)?),
-            Arrival::Close(total) if wave.close(total, name)? => (None, true),
-            Arrival::Close(_) => {
-                env.push(frame);
-                wave.closed_under = Some(env);
-                return Ok(None);
-            }
-        };
-        let step = WaveStep {
-            at,
-            src,
-            key,
-            parent_env: env,
-            out_wave: wave.out_wave,
-            completes,
-            consumed: token.is_some(),
-        };
-        Ok(Some((wave, token, step)))
-    }
-}
-
-/// A consume and/or finalize ran and came back with `posts`: a completed
-/// merge's output moves on, a stream's posts join its output flow (rule 3;
-/// a total no pending post can carry goes out as a close); a completed wave
-/// leaves the tables, a consumed token returns its credit.
-pub fn after_wave<S: Substrate>(
+/// A consume and/or finalize ran on cluster node `src` and came back with
+/// `posts`: a completed merge's output moves on, a stream's posts join its
+/// output flow (rule 3; a total no pending post can carry goes out as a
+/// close); a completed wave leaves the tables, a consumed token returns its
+/// credit.
+fn after_wave<S: Substrate>(
     s: &mut S,
     lane: &mut S::Lane,
     step: WaveStep,
-    posts: impl IntoIterator<Item = S::Post, IntoIter: ExactSizeIterator>,
+    src: u32,
+    posts: impl ExactSizeIterator<Item = S::Post>,
     marked: Option<u64>,
 ) -> Result<()> {
-    let posts = posts.into_iter();
-    let (at, src, out_wave, completes) = (step.at, step.src, step.out_wave, step.completes);
+    let (at, out_wave, completes) = (step.at, step.out_wave, step.completes);
     let At { app, graph, node } = at;
     // A marked chunk is recorded and reported before any post can be seen
     // downstream. A consume's span is recorded before its posts leave, a

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 
 use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, CloseTo, Death, Exit, Flow, FlowKey, Flows, IdHasher, IdMap,
-    Instances, On, Pins, Rec, Routed, Sent, Served, Substrate, Tracer, Wave,
+    Instances, On, Pins, Rec, Routed, Sent, Serve, Substrate, Then, Tracer, Wave,
 };
 use dps_core::internal::{DynRoute, ExecInfo};
 use dps_core::prelude::*;
@@ -623,6 +623,12 @@ fn declare(shape: Shape) -> Decls {
     d
 }
 
+/// The index of thread `thread` of application `app`'s collection among the
+/// fake's lanes: one per cluster node and application.
+fn lane(app: u32, thread: usize) -> usize {
+    app as usize * THREADS + thread
+}
+
 /// What waits in a thread's queue: where it goes, what it is, under which
 /// envelope, and a traced token's flow.
 type Queued = (At, Arrival, Envelope, Sent);
@@ -646,7 +652,8 @@ struct Fake {
     pins: Vec<RefCell<Pins>>,
     flows: Vec<RefCell<Flows<Fake>>>,
     queues: Vec<VecDeque<Queued>>,
-    /// Each thread's op instances and the waves it consumes.
+    /// Each thread's op instances and the waves it consumes, per
+    /// application ([`lane`]).
     lanes: Vec<Instances>,
     dead: Vec<bool>,
     /// A node that dies inside the next `route` hook: after the snapshot the
@@ -754,8 +761,8 @@ impl Substrate for Fake {
         self.ids += 1;
         self.ids
     }
-    fn wave_done(&mut self, lane: &mut usize, _at: At, key: &WaveKey) {
-        self.lanes[*lane].waves.remove(key);
+    fn wave_done(&mut self, thread: &mut usize, at: At, key: &WaveKey) {
+        self.lanes[lane(at.app, *thread)].waves.remove(key);
         self.completed.push(key.clone());
     }
 }
@@ -772,7 +779,7 @@ impl Fake {
             pins: apps.iter().map(|_| RefCell::default()).collect(),
             flows: apps.iter().map(|_| RefCell::default()).collect(),
             queues: (0..THREADS).map(|_| VecDeque::new()).collect(),
-            lanes: (0..THREADS).map(|_| Instances::default()).collect(),
+            lanes: (0..2 * THREADS).map(|_| Instances::default()).collect(),
             dead: vec![false; THREADS],
             dies_in_route: None,
             window,
@@ -828,52 +835,34 @@ impl Fake {
     }
 
     fn run(&mut self, thread: usize, at: At, what: Arrival, env: Envelope) -> Result<()> {
-        let gnode = self.decls.def(at.app, 0).node(at.node);
-        let info = ExecInfo {
-            thread_index: thread,
-            thread_count: THREADS,
-            node_flops: 1e9,
-            start_nanos: 0,
+        let info = info(thread);
+        let inst = &mut self.lanes[lane(at.app, thread)];
+        let out_wave = || {
+            self.ids += 1;
+            self.ids
         };
-        let tokens = |out: dps_core::OpOutput| out.posts.into_iter().map(|p| p.token);
-        let (mut lane, src) = (thread, thread as u32);
-        match (gnode.kind, what) {
-            (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
-                let slot = Served::Node(&mut self.lanes[thread], (at.app, at.node.0));
-                let out = kernel::step(slot, gnode, Some(token), false, &mut (), info)?;
-                kernel::after_exec(self, &mut lane, at, src, env, tokens(out), None).map(drop)
+        match kernel::serve(&self.decls, inst, at, what, env, out_wave)? {
+            Serve::Run(ready, then) => {
+                let posts = ready.run(&mut (), info)?.posts.into_iter().map(|p| p.token);
+                kernel::then(self, &mut { thread }, then, thread as u32, posts, None).map(drop)
             }
-            (OpKind::Merge | OpKind::Stream, what) => {
-                let ids = &mut self.ids;
-                let out_wave = || {
-                    *ids += 1;
-                    *ids
-                };
-                let arrived =
-                    self.lanes[thread].arrive(at, src, &gnode.name, what, env, out_wave)?;
-                let Some((wave, token, step)) = arrived else {
-                    return Ok(());
-                };
-                let served = Served::Wave(wave);
-                let out = kernel::step(served, gnode, token, step.completes, &mut (), info)?;
-                kernel::after_wave(self, &mut lane, step, tokens(out), None)
-            }
-            (_, Arrival::Token(token)) => {
+            Serve::Call(at, env, token) => {
                 let (entry, callee_env) = kernel::call(self, at, env)?;
-                kernel::deliver(self, entry, src, token, callee_env);
+                kernel::deliver(self, entry, thread as u32, token, callee_env);
                 Ok(())
             }
-            (_, Arrival::Close(_)) => unreachable!("closes only target merge/stream nodes"),
+            Serve::Wait => Ok(()),
         }
     }
 
     /// Kill cluster node `node` the way the engines do: the kernel takes its
-    /// thread's instances and queue. The first kill wins.
+    /// threads' instances and queue. The first kill wins.
     fn kill(&mut self, node: usize) {
         if std::mem::replace(&mut self.dead[node], true) {
             return;
         }
-        let lanes = vec![(0, node as u32, std::mem::take(&mut self.lanes[node]))];
+        let mut take = |app| std::mem::take(&mut self.lanes[lane(app, node)]);
+        let lanes = vec![(0, node as u32, take(0)), (1, node as u32, take(1))];
         let queued = self.queues[node].drain(..);
         let stranded = queued.map(|(at, what, env, _)| (at, what, env)).collect();
         let (sink, reporters) = (self.lost.clone(), self.reporters.clone());
@@ -927,8 +916,8 @@ fn a_miscounted_reply_is_a_contract_error() {
     let post = || Box::new(Mid { i: 0 }) as TokenBox;
     for posts in [vec![], vec![post(), post()]] {
         let n = posts.len();
-        let root = Envelope::root();
-        let e = kernel::after_exec(&mut fake, &mut 0, leaf, 0, root, posts, None).unwrap_err();
+        let exec = Then::Exec(leaf, Envelope::root());
+        let e = kernel::then(&mut fake, &mut 0, exec, 0, posts, None).unwrap_err();
         assert!(
             e.to_string().contains(&format!("returned {n} posts")),
             "{e}"
@@ -943,13 +932,279 @@ fn a_miscounted_reply_is_a_contract_error() {
     });
     let last = Arrival::Token(post());
     let mut lane = Instances::default();
-    let (_, _, step) = lane
-        .arrive(merge, 0, "merge", last, env, || 0)
-        .unwrap()
-        .unwrap();
-    assert!(step.completes && step.consumed);
-    let e = kernel::after_wave(&mut fake, &mut 0, step, vec![], None).unwrap_err();
+    let served = kernel::serve(&fake.decls, &mut lane, merge, last, env, || 0).unwrap();
+    let Serve::Run(
+        kernel::Ready {
+            token: Some(_),
+            completes: true,
+            ..
+        },
+        then,
+    ) = served
+    else {
+        panic!("the wave's one token completes it");
+    };
+    let e = kernel::then(&mut fake, &mut 0, then, 0, vec![], None).unwrap_err();
     assert!(e.to_string().contains("completed without an output"), "{e}");
+}
+
+// ---------------------------------------------------------------------------
+// What an arrival calls for: `serve`, with no substrate at all
+// ---------------------------------------------------------------------------
+
+/// The node of application 0 of `kind`, as an engine hands it to `serve`.
+fn node_of(d: &Decls, kind: OpKind) -> At {
+    let node = d.def(0, 0).nodes().iter().find(|n| n.kind == kind);
+    At {
+        app: 0,
+        graph: 0,
+        node: node.unwrap().id,
+    }
+}
+
+/// The envelope of post `index` of wave `wave` of application 0's split,
+/// carrying the wave's total if it is the last one posted.
+fn in_wave(d: &Decls, wave: u64, index: u32, total: Option<u32>) -> Envelope {
+    let mut env = Envelope::root();
+    env.push(Frame {
+        src: d.def(0, 0).entry(),
+        wave,
+        index,
+        total,
+    });
+    env
+}
+
+fn arrival(i: u32) -> Arrival {
+    Arrival::Token(Box::new(Mid { i }))
+}
+
+fn info(thread: usize) -> ExecInfo {
+    ExecInfo {
+        thread_index: thread,
+        thread_count: THREADS,
+        node_flops: 1e9,
+        start_nanos: 0,
+    }
+}
+
+/// An arrival that enters no wave must not ask for an output wave id.
+fn no_wave() -> u64 {
+    panic!("this arrival enters no wave")
+}
+
+/// A split token runs the split's instance where it arrived, and its posts
+/// go on under the same node and envelope; no wave is entered here.
+#[test]
+fn serve_runs_a_split_token_where_it_arrived() {
+    let d = declare(Shape::Leaf);
+    let split = node_of(&d, OpKind::Split);
+    let mut inst = Instances::default();
+    let what = Arrival::Token(Box::new(In { n: 3 }));
+    let served = kernel::serve(&d, &mut inst, split, what, Envelope::root(), no_wave).unwrap();
+    let Serve::Run(ready, Then::Exec(at, env)) = served else {
+        panic!("a split token runs the split");
+    };
+    assert_eq!((at, env), (split, Envelope::root()));
+    assert!(ready.token.is_some() && !ready.completes);
+    assert_eq!(ready.run(&mut (), info(0)).unwrap().posts.len(), 3);
+    assert!(inst.waves.is_empty());
+}
+
+/// Rule 1 through `serve`: the first arrival of a wave enters its record
+/// and asks for the output wave id, once; every arrival is counted in, and
+/// the one that makes the count whole completes the wave.
+#[test]
+fn serve_enters_a_wave_once_and_counts_every_arrival() {
+    let d = declare(Shape::Leaf);
+    let merge = node_of(&d, OpKind::Merge);
+    let key = in_wave(&d, 1, 0, None).wave_key().unwrap();
+    let mut inst = Instances::default();
+    let mut asked = 0;
+    for index in 0..3 {
+        let env = in_wave(&d, 1, index, (index == 2).then_some(3));
+        let out_wave = || {
+            asked += 1;
+            40 + asked
+        };
+        let served = kernel::serve(&d, &mut inst, merge, arrival(index), env, out_wave).unwrap();
+        let Serve::Run(ready, Then::Wave(_)) = served else {
+            panic!("a merge token runs a step of its wave");
+        };
+        assert!(ready.token.is_some());
+        assert_eq!(ready.completes, index == 2, "the last of 3 completes");
+        let posts = ready.run(&mut (), info(0)).unwrap().posts;
+        assert_eq!(posts.len(), (index == 2) as usize, "the finalize posts");
+        let wave = &inst.waves[&key];
+        assert_eq!((wave.received(), wave.out_wave), (index + 1, 41));
+    }
+    assert_eq!(asked, 1, "the output wave id is asked for on entry only");
+    assert_eq!(inst.waves.len(), 1);
+}
+
+/// Each wave at a stream has its own record, instance and output wave id,
+/// however the arrivals of two waves interleave.
+#[test]
+fn interleaved_waves_keep_their_own_records() {
+    let d = declare(Shape::Stream);
+    let stream = node_of(&d, OpKind::Stream);
+    let mut inst = Instances::default();
+    let mut ids = 10..;
+    for (wave, index) in [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)] {
+        let env = in_wave(&d, wave, index, None);
+        let out_wave = || ids.next().unwrap();
+        let served = kernel::serve(&d, &mut inst, stream, arrival(index), env, out_wave).unwrap();
+        let Serve::Run(ready, Then::Wave(_)) = served else {
+            panic!("a stream token runs a step of its wave");
+        };
+        assert!(!ready.completes, "no total has arrived");
+        let posts = ready.run(&mut (), info(0)).unwrap().posts;
+        assert_eq!(posts.len(), 1, "the relay posts what it consumed");
+    }
+    let wave = |w| &inst.waves[&in_wave(&d, w, 0, None).wave_key().unwrap()];
+    assert_eq!((wave(1).received(), wave(1).out_wave), (3, 10));
+    assert_eq!((wave(2).received(), wave(2).out_wave), (2, 11));
+    assert_eq!(inst.waves.len(), 2);
+}
+
+/// A close that finds tokens still missing waits; the wave now knows its
+/// total, so the last token completes it.
+#[test]
+fn a_close_with_tokens_missing_waits() {
+    let d = declare(Shape::Leaf);
+    let merge = node_of(&d, OpKind::Merge);
+    let mut inst = Instances::default();
+    let env = || in_wave(&d, 1, 0, None);
+    let served = kernel::serve(&d, &mut inst, merge, arrival(0), env(), || 0).unwrap();
+    let Serve::Run(ready, _) = served else {
+        panic!("the first token runs");
+    };
+    ready.run(&mut (), info(0)).unwrap();
+    let close = Arrival::Close(2);
+    let served = kernel::serve(&d, &mut inst, merge, close, env(), no_wave).unwrap();
+    assert!(
+        matches!(served, Serve::Wait),
+        "one of two tokens is missing"
+    );
+    let wave = inst.waves.values().next().unwrap();
+    assert_eq!((wave.received(), wave.expected()), (1, Some(2)));
+
+    let last = in_wave(&d, 1, 1, None);
+    let served = kernel::serve(&d, &mut inst, merge, arrival(1), last, no_wave).unwrap();
+    let Serve::Run(ready, Then::Wave(_)) = served else {
+        panic!("the last token runs");
+    };
+    assert!(ready.completes, "the close's total is counted against it");
+}
+
+/// A close after every token runs the finalize alone, on the instance that
+/// consumed the wave (rule 7).
+#[test]
+fn a_close_after_the_last_token_runs_the_finalize_alone() {
+    let d = declare(Shape::Leaf);
+    let merge = node_of(&d, OpKind::Merge);
+    let mut inst = Instances::default();
+    for index in 0..2 {
+        let env = in_wave(&d, 1, index, None);
+        let served = kernel::serve(&d, &mut inst, merge, arrival(index), env, || 0).unwrap();
+        let Serve::Run(ready, _) = served else {
+            panic!("a token runs");
+        };
+        assert!(!ready.completes, "no total yet");
+        ready.run(&mut (), info(0)).unwrap();
+    }
+    let close = Arrival::Close(2);
+    let env = in_wave(&d, 1, 0, None);
+    let served = kernel::serve(&d, &mut inst, merge, close, env, no_wave).unwrap();
+    let Serve::Run(ready, Then::Wave(_)) = served else {
+        panic!("a close after every token completes the wave");
+    };
+    assert!(ready.token.is_none() && ready.completes);
+    let mut posts = ready.run(&mut (), info(0)).unwrap().posts;
+    assert_eq!(posts.len(), 1);
+    let out = dps_core::downcast::<Out>(posts.pop().unwrap().token).unwrap();
+    assert_eq!(out.n, 2, "the finalize saw both consumes");
+}
+
+/// A close whose total is below what already arrived is a contract error,
+/// and nothing runs.
+#[test]
+fn a_close_below_what_arrived_is_refused_by_serve() {
+    let d = declare(Shape::Leaf);
+    let merge = node_of(&d, OpKind::Merge);
+    let mut inst = Instances::default();
+    for index in 0..2 {
+        let env = in_wave(&d, 1, index, None);
+        kernel::serve(&d, &mut inst, merge, arrival(index), env, || 0).unwrap();
+    }
+    let env = in_wave(&d, 1, 0, None);
+    let refused = kernel::serve(&d, &mut inst, merge, Arrival::Close(1), env, no_wave);
+    let Err(e) = refused else {
+        panic!("a close of 1 after 2 tokens must be refused");
+    };
+    assert!(matches!(e, DpsError::OperationContract { .. }), "{e}");
+    assert!(e.to_string().contains("producer posted 1"), "{e}");
+}
+
+/// A call node's token is handed back to the engine as it came, to make
+/// the call when it chooses; the thread's instances are not touched.
+#[test]
+fn serve_hands_a_call_token_to_the_engine() {
+    let d = declare(Shape::Call);
+    let call = node_of(&d, OpKind::Call);
+    let mut inst = Instances::default();
+    let env = in_wave(&d, 1, 4, None);
+    let served = kernel::serve(&d, &mut inst, call, arrival(5), env.clone(), no_wave).unwrap();
+    let Serve::Call(at, handed, token) = served else {
+        panic!("a call node's token makes a call");
+    };
+    assert_eq!((at, handed), (call, env));
+    assert_eq!(dps_core::downcast::<Mid>(token).unwrap().i, 5);
+    assert!(inst.waves.is_empty());
+}
+
+/// `then` of a leaf: its one post moves on to the merge, under the
+/// envelope the leaf ran under.
+#[test]
+fn then_moves_a_leaf_post_on_to_its_successor() {
+    let mut fake = Fake::new(Shape::Leaf, 0, 0);
+    let leaf = node_of(&fake.decls, OpKind::Leaf);
+    let merge = fake.merge().id;
+    let env = in_wave(&fake.decls, 1, 0, Some(1));
+    let post = Box::new(Mid { i: 7 }) as TokenBox;
+    let exec = Then::Exec(leaf, env.clone());
+    let flow = kernel::then(&mut fake, &mut 0, exec, 0, vec![post], None).unwrap();
+    assert!(flow.is_none(), "a leaf opens no flow");
+    let queued: Vec<&Queued> = fake.queues.iter().flatten().collect();
+    let [(at, Arrival::Token(_), moved, _)] = queued[..] else {
+        panic!("one token queued, got {}", queued.len());
+    };
+    assert_eq!((at.node, moved), (merge, &env));
+}
+
+/// `then` of a split: its posts open a wave behind the flow window, and
+/// the key of that flow is returned.
+#[test]
+fn then_of_a_split_opens_a_flow_behind_the_window() {
+    let mut fake = Fake::new(Shape::Leaf, 2, 0);
+    let split = node_of(&fake.decls, OpKind::Split);
+    let posts: Vec<TokenBox> = (0..5).map(|i| Box::new(Mid { i }) as TokenBox).collect();
+    let exec = Then::Exec(split, Envelope::root());
+    let key = kernel::then(&mut fake, &mut 0, exec, 0, posts, None).unwrap();
+    let (src, wave) = key.expect("a split opens a flow");
+    assert_eq!(src, split.node.0);
+    let mut released: Vec<_> = (fake.queues.iter().flatten())
+        .map(|(_, _, env, _)| *env.top().unwrap())
+        .collect();
+    released.sort_by_key(|frame| frame.index);
+    let frame = |index| Frame {
+        src: split.node,
+        wave,
+        index,
+        total: None,
+    };
+    assert_eq!(released, [frame(0), frame(1)], "a window of 2 lets two out");
+    assert_eq!(fake.flows[0].borrow()[&(src, wave)].pending(), 3);
 }
 
 proptest! {
@@ -1087,8 +1342,9 @@ fn a_wave_that_only_heard_its_close_survives_its_node() {
     let pinned = fake.pins(0, 0, |pins| pins.route(&key, 1, |_| true));
     assert_eq!(pinned, Routed::Pinned { parked: None });
     let close = Arrival::Close(2);
-    let heard = fake.lanes[1].arrive(merge, 1, "merge", close, env(0, Some(2)), || 9);
-    assert!(heard.unwrap().is_none(), "two tokens missing");
+    let thread1 = &mut fake.lanes[lane(0, 1)];
+    let heard = kernel::serve(&fake.decls, thread1, merge, close, env(0, Some(2)), || 9);
+    assert!(matches!(heard, Ok(Serve::Wait)), "two tokens missing");
 
     fake.kill(1);
     assert!(fake.lanes[1].waves.is_empty());

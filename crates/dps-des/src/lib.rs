@@ -16,11 +16,12 @@
 //!   scheduling order, so identical inputs produce identical traces.
 //! * [`Pool`] — a k-server resource with FIFO queueing and continuation
 //!   callbacks (virtual CPUs of a cluster node).
-//! * [`Timeline`] / [`MultiTimeline`] — reservation-based resources for flows
-//!   whose durations are known at request time (NIC directions, disk arms).
+//! * [`Timeline`] — a reservation-based resource for flows whose durations
+//!   are known at request time (NIC directions, disk arms).
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation inside
 //!   simulations (seeded, stream-splittable).
-//! * [`stats`] — counters and time-weighted statistics used by the harness.
+//! * [`stats`] — the [`stats::Samples`] median/percentile collector the
+//!   harness reports with.
 //!
 //! The engine is deliberately single-threaded: determinism is the property
 //! the experiment harness relies on (`same seed ⇒ identical virtual-time
@@ -35,6 +36,6 @@ mod timeline;
 
 pub use pool::{Pool, PoolId};
 pub use rng::SplitMix64;
-pub use sim::{RunLimit, RunStats, Sim};
+pub use sim::Sim;
 pub use time::{SimSpan, SimTime};
-pub use timeline::{MultiTimeline, Timeline};
+pub use timeline::Timeline;

@@ -58,11 +58,6 @@ impl SplitMix64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + self.next_below(hi - lo)
     }
-
-    /// Bernoulli draw with probability `p`.
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
 }
 
 #[cfg(test)]

@@ -43,29 +43,6 @@ impl<S> Ord for Entry<S> {
     }
 }
 
-/// Bound on a [`Sim::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunLimit {
-    /// Run until no events remain.
-    UntilIdle,
-    /// Run until the clock would pass the given instant; events at exactly
-    /// the instant still fire.
-    UntilTime(SimTime),
-    /// Fire at most this many events.
-    MaxEvents(u64),
-}
-
-/// Summary of a [`Sim::run`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStats {
-    /// Number of events fired.
-    pub events: u64,
-    /// Clock value when the run stopped.
-    pub end_time: SimTime,
-    /// True if the run stopped because the event queue drained.
-    pub idle: bool,
-}
-
 /// A deterministic discrete-event simulation over a user-defined world `S`.
 ///
 /// Events are closures `FnOnce(&mut Sim<S>)` ordered by `(time, seq)` where
@@ -82,10 +59,9 @@ pub struct RunStats {
 ///     // events may schedule more events
 ///     s.schedule_in(SimSpan::from_millis(5), |s| s.world.push(3));
 /// });
-/// let stats = sim.run();
+/// sim.run();
 /// assert_eq!(sim.world, vec![1, 2, 3]);
-/// assert_eq!(stats.events, 3);
-/// assert_eq!(stats.end_time.as_nanos(), 6_000_000);
+/// assert_eq!(sim.now().as_nanos(), 6_000_000);
 /// ```
 pub struct Sim<S> {
     /// The user world: all model state lives here.
@@ -120,11 +96,6 @@ impl<S> Sim<S> {
     /// delivery interleavings without giving up replay.
     pub fn set_tie_break(&mut self, f: impl FnMut(u64) -> u64 + 'static) {
         self.tie_break = Some(Box::new(f));
-    }
-
-    /// Remove the tie-break hook: subsequent ties fire in scheduling order.
-    pub fn clear_tie_break(&mut self) {
-        self.tie_break = None;
     }
 
     /// Current virtual time.
@@ -178,45 +149,9 @@ impl<S> Sim<S> {
         true
     }
 
-    /// Time of the next pending event, if any, without firing it.
-    pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(entry)| entry.at)
-    }
-
-    /// Run until the event queue drains; returns run statistics.
-    pub fn run(&mut self) -> RunStats {
-        self.run_limited(RunLimit::UntilIdle)
-    }
-
-    /// Run under an explicit limit.
-    pub fn run_limited(&mut self, limit: RunLimit) -> RunStats {
-        let mut stats = RunStats::default();
-        loop {
-            match limit {
-                RunLimit::UntilIdle => {}
-                RunLimit::UntilTime(t) => {
-                    match self.peek_next_time() {
-                        Some(next) if next <= t => {}
-                        _ => break,
-                    };
-                }
-                RunLimit::MaxEvents(n) => {
-                    if stats.events >= n {
-                        break;
-                    }
-                }
-            }
-            if !self.step() {
-                stats.idle = true;
-                break;
-            }
-            stats.events += 1;
-        }
-        stats.end_time = self.now;
-        if self.pending() == 0 {
-            stats.idle = true;
-        }
-        stats
+    /// Run until the event queue drains.
+    pub fn run(&mut self) {
+        while self.step() {}
     }
 }
 
@@ -277,31 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_time_stops_clock() {
-        let mut sim = Sim::new(Vec::new());
-        sim.schedule_at(SimTime(10), |s| s.world.push(1));
-        sim.schedule_at(SimTime(20), |s| s.world.push(2));
-        sim.schedule_at(SimTime(30), |s| s.world.push(3));
-        let stats = sim.run_limited(RunLimit::UntilTime(SimTime(20)));
-        assert_eq!(sim.world, vec![1, 2]);
-        assert!(!stats.idle);
-        assert_eq!(sim.pending(), 1);
-        sim.run();
-        assert_eq!(sim.world, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn max_events_limit() {
-        let mut sim = Sim::new(0u64);
-        for i in 0..10 {
-            sim.schedule_at(SimTime(i), |s| s.world += 1);
-        }
-        let stats = sim.run_limited(RunLimit::MaxEvents(4));
-        assert_eq!(stats.events, 4);
-        assert_eq!(sim.world, 4);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics() {
         let mut sim = Sim::new(());
@@ -322,10 +232,39 @@ mod tests {
                 s.world.push(now.as_nanos());
             });
         });
-        let stats = sim.run();
+        sim.run();
         assert_eq!(sim.world, vec![5, 12]);
-        assert_eq!(stats.end_time, SimTime(12));
-        assert!(stats.idle);
+        assert_eq!(sim.now(), SimTime(12));
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn step_fires_one_event_at_a_time() {
+        let mut sim = Sim::new(Vec::new());
+        assert!(!sim.step(), "nothing to fire");
+        sim.schedule_at(SimTime(4), |s| s.world.push(4));
+        sim.schedule_at(SimTime(9), |s| s.world.push(9));
+        assert!(sim.step());
+        assert_eq!(
+            (sim.world.clone(), sim.now(), sim.pending()),
+            (vec![4], SimTime(4), 1)
+        );
+        assert!(sim.step());
+        assert!(!sim.step());
+        assert_eq!((sim.now(), sim.world), (SimTime(9), vec![4, 9]));
+    }
+
+    #[test]
+    fn an_event_scheduled_for_now_fires_after_those_already_due() {
+        let mut sim = Sim::new(Vec::new());
+        sim.schedule_at(SimTime(3), |s| {
+            s.world.push("first");
+            s.schedule_in(SimSpan::ZERO, |s| s.world.push("scheduled now"));
+        });
+        sim.schedule_at(SimTime(3), |s| s.world.push("second"));
+        sim.run();
+        assert_eq!(sim.world, vec!["first", "second", "scheduled now"]);
+        assert_eq!(sim.now(), SimTime(3));
     }
 
     #[test]

@@ -1,78 +1,5 @@
 //! Statistics collectors for simulation experiments.
 
-use crate::time::{SimSpan, SimTime};
-
-/// Streaming mean / variance / extrema (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty collector.
-    pub fn new() -> Self {
-        Self {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 /// Median and percentiles over a bounded sample buffer.
 ///
 /// Table 2 of the paper reports *median* call times; this collector keeps
@@ -124,123 +51,9 @@ impl Samples {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity (queue length,
-/// tokens in flight). Integrates `value · dt` between updates.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial `value`.
-    pub fn new(t0: SimTime, value: f64) -> Self {
-        Self {
-            last_time: t0,
-            last_value: value,
-            integral: 0.0,
-            peak: value,
-        }
-    }
-
-    /// Record that the quantity changed to `value` at time `now`.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_time).as_secs_f64();
-        self.integral += self.last_value * dt;
-        self.last_time = now;
-        self.last_value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Time-weighted average over `[t0, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.last_time).as_secs_f64();
-        let total = self.integral + self.last_value * dt;
-        let elapsed = now.as_secs_f64();
-        if elapsed <= 0.0 {
-            self.last_value
-        } else {
-            total / elapsed
-        }
-    }
-
-    /// Largest value ever recorded.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-}
-
-/// Bytes-over-time throughput meter.
-#[derive(Debug, Clone, Default)]
-pub struct Throughput {
-    bytes: u64,
-    first: Option<SimTime>,
-    last: SimTime,
-}
-
-impl Throughput {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` delivered at `now`.
-    pub fn record(&mut self, now: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        if self.first.is_none() {
-            self.first = Some(now);
-        }
-        self.last = self.last.max(now);
-    }
-
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Mean throughput in MB/s over the active window, measured from `start`
-    /// (usually `SimTime::ZERO`) to the last recorded delivery.
-    pub fn mbps(&self, start: SimTime) -> f64 {
-        let span = self.last.since(start);
-        let secs = span.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 / 1e6 / secs
-    }
-
-    /// Elapsed span between `start` and the last delivery.
-    pub fn elapsed(&self, start: SimTime) -> SimSpan {
-        self.last.since(start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.variance(), 0.0);
-    }
 
     #[test]
     fn samples_median() {
@@ -256,28 +69,24 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime(1_000_000_000), 10.0); // 0 for 1s
-        tw.update(SimTime(3_000_000_000), 0.0); // 10 for 2s
-        let avg = tw.average(SimTime(4_000_000_000)); // 0 for 1s
-        assert!((avg - 5.0).abs() < 1e-9, "got {avg}");
-        assert_eq!(tw.peak(), 10.0);
+    fn percentile_is_nearest_rank_whatever_the_recording_order() {
+        let mut s = Samples::new();
+        for x in [7.0, 2.0, 9.0, 1.0, 10.0, 4.0, 3.0, 8.0, 6.0, 5.0] {
+            s.record(x);
+        }
+        assert_eq!(s.count(), 10);
+        // Rank round(q/100 · 9) into the sorted 1..=10.
+        assert_eq!(s.percentile(25.0), Some(3.0));
+        assert_eq!(s.percentile(90.0), Some(9.0));
+        assert_eq!(s.median(), Some(6.0), "rank round(4.5) = 5");
+        assert_eq!(s.mean(), Some(5.5));
     }
 
     #[test]
-    fn throughput_mbps() {
-        let mut t = Throughput::new();
-        t.record(SimTime(500_000_000), 1_000_000);
-        t.record(SimTime(1_000_000_000), 1_000_000);
-        // 2 MB over 1 s
-        assert!((t.mbps(SimTime::ZERO) - 2.0).abs() < 1e-9);
-        assert_eq!(t.total_bytes(), 2_000_000);
-    }
-
-    #[test]
-    fn throughput_empty_is_zero() {
-        let t = Throughput::new();
-        assert_eq!(t.mbps(SimTime::ZERO), 0.0);
+    fn empty_samples_have_no_statistics() {
+        let s = Samples::new();
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.percentile(99.0), None);
+        assert_eq!(s.mean(), None);
     }
 }

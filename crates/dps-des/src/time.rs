@@ -19,9 +19,6 @@ impl SimTime {
     /// Simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The far future; useful as an "idle" sentinel.
-    pub const FAR_FUTURE: SimTime = SimTime(u64::MAX);
-
     /// Elapsed nanoseconds since the epoch.
     pub fn as_nanos(self) -> u64 {
         self.0

@@ -1,4 +1,4 @@
-//! Reservation-based resources for flows whose durations are known at
+//! A reservation-based resource for flows whose durations are known at
 //! request time (network interface directions, disk arms).
 
 use crate::time::{SimSpan, SimTime};
@@ -11,8 +11,6 @@ use crate::time::{SimSpan, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     free_at: SimTime,
-    busy_accum: SimSpan,
-    reservations: u64,
 }
 
 impl Timeline {
@@ -26,71 +24,7 @@ impl Timeline {
         let start = now.max(self.free_at);
         let end = start + span;
         self.free_at = end;
-        self.busy_accum += span;
-        self.reservations += 1;
         (start, end)
-    }
-
-    /// Instant at which the lane becomes free.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Total reserved time.
-    pub fn busy_total(&self) -> SimSpan {
-        self.busy_accum
-    }
-
-    /// Number of reservations made.
-    pub fn reservations(&self) -> u64 {
-        self.reservations
-    }
-}
-
-/// A k-lane reservation resource; each reservation takes the earliest
-/// available lane. Models a striped disk array or a multi-port switch.
-#[derive(Debug, Clone)]
-pub struct MultiTimeline {
-    lanes: Vec<Timeline>,
-}
-
-impl MultiTimeline {
-    /// Create `lanes` parallel lanes.
-    pub fn new(lanes: usize) -> Self {
-        assert!(lanes >= 1, "need at least one lane");
-        Self {
-            lanes: vec![Timeline::new(); lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Reserve `span` on the earliest-free lane; returns
-    /// `(lane, start, end)`. Ties pick the lowest-index lane, keeping runs
-    /// deterministic.
-    pub fn reserve(&mut self, now: SimTime, span: SimSpan) -> (usize, SimTime, SimTime) {
-        let lane = self
-            .lanes
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, l)| (l.free_at(), *i))
-            .map(|(i, _)| i)
-            .expect("at least one lane");
-        let (start, end) = self.lanes[lane].reserve(now, span);
-        (lane, start, end)
-    }
-
-    /// Reserve on a specific lane (e.g. a particular disk in a stripe set).
-    pub fn reserve_on(&mut self, lane: usize, now: SimTime, span: SimSpan) -> (SimTime, SimTime) {
-        self.lanes[lane].reserve(now, span)
-    }
-
-    /// Per-lane view.
-    pub fn lane(&self, i: usize) -> &Timeline {
-        &self.lanes[i]
     }
 }
 
@@ -105,8 +39,6 @@ mod tests {
         let (s2, e2) = t.reserve(SimTime(0), SimSpan::from_nanos(5));
         assert_eq!((s1, e1), (SimTime(0), SimTime(10)));
         assert_eq!((s2, e2), (SimTime(10), SimTime(15)));
-        assert_eq!(t.busy_total(), SimSpan::from_nanos(15));
-        assert_eq!(t.reservations(), 2);
     }
 
     #[test]
@@ -118,29 +50,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_picks_earliest_lane() {
-        let mut m = MultiTimeline::new(2);
-        let (l1, ..) = m.reserve(SimTime(0), SimSpan::from_nanos(10));
-        let (l2, ..) = m.reserve(SimTime(0), SimSpan::from_nanos(4));
-        assert_eq!((l1, l2), (0, 1));
-        // Lane 1 frees at t=4, so the next reservation lands there.
-        let (l3, s3, _) = m.reserve(SimTime(0), SimSpan::from_nanos(1));
-        assert_eq!(l3, 1);
-        assert_eq!(s3, SimTime(4));
-    }
-
-    #[test]
-    fn reserve_on_targets_lane() {
-        let mut m = MultiTimeline::new(3);
-        let (s, e) = m.reserve_on(2, SimTime(5), SimSpan::from_nanos(7));
-        assert_eq!((s, e), (SimTime(5), SimTime(12)));
-        assert_eq!(m.lane(2).reservations(), 1);
-        assert_eq!(m.lane(0).reservations(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn zero_lanes_rejected() {
-        MultiTimeline::new(0);
+    fn a_zero_span_waits_its_turn_and_holds_nothing() {
+        let mut t = Timeline::new();
+        t.reserve(SimTime(0), SimSpan::from_nanos(10));
+        let (s, e) = t.reserve(SimTime(3), SimSpan::ZERO);
+        assert_eq!((s, e), (SimTime(10), SimTime(10)), "behind the busy lane");
+        let (s, e) = t.reserve(SimTime(10), SimSpan::from_nanos(4));
+        assert_eq!((s, e), (SimTime(10), SimTime(14)));
     }
 }

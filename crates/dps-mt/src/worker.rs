@@ -21,10 +21,10 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, Death, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec,
-    Routed, Sent, Served, Substrate, Tracer, WaveStep,
+    Routed, Sent, Serve, Substrate, Then, Tracer,
 };
 use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
-use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
+use dps_core::{Decls, DpsError, Envelope, GNodeId, RouteInfo, Token, TokenBox, WaveKey};
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector};
 use parking_lot::Mutex;
 
@@ -357,39 +357,23 @@ pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox,
 /// never runs dry between two replies.
 const REMOTE_PIPELINE_DEPTH: usize = 16;
 
-/// What phase 2 of a shipped operation needs from its phase 1.
-enum Cont {
-    /// A split/leaf execution: its posts leave under `env`.
-    Exec { at: At, env: Envelope },
-    /// One step of a merge/stream wave.
-    Wave(WaveStep),
-}
-
-/// How phase 1 of a message left it.
-enum Begun {
-    /// Nothing is owed: the operation ran here and went through phase 2, or
-    /// the message needed none.
-    Finished,
-    /// The operation was shipped; its phase 2 waits in the FIFO.
-    InFlight,
-}
-
 /// The remote operations a worker thread has shipped and not yet finished,
-/// oldest first, with when each was shipped. Each entry is one message still
-/// counted in the thread's backlog.
-type InFlight = VecDeque<(Box<dyn RemotePending>, Cont, Instant)>;
+/// oldest first, with what their posts call for and when each was shipped.
+/// Each entry is one message still counted in the thread's backlog.
+type InFlight = VecDeque<(Box<dyn RemotePending>, Then, Instant)>;
 
 /// The worker main loop.
 ///
-/// Every operation is handled in two phases. Phase 1 (`begin_*`) does the
-/// wave accounting and either runs the operation here or ships it; phase 2
-/// (`finish_*`) applies its posts. A local operation goes through both back
-/// to back. A shipped one parks between them in a FIFO while the loop runs
-/// phase 1 of the messages already queued behind it, and phase 2 always
-/// takes the oldest entry — the hosting process executes and replies in
-/// shipping order (the [`RemoteExec`] contract), so what this thread does,
-/// posts and accounts, and in which order, is the same as waiting out every
-/// round trip.
+/// Every operation is handled in two phases. Phase 1 is [`kernel::serve`]:
+/// the wave accounting, and what the message calls for. The operation then
+/// runs here or is shipped. Phase 2 is [`kernel::then`]: it applies the
+/// operation's posts. A local operation goes through both back to back. A
+/// shipped one parks its `Then` in a FIFO while the loop runs phase 1 of the
+/// messages already queued behind it, and phase 2 always takes the oldest
+/// entry — the hosting process executes and replies in shipping order (the
+/// [`RemoteExec`] contract), so what this thread does, posts and accounts,
+/// and in which order, is the same as waiting out every round trip. A call
+/// never ships: it goes out behind the posts of everything shipped before.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     app: u32,
@@ -416,6 +400,14 @@ pub(crate) fn worker_loop(
         reports: false,
     };
     TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, track)));
+    let info = ExecInfo {
+        thread_index: thread as usize,
+        thread_count: shared.decls.threads(app, tc),
+        // Wall-clock engine: charges don't advance a clock, but cost models
+        // calling charge_flops see the calibrated host rate.
+        node_flops: shared.node_flops,
+        start_nanos: 0,
+    };
     let mut inflight = InFlight::new();
     loop {
         // With replies owed, only a message that is already here is worth
@@ -453,33 +445,64 @@ pub(crate) fn worker_loop(
                 (At { app, graph, node }, what, env)
             }
         };
-        let kind = shared.decls.def(app, at.graph).node(at.node).kind;
-        let begun = match (what, kind) {
-            (Arrival::Token(token), OpKind::Split | OpKind::Leaf) => {
-                begin_exec(shared, &mut w, &mut inflight, at, token, env)
-            }
-            (Arrival::Token(token), OpKind::Call | OpKind::CallSplit) => {
+        // The remote side re-derives a wave's identity from the envelope,
+        // so a shipped step is sent the frame `serve` pops.
+        let task_env = w.remote.is_some().then(|| env.clone());
+        let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
+        let done = match kernel::serve(&shared.decls, &mut w.inst, at, what, env, out_wave) {
+            Ok(Serve::Run(ready, then)) => match (&w.remote, task_env) {
+                (Some(r), Some(env)) => {
+                    let (token, completes) = (ready.token, ready.completes);
+                    let kind = match &then {
+                        Then::Exec(..) => RemoteKind::Exec,
+                        Then::Wave(_) if token.is_none() => RemoteKind::Finalize,
+                        Then::Wave(_) => RemoteKind::Consume { completes },
+                    };
+                    let task = RemoteTask {
+                        app,
+                        tc,
+                        thread,
+                        graph: at.graph,
+                        node: at.node,
+                        kind,
+                        token,
+                        env,
+                    };
+                    inflight.push_back((r.begin(task), then, Instant::now()));
+                    // Still counted in the backlog until its phase 2 ends, so
+                    // load-aware routes keep seeing what the host has queued.
+                    if let Some(m) = &shared.apps[app as usize].tcs[tc as usize].metrics {
+                        m.gauge_max(Gauge::RemoteInFlightPeak, inflight.len() as u64);
+                    }
+                    continue;
+                }
+                _ => {
+                    let data = w.data.as_mut();
+                    run_here(shared.trace.is_some(), &mut w.span, || {
+                        ready.run(data, info)
+                    })
+                    .and_then(|out| {
+                        // A post's virtual-time offset means nothing on the
+                        // wall clock.
+                        let posts = out.posts.into_iter().map(|p| p.token);
+                        kernel::then(&mut shared, &mut w, then, node, posts, out.completed_iters)
+                    })
+                    .map(drop)
+                }
+            },
+            Ok(Serve::Call(at, env, token)) => {
                 // A call has no remote half: it goes out behind the posts
                 // of everything shipped before it.
                 finish_all(shared, &mut w, &mut inflight);
                 kernel::call(&mut shared, at, env).map(|(entry, callee_env)| {
-                    kernel::deliver(&mut shared, entry, node, token, callee_env);
-                    Begun::Finished
+                    kernel::deliver(&mut shared, entry, node, token, callee_env)
                 })
             }
-            (what, _) => begin_wave(shared, &mut w, &mut inflight, at, env, what),
+            Ok(Serve::Wait) => Ok(()),
+            Err(e) => Err(e),
         };
-        match begun {
-            Ok(Begun::InFlight) => {
-                // Still counted in the backlog until its phase 2 ends, so
-                // load-aware routes keep seeing what the host has queued.
-                if let Some(m) = &shared.apps[app as usize].tcs[tc as usize].metrics {
-                    m.gauge_max(Gauge::RemoteInFlightPeak, inflight.len() as u64);
-                }
-                continue;
-            }
-            Ok(Begun::Finished) => {}
-            Err(e) => send_error(shared, app, e),
+        if let Err(e) = done {
+            send_error(shared, app, e);
         }
         retire(shared, &w);
     }
@@ -494,9 +517,11 @@ fn retire(shared: &Shared, w: &Worker) {
         .fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Wait for the oldest shipped operation and run its phase 2.
-fn finish_oldest(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
-    let Some((pending, cont, shipped)) = inflight.pop_front() else {
+/// Wait for the oldest shipped operation and run its phase 2. The numbering
+/// of a stream's posts advances here and nowhere else — two consumes of one
+/// wave can be in flight together.
+fn finish_oldest(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
+    let Some((pending, then, shipped)) = inflight.pop_front() else {
         return;
     };
     w.span = Some(Span {
@@ -509,7 +534,7 @@ fn finish_oldest(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
         if let (false, Some(sink)) = (outcome.reports.is_empty(), w.sink(shared)) {
             sink.report_batch(w.thread as usize, &outcome.reports);
         }
-        finish(shared, w, cont, outcome.posts)
+        kernel::then(&mut shared, w, then, w.node, outcome.posts, None).map(drop)
     });
     if let Err(e) = done {
         send_error(shared, w.app, e);
@@ -554,18 +579,7 @@ fn tombstone(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight, msg: 
     !stop
 }
 
-fn exec_info(shared: &Shared, w: &Worker) -> ExecInfo {
-    ExecInfo {
-        thread_index: w.thread as usize,
-        thread_count: shared.decls.threads(w.app, w.tc),
-        // Wall-clock engine: charges don't advance a clock, but cost models
-        // calling charge_flops see the calibrated host rate.
-        node_flops: shared.node_flops,
-        start_nanos: 0,
-    }
-}
-
-/// Run the operation `served` picks, here, and time it for the kernel
+/// Run the operation [`kernel::serve`] picked, here, and time it for the kernel
 /// (`traced`: a trace is attached).
 fn run_here(
     traced: bool,
@@ -577,119 +591,6 @@ fn run_here(
     let took = (traced || out.completed_iters.is_some()).then(|| t0.elapsed());
     *span = Some(Span { t0, took });
     Ok(out)
-}
-
-/// What an operation that ran here posted, as the kernel takes it: a post's
-/// virtual-time offset means nothing on the wall clock.
-fn tokens(out: OpOutput) -> impl ExactSizeIterator<Item = TokenBox> {
-    out.posts.into_iter().map(|p| p.token)
-}
-
-/// Phase 1 of a split/leaf delivery: ship the operation, or run it and go
-/// straight on to phase 2.
-fn begin_exec(
-    mut shared: &Shared,
-    w: &mut Worker,
-    inflight: &mut InFlight,
-    at: At,
-    token: TokenBox,
-    env: Envelope,
-) -> Result<Begun, DpsError> {
-    if let Some(r) = &w.remote {
-        let pending = r.begin(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
-            graph: at.graph,
-            node: at.node,
-            kind: RemoteKind::Exec,
-            token: Some(token),
-            env: env.clone(),
-        });
-        inflight.push_back((pending, Cont::Exec { at, env }, Instant::now()));
-        return Ok(Begun::InFlight);
-    }
-    let gnode = shared.decls.def(w.app, at.graph).node(at.node);
-    let info = exec_info(shared, w);
-    let slot = Served::Node(&mut w.inst, (at.graph, at.node.0));
-    let data = w.data.as_mut();
-    let out = run_here(shared.trace.is_some(), &mut w.span, || {
-        kernel::step(slot, gnode, Some(token), false, data, info)
-    })?;
-    let marked = out.completed_iters;
-    kernel::after_exec(&mut shared, w, at, w.node, env, tokens(out), marked)?;
-    Ok(Begun::Finished)
-}
-
-/// Phase 1 of a merge/stream delivery: account for what arrived (kernel
-/// rule 1), then ship the step it calls for — a consume, with the finalize
-/// if it completes the wave; for a close, the finalize alone, once every
-/// data object was consumed — or run it and go straight on to phase 2.
-fn begin_wave(
-    mut shared: &Shared,
-    w: &mut Worker,
-    inflight: &mut InFlight,
-    at: At,
-    env: Envelope,
-    arrival: Arrival,
-) -> Result<Begun, DpsError> {
-    let gnode = shared.decls.def(w.app, at.graph).node(at.node);
-    let info = exec_info(shared, w);
-    // The remote side re-derives the wave identity from the envelope, so it
-    // is sent the frame `arrive` pops.
-    let task_env = w.remote.is_some().then(|| env.clone());
-    let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
-    // The wave stays in the table until phase 2 removes it.
-    let arrived = w
-        .inst
-        .arrive(at, w.node, &gnode.name, arrival, env, out_wave)?;
-    let Some((wave, token, step)) = arrived else {
-        // The finalize waits for the remaining data objects.
-        return Ok(Begun::Finished);
-    };
-    let completes = step.completes;
-    if let (Some(r), Some(env)) = (&w.remote, task_env) {
-        let kind = match step.consumed {
-            true => RemoteKind::Consume { completes },
-            false => RemoteKind::Finalize,
-        };
-        let pending = r.begin(RemoteTask {
-            app: w.app,
-            tc: w.tc,
-            thread: w.thread,
-            graph: at.graph,
-            node: at.node,
-            kind,
-            token,
-            env,
-        });
-        inflight.push_back((pending, Cont::Wave(step), Instant::now()));
-        return Ok(Begun::InFlight);
-    }
-    let data = w.data.as_mut();
-    let out = run_here(shared.trace.is_some(), &mut w.span, || {
-        kernel::step(Served::Wave(wave), gnode, token, completes, data, info)
-    })?;
-    let marked = out.completed_iters;
-    kernel::after_wave(&mut shared, w, step, tokens(out), marked)?;
-    Ok(Begun::Finished)
-}
-
-/// Phase 2 of a shipped operation: apply the posts it came back with. The
-/// numbering of a stream's posts advances here and nowhere else — two
-/// consumes of one wave can be in flight together.
-fn finish(
-    mut shared: &Shared,
-    w: &mut Worker,
-    cont: Cont,
-    posts: Vec<TokenBox>,
-) -> Result<(), DpsError> {
-    match cont {
-        Cont::Exec { at, env } => {
-            kernel::after_exec(&mut shared, w, at, w.node, env, posts, None).map(drop)
-        }
-        Cont::Wave(step) => kernel::after_wave(&mut shared, w, step, posts, None),
-    }
 }
 
 /// The kernel's substrate on OS threads. Everything shared is behind

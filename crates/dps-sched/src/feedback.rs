@@ -84,11 +84,6 @@ pub enum RateEstimator {
     /// `Σ iters / Σ secs` over the worker's lifetime — exact but sensitive
     /// to a single pathological sample. The classic AWF estimator.
     Aggregate,
-    /// Trimmed mean of the recent per-chunk rates: the given fraction
-    /// (clamped to `0..=0.4`) is dropped from each end of the sorted
-    /// samples — the outlier-resistant estimation of the DLS robustness
-    /// literature (arXiv:1804.11115).
-    Trimmed(f64),
     /// AWF-B **batch-time weighting** (Cariño & Banicescu): reports are
     /// grouped into *batches* — one batch per scheduling wave, closed each
     /// time [`weights`](FeedbackBoard::weights) is read — and batch `b`'s
@@ -100,24 +95,6 @@ pub enum RateEstimator {
     /// arrival position — the finest-grained recency weighting, adapting
     /// within a wave at the cost of more variance than AWF-B.
     ChunkWeighted,
-}
-
-/// Trimmed-mean rate over `(iters, secs)` measurements.
-fn trimmed_rate<'a>(samples: impl Iterator<Item = &'a (f64, f64)>, trim: f64) -> Option<f64> {
-    let mut sorted: Vec<f64> = samples
-        .filter(|&&(iters, secs)| secs > 0.0 && iters > 0.0)
-        .map(|&(iters, secs)| iters / secs)
-        .collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-    let drop = ((sorted.len() as f64) * trim).floor() as usize;
-    let kept = &sorted[drop..sorted.len() - drop];
-    if kept.is_empty() {
-        return None;
-    }
-    Some(kept.iter().sum::<f64>() / kept.len() as f64)
 }
 
 /// Linearly recency-weighted rate over `(iters, secs)` measurements in
@@ -423,22 +400,12 @@ impl FeedbackBoard {
 
     /// Empty board with an explicit rate estimator.
     pub fn with_estimator(estimator: RateEstimator) -> Self {
-        let estimator = match estimator {
-            RateEstimator::Trimmed(t) => RateEstimator::Trimmed(t.clamp(0.0, 0.4)),
-            e => e,
-        };
         Self {
             segments: std::array::from_fn(|_| OnceLock::new()),
             len: AtomicUsize::new(0),
             epoch: AtomicU32::new(0),
             estimator,
         }
-    }
-
-    /// Empty board with the outlier-resistant trimmed-mean estimator
-    /// ([`RateEstimator::Trimmed`]).
-    pub fn with_trimmed_rates(trim: f64) -> Self {
-        Self::with_estimator(RateEstimator::Trimmed(trim))
     }
 
     /// The board an AWF-family policy expects: batch-time weighting for
@@ -505,9 +472,6 @@ impl FeedbackBoard {
                 let slot = self.live_slot(w)?;
                 match self.estimator {
                     RateEstimator::Aggregate => slot.read_consistent(Slot::stats).rate(),
-                    RateEstimator::Trimmed(trim) => {
-                        trimmed_rate(slot.read_consistent(Slot::samples).iter(), trim)
-                    }
                     RateEstimator::ChunkWeighted => {
                         recency_weighted_rate(slot.read_consistent(Slot::samples).iter())
                     }
@@ -676,9 +640,10 @@ mod tests {
 
     #[test]
     fn sample_ring_keeps_the_newest_window() {
-        // More reports than MAX_SAMPLES: the trimmed estimator must see only
-        // the newest window, so the early slow samples age out entirely.
-        let b = FeedbackBoard::with_trimmed_rates(0.0);
+        // More reports than MAX_SAMPLES: the chunk-weighted estimator must
+        // see only the newest window, so the early slow samples age out
+        // entirely (any of them left would pull worker 0 below 40 it/s).
+        let b = FeedbackBoard::with_estimator(RateEstimator::ChunkWeighted);
         for _ in 0..MAX_SAMPLES {
             b.report_chunk(0, 10, 1.0); // 10 it/s, will be evicted
         }
@@ -690,42 +655,20 @@ mod tests {
         assert!((w[0] - 0.5).abs() < 1e-12, "old samples evicted: {w:?}");
     }
 
-    /// One straggler sample (a chunk that took 100× longer than its peers)
-    /// wrecks the aggregate estimator but barely moves the trimmed mean.
     #[test]
-    fn trimmed_mean_shrugs_off_a_straggler() {
-        let plain = FeedbackBoard::new();
-        let trimmed = FeedbackBoard::with_trimmed_rates(0.2);
-        for board in [&plain, &trimmed] {
-            // Worker 0 is genuinely 2× faster than worker 1 (100 vs 50 it/s)
-            // but suffers one pathological chunk at 1 it/s.
-            for _ in 0..9 {
-                board.report_chunk(0, 100, 1.0);
-                board.report_chunk(1, 50, 1.0);
-            }
-            board.report_chunk(0, 100, 100.0); // the straggler
-            board.report_chunk(1, 50, 1.0);
-        }
-        let wp = plain.weights(2);
-        let wt = trimmed.weights(2);
-        // Aggregate estimator: worker 0's rate collapses to 1000/109 ≈ 9.2,
-        // inverting the true ordering.
-        assert!(wp[0] < wp[1], "aggregate estimator is fooled: {wp:?}");
-        // Trimmed estimator keeps the true 2:1 ordering.
-        assert!(
-            (wt[0] - 2.0 / 3.0).abs() < 0.05,
-            "trimmed weights off: {wt:?}"
-        );
-        assert!(wt[0] > 1.8 * wt[1], "{wt:?}");
-    }
-
-    #[test]
-    fn trimmed_mean_with_few_samples_still_estimates() {
-        let b = FeedbackBoard::with_trimmed_rates(0.25);
+    fn chunk_weighting_is_the_linear_recency_formula() {
+        // Worker 0: (10 it, 1 s) then (40 it, 1 s) → (1·10 + 2·40) / (1 + 2)
+        // = 30 it/s, where the aggregate would say 25.
+        let b = FeedbackBoard::with_estimator(RateEstimator::ChunkWeighted);
         b.report_chunk(0, 10, 1.0);
-        let w = b.weights(2);
-        assert!(w[0] > 0.0 && w[1] > 0.0);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        b.report_chunk(0, 40, 1.0);
+        b.report_chunk(1, 30, 1.0);
+        assert_eq!(b.weights(2), vec![0.5, 0.5]);
+        let agg = FeedbackBoard::new();
+        agg.report_chunk(0, 10, 1.0);
+        agg.report_chunk(0, 40, 1.0);
+        agg.report_chunk(1, 30, 1.0);
+        assert!((agg.weights(2)[0] - 25.0 / 55.0).abs() < 1e-12);
     }
 
     #[test]
@@ -802,6 +745,21 @@ mod tests {
         assert!((w[0] - 0.5).abs() < 0.04, "recent parity dominates: {w:?}");
         // The stale slow batch still has *some* pull: strictly below 1/2.
         assert!(w[0] < 0.5, "{w:?}");
+    }
+
+    /// AWF-B weights batches, not chunks: worker 0's batches (40 it, 2 s)
+    /// and (40 it, 1 s) give (1·40 + 2·40) / (1·2 + 2·1) = 30 it/s, where
+    /// chunk weighting would say 31.7 and the aggregate 26.7.
+    #[test]
+    fn batch_weighting_is_the_linear_recency_formula() {
+        let b = FeedbackBoard::with_estimator(RateEstimator::BatchWeighted);
+        b.report_chunk(0, 10, 1.0);
+        b.report_chunk(0, 30, 1.0);
+        b.report_chunk(1, 30, 1.0);
+        let _ = b.weights(2); // closes batch 1
+        b.report_chunk(0, 40, 1.0);
+        b.report_chunk(1, 30, 1.0);
+        assert_eq!(b.weights(2), vec![0.5, 0.5]);
     }
 
     /// AWF-B and AWF-C estimates agree when rates are stationary.

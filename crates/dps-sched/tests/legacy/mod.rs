@@ -18,24 +18,6 @@ const MAX_SAMPLES: usize = 64;
 /// Per-worker batch totals kept for the batch-weighted estimator.
 const MAX_BATCHES: usize = 32;
 
-/// Trimmed-mean rate over `(iters, secs)` measurements.
-fn trimmed_rate<'a>(samples: impl Iterator<Item = &'a (f64, f64)>, trim: f64) -> Option<f64> {
-    let mut sorted: Vec<f64> = samples
-        .filter(|&&(iters, secs)| secs > 0.0 && iters > 0.0)
-        .map(|&(iters, secs)| iters / secs)
-        .collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-    let drop = ((sorted.len() as f64) * trim).floor() as usize;
-    let kept = &sorted[drop..sorted.len() - drop];
-    if kept.is_empty() {
-        return None;
-    }
-    Some(kept.iter().sum::<f64>() / kept.len() as f64)
-}
-
 /// Linearly recency-weighted rate over `(iters, secs)` measurements in
 /// arrival order: `rate = Σ (j+1)·iters_j / Σ (j+1)·secs_j`.
 fn recency_weighted_rate<'a>(measurements: impl Iterator<Item = &'a (f64, f64)>) -> Option<f64> {
@@ -85,10 +67,6 @@ pub struct LegacyFeedbackBoard {
 impl LegacyFeedbackBoard {
     /// Empty board with an explicit rate estimator.
     pub fn with_estimator(estimator: RateEstimator) -> Self {
-        let estimator = match estimator {
-            RateEstimator::Trimmed(t) => RateEstimator::Trimmed(t.clamp(0.0, 0.4)),
-            e => e,
-        };
         Self {
             stats: Mutex::new(Vec::new()),
             samples: Mutex::new(Vec::new()),
@@ -116,12 +94,6 @@ impl LegacyFeedbackBoard {
                 .take(workers)
                 .map(WorkerStats::rate)
                 .collect(),
-            RateEstimator::Trimmed(trim) => {
-                let samples = self.samples.lock();
-                (0..workers)
-                    .map(|w| samples.get(w).and_then(|s| trimmed_rate(s.iter(), trim)))
-                    .collect()
-            }
             RateEstimator::ChunkWeighted => {
                 let samples = self.samples.lock();
                 (0..workers)

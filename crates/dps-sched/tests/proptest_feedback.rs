@@ -53,11 +53,9 @@ fn decode(raw: (u8, u8, u16, u8)) -> Op {
     }
 }
 
-fn estimators() -> [RateEstimator; 5] {
+fn estimators() -> [RateEstimator; 3] {
     [
         RateEstimator::Aggregate,
-        RateEstimator::Trimmed(0.0),
-        RateEstimator::Trimmed(0.25),
         RateEstimator::BatchWeighted,
         RateEstimator::ChunkWeighted,
     ]
