@@ -30,7 +30,7 @@ use crate::kernel::{
     self, Arrival, At, CallReturn, Death, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent,
     Serve, Substrate, Tracer,
 };
-use crate::ops::{ExecInfo, ThreadData};
+use crate::ops::{ExecInfo, OpOutput, ThreadData};
 use crate::route::{DynRoute, RouteInfo};
 use crate::threads::ThreadCollection;
 use crate::token::{Token, TokenBox};
@@ -155,6 +155,9 @@ struct Rt {
     /// per cross-node transfer, perturbing delivery timing and wire cost —
     /// never payloads (the modeled transport is reliable).
     faults: Option<dps_net::FaultInjector>,
+    /// What the operation running now posts: one buffer, reused by every
+    /// execution (`run` takes it out while the kernel applies the posts).
+    out: OpOutput,
 }
 
 impl Rt {
@@ -317,6 +320,7 @@ impl SimEngine {
             requeued: 0,
             tracer: RefCell::new(None),
             faults: None,
+            out: OpOutput::default(),
         };
         let mut sim = Sim::new(rt);
         for i in 0..n {
@@ -658,15 +662,16 @@ impl Substrate for Sim<Rt> {
         self.world.cluster.is_alive(NodeId(node))
     }
 
-    fn load(&self, app: u32, tc: u32) -> Vec<u32> {
+    fn load(&self, app: u32, tc: u32, load: &mut [u32]) {
         let world = &self.world;
         let hosts = &world.decls.apps()[app as usize].tcs[tc as usize].nodes;
-        let assigned = |(t, &n): (&ThreadRt, &u32)| match world.cluster.is_alive(NodeId(n)) {
-            true => t.assigned,
-            false => u32::MAX,
-        };
         let threads = &world.apps[app as usize].tcs[tc as usize].threads;
-        threads.iter().zip(hosts).map(assigned).collect()
+        for (slot, (t, &n)) in load.iter_mut().zip(threads.iter().zip(hosts)) {
+            *slot = match world.cluster.is_alive(NodeId(n)) {
+                true => t.assigned,
+                false => u32::MAX,
+            };
+        }
     }
 
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
@@ -732,13 +737,18 @@ impl Substrate for Sim<Rt> {
         app: u32,
         graph: u32,
         key: FlowKey,
+        credit: bool,
     ) -> Option<(TokenBox, Envelope, u32)> {
-        if self.world.fatal.is_some() {
-            return None;
-        }
         let (now, window) = (self.now(), self.world.cfg.flow_window);
+        let fatal = self.world.fatal.is_some();
         let flows = self.world.graph(app, graph).flows.get_mut();
         let f = flows.get_mut(&key)?;
+        if credit {
+            f.credit();
+        }
+        if fatal {
+            return None;
+        }
         match f.front(window) {
             Some(&(send_at, _)) if send_at > now => {
                 if !std::mem::replace(&mut f.ext.pump_scheduled, true) {
@@ -1021,14 +1031,19 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
     let at = d.to;
     let (hold, split_flow) = match kernel::serve(&world.decls, inst, at, d.what, d.env, out_wave)? {
         Serve::Run(ready, then) => {
-            let out = ready.run(data, info)?;
-            let hold = overhead + out.charged;
-            // Each post leaves after the framework overhead plus its own offset.
-            let posts = out.posts.into_iter();
-            let timed = posts.map(|p| (start + overhead + p.offset, p.token));
-            let marked = out.completed_iters;
-            let flow = kernel::then(sim, &mut ran(hold), then, host.0, timed, marked)?;
-            (hold, flow)
+            let mut out = std::mem::take(&mut world.out);
+            let applied = ready.run(data, info, &mut out).and_then(|()| {
+                let hold = overhead + out.charged;
+                // Each post leaves after the framework overhead plus its own
+                // offset.
+                let posts = out.posts.drain(..);
+                let timed = posts.map(|p| (start + overhead + p.offset, p.token));
+                let marked = out.completed_iters;
+                let flow = kernel::then(sim, &mut ran(hold), then, host.0, timed, marked)?;
+                Ok((hold, flow))
+            });
+            sim.world.out = out;
+            applied?
         }
         Serve::Call(at, env, token) => {
             let (to, callee_env) = kernel::call(sim, at, env)?;

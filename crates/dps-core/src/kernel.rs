@@ -210,20 +210,33 @@ impl Instances {
 // ---------------------------------------------------------------------------
 
 /// Rule 4: the posts of one wave on their way out, metered by the flow
-/// window. `P` is whatever the engine holds per pending post next to its
-/// envelope (the token; on the simulator also its send time), `X` what it
-/// keeps per flow.
+/// window. `P` is whatever the engine holds per pending post (the token; on
+/// the simulator also its send time), `X` what it keeps per flow.
 ///
 /// A post is *pending* until released, then *outstanding* until the
-/// matching merge consumed it and returned the credit.
+/// matching merge consumed it and returned the credit. Rules 2 and 3 frame a
+/// post as it is released, not as it is queued: the flow keeps the envelope
+/// its wave travels under, the producing node and the wave id once, and
+/// [`pop`](Self::pop) builds each post's envelope from them — its index is
+/// its place in the wave, and the last post released once the wave is
+/// complete carries the total. A pending post is only what the engine
+/// handed in.
 pub struct Flow<P, X = ()> {
     /// Cluster node of the producing thread.
     pub src: u32,
     /// The engine's own per-flow state.
     pub ext: X,
-    pending: VecDeque<(P, Envelope)>,
+    /// The envelope every post travels under, less the wave's own frame.
+    parent: Envelope,
+    /// The split or stream that produces the wave.
+    node: GNodeId,
+    /// The wave id its frames carry.
+    wave: u64,
+    pending: VecDeque<P>,
+    /// Posts released so far: the next one's index in the wave.
+    released: u32,
     outstanding: u32,
-    /// Posts a stream appended so far: the next one's index in the wave.
+    /// Posts queued so far, released or not: the wave's total once complete.
     appended: u32,
     /// No further post will be appended (always true for a split's wave).
     complete: bool,
@@ -232,13 +245,18 @@ pub struct Flow<P, X = ()> {
 }
 
 impl<P, X: Default> Flow<P, X> {
-    /// The still-open output flow of a stream wave (filled by
-    /// [`append`](Self::append)), leaving from cluster node `src`.
-    pub fn stream(src: u32) -> Self {
+    /// The still-open output flow of wave `out_wave` of `stream`, leaving
+    /// from cluster node `src` under `parent` (filled by
+    /// [`append`](Self::append)).
+    pub fn stream(src: u32, stream: GNodeId, out_wave: u64, parent: Envelope) -> Self {
         Self {
             src,
             ext: X::default(),
+            parent,
+            node: stream,
+            wave: out_wave,
             pending: VecDeque::new(),
+            released: 0,
             outstanding: 0,
             appended: 0,
             complete: false,
@@ -246,53 +264,49 @@ impl<P, X: Default> Flow<P, X> {
         }
     }
 
-    /// Rule 3: queue what one consume (or the finalize, `completes`) of
-    /// `stream` posted onto this flow, the output of one of its waves
-    /// travelling as wave `out_wave`. Posts are numbered contiguously from 0
-    /// across the whole wave. When the wave completes, the total rides on
-    /// the last post still pending; if none is — the last data object is
-    /// already in flight — it must travel as a wave-close, and this returns
-    /// that close's envelope and total for the caller to deliver.
+    /// Rule 3: queue what one consume (or the finalize, `completes`) of the
+    /// stream named `stream` posted onto this flow. Posts are numbered
+    /// contiguously from 0 across the whole wave, as they are released. When
+    /// the wave completes, the total rides on the last post still pending;
+    /// if none is — the last data object is already in flight — it must
+    /// travel as a wave-close, and this returns that close's envelope and
+    /// total for the caller to deliver.
     pub fn append(
         &mut self,
-        stream: &GraphNode,
-        out_wave: u64,
-        parent_env: &Envelope,
+        stream: &str,
         posts: impl IntoIterator<Item = P>,
         completes: bool,
     ) -> Result<Option<(Envelope, u32)>> {
-        let framed = |index, total| {
-            let mut env = parent_env.clone();
-            env.push(Frame {
-                src: stream.id,
-                wave: out_wave,
-                index,
-                total,
-            });
-            env
-        };
-        for post in posts {
-            self.pending.push_back((post, framed(self.appended, None)));
-            self.appended += 1;
-        }
+        let before = self.pending.len();
+        self.pending.extend(posts);
+        self.appended += (self.pending.len() - before) as u32;
         if !completes {
             return Ok(None);
         }
         let total = self.appended;
         if total == 0 {
             return Err(DpsError::OperationContract {
-                node: stream.name.clone(),
+                node: stream.to_string(),
                 reason: "stream operation posted no tokens across its wave".into(),
             });
         }
         self.complete = true;
-        Ok(match self.pending.back_mut() {
-            Some((_, env)) => {
-                env.frames.last_mut().expect("framed above").total = Some(total);
-                None
-            }
-            None => Some((framed(0, Some(total)), total)),
-        })
+        Ok(self
+            .pending
+            .is_empty()
+            .then(|| (self.framed(0, Some(total)), total)))
+    }
+
+    /// The wave's envelope with the frame of post `index`.
+    fn framed(&self, index: u32, total: Option<u32>) -> Envelope {
+        let mut env = self.parent.clone();
+        env.push(Frame {
+            src: self.node,
+            wave: self.wave,
+            index,
+            total,
+        });
+        env
     }
 
     fn open(&self, window: u32) -> bool {
@@ -302,20 +316,21 @@ impl<P, X: Default> Flow<P, X> {
     /// The post [`pop`](Self::pop) would release next, if `window` (0 = no
     /// limit) admits one.
     pub fn front(&self, window: u32) -> Option<&P> {
-        self.pending
-            .front()
-            .filter(|_| self.open(window))
-            .map(|(p, _)| p)
+        self.pending.front().filter(|_| self.open(window))
     }
 
-    /// Release the next pending post if `window` admits one.
+    /// Release the next pending post if `window` admits one, framed: its
+    /// index, and the total if it is the last of a complete wave.
     pub fn pop(&mut self, window: u32) -> Option<(P, Envelope)> {
         if !self.open(window) {
             return None;
         }
         let post = self.pending.pop_front()?;
+        let last = self.complete && self.pending.is_empty();
+        let env = self.framed(self.released, last.then_some(self.appended));
+        self.released += 1;
         self.outstanding += 1;
-        Some(post)
+        Some((post, env))
     }
 
     /// The matching merge consumed one released post.
@@ -347,40 +362,25 @@ impl<P, X: Default> Flow<P, X> {
 
 /// Rule 2: a split executed and its `posts` open wave `wave`. Every post
 /// travels under `env` plus a frame naming the split, the wave and its index
-/// in it; the last one carries the total. A split with no matching merge in
+/// in it; the last one carries the total. The flow keeps `env` once and
+/// frames each post as it releases it. A split with no matching merge in
 /// its own graph (the exit split of a serving graph) opens an unbounded
 /// flow.
 pub fn open_wave<P, X: Default>(
     def: &Flowgraph,
     split: GNodeId,
     wave: u64,
-    env: &Envelope,
-    posts: impl ExactSizeIterator<Item = P>,
+    env: Envelope,
+    posts: impl IntoIterator<Item = P>,
     src: u32,
 ) -> Flow<P, X> {
-    let total = posts.len() as u32;
-    let pending = posts
-        .enumerate()
-        .map(|(i, post)| {
-            let index = i as u32;
-            let mut env = env.clone();
-            env.push(Frame {
-                src: split,
-                wave,
-                index,
-                total: (index + 1 == total).then_some(total),
-            });
-            (post, env)
-        })
-        .collect();
+    let pending: VecDeque<P> = posts.into_iter().collect();
     Flow {
-        src,
-        ext: X::default(),
+        appended: pending.len() as u32,
         pending,
-        outstanding: 0,
-        appended: total,
         complete: true,
         unbounded: def.matching_pop(split).is_none(),
+        ..Flow::stream(src, split, wave, env)
     }
 }
 
@@ -835,9 +835,10 @@ pub trait Substrate {
     fn decls(&self) -> &Decls;
     /// Whether a cluster node is alive.
     fn node_up(&self, node: u32) -> bool;
-    /// The load signal: deliveries assigned to each thread of `tc` and not
-    /// finished; `u32::MAX` for a thread on a dead node.
-    fn load(&self, app: u32, tc: u32) -> Vec<u32>;
+    /// The load signal, written into `load`, which the caller lends with
+    /// one slot per thread of `tc`: deliveries assigned to each thread and
+    /// not finished; `u32::MAX` for a thread on a dead node.
+    fn load(&self, app: u32, tc: u32, load: &mut [u32]);
     /// Run the route installed at `to`.
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize>;
     /// Whether tokens crossing nodes must take the full serialize/deserialize
@@ -863,15 +864,18 @@ pub trait Substrate {
     /// Move a token or a close from cluster node `src` to `thread` of `to`'s
     /// collection (alive when checked). No table is borrowed.
     fn send(&mut self, to: At, thread: u32, src: u32, what: Arrival, env: Envelope, sent: Sent);
-    /// Rule 4 on this substrate's clock: release the next post of flow `key`
-    /// that the window admits and whose time has come, with its envelope and
-    /// source node; drop the flow once drained. A substrate that holds a
-    /// post back calls [`pump`] again when it is due.
+    /// Rule 4 on this substrate's clock: return one credit to flow `key`
+    /// first if `credit` ([`Flow::credit`]), then release the next post
+    /// that the window admits and whose time has come, framed
+    /// ([`Flow::pop`]), with its source node; drop the flow once drained. A
+    /// credit and the release it admits take the flow table once. A
+    /// substrate that holds a post back calls [`pump`] again when it is due.
     fn next_post(
         &mut self,
         app: u32,
         graph: u32,
         key: FlowKey,
+        credit: bool,
     ) -> Option<(TokenBox, Envelope, u32)>;
     /// A single post leaves node `from`: [`emit`] it when it is due.
     fn leave(&mut self, post: Self::Post, from: At, src: u32, env: Envelope);
@@ -920,8 +924,11 @@ pub enum Served<'a> {
     Wave(&'a mut Wave),
 }
 
-/// Run the operation at `gnode` for one arrival: `on_token` if a token
-/// arrived, then `on_finalize` if the arrival completes the wave.
+/// Run the operation at `gnode` for one arrival into `out`, which the
+/// calling thread keeps from one run to the next: it is cleared first
+/// ([`OpOutput::clear`]), then `on_token` runs if a token arrived, then
+/// `on_finalize` if the arrival completes the wave. The caller drains the
+/// posts (into [`then`]), so a run allocates nothing for them.
 pub fn step(
     served: Served<'_>,
     gnode: &GraphNode,
@@ -929,20 +936,25 @@ pub fn step(
     finalize: bool,
     data: &mut dyn Any,
     info: ExecInfo,
-) -> Result<OpOutput> {
+    out: &mut OpOutput,
+) -> Result<()> {
     let op = match served {
         Served::Node(inst, slot) => inst.node_op(slot, gnode)?,
         Served::Wave(wave) => wave.op(gnode)?,
     };
-    let mut out = OpOutput::default();
+    out.clear();
     if let Some(token) = token {
-        op.on_token(&mut out, data, info, &gnode.name, token)?;
+        op.on_token(out, data, info, &gnode.name, token)?;
     }
     if finalize {
-        op.on_finalize(&mut out, data, info, &gnode.name)?;
+        op.on_finalize(out, data, info, &gnode.name)?;
     }
-    Ok(out)
+    Ok(())
 }
+
+/// The widest collection whose load snapshot [`route_to`] takes on its
+/// stack; a wider one takes it on the heap.
+const STACK_LOAD: usize = 32;
 
 /// Route `token` to one of the `thread_count` threads of `to`'s collection
 /// `tc`, on a load snapshot taken now (a one-thread collection takes none —
@@ -958,11 +970,20 @@ fn route_to<S: Substrate>(
     env: &mut Envelope,
     key: Option<&WaveKey>,
 ) -> Option<u32> {
-    let load = (thread_count > 1).then(|| s.load(to.app, tc));
-    let info = RouteInfo {
-        thread_count,
-        load: load.as_deref(),
+    let (mut stack, mut heap) = ([0; STACK_LOAD], Vec::new());
+    let load = match thread_count {
+        0 | 1 => None,
+        2..=STACK_LOAD => Some(&mut stack[..thread_count]),
+        _ => {
+            heap.resize(thread_count, 0);
+            Some(&mut heap[..])
+        }
     };
+    let load = load.map(|load| {
+        s.load(to.app, tc, load);
+        &*load
+    });
+    let info = RouteInfo { thread_count, load };
     let routed = s.route(to, token, &info);
     let thread = routed.map_err(|e| s.fail(to.app, e)).ok()? as u32;
     let Some(key) = key else { return Some(thread) };
@@ -1153,19 +1174,20 @@ pub fn bury<S: Substrate>(
 
 /// Release what flow `key` may release now; each post goes through [`emit`].
 pub fn pump<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
-    while let Some((token, env, src)) = s.next_post(app, graph, key) {
-        let node = GNodeId(key.0);
-        emit(s, At { app, graph, node }, src, token, env);
-    }
+    release(s, app, graph, key, false);
 }
 
-/// The matching merge consumed one token of flow `key`: return the credit.
+/// The matching merge consumed one token of flow `key`: return the credit,
+/// and release what it admits — the credit rides on the first
+/// [`Substrate::next_post`], so it takes the flow table no extra time.
 pub fn credit<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
-    let credited = s.flows(app, graph, |flows| {
-        flows.get_mut(&key).map(Flow::credit).is_some()
-    });
-    if credited {
-        pump(s, app, graph, key);
+    release(s, app, graph, key, true);
+}
+
+fn release<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey, mut credit: bool) {
+    let node = GNodeId(key.0);
+    while let Some((token, env, src)) = s.next_post(app, graph, key, std::mem::take(&mut credit)) {
+        emit(s, At { app, graph, node }, src, token, env);
     }
 }
 
@@ -1189,17 +1211,11 @@ pub struct Ready<'a> {
 }
 
 impl Ready<'_> {
-    /// Run it here: [`step`].
+    /// Run it here, into the thread's `out`: [`step`].
     #[inline]
-    pub fn run(self, data: &mut dyn Any, info: ExecInfo) -> Result<OpOutput> {
-        step(
-            self.served,
-            self.gnode,
-            self.token,
-            self.completes,
-            data,
-            info,
-        )
+    pub fn run(self, data: &mut dyn Any, info: ExecInfo, out: &mut OpOutput) -> Result<()> {
+        let (served, gnode, token) = (self.served, self.gnode, self.token);
+        step(served, gnode, token, self.completes, data, info, out)
     }
 }
 
@@ -1335,7 +1351,7 @@ fn after_exec<S: Substrate>(
             let wave = s.opened(lane, at);
             wave_edge(s, lane, at, wave, true);
             let def = s.decls().def(at.app, at.graph);
-            let flow = open_wave(def, at.node, wave, &env, posts, src);
+            let flow = open_wave(def, at.node, wave, env, posts, src);
             let key = (at.node.0, wave);
             s.flows(at.app, at.graph, |flows| flows.insert(key, flow));
             pump(s, at.app, at.graph, key);
@@ -1414,10 +1430,14 @@ fn after_wave<S: Substrate>(
         }
         OpKind::Stream if completes || posts.len() > 0 => {
             let flow_key = (node.0, out_wave);
-            let stream = s.decls().def(app, graph).node(node);
+            let stream = &s.decls().def(app, graph).node(node).name;
+            let parent = step.parent_env;
             let closing = s.flows(app, graph, |flows| {
-                let f = flows.entry(flow_key).or_insert_with(|| Flow::stream(src));
-                f.append(stream, out_wave, &step.parent_env, posts, completes)
+                let opened = || Flow::stream(src, node, out_wave, parent);
+                flows
+                    .entry(flow_key)
+                    .or_insert_with(opened)
+                    .append(stream, posts, completes)
             })?;
             if let Some((close_env, total)) = closing {
                 close(s, app, graph, close_env, total);

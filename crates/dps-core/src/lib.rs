@@ -75,7 +75,7 @@ pub use api::{Application, Engine, EngineCaps};
 pub use builder::{GraphBuilder, NodeRef, Path};
 pub use decls::{AppDecl, AppHandle, DataFactory, Decls, GraphHandle, TcDecl};
 pub use engine::{EngineConfig, SimEngine};
-pub use envelope::{CallFrame, Envelope, Frame, FrameKey, GNodeId, WaveKey};
+pub use envelope::{CallFrame, Envelope, Frame, FrameKey, Frames, GNodeId, WaveKey};
 pub use error::{DpsError, Result};
 pub use graph::{Flowgraph, GraphNode, OpKind};
 pub use ops::{

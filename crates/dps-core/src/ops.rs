@@ -55,7 +55,9 @@ pub struct Post {
 }
 
 /// Type-erased execution record filled in by an operation run; consumed by
-/// the engine.
+/// the engine. An engine thread keeps one and reuses it from run to run
+/// (`kernel::step` clears it first), draining the posts after each, so the
+/// post buffer is allocated once per thread, not once per run.
 #[derive(Debug, Default)]
 pub struct OpOutput {
     /// Posted tokens in post order.
@@ -66,6 +68,25 @@ pub struct OpOutput {
     /// chunk of that many loop iterations. Engines report the chunk's
     /// completion time to their registered feedback sink.
     pub completed_iters: Option<u64>,
+}
+
+/// The most posts a reused [`OpOutput`] keeps room for from one run to the
+/// next: a wider buffer — a split that posted a whole loop's chunks — is
+/// given back rather than pinned for the life of the thread.
+const RETAINED_POSTS: usize = 1024;
+
+impl OpOutput {
+    /// Empty it for the next run: no post, nothing charged, no chunk
+    /// marked. The post buffer is kept unless it holds room for more than
+    /// `RETAINED_POSTS` (1024).
+    pub fn clear(&mut self) {
+        match self.posts.capacity() > RETAINED_POSTS {
+            true => self.posts = Vec::new(),
+            false => self.posts.clear(),
+        }
+        self.charged = SimSpan::ZERO;
+        self.completed_iters = None;
+    }
 }
 
 /// Immutable facts about the executing thread, provided by the engine.
@@ -503,6 +524,38 @@ mod tests {
         assert_eq!(out.posts[0].offset, SimSpan::from_nanos(10));
         assert_eq!(out.posts[2].offset, SimSpan::from_nanos(30));
         assert_eq!(out.charged, SimSpan::from_nanos(30));
+    }
+
+    /// A reused buffer runs the next operation from nothing — the split
+    /// adapter's "posted no tokens" check sees only its own posts — and
+    /// keeps its room unless a wide split grew it past `RETAINED_POSTS`.
+    #[test]
+    fn a_cleared_output_starts_empty_and_gives_back_a_wide_buffer() {
+        let mut td: Box<dyn Any> = Box::new(());
+        let mut out = OpOutput::default();
+        for (fan, kept) in [(3, true), (RETAINED_POSTS as u32 + 1, false), (1, true)] {
+            out.clear();
+            let (mut op, tok) = (SplitAdapter(FanOut), Box::new(Num { v: fan }));
+            op.on_token(&mut out, td.as_mut(), info(), "FanOut", tok)
+                .unwrap();
+            out.completed_iters = Some(7);
+            assert_eq!(out.posts.len(), fan as usize);
+            assert_eq!(out.charged, SimSpan::from_nanos(10 * u64::from(fan)));
+            let room = out.posts.capacity();
+            out.clear();
+            assert!(out.posts.is_empty() && out.completed_iters.is_none());
+            assert_eq!(out.charged, SimSpan::ZERO);
+            assert_eq!(out.posts.capacity() == room, kept, "fan {fan}");
+        }
+        let mut op = SplitAdapter(FanOut);
+        let none = op.on_token(
+            &mut out,
+            td.as_mut(),
+            info(),
+            "FanOut",
+            Box::new(Num { v: 0 }),
+        );
+        assert!(none.is_err(), "a cleared buffer holds no earlier post");
     }
 
     #[test]

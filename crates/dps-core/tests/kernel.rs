@@ -12,11 +12,11 @@ use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, CloseTo, Death, Exit, Flow, FlowKey, Flows, IdHasher, IdMap,
     Instances, On, Pins, Rec, Routed, Sent, Serve, Substrate, Then, Tracer, Wave,
 };
-use dps_core::internal::{DynRoute, ExecInfo};
+use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
 use dps_core::prelude::*;
 use dps_core::{
-    AppHandle, CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, ThreadCollection,
-    WaveKey,
+    AppHandle, CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, Post,
+    ThreadCollection, WaveKey,
 };
 use dps_obs::{Counter, EventKind, TraceCollector, TraceLog};
 use dps_sched::FeedbackSink;
@@ -116,6 +116,144 @@ enum Total {
     CloseAfter(usize),
 }
 
+/// Rules 2 to 4 with every post framed as it is queued: the oracle a
+/// [`Flow`] — which keeps its wave's envelope once and frames a post as it
+/// releases it — is held to. Posts are numbered.
+struct Eager {
+    parent: Envelope,
+    src: GNodeId,
+    wave: u64,
+    pending: VecDeque<(u32, Envelope)>,
+    outstanding: u32,
+    appended: u32,
+}
+
+impl Eager {
+    fn new(parent: Envelope, src: GNodeId, wave: u64) -> Self {
+        let pending = VecDeque::new();
+        let (outstanding, appended) = (0, 0);
+        Eager {
+            parent,
+            src,
+            wave,
+            pending,
+            outstanding,
+            appended,
+        }
+    }
+
+    fn framed(&self, index: u32, total: Option<u32>) -> Envelope {
+        let mut env = self.parent.clone();
+        let (src, wave) = (self.src, self.wave);
+        env.push(Frame {
+            src,
+            wave,
+            index,
+            total,
+        });
+        env
+    }
+
+    /// Rule 2: a split's `n` posts, the total on the last.
+    fn split(parent: Envelope, wave: u64, n: u32) -> Self {
+        let mut flow = Eager::new(parent, SPLIT, wave);
+        for i in 0..n {
+            let env = flow.framed(i, (i + 1 == n).then_some(n));
+            flow.pending.push_back((i, env));
+        }
+        flow.appended = n;
+        flow
+    }
+
+    /// Rule 3: `posts` more, numbered on; at completion the total goes on
+    /// the last post still pending, else out as a close.
+    fn append(&mut self, posts: u32, completes: bool) -> Option<(Envelope, u32)> {
+        for _ in 0..posts {
+            let env = self.framed(self.appended, None);
+            self.pending.push_back((self.appended, env));
+            self.appended += 1;
+        }
+        if !completes {
+            return None;
+        }
+        let total = self.appended;
+        match self.pending.back_mut() {
+            Some((_, env)) => {
+                env.frames.last_mut().unwrap().total = Some(total);
+                None
+            }
+            None => Some((self.framed(0, Some(total)), total)),
+        }
+    }
+
+    /// Rule 4.
+    fn pop(&mut self, window: u32) -> Option<(u32, Envelope)> {
+        if window != 0 && self.outstanding >= window {
+            return None;
+        }
+        let post = self.pending.pop_front()?;
+        self.outstanding += 1;
+        Some(post)
+    }
+
+    fn credit(&mut self) {
+        self.outstanding = self.outstanding.saturating_sub(1);
+    }
+}
+
+/// An envelope of nesting depth `frames.len()` — past 2, spilled to the
+/// heap — inside a graph call if `called`.
+fn parent_env(frames: &[(u32, u64, u32, Option<u32>)], called: bool) -> Envelope {
+    let mut env = Envelope::root();
+    for &(src, wave, index, total) in frames {
+        env.push(Frame {
+            src: GNodeId(src),
+            wave,
+            index,
+            total,
+        });
+    }
+    if called {
+        env.calls.push(CallFrame {
+            caller_app: 1,
+            caller_graph: 0,
+            call_node: GNodeId(3),
+            call_id: 11,
+        });
+    }
+    env
+}
+
+/// What a flow step does to a split's or a stream's output flow.
+#[derive(Debug, Clone)]
+enum FlowStep {
+    /// Release one post, if the window admits it.
+    Release,
+    /// The merge consumed one released post.
+    Credit,
+    /// A consume of the stream posted this many (a split releases instead).
+    Append(u32),
+}
+
+fn flow_steps() -> impl Strategy<Value = Vec<FlowStep>> {
+    let step = (0u32..12).prop_map(|k| match k {
+        0..=3 => FlowStep::Release,
+        4..=7 => FlowStep::Credit,
+        k => FlowStep::Append(k - 8),
+    });
+    proptest::collection::vec(step, 0..60)
+}
+
+fn parent_frames() -> impl Strategy<Value = Vec<(u32, u64, u32, Option<u32>)>> {
+    let frame = (
+        0u32..4,
+        any::<u64>(),
+        0u32..9,
+        proptest::option::of(1u32..9),
+    );
+    proptest::collection::vec(frame, 0..3)
+}
+
 proptest! {
     /// (a) Rule 1. Whatever order the tokens and the total arrive in, the
     /// wave completes exactly once — on the arrival that makes `received ==
@@ -186,13 +324,13 @@ proptest! {
         let stream = def.node(STREAM);
         let mut parent = Envelope::root();
         parent.push(Frame { src: SPLIT, wave: 3, index: 5, total: None });
-        let mut flow: Flow<u32> = Flow::stream(0);
+        let mut flow: Flow<u32> = Flow::stream(0, STREAM, 77, parent.clone());
         let mut released = Vec::new();
         let mut next = 0u32;
         for &(posts, drain) in &steps {
             let ids: Vec<u32> = (next..next + posts).collect();
             next += posts;
-            let close = flow.append(stream, 77, &parent, ids, false).unwrap();
+            let close = flow.append(&stream.name, ids, false).unwrap();
             prop_assert!(close.is_none(), "only a completed wave has a total to send");
             if drain {
                 while let Some(post) = flow.pop(0) {
@@ -203,7 +341,7 @@ proptest! {
         }
         let ids: Vec<u32> = (next..next + at_finalize).collect();
         next += at_finalize;
-        let close = flow.append(stream, 77, &parent, ids, true);
+        let close = flow.append(&stream.name, ids, true);
         if next == 0 {
             let e = close.unwrap_err().to_string();
             prop_assert!(e.contains("posted no tokens across its wave"), "{e}");
@@ -251,7 +389,7 @@ proptest! {
         script in proptest::collection::vec(any::<bool>(), 1..80),
     ) {
         let def = pipeline();
-        let mut flow: Flow<usize> = kernel::open_wave(&def, SPLIT, 9, &Envelope::root(), 0..n, 0);
+        let mut flow: Flow<usize> = kernel::open_wave(&def, SPLIT, 9, Envelope::root(), 0..n, 0);
         let mut released = Vec::new();
         let mut credited = 0usize;
         // Follow the script, then alternate until the flow is drained.
@@ -298,15 +436,98 @@ proptest! {
     /// 0 means no limit for any flow.
     #[test]
     fn an_unbounded_flow_ignores_the_window(n in 1usize..30, window in 1u32..4) {
-        let mut exit: Flow<usize> = kernel::open_wave(&serving(), SPLIT, 1, &Envelope::root(), 0..n, 0);
+        let mut exit: Flow<usize> = kernel::open_wave(&serving(), SPLIT, 1, Envelope::root(), 0..n, 0);
         let mut unlimited: Flow<usize> =
-            kernel::open_wave(&pipeline(), SPLIT, 1, &Envelope::root(), 0..n, 0);
+            kernel::open_wave(&pipeline(), SPLIT, 1, Envelope::root(), 0..n, 0);
         for i in 0..n {
             prop_assert_eq!(exit.pop(window).map(|(id, _)| id), Some(i));
             prop_assert_eq!(unlimited.pop(0).map(|(id, _)| id), Some(i));
         }
         prop_assert_eq!(exit.outstanding() as usize, n);
         prop_assert!(exit.is_flushed() && !exit.is_drained());
+    }
+
+    /// (c) Rules 2 and 4, framed at release. For any post count, window,
+    /// parent envelope (up to depth 3 once framed) and interleaving of
+    /// releases and credits, a split's flow releases the same posts under
+    /// the same envelopes as the eager oracle, and holds the same counts.
+    #[test]
+    fn a_split_flow_frames_as_the_eager_oracle(
+        n in 1u32..30,
+        window in 0u32..5,
+        frames in parent_frames(),
+        called in any::<bool>(),
+        steps in flow_steps(),
+    ) {
+        let parent = parent_env(&frames, called);
+        let posts = 0..n;
+        let mut flow: Flow<u32> = kernel::open_wave(&pipeline(), SPLIT, 9, parent.clone(), posts, 0);
+        let mut oracle = Eager::split(parent, 9, n);
+        let tail = (0..4 * n).map(|i| if i % 2 == 0 { FlowStep::Release } else { FlowStep::Credit });
+        for step in steps.into_iter().chain(tail) {
+            match step {
+                FlowStep::Credit => {
+                    flow.credit();
+                    oracle.credit();
+                }
+                FlowStep::Release | FlowStep::Append(_) => {
+                    prop_assert_eq!(flow.pop(window), oracle.pop(window));
+                }
+            }
+            prop_assert_eq!(flow.pending(), oracle.pending.len());
+            prop_assert_eq!(flow.outstanding(), oracle.outstanding);
+        }
+        prop_assert!(flow.is_drained() && oracle.pending.is_empty());
+    }
+
+    /// (b, c) Rules 3 and 4, framed at release. Over any run of consumes,
+    /// releases and credits and a finalize posting `last` more, a stream's
+    /// flow releases the same posts under the same envelopes as the eager
+    /// oracle — the total on the same post — and sends the same close.
+    #[test]
+    fn a_stream_flow_frames_as_the_eager_oracle(
+        window in 0u32..5,
+        frames in parent_frames(),
+        called in any::<bool>(),
+        steps in flow_steps(),
+        last in 0u32..3,
+    ) {
+        let parent = parent_env(&frames, called);
+        let name = &pipeline().node(STREAM).name.clone();
+        let mut flow: Flow<u32> = Flow::stream(0, STREAM, 77, parent.clone());
+        let mut oracle = Eager::new(parent, STREAM, 77);
+        let mut next = 0;
+        let mut numbered = |k: u32| {
+            next += k;
+            next - k..next
+        };
+        for step in steps {
+            match step {
+                FlowStep::Release => prop_assert_eq!(flow.pop(window), oracle.pop(window)),
+                FlowStep::Credit => {
+                    flow.credit();
+                    oracle.credit();
+                }
+                FlowStep::Append(k) => {
+                    let close = flow.append(name, numbered(k), false).unwrap();
+                    prop_assert_eq!(close, oracle.append(k, false));
+                }
+            }
+            prop_assert_eq!(flow.pending(), oracle.pending.len());
+            prop_assert_eq!(flow.outstanding(), oracle.outstanding);
+        }
+        let close = flow.append(name, numbered(last), true);
+        if oracle.appended + last == 0 {
+            prop_assert!(close.is_err(), "a stream that posted nothing is a contract error");
+            return Ok(());
+        }
+        prop_assert_eq!(close.unwrap(), oracle.append(last, true));
+        while flow.pending() > 0 || flow.outstanding() > 0 {
+            prop_assert_eq!(flow.pop(window), oracle.pop(window));
+            flow.credit();
+            oracle.credit();
+        }
+        prop_assert!(flow.is_drained() && oracle.pending.is_empty());
     }
 
     /// (d) Rule 6, the table. `alive` is what the engine observes; a dead pin
@@ -544,7 +765,7 @@ fn exit_picks_successor_output_or_return() {
     };
     in_wave.push(callee_frame);
     match kernel::exit(&svc, SPLIT, &mid, &in_wave, returns).unwrap() {
-        Exit::Return(r) => assert_eq!(r.env.frames, [framed.frames[0], callee_frame]),
+        Exit::Return(r) => assert_eq!(r.env.frames[..], [framed.frames[0], callee_frame]),
         other => panic!("{other:?}"),
     }
     // Two frames cannot both return; an unknown call id is a contract error.
@@ -671,6 +892,8 @@ struct Fake {
     /// Steps run so far: every stamp.
     clock: u64,
     tracer: RefCell<Option<Tracer>>,
+    /// What the operation running now posts, reused by every run.
+    out: OpOutput,
     /// The collections that reported to the feedback sink, and the sink.
     reporters: Vec<(u32, u32)>,
     lost: Arc<LostWorkers>,
@@ -687,9 +910,10 @@ impl Substrate for Fake {
     fn node_up(&self, node: u32) -> bool {
         !self.dead[node as usize]
     }
-    fn load(&self, _app: u32, _tc: u32) -> Vec<u32> {
-        let load = |(q, &dead): (&VecDeque<_>, &bool)| if dead { u32::MAX } else { q.len() as u32 };
-        self.queues.iter().zip(&self.dead).map(load).collect()
+    fn load(&self, _app: u32, _tc: u32, load: &mut [u32]) {
+        for (slot, (q, &dead)) in load.iter_mut().zip(self.queues.iter().zip(&self.dead)) {
+            *slot = if dead { u32::MAX } else { q.len() as u32 };
+        }
     }
     fn route(&mut self, to: At, token: &dyn Token, info: &RouteInfo<'_>) -> Result<usize> {
         if let Some(node) = self.dies_in_route.take() {
@@ -723,9 +947,13 @@ impl Substrate for Fake {
         app: u32,
         _graph: u32,
         key: FlowKey,
+        credit: bool,
     ) -> Option<(TokenBox, Envelope, u32)> {
         let flows = self.flows[app as usize].get_mut();
         let f = flows.get_mut(&key)?;
+        if credit {
+            f.credit();
+        }
         let Some((token, env)) = f.pop(self.window) else {
             if f.is_drained() {
                 flows.remove(&key);
@@ -792,6 +1020,7 @@ impl Fake {
             peak_outstanding: 0,
             clock: 0,
             tracer: RefCell::new(None),
+            out: OpOutput::default(),
             reporters: Vec::new(),
             lost: Arc::default(),
             decls,
@@ -843,8 +1072,13 @@ impl Fake {
         };
         match kernel::serve(&self.decls, inst, at, what, env, out_wave)? {
             Serve::Run(ready, then) => {
-                let posts = ready.run(&mut (), info)?.posts.into_iter().map(|p| p.token);
-                kernel::then(self, &mut { thread }, then, thread as u32, posts, None).map(drop)
+                // One buffer for every run, as on the engines.
+                let mut out = std::mem::take(&mut self.out);
+                ready.run(&mut (), info, &mut out)?;
+                let posts = out.posts.drain(..).map(|p| p.token);
+                let applied = kernel::then(self, &mut { thread }, then, thread as u32, posts, None);
+                self.out = out;
+                applied.map(drop)
             }
             Serve::Call(at, env, token) => {
                 let (entry, callee_env) = kernel::call(self, at, env)?;
@@ -952,6 +1186,13 @@ fn a_miscounted_reply_is_a_contract_error() {
 // What an arrival calls for: `serve`, with no substrate at all
 // ---------------------------------------------------------------------------
 
+/// Run `ready` here, into a fresh buffer, and hand back what it posted.
+fn posts_of(ready: kernel::Ready<'_>, thread: usize) -> Result<Vec<Post>> {
+    let mut out = OpOutput::default();
+    ready.run(&mut (), info(thread), &mut out)?;
+    Ok(out.posts)
+}
+
 /// The node of application 0 of `kind`, as an engine hands it to `serve`.
 fn node_of(d: &Decls, kind: OpKind) -> At {
     let node = d.def(0, 0).nodes().iter().find(|n| n.kind == kind);
@@ -1007,7 +1248,7 @@ fn serve_runs_a_split_token_where_it_arrived() {
     };
     assert_eq!((at, env), (split, Envelope::root()));
     assert!(ready.token.is_some() && !ready.completes);
-    assert_eq!(ready.run(&mut (), info(0)).unwrap().posts.len(), 3);
+    assert_eq!(posts_of(ready, 0).unwrap().len(), 3);
     assert!(inst.waves.is_empty());
 }
 
@@ -1033,7 +1274,7 @@ fn serve_enters_a_wave_once_and_counts_every_arrival() {
         };
         assert!(ready.token.is_some());
         assert_eq!(ready.completes, index == 2, "the last of 3 completes");
-        let posts = ready.run(&mut (), info(0)).unwrap().posts;
+        let posts = posts_of(ready, 0).unwrap();
         assert_eq!(posts.len(), (index == 2) as usize, "the finalize posts");
         let wave = &inst.waves[&key];
         assert_eq!((wave.received(), wave.out_wave), (index + 1, 41));
@@ -1058,7 +1299,7 @@ fn interleaved_waves_keep_their_own_records() {
             panic!("a stream token runs a step of its wave");
         };
         assert!(!ready.completes, "no total has arrived");
-        let posts = ready.run(&mut (), info(0)).unwrap().posts;
+        let posts = posts_of(ready, 0).unwrap();
         assert_eq!(posts.len(), 1, "the relay posts what it consumed");
     }
     let wave = |w| &inst.waves[&in_wave(&d, w, 0, None).wave_key().unwrap()];
@@ -1079,7 +1320,7 @@ fn a_close_with_tokens_missing_waits() {
     let Serve::Run(ready, _) = served else {
         panic!("the first token runs");
     };
-    ready.run(&mut (), info(0)).unwrap();
+    posts_of(ready, 0).unwrap();
     let close = Arrival::Close(2);
     let served = kernel::serve(&d, &mut inst, merge, close, env(), no_wave).unwrap();
     assert!(
@@ -1111,7 +1352,7 @@ fn a_close_after_the_last_token_runs_the_finalize_alone() {
             panic!("a token runs");
         };
         assert!(!ready.completes, "no total yet");
-        ready.run(&mut (), info(0)).unwrap();
+        posts_of(ready, 0).unwrap();
     }
     let close = Arrival::Close(2);
     let env = in_wave(&d, 1, 0, None);
@@ -1120,7 +1361,7 @@ fn a_close_after_the_last_token_runs_the_finalize_alone() {
         panic!("a close after every token completes the wave");
     };
     assert!(ready.token.is_none() && ready.completes);
-    let mut posts = ready.run(&mut (), info(0)).unwrap().posts;
+    let mut posts = posts_of(ready, 0).unwrap();
     assert_eq!(posts.len(), 1);
     let out = dps_core::downcast::<Out>(posts.pop().unwrap().token).unwrap();
     assert_eq!(out.n, 2, "the finalize saw both consumes");

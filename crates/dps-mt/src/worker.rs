@@ -409,6 +409,8 @@ pub(crate) fn worker_loop(
         start_nanos: 0,
     };
     let mut inflight = InFlight::new();
+    // What the operations this thread runs post, reused from run to run.
+    let mut out = OpOutput::default();
     loop {
         // With replies owed, only a message that is already here is worth
         // another phase 1; otherwise the oldest reply is what to wait for.
@@ -479,13 +481,15 @@ pub(crate) fn worker_loop(
                 _ => {
                     let data = w.data.as_mut();
                     run_here(shared.trace.is_some(), &mut w.span, || {
-                        ready.run(data, info)
+                        ready
+                            .run(data, info, &mut out)
+                            .map(|()| out.completed_iters)
                     })
-                    .and_then(|out| {
+                    .and_then(|marked| {
                         // A post's virtual-time offset means nothing on the
                         // wall clock.
-                        let posts = out.posts.into_iter().map(|p| p.token);
-                        kernel::then(&mut shared, &mut w, then, node, posts, out.completed_iters)
+                        let posts = out.posts.drain(..).map(|p| p.token);
+                        kernel::then(&mut shared, &mut w, then, node, posts, marked)
                     })
                     .map(drop)
                 }
@@ -579,18 +583,19 @@ fn tombstone(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight, msg: 
     !stop
 }
 
-/// Run the operation [`kernel::serve`] picked, here, and time it for the kernel
-/// (`traced`: a trace is attached).
+/// Run the operation [`kernel::serve`] picked, here, and time it for the
+/// kernel (`traced`: a trace is attached); `run` returns the chunk it
+/// marked complete, if any.
 fn run_here(
     traced: bool,
     span: &mut Option<Span>,
-    run: impl FnOnce() -> Result<OpOutput, DpsError>,
-) -> Result<OpOutput, DpsError> {
+    run: impl FnOnce() -> Result<Option<u64>, DpsError>,
+) -> Result<Option<u64>, DpsError> {
     let t0 = Instant::now();
-    let out = run()?;
-    let took = (traced || out.completed_iters.is_some()).then(|| t0.elapsed());
+    let marked = run()?;
+    let took = (traced || marked.is_some()).then(|| t0.elapsed());
     *span = Some(Span { t0, took });
-    Ok(out)
+    Ok(marked)
 }
 
 /// The kernel's substrate on OS threads. Everything shared is behind
@@ -611,14 +616,15 @@ impl Substrate for &Shared {
     }
 
     /// The live per-thread backlog.
-    fn load(&self, app: u32, tc: u32) -> Vec<u32> {
+    fn load(&self, app: u32, tc: u32, load: &mut [u32]) {
         let hosts = &self.decls.apps()[app as usize].tcs[tc as usize].nodes;
-        let backlog = |(q, &n): (&CachePadded<AtomicU32>, &u32)| match self.node_dead(n) {
-            true => u32::MAX,
-            false => q.load(Ordering::Relaxed),
-        };
         let queued = &self.apps[app as usize].tcs[tc as usize].queued;
-        queued.iter().zip(hosts).map(backlog).collect()
+        for (slot, (q, &n)) in load.iter_mut().zip(queued.iter().zip(hosts)) {
+            *slot = match self.node_dead(n) {
+                true => u32::MAX,
+                false => q.load(Ordering::Relaxed),
+            };
+        }
     }
 
     fn route(
@@ -678,14 +684,19 @@ impl Substrate for &Shared {
         self.apps[to.app as usize].tcs[tc as usize].enqueue(thread as usize, msg);
     }
 
+    /// One lock of the flow table for a credit and the release it admits.
     fn next_post(
         &mut self,
         app: u32,
         graph: u32,
         key: FlowKey,
+        credit: bool,
     ) -> Option<(TokenBox, Envelope, u32)> {
         let mut flows = self.apps[app as usize].graphs[graph as usize].flows.lock();
         let f = flows.get_mut(&key)?;
+        if credit {
+            f.credit();
+        }
         let Some((token, env)) = f.pop(self.flow_window) else {
             if f.is_drained() {
                 flows.remove(&key);

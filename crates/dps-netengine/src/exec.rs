@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::internal::kernel::{self, At, Instances, Rec, Served, Tracer, Wave};
-use dps_core::internal::ExecInfo;
-use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenBox, TokenRegistry};
+use dps_core::internal::{ExecInfo, OpOutput};
+use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenRegistry};
 use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
@@ -320,6 +320,8 @@ fn executor_loop(
     let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
     // Made on the first job, whose declarations name the lane's track.
     let mut tracer: Option<Tracer> = None;
+    // What the lane's operations post, reused from job to job.
+    let mut out = OpOutput::default();
     while let Ok(job) = rx.recv() {
         let seq = job.seq;
         let (graph, node) = (job.graph, job.node);
@@ -330,7 +332,7 @@ fn executor_loop(
             Entry::Vacant(e) => NodeCtx::resolve(&decls, app, tc, graph).map(|ctx| &*e.insert(ctx)),
         }
         .and_then(|ctx| {
-            let ran = run_job(ctx, node_flops, thread, &mut data, &mut inst, job)?;
+            let ran = run_job(ctx, node_flops, thread, &mut data, &mut inst, job, &mut out)?;
             if let Some(c) = &trace {
                 // On the thread's node, at its index among the threads
                 // that node hosts.
@@ -345,23 +347,28 @@ fn executor_loop(
                 kernel::ran(rec, at, &ctx.def.node(node).name, wave, ran.marked);
             }
             let secs = ran.took.as_secs_f64();
-            Ok((
-                ran.posts,
-                Vec::from_iter(ran.marked.map(|iters| (iters, secs))),
-            ))
+            Ok(Vec::from_iter(ran.marked.map(|iters| (iters, secs))))
         });
-        let (posts, reports, error) = match outcome {
-            Ok((posts, reports)) => (posts, reports, None),
-            Err(e) => (Vec::new(), Vec::new(), Some(e.to_string())),
+        let (reports, error) = match outcome {
+            Ok(reports) => (reports, None),
+            Err(e) => {
+                out.posts.clear();
+                (Vec::new(), Some(e.to_string()))
+            }
         };
         // The posted tokens are encoded once, straight into the reply.
-        let reply = Frame::Done {
+        let sent = writer.send(&Frame::Done {
             seq,
-            posts: posts.iter().map(|t| Payload::Token(t.as_ref())).collect(),
+            posts: out
+                .posts
+                .iter()
+                .map(|p| Payload::Token(p.token.as_ref()))
+                .collect(),
             reports,
             error,
-        };
-        if writer.send(&reply).is_err() {
+        });
+        out.posts.clear();
+        if sent.is_err() {
             // The master is gone; nothing left to execute for.
             break;
         }
@@ -371,15 +378,16 @@ fn executor_loop(
     }
 }
 
-/// What one job did: its posts, the chunk it marked complete, when its
-/// operation started and how long it took.
+/// What one job did besides its posts: the chunk it marked complete, when
+/// its operation started and how long it took.
 struct Ran {
-    posts: Vec<TokenBox>,
     marked: Option<u64>,
     t0: Instant,
     took: Duration,
 }
 
+/// Run `job` on the lane of thread `thread`, whose data and instances
+/// these are; its posts are left in `out`.
 fn run_job(
     ctx: &NodeCtx,
     node_flops: f64,
@@ -387,6 +395,7 @@ fn run_job(
     data: &mut Option<Box<dyn Any + Send>>,
     inst: &mut Instances,
     job: Job,
+    out: &mut OpOutput,
 ) -> Result<Ran, DpsError> {
     let gnode = ctx.def.node(job.node);
     let contract = |reason: &str| DpsError::OperationContract {
@@ -432,13 +441,12 @@ fn run_job(
     };
     let data = data.get_or_insert_with(|| (ctx.factory)());
     let t0 = Instant::now();
-    let out = kernel::step(served, gnode, token, finalize, data.as_mut(), info)?;
+    kernel::step(served, gnode, token, finalize, data.as_mut(), info, out)?;
     let took = t0.elapsed();
     if let (Some(key), true) = (&key, finalize) {
         inst.waves.remove(key);
     }
     Ok(Ran {
-        posts: out.posts.into_iter().map(|p| p.token).collect(),
         marked: out.completed_iters,
         t0,
         took,

@@ -419,6 +419,146 @@ fn matmul_is_byte_identical_across_engines() {
     assert_eq!(net.as_slice(), mt.as_slice(), "net product bits diverged");
 }
 
+dps_token! {
+    /// One cell of a loop nest: where it sits (`path`, one base-8 digit per
+    /// level) and the fan-out of each level; on the way back, what the cells
+    /// under it summed to and how many there were.
+    pub struct Cell { pub path: u64, pub fan: u32, pub sum: u64, pub count: u32 }
+}
+
+/// One level of the nest: a cell opens a wave of `fan` cells under it.
+struct Nest;
+impl SplitOperation for Nest {
+    type Thread = ();
+    type In = Cell;
+    type Out = Cell;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Cell>, c: Cell) {
+        for digit in 0..u64::from(c.fan) {
+            let path = c.path * 8 + digit;
+            ctx.post(Cell { path, ..c });
+        }
+    }
+}
+
+/// The innermost cell's weight.
+struct Weigh;
+impl LeafOperation for Weigh {
+    type Thread = ();
+    type In = Cell;
+    type Out = Cell;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), Cell>, c: Cell) {
+        let sum = c.path.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ c.path;
+        ctx.post(Cell { sum, count: 1, ..c });
+    }
+}
+
+/// A stream over the innermost wave: each cell passes on as it arrives, so
+/// its output wave is framed at depth 3 too.
+struct Pass;
+impl StreamOperation for Pass {
+    type Thread = ();
+    type In = Cell;
+    type Out = Cell;
+    fn consume(&mut self, ctx: &mut OpCtx<'_, (), Cell>, c: Cell) {
+        ctx.post(c);
+    }
+    fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Cell>) {}
+}
+
+/// Closes one level: the cells of a wave add up into their parent.
+#[derive(Default)]
+struct Fold(Option<Cell>);
+impl MergeOperation for Fold {
+    type Thread = ();
+    type In = Cell;
+    type Out = Cell;
+    fn consume(&mut self, _ctx: &mut OpCtx<'_, (), Cell>, c: Cell) {
+        let path = c.path / 8;
+        let acc = self.0.get_or_insert(Cell {
+            path,
+            sum: 0,
+            count: 0,
+            ..c
+        });
+        assert_eq!(acc.path, path, "a wave holds the cells of one parent");
+        acc.sum = acc.sum.wrapping_add(c.sum);
+        acc.count += c.count;
+    }
+    fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Cell>) {
+        ctx.post(self.0.take().expect("a wave has cells"));
+    }
+}
+
+/// Three splits deep: split → split → split → leaf → stream → merge →
+/// merge → merge, the splits and merges on `node0`, the leaf and the stream
+/// on every node — so the envelopes of the innermost waves hold three frames
+/// (past what they hold in place) and cross the wire on `net`.
+fn nested_three_deep<E: Engine>(eng: &mut E, workers_n: usize, fan: u32) -> Cell {
+    let app = eng.app("nest");
+    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+    let mapping = dps::cluster::default_mapping(workers_n, 1);
+    let workers: ThreadCollection<()> = eng.thread_collection(app, "w", &mapping).unwrap();
+    let mut b = GraphBuilder::new("nest");
+    let s1 = b.split(&main, || ToThread(0), || Nest);
+    let s2 = b.split(&main, || ToThread(0), || Nest);
+    let s3 = b.split(&main, || ToThread(0), || Nest);
+    let leaf = b.leaf(&workers, RoundRobin::new, || Weigh);
+    let pass = b.stream(&workers, RoundRobin::new, || Pass);
+    let m3 = b.merge(&main, || ToThread(0), Fold::default);
+    let m2 = b.merge(&main, || ToThread(0), Fold::default);
+    let m1 = b.merge(&main, || ToThread(0), Fold::default);
+    b.add(s1 >> s2 >> s3 >> leaf >> pass >> m3 >> m2 >> m1);
+    let app: Application<E, Cell, Cell> = Application::build(eng, b).unwrap();
+    let root = Cell {
+        path: 0,
+        fan,
+        sum: 0,
+        count: 0,
+    };
+    *app.call(eng, root).unwrap()
+}
+
+/// A graph nested three splits deep computes the same cell, byte for byte,
+/// on the simulator, on OS threads and over the in-process wire protocol,
+/// and every level's waves complete with every cell counted once.
+#[test]
+fn a_three_deep_nest_is_byte_identical_across_engines() {
+    for (workers_n, fan) in [(1, 1), (2, 3), (3, 4)] {
+        let sim = {
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(workers_n));
+            nested_three_deep(&mut eng, workers_n, fan)
+        };
+        let mt = {
+            let mut eng = MtEngine::new(workers_n);
+            let out = nested_three_deep(&mut eng, workers_n, fan);
+            eng.shutdown();
+            out
+        };
+        let net = {
+            let mut eng = NetEngine::loopback(workers_n);
+            let out = nested_three_deep(&mut eng, workers_n, fan);
+            eng.shutdown();
+            out
+        };
+        assert_eq!(sim.count, fan.pow(3), "workers {workers_n} fan {fan}");
+        let expect = (0..8u64.pow(3))
+            .filter(|p| (0..3).all(|l| (p >> (3 * l)) % 8 < u64::from(fan)))
+            .map(|p| p.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ p)
+            .fold(0u64, u64::wrapping_add);
+        assert_eq!(sim.sum, expect, "workers {workers_n} fan {fan}");
+        assert_eq!(
+            wire_encoding(&sim),
+            wire_encoding(&mt),
+            "sim and mt, fan {fan}"
+        );
+        assert_eq!(
+            wire_encoding(&sim),
+            wire_encoding(&net),
+            "sim and net, fan {fan}"
+        );
+    }
+}
+
 /// On every track of a merged trace, no operation of a wave starts before
 /// the first token of that wave is delivered to the track. Returns how many
 /// (track, wave) pairs on a worker's node (`node ≥ 1`) were checked.
