@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dps_core::prelude::*;
 use dps_core::{dps_token, Envelope, Frame, GNodeId};
-use dps_des::{Sim, SimSpan, SimTime};
+use dps_des::{Sim, SimTime};
 use dps_linalg::{gemm, Matrix};
 use dps_serial::{from_bytes, to_bytes, Buffer};
 
@@ -85,22 +85,6 @@ fn bench_des(c: &mut Criterion) {
             let mut sim = Sim::new(0u64);
             for i in 0..10_000u64 {
                 sim.schedule_at(SimTime(i % 97), |s| s.world += 1);
-            }
-            sim.run();
-            black_box(sim.world)
-        })
-    });
-    c.bench_function("des/pool_contention", |b| {
-        b.iter(|| {
-            let mut sim = Sim::new(0u64);
-            let pool = sim.add_pool(2);
-            for _ in 0..1_000 {
-                sim.schedule_at(SimTime::ZERO, move |s| {
-                    s.pool_acquire(pool, |s| {
-                        s.world += 1;
-                        SimSpan::from_nanos(5)
-                    });
-                });
             }
             sim.run();
             black_box(sim.world)

@@ -7,7 +7,7 @@
 //! requires a slightly longer startup time (e.g. one second on an 8 node
 //! system)".
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dps_des::{SimSpan, SimTime};
 use dps_net::NodeId;
@@ -29,7 +29,9 @@ pub enum InstanceState {
 /// start-up delay for lazily launched ones.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    instances: HashMap<(AppId, NodeId), InstanceState>,
+    /// Ordered, not hashed: a lookup per token transfer over a handful of
+    /// entries is a few integer comparisons.
+    instances: BTreeMap<(AppId, NodeId), InstanceState>,
     launch_delay: SimSpan,
     launches: u64,
 }
@@ -42,7 +44,7 @@ impl Deployment {
     /// per instance launch.
     pub fn new(launch_delay: SimSpan) -> Self {
         Self {
-            instances: HashMap::new(),
+            instances: BTreeMap::new(),
             launch_delay,
             launches: 0,
         }

@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dps_cluster::{AppId, Cluster, ClusterSpec};
-use dps_des::{PoolId, Sim, SimSpan, SimTime};
+use dps_des::{Event, Reserved, Sim, SimSpan, SimTime};
 use dps_net::NodeId;
 use dps_obs::{Counter, EventKind, TraceCollector};
 use dps_sched::FeedbackSink;
@@ -117,7 +117,7 @@ struct GraphRt {
     /// The kernel borrows the two tables through `&self` (a mutex on
     /// `dps-mt`), next to what it asks about liveness.
     pins: RefCell<Pins>,
-    flows: RefCell<Flows<Sim<Rt>>>,
+    flows: RefCell<Flows<SimRt>>,
 }
 
 /// The running half of a declared application.
@@ -127,13 +127,26 @@ struct AppRt {
     graphs: Vec<GraphRt>,
 }
 
+/// A cluster node's CPUs: how many, how many are held, and the executions
+/// waiting for one, first come first served.
+struct Cpus {
+    servers: usize,
+    busy: usize,
+    queue: VecDeque<(ThreadKey, Delivery)>,
+}
+
 struct Rt {
     cluster: Cluster,
     cfg: EngineConfig,
     /// What was declared; `apps` mirrors its shape.
     decls: Decls,
     apps: Vec<AppRt>,
-    node_pools: Vec<PoolId>,
+    /// Per cluster node.
+    cpus: Vec<Cpus>,
+    /// The executions running now, innermost last (a delivery an execution
+    /// hands to an idle thread with a free CPU runs inside it): what each
+    /// holds for its end instant.
+    holds: Vec<Hold>,
     next_wave: u64,
     next_call: u64,
     pending_calls: IdMap<u64, CallReturn>,
@@ -290,7 +303,7 @@ impl Rt {
 /// assert_eq!(done.sum, (0..10).map(|i| i * i).sum::<u32>());
 /// ```
 pub struct SimEngine {
-    sim: Sim<Rt>,
+    sim: SimRt,
 }
 
 impl SimEngine {
@@ -302,14 +315,20 @@ impl SimEngine {
     /// Engine over `spec` with explicit configuration.
     pub fn with_config(spec: ClusterSpec, cfg: EngineConfig) -> Self {
         let decls = Decls::new(spec.clone());
+        let cpus = spec.node_ids().map(|n| Cpus {
+            servers: spec.node(n).cpus,
+            busy: 0,
+            queue: VecDeque::new(),
+        });
+        let cpus = cpus.collect();
         let cluster = Cluster::new(spec);
-        let n = cluster.len();
         let rt = Rt {
             cluster,
             cfg,
             decls,
             apps: Vec::new(),
-            node_pools: Vec::new(),
+            cpus,
+            holds: Vec::new(),
             next_wave: 0,
             next_call: 0,
             pending_calls: IdMap::default(),
@@ -322,13 +341,9 @@ impl SimEngine {
             faults: None,
             out: OpOutput::default(),
         };
-        let mut sim = Sim::new(rt);
-        for i in 0..n {
-            let cpus = sim.world.cluster.spec().node(NodeId(i as u32)).cpus;
-            let pool = sim.add_pool(cpus);
-            sim.world.node_pools.push(pool);
+        Self {
+            sim: Sim::typed(rt),
         }
-        Self { sim }
     }
 
     /// [`Engine::declare`](crate::Engine::declare): declarations are welcome
@@ -368,14 +383,7 @@ impl SimEngine {
         graph: GraphHandle,
         token: TokenBox,
     ) -> Result<()> {
-        self.sim.schedule_at(at, move |sim| {
-            if sim.world.fatal.is_none() {
-                let GraphHandle { app, graph } = graph;
-                let node = sim.world.decls.def(app, graph).entry();
-                let entry = At { app, graph, node };
-                kernel::deliver(sim, entry, HOME.0, token, Envelope::root());
-            }
-        });
+        schedule(&mut self.sim, at, Ev::Inject(graph, token));
         Ok(())
     }
 
@@ -506,8 +514,7 @@ impl SimEngine {
     /// [`run_until_idle`](Self::run_until_idle) / [`step_once`](Self::step_once).
     pub fn schedule_fail_node(&mut self, at: SimTime, node: NodeId) {
         let at = at.max(self.sim.now());
-        self.sim
-            .schedule_at(at, move |sim| fail_node_internal(sim, node));
+        schedule(&mut self.sim, at, Ev::Kill(node));
     }
 
     /// Deliveries re-routed away from failed nodes so far.
@@ -583,36 +590,251 @@ impl SimEngine {
             .map(|f| (f.decisions(), f.faults()))
     }
 
-    /// Deliveries sitting in thread queues right now — zero once the engine
-    /// is idle (the no-stranded-deliveries invariant; `run_until_idle`
-    /// reports the stuck waves themselves, this counts the raw queue
-    /// residue).
+    /// Deliveries sitting in thread queues or waiting for a CPU right now —
+    /// zero once the engine is idle (the no-stranded-deliveries invariant;
+    /// `run_until_idle` reports the stuck waves themselves, this counts the
+    /// raw queue residue).
     pub fn queued_deliveries(&self) -> usize {
-        self.sim
-            .world
-            .apps
-            .iter()
-            .flat_map(|a| &a.tcs)
+        let world = &self.sim.world;
+        let threads = world.apps.iter().flat_map(|a| &a.tcs);
+        let queued: usize = threads
             .flat_map(|tc| &tc.threads)
             .map(|t| t.queue.len())
-            .sum()
+            .sum();
+        queued + world.cpus.iter().map(|c| c.queue.len()).sum::<usize>()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Execution internals (free functions over Sim<Rt>).
+// Execution internals (free functions over the simulation).
 //
 // What a wave *means*, and the path of a token between two operations, is
 // `crate::kernel`. What is written here is the simulator's substrate: which
-// virtual instant each step happens at, the per-thread queues, CPU pools and
+// virtual instant each step happens at, the per-thread queues, the CPUs and
 // stalls, the modeled network, tracing.
 // ---------------------------------------------------------------------------
 
+/// The simulation the engine runs: its world and its events.
+type SimRt = Sim<Rt, Ev>;
+
+/// Everything the simulator schedules.
+enum Ev {
+    /// A token injected from outside enters its graph from the home node.
+    Inject(GraphHandle, TokenBox),
+    /// A scheduled [`SimEngine::fail_node`].
+    Kill(NodeId),
+    /// The first held-back post of flow `(app, graph, key)` is due.
+    Pump(u32, u32, FlowKey),
+    /// A post leaves its node at an instant other than its execution's end.
+    Leave(Leave),
+    /// A token lands on its thread.
+    Land(Land),
+    /// A graph call's token enters the callee, its overhead past.
+    Call(Call),
+    /// An execution ends, with what it held for that instant.
+    End(End),
+}
+
+impl Event<Rt> for Ev {
+    fn fire(self, sim: &mut SimRt) {
+        match self {
+            Ev::Inject(GraphHandle { app, graph }, token) => {
+                if sim.world.fatal.is_none() {
+                    let node = sim.world.decls.def(app, graph).entry();
+                    let entry = At { app, graph, node };
+                    kernel::deliver(sim, entry, HOME.0, token, Envelope::root());
+                }
+            }
+            Ev::Kill(node) => fail_node_internal(sim, node),
+            Ev::Pump(app, graph, key) => {
+                let flows = sim.world.graph(app, graph).flows.get_mut();
+                if let Some(f) = flows.get_mut(&key) {
+                    f.ext.pump_scheduled = false;
+                }
+                kernel::pump(sim, app, graph, key);
+            }
+            Ev::Leave(post) => post.fire(sim),
+            Ev::Land(land) => land.fire(sim),
+            Ev::Call(Call {
+                to,
+                host,
+                token,
+                env,
+            }) => {
+                if sim.world.fatal.is_none() {
+                    kernel::deliver(sim, to, host, token, env);
+                }
+            }
+            Ev::End(end) => end.fire(sim),
+        }
+    }
+}
+
+/// Schedule `ev` at `at`, after [`flush`].
+fn schedule(sim: &mut SimRt, at: SimTime, ev: Ev) {
+    flush(sim, at);
+    sim.event_at(at, ev);
+}
+
+/// Queue the end `held` at `at`, after [`flush`].
+fn commit(sim: &mut SimRt, held: Reserved, at: SimTime) {
+    flush(sim, at);
+    sim.commit(held, at);
+}
+
+/// Something is about to be queued for instant `at`. Events at one instant
+/// fire in the order they were scheduled, so what a running execution holds
+/// for its end at `at` — due before it, had it been scheduled when held — is
+/// queued first, and the execution holds a fresh end for what follows.
+fn flush(sim: &mut SimRt, at: SimTime) {
+    if !sim.world.holds.iter().any(|h| h.at == at) {
+        return;
+    }
+    let mut holds = std::mem::take(&mut sim.world.holds);
+    for hold in holds.iter_mut().filter(|h| h.at == at) {
+        if !end_of(sim, &hold.end).is_empty() {
+            let fresh = sim.reserve(Ev::End(End::default()));
+            sim.commit(std::mem::replace(&mut hold.end, fresh), at);
+        }
+    }
+    sim.world.holds = holds;
+}
+
+/// The end reserved in `held`.
+fn end_of<'a>(sim: &'a mut SimRt, held: &Reserved) -> &'a mut End {
+    match sim.reserved(held) {
+        Ev::End(end) => end,
+        _ => unreachable!("an execution reserves an end"),
+    }
+}
+
+/// Lend `f` the end the innermost running execution holds, if it ends at
+/// `at`; `None`, with `f` not called, if it ends at another instant.
+fn with_held<R>(sim: &mut SimRt, at: SimTime, f: impl FnOnce(&mut End) -> R) -> Option<R> {
+    let hold = sim.world.holds.pop()?;
+    let r = (hold.at == at).then(|| f(end_of(sim, &hold.end)));
+    sim.world.holds.push(hold);
+    r
+}
+
+/// What a running execution holds for its end instant `at`: an end
+/// reserved in the event queue, queued when the execution is over.
+struct Hold {
+    at: SimTime,
+    end: Reserved,
+}
+
+/// The effects of one execution's end, in the order they fire (each is
+/// absent once [`flush`] sent it ahead, or if the execution has none):
+/// the chunk it marked is reported, its post that leaves at the end
+/// instant leaves, the thread is freed, the CPU released.
+#[derive(Default)]
+struct End {
+    report: Option<Report>,
+    post: Option<Leave>,
+    finish: Option<Finish>,
+    release: Option<NodeId>,
+}
+
+impl End {
+    fn is_empty(&self) -> bool {
+        let End {
+            report,
+            post,
+            finish,
+            release,
+        } = self;
+        report.is_none() && post.is_none() && finish.is_none() && release.is_none()
+    }
+
+    fn fire(self, sim: &mut SimRt) {
+        if let Some(report) = self.report {
+            report.fire(sim);
+        }
+        if let Some(post) = self.post {
+            post.fire(sim);
+        }
+        if let Some(Finish { tk, graph, flow }) = self.finish {
+            finish_exec(sim, tk, graph, flow);
+        }
+        if let Some(node) = self.release {
+            release(sim, node);
+        }
+    }
+}
+
+/// A chunk's virtual execution time, for the feedback sink.
+struct Report {
+    sink: Arc<dyn FeedbackSink>,
+    worker: u32,
+    host: NodeId,
+    iters: u64,
+    hold: SimSpan,
+}
+
+impl Report {
+    fn fire(self, sim: &mut SimRt) {
+        let Report {
+            sink,
+            worker,
+            host,
+            iters,
+            hold,
+        } = self;
+        // A report from a node that failed mid-execution is dropped: the
+        // chunk's virtual completion never happened, and it must not
+        // repopulate measurements `worker_lost` just cleared.
+        if sim.world.cluster.is_alive(host) {
+            sink.report_chunk(worker as usize, iters, hold.as_secs_f64());
+            let at = sim.now();
+            let report = EventKind::ChunkReport {
+                worker,
+                iters,
+                nanos: hold.as_nanos(),
+            };
+            sim.world.trace_on(at, host.0 as u16, worker as u16, report);
+            sim.world.trace_add(Counter::ChunkReports, 1);
+        }
+    }
+}
+
+/// A post leaving node `from` of cluster node `src`.
+struct Leave {
+    from: At,
+    src: u32,
+    token: TokenBox,
+    env: Envelope,
+}
+
+impl Leave {
+    fn fire(self, sim: &mut SimRt) {
+        if sim.world.fatal.is_none() {
+            kernel::emit(sim, self.from, self.src, self.token, self.env);
+        }
+    }
+}
+
+/// The thread an execution ran on, the graph, and the flow its split opened.
+struct Finish {
+    tk: ThreadKey,
+    graph: u32,
+    flow: Option<FlowKey>,
+}
+
+/// A call's token on its way into the callee's entry `to`.
+struct Call {
+    to: At,
+    host: u32,
+    token: TokenBox,
+    env: Envelope,
+}
+
 /// The body of [`SimEngine::fail_node`], callable from a scheduled event
 /// (errors land in `world.fatal` and surface from the run loop): every
-/// thread hosted on the dead node stops, and the kernel takes its instances
-/// and its queue. The stranded work is re-sent from the home node.
-fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
+/// thread hosted on the dead node stops, and the kernel takes its instances,
+/// its queue and what waited for the node's CPUs. The stranded work is
+/// re-sent from the home node.
+fn fail_node_internal(sim: &mut SimRt, node: NodeId) {
     let world = &mut sim.world;
     if let Err(e) = kernel::known_node(&world.decls, node.0) {
         return world.fail(e);
@@ -622,6 +844,10 @@ fn fail_node_internal(sim: &mut Sim<Rt>, node: NodeId) {
     }
     world.cluster.fail_node(node);
     let (mut lanes, mut stranded) = (Vec::new(), Vec::new());
+    for (tk, d) in std::mem::take(&mut world.cpus[node.index()].queue) {
+        world.thread(tk).running = false;
+        stranded.push((d.to, d.what, d.env));
+    }
     let declared = world.decls.apps().iter().map(|app| &app.tcs);
     let running = world.apps.iter_mut().map(|app| &mut app.tcs);
     for (app, (tcs, decls)) in running.zip(declared).enumerate() {
@@ -649,7 +875,7 @@ struct Ran {
     hold: SimSpan,
 }
 
-impl Substrate for Sim<Rt> {
+impl Substrate for SimRt {
     type Post = (SimTime, TokenBox);
     type FlowExt = FlowRt;
     type Lane = Ran;
@@ -752,13 +978,7 @@ impl Substrate for Sim<Rt> {
         match f.front(window) {
             Some(&(send_at, _)) if send_at > now => {
                 if !std::mem::replace(&mut f.ext.pump_scheduled, true) {
-                    self.schedule_at(send_at, move |sim| {
-                        let flows = sim.world.graph(app, graph).flows.get_mut();
-                        if let Some(f) = flows.get_mut(&key) {
-                            f.ext.pump_scheduled = false;
-                        }
-                        kernel::pump(sim, app, graph, key);
-                    });
+                    schedule(self, send_at, Ev::Pump(app, graph, key));
                 }
                 return None;
             }
@@ -781,12 +1001,22 @@ impl Substrate for Sim<Rt> {
         None
     }
 
+    /// A post that leaves when its execution ends leaves with the end.
     fn leave(&mut self, (send_at, token): Self::Post, from: At, src: u32, env: Envelope) {
-        self.schedule_at(send_at, move |sim| {
-            if sim.world.fatal.is_none() {
-                kernel::emit(sim, from, src, token, env);
+        let mut post = Some(Leave {
+            from,
+            src,
+            token,
+            env,
+        });
+        with_held(self, send_at, |end| {
+            if end.post.is_none() {
+                end.post = post.take();
             }
         });
+        if let Some(post) = post {
+            schedule(self, send_at, Ev::Leave(post));
+        }
     }
 
     fn output(&mut self, app: u32, graph: u32, token: TokenBox) {
@@ -801,35 +1031,23 @@ impl Substrate for Sim<Rt> {
 
     /// The chunk's virtual execution time goes to the registered feedback
     /// sink at its virtual completion instant (paper-model analogue of the
-    /// DLS literature's per-chunk completion messages).
+    /// DLS literature's per-chunk completion messages): the end of the
+    /// execution that runs on `ran`.
     fn report(&mut self, ran: &mut Ran, iters: u64) {
-        let (tk, host, hold) = (ran.tk, ran.host, ran.hold);
-        let done = ran.start + hold;
         let Some(sink) = self.world.feedback.clone() else {
             return;
         };
-        kernel::note_reporter(&mut self.world.feedback_tcs, tk.app, tk.tc);
-        let worker = tk.thread as usize;
-        self.schedule_at(done, move |sim| {
-            // A report from a node that failed mid-execution is dropped: the
-            // chunk's virtual completion never happened, and it must not
-            // repopulate measurements `worker_lost` just cleared.
-            if sim.world.cluster.is_alive(host) {
-                sink.report_chunk(worker, iters, hold.as_secs_f64());
-                let at = sim.now();
-                sim.world.trace_on(
-                    at,
-                    host.0 as u16,
-                    worker as u16,
-                    EventKind::ChunkReport {
-                        worker: worker as u32,
-                        iters,
-                        nanos: hold.as_nanos(),
-                    },
-                );
-                sim.world.trace_add(Counter::ChunkReports, 1);
-            }
-        });
+        kernel::note_reporter(&mut self.world.feedback_tcs, ran.tk.app, ran.tk.tc);
+        let report = Report {
+            sink,
+            worker: ran.tk.thread,
+            host: ran.host,
+            iters,
+            hold: ran.hold,
+        };
+        let done = ran.start + ran.hold;
+        let held = with_held(self, done, |end| end.report = Some(report));
+        held.expect("a report comes from the execution running now, at its end");
     }
 
     /// Virtual stamps: an execution's start and end, and now; one writer
@@ -860,7 +1078,7 @@ impl Substrate for Sim<Rt> {
 /// Move the token of `d` from cluster node `src` to thread `tk` of node
 /// `to`: plan the network transfer (with its seeded wire faults), trace its
 /// frames, and enqueue the delivery when it lands.
-fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: Sent) {
+fn send_token(sim: &mut SimRt, tk: ThreadKey, src: NodeId, d: Delivery, sent: Sent) {
     let Arrival::Token(token) = &d.what else {
         unreachable!("closes land at once");
     };
@@ -918,17 +1136,43 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: 
             sim.world.trace_add(counter, bytes);
         }
     }
-    sim.schedule_at(plan.delivered, move |sim| {
+    let land = Land {
+        tk,
+        src,
+        dst,
+        d,
+        sent,
+    };
+    schedule(sim, plan.delivered, Ev::Land(land));
+}
+
+/// A token on its way from cluster node `src` to thread `tk` of node `dst`.
+struct Land {
+    tk: ThreadKey,
+    src: NodeId,
+    dst: NodeId,
+    d: Delivery,
+    sent: Sent,
+}
+
+impl Land {
+    /// The token lands on its thread: a lane of zero hold there.
+    fn fire(self, sim: &mut SimRt) {
         if sim.world.fatal.is_some() {
             return;
         }
-        // The token lands on its thread: a lane of zero hold there.
-        let (start, hold) = (sim.now(), SimSpan::ZERO);
+        let Land {
+            tk,
+            src,
+            dst,
+            d,
+            sent,
+        } = self;
         let mut taker = Ran {
             tk,
             host: dst,
-            start,
-            hold,
+            start: sim.now(),
+            hold: SimSpan::ZERO,
         };
         if !sim.world.cluster.is_alive(dst) {
             // The node failed while the token was in flight: hand the
@@ -946,10 +1190,11 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: 
         sim.world.trace_add(Counter::TokensDelivered, 1);
         sim.world.thread(tk).queue.push_back(d);
         kick_thread(sim, tk);
-    });
+    }
 }
 
-/// Start the next queued delivery on a thread if one is eligible.
+/// Start the next queued delivery on a thread if one is eligible, on a CPU
+/// of its node — at once if one is free, else when one is released to it.
 ///
 /// A thread whose previous split still has flow-blocked posts is *stalled*
 /// (paper §3: "the split operation is simply stalled until data objects have
@@ -958,18 +1203,17 @@ fn send_token(sim: &mut Sim<Rt>, tk: ThreadKey, src: NodeId, d: Delivery, sent: 
 /// deliveries — otherwise a merge mapped to the same thread as its split
 /// (the paper's MainThread pattern) could never return the flow-control
 /// credits and the schedule would deadlock.
-fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
+fn kick_thread(sim: &mut SimRt, tk: ThreadKey) {
     if sim.world.fatal.is_some() {
         return;
     }
-    // A failed node executes nothing; its queue is drained by `fail_node`
+    // A failed node executes nothing; its queues are drained by `fail_node`
     // and new deliveries are re-routed before they land.
     let node = sim.world.host(tk);
     if !sim.world.cluster.is_alive(node) {
         return;
     }
     let delivery = {
-        let stalled = sim.world.thread(tk).stalls > 0;
         let t = sim.world.thread(tk);
         if t.running {
             return;
@@ -977,6 +1221,7 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
         // Interactive (service) deliveries overtake batch work: the model
         // analogue of the testbed OS preempting long compute operations to
         // answer short service requests.
+        let stalled = t.stalls > 0;
         let eligible = |d: &Delivery| !stalled || d.kind != OpKind::Split;
         let pos = t
             .queue
@@ -988,23 +1233,71 @@ fn kick_thread(sim: &mut Sim<Rt>, tk: ThreadKey) {
         t.running = true;
         delivery
     };
-    let pool = sim.world.node_pools[node.index()];
-    sim.pool_acquire(pool, move |sim| {
-        run(sim, tk, node, delivery).unwrap_or_else(|e| {
-            sim.world.fail(e);
-            SimSpan::ZERO
-        })
-    });
+    let cpus = &mut sim.world.cpus[node.index()];
+    if cpus.busy < cpus.servers {
+        cpus.busy += 1;
+        run(sim, tk, node, delivery);
+    } else {
+        cpus.queue.push_back((tk, delivery));
+    }
 }
 
-/// Execute one delivery on its thread, in virtual time: run the operation
-/// the kernel says it calls for at the delivery's start, its posts leaving
-/// after the framework overhead plus their own offsets; deliver a call's
-/// token once the overhead has passed; and free the thread when its virtual
-/// hold — the span returned, for which the CPU is held — is over.
-fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<SimSpan> {
+/// An execution on `node` ended: its CPU passes straight to the next
+/// execution waiting for one, or becomes free.
+fn release(sim: &mut SimRt, node: NodeId) {
+    let cpus = &mut sim.world.cpus[node.index()];
+    match cpus.queue.pop_front() {
+        Some((tk, delivery)) => run(sim, tk, node, delivery),
+        None => cpus.busy -= 1,
+    }
+}
+
+/// Execute one delivery on its thread, which holds a CPU of `host`, and
+/// schedule its end: the thread is freed and the CPU released when its
+/// virtual hold is over. An execution that fails, or finds the run failed,
+/// releases the CPU at once and leaves the thread taken; a report or a post
+/// it already made still happens at its own instant.
+fn run(sim: &mut SimRt, tk: ThreadKey, host: NodeId, d: Delivery) {
+    let (start, depth, graph) = (sim.now(), sim.world.holds.len(), d.to.graph);
+    let ran = exec(sim, tk, host, d);
+    let held = (sim.world.holds.len() > depth).then(|| sim.world.holds.pop().expect("pushed"));
+    let (at, finish) = match ran {
+        Ok(Some((at, flow))) => (at, Some(Finish { tk, graph, flow })),
+        Ok(None) => (start, None),
+        Err(e) => {
+            sim.world.fail(e);
+            (start, None)
+        }
+    };
+    let held = match held {
+        // A failed execution releases its CPU now, and what it held happens
+        // at its own instant.
+        Some(hold) if hold.at != at && !end_of(sim, &hold.end).is_empty() => {
+            commit(sim, hold.end, hold.at);
+            None
+        }
+        held => held.map(|hold| hold.end),
+    };
+    let held = held.unwrap_or_else(|| sim.reserve(Ev::End(End::default())));
+    let end = end_of(sim, &held);
+    (end.finish, end.release) = (finish, Some(host));
+    commit(sim, held, at);
+}
+
+/// The body of [`run`]: run the operation the kernel says the delivery
+/// calls for at its start, its posts leaving after the framework overhead
+/// plus their own offsets; deliver a call's token once the overhead has
+/// passed. Returns the execution's end instant and the flow a split opened;
+/// `None` if the run had already failed. An operation that ran holds what
+/// happens at its end ([`Hold`]) from the moment its hold is known.
+fn exec(
+    sim: &mut SimRt,
+    tk: ThreadKey,
+    host: NodeId,
+    d: Delivery,
+) -> Result<Option<(SimTime, Option<FlowKey>)>> {
     if sim.world.fatal.is_some() {
-        return Ok(SimSpan::ZERO);
+        return Ok(None);
     }
     let start = sim.now();
     let info = ExecInfo {
@@ -1022,51 +1315,51 @@ fn run(sim: &mut Sim<Rt>, tk: ThreadKey, host: NodeId, d: Delivery) -> Result<Si
         world.next_wave += 1;
         world.next_wave - 1
     };
-    let ran = |hold| Ran {
-        tk,
-        host,
-        start,
-        hold,
-    };
-    let at = d.to;
-    let (hold, split_flow) = match kernel::serve(&world.decls, inst, at, d.what, d.env, out_wave)? {
+    match kernel::serve(&world.decls, inst, d.to, d.what, d.env, out_wave)? {
         Serve::Run(ready, then) => {
             let mut out = std::mem::take(&mut world.out);
             let applied = ready.run(data, info, &mut out).and_then(|()| {
                 let hold = overhead + out.charged;
+                let end = sim.reserve(Ev::End(End::default()));
+                sim.world.holds.push(Hold {
+                    at: start + hold,
+                    end,
+                });
                 // Each post leaves after the framework overhead plus its own
                 // offset.
                 let posts = out.posts.drain(..);
                 let timed = posts.map(|p| (start + overhead + p.offset, p.token));
                 let marked = out.completed_iters;
-                let flow = kernel::then(sim, &mut ran(hold), then, host.0, timed, marked)?;
-                Ok((hold, flow))
+                let mut ran = Ran {
+                    tk,
+                    host,
+                    start,
+                    hold,
+                };
+                let flow = kernel::then(sim, &mut ran, then, host.0, timed, marked)?;
+                Ok(Some((start + hold, flow)))
             });
             sim.world.out = out;
-            applied?
+            applied
         }
         Serve::Call(at, env, token) => {
-            let (to, callee_env) = kernel::call(sim, at, env)?;
-            sim.schedule_at(start + overhead, move |sim| {
-                if sim.world.fatal.is_none() {
-                    kernel::deliver(sim, to, host.0, token, callee_env);
-                }
-            });
-            (overhead, None)
+            let (to, env) = kernel::call(sim, at, env)?;
+            let call = Call {
+                to,
+                host: host.0,
+                token,
+                env,
+            };
+            schedule(sim, start + overhead, Ev::Call(call));
+            Ok(Some((start + overhead, None)))
         }
-        Serve::Wait => (overhead, None),
-    };
-    // At op completion: free the thread, stalling it if it opened a wave
-    // that still has blocked posts.
-    sim.schedule_at(start + hold, move |sim| {
-        finish_exec(sim, tk, at.graph, split_flow)
-    });
-    Ok(hold)
+        Serve::Wait => Ok(Some((start + overhead, None))),
+    }
 }
 
 /// Op completion: free the thread (stalling it if a split wave still has
 /// flow-blocked posts) and start the next queued delivery.
-fn finish_exec(sim: &mut Sim<Rt>, tk: ThreadKey, graph: u32, split_flow: Option<FlowKey>) {
+fn finish_exec(sim: &mut SimRt, tk: ThreadKey, graph: u32, split_flow: Option<FlowKey>) {
     if let Some(key) = split_flow {
         let g = sim.world.graph(tk.app, graph);
         let blocked = |f: &&mut kernel::Flow<_, _>| f.pending() > 0;

@@ -154,6 +154,42 @@ mod tests {
         reg
     }
 
+    /// A token's wire id is the FNV hash of its name, whether computed when
+    /// the type is compiled or from the name at run time.
+    #[test]
+    fn a_tokens_wire_id_is_the_hash_of_its_name() {
+        use crate::sched::{ChunkDone, ChunkTicket};
+        let boxed: [TokenBox; 4] = [
+            Box::new(CharToken { chr: b'x', pos: 3 }),
+            Box::new(Done {}),
+            Box::new(ChunkTicket {
+                step: 0,
+                lease: 1,
+                seq: 2,
+                base: 3,
+                worker: 4,
+            }),
+            Box::new(ChunkDone {
+                step: 0,
+                worker: 1,
+                start: 2,
+                len: 3,
+            }),
+        ];
+        for tok in &boxed {
+            assert_eq!(
+                tok.wire_id(),
+                WireId::of_name(tok.type_name()),
+                "{}",
+                tok.type_name()
+            );
+        }
+        assert_eq!(
+            <ChunkTicket as Identified>::wire_id(),
+            WireId::of_name(ChunkTicket::WIRE_NAME)
+        );
+    }
+
     #[test]
     fn boxed_token_reports_identity() {
         let tok: TokenBox = Box::new(CharToken { chr: b'x', pos: 3 });

@@ -12,10 +12,11 @@
 //! * [`SimTime`] / [`SimSpan`] — integer-nanosecond instants and durations
 //!   (floating-point clocks are not associative and would break determinism).
 //! * [`Sim`] — the event loop: a priority queue of `(time, seq)`-ordered
-//!   events holding closures over a user *world* type; ties fire in
-//!   scheduling order, so identical inputs produce identical traces.
-//! * [`Pool`] — a k-server resource with FIFO queueing and continuation
-//!   callbacks (virtual CPUs of a cluster node).
+//!   events over a user *world* type; ties fire in scheduling order, so
+//!   identical inputs produce identical traces. An event is any [`Event`]
+//!   value — a model's own enum, kept in a slab without a heap block each —
+//!   or, by default, a [`Thunk`]: a boxed closure. An event can be
+//!   [`Reserved`] in its slot and filled in before it is queued.
 //! * [`Timeline`] — a reservation-based resource for flows whose durations
 //!   are known at request time (NIC directions, disk arms).
 //! * [`SplitMix64`] — a tiny deterministic RNG for workload generation inside
@@ -27,15 +28,13 @@
 //! the experiment harness relies on (`same seed ⇒ identical virtual-time
 //! results`), and all *real* parallelism lives in `dps-mt`.
 
-mod pool;
 mod rng;
 mod sim;
 pub mod stats;
 mod time;
 mod timeline;
 
-pub use pool::{Pool, PoolId};
 pub use rng::SplitMix64;
-pub use sim::Sim;
+pub use sim::{Event, Reserved, Sim, Thunk};
 pub use time::{SimSpan, SimTime};
 pub use timeline::Timeline;

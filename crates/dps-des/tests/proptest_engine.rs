@@ -1,5 +1,5 @@
-//! Property tests for the event engine: determinism, ordering, and pool
-//! conservation invariants.
+//! Property tests for the event engine: determinism and ordering, and the
+//! timeline's reservations.
 
 use dps_des::{Sim, SimSpan, SimTime, SplitMix64};
 use proptest::prelude::*;
@@ -38,43 +38,6 @@ proptest! {
             sim.world
         }
         prop_assert_eq!(trace(seed), trace(seed));
-    }
-
-    /// A k-server pool never runs more than k jobs concurrently and runs
-    /// every submitted job exactly once.
-    #[test]
-    fn pool_conservation(
-        servers in 1usize..5,
-        jobs in proptest::collection::vec((0u64..100, 1u64..50), 1..100),
-    ) {
-        #[derive(Default)]
-        struct World {
-            running: usize,
-            max_running: usize,
-            completed: usize,
-        }
-        let mut sim = Sim::new(World::default());
-        let pool = sim.add_pool(servers);
-        let n = jobs.len();
-        for (at, dur) in jobs {
-            sim.schedule_at(SimTime(at), move |s| {
-                s.pool_acquire(pool, move |s| {
-                    s.world.running += 1;
-                    s.world.max_running = s.world.max_running.max(s.world.running);
-                    let span = SimSpan::from_nanos(dur);
-                    s.schedule_in(span, |s| {
-                        s.world.running -= 1;
-                        s.world.completed += 1;
-                    });
-                    span
-                });
-            });
-        }
-        sim.run();
-        prop_assert_eq!(sim.world.completed, n);
-        prop_assert_eq!(sim.world.running, 0);
-        prop_assert!(sim.world.max_running <= servers);
-        prop_assert_eq!(sim.pool(pool).total_jobs, n as u64);
     }
 
     /// Timeline reservations never overlap and never start before requested.

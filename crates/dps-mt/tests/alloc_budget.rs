@@ -1,8 +1,9 @@
 //! The allocation budget of the token path (docs/ARCHITECTURE.md §1): on
-//! `MtEngine`, a self-scheduled chunk costs two heap blocks — its
-//! `ChunkTicket` and its `ChunkDone` — and nothing the kernel owns. A post
-//! is framed as it leaves its flow, the load snapshot lives on the stack,
-//! and a worker's `OpOutput` is reused from run to run.
+//! `MtEngine` and on the simulator, a self-scheduled chunk costs two heap
+//! blocks — its `ChunkTicket` and its `ChunkDone` — and nothing the kernel
+//! or the engine owns. A post is framed as it leaves its flow, the load
+//! snapshot lives on the stack, a worker's `OpOutput` is reused from run to
+//! run, and the simulator's events are values in a reused slab.
 //!
 //! A test binary of its own, because it counts every allocation of the
 //! process through its `#[global_allocator]`. Run it with
@@ -136,8 +137,10 @@ fn a_chunk_on_mt_costs_its_ticket_and_its_result() {
     );
 }
 
-/// The same loop on the simulator, window 0: the 12 blocks a chunk takes
-/// there are the simulator's events and their closures, none the kernel's.
+/// The same loop on the simulator, window 0: the simulator's events are
+/// plain values kept in a slab whose slots are reused, and a node's CPUs
+/// queue what waits for them in place, so a chunk costs its two tokens
+/// there too.
 #[test]
 fn a_chunk_on_sim_costs_no_kernel_block() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
@@ -153,7 +156,8 @@ fn a_chunk_on_sim_costs_no_kernel_block() {
         2 * N
     );
     assert!(
-        per_chunk <= 12.25,
-        "a chunk on sim took {per_chunk:.2} heap blocks; the simulator's own events take 12"
+        per_chunk <= 2.25,
+        "a chunk on sim took {per_chunk:.2} heap blocks; its budget is its ticket and its \
+         result (2)"
     );
 }

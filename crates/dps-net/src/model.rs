@@ -1,6 +1,6 @@
 //! Full-duplex NIC reservation model with a lazy TCP connection cache.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use dps_des::{SimSpan, SimTime, Timeline};
 
@@ -57,7 +57,9 @@ pub struct NetworkModel {
     cfg: NetConfig,
     tx: Vec<Timeline>,
     rx: Vec<Timeline>,
-    connected: HashSet<(NodeId, NodeId)>,
+    /// Ordered, not hashed: consulted on every cross-node transfer, over a
+    /// handful of node pairs.
+    connected: BTreeSet<(NodeId, NodeId)>,
     transfers: u64,
     wire_bytes: u64,
 }
@@ -69,7 +71,7 @@ impl NetworkModel {
             cfg,
             tx: vec![Timeline::new(); nodes],
             rx: vec![Timeline::new(); nodes],
-            connected: HashSet::new(),
+            connected: BTreeSet::new(),
             transfers: 0,
             wire_bytes: 0,
         }

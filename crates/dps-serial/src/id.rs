@@ -23,14 +23,18 @@ impl WireId {
     }
 }
 
-/// FNV-1a 64-bit hash of a name. Deterministic across platforms and builds.
-pub fn hash_name(name: &str) -> u64 {
+/// FNV-1a 64-bit hash of a name. Deterministic across platforms and builds,
+/// and a `const fn`, so a type's identifier is computed when it is compiled.
+pub const fn hash_name(name: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let bytes = name.as_bytes();
     let mut h = OFFSET;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(PRIME);
+        i += 1;
     }
     h
 }
@@ -55,9 +59,10 @@ pub trait Identified: Wire {
     /// Registered name; defaults to the bare type name in `identify!`.
     const WIRE_NAME: &'static str;
 
-    /// Stable identifier derived from [`Self::WIRE_NAME`].
+    /// Stable identifier derived from [`Self::WIRE_NAME`], a compile-time
+    /// constant of the type.
     fn wire_id() -> WireId {
-        WireId::of_name(Self::WIRE_NAME)
+        WireId(const { hash_name(Self::WIRE_NAME) })
     }
 }
 
@@ -76,6 +81,27 @@ mod tests {
     #[test]
     fn distinct_names_distinct_ids() {
         assert_ne!(WireId::of_name("CharToken"), WireId::of_name("StringToken"));
+    }
+
+    #[test]
+    fn a_types_wire_id_is_the_hash_of_its_name() {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Plain {
+            x: u32,
+        }
+        crate::impl_wire!(Plain { x });
+        crate::identify!(Plain);
+        #[derive(Debug, Clone, PartialEq)]
+        struct Named {
+            s: String,
+        }
+        crate::impl_wire!(Named { s });
+        crate::identify!(Named, "app.Named");
+        assert_eq!(Plain::wire_id(), WireId::of_name(Plain::WIRE_NAME));
+        assert_eq!(Named::wire_id(), WireId::of_name("app.Named"));
+        assert_ne!(Plain::wire_id(), Named::wire_id());
+        const AT_COMPILE_TIME: u64 = hash_name("foobar");
+        assert_eq!(AT_COMPILE_TIME, 0x85944171f73967e8);
     }
 
     #[test]
