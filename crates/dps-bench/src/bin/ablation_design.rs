@@ -9,11 +9,12 @@
 //! 3. **Stream vs merge-split at fixed hardware** — the LU pipelining gain
 //!    in isolation, node count fixed.
 
-use dps_bench::{calib, table};
-use dps_core::EngineConfig;
+use dps_bench::table;
+use dps_cluster::ClusterSpec;
+use dps_core::{EngineConfig, SimEngine};
 use dps_des::SimSpan;
-use dps_linalg::parallel::lu::{run_lu_sim, LuConfig};
-use dps_linalg::parallel::matmul::{run_matmul_sim, MatMulConfig};
+use dps_linalg::parallel::lu::{run_lu, LuConfig};
+use dps_linalg::parallel::matmul::{run_matmul, MatMulConfig};
 use dps_sched::Distribution;
 
 fn matmul_time(window: u32, op_overhead_us: u64) -> f64 {
@@ -31,7 +32,9 @@ fn matmul_time(window: u32, op_overhead_us: u64) -> f64 {
         op_overhead: SimSpan::from_micros(op_overhead_us),
         enforce_serialization: false,
     };
-    run_matmul_sim(calib::paper_cluster(5), &cfg, ecfg)
+    // The master on node0, the workers on the four nodes after it.
+    let mut eng = SimEngine::with_config(ClusterSpec::paper_testbed(5), ecfg);
+    run_matmul(&mut eng, &cfg, 1)
         .expect("matmul run")
         .elapsed
         .as_secs_f64()
@@ -82,22 +85,12 @@ fn main() {
             dist: Distribution::Static,
             update_chunks: 1,
         };
-        let tp = run_lu_sim(
-            calib::paper_cluster(nodes),
-            &mk(true),
-            calib::engine_config(),
-        )
-        .expect("lu")
-        .elapsed
-        .as_secs_f64();
-        let tm = run_lu_sim(
-            calib::paper_cluster(nodes),
-            &mk(false),
-            calib::engine_config(),
-        )
-        .expect("lu")
-        .elapsed
-        .as_secs_f64();
+        let time = |pipelined| {
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+            let rep = run_lu(&mut eng, &mk(pipelined)).expect("lu");
+            rep.elapsed.as_secs_f64()
+        };
+        let (tp, tm) = (time(true), time(false));
         rows.push(vec![
             format!("{nodes}"),
             table::secs(tp),

@@ -18,12 +18,13 @@
 //! `--trace=FILE` re-runs the AWF-scheduled LU with a trace sink attached
 //! and exports it as Chrome trace-event JSON.
 
-use dps_bench::dls::{lu_cost, matmul_cost, run_dls_sim, CostFn, DlsConfig};
+use dps_bench::dls::{lu_cost, matmul_cost, run_dls, CostFn, DlsConfig};
 use dps_bench::{full_scale, table};
 use dps_cluster::ClusterSpec;
 use dps_core::{EngineConfig, SimEngine};
-use dps_life::{run_life_sim, LifeConfig, Variant};
-use dps_linalg::parallel::lu::{run_lu, run_lu_sim, LuConfig};
+use dps_life::{run_life, LifeConfig, Variant};
+use dps_linalg::parallel::lu::{run_lu, LuConfig};
+use dps_obs::{Counter, TraceCollector};
 use dps_sched::{Distribution, PolicyKind};
 
 fn csv_mode() -> bool {
@@ -119,17 +120,18 @@ fn main() {
         let mut extra = Vec::new();
         let mut static_total = None;
         for kind in PolicyKind::ALL {
-            let rep = run_dls_sim(
-                ClusterSpec::skewed(nodes, 1, skew),
-                cost.clone(),
-                &DlsConfig {
-                    iters,
-                    steps,
-                    policy: kind,
-                    flow_window: 2 * nodes as u32,
-                },
-            )
-            .expect("DLS run");
+            let cfg = DlsConfig {
+                iters,
+                steps,
+                policy: kind,
+                flow_window: 2 * nodes as u32,
+            };
+            let ecfg = EngineConfig {
+                flow_window: cfg.flow_window,
+                ..EngineConfig::default()
+            };
+            let mut eng = SimEngine::with_config(ClusterSpec::skewed(nodes, 1, skew), ecfg);
+            let rep = run_dls(&mut eng, cost.clone(), &cfg, nodes).expect("DLS run");
             if kind == PolicyKind::Static {
                 static_total = Some(rep.total);
             }
@@ -178,8 +180,12 @@ fn main() {
     let mut extra = Vec::new();
     let mut base = None;
     for kind in PolicyKind::ALL {
-        let rep = run_lu_sim(
-            spec(),
+        // The trace counts the bytes that cross node boundaries.
+        let trace = TraceCollector::new();
+        let mut eng = SimEngine::new(spec());
+        eng.set_trace_sink(trace.clone());
+        let rep = run_lu(
+            &mut eng,
             &LuConfig {
                 n: lu_n,
                 r: 16,
@@ -190,7 +196,6 @@ fn main() {
                 dist: dist_of(kind),
                 update_chunks: 1,
             },
-            EngineConfig::default(),
         )
         .expect("LU run");
         let t = rep.elapsed.as_secs_f64();
@@ -201,7 +206,8 @@ fn main() {
             makespan: t,
             vs_static: 1.0 - t / b,
         });
-        extra.push(vec![format!("{}", rep.wire_bytes)]);
+        let wire_bytes = trace.metrics().get(Counter::WireBytesSent);
+        extra.push(vec![format!("{wire_bytes}")]);
     }
     emit(
         csv,
@@ -216,8 +222,8 @@ fn main() {
     let mut extra = Vec::new();
     let mut base = None;
     for kind in PolicyKind::ALL {
-        let rep = run_life_sim(
-            spec(),
+        let rep = run_life(
+            &mut SimEngine::new(spec()),
             &LifeConfig {
                 rows: life_rows,
                 cols: 2 * life_rows,
@@ -229,7 +235,6 @@ fn main() {
                 seed: 9,
                 dist: dist_of(kind),
             },
-            EngineConfig::default(),
         )
         .expect("Life run");
         let t = rep.elapsed.as_secs_f64();

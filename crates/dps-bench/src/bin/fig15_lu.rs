@@ -6,8 +6,10 @@
 //! clearly illustrates the additional performance gain obtained thanks to
 //! the pipelining offered by the stream operations."
 
-use dps_bench::{calib, full_scale, table};
-use dps_linalg::parallel::lu::{run_lu_sim, LuConfig};
+use dps_bench::{full_scale, table};
+use dps_cluster::ClusterSpec;
+use dps_core::SimEngine;
+use dps_linalg::parallel::lu::{run_lu, LuConfig};
 use dps_linalg::{lu_residual, Matrix};
 use dps_sched::Distribution;
 
@@ -30,8 +32,8 @@ fn main() {
             dist: Distribution::Static,
             update_chunks: 1,
         };
-        let rep =
-            run_lu_sim(calib::paper_cluster(nodes), &cfg, calib::engine_config()).expect("LU run");
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+        let rep = run_lu(&mut eng, &cfg).expect("LU run");
         // Every configuration is verified against the input matrix.
         let a = Matrix::random_general(n, n, seed);
         let res = lu_residual(&a, &rep.factors);

@@ -7,7 +7,8 @@
 //! payloads in data objects, which adds control structures whose cost "is
 //! significant only when sending large amounts of small data objects".
 
-use dps_bench::{calib, full_scale, table};
+use dps_bench::{full_scale, table};
+use dps_cluster::ClusterSpec;
 use dps_core::prelude::*;
 use dps_core::{dps_token, SimEngine};
 use dps_des::SimTime;
@@ -73,9 +74,11 @@ impl MergeOperation for CountChunks {
 /// node0; throughput from the virtual makespan.
 fn dps_ring_mbps(size: usize, total_bytes: usize) -> f64 {
     let chunks = (total_bytes / size).max(1) as u32;
-    let mut ecfg = calib::engine_config();
-    ecfg.flow_window = 32; // throughput test: don't throttle the ring
-    let mut eng = SimEngine::with_config(calib::paper_cluster(4), ecfg);
+    let ecfg = EngineConfig {
+        flow_window: 32, // throughput test: don't throttle the ring
+        ..EngineConfig::default()
+    };
+    let mut eng = SimEngine::with_config(ClusterSpec::paper_testbed(4), ecfg);
     let app = eng.app("ring");
     eng.preload_app(app);
     let c0: ThreadCollection<()> = eng.thread_collection(app, "n0", "node0").unwrap();
@@ -108,7 +111,7 @@ fn dps_ring_mbps(size: usize, total_bytes: usize) -> f64 {
 /// network model (no DPS headers, no operation overheads).
 fn socket_ring_mbps(size: usize, total_bytes: usize) -> f64 {
     let chunks = (total_bytes / size).max(1) as u64;
-    let spec = calib::paper_cluster(4);
+    let spec = ClusterSpec::paper_testbed(4);
     let mut net = NetworkModel::new(4, spec.net.clone());
     let hops = [
         (NodeId(0), NodeId(1)),

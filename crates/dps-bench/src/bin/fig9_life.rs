@@ -6,8 +6,10 @@
 //! is the largest and the difference between the two approaches is the most
 //! pronounced."
 
-use dps_bench::{calib, full_scale, table};
-use dps_life::{run_life_sim, LifeConfig, Variant};
+use dps_bench::{full_scale, table};
+use dps_cluster::ClusterSpec;
+use dps_core::SimEngine;
+use dps_life::{run_life, LifeConfig, Variant};
 use dps_sched::Distribution;
 
 fn speedups(rows: usize, cols: usize, iterations: usize) -> Vec<(usize, f64, f64)> {
@@ -23,7 +25,7 @@ fn speedups(rows: usize, cols: usize, iterations: usize) -> Vec<(usize, f64, f64
             seed: 4242,
             dist: Distribution::Static,
         };
-        run_life_sim(calib::paper_cluster(nodes), &cfg, calib::engine_config())
+        run_life(&mut SimEngine::new(ClusterSpec::paper_testbed(nodes)), &cfg)
             .expect("life run")
             .elapsed
             .as_secs_f64()

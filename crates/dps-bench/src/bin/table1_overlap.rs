@@ -7,8 +7,11 @@
 //! the relative execution-time reduction and the communication/computation
 //! time ratio for each configuration.
 
-use dps_bench::{calib, full_scale, table};
-use dps_linalg::parallel::matmul::{run_matmul_sim, MatMulConfig};
+use dps_bench::{full_scale, table};
+use dps_cluster::ClusterSpec;
+use dps_core::SimEngine;
+use dps_linalg::parallel::matmul::{run_matmul, MatMulConfig};
+use dps_obs::{Counter, TraceCollector};
 use dps_sched::Distribution;
 
 fn main() {
@@ -29,19 +32,24 @@ fn main() {
                 threads_per_node: 2,
                 dist: Distribution::Static,
             };
-            // One extra node hosts the master, as in the paper's testbed.
-            let spec = calib::paper_cluster(nodes + 1);
-            let pipe = run_matmul_sim(spec.clone(), &mk(true), calib::engine_config())
-                .expect("pipelined run");
-            let phased = run_matmul_sim(spec.clone(), &mk(false), calib::engine_config())
-                .expect("phased run");
-            let t_p = pipe.elapsed.as_secs_f64();
-            let t_n = phased.elapsed.as_secs_f64();
+            // One extra node hosts the master, as in the paper's testbed;
+            // the trace counts the bytes that cross node boundaries.
+            let spec = ClusterSpec::paper_testbed(nodes + 1);
+            let run = |pipelined| {
+                let trace = TraceCollector::new();
+                let mut eng = SimEngine::new(spec.clone());
+                eng.set_trace_sink(trace.clone());
+                let rep = run_matmul(&mut eng, &mk(pipelined), 1).expect("matmul run");
+                let wire_bytes = trace.metrics().get(Counter::WireBytesSent);
+                (rep.elapsed.as_secs_f64(), wire_bytes)
+            };
+            let (t_p, wire_bytes) = run(true);
+            let (t_n, _) = run(false);
             let reduction = (t_n - t_p) / t_n;
             // Communication/computation time ratio of this configuration:
             // wire time of all payload bytes vs compute time of 2n³ flops
             // spread over the worker threads.
-            let comm = pipe.wire_bytes as f64 / spec.net.bandwidth_bps;
+            let comm = wire_bytes as f64 / spec.net.bandwidth_bps;
             let threads = (nodes * 2) as f64;
             let comp = 2.0 * (n as f64).powi(3) / (70.0e6 * threads);
             let ratio = comm / comp;

@@ -12,11 +12,12 @@
 //! returns), interleaved with the Life iterations through the engine's
 //! single-step API.
 
-use dps_bench::{calib, full_scale, table};
+use dps_bench::{full_scale, table};
+use dps_cluster::ClusterSpec;
 use dps_core::prelude::*;
 use dps_core::SimEngine;
 use dps_des::{stats::Samples, SplitMix64};
-use dps_life::graphs::{build_read_service, setup_life, IterOrder, ReadReq};
+use dps_life::graphs::{setup_life, IterOrder, ReadReq};
 use dps_life::{LifeConfig, Variant, World};
 use dps_sched::Distribution;
 
@@ -43,10 +44,10 @@ fn run_config(
         dist: Distribution::Static,
     };
     let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
-    let mut eng = SimEngine::new_with(calib::paper_cluster(nodes));
-    let (_, master, workers, step_graph) = setup_life(&mut eng, &cfg, &world).expect("setup");
-    let read_graph = build_read_service(&mut eng, &master, &workers, cfg.rows, Some("life.read"))
-        .expect("read service");
+    let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+    let life = setup_life(&mut eng, &cfg, &world).expect("setup");
+    let step_graph = life.step;
+    eng.expose_service(life.read, "life.read");
 
     // The visualization client is a second application whose graph is a
     // single call node into the exposed service (Fig. 10).
@@ -59,7 +60,6 @@ fn run_config(
     let _call =
         cb.call::<ReadReq, dps_life::graphs::Subset, (), _>("life.read", &cmain, || ToThread(0));
     let call_graph = eng.build_graph(cb).expect("client graph");
-    let _ = read_graph;
 
     let mut rng = SplitMix64::new(4);
     let mut issue = |eng: &mut SimEngine, shape: &CallShape| {
@@ -86,6 +86,8 @@ fn run_config(
     let mut calls_done = 0usize;
     let mut call_started = None;
 
+    // Rates count from the first iteration: loading the world is set-up.
+    let loop_start = eng.now();
     for i in 0..iterations {
         let t0 = eng.now();
         eng.inject(step_graph, IterOrder { iter: i as u32 })
@@ -113,7 +115,7 @@ fn run_config(
     }
     // Drain leftovers (the in-flight call, etc.).
     eng.run_until_idle().expect("clean drain");
-    let total = eng.now().as_secs_f64();
+    let total = eng.now().since(loop_start).as_secs_f64();
 
     let median_call = call_times.median().unwrap_or(0.0);
     let mean_iter = iter_times.mean().unwrap_or(0.0);
@@ -123,15 +125,6 @@ fn run_config(
         0.0
     };
     (median_call, mean_iter, calls_per_sec)
-}
-
-trait EngineExt {
-    fn new_with(spec: dps_cluster::ClusterSpec) -> SimEngine;
-}
-impl EngineExt for SimEngine {
-    fn new_with(spec: dps_cluster::ClusterSpec) -> SimEngine {
-        SimEngine::with_config(spec, calib::engine_config())
-    }
 }
 
 fn main() {

@@ -24,33 +24,12 @@
 //! * **2 ms TCP connect**, **120 ms lazy instance launch** (paper §4: ≈1 s
 //!   to full N-to-N start-up on 8 nodes).
 //!
-//! These values are *defaults* of [`dps_net::NetConfig`] and
-//! [`dps_cluster::NodeSpec::paper_node`]; this module only re-exports the
-//! assembled cluster plus the engine configuration used by every harness
-//! binary, so all experiments share one calibration.
-
-use dps_cluster::ClusterSpec;
-use dps_core::EngineConfig;
-use dps_des::SimSpan;
-
-/// The simulated testbed: `n` bi-processor 733 MHz nodes on the calibrated
-/// Gigabit Ethernet model.
-pub fn paper_cluster(n: usize) -> ClusterSpec {
-    ClusterSpec::paper_testbed(n)
-}
-
-/// Engine configuration shared by the experiments: a 64-token flow window
-/// per split/merge pair (the paper's feedback bound protects memory, not
-/// parallelism — a window smaller than a split's fan-out would serialize
-/// the schedule) and a 25 µs per-operation framework overhead (dispatch +
-/// queue handling), fitted to Table 2's small-block call times.
-pub fn engine_config() -> EngineConfig {
-    EngineConfig {
-        flow_window: 64,
-        op_overhead: SimSpan::from_micros(25),
-        enforce_serialization: false,
-    }
-}
+//! These values are *defaults* of [`dps_net::NetConfig`],
+//! [`dps_cluster::NodeSpec::paper_node`] and `dps_core::EngineConfig`:
+//! every harness binary runs on `ClusterSpec::paper_testbed(n)` with
+//! `EngineConfig::default()` (a 64-token flow window per split/merge pair
+//! and a 25 µs per-operation framework overhead, fitted to Table 2's
+//! small-block call times), so all experiments share one calibration.
 
 /// Measure this host's sustained scalar compute rate (FLOP/s) with a short
 /// timed multiply–add kernel — the wall-clock probe
@@ -76,7 +55,7 @@ mod tests {
 
     #[test]
     fn cluster_matches_testbed() {
-        let c = paper_cluster(8);
+        let c = dps_cluster::ClusterSpec::paper_testbed(8);
         assert_eq!(c.len(), 8);
         assert_eq!(c.node(dps_net::NodeId(0)).cpus, 2);
         assert!((c.node(dps_net::NodeId(0)).flops - 70.0e6).abs() < 1.0);
@@ -84,9 +63,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_is_deterministic_default() {
-        let e = engine_config();
+    fn engine_config_is_the_calibrated_default() {
+        let e = dps_core::EngineConfig::default();
         assert_eq!(e.flow_window, 64);
+        assert_eq!(e.op_overhead, dps_des::SimSpan::from_micros(25));
         assert!(!e.enforce_serialization);
     }
 

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use dps_cluster::{default_mapping, ClusterSpec};
+use dps_cluster::default_mapping;
 use dps_core::prelude::*;
 use dps_core::sched::{
     ChunkRoute, ChunkWorker, CollectChunks, IterRange, RangeDone, ScheduledSplit,
@@ -58,7 +58,8 @@ pub struct DlsConfig {
     pub steps: u32,
     /// Chunk policy under test.
     pub policy: PolicyKind,
-    /// Flow window (0 = unbounded; `2 × workers` gives live self-scheduling).
+    /// Flow window the engine running the loop is built with (0 =
+    /// unbounded; `2 × workers` gives live self-scheduling).
     pub flow_window: u32,
 }
 
@@ -79,9 +80,8 @@ pub struct DlsReport {
     pub reported_chunks: u64,
 }
 
-/// Run a scheduled loop with `cfg.policy` over `cost` on **any engine** —
-/// the single generic entry point behind [`run_dls_sim`] and the
-/// cross-engine tests. One worker thread per node of `worker_nodes`
+/// Run a scheduled loop with `cfg.policy` over `cost` on **any engine**.
+/// One worker thread per node of `worker_nodes`
 /// (`node0..`), the master on `node0`; per-step makespans come out in the
 /// engine's own notion of time. The feedback board's rate estimator
 /// matches the policy (AWF-B/AWF-C get their batch-/chunk-time weighting).
@@ -151,27 +151,28 @@ pub fn run_dls<E: Engine>(
     })
 }
 
-/// Run a scheduled loop on the simulated cluster `spec` (one worker thread
-/// per node) — a thin, fully deterministic [`run_dls`] wrapper.
-pub fn run_dls_sim(spec: ClusterSpec, cost: CostFn, cfg: &DlsConfig) -> Result<DlsReport> {
-    let n_nodes = spec.len();
-    let ecfg = EngineConfig {
-        flow_window: cfg.flow_window,
-        ..EngineConfig::default()
-    };
-    let mut eng = SimEngine::with_config(spec, ecfg);
-    run_dls(&mut eng, cost, cfg, n_nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_cluster::ClusterSpec;
+    use dps_core::SimEngine;
+
+    /// One worker thread per node of `spec`, the engine built with the
+    /// loop's flow window.
+    fn run_on(spec: ClusterSpec, cost: CostFn, cfg: &DlsConfig) -> DlsReport {
+        let nodes = spec.len();
+        let ecfg = EngineConfig {
+            flow_window: cfg.flow_window,
+            ..EngineConfig::default()
+        };
+        run_dls(&mut SimEngine::with_config(spec, ecfg), cost, cfg, nodes).unwrap()
+    }
 
     #[test]
     fn every_policy_schedules_all_iterations() {
         let spec = ClusterSpec::skewed(2, 1, 2.0);
         for kind in PolicyKind::ALL {
-            let rep = run_dls_sim(
+            let rep = run_on(
                 spec.clone(),
                 matmul_cost(64),
                 &DlsConfig {
@@ -180,8 +181,7 @@ mod tests {
                     policy: kind,
                     flow_window: 4,
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(rep.per_step.len(), 2);
             assert!(rep.total > 0.0);
             assert!(rep.chunks.iter().all(|&c| c >= 1), "{kind:?}: {rep:?}");
@@ -196,17 +196,13 @@ mod tests {
             policy: PolicyKind::Awf,
             flow_window: 4,
         };
-        let run = || {
-            run_dls_sim(ClusterSpec::skewed(2, 1, 2.0), lu_cost(200), &cfg)
-                .unwrap()
-                .per_step
-        };
+        let run = || run_on(ClusterSpec::skewed(2, 1, 2.0), lu_cost(200), &cfg).per_step;
         assert_eq!(run(), run());
     }
 
     #[test]
     fn awf_weights_learn_the_skew() {
-        let rep = run_dls_sim(
+        let rep = run_on(
             ClusterSpec::skewed(2, 1, 2.0),
             matmul_cost(64),
             &DlsConfig {
@@ -215,8 +211,7 @@ mod tests {
                 policy: PolicyKind::Awf,
                 flow_window: 4,
             },
-        )
-        .unwrap();
+        );
         // node0 runs 2× faster than node1: its weight converges toward 2/3.
         assert!(
             rep.weights[0] > rep.weights[1] * 1.5,

@@ -12,9 +12,12 @@
 //! | `dls_policies` | beyond the paper — DLS policy sweep (SS/GSS/TSS/FAC/AWF) on a skewed cluster |
 //!
 //! Run any of them with `cargo run --release -p dps-bench --bin <name>`;
-//! add `--full` for paper-scale problem sizes (slower). All results are
-//! virtual-time measurements on the calibrated cluster model and are fully
-//! deterministic.
+//! add `--full` for paper-scale problem sizes (slower). Each binary calls
+//! the applications' generic entry points (`run_lu`, `run_matmul`,
+//! `run_life`, [`dls::run_dls`]) on a `SimEngine` over
+//! `ClusterSpec::paper_testbed(n)`; the testbed calibration is those
+//! defaults (see [`calib`]). All results are virtual-time measurements on
+//! the calibrated cluster model and are fully deterministic.
 //!
 //! `cargo bench -p dps-bench` additionally runs Criterion micro-benchmarks
 //! of the framework's hot paths (serialization, envelopes, routing, the DES

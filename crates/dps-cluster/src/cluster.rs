@@ -1,13 +1,13 @@
 //! The assembled virtual cluster.
 
 use dps_des::{SimSpan, SimTime};
-use dps_net::{NameServer, NetworkModel, NodeId, Traffic, TransferPlan};
+use dps_net::{NetworkModel, NodeId, Traffic, TransferPlan};
 
 use crate::deploy::{AppId, Deployment};
 use crate::spec::ClusterSpec;
 
-/// The complete virtual-cluster world: inventory, network, kernel name
-/// service, application deployment, and node liveness.
+/// The complete virtual-cluster world: inventory, network, application
+/// deployment, and node liveness.
 ///
 /// This is the state the DPS simulation engine embeds; every timing decision
 /// about "the machines" goes through here.
@@ -16,27 +16,19 @@ pub struct Cluster {
     spec: ClusterSpec,
     /// The network model (public: the engine reserves NIC time directly).
     pub net: NetworkModel,
-    /// Kernel discovery registry.
-    pub names: NameServer,
     /// Application instance deployment state.
     pub deploy: Deployment,
     alive: Vec<bool>,
 }
 
 impl Cluster {
-    /// Build the cluster from a spec; registers every node's kernel in the
-    /// name server under the node's name.
+    /// Build the cluster from a spec, every node alive.
     pub fn new(spec: ClusterSpec) -> Self {
-        let mut names = NameServer::new();
-        for id in spec.node_ids() {
-            names.register(spec.node(id).name.clone(), id);
-        }
         let nodes = spec.len();
         let net = NetworkModel::new(nodes, spec.net.clone());
         Self {
             spec,
             net,
-            names,
             deploy: Deployment::default(),
             alive: vec![true; nodes],
         }
@@ -62,19 +54,16 @@ impl Cluster {
         self.alive[node.index()]
     }
 
-    /// Inject a node failure: the kernel unregisters and all application
-    /// instances on the node are evicted. Returns the affected applications.
+    /// Inject a node failure: the node goes down and all application
+    /// instances on it are evicted. Returns the affected applications.
     pub fn fail_node(&mut self, node: NodeId) -> Vec<AppId> {
         self.alive[node.index()] = false;
-        let name = self.spec.node(node).name.clone();
-        self.names.unregister(&name);
         self.deploy.evict_node(node)
     }
 
-    /// Restart a failed node (kernel re-registers; no instances yet).
+    /// Restart a failed node (alive again; no instances yet).
     pub fn restart_node(&mut self, node: NodeId) {
         self.alive[node.index()] = true;
-        self.names.register(self.spec.node(node).name.clone(), node);
     }
 
     /// Virtual time to execute `flops` floating-point operations on `node`.
@@ -112,10 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn kernels_registered_on_construction() {
+    fn every_node_is_alive_on_construction() {
         let c = cluster(3);
-        assert_eq!(c.names.lookup("node1"), Some(NodeId(1)));
-        assert_eq!(c.names.len(), 3);
+        assert_eq!(c.len(), 3);
+        assert!((0..3).all(|n| c.is_alive(NodeId(n))));
     }
 
     #[test]
@@ -126,16 +115,15 @@ mod tests {
     }
 
     #[test]
-    fn failure_evicts_and_unregisters() {
+    fn failure_evicts_and_restart_revives() {
         let mut c = cluster(2);
         c.deploy.ensure_instance(SimTime::ZERO, AppId(1), NodeId(1));
         let affected = c.fail_node(NodeId(1));
         assert!(!c.is_alive(NodeId(1)));
-        assert_eq!(c.names.lookup("node1"), None);
+        assert!(c.is_alive(NodeId(0)));
         assert_eq!(affected, vec![AppId(1)]);
         c.restart_node(NodeId(1));
         assert!(c.is_alive(NodeId(1)));
-        assert_eq!(c.names.lookup("node1"), Some(NodeId(1)));
     }
 
     #[test]

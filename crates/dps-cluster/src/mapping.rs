@@ -94,27 +94,11 @@ pub fn resolve_mapping(spec: &ClusterSpec, s: &str) -> Result<Vec<NodeId>, Mappi
     Ok(out)
 }
 
-/// Build the canonical round-robin mapping string for the first `nodes`
-/// nodes with `per_node` threads each — a convenience for benchmarks that
-/// sweep node counts.
-pub fn round_robin_mapping(spec: &ClusterSpec, nodes: usize, per_node: usize) -> String {
-    assert!(nodes >= 1 && nodes <= spec.len(), "node count out of range");
-    let mut parts = Vec::with_capacity(nodes);
-    for id in spec.node_ids().take(nodes) {
-        let name = &spec.node(id).name;
-        if per_node == 1 {
-            parts.push(name.clone());
-        } else {
-            parts.push(format!("{name}*{per_node}"));
-        }
-    }
-    parts.join(" ")
-}
-
-/// The spec-free counterpart of [`round_robin_mapping`] for clusters with
-/// the conventional `node0..node{n-1}` names (every [`ClusterSpec`]
-/// constructor and the OS-thread engine use them): engine-generic setup
-/// code can build its worker mapping without a cluster handle.
+/// The mapping string for `per_node` threads on each of the first `nodes`
+/// nodes, `"node0*2 node1*2"` — the conventional `node0..node{n-1}` names
+/// every [`ClusterSpec`] constructor and the OS-thread engine use, so
+/// engine-generic setup code builds its worker mapping without a cluster
+/// handle.
 pub fn default_mapping(nodes: usize, per_node: usize) -> String {
     default_mapping_from(0, nodes, per_node)
 }
@@ -140,9 +124,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_mapping_matches_round_robin_on_uniform_specs() {
-        let spec = ClusterSpec::uniform(3, 1);
-        assert_eq!(default_mapping(3, 2), round_robin_mapping(&spec, 3, 2));
+    fn default_mapping_names_every_spec_constructors_nodes() {
+        for spec in [
+            ClusterSpec::uniform(3, 1),
+            ClusterSpec::paper_testbed(3),
+            ClusterSpec::heterogeneous(1, &[1.0e6, 2.0e6, 3.0e6]),
+        ] {
+            let ids = resolve_mapping(&spec, &default_mapping(3, 2)).unwrap();
+            assert_eq!(ids.len(), 6);
+            assert_eq!(ids[4], NodeId(2));
+        }
         assert_eq!(default_mapping(2, 1), "node0 node1");
     }
 
@@ -198,11 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_builder() {
-        let spec = ClusterSpec::uniform(4, 2);
-        assert_eq!(round_robin_mapping(&spec, 2, 1), "node0 node1");
-        assert_eq!(round_robin_mapping(&spec, 2, 2), "node0*2 node1*2");
-        let ids = resolve_mapping(&spec, &round_robin_mapping(&spec, 3, 2)).unwrap();
-        assert_eq!(ids.len(), 6);
+    fn default_mapping_builder() {
+        assert_eq!(default_mapping(2, 1), "node0 node1");
+        assert_eq!(default_mapping(2, 2), "node0*2 node1*2");
+        assert_eq!(default_mapping_from(1, 2, 1), "node1 node2");
     }
 }

@@ -13,10 +13,13 @@
 //! [`call`](Application::call) / [`stream`](Application::stream) and never
 //! touches raw [`TokenBox`]es or engine-specific run loops.
 //!
-//! Engine-specific features stay on the concrete types (e.g.
-//! `SimEngine::fail_node`, `thread_data_mut`, virtual-time injection); the
-//! [`caps`](Engine::caps) probe tells generic code which of them the engine
-//! behind it offers.
+//! Thread state reaches its threads only through graphs: an application
+//! loads its distributed data with a loader graph and reads it back with a
+//! read or dump graph, so the same driver runs on every engine. Features
+//! only one engine has stay on its concrete type (e.g.
+//! `SimEngine::fail_node`, virtual-time injection); the
+//! [`caps`](Engine::caps) probe tells generic code whether the engine
+//! behind it reports virtual time.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -30,29 +33,12 @@ use crate::ops::ThreadData;
 use crate::threads::ThreadCollection;
 use crate::token::{downcast, Token, TokenBox};
 
-/// What an [`Engine`] can do beyond the portable core — the capability
-/// probe generic code consults before reaching for engine-specific
-/// features (via the concrete type).
+/// What an [`Engine`] can do beyond the portable core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCaps {
-    /// Identical inputs produce identical outputs *and timings* (virtual
-    /// time). False for wall-clock engines, where merge consume order is
-    /// nondeterministic and only commutative merges are portable.
-    pub deterministic: bool,
     /// [`Engine::now_secs`] reports simulated virtual time (calibrated to
     /// the modelled cluster) rather than host wall-clock time.
     pub virtual_time: bool,
-    /// The engine supports failure injection (`SimEngine::fail_node`):
-    /// killing a node mid-wave re-queues its stranded deliveries.
-    pub fail_node: bool,
-    /// Thread-local state can be read/written from outside the graph
-    /// (`SimEngine::thread_data_mut`). Engines without this capability
-    /// stage state through loader/dump graphs instead.
-    pub thread_state_access: bool,
-    /// All apps, thread collections and graphs must be declared before the
-    /// first [`submit`](Engine::submit); late declarations panic. Generic
-    /// setup code must declare everything first, then run.
-    pub declare_before_run: bool,
 }
 
 /// One execution engine for DPS flow graphs.
@@ -62,11 +48,17 @@ pub struct EngineCaps {
 /// Generic drivers written against this trait run unchanged on the
 /// deterministic simulator and on real OS threads.
 ///
-/// Engines with [`EngineCaps::declare_before_run`] require every
-/// declaration (`app`, `thread_collection`, `build_graph`,
-/// `expose_service`, `set_feedback_sink`) to precede the first
-/// [`submit`](Self::submit); portable setup code should follow that order
-/// unconditionally.
+/// Two rules keep a driver portable:
+///
+/// * The `mt` and `net` engines reject declarations (`app`,
+///   `thread_collection`, `build_graph`, `expose_service`,
+///   `set_feedback_sink`, `set_trace_sink`) after the first
+///   [`submit`](Self::submit); the simulator accepts them at any time.
+///   Portable setup code declares everything first, then runs.
+/// * Only the simulator fixes the order in which a merge consumes its
+///   tokens (and reports virtual time). On wall-clock engines the consume
+///   order is nondeterministic, so only commutative merges give the same
+///   result everywhere.
 ///
 /// ```
 /// use dps_core::prelude::*;
@@ -121,8 +113,8 @@ pub trait Engine {
 
     /// Run `f` on the engine's declaration table: the one declaration hook
     /// an engine implements. The five declaration steps below are provided
-    /// over it and written once, in [`Decls`]. Engines with
-    /// [`EngineCaps::declare_before_run`] panic here once a run has begun.
+    /// over it and written once, in [`Decls`]. The `mt` and `net` engines
+    /// panic here once a run has begun.
     fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R;
 
     /// Register a parallel application.
@@ -179,9 +171,9 @@ pub trait Engine {
 
     /// Attach a trace sink: the engine records its events
     /// ([`dps_obs::EventKind`]) and metrics into `sink` from now on. On
-    /// engines with [`EngineCaps::declare_before_run`] the sink must be
-    /// attached before the first [`submit`](Self::submit), like every other
-    /// declaration. The default implementation ignores the sink (tracing is
+    /// the `mt` and `net` engines the sink must be attached before the
+    /// first [`submit`](Self::submit), like every other declaration. The
+    /// default implementation ignores the sink (tracing is
     /// strictly opt-in and engines without instrumentation stay valid).
     fn set_trace_sink(&mut self, sink: Arc<dps_obs::TraceCollector>) {
         let _ = sink;
@@ -363,13 +355,7 @@ impl Engine for crate::engine::SimEngine {
     }
 
     fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            deterministic: true,
-            virtual_time: true,
-            fail_node: true,
-            thread_state_access: true,
-            declare_before_run: false,
-        }
+        EngineCaps { virtual_time: true }
     }
 
     fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {

@@ -30,9 +30,8 @@ use crate::kernel::{
     self, Arrival, At, CallReturn, Death, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent,
     Serve, Substrate, Tracer,
 };
-use crate::ops::{ExecInfo, OpOutput, ThreadData};
+use crate::ops::{ExecInfo, OpOutput};
 use crate::route::{DynRoute, RouteInfo};
-use crate::threads::ThreadCollection;
 use crate::token::{Token, TokenBox};
 
 /// Engine tunables.
@@ -465,18 +464,6 @@ impl SimEngine {
             .outputs
             .remove(&(graph.app, graph.graph))
             .unwrap_or_default()
-    }
-
-    /// Inspect/mutate the thread-local state of one thread (e.g. to preload
-    /// a distributed matrix, or to read results after a run).
-    pub fn thread_data_mut<Td: ThreadData>(
-        &mut self,
-        tc: &ThreadCollection<Td>,
-        thread: usize,
-    ) -> &mut Td {
-        self.sim.world.apps[tc.app as usize].tcs[tc.tc as usize].data[thread]
-            .downcast_mut::<Td>()
-            .expect("thread data type enforced at collection creation")
     }
 
     /// The virtual cluster (read-only).

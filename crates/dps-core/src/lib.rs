@@ -52,10 +52,10 @@
 //! flow-control credits, wave pinning, graph exits, the path of a token —
 //! is written once, in the `kernel` module they share (`docs/ARCHITECTURE.md` §1).
 //!
-//! Engine-specific features (failure injection, thread-state access,
-//! virtual-time scheduling) stay on the concrete types; the
-//! [`EngineCaps`] probe tells generic code what the engine behind it
-//! offers.
+//! Thread state reaches its threads only through graphs, on every engine.
+//! Engine-specific features (failure injection, virtual-time scheduling)
+//! stay on the concrete types; the [`EngineCaps`] probe tells generic code
+//! whether the engine behind it reports virtual time.
 
 mod api;
 mod builder;

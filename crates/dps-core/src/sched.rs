@@ -27,7 +27,7 @@
 //!   so the engine reports each chunk's completion time to the feedback
 //!   sink — virtual time on [`SimEngine`](crate::SimEngine), wall-clock on
 //!   the `dps-mt` engine — closing the AWF adaptation loop;
-//! * [`calibrate_rates`] runs a short scheduled warm-up loop so a
+//! * [`build_calibration`] builds a short scheduled warm-up loop so a
 //!   [`FeedbackBoard`] learns per-worker rates *before* the first real wave
 //!   (the simulator-side analogue of `MtEngine::calibrate_feedback`).
 //!
@@ -352,8 +352,8 @@ impl MergeOperation for CollectChunks {
 ///
 /// Built by [`build_calibration`] and driven by [`run`](Self::run); the
 /// split lets engine-generic setup code declare every graph first and run
-/// afterwards — the contract engines with
-/// [`declare_before_run`](crate::EngineCaps::declare_before_run) enforce.
+/// afterwards — the contract the `mt` and `net` engines enforce (they reject
+/// declarations after the first run).
 pub struct Calibration {
     graph: GraphHandle,
     workers: usize,
@@ -500,29 +500,11 @@ impl Placement {
     }
 }
 
-/// Run a short scheduled warm-up loop so `board` learns each worker's
-/// execution rate before the first real wave (the engine-generic successor
-/// of `MtEngine::calibrate_feedback`'s wall-clock probe). Equivalent to
-/// [`build_calibration`] + [`Calibration::run`] — use the split form when
-/// more declarations must follow on a
-/// [`declare_before_run`](crate::EngineCaps::declare_before_run) engine.
-pub fn calibrate_rates<E: Engine>(
-    eng: &mut E,
-    app: AppHandle,
-    worker_mapping: &str,
-    hub: &Arc<ChunkHub>,
-    board: &Arc<FeedbackBoard>,
-    rounds: u32,
-) -> Result<()> {
-    build_calibration(eng, app, worker_mapping, hub, board)?.run(eng, rounds)
-}
-
 /// A block→worker ownership map that can be *resolved after the graphs
 /// using it are built*: routes capture the map and read it per token, so a
 /// calibration run (whose measured rates decide the placement) can happen
-/// between graph construction and the first real wave — the ordering
-/// [`declare_before_run`](crate::EngineCaps::declare_before_run) engines
-/// require.
+/// between graph construction and the first real wave — the ordering the
+/// `mt` and `net` engines require.
 ///
 /// Unresolved lookups fall back to the static `item mod workers` layout.
 #[derive(Debug, Default)]

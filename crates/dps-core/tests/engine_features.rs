@@ -19,8 +19,8 @@ fn engine(nodes: usize) -> SimEngine {
     SimEngine::new(ClusterSpec::paper_testbed(nodes))
 }
 
-fn workers_mapping(eng: &SimEngine, nodes: usize) -> String {
-    dps_cluster::round_robin_mapping(eng.cluster().spec(), nodes, 1)
+fn workers_mapping(nodes: usize) -> String {
+    dps_cluster::default_mapping(nodes, 1)
 }
 
 // --- split / leaf / merge / stream ops used across tests -------------------
@@ -100,7 +100,7 @@ fn stream_pipelines_partial_merges() {
     let mut eng = engine(4);
     let app = eng.app("stream-demo");
     let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
-    let map = workers_mapping(&eng, 4);
+    let map = workers_mapping(4);
     let workers: ThreadCollection<()> = eng.thread_collection(app, "w", &map).unwrap();
 
     let mut b = GraphBuilder::new("pairs");
@@ -196,7 +196,7 @@ fn nested_split_merge_constructs_compose() {
     let mut eng = engine(4);
     let app = eng.app("nested");
     let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-    let map = workers_mapping(&eng, 4);
+    let map = workers_mapping(4);
     let workers: ThreadCollection<()> = eng.thread_collection(app, "w", &map).unwrap();
 
     let mut b = GraphBuilder::new("nested");
@@ -266,7 +266,7 @@ fn token_type_selects_path() {
     let mut eng = engine(2);
     let app = eng.app("paths");
     let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-    let map = workers_mapping(&eng, 2);
+    let map = workers_mapping(2);
     let workers: ThreadCollection<()> = eng.thread_collection(app, "w", &map).unwrap();
 
     let mut b = GraphBuilder::new("two-paths");
@@ -537,7 +537,7 @@ fn virtual_time_is_deterministic() {
         let mut eng = engine(4);
         let app = eng.app("det");
         let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-        let map = workers_mapping(&eng, 4);
+        let map = workers_mapping(4);
         let w: ThreadCollection<()> = eng.thread_collection(app, "w", &map).unwrap();
         let mut b = GraphBuilder::new("det");
         let s = b.split(&main, || ToThread(0), || FanN);
@@ -615,16 +615,37 @@ fn thread_data_persists_across_executions() {
     let app = eng.app("td");
     let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
     let w: ThreadCollection<u32> = eng.thread_collection(app, "w", "node0 node1").unwrap();
+    /// Reads the counter back: thread `i` reports it scaled by `100^i`,
+    /// so the merged sum holds every thread's count.
+    struct ReadCount;
+    impl LeafOperation for ReadCount {
+        type Thread = u32;
+        type In = Part;
+        type Out = Part;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, u32, Part>, p: Part) {
+            let v = *ctx.thread() * 100u32.pow(p.i);
+            ctx.post(Part { i: p.i, v });
+        }
+    }
     let mut b = GraphBuilder::new("td");
     let s = b.split(&main, || ToThread(0), || FanN);
     let l = b.leaf(&w, RoundRobin::new, || CountingLeaf);
     let m = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
+    let mut b = GraphBuilder::new("td-read");
+    let s = b.split(&main, || ToThread(0), || FanN);
+    let l = b.leaf(&w, || ByKey::new(|p: &Part| p.i as usize), || ReadCount);
+    let m = b.merge(&main, || ToThread(0), SumParts::default);
+    b.add(s >> l >> m);
+    let read = eng.build_graph(b).unwrap();
     eng.inject(g, Start { n: 10 }).unwrap();
     eng.run_until_idle().unwrap();
-    let c0 = *eng.thread_data_mut(&w, 0);
-    let c1 = *eng.thread_data_mut(&w, 1);
+    eng.inject(read, Start { n: 2 }).unwrap();
+    eng.run_until_idle().unwrap();
+    let out = eng.take_outputs(read).pop().unwrap().1;
+    let total = downcast::<Result_>(out).unwrap().total;
+    let (c0, c1) = (total % 100, total / 100);
     assert_eq!(c0 + c1, 10);
     assert_eq!(c0, 5, "round robin splits evenly");
 }

@@ -50,7 +50,7 @@ fn build(nodes: usize, items: u32) -> (SimEngine, GraphHandle) {
     let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
     let app = eng.app("demo");
     let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
-    let mapping = dps_cluster::round_robin_mapping(eng.cluster().spec(), nodes, 1);
+    let mapping = dps_cluster::default_mapping(nodes, 1);
     let workers: ThreadCollection<()> = eng.thread_collection(app, "proc", &mapping).unwrap();
 
     let mut b = GraphBuilder::new("sumsq");

@@ -1,12 +1,13 @@
 //! The DPS flow graphs of the Life application (paper Fig. 7, 8, 10).
 
-use dps_cluster::{round_robin_mapping, ClusterSpec};
+use dps_cluster::default_mapping;
 use dps_core::prelude::*;
-use dps_core::{dps_token, AppHandle, GraphHandle, SimEngine};
+use dps_core::{downcast, dps_token, Engine, GraphHandle};
 use dps_des::SimSpan;
 use dps_serial::Buffer;
 
 use crate::band::LifeBand;
+use crate::sched::{LoadWorld, WorldLoaded};
 use crate::world::World;
 
 dps_token! {
@@ -75,6 +76,21 @@ dps_token! {
 dps_token! {
     /// Iteration result: generation counter and total population.
     pub struct IterDone { pub iter: u32, pub population: u64 }
+}
+
+dps_token! {
+    /// One band of the world on its way to its worker thread (loader graph).
+    pub struct BandLoad {
+        pub t: u32,
+        pub start_row: u32,
+        pub rows: u32,
+        pub cols: u32,
+        pub cells: Buffer<u8>,
+    }
+}
+dps_token! {
+    /// A worker thread installed its band (loader graph).
+    pub struct BandLoaded { pub rows: u32 }
 }
 
 dps_token! {
@@ -478,6 +494,66 @@ impl MergeOperation for EndIteration {
     }
 }
 
+// --- loader ---------------------------------------------------------------------------
+
+/// Cut the world into one band per worker thread.
+struct SplitWorld {
+    p: usize,
+}
+impl SplitOperation for SplitWorld {
+    type Thread = ();
+    type In = LoadWorld;
+    type Out = BandLoad;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), BandLoad>, w: LoadWorld) {
+        let cols = w.cols as usize;
+        let cells = w.cells.as_slice();
+        for (t, (start, h)) in partition(w.rows as usize, self.p).into_iter().enumerate() {
+            ctx.post(BandLoad {
+                t: t as u32,
+                start_row: start as u32,
+                rows: h as u32,
+                cols: w.cols,
+                cells: cells[start * cols..(start + h) * cols].to_vec().into(),
+            });
+        }
+    }
+}
+
+/// Install one band into its worker thread's [`LifeBand`].
+struct LoadBand;
+impl LeafOperation for LoadBand {
+    type Thread = LifeBand;
+    type In = BandLoad;
+    type Out = BandLoaded;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, LifeBand, BandLoaded>, b: BandLoad) {
+        let rows = b.rows;
+        ctx.thread().load(
+            b.start_row as usize,
+            rows as usize,
+            b.cols as usize,
+            b.cells.into_vec(),
+        );
+        ctx.post(BandLoaded { rows });
+    }
+}
+
+/// Count the installed rows.
+#[derive(Default)]
+struct CountLoaded {
+    rows: u32,
+}
+impl MergeOperation for CountLoaded {
+    type Thread = ();
+    type In = BandLoaded;
+    type Out = WorldLoaded;
+    fn consume(&mut self, _ctx: &mut OpCtx<'_, (), WorldLoaded>, b: BandLoaded) {
+        self.rows += b.rows;
+    }
+    fn finalize(&mut self, ctx: &mut OpCtx<'_, (), WorldLoaded>) {
+        ctx.post(WorldLoaded { rows: self.rows });
+    }
+}
+
 // --- read service (Fig. 10) -------------------------------------------------------
 
 /// (a) split the request to the workers holding the requested rows.
@@ -578,8 +654,8 @@ pub enum Variant {
 ///   the interior computes in parallel; whichever of the two phases ends
 ///   second commits the band locally. Only one global synchronization
 ///   remains, at the end of the iteration.
-pub fn build_step_graph(
-    eng: &mut SimEngine,
+pub fn build_step_graph<E: Engine>(
+    eng: &mut E,
     variant: Variant,
     master: &ThreadCollection<()>,
     workers: &ThreadCollection<LifeBand>,
@@ -660,12 +736,11 @@ pub fn build_step_graph(
 }
 
 /// Build the world-subset read graph (Fig. 10) over the same collections.
-pub fn build_read_service(
-    eng: &mut SimEngine,
+pub fn build_read_service<E: Engine>(
+    eng: &mut E,
     master: &ThreadCollection<()>,
     workers: &ThreadCollection<LifeBand>,
     rows: usize,
-    service_name: Option<&str>,
 ) -> Result<GraphHandle> {
     let bands = partition(rows, workers.thread_count());
     let bands_for_route = bands.clone();
@@ -698,11 +773,28 @@ pub fn build_read_service(
     // (Table 2); on the testbed the OS preempts, here the deliveries jump
     // the queue.
     b.set_interactive();
-    let g = eng.build_graph(b)?;
-    if let Some(name) = service_name {
-        eng.expose_service(g, name);
-    }
-    Ok(g)
+    eng.build_graph(b)
+}
+
+/// Build the loader graph (`LoadWorld → WorldLoaded`): a split on the
+/// master cuts the world into [`partition`] bands, a leaf on band thread
+/// `t` installs band `t`, and a merge counts the installed rows.
+fn build_loader<E: Engine>(
+    eng: &mut E,
+    master: &ThreadCollection<()>,
+    workers: &ThreadCollection<LifeBand>,
+) -> Result<GraphHandle> {
+    let p = workers.thread_count();
+    let mut b = GraphBuilder::new("life-load-bands");
+    let s = b.split(master, || ToThread(0), move || SplitWorld { p });
+    let load = b.leaf(
+        workers,
+        || ByKey::new(|b: &BandLoad| b.t as usize),
+        || LoadBand,
+    );
+    let m = b.merge(master, || ToThread(0), CountLoaded::default);
+    b.add(s >> load >> m);
+    eng.build_graph(b)
 }
 
 // --- driver -----------------------------------------------------------------------------
@@ -746,84 +838,101 @@ pub struct LifeRunReport {
     pub world: World,
 }
 
-/// Set up a Life application on an engine: collections, graphs, band
-/// distribution. Returns `(app, master, workers, step graph)`.
-pub fn setup_life(
-    eng: &mut SimEngine,
-    cfg: &LifeConfig,
-    world: &World,
-) -> Result<(
-    AppHandle,
-    ThreadCollection<()>,
-    ThreadCollection<LifeBand>,
-    GraphHandle,
-)> {
+/// A banded Life application set up on an engine: the paper's layout, one
+/// fixed band of the world per worker thread.
+pub struct BandedLife {
+    /// The iteration graph (`IterOrder → IterDone`, Fig. 7 or Fig. 8).
+    pub step: GraphHandle,
+    /// The world-subset read service (`ReadReq → Subset`, Fig. 10).
+    pub read: GraphHandle,
+    rows: usize,
+    cols: usize,
+}
+
+impl BandedLife {
+    /// Advance the world one generation; returns the iteration report.
+    pub fn step_once<E: Engine>(&self, eng: &mut E, iter: u32) -> Result<IterDone> {
+        eng.submit(self.step, Box::new(IterOrder { iter }))?;
+        eng.run_to_idle(self.step, 1)?;
+        let out = eng.take_outputs(self.step).pop().expect("one IterDone");
+        Ok(*downcast::<IterDone>(out).expect("IterDone output"))
+    }
+
+    /// Read a subset of the world through the read service.
+    pub fn read_subset<E: Engine>(&self, eng: &mut E, req: ReadReq) -> Result<Subset> {
+        eng.submit(self.read, Box::new(req))?;
+        eng.run_to_idle(self.read, 1)?;
+        let out = eng.take_outputs(self.read).pop().expect("one Subset");
+        Ok(*downcast::<Subset>(out).expect("Subset output"))
+    }
+
+    /// Gather the distributed bands back into a [`World`]: one full-world
+    /// read.
+    pub fn gather_world<E: Engine>(&self, eng: &mut E) -> Result<World> {
+        let sub = self.read_subset(
+            eng,
+            ReadReq {
+                col0: 0,
+                row0: 0,
+                width: self.cols as u32,
+                height: self.rows as u32,
+            },
+        )?;
+        Ok(World::from_flat(self.rows, self.cols, sub.data.into_vec()))
+    }
+}
+
+/// Set up a banded Life application on any engine: collections, the
+/// iteration, read and loader graphs (all declared before the first run),
+/// then the world's bands shipped to their workers through the loader.
+pub fn setup_life<E: Engine>(eng: &mut E, cfg: &LifeConfig, world: &World) -> Result<BandedLife> {
     let app = eng.app("life");
     eng.preload_app(app);
     let master: ThreadCollection<()> = eng.thread_collection(app, "master", "node0")?;
-    let mapping = round_robin_mapping(eng.cluster().spec(), cfg.nodes, cfg.threads_per_node);
+    let mapping = default_mapping(cfg.nodes, cfg.threads_per_node);
     let workers: ThreadCollection<LifeBand> = eng.thread_collection(app, "bands", &mapping)?;
-    let graph = build_step_graph(eng, cfg.variant, &master, &workers, cfg.rows)?;
-    // Distribute the world bands.
-    let parts = partition(cfg.rows, workers.thread_count());
-    for (t, &(start, h)) in parts.iter().enumerate() {
-        let mut cells = Vec::with_capacity(h * cfg.cols);
-        for r in start..start + h {
-            cells.extend_from_slice(world.row(r));
-        }
-        eng.thread_data_mut(&workers, t)
-            .load(start, h, cfg.cols, cells);
-    }
-    Ok((app, master, workers, graph))
+    let step = build_step_graph(eng, cfg.variant, &master, &workers, cfg.rows)?;
+    let read = build_read_service(eng, &master, &workers, cfg.rows)?;
+    let loader = build_loader(eng, &master, &workers)?;
+    eng.submit(
+        loader,
+        Box::new(LoadWorld {
+            rows: cfg.rows as u32,
+            cols: cfg.cols as u32,
+            cells: world.as_slice().to_vec().into(),
+        }),
+    )?;
+    eng.run_to_idle(loader, 1)?;
+    let loaded = eng.take_outputs(loader).pop().expect("one WorldLoaded");
+    let loaded = downcast::<WorldLoaded>(loaded).expect("WorldLoaded output");
+    debug_assert_eq!(loaded.rows as usize, cfg.rows, "every band loaded");
+    Ok(BandedLife {
+        step,
+        read,
+        rows: cfg.rows,
+        cols: cfg.cols,
+    })
 }
 
-/// Gather the distributed bands back into a [`World`].
-pub fn gather_world(
-    eng: &mut SimEngine,
-    workers: &ThreadCollection<LifeBand>,
-    rows: usize,
-    cols: usize,
-) -> World {
-    let parts = partition(rows, workers.thread_count());
-    let mut w = World::dead(rows, cols);
-    for (t, &(start, h)) in parts.iter().enumerate() {
-        let band = eng.thread_data_mut(workers, t);
-        for r in 0..h {
-            for c in 0..cols {
-                w.set(start + r, c, band.row(r)[c]);
-            }
-        }
-    }
-    w
-}
-
-/// Run a full Life experiment on the simulated cluster: set up, iterate,
-/// gather, report per-iteration virtual times.
-pub fn run_life_sim(
-    spec: ClusterSpec,
-    cfg: &LifeConfig,
-    ecfg: EngineConfig,
-) -> Result<LifeRunReport> {
+/// Run a full Life experiment on any engine: set up, iterate, gather, and
+/// report per-iteration times in the engine's own notion of time.
+/// `Distribution::Static` runs the paper's banded graphs;
+/// `Distribution::Scheduled` runs [`run_life_scheduled`](crate::run_life_scheduled).
+pub fn run_life<E: Engine>(eng: &mut E, cfg: &LifeConfig) -> Result<LifeRunReport> {
     if let dps_sched::Distribution::Scheduled(kind) = cfg.dist {
-        let mut eng = SimEngine::with_config(spec, ecfg);
-        return crate::sched::run_life_scheduled(&mut eng, cfg, kind);
+        return crate::sched::run_life_scheduled(eng, cfg, kind);
     }
     let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
-    let mut eng = SimEngine::with_config(spec, ecfg);
-    let (_, _, workers, graph) = setup_life(&mut eng, cfg, &world)?;
-
+    let life = setup_life(eng, cfg, &world)?;
     let mut per_iter = Vec::with_capacity(cfg.iterations);
-    let start = eng.now();
+    let start = eng.now_secs();
     for i in 0..cfg.iterations {
-        let t0 = eng.now();
-        eng.inject(graph, IterOrder { iter: i as u32 })?;
-        eng.run_until_idle()?;
-        per_iter.push(eng.now().since(t0));
-        let outs = eng.take_outputs(graph);
-        debug_assert_eq!(outs.len(), 1);
+        let t0 = eng.now_secs();
+        life.step_once(eng, i as u32)?;
+        per_iter.push(SimSpan::from_secs_f64(eng.now_secs() - t0));
     }
-    let elapsed = eng.now().since(start);
-    let world = gather_world(&mut eng, &workers, cfg.rows, cfg.cols);
+    let elapsed = SimSpan::from_secs_f64(eng.now_secs() - start);
+    let world = life.gather_world(eng)?;
     Ok(LifeRunReport {
         elapsed,
         per_iter,
@@ -834,10 +943,12 @@ pub fn run_life_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_cluster::ClusterSpec;
+    use dps_core::SimEngine;
 
     fn check(cfg: &LifeConfig) -> LifeRunReport {
-        let spec = ClusterSpec::paper_testbed(cfg.nodes);
-        let rep = run_life_sim(spec, cfg, EngineConfig::default()).unwrap();
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(cfg.nodes));
+        let rep = run_life(&mut eng, cfg).unwrap();
         let expect =
             World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed).step_n(cfg.iterations);
         assert_eq!(rep.world, expect, "parallel Life diverged from reference");
@@ -897,13 +1008,12 @@ mod tests {
             seed: 1,
             dist: dps_sched::Distribution::Static,
         };
-        let spec = ClusterSpec::paper_testbed(4);
-        let t_simple = run_life_sim(spec.clone(), &mk(Variant::Simple), EngineConfig::default())
-            .unwrap()
-            .elapsed;
-        let t_improved = run_life_sim(spec, &mk(Variant::Improved), EngineConfig::default())
-            .unwrap()
-            .elapsed;
+        let elapsed = |variant| {
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(4));
+            run_life(&mut eng, &mk(variant)).unwrap().elapsed
+        };
+        let t_simple = elapsed(Variant::Simple);
+        let t_improved = elapsed(Variant::Improved);
         assert!(
             t_improved < t_simple,
             "improved {t_improved} should beat simple {t_simple}"
@@ -915,22 +1025,18 @@ mod tests {
         let cfg = base(Variant::Simple, 2);
         let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
         let mut eng = SimEngine::new(ClusterSpec::paper_testbed(2));
-        let (_, master, workers, _) = setup_life(&mut eng, &cfg, &world).unwrap();
-        let read = build_read_service(&mut eng, &master, &workers, cfg.rows, None).unwrap();
-        eng.inject(
-            read,
-            ReadReq {
-                col0: 2,
-                row0: 5,
-                width: 6,
-                height: 12,
-            },
-        )
-        .unwrap();
-        eng.run_until_idle().unwrap();
-        let outs = eng.take_outputs(read);
-        assert_eq!(outs.len(), 1);
-        let sub = dps_core::downcast::<Subset>(outs.into_iter().next().unwrap().1).unwrap();
+        let life = setup_life(&mut eng, &cfg, &world).unwrap();
+        let sub = life
+            .read_subset(
+                &mut eng,
+                ReadReq {
+                    col0: 2,
+                    row0: 5,
+                    width: 6,
+                    height: 12,
+                },
+            )
+            .unwrap();
         assert_eq!(sub.rows, 12);
         assert_eq!(sub.width, 6);
         for r in 0..12usize {
@@ -941,6 +1047,22 @@ mod tests {
                     "subset mismatch at ({r},{c})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_loader_and_the_read_service_round_trip_the_world() {
+        for (nodes, threads_per_node) in [(1, 1), (3, 1), (5, 1), (2, 3)] {
+            let mut cfg = base(Variant::Simple, nodes);
+            cfg.threads_per_node = threads_per_node;
+            let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+            let life = setup_life(&mut eng, &cfg, &world).unwrap();
+            assert_eq!(
+                life.gather_world(&mut eng).unwrap(),
+                world,
+                "{nodes} nodes × {threads_per_node} threads"
+            );
         }
     }
 

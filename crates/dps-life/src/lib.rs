@@ -31,7 +31,8 @@ mod world;
 
 pub use band::LifeBand;
 pub use graphs::{
-    build_read_service, build_step_graph, run_life_sim, LifeConfig, LifeRunReport, Variant,
+    build_read_service, build_step_graph, run_life, setup_life, BandedLife, LifeConfig,
+    LifeRunReport, Variant,
 };
 pub use sched::{run_life_scheduled, setup_scheduled_life, ScheduledLife, WorldState};
 pub use world::World;

@@ -76,18 +76,18 @@ dps_token! {
 }
 
 dps_token! {
-    /// Load the world into the master store (MtEngine path, where thread
-    /// state cannot be preloaded from outside).
+    /// Load a world: into the master store here, into the worker bands in
+    /// the banded graphs' loader.
     pub struct LoadWorld { pub rows: u32, pub cols: u32, pub cells: Buffer<u8> }
 }
 
 dps_token! {
-    /// Acknowledgement of a [`LoadWorld`].
+    /// Acknowledgement of a [`LoadWorld`]: the rows installed.
     pub struct WorldLoaded { pub rows: u32 }
 }
 
 dps_token! {
-    /// Ask the master store for the current world (MtEngine gather path).
+    /// Ask the master store for the current world.
     pub struct DumpOrder { pub tag: u32 }
 }
 
@@ -307,7 +307,7 @@ impl MergeOperation for ApplyRows {
     }
 }
 
-/// Load a world shipped as a token into the master store (MtEngine path).
+/// Load a world shipped as a token into the master store.
 struct InstallWorld;
 
 impl LeafOperation for InstallWorld {
@@ -322,7 +322,7 @@ impl LeafOperation for InstallWorld {
     }
 }
 
-/// Dump the master store's current world (MtEngine gather path).
+/// Dump the master store's current world.
 struct ExtractWorld;
 
 impl LeafOperation for ExtractWorld {
@@ -392,8 +392,6 @@ pub fn world_dump_builder(store: &ThreadCollection<WorldState>) -> GraphBuilder 
 pub struct ScheduledLife {
     /// The owning application.
     pub app: AppHandle,
-    /// The one-thread master collection holding the [`WorldState`].
-    pub store: ThreadCollection<WorldState>,
     /// The scheduled iteration graph (`IterRange → IterDone`).
     pub step: GraphHandle,
     /// The world-loader graph (`LoadWorld → WorldLoaded`).
@@ -455,8 +453,8 @@ pub fn setup_scheduled_life<E: Engine>(
     let store: ThreadCollection<WorldState> = eng.thread_collection(app, "world", "node0")?;
     let mapping = default_mapping(cfg.nodes, cfg.threads_per_node);
     let workers: ThreadCollection<()> = eng.thread_collection(app, "rows", &mapping)?;
-    // Declare everything before the first run (the `declare_before_run`
-    // engine contract): calibration loop, step graph, loader, dumper.
+    // Declare everything before the first run (`mt` and `net` reject later
+    // declarations): calibration loop, step graph, loader, dumper.
     let calibration = build_calibration(eng, app, &mapping, &hub, &board)?;
     let step = eng.build_graph(scheduled_step_builder(
         &ctl,
@@ -483,7 +481,6 @@ pub fn setup_scheduled_life<E: Engine>(
     let _ = eng.take_outputs(loader);
     Ok(ScheduledLife {
         app,
-        store,
         step,
         loader,
         dumper,
@@ -492,8 +489,7 @@ pub fn setup_scheduled_life<E: Engine>(
 }
 
 /// Run a scheduled Life experiment on **any engine** (the
-/// `Distribution::Scheduled` arm of [`crate::run_life_sim`], and the same
-/// entry point the OS-thread cross-engine tests drive): master-held world,
+/// `Distribution::Scheduled` arm of [`crate::run_life`]): master-held world,
 /// worker-claimed row chunks, per-iteration makespans in the engine's own
 /// notion of time.
 pub fn run_life_scheduled<E: Engine>(
@@ -525,6 +521,7 @@ mod tests {
     use super::*;
     use crate::graphs::Variant;
     use dps_cluster::ClusterSpec;
+    use dps_core::SimEngine;
     use dps_sched::Distribution;
 
     fn cfg(kind: PolicyKind, nodes: usize, iterations: usize) -> LifeConfig {
@@ -545,9 +542,8 @@ mod tests {
     fn scheduled_life_matches_reference_for_every_policy() {
         for kind in PolicyKind::ALL {
             let c = cfg(kind, 3, 4);
-            let rep =
-                crate::run_life_sim(ClusterSpec::paper_testbed(3), &c, EngineConfig::default())
-                    .unwrap();
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(3));
+            let rep = crate::run_life(&mut eng, &c).unwrap();
             let expect = World::random(c.rows, c.cols, c.density, c.seed).step_n(c.iterations);
             assert_eq!(rep.world, expect, "{kind:?} diverged from reference");
         }
@@ -557,9 +553,8 @@ mod tests {
     fn scheduled_life_is_deterministic() {
         let c = cfg(PolicyKind::Awf, 2, 3);
         let run = || {
-            crate::run_life_sim(ClusterSpec::skewed(2, 2, 2.0), &c, EngineConfig::default())
-                .unwrap()
-                .per_iter
+            let mut eng = SimEngine::new(ClusterSpec::skewed(2, 2, 2.0));
+            crate::run_life(&mut eng, &c).unwrap().per_iter
         };
         assert_eq!(run(), run());
     }
@@ -567,8 +562,8 @@ mod tests {
     #[test]
     fn single_worker_scheduled_life_works() {
         let c = cfg(PolicyKind::Gss, 1, 2);
-        let rep = crate::run_life_sim(ClusterSpec::paper_testbed(1), &c, EngineConfig::default())
-            .unwrap();
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(1));
+        let rep = crate::run_life(&mut eng, &c).unwrap();
         let expect = World::random(c.rows, c.cols, c.density, c.seed).step_n(c.iterations);
         assert_eq!(rep.world, expect);
     }

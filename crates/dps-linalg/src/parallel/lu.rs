@@ -78,7 +78,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dps_cluster::{default_mapping, ClusterSpec};
+use dps_cluster::default_mapping;
 use dps_core::prelude::*;
 use dps_core::sched::{build_placement, chunk_calc_cost, OwnerMap};
 use dps_core::{dps_token, Engine};
@@ -744,15 +744,11 @@ pub struct LuRunReport {
     pub elapsed: SimSpan,
     /// Assembled packed factors + global pivot record.
     pub factors: LuFactors,
-    /// Payload bytes that crossed node boundaries over the whole run
-    /// (staging and calibration included). Only engines with a network
-    /// model report it; 0 elsewhere.
-    pub wire_bytes: u64,
 }
 
 /// Run one block LU factorization of `Matrix::random_general(n, n, seed)`
-/// with the chosen schedule on **any engine** — the single generic entry
-/// point behind [`run_lu_sim`] and the OS-thread cross-engine tests.
+/// with the chosen schedule on **any engine** — one entry point for the
+/// simulator, OS threads and processes.
 /// Verify with [`lu_residual`](crate::lu_residual) on the report.
 ///
 /// Everything is declared up front (collections, calibration loop, the
@@ -993,44 +989,18 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
     Ok(LuRunReport {
         elapsed,
         factors: LuFactors { lu, pivots },
-        wire_bytes: 0,
     })
-}
-
-/// Run one block LU factorization on the simulated cluster — a thin
-/// [`run_lu`] wrapper adding the traced wire-byte count to the report. The
-/// count comes from the engine's trace metrics (`WireBytesSent`), which the
-/// simulator keeps byte-identical to the network model's own accounting; a
-/// collector the caller attached beforehand is reused, so traced callers
-/// get one merged event stream and the same report.
-pub fn run_lu_sim(spec: ClusterSpec, cfg: &LuConfig, ecfg: EngineConfig) -> Result<LuRunReport> {
-    let mut eng = SimEngine::with_config(spec, ecfg);
-    let metrics = sim_trace_metrics(&mut eng);
-    let wire0 = metrics.get(dps_obs::Counter::WireBytesSent);
-    let mut rep = run_lu(&mut eng, cfg)?;
-    rep.wire_bytes = metrics.get(dps_obs::Counter::WireBytesSent) - wire0;
-    Ok(rep)
-}
-
-/// The metrics registry of `eng`'s trace collector, attaching a fresh
-/// collector when the caller did not bring one.
-pub(crate) fn sim_trace_metrics(eng: &mut SimEngine) -> std::sync::Arc<dps_obs::MetricsRegistry> {
-    if let Some(c) = eng.trace_collector() {
-        return c.metrics_arc();
-    }
-    let c = dps_obs::TraceCollector::new();
-    eng.set_trace_sink(c.clone());
-    c.metrics_arc()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factor::{blocked_lu, lu_residual};
+    use dps_cluster::ClusterSpec;
 
     fn check(cfg: &LuConfig) -> LuRunReport {
-        let spec = ClusterSpec::paper_testbed(cfg.nodes);
-        let rep = run_lu_sim(spec, cfg, EngineConfig::default()).unwrap();
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(cfg.nodes));
+        let rep = run_lu(&mut eng, cfg).unwrap();
         let a = Matrix::random_general(cfg.n, cfg.n, cfg.seed);
         let res = lu_residual(&a, &rep.factors);
         assert!(res < 1e-8, "residual {res}");
@@ -1146,8 +1116,8 @@ mod tests {
                     dist: Distribution::Static,
                     update_chunks: chunks,
                 };
-                let spec = ClusterSpec::paper_testbed(cfg.nodes);
-                let rep = run_lu_sim(spec, &cfg, EngineConfig::default()).unwrap();
+                let mut eng = SimEngine::new(ClusterSpec::paper_testbed(cfg.nodes));
+                let rep = run_lu(&mut eng, &cfg).unwrap();
                 assert_eq!(
                     rep.factors.pivots, reference.pivots,
                     "pivots diverged: chunks={chunks} pipelined={pipelined}"
@@ -1161,7 +1131,7 @@ mod tests {
     }
 
     fn timed(spec: ClusterSpec, cfg: &LuConfig) -> SimSpan {
-        let rep = run_lu_sim(spec, cfg, EngineConfig::default()).unwrap();
+        let rep = run_lu(&mut SimEngine::new(spec), cfg).unwrap();
         let a = Matrix::random_general(cfg.n, cfg.n, cfg.seed);
         assert!(lu_residual(&a, &rep.factors) < 1e-8);
         rep.elapsed

@@ -23,7 +23,7 @@
 //!   orders. Communication and computation thus cannot overlap, which is
 //!   what Table 1's "reduction in execution time" is measured against.
 
-use dps_cluster::{default_mapping_from, ClusterSpec};
+use dps_cluster::default_mapping_from;
 use dps_core::prelude::*;
 use dps_core::sched::{build_placement, OwnerMap};
 use dps_core::{dps_token, Engine};
@@ -391,17 +391,13 @@ pub struct MatMulRunReport {
     pub elapsed: SimSpan,
     /// The computed product.
     pub c: Matrix,
-    /// Payload bytes that crossed node boundaries over the whole run
-    /// (operand staging and calibration included). Only engines with a
-    /// network model report it; 0 elsewhere.
-    pub wire_bytes: u64,
 }
 
 /// Build the chosen schedule and run one `n × n` multiplication on **any
-/// engine** — the single generic entry point behind [`run_matmul_sim`] and
-/// the OS-thread cross-engine tests. Worker collections start at node
-/// `first_node` (the paper's Table 1 set-up keeps the master machine
-/// separate from the compute nodes; pass 0 to share node0).
+/// engine**. Worker collections start at node `first_node`: the paper's
+/// Table 1 set-up keeps the master machine separate from the compute nodes
+/// (pass `spec.len() - cfg.nodes` on a cluster with one node more than
+/// `cfg.nodes`); pass 0 to share node0.
 ///
 /// Everything is declared before the first run; for
 /// `Distribution::Scheduled` the block-ownership [`OwnerMap`] resolves
@@ -522,37 +518,13 @@ pub fn run_matmul<E: Engine>(
     let done =
         downcast::<MulDone>(outs.pop().expect("one output")).expect("output token type is MulDone");
     let c = Matrix::from_vec(cfg.n, cfg.n, done.c.into_vec());
-    Ok(MatMulRunReport {
-        elapsed,
-        c,
-        wire_bytes: 0,
-    })
-}
-
-/// Run one `n × n` multiplication on the simulated cluster — a thin
-/// [`run_matmul`] wrapper placing the workers on the *last* `cfg.nodes`
-/// nodes (when the cluster has one node more than `cfg.nodes`, the master
-/// machine is separate from the compute nodes, the paper's Table 1 set-up)
-/// and adding the traced wire-byte count (`WireBytesSent`, byte-identical
-/// to the network model's accounting) to the report.
-pub fn run_matmul_sim(
-    spec: ClusterSpec,
-    cfg: &MatMulConfig,
-    ecfg: EngineConfig,
-) -> Result<MatMulRunReport> {
-    let total = spec.len();
-    assert!(cfg.nodes <= total, "cluster too small");
-    let mut eng = SimEngine::with_config(spec, ecfg);
-    let metrics = crate::parallel::lu::sim_trace_metrics(&mut eng);
-    let wire0 = metrics.get(dps_obs::Counter::WireBytesSent);
-    let mut rep = run_matmul(&mut eng, cfg, total - cfg.nodes)?;
-    rep.wire_bytes = metrics.get(dps_obs::Counter::WireBytesSent) - wire0;
-    Ok(rep)
+    Ok(MatMulRunReport { elapsed, c })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_cluster::ClusterSpec;
 
     fn reference(n: usize, seed: u64) -> Matrix {
         let a = Matrix::random(n, n, seed);
@@ -561,8 +533,8 @@ mod tests {
     }
 
     fn check(cfg: &MatMulConfig) -> MatMulRunReport {
-        let spec = ClusterSpec::paper_testbed(cfg.nodes);
-        let rep = run_matmul_sim(spec, cfg, EngineConfig::default()).unwrap();
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(cfg.nodes));
+        let rep = run_matmul(&mut eng, cfg, 0).unwrap();
         let reference = reference(cfg.n, cfg.seed);
         let mut diff = rep.c.clone();
         diff.sub_assign(&reference);
@@ -609,13 +581,12 @@ mod tests {
             threads_per_node: 2,
             dist: Distribution::Static,
         };
-        let spec = ClusterSpec::paper_testbed(4);
-        let t_pipe = run_matmul_sim(spec.clone(), &mk(true), EngineConfig::default())
-            .unwrap()
-            .elapsed;
-        let t_phased = run_matmul_sim(spec, &mk(false), EngineConfig::default())
-            .unwrap()
-            .elapsed;
+        let elapsed = |pipelined| {
+            let mut eng = SimEngine::new(ClusterSpec::paper_testbed(4));
+            run_matmul(&mut eng, &mk(pipelined), 0).unwrap().elapsed
+        };
+        let t_pipe = elapsed(true);
+        let t_phased = elapsed(false);
         assert!(
             t_pipe < t_phased,
             "pipelined {t_pipe} should beat phased {t_phased}"

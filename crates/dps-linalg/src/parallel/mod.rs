@@ -12,5 +12,5 @@
 pub mod lu;
 pub mod matmul;
 
-pub use lu::{run_lu, run_lu_sim, LuConfig, LuRunReport};
-pub use matmul::{run_matmul, run_matmul_sim, MatMulConfig, MatMulRunReport};
+pub use lu::{run_lu, LuConfig, LuRunReport};
+pub use matmul::{run_matmul, MatMulConfig, MatMulRunReport};

@@ -486,8 +486,7 @@ impl FailHandle {
 /// The unified engine API ([`dps_core::Engine`]): the same generic driver
 /// code that runs on the deterministic simulator drives this engine's OS
 /// threads. Declarations must precede the first
-/// [`submit`](dps_core::Engine::submit)
-/// ([`EngineCaps::declare_before_run`](dps_core::EngineCaps)).
+/// [`submit`](dps_core::Engine::submit).
 impl dps_core::Engine for MtEngine {
     fn name(&self) -> &'static str {
         "mt"
@@ -495,11 +494,7 @@ impl dps_core::Engine for MtEngine {
 
     fn caps(&self) -> dps_core::EngineCaps {
         dps_core::EngineCaps {
-            deterministic: false,
             virtual_time: false,
-            fail_node: true,
-            thread_state_access: false,
-            declare_before_run: true,
         }
     }
 

@@ -12,12 +12,6 @@
 //! * [`NetworkModel`] — full-duplex per-node NIC timelines + a TCP
 //!   connection cache; [`NetworkModel::transfer`] turns (src, dst, bytes)
 //!   into a deterministic `(sender done, delivered)` pair of instants.
-//! * [`NameServer`] — the paper's "simple name server" by which kernels
-//!   locate each other (the alternative UDP-broadcast discovery is modelled
-//!   as an instantaneous registry scan). This is not only simulation
-//!   machinery: the multi-process `dps-netengine` resolves its worker
-//!   kernels (`kernel1`, `kernel2`, …) to cluster nodes through the same
-//!   registry.
 //!
 //! The model keeps no record of single transfers: the simulator traces each
 //! cross-node hop itself, as a `FrameSend` / `FrameRecv` pair carrying the
@@ -29,30 +23,27 @@
 //! the same node serialize on its transmit lane — exactly the first-order
 //! behaviour that shaped the paper's measurements.
 //!
-//! Kernel naming is independent of host naming, so several kernels can
-//! share a node (the paper's one-machine debugging setup) and a restart
-//! simply re-registers:
+//! Connections open lazily: the first object between a node pair pays the
+//! TCP connect, later ones reuse the connection:
 //!
 //! ```
-//! use dps_net::{NameServer, NodeId};
+//! use dps_des::SimTime;
+//! use dps_net::{NetConfig, NetworkModel, NodeId, Traffic};
 //!
-//! let mut ns = NameServer::new();
-//! assert_eq!(ns.register("kernel1", NodeId(1)), None);
-//! assert_eq!(ns.register("kernel2", NodeId(1)), None); // same host is fine
-//! assert_eq!(ns.lookup("kernel2"), Some(NodeId(1)));
-//! // A kernel restart on another node wins and reports the old placement.
-//! assert_eq!(ns.register("kernel2", NodeId(2)), Some(NodeId(1)));
-//! // Discovery (the modelled UDP broadcast) enumerates deterministically.
-//! let found: Vec<_> = ns.discover().map(|(name, _)| name.to_string()).collect();
-//! assert_eq!(found, ["kernel1", "kernel2"]);
+//! let cfg = NetConfig::default();
+//! let mut net = NetworkModel::new(2, cfg.clone());
+//! let (a, b) = (NodeId(0), NodeId(1));
+//! let first = net.transfer(SimTime::ZERO, a, b, 1000, Traffic::DpsObject);
+//! let again = net.transfer(first.delivered, a, b, 1000, Traffic::DpsObject);
+//! let cold = first.delivered.since(SimTime::ZERO);
+//! let warm = again.delivered.since(first.delivered);
+//! assert_eq!(cold, warm + cfg.connect_latency);
 //! ```
 
 mod config;
 mod fault;
 mod model;
-mod nameserver;
 
 pub use config::NetConfig;
 pub use fault::{FaultConfig, FaultDecision, FaultInjector};
 pub use model::{NetworkModel, NodeId, Traffic, TransferPlan};
-pub use nameserver::NameServer;

@@ -26,7 +26,6 @@ use dps_mt::{
     FailHandle, MtConfig, MtEngine, RemoteExec, RemoteKind, RemoteOutcome, RemotePending,
     RemoteTask,
 };
-use dps_net::{NameServer, NodeId};
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::{Bytes, Captured, RecvTable};
@@ -189,13 +188,6 @@ struct MasterShared {
     conns: Vec<Arc<Conn>>,
     /// Counts every frame through rank 0 once a trace sink is attached.
     meter: Arc<WireMeter>,
-    /// Kernel directory: `kernel{n}` names the process hosting cluster
-    /// node `n` ([`NameServer`] from the network substrate crate).
-    ns: NameServer,
-    /// The directory resolved once, at the first-run barrier: the rank
-    /// hosting cluster node `n` at index `n`. The remote hook indexes this
-    /// instead of looking a name up per execution.
-    node_rank: OnceLock<Vec<Option<u32>>>,
     /// Rank 0's chunk hub: the leases opened in this process live here.
     hub: Arc<ChunkHub>,
     /// Every [`Frame::Hub`] passes here: served from `hub`, or relayed to
@@ -337,7 +329,7 @@ struct Worker {
 // ---------------------------------------------------------------------------
 
 /// [`RemoteExec`] over the master's connections: cluster node 0 lives in
-/// the master process, node `n` in the worker registered as `kernel{n}`.
+/// the master process, node `n` in worker rank `n` (kernel `kernel{n}`).
 ///
 /// The in-order contract of the seam holds by construction: the `Exec`
 /// frames of one DPS thread leave on one FIFO connection, in `begin` order,
@@ -378,13 +370,12 @@ impl NetRemote {
         task: RemoteTask,
     ) -> std::result::Result<(u64, Receiver<DoneReply>), DpsError> {
         let s = &self.shared;
-        let ranks = s.node_rank.get().expect("resolved before the hook is set");
-        let rank = ranks
-            .get(host as usize)
-            .copied()
-            .flatten()
+        // Worker rank `n` hosts cluster node `n`; node 0 never ships.
+        let rank = host;
+        let conn = (rank as usize)
+            .checked_sub(1)
+            .and_then(|i| s.conns.get(i))
             .ok_or_else(|| node_down(host, format!("node {}", task.node)))?;
-        let conn = &s.conns[(rank - 1) as usize];
         let kind = match task.kind {
             RemoteKind::Exec => TaskKind::Exec,
             RemoteKind::Consume { completes: false } => TaskKind::Consume,
@@ -1103,13 +1094,10 @@ impl Master {
     ) -> Master {
         let worker_count = links.len();
         let meter = Arc::new(WireMeter::default());
-        let mut ns = NameServer::new();
-        ns.register("kernel0", NodeId(0));
         let mut conns = Vec::new();
         let mut rxs = Vec::new();
         for (i, link) in links.into_iter().enumerate() {
             let rank = i as u32 + 1;
-            ns.register(format!("kernel{rank}"), NodeId(rank));
             // The kill switch goes outermost on the master's writer so the
             // scheduled `Die` passes through the fault layer like any other
             // frame.
@@ -1130,8 +1118,6 @@ impl Master {
         let shared = Arc::new(MasterShared {
             conns,
             meter,
-            ns,
-            node_rank: OnceLock::new(),
             hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
             router,
             pending: Mutex::new(HashMap::new()),
@@ -1238,11 +1224,6 @@ impl Master {
         }
         self.mt.adopt(table.clone());
         if !self.shared.conns.is_empty() {
-            let nodes = self.shared.conns.len() as u32 + 1;
-            let ranks = (0..nodes)
-                .map(|n| self.shared.ns.lookup(&format!("kernel{n}")).map(|id| id.0))
-                .collect();
-            let _ = self.shared.node_rank.set(ranks);
             self.mt.set_remote_exec(Arc::new(NetRemote {
                 shared: self.shared.clone(),
                 decls: table,
@@ -1503,11 +1484,7 @@ impl dps_core::Engine for NetEngine {
 
     fn caps(&self) -> dps_core::EngineCaps {
         dps_core::EngineCaps {
-            deterministic: false,
             virtual_time: false,
-            fail_node: false,
-            thread_state_access: false,
-            declare_before_run: true,
         }
     }
 

@@ -21,8 +21,8 @@
 //!   otherwise — and see every run's outputs re-broadcast so SPMD asserts
 //!   hold on all kernels.
 //!
-//! Kernels locate each other through the `dps_net::NameServer` (`kernel0`
-//! is the master, `kernel{n}` hosts cluster node `n`). Frames travel over
+//! Kernel `kernel0` is the master; worker rank `n` is kernel `kernel{n}`
+//! and hosts cluster node `n`. Frames travel over
 //! a pluggable [`Transport`] — real TCP for multi-process runs, an
 //! in-memory loopback with identical semantics for single-process tests —
 //! and every connection reader, executor lane and harness is an OS thread

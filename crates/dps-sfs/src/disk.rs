@@ -30,12 +30,6 @@ impl DiskModel {
     pub fn access(&self, bytes: usize) -> SimSpan {
         self.seek + SimSpan::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
-
-    /// Equivalent "flops" to charge on a node with the given compute rate so
-    /// the virtual time matches the disk access time.
-    pub fn access_flops(&self, bytes: usize, node_flops: f64) -> f64 {
-        self.access(bytes).as_secs_f64() * node_flops
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use dps_core::prelude::*;
-use dps_core::{dps_token, GraphHandle, SimEngine};
+use dps_core::{dps_token, Engine, GraphHandle};
 use dps_serial::Buffer;
 
 use crate::disk::DiskModel;
@@ -51,9 +51,6 @@ pub struct StripeStore {
     stripes: HashMap<(u64, u32), Vec<u8>>,
     /// Disk model used for cost accounting.
     pub disk: DiskModel,
-    /// Node compute rate (set at load time; converts disk time to charge
-    /// units).
-    pub node_flops: f64,
 }
 
 impl StripeStore {
@@ -105,17 +102,17 @@ impl SplitOperation for SplitWrite {
     }
 }
 
-struct StoreStripe;
+/// Write one stripe to this thread's disk.
+pub(crate) struct StoreStripe;
 impl LeafOperation for StoreStripe {
     type Thread = StripeStore;
     type In = StripeWrite;
     type Out = StripeAck;
     fn execute(&mut self, ctx: &mut OpCtx<'_, StripeStore, StripeAck>, s: StripeWrite) {
-        let bytes = s.data.len();
         let store = ctx.thread();
-        let flops = store.disk.access_flops(bytes, store.node_flops);
+        let access = store.disk.access(s.data.len());
         store.put(s.file, s.index, s.data.into_vec());
-        ctx.charge_flops(flops);
+        ctx.charge(access);
         ctx.post(StripeAck {
             file: s.file,
             index: s.index,
@@ -123,8 +120,9 @@ impl LeafOperation for StoreStripe {
     }
 }
 
+/// Count the stripes that landed.
 #[derive(Default)]
-struct MergeAcks {
+pub(crate) struct MergeAcks {
     file: u64,
     stripes: u32,
 }
@@ -167,8 +165,8 @@ impl LeafOperation for ReadStripe {
     fn execute(&mut self, ctx: &mut OpCtx<'_, StripeStore, StripeData>, r: StripeRead) {
         let store = ctx.thread();
         let data = store.get(r.file, r.index).unwrap_or_default();
-        let flops = store.disk.access_flops(data.len(), store.node_flops);
-        ctx.charge_flops(flops);
+        let access = store.disk.access(data.len());
+        ctx.charge(access);
         ctx.post(StripeData {
             file: r.file,
             index: r.index,
@@ -202,7 +200,7 @@ impl MergeOperation for AssembleFile {
 
 // --- graph builders -----------------------------------------------------------
 
-fn stripe_route_w() -> ByKey<StripeWrite, fn(&StripeWrite) -> usize> {
+pub(crate) fn stripe_route_w() -> ByKey<StripeWrite, fn(&StripeWrite) -> usize> {
     ByKey::new(|s: &StripeWrite| s.index as usize)
 }
 
@@ -212,8 +210,8 @@ fn stripe_route_r() -> ByKey<StripeRead, fn(&StripeRead) -> usize> {
 
 /// Build the striped *write* service graph; optionally expose it under a
 /// service name so other applications can call it (Fig. 5).
-pub fn build_write_graph(
-    eng: &mut SimEngine,
+pub fn build_write_graph<E: Engine>(
+    eng: &mut E,
     master: &ThreadCollection<()>,
     servers: &ThreadCollection<StripeStore>,
     service_name: Option<&str>,
@@ -231,8 +229,8 @@ pub fn build_write_graph(
 }
 
 /// Build the striped *read* service graph.
-pub fn build_read_graph(
-    eng: &mut SimEngine,
+pub fn build_read_graph<E: Engine>(
+    eng: &mut E,
     master: &ThreadCollection<()>,
     servers: &ThreadCollection<StripeStore>,
     service_name: Option<&str>,
@@ -252,8 +250,9 @@ pub fn build_read_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_cluster::ClusterSpec;
-    use dps_core::downcast;
+    use dps_cluster::{default_mapping, ClusterSpec};
+    use dps_core::{downcast, SimEngine};
+    use dps_des::SimSpan;
 
     fn setup(
         nodes: usize,
@@ -262,19 +261,61 @@ mod tests {
         ThreadCollection<()>,
         ThreadCollection<StripeStore>,
     ) {
-        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+        let eng = SimEngine::new(ClusterSpec::paper_testbed(nodes));
+        setup_on(eng, "node0", &default_mapping(nodes, 1))
+    }
+
+    fn setup_on(
+        mut eng: SimEngine,
+        master: &str,
+        servers: &str,
+    ) -> (
+        SimEngine,
+        ThreadCollection<()>,
+        ThreadCollection<StripeStore>,
+    ) {
         let app = eng.app("sfs");
         eng.preload_app(app);
-        let master: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-        let mapping = dps_cluster::round_robin_mapping(eng.cluster().spec(), nodes, 1);
+        let master: ThreadCollection<()> = eng.thread_collection(app, "m", master).unwrap();
         let servers: ThreadCollection<StripeStore> =
-            eng.thread_collection(app, "disks", &mapping).unwrap();
-        for t in 0..servers.thread_count() {
-            let st = eng.thread_data_mut(&servers, t);
-            st.node_flops = 70.0e6;
-            st.disk = DiskModel::default();
-        }
+            eng.thread_collection(app, "disks", servers).unwrap();
         (eng, master, servers)
+    }
+
+    /// Reports how many stripes its thread holds, as a one-byte stripe.
+    struct CountStripes;
+    impl LeafOperation for CountStripes {
+        type Thread = StripeStore;
+        type In = StripeRead;
+        type Out = StripeData;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, StripeStore, StripeData>, r: StripeRead) {
+            let held = ctx.thread().len() as u8;
+            ctx.post(StripeData {
+                file: r.file,
+                index: r.index,
+                data: vec![held].into(),
+            });
+        }
+    }
+
+    /// The stripes each server thread holds, read through a graph: the read
+    /// service's split and merge around a counting leaf.
+    fn stripe_counts(
+        eng: &mut SimEngine,
+        master: &ThreadCollection<()>,
+        servers: &ThreadCollection<StripeStore>,
+    ) -> Vec<u8> {
+        let mut b = GraphBuilder::new("sfs-count");
+        let s = b.split(master, || ToThread(0), || SplitRead);
+        let c = b.leaf(servers, stripe_route_r, || CountStripes);
+        let m = b.merge(master, || ToThread(0), AssembleFile::default);
+        b.add(s >> c >> m);
+        let g = eng.build_graph(b).unwrap();
+        let stripes = servers.thread_count() as u32;
+        eng.inject(g, ReadFileReq { file: 0, stripes }).unwrap();
+        eng.run_until_idle().unwrap();
+        let out = eng.take_outputs(g).pop().unwrap().1;
+        downcast::<FileData>(out).unwrap().data.into_vec()
     }
 
     #[test]
@@ -317,13 +358,52 @@ mod tests {
         )
         .unwrap();
         eng.run_until_idle().unwrap();
-        for t in 0..4 {
-            assert_eq!(
-                eng.thread_data_mut(&servers, t).len(),
-                2,
-                "8 stripes round-robin over 4 disks"
-            );
-        }
+        assert_eq!(
+            stripe_counts(&mut eng, &master, &servers),
+            [2, 2, 2, 2],
+            "8 stripes round-robin over 4 disks"
+        );
+    }
+
+    #[test]
+    fn a_stripe_read_charges_the_disk_time_on_any_node() {
+        // Master and disk share the half-speed node0, where requests enter
+        // (same-node deliveries are free), and operations pay no framework
+        // overhead: the read wave lasts exactly one disk access, whatever
+        // the node's compute rate.
+        let spec = ClusterSpec::heterogeneous(2, &[35.0e6, 70.0e6]);
+        let ecfg = EngineConfig {
+            op_overhead: SimSpan::ZERO,
+            ..EngineConfig::default()
+        };
+        let eng = SimEngine::with_config(spec, ecfg);
+        let (mut eng, master, servers) = setup_on(eng, "node0", "node0");
+        let wg = build_write_graph(&mut eng, &master, &servers, None).unwrap();
+        let rg = build_read_graph(&mut eng, &master, &servers, None).unwrap();
+        eng.inject(
+            wg,
+            WriteFileReq {
+                file: 5,
+                data: vec![1u8; STRIPE_UNIT].into(),
+            },
+        )
+        .unwrap();
+        eng.run_until_idle().unwrap();
+        let t0 = eng.now();
+        eng.inject(
+            rg,
+            ReadFileReq {
+                file: 5,
+                stripes: 1,
+            },
+        )
+        .unwrap();
+        eng.run_until_idle().unwrap();
+        assert_eq!(
+            eng.now().since(t0),
+            DiskModel::default().access(STRIPE_UNIT),
+            "disk time does not scale with the node's compute rate"
+        );
     }
 
     #[test]

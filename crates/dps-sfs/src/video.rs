@@ -15,13 +15,13 @@
 
 use std::collections::HashMap;
 
-use dps_cluster::{round_robin_mapping, ClusterSpec};
+use dps_cluster::default_mapping;
 use dps_core::prelude::*;
-use dps_core::{dps_token, GraphHandle, SimEngine};
+use dps_core::{downcast, dps_token, Engine, GraphHandle};
 use dps_des::SimSpan;
 use dps_serial::Buffer;
 
-use crate::store::StripeStore;
+use crate::store::{stripe_route_w, MergeAcks, StoreStripe, StripeStore, StripeWrite};
 
 dps_token! {
     /// Process `frames` frames of `parts` parts each.
@@ -48,23 +48,28 @@ dps_token! {
     pub struct VideoDone { pub frames: u32, pub checksum: u64 }
 }
 
-/// Key of a frame part in the stripe store: `file = frame`, `index = part`.
-pub fn preload_frames(
-    eng: &mut SimEngine,
-    servers: &ThreadCollection<StripeStore>,
-    frames: u32,
-    parts: u32,
+/// Preload: one stripe write per frame part, keyed `file = frame`,
+/// `index = part`, so the part lands on disk `part % disks` — the disk
+/// stage 2 reads it from.
+struct SplitFrames {
     part_bytes: usize,
-) {
-    let p = servers.thread_count();
-    for f in 0..frames {
-        for part in 0..parts {
-            let owner = part as usize % p;
-            let data: Vec<u8> = (0..part_bytes)
-                .map(|i| ((f as usize * 131 + part as usize * 17 + i) % 256) as u8)
-                .collect();
-            eng.thread_data_mut(servers, owner)
-                .put(u64::from(f), part, data);
+}
+impl SplitOperation for SplitFrames {
+    type Thread = ();
+    type In = VideoJob;
+    type Out = StripeWrite;
+    fn execute(&mut self, ctx: &mut OpCtx<'_, (), StripeWrite>, j: VideoJob) {
+        for frame in 0..j.frames {
+            for part in 0..j.parts {
+                let data: Vec<u8> = (0..self.part_bytes)
+                    .map(|i| ((frame as usize * 131 + part as usize * 17 + i) % 256) as u8)
+                    .collect();
+                ctx.post(StripeWrite {
+                    file: u64::from(frame),
+                    index: part,
+                    data: data.into(),
+                });
+            }
         }
     }
 }
@@ -95,8 +100,8 @@ impl LeafOperation for ReadPart {
         let data = store
             .get(u64::from(r.frame), r.part)
             .expect("frame part stored on this disk");
-        let flops = store.disk.access_flops(data.len(), store.node_flops);
-        ctx.charge_flops(flops);
+        let access = store.disk.access(data.len());
+        ctx.charge(access);
         ctx.post(FramePart {
             frame: r.frame,
             part: r.part,
@@ -187,8 +192,8 @@ impl MergeOperation for MergeStream {
 /// recomposition with a merge-then-split construct (all parts of *all*
 /// frames must arrive before processing starts) — the ablation showing what
 /// the stream operation buys.
-pub fn build_video_graph(
-    eng: &mut SimEngine,
+pub fn build_video_graph<E: Engine>(
+    eng: &mut E,
     master: &ThreadCollection<()>,
     disks: &ThreadCollection<StripeStore>,
     procs: &ThreadCollection<()>,
@@ -306,36 +311,46 @@ pub struct VideoConfig {
     pub use_stream: bool,
 }
 
-/// Run the video pipeline; returns `(elapsed, processed frames, checksum)`.
-pub fn run_video_sim(
-    spec: ClusterSpec,
-    cfg: &VideoConfig,
-    ecfg: EngineConfig,
-) -> Result<(SimSpan, u32, u64)> {
-    let mut eng = SimEngine::with_config(spec, ecfg);
+/// Build the frame preload graph (`VideoJob → WriteAck`): every frame part
+/// goes through the store's stripe-write leaf.
+fn build_preload_graph<E: Engine>(
+    eng: &mut E,
+    master: &ThreadCollection<()>,
+    disks: &ThreadCollection<StripeStore>,
+    part_bytes: usize,
+) -> Result<GraphHandle> {
+    let mut b = GraphBuilder::new("video-preload");
+    let s = b.split(master, || ToThread(0), move || SplitFrames { part_bytes });
+    let w = b.leaf(disks, stripe_route_w, || StoreStripe);
+    let m = b.merge(master, || ToThread(0), MergeAcks::default);
+    b.add(s >> w >> m);
+    eng.build_graph(b)
+}
+
+/// Run the video pipeline on any engine: preload the frames onto the disk
+/// array, then time one pass. Returns `(elapsed, processed frames,
+/// checksum)`, the time in the engine's own notion of time.
+pub fn run_video<E: Engine>(eng: &mut E, cfg: &VideoConfig) -> Result<(SimSpan, u32, u64)> {
     let app = eng.app("video");
     eng.preload_app(app);
     let master: ThreadCollection<()> = eng.thread_collection(app, "m", "node0")?;
-    let mapping = round_robin_mapping(eng.cluster().spec(), cfg.nodes, 1);
+    let mapping = default_mapping(cfg.nodes, 1);
     let disks: ThreadCollection<StripeStore> = eng.thread_collection(app, "disks", &mapping)?;
     let procs: ThreadCollection<()> = eng.thread_collection(app, "procs", &mapping)?;
-    for t in 0..disks.thread_count() {
-        let st = eng.thread_data_mut(&disks, t);
-        st.node_flops = 70.0e6;
-    }
-    preload_frames(&mut eng, &disks, cfg.frames, cfg.parts, cfg.part_bytes);
-    let g = build_video_graph(&mut eng, &master, &disks, &procs, cfg.parts, cfg.use_stream)?;
-    let t0 = eng.now();
-    eng.inject(
-        g,
-        VideoJob {
-            frames: cfg.frames,
-            parts: cfg.parts,
-        },
-    )?;
-    eng.run_until_idle()?;
-    let elapsed = eng.now().since(t0);
-    let done = dps_core::downcast::<VideoDone>(eng.take_outputs(g).pop().expect("one output").1)
+    let preload = build_preload_graph(eng, &master, &disks, cfg.part_bytes)?;
+    let g = build_video_graph(eng, &master, &disks, &procs, cfg.parts, cfg.use_stream)?;
+    let job = || VideoJob {
+        frames: cfg.frames,
+        parts: cfg.parts,
+    };
+    eng.submit(preload, Box::new(job()))?;
+    eng.run_to_idle(preload, 1)?;
+    let _ = eng.take_outputs(preload);
+    let t0 = eng.now_secs();
+    eng.submit(g, Box::new(job()))?;
+    eng.run_to_idle(g, 1)?;
+    let elapsed = SimSpan::from_secs_f64(eng.now_secs() - t0);
+    let done = downcast::<VideoDone>(eng.take_outputs(g).pop().expect("one output"))
         .expect("VideoDone output");
     Ok((elapsed, done.frames, done.checksum))
 }
@@ -343,6 +358,12 @@ pub fn run_video_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_cluster::ClusterSpec;
+    use dps_core::SimEngine;
+
+    fn run(cfg: &VideoConfig) -> (SimSpan, u32, u64) {
+        run_video(&mut SimEngine::new(ClusterSpec::paper_testbed(4)), cfg).unwrap()
+    }
 
     fn cfg(use_stream: bool) -> VideoConfig {
         VideoConfig {
@@ -356,29 +377,14 @@ mod tests {
 
     #[test]
     fn stream_pipeline_processes_all_frames() {
-        let (_, frames, _) = run_video_sim(
-            ClusterSpec::paper_testbed(4),
-            &cfg(true),
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let (_, frames, _) = run(&cfg(true));
         assert_eq!(frames, 6);
     }
 
     #[test]
     fn ablation_produces_identical_checksum() {
-        let (_, f1, c1) = run_video_sim(
-            ClusterSpec::paper_testbed(4),
-            &cfg(true),
-            EngineConfig::default(),
-        )
-        .unwrap();
-        let (_, f2, c2) = run_video_sim(
-            ClusterSpec::paper_testbed(4),
-            &cfg(false),
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let (_, f1, c1) = run(&cfg(true));
+        let (_, f2, c2) = run(&cfg(false));
         assert_eq!((f1, c1), (f2, c2), "same frames either way");
     }
 
@@ -386,18 +392,8 @@ mod tests {
     fn stream_is_faster_than_merge_split() {
         // The paper's point about Fig. 4: frames are processed as soon as
         // they are ready instead of after the last disk read.
-        let (t_stream, ..) = run_video_sim(
-            ClusterSpec::paper_testbed(4),
-            &cfg(true),
-            EngineConfig::default(),
-        )
-        .unwrap();
-        let (t_barrier, ..) = run_video_sim(
-            ClusterSpec::paper_testbed(4),
-            &cfg(false),
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let (t_stream, ..) = run(&cfg(true));
+        let (t_barrier, ..) = run(&cfg(false));
         assert!(
             t_stream < t_barrier,
             "stream {t_stream} should beat merge-split {t_barrier}"

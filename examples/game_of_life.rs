@@ -15,8 +15,8 @@
 //! Run with: `cargo run --release --example game_of_life`
 
 use dps::cluster::ClusterSpec;
-use dps::core::EngineConfig;
-use dps::life::{run_life_sim, LifeConfig, Variant, World};
+use dps::core::SimEngine;
+use dps::life::{run_life, LifeConfig, Variant, World};
 use dps::sched::{Distribution, PolicyKind};
 
 fn show(world: &World, max_rows: usize, max_cols: usize) {
@@ -41,11 +41,14 @@ fn main() {
         dist: Distribution::Static,
     };
 
-    let spec = ClusterSpec::paper_testbed(4);
-    let simple = run_life_sim(spec.clone(), &cfg(Variant::Simple), EngineConfig::default())
-        .expect("simple run");
-    let improved =
-        run_life_sim(spec, &cfg(Variant::Improved), EngineConfig::default()).expect("improved run");
+    let run = |variant| {
+        run_life(
+            &mut SimEngine::new(ClusterSpec::paper_testbed(4)),
+            &cfg(variant),
+        )
+    };
+    let simple = run(Variant::Simple).expect("simple run");
+    let improved = run(Variant::Improved).expect("improved run");
 
     // Both graphs must compute exactly the generations the sequential
     // reference computes.
@@ -71,7 +74,7 @@ fn main() {
     // --- the Distribution knob on a skewed cluster -------------------------
     // Half the nodes run 2× slower; the scheduled layout re-sizes row chunks
     // to measured node speeds instead of pinning equal bands.
-    let skewed = ClusterSpec::skewed(2, 2, 2.0);
+    let skewed = || SimEngine::new(ClusterSpec::skewed(2, 2, 2.0));
     let mk = |dist| LifeConfig {
         rows: 192,
         cols: 384,
@@ -83,18 +86,9 @@ fn main() {
         seed: 2003,
         dist,
     };
-    let stat = run_life_sim(
-        skewed.clone(),
-        &mk(Distribution::Static),
-        EngineConfig::default(),
-    )
-    .expect("static run");
-    let awf = run_life_sim(
-        skewed,
-        &mk(Distribution::Scheduled(PolicyKind::Awf)),
-        EngineConfig::default(),
-    )
-    .expect("scheduled run");
+    let stat = run_life(&mut skewed(), &mk(Distribution::Static)).expect("static run");
+    let awf = run_life(&mut skewed(), &mk(Distribution::Scheduled(PolicyKind::Awf)))
+        .expect("scheduled run");
     assert_eq!(stat.world, awf.world, "same evolution either way");
     println!("\n-- 2×-skewed cluster, row distribution via Distribution --");
     println!("static banded layout:     {}", stat.elapsed);

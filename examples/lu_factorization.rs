@@ -16,9 +16,10 @@
 //! Run with: `cargo run --release --example lu_factorization`
 
 use dps::cluster::ClusterSpec;
-use dps::core::EngineConfig;
-use dps::linalg::parallel::lu::{run_lu_sim, LuConfig};
+use dps::core::SimEngine;
+use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::linalg::{blocked_lu, lu_residual, Matrix};
+use dps::obs::{Counter, TraceCollector};
 use dps::sched::{Distribution, PolicyKind};
 
 fn main() {
@@ -33,11 +34,16 @@ fn main() {
         update_chunks: 1,
     };
 
-    let spec = ClusterSpec::paper_testbed(4);
-    let pipe =
-        run_lu_sim(spec.clone(), &cfg(true), EngineConfig::default()).expect("pipelined run");
-    let merge_split =
-        run_lu_sim(spec, &cfg(false), EngineConfig::default()).expect("merge-split run");
+    // The trace counts the bytes the pipelined run moves across nodes.
+    let trace = TraceCollector::new();
+    let mut eng = SimEngine::new(ClusterSpec::paper_testbed(4));
+    eng.set_trace_sink(trace.clone());
+    let pipe = run_lu(&mut eng, &cfg(true)).expect("pipelined run");
+    let merge_split = run_lu(
+        &mut SimEngine::new(ClusterSpec::paper_testbed(4)),
+        &cfg(false),
+    )
+    .expect("merge-split run");
 
     let a = Matrix::random_general(256, 256, 1234);
     let res_pipe = lu_residual(&a, &pipe.factors);
@@ -68,13 +74,13 @@ fn main() {
     );
     println!(
         "\ncommunication: {} payload bytes across nodes (panel broadcasts + pivots)",
-        pipe.wire_bytes
+        trace.metrics().get(Counter::WireBytesSent)
     );
 
     // --- the Distribution knob on a skewed cluster -------------------------
     // Half the nodes run 2× slower; AWF's calibrated column ownership gives
     // the fast nodes proportionally more columns.
-    let skewed = ClusterSpec::skewed(2, 2, 2.0);
+    let skewed = || SimEngine::new(ClusterSpec::skewed(2, 2, 2.0));
     let mk = |dist| LuConfig {
         n: 128,
         r: 16,
@@ -85,18 +91,9 @@ fn main() {
         dist,
         update_chunks: 1,
     };
-    let stat = run_lu_sim(
-        skewed.clone(),
-        &mk(Distribution::Static),
-        EngineConfig::default(),
-    )
-    .expect("static run");
-    let awf = run_lu_sim(
-        skewed,
-        &mk(Distribution::Scheduled(PolicyKind::Awf)),
-        EngineConfig::default(),
-    )
-    .expect("scheduled run");
+    let stat = run_lu(&mut skewed(), &mk(Distribution::Static)).expect("static run");
+    let awf = run_lu(&mut skewed(), &mk(Distribution::Scheduled(PolicyKind::Awf)))
+        .expect("scheduled run");
     assert_eq!(stat.factors.pivots, awf.factors.pivots);
     println!("\n-- 2×-skewed cluster, column ownership via Distribution --");
     println!("static (j mod p) layout:     {}", stat.elapsed);

@@ -4,8 +4,8 @@
 //! Run with: `cargo run --release --example matrix_multiply`
 
 use dps::cluster::ClusterSpec;
-use dps::core::EngineConfig;
-use dps::linalg::parallel::matmul::{run_matmul_sim, MatMulConfig};
+use dps::core::SimEngine;
+use dps::linalg::parallel::matmul::{run_matmul, MatMulConfig};
 use dps::linalg::Matrix;
 use dps::sched::Distribution;
 
@@ -20,11 +20,14 @@ fn main() {
         dist: Distribution::Static,
     };
 
-    // One extra node hosts the master (the paper's Table 1 set-up).
-    let spec = ClusterSpec::paper_testbed(5);
-    let pipe =
-        run_matmul_sim(spec.clone(), &cfg(true), EngineConfig::default()).expect("pipelined run");
-    let phased = run_matmul_sim(spec, &cfg(false), EngineConfig::default()).expect("phased run");
+    // One extra node hosts the master (the paper's Table 1 set-up): the
+    // workers start at node1.
+    let run = |pipelined| {
+        let mut eng = SimEngine::new(ClusterSpec::paper_testbed(5));
+        run_matmul(&mut eng, &cfg(pipelined), 1)
+    };
+    let pipe = run(true).expect("pipelined run");
+    let phased = run(false).expect("phased run");
 
     // Verify against a direct product.
     let a = Matrix::random(256, 256, 7);

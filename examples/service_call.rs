@@ -85,10 +85,6 @@ fn main() {
     let disks: ThreadCollection<StripeStore> = eng
         .thread_collection(sfs, "disks", "node2 node3 node4 node5")
         .unwrap();
-    for t in 0..disks.thread_count() {
-        let st = eng.thread_data_mut(&disks, t);
-        st.node_flops = 70.0e6;
-    }
     let write = build_write_graph(&mut eng, &smain, &disks, None).unwrap();
     let _read = build_read_graph(&mut eng, &smain, &disks, Some("sfs.read")).unwrap();
 

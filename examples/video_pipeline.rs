@@ -8,8 +8,8 @@
 //! Run with: `cargo run --release --example video_pipeline`
 
 use dps::cluster::ClusterSpec;
-use dps::core::EngineConfig;
-use dps::sfs::video::{run_video_sim, VideoConfig};
+use dps::core::SimEngine;
+use dps::sfs::video::{run_video, VideoConfig};
 
 fn main() {
     let cfg = |use_stream| VideoConfig {
@@ -20,18 +20,14 @@ fn main() {
         use_stream,
     };
 
-    let (t_stream, frames, sum_stream) = run_video_sim(
-        ClusterSpec::paper_testbed(4),
-        &cfg(true),
-        EngineConfig::default(),
-    )
-    .expect("stream pipeline");
-    let (t_barrier, _, sum_barrier) = run_video_sim(
-        ClusterSpec::paper_testbed(4),
-        &cfg(false),
-        EngineConfig::default(),
-    )
-    .expect("merge-split pipeline");
+    let run = |use_stream| {
+        run_video(
+            &mut SimEngine::new(ClusterSpec::paper_testbed(4)),
+            &cfg(use_stream),
+        )
+    };
+    let (t_stream, frames, sum_stream) = run(true).expect("stream pipeline");
+    let (t_barrier, _, sum_barrier) = run(false).expect("merge-split pipeline");
 
     assert_eq!(
         sum_stream, sum_barrier,

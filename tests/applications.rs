@@ -3,13 +3,17 @@
 //! model) and are verified against sequential references.
 
 use dps::cluster::ClusterSpec;
-use dps::core::EngineConfig;
-use dps::life::{run_life_sim, LifeConfig, Variant, World};
-use dps::linalg::parallel::lu::{run_lu_sim, LuConfig};
-use dps::linalg::parallel::matmul::{run_matmul_sim, MatMulConfig};
+use dps::core::SimEngine;
+use dps::life::{run_life, LifeConfig, Variant, World};
+use dps::linalg::parallel::lu::{run_lu, LuConfig};
+use dps::linalg::parallel::matmul::{run_matmul, MatMulConfig};
 use dps::linalg::{blocked_lu, lu_residual, Matrix};
 use dps::sched::Distribution;
-use dps::sfs::video::{run_video_sim, VideoConfig};
+use dps::sfs::video::{run_video, VideoConfig};
+
+fn sim(nodes: usize) -> SimEngine {
+    SimEngine::new(ClusterSpec::paper_testbed(nodes))
+}
 
 #[test]
 fn matmul_all_variants_and_node_counts() {
@@ -24,12 +28,7 @@ fn matmul_all_variants_and_node_counts() {
                 threads_per_node: 2,
                 dist: Distribution::Static,
             };
-            let rep = run_matmul_sim(
-                ClusterSpec::paper_testbed(nodes),
-                &cfg,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let rep = run_matmul(&mut sim(nodes), &cfg, 0).unwrap();
             let a = Matrix::random(64, 64, cfg.seed);
             let b = Matrix::random(64, 64, cfg.seed + 1);
             let mut diff = rep.c.clone();
@@ -57,12 +56,7 @@ fn lu_matches_sequential_reference_everywhere() {
                 dist: Distribution::Static,
                 update_chunks: 1,
             };
-            let rep = run_lu_sim(
-                ClusterSpec::paper_testbed(nodes),
-                &cfg,
-                EngineConfig::default(),
-            )
-            .unwrap();
+            let rep = run_lu(&mut sim(nodes), &cfg).unwrap();
             let a = Matrix::random_general(32, 32, cfg.seed);
             assert!(
                 lu_residual(&a, &rep.factors) < 1e-9,
@@ -87,8 +81,7 @@ fn life_both_graphs_match_reference() {
             seed: 777,
             dist: Distribution::Static,
         };
-        let rep =
-            run_life_sim(ClusterSpec::paper_testbed(3), &cfg, EngineConfig::default()).unwrap();
+        let rep = run_life(&mut sim(3), &cfg).unwrap();
         let expect = World::random(30, 20, 0.4, 777).step_n(6);
         assert_eq!(rep.world, expect, "{variant:?}");
         assert_eq!(rep.per_iter.len(), 6);
@@ -104,18 +97,8 @@ fn video_pipeline_stream_vs_barrier() {
         nodes: 3,
         use_stream,
     };
-    let (ts, f1, c1) = run_video_sim(
-        ClusterSpec::paper_testbed(3),
-        &cfg(true),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let (tb, f2, c2) = run_video_sim(
-        ClusterSpec::paper_testbed(3),
-        &cfg(false),
-        EngineConfig::default(),
-    )
-    .unwrap();
+    let (ts, f1, c1) = run_video(&mut sim(3), &cfg(true)).unwrap();
+    let (tb, f2, c2) = run_video(&mut sim(3), &cfg(false)).unwrap();
     assert_eq!((f1, c1), (f2, c2));
     assert!(ts <= tb, "stream {ts} must not lose to barrier {tb}");
 }

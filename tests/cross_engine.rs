@@ -419,6 +419,167 @@ fn matmul_is_byte_identical_across_engines() {
     assert_eq!(net.as_slice(), mt.as_slice(), "net product bits diverged");
 }
 
+/// The paper's banded Life (Fig. 7 Simple, Fig. 8 Improved) through one
+/// generic driver: the bands load through the loader graph, the world
+/// comes back through the Fig. 10 read service. Returns each iteration's
+/// `IterDone` population and the final world.
+fn banded_life<E: Engine>(
+    eng: &mut E,
+    cfg: &dps::life::LifeConfig,
+) -> (Vec<u64>, dps::life::World) {
+    let world = dps::life::World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
+    let life = dps::life::setup_life(eng, cfg, &world).unwrap();
+    let pops = (0..cfg.iterations as u32)
+        .map(|i| life.step_once(eng, i).unwrap().population)
+        .collect();
+    (pops, life.gather_world(eng).unwrap())
+}
+
+/// Banded Life, both graphs, on the simulator, on OS threads and over the
+/// in-process wire protocol: every engine reproduces the sequential
+/// reference, and all agree on every iteration's `IterDone` population.
+#[test]
+fn banded_life_is_identical_across_engines() {
+    use dps::life::{LifeConfig, Variant, World};
+    use dps::sched::Distribution;
+
+    for variant in [Variant::Simple, Variant::Improved] {
+        let cfg = LifeConfig {
+            rows: 30,
+            cols: 20,
+            iterations: 4,
+            variant,
+            nodes: 3,
+            threads_per_node: 1,
+            density: 0.35,
+            seed: 21,
+            dist: Distribution::Static,
+        };
+        let reference =
+            World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed).step_n(cfg.iterations);
+        let sim = banded_life(&mut SimEngine::new(ClusterSpec::paper_testbed(3)), &cfg);
+        let mt = {
+            let mut eng = MtEngine::new(3);
+            let out = banded_life(&mut eng, &cfg);
+            eng.shutdown();
+            out
+        };
+        let net = {
+            let mut eng = NetEngine::loopback(3);
+            let out = banded_life(&mut eng, &cfg);
+            eng.shutdown();
+            out
+        };
+        for (name, (pops, world)) in [("sim", &sim), ("mt", &mt), ("net", &net)] {
+            assert_eq!(world, &reference, "{variant:?} diverged on {name}");
+            assert_eq!(pops, &sim.0, "{variant:?} populations differ on {name}");
+        }
+    }
+}
+
+/// The Fig. 4 video pipeline, stream and merge-split, on all three
+/// engines: frames preload through the striped store's write leaf, and
+/// every run processes the same frames to the same checksum.
+#[test]
+fn video_pipeline_is_identical_across_engines() {
+    use dps::sfs::video::{run_video, VideoConfig};
+
+    let mut outs = Vec::new();
+    for use_stream in [true, false] {
+        let cfg = VideoConfig {
+            frames: 5,
+            parts: 3,
+            part_bytes: 4096,
+            nodes: 3,
+            use_stream,
+        };
+        let sim = run_video(&mut SimEngine::new(ClusterSpec::paper_testbed(3)), &cfg).unwrap();
+        let mt = {
+            let mut eng = MtEngine::new(3);
+            let out = run_video(&mut eng, &cfg).unwrap();
+            eng.shutdown();
+            out
+        };
+        let net = {
+            let mut eng = NetEngine::loopback(3);
+            let out = run_video(&mut eng, &cfg).unwrap();
+            eng.shutdown();
+            out
+        };
+        for (name, (_, frames, checksum)) in [("sim", sim), ("mt", mt), ("net", net)] {
+            outs.push((use_stream, name, frames, checksum));
+        }
+    }
+    let (_, _, frames, checksum) = outs[0];
+    assert_eq!(frames, 5);
+    for &(use_stream, name, f, c) in &outs {
+        assert_eq!(
+            (f, c),
+            (frames, checksum),
+            "stream={use_stream} on {name} diverged"
+        );
+    }
+}
+
+/// Write a file through the striped store's write service and read it
+/// back through its read service.
+fn striped_round_trip<E: Engine>(eng: &mut E, disks: usize, data: &[u8]) -> (u32, Vec<u8>) {
+    use dps::sfs::{
+        build_read_graph, build_write_graph, FileData, ReadFileReq, StripeStore, WriteAck,
+        WriteFileReq,
+    };
+    let app = eng.app("sfs");
+    let master: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+    let mapping = dps::cluster::default_mapping(disks, 1);
+    let servers: ThreadCollection<StripeStore> =
+        eng.thread_collection(app, "disks", &mapping).unwrap();
+    let write = build_write_graph(eng, &master, &servers, None).unwrap();
+    let read = build_read_graph(eng, &master, &servers, None).unwrap();
+    let file = 7;
+    let req = WriteFileReq {
+        file,
+        data: data.to_vec().into(),
+    };
+    eng.submit(write, Box::new(req)).unwrap();
+    eng.run_to_idle(write, 1).unwrap();
+    let ack = eng.take_outputs(write).pop().unwrap();
+    let stripes = dps::core::downcast::<WriteAck>(ack).unwrap().stripes;
+    eng.submit(read, Box::new(ReadFileReq { file, stripes }))
+        .unwrap();
+    eng.run_to_idle(read, 1).unwrap();
+    let out = eng.take_outputs(read).pop().unwrap();
+    let back = dps::core::downcast::<FileData>(out)
+        .unwrap()
+        .data
+        .into_vec();
+    (stripes, back)
+}
+
+/// The striped file services hold their stripes in thread state on every
+/// engine: a file written through one graph reads back whole through the
+/// other, on the simulator, on OS threads and over the wire protocol.
+#[test]
+fn striped_store_round_trips_on_every_engine() {
+    let data: Vec<u8> = (0..5 * 64 * 1024 + 123).map(|i| (i % 251) as u8).collect();
+    let sim = striped_round_trip(&mut SimEngine::new(ClusterSpec::paper_testbed(3)), 3, &data);
+    let mt = {
+        let mut eng = MtEngine::new(3);
+        let out = striped_round_trip(&mut eng, 3, &data);
+        eng.shutdown();
+        out
+    };
+    let net = {
+        let mut eng = NetEngine::loopback(3);
+        let out = striped_round_trip(&mut eng, 3, &data);
+        eng.shutdown();
+        out
+    };
+    for (name, (stripes, back)) in [("sim", sim), ("mt", mt), ("net", net)] {
+        assert_eq!(stripes, 6, "{name}: one ack per 64 KiB stripe");
+        assert!(back == data, "{name}: the file did not read back whole");
+    }
+}
+
 dps_token! {
     /// One cell of a loop nest: where it sits (`path`, one base-8 digit per
     /// level) and the fan-out of each level; on the way back, what the cells

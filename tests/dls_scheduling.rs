@@ -10,13 +10,13 @@ use std::sync::Arc;
 use dps::cluster::ClusterSpec;
 use dps::core::prelude::*;
 use dps::core::sched::{Distribution, IterRange};
-use dps::life::{run_life_sim, setup_scheduled_life, LifeConfig, Variant, World};
-use dps::linalg::parallel::lu::{run_lu_sim, LuConfig};
+use dps::life::{run_life, setup_scheduled_life, LifeConfig, Variant, World};
+use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::linalg::{lu_residual, Matrix};
 use dps::mt::MtEngine;
 use dps::net::NodeId;
 use dps::sched::{ChunkCalc, ChunkScheduler, FeedbackBoard, IterCounter, PolicyKind};
-use dps_bench::dls::{rising_cost, run_dls, run_dls_sim, DlsConfig};
+use dps_bench::dls::{rising_cost, run_dls, CostFn, DlsConfig, DlsReport};
 use proptest::prelude::*;
 
 fn skewed_two_node() -> ClusterSpec {
@@ -24,19 +24,24 @@ fn skewed_two_node() -> ClusterSpec {
     ClusterSpec::heterogeneous(1, &[70.0e6, 35.0e6])
 }
 
+/// A scheduled loop on the skewed two-node cluster, one worker per node.
+fn run_skewed(cost: CostFn, cfg: &DlsConfig) -> DlsReport {
+    let ecfg = EngineConfig {
+        flow_window: cfg.flow_window,
+        ..EngineConfig::default()
+    };
+    let mut eng = SimEngine::with_config(skewed_two_node(), ecfg);
+    run_dls(&mut eng, cost, cfg, 2).expect("DLS run")
+}
+
 fn run(policy: PolicyKind) -> f64 {
-    run_dls_sim(
-        skewed_two_node(),
-        rising_cost(100.0),
-        &DlsConfig {
-            iters: 512,
-            steps: 3,
-            policy,
-            flow_window: 4,
-        },
-    )
-    .expect("DLS run")
-    .total
+    let cfg = DlsConfig {
+        iters: 512,
+        steps: 3,
+        policy,
+        flow_window: 4,
+    };
+    run_skewed(rising_cost(100.0), &cfg).total
 }
 
 /// The acceptance bar: on a 2×-skewed two-node cluster with an irregular
@@ -61,8 +66,7 @@ fn adaptive_policies_beat_static_by_15_percent() {
 /// the cold-start step, and the learned weights mirror the 2× rate skew.
 #[test]
 fn awf_adapts_across_time_steps() {
-    let rep = run_dls_sim(
-        skewed_two_node(),
+    let rep = run_skewed(
         rising_cost(100.0),
         &DlsConfig {
             iters: 512,
@@ -70,8 +74,7 @@ fn awf_adapts_across_time_steps() {
             policy: PolicyKind::Awf,
             flow_window: 4,
         },
-    )
-    .unwrap();
+    );
     let first = rep.per_step[0];
     let last = *rep.per_step.last().unwrap();
     assert!(
@@ -89,20 +92,13 @@ fn awf_adapts_across_time_steps() {
 /// The whole subsystem is deterministic on the simulator.
 #[test]
 fn scheduled_runs_are_reproducible() {
-    let go = || {
-        run_dls_sim(
-            skewed_two_node(),
-            rising_cost(50.0),
-            &DlsConfig {
-                iters: 200,
-                steps: 2,
-                policy: PolicyKind::Awf,
-                flow_window: 4,
-            },
-        )
-        .unwrap()
-        .per_step
+    let cfg = DlsConfig {
+        iters: 200,
+        steps: 2,
+        policy: PolicyKind::Awf,
+        flow_window: 4,
     };
+    let go = || run_skewed(rising_cost(50.0), &cfg).per_step;
     assert_eq!(go(), go());
 }
 
@@ -246,23 +242,13 @@ fn skewed_lu(dist: Distribution) -> LuConfig {
 /// 8-column granularity.)
 #[test]
 fn lu_scheduled_awf_beats_static_by_8_percent() {
-    let spec = ClusterSpec::skewed(2, 2, 2.0);
-    let t_static = run_lu_sim(
-        spec.clone(),
-        &skewed_lu(Distribution::Static),
-        EngineConfig::default(),
-    )
-    .unwrap()
-    .elapsed
-    .as_secs_f64();
-    let t_awf = run_lu_sim(
-        spec,
-        &skewed_lu(Distribution::Scheduled(PolicyKind::Awf)),
-        EngineConfig::default(),
-    )
-    .unwrap()
-    .elapsed
-    .as_secs_f64();
+    let elapsed = |dist| {
+        let mut eng = SimEngine::new(ClusterSpec::skewed(2, 2, 2.0));
+        let rep = run_lu(&mut eng, &skewed_lu(dist)).unwrap();
+        rep.elapsed.as_secs_f64()
+    };
+    let t_static = elapsed(Distribution::Static);
+    let t_awf = elapsed(Distribution::Scheduled(PolicyKind::Awf));
     assert!(
         t_awf <= 0.92 * t_static,
         "scheduled LU {t_awf:.4}s vs static {t_static:.4}s: expected >= 8% gain"
@@ -274,19 +260,14 @@ fn lu_scheduled_awf_beats_static_by_8_percent() {
 /// changes, arithmetic does not.
 #[test]
 fn lu_scheduled_matches_static_bit_for_bit() {
-    let spec = || ClusterSpec::skewed(2, 2, 2.0);
-    let stat = run_lu_sim(
-        spec(),
-        &skewed_lu(Distribution::Static),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let sched = run_lu_sim(
-        spec(),
-        &skewed_lu(Distribution::Scheduled(PolicyKind::Awf)),
-        EngineConfig::default(),
-    )
-    .unwrap();
+    let run = |dist| {
+        run_lu(
+            &mut SimEngine::new(ClusterSpec::skewed(2, 2, 2.0)),
+            &skewed_lu(dist),
+        )
+    };
+    let stat = run(Distribution::Static).unwrap();
+    let sched = run(Distribution::Scheduled(PolicyKind::Awf)).unwrap();
     assert_eq!(stat.factors.pivots, sched.factors.pivots);
     assert_eq!(
         stat.factors.lu, sched.factors.lu,
@@ -315,19 +296,14 @@ fn skewed_life(dist: Distribution) -> LifeConfig {
 /// deterministically, with the same final world.
 #[test]
 fn life_scheduled_awf_beats_static_by_10_percent() {
-    let spec = ClusterSpec::skewed(2, 2, 2.0);
-    let stat = run_life_sim(
-        spec.clone(),
-        &skewed_life(Distribution::Static),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let sched = run_life_sim(
-        spec,
-        &skewed_life(Distribution::Scheduled(PolicyKind::Awf)),
-        EngineConfig::default(),
-    )
-    .unwrap();
+    let run = |dist| {
+        run_life(
+            &mut SimEngine::new(ClusterSpec::skewed(2, 2, 2.0)),
+            &skewed_life(dist),
+        )
+    };
+    let stat = run(Distribution::Static).unwrap();
+    let sched = run(Distribution::Scheduled(PolicyKind::Awf)).unwrap();
     assert_eq!(stat.world, sched.world, "same evolution either way");
     let (t_static, t_awf) = (stat.elapsed.as_secs_f64(), sched.elapsed.as_secs_f64());
     assert!(
@@ -355,7 +331,7 @@ fn scheduled_life_wave_survives_fail_node() {
     let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
     let mut eng = SimEngine::new(ClusterSpec::paper_testbed(3));
     let life = setup_scheduled_life(&mut eng, &cfg, PolicyKind::Ss, &world).unwrap();
-    let (store, graph) = (life.store, life.step);
+    let graph = life.step;
     eng.inject(
         graph,
         IterRange {
@@ -388,7 +364,7 @@ fn scheduled_life_wave_survives_fail_node() {
         .sum();
     assert_eq!(done.population, expect_pop, "population after the failure");
     assert_eq!(
-        eng.thread_data_mut(&store, 0).world,
+        life.dump(&mut eng).unwrap(),
         expect,
         "world after the failure"
     );

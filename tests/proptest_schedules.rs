@@ -5,8 +5,8 @@
 use dps::cluster::ClusterSpec;
 use dps::core::prelude::*;
 use dps::core::{dps_token, EngineConfig, SimEngine};
-use dps::life::{run_life_sim, LifeConfig, Variant, World};
-use dps::linalg::parallel::lu::{run_lu_sim, LuConfig};
+use dps::life::{run_life, LifeConfig, Variant, World};
+use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::linalg::{lu_residual, Matrix};
 use dps::sched::Distribution;
 use dps::sched::{ChunkScheduler, PolicyKind};
@@ -100,7 +100,7 @@ proptest! {
         let mut eng = SimEngine::with_config(ClusterSpec::paper_testbed(nodes), cfg);
         let app = eng.app("prop");
         let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-        let mapping = dps::cluster::round_robin_mapping(eng.cluster().spec(), nodes, 2);
+        let mapping = dps::cluster::default_mapping(nodes, 2);
         let workers: ThreadCollection<()> = eng.thread_collection(app, "w", &mapping).unwrap();
         let mut b = GraphBuilder::new("nested");
         let s1 = b.split(&main, || ToThread(0), || OuterSplit);
@@ -166,11 +166,7 @@ proptest! {
             seed,
             dist: Distribution::Static,
         };
-        let rep = run_life_sim(
-            ClusterSpec::paper_testbed(nodes),
-            &cfg,
-            EngineConfig::default(),
-        ).unwrap();
+        let rep = run_life(&mut SimEngine::new(ClusterSpec::paper_testbed(nodes)), &cfg).unwrap();
         let expect = World::random(rows, cols, 0.35, seed).step_n(iters);
         prop_assert_eq!(rep.world, expect);
     }
@@ -232,11 +228,7 @@ proptest! {
             dist: Distribution::Static,
             update_chunks: 1,
         };
-        let rep = run_lu_sim(
-            ClusterSpec::paper_testbed(nodes),
-            &cfg,
-            EngineConfig::default(),
-        ).unwrap();
+        let rep = run_lu(&mut SimEngine::new(ClusterSpec::paper_testbed(nodes)), &cfg).unwrap();
         let a = Matrix::random_general(nb * r, nb * r, seed);
         prop_assert!(lu_residual(&a, &rep.factors) < 1e-8);
     }
