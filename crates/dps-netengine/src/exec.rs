@@ -126,7 +126,8 @@ impl WireMeter {
 
 /// The sending half of a connection as the tasks of a kernel share it:
 /// frames are encoded and written one at a time, through the connection's
-/// buffer table.
+/// buffer table, each as its parts in one `send_parts` — a large `Buffer`
+/// run goes to the transport from the buffer's own allocation.
 pub(crate) struct Conn {
     link: Mutex<Link>,
     /// Shared by the master's connections; a worker's own is never
@@ -156,13 +157,9 @@ impl Conn {
     pub fn send(&self, frame: &Frame<'_>) -> io::Result<()> {
         let mut link = self.link.lock();
         let parts = link.table.encode(frame);
-        self.meter.count(parts.iter().map(Vec::len).sum());
-        match parts.as_slice() {
-            [frame] => link.tx.send(frame),
-            parts => link
-                .tx
-                .send_parts(&parts.iter().map(Vec::as_slice).collect::<Vec<_>>()),
-        }
+        let parts: Vec<&[u8]> = parts.iter().map(|part| &**part).collect();
+        self.meter.count(parts.iter().map(|part| part.len()).sum());
+        link.tx.send_parts(&parts)
     }
 }
 
@@ -686,9 +683,9 @@ impl RemoteHub for HubRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{FrameRx, LoopbackTransport, Transport};
+    use crate::transport::{FrameRx, LoopbackTransport, TcpTransport, Transport};
     use dps_sched::{ChunkCalc, PolicyKind};
-    use dps_serial::{Buffer, RecvTable};
+    use dps_serial::{Buffer, RecvTable, Vector};
     use std::sync::Barrier;
     use std::thread::JoinHandle;
 
@@ -907,7 +904,11 @@ mod tests {
     /// The sending half of a loopback connection as a kernel shares it, and
     /// the receiving half with the table its reader keeps.
     fn link() -> (Conn, Box<dyn FrameRx>, RecvTable) {
-        let t = LoopbackTransport::new();
+        link_over(&LoopbackTransport::new())
+    }
+
+    /// [`link`] over `t`.
+    fn link_over(t: &dyn Transport) -> (Conn, Box<dyn FrameRx>, RecvTable) {
         let (addr, mut acceptor) = t.bind().unwrap();
         let client = t.connect(&addr).unwrap();
         let server = acceptor.accept().unwrap();
@@ -1059,5 +1060,45 @@ mod tests {
             .map(|b| format!("{b:02x}"))
             .collect();
         assert!(tagged.ends_with(&hex));
+    }
+
+    dps_core::dps_token! {
+        pub struct Blocks { pub all: Vector<Buffer<f64>> }
+    }
+
+    /// A frame of more parts than one vectored write takes (`IOV_MAX`,
+    /// 1024 on Linux) arrives whole, over real sockets and over loopback:
+    /// 1 500 shared blocks of 16 KiB are as many fresh entries, each with
+    /// its elements a part of its own.
+    #[test]
+    fn a_frame_of_more_parts_than_iov_max_arrives_whole() {
+        let blocks: Vector<Buffer<f64>> = (0..1500)
+            .map(|k| Buffer::filled(f64::from(k), 2048))
+            .collect();
+        let mut reg = TokenRegistry::new();
+        dps_core::register_token::<Blocks>(&mut reg);
+        let tcp = TcpTransport;
+        let loopback = LoopbackTransport::new();
+        for t in [&tcp as &dyn Transport, &loopback] {
+            let (conn, mut rx, mut table) = link_over(t);
+            let sent = Blocks {
+                all: blocks.clone(),
+            };
+            // A socket buffer holds less than the frame: the peer reads
+            // while it is written.
+            let writer = std::thread::spawn(move || {
+                let frame = Frame::Output {
+                    app: 0,
+                    graph: 0,
+                    token: Payload::Token(&sent),
+                };
+                conn.send(&frame)
+            });
+            let (token, captured) = take(&mut rx, &mut table);
+            writer.join().unwrap().unwrap();
+            assert_eq!(table.len(), 1500);
+            let got = proto::decode_received(&reg, &token, &captured).unwrap();
+            assert_eq!(dps_core::downcast::<Blocks>(got).unwrap().all, blocks);
+        }
     }
 }

@@ -22,9 +22,11 @@
 //! but the observable unit (one `send` arrives as one `recv`) is the same.
 //!
 //! On TCP a frame costs one system call to send — prefix and payload (a
-//! body and its buffer-table section, when the engine hands it over in
-//! parts) leave in a single vectored write, so `TCP_NODELAY` never ships a
-//! lone prefix — and no copy. The receiver reads through a 64 KiB buffer,
+//! body, its buffer-table section, and every large `Buffer` run, read from
+//! the buffer's own allocation, when the engine hands it over in parts)
+//! leave in a single vectored write, so `TCP_NODELAY` never ships a lone
+//! prefix — and no copy. A frame of more parts than the kernel takes in one
+//! call (`IOV_MAX`), or than the socket buffer holds, takes several. The receiver reads through a 64 KiB buffer,
 //! so a prefix and a small frame (or many) arrive in one read; a frame
 //! larger than the buffer is read straight into its own allocation, which
 //! is never zeroed first.
@@ -46,9 +48,9 @@ pub trait FrameTx: Send {
     /// Transmit `frame` (the payload only; framing is the transport's job).
     fn send(&mut self, frame: &[u8]) -> io::Result<()>;
 
-    /// Transmit one frame given as `parts` back to back — a body and its
-    /// buffer-table section, neither copied into the other where the
-    /// transport can write several buffers at once.
+    /// Transmit one frame given as `parts` back to back — a body, its
+    /// buffer-table section and its large runs, none copied into another
+    /// where the transport can write several buffers at once.
     fn send_parts(&mut self, parts: &[&[u8]]) -> io::Result<()> {
         self.send(&parts.concat())
     }
@@ -190,7 +192,8 @@ impl FrameTx for TcpTx {
             .collect();
         let mut left = &mut slices[..];
         // One vectored write almost always takes everything; a full socket
-        // buffer may take a 2 MiB frame in several.
+        // buffer may take a 2 MiB frame in several, and a frame of more
+        // than `IOV_MAX` parts always does (std passes at most that many).
         while !left.is_empty() {
             match self.0.write_vectored(left) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),

@@ -14,8 +14,9 @@ use crate::writer::Writer;
 ///
 /// Equivalent of the paper's `Buffer<int>`: "a variable-size array of
 /// integers" serialized with memory copies. Use this for large numeric
-/// payloads (matrix blocks, pixel rows, cell bands); the `u8` element type
-/// takes a true memcpy fast path.
+/// payloads (matrix blocks, pixel rows, cell bands); `u8` and, on a
+/// little-endian target, the numeric element types encode with one memory
+/// copy.
 ///
 /// # Who owns the bytes
 ///
@@ -39,6 +40,11 @@ use crate::writer::Writer;
 /// encoded through a connection's [`SendTable`](crate::SendTable) names a
 /// shared buffer by id instead, so it crosses that connection once, and
 /// every value the peer decodes from it shares one allocation there too.
+/// There a run of 16 KiB or more whose memory is its encoding
+/// ([`Pod::wire_bytes`]) is not copied into the frame at all: the frame's
+/// part for it holds a clone of the buffer and is written to the socket
+/// from the buffer's own allocation, which copy-on-write keeps unchanged
+/// until the write returns.
 ///
 /// [`as_slice`]: Buffer::as_slice
 /// [`as_mut_slice`]: Buffer::as_mut_slice
@@ -140,7 +146,9 @@ impl<T: Pod> Wire for Buffer<T> {
             return;
         }
         w.put_len(self.len());
-        T::encode_slice(self, w);
+        if let Some(data) = &self.data {
+            w.put_elements(data);
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = match r.get_u32()? {

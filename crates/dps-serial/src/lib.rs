@@ -12,9 +12,13 @@
 //!   width) built on the `bytes` crate; a run of raw bytes travels as a
 //!   [`Bytes`], zero-copy on decode from a [shared](Reader::shared) buffer.
 //! * [`Buffer`] — variable-size array of *simple* (plain-old-data) elements,
-//!   bulk-copied on the wire (the paper's `Buffer<int>`).
+//!   bulk-copied on the wire (the paper's `Buffer<int>`); [`Pod`] is the
+//!   element contract, and [`Pod::wire_bytes`] the byte view that makes the
+//!   copy one `memcpy` — or, to a connection, none.
 //! * [`SendTable`] / [`RecvTable`] / [`Captured`] — a connection's table
-//!   of the shared buffers it has carried, so each crosses it once.
+//!   of the shared buffers it has carried, so each crosses it once; a frame
+//!   leaves it in [`Part`]s, a large run written from its buffer's own
+//!   memory, and a received entry is a view of its frame until decoded.
 //! * [`Vector`] — variable-size array of *complex* (nested `Wire`) elements
 //!   (the paper's `Vector<Something>`).
 //! * [`CT`] — transparent wrapper marking a simple type embedded in a complex
@@ -69,7 +73,7 @@ pub use reader::Reader;
 pub use registry::{encode_tagged, tagged_size, DecodeFn, Registry};
 pub use table::{Captured, RecvTable, SendTable};
 pub use wire::Wire;
-pub use writer::Writer;
+pub use writer::{Part, Writer};
 
 /// Serialize any [`Wire`] value to a fresh byte vector.
 ///

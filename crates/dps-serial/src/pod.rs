@@ -13,13 +13,25 @@ use crate::writer::Writer;
 /// The C++ DPS library serializes `SimpleToken`s and `Buffer<int>` contents
 /// "with simple memory copies". Rust cannot portably memcpy structs with
 /// padding, so `Pod` instead guarantees a fixed `WIDTH` and bulk slice
-/// encode/decode: one pass over the slice into (or out of) a region sized up
-/// front, which compiles to a vectorised copy on little-endian hosts — and
-/// to a plain memcpy for `u8`. Every `Pod` is a plain value a connection
-/// table can hold behind a type-erased handle (`Send + Sync + 'static`).
+/// encode/decode, each one pass over the slice. Where a slice's memory *is*
+/// its wire encoding — `u8`, and the numeric primitives on a little-endian
+/// target — [`wire_bytes`](Self::wire_bytes) says so: encoding is then one
+/// memory copy, and a large run a frame carries to a connection goes on the
+/// wire from the buffer that holds it (see [`SendTable`](crate::SendTable)).
+/// Every `Pod` is a plain value a connection table can hold behind a
+/// type-erased handle (`Send + Sync + 'static`).
 pub trait Pod: Wire + Copy + Sized + Send + Sync + 'static {
     /// Serialized width of every value of this type, in bytes.
     const WIDTH: usize;
+
+    /// The bytes `slice` occupies in memory, when they are exactly what
+    /// [`encode_slice`](Self::encode_slice) writes; `None` (the default)
+    /// when they are not, as for `bool`, `char` and every multi-byte type
+    /// on a big-endian target.
+    fn wire_bytes(slice: &[Self]) -> Option<&[u8]> {
+        let _ = slice;
+        None
+    }
 
     /// Encode a whole slice: exactly the bytes of encoding each element in
     /// turn.
@@ -32,12 +44,12 @@ pub trait Pod: Wire + Copy + Sized + Send + Sync + 'static {
     fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError>;
 }
 
-/// One pass over `slice` into a region of `slice.len() × W` bytes.
+/// Each element's encoding in turn, in one pass over `slice`: the encoder
+/// of a type whose memory is not its wire encoding.
 #[inline]
-fn encode_run<T: Copy, const W: usize>(slice: &[T], w: &mut Writer, to_le: impl Fn(T) -> [u8; W]) {
-    let (region, _) = w.put_zeroed(slice.len() * W).as_chunks_mut::<W>();
-    for (dst, &v) in region.iter_mut().zip(slice) {
-        *dst = to_le(v);
+fn put_each<T: Copy, const W: usize>(slice: &[T], w: &mut Writer, to_le: impl Fn(T) -> [u8; W]) {
+    for &v in slice {
+        w.put_slice(&to_le(v));
     }
 }
 
@@ -56,8 +68,28 @@ macro_rules! impl_pod {
         impl Pod for $ty {
             const WIDTH: usize = $width;
 
+            fn wire_bytes(slice: &[Self]) -> Option<&[u8]> {
+                cfg!(target_endian = "little").then(|| {
+                    // SAFETY: `$ty` is a numeric primitive: it has no
+                    // padding and every byte of every value is initialized,
+                    // so the slice's memory is `size_of_val(slice)` readable
+                    // bytes, borrowed for as long as the slice and with no
+                    // alignment to keep. On a little-endian target they are
+                    // each element's `to_le_bytes` in turn.
+                    unsafe {
+                        std::slice::from_raw_parts(
+                            slice.as_ptr().cast::<u8>(),
+                            std::mem::size_of_val(slice),
+                        )
+                    }
+                })
+            }
+
             fn encode_slice(slice: &[Self], w: &mut Writer) {
-                encode_run(slice, w, <$ty>::to_le_bytes);
+                match Self::wire_bytes(slice) {
+                    Some(bytes) => w.put_slice(bytes),
+                    None => put_each(slice, w, <$ty>::to_le_bytes),
+                }
             }
 
             fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
@@ -78,6 +110,10 @@ impl_pod! {
 impl Pod for u8 {
     const WIDTH: usize = 1;
 
+    fn wire_bytes(slice: &[Self]) -> Option<&[u8]> {
+        Some(slice)
+    }
+
     fn encode_slice(slice: &[Self], w: &mut Writer) {
         w.put_slice(slice);
     }
@@ -91,7 +127,7 @@ impl Pod for bool {
     const WIDTH: usize = 1;
 
     fn encode_slice(slice: &[Self], w: &mut Writer) {
-        encode_run(slice, w, |v| [u8::from(v)]);
+        put_each(slice, w, |v| [u8::from(v)]);
     }
 
     fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
@@ -106,7 +142,7 @@ impl Pod for char {
     const WIDTH: usize = 4;
 
     fn encode_slice(slice: &[Self], w: &mut Writer) {
-        encode_run(slice, w, |v| u32::from(v).to_le_bytes());
+        put_each(slice, w, |v| u32::from(v).to_le_bytes());
     }
 
     fn decode_slice(len: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
@@ -127,6 +163,28 @@ mod tests {
         assert_eq!(<f64 as Pod>::WIDTH, 0f64.wire_size());
         assert_eq!(<bool as Pod>::WIDTH, true.wire_size());
         assert_eq!(<char as Pod>::WIDTH, 'x'.wire_size());
+    }
+
+    #[test]
+    fn a_byte_view_is_the_encoding_where_there_is_one() {
+        /// Whether `values` have a byte view, checking any they have.
+        fn viewed<T: Pod>(values: &[T]) -> bool {
+            let mut w = Writer::new();
+            values.iter().for_each(|v| v.encode(&mut w));
+            let view = T::wire_bytes(values);
+            if let Some(view) = view {
+                assert_eq!(view, w.as_slice());
+                assert_eq!(view.as_ptr(), values.as_ptr().cast());
+            }
+            view.is_some()
+        }
+        let little = cfg!(target_endian = "little");
+        assert!(viewed(&[1u8, 2, 255]));
+        assert_eq!(viewed(&[1.5f64, -0.0, f64::NAN]), little);
+        assert_eq!(viewed(&[i128::MIN, 3]), little);
+        assert_eq!(viewed(&[u16::MAX, 7]), little);
+        assert!(!viewed(&[true, false]));
+        assert!(!viewed(&['x', '\u{10FFFF}']));
     }
 
     #[test]

@@ -6,11 +6,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
+use bytes::Bytes;
+
 use crate::error::WireError;
 use crate::pod::Pod;
 use crate::reader::Reader;
 use crate::wire::Wire;
-use crate::writer::Writer;
+use crate::writer::{Part, Writer, RUN_PART};
 
 /// The length word of a named buffer: no length a [`Reader`] accepts
 /// reaches it.
@@ -55,19 +57,32 @@ struct Sent {
 /// A frame with nothing to tell has no section: its bytes are exactly
 /// [`to_bytes`](crate::to_bytes)'s.
 ///
+/// The frame comes back in [`Part`]s, to go out back to back: the body,
+/// the section's head, the fresh entries. The elements of a buffer of
+/// 16 KiB or more — inline or a fresh entry — are not copied into any of
+/// them when their memory is their encoding ([`Pod::wire_bytes`]): they
+/// are a part of their own, read from the buffer's allocation.
+///
 /// ```
 /// use dps_serial::{to_bytes, Buffer, SendTable};
 ///
 /// let panel: Buffer<f64> = vec![0.5; 512].into();
 /// let tasks = [(1u32, panel.clone()), (2u32, panel.clone())];
 /// let mut table = SendTable::default();
+/// let lens = |parts: &[_]| parts.iter().map(|p: &dps_serial::Part| p.len()).collect::<Vec<_>>();
 /// // Body, the section's head, the panel's entry.
-/// let parts = table.encode(&tasks[0]);
-/// assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [4 + 12, 12, 12 + 512 * 8]);
+/// assert_eq!(lens(&table.encode(&tasks[0])), [4 + 12, 12, 12 + 512 * 8]);
 /// // Body, the head naming it.
-/// let parts = table.encode(&tasks[1]);
-/// assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), [4 + 12, 12 + 8]);
+/// assert_eq!(lens(&table.encode(&tasks[1])), [4 + 12, 12 + 8]);
 /// assert_eq!(to_bytes(&tasks[1]).len(), 4 + 4 + 512 * 8);
+///
+/// // A 1 MiB strip held once goes inline, from where it lies.
+/// let strip: Buffer<f64> = vec![0.25; 1 << 17].into();
+/// let token = (3u32, strip);
+/// let parts = table.encode(&token);
+/// assert_eq!(lens(&parts), [4 + 4, 1 << 20]);
+/// assert_eq!(parts[1].as_ptr(), token.1.as_ptr().cast());
+/// assert_eq!(parts.concat(), to_bytes(&token));
 /// ```
 #[derive(Default)]
 pub struct SendTable {
@@ -78,9 +93,10 @@ pub struct SendTable {
     frame: u64,
     /// The ids the frame being encoded names that were in the table before.
     named: Vec<u64>,
-    /// The entries the frame being encoded adds, each as it goes on the
-    /// wire, in an allocation of its own.
-    fresh: Vec<Vec<u8>>,
+    /// The entries the frame being encoded adds, as they go on the wire,
+    /// and how many.
+    fresh: Option<Writer<'static>>,
+    entries: usize,
 }
 
 impl fmt::Debug for SendTable {
@@ -97,8 +113,8 @@ impl SendTable {
     /// entries whose buffers every holder dropped since the last frame are
     /// retired, and the frame is written in parts to go out back to back —
     /// the body, then, when the frame has something to tell, its section's
-    /// head and one part per fresh entry, whose elements are written once.
-    pub fn encode<T: Wire + ?Sized>(&mut self, value: &T) -> Vec<Vec<u8>> {
+    /// head and its fresh entries — with every large run a part of its own.
+    pub fn encode<T: Wire + ?Sized>(&mut self, value: &T) -> Vec<Part> {
         let mut retired = Vec::new();
         self.sent.retain(|_, sent| {
             let live = sent.alive.strong_count() > 0;
@@ -108,23 +124,24 @@ impl SendTable {
             live
         });
         self.frame += 1;
-        let mut w = Writer {
-            buf: bytes::BytesMut::with_capacity(value.wire_size()),
-            table: Some(self),
-        };
-        value.encode(&mut w);
-        let mut parts = vec![w.buf.into()];
-        let (named, fresh) = (
-            std::mem::take(&mut self.named),
-            std::mem::take(&mut self.fresh),
-        );
-        if !(retired.is_empty() && named.is_empty() && fresh.is_empty()) {
-            let mut head = Writer::new();
+        // `wire_size` counts every buffer's elements, but a named buffer
+        // and a run of `RUN_PART` bytes or more leave the body, which
+        // starts at most that large and grows only for many smaller runs.
+        let mut body = Writer::parts(value.wire_size().min(RUN_PART), Some(self));
+        value.encode(&mut body);
+        let mut parts = Vec::new();
+        body.into_parts(&mut parts);
+        let fresh = self.fresh.take();
+        if !(retired.is_empty() && self.named.is_empty() && fresh.is_none()) {
+            let mut head = Writer::with_capacity(retired.wire_size() + self.named.wire_size() + 4);
             retired.encode(&mut head);
-            named.encode(&mut head);
-            head.put_len(fresh.len());
-            parts.push(head.into_bytes());
-            parts.extend(fresh);
+            self.named.encode(&mut head);
+            head.put_len(std::mem::take(&mut self.entries));
+            self.named.clear();
+            head.into_parts(&mut parts);
+            if let Some(fresh) = fresh {
+                fresh.into_parts(&mut parts);
+            }
         }
         parts
     }
@@ -149,22 +166,25 @@ impl SendTable {
         let frame = self.frame;
         self.sent.insert(at, Sent { id, alive, frame });
         let bytes = data.len() * T::WIDTH;
-        let mut entry = Writer::with_capacity(8 + 4 + bytes);
+        let entry = self
+            .fresh
+            .get_or_insert_with(|| Writer::parts(8 + 4 + bytes.min(RUN_PART), None));
         entry.put_u64(id);
         entry.put_len(bytes);
-        T::encode_slice(data, &mut entry);
-        self.fresh.push(entry.into_bytes());
+        entry.put_elements(data);
+        self.entries += 1;
         Some(id)
     }
 }
 
 /// One buffer a connection has carried, as its receiver keeps it: its
-/// bytes, copied out of the frame that brought them, until a value names
-/// it; from then on the one allocation every value that names it shares.
+/// bytes, a view of the frame that brought them, until a value names it;
+/// from then on the one allocation every value that names it shares. The
+/// first decode is the one copy, and it lets the frame go.
 struct Entry(Mutex<Held>);
 
 enum Held {
-    Bytes(Vec<u8>),
+    Bytes(Bytes),
     Typed(Arc<dyn Any + Send + Sync>),
 }
 
@@ -210,7 +230,9 @@ impl RecvTable {
     /// register the entries the frame adds, capture every entry it names,
     /// then drop the ones its sender retired. The frame's values decode
     /// against the capture, however much later, whatever has been retired
-    /// since.
+    /// since. Over a [shared](Reader::shared) frame an entry is a view of
+    /// it, which pins the frame until the entry's first decode or its
+    /// retirement; otherwise it is a copy.
     pub fn apply(&mut self, r: &mut Reader<'_>) -> Result<Captured, WireError> {
         if r.remaining() == 0 {
             return Ok(Captured::default());
@@ -222,7 +244,7 @@ impl RecvTable {
         for _ in 0..fresh {
             let id = r.get_u64()?;
             let len = r.get_len()?;
-            let entry = Arc::new(Entry(Mutex::new(Held::Bytes(r.get_slice(len)?.to_vec()))));
+            let entry = Arc::new(Entry(Mutex::new(Held::Bytes(r.get_bytes(len)?))));
             self.entries.insert(id, Arc::clone(&entry));
             held.push((id, entry));
         }
@@ -333,14 +355,59 @@ mod tests {
     fn a_buffer_held_once_goes_inline_and_a_frame_without_news_is_plain() {
         let token = (3u32, Buffer::<u32>::from(vec![7, 8, 9]));
         let (mut tx, mut rx) = (SendTable::default(), RecvTable::default());
-        assert_eq!(tx.encode(&token), [to_bytes(&token)]);
+        let parts = tx.encode(&token);
+        assert_eq!((parts.len(), parts.concat()), (1, to_bytes(&token)));
         let (_, got) = cross(&mut tx, &mut rx, &token);
         assert_eq!(got, token);
         assert!(rx.is_empty());
         // Shared, but no longer than a reference: inline too.
         let tiny: Buffer<u8> = vec![1, 2, 3].into();
         let both = (tiny.clone(), tiny.clone());
-        assert_eq!(tx.encode(&both), [to_bytes(&both)]);
+        let parts = tx.encode(&both);
+        assert_eq!((parts.len(), parts.concat()), (1, to_bytes(&both)));
+    }
+
+    #[test]
+    fn a_large_run_goes_out_from_its_buffer_and_is_a_view_until_decoded() {
+        let strip: Buffer<f64> = (0..4096).map(f64::from).collect();
+        let block: Buffer<u64> = (0..4096).collect();
+        let flags: Buffer<bool> = (0..RUN_PART).map(|i| i % 2 == 0).collect();
+        let token = (strip.clone(), block, flags.clone(), flags.clone());
+        let mut tx = SendTable::default();
+        let parts = tx.encode(&Run(&token));
+        // Body: the inline block's run between its written bytes; head;
+        // the strip's entry, its run after its id and length; the flags'
+        // entry, which has no byte view, written.
+        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
+        assert_eq!(
+            lens,
+            [
+                4 + 12 + 4,
+                4096 * 8,
+                12 + 12,
+                12,
+                12,
+                4096 * 8,
+                12 + RUN_PART
+            ]
+        );
+        assert_eq!(parts[1].as_ptr(), token.1.as_ptr().cast());
+        assert_eq!(parts[5].as_ptr(), strip.as_ptr().cast());
+
+        let frame = bytes::Bytes::from(parts.concat());
+        let mut r = Reader::shared(&frame);
+        let len = r.get_len().unwrap();
+        let run = r.get_slice(len).unwrap();
+        let captured = RecvTable::default().apply(&mut r).unwrap();
+        let strip_entry = &captured.0.as_ref().unwrap()[0].1;
+        match &*strip_entry.0.lock().unwrap() {
+            Held::Bytes(view) => assert!(frame.as_ptr_range().contains(&view.as_ptr())),
+            Held::Typed(_) => panic!("an entry is a view of its frame until decoded"),
+        }
+        let got = <(Buffer<f64>, Buffer<u64>, Buffer<bool>, Buffer<bool>)>::decode(
+            &mut Reader::new(run).resolving(&captured),
+        );
+        assert_eq!(got.unwrap(), token);
     }
 
     #[test]

@@ -1,11 +1,22 @@
-//! Growable little-endian byte writer.
+//! Growable little-endian byte writer, and the parts of a frame it hands
+//! over.
 
+use std::borrow::Borrow;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::pod::Pod;
 use crate::table::SendTable;
+
+/// Bytes from which a [`Buffer`](crate::Buffer)'s elements, when they have
+/// a [byte view](Pod::wire_bytes), go on the wire as a [`Part`] of their
+/// own, read from the buffer's allocation, instead of being copied into
+/// their frame's: four pages a fresh frame would otherwise fault in. Below
+/// it a run is copied. A constant, not an option.
+pub(crate) const RUN_PART: usize = 16 * 1024;
 
 /// A growable byte sink used by [`Wire::encode`](crate::Wire::encode).
 ///
@@ -15,14 +26,27 @@ use crate::table::SendTable;
 /// application instance.
 ///
 /// A writer made by [`SendTable::encode`] also names the shared
-/// [`Buffer`](crate::Buffer)s it meets through that connection table; one
-/// made by [`new`](Self::new) or [`with_capacity`](Self::with_capacity)
-/// writes every buffer whole.
+/// [`Buffer`](crate::Buffer)s it meets through that connection table, and
+/// leaves every run of 16 KiB or more with a [byte view](Pod::wire_bytes)
+/// out of its own bytes, to go out as a [`Part`] of the frame; one made by
+/// [`new`](Self::new) or [`with_capacity`](Self::with_capacity) writes
+/// every buffer whole, into its bytes.
 #[derive(Debug, Default)]
 pub struct Writer<'t> {
-    pub(crate) buf: BytesMut,
+    buf: BytesMut,
     /// The table of the connection a frame is encoded for, if any.
-    pub(crate) table: Option<&'t mut SendTable>,
+    table: Option<&'t mut SendTable>,
+    /// The large runs left out of `buf`, when the writer writes a frame's
+    /// parts.
+    runs: Option<Runs>,
+}
+
+/// The runs a writer left out, each with the length `buf` had where it
+/// belongs, and their bytes in all.
+#[derive(Debug, Default)]
+struct Runs {
+    at: Vec<(usize, Arc<dyn WireBytes>)>,
+    bytes: usize,
 }
 
 impl Writer<'static> {
@@ -38,25 +62,69 @@ impl Writer<'static> {
         Self {
             buf: BytesMut::with_capacity(cap),
             table: None,
+            runs: None,
         }
     }
 }
 
 impl<'t> Writer<'t> {
+    /// A writer of a frame's parts, `cap` bytes preallocated for what it
+    /// writes itself, naming shared buffers through `table` if there is one.
+    pub(crate) fn parts(cap: usize, table: Option<&'t mut SendTable>) -> Self {
+        Self {
+            buf: BytesMut::with_capacity(cap),
+            table,
+            runs: Some(Runs::default()),
+        }
+    }
+
     /// The id `data` goes by on the connection whose table this writer
     /// encodes for, if it is named rather than written whole.
     pub(crate) fn name<T: Pod>(&mut self, data: &Arc<Vec<T>>) -> Option<u64> {
         self.table.as_deref_mut()?.name(data)
     }
 
-    /// Number of bytes written so far.
+    /// Write `data`'s elements: as a run of their own when this writer
+    /// writes a frame's parts and they are at least [`RUN_PART`] bytes with
+    /// a byte view, encoded in place otherwise.
+    pub(crate) fn put_elements<T: Pod>(&mut self, data: &Arc<Vec<T>>) {
+        if let Some(runs) = &mut self.runs {
+            if data.len() * T::WIDTH >= RUN_PART {
+                if let Some(bytes) = T::wire_bytes(data) {
+                    runs.bytes += bytes.len();
+                    runs.at.push((self.buf.len(), Arc::clone(data) as _));
+                    return;
+                }
+            }
+        }
+        T::encode_slice(data, self);
+    }
+
+    /// Hand what was written over as parts, in wire order: the written
+    /// bytes, cut where each run belongs, and the runs.
+    pub(crate) fn into_parts(self, parts: &mut Vec<Part>) {
+        let written = self.buf.freeze();
+        let mut from = 0;
+        for (at, run) in self.runs.map(|runs| runs.at).unwrap_or_default() {
+            if at > from {
+                parts.push(Part(Piece::Written(written.slice(from..at))));
+            }
+            parts.push(Part(Piece::Run(run)));
+            from = at;
+        }
+        if written.len() > from {
+            parts.push(Part(Piece::Written(written.slice(from..))));
+        }
+    }
+
+    /// Number of bytes written so far, runs left out included.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.runs.as_ref().map_or(0, |runs| runs.bytes)
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consume the writer, yielding the encoded bytes (the writer's own
@@ -66,11 +134,12 @@ impl<'t> Writer<'t> {
     }
 
     /// Consume the writer, yielding a cheaply-cloneable `bytes::Bytes`.
-    pub fn into_shared(self) -> bytes::Bytes {
+    pub fn into_shared(self) -> Bytes {
         self.buf.freeze()
     }
 
-    /// Borrow the bytes written so far.
+    /// Borrow the bytes written so far (under [`SendTable::encode`], less
+    /// the runs left out).
     pub fn as_slice(&self) -> &[u8] {
         &self.buf
     }
@@ -164,10 +233,10 @@ impl<'t> Writer<'t> {
     /// # Panics
     /// Panics if `f` writes more than `u32::MAX` bytes.
     pub fn put_len_prefixed(&mut self, f: impl FnOnce(&mut Self)) {
-        let at = self.len();
+        let (at, start) = (self.buf.len(), self.len());
         self.put_u32(0);
         f(self);
-        let len = u32::try_from(self.len() - at - 4).expect("wire length exceeds u32::MAX");
+        let len = u32::try_from(self.len() - start - 4).expect("wire length exceeds u32::MAX");
         self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
@@ -177,15 +246,64 @@ impl<'t> Writer<'t> {
     pub fn put_slice(&mut self, bytes: &[u8]) {
         self.buf.put_slice(bytes);
     }
+}
 
-    /// Append `n` zero bytes and lend them out to be overwritten: the
-    /// reserved region the bulk [`Pod`](crate::Pod) encoders fill in one
-    /// pass over the source slice.
-    #[inline]
-    pub(crate) fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
-        let at = self.buf.len();
-        self.buf.resize(at + n, 0);
-        &mut self.buf[at..]
+/// Elements with a [byte view](Pod::wire_bytes), type-erased: a run a
+/// writer left out holds its buffer's allocation through one, so the
+/// elements stay as they are until the part is dropped (a write to the
+/// buffer meanwhile copies it first).
+trait WireBytes: Send + Sync {
+    fn wire_bytes(&self) -> &[u8];
+}
+
+impl<T: Pod> WireBytes for Vec<T> {
+    fn wire_bytes(&self) -> &[u8] {
+        T::wire_bytes(self).expect("only elements with a byte view are left out")
+    }
+}
+
+impl fmt::Debug for dyn WireBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Run({} bytes)", self.wire_bytes().len())
+    }
+}
+
+/// One part of a frame [`SendTable::encode`] wrote: bytes it wrote, or a
+/// large run of a [`Buffer`](crate::Buffer)'s elements, read from the
+/// buffer's own allocation. The parts of a frame go out back to back (one
+/// vectored write on a socket); concatenated they are the frame's bytes.
+#[derive(Clone)]
+pub struct Part(Piece);
+
+#[derive(Clone)]
+enum Piece {
+    Written(Bytes),
+    Run(Arc<dyn WireBytes>),
+}
+
+impl Deref for Part {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Piece::Written(bytes) => bytes,
+            Piece::Run(run) => run.wire_bytes(),
+        }
+    }
+}
+
+/// So a frame's parts [`concat`](slice::concat) into its bytes.
+impl Borrow<[u8]> for Part {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
+impl fmt::Debug for Part {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Piece::Written(bytes) => write!(f, "Written({} bytes)", bytes.len()),
+            Piece::Run(run) => run.fmt(f),
+        }
     }
 }
 
