@@ -8,7 +8,9 @@
 //! vector unit of the CPU they run on ([`kernel::Lanes`]) with the bits of
 //! the scalar loop:
 //!
-//! * [`Matrix`] — dense row-major `f64` matrix with block extraction.
+//! * [`Matrix`] — dense row-major `f64` matrix with block extraction; its
+//!   random values can also be generated straight into row or column
+//!   strips ([`Strips`]).
 //! * [`MatRef`] / [`MatMut`] — strided views of a block where it lies (in a
 //!   [`Matrix`], in a token's `Buffer<f64>`), so an operation runs the
 //!   kernels on its owner's storage instead of on a copy.
@@ -41,5 +43,5 @@ pub mod parallel;
 mod view;
 
 pub use factor::{apply_row_swaps, blocked_lu, lu_residual, panel_lu, trsm_lower_unit, LuFactors};
-pub use matrix::{gemm, Matrix};
+pub use matrix::{gemm, Matrix, Strips};
 pub use view::{MatMut, MatRef};

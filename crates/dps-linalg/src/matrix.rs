@@ -54,21 +54,39 @@ impl Matrix {
     /// Deterministic pseudo-random matrix in `[-1, 1)`, diagonally dominant
     /// when square (so LU with partial pivoting stays well-conditioned).
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut m = Self::random_general(rows, cols, seed);
-        if rows == cols {
-            for i in 0..rows {
-                m[(i, i)] += cols as f64;
-            }
-        }
-        m
+        Self::generated(rows, cols, RandomValues::new(cols, seed, rows == cols))
     }
 
     /// Deterministic pseudo-random matrix in `[-1, 1)` with *no* diagonal
     /// dominance — partial pivoting on such matrices performs genuine row
     /// swaps, which the LU tests rely on.
     pub fn random_general(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        Self::from_fn(rows, cols, |_, _| 2.0 * rng.next_f64() - 1.0)
+        Self::generated(rows, cols, RandomValues::new(cols, seed, false))
+    }
+
+    fn generated(rows: usize, cols: usize, mut values: RandomValues) -> Self {
+        let mut data = vec![0.0; rows * cols];
+        values.fill(&mut data);
+        Self { rows, cols, data }
+    }
+
+    /// The values of [`Matrix::random`]`(n, n, seed)`, generated straight
+    /// into its `n / width` strips, each row-major: no `n × n` matrix is
+    /// built and no block is copied out of one.
+    ///
+    /// # Panics
+    /// Panics unless `width` divides `n`.
+    pub fn random_strips(n: usize, width: usize, seed: u64, cut: Strips) -> Vec<Vec<f64>> {
+        strips(n, width, RandomValues::new(n, seed, true), cut)
+    }
+
+    /// The values of [`Matrix::random_general`]`(n, n, seed)`, cut into
+    /// strips as [`Matrix::random_strips`] cuts its matrix.
+    ///
+    /// # Panics
+    /// Panics unless `width` divides `n`.
+    pub fn random_general_strips(n: usize, width: usize, seed: u64, cut: Strips) -> Vec<Vec<f64>> {
+        strips(n, width, RandomValues::new(n, seed, false), cut)
     }
 
     /// Number of rows.
@@ -184,6 +202,78 @@ impl Matrix {
         let (top, bottom) = self.data.split_at_mut(hi * self.cols);
         top[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut bottom[..self.cols]);
     }
+}
+
+/// How [`Matrix::random_strips`] cuts an `n × n` matrix into strips of
+/// `width` rows or columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strips {
+    /// Strip `i` is rows `i·width..(i+1)·width`: a `width × n` matrix.
+    Rows,
+    /// Strip `j` is columns `j·width..(j+1)·width`: an `n × width` matrix.
+    Cols,
+}
+
+/// The one definition of the random matrices' values: `SplitMix64` draws
+/// in `[-1, 1)`, in row-major order, plus `cols` on the diagonal of a
+/// dominant (square) matrix. A caller takes the stream in consecutive
+/// pieces and writes each where it belongs.
+struct RandomValues {
+    rng: SplitMix64,
+    cols: usize,
+    dominant: bool,
+    /// Row-major index of the next value.
+    next: usize,
+}
+
+impl RandomValues {
+    fn new(cols: usize, seed: u64, dominant: bool) -> Self {
+        Self {
+            rng: SplitMix64::new(seed),
+            cols,
+            dominant,
+            next: 0,
+        }
+    }
+
+    /// Overwrite `out` with the stream's next `out.len()` values.
+    fn fill(&mut self, out: &mut [f64]) {
+        for v in out.iter_mut() {
+            *v = 2.0 * self.rng.next_f64() - 1.0;
+        }
+        let end = self.next + out.len();
+        if self.dominant {
+            // The diagonal of a square matrix sits every `cols + 1` values.
+            let step = self.cols + 1;
+            let mut d = self.next.div_ceil(step) * step;
+            while d < end {
+                out[d - self.next] += self.cols as f64;
+                d += step;
+            }
+        }
+        self.next = end;
+    }
+}
+
+/// `values`' `n × n` matrix, cut into `n / width` row-major strips as it
+/// is drawn, one row at a time.
+fn strips(n: usize, width: usize, mut values: RandomValues, cut: Strips) -> Vec<Vec<f64>> {
+    assert!(
+        width > 0 && n.is_multiple_of(width),
+        "strip width must divide n"
+    );
+    let mut out: Vec<Vec<f64>> = (0..n / width).map(|_| vec![0.0; width * n]).collect();
+    match cut {
+        Strips::Rows => out.iter_mut().for_each(|s| values.fill(s)),
+        Strips::Cols => {
+            for i in 0..n {
+                for s in &mut out {
+                    values.fill(&mut s[i * width..(i + 1) * width]);
+                }
+            }
+        }
+    }
+    out
 }
 
 impl Default for Matrix {
@@ -312,6 +402,40 @@ mod tests {
         for i in 0..4 {
             assert!(a[(i, i)] > 2.0, "diagonal dominance");
         }
+    }
+
+    #[test]
+    fn strips_are_blocks_of_the_random_matrices() {
+        for (n, width) in [(12, 4), (12, 1), (9, 3), (8, 8), (1, 1)] {
+            let seed = (n * 31 + width) as u64;
+            for (m, rows, cols) in [
+                (
+                    Matrix::random(n, n, seed),
+                    Matrix::random_strips(n, width, seed, Strips::Rows),
+                    Matrix::random_strips(n, width, seed, Strips::Cols),
+                ),
+                (
+                    Matrix::random_general(n, n, seed),
+                    Matrix::random_general_strips(n, width, seed, Strips::Rows),
+                    Matrix::random_general_strips(n, width, seed, Strips::Cols),
+                ),
+            ] {
+                assert_eq!((rows.len(), cols.len()), (n / width, n / width));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for k in 0..n / width {
+                    let row = m.block(k * width, 0, width, n);
+                    let col = m.block(0, k * width, n, width);
+                    assert_eq!(bits(&rows[k]), bits(row.as_slice()), "{n}/{width} row {k}");
+                    assert_eq!(bits(&cols[k]), bits(col.as_slice()), "{n}/{width} col {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strip width must divide n")]
+    fn strip_width_must_divide_n() {
+        Matrix::random_strips(10, 4, 1, Strips::Rows);
     }
 
     #[test]

@@ -89,7 +89,7 @@ use dps_serial::Buffer;
 use crate::factor::{panel_lu, LuFactors};
 use crate::flops;
 use crate::kernel::{gemm_acc, trsm_view};
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Strips};
 use crate::view::MatRef;
 
 dps_token! {
@@ -945,18 +945,18 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
         p.resolve(eng, &owners, nb as u64, 2)?;
     }
 
-    // Distribute the matrix column-blocks to their owners. A general (non
-    // diagonally-dominant) matrix keeps the partial pivoting honest.
-    let a = Matrix::random_general(cfg.n, cfg.n, cfg.seed);
-    for j in 0..nb {
-        let col = a.block(0, j as usize * cfg.r, cfg.n, cfg.r);
+    // Distribute the matrix column-blocks to their owners, each generated
+    // straight into its block. A general (non diagonally-dominant) matrix
+    // keeps the partial pivoting honest.
+    let cols = Matrix::random_general_strips(cfg.n, cfg.r, cfg.seed, Strips::Cols);
+    for (j, col) in (0..nb).zip(cols) {
         eng.submit(
             loader,
             Box::new(LoadColumn {
                 j,
                 rows: cfg.n as u32,
                 r,
-                data: col.into_vec().into(),
+                data: col.into(),
             }),
         )?;
     }

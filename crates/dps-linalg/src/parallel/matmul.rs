@@ -8,8 +8,11 @@
 //!
 //! One task exists per result block `C_ij` and carries its `s` operand-block
 //! pairs (`2s·(n/s)²` values), reproducing exactly the paper's
-//! communication count — what the simulator models. The tasks of row `i`
-//! hold one packed strip of `A`, those of column `j` one of `B`; between
+//! communication count — what the simulator models. The master holds the
+//! operands as the strips its tasks carry, generated in that layout: the
+//! tasks of row `i` hold a handle to `A`'s row strip `i`, those of column
+//! `j` one to `B`'s column strip `j`, so the split copies nothing and each
+//! product reads its blocks where they lie in the strips. Between
 //! processes a connection's buffer table sends each strip to a worker
 //! kernel once, however many of its tasks read it, so at most `2n²`
 //! operand values cross a connection, plus the results. Two schedules are
@@ -29,13 +32,13 @@ use dps_core::sched::{build_placement, OwnerMap};
 use dps_core::{dps_token, Engine};
 use dps_des::SimSpan;
 use dps_sched::Distribution;
-use dps_serial::Buffer;
+use dps_serial::{Buffer, Vector};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::flops;
 use crate::kernel::gemm_acc;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, Strips};
 use crate::view::MatRef;
 
 dps_token! {
@@ -49,9 +52,11 @@ dps_token! {
         pub i: u32,
         pub j: u32,
         pub bs: u32,
-        /// `s` blocks of row `i` of A, concatenated row-major.
+        /// Row strip `i` of A (`bs × n`, row-major): its `s` blocks side by
+        /// side.
         pub a: Buffer<f64>,
-        /// `s` blocks of column `j` of B, concatenated row-major.
+        /// Column strip `j` of B (`n × bs`, row-major): its `s` blocks one
+        /// below the other.
         pub b: Buffer<f64>,
     }
 }
@@ -62,13 +67,15 @@ dps_token! {
 }
 
 dps_token! {
-    /// Distribution of one operand block pair into worker storage (phased
-    /// schedule only).
+    /// Distribution of one result block's operands into worker storage
+    /// (phased schedule only).
     pub struct StoreTask {
         pub i: u32,
         pub j: u32,
         pub bs: u32,
+        /// Row strip `i` of A, as in [`BlockTask::a`].
         pub a: Buffer<f64>,
+        /// Column strip `j` of B, as in [`BlockTask::b`].
         pub b: Buffer<f64>,
     }
 }
@@ -94,9 +101,10 @@ dps_token! {
 }
 
 dps_token! {
-    /// Stage the operand matrices into the master store — the
-    /// engine-generic replacement for poking thread state from outside.
-    pub struct LoadOperands { pub n: u32, pub a: Buffer<f64>, pub b: Buffer<f64> }
+    /// Stage the operands into the master store, as A's row strips and B's
+    /// column strips — the engine-generic replacement for poking thread
+    /// state from outside.
+    pub struct LoadOperands { pub n: u32, pub a: Vector<Buffer<f64>>, pub b: Vector<Buffer<f64>> }
 }
 
 dps_token! {
@@ -104,13 +112,18 @@ dps_token! {
     pub struct OperandsLoaded { pub n: u32 }
 }
 
-/// Master thread state: the operand matrices.
+/// Master thread state: the operands, held as the strips their tasks
+/// carry.
 #[derive(Default)]
 pub struct MasterState {
-    /// Left operand.
-    pub a: Matrix,
-    /// Right operand.
-    pub b: Matrix,
+    /// Matrix order.
+    pub n: usize,
+    /// Left operand's row strips: strip `i` is rows `i·bs..(i+1)·bs`,
+    /// `bs × n` row-major.
+    pub a: Vec<Buffer<f64>>,
+    /// Right operand's column strips: strip `j` is columns
+    /// `j·bs..(j+1)·bs`, `n × bs` row-major.
+    pub b: Vec<Buffer<f64>>,
 }
 
 /// Worker thread state for the phased schedule: stored operand blocks,
@@ -120,49 +133,17 @@ pub struct WorkerStore {
     blocks: HashMap<(u32, u32), (Buffer<f64>, Buffer<f64>)>,
 }
 
-/// A strip of `s` blocks of `m` concatenated row-major — block `k`'s
-/// top-left corner is `corner(k)` — each copied once, straight from the
-/// rows of the operand.
-fn pack_strip(
-    m: &Matrix,
-    bs: usize,
-    s: usize,
-    corner: impl Fn(usize) -> (usize, usize),
-) -> Buffer<f64> {
-    let mut out = Vec::with_capacity(s * bs * bs);
-    for k in 0..s {
-        let (r0, c0) = corner(k);
-        let block = m.view().block(r0, c0, bs, bs);
-        for i in 0..bs {
-            out.extend_from_slice(block.row(i));
-        }
-    }
-    out.into()
-}
-
-/// Every row strip of `a` and every column strip of `b`, each packed once:
-/// the `s²` tasks of a multiplication hold handles to these `2s` buffers —
-/// a strip is reused by every task that needs it, not packed again.
-fn pack_strips(st: &MasterState, bs: usize, s: usize) -> (Vec<Buffer<f64>>, Vec<Buffer<f64>>) {
-    (
-        (0..s)
-            .map(|i| pack_strip(&st.a, bs, s, |k| (i * bs, k * bs)))
-            .collect(),
-        (0..s)
-            .map(|j| pack_strip(&st.b, bs, s, |k| (k * bs, j * bs)))
-            .collect(),
-    )
-}
-
-/// `C_ij = Σ_k A_ik · B_kj` over packed operand buffers, each tile
-/// multiplied where it lies in its strip.
-fn multiply_packed(a: &[f64], b: &[f64], bs: usize) -> Vec<f64> {
+/// `C_ij = Σ_k A_ik · B_kj`, each block multiplied where it lies: `A_ik`
+/// in row strip `a` (`bs × n`), `B_kj` in column strip `b` (`n × bs`).
+fn multiply_strips(a: &[f64], b: &[f64], bs: usize) -> Vec<f64> {
+    let n = a.len() / bs;
+    let (a, b) = (MatRef::from_slice(a, bs, n), MatRef::from_slice(b, n, bs));
     let mut c = Matrix::zeros(bs, bs);
-    for (ak, bk) in a.chunks_exact(bs * bs).zip(b.chunks_exact(bs * bs)) {
+    for k in (0..n).step_by(bs) {
         gemm_acc(
             1.0,
-            MatRef::from_slice(ak, bs, bs),
-            MatRef::from_slice(bk, bs, bs),
+            a.block(0, k, bs, bs),
+            b.block(k, 0, bs, bs),
             c.view_mut(),
         );
     }
@@ -179,10 +160,14 @@ impl SplitOperation for SplitTasks {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, BlockTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        let (rows, cols) = pack_strips(ctx.thread(), bs, s);
+        let st = ctx.thread();
+        let (rows, cols) = (st.a.clone(), st.b.clone());
         for (i, a) in rows.iter().enumerate() {
             for (j, b) in cols.iter().enumerate() {
-                // Packing cost: one pass over the task's operand bytes.
+                // Sim's model of the paper's split building the task's data
+                // object: one pass over its operand bytes. This code posts
+                // handles to the master's strips and copies nothing, but
+                // the charge stays, and with it Sim's schedule and Table 1.
                 ctx.charge_flops((2 * s * bs * bs) as f64);
                 ctx.post(BlockTask {
                     i: i as u32,
@@ -205,7 +190,7 @@ impl LeafOperation for MultiplyBlock {
         let bs = t.bs as usize;
         let s = t.a.len() / (bs * bs);
         ctx.charge_flops((0..s).map(|_| flops::gemm_cost(bs, bs, bs)).sum());
-        let c = multiply_packed(t.a.as_slice(), t.b.as_slice(), bs);
+        let c = multiply_strips(t.a.as_slice(), t.b.as_slice(), bs);
         ctx.post(BlockResult {
             i: t.i,
             j: t.j,
@@ -226,7 +211,7 @@ impl MergeOperation for AssembleC {
     type Out = MulDone;
     fn consume(&mut self, ctx: &mut OpCtx<'_, MasterState, MulDone>, r: BlockResult) {
         if self.c.is_none() {
-            self.n = ctx.thread().a.rows();
+            self.n = ctx.thread().n;
             self.c = Some(Matrix::zeros(self.n, self.n));
         }
         let bs = r.bs as usize;
@@ -256,9 +241,11 @@ impl SplitOperation for SplitStores {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, StoreTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        let (rows, cols) = pack_strips(ctx.thread(), bs, s);
+        let st = ctx.thread();
+        let (rows, cols) = (st.a.clone(), st.b.clone());
         for (i, a) in rows.iter().enumerate() {
             for (j, b) in cols.iter().enumerate() {
+                // The modelled charge of `SplitTasks`, for the same reason.
                 ctx.charge_flops((2 * s * bs * bs) as f64);
                 ctx.post(StoreTask {
                     i: i as u32,
@@ -294,7 +281,7 @@ impl MergeOperation for StoreBarrier {
     type Out = PhaseDone;
     fn consume(&mut self, ctx: &mut OpCtx<'_, MasterState, PhaseDone>, _t: StoreDone) {
         if self.shape.is_none() {
-            let n = ctx.thread().a.rows() as u32;
+            let n = ctx.thread().n as u32;
             self.shape = Some((n, 0));
         }
     }
@@ -337,7 +324,7 @@ impl LeafOperation for ComputeStored {
             .expect("store phase completed before compute phase");
         let s = a.len() / (bs * bs);
         ctx.charge_flops((0..s).map(|_| flops::gemm_cost(bs, bs, bs)).sum());
-        let c = multiply_packed(&a, &b, bs);
+        let c = multiply_strips(&a, &b, bs);
         ctx.post(BlockResult {
             i: o.i,
             j: o.j,
@@ -354,10 +341,10 @@ impl LeafOperation for InstallOperands {
     type In = LoadOperands;
     type Out = OperandsLoaded;
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, OperandsLoaded>, t: LoadOperands) {
-        let n = t.n as usize;
         let st = ctx.thread();
-        st.a = Matrix::from_vec(n, n, t.a.into_vec());
-        st.b = Matrix::from_vec(n, n, t.b.into_vec());
+        st.n = t.n as usize;
+        st.a = t.a.into_vec();
+        st.b = t.b.into_vec();
         ctx.post(OperandsLoaded { n: t.n });
     }
 }
@@ -489,15 +476,20 @@ pub fn run_matmul<E: Engine>(
         p.resolve(eng, &assign, (s_us * s_us) as u64, 2)?;
     }
 
-    // Stage the operands into the master thread.
-    let a = Matrix::random(cfg.n, cfg.n, cfg.seed);
-    let b_op = Matrix::random(cfg.n, cfg.n, cfg.seed.wrapping_add(1));
+    // Stage the operands into the master thread, generated straight into
+    // the strips the tasks carry.
+    let strips = |seed, cut| {
+        Matrix::random_strips(cfg.n, cfg.n / cfg.s, seed, cut)
+            .into_iter()
+            .map(Buffer::from)
+            .collect()
+    };
     eng.submit(
         loader,
         Box::new(LoadOperands {
             n: cfg.n as u32,
-            a: a.into_vec().into(),
-            b: b_op.into_vec().into(),
+            a: strips(cfg.seed, Strips::Rows),
+            b: strips(cfg.seed.wrapping_add(1), Strips::Cols),
         }),
     )?;
     eng.run_to_idle(loader, 1)?;

@@ -277,7 +277,8 @@ impl MasterShared {
 struct Master {
     mt: MtEngine,
     shared: Arc<MasterShared>,
-    sync_rx: Receiver<(u32, u64)>,
+    /// `(rank, signature, frame bytes)` of each worker's `Sync`.
+    sync_rx: Receiver<(u32, u64, usize)>,
     /// Loopback harnesses share the master's declarations — no sync
     /// barrier needed.
     presynced: bool,
@@ -506,7 +507,7 @@ fn master_reader(
     shared: Arc<MasterShared>,
     rank: u32,
     mut rx: Box<dyn FrameRx>,
-    sync_tx: Sender<(u32, u64)>,
+    sync_tx: Sender<(u32, u64, usize)>,
     trace_tx: Sender<TraceReply>,
 ) {
     let mut table = RecvTable::default();
@@ -526,8 +527,14 @@ fn master_reader(
             }
         };
         shared.touch(rank);
-        shared.meter.count(bytes.len());
-        match proto::decode_frame_on(bytes, &mut table) {
+        let len = bytes.len();
+        let frame = proto::decode_frame_on(bytes, &mut table);
+        // A worker's `Sync` may land before the trace sink is attached; it
+        // is counted where the first run consumes it (`ensure_net_ready`).
+        if !matches!(frame, Ok((Frame::Sync { .. }, _))) {
+            shared.meter.count(len);
+        }
+        match frame {
             Ok((
                 Frame::Done {
                     seq,
@@ -549,7 +556,7 @@ fn master_reader(
             Ok((Frame::Hub { req, body }, _)) => shared.router.route(&shared.hub, rank, req, body),
             Ok((Frame::HubReply { req, body }, _)) => shared.router.complete(req, body),
             Ok((Frame::Sync { sig }, _)) => {
-                let _ = sync_tx.send((rank, sig));
+                let _ = sync_tx.send((rank, sig, len));
             }
             Ok((Frame::Trace { run, clock, bytes }, _)) => {
                 let _ = trace_tx.send((run, clock, bytes));
@@ -1195,7 +1202,8 @@ impl Master {
                     .saturating_duration_since(Instant::now())
                     .min(Duration::from_millis(50));
                 match self.sync_rx.recv_timeout(left) {
-                    Ok((rank, sig)) => {
+                    Ok((rank, sig, bytes)) => {
+                        self.shared.meter.count(bytes);
                         if sig != expect {
                             return Err(DpsError::InvalidGraph {
                                 reason: format!(
