@@ -33,9 +33,8 @@
 
 /// Measure this host's sustained scalar compute rate (FLOP/s) with a short
 /// timed multiply–add kernel — the wall-clock probe
-/// `MtEngine::calibrate_feedback` runs per worker at startup so `charge_flops`
-/// cost models and the wall-clock feedback channel agree on real machines
-/// (the paper-testbed constants above play that role for the simulator).
+/// `MtEngine::calibrate_feedback` runs per worker at startup to seed the
+/// feedback board's per-worker weights before the first scheduled wave.
 pub fn measure_flop_rate(probe_flops: u64) -> f64 {
     let iters = (probe_flops / 2).max(1); // one multiply + one add per round
     let mut acc = 1.0f64;

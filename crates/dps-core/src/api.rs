@@ -276,15 +276,6 @@ where
         })
     }
 
-    /// Wrap an already-built graph handle (no entry-type check possible).
-    pub fn from_graph(graph: GraphHandle, name: impl Into<String>) -> Self {
-        Self {
-            graph,
-            name: name.into(),
-            _m: std::marker::PhantomData,
-        }
-    }
-
     /// The underlying graph handle, for engine-specific operations.
     pub fn graph(&self) -> GraphHandle {
         self.graph

@@ -103,6 +103,21 @@ pub struct ExecInfo {
     pub start_nanos: u64,
 }
 
+impl ExecInfo {
+    /// What a wall-clock engine tells an operation of thread `thread_index`
+    /// of `thread_count`. A charge advances no clock there, so nothing reads
+    /// what [`OpCtx::charge_flops`] charges: the rate is a nominal 1 GFLOP/s
+    /// and the start 0.
+    pub fn wall_clock(thread_index: usize, thread_count: usize) -> Self {
+        Self {
+            thread_index,
+            thread_count,
+            node_flops: 1e9,
+            start_nanos: 0,
+        }
+    }
+}
+
 /// Execution context passed to every operation: typed posting, thread-local
 /// state access, and virtual-time accounting.
 pub struct OpCtx<'a, Td: ThreadData, Out: Token> {

@@ -29,7 +29,8 @@
 //!   the `dps-mt` engine — closing the AWF adaptation loop;
 //! * [`build_calibration`] builds a short scheduled warm-up loop so a
 //!   [`FeedbackBoard`] learns per-worker rates *before* the first real wave
-//!   (the simulator-side analogue of `MtEngine::calibrate_feedback`).
+//!   (the simulator-side analogue of `MtEngine::calibrate_feedback`, which
+//!   seeds the board from a wall-clock probe instead).
 //!
 //! True *self*-scheduling falls out of flow control: with a flow window of
 //! roughly `2 × workers`, tickets are released as earlier chunks are merged,
@@ -531,11 +532,6 @@ impl OwnerMap {
         let _ = self
             .owners
             .set(owners.into_iter().map(|o| o as u32).collect());
-    }
-
-    /// True once [`resolve`](Self::resolve) installed a vector.
-    pub fn is_resolved(&self) -> bool {
-        self.owners.get().is_some()
     }
 
     /// Owner of `item`, falling back to `item % workers` while unresolved.

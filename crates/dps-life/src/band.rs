@@ -145,12 +145,6 @@ impl LifeBand {
             false
         }
     }
-
-    /// [`finish_phase_of`](Self::finish_phase_of) with the classic two
-    /// phases (one interior chunk + borders).
-    pub fn finish_phase(&mut self) -> bool {
-        self.finish_phase_of(2)
-    }
 }
 
 #[cfg(test)]

@@ -166,14 +166,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
-    /// `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// `self -= other`.
     pub fn sub_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));

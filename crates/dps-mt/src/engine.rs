@@ -61,9 +61,6 @@ pub struct MtEngine {
     handles: Vec<std::thread::JoinHandle<()>>,
     started_at: Instant,
     feedback: Option<Arc<dyn FeedbackSink>>,
-    /// Calibrated host compute rate (FLOP/s) used for `charge_flops` cost
-    /// models; a nominal 1 GFLOP/s until `calibrate_feedback` measures it.
-    node_flops: f64,
     remote: Option<Arc<dyn RemoteExec>>,
     trace: Option<Arc<dps_obs::TraceCollector>>,
 }
@@ -87,7 +84,6 @@ impl MtEngine {
             handles: Vec::new(),
             started_at: Instant::now(),
             feedback: None,
-            node_flops: 1e9,
             remote: None,
             trace: None,
         }
@@ -124,8 +120,7 @@ impl MtEngine {
 
     /// Measure per-thread execution rates at startup and seed the feedback
     /// sink with them, so adaptive policies (AWF) start from measured
-    /// weights instead of the uniform cold start, and `charge_flops` cost
-    /// models agree with the wall-clock feedback on this host.
+    /// weights instead of the uniform cold start.
     ///
     /// `measure_rate(worker)` returns worker `worker`'s sustained compute
     /// rate in FLOP/s — typically `dps_bench::calib::measure_flop_rate`,
@@ -164,15 +159,6 @@ impl MtEngine {
             let iters = ((SEED_ITERS * rate / max).round() as u64).max(1);
             sink.report_chunk(w, iters, SEED_SECS);
         }
-        if workers > 0 {
-            self.node_flops = rates.iter().sum::<f64>() / workers as f64;
-        }
-    }
-
-    /// The calibrated host compute rate exposed to operations through
-    /// `OpCtx::charge_flops`.
-    pub fn node_flops(&self) -> f64 {
-        self.node_flops
     }
 
     /// The name `app` was declared with; it also qualifies the node names in
@@ -254,7 +240,6 @@ impl MtEngine {
             output_tx,
             error_tx,
             feedback: self.feedback.clone(),
-            node_flops: self.node_flops,
             remote: self.remote.clone(),
             trace: self.trace.clone(),
             // A track no cluster node has: its flow ids are its own.

@@ -32,15 +32,17 @@
 //! | [`RemoteKind::Consume`] | run a merge/stream `consume`; finalize too when `completes` |
 //! | [`RemoteKind::Finalize`] | finalize a merge/stream wave (close arrived after its last token) |
 //!
-//! The wave a `Consume`/`Finalize` belongs to is derived from
-//! [`RemoteTask::env`], which carries the envelope *before* the consuming
-//! pop — the remote process computes the same
-//! [`WaveKey`](dps_core::WaveKey) this engine used and keeps one operation
-//! instance per wave, mirroring the local wave table.
+//! A task names its wave by [`RemoteTask::wave`], the id on the top frame of
+//! the token's envelope before the consuming pop. This engine's one wave
+//! counter issued it, so it is unique in the process: the remote process
+//! keeps one operation instance per `(graph, node, wave)` of a
+//! `Consume`/`Finalize`, mirroring the local wave table, and derives
+//! nothing from an envelope. [`RemoteKind`] is what crosses the wire.
 
 use std::sync::Arc;
 
-use dps_core::{DpsError, Envelope, GNodeId, TokenBox};
+use dps_core::{DpsError, GNodeId, TokenBox};
+use dps_serial::{Reader, Wire, WireError, Writer};
 
 /// Hook consulted by the worker loop at every op-execution point.
 ///
@@ -86,10 +88,10 @@ pub struct RemoteTask {
     pub kind: RemoteKind,
     /// The arriving token (`None` for [`RemoteKind::Finalize`]).
     pub token: Option<TokenBox>,
-    /// The token's envelope **before** any consuming pop — for
-    /// `Consume`/`Finalize` the remote side derives the wave identity from
-    /// its top frame.
-    pub env: Envelope,
+    /// The wave id on the top frame of the arriving envelope (0 at the
+    /// root): which instance a `Consume`/`Finalize` runs, and the wave its
+    /// trace events name.
+    pub wave: u64,
 }
 
 /// The execution point a [`RemoteTask`] replays remotely.
@@ -106,6 +108,36 @@ pub enum RemoteKind {
     /// Finalize a wave whose close raced ahead of delivery: all tokens were
     /// already consumed, only the finalize remains.
     Finalize,
+}
+
+impl RemoteKind {
+    /// In wire order: a kind travels as its index here, in one byte.
+    const ALL: [RemoteKind; 4] = [
+        RemoteKind::Exec,
+        RemoteKind::Consume { completes: false },
+        RemoteKind::Consume { completes: true },
+        RemoteKind::Finalize,
+    ];
+}
+
+impl Wire for RemoteKind {
+    fn wire_size(&self) -> usize {
+        1
+    }
+    fn encode(&self, w: &mut Writer) {
+        let idx = Self::ALL.iter().position(|k| k == self).expect("listed");
+        w.put_u8(idx as u8);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let idx = r.get_u8()?;
+        Self::ALL
+            .get(usize::from(idx))
+            .copied()
+            .ok_or(WireError::InvalidDiscriminant {
+                type_name: "RemoteKind",
+                value: u32::from(idx),
+            })
+    }
 }
 
 /// What the remote execution produced.
@@ -126,4 +158,22 @@ pub(crate) fn remote_for(
     node: u32,
 ) -> Option<Arc<dyn RemoteExec>> {
     hook.as_ref().filter(|r| r.is_remote(node)).cloned()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn remote_kind_round_trips_and_rejects_unknown_discriminants() {
+        for kind in RemoteKind::ALL {
+            let bytes = dps_serial::to_bytes(&kind);
+            assert_eq!(bytes.len(), kind.wire_size());
+            assert_eq!(RemoteKind::decode(&mut Reader::new(&bytes)).unwrap(), kind);
+        }
+        let mut w = Writer::with_capacity(1);
+        w.put_u8(9);
+        let bytes = w.into_bytes();
+        assert!(RemoteKind::decode(&mut Reader::new(&bytes)).is_err());
+    }
 }

@@ -206,8 +206,6 @@ pub(crate) struct Shared {
     /// Chunk-completion reports (wall-clock) go here, if registered — the
     /// dynamic loop-scheduling feedback channel (`dps-sched`).
     pub feedback: Option<Arc<dyn FeedbackSink>>,
-    /// Calibrated host compute rate (FLOP/s) for `charge_flops` cost models.
-    pub node_flops: f64,
     /// Remote-execution hook: when installed, operations of threads whose
     /// cluster node it claims run in another process (see `crate::remote`).
     pub remote: Option<Arc<dyn RemoteExec>>,
@@ -400,14 +398,7 @@ pub(crate) fn worker_loop(
         reports: false,
     };
     TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, track)));
-    let info = ExecInfo {
-        thread_index: thread as usize,
-        thread_count: shared.decls.threads(app, tc),
-        // Wall-clock engine: charges don't advance a clock, but cost models
-        // calling charge_flops see the calibrated host rate.
-        node_flops: shared.node_flops,
-        start_nanos: 0,
-    };
+    let info = ExecInfo::wall_clock(thread as usize, shared.decls.threads(app, tc));
     let mut inflight = InFlight::new();
     // What the operations this thread runs post, reused from run to run.
     let mut out = OpOutput::default();
@@ -447,13 +438,12 @@ pub(crate) fn worker_loop(
                 (At { app, graph, node }, what, env)
             }
         };
-        // The remote side re-derives a wave's identity from the envelope,
-        // so a shipped step is sent the frame `serve` pops.
-        let task_env = w.remote.is_some().then(|| env.clone());
+        // A shipped step names its wave by the id on the frame `serve` pops.
+        let wave = w.remote.is_some().then(|| env.top().map_or(0, |f| f.wave));
         let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
         let done = match kernel::serve(&shared.decls, &mut w.inst, at, what, env, out_wave) {
-            Ok(Serve::Run(ready, then)) => match (&w.remote, task_env) {
-                (Some(r), Some(env)) => {
+            Ok(Serve::Run(ready, then)) => match (&w.remote, wave) {
+                (Some(r), Some(wave)) => {
                     let (token, completes) = (ready.token, ready.completes);
                     let kind = match &then {
                         Then::Exec(..) => RemoteKind::Exec,
@@ -468,7 +458,7 @@ pub(crate) fn worker_loop(
                         node: at.node,
                         kind,
                         token,
-                        env,
+                        wave,
                     };
                     inflight.push_back((r.begin(task), then, Instant::now()));
                     // Still counted in the backlog until its phase 2 ends, so

@@ -340,7 +340,7 @@ mod pipelined_remote {
     use std::time::{Duration, Instant};
 
     use super::*;
-    use dps_core::{Frame, GNodeId, WaveKey};
+    use dps_core::GNodeId;
     use dps_mt::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};
     use dps_obs::{Counter, Gauge, TraceCollector};
 
@@ -371,11 +371,12 @@ mod pipelined_remote {
     #[derive(Default)]
     struct Script {
         roles: Mutex<HashMap<GNodeId, Role>>,
-        sums: Mutex<HashMap<WaveKey, u64>>,
+        /// The running sum of each wave a `Sum` node consumes.
+        sums: Mutex<HashMap<(GNodeId, u64), u64>>,
         /// Every `begin` and `wait`, in the order the hook saw them.
         log: Mutex<Vec<Ev>>,
-        /// Kind and top envelope frame of every task, in `begin` order.
-        tasks: Mutex<Vec<(GNodeId, RemoteKind, Frame)>>,
+        /// Node, kind and wave of every task, in `begin` order.
+        tasks: Mutex<Vec<(GNodeId, RemoteKind, u64)>>,
         /// One unit per `begin`, once it has executed.
         begun: Mutex<Option<Sender<()>>>,
         /// The first `begin` returns only after a unit arrives here: holds
@@ -401,9 +402,9 @@ mod pipelined_remote {
                 (Role::Echo, RemoteKind::Consume { .. }, Some(t)) => vec![t],
                 (Role::Echo, RemoteKind::Finalize, None) => vec![Box::new(LATE)],
                 (Role::Sum, kind, token) => {
-                    let key = task.env.wave_key().expect("consumes carry their wave");
+                    let key = (task.node, task.wave);
                     let mut sums = self.sums.lock().unwrap();
-                    *sums.entry(key.clone()).or_default() += token.map_or(0, |t| piece(t).v);
+                    *sums.entry(key).or_default() += token.map_or(0, |t| piece(t).v);
                     match kind {
                         RemoteKind::Consume { completes: false } => Vec::new(),
                         _ => vec![Box::new(Total {
@@ -430,8 +431,7 @@ mod pipelined_remote {
             }
             let id = {
                 let mut tasks = s.tasks.lock().unwrap();
-                let top = *task.env.frames.last().expect("under a split");
-                tasks.push((task.node, task.kind, top));
+                tasks.push((task.node, task.kind, task.wave));
                 tasks.len() - 1
             };
             s.log.lock().unwrap().push(Ev::Begin(id));
@@ -641,11 +641,7 @@ mod pipelined_remote {
 
         let log = rig.script.log.lock().unwrap().clone();
         assert_eq!(log[..5], begins(5)[..], "five consumes in flight together");
-        let merged = merge_frames(&rig.script, m.id());
-        let indices: Vec<u32> = merged.iter().map(|f| f.index).collect();
-        assert_eq!(indices, [0, 1, 2, 3, 4]);
-        let totals: Vec<u32> = merged.iter().filter_map(|f| f.total).collect();
-        assert_eq!(totals, [5]);
+        numbered_once(&rig.script, e.id(), m.id());
     }
 
     /// A close that overtakes the replies of its wave: the stream's four
@@ -683,16 +679,44 @@ mod pipelined_remote {
             kinds,
             [consume, consume, consume, consume, RemoteKind::Finalize]
         );
-        let merged = merge_frames(&rig.script, m.id());
-        let indices: Vec<u32> = merged.iter().map(|f| f.index).collect();
-        assert_eq!(indices, [0, 1, 2, 3, 4]);
-        assert_eq!(merged.last().unwrap().total, Some(5));
+        numbered_once(&rig.script, e.id(), m.id());
     }
 
-    /// Top frames of the tasks shipped for merge node `m`, in `begin` order.
-    fn merge_frames(script: &Script, m: GNodeId) -> Vec<Frame> {
+    /// Kind and wave of the tasks shipped for node `at`, in `begin` order.
+    fn shipped(script: &Script, at: GNodeId) -> Vec<(RemoteKind, u64)> {
         let tasks = script.tasks.lock().unwrap();
-        tasks.iter().filter(|t| t.0 == m).map(|t| t.2).collect()
+        tasks
+            .iter()
+            .filter(|t| t.0 == at)
+            .map(|t| (t.1, t.2))
+            .collect()
+    }
+
+    /// The five posts of stream `e`'s wave were numbered once, from one
+    /// running index, with the total on the last (indices 0..4, total 5):
+    /// merge `m` consumed them as one wave, `e`'s own and not the one `e`
+    /// consumed, that exactly its fifth token completes. A post numbered
+    /// twice would leave the wave short of its total; a total sent apart
+    /// from the tokens would reach `m` as a finalize of its own.
+    fn numbered_once(script: &Script, e: GNodeId, m: GNodeId) {
+        let consumed = shipped(script, e)[0].1;
+        let merged = shipped(script, m);
+        let consume = |completes| RemoteKind::Consume { completes };
+        let kinds: Vec<RemoteKind> = merged.iter().map(|t| t.0).collect();
+        let last = consume(true);
+        assert_eq!(
+            kinds,
+            [
+                consume(false),
+                consume(false),
+                consume(false),
+                consume(false),
+                last
+            ]
+        );
+        let wave = merged[0].1;
+        assert!(merged.iter().all(|t| t.1 == wave), "one wave: {merged:?}");
+        assert_ne!(wave, consumed, "numbered under the stream's own wave");
     }
 
     /// Declared at the remote stream node; the script plays it.

@@ -23,8 +23,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
 use dps_mt::{
-    FailHandle, MtConfig, MtEngine, RemoteExec, RemoteKind, RemoteOutcome, RemotePending,
-    RemoteTask,
+    FailHandle, MtConfig, MtEngine, RemoteExec, RemoteOutcome, RemotePending, RemoteTask,
 };
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
@@ -33,7 +32,7 @@ use parking_lot::Mutex;
 
 use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
-use crate::proto::{self, send_frame, Frame, Payload, TaskKind};
+use crate::proto::{self, send_frame, Frame, Payload};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
 /// Every deadline the network engine enforces, in one place. Each field
@@ -49,10 +48,6 @@ pub struct NetTimeouts {
     /// How long one remote op execution may take before the hosting worker
     /// counts as down. Override: `DPS_NET_EXEC_TIMEOUT_MS`.
     pub exec: Duration,
-    /// How long a worker's `run_to_idle` waits for the master's `Release`.
-    /// Must exceed `exec` + `connect` (the master's slowest clean run).
-    /// Override: `DPS_NET_RELEASE_TIMEOUT_MS`.
-    pub release: Duration,
     /// Heartbeat period: the master pings every live worker this often.
     /// Override: `DPS_NET_HEARTBEAT_MS`.
     pub heartbeat_interval: Duration,
@@ -69,7 +64,6 @@ impl Default for NetTimeouts {
         Self {
             connect: Duration::from_secs(20),
             exec: Duration::from_secs(30),
-            release: Duration::from_secs(50),
             heartbeat_interval: Duration::from_millis(250),
             heartbeat_misses: 8,
         }
@@ -95,9 +89,6 @@ impl NetTimeouts {
         if let Some(d) = ms("DPS_NET_EXEC_TIMEOUT_MS") {
             t.exec = d;
         }
-        if let Some(d) = ms("DPS_NET_RELEASE_TIMEOUT_MS") {
-            t.release = d;
-        }
         if let Some(d) = ms("DPS_NET_HEARTBEAT_MS") {
             t.heartbeat_interval = d;
         }
@@ -114,6 +105,17 @@ impl NetTimeouts {
     /// declared dead. Well under [`exec`](Self::exec) by default.
     pub fn detection_budget(&self) -> Duration {
         self.heartbeat_interval * self.heartbeat_misses.max(1)
+    }
+
+    /// How long a worker's `run_to_idle` waits for the master's `Release`
+    /// when a master run may last `run` ([`MtConfig::run_timeout`], which
+    /// bounds the master's wait for the run's outputs): the sum of the
+    /// bounds the worker waits through — the sync barrier
+    /// ([`connect`](Self::connect)), the run, and the trace round
+    /// (`connect` again). 70 s by default. [`exec`](Self::exec) bounds one
+    /// execution, not a run.
+    pub fn release(&self, run: Duration) -> Duration {
+        self.connect + run + self.connect
     }
 }
 
@@ -277,8 +279,8 @@ impl MasterShared {
 struct Master {
     mt: MtEngine,
     shared: Arc<MasterShared>,
-    /// `(rank, signature, frame bytes)` of each worker's `Sync`.
-    sync_rx: Receiver<(u32, u64, usize)>,
+    /// `(rank, (signature, frame bytes))` of each worker's `Sync`.
+    sync_rx: Receiver<(u32, (u64, usize))>,
     /// Loopback harnesses share the master's declarations — no sync
     /// barrier needed.
     presynced: bool,
@@ -296,9 +298,9 @@ struct Master {
     /// Loopback harness hosts, retained so an attached trace sink reaches
     /// their executor lanes directly (no wire round in-process).
     harness_hosts: Vec<Arc<ExecHost>>,
-    /// `Trace` replies routed from the connection readers: `(run, clock,
-    /// bytes)`.
-    trace_rx: Receiver<TraceReply>,
+    /// `Trace` replies routed from the connection readers, with the rank
+    /// that sent each.
+    trace_rx: Receiver<(u32, TraceReply)>,
     /// Ranks with a scheduled kill armed ([`NetEngineConfig::kills`]): the
     /// schedule may fire at any point — including between run completion
     /// and shutdown — so these ranks are allowed to die without their exit
@@ -377,12 +379,6 @@ impl NetRemote {
             .checked_sub(1)
             .and_then(|i| s.conns.get(i))
             .ok_or_else(|| node_down(host, format!("node {}", task.node)))?;
-        let kind = match task.kind {
-            RemoteKind::Exec => TaskKind::Exec,
-            RemoteKind::Consume { completes: false } => TaskKind::Consume,
-            RemoteKind::Consume { completes: true } => TaskKind::ConsumeCompletes,
-            RemoteKind::Finalize => TaskKind::Finalize,
-        };
         // The token is encoded once, straight into the frame.
         let token = task
             .token
@@ -412,9 +408,9 @@ impl NetRemote {
             thread: task.thread,
             graph: task.graph,
             node: task.node,
-            kind,
+            kind: task.kind,
             token,
-            env: task.env,
+            wave: task.wave,
         };
         if let Err(e) = conn.send(&frame) {
             s.pending.lock().remove(&seq);
@@ -507,8 +503,8 @@ fn master_reader(
     shared: Arc<MasterShared>,
     rank: u32,
     mut rx: Box<dyn FrameRx>,
-    sync_tx: Sender<(u32, u64, usize)>,
-    trace_tx: Sender<TraceReply>,
+    sync_tx: Sender<(u32, (u64, usize))>,
+    trace_tx: Sender<(u32, TraceReply)>,
 ) {
     let mut table = RecvTable::default();
     loop {
@@ -556,10 +552,10 @@ fn master_reader(
             Ok((Frame::Hub { req, body }, _)) => shared.router.route(&shared.hub, rank, req, body),
             Ok((Frame::HubReply { req, body }, _)) => shared.router.complete(req, body),
             Ok((Frame::Sync { sig }, _)) => {
-                let _ = sync_tx.send((rank, sig, len));
+                let _ = sync_tx.send((rank, (sig, len)));
             }
             Ok((Frame::Trace { run, clock, bytes }, _)) => {
-                let _ = trace_tx.send((run, clock, bytes));
+                let _ = trace_tx.send((rank, (run, clock, bytes)));
             }
             // Pong (and anything else): the `touch` above already reset
             // the heartbeat clock.
@@ -720,7 +716,6 @@ impl NetEngine {
         let (addr, mut acceptor) = transport.bind().expect("loopback bind");
         let decls = DeclStore::over(nodes);
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
-        let node_flops = mt.node_flops();
 
         let mut links = Vec::new();
         let mut threads = Vec::new();
@@ -736,12 +731,7 @@ impl NetEngine {
             }
             links.push(master_side);
             let hwriter = Arc::new(Conn::new(worker_side.tx, Arc::default()));
-            let host = Arc::new(ExecHost::new(
-                decls.clone(),
-                hwriter.clone(),
-                node_flops,
-                rank as u16,
-            ));
+            let host = Arc::new(ExecHost::new(decls.clone(), hwriter.clone(), rank as u16));
             harness_hosts.push(host.clone());
             let hrx = worker_side.rx;
             threads.push(spawn(format!("dps-net-harness{rank}"), move || {
@@ -869,7 +859,6 @@ impl NetEngine {
 
         let decls = DeclStore::over(nodes);
         let mt = MtEngine::with_config(nodes, cfg.mt.clone());
-        let node_flops = mt.node_flops();
         let mut links = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             let mut duplex = slot.expect("every slot filled above");
@@ -877,13 +866,10 @@ impl NetEngine {
             // The Welcome travels raw: the handshake happens below the fault
             // layer on both ends (the worker arms its side only after
             // decoding it).
-            send_frame(
-                &mut *duplex.tx,
-                &Frame::Welcome {
-                    nodes: nodes as u32,
-                    node_flops,
-                },
-            )?;
+            let welcome = Frame::Welcome {
+                nodes: nodes as u32,
+            };
+            send_frame(&mut *duplex.tx, &welcome)?;
             if let Some(wf) = &cfg.wire_faults {
                 duplex = arm_duplex(duplex, wf.cfg, wf.stream(rank, 0));
             }
@@ -918,8 +904,8 @@ impl NetEngine {
         };
         send_frame(&mut *duplex.tx, &Frame::Hello { rank })?;
         let bytes = duplex.rx.recv()?;
-        let (wire_nodes, node_flops) = match proto::decode_frame(bytes) {
-            Ok(Frame::Welcome { nodes, node_flops }) => (nodes, node_flops),
+        let wire_nodes = match proto::decode_frame(bytes) {
+            Ok(Frame::Welcome { nodes }) => nodes,
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -942,12 +928,7 @@ impl NetEngine {
 
         let decls = DeclStore::over(nodes);
         let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
-        let host = Arc::new(ExecHost::new(
-            decls.clone(),
-            writer.clone(),
-            node_flops,
-            rank as u16,
-        ));
+        let host = Arc::new(ExecHost::new(decls.clone(), writer.clone(), rank as u16));
         let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
         let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
         let outputs: OutputBuf = Arc::new(Mutex::new(HashMap::new()));
@@ -987,7 +968,7 @@ impl NetEngine {
                 shutdown_rx,
                 synced: false,
                 run_seq: 0,
-                release_timeout: cfg.timeouts.release,
+                release_timeout: cfg.timeouts.release(cfg.mt.run_timeout),
                 started: Instant::now(),
                 threads: vec![reader],
                 down: false,
@@ -1185,49 +1166,29 @@ impl Master {
         let table = self.shared.decls.frozen();
         if !self.presynced {
             let expect = table.signature();
-            let want = self.shared.conns.len();
-            let deadline = Instant::now() + self.shared.timeouts.connect;
-            let mut synced = 0usize;
-            // Poll in short slices so a worker that dies *before* syncing
-            // (its tombstone raised by the liveness layer) counts as
-            // accounted for instead of stalling the barrier to the timeout.
-            loop {
-                let dead = (1..=want as u32)
-                    .filter(|&r| self.shared.rank_dead(r))
-                    .count();
-                if synced + dead >= want {
-                    break;
+            let owed = vec![true; self.shared.conns.len()];
+            let missing = self.gather(owed, &self.sync_rx, |rank, (sig, bytes)| {
+                self.shared.meter.count(bytes);
+                if sig != expect {
+                    return Err(DpsError::InvalidGraph {
+                        reason: format!(
+                            "worker {rank} declared a different schedule \
+                             (signature {sig:#018x}, master {expect:#018x}); \
+                             SPMD kernels must run identical declarations"
+                        ),
+                    });
                 }
-                let left = deadline
-                    .saturating_duration_since(Instant::now())
-                    .min(Duration::from_millis(50));
-                match self.sync_rx.recv_timeout(left) {
-                    Ok((rank, sig, bytes)) => {
-                        self.shared.meter.count(bytes);
-                        if sig != expect {
-                            return Err(DpsError::InvalidGraph {
-                                reason: format!(
-                                    "worker {rank} declared a different schedule \
-                                     (signature {sig:#018x}, master {expect:#018x}); \
-                                     SPMD kernels must run identical declarations"
-                                ),
-                            });
-                        }
-                        synced += 1;
-                    }
-                    Err(_) => {
-                        if Instant::now() >= deadline {
-                            return Err(DpsError::NodeDown {
-                                node: format!("{} worker(s)", want - synced - dead),
-                                target: format!(
-                                    "declaration sync (connect timeout {:?}; \
-                                     DPS_NET_CONNECT_TIMEOUT_MS)",
-                                    self.shared.timeouts.connect
-                                ),
-                            });
-                        }
-                    }
-                }
+                Ok(true)
+            })?;
+            if missing > 0 {
+                return Err(DpsError::NodeDown {
+                    node: format!("{missing} worker(s)"),
+                    target: format!(
+                        "declaration sync (connect timeout {:?}; \
+                         DPS_NET_CONNECT_TIMEOUT_MS)",
+                        self.shared.timeouts.connect
+                    ),
+                });
             }
         }
         self.mt.adopt(table.clone());
@@ -1296,64 +1257,67 @@ impl Master {
         }
     }
 
+    /// Wait for one reply through `replies` from every worker rank `owed`
+    /// names (`owed[r - 1]` for rank `r`), polling in 50 ms slices until the
+    /// connect deadline; a rank declared dead is waited for no longer.
+    /// `take` sees each reply with its rank and says whether it counts — a
+    /// stale one does not — or ends the wait with an error. Returns how many
+    /// live ranks still owed a reply at the deadline.
+    fn gather<T>(
+        &self,
+        mut owed: Vec<bool>,
+        replies: &Receiver<(u32, T)>,
+        mut take: impl FnMut(u32, T) -> Result<bool>,
+    ) -> Result<usize> {
+        let deadline = Instant::now() + self.shared.timeouts.connect;
+        loop {
+            let missing = (1..)
+                .zip(&owed)
+                .filter(|&(rank, &owes)| owes && !self.shared.rank_dead(rank))
+                .count();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if missing == 0 || left.is_zero() {
+                return Ok(missing);
+            }
+            let slice = left.min(Duration::from_millis(50));
+            if let Ok((rank, reply)) = replies.recv_timeout(slice) {
+                if take(rank, reply)? {
+                    owed[(rank - 1) as usize] = false;
+                }
+            }
+        }
+    }
+
     /// Pull every worker's trace log of the finishing run into the master
     /// collector — one `TraceReq`/`Trace` round per connection, *before*
     /// the run's `Release` (FIFO framing keeps the order). Loopback
     /// harnesses write into the master collector directly, so the presynced
-    /// role skips the wire round. Best-effort: a worker that cannot answer
-    /// costs its events, never the run.
-    fn collect_traces(&mut self) {
+    /// role skips the wire round. Best-effort: only live workers are asked,
+    /// and a worker that cannot answer costs its events, never the run.
+    fn collect_traces(&self) {
         let Some(collector) = &self.trace else {
             return;
         };
         if self.presynced || self.shared.conns.is_empty() {
             return;
         }
-        // Only live workers are asked (and awaited): a rank that dies during
-        // the round is dropped from the expected count on the next slice, so
-        // its lost log costs nothing but its own events.
         let req = Frame::TraceReq { run: self.run_seq };
-        let mut expected = 0usize;
-        for (i, conn) in self.shared.conns.iter().enumerate() {
-            if !self.shared.rank_dead(i as u32 + 1) && conn.send(&req).is_ok() {
-                expected += 1;
+        let owed = (1..)
+            .zip(&self.shared.conns)
+            .map(|(rank, conn)| !self.shared.rank_dead(rank) && conn.send(&req).is_ok())
+            .collect();
+        let _ = self.gather(owed, &self.trace_rx, |_, (run, clock, bytes)| {
+            if run != self.run_seq {
+                return Ok(false); // stale reply of an earlier, timed-out round
             }
-        }
-        let deadline = Instant::now() + self.shared.timeouts.connect;
-        let mut got = 0usize;
-        while got < expected {
-            let live = (1..=self.shared.conns.len() as u32)
-                .filter(|&r| !self.shared.rank_dead(r))
-                .count();
-            expected = expected.min(live.max(got));
-            if got >= expected {
-                break;
-            }
-            let left = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(50));
-            match self.trace_rx.recv_timeout(left) {
-                Ok((run, clock, bytes)) => {
-                    if run != self.run_seq {
-                        continue; // stale reply of an earlier, timed-out round
-                    }
-                    got += 1;
-                    if !bytes.is_empty() {
-                        match dps_obs::wire::decode_log(&bytes) {
-                            Some(log) => collector.ingest(&log, clock),
-                            None => {
-                                eprintln!("dps-netengine: dropping an undecodable worker trace log")
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
+            if !bytes.is_empty() {
+                match dps_obs::wire::decode_log(&bytes) {
+                    Some(log) => collector.ingest(&log, clock),
+                    None => eprintln!("dps-netengine: dropping an undecodable worker trace log"),
                 }
             }
-        }
+            Ok(true)
+        });
     }
 
     fn fail_worker(&mut self, rank: u32) -> Result<()> {
@@ -1456,7 +1420,7 @@ impl Worker {
             Err(_) => Err(DpsError::IncompleteWaves {
                 waves: vec![format!(
                     "master did not release run {} within release timeout {:?} \
-                     (DPS_NET_RELEASE_TIMEOUT_MS)",
+                     (2 × DPS_NET_CONNECT_TIMEOUT_MS + the run timeout)",
                     self.run_seq, self.release_timeout
                 )],
             }),
@@ -1667,13 +1631,67 @@ mod tests {
         assert_eq!(m.get(dps_obs::Counter::FramesSent), 23);
         let bytes = m.get(dps_obs::Counter::WireBytesSent);
         // Every frame is at least its discriminant; an `Exec` also carries
-        // 29 bytes of ids, a tagged 8-byte token and its envelope.
-        assert!(bytes > 23 * 4 + 10 * (29 + 4 + 18), "{bytes} wire bytes");
+        // 29 bytes of ids, a tagged 8-byte token and its wave.
+        assert!(
+            bytes > 23 * 4 + 10 * (29 + 4 + 18 + 8),
+            "{bytes} wire bytes"
+        );
         assert!(bytes < 23 * 200, "{bytes} wire bytes");
     }
 
     /// How long a test waits for something another thread is about to do.
     const PATIENCE: Duration = Duration::from_secs(20);
+
+    /// [`Sum`], whose consumes wait until the test closes the gate.
+    struct GatedSum(Sum, Arc<Mutex<Receiver<()>>>);
+    impl MergeOperation for GatedSum {
+        type Thread = ();
+        type In = Shard;
+        type Out = Total;
+        fn consume(&mut self, c: &mut OpCtx<'_, (), Total>, s: Shard) {
+            let _ = self.1.lock().recv();
+            self.0.consume(c, s);
+        }
+        fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Total>) {
+            self.0.finalize(ctx);
+        }
+    }
+
+    /// One merge thread on the worker holds two live waves of one node: the
+    /// first ten-shard wave has eight shards in flight (the flow window) and
+    /// the six-shard one all of its shards when the gate opens, so the lane
+    /// runs both waves' consumes in turn, finalizes the second between two
+    /// steps of the first, and each wave sums into an instance of its own.
+    #[test]
+    fn a_remote_merge_thread_keeps_two_live_waves_apart() {
+        let mut eng = NetEngine::loopback(2);
+        let sink = TraceCollector::new();
+        eng.set_trace_sink(sink.clone());
+        let app = eng.app("two-waves");
+        let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+        let (open, gate) = unbounded::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let mut b = GraphBuilder::new("two-waves");
+        let s = b.split(&tc, || ToThread(0), || Fan);
+        let m = b.merge(&tc, || ToThread(1), move || GatedSum(Sum(0), gate.clone()));
+        b.add(s >> m);
+        let g = eng.build_graph(b).unwrap();
+        for shards in [10, 6] {
+            eng.submit(g, Box::new(Job { shards })).unwrap();
+        }
+        let enqueued = || sink.metrics().get(dps_obs::Counter::TokensEnqueued);
+        until("both waves' first shards queued", &|| {
+            enqueued() == 2 + 8 + 6
+        });
+        drop(open);
+        eng.run_to_idle(g, 2).unwrap();
+        let mut sums: Vec<u64> = (eng.take_outputs(g).into_iter())
+            .map(|out| downcast::<Total>(out).unwrap().sum)
+            .collect();
+        sums.sort_unstable();
+        assert_eq!(sums, [15, 45]);
+        eng.shutdown();
+    }
 
     fn until(what: &str, done: &dyn Fn() -> bool) {
         let deadline = Instant::now() + PATIENCE;

@@ -8,98 +8,61 @@
 //! the master keeps everything else (wave accounting, flow control,
 //! routing). The [`ExecHost`] mirrors the threading model of the master's
 //! engine: one executor task per (application, collection, thread) triple,
-//! each owning its thread data and its operation instances (the kernel's
-//! [`Instances`] table, as a local thread holds one), so remote execution
-//! preserves exactly the state a local thread would have.
+//! each owning its thread data and its operation instances (a [`Lane`]:
+//! per node as a local thread holds them, per wave the master names), so
+//! remote execution preserves exactly the state a local thread would have.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::{self, At, Instances, Rec, Served, Tracer, Wave};
+use dps_core::internal::kernel::{self, At, IdMap, Instances, Rec, Served, Tracer, Wave};
 use dps_core::internal::{ExecInfo, OpOutput};
 use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenRegistry};
+use dps_mt::RemoteKind;
 use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
 use dps_serial::{Bytes, Captured, SendTable};
 use parking_lot::Mutex;
 
-use crate::proto::{self, Frame, Payload, TaskKind};
+use crate::proto::{self, Frame, Payload};
 use crate::transport::FrameTx;
 
-/// How long an executor waits for a declaration to appear before giving up
-/// (the master only sends work after the sync barrier, so a miss here means
-/// the SPMD driver diverged despite the signature check).
-const DECL_WAIT: Duration = Duration::from_secs(10);
-
 /// The declaration table, shared between the declaring role and the
-/// executors. The condvar wakes executors waiting for a graph that is still
-/// being declared (loopback harnesses start before the master finishes
-/// declaring).
-pub(crate) struct DeclStore {
-    inner: StdMutex<Arc<Decls>>,
-    ready: Condvar,
-}
+/// executors. An executor reads it only after the table is complete: the
+/// master ships no `Exec` before the sync barrier — every worker declared
+/// everything — and a loopback harness reads the master's own table, frozen
+/// at that barrier.
+pub(crate) struct DeclStore(Mutex<Arc<Decls>>);
 
 impl DeclStore {
     /// An empty table over a cluster of `nodes` nodes, `node0..`.
     pub fn over(nodes: usize) -> Arc<Self> {
         let decls = Decls::new(dps_cluster::ClusterSpec::uniform(nodes, 1));
-        Arc::new(Self {
-            inner: StdMutex::new(Arc::new(decls)),
-            ready: Condvar::new(),
-        })
+        Arc::new(Self(Mutex::new(Arc::new(decls))))
     }
 
     pub fn with<R>(&self, f: impl FnOnce(&Decls) -> R) -> R {
-        f(&self.inner.lock().expect("decl store poisoned"))
+        f(&self.0.lock())
     }
 
-    /// Declare under the lock and wake executor waiters.
+    /// Declare under the lock.
     pub fn update<R>(&self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        let mut table = self.inner.lock().expect("decl store poisoned");
-        let r = f(Arc::get_mut(&mut table).expect("declarations precede the first run"));
-        self.ready.notify_all();
-        r
+        f(Arc::get_mut(&mut self.0.lock()).expect("declarations precede the first run"))
     }
 
     /// The finished table, to be read without this lock from now on. While
     /// anyone holds it, [`update`](Self::update) panics: every declaration
     /// precedes the first run.
     pub fn frozen(&self) -> Arc<Decls> {
-        self.inner.lock().expect("decl store poisoned").clone()
-    }
-
-    /// Block until `predicate` holds (graph installed, collection mapped),
-    /// then project a value out of the store.
-    fn wait_for<R>(&self, mut predicate: impl FnMut(&Decls) -> Option<R>) -> Result<R, DpsError> {
-        let deadline = Instant::now() + DECL_WAIT;
-        let mut guard = self.inner.lock().expect("decl store poisoned");
-        loop {
-            if let Some(r) = predicate(&guard) {
-                return Ok(r);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(DpsError::OperationContract {
-                    node: "netengine".into(),
-                    reason: "remote task for an undeclared graph (SPMD declarations diverged)"
-                        .into(),
-                });
-            }
-            let (g, _) = self
-                .ready
-                .wait_timeout(guard, left)
-                .expect("decl store poisoned");
-            guard = g;
-        }
+        self.0.lock().clone()
     }
 }
 
@@ -168,19 +131,18 @@ struct Job {
     pub seq: u64,
     pub graph: u32,
     pub node: dps_core::GNodeId,
-    pub kind: TaskKind,
+    pub kind: RemoteKind,
     /// The tagged token: a view into the received `Exec` frame.
     pub token: Bytes,
     /// What the frame captured of the connection's buffer table.
     pub shared: Captured,
-    pub env: dps_core::Envelope,
+    pub wave: u64,
 }
 
 /// The per-thread executor pool of one worker kernel (or loopback harness).
 pub(crate) struct ExecHost {
     decls: Arc<DeclStore>,
     writer: Arc<Conn>,
-    node_flops: f64,
     /// Cluster node this host executes for — the `node` coordinate of every
     /// trace event its lanes record.
     rank: u16,
@@ -192,11 +154,10 @@ pub(crate) struct ExecHost {
 }
 
 impl ExecHost {
-    pub fn new(decls: Arc<DeclStore>, writer: Arc<Conn>, node_flops: f64, rank: u16) -> Self {
+    pub fn new(decls: Arc<DeclStore>, writer: Arc<Conn>, rank: u16) -> Self {
         Self {
             decls,
             writer,
-            node_flops,
             rank,
             trace: Mutex::new(None),
             lanes: Mutex::new(HashMap::new()),
@@ -231,7 +192,7 @@ impl ExecHost {
             node,
             kind,
             token,
-            env,
+            wave,
         } = exec
         else {
             unreachable!("only an Exec frame carries a task");
@@ -244,17 +205,17 @@ impl ExecHost {
             kind,
             token,
             shared,
-            env,
+            wave,
         };
         let mut lanes = self.lanes.lock();
         let tx = lanes.entry((app, tc, thread)).or_insert_with(|| {
             let (tx, rx) = unbounded();
             let (decls, writer) = (self.decls.clone(), self.writer.clone());
-            let (host, trace) = ((self.node_flops, self.rank), self.trace.lock().clone());
+            let (rank, trace) = (self.rank, self.trace.lock().clone());
             let key = (app, tc, thread);
             let spawned = std::thread::Builder::new()
                 .name(format!("dps-net-a{app}t{tc}i{thread}"))
-                .spawn(move || executor_loop(decls, writer, host, key, trace, rx))
+                .spawn(move || executor_loop(decls, writer, rank, key, trace, rx))
                 .expect("spawn executor lane");
             self.threads.lock().push(spawned);
             tx
@@ -285,19 +246,35 @@ struct NodeCtx {
 }
 
 impl NodeCtx {
-    /// Wait for the SPMD declarations to catch up, then snapshot them.
+    /// Snapshot the declarations of `graph` and of collection `tc`. A miss
+    /// means the SPMD driver diverged despite the signature check.
     fn resolve(decls: &DeclStore, app: u32, tc: u32, graph: u32) -> Result<Self, DpsError> {
-        decls.wait_for(|d| {
-            let a = d.apps().get(app as usize)?;
-            let tcd = a.tcs.get(tc as usize)?;
-            Some(NodeCtx {
-                def: a.graphs.get(graph as usize)?.clone(),
-                thread_count: tcd.nodes.len(),
-                factory: tcd.factory.clone(),
-                registry: a.registry.clone(),
+        decls
+            .with(|d| {
+                let a = d.apps().get(app as usize)?;
+                let tcd = a.tcs.get(tc as usize)?;
+                Some(NodeCtx {
+                    def: a.graphs.get(graph as usize)?.clone(),
+                    thread_count: tcd.nodes.len(),
+                    factory: tcd.factory.clone(),
+                    registry: a.registry.clone(),
+                })
             })
-        })
+            .ok_or_else(|| DpsError::OperationContract {
+                node: "netengine".into(),
+                reason: "remote task for an undeclared graph (SPMD declarations diverged)".into(),
+            })
     }
+}
+
+/// The operation instances of one executor lane: a split/leaf's per slot,
+/// as a local thread holds them, and a merge/stream's per wave it has a step
+/// of in flight, keyed by `(graph, node, wave)` — the master counts the
+/// wave, this side only runs it.
+#[derive(Default)]
+struct Lane {
+    nodes: Instances,
+    waves: IdMap<(u32, u32, u64), Wave>,
 }
 
 /// One executor lane: owns the thread data and op instances of one DPS
@@ -307,13 +284,13 @@ impl NodeCtx {
 fn executor_loop(
     decls: Arc<DeclStore>,
     writer: Arc<Conn>,
-    (node_flops, rank): (f64, u16),
+    rank: u16,
     (app, tc, thread): (u32, u32, u32),
     trace: Option<Arc<TraceCollector>>,
     rx: Receiver<Job>,
 ) {
     let mut data: Option<Box<dyn Any + Send>> = None;
-    let mut inst = Instances::default();
+    let mut lane = Lane::default();
     let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
     // Made on the first job, whose declarations name the lane's track.
     let mut tracer: Option<Tracer> = None;
@@ -323,13 +300,13 @@ fn executor_loop(
         let seq = job.seq;
         let (graph, node) = (job.graph, job.node);
         let at = At { app, graph, node };
-        let wave = kernel::env_wave(&job.env);
+        let wave = job.wave as u32;
         let outcome = match resolved.entry((graph, node.0)) {
             Entry::Occupied(e) => Ok(&*e.into_mut()),
             Entry::Vacant(e) => NodeCtx::resolve(&decls, app, tc, graph).map(|ctx| &*e.insert(ctx)),
         }
         .and_then(|ctx| {
-            let ran = run_job(ctx, node_flops, thread, &mut data, &mut inst, job, &mut out)?;
+            let ran = run_job(ctx, thread, &mut data, &mut lane, job, &mut out)?;
             if let Some(c) = &trace {
                 // On the thread's node, at its index among the threads
                 // that node hosts.
@@ -387,10 +364,9 @@ struct Ran {
 /// these are; its posts are left in `out`.
 fn run_job(
     ctx: &NodeCtx,
-    node_flops: f64,
     thread: u32,
     data: &mut Option<Box<dyn Any + Send>>,
-    inst: &mut Instances,
+    lane: &mut Lane,
     job: Job,
     out: &mut OpOutput,
 ) -> Result<Ran, DpsError> {
@@ -403,7 +379,7 @@ fn run_job(
         return Err(contract("call nodes execute on the master, never remotely"));
     }
     let token = match job.kind {
-        TaskKind::Finalize => None,
+        RemoteKind::Finalize => None,
         _ if job.token.is_empty() => return Err(contract("remote task arrived without its token")),
         _ => Some(proto::decode_received(
             &ctx.registry,
@@ -414,34 +390,25 @@ fn run_job(
     // The master counts the wave and numbers its output; this side holds
     // only the wave's operation instance, from its first step to the one
     // that finalizes it.
-    let finalize = matches!(job.kind, TaskKind::ConsumeCompletes | TaskKind::Finalize);
-    let key = match job.kind {
-        TaskKind::Exec => None,
-        _ => Some(
-            job.env
-                .wave_key()
-                .ok_or_else(|| contract("remote consume/finalize without a wave frame"))?,
-        ),
-    };
-    let served = match &key {
-        None => Served::Node(inst, (job.graph, job.node.0)),
-        Some(key) => {
+    let finalize = matches!(
+        job.kind,
+        RemoteKind::Consume { completes: true } | RemoteKind::Finalize
+    );
+    let key = (job.graph, job.node.0, job.wave);
+    let served = match job.kind {
+        RemoteKind::Exec => Served::Node(&mut lane.nodes, (job.graph, job.node.0)),
+        _ => {
             let hosted = || Wave::new(job.graph, job.node, 0);
-            Served::Wave(inst.waves.entry(key.clone()).or_insert_with(hosted))
+            Served::Wave(lane.waves.entry(key).or_insert_with(hosted))
         }
     };
-    let info = ExecInfo {
-        thread_index: thread as usize,
-        thread_count: ctx.thread_count,
-        node_flops,
-        start_nanos: 0,
-    };
+    let info = ExecInfo::wall_clock(thread as usize, ctx.thread_count);
     let data = data.get_or_insert_with(|| (ctx.factory)());
     let t0 = Instant::now();
     kernel::step(served, gnode, token, finalize, data.as_mut(), info, out)?;
     let took = t0.elapsed();
-    if let (Some(key), true) = (&key, finalize) {
-        inst.waves.remove(key);
+    if finalize {
+        lane.waves.remove(&key);
     }
     Ok(Ran {
         marked: out.completed_iters,

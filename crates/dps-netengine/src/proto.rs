@@ -23,9 +23,9 @@
 //! | frame | direction | meaning |
 //! |---|---|---|
 //! | `Hello` | worker → master | first frame after connect; announces the rank |
-//! | `Welcome` | master → worker | accepts the worker; cluster size + calibrated FLOP rate |
+//! | `Welcome` | master → worker | accepts the worker; cluster size |
 //! | `Sync` | worker → master | declarations done; carries the declaration signature |
-//! | `Exec` | master → worker | run one op execution point ([`TaskKind`]) |
+//! | `Exec` | master → worker | run one op execution point ([`RemoteKind`]) of one wave |
 //! | `Done` | worker → master | the `Exec` reply: posted tokens + chunk reports, or an error |
 //! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
 //! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
@@ -48,55 +48,12 @@
 
 use std::io;
 
-use dps_core::{DpsError, Envelope, GNodeId, Token, TokenBox, TokenRegistry};
+use dps_core::{DpsError, GNodeId, Token, TokenBox, TokenRegistry};
+use dps_mt::RemoteKind;
 use dps_sched::remote::{HubRequest, HubResponse};
 use dps_serial::{impl_wire_enum, Bytes, Captured, Reader, RecvTable, Wire, WireError, Writer};
 
 use crate::transport::FrameTx;
-
-/// Which of the three op-execution points an [`Frame::Exec`] replays (the
-/// wire form of [`dps_mt::RemoteKind`], with the `completes` flag folded
-/// into the discriminant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// Split/leaf `execute` on the token.
-    Exec,
-    /// Merge/stream `consume`.
-    Consume,
-    /// Merge/stream `consume` of the wave's last token: finalize too.
-    ConsumeCompletes,
-    /// Finalize a wave whose tokens were all consumed earlier.
-    Finalize,
-}
-
-impl TaskKind {
-    const ALL: [TaskKind; 4] = [
-        TaskKind::Exec,
-        TaskKind::Consume,
-        TaskKind::ConsumeCompletes,
-        TaskKind::Finalize,
-    ];
-}
-
-impl Wire for TaskKind {
-    fn wire_size(&self) -> usize {
-        1
-    }
-    fn encode(&self, w: &mut Writer) {
-        let idx = Self::ALL.iter().position(|k| k == self).expect("listed");
-        w.put_u8(idx as u8);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let idx = r.get_u8()?;
-        Self::ALL
-            .get(idx as usize)
-            .copied()
-            .ok_or(WireError::InvalidDiscriminant {
-                type_name: "TaskKind",
-                value: idx as u32,
-            })
-    }
-}
 
 /// A tagged token as a field of a [`Frame`]: `u32` length, then wire id,
 /// format version and payload — the layout of a byte vector holding
@@ -112,7 +69,7 @@ pub enum Payload<'a> {
 }
 
 impl Payload<'_> {
-    /// No token (the payload of a [`TaskKind::Finalize`]).
+    /// No token (the payload of a [`RemoteKind::Finalize`]).
     pub fn empty() -> Self {
         Payload::Bytes(Bytes::new())
     }
@@ -164,13 +121,11 @@ pub enum Frame<'a> {
         /// The connecting worker's rank.
         rank: u32,
     },
-    /// Master's acceptance: cluster size and the calibrated compute rate
-    /// workers should report through `ExecInfo::node_flops`.
+    /// Master's acceptance: the cluster size, which the worker checks
+    /// against its own.
     Welcome {
         /// Total cluster nodes (master included).
         nodes: u32,
-        /// Master-calibrated FLOP/s for `charge_flops` cost models.
-        node_flops: f64,
     },
     /// Worker finished declaring; `sig` is the signature of its table
     /// ([`dps_core::Decls::signature`]) — the master refuses to run if it
@@ -194,11 +149,11 @@ pub enum Frame<'a> {
         /// The executing graph node.
         node: GNodeId,
         /// Which execution point.
-        kind: TaskKind,
-        /// The token (empty for [`TaskKind::Finalize`]).
+        kind: RemoteKind,
+        /// The token (empty for [`RemoteKind::Finalize`]).
         token: Payload<'a>,
-        /// Envelope before any consuming pop (wave identity derives from it).
-        env: Envelope,
+        /// The wave: [`dps_mt::RemoteTask::wave`].
+        wave: u64,
     },
     /// The reply to `Exec` with the matching `seq`.
     Done {
@@ -291,9 +246,9 @@ pub enum Frame<'a> {
 
 impl_wire_enum!(Frame<'a> {
     0 => Hello { rank },
-    1 => Welcome { nodes, node_flops },
+    1 => Welcome { nodes },
     2 => Sync { sig },
-    3 => Exec { seq, app, tc, thread, graph, node, kind, token, env },
+    3 => Exec { seq, app, tc, thread, graph, node, kind, token, wave },
     4 => Done { seq, posts, reports, error },
     5 => Hub { req, body },
     6 => HubReply { req, body },
@@ -371,7 +326,7 @@ pub fn decode_received(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_core::{dps_token, Frame as EnvFrame};
+    use dps_core::dps_token;
 
     dps_token! { pub struct Probe { pub x: u64 } }
 
@@ -386,25 +341,10 @@ mod tests {
         Payload::Bytes(Bytes::copy_from_slice(bytes))
     }
 
-    fn env() -> Envelope {
-        let mut env = Envelope::root();
-        env.push(EnvFrame {
-            src: GNodeId(2),
-            wave: 77,
-            index: 3,
-            total: Some(8),
-        });
-        env
-    }
-
     #[test]
     fn every_frame_round_trips() {
-        let env = env();
         roundtrip(&Frame::Hello { rank: 2 });
-        roundtrip(&Frame::Welcome {
-            nodes: 3,
-            node_flops: 1.5e9,
-        });
+        roundtrip(&Frame::Welcome { nodes: 3 });
         roundtrip(&Frame::Sync { sig: u64::MAX });
         roundtrip(&Frame::Exec {
             seq: 9,
@@ -413,9 +353,9 @@ mod tests {
             thread: 2,
             graph: 0,
             node: GNodeId(4),
-            kind: TaskKind::ConsumeCompletes,
+            kind: RemoteKind::Consume { completes: true },
             token: run(&[1, 2, 3]),
-            env,
+            wave: 77,
         });
         roundtrip(&Frame::Done {
             seq: 9,
@@ -471,12 +411,15 @@ mod tests {
     /// before the single-pass encoder wrote them (captured there from
     /// `to_bytes` of the same frames with `encode_token` output in
     /// `Vec<u8>` fields): the layout did not move. The `Trace` frame
-    /// carries the worker's clock between its run and its log.
+    /// carries the worker's clock between its run and its log. Re-pinned
+    /// once on purpose: an `Exec` names its wave by id in place of an
+    /// envelope, and the `Welcome` carries the cluster size alone.
     #[test]
     fn token_frames_keep_their_golden_bytes() {
         let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
         let (exec_tok, out_tok) = (Probe { x: 1234 }, Probe { x: 99 });
         let golden = [
+            (Frame::Welcome { nodes: 3 }, "0100000003000000"),
             (
                 Frame::Exec {
                     seq: 9,
@@ -485,13 +428,12 @@ mod tests {
                     thread: 2,
                     graph: 0,
                     node: GNodeId(4),
-                    kind: TaskKind::ConsumeCompletes,
+                    kind: RemoteKind::Consume { completes: true },
                     token: Payload::Token(&exec_tok),
-                    env: env(),
+                    wave: 77,
                 },
                 "0300000009000000000000000000000001000000020000000000000004000000\
-                 021200000051b9c7df8a7836b90200d20400000000000001000000020000004d\
-                 0000000000000003000000010800000000000000",
+                 021200000051b9c7df8a7836b90200d2040000000000004d00000000000000",
             ),
             (
                 Frame::Exec {
@@ -501,13 +443,12 @@ mod tests {
                     thread: 0,
                     graph: 2,
                     node: GNodeId(1),
-                    kind: TaskKind::Finalize,
+                    kind: RemoteKind::Finalize,
                     token: Payload::empty(),
-                    env: env(),
+                    wave: 77,
                 },
                 "030000000a000000000000000100000000000000000000000200000001000000\
-                 030000000001000000020000004d000000000000000300000001080000000000\
-                 0000",
+                 03000000004d00000000000000",
             ),
             (
                 Frame::Done {
@@ -642,14 +583,6 @@ mod tests {
         assert_eq!(&token[..], &tagged[..]);
         let at = shared.len() - tagged.len();
         assert_eq!(token.as_ptr(), shared[at..].as_ptr(), "not copied out");
-    }
-
-    #[test]
-    fn task_kind_rejects_unknown_discriminants() {
-        let mut w = Writer::with_capacity(1);
-        w.put_u8(9);
-        let bytes = w.into_bytes();
-        assert!(TaskKind::decode(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

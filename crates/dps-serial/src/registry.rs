@@ -99,11 +99,6 @@ impl<B> Registry<B> {
         ids
     }
 
-    /// Registered name for `id`, if any.
-    pub fn name_of(&self, id: WireId) -> Option<&'static str> {
-        self.factories.get(&id).map(|(n, _)| *n)
-    }
-
     /// Decode one *tagged* value: `[wire id: u64][version: u16][payload]`.
     ///
     /// This is the receive path of a DPS kernel: look up the announced type,

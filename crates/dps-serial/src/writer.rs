@@ -133,11 +133,6 @@ impl<'t> Writer<'t> {
         self.buf.into()
     }
 
-    /// Consume the writer, yielding a cheaply-cloneable `bytes::Bytes`.
-    pub fn into_shared(self) -> Bytes {
-        self.buf.freeze()
-    }
-
     /// Borrow the bytes written so far (under [`SendTable::encode`], less
     /// the runs left out).
     pub fn as_slice(&self) -> &[u8] {

@@ -151,17 +151,15 @@ fn mt_engine_calibration_seeds_feedback_weights() {
         (weights[0] - 2.0 / 3.0).abs() < 1e-9,
         "synthetic 2:1 probe → 2:1 weights, got {weights:?}"
     );
-    assert!((eng.node_flops() - 1.5e9).abs() < 1.0);
 
     // Real measured kernel: one host, so rates (and weights) come out
-    // roughly equal, and the calibrated node rate is positive.
+    // roughly equal.
     let board = Arc::new(FeedbackBoard::new());
     let mut eng = MtEngine::new(2);
     eng.set_feedback_sink(board.clone());
     eng.calibrate_feedback(2, |_| dps_bench::calib::measure_flop_rate(2_000_000));
     let weights = board.weights(2);
     assert!(weights.iter().all(|&w| w > 0.2 && w < 0.8), "{weights:?}");
-    assert!(eng.node_flops() > 0.0);
 }
 
 proptest! {
