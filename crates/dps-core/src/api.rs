@@ -286,11 +286,6 @@ where
         &self.name
     }
 
-    /// Expose this application as a named parallel service.
-    pub fn expose(&self, eng: &mut E, service: &str) {
-        eng.expose_service(self.graph, service);
-    }
-
     /// One-shot wave: submit `input`, run to completion, return the single
     /// `Out` the graph produced. Errors if the graph emits no output, more
     /// than one, or one of a different type.

@@ -160,10 +160,10 @@ impl SplitOperation for SplitTasks {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, BlockTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        let st = ctx.thread();
-        let (rows, cols) = (st.a.clone(), st.b.clone());
-        for (i, a) in rows.iter().enumerate() {
-            for (j, b) in cols.iter().enumerate() {
+        for i in 0..ctx.thread().a.len() {
+            for j in 0..ctx.thread().b.len() {
+                let st = ctx.thread();
+                let (a, b) = (st.a[i].clone(), st.b[j].clone());
                 // Sim's model of the paper's split building the task's data
                 // object: one pass over its operand bytes. This code posts
                 // handles to the master's strips and copies nothing, but
@@ -173,8 +173,8 @@ impl SplitOperation for SplitTasks {
                     i: i as u32,
                     j: j as u32,
                     bs: bs as u32,
-                    a: a.clone(),
-                    b: b.clone(),
+                    a,
+                    b,
                 });
             }
         }
@@ -241,18 +241,18 @@ impl SplitOperation for SplitStores {
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, StoreTask>, o: MulOrder) {
         let (n, s) = (o.n as usize, o.s as usize);
         let bs = n / s;
-        let st = ctx.thread();
-        let (rows, cols) = (st.a.clone(), st.b.clone());
-        for (i, a) in rows.iter().enumerate() {
-            for (j, b) in cols.iter().enumerate() {
+        for i in 0..ctx.thread().a.len() {
+            for j in 0..ctx.thread().b.len() {
+                let st = ctx.thread();
+                let (a, b) = (st.a[i].clone(), st.b[j].clone());
                 // The modelled charge of `SplitTasks`, for the same reason.
                 ctx.charge_flops((2 * s * bs * bs) as f64);
                 ctx.post(StoreTask {
                     i: i as u32,
                     j: j as u32,
                     bs: bs as u32,
-                    a: a.clone(),
-                    b: b.clone(),
+                    a,
+                    b,
                 });
             }
         }

@@ -176,12 +176,11 @@ impl MtEngine {
         self.decls = decls;
     }
 
-    /// Install the remote-execution hook consulted at every op-execution
-    /// point: operations of threads whose cluster node
-    /// [`is_remote`](RemoteExec::is_remote) reports remote are shipped
-    /// through the hook instead of running locally, while wave accounting,
-    /// flow control and routing stay in this engine (see `crate::remote`).
-    /// Call before the first run.
+    /// Install the remote-execution hook: each worker thread asks it for a
+    /// [`lane`](RemoteExec::lane) at its start, and a thread that gets one
+    /// ships its operations through it instead of running them locally,
+    /// while wave accounting, flow control and routing stay in this engine
+    /// (see `crate::remote`). Call before the first run.
     pub fn set_remote_exec(&mut self, hook: Arc<dyn RemoteExec>) {
         assert!(
             self.shared.is_none(),

@@ -28,4 +28,4 @@ pub mod remote;
 mod worker;
 
 pub use engine::{FailHandle, MtConfig, MtEngine};
-pub use remote::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};
+pub use remote::{RemoteExec, RemoteKind, RemoteLane, RemoteOutcome, RemoteTask};

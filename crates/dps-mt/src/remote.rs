@@ -6,22 +6,23 @@
 //! credit windows, routing, service calls. A distributed engine reuses all
 //! of that by embedding an [`MtEngine`](crate::MtEngine) on the master
 //! process and installing a [`RemoteExec`] hook
-//! ([`MtEngine::set_remote_exec`](crate::MtEngine::set_remote_exec)): the
-//! worker loop consults the hook at each op-execution point, and for
-//! threads whose cluster node is hosted *outside* this process it ships a
-//! [`RemoteTask`] instead of running the operation locally.
+//! ([`MtEngine::set_remote_exec`](crate::MtEngine::set_remote_exec)): a
+//! thread whose cluster node is hosted *outside* this process ships a
+//! [`RemoteTask`] at each op-execution point instead of running the
+//! operation locally.
 //!
-//! The seam is two-phase. [`RemoteExec::begin`] ships the task and returns a
-//! [`RemotePending`] without waiting; [`RemotePending::wait`] blocks until
-//! the owning process has returned the posted tokens. Between the two the
-//! worker loop of the thread keeps going: it runs the wave accounting of
-//! its next queued messages and `begin`s their tasks too, up to a fixed
-//! depth, and only then waits — always on the **oldest** pending, whose
-//! posts it applies before looking at the next. That is sound on one
-//! condition, which is the whole contract of an implementation: **tasks
-//! begun for one `(app, tc, thread)` execute, and their `wait`s complete,
-//! in `begin` order.** Per-thread execution order, post order and wave
-//! accounting are then exactly those of running each operation to
+//! The seam is a lane per thread, which the thread's worker loop gets from
+//! the hook at its start. [`RemoteLane::ship`] sends a task without
+//! waiting; [`RemoteLane::wait`] blocks until the owning process has
+//! returned the posts of the oldest task not yet waited for: the k-th wait
+//! answers the k-th ship, and no task carries an id. Between the two the
+//! worker loop keeps going: it runs the wave accounting of its next queued
+//! messages and ships their tasks too, up to a fixed depth, and only then
+//! waits, and applies the posts of that oldest task before looking at the
+//! next. That is sound on one condition, which is the whole contract of an
+//! implementation: **the tasks of one lane execute, and are answered, in
+//! the order they were shipped.** Per-thread execution order, post order
+//! and wave accounting are then exactly those of running each operation to
 //! completion before the next; only the round trips overlap.
 //!
 //! Three task kinds cover the three execution points of the worker loop:
@@ -39,47 +40,41 @@
 //! `Consume`/`Finalize`, mirroring the local wave table, and derives
 //! nothing from an envelope. [`RemoteKind`] is what crosses the wire.
 
-use std::sync::Arc;
-
 use dps_core::{DpsError, GNodeId, TokenBox};
 use dps_serial::{Reader, Wire, WireError, Writer};
 
-/// Hook consulted by the worker loop at every op-execution point.
+/// Hook asked by the worker loop of each thread, once, for that thread's
+/// lane.
 ///
-/// Implementations are transports: `begin` frames the task and sends it to
-/// the process hosting the thread's cluster node, the returned
-/// [`RemotePending`] receives the reply. Both are called with **no engine
-/// locks held**, so `wait` may block indefinitely without wedging delivery
-/// on other threads.
+/// Implementations are transports: a lane frames each task and sends it to
+/// the process hosting the thread's cluster node, and receives the replies.
+/// A lane is used with **no engine locks held**, so `wait` may block
+/// indefinitely without wedging delivery on other threads.
 pub trait RemoteExec: Send + Sync {
-    /// Is cluster node `node` hosted outside this process? Local nodes run
-    /// their operations in-process exactly as without a hook.
-    fn is_remote(&self, node: u32) -> bool;
-
-    /// Ship `task` to the process hosting its thread's node, without
-    /// waiting for it to run. Tasks of one `(app, tc, thread)` must execute
-    /// in `begin` order. A task that cannot be shipped is not an error
-    /// here: its pending reports the failure from `wait`, so failures
-    /// surface in op order like results do.
-    fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending>;
+    /// The lane of thread `thread` of collection `tc` of application `app`,
+    /// whose cluster node is `node`, if that node is hosted outside this
+    /// process. Without one, the thread runs its operations in-process
+    /// exactly as without a hook.
+    fn lane(&self, app: u32, tc: u32, thread: u32, node: u32) -> Option<Box<dyn RemoteLane>>;
 }
 
-/// One shipped [`RemoteTask`] whose reply has not been consumed yet.
-pub trait RemotePending: Send {
-    /// Block until the task has executed and return the tokens it posted.
-    /// Called once per pending, oldest first per thread. Errors propagate
-    /// like local operation errors (they fail the run).
-    fn wait(self: Box<Self>) -> Result<RemoteOutcome, DpsError>;
+/// One thread's tasks on their way to the process hosting its node, and
+/// their replies on the way back — in one order.
+pub trait RemoteLane: Send {
+    /// Ship `task`, without waiting for it to run. A task that cannot be
+    /// shipped gets no reply: the error is the task's result, which the
+    /// worker loop reports at the task's turn, so failures surface in op
+    /// order like results do.
+    fn ship(&mut self, task: RemoteTask) -> Result<(), DpsError>;
+
+    /// Block until the oldest shipped task not yet waited for has executed,
+    /// and return the tokens it posted. Errors propagate like local
+    /// operation errors (they fail the run).
+    fn wait(&mut self) -> Result<RemoteOutcome, DpsError>;
 }
 
-/// One op execution shipped to a remote process.
+/// One op execution shipped to a remote process, on its thread's lane.
 pub struct RemoteTask {
-    /// Application index (declaration order).
-    pub app: u32,
-    /// Thread-collection index within the application.
-    pub tc: u32,
-    /// Thread index within the collection.
-    pub thread: u32,
     /// Graph index within the application.
     pub graph: u32,
     /// The executing graph node.
@@ -149,15 +144,6 @@ pub struct RemoteOutcome {
     /// *remote* host's wall clock) to apply to the master's feedback sink
     /// under the executing thread's index.
     pub reports: Vec<(u64, f64)>,
-}
-
-/// `Option<Arc<dyn RemoteExec>>` resolved against one node: `Some` iff a
-/// hook is installed and claims the node.
-pub(crate) fn remote_for(
-    hook: &Option<Arc<dyn RemoteExec>>,
-    node: u32,
-) -> Option<Arc<dyn RemoteExec>> {
-    hook.as_ref().filter(|r| r.is_remote(node)).cloned()
 }
 
 #[cfg(test)]

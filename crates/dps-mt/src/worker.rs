@@ -28,7 +28,7 @@ use dps_core::{Decls, DpsError, Envelope, GNodeId, RouteInfo, Token, TokenBox, W
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector};
 use parking_lot::Mutex;
 
-use crate::remote::{remote_for, RemoteExec, RemoteKind, RemotePending, RemoteTask};
+use crate::remote::{RemoteExec, RemoteKind, RemoteLane, RemoteTask};
 
 /// Message to a worker thread.
 pub(crate) enum Msg {
@@ -267,9 +267,9 @@ pub(crate) struct Worker {
     /// remote hook claims the thread, the instances live in the hosting
     /// process and only the waves' accounting is kept here.
     inst: Instances,
-    /// The remote-execution hook, when it claims this thread's node: the
-    /// thread is then a proxy, and its operations run in another process.
-    remote: Option<Arc<dyn RemoteExec>>,
+    /// This thread's lane to the process hosting its node, if the remote
+    /// hook gave it one: the thread is then a proxy, its operations run there.
+    remote: Option<Box<dyn RemoteLane>>,
     /// The operation whose posts the kernel is applying, timed.
     span: Option<Span>,
     /// This thread's collection is in `feedback_tcs`.
@@ -356,9 +356,10 @@ pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox,
 const REMOTE_PIPELINE_DEPTH: usize = 16;
 
 /// The remote operations a worker thread has shipped and not yet finished,
-/// oldest first, with what their posts call for and when each was shipped.
-/// Each entry is one message still counted in the thread's backlog.
-type InFlight = VecDeque<(Box<dyn RemotePending>, Then, Instant)>;
+/// oldest first: whether each was shipped (or why not), what its posts call
+/// for and when it was shipped. Each is one message still counted in the
+/// thread's backlog, and each one shipped is owed the lane's next reply.
+type InFlight = VecDeque<(Result<(), DpsError>, Then, Instant)>;
 
 /// The worker main loop.
 ///
@@ -369,7 +370,7 @@ type InFlight = VecDeque<(Box<dyn RemotePending>, Then, Instant)>;
 /// shipped one parks its `Then` in a FIFO while the loop runs phase 1 of the
 /// messages already queued behind it, and phase 2 always takes the oldest
 /// entry — the hosting process executes and replies in shipping order (the
-/// [`RemoteExec`] contract), so what this thread does, posts and accounts,
+/// [`RemoteLane`] contract), so what this thread does, posts and accounts,
 /// and in which order, is the same as waiting out every round trip. A call
 /// never ships: it goes out behind the posts of everything shipped before.
 pub(crate) fn worker_loop(
@@ -393,7 +394,7 @@ pub(crate) fn worker_loop(
         node,
         data,
         inst: Instances::default(),
-        remote: remote_for(&shared.remote, node),
+        remote: (shared.remote.as_ref()).and_then(|r| r.lane(app, tc, thread, node)),
         span: None,
         reports: false,
     };
@@ -442,8 +443,8 @@ pub(crate) fn worker_loop(
         let wave = w.remote.is_some().then(|| env.top().map_or(0, |f| f.wave));
         let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
         let done = match kernel::serve(&shared.decls, &mut w.inst, at, what, env, out_wave) {
-            Ok(Serve::Run(ready, then)) => match (&w.remote, wave) {
-                (Some(r), Some(wave)) => {
+            Ok(Serve::Run(ready, then)) => match (&mut w.remote, wave) {
+                (Some(lane), Some(wave)) => {
                     let (token, completes) = (ready.token, ready.completes);
                     let kind = match &then {
                         Then::Exec(..) => RemoteKind::Exec,
@@ -451,16 +452,13 @@ pub(crate) fn worker_loop(
                         Then::Wave(_) => RemoteKind::Consume { completes },
                     };
                     let task = RemoteTask {
-                        app,
-                        tc,
-                        thread,
                         graph: at.graph,
                         node: at.node,
                         kind,
                         token,
                         wave,
                     };
-                    inflight.push_back((r.begin(task), then, Instant::now()));
+                    inflight.push_back((lane.ship(task), then, Instant::now()));
                     // Still counted in the backlog until its phase 2 ends, so
                     // load-aware routes keep seeing what the host has queued.
                     if let Some(m) = &shared.apps[app as usize].tcs[tc as usize].metrics {
@@ -515,14 +513,12 @@ fn retire(shared: &Shared, w: &Worker) {
 /// of a stream's posts advances here and nowhere else — two consumes of one
 /// wave can be in flight together.
 fn finish_oldest(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
-    let Some((pending, then, shipped)) = inflight.pop_front() else {
+    let Some((shipped, then, t0)) = inflight.pop_front() else {
         return;
     };
-    w.span = Some(Span {
-        t0: shipped,
-        took: None,
-    });
-    let done = pending.wait().and_then(|outcome| {
+    w.span = Some(Span { t0, took: None });
+    let lane = w.remote.as_mut().expect("only a proxy ships");
+    let done = shipped.and_then(|()| lane.wait()).and_then(|outcome| {
         // The remote host measured the wall-clock time: the distributed
         // counterpart of `Substrate::report`.
         if let (false, Some(sink)) = (outcome.reports.is_empty(), w.sink(shared)) {

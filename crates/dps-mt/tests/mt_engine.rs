@@ -334,14 +334,14 @@ fn a_scheduled_loop_survives_a_kill_fired_from_inside_a_chunk() {
 // --- the remote-execution seam, against a scripted in-process hook ----------
 
 mod pipelined_remote {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     use super::*;
     use dps_core::GNodeId;
-    use dps_mt::{RemoteExec, RemoteKind, RemoteOutcome, RemotePending, RemoteTask};
+    use dps_mt::{RemoteExec, RemoteKind, RemoteLane, RemoteOutcome, RemoteTask};
     use dps_obs::{Counter, Gauge, TraceCollector};
 
     /// What the script plays at a graph node hosted on the remote node.
@@ -361,29 +361,29 @@ mod pipelined_remote {
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Ev {
-        Begin(usize),
+        Ship(usize),
         Wait(usize),
     }
 
     /// The process hosting node 1, scripted: it executes a task the moment
-    /// it is begun (so in `begin` order, the seam's contract) and hands the
-    /// posts over when the pending is waited on.
+    /// it is shipped (so in shipping order, the seam's contract) and hands
+    /// the posts over when the lane is next waited on.
     #[derive(Default)]
     struct Script {
         roles: Mutex<HashMap<GNodeId, Role>>,
         /// The running sum of each wave a `Sum` node consumes.
         sums: Mutex<HashMap<(GNodeId, u64), u64>>,
-        /// Every `begin` and `wait`, in the order the hook saw them.
+        /// Every `ship` and `wait`, in the order the lanes saw them.
         log: Mutex<Vec<Ev>>,
-        /// Node, kind and wave of every task, in `begin` order.
+        /// Node, kind and wave of every task, in shipping order.
         tasks: Mutex<Vec<(GNodeId, RemoteKind, u64)>>,
-        /// One unit per `begin`, once it has executed.
-        begun: Mutex<Option<Sender<()>>>,
-        /// The first `begin` returns only after a unit arrives here: holds
+        /// One unit per `ship`, once it has executed.
+        shipped: Mutex<Option<Sender<()>>>,
+        /// The first `ship` returns only after a unit arrives here: holds
         /// the proxy thread back until its queue is as deep as a case needs.
-        first_begin: Mutex<Option<Receiver<()>>>,
+        first_ship: Mutex<Option<Receiver<()>>>,
         /// Every `wait` returns only after this is closed: keeps everything
-        /// begun in flight.
+        /// shipped in flight.
         replies: Mutex<Option<Receiver<()>>>,
     }
 
@@ -420,48 +420,58 @@ mod pipelined_remote {
     struct Hook(Arc<Script>);
 
     impl RemoteExec for Hook {
-        fn is_remote(&self, node: u32) -> bool {
-            node == 1
+        fn lane(
+            &self,
+            _app: u32,
+            _tc: u32,
+            _thread: u32,
+            node: u32,
+        ) -> Option<Box<dyn RemoteLane>> {
+            (node == 1).then(|| {
+                Box::new(Lane {
+                    script: self.0.clone(),
+                    owed: VecDeque::new(),
+                }) as Box<dyn RemoteLane>
+            })
         }
+    }
 
-        fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending> {
-            let s = &self.0;
-            if let Some(gate) = s.first_begin.lock().unwrap().take() {
-                gate.recv_timeout(PATIENCE).expect("first begin released");
+    /// One thread's lane: the posts of each task it shipped, by task id,
+    /// until a `wait` hands them over — oldest first.
+    struct Lane {
+        script: Arc<Script>,
+        owed: VecDeque<(usize, Vec<TokenBox>)>,
+    }
+
+    impl RemoteLane for Lane {
+        fn ship(&mut self, task: RemoteTask) -> Result<()> {
+            let s = &self.script;
+            if let Some(gate) = s.first_ship.lock().unwrap().take() {
+                gate.recv_timeout(PATIENCE).expect("first ship released");
             }
             let id = {
                 let mut tasks = s.tasks.lock().unwrap();
                 tasks.push((task.node, task.kind, task.wave));
                 tasks.len() - 1
             };
-            s.log.lock().unwrap().push(Ev::Begin(id));
+            s.log.lock().unwrap().push(Ev::Ship(id));
             let posts = s.execute(task);
-            if let Some(begun) = &*s.begun.lock().unwrap() {
-                let _ = begun.send(());
+            if let Some(shipped) = &*s.shipped.lock().unwrap() {
+                let _ = shipped.send(());
             }
-            Box::new(Reply {
-                script: s.clone(),
-                id,
-                posts,
-            })
+            self.owed.push_back((id, posts));
+            Ok(())
         }
-    }
 
-    struct Reply {
-        script: Arc<Script>,
-        id: usize,
-        posts: Vec<TokenBox>,
-    }
-
-    impl RemotePending for Reply {
-        fn wait(self: Box<Self>) -> Result<RemoteOutcome> {
-            self.script.log.lock().unwrap().push(Ev::Wait(self.id));
+        fn wait(&mut self) -> Result<RemoteOutcome> {
+            let (id, posts) = self.owed.pop_front().expect("a wait per shipped task");
+            self.script.log.lock().unwrap().push(Ev::Wait(id));
             if let Some(held) = &*self.script.replies.lock().unwrap() {
                 // Returns when the test drops the sending half.
                 let _ = held.recv_timeout(PATIENCE);
             }
             Ok(RemoteOutcome {
-                posts: self.posts,
+                posts,
                 reports: Vec::new(),
             })
         }
@@ -483,7 +493,7 @@ mod pipelined_remote {
         eng: MtEngine,
         script: Arc<Script>,
         metrics: Arc<TraceCollector>,
-        /// Sending a unit releases the first `begin`, held since the start.
+        /// Sending a unit releases the first `ship`, held since the start.
         release: Sender<()>,
         main: ThreadCollection<()>,
         /// Two threads, both on the remote node 1; the cases use thread 0.
@@ -497,7 +507,7 @@ mod pipelined_remote {
         let metrics = TraceCollector::new();
         eng.set_trace_sink(metrics.clone());
         let (release, gate) = channel();
-        *script.first_begin.lock().unwrap() = Some(gate);
+        *script.first_ship.lock().unwrap() = Some(gate);
         let app = eng.app("scripted");
         let main = eng.thread_collection(app, "main", "node0").unwrap();
         let remote = eng.thread_collection(app, "far", "node1 node1").unwrap();
@@ -554,8 +564,8 @@ mod pipelined_remote {
         rx.recv_timeout(PATIENCE).expect("the run got this far")
     }
 
-    fn begins(n: usize) -> Vec<Ev> {
-        (0..n).map(Ev::Begin).collect()
+    fn ships(n: usize) -> Vec<Ev> {
+        (0..n).map(Ev::Ship).collect()
     }
 
     /// With its whole wave queued, the proxy thread ships all of it before
@@ -570,7 +580,7 @@ mod pipelined_remote {
         let sum = rig.one_total(g);
 
         let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..6], begins(6)[..], "waited with work queued");
+        assert_eq!(log[..6], ships(6)[..], "waited with work queued");
         let waits: Vec<Ev> = log[6..].to_vec();
         assert_eq!(waits, (0..6).map(Ev::Wait).collect::<Vec<_>>(), "FIFO");
         assert_eq!(rig.metrics.metrics().gauge(Gauge::RemoteInFlightPeak), 6);
@@ -587,15 +597,15 @@ mod pipelined_remote {
     fn in_flight_operations_stay_in_the_backlog() {
         let mut rig = rig();
         let (g, taps) = rig.squares();
-        let (begun, begins) = channel();
-        *rig.script.begun.lock().unwrap() = Some(begun);
+        let (shipped, ships) = channel();
+        *rig.script.shipped.lock().unwrap() = Some(shipped);
         let (hold, held) = channel::<()>();
         *rig.script.replies.lock().unwrap() = Some(held);
 
         rig.eng.submit(g, Box::new(Job { n: 4 }));
         rig.release_at(1 + 4);
         for _ in 0..4 {
-            next(&begins);
+            next(&ships);
             next(&taps);
         }
         // All four left the queue and none was answered. The next routing
@@ -640,7 +650,7 @@ mod pipelined_remote {
         assert_eq!(rig.one_total(g), 1 + 2 + 3 + 4);
 
         let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..5], begins(5)[..], "five consumes in flight together");
+        assert_eq!(log[..5], ships(5)[..], "five consumes in flight together");
         numbered_once(&rig.script, e.id(), m.id());
     }
 
@@ -669,7 +679,7 @@ mod pipelined_remote {
         assert_eq!(rig.one_total(g), 1 + 2 + 3 + LATE.v);
 
         let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..5], begins(5)[..], "the finalize went out behind them");
+        assert_eq!(log[..5], ships(5)[..], "the finalize went out behind them");
         let kinds: Vec<RemoteKind> = rig.script.tasks.lock().unwrap()[..5]
             .iter()
             .map(|t| t.1)
@@ -682,7 +692,7 @@ mod pipelined_remote {
         numbered_once(&rig.script, e.id(), m.id());
     }
 
-    /// Kind and wave of the tasks shipped for node `at`, in `begin` order.
+    /// Kind and wave of the tasks shipped for node `at`, in shipping order.
     fn shipped(script: &Script, at: GNodeId) -> Vec<(RemoteKind, u64)> {
         let tasks = script.tasks.lock().unwrap();
         tasks

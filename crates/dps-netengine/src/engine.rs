@@ -21,10 +21,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
-use dps_mt::{
-    FailHandle, MtConfig, MtEngine, RemoteExec, RemoteOutcome, RemotePending, RemoteTask,
-};
+use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox, TokenRegistry};
+use dps_mt::{FailHandle, MtConfig, MtEngine, RemoteExec, RemoteLane, RemoteOutcome, RemoteTask};
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::{Bytes, Captured, RecvTable};
@@ -45,8 +43,10 @@ pub struct NetTimeouts {
     /// collecting every worker's declaration sync, and the per-run trace
     /// round. Override: `DPS_NET_CONNECT_TIMEOUT_MS`.
     pub connect: Duration,
-    /// How long one remote op execution may take before the hosting worker
-    /// counts as down. Override: `DPS_NET_EXEC_TIMEOUT_MS`.
+    /// How long one remote op execution may take, from the moment it is the
+    /// oldest of its lane, before the hosting worker is declared dead (a
+    /// later reply would be taken for the next step's). Override:
+    /// `DPS_NET_EXEC_TIMEOUT_MS`.
     pub exec: Duration,
     /// Heartbeat period: the master pings every live worker this often.
     /// Override: `DPS_NET_HEARTBEAT_MS`.
@@ -109,11 +109,10 @@ impl NetTimeouts {
 
     /// How long a worker's `run_to_idle` waits for the master's `Release`
     /// when a master run may last `run` ([`MtConfig::run_timeout`], which
-    /// bounds the master's wait for the run's outputs): the sum of the
-    /// bounds the worker waits through — the sync barrier
-    /// ([`connect`](Self::connect)), the run, and the trace round
-    /// (`connect` again). 70 s by default. [`exec`](Self::exec) bounds one
-    /// execution, not a run.
+    /// bounds the master's wait for the run's outputs): one gather
+    /// ([`connect`](Self::connect): the sync barrier, or the previous run's
+    /// trace round), the run, and one more `connect` of margin. 70 s by
+    /// default. [`exec`](Self::exec) bounds one execution, not a run.
     pub fn release(&self, run: Duration) -> Duration {
         self.connect + run + self.connect
     }
@@ -172,16 +171,19 @@ type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
 /// encoded log.
 type TraceReply = (u64, (u64, u64), Bytes);
 
-/// Reply payload of a [`Frame::Done`], routed to the engine thread that
-/// shipped the `Exec`. The posts are views into the received frame; that
-/// thread decodes them, against what the frame captured of the
-/// connection's buffer table, when the reply reaches the head of its lane.
+/// Reply payload of a [`Frame::Done`], routed to the channel of the lane it
+/// names, which its engine thread waits on. The posts are views into the
+/// received frame; that thread decodes them, against what the frame
+/// captured of the connection's buffer table, when it takes the reply.
 struct DoneReply {
     posts: Vec<Bytes>,
-    shared: Captured,
+    captured: Captured,
     reports: Vec<(u64, f64)>,
     error: Option<String>,
 }
+
+/// The reply channels of one worker rank's lanes, by `(app, tc, thread)`.
+type LaneTable = Mutex<HashMap<(u32, u32, u32), Sender<DoneReply>>>;
 
 /// Master-side state shared with connection readers, the heartbeat monitor
 /// and the remote hook.
@@ -195,10 +197,11 @@ struct MasterShared {
     /// Every [`Frame::Hub`] passes here: served from `hub`, or relayed to
     /// the worker the lease is homed at. Also `hub`'s own way to those.
     router: Arc<HubRouter>,
-    /// In-flight remote executions by sequence number, with the worker rank
-    /// each was shipped to (so a dead rank's replies can be failed fast).
-    pending: Mutex<HashMap<u64, (u32, Sender<DoneReply>)>>,
-    seq: AtomicU64,
+    /// The lanes worker rank `r` hosts at index `r - 1`, each channel made
+    /// when its lane's engine thread starts. A lane's `Done`s come in the
+    /// order of its `Exec`s, so its channel hands each reply to the wait it
+    /// answers. Cleared when the rank is declared dead.
+    lanes: Vec<LaneTable>,
     /// Every deadline the engine enforces.
     timeouts: NetTimeouts,
     /// The declaration table (shared with the in-process harnesses in
@@ -246,9 +249,9 @@ impl MasterShared {
     }
 
     /// Declare worker `rank` dead and run the degradation path: fail its
-    /// in-flight executions immediately, answer every hub operation relayed
-    /// to it (its leases died with it: claims on them find nothing from
-    /// here on), and tombstone its cluster node in the
+    /// lanes' in-flight executions immediately, answer every hub operation
+    /// relayed to it (its leases died with it: claims on them find nothing
+    /// from here on), and tombstone its cluster node in the
     /// embedded control plane (`FailHandle::fail_node`, whose kill is the
     /// kernel's, as on every engine). Idempotent; a no-op during clean
     /// shutdown.
@@ -264,9 +267,9 @@ impl MasterShared {
         }
         eprintln!("dps-netengine: worker rank {rank} is down: {why}");
         // Wake engine threads blocked on this rank's replies *now*:
-        // dropping the reply senders turns their waits into immediate
+        // dropping its lanes' reply senders turns their waits into immediate
         // disconnects, surfaced as NodeDown (not a slow exec timeout).
-        self.pending.lock().retain(|_, (r, _)| *r != rank);
+        self.lanes[(rank - 1) as usize].lock().clear();
         // Same for ops parked on a claim relayed to the dead rank.
         self.router.rank_down(rank);
         if let Some(fail) = self.fail.get() {
@@ -335,27 +338,23 @@ struct Worker {
 /// the master process, node `n` in worker rank `n` (kernel `kernel{n}`).
 ///
 /// The in-order contract of the seam holds by construction: the `Exec`
-/// frames of one DPS thread leave on one FIFO connection, in `begin` order,
-/// and the worker's [`ExecHost`] runs them on one executor lane that
-/// executes and replies strictly in arrival order.
-struct NetRemote {
-    shared: Arc<MasterShared>,
-    /// The frozen table: which cluster node hosts a thread, which registry
-    /// decodes the tokens it posts.
-    decls: Arc<Decls>,
-}
+/// frames of one lane leave on one FIFO connection, in shipping order, and
+/// the worker's [`ExecHost`] runs them on one executor lane that executes
+/// and replies strictly in arrival order, on the same connection.
+struct NetRemote(Arc<MasterShared>);
 
-/// One shipped `Exec` whose `Done` has not been consumed yet.
-struct NetPending {
+/// One remote thread's lane: its `Exec`s go out on `conn`, the connection
+/// of the worker rank hosting it, and its `Done`s come back on `replies`,
+/// in that order.
+struct NetLane {
     shared: Arc<MasterShared>,
-    decls: Arc<Decls>,
-    app: u32,
-    /// The cluster node hosting the executing thread (names the kernel on
-    /// the failure paths).
-    host: u32,
-    /// The sequence number and reply channel of the shipped frame, or why
-    /// it could not be shipped.
-    reply: std::result::Result<(u64, Receiver<DoneReply>), DpsError>,
+    conn: Arc<Conn>,
+    registry: Arc<TokenRegistry>,
+    /// The thread's `(app, tc, thread)`, which its frames name.
+    key: (u32, u32, u32),
+    /// The worker rank hosting the thread, which is its cluster node.
+    rank: u32,
+    replies: Receiver<DoneReply>,
 }
 
 fn node_down(host: u32, target: String) -> DpsError {
@@ -365,123 +364,95 @@ fn node_down(host: u32, target: String) -> DpsError {
     }
 }
 
-impl NetRemote {
-    /// Frame `task` as an `Exec` and send it to the rank hosting `host`.
-    fn ship(
-        &self,
-        host: u32,
-        task: RemoteTask,
-    ) -> std::result::Result<(u64, Receiver<DoneReply>), DpsError> {
-        let s = &self.shared;
-        // Worker rank `n` hosts cluster node `n`; node 0 never ships.
-        let rank = host;
-        let conn = (rank as usize)
-            .checked_sub(1)
-            .and_then(|i| s.conns.get(i))
-            .ok_or_else(|| node_down(host, format!("node {}", task.node)))?;
+impl RemoteExec for NetRemote {
+    fn lane(&self, app: u32, tc: u32, thread: u32, node: u32) -> Option<Box<dyn RemoteLane>> {
+        // Worker rank `n` hosts cluster node `n`; node 0 runs here.
+        let i = node.checked_sub(1)? as usize;
+        let (s, key) = (&self.0, (app, tc, thread));
+        let (tx, replies) = unbounded();
+        // Registered under the lock `declare_dead` sweeps under, after it
+        // raised the flag: a lane either sees the tombstone here (no sender:
+        // every wait fails at once) or is swept there.
+        let mut lanes = s.lanes[i].lock();
+        if !s.rank_dead(node) {
+            lanes.insert(key, tx);
+        }
+        Some(Box::new(NetLane {
+            shared: s.clone(),
+            conn: s.conns[i].clone(),
+            registry: s.decls.with(|d| d.apps()[app as usize].registry.clone()),
+            key,
+            rank: node,
+            replies,
+        }))
+    }
+}
+
+impl RemoteLane for NetLane {
+    /// Frame `task` as an `Exec` and send it to the rank hosting the lane.
+    fn ship(&mut self, task: RemoteTask) -> std::result::Result<(), DpsError> {
+        if self.shared.rank_dead(self.rank) {
+            // Tombstoned rank: fail fast so the router sheds the work to
+            // survivors instead of burning the exec timeout per call.
+            return Err(node_down(
+                self.rank,
+                "worker process is down (tombstoned)".into(),
+            ));
+        }
         // The token is encoded once, straight into the frame.
         let token = task
             .token
             .as_deref()
             .map_or_else(Payload::empty, Payload::Token);
-        let seq = s.seq.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        {
-            // Registered under the lock `declare_dead` sweeps under, after
-            // it raised the flag: a reply slot either sees the tombstone
-            // here or is swept there — never left to the exec timeout.
-            let mut pending = s.pending.lock();
-            if s.rank_dead(rank) {
-                // Tombstoned rank: fail fast so the router sheds the work
-                // to survivors instead of burning the exec timeout per call.
-                return Err(node_down(
-                    host,
-                    "worker process is down (tombstoned)".into(),
-                ));
-            }
-            pending.insert(seq, (rank, tx));
-        }
+        let (app, tc, thread) = self.key;
         let frame = Frame::Exec {
-            seq,
-            app: task.app,
-            tc: task.tc,
-            thread: task.thread,
+            app,
+            tc,
+            thread,
             graph: task.graph,
             node: task.node,
             kind: task.kind,
             token,
             wave: task.wave,
         };
-        if let Err(e) = conn.send(&frame) {
-            s.pending.lock().remove(&seq);
-            return Err(node_down(host, format!("send failed: {e}")));
-        }
-        Ok((seq, rx))
-    }
-}
-
-impl RemoteExec for NetRemote {
-    fn is_remote(&self, node: u32) -> bool {
-        node != 0
+        (self.conn.send(&frame)).map_err(|e| node_down(self.rank, format!("send failed: {e}")))
     }
 
-    fn begin(&self, task: RemoteTask) -> Box<dyn RemotePending> {
-        // The hook is only consulted for declared threads.
-        let host = self.decls.host(task.app, task.tc, task.thread);
-        Box::new(NetPending {
-            shared: self.shared.clone(),
-            decls: self.decls.clone(),
-            app: task.app,
-            host,
-            reply: self.ship(host, task),
-        })
-    }
-}
-
-impl RemotePending for NetPending {
     /// The exec timeout runs from here — from the moment the op is the
     /// oldest of its lane, with everything shipped before it answered.
-    fn wait(self: Box<Self>) -> std::result::Result<RemoteOutcome, DpsError> {
-        let NetPending {
-            shared: s,
-            decls,
-            app,
-            host,
-            reply,
-        } = *self;
-        let (seq, rx) = reply?;
-        let done = match rx.recv_timeout(s.timeouts.exec) {
+    fn wait(&mut self) -> std::result::Result<RemoteOutcome, DpsError> {
+        let s = &self.shared;
+        let done = match self.replies.recv_timeout(s.timeouts.exec) {
             Ok(done) => done,
             Err(RecvTimeoutError::Disconnected) => {
                 // The liveness layer declared the rank dead and dropped our
                 // reply sender — fail now, not at the exec timeout.
                 return Err(node_down(
-                    host,
-                    "worker process died mid-execution (heartbeat/EOF)".into(),
+                    self.rank,
+                    "worker process died mid-execution (heartbeat, EOF or exec timeout)".into(),
                 ));
             }
             Err(RecvTimeoutError::Timeout) => {
-                s.pending.lock().remove(&seq);
-                return Err(node_down(
-                    host,
-                    format!(
-                        "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
-                        s.timeouts.exec
-                    ),
-                ));
+                // A later reply would be taken for the next step's: the lane
+                // is out of step for good. (It is closed on its own too, as
+                // no rank is declared dead during shutdown.)
+                let why = format!(
+                    "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
+                    s.timeouts.exec
+                );
+                s.lanes[(self.rank - 1) as usize].lock().remove(&self.key);
+                s.declare_dead(self.rank, &why);
+                return Err(node_down(self.rank, why));
             }
         };
         if let Some(msg) = done.error {
             return Err(DpsError::OperationContract {
-                node: format!("kernel{host}"),
+                node: format!("kernel{}", self.rank),
                 reason: msg,
             });
         }
-        let reg = decls.registry(app);
-        let posts = done
-            .posts
-            .iter()
-            .map(|b| proto::decode_received(reg, b, &done.shared))
+        let posts = (done.posts.iter())
+            .map(|b| proto::decode_received(&self.registry, b, &done.captured))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(RemoteOutcome {
             posts,
@@ -494,11 +465,12 @@ impl RemotePending for NetPending {
 // Connection readers
 // ---------------------------------------------------------------------------
 
-/// Master-side reader of one worker connection: routes `Done` replies,
-/// serves or relays hub traffic, forwards the sync signature — and feeds the
-/// liveness layer: every inbound frame refreshes the rank's heartbeat
-/// clock, and a connection error (EOF, reset) or protocol corruption
-/// declares the rank dead on the spot.
+/// Master-side reader of one worker connection: hands each `Done` to the
+/// channel of the lane it names, serves or relays hub traffic, forwards the
+/// sync signature and the trace logs — and feeds the liveness layer: every
+/// inbound frame refreshes the rank's heartbeat clock, and a connection
+/// error (EOF, reset) or protocol corruption declares the rank dead on the
+/// spot.
 fn master_reader(
     shared: Arc<MasterShared>,
     rank: u32,
@@ -533,20 +505,26 @@ fn master_reader(
         match frame {
             Ok((
                 Frame::Done {
-                    seq,
+                    app,
+                    tc,
+                    thread,
                     posts,
                     reports,
                     error,
                 },
                 captured,
             )) => {
-                if let Some((_, tx)) = shared.pending.lock().remove(&seq) {
-                    let _ = tx.send(DoneReply {
+                // It answers the lane's oldest `Exec` not yet answered. A lane
+                // gone from the table was closed: what it is sent is dropped.
+                let lanes = shared.lanes[(rank - 1) as usize].lock();
+                if let Some(tx) = lanes.get(&(app, tc, thread)) {
+                    let reply = DoneReply {
                         posts: posts.into_iter().map(Payload::into_bytes).collect(),
-                        shared: captured,
+                        captured,
                         reports,
                         error,
-                    });
+                    };
+                    let _ = tx.send(reply);
                 }
             }
             Ok((Frame::Hub { req, body }, _)) => shared.router.route(&shared.hub, rank, req, body),
@@ -575,9 +553,7 @@ fn master_reader(
 fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
     let interval = shared.timeouts.heartbeat_interval;
     let budget = shared.timeouts.detection_budget();
-    let mut nonce = 0u64;
     while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
-        nonce += 1;
         for rank in 1..=shared.conns.len() as u32 {
             if shared.rank_dead(rank) {
                 continue;
@@ -594,7 +570,7 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
                 continue;
             }
             if shared.conns[(rank - 1) as usize]
-                .send(&Frame::Ping { nonce })
+                .send(&Frame::Ping)
                 .is_err()
             {
                 shared.declare_dead(rank, "ping send failed (connection closed)");
@@ -640,21 +616,17 @@ fn worker_reader(
                 }
             }
             Ok((Frame::Release { run, error }, _)) => {
+                // A traced worker answers a successful release with its log
+                // of the run, taken (so drained) before the run returns here.
+                if let (None, Some(c)) = (&error, host.trace_collector()) {
+                    let clock = c.clock();
+                    let bytes = dps_obs::wire::encode_log(&c.take_log()).into();
+                    let _ = writer.send(&Frame::Trace { run, clock, bytes });
+                }
                 let _ = release_tx.send((run, error));
             }
-            Ok((Frame::TraceReq { run }, _)) => {
-                // Always answer — the master waits for one reply per worker.
-                // Taking the log drains it, so each run ships only its own
-                // events; no sink means an empty payload.
-                let (clock, bytes) = host
-                    .trace_collector()
-                    .map(|c| (c.clock(), dps_obs::wire::encode_log(&c.take_log())))
-                    .unwrap_or_default();
-                let bytes = bytes.into();
-                let _ = writer.send(&Frame::Trace { run, clock, bytes });
-            }
-            Ok((Frame::Ping { nonce }, _)) => {
-                let _ = writer.send(&Frame::Pong { nonce });
+            Ok((Frame::Ping, _)) => {
+                let _ = writer.send(&Frame::Pong);
             }
             Ok((Frame::Die, _)) => {
                 // Scheduled crash: die *abruptly* — no Release handshake, no
@@ -678,8 +650,8 @@ fn harness_reader(mut rx: Box<dyn FrameRx>, host: Arc<ExecHost>, writer: Arc<Con
     while let Ok(bytes) = rx.recv() {
         match proto::decode_frame_on(bytes, &mut table) {
             Ok((exec @ Frame::Exec { .. }, captured)) => host.dispatch(exec, captured),
-            Ok((Frame::Ping { nonce }, _)) => {
-                let _ = writer.send(&Frame::Pong { nonce });
+            Ok((Frame::Ping, _)) => {
+                let _ = writer.send(&Frame::Pong);
             }
             Ok((Frame::Die, _)) => {
                 // In-process stand-in for a crash: stop reading and drop the
@@ -1108,8 +1080,7 @@ impl Master {
             meter,
             hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
             router,
-            pending: Mutex::new(HashMap::new()),
-            seq: AtomicU64::new(0),
+            lanes: (0..worker_count).map(|_| Mutex::default()).collect(),
             timeouts: cfg.timeouts,
             decls,
             dead,
@@ -1191,12 +1162,10 @@ impl Master {
                 });
             }
         }
-        self.mt.adopt(table.clone());
+        self.mt.adopt(table);
         if !self.shared.conns.is_empty() {
-            self.mt.set_remote_exec(Arc::new(NetRemote {
-                shared: self.shared.clone(),
-                decls: table,
-            }));
+            self.mt
+                .set_remote_exec(Arc::new(NetRemote(self.shared.clone())));
             // Hand the liveness layer its tombstoning lever into the control
             // plane (valid only once the engine threads exist, which
             // `fail_handle` ensures). A rank that died before this point is
@@ -1216,38 +1185,24 @@ impl Master {
     fn run_to_idle(&mut self, g: GraphHandle, expected: usize) -> Result<()> {
         self.ensure_net_ready()?;
         self.run_seq += 1;
-        match self.mt.wait_for_outputs(g, expected) {
-            Ok(()) => {
-                // Outputs first, then the release, on each connection: FIFO
-                // framing guarantees the worker's returning run_to_idle
-                // already sees every output.
-                let outs = self.mt.drain_outputs(g);
-                for tok in &outs {
-                    self.broadcast(&Frame::Output {
-                        app: g.app,
-                        graph: g.graph,
-                        token: Payload::Token(tok.as_ref()),
-                    });
-                }
-                self.collect_traces();
-                self.broadcast(&Frame::Release {
-                    run: self.run_seq,
-                    error: None,
+        let run = self.mt.wait_for_outputs(g, expected);
+        if run.is_ok() {
+            // Outputs first, then the release, on each connection: FIFO
+            // framing guarantees the worker's returning run_to_idle already
+            // sees every output.
+            let outs = self.mt.drain_outputs(g);
+            for tok in &outs {
+                self.broadcast(&Frame::Output {
+                    app: g.app,
+                    graph: g.graph,
+                    token: Payload::Token(tok.as_ref()),
                 });
-                self.out_buf
-                    .entry((g.app, g.graph))
-                    .or_default()
-                    .extend(outs);
-                Ok(())
             }
-            Err(e) => {
-                self.broadcast(&Frame::Release {
-                    run: self.run_seq,
-                    error: Some(e.to_string()),
-                });
-                Err(e)
-            }
+            let buf = self.out_buf.entry((g.app, g.graph)).or_default();
+            buf.extend(outs);
         }
+        self.release(run.as_ref().err());
+        run
     }
 
     /// Best-effort send to every worker (a dead one just fails its send).
@@ -1288,33 +1243,33 @@ impl Master {
         }
     }
 
-    /// Pull every worker's trace log of the finishing run into the master
-    /// collector — one `TraceReq`/`Trace` round per connection, *before*
-    /// the run's `Release` (FIFO framing keeps the order). Loopback
-    /// harnesses write into the master collector directly, so the presynced
-    /// role skips the wire round. Best-effort: only live workers are asked,
-    /// and a worker that cannot answer costs its events, never the run.
-    fn collect_traces(&self) {
+    /// Release the run on every worker, with its error if it failed, and
+    /// merge the trace log each traced worker answers a successful release
+    /// with before `run_to_idle` returns. Loopback harnesses write into the
+    /// master collector directly. Best-effort: a worker that cannot answer
+    /// costs its events, never the run.
+    fn release(&self, failed: Option<&DpsError>) {
+        let release = Frame::Release {
+            run: self.run_seq,
+            error: failed.map(DpsError::to_string),
+        };
+        let owed = (1..)
+            .zip(&self.shared.conns)
+            .map(|(rank, conn)| conn.send(&release).is_ok() && !self.shared.rank_dead(rank))
+            .collect();
         let Some(collector) = &self.trace else {
             return;
         };
-        if self.presynced || self.shared.conns.is_empty() {
+        if failed.is_some() || self.presynced {
             return;
         }
-        let req = Frame::TraceReq { run: self.run_seq };
-        let owed = (1..)
-            .zip(&self.shared.conns)
-            .map(|(rank, conn)| !self.shared.rank_dead(rank) && conn.send(&req).is_ok())
-            .collect();
         let _ = self.gather(owed, &self.trace_rx, |_, (run, clock, bytes)| {
             if run != self.run_seq {
                 return Ok(false); // stale reply of an earlier, timed-out round
             }
-            if !bytes.is_empty() {
-                match dps_obs::wire::decode_log(&bytes) {
-                    Some(log) => collector.ingest(&log, clock),
-                    None => eprintln!("dps-netengine: dropping an undecodable worker trace log"),
-                }
+            match dps_obs::wire::decode_log(&bytes) {
+                Some(log) => collector.ingest(&log, clock),
+                None => eprintln!("dps-netengine: dropping an undecodable worker trace log"),
             }
             Ok(true)
         });
@@ -1496,7 +1451,7 @@ impl dps_core::Engine for NetEngine {
             }
             Role::Worker(w) => {
                 // Worker lanes record locally; the log ships to the master
-                // in the per-run `TraceReq`/`Trace` round.
+                // in the `Trace` answering each successful `Release`.
                 assert!(!w.synced, "register the trace sink before the first run");
                 w.host.set_trace(sink);
             }
@@ -1631,9 +1586,9 @@ mod tests {
         assert_eq!(m.get(dps_obs::Counter::FramesSent), 23);
         let bytes = m.get(dps_obs::Counter::WireBytesSent);
         // Every frame is at least its discriminant; an `Exec` also carries
-        // 29 bytes of ids, a tagged 8-byte token and its wave.
+        // 21 bytes of ids, a tagged 8-byte token and its wave.
         assert!(
-            bytes > 23 * 4 + 10 * (29 + 4 + 18 + 8),
+            bytes > 23 * 4 + 10 * (21 + 4 + 18 + 8),
             "{bytes} wire bytes"
         );
         assert!(bytes < 23 * 200, "{bytes} wire bytes");
@@ -1718,16 +1673,22 @@ mod tests {
         }
     }
 
-    /// Seven `Exec`s in flight on one lane when their rank is declared
-    /// dead: every one of them fails with `NodeDown` then and there — the
-    /// exec timeout is an hour, so a single one left to wait it out would
-    /// hang the teardown — no reply slot outlives the rank, and the run
-    /// degrades to `NodeDown`, nothing else.
-    #[test]
-    fn declare_dead_fails_every_exec_in_flight_at_once() {
-        const SHARDS: usize = 8;
+    /// A traced loopback engine whose exec timeout is `exec` and whose
+    /// heartbeat is an hour, running [`Fan`] on node 0, [`Hold`] on node 1
+    /// and [`Sum`] back on node 0: `starts` has a unit each time the leaf
+    /// starts, and a unit on `open` lets one execution go.
+    struct Held {
+        eng: NetEngine,
+        g: GraphHandle,
+        shared: Arc<MasterShared>,
+        sink: Arc<TraceCollector>,
+        starts: Receiver<()>,
+        open: Sender<()>,
+    }
+
+    fn held(exec: Duration) -> Held {
         let mut cfg = NetEngineConfig::default();
-        cfg.timeouts.exec = Duration::from_secs(3600);
+        cfg.timeouts.exec = exec;
         cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
         let mut eng = NetEngine::loopback_with(2, cfg);
         let sink = TraceCollector::new();
@@ -1754,36 +1715,67 @@ mod tests {
             Role::Master(m) => m.shared.clone(),
             Role::Worker(_) => unreachable!("loopback engines are masters"),
         };
-        let patience = PATIENCE;
-
-        eng.submit(
+        Held {
+            eng,
             g,
-            Box::new(Job {
-                shards: SHARDS as u32,
-            }),
-        )
-        .unwrap();
+            shared,
+            sink,
+            starts,
+            open,
+        }
+    }
+
+    /// Seven `Exec`s in flight on one lane when their rank is declared
+    /// dead: every one of them fails with `NodeDown` then and there — the
+    /// exec timeout is an hour, so a single one left to wait it out would
+    /// hang the teardown — no reply slot outlives the rank, and the run
+    /// degrades to `NodeDown`, nothing else.
+    #[test]
+    fn declare_dead_fails_every_exec_in_flight_at_once() {
+        const SHARDS: usize = 8;
+        let mut h = held(Duration::from_secs(3600));
+        let patience = PATIENCE;
+        let frames = || h.sink.metrics().get(dps_obs::Counter::FramesSent);
+
+        h.eng
+            .submit(
+                h.g,
+                Box::new(Job {
+                    shards: SHARDS as u32,
+                }),
+            )
+            .unwrap();
         // The first shard holds the lane, and the proxy thread ends up
         // parked on its reply, with the rest of the wave (the flow window is
         // 8) shipped or in its queue: the job was enqueued, then the shards.
-        starts.recv_timeout(patience).expect("first shard started");
-        let enqueued = || sink.metrics().get(dps_obs::Counter::TokensEnqueued);
+        h.starts
+            .recv_timeout(patience)
+            .expect("first shard started");
+        let enqueued = || h.sink.metrics().get(dps_obs::Counter::TokensEnqueued);
         until("the whole wave queued", &|| enqueued() == 1 + SHARDS as u64);
         // Let that one go. The proxy ships whatever is still queued before
         // it waits again, on the second shard, which holds the lane in turn.
-        open.send(()).unwrap();
-        starts.recv_timeout(patience).expect("second shard started");
-        until("seven execs in flight", &|| {
-            shared.pending.lock().len() == SHARDS - 1
-        });
+        h.open.send(()).unwrap();
+        h.starts
+            .recv_timeout(patience)
+            .expect("second shard started");
+        // Eight `Exec`s shipped on the lane, and the first one's `Done`
+        // back: seven owed a reply. The lane's one channel is in the table.
+        until("seven execs in flight", &|| frames() == SHARDS as u64 + 1);
+        assert_eq!(
+            h.shared.lanes[0].lock().len(),
+            1,
+            "one reply channel per lane"
+        );
 
-        assert!(shared.declare_dead(1, "declared dead by the test"));
-        assert!(
-            shared.pending.lock().is_empty(),
+        assert!(h.shared.declare_dead(1, "declared dead by the test"));
+        assert_eq!(
+            h.shared.lanes[0].lock().len(),
+            0,
             "a reply slot outlived its rank"
         );
         let failed = Instant::now();
-        let err = eng.run_to_idle(g, 1).unwrap_err();
+        let err = h.eng.run_to_idle(h.g, 1).unwrap_err();
         assert!(
             matches!(err, DpsError::NodeDown { .. }),
             "degraded to {err}"
@@ -1791,14 +1783,14 @@ mod tests {
         // Free the harness lane (it shares this process), then tear down:
         // the control plane joins its threads, so this returns only once
         // every in-flight wait has.
-        drop(open);
-        eng.shutdown();
+        drop(h.open);
+        h.eng.shutdown();
         assert!(
             failed.elapsed() < patience,
             "an exec waited out its timeout"
         );
 
-        let log = sink.take_log();
+        let log = h.sink.take_log();
         let down = log
             .events
             .iter()
@@ -1809,8 +1801,42 @@ mod tests {
             .count();
         assert_eq!(down, SHARDS - 1, "one NodeDown per exec in flight");
         // Eight if the whole wave was queued before the proxy first waited.
-        let peak = sink.metrics().gauge(dps_obs::Gauge::RemoteInFlightPeak);
+        let peak = h.sink.metrics().gauge(dps_obs::Gauge::RemoteInFlightPeak);
         assert!(peak >= SHARDS as u64 - 1, "in-flight peak {peak}");
+    }
+
+    /// A gated leaf on node 1 outlasts the exec timeout: the run fails with a
+    /// `NodeDown` naming `DPS_NET_EXEC_TIMEOUT_MS`, and the rank is declared
+    /// dead (nothing else could: the heartbeat is an hour). The late `Done`
+    /// is dropped, not applied, and `shutdown` returns promptly.
+    #[test]
+    fn an_exec_timeout_declares_its_rank_dead_and_drops_the_late_reply() {
+        let mut h = held(Duration::from_millis(200));
+        let frames = || h.sink.metrics().get(dps_obs::Counter::FramesSent);
+
+        h.eng.submit(h.g, Box::new(Job { shards: 1 })).unwrap();
+        h.starts.recv_timeout(PATIENCE).expect("the leaf started");
+        let err = h.eng.run_to_idle(h.g, 1).unwrap_err();
+        assert!(
+            matches!(&err, DpsError::NodeDown { target, .. }
+                if target.contains("DPS_NET_EXEC_TIMEOUT_MS")),
+            "degraded to {err}"
+        );
+        assert!(h.eng.worker_down(1), "the timeout left its rank up");
+        assert_eq!(h.shared.lanes[0].lock().len(), 0, "the lane is still open");
+
+        // The `Exec` and the failed run's `Release` went out; the late
+        // `Done` is the third frame, and nothing waits for it.
+        assert_eq!(frames(), 2);
+        h.open.send(()).unwrap();
+        until("the late reply", &|| frames() == 3);
+        assert!(
+            h.eng.take_outputs(h.g).is_empty(),
+            "the late reply was applied"
+        );
+        let torn_down = Instant::now();
+        h.eng.shutdown();
+        assert!(torn_down.elapsed() < PATIENCE, "shutdown waited");
     }
 
     /// Claims and closes on a lease of rank 1 — six from ops of the master

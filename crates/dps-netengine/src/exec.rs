@@ -128,7 +128,6 @@ impl Conn {
 
 /// One remote task, as dispatched to an executor lane.
 struct Job {
-    pub seq: u64,
     pub graph: u32,
     pub node: dps_core::GNodeId,
     pub kind: RemoteKind,
@@ -184,7 +183,6 @@ impl ExecHost {
     /// would have locally.
     pub fn dispatch(&self, exec: Frame<'_>, shared: Captured) {
         let Frame::Exec {
-            seq,
             app,
             tc,
             thread,
@@ -199,7 +197,6 @@ impl ExecHost {
         };
         let token = token.into_bytes();
         let job = Job {
-            seq,
             graph,
             node,
             kind,
@@ -279,8 +276,8 @@ struct Lane {
 
 /// One executor lane: owns the thread data and op instances of one DPS
 /// thread, replays jobs strictly in arrival order, replies with one `Done`
-/// frame per job in that same order — what lets the master keep several
-/// `Exec`s of the thread in flight.
+/// per job in that same order — the order the master matches a reply to its
+/// `Exec` by, and what lets it keep several `Exec`s of the thread in flight.
 fn executor_loop(
     decls: Arc<DeclStore>,
     writer: Arc<Conn>,
@@ -297,7 +294,6 @@ fn executor_loop(
     // What the lane's operations post, reused from job to job.
     let mut out = OpOutput::default();
     while let Ok(job) = rx.recv() {
-        let seq = job.seq;
         let (graph, node) = (job.graph, job.node);
         let at = At { app, graph, node };
         let wave = job.wave as u32;
@@ -332,7 +328,9 @@ fn executor_loop(
         };
         // The posted tokens are encoded once, straight into the reply.
         let sent = writer.send(&Frame::Done {
-            seq,
+            app,
+            tc,
+            thread,
             posts: out
                 .posts
                 .iter()
@@ -927,12 +925,12 @@ mod tests {
             ..sent.clone()
         };
         drop((panel, sent));
-        conn.send(&Frame::Ping { nonce: 1 }).unwrap();
+        conn.send(&Frame::Ping).unwrap();
 
         let first = take(&mut rx, &mut table);
         assert_eq!(table.len(), 1, "the panel went by the table");
         let (ping, _) = proto::decode_frame_on(rx.recv().unwrap(), &mut table).unwrap();
-        assert_eq!(ping, Frame::Ping { nonce: 1 });
+        assert_eq!(ping, Frame::Ping);
         assert!(table.is_empty(), "retired: {table:?}");
         assert_eq!(decode(&first), want);
     }
@@ -965,7 +963,7 @@ mod tests {
         });
         let received: Vec<_> = (0..2 * ROUNDS).map(|_| take(&mut rx, &mut table)).collect();
         drop(common);
-        conn.send(&Frame::Ping { nonce: 2 }).unwrap();
+        conn.send(&Frame::Ping).unwrap();
         proto::decode_frame_on(rx.recv().unwrap(), &mut table).unwrap();
         assert!(table.is_empty(), "{table:?}");
 

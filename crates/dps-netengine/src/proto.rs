@@ -25,17 +25,16 @@
 //! | `Hello` | worker → master | first frame after connect; announces the rank |
 //! | `Welcome` | master → worker | accepts the worker; cluster size |
 //! | `Sync` | worker → master | declarations done; carries the declaration signature |
-//! | `Exec` | master → worker | run one op execution point ([`RemoteKind`]) of one wave |
-//! | `Done` | worker → master | the `Exec` reply: posted tokens + chunk reports, or an error |
+//! | `Exec` | master → worker | run one op execution point ([`RemoteKind`]) of one wave, on the lane of one thread |
+//! | `Done` | worker → master | the reply to the lane's oldest unanswered `Exec`: posted tokens + chunk reports, or an error |
 //! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
 //! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
 //! | `Output` | master → worker | a token left a graph (broadcast, so SPMD asserts see outputs) |
 //! | `Release` | master → worker | one `run_to_idle` finished (error message if it failed) |
 //! | `Shutdown` | master → worker | the run is over; stop executors and exit |
-//! | `TraceReq` | master → worker | ship your trace log of the finishing run |
-//! | `Trace` | worker → master | the encoded local trace log (empty when untraced) and the worker's clock |
+//! | `Trace` | worker → master | a traced worker's answer to a successful `Release`: its trace log of the run and its clock |
 //! | `Ping` | master → worker | liveness probe; a healthy worker answers immediately |
-//! | `Pong` | worker → master | the `Ping` echo (same `nonce`); resets the miss budget |
+//! | `Pong` | worker → master | the `Ping` answer; resets the miss budget |
 //! | `Die` | master → worker | fault injection: crash the worker process *now* |
 //!
 //! ```
@@ -134,10 +133,9 @@ pub enum Frame<'a> {
         /// Declaration-table signature.
         sig: u64,
     },
-    /// Run one op execution point on the worker hosting this thread.
+    /// Run one op execution point on the thread's lane in the worker
+    /// hosting it, after the lane's earlier `Exec`s.
     Exec {
-        /// Reply-matching sequence number.
-        seq: u64,
         /// Application index (declaration order).
         app: u32,
         /// Thread collection within the application.
@@ -155,10 +153,15 @@ pub enum Frame<'a> {
         /// The wave: [`dps_mt::RemoteTask::wave`].
         wave: u64,
     },
-    /// The reply to `Exec` with the matching `seq`.
+    /// The reply to the oldest unanswered `Exec` of the lane `(app, tc,
+    /// thread)`: the k-th `Done` of a lane answers its k-th `Exec`.
     Done {
-        /// Matches the `Exec` sequence number.
-        seq: u64,
+        /// Application index of the lane's thread.
+        app: u32,
+        /// Thread collection of the lane's thread.
+        tc: u32,
+        /// The lane's thread index within the collection.
+        thread: u32,
         /// The tokens the op posted, in post order.
         posts: Vec<Payload<'a>>,
         /// `(iters, secs)` per completed scheduled chunk (worker wall clock).
@@ -202,41 +205,27 @@ pub enum Frame<'a> {
     },
     /// The engine is shutting down; stop executors and exit.
     Shutdown,
-    /// Master asks the worker for its trace log of the finishing run. Sent
-    /// between the run's `Output` frames and its `Release`, so a traced
-    /// run's events are merged master-side before the workers unblock.
-    TraceReq {
-        /// Run ordinal the request belongs to (matches the next `Release`).
-        run: u64,
-    },
-    /// The worker's reply to `TraceReq`: its local trace log in the
-    /// `dps_obs::wire` encoding, drained by the send. Empty when the worker
-    /// has no trace sink — the master skips decoding then, so untraced
-    /// workers cost one empty frame per run and nothing else.
+    /// A traced worker's answer to a successful `Release`: its trace log of
+    /// the run, taken (and so drained) before its `run_to_idle` returns. An
+    /// untraced worker sends none.
     Trace {
-        /// Matches the `TraceReq` run ordinal.
+        /// The released run's ordinal.
         run: u64,
         /// The worker collector's `TraceCollector::clock` — the system
         /// clock and its own, read together — with which the master moves
-        /// the log onto its epoch. `(0, 0)` when no sink is attached.
+        /// the log onto its epoch.
         clock: (u64, u64),
-        /// `dps_obs::wire::encode_log` bytes (empty = no sink attached).
+        /// `dps_obs::wire::encode_log` bytes.
         bytes: Bytes,
     },
     /// Liveness probe from the master's heartbeat monitor. A healthy
-    /// worker's reader thread answers with a [`Frame::Pong`] carrying the
-    /// same nonce; a worker that stops answering for a full miss budget is
-    /// declared dead (see `NetTimeouts`).
-    Ping {
-        /// Echoed back in the matching `Pong` (monotone per connection).
-        nonce: u64,
-    },
-    /// The `Ping` echo. Any inbound frame proves liveness — the nonce is
-    /// for trace readability, not matching.
-    Pong {
-        /// The probed nonce.
-        nonce: u64,
-    },
+    /// worker's reader thread answers with a [`Frame::Pong`]; a worker that
+    /// stops answering for a full miss budget is declared dead (see
+    /// `NetTimeouts`).
+    Ping,
+    /// The `Ping` answer. Any inbound frame proves liveness; this one
+    /// guarantees there is one.
+    Pong,
     /// Fault injection only: the worker process must terminate immediately
     /// and *abruptly* — no Release handshake, no clean shutdown — so the
     /// master's death-detection path (EOF + heartbeat miss) is exercised
@@ -248,17 +237,17 @@ impl_wire_enum!(Frame<'a> {
     0 => Hello { rank },
     1 => Welcome { nodes },
     2 => Sync { sig },
-    3 => Exec { seq, app, tc, thread, graph, node, kind, token, wave },
-    4 => Done { seq, posts, reports, error },
+    3 => Exec { app, tc, thread, graph, node, kind, token, wave },
+    4 => Done { app, tc, thread, posts, reports, error },
     5 => Hub { req, body },
     6 => HubReply { req, body },
     7 => Output { app, graph, token },
     8 => Release { run, error },
     9 => Shutdown { },
-    10 => TraceReq { run },
+    // Tag 10 is retired, so that the kinds after it keep their bytes.
     11 => Trace { run, clock, bytes },
-    12 => Ping { nonce },
-    13 => Pong { nonce },
+    12 => Ping { },
+    13 => Pong { },
     14 => Die { },
 });
 
@@ -347,7 +336,6 @@ mod tests {
         roundtrip(&Frame::Welcome { nodes: 3 });
         roundtrip(&Frame::Sync { sig: u64::MAX });
         roundtrip(&Frame::Exec {
-            seq: 9,
             app: 0,
             tc: 1,
             thread: 2,
@@ -358,13 +346,17 @@ mod tests {
             wave: 77,
         });
         roundtrip(&Frame::Done {
-            seq: 9,
+            app: 0,
+            tc: 1,
+            thread: 2,
             posts: vec![Payload::empty(), run(&[255; 9])],
             reports: vec![(12, 0.5)],
             error: None,
         });
         roundtrip(&Frame::Done {
-            seq: 10,
+            app: 1,
+            tc: 0,
+            thread: 0,
             posts: vec![],
             reports: vec![],
             error: Some("op failed".into()),
@@ -387,7 +379,6 @@ mod tests {
             error: Some("timed out".into()),
         });
         roundtrip(&Frame::Shutdown);
-        roundtrip(&Frame::TraceReq { run: 5 });
         roundtrip(&Frame::Trace {
             run: 5,
             clock: (1_760_000_000_000_000_000, 12_345),
@@ -398,8 +389,8 @@ mod tests {
             clock: (0, 0),
             bytes: Bytes::new(),
         });
-        roundtrip(&Frame::Ping { nonce: 41 });
-        roundtrip(&Frame::Pong { nonce: 41 });
+        roundtrip(&Frame::Ping);
+        roundtrip(&Frame::Pong);
         roundtrip(&Frame::Die);
     }
 
@@ -412,8 +403,12 @@ mod tests {
     /// `to_bytes` of the same frames with `encode_token` output in
     /// `Vec<u8>` fields): the layout did not move. The `Trace` frame
     /// carries the worker's clock between its run and its log. Re-pinned
-    /// once on purpose: an `Exec` names its wave by id in place of an
-    /// envelope, and the `Welcome` carries the cluster size alone.
+    /// on purpose twice: once when an `Exec` came to name its wave by id in
+    /// place of an envelope, and the `Welcome` to carry the cluster size
+    /// alone; once when an `Exec` and its `Done` lost their sequence number
+    /// (the `Done` names its lane's thread instead, and a lane's replies
+    /// come in its order), and `Ping` / `Pong` the number they echoed,
+    /// which nothing read.
     #[test]
     fn token_frames_keep_their_golden_bytes() {
         let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
@@ -422,7 +417,6 @@ mod tests {
             (Frame::Welcome { nodes: 3 }, "0100000003000000"),
             (
                 Frame::Exec {
-                    seq: 9,
                     app: 0,
                     tc: 1,
                     thread: 2,
@@ -432,12 +426,11 @@ mod tests {
                     token: Payload::Token(&exec_tok),
                     wave: 77,
                 },
-                "0300000009000000000000000000000001000000020000000000000004000000\
-                 021200000051b9c7df8a7836b90200d2040000000000004d00000000000000",
+                "030000000000000001000000020000000000000004000000021200000051b9c7\
+                 df8a7836b90200d2040000000000004d00000000000000",
             ),
             (
                 Frame::Exec {
-                    seq: 10,
                     app: 1,
                     tc: 0,
                     thread: 0,
@@ -447,29 +440,33 @@ mod tests {
                     token: Payload::empty(),
                     wave: 77,
                 },
-                "030000000a000000000000000100000000000000000000000200000001000000\
-                 03000000004d00000000000000",
+                "03000000010000000000000000000000020000000100000003000000004d0000\
+                 0000000000",
             ),
             (
                 Frame::Done {
-                    seq: 9,
+                    app: 0,
+                    tc: 1,
+                    thread: 2,
                     posts: vec![Payload::Token(&one), Payload::Token(&max)],
                     reports: vec![(12, 0.5)],
                     error: None,
                 },
-                "040000000900000000000000020000001200000051b9c7df8a7836b902000100\
-                 0000000000001200000051b9c7df8a7836b90200ffffffffffffffff01000000\
-                 0c00000000000000000000000000e03f00",
+                "04000000000000000100000002000000020000001200000051b9c7df8a7836b9\
+                 020001000000000000001200000051b9c7df8a7836b90200ffffffffffffffff\
+                 010000000c00000000000000000000000000e03f00",
             ),
             (
                 Frame::Done {
-                    seq: 10,
+                    app: 1,
+                    tc: 0,
+                    thread: 0,
                     posts: vec![],
                     reports: vec![],
                     error: Some("op failed".into()),
                 },
-                "040000000a00000000000000000000000000000001090000006f70206661696c\
-                 6564",
+                "04000000010000000000000000000000000000000000000001090000006f7020\
+                 6661696c6564",
             ),
             (
                 Frame::Output {
@@ -489,6 +486,8 @@ mod tests {
                 "0b00000005000000000000000100000000000000020000000000000005000000\
                  0700ff1020",
             ),
+            (Frame::Ping, "0c000000"),
+            (Frame::Pong, "0d000000"),
         ];
         for (frame, want) in &golden {
             let bytes = dps_serial::to_bytes(frame);

@@ -852,9 +852,12 @@ fn traced_matmul_across_processes_sends_each_strip_once() {
     }
 }
 
-/// Frames through rank 0 of `traced_matmul_across_processes_sends_each_strip_once`,
-/// as the commit before connection buffer tables counted them.
-const MATMUL_FRAMES: u64 = 25;
+/// Frames through rank 0 of `traced_matmul_across_processes_sends_each_strip_once`:
+/// 25 as the commit before connection buffer tables counted them, less
+/// the trace request each of the two runs (the loader's and the
+/// product's) sent its worker before a traced worker answered its
+/// `Release` with its log unasked.
+const MATMUL_FRAMES: u64 = 23;
 
 /// Fault tolerance across real processes: a worker carrying a scheduled
 /// kill dies abruptly mid-scheduled-LU (no Release handshake — the master
