@@ -1046,7 +1046,7 @@ impl Substrate for SimRt {
             On::Lane(ran) => {
                 let (start, end) = (ran.start, ran.start + ran.hold);
                 let track = (ran.host.0 as u16, ran.tk.thread as u16);
-                Rec::at(tracer, track, now).op(start.as_nanos(), Some(end.as_nanos()))
+                Rec::at(tracer, track, now).op(start.as_nanos(), end.as_nanos())
             }
             On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
         }))

@@ -71,6 +71,8 @@ pub struct FrameKey {
     pub index: u32,
 }
 
+impl_wire!(FrameKey { src, wave, index });
+
 impl From<Frame> for FrameKey {
     fn from(f: Frame) -> Self {
         FrameKey {
@@ -317,6 +319,13 @@ pub struct WaveKey {
     /// wave shape in another call).
     pub calls: Vec<CallFrame>,
 }
+
+impl_wire!(WaveKey {
+    src,
+    wave,
+    parents,
+    calls
+});
 
 #[cfg(test)]
 mod tests {

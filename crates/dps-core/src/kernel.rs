@@ -34,6 +34,7 @@ use std::sync::Arc;
 
 use dps_obs::{fault_code, Counter, EventKind, LabelId, TraceCollector, TraceWriter};
 use dps_sched::FeedbackSink;
+use dps_serial::{impl_wire, impl_wire_enum};
 
 use crate::decls::{Decls, GraphHandle};
 use crate::envelope::{CallFrame, Envelope, Frame, GNodeId, WaveKey};
@@ -92,9 +93,6 @@ fn make_op(gnode: &GraphNode) -> Result<Box<dyn DynOp>> {
 /// tokens arrived against how many its producer posted (rule 1), the id its
 /// stream output travels under (rule 3), and its operation instance (rule 7).
 ///
-/// A thread that only accounts for a wave executed elsewhere (`dps-mt`
-/// with a remote host) never asks for the instance; the host executing it
-/// never counts.
 pub struct Wave {
     /// Graph the wave is consumed in.
     pub graph: u32,
@@ -501,6 +499,8 @@ pub struct At {
     pub node: GNodeId,
 }
 
+impl_wire!(At { app, graph, node });
+
 /// Where the result of a graph call continues: the call node, and the
 /// envelope the call was made under.
 #[derive(Debug, Clone)]
@@ -710,10 +710,9 @@ impl<'a> Rec<'a> {
         }
     }
 
-    /// On a lane whose operation started at `start` and ended at `end`;
-    /// `None` if it ran in another process, whose host records its span
-    /// (`start` is then when it was shipped).
-    pub fn op(self, start: u64, end: Option<u64>) -> Self {
+    /// On a lane whose operation started at `start` and ended at `end`.
+    pub fn op(self, start: u64, end: u64) -> Self {
+        let end = Some(end);
         Self { start, end, ..self }
     }
 
@@ -786,15 +785,18 @@ fn enqueue<S: Substrate>(s: &S, src: u32, tok: &dyn Token, env: &Envelope) -> Se
 }
 
 /// The thread of `lane` took `tok`, under `env` and `sent` to it, off its
-/// queue: a traced token's flow ends.
+/// queue: a traced token's flow ends ([`took`]).
 pub fn taken<S: Substrate>(s: &S, lane: &mut S::Lane, tok: &dyn Token, env: &Envelope, sent: Sent) {
-    let Some(flow) = sent.map(|flow| flow.get() - 1) else {
-        return;
-    };
-    s.trace(On::Lane(lane), |mut rec| {
-        let (token, wave) = (rec.tracer.token(tok), env_wave(env));
-        rec.record(rec.now, EventKind::TokenDeliver { token, wave, flow });
-    });
+    if let Some(flow) = sent {
+        s.trace(On::Lane(lane), |rec| took(rec, tok, env, flow));
+    }
+}
+
+/// The thread whose track `rec` lends, here or in the process serving it,
+/// took `tok`, under `env` and `sent` to it: a traced token's flow ends.
+pub fn took(mut rec: Rec<'_>, tok: &dyn Token, env: &Envelope, sent: NonZeroU64) {
+    let (token, wave, flow) = (rec.tracer.token(tok), env_wave(env), sent.get() - 1);
+    rec.record(rec.now, EventKind::TokenDeliver { token, wave, flow });
 }
 
 // ---------------------------------------------------------------------------
@@ -908,7 +910,9 @@ pub fn route_pin<S: Substrate + ?Sized>(
     pins.route(key, routed, |t| s.node_up(s.decls().host(to.app, tc, t)))
 }
 
-fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
+/// The delivery to `to`, on thread `thread` of collection `tc`, whose node
+/// is dead, cannot be re-queued elsewhere.
+pub fn node_down<S: Substrate>(s: &S, to: At, tc: u32, thread: u32) -> DpsError {
     let d = s.decls();
     DpsError::NodeDown {
         node: d.node_name(d.host(to.app, tc, thread)).to_string(),
@@ -922,34 +926,6 @@ pub enum Served<'a> {
     Node(&'a mut Instances, (u32, u32)),
     /// The instance of this merge/stream wave.
     Wave(&'a mut Wave),
-}
-
-/// Run the operation at `gnode` for one arrival into `out`, which the
-/// calling thread keeps from one run to the next: it is cleared first
-/// ([`OpOutput::clear`]), then `on_token` runs if a token arrived, then
-/// `on_finalize` if the arrival completes the wave. The caller drains the
-/// posts (into [`then`]), so a run allocates nothing for them.
-pub fn step(
-    served: Served<'_>,
-    gnode: &GraphNode,
-    token: Option<TokenBox>,
-    finalize: bool,
-    data: &mut dyn Any,
-    info: ExecInfo,
-    out: &mut OpOutput,
-) -> Result<()> {
-    let op = match served {
-        Served::Node(inst, slot) => inst.node_op(slot, gnode)?,
-        Served::Wave(wave) => wave.op(gnode)?,
-    };
-    out.clear();
-    if let Some(token) = token {
-        op.on_token(out, data, info, &gnode.name, token)?;
-    }
-    if finalize {
-        op.on_finalize(out, data, info, &gnode.name)?;
-    }
-    Ok(())
 }
 
 /// The widest collection whose load snapshot [`route_to`] takes on its
@@ -1172,6 +1148,49 @@ pub fn bury<S: Substrate>(
     }
 }
 
+/// Rules 6 and 8 for node `node`, dead, whose threads another process
+/// served (after [`bury`]): nothing they held comes back. A wave pinned on
+/// one of them is lost, and so are the `n` data objects `owed` says thread
+/// `(app, tc, thread)` did not answer: either fails the run `NodeDown`.
+pub fn lose_served<S: Substrate>(s: &mut S, node: u32, owed: Option<((u32, u32, u32), u32)>) {
+    let d = s.decls();
+    let mut lost = None;
+    for (app, a) in (0..).zip(d.apps()) {
+        for graph in 0..a.graphs.len() as u32 {
+            let def = d.def(app, graph);
+            let on_node = |key: &WaveKey, thread| {
+                let at = At {
+                    app,
+                    graph,
+                    node: close_node(def, key).ok()?,
+                };
+                let tc = def.node(at.node).tc;
+                (d.host(app, tc, thread) == node).then_some((at, tc, thread))
+            };
+            // The first by id: no rule reads a table in iteration order.
+            let pinned = s.pins(app, graph, |pins| {
+                let on = pins.0.iter().filter_map(|(key, slot)| match *slot {
+                    Slot::Pinned(thread) => on_node(key, thread).map(|on| (key.wave, on)),
+                    Slot::Parked(_) => None,
+                });
+                on.min_by_key(|&(wave, _)| wave).map(|(_, on)| on)
+            });
+            if let (None, Some((at, tc, thread))) = (&lost, pinned) {
+                lost = Some((app, node_down(s, at, tc, thread)));
+            }
+        }
+    }
+    let lost = lost.or_else(|| {
+        let ((app, tc, thread), n) = owed?;
+        let target = format!("thread {thread} of collection {tc} ({n} unanswered)");
+        let node = d.node_name(node).to_string();
+        Some((app, DpsError::NodeDown { node, target }))
+    });
+    if let Some((app, e)) = lost {
+        s.fail(app, e);
+    }
+}
+
 /// Release what flow `key` may release now; each post goes through [`emit`].
 pub fn pump<S: Substrate>(s: &mut S, app: u32, graph: u32, key: FlowKey) {
     release(s, app, graph, key, false);
@@ -1211,11 +1230,26 @@ pub struct Ready<'a> {
 }
 
 impl Ready<'_> {
-    /// Run it here, into the thread's `out`: [`step`].
+    /// Run it into `out`, which the calling thread keeps from one run to the
+    /// next: it is cleared first ([`OpOutput::clear`]), then `on_token` runs
+    /// if a token arrived, then `on_finalize` if the arrival completes the
+    /// wave. The caller drains the posts (into [`then`]), so a run allocates
+    /// nothing for them.
     #[inline]
     pub fn run(self, data: &mut dyn Any, info: ExecInfo, out: &mut OpOutput) -> Result<()> {
-        let (served, gnode, token) = (self.served, self.gnode, self.token);
-        step(served, gnode, token, self.completes, data, info, out)
+        let gnode = self.gnode;
+        let op = match self.served {
+            Served::Node(inst, slot) => inst.node_op(slot, gnode)?,
+            Served::Wave(wave) => wave.op(gnode)?,
+        };
+        out.clear();
+        if let Some(token) = self.token {
+            op.on_token(out, data, info, &gnode.name, token)?;
+        }
+        if self.completes {
+            op.on_finalize(out, data, info, &gnode.name)?;
+        }
+        Ok(())
     }
 }
 
@@ -1252,7 +1286,7 @@ pub fn serve<'a>(
     let (served, token, completes, then) = match (gnode.kind, what) {
         (OpKind::Split | OpKind::Leaf, Arrival::Token(token)) => {
             let served = Served::Node(inst, (at.graph, at.node.0));
-            (served, Some(token), false, Then::Exec(at, env))
+            (served, Some(token), false, Then::Exec { at, env })
         }
         (OpKind::Merge | OpKind::Stream, what) => {
             let key = env.wave_key().expect("validated depth >= 1");
@@ -1279,7 +1313,7 @@ pub fn serve<'a>(
                 completes,
                 consumed: token.is_some(),
             };
-            (Served::Wave(wave), token, completes, Then::Wave(step))
+            (Served::Wave(wave), token, completes, Then::Wave { step })
         }
         (OpKind::Call | OpKind::CallSplit, Arrival::Token(token)) => {
             return Ok(Serve::Call(at, env, token));
@@ -1296,13 +1330,47 @@ pub fn serve<'a>(
 }
 
 /// What the posts of the operation [`serve`] picked call for, once it ran —
-/// here, or in another process that sent them back.
+/// here, or in the process serving the thread, which sends it back with
+/// them (it is a [`Wire`](dps_serial::Wire) value).
+#[derive(Debug, Clone, PartialEq)]
 pub enum Then {
-    /// A split/leaf ran at `At`, under this envelope.
-    Exec(At, Envelope),
+    /// A split/leaf ran at `at`, under `env`.
+    Exec {
+        /// The split/leaf.
+        at: At,
+        /// The envelope it ran under.
+        env: Envelope,
+    },
     /// A merge/stream consumed and/or finalized one step of its wave.
-    Wave(WaveStep),
+    Wave {
+        /// The step.
+        step: WaveStep,
+    },
 }
+
+impl Then {
+    /// The wave this step completed, if it did: a process that ran the step
+    /// for another one's [`then`] drops the wave's record itself.
+    pub fn completed(&self) -> Option<&WaveKey> {
+        match self {
+            Then::Wave { step } if step.completes => Some(&step.key),
+            _ => None,
+        }
+    }
+
+    /// The arrival the step served was a data object, not a wave's close.
+    pub fn took_token(&self) -> bool {
+        match self {
+            Then::Exec { .. } => true,
+            Then::Wave { step } => step.consumed,
+        }
+    }
+}
+
+impl_wire_enum!(Then {
+    0 => Exec { at, env },
+    1 => Wave { step },
+});
 
 /// The operation [`serve`] picked ran on `lane`, on cluster node `src`, and
 /// came back with `posts`, having marked a scheduled chunk of `marked`
@@ -1319,8 +1387,8 @@ pub fn then<S: Substrate>(
     marked: Option<u64>,
 ) -> Result<Option<FlowKey>> {
     match then {
-        Then::Exec(at, env) => after_exec(s, lane, at, src, env, posts.into_iter(), marked),
-        Then::Wave(step) => {
+        Then::Exec { at, env } => after_exec(s, lane, at, src, env, posts.into_iter(), marked),
+        Then::Wave { step } => {
             after_wave(s, lane, step, src, posts.into_iter(), marked).map(|()| None)
         }
     }
@@ -1373,6 +1441,7 @@ fn after_exec<S: Substrate>(
 }
 
 /// One step of a merge/stream wave, from [`serve`] to [`then`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaveStep {
     /// The merge/stream node.
     at: At,
@@ -1387,6 +1456,15 @@ pub struct WaveStep {
     /// The arrival was a token (it returns a flow credit), not the close.
     consumed: bool,
 }
+
+impl_wire!(WaveStep {
+    at,
+    key,
+    parent_env,
+    out_wave,
+    completes,
+    consumed
+});
 
 /// A consume and/or finalize ran on cluster node `src` and came back with
 /// `posts`: a completed merge's output moves on, a stream's posts join its

@@ -56,7 +56,7 @@ pub struct Post {
 
 /// Type-erased execution record filled in by an operation run; consumed by
 /// the engine. An engine thread keeps one and reuses it from run to run
-/// (`kernel::step` clears it first), draining the posts after each, so the
+/// (`kernel::Ready::run` clears it first), draining the posts after each, so the
 /// post buffer is allocated once per thread, not once per run.
 #[derive(Debug, Default)]
 pub struct OpOutput {

@@ -981,7 +981,7 @@ impl Substrate for Fake {
         let mut tracer = self.tracer.borrow_mut();
         let (tracer, now) = (tracer.as_mut()?, self.clock);
         Some(f(match on {
-            On::Lane(thread) => Rec::at(tracer, (*thread as u16, 0), now).op(now, Some(now)),
+            On::Lane(thread) => Rec::at(tracer, (*thread as u16, 0), now).op(now, now),
             On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
         }))
     }
@@ -1150,7 +1150,10 @@ fn a_miscounted_reply_is_a_contract_error() {
     let post = || Box::new(Mid { i: 0 }) as TokenBox;
     for posts in [vec![], vec![post(), post()]] {
         let n = posts.len();
-        let exec = Then::Exec(leaf, Envelope::root());
+        let exec = Then::Exec {
+            at: leaf,
+            env: Envelope::root(),
+        };
         let e = kernel::then(&mut fake, &mut 0, exec, 0, posts, None).unwrap_err();
         assert!(
             e.to_string().contains(&format!("returned {n} posts")),
@@ -1243,7 +1246,7 @@ fn serve_runs_a_split_token_where_it_arrived() {
     let mut inst = Instances::default();
     let what = Arrival::Token(Box::new(In { n: 3 }));
     let served = kernel::serve(&d, &mut inst, split, what, Envelope::root(), no_wave).unwrap();
-    let Serve::Run(ready, Then::Exec(at, env)) = served else {
+    let Serve::Run(ready, Then::Exec { at, env }) = served else {
         panic!("a split token runs the split");
     };
     assert_eq!((at, env), (split, Envelope::root()));
@@ -1269,7 +1272,7 @@ fn serve_enters_a_wave_once_and_counts_every_arrival() {
             40 + asked
         };
         let served = kernel::serve(&d, &mut inst, merge, arrival(index), env, out_wave).unwrap();
-        let Serve::Run(ready, Then::Wave(_)) = served else {
+        let Serve::Run(ready, Then::Wave { .. }) = served else {
             panic!("a merge token runs a step of its wave");
         };
         assert!(ready.token.is_some());
@@ -1295,7 +1298,7 @@ fn interleaved_waves_keep_their_own_records() {
         let env = in_wave(&d, wave, index, None);
         let out_wave = || ids.next().unwrap();
         let served = kernel::serve(&d, &mut inst, stream, arrival(index), env, out_wave).unwrap();
-        let Serve::Run(ready, Then::Wave(_)) = served else {
+        let Serve::Run(ready, Then::Wave { .. }) = served else {
             panic!("a stream token runs a step of its wave");
         };
         assert!(!ready.completes, "no total has arrived");
@@ -1332,7 +1335,7 @@ fn a_close_with_tokens_missing_waits() {
 
     let last = in_wave(&d, 1, 1, None);
     let served = kernel::serve(&d, &mut inst, merge, arrival(1), last, no_wave).unwrap();
-    let Serve::Run(ready, Then::Wave(_)) = served else {
+    let Serve::Run(ready, Then::Wave { .. }) = served else {
         panic!("the last token runs");
     };
     assert!(ready.completes, "the close's total is counted against it");
@@ -1357,7 +1360,7 @@ fn a_close_after_the_last_token_runs_the_finalize_alone() {
     let close = Arrival::Close(2);
     let env = in_wave(&d, 1, 0, None);
     let served = kernel::serve(&d, &mut inst, merge, close, env, no_wave).unwrap();
-    let Serve::Run(ready, Then::Wave(_)) = served else {
+    let Serve::Run(ready, Then::Wave { .. }) = served else {
         panic!("a close after every token completes the wave");
     };
     assert!(ready.token.is_none() && ready.completes);
@@ -1365,6 +1368,76 @@ fn a_close_after_the_last_token_runs_the_finalize_alone() {
     assert_eq!(posts.len(), 1);
     let out = dps_core::downcast::<Out>(posts.pop().unwrap().token).unwrap();
     assert_eq!(out.n, 2, "the finalize saw both consumes");
+}
+
+/// A `Then` crosses the wire whole: a split's, and a wave step's — whose key
+/// goes as its parent envelope under the wave's source and id — come back
+/// equal, and tell the same about the wave they completed and the arrival
+/// they served.
+#[test]
+fn a_then_crosses_the_wire_whole() {
+    use dps_serial::Wire;
+    let d = declare(Shape::Leaf);
+    let (split, merge) = (node_of(&d, OpKind::Split), node_of(&d, OpKind::Merge));
+    let mut inst = Instances::default();
+    let mut thens = Vec::new();
+    let what = Arrival::Token(Box::new(In { n: 1 }));
+    let served = kernel::serve(&d, &mut inst, split, what, Envelope::root(), no_wave).unwrap();
+    let Serve::Run(ready, then) = served else {
+        panic!("a split token runs the split");
+    };
+    posts_of(ready, 0).unwrap();
+    thens.push(then);
+    // Under an outer wave, inside a call.
+    let nested = |index, total| {
+        let mut env = Envelope::root();
+        env.calls.push(CallFrame {
+            caller_app: 1,
+            caller_graph: 0,
+            call_node: GNodeId(4),
+            call_id: 12,
+        });
+        env.push(Frame {
+            src: GNodeId(9),
+            wave: 3,
+            index: 2,
+            total: None,
+        });
+        env.push(in_wave(&d, 7, index, total).frames[0]);
+        env
+    };
+    for (what, env) in [
+        (arrival(0), nested(0, None)),
+        (arrival(1), nested(1, None)),
+        (Arrival::Close(2), nested(0, None)),
+    ] {
+        let served = kernel::serve(&d, &mut inst, merge, what, env, || 5).unwrap();
+        let Serve::Run(ready, then) = served else {
+            panic!("a merge arrival runs a step of its wave");
+        };
+        posts_of(ready, 0).unwrap();
+        thens.push(then);
+    }
+    let key = nested(0, None).wave_key().unwrap();
+    let told: Vec<(bool, Option<&WaveKey>)> = (thens.iter())
+        .map(|t| (t.took_token(), t.completed()))
+        .collect();
+    assert_eq!(
+        told,
+        [
+            (true, None),
+            (true, None),
+            (true, None),
+            (false, Some(&key))
+        ]
+    );
+    for then in &thens {
+        let bytes = dps_serial::to_bytes(then);
+        assert_eq!(bytes.len(), then.wire_size());
+        let back: Then = dps_serial::from_bytes(&bytes).unwrap();
+        assert_eq!(&back, then);
+        assert_eq!(back.completed(), then.completed());
+    }
 }
 
 /// A close whose total is below what already arrived is a contract error,
@@ -1413,7 +1486,10 @@ fn then_moves_a_leaf_post_on_to_its_successor() {
     let merge = fake.merge().id;
     let env = in_wave(&fake.decls, 1, 0, Some(1));
     let post = Box::new(Mid { i: 7 }) as TokenBox;
-    let exec = Then::Exec(leaf, env.clone());
+    let exec = Then::Exec {
+        at: leaf,
+        env: env.clone(),
+    };
     let flow = kernel::then(&mut fake, &mut 0, exec, 0, vec![post], None).unwrap();
     assert!(flow.is_none(), "a leaf opens no flow");
     let queued: Vec<&Queued> = fake.queues.iter().flatten().collect();
@@ -1430,7 +1506,10 @@ fn then_of_a_split_opens_a_flow_behind_the_window() {
     let mut fake = Fake::new(Shape::Leaf, 2, 0);
     let split = node_of(&fake.decls, OpKind::Split);
     let posts: Vec<TokenBox> = (0..5).map(|i| Box::new(Mid { i }) as TokenBox).collect();
-    let exec = Then::Exec(split, Envelope::root());
+    let exec = Then::Exec {
+        at: split,
+        env: Envelope::root(),
+    };
     let key = kernel::then(&mut fake, &mut 0, exec, 0, posts, None).unwrap();
     let (src, wave) = key.expect("a split opens a flow");
     assert_eq!(src, split.node.0);

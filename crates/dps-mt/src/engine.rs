@@ -1,7 +1,7 @@
 //! Engine lifecycle: declaration phase, thread spawning, run driving.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,8 +14,9 @@ use dps_core::internal::kernel::{self, Death, Tracer};
 use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
-use crate::remote::RemoteExec;
-use crate::worker::{worker_loop, Followed, Msg, Output, Shared, SharedApp, SharedGraph, SharedTc};
+use crate::worker::{
+    worker_loop, Followed, Forward, Msg, Output, Replies, Shared, SharedApp, SharedGraph, SharedTc,
+};
 
 /// Tunables of the threaded engine.
 #[derive(Debug, Clone)]
@@ -61,7 +62,7 @@ pub struct MtEngine {
     handles: Vec<std::thread::JoinHandle<()>>,
     started_at: Instant,
     feedback: Option<Arc<dyn FeedbackSink>>,
-    remote: Option<Arc<dyn RemoteExec>>,
+    forward: Option<(u32, Arc<dyn Forward>)>,
     trace: Option<Arc<dps_obs::TraceCollector>>,
 }
 
@@ -84,7 +85,7 @@ impl MtEngine {
             handles: Vec::new(),
             started_at: Instant::now(),
             feedback: None,
-            remote: None,
+            forward: None,
             trace: None,
         }
     }
@@ -176,17 +177,29 @@ impl MtEngine {
         self.decls = decls;
     }
 
-    /// Install the remote-execution hook: each worker thread asks it for a
-    /// [`lane`](RemoteExec::lane) at its start, and a thread that gets one
-    /// ships its operations through it instead of running them locally,
-    /// while wave accounting, flow control and routing stay in this engine
-    /// (see `crate::remote`). Call before the first run.
-    pub fn set_remote_exec(&mut self, hook: Arc<dyn RemoteExec>) {
+    /// Serve the threads of cluster node `here` alone: an arrival for a
+    /// thread of any other node goes to `hook`, and the process serving it
+    /// answers through [`replies`](Self::replies). Routing, pins, flows and
+    /// credits stay in this engine; no OS thread is started for a thread
+    /// served elsewhere. Call before the first run.
+    pub fn set_forward(&mut self, here: u32, hook: Arc<dyn Forward>) {
         assert!(
             self.shared.is_none(),
-            "install the remote hook before the first run"
+            "install the forward hook before the first run"
         );
-        self.remote = Some(hook);
+        self.forward = Some((here, hook));
+    }
+
+    /// Where the replies of node `node`'s threads are applied, in the order
+    /// they come ([`set_forward`](Self::set_forward)). Starts the engine.
+    pub fn replies(&mut self, node: u32) -> Replies {
+        let shared = self.started();
+        let lanes = Default::default();
+        Replies {
+            shared,
+            node,
+            lanes,
+        }
     }
 
     fn ensure_started(&mut self) {
@@ -239,7 +252,7 @@ impl MtEngine {
             output_tx,
             error_tx,
             feedback: self.feedback.clone(),
-            remote: self.remote.clone(),
+            forward: self.forward.clone(),
             trace: self.trace.clone(),
             // A track no cluster node has: its flow ids are its own.
             outside: (self.trace.clone()).map(|c| Mutex::new(Tracer::new(c, (u16::MAX, 0)))),
@@ -248,10 +261,14 @@ impl MtEngine {
                 .collect(),
             rare: CachePadded::default(),
         });
-        // Spawn one OS thread per DPS thread.
+        // Spawn one OS thread per DPS thread served here.
         for (app_idx, app_rx) in receivers.into_iter().enumerate() {
             for (tc_idx, rxs) in app_rx.into_iter().enumerate() {
                 for (th_idx, rx) in rxs.into_iter().enumerate() {
+                    let host = self.decls.apps()[app_idx].tcs[tc_idx].nodes[th_idx];
+                    if shared.served_elsewhere(host) {
+                        continue;
+                    }
                     let shared = Arc::clone(&shared);
                     let data = (self.decls.apps()[app_idx].tcs[tc_idx].factory)();
                     let handle = std::thread::Builder::new()
@@ -362,7 +379,8 @@ impl MtEngine {
     /// registered feedback sink is told which workers it lost, and — as on
     /// the simulator — work that *cannot* move (stateful-affinity routes,
     /// merge waves whose partial state died with the node) surfaces as
-    /// [`DpsError::NodeDown`] from the run.
+    /// [`DpsError::NodeDown`] from the run. A node served elsewhere has
+    /// nothing here to drain (`kernel::lose_served`).
     ///
     /// The kill is the kernel's, as `SimEngine::fail_node`'s: the same fault
     /// schedule applied to either engine leaves the same surviving output
@@ -445,6 +463,13 @@ impl FailHandle {
         let feedback = (shared.feedback.as_deref()).map(|sink| (sink, &reporters[..]));
         let died = Death::Node(node, feedback);
         kernel::bury(&mut shared, died, Vec::new(), Vec::new(), node);
+        if shared.served_elsewhere(node) {
+            // Paired with `forward`'s: a token counted too late for this is
+            // failed by its own send.
+            fence(Ordering::SeqCst);
+            let owed = shared.owed(node);
+            kernel::lose_served(&mut shared, node, owed);
+        }
         // Wake them (raw sends: a wake-up is not a counted backlog message).
         for (app, decl) in shared.apps.iter().zip(shared.decls.apps()) {
             for (tc, decl) in app.tcs.iter().zip(&decl.tcs) {

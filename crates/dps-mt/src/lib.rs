@@ -24,8 +24,7 @@
 //!   (wait for a number of outputs, or the run timeout), `take_outputs`.
 
 mod engine;
-pub mod remote;
 mod worker;
 
 pub use engine::{FailHandle, MtConfig, MtEngine};
-pub use remote::{RemoteExec, RemoteKind, RemoteLane, RemoteOutcome, RemoteTask};
+pub use worker::{Foreign, Forward, Replies, Reply};

@@ -5,30 +5,29 @@
 //! driver. This file is its [`Substrate`] on OS threads — channels, atomic
 //! counters, one mutex per table (and one word in front of the pin table's,
 //! so a token following its wave takes none), a wall clock and one trace
-//! writer per worker — and the worker loop with its two-phase remote
-//! pipeline.
+//! writer per worker — the worker loop, and the two ends of a thread that
+//! another process serves: [`Forward`], which takes its arrivals there, and
+//! [`Replies`], which applies what comes back.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dps_sched::FeedbackSink;
 
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, Sender};
 use crossbeam::utils::CachePadded;
 use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, Death, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec,
     Routed, Sent, Serve, Substrate, Then, Tracer,
 };
 use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
-use dps_core::{Decls, DpsError, Envelope, GNodeId, RouteInfo, Token, TokenBox, WaveKey};
+use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector};
+use dps_serial::impl_wire_enum;
 use parking_lot::Mutex;
-
-use crate::remote::{RemoteExec, RemoteKind, RemoteLane, RemoteTask};
 
 /// Message to a worker thread.
 pub(crate) enum Msg {
@@ -67,12 +66,16 @@ pub(crate) struct SharedTc {
 }
 
 impl SharedTc {
-    fn enqueue(&self, thread: usize, msg: Msg) {
+    fn count(&self, thread: usize) {
         let depth = self.queued[thread].fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(m) = &self.metrics {
             m.add(Counter::TokensEnqueued, 1);
             m.gauge_max(Gauge::QueueDepthPeak, depth as u64);
         }
+    }
+
+    fn enqueue(&self, thread: usize, msg: Msg) {
+        self.count(thread);
         if self.senders[thread].send(msg).is_err() {
             // Worker already stopped (shutdown path): roll the count back.
             self.queued[thread].fetch_sub(1, Ordering::Relaxed);
@@ -206,9 +209,9 @@ pub(crate) struct Shared {
     /// Chunk-completion reports (wall-clock) go here, if registered — the
     /// dynamic loop-scheduling feedback channel (`dps-sched`).
     pub feedback: Option<Arc<dyn FeedbackSink>>,
-    /// Remote-execution hook: when installed, operations of threads whose
-    /// cluster node it claims run in another process (see `crate::remote`).
-    pub remote: Option<Arc<dyn RemoteExec>>,
+    /// The one cluster node served here, and where an arrival for a thread
+    /// of another goes; `None`: every node is served here.
+    pub forward: Option<(u32, Arc<dyn Forward>)>,
     /// Attached trace sink (wall-clock timestamps); each worker thread
     /// registers its own writer at startup ([`TRACER`]).
     pub trace: Option<Arc<TraceCollector>>,
@@ -247,6 +250,36 @@ impl Shared {
             .get(node as usize)
             .is_some_and(|d| d.load(Ordering::Acquire))
     }
+
+    pub(crate) fn served_elsewhere(&self, node: u32) -> bool {
+        self.forward.as_ref().is_some_and(|(here, _)| *here != node)
+    }
+
+    pub(crate) fn queued(&self, app: u32, tc: u32, thread: u32) -> &AtomicU32 {
+        &self.apps[app as usize].tcs[tc as usize].queued[thread as usize]
+    }
+
+    /// The first thread of node `node`, by `(app, tc, thread)`, that was
+    /// sent data objects it has not answered, and how many.
+    pub(crate) fn owed(&self, node: u32) -> Option<((u32, u32, u32), u32)> {
+        let d = &self.decls;
+        let threads = (0..).zip(d.apps()).flat_map(|(app, a)| {
+            (0..).zip(&a.tcs).flat_map(move |(tc, c)| {
+                let hosted = (0..).zip(&c.nodes).filter(move |&(_, &host)| host == node);
+                hosted.map(move |(thread, _)| (app, tc, thread))
+            })
+        });
+        threads.into_iter().find_map(|(app, tc, thread)| {
+            let n = self.queued(app, tc, thread).load(Ordering::Relaxed);
+            (n > 0).then_some(((app, tc, thread), n))
+        })
+    }
+
+    /// A message of thread `(app, tc, thread)` is fully processed: it leaves
+    /// the thread's backlog (the live load signal routing functions read).
+    pub(crate) fn retire(&self, (app, tc, thread): (u32, u32, u32)) {
+        self.queued(app, tc, thread).fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 thread_local! {
@@ -256,20 +289,19 @@ thread_local! {
     static TRACER: RefCell<Option<Tracer>> = const { RefCell::new(None) };
 }
 
-/// Per-worker mutable state.
+/// Per-worker mutable state: a DPS thread as the kernel's hooks see it, on
+/// its OS thread or, served elsewhere, in [`Replies`].
 pub(crate) struct Worker {
     app: u32,
     tc: u32,
     thread: u32,
     node: u32,
+    /// Its trace track: its node, and its index among that node's threads.
+    track: (u16, u16),
     data: Box<dyn Any + Send>,
-    /// This thread's op instances and the waves it consumes. Where the
-    /// remote hook claims the thread, the instances live in the hosting
-    /// process and only the waves' accounting is kept here.
+    /// This thread's op instances and the waves it consumes (none for a
+    /// thread another process serves: they live there).
     inst: Instances,
-    /// This thread's lane to the process hosting its node, if the remote
-    /// hook gave it one: the thread is then a proxy, its operations run there.
-    remote: Option<Box<dyn RemoteLane>>,
     /// The operation whose posts the kernel is applying, timed.
     span: Option<Span>,
     /// This thread's collection is in `feedback_tcs`.
@@ -278,17 +310,32 @@ pub(crate) struct Worker {
 
 /// When an operation started and, if it ran here, how long it took — the
 /// one reading the trace and the feedback sink share (taken when a trace is
-/// attached or the operation marked a chunk). For an operation a remote
-/// host ran: when it was shipped.
+/// attached or the operation marked a chunk).
 struct Span {
     t0: Instant,
     took: Option<Duration>,
 }
 
 impl Worker {
+    fn new(shared: &Shared, (app, tc, thread): (u32, u32, u32), data: Box<dyn Any + Send>) -> Self {
+        let node = shared.decls.host(app, tc, thread);
+        let index = shared.decls.node_thread(app, tc, thread);
+        Worker {
+            app,
+            tc,
+            thread,
+            node,
+            track: (node as u16, index as u16),
+            data,
+            inst: Instances::default(),
+            span: None,
+            reports: false,
+        }
+    }
+
     /// The feedback sink, for a chunk report under this thread's index —
-    /// measured here or by a remote host. Its collection is noted for
-    /// `fail_node` (kernel rule 8) ahead of the first one.
+    /// measured here or by the process serving the thread. Its collection
+    /// is noted for `fail_node` (kernel rule 8) ahead of the first one.
     fn sink<'a>(&mut self, shared: &'a Shared) -> Option<&'a dyn FeedbackSink> {
         let sink = shared.feedback.as_deref()?;
         if !std::mem::replace(&mut self.reports, true) {
@@ -348,31 +395,9 @@ pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox,
     kernel::deliver(&mut shared, entry, src_node, token, Envelope::root());
 }
 
-/// How many remote operations one worker thread ships before it waits for
-/// the reply of the oldest. It bounds what a lane of the hosting process
-/// has queued ahead of it (tokens held encoded over there, posts held back
-/// over here), not how much overlap there is: that saturates once the lane
-/// never runs dry between two replies.
-const REMOTE_PIPELINE_DEPTH: usize = 16;
-
-/// The remote operations a worker thread has shipped and not yet finished,
-/// oldest first: whether each was shipped (or why not), what its posts call
-/// for and when it was shipped. Each is one message still counted in the
-/// thread's backlog, and each one shipped is owed the lane's next reply.
-type InFlight = VecDeque<(Result<(), DpsError>, Then, Instant)>;
-
-/// The worker main loop.
-///
-/// Every operation is handled in two phases. Phase 1 is [`kernel::serve`]:
-/// the wave accounting, and what the message calls for. The operation then
-/// runs here or is shipped. Phase 2 is [`kernel::then`]: it applies the
-/// operation's posts. A local operation goes through both back to back. A
-/// shipped one parks its `Then` in a FIFO while the loop runs phase 1 of the
-/// messages already queued behind it, and phase 2 always takes the oldest
-/// entry — the hosting process executes and replies in shipping order (the
-/// [`RemoteLane`] contract), so what this thread does, posts and accounts,
-/// and in which order, is the same as waiting out every round trip. A call
-/// never ships: it goes out behind the posts of everything shipped before.
+/// The worker main loop: [`kernel::serve`] on each message, then what it
+/// calls for — the operation runs here and [`kernel::then`] applies its
+/// posts, or a call is made.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
     app: u32,
@@ -382,49 +407,18 @@ pub(crate) fn worker_loop(
     rx: Receiver<Msg>,
 ) {
     let mut shared: &Shared = &shared;
-    let node = shared.decls.host(app, tc, thread);
-    let track = (
-        node as u16,
-        shared.decls.node_thread(app, tc, thread) as u16,
-    );
-    let mut w = Worker {
-        app,
-        tc,
-        thread,
-        node,
-        data,
-        inst: Instances::default(),
-        remote: (shared.remote.as_ref()).and_then(|r| r.lane(app, tc, thread, node)),
-        span: None,
-        reports: false,
-    };
-    TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, track)));
+    let mut w = Worker::new(shared, (app, tc, thread), data);
+    let node = w.node;
+    TRACER.set(shared.trace.clone().map(|c| Tracer::new(c, w.track)));
     let info = ExecInfo::wall_clock(thread as usize, shared.decls.threads(app, tc));
-    let mut inflight = InFlight::new();
     // What the operations this thread runs post, reused from run to run.
     let mut out = OpOutput::default();
     loop {
-        // With replies owed, only a message that is already here is worth
-        // another phase 1; otherwise the oldest reply is what to wait for.
-        let next = if inflight.is_empty() {
-            rx.recv().map_err(|_| TryRecvError::Disconnected)
-        } else if inflight.len() < REMOTE_PIPELINE_DEPTH {
-            rx.try_recv()
-        } else {
-            Err(TryRecvError::Empty)
-        };
-        let msg = match next {
-            Ok(msg) => msg,
-            Err(TryRecvError::Empty) => {
-                finish_oldest(shared, &mut w, &mut inflight);
-                continue;
-            }
-            // The senders of `shared`, which this thread holds, include the
-            // one of its own channel.
-            Err(TryRecvError::Disconnected) => unreachable!("a worker's channel outlives it"),
-        };
+        // The senders of `shared`, which this thread holds, include the one
+        // of its own channel.
+        let msg = rx.recv().expect("a worker's channel outlives it");
         if shared.node_dead(node) {
-            match tombstone(shared, &mut w, &mut inflight, msg) {
+            match tombstone(shared, &mut w, msg) {
                 true => continue,
                 false => break,
             }
@@ -439,116 +433,48 @@ pub(crate) fn worker_loop(
                 (At { app, graph, node }, what, env)
             }
         };
-        // A shipped step names its wave by the id on the frame `serve` pops.
-        let wave = w.remote.is_some().then(|| env.top().map_or(0, |f| f.wave));
         let out_wave = || shared.wave_counter.fetch_add(1, Ordering::Relaxed);
         let done = match kernel::serve(&shared.decls, &mut w.inst, at, what, env, out_wave) {
-            Ok(Serve::Run(ready, then)) => match (&mut w.remote, wave) {
-                (Some(lane), Some(wave)) => {
-                    let (token, completes) = (ready.token, ready.completes);
-                    let kind = match &then {
-                        Then::Exec(..) => RemoteKind::Exec,
-                        Then::Wave(_) if token.is_none() => RemoteKind::Finalize,
-                        Then::Wave(_) => RemoteKind::Consume { completes },
-                    };
-                    let task = RemoteTask {
-                        graph: at.graph,
-                        node: at.node,
-                        kind,
-                        token,
-                        wave,
-                    };
-                    inflight.push_back((lane.ship(task), then, Instant::now()));
-                    // Still counted in the backlog until its phase 2 ends, so
-                    // load-aware routes keep seeing what the host has queued.
-                    if let Some(m) = &shared.apps[app as usize].tcs[tc as usize].metrics {
-                        m.gauge_max(Gauge::RemoteInFlightPeak, inflight.len() as u64);
-                    }
-                    continue;
-                }
-                _ => {
-                    let data = w.data.as_mut();
-                    run_here(shared.trace.is_some(), &mut w.span, || {
-                        ready
-                            .run(data, info, &mut out)
-                            .map(|()| out.completed_iters)
-                    })
-                    .and_then(|marked| {
-                        // A post's virtual-time offset means nothing on the
-                        // wall clock.
-                        let posts = out.posts.drain(..).map(|p| p.token);
-                        kernel::then(&mut shared, &mut w, then, node, posts, marked)
-                    })
-                    .map(drop)
-                }
-            },
-            Ok(Serve::Call(at, env, token)) => {
-                // A call has no remote half: it goes out behind the posts
-                // of everything shipped before it.
-                finish_all(shared, &mut w, &mut inflight);
-                kernel::call(&mut shared, at, env).map(|(entry, callee_env)| {
-                    kernel::deliver(&mut shared, entry, node, token, callee_env)
+            Ok(Serve::Run(ready, then)) => {
+                let data = w.data.as_mut();
+                run_here(shared.trace.is_some(), &mut w.span, || {
+                    ready
+                        .run(data, info, &mut out)
+                        .map(|()| out.completed_iters)
                 })
+                .and_then(|marked| {
+                    // A post's virtual-time offset means nothing on the wall
+                    // clock.
+                    let posts = out.posts.drain(..).map(|p| p.token);
+                    kernel::then(&mut shared, &mut w, then, node, posts, marked)
+                })
+                .map(drop)
             }
+            Ok(Serve::Call(at, env, token)) => call(shared, at, env, token, node),
             Ok(Serve::Wait) => Ok(()),
             Err(e) => Err(e),
         };
         if let Err(e) = done {
             send_error(shared, app, e);
         }
-        retire(shared, &w);
+        shared.retire((app, tc, thread));
     }
-    // Stopped: every reply still owed is consumed first.
-    finish_all(shared, &mut w, &mut inflight);
 }
 
-/// A message is fully processed: drop it from this thread's backlog (the
-/// live load signal used by routing functions).
-fn retire(shared: &Shared, w: &Worker) {
-    shared.apps[w.app as usize].tcs[w.tc as usize].queued[w.thread as usize]
-        .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Wait for the oldest shipped operation and run its phase 2. The numbering
-/// of a stream's posts advances here and nowhere else — two consumes of one
-/// wave can be in flight together.
-fn finish_oldest(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
-    let Some((shipped, then, t0)) = inflight.pop_front() else {
-        return;
-    };
-    w.span = Some(Span { t0, took: None });
-    let lane = w.remote.as_mut().expect("only a proxy ships");
-    let done = shipped.and_then(|()| lane.wait()).and_then(|outcome| {
-        // The remote host measured the wall-clock time: the distributed
-        // counterpart of `Substrate::report`.
-        if let (false, Some(sink)) = (outcome.reports.is_empty(), w.sink(shared)) {
-            sink.report_batch(w.thread as usize, &outcome.reports);
-        }
-        kernel::then(&mut shared, w, then, w.node, outcome.posts, None).map(drop)
-    });
-    if let Err(e) = done {
-        send_error(shared, w.app, e);
-    }
-    retire(shared, w);
-}
-
-/// Finish everything shipped, in order, before a step that must not
-/// overtake it.
-fn finish_all(shared: &Shared, w: &mut Worker, inflight: &mut InFlight) {
-    while !inflight.is_empty() {
-        finish_oldest(shared, w, inflight);
-    }
+/// A token reached call node `at`, under `env`, on cluster node `node`:
+/// make the call and deliver the token to the callee's entry.
+fn call(mut s: &Shared, at: At, env: Envelope, token: TokenBox, node: u32) -> Result<(), DpsError> {
+    let (entry, callee_env) = kernel::call(&mut s, at, env)?;
+    kernel::deliver(&mut s, entry, node, token, callee_env);
+    Ok(())
 }
 
 /// `msg` reached a thread whose node was killed: the thread is a tombstone,
-/// which stays on its channel so a late send never hits a closed one. What
-/// it had shipped is finished first (a dead host fails those waits at once),
-/// so no phase 2 finds its wave gone; then the kernel takes its waves (the
-/// lane is empty after the first time), none noted before a pin table, and
-/// what `msg` carries. `false` once `msg` is `Stop`.
+/// which stays on its channel so a late send never hits a closed one. The
+/// kernel takes its waves (the first time; none is noted before a pin table
+/// after that) and what `msg` carries. `false` once `msg` is `Stop`.
 #[cold]
-fn tombstone(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight, msg: Msg) -> bool {
-    finish_all(shared, w, inflight);
+fn tombstone(mut shared: &Shared, w: &mut Worker, msg: Msg) -> bool {
     let lane = std::mem::take(&mut w.inst);
     for (key, wave) in &lane.waves {
         let g = &shared.apps[w.app as usize].graphs[wave.graph as usize];
@@ -564,7 +490,7 @@ fn tombstone(mut shared: &Shared, w: &mut Worker, inflight: &mut InFlight, msg: 
     let counted = !stranded.is_empty();
     kernel::bury(&mut shared, Death::Lane(w), lanes, stranded, from);
     if counted {
-        retire(shared, w);
+        shared.retire((w.app, w.tc, w.thread));
     }
     !stop
 }
@@ -582,6 +508,172 @@ fn run_here(
     let took = (traced || marked.is_some()).then(|| t0.elapsed());
     *span = Some(Span { t0, took });
     Ok(marked)
+}
+
+/// An arrival for thread `thread` of collection `tc`, which the process of
+/// cluster node `node` serves, as [`Forward`] is handed it.
+pub struct Foreign {
+    /// Where it arrives.
+    pub to: At,
+    /// `to`'s collection.
+    pub tc: u32,
+    /// The thread within it.
+    pub thread: u32,
+    /// The node serving the thread.
+    pub node: u32,
+    /// A data object, or a wave's close.
+    pub what: Arrival,
+    /// The envelope it travels under.
+    pub env: Envelope,
+    /// A traced token's flow, whose delivery the serving process records.
+    pub sent: Sent,
+    /// At a stream, a fresh id from this engine's one wave counter: the one
+    /// a wave the arrival enters there has its posts travel under (else 0).
+    pub out_wave: u64,
+}
+
+/// What the process serving a thread answers one of its arrivals with: what
+/// [`kernel::serve`] made of it there ([`Replies::apply`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// The operation ran: its posts are applied as `then` says.
+    Ran {
+        /// The step, from `serve`.
+        then: Then,
+    },
+    /// The token reached call node `at` under `env`: the call is made here,
+    /// with the token as the one post.
+    Call {
+        /// The call node.
+        at: At,
+        /// The envelope of the call.
+        env: Envelope,
+    },
+    /// It failed there with `error`.
+    Failed {
+        /// It was a data object, not a close.
+        token: bool,
+        /// The error, as it reads.
+        error: String,
+    },
+}
+
+impl_wire_enum!(Reply {
+    0 => Ran { then },
+    1 => Call { at, env },
+    2 => Failed { token, error },
+});
+
+/// Takes an arrival for a thread of another node to the process serving it
+/// ([`MtEngine::set_forward`](crate::MtEngine::set_forward)), which serves
+/// a thread's arrivals in order and answers each but a close that waits, in
+/// order, with a [`Reply`] for this engine's [`Replies`].
+pub trait Forward: Send + Sync {
+    /// Send `arrival` on its way; an error fails the run.
+    fn forward(&self, arrival: Foreign) -> Result<(), DpsError>;
+}
+
+/// Hand `arrival` to `hook`. A data object stays in its thread's backlog
+/// until its reply is applied ([`Replies`]), so load-aware routes see what
+/// the serving process holds; a close is not counted.
+fn forward(shared: &Shared, hook: &dyn Forward, arrival: Foreign) {
+    let (to, tc, thread) = (arrival.to, arrival.tc, arrival.thread);
+    let token = matches!(arrival.what, Arrival::Token(_));
+    if token {
+        shared.apps[to.app as usize].tcs[tc as usize].count(thread as usize);
+        // Paired with `fail_node`'s: it counts this token, or the check below
+        // sees the node dead.
+        fence(Ordering::SeqCst);
+    }
+    let sent = match shared.node_dead(arrival.node) {
+        true => Err(kernel::node_down(&shared, to, tc, thread)),
+        false => hook.forward(arrival),
+    };
+    if let Err(e) = sent {
+        if token {
+            shared.retire((to.app, tc, thread));
+        }
+        send_error(shared, to.app, e);
+    }
+}
+
+/// What the process serving one node's threads answers ([`Reply`]), applied
+/// in the order it comes. From [`MtEngine::replies`](crate::MtEngine::replies).
+pub struct Replies {
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) node: u32,
+    /// The threads answered so far, as the kernel's hooks see them.
+    pub(crate) lanes: IdMap<(u32, u32, u32), Worker>,
+}
+
+impl Replies {
+    /// What the engine runs, frozen for the run.
+    pub fn decls(&self) -> &Arc<Decls> {
+        &self.shared.decls
+    }
+
+    /// Apply what thread `lane`, `(app, tc, thread)`, answered: `reply`, its
+    /// posts (decoded, or why not), the `(iters, secs)` of the chunks it
+    /// completed. A data object it answers leaves the thread's backlog.
+    pub fn apply(
+        &mut self,
+        lane: (u32, u32, u32),
+        reply: Reply,
+        posts: Result<Vec<TokenBox>, DpsError>,
+        reports: &[(u64, f64)],
+    ) {
+        let mut shared: &Shared = &self.shared;
+        let token = match &reply {
+            Reply::Ran { then } => then.took_token(),
+            Reply::Call { .. } => true,
+            Reply::Failed { token, .. } => *token,
+        };
+        let contract = |reason| DpsError::OperationContract {
+            node: shared.decls.node_name(self.node).to_string(),
+            reason,
+        };
+        let failed = match (reply, posts) {
+            (Reply::Ran { then }, Ok(posts)) => {
+                let w = self.lanes.entry(lane).or_insert_with(|| {
+                    // This OS thread records under a tracer of its own, whose
+                    // track no DPS thread has (so its flow ids are its own);
+                    // a lane's events go on the lane's track.
+                    TRACER.with_borrow_mut(|t| {
+                        let track = (u16::MAX, self.node as u16);
+                        let own = || shared.trace.clone().map(|c| Tracer::new(c, track));
+                        *t = t.take().or_else(own);
+                    });
+                    Worker::new(shared, lane, Box::new(()))
+                });
+                if let (false, Some(sink)) = (reports.is_empty(), w.sink(shared)) {
+                    sink.report_batch(w.thread as usize, reports);
+                }
+                kernel::then(&mut shared, w, then, self.node, posts, None).err()
+            }
+            (Reply::Call { at, env }, Ok(mut posts)) if posts.len() == 1 => {
+                call(shared, at, env, posts.remove(0), self.node).err()
+            }
+            (Reply::Failed { error, .. }, _) => Some(contract(error)),
+            (_, Err(e)) => Some(e),
+            (Reply::Call { .. }, Ok(_)) => Some(contract("a call came without its token".into())),
+        };
+        if let Some(e) = failed {
+            send_error(shared, lane.0, e);
+        }
+        if token {
+            shared.retire(lane);
+        }
+    }
+
+    /// The run fails with `e`, for application `app`.
+    pub fn fail(&self, app: u32, e: DpsError) {
+        send_error(&self.shared, app, e);
+    }
+
+    /// A data object sent to a thread of the node is still unanswered.
+    pub fn owed(&self) -> bool {
+        self.shared.owed(self.node).is_some()
+    }
 }
 
 /// The kernel's substrate on OS threads. Everything shared is behind
@@ -664,8 +756,31 @@ impl Substrate for &Shared {
         answer
     }
 
+    /// A thread served here is sent the message on its channel; one another
+    /// process serves, through the [`Forward`] hook.
     fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope, sent: Sent) {
-        let tc = self.decls.def(to.app, to.graph).node(to.node).tc;
+        let gnode = self.decls.def(to.app, to.graph).node(to.node);
+        let tc = gnode.tc;
+        if let Some((_, hook)) = &self.forward {
+            let node = self.decls.host(to.app, tc, thread);
+            if self.served_elsewhere(node) {
+                let out_wave = match gnode.kind {
+                    OpKind::Stream => self.wave_counter.fetch_add(1, Ordering::Relaxed),
+                    _ => 0,
+                };
+                let arrival = Foreign {
+                    to,
+                    tc,
+                    thread,
+                    node,
+                    what,
+                    env,
+                    sent,
+                    out_wave,
+                };
+                return forward(self, hook.as_ref(), arrival);
+            }
+        }
         let msg = Msg::Arrive(to.graph, to.node, what, env, sent);
         self.apps[to.app as usize].tcs[tc as usize].enqueue(thread as usize, msg);
     }
@@ -727,7 +842,8 @@ impl Substrate for &Shared {
 
     /// Wall-clock stamps, and the writer of the worker this thread runs —
     /// a token a worker sends has its flow's start recorded on its own ring
-    /// — or, on any other thread, the `outside` one.
+    /// — or of the [`Replies`] it applies, or, on any other thread, the
+    /// `outside` one. A lane's events go on its DPS thread's track.
     fn trace<R>(&self, on: On<'_, Worker>, f: impl FnOnce(Rec<'_>) -> R) -> Option<R> {
         let c = self.trace.as_ref()?;
         let now = c.now_nanos();
@@ -738,18 +854,21 @@ impl Substrate for &Shared {
                 .filter(|_| own.is_none())
                 .map(|t| t.lock());
             let tracer = own.as_mut().or(outside.as_deref_mut())?;
-            let track = tracer.writer().track();
             Some(f(match on {
                 On::Node(node) => Rec::at(tracer, (node as u16, 0), now),
                 On::Lane(Worker {
-                    span: Some(Span { t0, took }),
+                    span:
+                        Some(Span {
+                            t0,
+                            took: Some(took),
+                        }),
+                    track,
                     ..
                 }) => {
                     let start = c.stamp(*t0);
-                    let end = took.map(|took| start + took.as_nanos() as u64);
-                    Rec::at(tracer, track, now).op(start, end)
+                    Rec::at(tracer, *track, now).op(start, start + took.as_nanos() as u64)
                 }
-                On::Lane(_) => Rec::at(tracer, track, now),
+                On::Lane(w) => Rec::at(tracer, w.track, now),
             }))
         })
     }
@@ -913,17 +1032,7 @@ mod tests {
         // removal of the pin. A token of that id (there is none in a real
         // run) would find neither the word nor the table.
         let mut shared: &Shared = &rig.shared;
-        let mut lane = Worker {
-            app: rig.merge.app,
-            tc: rig.tc,
-            thread: 1,
-            node: 1,
-            data: Box::new(()),
-            inst: Instances::default(),
-            remote: None,
-            span: None,
-            reports: false,
-        };
+        let mut lane = Worker::new(shared, (rig.merge.app, rig.tc, 1), Box::new(()));
         shared.wave_done(&mut lane, rig.merge, &Rig::key(1));
         shared.pins(rig.merge.app, rig.merge.graph, |p| p.remove(&Rig::key(1)));
         assert_eq!(rig.g().followed.thread_of(1), None);

@@ -331,154 +331,148 @@ fn a_scheduled_loop_survives_a_kill_fired_from_inside_a_chunk() {
     assert!(stats[0].chunks >= ITERS / 2 - 3, "{stats:?}");
 }
 
-// --- the remote-execution seam, against a scripted in-process hook ----------
+// --- threads another process serves, played by the test ------------------
 
-mod pipelined_remote {
-    use std::collections::{HashMap, VecDeque};
+mod served_elsewhere {
+    use std::collections::HashMap;
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     use super::*;
-    use dps_core::GNodeId;
-    use dps_mt::{RemoteExec, RemoteKind, RemoteLane, RemoteOutcome, RemoteTask};
-    use dps_obs::{Counter, Gauge, TraceCollector};
+    use dps_core::internal::kernel::{self, Arrival, Instances, Serve, Then};
+    use dps_core::internal::{ExecInfo, OpOutput};
+    use dps_core::{Decls, GNodeId};
+    use dps_mt::{Foreign, Forward, Replies, Reply};
+    use dps_obs::TraceCollector;
 
-    /// What the script plays at a graph node hosted on the remote node.
-    #[derive(Clone, Copy)]
-    enum Role {
-        /// Leaf: the `Work` operation.
-        Square,
-        /// Stream: every consume posts its piece at once, the finalize a
-        /// late close triggers posts [`LATE`].
-        Echo,
-        /// Merge: the `Sum` operation.
-        Sum,
-    }
+    /// How long a step the test waits for may take before it counts as hung.
+    const PATIENCE: Duration = Duration::from_secs(20);
 
-    /// The piece `Role::Echo` posts from a finalize.
+    /// The piece [`Echo`] posts from its finalize.
     const LATE: Piece = Piece { i: 99, v: 1000 };
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Ev {
-        Ship(usize),
-        Wait(usize),
-    }
-
-    /// The process hosting node 1, scripted: it executes a task the moment
-    /// it is shipped (so in shipping order, the seam's contract) and hands
-    /// the posts over when the lane is next waited on.
-    #[derive(Default)]
-    struct Script {
-        roles: Mutex<HashMap<GNodeId, Role>>,
-        /// The running sum of each wave a `Sum` node consumes.
-        sums: Mutex<HashMap<(GNodeId, u64), u64>>,
-        /// Every `ship` and `wait`, in the order the lanes saw them.
-        log: Mutex<Vec<Ev>>,
-        /// Node, kind and wave of every task, in shipping order.
-        tasks: Mutex<Vec<(GNodeId, RemoteKind, u64)>>,
-        /// One unit per `ship`, once it has executed.
-        shipped: Mutex<Option<Sender<()>>>,
-        /// The first `ship` returns only after a unit arrives here: holds
-        /// the proxy thread back until its queue is as deep as a case needs.
-        first_ship: Mutex<Option<Receiver<()>>>,
-        /// Every `wait` returns only after this is closed: keeps everything
-        /// shipped in flight.
-        replies: Mutex<Option<Receiver<()>>>,
-    }
-
-    impl Script {
-        fn execute(&self, task: RemoteTask) -> Vec<TokenBox> {
-            let role = self.roles.lock().unwrap()[&task.node];
-            let piece = |t: TokenBox| *downcast::<Piece>(t).expect("the script moves pieces");
-            match (role, task.kind, task.token) {
-                (Role::Square, RemoteKind::Exec, Some(t)) => {
-                    let p = piece(t);
-                    vec![Box::new(Piece {
-                        i: p.i,
-                        v: p.v * p.v,
-                    })]
-                }
-                (Role::Echo, RemoteKind::Consume { .. }, Some(t)) => vec![t],
-                (Role::Echo, RemoteKind::Finalize, None) => vec![Box::new(LATE)],
-                (Role::Sum, kind, token) => {
-                    let key = (task.node, task.wave);
-                    let mut sums = self.sums.lock().unwrap();
-                    *sums.entry(key).or_default() += token.map_or(0, |t| piece(t).v);
-                    match kind {
-                        RemoteKind::Consume { completes: false } => Vec::new(),
-                        _ => vec![Box::new(Total {
-                            sum: sums.remove(&key).expect("just touched"),
-                        })],
-                    }
-                }
-                (_, kind, _) => panic!("the script has no part for {kind:?} at {}", task.node),
-            }
-        }
-    }
-
-    struct Hook(Arc<Script>);
-
-    impl RemoteExec for Hook {
-        fn lane(
-            &self,
-            _app: u32,
-            _tc: u32,
-            _thread: u32,
-            node: u32,
-        ) -> Option<Box<dyn RemoteLane>> {
-            (node == 1).then(|| {
-                Box::new(Lane {
-                    script: self.0.clone(),
-                    owed: VecDeque::new(),
-                }) as Box<dyn RemoteLane>
-            })
-        }
-    }
-
-    /// One thread's lane: the posts of each task it shipped, by task id,
-    /// until a `wait` hands them over — oldest first.
-    struct Lane {
-        script: Arc<Script>,
-        owed: VecDeque<(usize, Vec<TokenBox>)>,
-    }
-
-    impl RemoteLane for Lane {
-        fn ship(&mut self, task: RemoteTask) -> Result<()> {
-            let s = &self.script;
-            if let Some(gate) = s.first_ship.lock().unwrap().take() {
-                gate.recv_timeout(PATIENCE).expect("first ship released");
-            }
-            let id = {
-                let mut tasks = s.tasks.lock().unwrap();
-                tasks.push((task.node, task.kind, task.wave));
-                tasks.len() - 1
-            };
-            s.log.lock().unwrap().push(Ev::Ship(id));
-            let posts = s.execute(task);
-            if let Some(shipped) = &*s.shipped.lock().unwrap() {
-                let _ = shipped.send(());
-            }
-            self.owed.push_back((id, posts));
+    /// Where the engine forwards the arrivals for node 1's threads: to the
+    /// test, which serves them when it chooses.
+    struct Host(Mutex<Sender<Foreign>>);
+    impl Forward for Host {
+        fn forward(&self, arrival: Foreign) -> Result<()> {
+            let host = self.0.lock().unwrap();
+            host.send(arrival).expect("the test listens");
             Ok(())
         }
+    }
 
-        fn wait(&mut self) -> Result<RemoteOutcome> {
-            let (id, posts) = self.owed.pop_front().expect("a wait per shipped task");
-            self.script.log.lock().unwrap().push(Ev::Wait(id));
-            if let Some(held) = &*self.script.replies.lock().unwrap() {
-                // Returns when the test drops the sending half.
-                let _ = held.recv_timeout(PATIENCE);
+    /// A step that ran on node 1, not answered yet.
+    struct Ran {
+        lane: (u32, u32, u32),
+        then: Then,
+        posts: Vec<TokenBox>,
+    }
+
+    /// Node 1, served in the test's own thread as a process serving it
+    /// would: `kernel::serve` on each thread's instances, then the
+    /// operation; the engine's `Replies` take the answers.
+    struct Node1 {
+        arrivals: Receiver<Foreign>,
+        replies: Replies,
+        decls: Arc<Decls>,
+        threads: HashMap<(u32, u32, u32), Instances>,
+        out: OpOutput,
+    }
+
+    impl Node1 {
+        fn next(&self) -> Foreign {
+            (self.arrivals.recv_timeout(PATIENCE)).expect("the run got this far")
+        }
+
+        /// Serve `arrival`: the step that ran, or `None` for a close that
+        /// finds data objects missing.
+        fn serve(&mut self, arrival: Foreign) -> Option<Ran> {
+            let lane = (arrival.to.app, arrival.tc, arrival.thread);
+            let inst = self.threads.entry(lane).or_default();
+            let threads = self.decls.threads(arrival.to.app, arrival.tc);
+            let info = ExecInfo::wall_clock(arrival.thread as usize, threads);
+            let (to, what, env) = (arrival.to, arrival.what, arrival.env);
+            let served = kernel::serve(&self.decls, inst, to, what, env, || arrival.out_wave);
+            let (ready, then) = match served.unwrap() {
+                Serve::Run(ready, then) => (ready, then),
+                Serve::Wait => return None,
+                Serve::Call(..) => unreachable!("these graphs make no call"),
+            };
+            ready.run(&mut (), info, &mut self.out).unwrap();
+            if let Some(key) = then.completed() {
+                inst.waves.remove(key);
             }
-            Ok(RemoteOutcome {
-                posts,
-                reports: Vec::new(),
-            })
+            let posts = self.out.posts.drain(..).map(|p| p.token).collect();
+            Some(Ran { lane, then, posts })
+        }
+
+        fn answer(&mut self, ran: Ran) {
+            let reply = Reply::Ran { then: ran.then };
+            self.replies.apply(ran.lane, reply, Ok(ran.posts), &[]);
+        }
+
+        /// Serve and answer the next `n` arrivals, one at a time.
+        fn serve_all(&mut self, n: usize) {
+            for _ in 0..n {
+                let arrival = self.next();
+                let ran = self.serve(arrival).expect("a step ran");
+                self.answer(ran);
+            }
         }
     }
 
-    /// How long a step the test forces may take before it counts as hung.
-    const PATIENCE: Duration = Duration::from_secs(20);
+    struct Rig {
+        eng: MtEngine,
+        node1: Node1,
+        metrics: Arc<TraceCollector>,
+    }
+
+    /// A traced two-node engine whose node 1 the test serves, over the graph
+    /// `graph` builds from a collection on node 0 and one of two threads on
+    /// node 1.
+    fn rig(
+        graph: impl FnOnce(&mut GraphBuilder, &ThreadCollection<()>, &ThreadCollection<()>),
+    ) -> (Rig, GraphHandle) {
+        let mut eng = MtEngine::new(2);
+        let (host, arrivals) = channel();
+        eng.set_forward(0, Arc::new(Host(Mutex::new(host))));
+        let metrics = TraceCollector::new();
+        eng.set_trace_sink(metrics.clone());
+        let app = eng.app("served-elsewhere");
+        let main = eng.thread_collection(app, "main", "node0").unwrap();
+        let far = eng.thread_collection(app, "far", "node1 node1").unwrap();
+        let mut b = GraphBuilder::new("g");
+        graph(&mut b, &main, &far);
+        let g = eng.build_graph(b).unwrap();
+        let replies = eng.replies(1);
+        let node1 = Node1 {
+            arrivals,
+            decls: replies.decls().clone(),
+            replies,
+            threads: HashMap::new(),
+            out: OpOutput::default(),
+        };
+        let rig = Rig {
+            eng,
+            node1,
+            metrics,
+        };
+        (rig, g)
+    }
+
+    impl Rig {
+        fn one_total(&mut self, g: GraphHandle) -> u64 {
+            self.eng.wait_for_outputs(g, 1).unwrap();
+            let out = self.eng.drain_outputs(g).pop().expect("one output");
+            downcast::<Total>(out).unwrap().sum
+        }
+    }
+
+    fn next<T>(rx: &Receiver<T>) -> T {
+        rx.recv_timeout(PATIENCE).expect("the run got this far")
+    }
 
     /// Route to thread 0, reporting the load snapshot of every decision.
     struct Tap(Sender<Option<Vec<u32>>>);
@@ -489,260 +483,154 @@ mod pipelined_remote {
         }
     }
 
-    struct Rig {
-        eng: MtEngine,
-        script: Arc<Script>,
-        metrics: Arc<TraceCollector>,
-        /// Sending a unit releases the first `ship`, held since the start.
-        release: Sender<()>,
-        main: ThreadCollection<()>,
-        /// Two threads, both on the remote node 1; the cases use thread 0.
-        remote: ThreadCollection<()>,
-    }
-
-    fn rig() -> Rig {
-        let mut eng = MtEngine::new(2);
-        let script = Arc::new(Script::default());
-        eng.set_remote_exec(Arc::new(Hook(script.clone())));
-        let metrics = TraceCollector::new();
-        eng.set_trace_sink(metrics.clone());
-        let (release, gate) = channel();
-        *script.first_ship.lock().unwrap() = Some(gate);
-        let app = eng.app("scripted");
-        let main = eng.thread_collection(app, "main", "node0").unwrap();
-        let remote = eng.thread_collection(app, "far", "node1 node1").unwrap();
-        Rig {
-            eng,
-            script,
-            metrics,
-            release,
-            main,
-            remote,
-        }
-    }
-
-    impl Rig {
-        /// Let the proxy thread go once the run has enqueued `messages`
-        /// messages (deliveries and closes, the submitted job included):
-        /// from there it finds its whole queue waiting, so what it ships
-        /// before its first wait does not depend on who runs when.
-        fn release_at(&self, messages: u64) {
-            let deadline = Instant::now() + PATIENCE;
-            while self.metrics.metrics().get(Counter::TokensEnqueued) < messages {
-                assert!(Instant::now() < deadline, "the run never queued {messages}");
-                std::thread::yield_now();
-            }
-            self.release.send(()).unwrap();
-        }
-
-        fn one_total(&mut self, g: GraphHandle) -> u64 {
-            self.eng.wait_for_outputs(g, 1).unwrap();
-            let out = self.eng.drain_outputs(g).pop().expect("one output");
-            downcast::<Total>(out).unwrap().sum
-        }
-
-        /// The `sumsq` graph of the tests above with its leaf on the remote
-        /// node, played by the script and routed through a [`Tap`].
-        fn squares(&mut self) -> (GraphHandle, Receiver<Option<Vec<u32>>>) {
-            let (tap, taps) = channel();
-            let mut b = GraphBuilder::new("sumsq");
-            let s = b.split(&self.main, || ToThread(0), || Fan);
-            let l = b.leaf(&self.remote, move || Tap(tap.clone()), || Work);
-            let m = b.merge(&self.main, || ToThread(0), Sum::default);
-            b.add(s >> l >> m);
-            let g = self.eng.build_graph(b).unwrap();
-            self.script
-                .roles
-                .lock()
-                .unwrap()
-                .insert(l.id(), Role::Square);
-            (g, taps)
-        }
-    }
-
-    fn next<T>(rx: &Receiver<T>) -> T {
-        rx.recv_timeout(PATIENCE).expect("the run got this far")
-    }
-
-    fn ships(n: usize) -> Vec<Ev> {
-        (0..n).map(Ev::Ship).collect()
-    }
-
-    /// With its whole wave queued, the proxy thread ships all of it before
-    /// it waits for the first reply, consumes the replies oldest first, and
-    /// the run's output is the hook-less one.
-    #[test]
-    fn queued_deliveries_are_begun_before_the_first_wait() {
-        let mut rig = rig();
-        let (g, _taps) = rig.squares();
-        rig.eng.submit(g, Box::new(Job { n: 6 }));
-        rig.release_at(1 + 6);
-        let sum = rig.one_total(g);
-
-        let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..6], ships(6)[..], "waited with work queued");
-        let waits: Vec<Ev> = log[6..].to_vec();
-        assert_eq!(waits, (0..6).map(Ev::Wait).collect::<Vec<_>>(), "FIFO");
-        assert_eq!(rig.metrics.metrics().gauge(Gauge::RemoteInFlightPeak), 6);
-
-        let mut plain = MtEngine::new(2);
-        let pg = build(&mut plain, 2);
-        assert_eq!(sum, run_sum(&mut plain, pg, Box::new(Job { n: 6 })));
-    }
-
-    /// A message stays in its thread's backlog until phase 2 of its
-    /// operation ends — load-aware routes see what the remote host still
-    /// has queued — and the backlog is back to zero once the thread idles.
+    /// A data object sent to a thread another process serves stays in the
+    /// thread's backlog until its reply is applied — load-aware routes see
+    /// what that process holds — and the backlog is back to zero once
+    /// every reply is.
     #[test]
     fn in_flight_operations_stay_in_the_backlog() {
-        let mut rig = rig();
-        let (g, taps) = rig.squares();
-        let (shipped, ships) = channel();
-        *rig.script.shipped.lock().unwrap() = Some(shipped);
-        let (hold, held) = channel::<()>();
-        *rig.script.replies.lock().unwrap() = Some(held);
-
+        let (tap, taps) = channel();
+        let (mut rig, g) = rig(|b, main, far| {
+            let s = b.split(main, || ToThread(0), || Fan);
+            let l = b.leaf(far, move || Tap(tap.clone()), || Work);
+            let m = b.merge(main, || ToThread(0), Sum::default);
+            b.add(s >> l >> m);
+        });
         rig.eng.submit(g, Box::new(Job { n: 4 }));
-        rig.release_at(1 + 4);
+        let held: Vec<Foreign> = (0..4).map(|_| rig.node1.next()).collect();
         for _ in 0..4 {
-            next(&ships);
             next(&taps);
         }
-        // All four left the queue and none was answered. The next routing
+        // All four were sent and none was answered. The next routing
         // decision still finds them on thread 0.
         rig.eng.submit(g, Box::new(Job { n: 1 }));
         assert_eq!(next(&taps), Some(vec![4, 0]));
 
-        drop(hold);
+        for arrival in held.into_iter().chain([rig.node1.next()]) {
+            let ran = rig.node1.serve(arrival).unwrap();
+            rig.node1.answer(ran);
+        }
         rig.eng.wait_for_outputs(g, 2).unwrap();
-        rig.eng.drain_outputs(g);
-        // The last retire races the output it produced by a few
-        // instructions, so idle is probed, not assumed.
-        let deadline = Instant::now() + PATIENCE;
-        loop {
-            rig.eng.submit(g, Box::new(Job { n: 1 }));
-            let load = next(&taps);
-            rig.one_total(g);
-            if load == Some(vec![0, 0]) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "backlog never drained: {load:?}");
+        let mut sums: Vec<u64> = (rig.eng.drain_outputs(g).into_iter())
+            .map(|out| downcast::<Total>(out).unwrap().sum)
+            .collect();
+        sums.sort_unstable();
+        assert_eq!(sums, [expected_sum(1), expected_sum(4)]);
+
+        // Every reply was applied on this thread before `answer` returned.
+        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        assert_eq!(next(&taps), Some(vec![0, 0]));
+        rig.node1.serve_all(1);
+        assert_eq!(rig.one_total(g), 0);
+        assert!(rig.metrics.metrics().get(dps_obs::Counter::TokensEnqueued) > 0);
+    }
+
+    /// Consecutive consumes of one stream wave on node 1 all run before any
+    /// of them is answered, and each posts a token: the posts are numbered
+    /// as the answers are applied, from one running index, under the wave id
+    /// the engine sent with the first arrival, and the last one carries the
+    /// total.
+    #[test]
+    fn a_pipelined_stream_wave_numbers_its_posts_once() {
+        let mut nodes = (GNodeId(0), GNodeId(0));
+        let (mut rig, g) = rig(|b, main, far| {
+            let s = b.split(main, || ToThread(0), || Fan);
+            let e = b.stream(far, || ToThread(0), || Echo);
+            let m = b.merge(far, || ToThread(0), Sum::default);
+            b.add(s >> e >> m);
+            nodes = (e.id(), m.id());
+        });
+        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        let consumed: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
+        assert!(consumed.iter().all(|a| a.to.node == nodes.0));
+        let (wave, out_wave) = (consumed[0].env.top().unwrap().wave, consumed[0].out_wave);
+        let ran: Vec<Ran> = (consumed.into_iter())
+            .map(|arrival| rig.node1.serve(arrival).unwrap())
+            .collect();
+        for ran in ran {
+            rig.node1.answer(ran);
+        }
+        let merged: Vec<Foreign> = (0..6).map(|_| rig.node1.next()).collect();
+        numbered_once(&merged, nodes.1, out_wave);
+        assert_ne!(out_wave, wave, "numbered under the stream's own wave");
+        for arrival in merged {
+            let ran = rig.node1.serve(arrival).unwrap();
+            rig.node1.answer(ran);
+        }
+        assert_eq!(rig.one_total(g), 1 + 2 + 3 + 4 + LATE.v);
+    }
+
+    /// A close that overtakes the answers of its wave: the stream's four
+    /// consumes ran on node 1 and are not answered when the close arrives
+    /// there and completes the wave, so the finalize runs behind them — the
+    /// serving side drops the wave's record itself — and the posts of the
+    /// consumes, then the finalize's own, are numbered as the answers come.
+    #[test]
+    fn a_close_finalizes_behind_the_consumes_still_in_flight() {
+        let mut nodes = (GNodeId(0), GNodeId(0));
+        let (mut rig, g) = rig(|b, main, far| {
+            let s = b.split(main, || ToThread(0), || Fan);
+            // Posts every piece but the last and nothing from its finalize:
+            // the wave's total reaches the next stream as a close.
+            let d = b.stream(main, || ToThread(0), || DropPiece(4));
+            let e = b.stream(far, || ToThread(0), || Echo);
+            let m = b.merge(far, || ToThread(0), Sum::default);
+            b.add(s >> d >> e >> m);
+            nodes = (e.id(), m.id());
+        });
+        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        let arrived: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
+        assert!(arrived.iter().all(|a| a.to.node == nodes.0));
+        assert!(
+            matches!(arrived[4].what, Arrival::Close(4)),
+            "the close came last"
+        );
+        let out_wave = arrived[0].out_wave;
+        let ran: Vec<Ran> = (arrived.into_iter())
+            .map(|arrival| rig.node1.serve(arrival).unwrap())
+            .collect();
+        let finalize = &ran[4].then;
+        assert!(finalize.completed().is_some() && !finalize.took_token());
+        assert!(rig.node1.threads.values().all(|t| t.waves.is_empty()));
+        for ran in ran {
+            rig.node1.answer(ran);
+        }
+        let merged: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
+        numbered_once(&merged, nodes.1, out_wave);
+        for arrival in merged {
+            let ran = rig.node1.serve(arrival).unwrap();
+            rig.node1.answer(ran);
+        }
+        assert_eq!(rig.one_total(g), 1 + 2 + 3 + LATE.v);
+    }
+
+    /// The arrivals at merge `m` are the posts of one stream wave, `wave`,
+    /// numbered once from one running index, with the total on the last.
+    fn numbered_once(merged: &[Foreign], m: GNodeId, wave: u64) {
+        let n = merged.len() as u32;
+        for (index, arrival) in (0..).zip(merged) {
+            assert_eq!(arrival.to.node, m);
+            let frame = arrival.env.top().unwrap();
+            assert_eq!((frame.wave, frame.index), (wave, index));
+            assert_eq!(frame.total, (index + 1 == n).then_some(n), "{frame:?}");
         }
     }
 
-    /// Consecutive consumes of one remote stream wave are in flight
-    /// together and each posts a token: the posts are numbered in reply
-    /// order from one running index, and one of them carries the total.
-    #[test]
-    fn a_pipelined_stream_wave_numbers_its_posts_once() {
-        let mut rig = rig();
-        let mut b = GraphBuilder::new("echo");
-        let s = b.split(&rig.main, || ToThread(0), || Fan);
-        let e = b.stream(&rig.remote, || ToThread(0), EchoOp::default);
-        let m = b.merge(&rig.remote, || ToThread(0), Sum::default);
-        b.add(s >> e >> m);
-        let g = rig.eng.build_graph(b).unwrap();
-        let roles = [(e.id(), Role::Echo), (m.id(), Role::Sum)];
-        rig.script.roles.lock().unwrap().extend(roles);
-
-        rig.eng.submit(g, Box::new(Job { n: 5 }));
-        rig.release_at(1 + 5);
-        assert_eq!(rig.one_total(g), 1 + 2 + 3 + 4);
-
-        let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..5], ships(5)[..], "five consumes in flight together");
-        numbered_once(&rig.script, e.id(), m.id());
-    }
-
-    /// A close that overtakes the replies of its wave: the stream's four
-    /// consumes are still in flight when the close completes the wave, so
-    /// the finalize is shipped behind them — and its wave is still there
-    /// when their posts, then its own, are numbered.
-    #[test]
-    fn a_close_finalizes_behind_the_consumes_still_in_flight() {
-        let mut rig = rig();
-        let mut b = GraphBuilder::new("late-close");
-        let s = b.split(&rig.main, || ToThread(0), || Fan);
-        // Posts every piece but the last and nothing from its finalize:
-        // the wave's total reaches the next stream as a close message.
-        let d = b.stream(&rig.main, || ToThread(0), || DropPiece(4));
-        let e = b.stream(&rig.remote, || ToThread(0), EchoOp::default);
-        let m = b.merge(&rig.remote, || ToThread(0), Sum::default);
-        b.add(s >> d >> e >> m);
-        let g = rig.eng.build_graph(b).unwrap();
-        let roles = [(e.id(), Role::Echo), (m.id(), Role::Sum)];
-        rig.script.roles.lock().unwrap().extend(roles);
-
-        rig.eng.submit(g, Box::new(Job { n: 5 }));
-        // The job, five pieces to `d`, four on to `e`, and the close.
-        rig.release_at(1 + 5 + 4 + 1);
-        assert_eq!(rig.one_total(g), 1 + 2 + 3 + LATE.v);
-
-        let log = rig.script.log.lock().unwrap().clone();
-        assert_eq!(log[..5], ships(5)[..], "the finalize went out behind them");
-        let kinds: Vec<RemoteKind> = rig.script.tasks.lock().unwrap()[..5]
-            .iter()
-            .map(|t| t.1)
-            .collect();
-        let consume = RemoteKind::Consume { completes: false };
-        assert_eq!(
-            kinds,
-            [consume, consume, consume, consume, RemoteKind::Finalize]
-        );
-        numbered_once(&rig.script, e.id(), m.id());
-    }
-
-    /// Kind and wave of the tasks shipped for node `at`, in shipping order.
-    fn shipped(script: &Script, at: GNodeId) -> Vec<(RemoteKind, u64)> {
-        let tasks = script.tasks.lock().unwrap();
-        tasks
-            .iter()
-            .filter(|t| t.0 == at)
-            .map(|t| (t.1, t.2))
-            .collect()
-    }
-
-    /// The five posts of stream `e`'s wave were numbered once, from one
-    /// running index, with the total on the last (indices 0..4, total 5):
-    /// merge `m` consumed them as one wave, `e`'s own and not the one `e`
-    /// consumed, that exactly its fifth token completes. A post numbered
-    /// twice would leave the wave short of its total; a total sent apart
-    /// from the tokens would reach `m` as a finalize of its own.
-    fn numbered_once(script: &Script, e: GNodeId, m: GNodeId) {
-        let consumed = shipped(script, e)[0].1;
-        let merged = shipped(script, m);
-        let consume = |completes| RemoteKind::Consume { completes };
-        let kinds: Vec<RemoteKind> = merged.iter().map(|t| t.0).collect();
-        let last = consume(true);
-        assert_eq!(
-            kinds,
-            [
-                consume(false),
-                consume(false),
-                consume(false),
-                consume(false),
-                last
-            ]
-        );
-        let wave = merged[0].1;
-        assert!(merged.iter().all(|t| t.1 == wave), "one wave: {merged:?}");
-        assert_ne!(wave, consumed, "numbered under the stream's own wave");
-    }
-
-    /// Declared at the remote stream node; the script plays it.
-    #[derive(Default)]
-    struct EchoOp;
-    impl StreamOperation for EchoOp {
+    /// Posts every piece it consumes, and [`LATE`] from its finalize.
+    struct Echo;
+    impl StreamOperation for Echo {
         type Thread = ();
         type In = Piece;
         type Out = Piece;
         fn consume(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
             ctx.post(p);
         }
-        fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Piece>) {}
+        fn finalize(&mut self, ctx: &mut OpCtx<'_, (), Piece>) {
+            ctx.post(LATE);
+        }
     }
 
-    /// Local stream: forwards every piece but number `.0`.
+    /// Forwards every piece but number `.0`.
     struct DropPiece(u32);
     impl StreamOperation for DropPiece {
         type Thread = ();

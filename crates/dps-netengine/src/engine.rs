@@ -1,11 +1,13 @@
 //! The network engine: one master kernel plus worker kernels, every process
 //! running the same SPMD driver.
 //!
-//! The master embeds an [`MtEngine`] for the whole control plane (wave
-//! accounting, flow control, routing, service calls) and installs a
-//! [`RemoteExec`] hook that ships op executions of remotely-hosted cluster
-//! nodes to their worker kernels as [`Frame::Exec`] messages. Workers run
-//! the same driver code: their declarations fill the same kind of table as
+//! The master embeds an [`MtEngine`] for routing, pins, flows, credits and
+//! service calls, and serves cluster node 0's threads. An arrival for a
+//! thread of node `n` goes to worker rank `n` as a [`Frame::Exec`]
+//! ([`Forward`]); the worker serves it as an `mt` worker would, and one
+//! master thread per rank applies its [`Frame::Done`]s ([`Replies`]).
+//! Workers run the same driver code: their declarations fill the same kind
+//! of table as
 //! the master's (whose [signature](Decls::signature) the master checks
 //! theirs against at the sync barrier), their `submit`s are no-ops, and
 //! their `run_to_idle`s block until the master broadcasts
@@ -21,8 +23,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox, TokenRegistry};
-use dps_mt::{FailHandle, MtConfig, MtEngine, RemoteExec, RemoteLane, RemoteOutcome, RemoteTask};
+use dps_core::internal::kernel::Arrival;
+use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
+use dps_mt::{FailHandle, Foreign, Forward, MtConfig, MtEngine, Replies};
 use dps_obs::TraceCollector;
 use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::{Bytes, Captured, RecvTable};
@@ -30,7 +33,7 @@ use parking_lot::Mutex;
 
 use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
-use crate::proto::{self, send_frame, Frame, Payload};
+use crate::proto::{self, send_frame, Frame, Payload, Reply};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
 /// Every deadline the network engine enforces, in one place. Each field
@@ -43,9 +46,9 @@ pub struct NetTimeouts {
     /// collecting every worker's declaration sync, and the per-run trace
     /// round. Override: `DPS_NET_CONNECT_TIMEOUT_MS`.
     pub connect: Duration,
-    /// How long one remote op execution may take, from the moment it is the
-    /// oldest of its lane, before the hosting worker is declared dead (a
-    /// later reply would be taken for the next step's). Override:
+    /// How long a worker rank that owes a reply (a data object it was sent)
+    /// may go without sending one before it is declared dead; also how long
+    /// a chunk-hub operation waits for its answer. Override:
     /// `DPS_NET_EXEC_TIMEOUT_MS`.
     pub exec: Duration,
     /// Heartbeat period: the master pings every live worker this often.
@@ -73,14 +76,17 @@ impl Default for NetTimeouts {
 impl NetTimeouts {
     /// Defaults with any `DPS_NET_*` environment overrides applied. Worker
     /// processes inherit the master's environment, so overrides stay
-    /// SPMD-consistent across the cluster.
+    /// SPMD-consistent across the cluster. A `*_MS` value that is not a
+    /// positive whole number of milliseconds is refused with one line on
+    /// stderr that names it, and the default kept.
     pub fn from_env() -> Self {
         fn ms(name: &str) -> Option<Duration> {
-            std::env::var(name)
-                .ok()?
-                .parse()
+            let value = std::env::var(name).ok()?;
+            millis(&value)
+                .map_err(|why| {
+                    eprintln!("dps-netengine: {name}={value:?} refused ({why}); the default stays");
+                })
                 .ok()
-                .map(Duration::from_millis)
         }
         let mut t = Self::default();
         if let Some(d) = ms("DPS_NET_CONNECT_TIMEOUT_MS") {
@@ -115,6 +121,17 @@ impl NetTimeouts {
     /// default. [`exec`](Self::exec) bounds one execution, not a run.
     pub fn release(&self, run: Duration) -> Duration {
         self.connect + run + self.connect
+    }
+}
+
+/// A `DPS_NET_*_MS` override: a positive whole number of milliseconds, or
+/// why not (a zero heartbeat would spin its monitor and declare every worker
+/// dead at once; a zero timeout fails its wait at once).
+fn millis(value: &str) -> std::result::Result<Duration, String> {
+    match value.parse::<u64>() {
+        Ok(0) => Err("zero milliseconds".into()),
+        Ok(ms) => Ok(Duration::from_millis(ms)),
+        Err(e) => Err(format!("not a whole number of milliseconds: {e}")),
     }
 }
 
@@ -171,22 +188,19 @@ type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
 /// encoded log.
 type TraceReply = (u64, (u64, u64), Bytes);
 
-/// Reply payload of a [`Frame::Done`], routed to the channel of the lane it
-/// names, which its engine thread waits on. The posts are views into the
-/// received frame; that thread decodes them, against what the frame
-/// captured of the connection's buffer table, when it takes the reply.
-struct DoneReply {
+/// A received [`Frame::Done`], on its way from the connection's reader to
+/// the rank's reply thread: its posts are views into the frame, decoded
+/// there against what the frame captured of the connection's buffer table.
+struct Answer {
+    lane: (u32, u32, u32),
+    reply: Reply,
     posts: Vec<Bytes>,
-    captured: Captured,
     reports: Vec<(u64, f64)>,
-    error: Option<String>,
+    captured: Captured,
 }
 
-/// The reply channels of one worker rank's lanes, by `(app, tc, thread)`.
-type LaneTable = Mutex<HashMap<(u32, u32, u32), Sender<DoneReply>>>;
-
-/// Master-side state shared with connection readers, the heartbeat monitor
-/// and the remote hook.
+/// Master-side state shared with connection readers, the heartbeat monitor,
+/// the reply threads and the embedded engine (as its [`Forward`] hook).
 struct MasterShared {
     /// Writer of the connection to worker rank `r` at index `r - 1`.
     conns: Vec<Arc<Conn>>,
@@ -197,11 +211,6 @@ struct MasterShared {
     /// Every [`Frame::Hub`] passes here: served from `hub`, or relayed to
     /// the worker the lease is homed at. Also `hub`'s own way to those.
     router: Arc<HubRouter>,
-    /// The lanes worker rank `r` hosts at index `r - 1`, each channel made
-    /// when its lane's engine thread starts. A lane's `Done`s come in the
-    /// order of its `Exec`s, so its channel hands each reply to the wait it
-    /// answers. Cleared when the rank is declared dead.
-    lanes: Vec<LaneTable>,
     /// Every deadline the engine enforces.
     timeouts: NetTimeouts,
     /// The declaration table (shared with the in-process harnesses in
@@ -248,13 +257,11 @@ impl MasterShared {
                 .is_some_and(|f| f.load(Ordering::Acquire))
     }
 
-    /// Declare worker `rank` dead and run the degradation path: fail its
-    /// lanes' in-flight executions immediately, answer every hub operation
-    /// relayed to it (its leases died with it: claims on them find nothing
-    /// from here on), and tombstone its cluster node in the
-    /// embedded control plane (`FailHandle::fail_node`, whose kill is the
-    /// kernel's, as on every engine). Idempotent; a no-op during clean
-    /// shutdown.
+    /// Declare worker `rank` dead: answer every hub operation relayed to it
+    /// (its leases died with it), and tombstone its node in the embedded
+    /// engine (`FailHandle::fail_node`, the kernel's kill, which fails the
+    /// run `NodeDown` if the rank owed anything). Idempotent; a no-op
+    /// during clean shutdown.
     fn declare_dead(&self, rank: u32, why: &str) -> bool {
         if self.closing.load(Ordering::Acquire) || rank == 0 {
             return false;
@@ -266,11 +273,7 @@ impl MasterShared {
             return false;
         }
         eprintln!("dps-netengine: worker rank {rank} is down: {why}");
-        // Wake engine threads blocked on this rank's replies *now*:
-        // dropping its lanes' reply senders turns their waits into immediate
-        // disconnects, surfaced as NodeDown (not a slow exec timeout).
-        self.lanes[(rank - 1) as usize].lock().clear();
-        // Same for ops parked on a claim relayed to the dead rank.
+        // Ops parked on a claim relayed to the dead rank are answered now.
         self.router.rank_down(rank);
         if let Some(fail) = self.fail.get() {
             let _ = fail.fail_node(rank);
@@ -282,6 +285,9 @@ impl MasterShared {
 struct Master {
     mt: MtEngine,
     shared: Arc<MasterShared>,
+    /// The `Done`s rank `r`'s reader receives, at index `r - 1`: taken by
+    /// the rank's reply thread, which starts with the first run.
+    dones: Vec<Receiver<Answer>>,
     /// `(rank, (signature, frame bytes))` of each worker's `Sync`.
     sync_rx: Receiver<(u32, (u64, usize))>,
     /// Loopback harnesses share the master's declarations — no sync
@@ -331,31 +337,8 @@ struct Worker {
 }
 
 // ---------------------------------------------------------------------------
-// The remote-execution hook
+// Threads the workers serve
 // ---------------------------------------------------------------------------
-
-/// [`RemoteExec`] over the master's connections: cluster node 0 lives in
-/// the master process, node `n` in worker rank `n` (kernel `kernel{n}`).
-///
-/// The in-order contract of the seam holds by construction: the `Exec`
-/// frames of one lane leave on one FIFO connection, in shipping order, and
-/// the worker's [`ExecHost`] runs them on one executor lane that executes
-/// and replies strictly in arrival order, on the same connection.
-struct NetRemote(Arc<MasterShared>);
-
-/// One remote thread's lane: its `Exec`s go out on `conn`, the connection
-/// of the worker rank hosting it, and its `Done`s come back on `replies`,
-/// in that order.
-struct NetLane {
-    shared: Arc<MasterShared>,
-    conn: Arc<Conn>,
-    registry: Arc<TokenRegistry>,
-    /// The thread's `(app, tc, thread)`, which its frames name.
-    key: (u32, u32, u32),
-    /// The worker rank hosting the thread, which is its cluster node.
-    rank: u32,
-    replies: Receiver<DoneReply>,
-}
 
 fn node_down(host: u32, target: String) -> DpsError {
     DpsError::NodeDown {
@@ -364,100 +347,70 @@ fn node_down(host: u32, target: String) -> DpsError {
     }
 }
 
-impl RemoteExec for NetRemote {
-    fn lane(&self, app: u32, tc: u32, thread: u32, node: u32) -> Option<Box<dyn RemoteLane>> {
-        // Worker rank `n` hosts cluster node `n`; node 0 runs here.
-        let i = node.checked_sub(1)? as usize;
-        let (s, key) = (&self.0, (app, tc, thread));
-        let (tx, replies) = unbounded();
-        // Registered under the lock `declare_dead` sweeps under, after it
-        // raised the flag: a lane either sees the tombstone here (no sender:
-        // every wait fails at once) or is swept there.
-        let mut lanes = s.lanes[i].lock();
-        if !s.rank_dead(node) {
-            lanes.insert(key, tx);
-        }
-        Some(Box::new(NetLane {
-            shared: s.clone(),
-            conn: s.conns[i].clone(),
-            registry: s.decls.with(|d| d.apps()[app as usize].registry.clone()),
-            key,
-            rank: node,
-            replies,
-        }))
+/// Node 0 lives in the master, node `n` in worker rank `n` (`kernel{n}`):
+/// an arrival for a thread of node `n` is one `Exec` on rank `n`'s FIFO
+/// connection, served by one executor lane in order and answered in order.
+impl Forward for MasterShared {
+    fn forward(&self, a: Foreign) -> Result<()> {
+        let conn = (a.node.checked_sub(1)).and_then(|i| self.conns.get(i as usize));
+        let conn = conn.ok_or_else(|| node_down(a.node, "no worker process serves it".into()))?;
+        let (token, close) = match &a.what {
+            Arrival::Token(token) => (Payload::Token(token.as_ref()), None),
+            Arrival::Close(total) => (Payload::empty(), Some(*total)),
+        };
+        // The token is encoded once, straight into the frame.
+        let frame = Frame::Exec {
+            app: a.to.app,
+            tc: a.tc,
+            thread: a.thread,
+            graph: a.to.graph,
+            node: a.to.node,
+            token,
+            close,
+            env: a.env,
+            out_wave: a.out_wave,
+            flow: a.sent.map_or(0, |flow| flow.get()),
+        };
+        (conn.send(&frame)).map_err(|e| node_down(a.node, format!("send failed: {e}")))
     }
 }
 
-impl RemoteLane for NetLane {
-    /// Frame `task` as an `Exec` and send it to the rank hosting the lane.
-    fn ship(&mut self, task: RemoteTask) -> std::result::Result<(), DpsError> {
-        if self.shared.rank_dead(self.rank) {
-            // Tombstoned rank: fail fast so the router sheds the work to
-            // survivors instead of burning the exec timeout per call.
-            return Err(node_down(
-                self.rank,
-                "worker process is down (tombstoned)".into(),
-            ));
-        }
-        // The token is encoded once, straight into the frame.
-        let token = task
-            .token
-            .as_deref()
-            .map_or_else(Payload::empty, Payload::Token);
-        let (app, tc, thread) = self.key;
-        let frame = Frame::Exec {
-            app,
-            tc,
-            thread,
-            graph: task.graph,
-            node: task.node,
-            kind: task.kind,
-            token,
-            wave: task.wave,
-        };
-        (self.conn.send(&frame)).map_err(|e| node_down(self.rank, format!("send failed: {e}")))
-    }
-
-    /// The exec timeout runs from here — from the moment the op is the
-    /// oldest of its lane, with everything shipped before it answered.
-    fn wait(&mut self) -> std::result::Result<RemoteOutcome, DpsError> {
-        let s = &self.shared;
-        let done = match self.replies.recv_timeout(s.timeouts.exec) {
-            Ok(done) => done,
-            Err(RecvTimeoutError::Disconnected) => {
-                // The liveness layer declared the rank dead and dropped our
-                // reply sender — fail now, not at the exec timeout.
-                return Err(node_down(
-                    self.rank,
-                    "worker process died mid-execution (heartbeat, EOF or exec timeout)".into(),
-                ));
-            }
+/// Worker rank `rank`'s replies, applied in wire order. Never a connection
+/// reader: applying a reply sends frames, and a reader blocked writing one
+/// while its peer blocks writing behind a reply would wedge both. A rank
+/// that owes a reply and sends none for [`NetTimeouts::exec`] is declared
+/// dead; a reply after its death is dropped.
+fn reply_loop(shared: Arc<MasterShared>, rank: u32, mut replies: Replies, dones: Receiver<Answer>) {
+    let exec = shared.timeouts.exec;
+    // The rank owed a reply when the last wait for one timed out.
+    let mut owing = false;
+    loop {
+        let answer = match dones.recv_timeout(exec) {
+            Ok(answer) => answer,
+            Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {
-                // A later reply would be taken for the next step's: the lane
-                // is out of step for good. (It is closed on its own too, as
-                // no rank is declared dead during shutdown.)
-                let why = format!(
-                    "no reply within exec timeout {:?} (DPS_NET_EXEC_TIMEOUT_MS)",
-                    s.timeouts.exec
-                );
-                s.lanes[(self.rank - 1) as usize].lock().remove(&self.key);
-                s.declare_dead(self.rank, &why);
-                return Err(node_down(self.rank, why));
+                // Owing at both ends of a whole wait: silent for `exec`.
+                let was = std::mem::replace(&mut owing, replies.owed() && !shared.rank_dead(rank));
+                if was && owing {
+                    // The run fails naming the timeout first; the death that
+                    // follows finds what the rank still owes.
+                    let why =
+                        format!("no reply within exec timeout {exec:?} (DPS_NET_EXEC_TIMEOUT_MS)");
+                    replies.fail(0, node_down(rank, why.clone()));
+                    shared.declare_dead(rank, &why);
+                }
+                continue;
             }
         };
-        if let Some(msg) = done.error {
-            return Err(DpsError::OperationContract {
-                node: format!("kernel{}", self.rank),
-                reason: msg,
-            });
+        owing = false;
+        if shared.rank_dead(rank) {
+            continue;
         }
-        let posts = (done.posts.iter())
-            .map(|b| proto::decode_received(&self.registry, b, &done.captured))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(RemoteOutcome {
-            posts,
-            reports: done.reports,
-        })
+        let registry = replies.decls().registry(answer.lane.0);
+        let posts = (answer.posts.iter())
+            .map(|b| proto::decode_received(registry, b, &answer.captured))
+            .collect::<Result<Vec<_>>>();
+        replies.apply(answer.lane, answer.reply, posts, &answer.reports);
     }
 }
 
@@ -466,8 +419,8 @@ impl RemoteLane for NetLane {
 // ---------------------------------------------------------------------------
 
 /// Master-side reader of one worker connection: hands each `Done` to the
-/// channel of the lane it names, serves or relays hub traffic, forwards the
-/// sync signature and the trace logs — and feeds the liveness layer: every
+/// rank's reply thread, serves or relays hub traffic, forwards the sync
+/// signature and the trace logs — and feeds the liveness layer: every
 /// inbound frame refreshes the rank's heartbeat clock, and a connection
 /// error (EOF, reset) or protocol corruption declares the rank dead on the
 /// spot.
@@ -477,6 +430,7 @@ fn master_reader(
     mut rx: Box<dyn FrameRx>,
     sync_tx: Sender<(u32, (u64, usize))>,
     trace_tx: Sender<(u32, TraceReply)>,
+    done_tx: Sender<Answer>,
 ) {
     let mut table = RecvTable::default();
     loop {
@@ -508,24 +462,19 @@ fn master_reader(
                     app,
                     tc,
                     thread,
+                    reply,
                     posts,
                     reports,
-                    error,
                 },
                 captured,
             )) => {
-                // It answers the lane's oldest `Exec` not yet answered. A lane
-                // gone from the table was closed: what it is sent is dropped.
-                let lanes = shared.lanes[(rank - 1) as usize].lock();
-                if let Some(tx) = lanes.get(&(app, tc, thread)) {
-                    let reply = DoneReply {
-                        posts: posts.into_iter().map(Payload::into_bytes).collect(),
-                        captured,
-                        reports,
-                        error,
-                    };
-                    let _ = tx.send(reply);
-                }
+                let _ = done_tx.send(Answer {
+                    lane: (app, tc, thread),
+                    reply,
+                    posts: posts.into_iter().map(Payload::into_bytes).collect(),
+                    reports,
+                    captured,
+                });
             }
             Ok((Frame::Hub { req, body }, _)) => shared.router.route(&shared.hub, rank, req, body),
             Ok((Frame::HubReply { req, body }, _)) => shared.router.complete(req, body),
@@ -1080,7 +1029,6 @@ impl Master {
             meter,
             hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
             router,
-            lanes: (0..worker_count).map(|_| Mutex::default()).collect(),
             timeouts: cfg.timeouts,
             decls,
             dead,
@@ -1091,12 +1039,15 @@ impl Master {
         });
         let (sync_tx, sync_rx) = unbounded();
         let (trace_tx, trace_rx) = unbounded();
+        let mut dones = Vec::new();
         for (i, rx) in rxs.into_iter().enumerate() {
             let shared = shared.clone();
             let sync_tx = sync_tx.clone();
             let trace_tx = trace_tx.clone();
+            let (done_tx, done_rx) = unbounded();
+            dones.push(done_rx);
             threads.push(spawn(format!("dps-net-reader{}", i + 1), move || {
-                master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx)
+                master_reader(shared, i as u32 + 1, rx, sync_tx, trace_tx, done_tx)
             }));
         }
         let (hb_stop, hb_stopped) = unbounded();
@@ -1110,6 +1061,7 @@ impl Master {
         Master {
             mt,
             shared,
+            dones,
             sync_rx,
             presynced: children.is_empty(),
             ready: false,
@@ -1128,8 +1080,8 @@ impl Master {
 
     /// First-submit barrier: wait for every worker's declaration signature,
     /// refuse divergent schedules, then hand the finished table to the
-    /// embedded engine and install the remote hook so it starts shipping
-    /// remote executions.
+    /// embedded engine, have it serve node 0 alone and forward the rest,
+    /// and start one reply thread per worker rank.
     fn ensure_net_ready(&mut self) -> Result<()> {
         if self.ready {
             return Ok(());
@@ -1164,8 +1116,14 @@ impl Master {
         }
         self.mt.adopt(table);
         if !self.shared.conns.is_empty() {
-            self.mt
-                .set_remote_exec(Arc::new(NetRemote(self.shared.clone())));
+            self.mt.set_forward(0, self.shared.clone());
+            for (rank, dones) in (1..).zip(std::mem::take(&mut self.dones)) {
+                let (shared, replies) = (self.shared.clone(), self.mt.replies(rank));
+                self.threads
+                    .push(spawn(format!("dps-net-replies{rank}"), move || {
+                        reply_loop(shared, rank, replies, dones)
+                    }));
+            }
             // Hand the liveness layer its tombstoning lever into the control
             // plane (valid only once the engine threads exist, which
             // `fail_handle` ensures). A rank that died before this point is
@@ -1305,8 +1263,8 @@ impl Master {
         // stops waiting for its next tick.
         self.shared.closing.store(true, Ordering::Release);
         self.hb_stop = None;
-        // Stop the control plane first: joining its threads guarantees no
-        // further remote executions are in flight when Shutdown goes out.
+        // Stop the control plane first: no thread of it sends an `Exec` once
+        // Shutdown goes out.
         self.mt.shutdown();
         self.broadcast(&Frame::Shutdown);
         // Release the loopback harness hosts: each holds the worker-side
@@ -1725,14 +1683,13 @@ mod tests {
         }
     }
 
-    /// Seven `Exec`s in flight on one lane when their rank is declared
-    /// dead: every one of them fails with `NodeDown` then and there — the
-    /// exec timeout is an hour, so a single one left to wait it out would
-    /// hang the teardown — no reply slot outlives the rank, and the run
-    /// degrades to `NodeDown`, nothing else.
+    /// Seven data objects sent to one lane and not answered when their rank
+    /// is declared dead: the run fails `NodeDown` then and there, naming the
+    /// seven — the exec timeout is an hour, so a run left to it would hang
+    /// the teardown — and degrades to nothing else.
     #[test]
     fn declare_dead_fails_every_exec_in_flight_at_once() {
-        const SHARDS: usize = 8;
+        const SHARDS: usize = 7;
         let mut h = held(Duration::from_secs(3600));
         let patience = PATIENCE;
         let frames = || h.sink.metrics().get(dps_obs::Counter::FramesSent);
@@ -1745,44 +1702,21 @@ mod tests {
                 }),
             )
             .unwrap();
-        // The first shard holds the lane, and the proxy thread ends up
-        // parked on its reply, with the rest of the wave (the flow window is
-        // 8) shipped or in its queue: the job was enqueued, then the shards.
+        // The first shard holds the lane, and the whole wave (the flow
+        // window is 8) is on the wire behind it: seven `Exec`s, no reply.
         h.starts
             .recv_timeout(patience)
             .expect("first shard started");
-        let enqueued = || h.sink.metrics().get(dps_obs::Counter::TokensEnqueued);
-        until("the whole wave queued", &|| enqueued() == 1 + SHARDS as u64);
-        // Let that one go. The proxy ships whatever is still queued before
-        // it waits again, on the second shard, which holds the lane in turn.
-        h.open.send(()).unwrap();
-        h.starts
-            .recv_timeout(patience)
-            .expect("second shard started");
-        // Eight `Exec`s shipped on the lane, and the first one's `Done`
-        // back: seven owed a reply. The lane's one channel is in the table.
-        until("seven execs in flight", &|| frames() == SHARDS as u64 + 1);
-        assert_eq!(
-            h.shared.lanes[0].lock().len(),
-            1,
-            "one reply channel per lane"
-        );
+        until("seven execs in flight", &|| frames() == SHARDS as u64);
 
         assert!(h.shared.declare_dead(1, "declared dead by the test"));
-        assert_eq!(
-            h.shared.lanes[0].lock().len(),
-            0,
-            "a reply slot outlived its rank"
-        );
         let failed = Instant::now();
         let err = h.eng.run_to_idle(h.g, 1).unwrap_err();
         assert!(
-            matches!(err, DpsError::NodeDown { .. }),
+            matches!(&err, DpsError::NodeDown { target, .. } if target.contains("(7 unanswered)")),
             "degraded to {err}"
         );
-        // Free the harness lane (it shares this process), then tear down:
-        // the control plane joins its threads, so this returns only once
-        // every in-flight wait has.
+        // Free the harness lane (it shares this process), then tear down.
         drop(h.open);
         h.eng.shutdown();
         assert!(
@@ -1799,10 +1733,7 @@ mod tests {
                 _ => false,
             })
             .count();
-        assert_eq!(down, SHARDS - 1, "one NodeDown per exec in flight");
-        // Eight if the whole wave was queued before the proxy first waited.
-        let peak = h.sink.metrics().gauge(dps_obs::Gauge::RemoteInFlightPeak);
-        assert!(peak >= SHARDS as u64 - 1, "in-flight peak {peak}");
+        assert_eq!(down, 1, "one NodeDown for the seven");
     }
 
     /// A gated leaf on node 1 outlasts the exec timeout: the run fails with a
@@ -1823,10 +1754,9 @@ mod tests {
             "degraded to {err}"
         );
         assert!(h.eng.worker_down(1), "the timeout left its rank up");
-        assert_eq!(h.shared.lanes[0].lock().len(), 0, "the lane is still open");
 
         // The `Exec` and the failed run's `Release` went out; the late
-        // `Done` is the third frame, and nothing waits for it.
+        // `Done` is the third frame, and nothing applies it.
         assert_eq!(frames(), 2);
         h.open.send(()).unwrap();
         until("the late reply", &|| frames() == 3);
@@ -1837,6 +1767,18 @@ mod tests {
         let torn_down = Instant::now();
         h.eng.shutdown();
         assert!(torn_down.elapsed() < PATIENCE, "shutdown waited");
+    }
+
+    /// A `DPS_NET_*_MS` value is a positive whole number of milliseconds:
+    /// zero, an empty value and a unit are refused, each with its reason.
+    #[test]
+    fn a_zero_or_malformed_override_is_refused() {
+        assert_eq!(millis("250"), Ok(Duration::from_millis(250)));
+        for refused in ["0", "abc", "", "250ms", "-5"] {
+            let why = millis(refused).unwrap_err();
+            assert!(!why.is_empty(), "{refused:?}");
+        }
+        assert!(millis("0").unwrap_err().contains("zero"));
     }
 
     /// Claims and closes on a lease of rank 1 — six from ops of the master

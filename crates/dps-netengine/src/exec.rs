@@ -1,43 +1,39 @@
 //! Worker-side execution: the lock around the declaration table, the
 //! connection writer every task of a kernel sends through ([`Conn`]), the
-//! per-thread executor host that replays [`Frame::Exec`] tasks, and the two
-//! ends of the chunk-hub protocol ([`HubLink`] on a worker, [`HubRouter`]
-//! on the master).
+//! per-thread executor host that serves the [`Frame::Exec`] arrivals of the
+//! threads its node hosts, and the two ends of the chunk-hub protocol
+//! ([`HubLink`] on a worker, [`HubRouter`] on the master).
 //!
-//! A worker kernel holds the *operations* of the threads its node hosts —
-//! the master keeps everything else (wave accounting, flow control,
-//! routing). The [`ExecHost`] mirrors the threading model of the master's
-//! engine: one executor task per (application, collection, thread) triple,
-//! each owning its thread data and its operation instances (a [`Lane`]:
-//! per node as a local thread holds them, per wave the master names), so
-//! remote execution preserves exactly the state a local thread would have.
+//! A worker kernel serves its own threads' arrivals as an `mt` worker does:
+//! the [`ExecHost`] runs one executor lane per (application, collection,
+//! thread), which owns the thread's data, instances and waves. The master
+//! keeps routing, pins, flows and credits, and applies the `Done`s.
 
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::{self, At, IdMap, Instances, Rec, Served, Tracer, Wave};
+use dps_core::internal::kernel::{self, Arrival, At, Instances, Rec, Serve, Tracer};
 use dps_core::internal::{ExecInfo, OpOutput};
-use dps_core::{DataFactory, Decls, DpsError, Flowgraph, OpKind, TokenRegistry};
-use dps_mt::RemoteKind;
+use dps_core::{Decls, DpsError, Envelope, GNodeId, TokenBox};
 use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
 use dps_serial::{Bytes, Captured, SendTable};
 use parking_lot::Mutex;
 
-use crate::proto::{self, Frame, Payload};
+use crate::proto::{self, Frame, Payload, Reply};
 use crate::transport::FrameTx;
 
 /// The declaration table, shared between the declaring role and the
 /// executors. An executor reads it only after the table is complete: the
-/// master ships no `Exec` before the sync barrier — every worker declared
+/// master sends no `Exec` before the sync barrier — every worker declared
 /// everything — and a loopback harness reads the master's own table, frozen
 /// at that barrier.
 pub(crate) struct DeclStore(Mutex<Arc<Decls>>);
@@ -126,16 +122,20 @@ impl Conn {
     }
 }
 
-/// One remote task, as dispatched to an executor lane.
+/// One arrival, as dispatched to an executor lane.
 struct Job {
-    pub graph: u32,
-    pub node: dps_core::GNodeId,
-    pub kind: RemoteKind,
-    /// The tagged token: a view into the received `Exec` frame.
-    pub token: Bytes,
+    graph: u32,
+    node: GNodeId,
+    /// The tagged token — a view into the received `Exec` frame — or, for a
+    /// close, nothing.
+    token: Bytes,
+    /// The wave's total, for a close.
+    close: Option<u32>,
     /// What the frame captured of the connection's buffer table.
-    pub shared: Captured,
-    pub wave: u64,
+    shared: Captured,
+    env: Envelope,
+    out_wave: u64,
+    flow: u64,
 }
 
 /// The per-thread executor pool of one worker kernel (or loopback harness).
@@ -176,11 +176,11 @@ impl ExecHost {
         self.trace.lock().clone()
     }
 
-    /// Route the task of an `Exec` frame, and what the frame captured of
+    /// Route the arrival of an `Exec` frame, and what the frame captured of
     /// the connection's buffer table, to its thread's executor lane,
-    /// spawning the lane on first use. Tasks for one (app, tc, thread)
-    /// execute serially in arrival order — the same ordering the thread
-    /// would have locally.
+    /// spawning the lane on first use. The arrivals of one (app, tc,
+    /// thread) are served serially in arrival order — the order the thread
+    /// would take them in locally.
     pub fn dispatch(&self, exec: Frame<'_>, shared: Captured) {
         let Frame::Exec {
             app,
@@ -188,31 +188,60 @@ impl ExecHost {
             thread,
             graph,
             node,
-            kind,
             token,
-            wave,
+            close,
+            env,
+            out_wave,
+            flow,
         } = exec
         else {
-            unreachable!("only an Exec frame carries a task");
+            unreachable!("only an Exec frame carries an arrival");
         };
+        // The signature barrier promised one table on both ends; what comes
+        // over the wire is checked against it all the same.
+        let declared = self.decls.with(|d| {
+            let a = d.apps().get(app as usize);
+            let tcd = a.and_then(|a| a.tcs.get(tc as usize));
+            let def = a.and_then(|a| a.graphs.get(graph as usize));
+            tcd.is_some_and(|c| (thread as usize) < c.nodes.len())
+                && def.is_some_and(|def| (node.0 as usize) < def.nodes().len())
+        });
+        if !declared {
+            let error = "an arrival for an undeclared thread (SPMD declarations diverged)".into();
+            let token = close.is_none();
+            let reply = Reply::Failed { token, error };
+            let (posts, reports) = (Vec::new(), Vec::new());
+            let done = Frame::Done {
+                app,
+                tc,
+                thread,
+                reply,
+                posts,
+                reports,
+            };
+            let _ = self.writer.send(&done);
+            return;
+        }
         let token = token.into_bytes();
         let job = Job {
             graph,
             node,
-            kind,
             token,
+            close,
             shared,
-            wave,
+            env,
+            out_wave,
+            flow,
         };
         let mut lanes = self.lanes.lock();
         let tx = lanes.entry((app, tc, thread)).or_insert_with(|| {
             let (tx, rx) = unbounded();
-            let (decls, writer) = (self.decls.clone(), self.writer.clone());
+            let (decls, writer) = (self.decls.frozen(), self.writer.clone());
             let (rank, trace) = (self.rank, self.trace.lock().clone());
             let key = (app, tc, thread);
             let spawned = std::thread::Builder::new()
                 .name(format!("dps-net-a{app}t{tc}i{thread}"))
-                .spawn(move || executor_loop(decls, writer, rank, key, trace, rx))
+                .spawn(move || executor_loop(&decls, &writer, rank, key, trace, rx))
                 .expect("spawn executor lane");
             self.threads.lock().push(spawned);
             tx
@@ -230,189 +259,134 @@ impl ExecHost {
     }
 }
 
-/// What a lane needs from the declarations to execute at one graph node,
-/// resolved once per `(graph, node)` and kept in the lane: its back-to-back
-/// jobs then take no process-wide lock, so they do not serialise with the
-/// reader thread or with other lanes.
-struct NodeCtx {
-    def: Arc<Flowgraph>,
-    thread_count: usize,
-    factory: DataFactory,
-    /// Token registry of the owning application.
-    registry: Arc<TokenRegistry>,
-}
-
-impl NodeCtx {
-    /// Snapshot the declarations of `graph` and of collection `tc`. A miss
-    /// means the SPMD driver diverged despite the signature check.
-    fn resolve(decls: &DeclStore, app: u32, tc: u32, graph: u32) -> Result<Self, DpsError> {
-        decls
-            .with(|d| {
-                let a = d.apps().get(app as usize)?;
-                let tcd = a.tcs.get(tc as usize)?;
-                Some(NodeCtx {
-                    def: a.graphs.get(graph as usize)?.clone(),
-                    thread_count: tcd.nodes.len(),
-                    factory: tcd.factory.clone(),
-                    registry: a.registry.clone(),
-                })
-            })
-            .ok_or_else(|| DpsError::OperationContract {
-                node: "netengine".into(),
-                reason: "remote task for an undeclared graph (SPMD declarations diverged)".into(),
-            })
-    }
-}
-
-/// The operation instances of one executor lane: a split/leaf's per slot,
-/// as a local thread holds them, and a merge/stream's per wave it has a step
-/// of in flight, keyed by `(graph, node, wave)` — the master counts the
-/// wave, this side only runs it.
-#[derive(Default)]
-struct Lane {
-    nodes: Instances,
-    waves: IdMap<(u32, u32, u64), Wave>,
-}
-
-/// One executor lane: owns the thread data and op instances of one DPS
-/// thread, replays jobs strictly in arrival order, replies with one `Done`
-/// per job in that same order — the order the master matches a reply to its
-/// `Exec` by, and what lets it keep several `Exec`s of the thread in flight.
+/// One executor lane: the data, the operation instances and the waves of
+/// one DPS thread, served in arrival order with one `Done` per arrival that
+/// calls for one, in that same order.
 fn executor_loop(
-    decls: Arc<DeclStore>,
-    writer: Arc<Conn>,
+    decls: &Decls,
+    writer: &Conn,
     rank: u16,
     (app, tc, thread): (u32, u32, u32),
     trace: Option<Arc<TraceCollector>>,
     rx: Receiver<Job>,
 ) {
-    let mut data: Option<Box<dyn Any + Send>> = None;
-    let mut lane = Lane::default();
-    let mut resolved: HashMap<(u32, u32), NodeCtx> = HashMap::new();
-    // Made on the first job, whose declarations name the lane's track.
-    let mut tracer: Option<Tracer> = None;
-    // What the lane's operations post, reused from job to job.
-    let mut out = OpOutput::default();
+    let mut lane = Thread {
+        decls,
+        app,
+        data: (decls.apps()[app as usize].tcs[tc as usize].factory)(),
+        inst: Instances::default(),
+        info: ExecInfo::wall_clock(thread as usize, decls.threads(app, tc)),
+        // On the thread's node, at its index among the threads that node
+        // hosts.
+        tracer: trace.map(|c| Tracer::new(c, (rank, decls.node_thread(app, tc, thread) as u16))),
+        out: OpOutput::default(),
+    };
     while let Ok(job) = rx.recv() {
-        let (graph, node) = (job.graph, job.node);
-        let at = At { app, graph, node };
-        let wave = job.wave as u32;
-        let outcome = match resolved.entry((graph, node.0)) {
-            Entry::Occupied(e) => Ok(&*e.into_mut()),
-            Entry::Vacant(e) => NodeCtx::resolve(&decls, app, tc, graph).map(|ctx| &*e.insert(ctx)),
-        }
-        .and_then(|ctx| {
-            let ran = run_job(ctx, thread, &mut data, &mut lane, job, &mut out)?;
-            if let Some(c) = &trace {
-                // On the thread's node, at its index among the threads
-                // that node hosts.
-                let t = tracer.get_or_insert_with(|| {
-                    let index = decls.with(|d| d.node_thread(app, tc, thread));
-                    Tracer::new(c.clone(), (rank, index as u16))
-                });
-                let start = c.stamp(ran.t0);
-                let end = start + ran.took.as_nanos() as u64;
-                let track = t.writer().track();
-                let rec = Rec::at(t, track, end).op(start, Some(end));
-                kernel::ran(rec, at, &ctx.def.node(node).name, wave, ran.marked);
-            }
-            let secs = ran.took.as_secs_f64();
-            Ok(Vec::from_iter(ran.marked.map(|iters| (iters, secs))))
-        });
-        let (reports, error) = match outcome {
-            Ok(reports) => (reports, None),
+        let token = job.close.is_none();
+        let (reply, call, reports) = match lane.serve(job) {
+            Ok(Some(outcome)) => outcome,
+            Ok(None) => continue,
             Err(e) => {
-                out.posts.clear();
-                (Vec::new(), Some(e.to_string()))
+                lane.out.posts.clear();
+                let error = e.to_string();
+                (Reply::Failed { token, error }, None, Vec::new())
             }
         };
-        // The posted tokens are encoded once, straight into the reply.
+        // The posted tokens, or a call's one token, are encoded once,
+        // straight into the reply.
+        let posts = match &call {
+            Some(token) => vec![Payload::Token(token.as_ref())],
+            None => (lane.out.posts.iter())
+                .map(|p| Payload::Token(p.token.as_ref()))
+                .collect(),
+        };
         let sent = writer.send(&Frame::Done {
             app,
             tc,
             thread,
-            posts: out
-                .posts
-                .iter()
-                .map(|p| Payload::Token(p.token.as_ref()))
-                .collect(),
+            reply,
+            posts,
             reports,
-            error,
         });
-        out.posts.clear();
+        lane.out.posts.clear();
         if sent.is_err() {
-            // The master is gone; nothing left to execute for.
+            // The master is gone; nothing left to serve for.
             break;
         }
     }
-    if let Some(c) = &trace {
-        c.drain();
+    if let Some(t) = &lane.tracer {
+        t.collector().drain();
     }
 }
 
-/// What one job did besides its posts: the chunk it marked complete, when
-/// its operation started and how long it took.
-struct Ran {
-    marked: Option<u64>,
-    t0: Instant,
-    took: Duration,
+/// What a lane answers an arrival with: the reply, a call's token, and the
+/// `(iters, secs)` of the chunks the operation completed.
+type Outcome = (Reply, Option<TokenBox>, Vec<(u64, f64)>);
+
+/// The DPS thread an executor lane serves, between its arrivals.
+struct Thread<'a> {
+    decls: &'a Decls,
+    app: u32,
+    data: Box<dyn Any + Send>,
+    /// The thread's operation instances and the waves it consumes.
+    inst: Instances,
+    info: ExecInfo,
+    tracer: Option<Tracer>,
+    /// What the lane's operations post, reused from arrival to arrival.
+    out: OpOutput,
 }
 
-/// Run `job` on the lane of thread `thread`, whose data and instances
-/// these are; its posts are left in `out`.
-fn run_job(
-    ctx: &NodeCtx,
-    thread: u32,
-    data: &mut Option<Box<dyn Any + Send>>,
-    lane: &mut Lane,
-    job: Job,
-    out: &mut OpOutput,
-) -> Result<Ran, DpsError> {
-    let gnode = ctx.def.node(job.node);
-    let contract = |reason: &str| DpsError::OperationContract {
-        node: gnode.name.clone(),
-        reason: reason.into(),
-    };
-    if matches!(gnode.kind, OpKind::Call) {
-        return Err(contract("call nodes execute on the master, never remotely"));
-    }
-    let token = match job.kind {
-        RemoteKind::Finalize => None,
-        _ if job.token.is_empty() => return Err(contract("remote task arrived without its token")),
-        _ => Some(proto::decode_received(
-            &ctx.registry,
-            &job.token,
-            &job.shared,
-        )?),
-    };
-    // The master counts the wave and numbers its output; this side holds
-    // only the wave's operation instance, from its first step to the one
-    // that finalizes it.
-    let finalize = matches!(
-        job.kind,
-        RemoteKind::Consume { completes: true } | RemoteKind::Finalize
-    );
-    let key = (job.graph, job.node.0, job.wave);
-    let served = match job.kind {
-        RemoteKind::Exec => Served::Node(&mut lane.nodes, (job.graph, job.node.0)),
-        _ => {
-            let hosted = || Wave::new(job.graph, job.node, 0);
-            Served::Wave(lane.waves.entry(key).or_insert_with(hosted))
+impl Thread<'_> {
+    /// What an `mt` worker does with a message: [`kernel::serve`], then the
+    /// operation it calls for, whose posts are left in `out`. `None` for a
+    /// close that finds data objects missing, which is not answered.
+    fn serve(&mut self, job: Job) -> Result<Option<Outcome>, DpsError> {
+        let at = At {
+            app: self.app,
+            graph: job.graph,
+            node: job.node,
+        };
+        let what = match job.close {
+            Some(total) => Arrival::Close(total),
+            None => {
+                let registry = self.decls.registry(at.app);
+                Arrival::Token(proto::decode_received(registry, &job.token, &job.shared)?)
+            }
+        };
+        let sent = NonZeroU64::new(job.flow);
+        if let (Some(t), Arrival::Token(tok), Some(sent)) = (&mut self.tracer, &what, sent) {
+            let (track, now) = (t.writer().track(), t.collector().now_nanos());
+            kernel::took(Rec::at(t, track, now), tok.as_ref(), &job.env, sent);
         }
-    };
-    let info = ExecInfo::wall_clock(thread as usize, ctx.thread_count);
-    let data = data.get_or_insert_with(|| (ctx.factory)());
-    let t0 = Instant::now();
-    kernel::step(served, gnode, token, finalize, data.as_mut(), info, out)?;
-    let took = t0.elapsed();
-    if finalize {
-        lane.waves.remove(&key);
+        let wave = kernel::env_wave(&job.env);
+        let served = kernel::serve(self.decls, &mut self.inst, at, what, job.env, || {
+            job.out_wave
+        });
+        let (ready, then) = match served? {
+            Serve::Run(ready, then) => (ready, then),
+            Serve::Call(at, env, token) => {
+                return Ok(Some((Reply::Call { at, env }, Some(token), Vec::new())))
+            }
+            Serve::Wait => return Ok(None),
+        };
+        let t0 = Instant::now();
+        ready.run(self.data.as_mut(), self.info, &mut self.out)?;
+        let took = t0.elapsed();
+        if let Some(key) = then.completed() {
+            self.inst.waves.remove(key);
+        }
+        let marked = self.out.completed_iters;
+        if let Some(t) = &mut self.tracer {
+            let start = t.collector().stamp(t0);
+            let end = start + took.as_nanos() as u64;
+            let track = t.writer().track();
+            let rec = Rec::at(t, track, end).op(start, end);
+            let name = &self.decls.def(at.app, at.graph).node(at.node).name;
+            kernel::ran(rec, at, name, wave, marked);
+        }
+        let reports = Vec::from_iter(marked.map(|iters| (iters, took.as_secs_f64())));
+        Ok(Some((Reply::Ran { then }, None, reports)))
     }
-    Ok(Ran {
-        marked: out.completed_iters,
-        t0,
-        took,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -859,6 +833,8 @@ mod tests {
     dps_core::dps_token! {
         pub struct Strip { pub i: u32, pub a: Buffer<f64>, pub b: Buffer<u32> }
     }
+
+    use dps_core::TokenRegistry;
 
     fn registry() -> TokenRegistry {
         let mut reg = TokenRegistry::new();

@@ -8,14 +8,15 @@
 //!
 //! Every process runs the *same* SPMD driver code against a [`NetEngine`]:
 //!
-//! * The **master** (rank 0) embeds an `MtEngine` as its control plane —
-//!   wave accounting, split/merge flow control, credit windows, routing and
-//!   service calls all stay in one place — and ships only *op executions*
-//!   of remotely-hosted threads to the worker kernels
-//!   (`dps_mt::RemoteExec`).
+//! * The **master** (rank 0) embeds an `MtEngine` that routes every token,
+//!   pins every wave, holds every flow and its credits, makes the service
+//!   calls, and serves node 0's threads; an arrival for a thread of node
+//!   `n` goes to worker rank `n` (`dps_mt::Forward`), and one master thread
+//!   per rank applies what comes back (`dps_mt::Replies`).
 //! * **Workers** record the driver's declarations (verified against the
-//!   master's by signature at the sync barrier), execute shipped
-//!   operations with real per-thread state, claim scheduled-loop chunks
+//!   master's by signature at the sync barrier), serve their own threads'
+//!   arrivals as an `mt` worker does — `kernel::serve`, then the operation,
+//!   with real per-thread state — claim scheduled-loop chunks
 //!   from the [`ChunkHub`](dps_sched::ChunkHub) of the rank that opened
 //!   the lease — their own memory for a lease they opened, the wire
 //!   otherwise — and see every run's outputs re-broadcast so SPMD asserts

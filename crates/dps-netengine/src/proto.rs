@@ -25,8 +25,8 @@
 //! | `Hello` | worker → master | first frame after connect; announces the rank |
 //! | `Welcome` | master → worker | accepts the worker; cluster size |
 //! | `Sync` | worker → master | declarations done; carries the declaration signature |
-//! | `Exec` | master → worker | run one op execution point ([`RemoteKind`]) of one wave, on the lane of one thread |
-//! | `Done` | worker → master | the reply to the lane's oldest unanswered `Exec`: posted tokens + chunk reports, or an error |
+//! | `Exec` | master → worker | a data object or a wave's close for one thread the worker serves, with its envelope |
+//! | `Done` | worker → master | what the thread's `kernel::serve` made of an `Exec` — a step's `Then` and its posts and chunk reports, a call to make, or an error (a close that finds data objects missing is not answered) |
 //! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
 //! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
 //! | `Output` | master → worker | a token left a graph (broadcast, so SPMD asserts see outputs) |
@@ -47,8 +47,8 @@
 
 use std::io;
 
-use dps_core::{DpsError, GNodeId, Token, TokenBox, TokenRegistry};
-use dps_mt::RemoteKind;
+use dps_core::{DpsError, Envelope, GNodeId, Token, TokenBox, TokenRegistry};
+pub use dps_mt::Reply;
 use dps_sched::remote::{HubRequest, HubResponse};
 use dps_serial::{impl_wire_enum, Bytes, Captured, Reader, RecvTable, Wire, WireError, Writer};
 
@@ -68,7 +68,7 @@ pub enum Payload<'a> {
 }
 
 impl Payload<'_> {
-    /// No token (the payload of a [`RemoteKind::Finalize`]).
+    /// No token (the payload of a close).
     pub fn empty() -> Self {
         Payload::Bytes(Bytes::new())
     }
@@ -133,8 +133,8 @@ pub enum Frame<'a> {
         /// Declaration-table signature.
         sig: u64,
     },
-    /// Run one op execution point on the thread's lane in the worker
-    /// hosting it, after the lane's earlier `Exec`s.
+    /// A data object, or the close of a wave, for a thread the worker
+    /// serves: its lane serves it after the lane's earlier `Exec`s.
     Exec {
         /// Application index (declaration order).
         app: u32,
@@ -144,17 +144,21 @@ pub enum Frame<'a> {
         thread: u32,
         /// Graph index within the application.
         graph: u32,
-        /// The executing graph node.
+        /// The graph node it arrives at.
         node: GNodeId,
-        /// Which execution point.
-        kind: RemoteKind,
-        /// The token (empty for [`RemoteKind::Finalize`]).
+        /// The data object (empty for a close).
         token: Payload<'a>,
-        /// The wave: [`dps_mt::RemoteTask::wave`].
-        wave: u64,
+        /// The wave's total, for a close (`None` for a data object).
+        close: Option<u32>,
+        /// The envelope it travels under.
+        env: Envelope,
+        /// At a stream node, the id a wave it enters there has its posts
+        /// travel under ([`dps_mt::Foreign::out_wave`]).
+        out_wave: u64,
+        /// The traced flow it was sent under, off by one (0: untraced).
+        flow: u64,
     },
-    /// The reply to the oldest unanswered `Exec` of the lane `(app, tc,
-    /// thread)`: the k-th `Done` of a lane answers its k-th `Exec`.
+    /// What a lane made of one of its `Exec`s, in their order.
     Done {
         /// Application index of the lane's thread.
         app: u32,
@@ -162,12 +166,12 @@ pub enum Frame<'a> {
         tc: u32,
         /// The lane's thread index within the collection.
         thread: u32,
-        /// The tokens the op posted, in post order.
+        /// What the lane's `kernel::serve` made of it, and how it went.
+        reply: Reply,
+        /// The tokens the op posted, in post order (a call's: its token).
         posts: Vec<Payload<'a>>,
         /// `(iters, secs)` per completed scheduled chunk (worker wall clock).
         reports: Vec<(u64, f64)>,
-        /// Set if the execution failed; the master fails the run with it.
-        error: Option<String>,
     },
     /// One chunk-hub operation on a lease the sender did not open, on its
     /// way to the rank that did (rank 0 serves its own and relays the rest).
@@ -237,8 +241,8 @@ impl_wire_enum!(Frame<'a> {
     0 => Hello { rank },
     1 => Welcome { nodes },
     2 => Sync { sig },
-    3 => Exec { app, tc, thread, graph, node, kind, token, wave },
-    4 => Done { app, tc, thread, posts, reports, error },
+    3 => Exec { app, tc, thread, graph, node, token, close, env, out_wave, flow },
+    4 => Done { app, tc, thread, reply, posts, reports },
     5 => Hub { req, body },
     6 => HubReply { req, body },
     7 => Output { app, graph, token },
@@ -315,9 +319,30 @@ pub fn decode_received(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_core::dps_token;
+    use dps_core::internal::kernel::{At, Then};
+    use dps_core::{dps_token, Frame as WaveFrame};
 
     dps_token! { pub struct Probe { pub x: u64 } }
+
+    /// An envelope one wave deep: post 3 of wave 77 of node 1, of five.
+    fn env() -> Envelope {
+        let mut env = Envelope::root();
+        env.push(WaveFrame {
+            src: GNodeId(1),
+            wave: 77,
+            index: 3,
+            total: Some(5),
+        });
+        env
+    }
+
+    fn at() -> At {
+        At {
+            app: 0,
+            graph: 1,
+            node: GNodeId(4),
+        }
+    }
 
     fn roundtrip(f: &Frame<'_>) {
         let bytes = dps_serial::to_bytes(f);
@@ -335,31 +360,17 @@ mod tests {
         roundtrip(&Frame::Hello { rank: 2 });
         roundtrip(&Frame::Welcome { nodes: 3 });
         roundtrip(&Frame::Sync { sig: u64::MAX });
-        roundtrip(&Frame::Exec {
-            app: 0,
-            tc: 1,
-            thread: 2,
-            graph: 0,
-            node: GNodeId(4),
-            kind: RemoteKind::Consume { completes: true },
-            token: run(&[1, 2, 3]),
-            wave: 77,
-        });
+        // An `Exec` and the other `Done`s round-trip with their golden bytes.
         roundtrip(&Frame::Done {
             app: 0,
             tc: 1,
             thread: 2,
-            posts: vec![Payload::empty(), run(&[255; 9])],
-            reports: vec![(12, 0.5)],
-            error: None,
-        });
-        roundtrip(&Frame::Done {
-            app: 1,
-            tc: 0,
-            thread: 0,
-            posts: vec![],
+            reply: Reply::Call {
+                at: at(),
+                env: env(),
+            },
+            posts: vec![run(&[7; 4])],
             reports: vec![],
-            error: Some("op failed".into()),
         });
         roundtrip(&Frame::Hub {
             req: 1,
@@ -403,12 +414,14 @@ mod tests {
     /// `to_bytes` of the same frames with `encode_token` output in
     /// `Vec<u8>` fields): the layout did not move. The `Trace` frame
     /// carries the worker's clock between its run and its log. Re-pinned
-    /// on purpose twice: once when an `Exec` came to name its wave by id in
-    /// place of an envelope, and the `Welcome` to carry the cluster size
-    /// alone; once when an `Exec` and its `Done` lost their sequence number
-    /// (the `Done` names its lane's thread instead, and a lane's replies
-    /// come in its order), and `Ping` / `Pong` the number they echoed,
-    /// which nothing read.
+    /// on purpose three times: once when an `Exec` came to name its wave by
+    /// id in place of an envelope, and the `Welcome` to carry the cluster
+    /// size alone; once when an `Exec` and its `Done` lost their sequence
+    /// number (the `Done` names its lane's thread instead, and a lane's
+    /// replies come in its order), and `Ping` / `Pong` the number they
+    /// echoed, which nothing read; once when a worker came to serve its own
+    /// threads' arrivals: an `Exec` is a data object or a close with its
+    /// envelope, and a `Done` what the worker's `serve` made of it.
     #[test]
     fn token_frames_keep_their_golden_bytes() {
         let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
@@ -422,12 +435,15 @@ mod tests {
                     thread: 2,
                     graph: 0,
                     node: GNodeId(4),
-                    kind: RemoteKind::Consume { completes: true },
                     token: Payload::Token(&exec_tok),
-                    wave: 77,
+                    close: None,
+                    env: env(),
+                    out_wave: 78,
+                    flow: 9,
                 },
-                "030000000000000001000000020000000000000004000000021200000051b9c7\
-                 df8a7836b90200d2040000000000004d00000000000000",
+                "0300000000000000010000000200000000000000040000001200000051b9c7df\
+                 8a7836b90200d2040000000000000001000000010000004d0000000000000003\
+                 0000000105000000000000004e000000000000000900000000000000",
             ),
             (
                 Frame::Exec {
@@ -436,37 +452,50 @@ mod tests {
                     thread: 0,
                     graph: 2,
                     node: GNodeId(1),
-                    kind: RemoteKind::Finalize,
                     token: Payload::empty(),
-                    wave: 77,
+                    close: Some(5),
+                    env: env(),
+                    out_wave: 0,
+                    flow: 0,
                 },
-                "03000000010000000000000000000000020000000100000003000000004d0000\
-                 0000000000",
+                "0300000001000000000000000000000002000000010000000000000001050000\
+                 0001000000010000004d00000000000000030000000105000000000000000000\
+                 0000000000000000000000000000",
             ),
             (
                 Frame::Done {
                     app: 0,
                     tc: 1,
                     thread: 2,
+                    reply: Reply::Ran {
+                        then: Then::Exec {
+                            at: at(),
+                            env: env(),
+                        },
+                    },
                     posts: vec![Payload::Token(&one), Payload::Token(&max)],
                     reports: vec![(12, 0.5)],
-                    error: None,
                 },
-                "04000000000000000100000002000000020000001200000051b9c7df8a7836b9\
-                 020001000000000000001200000051b9c7df8a7836b90200ffffffffffffffff\
-                 010000000c00000000000000000000000000e03f00",
+                "0400000000000000010000000200000000000000000000000000000001000000\
+                 0400000001000000010000004d00000000000000030000000105000000000000\
+                 00020000001200000051b9c7df8a7836b9020001000000000000001200000051\
+                 b9c7df8a7836b90200ffffffffffffffff010000000c00000000000000000000\
+                 000000e03f",
             ),
             (
                 Frame::Done {
                     app: 1,
                     tc: 0,
                     thread: 0,
+                    reply: Reply::Failed {
+                        token: true,
+                        error: "op failed".into(),
+                    },
                     posts: vec![],
                     reports: vec![],
-                    error: Some("op failed".into()),
                 },
-                "04000000010000000000000000000000000000000000000001090000006f7020\
-                 6661696c6564",
+                "040000000100000000000000000000000200000001090000006f70206661696c\
+                 65640000000000000000",
             ),
             (
                 Frame::Output {

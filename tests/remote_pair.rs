@@ -159,12 +159,12 @@ impl LeafOperation for Check {
     }
 }
 
-/// The client's main collection lives on node1, so its thread is a proxy on
-/// the master: the check and the merge's steps ship to node1's kernel, while
-/// a call never ships. A request reaches the call only once the proxy has
-/// finished the check it shipped, and with several requests in flight a call
-/// finds later checks and earlier waves' merge steps shipped ahead of it:
-/// the proxy finishes those first, then makes the call on the master.
+/// The client's main collection lives on node1, so node1's kernel serves its
+/// thread: the check and the merge's steps run there, and a request that
+/// reaches the call there comes back as a `Done` that names the call, which
+/// the master makes. With several requests in flight, the call's answer
+/// follows the later checks and earlier waves' merge steps served ahead of
+/// it on that thread, in the order they were served.
 #[test]
 fn remote_pair_on_net_engine() {
     const REQUESTS: u64 = 4;
