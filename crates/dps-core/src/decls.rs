@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use dps_cluster::{resolve_mapping, ClusterSpec};
 use dps_net::NodeId;
+use dps_obs::Fnv1a;
 
 use crate::builder::GraphBuilder;
 use crate::error::{DpsError, Result};
@@ -234,41 +235,50 @@ impl Decls {
     /// agree on it, and any that did not differ (FNV-1a; compared between
     /// processes of one binary only).
     pub fn signature(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.spec.len() as u64);
-        h.u64(self.apps.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.spec.len() as u64);
+        h.write_u64(self.apps.len() as u64);
         for a in &self.apps {
-            h.str(&a.name);
+            write_str(&mut h, &a.name);
             let ids = a.registry.ids();
-            h.u64(ids.len() as u64);
-            ids.iter().for_each(|id| h.u64(id.0));
-            h.u64(a.tcs.len() as u64);
+            h.write_u64(ids.len() as u64);
+            ids.iter().for_each(|id| h.write_u64(id.0));
+            h.write_u64(a.tcs.len() as u64);
             for tc in &a.tcs {
-                h.u64(tc.nodes.len() as u64);
-                tc.nodes.iter().for_each(|&n| h.u64(u64::from(n)));
+                h.write_u64(tc.nodes.len() as u64);
+                tc.nodes.iter().for_each(|&n| h.write_u64(u64::from(n)));
             }
-            h.u64(a.graphs.len() as u64);
+            h.write_u64(a.graphs.len() as u64);
             for def in &a.graphs {
-                h.str(def.name());
-                h.u64(def.len() as u64);
+                write_str(&mut h, def.name());
+                h.write_u64(def.len() as u64);
                 for node in def.nodes() {
-                    h.str(&node.name);
-                    h.u64(kind_index(node.kind));
-                    h.u64(u64::from(node.tc));
-                    h.u64(node.in_type.0);
-                    h.u64(node.out_types.len() as u64);
-                    node.out_types.iter().for_each(|(out, _)| h.u64(out.0));
+                    write_str(&mut h, &node.name);
+                    h.write_u64(kind_index(node.kind));
+                    h.write_u64(u64::from(node.tc));
+                    h.write_u64(node.in_type.0);
+                    h.write_u64(node.out_types.len() as u64);
+                    node.out_types
+                        .iter()
+                        .for_each(|(out, _)| h.write_u64(out.0));
                 }
             }
         }
-        h.u64(self.services.len() as u64);
+        h.write_u64(self.services.len() as u64);
         for (name, g) in &self.services {
-            h.str(name);
-            h.u64(u64::from(g.app));
-            h.u64(u64::from(g.graph));
+            write_str(&mut h, name);
+            h.write_u64(u64::from(g.app));
+            h.write_u64(u64::from(g.graph));
         }
-        h.0
+        h.finish()
     }
+}
+
+/// Fold `s` in length-delimited, so `"ab"` then `"c"` differs from `"a"`
+/// then `"bc"`.
+fn write_str(h: &mut Fnv1a, s: &str) {
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
 }
 
 fn kind_index(kind: OpKind) -> u64 {
@@ -282,42 +292,16 @@ fn kind_index(kind: OpKind) -> u64 {
     }
 }
 
-/// FNV-1a accumulator.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Length-delimited, so `"ab"` then `"c"` differs from `"a"` then `"bc"`.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::Fnv;
+    use super::{write_str, Fnv1a};
 
     #[test]
     fn strings_are_length_delimited() {
         let fold = |parts: [&str; 2]| {
-            let mut h = Fnv::new();
-            parts.iter().for_each(|s| h.str(s));
-            h.0
+            let mut h = Fnv1a::new();
+            parts.iter().for_each(|s| write_str(&mut h, s));
+            h.finish()
         };
         assert_eq!(fold(["ab", "c"]), fold(["ab", "c"]));
         assert_ne!(fold(["ab", "c"]), fold(["a", "bc"]));

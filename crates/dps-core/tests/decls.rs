@@ -132,3 +132,11 @@ fn a_thread_is_indexed_among_the_threads_of_its_node() {
     .into();
     assert_eq!(tracks, [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3)]);
 }
+
+/// The signature of [`BASE`], as the commit before the fold moved onto
+/// `dps_obs::Fnv1a` computed it: the same basis, prime and little-endian
+/// words, so a kernel of either build signs the same declarations alike.
+#[test]
+fn the_signature_of_a_schedule_is_pinned() {
+    assert_eq!(signature(BASE), 0x89f9_2469_b20b_f9a1);
+}

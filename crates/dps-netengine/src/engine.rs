@@ -10,9 +10,9 @@
 //! of table as
 //! the master's (whose [signature](Decls::signature) the master checks
 //! theirs against at the sync barrier), their `submit`s are no-ops, and
-//! their `run_to_idle`s block until the master broadcasts
-//! the run's outputs and its [`Frame::Release`] — so driver-side asserts
-//! after a run observe identical outputs on every kernel.
+//! their `run_to_idle`s block until the master's [`Frame::Release`] of the
+//! run brings its outputs — so driver-side asserts after a run observe
+//! identical outputs on every kernel.
 
 use std::collections::HashMap;
 use std::io;
@@ -26,14 +26,13 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::internal::kernel::Arrival;
 use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
 use dps_mt::{FailHandle, Foreign, Forward, MtConfig, MtEngine, Replies};
-use dps_obs::TraceCollector;
+use dps_obs::{TraceCollector, TraceLog};
 use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::{Bytes, Captured, RecvTable};
-use parking_lot::Mutex;
 
 use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
-use crate::proto::{self, send_frame, Frame, Payload, Reply};
+use crate::proto::{self, send_frame, Frame, Payload, Reply, WireLog};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
 /// Every deadline the network engine enforces, in one place. Each field
@@ -180,13 +179,14 @@ enum Role {
     Worker(Box<Worker>),
 }
 
-/// Decoded `Output` frames buffered per `(app, graph)` until the worker's
-/// `take_outputs` drains them.
-type OutputBuf = Arc<Mutex<HashMap<(u32, u32), Vec<TokenBox>>>>;
-
 /// A worker's [`Frame::Trace`]: the run, the worker collector's clock, the
-/// encoded log.
-type TraceReply = (u64, (u64, u64), Bytes);
+/// log.
+type TraceReply = (u64, (u64, u64), TraceLog);
+
+/// A worker's [`Frame::Release`]: the run, its error, its outputs as views
+/// into the frame, and what the frame captured of the connection's buffer
+/// table, which they decode against.
+type Released = (u64, Option<String>, Vec<Bytes>, Captured);
 
 /// A received [`Frame::Done`], on its way from the connection's reader to
 /// the rank's reply thread: its posts are views into the frame, decoded
@@ -325,8 +325,10 @@ struct Worker {
     /// This rank's chunk hub: the leases its ops open live here, the
     /// others are a [`HubLink`] round trip away.
     hub: Arc<ChunkHub>,
-    outputs: OutputBuf,
-    release_rx: Receiver<(u64, Option<String>)>,
+    /// The outputs of released runs, per `(app, graph)`, until
+    /// `take_outputs` drains them.
+    outputs: HashMap<(u32, u32), Vec<TokenBox>>,
+    release_rx: Receiver<Released>,
     shutdown_rx: Receiver<()>,
     synced: bool,
     run_seq: u64,
@@ -481,8 +483,8 @@ fn master_reader(
             Ok((Frame::Sync { sig }, _)) => {
                 let _ = sync_tx.send((rank, (sig, len)));
             }
-            Ok((Frame::Trace { run, clock, bytes }, _)) => {
-                let _ = trace_tx.send((rank, (run, clock, bytes)));
+            Ok((Frame::Trace { run, clock, log }, _)) => {
+                let _ = trace_tx.send((rank, (run, clock, log.0)));
             }
             // Pong (and anything else): the `touch` above already reset
             // the heartbeat clock.
@@ -529,16 +531,13 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
 }
 
 /// Worker-side reader of the master connection.
-#[allow(clippy::too_many_arguments)]
 fn worker_reader(
     mut rx: Box<dyn FrameRx>,
     host: Arc<ExecHost>,
     hub: Arc<ChunkHub>,
     hub_link: Arc<HubLink>,
-    decls: Arc<DeclStore>,
-    outputs: OutputBuf,
     writer: Arc<Conn>,
-    release_tx: Sender<(u64, Option<String>)>,
+    release_tx: Sender<Released>,
     shutdown_tx: Sender<()>,
 ) {
     let mut table = RecvTable::default();
@@ -551,28 +550,23 @@ fn worker_reader(
                 let _ = writer.send(&Frame::HubReply { req, body });
             }
             Ok((Frame::HubReply { req, body }, _)) => hub_link.complete(req, body),
-            Ok((Frame::Output { app, graph, token }, captured)) => {
-                // Decoded here, straight out of the received frame.
-                let token = token.into_bytes();
-                let decoded = decls.with(|d| {
-                    d.apps()
-                        .get(app as usize)
-                        .map(|a| proto::decode_received(&a.registry, &token, &captured))
-                });
-                match decoded {
-                    Some(Ok(tok)) => outputs.lock().entry((app, graph)).or_default().push(tok),
-                    _ => eprintln!("dps-netengine: dropping undecodable output of app {app}"),
-                }
-            }
-            Ok((Frame::Release { run, error }, _)) => {
+            Ok((
+                Frame::Release {
+                    run,
+                    error,
+                    outputs,
+                },
+                captured,
+            )) => {
                 // A traced worker answers a successful release with its log
                 // of the run, taken (so drained) before the run returns here.
                 if let (None, Some(c)) = (&error, host.trace_collector()) {
                     let clock = c.clock();
-                    let bytes = dps_obs::wire::encode_log(&c.take_log()).into();
-                    let _ = writer.send(&Frame::Trace { run, clock, bytes });
+                    let log = WireLog(c.take_log());
+                    let _ = writer.send(&Frame::Trace { run, clock, log });
                 }
-                let _ = release_tx.send((run, error));
+                let outputs = outputs.into_iter().map(Payload::into_bytes).collect();
+                let _ = release_tx.send((run, error, outputs, captured));
             }
             Ok((Frame::Ping, _)) => {
                 let _ = writer.send(&Frame::Pong);
@@ -852,28 +846,12 @@ impl NetEngine {
         let host = Arc::new(ExecHost::new(decls.clone(), writer.clone(), rank as u16));
         let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
         let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
-        let outputs: OutputBuf = Arc::new(Mutex::new(HashMap::new()));
         let (release_tx, release_rx) = unbounded();
         let (shutdown_tx, shutdown_rx) = unbounded();
         let reader = {
-            let host = host.clone();
-            let hub = hub.clone();
-            let decls = decls.clone();
-            let outputs = outputs.clone();
-            let writer = writer.clone();
-            let rx = duplex.rx;
+            let (host, hub, writer, rx) = (host.clone(), hub.clone(), writer.clone(), duplex.rx);
             spawn("dps-net-reader".into(), move || {
-                worker_reader(
-                    rx,
-                    host,
-                    hub,
-                    hub_link,
-                    decls,
-                    outputs,
-                    writer,
-                    release_tx,
-                    shutdown_tx,
-                )
+                worker_reader(rx, host, hub, hub_link, writer, release_tx, shutdown_tx)
             })
         };
 
@@ -884,7 +862,7 @@ impl NetEngine {
                 writer,
                 host,
                 hub,
-                outputs,
+                outputs: HashMap::new(),
                 release_rx,
                 shutdown_rx,
                 synced: false,
@@ -1144,22 +1122,15 @@ impl Master {
         self.ensure_net_ready()?;
         self.run_seq += 1;
         let run = self.mt.wait_for_outputs(g, expected);
-        if run.is_ok() {
-            // Outputs first, then the release, on each connection: FIFO
-            // framing guarantees the worker's returning run_to_idle already
-            // sees every output.
-            let outs = self.mt.drain_outputs(g);
-            for tok in &outs {
-                self.broadcast(&Frame::Output {
-                    app: g.app,
-                    graph: g.graph,
-                    token: Payload::Token(tok.as_ref()),
-                });
-            }
-            let buf = self.out_buf.entry((g.app, g.graph)).or_default();
-            buf.extend(outs);
-        }
-        self.release(run.as_ref().err());
+        let outs = match &run {
+            Ok(()) => self.mt.drain_outputs(g),
+            Err(_) => Vec::new(),
+        };
+        self.release(run.as_ref().err(), &outs);
+        self.out_buf
+            .entry((g.app, g.graph))
+            .or_default()
+            .extend(outs);
         run
     }
 
@@ -1201,15 +1172,16 @@ impl Master {
         }
     }
 
-    /// Release the run on every worker, with its error if it failed, and
-    /// merge the trace log each traced worker answers a successful release
-    /// with before `run_to_idle` returns. Loopback harnesses write into the
-    /// master collector directly. Best-effort: a worker that cannot answer
-    /// costs its events, never the run.
-    fn release(&self, failed: Option<&DpsError>) {
+    /// Release the run on every worker, with its outputs, or its error if
+    /// it failed, and merge the trace log each traced worker answers a
+    /// successful release with before `run_to_idle` returns. Loopback
+    /// harnesses write into the master collector directly. Best-effort: a
+    /// worker that cannot answer costs its events, never the run.
+    fn release(&self, failed: Option<&DpsError>, outputs: &[TokenBox]) {
         let release = Frame::Release {
             run: self.run_seq,
             error: failed.map(DpsError::to_string),
+            outputs: outputs.iter().map(|t| Payload::Token(t.as_ref())).collect(),
         };
         let owed = (1..)
             .zip(&self.shared.conns)
@@ -1221,14 +1193,11 @@ impl Master {
         if failed.is_some() || self.presynced {
             return;
         }
-        let _ = self.gather(owed, &self.trace_rx, |_, (run, clock, bytes)| {
+        let _ = self.gather(owed, &self.trace_rx, |_, (run, clock, log)| {
             if run != self.run_seq {
                 return Ok(false); // stale reply of an earlier, timed-out round
             }
-            match dps_obs::wire::decode_log(&bytes) {
-                Some(log) => collector.ingest(&log, clock),
-                None => eprintln!("dps-netengine: dropping an undecodable worker trace log"),
-            }
+            collector.ingest(&log, clock);
             Ok(true)
         });
     }
@@ -1312,32 +1281,40 @@ impl Worker {
         let _ = self.writer.send(&Frame::Sync { sig });
     }
 
-    fn run_to_idle(&mut self) -> Result<()> {
+    /// The SPMD twin of the master's run of `g`: returns with the master's
+    /// release of it, keeping the outputs it carries for `take_outputs`.
+    fn run_to_idle(&mut self, g: GraphHandle) -> Result<()> {
         self.sync_once();
         self.run_seq += 1;
-        match self.release_rx.recv_timeout(self.release_timeout) {
-            Ok((run, error)) => {
-                if run != self.run_seq {
-                    return Err(DpsError::IncompleteWaves {
-                        waves: vec![format!(
-                            "release for run {run} arrived while waiting for run {}",
-                            self.run_seq
-                        )],
-                    });
-                }
-                match error {
-                    None => Ok(()),
-                    Some(msg) => Err(DpsError::IncompleteWaves { waves: vec![msg] }),
-                }
+        let seq = self.run_seq;
+        let why = match self.release_rx.recv_timeout(self.release_timeout) {
+            Ok((run, ..)) if run != seq => {
+                format!("release for run {run} arrived while waiting for run {seq}")
             }
-            Err(_) => Err(DpsError::IncompleteWaves {
-                waves: vec![format!(
-                    "master did not release run {} within release timeout {:?} \
-                     (2 × DPS_NET_CONNECT_TIMEOUT_MS + the run timeout)",
-                    self.run_seq, self.release_timeout
-                )],
-            }),
-        }
+            Ok((_, Some(error), ..)) => error,
+            Ok((_, None, outputs, captured)) => {
+                let kept = self.outputs.entry((g.app, g.graph)).or_default();
+                self.decls.with(|d| {
+                    let registry = d.apps().get(g.app as usize).map(|a| &a.registry);
+                    for token in &outputs {
+                        match registry.map(|r| proto::decode_received(r, token, &captured)) {
+                            Some(Ok(tok)) => kept.push(tok),
+                            _ => eprintln!(
+                                "dps-netengine: dropping undecodable output of app {}",
+                                g.app
+                            ),
+                        }
+                    }
+                });
+                return Ok(());
+            }
+            Err(_) => format!(
+                "master did not release run {seq} within release timeout {:?} \
+                 (2 × DPS_NET_CONNECT_TIMEOUT_MS + the run timeout)",
+                self.release_timeout
+            ),
+        };
+        Err(DpsError::IncompleteWaves { waves: vec![why] })
     }
 
     fn shutdown(&mut self) {
@@ -1436,9 +1413,8 @@ impl dps_core::Engine for NetEngine {
         match &mut self.role {
             Role::Master(m) => m.run_to_idle(graph, expected_outputs),
             Role::Worker(w) => {
-                let _ = graph;
                 let _ = expected_outputs;
-                w.run_to_idle()
+                w.run_to_idle(graph)
             }
         }
     }
@@ -1451,7 +1427,6 @@ impl dps_core::Engine for NetEngine {
                 .unwrap_or_default(),
             Role::Worker(w) => w
                 .outputs
-                .lock()
                 .remove(&(graph.app, graph.graph))
                 .unwrap_or_default(),
         }
@@ -1478,6 +1453,7 @@ mod tests {
     use dps_core::prelude::*;
     use dps_core::Engine;
     use dps_sched::remote::HubRequest;
+    use parking_lot::Mutex;
 
     dps_token! { pub struct Job { pub shards: u32 } }
     dps_token! { pub struct Shard { pub value: u64 } }
@@ -1511,7 +1487,9 @@ mod tests {
 
     /// Ten shards split on the master, merged on the one worker: a traced
     /// run counts every frame through rank 0 — ten `Exec`s out, ten `Done`s
-    /// back, the `Output`, the `Release`, the `Shutdown`. The heartbeat
+    /// back, the `Release` that carries the run's one output, the
+    /// `Shutdown`: 22, one fewer than when the output travelled in a frame
+    /// of its own ahead of the `Release`. The heartbeat
     /// interval is an hour, so no `Ping` joins them — and `shutdown`
     /// returning at all shows the monitor's wait for its next tick is cut
     /// short, not slept out.
@@ -1541,15 +1519,15 @@ mod tests {
         );
 
         let m = sink.metrics();
-        assert_eq!(m.get(dps_obs::Counter::FramesSent), 23);
+        assert_eq!(m.get(dps_obs::Counter::FramesSent), 22);
         let bytes = m.get(dps_obs::Counter::WireBytesSent);
         // Every frame is at least its discriminant; an `Exec` also carries
         // 21 bytes of ids, a tagged 8-byte token and its wave.
         assert!(
-            bytes > 23 * 4 + 10 * (21 + 4 + 18 + 8),
+            bytes > 22 * 4 + 10 * (21 + 4 + 18 + 8),
             "{bytes} wire bytes"
         );
-        assert!(bytes < 23 * 200, "{bytes} wire bytes");
+        assert!(bytes < 22 * 200, "{bytes} wire bytes");
     }
 
     /// How long a test waits for something another thread is about to do.
@@ -1636,12 +1614,17 @@ mod tests {
     /// and [`Sum`] back on node 0: `starts` has a unit each time the leaf
     /// starts, and a unit on `open` lets one execution go.
     struct Held {
+        /// First, because fields drop in order: a test that panics drops
+        /// its `Held` while the harness lane may still be parked on the
+        /// leaf's gate, and `eng`'s shutdown joins that lane. The gate
+        /// closes first, the lane goes, and the failure is reported
+        /// instead of hanging.
+        open: Sender<()>,
         eng: NetEngine,
         g: GraphHandle,
         shared: Arc<MasterShared>,
         sink: Arc<TraceCollector>,
         starts: Receiver<()>,
-        open: Sender<()>,
     }
 
     fn held(exec: Duration) -> Held {
@@ -1674,12 +1657,12 @@ mod tests {
             Role::Worker(_) => unreachable!("loopback engines are masters"),
         };
         Held {
+            open,
             eng,
             g,
             shared,
             sink,
             starts,
-            open,
         }
     }
 

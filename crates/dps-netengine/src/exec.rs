@@ -834,7 +834,7 @@ mod tests {
         pub struct Strip { pub i: u32, pub a: Buffer<f64>, pub b: Buffer<u32> }
     }
 
-    use dps_core::TokenRegistry;
+    use dps_core::{Token, TokenRegistry};
 
     fn registry() -> TokenRegistry {
         let mut reg = TokenRegistry::new();
@@ -857,11 +857,12 @@ mod tests {
         (conn, server.rx, RecvTable::default())
     }
 
-    fn output(tok: &Strip) -> Frame<'_> {
-        Frame::Output {
-            app: 0,
-            graph: 0,
-            token: Payload::Token(tok),
+    /// A `Release` whose one output is `tok`.
+    fn output(tok: &dyn Token) -> Frame<'_> {
+        Frame::Release {
+            run: 1,
+            error: None,
+            outputs: vec![Payload::Token(tok)],
         }
     }
 
@@ -869,8 +870,10 @@ mod tests {
     /// token's bytes and what the frame captured, for a decode later.
     fn take(rx: &mut Box<dyn FrameRx>, table: &mut RecvTable) -> (Bytes, Captured) {
         match proto::decode_frame_on(rx.recv().unwrap(), table).unwrap() {
-            (Frame::Output { token, .. }, captured) => (token.into_bytes(), captured),
-            (other, _) => panic!("expected an Output, got {other:?}"),
+            (Frame::Release { mut outputs, .. }, captured) if outputs.len() == 1 => {
+                (outputs.pop().unwrap().into_bytes(), captured)
+            }
+            (other, _) => panic!("expected a Release of one output, got {other:?}"),
         }
     }
 
@@ -1027,14 +1030,7 @@ mod tests {
             };
             // A socket buffer holds less than the frame: the peer reads
             // while it is written.
-            let writer = std::thread::spawn(move || {
-                let frame = Frame::Output {
-                    app: 0,
-                    graph: 0,
-                    token: Payload::Token(&sent),
-                };
-                conn.send(&frame)
-            });
+            let writer = std::thread::spawn(move || conn.send(&output(&sent)));
             let (token, captured) = take(&mut rx, &mut table);
             writer.join().unwrap().unwrap();
             assert_eq!(table.len(), 1500);

@@ -304,22 +304,22 @@ mod tests {
         let client = t.connect(&addr).unwrap();
         let mut server = acc.accept().unwrap();
         let mut tx = KillTx::new(client.tx, 2);
-        for i in 0..4u8 {
-            let output = Frame::Output {
-                app: u32::from(i),
-                graph: 0,
-                token: Payload::empty(),
+        for run in 0..4 {
+            let release = Frame::Release {
+                run,
+                error: None,
+                outputs: vec![Payload::empty()],
             };
-            send_frame(&mut tx, &output).unwrap();
+            send_frame(&mut tx, &release).unwrap();
         }
         let kinds: Vec<Frame> = (0..5)
             .map(|_| decode_frame(server.rx.recv().unwrap()).unwrap())
             .collect();
-        assert!(matches!(kinds[0], Frame::Output { app: 0, .. }));
-        assert!(matches!(kinds[1], Frame::Output { app: 1, .. }));
+        assert!(matches!(kinds[0], Frame::Release { run: 0, .. }));
+        assert!(matches!(kinds[1], Frame::Release { run: 1, .. }));
         assert!(matches!(kinds[2], Frame::Die), "Die lands after 2 frames");
-        assert!(matches!(kinds[3], Frame::Output { app: 2, .. }));
-        assert!(matches!(kinds[4], Frame::Output { app: 3, .. }));
+        assert!(matches!(kinds[3], Frame::Release { run: 2, .. }));
+        assert!(matches!(kinds[4], Frame::Release { run: 3, .. }));
     }
 
     /// Per-direction streams are independent: reseeding one direction does

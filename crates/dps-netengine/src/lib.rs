@@ -19,8 +19,8 @@
 //!   with real per-thread state — claim scheduled-loop chunks
 //!   from the [`ChunkHub`](dps_sched::ChunkHub) of the rank that opened
 //!   the lease — their own memory for a lease they opened, the wire
-//!   otherwise — and see every run's outputs re-broadcast so SPMD asserts
-//!   hold on all kernels.
+//!   otherwise — and receive every run's outputs in the frame that
+//!   releases the run, so SPMD asserts hold on all kernels.
 //!
 //! Kernel `kernel0` is the master; worker rank `n` is kernel `kernel{n}`
 //! and hosts cluster node `n`. Frames travel over
@@ -87,7 +87,7 @@
 //! `NodeDown`, never a hang. The [`fault`] module injects seeded wire
 //! faults ([`WireFaults`]) and scheduled kills ([`NetKill`]) for testing.
 //!
-//! The full protocol (frames, sync barrier, release ordering, hub
+//! The full protocol (frames, sync barrier, run release, hub
 //! forwarding) is documented in [`proto`] and in the repository's
 //! `docs/ARCHITECTURE.md`.
 

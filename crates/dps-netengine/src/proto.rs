@@ -1,6 +1,6 @@
 //! The master↔worker wire protocol: control frames carrying graph
-//! synchronization, remote op execution, chunk-lease traffic and output
-//! broadcast.
+//! synchronization, remote op execution, chunk-lease traffic and the end
+//! of each run.
 //!
 //! Every frame is one [`Frame`] value encoded with the workspace wire
 //! format (`dps-serial`). Tokens travel *tagged*: a payload is prefixed with
@@ -29,10 +29,9 @@
 //! | `Done` | worker → master | what the thread's `kernel::serve` made of an `Exec` — a step's `Then` and its posts and chunk reports, a call to make, or an error (a close that finds data objects missing is not answered) |
 //! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
 //! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
-//! | `Output` | master → worker | a token left a graph (broadcast, so SPMD asserts see outputs) |
-//! | `Release` | master → worker | one `run_to_idle` finished (error message if it failed) |
+//! | `Release` | master → worker | one `run_to_idle` finished: the outputs it drained, so SPMD asserts see them, or its error |
 //! | `Shutdown` | master → worker | the run is over; stop executors and exit |
-//! | `Trace` | worker → master | a traced worker's answer to a successful `Release`: its trace log of the run and its clock |
+//! | `Trace` | worker → master | a traced worker's answer to a successful `Release`: its trace log of the run ([`WireLog`]) and its clock |
 //! | `Ping` | master → worker | liveness probe; a healthy worker answers immediately |
 //! | `Pong` | worker → master | the `Ping` answer; resets the miss budget |
 //! | `Die` | master → worker | fault injection: crash the worker process *now* |
@@ -40,7 +39,7 @@
 //! ```
 //! use dps_netengine::proto::{decode_frame, Frame};
 //!
-//! let f = Frame::Release { run: 3, error: None };
+//! let f = Frame::Release { run: 3, error: None, outputs: vec![] };
 //! let bytes = dps_serial::to_bytes(&f);
 //! assert_eq!(decode_frame(bytes).unwrap(), f);
 //! ```
@@ -49,6 +48,7 @@ use std::io;
 
 use dps_core::{DpsError, Envelope, GNodeId, Token, TokenBox, TokenRegistry};
 pub use dps_mt::Reply;
+use dps_obs::{EventKind, TraceEvent, TraceLog};
 use dps_sched::remote::{HubRequest, HubResponse};
 use dps_serial::{impl_wire_enum, Bytes, Captured, Reader, RecvTable, Wire, WireError, Writer};
 
@@ -188,24 +188,18 @@ pub enum Frame<'a> {
         /// The home hub's answer.
         body: HubResponse,
     },
-    /// A token left graph (`app`, `graph`) on the master. Broadcast so the
-    /// SPMD worker's driver code sees the same outputs the master does.
-    Output {
-        /// Application index.
-        app: u32,
-        /// Graph index.
-        graph: u32,
-        /// The output token.
-        token: Payload<'a>,
-    },
-    /// One master `run_to_idle` completed (the worker's matching call
-    /// returns). All of the run's `Output` frames precede it on the same
-    /// connection.
+    /// One master `run_to_idle` completed, and the worker's matching call
+    /// returns with the outputs it carries, so the SPMD worker's driver
+    /// code sees the same outputs the master does.
     Release {
         /// Run ordinal (1-based).
         run: u64,
         /// The master-side error if the run failed.
         error: Option<String>,
+        /// The tokens the run drained from its graph, in their order (none
+        /// if it failed). The worker decodes them against the registry of
+        /// the graph its own `run_to_idle` was asked to run.
+        outputs: Vec<Payload<'a>>,
     },
     /// The engine is shutting down; stop executors and exit.
     Shutdown,
@@ -219,8 +213,9 @@ pub enum Frame<'a> {
         /// clock and its own, read together — with which the master moves
         /// the log onto its epoch.
         clock: (u64, u64),
-        /// `dps_obs::wire::encode_log` bytes.
-        bytes: Bytes,
+        /// The log, decoded with its frame: a log that does not decode is
+        /// a frame that does not.
+        log: WireLog,
     },
     /// Liveness probe from the master's heartbeat monitor. A healthy
     /// worker's reader thread answers with a [`Frame::Pong`]; a worker that
@@ -245,15 +240,62 @@ impl_wire_enum!(Frame<'a> {
     4 => Done { app, tc, thread, reply, posts, reports },
     5 => Hub { req, body },
     6 => HubReply { req, body },
-    7 => Output { app, graph, token },
-    8 => Release { run, error },
+    // Tags 7 and 10 are retired, so that the other kinds keep their bytes.
+    8 => Release { run, error, outputs },
     9 => Shutdown { },
-    // Tag 10 is retired, so that the kinds after it keep their bytes.
-    11 => Trace { run, clock, bytes },
+    11 => Trace { run, clock, log },
     12 => Ping { },
     13 => Pong { },
     14 => Die { },
 });
+
+/// A trace log as a field of a [`Frame::Trace`]: the label table as a
+/// `Vec<String>`, then the events, each its time, its track (`node << 16 |
+/// thread`), its [`EventKind::tag`] and the three [`EventKind::payload`]
+/// words. An unknown tag fails the decode.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WireLog(pub TraceLog);
+
+/// Bytes an event takes: time, track, tag and three payload words.
+const EVENT_LEN: usize = 8 + 4 + 1 + 3 * 8;
+
+impl Wire for WireLog {
+    fn wire_size(&self) -> usize {
+        self.0.labels.wire_size() + 4 + self.0.events.len() * EVENT_LEN
+    }
+    fn encode(&self, w: &mut Writer) {
+        self.0.labels.encode(w);
+        w.put_len(self.0.events.len());
+        for e in &self.0.events {
+            w.put_u64(e.at);
+            w.put_u32(u32::from(e.node) << 16 | u32::from(e.thread));
+            w.put_u8(e.kind.tag());
+            let (a, b, c) = e.kind.payload();
+            [a, b, c].into_iter().for_each(|word| w.put_u64(word));
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let labels = Vec::decode(r)?;
+        let len = r.get_len()?;
+        let mut events = Vec::with_capacity(len.min(r.remaining() / EVENT_LEN));
+        for _ in 0..len {
+            let (at, track, tag) = (r.get_u64()?, r.get_u32()?, r.get_u8()?);
+            let (a, b, c) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+            let kind =
+                EventKind::from_wire(tag, a, b, c).ok_or(WireError::InvalidDiscriminant {
+                    type_name: "EventKind",
+                    value: tag.into(),
+                })?;
+            events.push(TraceEvent {
+                at,
+                node: (track >> 16) as u16,
+                thread: track as u16,
+                kind,
+            });
+        }
+        Ok(WireLog(TraceLog { labels, events }))
+    }
+}
 
 /// Send a frame below any connection table (the handshake, an injected
 /// `Die`): header fields and token payloads are encoded in a single pass
@@ -380,25 +422,26 @@ mod tests {
             req: 1,
             body: HubResponse::Claimed { chunk: None },
         });
-        roundtrip(&Frame::Output {
-            app: 0,
-            graph: 1,
-            token: run(&[9; 17]),
+        roundtrip(&Frame::Release {
+            run: 2,
+            error: None,
+            outputs: vec![run(&[9; 17]), run(&[])],
         });
         roundtrip(&Frame::Release {
             run: 2,
             error: Some("timed out".into()),
+            outputs: vec![],
         });
         roundtrip(&Frame::Shutdown);
         roundtrip(&Frame::Trace {
             run: 5,
             clock: (1_760_000_000_000_000_000, 12_345),
-            bytes: vec![7; 33].into(),
+            log: WireLog(sample_log()),
         });
         roundtrip(&Frame::Trace {
             run: 6,
             clock: (0, 0),
-            bytes: Bytes::new(),
+            log: WireLog::default(),
         });
         roundtrip(&Frame::Ping);
         roundtrip(&Frame::Pong);
@@ -421,7 +464,10 @@ mod tests {
     /// replies come in its order), and `Ping` / `Pong` the number they
     /// echoed, which nothing read; once when a worker came to serve its own
     /// threads' arrivals: an `Exec` is a data object or a close with its
-    /// envelope, and a `Done` what the worker's `serve` made of it.
+    /// envelope, and a `Done` what the worker's `serve` made of it. The
+    /// `Release` and `Trace` goldens are new with the `Release` that carries
+    /// its run's outputs (the `Output` frame's token is its one output, in
+    /// the same tagged bytes) and the log that is a field of its frame.
     #[test]
     fn token_frames_keep_their_golden_bytes() {
         let (one, max) = (Probe { x: 1 }, Probe { x: u64::MAX });
@@ -498,22 +544,34 @@ mod tests {
                  65640000000000000000",
             ),
             (
-                Frame::Output {
-                    app: 0,
-                    graph: 1,
-                    token: Payload::Token(&out_tok),
+                Frame::Release {
+                    run: 2,
+                    error: None,
+                    outputs: vec![Payload::Token(&out_tok)],
                 },
-                "0700000000000000010000001200000051b9c7df8a7836b90200630000000000\
-                 0000",
+                "08000000020000000000000000010000001200000051b9c7df8a7836b9020063\
+                 00000000000000",
             ),
             (
                 Frame::Trace {
                     run: 5,
                     clock: (1, 2),
-                    bytes: vec![7, 0, 255, 16, 32].into(),
+                    log: WireLog(TraceLog {
+                        labels: vec![String::new(), "g".into()],
+                        events: vec![TraceEvent {
+                            at: 9,
+                            node: 1,
+                            thread: 2,
+                            kind: EventKind::WaveStart {
+                                graph: dps_obs::LabelId(1),
+                                wave: 3,
+                            },
+                        }],
+                    }),
                 },
-                "0b00000005000000000000000100000000000000020000000000000005000000\
-                 0700ff1020",
+                "0b00000005000000000000000100000000000000020000000000000002000000\
+                 0000000001000000670100000009000000000000000200010000010000000000\
+                 000003000000000000000000000000000000",
             ),
             (Frame::Ping, "0c000000"),
             (Frame::Pong, "0d000000"),
@@ -590,27 +648,144 @@ mod tests {
     fn live_tokens_encode_in_place_and_decode_as_views() {
         let tok = Probe { x: 7 };
         let tagged = encode_token(&tok);
-        let live = Frame::Output {
-            app: 3,
-            graph: 4,
-            token: Payload::Token(&tok),
+        let release = |token| Frame::Release {
+            run: 3,
+            error: None,
+            outputs: vec![token],
         };
-        let spelled = Frame::Output {
-            app: 3,
-            graph: 4,
-            token: run(&tagged),
-        };
-        let bytes = dps_serial::to_bytes(&live);
-        assert_eq!(bytes, dps_serial::to_bytes(&spelled));
+        let bytes = dps_serial::to_bytes(&release(Payload::Token(&tok)));
+        assert_eq!(bytes, dps_serial::to_bytes(&release(run(&tagged))));
 
         let shared = Bytes::from(bytes);
-        let Frame::Output { token, .. } = dps_serial::from_shared(&shared).unwrap() else {
-            panic!("an Output frame");
+        let Frame::Release { mut outputs, .. } = dps_serial::from_shared(&shared).unwrap() else {
+            panic!("a Release frame");
         };
-        let token = token.into_bytes();
+        let token = outputs.pop().unwrap().into_bytes();
         assert_eq!(&token[..], &tagged[..]);
         let at = shared.len() - tagged.len();
         assert_eq!(token.as_ptr(), shared[at..].as_ptr(), "not copied out");
+    }
+
+    /// A log of every event kind, with the labels they name.
+    fn sample_log() -> TraceLog {
+        use dps_obs::{fault_code, LabelId};
+        let kinds = [
+            EventKind::WaveStart {
+                graph: LabelId(1),
+                wave: 3,
+            },
+            EventKind::WaveEnd {
+                graph: LabelId(1),
+                wave: 3,
+            },
+            EventKind::OpStart {
+                op: LabelId(3),
+                wave: 3,
+            },
+            EventKind::OpEnd {
+                op: LabelId(3),
+                wave: 3,
+            },
+            EventKind::ChunkClaim {
+                lease: 5,
+                start: 100,
+                len: 20,
+            },
+            EventKind::ChunkExec {
+                iters: 20,
+                nanos: 1234,
+            },
+            EventKind::ChunkReport {
+                worker: 4,
+                iters: 20,
+                nanos: 1234,
+            },
+            EventKind::TokenEnqueue {
+                token: LabelId(2),
+                wave: 3,
+                flow: 77,
+            },
+            EventKind::TokenDeliver {
+                token: LabelId(2),
+                wave: 3,
+                flow: 77,
+            },
+            EventKind::FrameSend {
+                frame: LabelId(4),
+                bytes: 512,
+            },
+            EventKind::FrameRecv {
+                frame: LabelId(4),
+                bytes: u64::MAX,
+            },
+            EventKind::NodeDown { node: 3 },
+            EventKind::Requeue { tokens: 6 },
+            EventKind::OpFailed { op: LabelId(3) },
+            EventKind::Fault {
+                code: fault_code::NODE_KILL,
+                detail: 6,
+            },
+        ];
+        TraceLog {
+            labels: ["", "lu-pipelined", "ChunkTicket", "lu:leaf", "Exec"]
+                .map(String::from)
+                .into(),
+            events: (0..)
+                .zip(kinds)
+                .map(|(i, kind)| TraceEvent {
+                    at: 1_000 * i,
+                    node: (i % 3) as u16,
+                    thread: u16::MAX - i as u16,
+                    kind,
+                })
+                .collect(),
+        }
+    }
+
+    /// Every event kind crosses in a `Trace` frame and comes back as it
+    /// was, labels and tracks too.
+    #[test]
+    fn a_trace_log_of_every_event_kind_round_trips() {
+        let log = sample_log();
+        let tags: Vec<u8> = log.events.iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(tags, (0..15).collect::<Vec<u8>>(), "every kind, once");
+        let frame = Frame::Trace {
+            run: 1,
+            clock: (2, 3),
+            log: WireLog(log),
+        };
+        roundtrip(&frame);
+    }
+
+    /// A `Trace` frame whose log is cut short, runs on past its end or
+    /// names an event kind there is none of does not decode.
+    #[test]
+    fn a_trace_frame_with_a_bad_log_is_refused() {
+        let frame = Frame::Trace {
+            run: 1,
+            clock: (2, 3),
+            log: WireLog(sample_log()),
+        };
+        let bytes = dps_serial::to_bytes(&frame);
+        assert!(decode_frame(Vec::new()).is_err());
+        let mut cut = bytes.clone();
+        cut.pop();
+        assert!(decode_frame(cut).is_err(), "truncation detected");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(decode_frame(trailing).is_err(), "trailing bytes detected");
+        // The last event's tag sits before its three payload words.
+        let mut unknown = bytes;
+        let at = unknown.len() - 1 - 3 * 8;
+        assert_eq!(unknown[at], 14, "the last event is a fault");
+        unknown[at] = 15;
+        assert_eq!(
+            decode_frame(unknown),
+            Err(WireError::InvalidDiscriminant {
+                type_name: "EventKind",
+                value: 15
+            })
+        );
     }
 
     #[test]

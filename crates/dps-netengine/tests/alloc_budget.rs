@@ -92,23 +92,24 @@ dps_token! { pub struct Task { pub j: u32, pub strip: Buffer<f64> } }
 
 const MIB: usize = 1 << 20;
 
-/// The broadcast of a run's 8 MiB product: its frame's body is a few bytes
-/// and the product goes out as a part read from the token's buffer, so the
-/// encode allocates less than a large block in all — not a fresh 8 MiB.
+/// The release of a run whose output is an 8 MiB product: its frame's body
+/// is a few bytes and the product goes out as a part read from the token's
+/// buffer, so the encode allocates less than a large block in all — not a
+/// fresh 8 MiB.
 #[test]
 fn an_output_frame_of_an_8_mib_block_allocates_no_frame_of_it() {
     let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let product = Product {
         c: (0..MIB).map(|i| i as f64).collect(),
     };
-    let frame = Frame::Output {
-        app: 0,
-        graph: 0,
-        token: Payload::Token(&product),
+    let frame = Frame::Release {
+        run: 1,
+        error: None,
+        outputs: vec![Payload::Token(&product)],
     };
     let mut table = SendTable::default();
     let (parts, spent) = counted(|| table.encode(&frame));
-    println!("encode of an 8 MiB Output frame: {spent:?}");
+    println!("encode of a Release of an 8 MiB output: {spent:?}");
     assert!(spent.bytes < LARGE as u64, "{spent:?}");
     let from_the_buffer = parts
         .iter()
@@ -133,10 +134,10 @@ fn a_received_entry_is_a_view_until_its_one_decode() {
     register_token::<Task>(&mut reg);
     let (mut sent, mut held) = (SendTable::default(), RecvTable::default());
     let [first, second] = tasks.each_ref().map(|task| {
-        let frame = Frame::Output {
-            app: 0,
-            graph: 0,
-            token: Payload::Token(task),
+        let frame = Frame::Release {
+            run: u64::from(task.j),
+            error: None,
+            outputs: vec![Payload::Token(task)],
         };
         sent.encode(&frame).concat()
     });
@@ -148,10 +149,10 @@ fn a_received_entry_is_a_view_until_its_one_decode() {
     assert_eq!(held.len(), 1);
 
     let decode = |(frame, captured): &(Frame<'static>, Captured)| {
-        let Frame::Output { token, .. } = frame else {
-            unreachable!("an Output was sent");
+        let Frame::Release { outputs, .. } = frame else {
+            unreachable!("a Release was sent");
         };
-        decode_received(&reg, &token.clone().into_bytes(), captured).unwrap()
+        decode_received(&reg, &outputs[0].clone().into_bytes(), captured).unwrap()
     };
     let (one, spent) = counted(|| decode(&received));
     println!("first typed decode of the entry: {spent:?}");

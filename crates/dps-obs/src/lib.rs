@@ -17,8 +17,8 @@
 //!   `Engine::set_trace_sink`: the simulator records virtual timestamps
 //!   through one writer, the OS-thread engine one writer per thread
 //!   (wall-clock), and the process engine's workers ship their local logs
-//!   to the master in a `Trace` wire frame
-//!   ([`wire::encode_log`]/[`wire::decode_log`]) for
+//!   to the master as a field of a `Trace` wire frame (the encoding is the
+//!   net engine's, from [`EventKind::tag`]/[`EventKind::payload`]) for
 //!   [`ingest`](TraceCollector::ingest)ing.
 //! * [`MetricsRegistry`] — fixed monotonic [`Counter`]s and peak
 //!   [`Gauge`]s (frames, wire bytes, chunk claims, requeues, queue depths).
@@ -39,7 +39,6 @@ mod hash;
 mod metrics;
 mod ring;
 mod summary;
-pub mod wire;
 
 pub use chrome::{chrome_trace_json, parse_json, validate_chrome_trace, ChromeStats, Json};
 pub use collect::{TraceCollector, TraceLog, TraceWriter, DEFAULT_RING_CAPACITY};

@@ -49,7 +49,7 @@ pub mod workload;
 use dps_core::DpsError;
 use dps_des::{SimSpan, SimTime, SplitMix64};
 use dps_net::FaultConfig;
-use dps_obs::{first_divergence, wire, TraceLog};
+use dps_obs::{first_divergence, TraceLog};
 
 pub use workload::WorkloadKind;
 
@@ -393,9 +393,7 @@ impl Vopr {
         let p = Perturbation::derive(&self.cfg, reference.makespan, self.cfg.workload.nodes());
         let a = workload::run_workload(self.cfg.workload, &p);
         let b = workload::run_workload(self.cfg.workload, &p);
-        if wire::encode_log(&a.log) != wire::encode_log(&b.log)
-            || a.schedule_hash != b.schedule_hash
-        {
+        if a.log != b.log || a.schedule_hash != b.schedule_hash {
             let detail = match first_divergence(&a.log, &b.log) {
                 Some(d) => format!("event logs diverge: {d}"),
                 None => format!(

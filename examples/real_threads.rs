@@ -144,7 +144,7 @@ fn main() {
                 "π ≈ {pi:.6} from 16M samples across 4 kernels (3 worker processes) in {wall:?}"
             );
         } else {
-            println!("worker kernel {rank}: π ≈ {pi:.6} (same outputs, re-broadcast)");
+            println!("worker kernel {rank}: π ≈ {pi:.6} (same outputs, from the master's release)");
         }
         assert!((pi - std::f64::consts::PI).abs() < 0.01);
         return;

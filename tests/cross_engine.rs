@@ -232,8 +232,9 @@ fn scheduled_life_runs_on_real_threads() {
 /// TCP**: the master spawns two worker kernels (re-running this very test
 /// function), rows are claimed chunk-by-chunk from the master-hosted hub
 /// over the wire, and every kernel — master and workers alike — asserts
-/// the same generations against the sequential reference (outputs are
-/// re-broadcast, so the SPMD asserts hold everywhere).
+/// the same generations against the sequential reference (a run's
+/// outputs travel in its release to every worker, so the SPMD asserts
+/// hold everywhere).
 #[test]
 fn scheduled_life_runs_on_netengine_across_processes() {
     use dps::life::{run_life_scheduled, LifeConfig, Variant, World};
@@ -856,8 +857,9 @@ fn traced_matmul_across_processes_sends_each_strip_once() {
 /// 25 as the commit before connection buffer tables counted them, less
 /// the trace request each of the two runs (the loader's and the
 /// product's) sent its worker before a traced worker answered its
-/// `Release` with its log unasked.
-const MATMUL_FRAMES: u64 = 23;
+/// `Release` with its log unasked, less the `Output` frame each of the
+/// two runs sent its one output in before its `Release` came to carry it.
+const MATMUL_FRAMES: u64 = 25 - 2 - 2;
 
 /// Fault tolerance across real processes: a worker carrying a scheduled
 /// kill dies abruptly mid-scheduled-LU (no Release handshake — the master

@@ -17,8 +17,8 @@ use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::mt::MtEngine;
 use dps::netengine::NetEngine;
 use dps::obs::{
-    chrome_trace_json, schedule_hash, validate_chrome_trace, wire, Counter, EventKind,
-    TraceCollector, TraceLog,
+    chrome_trace_json, schedule_hash, validate_chrome_trace, Counter, EventKind, TraceCollector,
+    TraceLog,
 };
 use dps::sched::{Distribution, PolicyKind};
 use proptest::prelude::*;
@@ -66,11 +66,7 @@ proptest! {
         let a = traced_sim_lu(nodes, nb * 8, seed, dist);
         let b = traced_sim_lu(nodes, nb * 8, seed, dist);
         prop_assert!(!a.events.is_empty(), "a traced run must record events");
-        prop_assert_eq!(
-            wire::encode_log(&a),
-            wire::encode_log(&b),
-            "replayed event streams diverged"
-        );
+        prop_assert_eq!(&a, &b, "replayed event streams diverged");
         prop_assert_eq!(schedule_hash(&a), schedule_hash(&b));
     }
 }

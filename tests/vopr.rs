@@ -8,7 +8,6 @@ use dps::core::{DpsError, Engine, EngineConfig, SimEngine};
 use dps::life::{setup_scheduled_life, LifeConfig, Variant, World};
 use dps::mt::MtEngine;
 use dps::net::NodeId;
-use dps::obs::wire;
 use dps::sched::{Distribution, PolicyKind};
 use dps::vopr::{run_artifacts, FaultClasses, Invariant, Vopr, VoprConfig, WorkloadKind};
 use proptest::prelude::*;
@@ -92,8 +91,7 @@ fn injected_violation_replays_identically_from_its_seed() {
     let a = run_artifacts(WorkloadKind::OrderSensitive, p);
     let b = run_artifacts(WorkloadKind::OrderSensitive, p);
     assert_eq!(
-        wire::encode_log(&a.log),
-        wire::encode_log(&b.log),
+        a.log, b.log,
         "perturbed event logs diverged between replays"
     );
     assert_eq!(
