@@ -8,15 +8,19 @@
 //!
 //! One task exists per result block `C_ij` and carries its `s` operand-block
 //! pairs (`2s·(n/s)²` values), reproducing exactly the paper's
-//! communication count — what the simulator models. The master holds the
-//! operands as the strips its tasks carry, generated in that layout: the
-//! tasks of row `i` hold a handle to `A`'s row strip `i`, those of column
-//! `j` one to `B`'s column strip `j`, so the split copies nothing and each
-//! product reads its blocks where they lie in the strips. Between
-//! processes a connection's buffer table sends each strip to a worker
-//! kernel once, however many of its tasks read it, so at most `2n²`
-//! operand values cross a connection, plus the results. Two schedules are
-//! provided:
+//! communication count — what the simulator models. A load hands the
+//! master the operands as the strips its tasks carry, generated in that
+//! layout, and the split takes them: the tasks of row `i` hold a handle to
+//! `A`'s row strip `i`, those of column `j` one to `B`'s column strip `j`,
+//! so the split copies nothing, each product reads its blocks where they
+//! lie in the strips, and each strip is freed with the last task that
+//! holds it — `A`'s row strip `i` when row `i`'s tasks are done, the `B`
+//! strips when the last row's are. One load therefore serves one order: a
+//! second [`MulOrder`] without a fresh [`LoadOperands`] finds no strips
+//! and fails the run (the split posts no tokens). Between processes a
+//! connection's buffer table sends each strip to a worker kernel once,
+//! however many of its tasks read it, so at most `2n²` operand values
+//! cross a connection, plus the results. Two schedules are provided:
 //!
 //! * **Pipelined** (plain DPS): `split → multiply → merge`; the runtime
 //!   overlaps block transfers with block products automatically.
@@ -103,7 +107,8 @@ dps_token! {
 dps_token! {
     /// Stage the operands into the master store, as A's row strips and B's
     /// column strips — the engine-generic replacement for poking thread
-    /// state from outside.
+    /// state from outside. One load serves one order: the next split takes
+    /// the strips.
     pub struct LoadOperands { pub n: u32, pub a: Vector<Buffer<f64>>, pub b: Vector<Buffer<f64>> }
 }
 
@@ -113,7 +118,8 @@ dps_token! {
 }
 
 /// Master thread state: the operands, held as the strips their tasks
-/// carry.
+/// carry from a load until the next split takes them — one load serves
+/// one order.
 #[derive(Default)]
 pub struct MasterState {
     /// Matrix order.
@@ -150,6 +156,31 @@ fn multiply_strips(a: &[f64], b: &[f64], bs: usize) -> Vec<f64> {
     c.into_vec()
 }
 
+/// The body of both splits: one task per result block, built by `task`
+/// from the strips the split takes out of the master. The master keeps no
+/// handle, so each strip is freed with the last task that holds it, and a
+/// second order without a fresh load finds no strips and posts nothing.
+fn split_strips<T: Token>(
+    ctx: &mut OpCtx<'_, MasterState, T>,
+    o: MulOrder,
+    task: impl Fn(u32, u32, u32, Buffer<f64>, Buffer<f64>) -> T,
+) {
+    let (n, s) = (o.n as usize, o.s as usize);
+    let bs = n / s;
+    let st = ctx.thread();
+    let (a, b) = (std::mem::take(&mut st.a), std::mem::take(&mut st.b));
+    for (i, a) in a.iter().enumerate() {
+        for (j, b) in b.iter().enumerate() {
+            // Sim's model of the paper's split building the task's data
+            // object: one pass over its operand bytes. This code posts
+            // handles to the strips and copies nothing, but the charge
+            // stays, and with it Sim's schedule and Table 1.
+            ctx.charge_flops((2 * s * bs * bs) as f64);
+            ctx.post(task(i as u32, j as u32, bs as u32, a.clone(), b.clone()));
+        }
+    }
+}
+
 // --- pipelined schedule -----------------------------------------------------
 
 struct SplitTasks;
@@ -158,26 +189,7 @@ impl SplitOperation for SplitTasks {
     type In = MulOrder;
     type Out = BlockTask;
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, BlockTask>, o: MulOrder) {
-        let (n, s) = (o.n as usize, o.s as usize);
-        let bs = n / s;
-        for i in 0..ctx.thread().a.len() {
-            for j in 0..ctx.thread().b.len() {
-                let st = ctx.thread();
-                let (a, b) = (st.a[i].clone(), st.b[j].clone());
-                // Sim's model of the paper's split building the task's data
-                // object: one pass over its operand bytes. This code posts
-                // handles to the master's strips and copies nothing, but
-                // the charge stays, and with it Sim's schedule and Table 1.
-                ctx.charge_flops((2 * s * bs * bs) as f64);
-                ctx.post(BlockTask {
-                    i: i as u32,
-                    j: j as u32,
-                    bs: bs as u32,
-                    a,
-                    b,
-                });
-            }
-        }
+        split_strips(ctx, o, |i, j, bs, a, b| BlockTask { i, j, bs, a, b });
     }
 }
 
@@ -239,23 +251,7 @@ impl SplitOperation for SplitStores {
     type In = MulOrder;
     type Out = StoreTask;
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, StoreTask>, o: MulOrder) {
-        let (n, s) = (o.n as usize, o.s as usize);
-        let bs = n / s;
-        for i in 0..ctx.thread().a.len() {
-            for j in 0..ctx.thread().b.len() {
-                let st = ctx.thread();
-                let (a, b) = (st.a[i].clone(), st.b[j].clone());
-                // The modelled charge of `SplitTasks`, for the same reason.
-                ctx.charge_flops((2 * s * bs * bs) as f64);
-                ctx.post(StoreTask {
-                    i: i as u32,
-                    j: j as u32,
-                    bs: bs as u32,
-                    a,
-                    b,
-                });
-            }
-        }
+        split_strips(ctx, o, |i, j, bs, a, b| StoreTask { i, j, bs, a, b });
     }
 }
 
@@ -394,6 +390,18 @@ pub fn run_matmul<E: Engine>(
     cfg: &MatMulConfig,
     first_node: usize,
 ) -> Result<MatMulRunReport> {
+    let (graph, loader) = declare(eng, cfg, first_node)?;
+    load(eng, loader, cfg)?;
+    multiply(eng, graph, cfg)
+}
+
+/// Declare the application, the chosen schedule's graph and the operand
+/// loader, and resolve block ownership; returns `(graph, loader)`.
+fn declare<E: Engine>(
+    eng: &mut E,
+    cfg: &MatMulConfig,
+    first_node: usize,
+) -> Result<(GraphHandle, GraphHandle)> {
     assert!(cfg.n.is_multiple_of(cfg.s), "s must divide n");
     let app = eng.app("matmul");
     eng.preload_app(app); // steady-state measurement, as in the paper
@@ -475,9 +483,12 @@ pub fn run_matmul<E: Engine>(
     if let Some(p) = &placement {
         p.resolve(eng, &assign, (s_us * s_us) as u64, 2)?;
     }
+    Ok((graph, loader))
+}
 
-    // Stage the operands into the master thread, generated straight into
-    // the strips the tasks carry.
+/// Stage the operands into the master thread, generated straight into the
+/// strips the tasks carry.
+fn load<E: Engine>(eng: &mut E, loader: GraphHandle, cfg: &MatMulConfig) -> Result<()> {
     let strips = |seed, cut| {
         Matrix::random_strips(cfg.n, cfg.n / cfg.s, seed, cut)
             .into_iter()
@@ -494,7 +505,15 @@ pub fn run_matmul<E: Engine>(
     )?;
     eng.run_to_idle(loader, 1)?;
     let _ = eng.take_outputs(loader);
+    Ok(())
+}
 
+/// Submit one [`MulOrder`] to `graph` and collect the product.
+fn multiply<E: Engine>(
+    eng: &mut E,
+    graph: GraphHandle,
+    cfg: &MatMulConfig,
+) -> Result<MatMulRunReport> {
     let t0 = eng.now_secs();
     eng.submit(
         graph,
@@ -583,6 +602,52 @@ mod tests {
             t_pipe < t_phased,
             "pipelined {t_pipe} should beat phased {t_phased}"
         );
+    }
+
+    /// One load serves one order: the split takes the strips, so a second
+    /// order without a fresh load fails the run at the split. It neither
+    /// hangs nor multiplies stale operands.
+    fn a_second_order_needs_a_fresh_load<E: Engine>(eng: &mut E, pipelined: bool) {
+        let cfg = MatMulConfig {
+            n: 32,
+            s: 2,
+            pipelined,
+            seed: 5,
+            nodes: 2,
+            threads_per_node: 1,
+            dist: Distribution::Static,
+        };
+        let (graph, loader) = declare(eng, &cfg, 0).unwrap();
+        load(eng, loader, &cfg).unwrap();
+        let mut diff = multiply(eng, graph, &cfg).unwrap().c;
+        diff.sub_assign(&reference(cfg.n, cfg.seed));
+        assert!(diff.max_abs() < 1e-9, "wrong product: {}", diff.max_abs());
+        match multiply(eng, graph, &cfg) {
+            Err(DpsError::OperationContract { reason, .. }) => {
+                assert_eq!(reason, "split operation posted no tokens")
+            }
+            Err(e) => panic!("a second order failed with {e}, not at the split"),
+            Ok(_) => panic!("a second order multiplied stale operands"),
+        }
+    }
+
+    #[test]
+    fn a_second_order_needs_a_fresh_load_on_sim() {
+        for pipelined in [true, false] {
+            a_second_order_needs_a_fresh_load(
+                &mut SimEngine::new(ClusterSpec::paper_testbed(2)),
+                pipelined,
+            );
+        }
+    }
+
+    #[test]
+    fn a_second_order_needs_a_fresh_load_on_mt() {
+        for pipelined in [true, false] {
+            let mut eng = dps_mt::MtEngine::new(2);
+            a_second_order_needs_a_fresh_load(&mut eng, pipelined);
+            eng.shutdown();
+        }
     }
 
     #[test]
