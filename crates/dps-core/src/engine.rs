@@ -1242,14 +1242,15 @@ fn release(sim: &mut SimRt, node: NodeId) {
 /// Execute one delivery on its thread, which holds a CPU of `host`, and
 /// schedule its end: the thread is freed and the CPU released when its
 /// virtual hold is over. An execution that fails, or finds the run failed,
-/// releases the CPU at once and leaves the thread taken; a report or a post
-/// it already made still happens at its own instant.
+/// frees its thread and releases the CPU at once, as `mt` does, so a later
+/// run can use the thread; a report or a post it already made still
+/// happens at its own instant.
 fn run(sim: &mut SimRt, tk: ThreadKey, host: NodeId, d: Delivery) {
     let (start, depth, graph) = (sim.now(), sim.world.holds.len(), d.to.graph);
     let ran = exec(sim, tk, host, d);
     let held = (sim.world.holds.len() > depth).then(|| sim.world.holds.pop().expect("pushed"));
-    let (at, finish) = match ran {
-        Ok(Some((at, flow))) => (at, Some(Finish { tk, graph, flow })),
+    let (at, flow) = match ran {
+        Ok(Some((at, flow))) => (at, flow),
         Ok(None) => (start, None),
         Err(e) => {
             sim.world.fail(e);
@@ -1257,8 +1258,8 @@ fn run(sim: &mut SimRt, tk: ThreadKey, host: NodeId, d: Delivery) {
         }
     };
     let held = match held {
-        // A failed execution releases its CPU now, and what it held happens
-        // at its own instant.
+        // A failed execution frees its thread and releases its CPU now, and
+        // what it held happens at its own instant.
         Some(hold) if hold.at != at && !end_of(sim, &hold.end).is_empty() => {
             commit(sim, hold.end, hold.at);
             None
@@ -1267,7 +1268,7 @@ fn run(sim: &mut SimRt, tk: ThreadKey, host: NodeId, d: Delivery) {
     };
     let held = held.unwrap_or_else(|| sim.reserve(Ev::End(End::default())));
     let end = end_of(sim, &held);
-    (end.finish, end.release) = (finish, Some(host));
+    (end.finish, end.release) = (Some(Finish { tk, graph, flow }), Some(host));
     commit(sim, held, at);
 }
 

@@ -1,5 +1,8 @@
 //! Deterministic RNG for simulated workloads.
 
+/// SplitMix64's increment γ, the golden-ratio odd constant.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64: tiny, fast, high-quality 64-bit generator with trivially
 /// seedable independent streams.
 ///
@@ -22,14 +25,21 @@ impl SplitMix64 {
     pub fn split(&self, index: u64) -> Self {
         // Mix the stream index through one SplitMix64 round so adjacent
         // indices yield unrelated streams.
-        let mut child = Self::new(self.state ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut child = Self::new(self.state ^ index.wrapping_mul(GAMMA));
         child.next_u64();
         Self::new(child.next_u64())
     }
 
+    /// Skip the next `draws` draws in O(1). SplitMix64 is a counter
+    /// generator: draw `k` of seed `s` mixes `s + (k + 1)·γ`, so skipping
+    /// is one multiply-add, and any draw of a stream can be made alone.
+    pub fn jump(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+    }
+
     /// Next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -82,6 +92,31 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn a_jump_lands_where_stepping_does() {
+        for (seed, draws) in [(0, 0), (1, 1), (42, 7), (u64::MAX, 1_000), (99, 65_537)] {
+            let mut stepped = SplitMix64::new(seed);
+            for _ in 0..draws {
+                stepped.next_u64();
+            }
+            let mut jumped = SplitMix64::new(seed);
+            jumped.jump(draws);
+            for _ in 0..4 {
+                assert_eq!(
+                    jumped.next_u64(),
+                    stepped.next_u64(),
+                    "seed {seed}, {draws} draws"
+                );
+            }
+        }
+        // Jumps compose: two jumps are one of their sum.
+        let (mut a, mut b) = (SplitMix64::new(5), SplitMix64::new(5));
+        a.jump(300);
+        a.jump(12);
+        b.jump(312);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! vector unit of the CPU they run on ([`kernel::Lanes`]) with the bits of
 //! the scalar loop:
 //!
-//! * [`Matrix`] — dense row-major `f64` matrix with block extraction; its
-//!   random values can also be generated straight into row or column
-//!   strips ([`Strips`]).
+//! * [`Matrix`] — dense row-major `f64` matrix with block extraction; any
+//!   one row or column strip of its random matrices can be generated alone,
+//!   bit for bit as it lies in the whole matrix ([`Strips`]).
 //! * [`MatRef`] / [`MatMut`] — strided views of a block where it lies (in a
 //!   [`Matrix`], in a token's `Buffer<f64>`), so an operation runs the
 //!   kernels on its owner's storage instead of on a copy.

@@ -54,39 +54,42 @@ impl Matrix {
     /// Deterministic pseudo-random matrix in `[-1, 1)`, diagonally dominant
     /// when square (so LU with partial pivoting stays well-conditioned).
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        Self::generated(rows, cols, RandomValues::new(cols, seed, rows == cols))
+        random_block(cols, seed, rows == cols, (0, 0), (rows, cols))
     }
 
     /// Deterministic pseudo-random matrix in `[-1, 1)` with *no* diagonal
     /// dominance — partial pivoting on such matrices performs genuine row
     /// swaps, which the LU tests rely on.
     pub fn random_general(rows: usize, cols: usize, seed: u64) -> Self {
-        Self::generated(rows, cols, RandomValues::new(cols, seed, false))
+        random_block(cols, seed, false, (0, 0), (rows, cols))
     }
 
-    fn generated(rows: usize, cols: usize, mut values: RandomValues) -> Self {
-        let mut data = vec![0.0; rows * cols];
-        values.fill(&mut data);
-        Self { rows, cols, data }
-    }
-
-    /// The values of [`Matrix::random`]`(n, n, seed)`, generated straight
-    /// into its `n / width` strips, each row-major: no `n × n` matrix is
-    /// built and no block is copied out of one.
+    /// Strip `index` of [`Matrix::random`]`(n, n, seed)` cut into strips of
+    /// `width` rows or columns: a `width × n` or an `n × width` matrix,
+    /// generated alone with the bits it has in the whole matrix, so no
+    /// `n × n` matrix is built and no block is copied out of one.
     ///
     /// # Panics
-    /// Panics unless `width` divides `n`.
-    pub fn random_strips(n: usize, width: usize, seed: u64, cut: Strips) -> Vec<Vec<f64>> {
-        strips(n, width, RandomValues::new(n, seed, true), cut)
+    /// Panics unless `width` divides `n` and `index < n / width`.
+    pub fn random_strip(n: usize, width: usize, seed: u64, cut: Strips, index: usize) -> Self {
+        let (at, shape) = cut.block(n, width, index);
+        random_block(n, seed, true, at, shape)
     }
 
-    /// The values of [`Matrix::random_general`]`(n, n, seed)`, cut into
-    /// strips as [`Matrix::random_strips`] cuts its matrix.
+    /// Strip `index` of [`Matrix::random_general`]`(n, n, seed)`, cut as
+    /// [`Matrix::random_strip`] cuts its matrix.
     ///
     /// # Panics
-    /// Panics unless `width` divides `n`.
-    pub fn random_general_strips(n: usize, width: usize, seed: u64, cut: Strips) -> Vec<Vec<f64>> {
-        strips(n, width, RandomValues::new(n, seed, false), cut)
+    /// Panics unless `width` divides `n` and `index < n / width`.
+    pub fn random_general_strip(
+        n: usize,
+        width: usize,
+        seed: u64,
+        cut: Strips,
+        index: usize,
+    ) -> Self {
+        let (at, shape) = cut.block(n, width, index);
+        random_block(n, seed, false, at, shape)
     }
 
     /// Number of rows.
@@ -196,7 +199,7 @@ impl Matrix {
     }
 }
 
-/// How [`Matrix::random_strips`] cuts an `n × n` matrix into strips of
+/// How [`Matrix::random_strip`] cuts an `n × n` matrix into strips of
 /// `width` rows or columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strips {
@@ -206,66 +209,44 @@ pub enum Strips {
     Cols,
 }
 
-/// The one definition of the random matrices' values: `SplitMix64` draws
-/// in `[-1, 1)`, in row-major order, plus `cols` on the diagonal of a
-/// dominant (square) matrix. A caller takes the stream in consecutive
-/// pieces and writes each where it belongs.
-struct RandomValues {
-    rng: SplitMix64,
+impl Strips {
+    /// Top-left corner and shape of strip `index` of an `n × n` matrix.
+    fn block(self, n: usize, width: usize, index: usize) -> ((usize, usize), (usize, usize)) {
+        assert!(
+            width > 0 && n.is_multiple_of(width),
+            "strip width must divide n"
+        );
+        assert!(index < n / width, "strip {index} of {} strips", n / width);
+        match self {
+            Strips::Rows => ((index * width, 0), (width, n)),
+            Strips::Cols => ((0, index * width), (n, width)),
+        }
+    }
+}
+
+/// The one definition of the random matrices' values, for any block of
+/// one: entry `(i, j)` of a `cols`-wide matrix is `SplitMix64` draw
+/// `i·cols + j` of `seed`, mapped to `[-1, 1)`, plus `cols` on the
+/// diagonal of a dominant (square) matrix. The generator jumps to each
+/// row's first draw, so a block is made alone, bit for bit as it lies in
+/// the whole matrix. Returns the `rows × width` block at `(r0, c0)`.
+fn random_block(
     cols: usize,
+    seed: u64,
     dominant: bool,
-    /// Row-major index of the next value.
-    next: usize,
-}
-
-impl RandomValues {
-    fn new(cols: usize, seed: u64, dominant: bool) -> Self {
-        Self {
-            rng: SplitMix64::new(seed),
-            cols,
-            dominant,
-            next: 0,
+    (r0, c0): (usize, usize),
+    (rows, width): (usize, usize),
+) -> Matrix {
+    let mut data = Vec::with_capacity(rows * width);
+    for i in r0..r0 + rows {
+        let mut rng = SplitMix64::new(seed);
+        rng.jump((i * cols + c0) as u64);
+        data.extend((0..width).map(|_| 2.0 * rng.next_f64() - 1.0));
+        if dominant && (c0..c0 + width).contains(&i) {
+            data[(i - r0) * width + i - c0] += cols as f64;
         }
     }
-
-    /// Overwrite `out` with the stream's next `out.len()` values.
-    fn fill(&mut self, out: &mut [f64]) {
-        for v in out.iter_mut() {
-            *v = 2.0 * self.rng.next_f64() - 1.0;
-        }
-        let end = self.next + out.len();
-        if self.dominant {
-            // The diagonal of a square matrix sits every `cols + 1` values.
-            let step = self.cols + 1;
-            let mut d = self.next.div_ceil(step) * step;
-            while d < end {
-                out[d - self.next] += self.cols as f64;
-                d += step;
-            }
-        }
-        self.next = end;
-    }
-}
-
-/// `values`' `n × n` matrix, cut into `n / width` row-major strips as it
-/// is drawn, one row at a time.
-fn strips(n: usize, width: usize, mut values: RandomValues, cut: Strips) -> Vec<Vec<f64>> {
-    assert!(
-        width > 0 && n.is_multiple_of(width),
-        "strip width must divide n"
-    );
-    let mut out: Vec<Vec<f64>> = (0..n / width).map(|_| vec![0.0; width * n]).collect();
-    match cut {
-        Strips::Rows => out.iter_mut().for_each(|s| values.fill(s)),
-        Strips::Cols => {
-            for i in 0..n {
-                for s in &mut out {
-                    values.fill(&mut s[i * width..(i + 1) * width]);
-                }
-            }
-        }
-    }
-    out
+    Matrix::from_vec(rows, width, data)
 }
 
 impl Default for Matrix {
@@ -397,37 +378,68 @@ mod tests {
     }
 
     #[test]
-    fn strips_are_blocks_of_the_random_matrices() {
-        for (n, width) in [(12, 4), (12, 1), (9, 3), (8, 8), (1, 1)] {
+    fn each_strip_alone_is_its_block_of_the_random_matrices() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (n, width) in [(12, 4), (12, 1), (12, 12), (9, 3), (8, 8), (1, 1), (64, 8)] {
             let seed = (n * 31 + width) as u64;
-            for (m, rows, cols) in [
+            for (m, strip) in [
                 (
                     Matrix::random(n, n, seed),
-                    Matrix::random_strips(n, width, seed, Strips::Rows),
-                    Matrix::random_strips(n, width, seed, Strips::Cols),
+                    Matrix::random_strip as fn(usize, usize, u64, Strips, usize) -> Matrix,
                 ),
                 (
                     Matrix::random_general(n, n, seed),
-                    Matrix::random_general_strips(n, width, seed, Strips::Rows),
-                    Matrix::random_general_strips(n, width, seed, Strips::Cols),
+                    Matrix::random_general_strip,
                 ),
             ] {
-                assert_eq!((rows.len(), cols.len()), (n / width, n / width));
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 for k in 0..n / width {
-                    let row = m.block(k * width, 0, width, n);
-                    let col = m.block(0, k * width, n, width);
-                    assert_eq!(bits(&rows[k]), bits(row.as_slice()), "{n}/{width} row {k}");
-                    assert_eq!(bits(&cols[k]), bits(col.as_slice()), "{n}/{width} col {k}");
+                    let row = strip(n, width, seed, Strips::Rows, k);
+                    let col = strip(n, width, seed, Strips::Cols, k);
+                    assert_eq!((row.rows(), row.cols()), (width, n));
+                    assert_eq!((col.rows(), col.cols()), (n, width));
+                    let (want_row, want_col) = (
+                        m.block(k * width, 0, width, n),
+                        m.block(0, k * width, n, width),
+                    );
+                    assert_eq!(bits(&row), bits(&want_row), "{n}/{width} row {k}");
+                    assert_eq!(bits(&col), bits(&want_col), "{n}/{width} col {k}");
                 }
             }
         }
     }
 
     #[test]
+    fn the_random_matrices_are_the_generators_stream() {
+        // Position addressing leaves the values where the sequential
+        // stream put them: row-major draws, `cols` added on the diagonal.
+        let (n, seed) = (6, 17);
+        let mut rng = SplitMix64::new(seed);
+        let stream: Vec<f64> = (0..n * n).map(|_| 2.0 * rng.next_f64() - 1.0).collect();
+        assert_eq!(Matrix::random_general(n, n, seed).as_slice(), &stream[..]);
+        let dominant = Matrix::random(n, n, seed);
+        for i in 0..n {
+            for j in 0..n {
+                let add = if i == j { n as f64 } else { 0.0 };
+                assert_eq!(
+                    dominant[(i, j)].to_bits(),
+                    (stream[i * n + j] + add).to_bits()
+                );
+            }
+        }
+        // A rectangular matrix is never dominant.
+        assert_eq!(Matrix::random(2, 3, seed).as_slice(), &stream[..6]);
+    }
+
+    #[test]
     #[should_panic(expected = "strip width must divide n")]
     fn strip_width_must_divide_n() {
-        Matrix::random_strips(10, 4, 1, Strips::Rows);
+        Matrix::random_strip(10, 4, 1, Strips::Rows, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strip 3 of 3 strips")]
+    fn a_strip_index_must_be_in_range() {
+        Matrix::random_general_strip(12, 4, 1, Strips::Cols, 3);
     }
 
     #[test]

@@ -72,8 +72,15 @@
 //! without `unsafe`). Two copies per step remain, because two owners must
 //! work at once: the next panel's rows leave their column for the
 //! collector (which factors them while the worker keeps updating the
-//! column), and the factored panel comes home. `tests/copy_budget.rs`
-//! holds the whole run to a small multiple of the matrix.
+//! column), and the factored panel comes home. No block is copied to
+//! start: the matrix is born distributed, as the paper's is. A
+//! [`LoadColumn`] carries a seed, not a column, and each owner generates
+//! its own columns into its store ([`Matrix::random_general_strip`]), so
+//! the columns' pages are first touched by the threads that keep them —
+//! in parallel on `mt`, and on `net` with no staging byte on a
+//! connection. The one copy of the whole matrix is the gather at the end,
+//! column by column in order. `tests/copy_budget.rs` holds the whole run
+//! to a small multiple of the matrix.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -150,9 +157,11 @@ dps_token! {
 }
 
 dps_token! {
-    /// Stage block column `j` (an `n × r` slab) into its owner's store —
-    /// the engine-generic replacement for poking thread state from outside.
-    pub struct LoadColumn { pub j: u32, pub rows: u32, pub r: u32, pub data: Buffer<f64> }
+    /// Have the owner of block column `j` generate it into its store: the
+    /// `rows × r` column strip `j` of
+    /// [`Matrix::random_general`]`(rows, rows, seed)`. The token carries
+    /// the seed, not the column, so it is the same few bytes at any order.
+    pub struct LoadColumn { pub j: u32, pub rows: u32, pub r: u32, pub seed: u64 }
 }
 
 dps_token! {
@@ -664,14 +673,17 @@ impl MergeOperation for FinishMerge {
     }
 }
 
-/// Install a staged block column into the owning worker's store.
+/// Generate a block column on its owner, into the owner's store: the
+/// column is made by the thread that keeps it, and no other thread or
+/// process holds a copy of it.
 struct InstallColumn;
 impl LeafOperation for InstallColumn {
     type Thread = ColumnStore;
     type In = LoadColumn;
     type Out = ColumnLoaded;
     fn execute(&mut self, ctx: &mut OpCtx<'_, ColumnStore, ColumnLoaded>, t: LoadColumn) {
-        let col = Matrix::from_vec(t.rows as usize, t.r as usize, t.data.into_vec());
+        let (n, r, j) = (t.rows as usize, t.r as usize, t.j as usize);
+        let col = Matrix::random_general_strip(n, r, t.seed, Strips::Cols, j);
         ctx.thread().cols.insert(t.j, col);
         ctx.post(ColumnLoaded { j: t.j });
     }
@@ -945,18 +957,17 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
         p.resolve(eng, &owners, nb as u64, 2)?;
     }
 
-    // Distribute the matrix column-blocks to their owners, each generated
-    // straight into its block. A general (non diagonally-dominant) matrix
-    // keeps the partial pivoting honest.
-    let cols = Matrix::random_general_strips(cfg.n, cfg.r, cfg.seed, Strips::Cols);
-    for (j, col) in (0..nb).zip(cols) {
+    // Have each owner generate its column blocks (paper §5: the matrix
+    // starts distributed). A general (non diagonally-dominant) matrix keeps
+    // the partial pivoting honest.
+    for j in 0..nb {
         eng.submit(
             loader,
             Box::new(LoadColumn {
                 j,
                 rows: cfg.n as u32,
                 r,
-                data: col.into(),
+                seed: cfg.seed,
             }),
         )?;
     }
@@ -970,18 +981,27 @@ pub fn run_lu<E: Engine>(eng: &mut E, cfg: &LuConfig) -> Result<LuRunReport> {
     let outs = eng.take_outputs(graph);
     assert_eq!(outs.len(), 1, "one LuFinished per run");
 
-    // Gather the factored columns and pivot records back from the workers.
+    // Gather the factored columns and pivot records back from the workers,
+    // in column order, each column dropped as soon as it is copied: the
+    // first columns fault in the result's pages while the fewest columns
+    // are still held.
     for j in 0..nb {
         eng.submit(dumper, Box::new(DumpColumn { j }))?;
     }
     eng.run_to_idle(dumper, nb as usize)?;
+    let mut dumps: Vec<Box<ColumnDump>> = eng
+        .take_outputs(dumper)
+        .into_iter()
+        .map(|out| downcast::<ColumnDump>(out).expect("ColumnDump output"))
+        .collect();
+    dumps.sort_unstable_by_key(|d| d.j);
     let mut lu = Matrix::zeros(cfg.n, cfg.n);
     let mut pivots = vec![0usize; cfg.n];
-    for out in eng.take_outputs(dumper) {
-        let d = downcast::<ColumnDump>(out).expect("ColumnDump output");
+    for d in dumps {
         let j = d.j as usize;
-        let col = Matrix::from_vec(d.rows as usize, cfg.r, d.data.into_vec());
-        lu.set_block(0, j * cfg.r, &col);
+        lu.view_mut()
+            .block(0, j * cfg.r, cfg.n, cfg.r)
+            .copy_from(MatRef::from_slice(&d.data, d.rows as usize, cfg.r));
         for (t, &pv) in d.pivots.iter().enumerate() {
             pivots[j * cfg.r + t] = j * cfg.r + pv as usize;
         }

@@ -8,9 +8,11 @@
 //!
 //! One task exists per result block `C_ij` and carries its `s` operand-block
 //! pairs (`2s·(n/s)²` values), reproducing exactly the paper's
-//! communication count — what the simulator models. A load hands the
-//! master the operands as the strips its tasks carry, generated in that
-//! layout, and the split takes them: the tasks of row `i` hold a handle to
+//! communication count — what the simulator models. A load carries a
+//! seed, not a matrix: the master's DPS thread generates the operands
+//! itself, strip by strip, as the strips its tasks carry, so no driver
+//! (and on `net` no worker rank's copy of the driver) builds a matrix.
+//! The split takes the strips: the tasks of row `i` hold a handle to
 //! `A`'s row strip `i`, those of column `j` one to `B`'s column strip `j`,
 //! so the split copies nothing, each product reads its blocks where they
 //! lie in the strips, and each strip is freed with the last task that
@@ -36,7 +38,7 @@ use dps_core::sched::{build_placement, OwnerMap};
 use dps_core::{dps_token, Engine};
 use dps_des::SimSpan;
 use dps_sched::Distribution;
-use dps_serial::{Buffer, Vector};
+use dps_serial::Buffer;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -105,11 +107,13 @@ dps_token! {
 }
 
 dps_token! {
-    /// Stage the operands into the master store, as A's row strips and B's
-    /// column strips — the engine-generic replacement for poking thread
-    /// state from outside. One load serves one order: the next split takes
-    /// the strips.
-    pub struct LoadOperands { pub n: u32, pub a: Vector<Buffer<f64>>, pub b: Vector<Buffer<f64>> }
+    /// Have the master generate the operands of an `n × n` multiplication
+    /// split `s` ways into its store: `A` = [`Matrix::random`]`(n, n, seed)`
+    /// as its row strips and `B` = `Matrix::random(n, n, seed + 1)` as its
+    /// column strips. The token carries the seed, not the matrices, so it
+    /// is the same few bytes at any order. One load serves one order: the
+    /// next split takes the strips.
+    pub struct LoadOperands { pub n: u32, pub s: u32, pub seed: u64 }
 }
 
 dps_token! {
@@ -117,9 +121,9 @@ dps_token! {
     pub struct OperandsLoaded { pub n: u32 }
 }
 
-/// Master thread state: the operands, held as the strips their tasks
-/// carry from a load until the next split takes them — one load serves
-/// one order.
+/// Master thread state: the operands, generated here by a load as the
+/// strips their tasks carry and held until the next split takes them —
+/// one load serves one order.
 #[derive(Default)]
 pub struct MasterState {
     /// Matrix order.
@@ -330,17 +334,29 @@ impl LeafOperation for ComputeStored {
     }
 }
 
-/// Install staged operands into the master store.
+/// Generate the operands on the master, straight into the strips the
+/// tasks carry. Sim charges nothing for it: the paper's operands exist
+/// before the run it measures.
 struct InstallOperands;
 impl LeafOperation for InstallOperands {
     type Thread = MasterState;
     type In = LoadOperands;
     type Out = OperandsLoaded;
     fn execute(&mut self, ctx: &mut OpCtx<'_, MasterState, OperandsLoaded>, t: LoadOperands) {
+        let (n, s) = (t.n as usize, t.s as usize);
+        let strips = |seed, cut| {
+            (0..s)
+                .map(|k| {
+                    Matrix::random_strip(n, n / s, seed, cut, k)
+                        .into_vec()
+                        .into()
+                })
+                .collect()
+        };
         let st = ctx.thread();
-        st.n = t.n as usize;
-        st.a = t.a.into_vec();
-        st.b = t.b.into_vec();
+        st.n = n;
+        st.a = strips(t.seed, Strips::Rows);
+        st.b = strips(t.seed.wrapping_add(1), Strips::Cols);
         ctx.post(OperandsLoaded { n: t.n });
     }
 }
@@ -486,21 +502,15 @@ fn declare<E: Engine>(
     Ok((graph, loader))
 }
 
-/// Stage the operands into the master thread, generated straight into the
-/// strips the tasks carry.
+/// Have the master thread generate the operands (one load serves one
+/// order).
 fn load<E: Engine>(eng: &mut E, loader: GraphHandle, cfg: &MatMulConfig) -> Result<()> {
-    let strips = |seed, cut| {
-        Matrix::random_strips(cfg.n, cfg.n / cfg.s, seed, cut)
-            .into_iter()
-            .map(Buffer::from)
-            .collect()
-    };
     eng.submit(
         loader,
         Box::new(LoadOperands {
             n: cfg.n as u32,
-            a: strips(cfg.seed, Strips::Rows),
-            b: strips(cfg.seed.wrapping_add(1), Strips::Cols),
+            s: cfg.s as u32,
+            seed: cfg.seed,
         }),
     )?;
     eng.run_to_idle(loader, 1)?;
@@ -604,24 +614,38 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the bit pattern of every element.
+    fn fingerprint(m: &Matrix) -> u64 {
+        let mut h = dps_obs::Fnv1a::new();
+        for v in m.as_slice() {
+            h.write_u64(v.to_bits());
+        }
+        h.finish()
+    }
+
+    /// The product of `tests/copy_budget.rs`'s multiplication (n = 256,
+    /// s = 4, seed 7), captured from the commit before the kernels ran on
+    /// views.
+    const MATMUL_FINGERPRINT: u64 = 0x61a6_64ab_72f4_f283;
+
     /// One load serves one order: the split takes the strips, so a second
     /// order without a fresh load fails the run at the split. It neither
-    /// hangs nor multiplies stale operands.
+    /// hangs nor multiplies stale operands, and it leaves the engine able
+    /// to run a fresh load and order, bit for bit.
     fn a_second_order_needs_a_fresh_load<E: Engine>(eng: &mut E, pipelined: bool) {
         let cfg = MatMulConfig {
-            n: 32,
-            s: 2,
+            n: 256,
+            s: 4,
             pipelined,
-            seed: 5,
+            seed: 7,
             nodes: 2,
             threads_per_node: 1,
             dist: Distribution::Static,
         };
         let (graph, loader) = declare(eng, &cfg, 0).unwrap();
         load(eng, loader, &cfg).unwrap();
-        let mut diff = multiply(eng, graph, &cfg).unwrap().c;
-        diff.sub_assign(&reference(cfg.n, cfg.seed));
-        assert!(diff.max_abs() < 1e-9, "wrong product: {}", diff.max_abs());
+        let c = multiply(eng, graph, &cfg).unwrap().c;
+        assert_eq!(fingerprint(&c), MATMUL_FINGERPRINT, "first order");
         match multiply(eng, graph, &cfg) {
             Err(DpsError::OperationContract { reason, .. }) => {
                 assert_eq!(reason, "split operation posted no tokens")
@@ -629,6 +653,13 @@ mod tests {
             Err(e) => panic!("a second order failed with {e}, not at the split"),
             Ok(_) => panic!("a second order multiplied stale operands"),
         }
+        load(eng, loader, &cfg).unwrap();
+        let c = multiply(eng, graph, &cfg).unwrap().c;
+        assert_eq!(
+            fingerprint(&c),
+            MATMUL_FINGERPRINT,
+            "an order after a fresh load"
+        );
     }
 
     #[test]

@@ -853,6 +853,33 @@ fn traced_matmul_across_processes_sends_each_strip_once() {
     }
 }
 
+/// A loader's token names its operand by a seed: `LoadColumn` and
+/// `LoadOperands` encode to as many bytes at any order, so staging an
+/// operand puts no matrix byte on a connection; the thread that keeps it
+/// generates it.
+#[test]
+fn a_loaders_token_is_as_long_at_any_order() {
+    use dps::linalg::parallel::lu::LoadColumn;
+    use dps::linalg::parallel::matmul::LoadOperands;
+    use dps::netengine::proto::encode_token;
+
+    let column = |rows| {
+        encode_token(&LoadColumn {
+            j: 3,
+            rows,
+            r: 8,
+            seed: 5,
+        })
+        .len()
+    };
+    let operands = |n| encode_token(&LoadOperands { n, s: 8, seed: 5 }).len();
+    for n in [64, 1024, 1 << 20] {
+        assert_eq!(column(n), column(16), "LoadColumn at n = {n}");
+        assert_eq!(operands(n), operands(16), "LoadOperands at n = {n}");
+    }
+    assert!(column(1024) < 64 && operands(1024) < 64);
+}
+
 /// Frames through rank 0 of `traced_matmul_across_processes_sends_each_strip_once`:
 /// 25 as the commit before connection buffer tables counted them, less
 /// the trace request each of the two runs (the loader's and the

@@ -152,10 +152,17 @@ type Recorded = (&'static str, fn() -> u64, u64);
 
 /// Each workload's hash as the simulator recorded it when every event was
 /// a boxed closure and a node's CPUs were an event-library pool.
+///
+/// Chunked LU's was re-pinned (from `0x3c51_1a32_ce39_b610`) when a
+/// `LoadColumn` came to carry a seed instead of its column: the log keeps
+/// every event's kind, node and thread, its first 184 events are
+/// unchanged, the eight staging frames shrink from 4 226 to 134 bytes, and
+/// the last 1 906 events come 454 668 ns sooner, the modelled transfer
+/// time of the columns' bytes no longer sent.
 #[test]
 fn unshuffled_schedules_hash_as_recorded() {
     let runs: [Recorded; 7] = [
-        ("chunked LU", chunked_lu, 0x3c51_1a32_ce39_b610),
+        ("chunked LU", chunked_lu, 0xad96_6def_2197_531b),
         ("matmul", matmul, 0xe0cc_1afb_0fa8_b999),
         ("scheduled Life", scheduled_life, 0x9d5b_6d89_e527_4ac7),
         ("DLS SS", dls_ss, 0x37de_7046_cbaa_3368),
