@@ -31,27 +31,8 @@
 //! and a 25 µs per-operation framework overhead, fitted to Table 2's
 //! small-block call times), so all experiments share one calibration.
 
-/// Measure this host's sustained scalar compute rate (FLOP/s) with a short
-/// timed multiply–add kernel — the wall-clock probe
-/// `MtEngine::calibrate_feedback` runs per worker at startup to seed the
-/// feedback board's per-worker weights before the first scheduled wave.
-pub fn measure_flop_rate(probe_flops: u64) -> f64 {
-    let iters = (probe_flops / 2).max(1); // one multiply + one add per round
-    let mut acc = 1.0f64;
-    let x = std::hint::black_box(1.000000001f64);
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        acc = acc * x + 1.0e-9;
-    }
-    std::hint::black_box(acc);
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    (iters * 2) as f64 / secs
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
     #[test]
     fn cluster_matches_testbed() {
         let c = dps_cluster::ClusterSpec::paper_testbed(8);
@@ -67,11 +48,5 @@ mod tests {
         assert_eq!(e.flow_window, 64);
         assert_eq!(e.op_overhead, dps_des::SimSpan::from_micros(25));
         assert!(!e.enforce_serialization);
-    }
-
-    #[test]
-    fn flop_probe_measures_a_positive_rate() {
-        let rate = measure_flop_rate(200_000);
-        assert!(rate.is_finite() && rate > 0.0, "rate {rate}");
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled virtual cluster.
 
-use dps_des::{SimSpan, SimTime};
+use dps_des::SimTime;
 use dps_net::{NetworkModel, NodeId, Traffic, TransferPlan};
 
 use crate::deploy::{AppId, Deployment};
@@ -66,11 +66,6 @@ impl Cluster {
         self.alive[node.index()] = true;
     }
 
-    /// Virtual time to execute `flops` floating-point operations on `node`.
-    pub fn compute_span(&self, node: NodeId, flops: f64) -> SimSpan {
-        SimSpan::from_secs_f64(flops / self.spec.node(node).flops)
-    }
-
     /// Plan delivery of a DPS data object of `bytes` from `src` to `dst`,
     /// including lazy application-instance launch on the destination:
     /// the token cannot be processed before the instance is up.
@@ -92,6 +87,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_des::SimSpan;
     use dps_net::NetConfig;
 
     fn cluster(n: usize) -> Cluster {
@@ -105,13 +101,6 @@ mod tests {
         let c = cluster(3);
         assert_eq!(c.len(), 3);
         assert!((0..3).all(|n| c.is_alive(NodeId(n))));
-    }
-
-    #[test]
-    fn compute_span_uses_node_rate() {
-        let c = cluster(1);
-        let span = c.compute_span(NodeId(0), 70.0e6);
-        assert!((span.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -101,21 +101,6 @@ impl Deployment {
         self.instances.get(&(app, node)).copied()
     }
 
-    /// Remove all instances of `app` (application shutdown), returning how
-    /// many were removed.
-    pub fn shutdown_app(&mut self, app: AppId) -> usize {
-        let keys: Vec<_> = self
-            .instances
-            .keys()
-            .filter(|(a, _)| *a == app)
-            .copied()
-            .collect();
-        for k in &keys {
-            self.instances.remove(k);
-        }
-        keys.len()
-    }
-
     /// Remove all instances on `node` (node shutdown / failure), returning
     /// the affected applications.
     pub fn evict_node(&mut self, node: NodeId) -> Vec<AppId> {
@@ -195,14 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_and_evict() {
+    fn evict_drops_the_nodes_instances_only() {
         let mut d = Deployment::new(SimSpan::ZERO);
         d.ensure_instance(SimTime::ZERO, APP, N0);
-        d.ensure_instance(SimTime::ZERO, APP, N1);
         d.ensure_instance(SimTime::ZERO, AppId(2), N1);
-        assert_eq!(d.shutdown_app(APP), 2);
-        assert_eq!(d.state(APP, N0), None);
         let affected = d.evict_node(N1);
         assert_eq!(affected, vec![AppId(2)]);
+        assert_eq!(d.state(AppId(2), N1), None);
+        assert_eq!(d.state(APP, N0), Some(InstanceState::Running));
     }
 }

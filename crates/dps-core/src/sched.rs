@@ -28,9 +28,9 @@
 //!   sink — virtual time on [`SimEngine`](crate::SimEngine), wall-clock on
 //!   the `dps-mt` engine — closing the AWF adaptation loop;
 //! * [`build_calibration`] builds a short scheduled warm-up loop so a
-//!   [`FeedbackBoard`] learns per-worker rates *before* the first real wave
-//!   (the simulator-side analogue of `MtEngine::calibrate_feedback`, which
-//!   seeds the board from a wall-clock probe instead).
+//!   [`FeedbackBoard`] learns per-worker rates *before* the first real wave,
+//!   on every engine — in virtual time on the simulator, wall-clock time
+//!   on the others.
 //!
 //! True *self*-scheduling falls out of flow control: with a flow window of
 //! roughly `2 × workers`, tickets are released as earlier chunks are merged,

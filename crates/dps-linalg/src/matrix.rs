@@ -164,11 +164,6 @@ impl Matrix {
         out
     }
 
-    /// Transpose (allocating).
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
     /// `self -= other`.
     pub fn sub_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -180,11 +175,6 @@ impl Matrix {
     /// Largest absolute entry (∞-norm of the vectorization).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|&v| v * v).sum::<f64>().sqrt()
     }
 
     /// Swap rows `a` and `b`.
@@ -364,7 +354,6 @@ mod tests {
     fn norms() {
         let m = Matrix::from_vec(1, 3, vec![3.0, -4.0, 0.0]);
         assert_eq!(m.max_abs(), 4.0);
-        assert!((m.frobenius() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -440,11 +429,5 @@ mod tests {
     #[should_panic(expected = "strip 3 of 3 strips")]
     fn a_strip_index_must_be_in_range() {
         Matrix::random_general_strip(12, 4, 1, Strips::Cols, 3);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = Matrix::random(3, 5, 2);
-        assert_eq!(m.transpose().transpose(), m);
     }
 }

@@ -119,49 +119,6 @@ impl MtEngine {
         self.trace.clone()
     }
 
-    /// Measure per-thread execution rates at startup and seed the feedback
-    /// sink with them, so adaptive policies (AWF) start from measured
-    /// weights instead of the uniform cold start.
-    ///
-    /// `measure_rate(worker)` returns worker `worker`'s sustained compute
-    /// rate in FLOP/s — typically `dps_bench::calib::measure_flop_rate`,
-    /// a short timed scalar kernel (on heterogeneous *hosts* each worker
-    /// probes its own machine; within one host the rates come out equal,
-    /// which is exactly what the board should believe). One synthetic
-    /// chunk report per worker is posted to the registered feedback sink,
-    /// scaled to be a *weak prior*: it seeds the measured rate **ratio**
-    /// with a small sample (hundreds of iterations over milliseconds), so
-    /// a few real wall-clock chunk reports outweigh it and runtime
-    /// adaptation keeps working after the seed.
-    ///
-    /// # Panics
-    /// If no feedback sink is registered or the workers already started.
-    pub fn calibrate_feedback(
-        &mut self,
-        workers: usize,
-        mut measure_rate: impl FnMut(usize) -> f64,
-    ) {
-        assert!(self.shared.is_none(), "calibrate before the first run");
-        let sink = self
-            .feedback
-            .as_ref()
-            .expect("register a feedback sink before calibrating")
-            .clone();
-        let rates: Vec<f64> = (0..workers).map(|w| measure_rate(w).max(1.0)).collect();
-        let max = rates.iter().cloned().fold(1.0f64, f64::max);
-        // Seed shape: the fastest worker reports SEED_ITERS iterations in
-        // SEED_SECS; the others proportionally fewer in the same time —
-        // correct ratios, negligible absolute weight in the aggregate
-        // Σiters/Σsecs once real chunks (whole waves of iterations over
-        // comparable wall time) start flowing.
-        const SEED_ITERS: f64 = 256.0;
-        const SEED_SECS: f64 = 1.0e-3;
-        for (w, rate) in rates.iter().enumerate() {
-            let iters = ((SEED_ITERS * rate / max).round() as u64).max(1);
-            sink.report_chunk(w, iters, SEED_SECS);
-        }
-    }
-
     /// The name `app` was declared with; it also qualifies the node names in
     /// this engine's runtime errors (`app:node`).
     pub fn app_name(&self, app: AppHandle) -> &str {
@@ -169,9 +126,10 @@ impl MtEngine {
     }
 
     /// Run a table declared elsewhere: a layered engine that takes the
-    /// declarations itself (the network engine's master shares one table
-    /// with its in-process worker harnesses) hands the finished table over
-    /// before the first run, in place of declaring on this engine.
+    /// declarations itself (the network engine's master, which checks its
+    /// table against its workers' at the sync barrier) hands the finished
+    /// table over before the first run, in place of declaring on this
+    /// engine.
     pub fn adopt(&mut self, decls: Arc<Decls>) {
         assert!(self.shared.is_none(), "adopt a table before the first run");
         self.decls = decls;

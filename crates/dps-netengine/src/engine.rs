@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::io;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,29 +35,26 @@ use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
 use crate::proto::{self, send_frame, Frame, Payload, Reply, WireLog};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
 
-/// Every deadline the network engine enforces, in one place. Each field
-/// names the `DPS_NET_*` environment variable that overrides it (read by
-/// [`NetTimeouts::from_env`], which [`NetEngineConfig::default`] applies),
-/// and every timeout error message names the timeout that fired.
+/// Every deadline the network engine enforces, in one place. An SPMD
+/// driver builds the same [`NetEngineConfig`] on every rank, so every
+/// kernel holds the same values, and every timeout error message names the
+/// field that fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetTimeouts {
     /// Connection setup: workers connecting to the master, the master
     /// collecting every worker's declaration sync, and the per-run trace
-    /// round. Override: `DPS_NET_CONNECT_TIMEOUT_MS`.
+    /// round.
     pub connect: Duration,
     /// How long a worker rank that owes a reply (a data object it was sent)
     /// may go without sending one before it is declared dead; also how long
-    /// a chunk-hub operation waits for its answer. Override:
-    /// `DPS_NET_EXEC_TIMEOUT_MS`.
+    /// a chunk-hub operation waits for its answer.
     pub exec: Duration,
     /// Heartbeat period: the master pings every live worker this often.
-    /// Override: `DPS_NET_HEARTBEAT_MS`.
     pub heartbeat_interval: Duration,
     /// Consecutive silent heartbeat intervals before a worker is declared
     /// dead. The detection budget — `heartbeat_interval ×
     /// heartbeat_misses` — must stay well under `exec`, so a dead worker
     /// is tombstoned long before an in-flight execution would time out.
-    /// Override: `DPS_NET_HEARTBEAT_MISSES`.
     pub heartbeat_misses: u32,
 }
 
@@ -73,39 +70,6 @@ impl Default for NetTimeouts {
 }
 
 impl NetTimeouts {
-    /// Defaults with any `DPS_NET_*` environment overrides applied. Worker
-    /// processes inherit the master's environment, so overrides stay
-    /// SPMD-consistent across the cluster. A `*_MS` value that is not a
-    /// positive whole number of milliseconds is refused with one line on
-    /// stderr that names it, and the default kept.
-    pub fn from_env() -> Self {
-        fn ms(name: &str) -> Option<Duration> {
-            let value = std::env::var(name).ok()?;
-            millis(&value)
-                .map_err(|why| {
-                    eprintln!("dps-netengine: {name}={value:?} refused ({why}); the default stays");
-                })
-                .ok()
-        }
-        let mut t = Self::default();
-        if let Some(d) = ms("DPS_NET_CONNECT_TIMEOUT_MS") {
-            t.connect = d;
-        }
-        if let Some(d) = ms("DPS_NET_EXEC_TIMEOUT_MS") {
-            t.exec = d;
-        }
-        if let Some(d) = ms("DPS_NET_HEARTBEAT_MS") {
-            t.heartbeat_interval = d;
-        }
-        if let Some(n) = std::env::var("DPS_NET_HEARTBEAT_MISSES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            t.heartbeat_misses = n;
-        }
-        t
-    }
-
     /// The worker-death detection bound: a worker silent for this long is
     /// declared dead. Well under [`exec`](Self::exec) by default.
     pub fn detection_budget(&self) -> Duration {
@@ -123,19 +87,8 @@ impl NetTimeouts {
     }
 }
 
-/// A `DPS_NET_*_MS` override: a positive whole number of milliseconds, or
-/// why not (a zero heartbeat would spin its monitor and declare every worker
-/// dead at once; a zero timeout fails its wait at once).
-fn millis(value: &str) -> std::result::Result<Duration, String> {
-    match value.parse::<u64>() {
-        Ok(0) => Err("zero milliseconds".into()),
-        Ok(ms) => Ok(Duration::from_millis(ms)),
-        Err(e) => Err(format!("not a whole number of milliseconds: {e}")),
-    }
-}
-
 /// Configuration of a [`NetEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetEngineConfig {
     /// Configuration of the master's embedded control-plane engine (flow
     /// window, serialization enforcement, run timeout).
@@ -155,18 +108,6 @@ pub struct NetEngineConfig {
     /// field). Each entry crashes one rank after a fixed number of
     /// outbound frames.
     pub kills: Vec<NetKill>,
-}
-
-impl Default for NetEngineConfig {
-    fn default() -> Self {
-        Self {
-            mt: MtConfig::default(),
-            timeouts: NetTimeouts::from_env(),
-            worker_args: None,
-            wire_faults: None,
-            kills: Vec::new(),
-        }
-    }
 }
 
 /// The multi-process execution engine (see the module docs).
@@ -213,9 +154,8 @@ struct MasterShared {
     router: Arc<HubRouter>,
     /// Every deadline the engine enforces.
     timeouts: NetTimeouts,
-    /// The declaration table (shared with the in-process harnesses in
-    /// loopback mode), frozen and handed to the embedded control plane at
-    /// the first-run barrier.
+    /// The declaration table, frozen and handed to the embedded control
+    /// plane at the first-run barrier.
     decls: Arc<DeclStore>,
     /// Tombstone flags: `dead[r - 1]` is set once rank `r` is declared
     /// dead (EOF, protocol corruption, or a missed heartbeat budget).
@@ -232,6 +172,10 @@ struct MasterShared {
     /// Set at the start of a clean shutdown: connection teardown is
     /// expected from here on and must not be classified as worker death.
     closing: AtomicBool,
+    /// Held while a rank is declared dead; `buried` wakes whoever waits
+    /// for a death (`fail_worker`) once the burial is complete.
+    burial: Mutex<()>,
+    buried: Condvar,
 }
 
 impl MasterShared {
@@ -269,6 +213,7 @@ impl MasterShared {
         let Some(flag) = self.dead.get((rank - 1) as usize) else {
             return false;
         };
+        let burial = self.burial.lock().unwrap_or_else(|e| e.into_inner());
         if flag.swap(true, Ordering::AcqRel) {
             return false;
         }
@@ -278,7 +223,16 @@ impl MasterShared {
         if let Some(fail) = self.fail.get() {
             let _ = fail.fail_node(rank);
         }
+        drop(burial);
+        self.buried.notify_all();
         true
+    }
+
+    /// Wait until `rank` is declared dead, at most the detection budget.
+    fn await_death(&self, rank: u32) {
+        let burial = self.burial.lock().unwrap_or_else(|e| e.into_inner());
+        let budget = self.timeouts.detection_budget();
+        let _ = (self.buried).wait_timeout_while(burial, budget, |_| !self.rank_dead(rank));
     }
 }
 
@@ -290,9 +244,6 @@ struct Master {
     dones: Vec<Receiver<Answer>>,
     /// `(rank, (signature, frame bytes))` of each worker's `Sync`.
     sync_rx: Receiver<(u32, (u64, usize))>,
-    /// Loopback harnesses share the master's declarations — no sync
-    /// barrier needed.
-    presynced: bool,
     ready: bool,
     run_seq: u64,
     out_buf: HashMap<(u32, u32), Vec<TokenBox>>,
@@ -304,17 +255,14 @@ struct Master {
     down: bool,
     /// The attached trace collector, driving the per-run trace round.
     trace: Option<Arc<TraceCollector>>,
-    /// Loopback harness hosts, retained so an attached trace sink reaches
-    /// their executor lanes directly (no wire round in-process).
-    harness_hosts: Vec<Arc<ExecHost>>,
     /// `Trace` replies routed from the connection readers, with the rank
     /// that sent each.
     trace_rx: Receiver<(u32, TraceReply)>,
-    /// Ranks with a scheduled kill armed ([`NetEngineConfig::kills`]): the
-    /// schedule may fire at any point — including between run completion
-    /// and shutdown — so these ranks are allowed to die without their exit
-    /// status counting as a worker failure.
-    kill_armed: Vec<u32>,
+    /// Ranks the run kills: by [`NetEngine::fail_worker`], or by a
+    /// scheduled kill ([`NetEngineConfig::kills`]), which may fire at any
+    /// point — including between run completion and shutdown. These ranks
+    /// may die without their end counting as a worker failure.
+    killed: Vec<u32>,
 }
 
 struct Worker {
@@ -396,8 +344,7 @@ fn reply_loop(shared: Arc<MasterShared>, rank: u32, mut replies: Replies, dones:
                 if was && owing {
                     // The run fails naming the timeout first; the death that
                     // follows finds what the rank still owes.
-                    let why =
-                        format!("no reply within exec timeout {exec:?} (DPS_NET_EXEC_TIMEOUT_MS)");
+                    let why = format!("no reply within exec timeout {exec:?} (NetTimeouts::exec)");
                     replies.fail(0, node_down(rank, why.clone()));
                     shared.declare_dead(rank, &why);
                 }
@@ -514,7 +461,7 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
                     rank,
                     &format!(
                         "missed the heartbeat budget ({} × {interval:?}; \
-                         DPS_NET_HEARTBEAT_MS / DPS_NET_HEARTBEAT_MISSES)",
+                         NetTimeouts::heartbeat_interval × heartbeat_misses)",
                         shared.timeouts.heartbeat_misses
                     ),
                 );
@@ -530,7 +477,11 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
     }
 }
 
-/// Worker-side reader of the master connection.
+/// Worker-side reader of the master connection. A `Die` ends a worker
+/// process at once; an `in_process` rank (see [`NetEngine::loopback`])
+/// dies instead as the kernel buries a killed process: its connection
+/// closes, so the master reads end-of-file, and nothing more is served.
+#[allow(clippy::too_many_arguments)]
 fn worker_reader(
     mut rx: Box<dyn FrameRx>,
     host: Arc<ExecHost>,
@@ -539,6 +490,7 @@ fn worker_reader(
     writer: Arc<Conn>,
     release_tx: Sender<Released>,
     shutdown_tx: Sender<()>,
+    in_process: bool,
 ) {
     let mut table = RecvTable::default();
     while let Ok(bytes) = rx.recv() {
@@ -571,6 +523,12 @@ fn worker_reader(
             Ok((Frame::Ping, _)) => {
                 let _ = writer.send(&Frame::Pong);
             }
+            Ok((Frame::Die, _)) if in_process => {
+                // No Release handshake, no host teardown: the lanes fail
+                // their next send.
+                writer.close();
+                return;
+            }
             Ok((Frame::Die, _)) => {
                 // Scheduled crash: die *abruptly* — no Release handshake, no
                 // host teardown — so the master's death detection is
@@ -586,85 +544,78 @@ fn worker_reader(
     let _ = shutdown_tx.send(());
 }
 
-/// In-process worker harness used by loopback mode: executes `Exec` frames
-/// against the master's own declaration store.
-fn harness_reader(mut rx: Box<dyn FrameRx>, host: Arc<ExecHost>, writer: Arc<Conn>) {
-    let mut table = RecvTable::default();
-    while let Ok(bytes) = rx.recv() {
-        match proto::decode_frame_on(bytes, &mut table) {
-            Ok((exec @ Frame::Exec { .. }, captured)) => host.dispatch(exec, captured),
-            Ok((Frame::Ping, _)) => {
-                let _ = writer.send(&Frame::Pong);
-            }
-            Ok((Frame::Die, _)) => {
-                // In-process stand-in for a crash: stop reading and drop the
-                // connection. The harness's executor lanes stay up (we can't
-                // kill a process we share), but from the master's side the
-                // rank goes silent exactly like a dead worker.
-                return;
-            }
-            Ok((Frame::Shutdown, _)) => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    host.stop();
-}
-
 // ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------
 
 impl NetEngine {
-    /// Single-process engine over the in-memory loopback transport: a
-    /// master role plus one in-process worker harness per cluster node
-    /// `1..nodes`. Same wire protocol, same remote execution paths, no
-    /// processes — the configuration differential tests and examples use.
-    pub fn loopback(nodes: usize) -> Self {
-        Self::loopback_with(nodes, NetEngineConfig::default())
-    }
-
-    /// [`loopback`](Self::loopback) with explicit configuration.
-    pub fn loopback_with(nodes: usize, cfg: NetEngineConfig) -> Self {
+    /// One process, `nodes` kernels: runs the SPMD `program` once per rank
+    /// over the in-memory [`LoopbackTransport`] and returns rank 0's
+    /// result. Rank 0 is the master, on the calling thread; each rank
+    /// `1..nodes` is the worker role a worker process of
+    /// [`from_env`](Self::from_env) runs after its handshake, on a thread
+    /// of its own. So the sync barrier, the trace round and the chunk-hub
+    /// protocol cross the connections as they do between processes, and a
+    /// killed rank closes its connection where a process would exit.
+    ///
+    /// Rank 0 shuts down before the worker threads are joined. A worker's
+    /// panic fails the call, unless the run killed that rank or declared it
+    /// dead.
+    pub fn loopback<R>(
+        nodes: usize,
+        cfg: NetEngineConfig,
+        program: impl Fn(&mut NetEngine) -> R + Sync,
+    ) -> R {
         assert!(nodes >= 1, "the cluster needs at least the master node");
         let transport = LoopbackTransport::new();
         let (addr, mut acceptor) = transport.bind().expect("loopback bind");
-        let decls = DeclStore::over(nodes);
-        let mt = MtEngine::with_config(nodes, cfg.mt.clone());
-
         let mut links = Vec::new();
-        let mut threads = Vec::new();
-        let mut harness_hosts = Vec::new();
+        let mut workers = Vec::new();
         for rank in 1..nodes as u32 {
             let mut worker_side = transport.connect(&addr).expect("loopback connect");
             let mut master_side = acceptor.accept().expect("loopback accept");
-            // Symmetric fault arming on both connection ends (SPMD config
-            // symmetry guarantees real workers do the same).
+            // Both ends armed, as a worker process arms its own.
             if let Some(wf) = &cfg.wire_faults {
                 master_side = arm_duplex(master_side, wf.cfg, wf.stream(rank, 0));
                 worker_side = arm_duplex(worker_side, wf.cfg, wf.stream(rank, 1));
             }
             links.push(master_side);
-            let hwriter = Arc::new(Conn::new(worker_side.tx, Arc::default()));
-            let host = Arc::new(ExecHost::new(decls.clone(), hwriter.clone(), rank as u16));
-            harness_hosts.push(host.clone());
-            let hrx = worker_side.rx;
-            threads.push(spawn(format!("dps-net-harness{rank}"), move || {
-                harness_reader(hrx, host, hwriter)
-            }));
+            workers.push(Worker::start(&cfg, nodes, rank, worker_side, true));
         }
-
-        NetEngine {
-            role: Role::Master(Box::new(Master::start(
-                &cfg,
-                mt,
-                decls,
-                links,
-                threads,
-                Vec::new(),
-                harness_hosts,
-            ))),
-        }
+        let master = Master::start(&cfg, nodes, links, Vec::new(), Vec::new());
+        let program = &program;
+        std::thread::scope(|s| {
+            let ranks: Vec<_> = (workers.into_iter())
+                .map(|w| {
+                    let builder =
+                        std::thread::Builder::new().name(format!("dps-net-rank{}", w.rank));
+                    let rank = move || {
+                        program(&mut NetEngine {
+                            role: Role::Worker(Box::new(w)),
+                        });
+                    };
+                    builder
+                        .spawn_scoped(s, rank)
+                        .expect("spawn a loopback rank")
+                })
+                .collect();
+            let mut eng = NetEngine {
+                role: Role::Master(Box::new(master)),
+            };
+            let out = program(&mut eng);
+            let Role::Master(m) = &eng.role else {
+                unreachable!("rank 0 is the master")
+            };
+            let excused: Vec<bool> = (1..nodes as u32).map(|rank| m.excused(rank)).collect();
+            drop(eng);
+            for (rank, excused) in ranks.into_iter().zip(excused) {
+                match rank.join() {
+                    Err(panic) if !excused => std::panic::resume_unwind(panic),
+                    _ => {}
+                }
+            }
+            out
+        })
     }
 
     /// Multi-process engine: the master role binds a TCP endpoint and
@@ -750,7 +701,7 @@ impl NetEngine {
                         io::ErrorKind::TimedOut,
                         format!(
                             "not all {worker_count} workers connected within connect \
-                             timeout {:?} (DPS_NET_CONNECT_TIMEOUT_MS)",
+                             timeout {:?} (NetTimeouts::connect)",
                             cfg.timeouts.connect
                         ),
                     ));
@@ -772,8 +723,6 @@ impl NetEngine {
             }
         }
 
-        let decls = DeclStore::over(nodes);
-        let mt = MtEngine::with_config(nodes, cfg.mt.clone());
         let mut links = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             let mut duplex = slot.expect("every slot filled above");
@@ -791,16 +740,9 @@ impl NetEngine {
             links.push(duplex);
         }
 
+        let master = Master::start(&cfg, nodes, links, vec![accept_thread], children);
         Ok(NetEngine {
-            role: Role::Master(Box::new(Master::start(
-                &cfg,
-                mt,
-                decls,
-                links,
-                vec![accept_thread],
-                children,
-                Vec::new(),
-            ))),
+            role: Role::Master(Box::new(master)),
         })
     }
 
@@ -840,38 +782,9 @@ impl NetEngine {
         if let Some(wf) = &cfg.wire_faults {
             duplex = arm_duplex(duplex, wf.cfg, wf.stream(rank, 1));
         }
-
-        let decls = DeclStore::over(nodes);
-        let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
-        let host = Arc::new(ExecHost::new(decls.clone(), writer.clone(), rank as u16));
-        let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
-        let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
-        let (release_tx, release_rx) = unbounded();
-        let (shutdown_tx, shutdown_rx) = unbounded();
-        let reader = {
-            let (host, hub, writer, rx) = (host.clone(), hub.clone(), writer.clone(), duplex.rx);
-            spawn("dps-net-reader".into(), move || {
-                worker_reader(rx, host, hub, hub_link, writer, release_tx, shutdown_tx)
-            })
-        };
-
+        let worker = Worker::start(&cfg, nodes, rank, duplex, false);
         Ok(NetEngine {
-            role: Role::Worker(Box::new(Worker {
-                rank,
-                decls,
-                writer,
-                host,
-                hub,
-                outputs: HashMap::new(),
-                release_rx,
-                shutdown_rx,
-                synced: false,
-                run_seq: 0,
-                release_timeout: cfg.timeouts.release(cfg.mt.run_timeout),
-                started: Instant::now(),
-                threads: vec![reader],
-                down: false,
-            })),
+            role: Role::Worker(Box::new(worker)),
         })
     }
 
@@ -900,13 +813,13 @@ impl NetEngine {
         }
     }
 
-    /// Kill worker `rank` (1-based) mid-run. On the master a real worker
-    /// process is killed outright (SIGKILL — the reader sees EOF) and a
-    /// loopback harness is sent [`Frame::Die`] (it drops its connection and
-    /// goes silent — the heartbeat budget catches it). Detection then runs
-    /// the engine's *natural* liveness path; nothing is tombstoned here
-    /// directly. A no-op on worker roles, so SPMD drivers call it
-    /// unconditionally.
+    /// Kill worker `rank` (1-based) mid-run. On the master a worker
+    /// process is killed outright (SIGKILL) and an in-process rank is sent
+    /// [`Frame::Die`], which closes its connection; either way the rank's
+    /// reader sees end-of-file. Detection runs the engine's *natural*
+    /// liveness path — nothing is tombstoned here directly — and this
+    /// returns once it has, or after the detection budget. A no-op on
+    /// worker roles, so SPMD drivers call it unconditionally.
     pub fn fail_worker(&mut self, rank: u32) -> Result<()> {
         match &mut self.role {
             Role::Master(m) => m.fail_worker(rank),
@@ -915,10 +828,10 @@ impl NetEngine {
     }
 
     /// Liveness observability: has worker `rank` been declared dead
-    /// (tombstoned)? Detection is asynchronous — EOF classification or the
-    /// heartbeat budget — so a just-killed rank reads `false` until the
-    /// liveness layer catches it. Always `false` on worker roles and for
-    /// out-of-range ranks.
+    /// (tombstoned)? Detection of a death the engine did not inflict is
+    /// asynchronous — EOF classification or the heartbeat budget — so such
+    /// a rank reads `false` until the liveness layer catches it. Always
+    /// `false` on worker roles and for out-of-range ranks.
     pub fn worker_down(&self, rank: u32) -> bool {
         match &self.role {
             Role::Master(m) => {
@@ -964,20 +877,17 @@ fn kill_children(children: &mut Vec<Child>) {
 // ---------------------------------------------------------------------------
 
 impl Master {
-    /// The master role over established worker connections (`links[r - 1]`
-    /// is the master's side of rank `r`'s, fault layer already armed):
-    /// arms the scheduled kills, then starts one reader per connection and
-    /// the heartbeat monitor. `children` are the worker processes (none in
-    /// loopback mode, where `harness_hosts` stand in for them and share
-    /// `decls`, so no sync barrier is needed).
+    /// The master role of a `nodes`-node cluster over established worker
+    /// connections (`links[r - 1]` is the master's side of rank `r`'s,
+    /// fault layer already armed): arms the scheduled kills, then starts
+    /// one reader per connection and the heartbeat monitor. `children` are
+    /// the worker processes (none when the ranks run in this process).
     fn start(
         cfg: &NetEngineConfig,
-        mt: MtEngine,
-        decls: Arc<DeclStore>,
+        nodes: usize,
         links: Vec<Duplex>,
         mut threads: Vec<JoinHandle<()>>,
         children: Vec<Child>,
-        harness_hosts: Vec<Arc<ExecHost>>,
     ) -> Master {
         let worker_count = links.len();
         let meter = Arc::new(WireMeter::default());
@@ -1008,12 +918,14 @@ impl Master {
             hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
             router,
             timeouts: cfg.timeouts,
-            decls,
+            decls: DeclStore::over(nodes),
             dead,
             last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
             fail: OnceLock::new(),
             closing: AtomicBool::new(false),
+            burial: Mutex::new(()),
+            buried: Condvar::new(),
         });
         let (sync_tx, sync_rx) = unbounded();
         let (trace_tx, trace_rx) = unbounded();
@@ -1037,11 +949,10 @@ impl Master {
         }
 
         Master {
-            mt,
+            mt: MtEngine::with_config(nodes, cfg.mt.clone()),
             shared,
             dones,
             sync_rx,
-            presynced: children.is_empty(),
             ready: false,
             run_seq: 0,
             out_buf: HashMap::new(),
@@ -1050,9 +961,8 @@ impl Master {
             hb_stop: Some(hb_stop),
             down: false,
             trace: None,
-            harness_hosts,
             trace_rx,
-            kill_armed: cfg.kills.iter().map(|k| k.rank).collect(),
+            killed: cfg.kills.iter().map(|k| k.rank).collect(),
         }
     }
 
@@ -1065,32 +975,29 @@ impl Master {
             return Ok(());
         }
         let table = self.shared.decls.frozen();
-        if !self.presynced {
-            let expect = table.signature();
-            let owed = vec![true; self.shared.conns.len()];
-            let missing = self.gather(owed, &self.sync_rx, |rank, (sig, bytes)| {
-                self.shared.meter.count(bytes);
-                if sig != expect {
-                    return Err(DpsError::InvalidGraph {
-                        reason: format!(
-                            "worker {rank} declared a different schedule \
-                             (signature {sig:#018x}, master {expect:#018x}); \
-                             SPMD kernels must run identical declarations"
-                        ),
-                    });
-                }
-                Ok(true)
-            })?;
-            if missing > 0 {
-                return Err(DpsError::NodeDown {
-                    node: format!("{missing} worker(s)"),
-                    target: format!(
-                        "declaration sync (connect timeout {:?}; \
-                         DPS_NET_CONNECT_TIMEOUT_MS)",
-                        self.shared.timeouts.connect
+        let expect = table.signature();
+        let owed = vec![true; self.shared.conns.len()];
+        let missing = self.gather(owed, &self.sync_rx, |rank, (sig, bytes)| {
+            self.shared.meter.count(bytes);
+            if sig != expect {
+                return Err(DpsError::InvalidGraph {
+                    reason: format!(
+                        "worker {rank} declared a different schedule \
+                         (signature {sig:#018x}, master {expect:#018x}); \
+                         SPMD kernels must run identical declarations"
                     ),
                 });
             }
+            Ok(true)
+        })?;
+        if missing > 0 {
+            return Err(DpsError::NodeDown {
+                node: format!("{missing} worker(s)"),
+                target: format!(
+                    "declaration sync (connect timeout {:?}; NetTimeouts::connect)",
+                    self.shared.timeouts.connect
+                ),
+            });
         }
         self.mt.adopt(table);
         if !self.shared.conns.is_empty() {
@@ -1174,8 +1081,7 @@ impl Master {
 
     /// Release the run on every worker, with its outputs, or its error if
     /// it failed, and merge the trace log each traced worker answers a
-    /// successful release with before `run_to_idle` returns. Loopback
-    /// harnesses write into the master collector directly. Best-effort: a
+    /// successful release with before `run_to_idle` returns. Best-effort: a
     /// worker that cannot answer costs its events, never the run.
     fn release(&self, failed: Option<&DpsError>, outputs: &[TokenBox]) {
         let release = Frame::Release {
@@ -1190,7 +1096,7 @@ impl Master {
         let Some(collector) = &self.trace else {
             return;
         };
-        if failed.is_some() || self.presynced {
+        if failed.is_some() {
             return;
         }
         let _ = self.gather(owed, &self.trace_rx, |_, (run, clock, log)| {
@@ -1208,18 +1114,25 @@ impl Master {
                 reason: format!("no worker rank {rank} to fail"),
             });
         }
+        self.killed.push(rank);
         match self.children.get_mut((rank - 1) as usize) {
-            // Real worker process: kill it abruptly; its connection EOFs.
+            // A worker process: kill it abruptly; its connection EOFs.
             Some(child) => {
                 let _ = child.kill();
             }
-            // Loopback harness: tell it to drop the connection and go
-            // silent; the heartbeat budget does the rest.
+            // A rank in this process closes its connection on `Die`.
             None => {
                 let _ = self.shared.conns[(rank - 1) as usize].send(&Frame::Die);
             }
         }
+        self.shared.await_death(rank);
         Ok(())
+    }
+
+    /// May worker `rank` end without that counting as a failure? Yes once
+    /// it is declared dead, or if the run kills it.
+    fn excused(&self, rank: u32) -> bool {
+        self.shared.rank_dead(rank) || self.killed.contains(&rank)
     }
 
     fn shutdown(&mut self) {
@@ -1236,18 +1149,14 @@ impl Master {
         // Shutdown goes out.
         self.mt.shutdown();
         self.broadcast(&Frame::Shutdown);
-        // Release the loopback harness hosts: each holds the worker-side
-        // writer of its connection, and the master readers only exit once
-        // that writer drops and their recv sees the channel close.
-        self.harness_hosts.clear();
         let mut failures = Vec::new();
-        for (i, mut child) in self.children.drain(..).enumerate() {
-            let rank = i as u32 + 1;
-            if self.shared.rank_dead(rank) || self.kill_armed.contains(&rank) {
-                // Tombstoned (killed or wedged) — or carrying an armed kill
-                // schedule, which may fire between run completion and this
-                // teardown: reap without judgment; its exit status is the
-                // fault, not a failure.
+        let children = std::mem::take(&mut self.children);
+        for (rank, mut child) in (1..).zip(children) {
+            if self.excused(rank) {
+                // Tombstoned (killed or wedged) — or carrying a kill, which
+                // may land between run completion and this teardown: reap
+                // without judgment; its exit status is the fault, not a
+                // failure.
                 let _ = child.kill();
                 let _ = child.wait();
                 continue;
@@ -1272,6 +1181,57 @@ impl Master {
 // ---------------------------------------------------------------------------
 
 impl Worker {
+    /// The worker role of `rank` of a `nodes`-node cluster over its
+    /// connection to the master, handshake done and fault layer armed. An
+    /// `in_process` rank shares its process with the master (see
+    /// [`worker_reader`]).
+    fn start(
+        cfg: &NetEngineConfig,
+        nodes: usize,
+        rank: u32,
+        duplex: Duplex,
+        in_process: bool,
+    ) -> Worker {
+        let decls = DeclStore::over(nodes);
+        let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
+        let host = Arc::new(ExecHost::new(decls.clone(), writer.clone(), rank as u16));
+        let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
+        let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
+        let (release_tx, release_rx) = unbounded();
+        let (shutdown_tx, shutdown_rx) = unbounded();
+        let reader = {
+            let (host, hub, writer, rx) = (host.clone(), hub.clone(), writer.clone(), duplex.rx);
+            spawn(format!("dps-net-reader-rank{rank}"), move || {
+                worker_reader(
+                    rx,
+                    host,
+                    hub,
+                    hub_link,
+                    writer,
+                    release_tx,
+                    shutdown_tx,
+                    in_process,
+                )
+            })
+        };
+        Worker {
+            rank,
+            decls,
+            writer,
+            host,
+            hub,
+            outputs: HashMap::new(),
+            release_rx,
+            shutdown_rx,
+            synced: false,
+            run_seq: 0,
+            release_timeout: cfg.timeouts.release(cfg.mt.run_timeout),
+            started: Instant::now(),
+            threads: vec![reader],
+            down: false,
+        }
+    }
+
     fn sync_once(&mut self) {
         if self.synced {
             return;
@@ -1310,7 +1270,7 @@ impl Worker {
             }
             Err(_) => format!(
                 "master did not release run {seq} within release timeout {:?} \
-                 (2 × DPS_NET_CONNECT_TIMEOUT_MS + the run timeout)",
+                 (NetTimeouts::release: 2 × connect + the run timeout)",
                 self.release_timeout
             ),
         };
@@ -1374,14 +1334,10 @@ impl dps_core::Engine for NetEngine {
             Role::Master(m) => {
                 assert!(!m.ready, "register the trace sink before the first run");
                 // The embedded control plane records wave/op/token events;
-                // rank 0's chunk hub bumps the lease/claim counters;
-                // loopback harness lanes write into the collector directly.
+                // rank 0's chunk hub bumps the lease/claim counters.
                 m.mt.set_trace_sink(sink.clone());
                 m.shared.hub.attach_metrics(sink.metrics_arc());
                 m.shared.meter.attach(sink.metrics_arc());
-                for host in &m.harness_hosts {
-                    host.set_trace(sink.clone());
-                }
                 m.trace = Some(sink);
             }
             Role::Worker(w) => {
@@ -1452,6 +1408,7 @@ mod tests {
     use super::*;
     use dps_core::prelude::*;
     use dps_core::Engine;
+    use dps_obs::EventKind;
     use dps_sched::remote::HubRequest;
     use parking_lot::Mutex;
 
@@ -1485,20 +1442,16 @@ mod tests {
         }
     }
 
-    /// Ten shards split on the master, merged on the one worker: a traced
-    /// run counts every frame through rank 0 — ten `Exec`s out, ten `Done`s
-    /// back, the `Release` that carries the run's one output, the
-    /// `Shutdown`: 22, one fewer than when the output travelled in a frame
-    /// of its own ahead of the `Release`. The heartbeat
-    /// interval is an hour, so no `Ping` joins them — and `shutdown`
-    /// returning at all shows the monitor's wait for its next tick is cut
-    /// short, not slept out.
-    #[test]
-    fn traced_runs_count_every_frame_and_shutdown_does_not_wait_for_a_tick() {
+    /// No heartbeat joins the frames a test counts.
+    fn quiet() -> NetEngineConfig {
         let mut cfg = NetEngineConfig::default();
         cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
-        let mut eng = NetEngine::loopback_with(2, cfg);
-        let sink = TraceCollector::new();
+        cfg
+    }
+
+    /// Ten shards split on the master and summed on the one worker, traced;
+    /// returns the sum.
+    fn traced_sum(eng: &mut NetEngine, sink: &Arc<TraceCollector>) -> u64 {
         eng.set_trace_sink(sink.clone());
         let app = eng.app("sum");
         let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
@@ -1510,30 +1463,90 @@ mod tests {
         eng.submit(g, Box::new(Job { shards: 10 })).unwrap();
         eng.run_to_idle(g, 1).unwrap();
         let out = eng.take_outputs(g).pop().unwrap();
-        assert_eq!(downcast::<Total>(out).unwrap().sum, 45);
-        let torn_down = Instant::now();
-        eng.shutdown();
+        downcast::<Total>(out).unwrap().sum
+    }
+
+    /// A traced run counts every frame through rank 0 — the worker's
+    /// `Sync`, ten `Exec`s out, ten `Done`s back, the `Release` that carries
+    /// the run's one output, the worker's `Trace` that answers it, the
+    /// `Shutdown`: 24. The heartbeat interval is an hour, so no `Ping`
+    /// joins them — and the teardown returning at all shows the monitor's
+    /// wait for its next tick is cut short, not slept out.
+    #[test]
+    fn traced_runs_count_every_frame_and_shutdown_does_not_wait_for_a_tick() {
+        let (sink, torn_down) = NetEngine::loopback(2, quiet(), |eng| {
+            let sink = TraceCollector::new();
+            assert_eq!(traced_sum(eng, &sink), 45);
+            (sink, Instant::now())
+        });
         assert!(
             torn_down.elapsed() < Duration::from_secs(60),
             "shutdown waited out a heartbeat tick"
         );
 
         let m = sink.metrics();
-        assert_eq!(m.get(dps_obs::Counter::FramesSent), 22);
+        assert_eq!(m.get(dps_obs::Counter::FramesSent), 24);
         let bytes = m.get(dps_obs::Counter::WireBytesSent);
         // Every frame is at least its discriminant; an `Exec` also carries
         // 21 bytes of ids, a tagged 8-byte token and its wave.
         assert!(
-            bytes > 22 * 4 + 10 * (21 + 4 + 18 + 8),
+            bytes > 24 * 4 + 10 * (21 + 4 + 18 + 8),
             "{bytes} wire bytes"
         );
-        assert!(bytes < 22 * 200, "{bytes} wire bytes");
+        assert!(bytes < 24 * 200, "{bytes} wire bytes");
+    }
+
+    /// The merge runs on worker rank 1, which records its spans in a
+    /// collector of its own: they reach rank 0's log only in the `Trace`
+    /// frame that answers the run's `Release`, before `run_to_idle`
+    /// returns there.
+    #[test]
+    fn a_traced_run_merges_the_worker_log_its_trace_frame_carries() {
+        let on_rank_1 = NetEngine::loopback(2, quiet(), |eng| {
+            let sink = TraceCollector::new();
+            assert_eq!(traced_sum(eng, &sink), 45);
+            let log = sink.take_log();
+            let on = |node| {
+                (log.events.iter())
+                    .filter(|e| e.node == node && matches!(e.kind, EventKind::OpStart { .. }))
+                    .count()
+            };
+            if eng.is_master() {
+                assert_eq!(on(0), 1, "the split");
+            } else {
+                assert_eq!(log.events.len(), 0, "shipped, so drained");
+            }
+            on(1)
+        });
+        assert_eq!(on_rank_1, 10, "one per consume; the tenth finalizes");
     }
 
     /// How long a test waits for something another thread is about to do.
     const PATIENCE: Duration = Duration::from_secs(20);
 
-    /// [`Sum`], whose consumes wait until the test closes the gate.
+    /// Lets the executions a test holds go: rank 0 takes the sending half,
+    /// so it drops — and frees every lane parked on the gate — when rank 0's
+    /// program ends, however it ends.
+    struct Gate {
+        open: Mutex<Option<Sender<()>>>,
+        gate: Arc<Mutex<Receiver<()>>>,
+    }
+
+    impl Gate {
+        fn new() -> Self {
+            let (open, gate) = unbounded();
+            Gate {
+                open: Mutex::new(Some(open)),
+                gate: Arc::new(Mutex::new(gate)),
+            }
+        }
+
+        fn take(&self) -> Sender<()> {
+            self.open.lock().take().expect("one rank 0")
+        }
+    }
+
+    /// [`Sum`], whose consumes wait until the test opens the gate.
     struct GatedSum(Sum, Arc<Mutex<Receiver<()>>>);
     impl MergeOperation for GatedSum {
         type Thread = ();
@@ -1555,33 +1568,36 @@ mod tests {
     /// steps of the first, and each wave sums into an instance of its own.
     #[test]
     fn a_remote_merge_thread_keeps_two_live_waves_apart() {
-        let mut eng = NetEngine::loopback(2);
-        let sink = TraceCollector::new();
-        eng.set_trace_sink(sink.clone());
-        let app = eng.app("two-waves");
-        let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
-        let (open, gate) = unbounded::<()>();
-        let gate = Arc::new(Mutex::new(gate));
-        let mut b = GraphBuilder::new("two-waves");
-        let s = b.split(&tc, || ToThread(0), || Fan);
-        let m = b.merge(&tc, || ToThread(1), move || GatedSum(Sum(0), gate.clone()));
-        b.add(s >> m);
-        let g = eng.build_graph(b).unwrap();
-        for shards in [10, 6] {
-            eng.submit(g, Box::new(Job { shards })).unwrap();
-        }
-        let enqueued = || sink.metrics().get(dps_obs::Counter::TokensEnqueued);
-        until("both waves' first shards queued", &|| {
-            enqueued() == 2 + 8 + 6
+        let gate = Gate::new();
+        NetEngine::loopback(2, NetEngineConfig::default(), |eng| {
+            let sink = TraceCollector::new();
+            eng.set_trace_sink(sink.clone());
+            let app = eng.app("two-waves");
+            let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+            let held = gate.gate.clone();
+            let mut b = GraphBuilder::new("two-waves");
+            let s = b.split(&tc, || ToThread(0), || Fan);
+            let m = b.merge(&tc, || ToThread(1), move || GatedSum(Sum(0), held.clone()));
+            b.add(s >> m);
+            let g = eng.build_graph(b).unwrap();
+            for shards in [10, 6] {
+                eng.submit(g, Box::new(Job { shards })).unwrap();
+            }
+            if eng.is_master() {
+                let open = gate.take();
+                let enqueued = || sink.metrics().get(dps_obs::Counter::TokensEnqueued);
+                until("both waves' first shards queued", &|| {
+                    enqueued() == 2 + 8 + 6
+                });
+                drop(open);
+            }
+            eng.run_to_idle(g, 2).unwrap();
+            let mut sums: Vec<u64> = (eng.take_outputs(g).into_iter())
+                .map(|out| downcast::<Total>(out).unwrap().sum)
+                .collect();
+            sums.sort_unstable();
+            assert_eq!(sums, [15, 45]);
         });
-        drop(open);
-        eng.run_to_idle(g, 2).unwrap();
-        let mut sums: Vec<u64> = (eng.take_outputs(g).into_iter())
-            .map(|out| downcast::<Total>(out).unwrap().sum)
-            .collect();
-        sums.sort_unstable();
-        assert_eq!(sums, [15, 45]);
-        eng.shutdown();
     }
 
     fn until(what: &str, done: &dyn Fn() -> bool) {
@@ -1593,7 +1609,7 @@ mod tests {
     }
 
     /// A leaf that tells the test it started, then holds its lane until
-    /// the test lets one execution go (or closes the gate for good).
+    /// the test lets one execution go (or drops the gate's sender).
     struct Hold {
         started: Sender<()>,
         gate: Arc<Mutex<Receiver<()>>>,
@@ -1609,60 +1625,69 @@ mod tests {
         }
     }
 
-    /// A traced loopback engine whose exec timeout is `exec` and whose
-    /// heartbeat is an hour, running [`Fan`] on node 0, [`Hold`] on node 1
-    /// and [`Sum`] back on node 0: `starts` has a unit each time the leaf
-    /// starts, and a unit on `open` lets one execution go.
+    /// The leaf of [`held`] on worker rank 1 says on `started` that it
+    /// started, and waits on the gate.
     struct Held {
-        /// First, because fields drop in order: a test that panics drops
-        /// its `Held` while the harness lane may still be parked on the
-        /// leaf's gate, and `eng`'s shutdown joins that lane. The gate
-        /// closes first, the lane goes, and the failure is reported
-        /// instead of hanging.
-        open: Sender<()>,
-        eng: NetEngine,
-        g: GraphHandle,
-        shared: Arc<MasterShared>,
-        sink: Arc<TraceCollector>,
-        starts: Receiver<()>,
+        gate: Gate,
+        started: Sender<()>,
+        starts: Mutex<Receiver<()>>,
     }
 
-    fn held(exec: Duration) -> Held {
-        let mut cfg = NetEngineConfig::default();
-        cfg.timeouts.exec = exec;
-        cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
-        let mut eng = NetEngine::loopback_with(2, cfg);
-        let sink = TraceCollector::new();
-        eng.set_trace_sink(sink.clone());
-        let app = eng.app("held");
-        let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+    /// A traced two-node cluster whose exec timeout is `exec` and whose
+    /// heartbeat is an hour, running [`Fan`] on node 0, [`Hold`] on node 1
+    /// and [`Sum`] back on node 0, submits `shards` shards on every rank
+    /// and hands rank 0 the graph, its sink, the gate's sender and the
+    /// master's shared state. Workers follow the run, whatever its end.
+    fn held<R: Default>(
+        exec: Duration,
+        shards: u32,
+        test: impl Fn(&mut NetEngine, GraphHandle, &TraceCollector, Sender<()>) -> R + Sync,
+    ) -> R {
         let (started, starts) = unbounded();
-        let (open, gate) = unbounded();
-        let gate = Arc::new(Mutex::new(gate));
-        let mut b = GraphBuilder::new("held");
-        let s = b.split(&tc, || ToThread(0), || Fan);
-        let l = b.leaf(
-            &tc,
-            || ToThread(1),
-            move || Hold {
-                started: started.clone(),
-                gate: gate.clone(),
-            },
-        );
-        let m = b.merge(&tc, || ToThread(0), Sum::default);
-        b.add(s >> l >> m);
-        let g = eng.build_graph(b).unwrap();
-        let shared = match &eng.role {
-            Role::Master(m) => m.shared.clone(),
-            Role::Worker(_) => unreachable!("loopback engines are masters"),
+        let h = Held {
+            gate: Gate::new(),
+            started,
+            starts: Mutex::new(starts),
         };
-        Held {
-            open,
-            eng,
-            g,
-            shared,
-            sink,
-            starts,
+        let mut cfg = quiet();
+        cfg.timeouts.exec = exec;
+        let r = NetEngine::loopback(2, cfg, |eng| {
+            let sink = TraceCollector::new();
+            eng.set_trace_sink(sink.clone());
+            let app = eng.app("held");
+            let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+            let (started, gate) = (h.started.clone(), h.gate.gate.clone());
+            let mut b = GraphBuilder::new("held");
+            let s = b.split(&tc, || ToThread(0), || Fan);
+            let l = b.leaf(
+                &tc,
+                || ToThread(1),
+                move || Hold {
+                    started: started.clone(),
+                    gate: gate.clone(),
+                },
+            );
+            let m = b.merge(&tc, || ToThread(0), Sum::default);
+            b.add(s >> l >> m);
+            let g = eng.build_graph(b).unwrap();
+            eng.submit(g, Box::new(Job { shards })).unwrap();
+            if !eng.is_master() {
+                let _ = eng.run_to_idle(g, 1);
+                return R::default();
+            }
+            (h.starts.lock())
+                .recv_timeout(PATIENCE)
+                .expect("the first shard started");
+            test(eng, g, &sink, h.gate.take())
+        });
+        r
+    }
+
+    /// The master's state, shared with its threads.
+    fn shared(eng: &NetEngine) -> Arc<MasterShared> {
+        match &eng.role {
+            Role::Master(m) => m.shared.clone(),
+            Role::Worker(_) => unreachable!("rank 0 is the master"),
         }
     }
 
@@ -1672,118 +1697,128 @@ mod tests {
     /// the teardown — and degrades to nothing else.
     #[test]
     fn declare_dead_fails_every_exec_in_flight_at_once() {
-        const SHARDS: usize = 7;
-        let mut h = held(Duration::from_secs(3600));
-        let patience = PATIENCE;
-        let frames = || h.sink.metrics().get(dps_obs::Counter::FramesSent);
+        const SHARDS: u32 = 7;
+        held(Duration::from_secs(3600), SHARDS, |eng, g, sink, _open| {
+            let frames = || sink.metrics().get(dps_obs::Counter::FramesSent);
+            // The first shard holds the lane, and the whole wave (the flow
+            // window is 8) is on the wire behind it: the worker's `Sync`,
+            // then seven `Exec`s, no reply.
+            until("seven execs in flight", &|| {
+                frames() == 1 + u64::from(SHARDS)
+            });
 
-        h.eng
-            .submit(
-                h.g,
-                Box::new(Job {
-                    shards: SHARDS as u32,
-                }),
-            )
-            .unwrap();
-        // The first shard holds the lane, and the whole wave (the flow
-        // window is 8) is on the wire behind it: seven `Exec`s, no reply.
-        h.starts
-            .recv_timeout(patience)
-            .expect("first shard started");
-        until("seven execs in flight", &|| frames() == SHARDS as u64);
+            assert!(shared(eng).declare_dead(1, "declared dead by the test"));
+            let failed = Instant::now();
+            let err = eng.run_to_idle(g, 1).unwrap_err();
+            assert!(
+                matches!(&err, DpsError::NodeDown { target, .. } if target.contains("(7 unanswered)")),
+                "degraded to {err}"
+            );
+            assert!(
+                failed.elapsed() < PATIENCE,
+                "an exec waited out its timeout"
+            );
 
-        assert!(h.shared.declare_dead(1, "declared dead by the test"));
-        let failed = Instant::now();
-        let err = h.eng.run_to_idle(h.g, 1).unwrap_err();
-        assert!(
-            matches!(&err, DpsError::NodeDown { target, .. } if target.contains("(7 unanswered)")),
-            "degraded to {err}"
-        );
-        // Free the harness lane (it shares this process), then tear down.
-        drop(h.open);
-        h.eng.shutdown();
-        assert!(
-            failed.elapsed() < patience,
-            "an exec waited out its timeout"
-        );
-
-        let log = h.sink.take_log();
-        let down = log
-            .events
-            .iter()
-            .filter(|e| match e.kind {
-                dps_obs::EventKind::OpFailed { op } => log.label(op).contains("is down"),
-                _ => false,
-            })
-            .count();
-        assert_eq!(down, 1, "one NodeDown for the seven");
+            let log = sink.take_log();
+            let down = log
+                .events
+                .iter()
+                .filter(|e| match e.kind {
+                    EventKind::OpFailed { op } => log.label(op).contains("is down"),
+                    _ => false,
+                })
+                .count();
+            assert_eq!(down, 1, "one NodeDown for the seven");
+        });
     }
 
     /// A gated leaf on node 1 outlasts the exec timeout: the run fails with a
-    /// `NodeDown` naming `DPS_NET_EXEC_TIMEOUT_MS`, and the rank is declared
-    /// dead (nothing else could: the heartbeat is an hour). The late `Done`
-    /// is dropped, not applied, and `shutdown` returns promptly.
+    /// `NodeDown` naming `NetTimeouts::exec`, and the rank is declared dead
+    /// (nothing else could: the heartbeat is an hour). The late `Done` is
+    /// dropped, not applied, and the teardown returns promptly.
     #[test]
     fn an_exec_timeout_declares_its_rank_dead_and_drops_the_late_reply() {
-        let mut h = held(Duration::from_millis(200));
-        let frames = || h.sink.metrics().get(dps_obs::Counter::FramesSent);
+        let torn_down = held(Duration::from_millis(200), 1, |eng, g, sink, open| {
+            let frames = || sink.metrics().get(dps_obs::Counter::FramesSent);
+            let err = eng.run_to_idle(g, 1).unwrap_err();
+            assert!(
+                matches!(&err, DpsError::NodeDown { target, .. }
+                    if target.contains("NetTimeouts::exec")),
+                "degraded to {err}"
+            );
+            assert!(eng.worker_down(1), "the timeout left its rank up");
 
-        h.eng.submit(h.g, Box::new(Job { shards: 1 })).unwrap();
-        h.starts.recv_timeout(PATIENCE).expect("the leaf started");
-        let err = h.eng.run_to_idle(h.g, 1).unwrap_err();
-        assert!(
-            matches!(&err, DpsError::NodeDown { target, .. }
-                if target.contains("DPS_NET_EXEC_TIMEOUT_MS")),
-            "degraded to {err}"
-        );
-        assert!(h.eng.worker_down(1), "the timeout left its rank up");
-
-        // The `Exec` and the failed run's `Release` went out; the late
-        // `Done` is the third frame, and nothing applies it.
-        assert_eq!(frames(), 2);
-        h.open.send(()).unwrap();
-        until("the late reply", &|| frames() == 3);
-        assert!(
-            h.eng.take_outputs(h.g).is_empty(),
-            "the late reply was applied"
-        );
-        let torn_down = Instant::now();
-        h.eng.shutdown();
+            // The worker's `Sync`, the `Exec` and the failed run's `Release`
+            // went out; the late `Done` is the fourth frame, and nothing
+            // applies it.
+            assert_eq!(frames(), 3);
+            open.send(()).unwrap();
+            until("the late reply", &|| frames() == 4);
+            assert!(eng.take_outputs(g).is_empty(), "the late reply was applied");
+            Some(Instant::now())
+        });
+        let torn_down = torn_down.expect("rank 0's answer");
         assert!(torn_down.elapsed() < PATIENCE, "shutdown waited");
     }
 
-    /// A `DPS_NET_*_MS` value is a positive whole number of milliseconds:
-    /// zero, an empty value and a unit are refused, each with its reason.
+    /// `fail_worker` returns with the rank tombstoned: the rank closes its
+    /// connection and the master reads end-of-file — the heartbeat is an
+    /// hour, so nothing else could have caught it.
     #[test]
-    fn a_zero_or_malformed_override_is_refused() {
-        assert_eq!(millis("250"), Ok(Duration::from_millis(250)));
-        for refused in ["0", "abc", "", "250ms", "-5"] {
-            let why = millis(refused).unwrap_err();
-            assert!(!why.is_empty(), "{refused:?}");
-        }
-        assert!(millis("0").unwrap_err().contains("zero"));
+    fn fail_worker_tombstones_a_loopback_rank_without_a_heartbeat_wait() {
+        NetEngine::loopback(2, quiet(), |eng| {
+            assert!(!eng.worker_down(1));
+            eng.fail_worker(1).unwrap();
+            assert_eq!(eng.worker_down(1), eng.is_master());
+        });
+    }
+
+    /// A worker rank that panics, unkilled, fails the loopback call with
+    /// its own panic, after rank 0's program has returned.
+    #[test]
+    fn a_worker_ranks_panic_fails_the_loopback_call() {
+        let master_done = AtomicBool::new(false);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            NetEngine::loopback(2, quiet(), |eng| {
+                if eng.is_master() {
+                    master_done.store(true, Ordering::SeqCst);
+                } else {
+                    panic!("rank {} gives up", eng.rank());
+                }
+            })
+        }));
+        assert!(master_done.load(Ordering::SeqCst));
+        let panic = run.expect_err("the worker's panic must fail the call");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert_eq!(msg, "rank 1 gives up");
     }
 
     /// Claims and closes on a lease of rank 1 — six from ops of the master
     /// process, five relayed for rank 2 — wait on a home that never answers
-    /// (a loopback harness does not speak the hub protocol) when rank 1 is
-    /// declared dead: every one of them is refused then and there — the
-    /// exec timeout is an hour — the relay table is empty, and from then on
-    /// such a claim is refused without a frame.
+    /// (the far end of each connection is a raw link nobody reads) when
+    /// rank 1 is declared dead: every one of them is refused then and there
+    /// — the exec timeout is an hour — the relay table is empty, and from
+    /// then on such a claim is refused without a frame.
     #[test]
     fn declare_dead_answers_every_relayed_claim_at_once() {
         const HERE: usize = 6;
         const FROM_RANK_2: usize = 5;
-        let mut cfg = NetEngineConfig::default();
+        let mut cfg = quiet();
         cfg.timeouts.exec = Duration::from_secs(3600);
-        cfg.timeouts.heartbeat_interval = Duration::from_secs(3600);
-        let mut eng = NetEngine::loopback_with(3, cfg);
+        let t = LoopbackTransport::new();
+        let (addr, mut acceptor) = t.bind().unwrap();
+        let far: Vec<Duplex> = (0..2).map(|_| t.connect(&addr).unwrap()).collect();
+        let links = far.iter().map(|_| acceptor.accept().unwrap()).collect();
+        let master = Master::start(&cfg, 3, links, Vec::new(), Vec::new());
+        let mut eng = NetEngine {
+            role: Role::Master(Box::new(master)),
+        };
         let sink = TraceCollector::new();
         eng.set_trace_sink(sink.clone());
-        let shared = match &eng.role {
-            Role::Master(m) => m.shared.clone(),
-            Role::Worker(_) => unreachable!("loopback engines are masters"),
-        };
+        let shared = shared(&eng);
         let frames = || sink.metrics().get(dps_obs::Counter::FramesSent) as usize;
         let lease = 1u64 << 40; // the first lease rank 1 would open
 
@@ -1842,6 +1877,10 @@ mod tests {
             HERE + 2 * FROM_RANK_2 + 1,
             "rank 2 is told at once"
         );
+        // The far ends close after the engine starts closing: a reader that
+        // read their end-of-file before would declare rank 2 dead.
+        shared.closing.store(true, Ordering::Release);
+        drop(far);
         eng.shutdown();
     }
 }

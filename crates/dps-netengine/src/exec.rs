@@ -34,8 +34,7 @@ use crate::transport::FrameTx;
 /// The declaration table, shared between the declaring role and the
 /// executors. An executor reads it only after the table is complete: the
 /// master sends no `Exec` before the sync barrier — every worker declared
-/// everything — and a loopback harness reads the master's own table, frozen
-/// at that barrier.
+/// everything.
 pub(crate) struct DeclStore(Mutex<Arc<Decls>>);
 
 impl DeclStore {
@@ -120,6 +119,18 @@ impl Conn {
         self.meter.count(parts.iter().map(|part| part.len()).sum());
         link.tx.send_parts(&parts)
     }
+
+    /// Close the sending half, as the death of its process would: the peer
+    /// reads end-of-file, and every later send fails.
+    pub fn close(&self) {
+        struct Closed;
+        impl FrameTx for Closed {
+            fn send(&mut self, _frame: &[u8]) -> io::Result<()> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        self.link.lock().tx = Box::new(Closed);
+    }
 }
 
 /// One arrival, as dispatched to an executor lane.
@@ -138,7 +149,7 @@ struct Job {
     flow: u64,
 }
 
-/// The per-thread executor pool of one worker kernel (or loopback harness).
+/// The per-thread executor pool of one worker kernel.
 pub(crate) struct ExecHost {
     decls: Arc<DeclStore>,
     writer: Arc<Conn>,
@@ -404,7 +415,7 @@ fn await_hub_reply(rx: &Receiver<HubResponse>, exec: Duration) -> Option<HubResp
         Err(RecvTimeoutError::Timeout) => {
             eprintln!(
                 "dps-netengine: no answer to a chunk-hub operation within exec timeout \
-                 {exec:?} (DPS_NET_EXEC_TIMEOUT_MS)"
+                 {exec:?} (NetTimeouts::exec)"
             );
             None
         }

@@ -24,10 +24,12 @@
 //!
 //! Kernel `kernel0` is the master; worker rank `n` is kernel `kernel{n}`
 //! and hosts cluster node `n`. Frames travel over
-//! a pluggable [`Transport`] — real TCP for multi-process runs, an
-//! in-memory loopback with identical semantics for single-process tests —
-//! and every connection reader, executor lane and harness is an OS thread
-//! of its own. Each connection keeps a table of the shared `Buffer`s it has
+//! a pluggable [`Transport`] — real TCP between processes
+//! ([`NetEngine::from_env`]), an in-memory loopback with identical
+//! semantics between the ranks [`NetEngine::loopback`] runs on threads of
+//! one process, each the same master or worker role a process runs — and
+//! every rank, connection reader and executor lane is an OS thread of its
+//! own. Each connection keeps a table of the shared `Buffer`s it has
 //! carried, so a block many tasks hold crosses it once (see [`proto`]).
 //!
 //! The driver below runs unchanged on all three engines; only the
@@ -36,7 +38,7 @@
 //! ```
 //! use dps_core::prelude::*;
 //! use dps_core::Engine;
-//! use dps_netengine::NetEngine;
+//! use dps_netengine::{NetEngine, NetEngineConfig};
 //!
 //! dps_token! { pub struct Job { pub shards: u32 } }
 //! dps_token! { pub struct Shard { pub value: u64 } }
@@ -59,32 +61,33 @@
 //!     }
 //! }
 //!
-//! // Master node plus one in-process worker harness; `NetEngine::from_env`
-//! // gives the same engine with real worker processes over TCP.
-//! let mut eng = NetEngine::loopback(2);
-//! let app = eng.app("sum");
-//! // One thread on each cluster node: the leaf work runs on the worker.
-//! let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
-//! let mut b = GraphBuilder::new("sum");
-//! let s = b.split(&tc, || ToThread(0), || Fan);
-//! // Routing the merge to thread 1 puts it on node1 — the whole wave is
-//! // consumed in the worker and only the sum comes back.
-//! let m = b.merge(&tc, || ToThread(1), Sum::default);
-//! b.add(s >> m);
-//! let g = eng.build_graph(b).unwrap();
-//! eng.submit(g, Box::new(Job { shards: 10 })).unwrap();
-//! eng.run_to_idle(g, 1).unwrap();
-//! let out = eng.take_outputs(g).pop().unwrap();
-//! assert_eq!(downcast::<Total>(out).unwrap().sum, 45);
+//! // The master and one worker rank, each running this driver on a thread
+//! // of its own; `NetEngine::from_env` runs the ranks as processes over TCP.
+//! let sum = NetEngine::loopback(2, NetEngineConfig::default(), |eng| {
+//!     let app = eng.app("sum");
+//!     // One thread on each cluster node: the leaf work runs on the worker.
+//!     let tc: ThreadCollection<()> = eng.thread_collection(app, "t", "node0 node1").unwrap();
+//!     let mut b = GraphBuilder::new("sum");
+//!     let s = b.split(&tc, || ToThread(0), || Fan);
+//!     // Routing the merge to thread 1 puts it on node1 — the whole wave is
+//!     // consumed in the worker and only the sum comes back.
+//!     let m = b.merge(&tc, || ToThread(1), Sum::default);
+//!     b.add(s >> m);
+//!     let g = eng.build_graph(b).unwrap();
+//!     eng.submit(g, Box::new(Job { shards: 10 })).unwrap();
+//!     eng.run_to_idle(g, 1).unwrap();
+//!     let out = eng.take_outputs(g).pop().unwrap();
+//!     downcast::<Total>(out).unwrap().sum
+//! });
+//! assert_eq!(sum, 45);
 //! ```
 //!
 //! The engine is **fault-tolerant**: `Ping`/`Pong` heartbeats plus
 //! EOF/reset classification in the connection readers detect a dead or
-//! wedged worker within a bounded budget ([`NetTimeouts`], overridable
-//! through `DPS_NET_*` environment variables), tombstone its rank, expire
-//! its open chunk leases back to the survivors, and degrade exactly like
-//! `MtEngine::fail_node` — completion on the survivors or a clean
-//! `NodeDown`, never a hang. The [`fault`] module injects seeded wire
+//! wedged worker within a bounded budget ([`NetTimeouts`]), tombstone its
+//! rank, expire its open chunk leases back to the survivors, and degrade
+//! exactly like `MtEngine::fail_node` — completion on the survivors or a
+//! clean `NodeDown`, never a hang. The [`fault`] module injects seeded wire
 //! faults ([`WireFaults`]) and scheduled kills ([`NetKill`]) for testing.
 //!
 //! The full protocol (frames, sync barrier, run release, hub

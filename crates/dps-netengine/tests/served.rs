@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dps_core::prelude::*;
 use dps_core::{dps_token, DpsError};
-use dps_netengine::NetEngine;
+use dps_netengine::{NetEngine, NetEngineConfig};
 
 dps_token! { pub struct Job { pub shards: u32 } }
 dps_token! { pub struct Shard { pub value: u64 } }
@@ -82,42 +82,50 @@ impl Route<Shard> for PreferOne {
 /// died with rank 1 until the run timed out.
 #[test]
 fn a_rank_that_dies_holding_a_pinned_wave_fails_the_run_at_once() {
-    let mut eng = NetEngine::loopback(2);
-    let app = eng.app("pinned");
-    let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
-    let sums: ThreadCollection<()> = eng.thread_collection(app, "s", "node0 node1").unwrap();
-    let (started, starts) = unbounded();
+    // Rank 1's merge says so on rank 0's channel.
     let (consumed, consumes) = unbounded();
-    let (open, gate) = unbounded::<()>();
-    let gate = Arc::new(Mutex::new(gate));
-    let mut b = GraphBuilder::new("pinned");
-    let s = b.split(&main, || ToThread(0), || Fan);
-    let l = b.leaf(
-        &main,
-        || ToThread(0),
-        move || HoldSecond {
-            started: started.clone(),
-            gate: gate.clone(),
-        },
-    );
-    let m = b.merge(&sums, || PreferOne, move || Sum(0, consumed.clone()));
-    b.add(s >> l >> m);
-    let g = eng.build_graph(b).unwrap();
-    eng.submit(g, Box::new(Job { shards: 2 })).unwrap();
-    starts.recv_timeout(PATIENCE).expect("shard 1 held");
-    consumes
-        .recv_timeout(PATIENCE)
-        .expect("shard 0 consumed on rank 1");
+    let consumes = Mutex::new(consumes);
+    NetEngine::loopback(2, NetEngineConfig::default(), |eng| {
+        let app = eng.app("pinned");
+        let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+        let sums: ThreadCollection<()> = eng.thread_collection(app, "s", "node0 node1").unwrap();
+        let (started, starts) = unbounded();
+        let consumed = consumed.clone();
+        let (open, gate) = unbounded::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let mut b = GraphBuilder::new("pinned");
+        let s = b.split(&main, || ToThread(0), || Fan);
+        let l = b.leaf(
+            &main,
+            || ToThread(0),
+            move || HoldSecond {
+                started: started.clone(),
+                gate: gate.clone(),
+            },
+        );
+        let m = b.merge(&sums, || PreferOne, move || Sum(0, consumed.clone()));
+        b.add(s >> l >> m);
+        let g = eng.build_graph(b).unwrap();
+        eng.submit(g, Box::new(Job { shards: 2 })).unwrap();
+        if !eng.is_master() {
+            // Killed mid-run: the run ends with the rank's connection.
+            let _ = eng.run_to_idle(g, 1);
+            return;
+        }
+        starts.recv_timeout(PATIENCE).expect("shard 1 held");
+        (consumes.lock().unwrap())
+            .recv_timeout(PATIENCE)
+            .expect("shard 0 consumed on rank 1");
 
-    eng.fail_worker(1).unwrap();
-    let failed = Instant::now();
-    let err = eng.run_to_idle(g, 1).unwrap_err();
-    assert!(
-        matches!(&err, DpsError::NodeDown { target, .. } if !target.contains("unanswered")),
-        "degraded to {err}"
-    );
-    assert!(eng.worker_down(1));
-    assert!(failed.elapsed() < PATIENCE / 2, "left to the run timeout");
-    drop(open);
-    eng.shutdown();
+        eng.fail_worker(1).unwrap();
+        let failed = Instant::now();
+        let err = eng.run_to_idle(g, 1).unwrap_err();
+        assert!(
+            matches!(&err, DpsError::NodeDown { target, .. } if !target.contains("unanswered")),
+            "degraded to {err}"
+        );
+        assert!(eng.worker_down(1));
+        assert!(failed.elapsed() < PATIENCE / 2, "left to the run timeout");
+        drop(open);
+    });
 }

@@ -47,6 +47,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use crate::dir::Doubling;
 use crate::policy::PolicyKind;
 use crate::remote::RemoteHub;
 use crate::scheduler::Chunk;
@@ -365,7 +366,7 @@ pub struct ChunkLease {
 }
 
 /// One lease's slot in the hub directory.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LeaseSlot {
     /// Set exactly once by [`ChunkHub::open`]; read lock-free by claimers.
     counter: OnceLock<Arc<IterCounter>>,
@@ -373,33 +374,9 @@ struct LeaseSlot {
     closed: AtomicBool,
 }
 
-impl LeaseSlot {
-    fn new() -> Self {
-        Self {
-            counter: OnceLock::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Log2 of the first lease segment's slot count.
-const LEASE_SEG0_BITS: u32 = 5;
-
-/// Lease segments double in size; 32 of them cover ~2³⁶ lease ids.
-const LEASE_SEGS: usize = 32;
-
 /// Bits of a lease id below the rank that issued it: `home << HOME_SHIFT | n`
 /// for the hub's `n`-th lease.
 const HOME_SHIFT: u32 = 40;
-
-/// Map a hub's `n`-th lease to its `(segment, offset)` in the doubling
-/// directory.
-#[inline]
-fn lease_locate(n: u64) -> Option<(usize, usize)> {
-    let pos = (n as usize).checked_add(1 << LEASE_SEG0_BITS)?;
-    let seg = (pos.ilog2() - LEASE_SEG0_BITS) as usize;
-    (seg < LEASE_SEGS).then(|| (seg, pos - (1usize << (seg as u32 + LEASE_SEG0_BITS))))
-}
 
 /// Rendezvous between range-announcing splits and chunk-claiming workers:
 /// the split [`open`](Self::open)s a counter and broadcasts the lease id in
@@ -440,8 +417,9 @@ fn lease_locate(n: u64) -> Option<(usize, usize)> {
 /// live until the hub drops — a few hundred bytes per lease ever opened,
 /// bounded by the run the hub belongs to.
 pub struct ChunkHub {
-    /// Doubling lease segments, allocated on first touch.
-    segments: [OnceLock<Box<[LeaseSlot]>>; LEASE_SEGS],
+    /// The slot of the hub's `n`-th lease at `n`: segments of 32, 64, …
+    /// slots, 32 of them covering ~2³⁶ lease ids.
+    leases: Doubling<LeaseSlot, 5, 32>,
     /// The rank this hub is home to: the high bits of every id it issues.
     home: u64,
     /// Leases issued so far; the next one's number.
@@ -490,7 +468,7 @@ impl ChunkHub {
             "home rank {home} does not fit a lease id"
         );
         Self {
-            segments: std::array::from_fn(|_| OnceLock::new()),
+            leases: Doubling::new(),
             home: u64::from(home),
             next: AtomicU64::new(0),
             open: AtomicU64::new(0),
@@ -532,8 +510,7 @@ impl ChunkHub {
         if !self.is_home(id) {
             return None;
         }
-        let (seg, idx) = lease_locate(id & ((1 << HOME_SHIFT) - 1))?;
-        self.segments[seg].get().map(|s| &s[idx])
+        self.leases.get((id & ((1 << HOME_SHIFT) - 1)) as usize)
     }
 
     /// Open a counter over `calc`'s range and lease it out.
@@ -544,14 +521,9 @@ impl ChunkHub {
         let counter = IterCounter::new(calc);
         let chunks = counter.chunk_count();
         let n = self.next.fetch_add(1, Ordering::Relaxed);
-        let (seg, idx) = lease_locate(n).expect("lease id space exhausted");
-        let slots = self.segments[seg].get_or_init(|| {
-            (0..(1usize << (seg as u32 + LEASE_SEG0_BITS)))
-                .map(|_| LeaseSlot::new())
-                .collect()
-        });
-        slots[idx]
-            .counter
+        let slot = self.leases.get_or_alloc(n as usize);
+        let slot = slot.expect("lease id space exhausted");
+        slot.counter
             .set(Arc::new(counter))
             .expect("lease ids are unique");
         self.open.fetch_add(1, Ordering::Relaxed);
@@ -559,13 +531,6 @@ impl ChunkHub {
             id: self.id_of(n),
             chunks,
         }
-    }
-
-    /// Open a batch of ranges in one call — one lease per range, in order.
-    /// Concurrent scheduled loops each drain their own lease; the claim
-    /// paths never touch shared state beyond their lease's counter.
-    pub fn open_batch(&self, calcs: impl IntoIterator<Item = ChunkCalc>) -> Vec<ChunkLease> {
-        calcs.into_iter().map(|c| self.open(c)).collect()
     }
 
     /// Mark lease `id` drained on the way out, exactly once; returns whether
@@ -826,9 +791,16 @@ mod tests {
     #[test]
     fn many_leases_drain_independently() {
         let hub = Arc::new(ChunkHub::new());
-        let leases = hub.open_batch(
-            (0..64).map(|i| ChunkCalc::new(PolicyKind::Gss, 100 + i as u64, 3, &uniform(3))),
-        );
+        let leases: Vec<ChunkLease> = (0..64)
+            .map(|i| {
+                hub.open(ChunkCalc::new(
+                    PolicyKind::Gss,
+                    100 + i as u64,
+                    3,
+                    &uniform(3),
+                ))
+            })
+            .collect();
         assert_eq!(hub.open_leases(), 64);
         // Interleave claims across all leases from several threads.
         let mut handles = Vec::new();

@@ -20,8 +20,8 @@
 //! the oracle of `tests/proptest_feedback.rs`.
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
+use crate::dir::Doubling;
 use crate::policy::PolicyKind;
 
 /// Per-worker chunk samples kept for the sample-based estimators.
@@ -171,8 +171,8 @@ fn store_f64(a: &AtomicU64, v: f64) {
     a.store(v.to_bits(), Ordering::Relaxed);
 }
 
-impl Slot {
-    fn new() -> Self {
+impl Default for Slot {
+    fn default() -> Self {
         Self {
             seq: AtomicU32::new(0),
             open_epoch: AtomicU32::new(0),
@@ -189,7 +189,9 @@ impl Slot {
             open_secs: AtomicU64::new(0),
         }
     }
+}
 
+impl Slot {
     /// Enter a write section: one uncontended CAS for the slot's owner.
     fn write_claim(&self) -> u32 {
         loop {
@@ -326,25 +328,6 @@ impl Slot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The lock-free growable slot directory.
-// ---------------------------------------------------------------------------
-
-/// Log2 of the first segment's slot count.
-const SEG0_BITS: u32 = 6;
-
-/// Segments double in size; 26 of them cover ~2³¹ worker indices.
-const NUM_SEGS: usize = 26;
-
-/// Map a worker index to its `(segment, offset)` in the doubling directory:
-/// segment `k` holds `64 << k` slots.
-#[inline]
-fn locate(worker: usize) -> (usize, usize) {
-    let pos = worker + (1usize << SEG0_BITS);
-    let seg = (pos.ilog2() - SEG0_BITS) as usize;
-    (seg, pos - (1usize << (seg as u32 + SEG0_BITS)))
-}
-
 /// Aggregates chunk-completion reports into per-worker rates and the
 /// normalized weights the AWF policy family consumes.
 ///
@@ -366,8 +349,9 @@ fn locate(worker: usize) -> (usize, usize) {
 /// [`stats`](Self::stats)) fold all slots through a seqlock and may retry
 /// against an active writer; they run once per scheduling wave.
 pub struct FeedbackBoard {
-    /// Doubling slot segments, allocated on first touch.
-    segments: [OnceLock<Box<[Slot]>>; NUM_SEGS],
+    /// One slot per worker index: segments of 64, 128, … slots, 26 of
+    /// them covering ~2³¹ indices.
+    slots: Doubling<Slot, 6, 26>,
     /// Highest reporter index + 1 (monotone until [`reset`](Self::reset)).
     len: AtomicUsize,
     /// Batch epoch: bumped by each batch-weighted weight read; reports
@@ -401,7 +385,7 @@ impl FeedbackBoard {
     /// Empty board with an explicit rate estimator.
     pub fn with_estimator(estimator: RateEstimator) -> Self {
         Self {
-            segments: std::array::from_fn(|_| OnceLock::new()),
+            slots: Doubling::new(),
             len: AtomicUsize::new(0),
             epoch: AtomicU32::new(0),
             estimator,
@@ -426,23 +410,13 @@ impl FeedbackBoard {
 
     /// Worker `w`'s slot, allocating its segment on first touch.
     fn slot(&self, worker: usize) -> &Slot {
-        let (seg, idx) = locate(worker);
-        assert!(seg < NUM_SEGS, "worker index {worker} out of slot range");
-        let slots = self.segments[seg].get_or_init(|| {
-            (0..(1usize << (seg as u32 + SEG0_BITS)))
-                .map(|_| Slot::new())
-                .collect()
-        });
-        &slots[idx]
+        let slot = self.slots.get_or_alloc(worker);
+        slot.unwrap_or_else(|| panic!("worker index {worker} out of slot range"))
     }
 
     /// Worker `w`'s slot, if its segment was ever touched.
     fn slot_get(&self, worker: usize) -> Option<&Slot> {
-        let (seg, idx) = locate(worker);
-        self.segments
-            .get(seg)
-            .and_then(|s| s.get())
-            .map(|s| &s[idx])
+        self.slots.get(worker)
     }
 
     /// Slot of `worker` only if it has reported since the last reset.

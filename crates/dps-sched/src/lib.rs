@@ -64,6 +64,7 @@
 //! operation plugs these policies into flow graphs.
 
 mod calc;
+mod dir;
 mod feedback;
 mod policy;
 pub mod remote;

@@ -143,13 +143,15 @@ pub fn output_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The clean-wire reference run: the same canonical workload on an
-/// in-process loopback [`NetEngine`] with no faults armed. Same wire
-/// protocol, same remote execution paths, deterministic output bytes.
+/// The clean-wire reference run: the same canonical workload on a
+/// loopback [`NetEngine`] — every rank a thread of this process — with no
+/// faults armed. Same wire protocol, same master and worker roles,
+/// deterministic output bytes.
 pub fn net_reference(cfg: &VoprConfig) -> Result<Vec<u8>, Box<VoprFailure>> {
-    let mut eng = NetEngine::loopback(cfg.workload.nodes());
-    let out = run_canonical(&mut eng, cfg.workload);
-    eng.shutdown();
+    let nodes = cfg.workload.nodes();
+    let out = NetEngine::loopback(nodes, NetEngineConfig::default(), |eng| {
+        run_canonical(eng, cfg.workload)
+    });
     out.map_err(|e| {
         Box::new(VoprFailure {
             cfg: cfg.clone(),

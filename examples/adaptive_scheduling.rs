@@ -95,8 +95,8 @@ impl LeafOperation for HybridWorker {
 }
 
 /// The one driver both engines share: build the scheduled loop over
-/// `board` (possibly pre-seeded by a calibration probe), run `STEPS`
-/// waves, return per-step makespans in the engine's own time.
+/// `board`, run `STEPS` waves, return per-step makespans in the engine's
+/// own time.
 fn run_schedule<E: Engine>(
     eng: &mut E,
     policy: PolicyKind,
@@ -281,11 +281,8 @@ fn main() {
             if let Some(c) = &collector {
                 eng.set_trace_sink(c.clone());
             }
-            // Seed the board from a wall-clock probe of each worker's rate,
-            // so the first wave already uses measured weights.
             let board = Arc::new(FeedbackBoard::for_policy(policy));
             eng.set_feedback_sink(board.clone());
-            eng.calibrate_feedback(4, |_| dps_bench::calib::measure_flop_rate(1_000_000));
             let wall = run_schedule(&mut eng, policy, 4, board.clone());
             let chunks = board.total_chunks();
             eng.shutdown();

@@ -12,7 +12,9 @@
 //! The `*_across_processes` tests re-execute this very test binary as
 //! worker kernels ([`NetEngine::from_env`] reads the `DPS_NET_*`
 //! environment the master sets), so master and workers literally run the
-//! same SPMD test function over real TCP sockets.
+//! same SPMD test function over real TCP sockets. The other net runs use
+//! [`NetEngine::loopback`], which runs the driver once per rank on threads
+//! of the test process, over in-memory connections.
 
 use dps::cluster::ClusterSpec;
 use dps::core::prelude::*;
@@ -177,12 +179,12 @@ proptest! {
             let mut eng = MtEngine::new(workers_n);
             scatter_gather(&mut eng, workers_n, input(shards, n))
         };
-        let net_out = {
-            // Master on node0 plus in-process worker kernels for the rest:
-            // the same wire protocol as the TCP deployment, single process.
-            let mut eng = NetEngine::loopback(workers_n);
-            scatter_gather(&mut eng, workers_n, input(shards, n))
-        };
+        // Master on node0 plus a worker rank for each other node, every
+        // rank a thread: the same wire protocol and roles as the TCP
+        // deployment, single process.
+        let net_out = NetEngine::loopback(workers_n, NetEngineConfig::default(), |eng| {
+            scatter_gather(eng, workers_n, input(shards, n))
+        });
         prop_assert_eq!(
             wire_encoding(&sim_out),
             wire_encoding(&mt_out),
@@ -367,12 +369,9 @@ fn chunked_lu_is_byte_identical_across_engines() {
         eng.shutdown();
         rep
     };
-    let net = {
-        let mut eng = NetEngine::loopback(cfg.nodes);
-        let rep = run_lu(&mut eng, &cfg).unwrap();
-        eng.shutdown();
-        rep
-    };
+    let net = NetEngine::loopback(cfg.nodes, NetEngineConfig::default(), |eng| {
+        run_lu(eng, &cfg).unwrap()
+    });
     for (name, rep) in [("sim", &sim), ("mt", &mt), ("net", &net)] {
         assert_eq!(
             rep.factors.pivots, reference.pivots,
@@ -410,12 +409,9 @@ fn matmul_is_byte_identical_across_engines() {
         eng.shutdown();
         rep.c
     };
-    let net = {
-        let mut eng = NetEngine::loopback(cfg.nodes);
-        let rep = run_matmul(&mut eng, &cfg, 0).unwrap();
-        eng.shutdown();
-        rep.c
-    };
+    let net = NetEngine::loopback(cfg.nodes, NetEngineConfig::default(), |eng| {
+        run_matmul(eng, &cfg, 0).unwrap().c
+    });
     assert_eq!(sim.as_slice(), mt.as_slice(), "sim product bits diverged");
     assert_eq!(net.as_slice(), mt.as_slice(), "net product bits diverged");
 }
@@ -465,12 +461,7 @@ fn banded_life_is_identical_across_engines() {
             eng.shutdown();
             out
         };
-        let net = {
-            let mut eng = NetEngine::loopback(3);
-            let out = banded_life(&mut eng, &cfg);
-            eng.shutdown();
-            out
-        };
+        let net = NetEngine::loopback(3, NetEngineConfig::default(), |eng| banded_life(eng, &cfg));
         for (name, (pops, world)) in [("sim", &sim), ("mt", &mt), ("net", &net)] {
             assert_eq!(world, &reference, "{variant:?} diverged on {name}");
             assert_eq!(pops, &sim.0, "{variant:?} populations differ on {name}");
@@ -501,12 +492,9 @@ fn video_pipeline_is_identical_across_engines() {
             eng.shutdown();
             out
         };
-        let net = {
-            let mut eng = NetEngine::loopback(3);
-            let out = run_video(&mut eng, &cfg).unwrap();
-            eng.shutdown();
-            out
-        };
+        let net = NetEngine::loopback(3, NetEngineConfig::default(), |eng| {
+            run_video(eng, &cfg).unwrap()
+        });
         for (name, (_, frames, checksum)) in [("sim", sim), ("mt", mt), ("net", net)] {
             outs.push((use_stream, name, frames, checksum));
         }
@@ -569,12 +557,9 @@ fn striped_store_round_trips_on_every_engine() {
         eng.shutdown();
         out
     };
-    let net = {
-        let mut eng = NetEngine::loopback(3);
-        let out = striped_round_trip(&mut eng, 3, &data);
-        eng.shutdown();
-        out
-    };
+    let net = NetEngine::loopback(3, NetEngineConfig::default(), |eng| {
+        striped_round_trip(eng, 3, &data)
+    });
     for (name, (stripes, back)) in [("sim", sim), ("mt", mt), ("net", net)] {
         assert_eq!(stripes, 6, "{name}: one ack per 64 KiB stripe");
         assert!(back == data, "{name}: the file did not read back whole");
@@ -696,12 +681,9 @@ fn a_three_deep_nest_is_byte_identical_across_engines() {
             eng.shutdown();
             out
         };
-        let net = {
-            let mut eng = NetEngine::loopback(workers_n);
-            let out = nested_three_deep(&mut eng, workers_n, fan);
-            eng.shutdown();
-            out
-        };
+        let net = NetEngine::loopback(workers_n, NetEngineConfig::default(), |eng| {
+            nested_three_deep(eng, workers_n, fan)
+        });
         assert_eq!(sim.count, fan.pow(3), "workers {workers_n} fan {fan}");
         let expect = (0..8u64.pow(3))
             .filter(|p| (0..3).all(|l| (p >> (3 * l)) % 8 < u64::from(fan)))
@@ -1083,20 +1065,17 @@ fn rejects_bad_declarations<E: Engine>(eng: &mut E) {
 fn every_engine_rejects_bad_declarations_at_build_graph() {
     rejects_bad_declarations(&mut SimEngine::new(ClusterSpec::paper_testbed(2)));
     rejects_bad_declarations(&mut MtEngine::new(2));
-    rejects_bad_declarations(&mut NetEngine::loopback(2));
+    NetEngine::loopback(2, NetEngineConfig::default(), rejects_bad_declarations);
 }
 
-/// The SPMD refusal, across two real processes: the worker kernel exposes
-/// one service the master does not, so the tables' signatures differ and
-/// the master's first `submit` refuses the run before any token moves. The
-/// worker's own `submit` only announces its signature; its `run_to_idle`
-/// fails once the master hangs up, which it tolerates. Both exit cleanly.
-#[test]
-fn a_diverged_worker_is_refused_at_the_first_submit_across_processes() {
+/// The SPMD refusal: worker rank 1 exposes one service the master does
+/// not, so the tables' signatures differ and the master's first `submit`
+/// refuses the run before any token moves. The worker's own `submit` only
+/// announces its signature; its `run_to_idle` fails once the master hangs
+/// up, which it tolerates.
+fn a_diverged_worker_is_refused(eng: &mut NetEngine) {
     use dps::core::DpsError;
 
-    let test = "a_diverged_worker_is_refused_at_the_first_submit_across_processes";
-    let mut eng = NetEngine::from_env(2, spmd_test_config(test)).expect("net engine setup");
     let app = eng.app("spmd");
     let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0 node1").unwrap();
     let mut b = GraphBuilder::new("scatter-gather");
@@ -1105,7 +1084,7 @@ fn a_diverged_worker_is_refused_at_the_first_submit_across_processes() {
     let m = b.merge(&main, || ToThread(0), Gather::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
-    if !eng.is_master() {
+    if eng.rank() == 1 {
         eng.expose_service(g, "only-on-the-worker");
     }
     let submitted = eng.submit(g, Box::new(input(2, 10)));
@@ -1121,5 +1100,21 @@ fn a_diverged_worker_is_refused_at_the_first_submit_across_processes() {
         let err = eng.run_to_idle(g, 1).unwrap_err();
         assert!(matches!(err, DpsError::IncompleteWaves { .. }), "{err}");
     }
+}
+
+/// [`a_diverged_worker_is_refused`] across two real processes: both exit
+/// cleanly.
+#[test]
+fn a_diverged_worker_is_refused_at_the_first_submit_across_processes() {
+    let test = "a_diverged_worker_is_refused_at_the_first_submit_across_processes";
+    let mut eng = NetEngine::from_env(2, spmd_test_config(test)).expect("net engine setup");
+    a_diverged_worker_is_refused(&mut eng);
     eng.shutdown();
+}
+
+/// [`a_diverged_worker_is_refused`] on two ranks of one process: the sync
+/// barrier runs there too.
+#[test]
+fn a_diverged_loopback_rank_is_refused_at_the_first_submit() {
+    NetEngine::loopback(2, NetEngineConfig::default(), a_diverged_worker_is_refused);
 }

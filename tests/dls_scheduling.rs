@@ -15,7 +15,7 @@ use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::linalg::{lu_residual, Matrix};
 use dps::mt::MtEngine;
 use dps::net::NodeId;
-use dps::sched::{ChunkCalc, ChunkScheduler, FeedbackBoard, IterCounter, PolicyKind};
+use dps::sched::{ChunkCalc, ChunkScheduler, IterCounter, PolicyKind};
 use dps_bench::dls::{rising_cost, run_dls, CostFn, DlsConfig, DlsReport};
 use proptest::prelude::*;
 
@@ -134,32 +134,6 @@ fn scheduled_split_runs_on_real_threads() {
         "wall-clock completion reports must reach the board: {}",
         rep.reported_chunks
     );
-}
-
-/// MtEngine rate calibration: a synthetic 2:1 probe seeds 2:1 board
-/// weights, and the real wall-clock FLOP kernel produces sane, near-uniform
-/// weights on a single host.
-#[test]
-fn mt_engine_calibration_seeds_feedback_weights() {
-    // Synthetic heterogeneous probe.
-    let board = Arc::new(FeedbackBoard::new());
-    let mut eng = MtEngine::new(2);
-    eng.set_feedback_sink(board.clone());
-    eng.calibrate_feedback(2, |w| if w == 0 { 2.0e9 } else { 1.0e9 });
-    let weights = board.weights(2);
-    assert!(
-        (weights[0] - 2.0 / 3.0).abs() < 1e-9,
-        "synthetic 2:1 probe → 2:1 weights, got {weights:?}"
-    );
-
-    // Real measured kernel: one host, so rates (and weights) come out
-    // roughly equal.
-    let board = Arc::new(FeedbackBoard::new());
-    let mut eng = MtEngine::new(2);
-    eng.set_feedback_sink(board.clone());
-    eng.calibrate_feedback(2, |_| dps_bench::calib::measure_flop_rate(2_000_000));
-    let weights = board.weights(2);
-    assert!(weights.iter().all(|&w| w > 0.2 && w < 0.8), "{weights:?}");
 }
 
 proptest! {

@@ -15,7 +15,7 @@ use dps::core::prelude::*;
 use dps::core::{dps_token, EngineConfig};
 use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::mt::MtEngine;
-use dps::netengine::NetEngine;
+use dps::netengine::{NetEngine, NetEngineConfig};
 use dps::obs::{
     chrome_trace_json, schedule_hash, validate_chrome_trace, Counter, EventKind, TraceCollector,
     TraceLog,
@@ -127,11 +127,12 @@ fn scheduled_lu_exports_a_loading_chrome_trace_on_all_engines() {
     eng.shutdown();
     check("mt", mt.take_log());
 
-    let net = TraceCollector::new();
-    let mut eng = NetEngine::loopback(2);
-    eng.set_trace_sink(net.clone());
-    run_lu(&mut eng, &cfg).expect("net LU");
-    eng.shutdown();
+    let net = NetEngine::loopback(2, NetEngineConfig::default(), |eng| {
+        let net = TraceCollector::new();
+        eng.set_trace_sink(net.clone());
+        run_lu(eng, &cfg).expect("net LU");
+        net
+    });
     check("net", net.take_log());
 }
 

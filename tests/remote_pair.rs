@@ -12,7 +12,7 @@ use dps::cluster::ClusterSpec;
 use dps::core::prelude::*;
 use dps::core::{dps_token, SimEngine};
 use dps::mt::MtEngine;
-use dps::netengine::NetEngine;
+use dps::netengine::{NetEngine, NetEngineConfig};
 
 dps_token! {
     /// Client request: fetch `count` items starting at `base`.
@@ -168,42 +168,41 @@ impl LeafOperation for Check {
 #[test]
 fn remote_pair_on_net_engine() {
     const REQUESTS: u64 = 4;
-    let mut eng = NetEngine::loopback(3);
-
-    let server = eng.app("server");
-    let smain: ThreadCollection<()> = eng.thread_collection(server, "m", "node2").unwrap();
-    let mut sb = GraphBuilder::new("serve-items");
-    sb.set_serving();
-    let _serve = sb.split(&smain, || ToThread(0), || ServeItems);
-    let sg = eng.build_graph(sb).unwrap();
-    eng.expose_service(sg, "items.fetch");
-
-    let client = eng.app("client");
-    let cmain: ThreadCollection<()> = eng.thread_collection(client, "m", "node1").unwrap();
-    let cworkers: ThreadCollection<()> = eng.thread_collection(client, "w", "node0 node1").unwrap();
-    let mut cb = GraphBuilder::new("client");
-    let check = cb.leaf(&cmain, || ToThread(0), || Check);
-    let call = cb.call_split::<FetchReq, Item, (), _>("items.fetch", &cmain, || ToThread(0));
-    let work = cb.leaf(&cworkers, RoundRobin::new, || Double);
-    let merge = cb.merge(&cmain, || ToThread(0), Combine::default);
-    cb.add(check >> call >> work >> merge);
-    let cg = eng.build_graph(cb).unwrap();
-
     let request = |r: u64| FetchReq {
         base: 10 * r,
         count: 20 + r as u32,
     };
-    for r in 0..REQUESTS {
-        eng.submit(cg, Box::new(request(r))).unwrap();
-    }
-    eng.run_to_idle(cg, REQUESTS as usize).unwrap();
-    let mut got: Vec<(u32, u64)> = eng
-        .take_outputs(cg)
-        .into_iter()
-        .map(|out| downcast::<Combined>(out).unwrap())
-        .map(|c| (c.items, c.sum))
-        .collect();
-    eng.shutdown();
+    let mut got = NetEngine::loopback(3, NetEngineConfig::default(), |eng| {
+        let server = eng.app("server");
+        let smain: ThreadCollection<()> = eng.thread_collection(server, "m", "node2").unwrap();
+        let mut sb = GraphBuilder::new("serve-items");
+        sb.set_serving();
+        let _serve = sb.split(&smain, || ToThread(0), || ServeItems);
+        let sg = eng.build_graph(sb).unwrap();
+        eng.expose_service(sg, "items.fetch");
+
+        let client = eng.app("client");
+        let cmain: ThreadCollection<()> = eng.thread_collection(client, "m", "node1").unwrap();
+        let cworkers: ThreadCollection<()> =
+            eng.thread_collection(client, "w", "node0 node1").unwrap();
+        let mut cb = GraphBuilder::new("client");
+        let check = cb.leaf(&cmain, || ToThread(0), || Check);
+        let call = cb.call_split::<FetchReq, Item, (), _>("items.fetch", &cmain, || ToThread(0));
+        let work = cb.leaf(&cworkers, RoundRobin::new, || Double);
+        let merge = cb.merge(&cmain, || ToThread(0), Combine::default);
+        cb.add(check >> call >> work >> merge);
+        let cg = eng.build_graph(cb).unwrap();
+
+        for r in 0..REQUESTS {
+            eng.submit(cg, Box::new(request(r))).unwrap();
+        }
+        eng.run_to_idle(cg, REQUESTS as usize).unwrap();
+        eng.take_outputs(cg)
+            .into_iter()
+            .map(|out| downcast::<Combined>(out).unwrap())
+            .map(|c| (c.items, c.sum))
+            .collect::<Vec<(u32, u64)>>()
+    });
     got.sort_unstable();
     let want: Vec<(u32, u64)> = (0..REQUESTS)
         .map(request)

@@ -15,7 +15,7 @@ use dps::core::dps_token;
 use dps::core::prelude::*;
 use dps::mt::{FailHandle, MtEngine};
 use dps::net::NodeId;
-use dps::netengine::NetEngine;
+use dps::netengine::{NetEngine, NetEngineConfig};
 use dps::obs::{fault_code, wave_summaries, Counter, EventKind, TraceCollector, TraceLog};
 use dps::sched::FeedbackSink;
 
@@ -238,9 +238,7 @@ fn every_engine_records_the_same_lifecycle() {
     mt.shutdown();
     let on_mt = mt_sink.take_log();
 
-    let mut net = NetEngine::loopback(2);
-    let net_sink = traced_run(&mut net);
-    net.shutdown();
+    let net_sink = NetEngine::loopback(2, NetEngineConfig::default(), traced_run);
     let on_net = net_sink.take_log();
 
     // One split, a leaf and a stream consume per piece, a merge consume per

@@ -205,18 +205,18 @@ fn fail_node_is_differential_between_sim_and_mt_on_scheduled_life() {
 }
 
 /// Differential fault injection against the **real-socket liveness path**:
-/// on a loopback `NetEngine`, `fail_worker` makes the rank drop its
-/// connection and go silent — no tombstone is written directly; detection
-/// must run through the heartbeat budget. Waiting for the tombstone at the
-/// same quiescent step boundary where `MtEngine::fail_node` acts makes the
-/// two runs schedule-equivalent: same per-step outcomes, same correct
-/// final world, and the net engine's trace must carry the
-/// `Fault{NODE_KILL}` breadcrumb the degradation contract promises.
+/// on a loopback `NetEngine`, `fail_worker` makes the rank close its
+/// connection — no tombstone is written directly; detection runs through
+/// the master's reader, which reads end-of-file, and `fail_worker` returns
+/// once it has. Killing at the same quiescent step boundary where
+/// `MtEngine::fail_node` acts makes the two runs schedule-equivalent: same
+/// per-step outcomes, same correct final world, and the net engine's trace
+/// must carry the `Fault{NODE_KILL}` breadcrumb the degradation contract
+/// promises.
 #[test]
 fn fail_worker_is_differential_between_net_and_mt_on_scheduled_life() {
-    use dps::netengine::{NetEngine, NetEngineConfig, NetTimeouts};
+    use dps::netengine::{NetEngine, NetEngineConfig};
     use dps::obs::{fault_code, EventKind, TraceCollector};
-    use std::time::{Duration, Instant};
 
     let cfg = life_cfg();
     let world = World::random(cfg.rows, cfg.cols, cfg.density, cfg.seed);
@@ -227,36 +227,21 @@ fn fail_worker_is_differential_between_net_and_mt_on_scheduled_life() {
         eng.fail_node(2).expect("mt fail_node");
     });
 
-    // Short heartbeats so detection (one failed ping) is fast; the budget
-    // still bounds it deterministically.
-    let net_cfg = NetEngineConfig {
-        timeouts: NetTimeouts {
-            heartbeat_interval: Duration::from_millis(25),
-            heartbeat_misses: 4,
-            ..NetTimeouts::default()
-        },
-        ..NetEngineConfig::default()
-    };
-    let collector = TraceCollector::new();
-    let mut net = NetEngine::loopback_with(3, net_cfg);
-    net.set_trace_sink(collector.clone());
-    let (net_outcomes, net_world) =
-        drive_life_with_kill(&mut net, &world, 2, cfg.iterations, |eng| {
-            eng.fail_worker(2).expect("net fail_worker");
-            // The kill is asynchronous by design (a real worker death is
-            // never synchronous): park at the quiescent boundary until the
-            // liveness layer declares the rank dead, so the next step
-            // schedules around it exactly like MtEngine after fail_node.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while !eng.worker_down(2) {
-                assert!(
-                    Instant::now() < deadline,
-                    "worker 2 was never declared dead (heartbeat detection broke)"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    let (net_outcomes, net_world, collector) =
+        NetEngine::loopback(3, NetEngineConfig::default(), |net| {
+            let collector = TraceCollector::new();
+            net.set_trace_sink(collector.clone());
+            let (outcomes, world) = drive_life_with_kill(net, &world, 2, cfg.iterations, |eng| {
+                eng.fail_worker(2).expect("net fail_worker");
+                if eng.is_master() {
+                    assert!(
+                        eng.worker_down(2),
+                        "fail_worker returned before the tombstone"
+                    );
+                }
+            });
+            (outcomes, world, collector)
         });
-    net.shutdown();
 
     assert_eq!(
         net_outcomes, mt_outcomes,
