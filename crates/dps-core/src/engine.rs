@@ -30,9 +30,9 @@ use crate::kernel::{
     self, Arrival, At, CallReturn, Death, FlowKey, Flows, IdMap, Instances, On, Pins, Rec, Sent,
     Serve, Substrate, Tracer,
 };
-use crate::ops::{ExecInfo, OpOutput};
+use crate::ops::{ExecInfo, OpOutput, Post};
 use crate::route::{DynRoute, RouteInfo};
-use crate::token::{Token, TokenBox};
+use crate::token::{Carried, Token, TokenBox};
 
 /// Engine tunables.
 #[derive(Debug, Clone)]
@@ -84,6 +84,9 @@ struct Delivery {
 #[derive(Default)]
 struct ThreadRt {
     queue: VecDeque<Delivery>,
+    /// How many of `queue` are interactive: with none, a thread looking for
+    /// one to start does not scan its queue ([`kick_thread`]).
+    interactive: u32,
     running: bool,
     stalls: u32,
     /// Deliveries routed to this thread and not yet finished — the load
@@ -93,6 +96,14 @@ struct ThreadRt {
     assigned: u32,
     /// This thread's op instances and the waves it consumes.
     inst: Instances,
+}
+
+impl ThreadRt {
+    /// Queue `d` behind what the thread already holds.
+    fn push(&mut self, d: Delivery) {
+        self.interactive += u32::from(d.interactive);
+        self.queue.push_back(d);
+    }
 }
 
 /// The running half of a declared collection.
@@ -367,12 +378,13 @@ impl SimEngine {
 
     /// Inject a token into a graph's entry at the current virtual time.
     pub fn inject<T: Token>(&mut self, graph: GraphHandle, token: T) -> Result<()> {
-        self.inject_boxed_at(self.sim.now(), graph, Box::new(token))
+        self.inject_at(self.sim.now(), graph, token)
     }
 
     /// Inject a token at a future virtual instant.
     pub fn inject_at<T: Token>(&mut self, at: SimTime, graph: GraphHandle, token: T) -> Result<()> {
-        self.inject_boxed_at(at, graph, Box::new(token))
+        schedule(&mut self.sim, at, Ev::Inject(graph, Carried::new(token)));
+        Ok(())
     }
 
     /// Inject an already-boxed token at a future virtual instant.
@@ -382,7 +394,11 @@ impl SimEngine {
         graph: GraphHandle,
         token: TokenBox,
     ) -> Result<()> {
-        schedule(&mut self.sim, at, Ev::Inject(graph, token));
+        schedule(
+            &mut self.sim,
+            at,
+            Ev::Inject(graph, Carried::from_box(token)),
+        );
         Ok(())
     }
 
@@ -607,7 +623,7 @@ type SimRt = Sim<Rt, Ev>;
 /// Everything the simulator schedules.
 enum Ev {
     /// A token injected from outside enters its graph from the home node.
-    Inject(GraphHandle, TokenBox),
+    Inject(GraphHandle, Carried),
     /// A scheduled [`SimEngine::fail_node`].
     Kill(NodeId),
     /// The first held-back post of flow `(app, graph, key)` is due.
@@ -789,7 +805,7 @@ impl Report {
 struct Leave {
     from: At,
     src: u32,
-    token: TokenBox,
+    token: Carried,
     env: Envelope,
 }
 
@@ -812,7 +828,7 @@ struct Finish {
 struct Call {
     to: At,
     host: u32,
-    token: TokenBox,
+    token: Carried,
     env: Envelope,
 }
 
@@ -841,7 +857,7 @@ fn fail_node_internal(sim: &mut SimRt, node: NodeId) {
         for (tc, decl) in tcs.iter_mut().zip(decls) {
             for (thread, (rt, &host)) in tc.threads.iter_mut().zip(&decl.nodes).enumerate() {
                 if host == node.0 {
-                    rt.assigned = 0;
+                    (rt.assigned, rt.interactive) = (0, 0);
                     stranded.extend(rt.queue.drain(..).map(|d| (d.to, d.what, d.env)));
                     lanes.push((app as u32, thread as u32, std::mem::take(&mut rt.inst)));
                 }
@@ -863,7 +879,7 @@ struct Ran {
 }
 
 impl Substrate for SimRt {
-    type Post = (SimTime, TokenBox);
+    type Post = (SimTime, Carried);
     type FlowExt = FlowRt;
     type Lane = Ran;
 
@@ -937,7 +953,7 @@ impl Substrate for SimRt {
             Arrival::Token(_) => send_token(self, tk, NodeId(src), d, sent),
             // Control info of the wave's own node: it lands at once.
             Arrival::Close(_) => {
-                self.world.thread(tk).queue.push_back(d);
+                self.world.thread(tk).push(d);
                 kick_thread(self, tk);
             }
         }
@@ -951,7 +967,7 @@ impl Substrate for SimRt {
         graph: u32,
         key: FlowKey,
         credit: bool,
-    ) -> Option<(TokenBox, Envelope, u32)> {
+    ) -> Option<(Carried, Envelope, u32)> {
         let (now, window) = (self.now(), self.world.cfg.flow_window);
         let fatal = self.world.fatal.is_some();
         let flows = self.world.graph(app, graph).flows.get_mut();
@@ -1006,10 +1022,11 @@ impl Substrate for SimRt {
         }
     }
 
-    fn output(&mut self, app: u32, graph: u32, token: TokenBox) {
+    /// The token leaves in a box: the one it came in, or a new one.
+    fn output(&mut self, app: u32, graph: u32, token: Carried) {
         let now = self.now();
         let outputs = self.world.outputs.entry((app, graph)).or_default();
-        outputs.push((now, token));
+        outputs.push((now, token.into_box()));
     }
 
     fn fail(&mut self, _app: u32, e: DpsError) {
@@ -1073,7 +1090,7 @@ fn send_token(sim: &mut SimRt, tk: ThreadKey, src: NodeId, d: Delivery, sent: Se
     let dst = sim.world.host(tk);
     let bytes = (token.payload_size() + d.env.wire_bytes() + 10) as u64;
     // A traced token's frames carry its type's label, as its flow does.
-    let label = (sim.world.tracer.get_mut().as_mut()).map(|t| t.token(token.as_ref()));
+    let label = (sim.world.tracer.get_mut().as_mut()).map(|t| t.token(&**token));
     sim.world.trace_add(Counter::TokensEnqueued, 1);
     let mut plan = sim
         .world
@@ -1172,10 +1189,10 @@ impl Land {
             return kernel::bury(sim, Death::Lane(&mut taker), Vec::new(), stranded, src.0);
         }
         if let Arrival::Token(token) = &d.what {
-            kernel::taken(sim, &mut taker, token.as_ref(), &d.env, sent);
+            kernel::taken(sim, &mut taker, &**token, &d.env, sent);
         }
         sim.world.trace_add(Counter::TokensDelivered, 1);
-        sim.world.thread(tk).queue.push_back(d);
+        sim.world.thread(tk).push(d);
         kick_thread(sim, tk);
     }
 }
@@ -1210,13 +1227,13 @@ fn kick_thread(sim: &mut SimRt, tk: ThreadKey) {
         // answer short service requests.
         let stalled = t.stalls > 0;
         let eligible = |d: &Delivery| !stalled || d.kind != OpKind::Split;
-        let pos = t
-            .queue
-            .iter()
-            .position(|d| d.interactive && eligible(d))
+        let pos = (t.interactive > 0)
+            .then(|| t.queue.iter().position(|d| d.interactive && eligible(d)))
+            .flatten()
             .or_else(|| t.queue.iter().position(eligible));
         let Some(pos) = pos else { return };
         let delivery = t.queue.remove(pos).expect("position is valid");
+        t.interactive -= u32::from(delivery.interactive);
         t.running = true;
         delivery
     };
@@ -1313,10 +1330,6 @@ fn exec(
                     at: start + hold,
                     end,
                 });
-                // Each post leaves after the framework overhead plus its own
-                // offset.
-                let posts = out.posts.drain(..);
-                let timed = posts.map(|p| (start + overhead + p.offset, p.token));
                 let marked = out.completed_iters;
                 let mut ran = Ran {
                     tk,
@@ -1324,7 +1337,19 @@ fn exec(
                     start,
                     hold,
                 };
-                let flow = kernel::then(sim, &mut ran, then, host.0, timed, marked)?;
+                // Each post leaves after the framework overhead plus its own
+                // offset. A wide split's buffer becomes its flow's queue.
+                let timed = |p: Post| (start + overhead + p.offset, p.token);
+                let flow = match out.take_wide() {
+                    Some(wide) => {
+                        let posts: Vec<_> = wide.into_iter().map(timed).collect();
+                        kernel::then(sim, &mut ran, then, host.0, posts, marked)?
+                    }
+                    None => {
+                        let posts = out.posts.drain(..).map(timed);
+                        kernel::then(sim, &mut ran, then, host.0, posts, marked)?
+                    }
+                };
                 Ok(Some((start + hold, flow)))
             });
             sim.world.out = out;

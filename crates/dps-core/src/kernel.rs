@@ -42,7 +42,7 @@ use crate::error::{DpsError, Result};
 use crate::graph::{Flowgraph, GraphNode, OpKind};
 use crate::ops::{DynOp, ExecInfo, OpOutput};
 use crate::route::RouteInfo;
-use crate::token::{wire_roundtrip, Token, TokenBox};
+use crate::token::{wire_roundtrip, Carried, Token};
 
 /// The hasher of every kernel table. Their keys are ids this program issued
 /// itself — graph, node, thread, wave and call numbers, on the wire only
@@ -807,7 +807,7 @@ pub fn took(mut rec: Rec<'_>, tok: &dyn Token, env: &Envelope, sent: NonZeroU64)
 /// — the close of its wave, carrying the wave's total.
 pub enum Arrival {
     /// A data object.
-    Token(TokenBox),
+    Token(Carried),
     /// The wave holds this many tokens; sent only when the last data object
     /// was in flight before its producer knew the count.
     Close(u32),
@@ -878,11 +878,11 @@ pub trait Substrate {
         graph: u32,
         key: FlowKey,
         credit: bool,
-    ) -> Option<(TokenBox, Envelope, u32)>;
+    ) -> Option<(Carried, Envelope, u32)>;
     /// A single post leaves node `from`: [`emit`] it when it is due.
     fn leave(&mut self, post: Self::Post, from: At, src: u32, env: Envelope);
     /// A token left `graph` altogether.
-    fn output(&mut self, app: u32, graph: u32, token: TokenBox);
+    fn output(&mut self, app: u32, graph: u32, token: Carried);
     /// A runtime error of `app`: the run fails with it.
     fn fail(&mut self, app: u32, e: DpsError);
     /// The operation that ran on `lane` marked a scheduled chunk of `iters`
@@ -976,7 +976,7 @@ fn route_to<S: Substrate>(
 /// Deliver `token` to node `to`: route it to a thread and hand it to the
 /// substrate. Work bound to a dead node that cannot move fails the run
 /// `NodeDown`.
-pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut env: Envelope) {
+pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: Carried, mut env: Envelope) {
     let At { app, graph, node } = to;
     let (tc, kind) = {
         let n = s.decls().def(app, graph).node(node);
@@ -985,7 +985,7 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut e
     let key = matches!(kind, OpKind::Merge | OpKind::Stream)
         .then(|| env.wave_key().expect("validated: merges are under a split"));
     let threads = (tc, s.decls().threads(app, tc));
-    let Some(mut thread) = route_to(s, to, threads, token.as_ref(), &mut env, key.as_ref()) else {
+    let Some(mut thread) = route_to(s, to, threads, &*token, &mut env, key.as_ref()) else {
         return;
     };
     let mut dst = s.decls().host(app, tc, thread);
@@ -994,7 +994,7 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut e
         // or is a pin that died since it was looked up: route once more, on
         // a snapshot taken now (a dead pin moves).
         if threads.1 > 1 {
-            match route_to(s, to, threads, token.as_ref(), &mut env, key.as_ref()) {
+            match route_to(s, to, threads, &*token, &mut env, key.as_ref()) {
                 Some(again) => thread = again,
                 None => return,
             }
@@ -1007,22 +1007,22 @@ pub fn deliver<S: Substrate>(s: &mut S, to: At, src: u32, token: TokenBox, mut e
         }
     }
     let token = match s.enforce_serialization() && src != dst {
-        true => match wire_roundtrip(token.as_ref(), s.decls().registry(app)) {
-            Ok(t) => t,
+        true => match wire_roundtrip(&*token, s.decls().registry(app)) {
+            Ok(t) => Carried::from_box(t),
             Err(e) => return s.fail(app, e),
         },
         false => token,
     };
-    let sent = enqueue(s, src, token.as_ref(), &env);
+    let sent = enqueue(s, src, &*token, &env);
     s.send(to, thread, src, Arrival::Token(token), env, sent);
 }
 
 /// `token` leaves node `from` (rule 5): on to its successor, back into the
 /// calling graph and on from the call node, or out as an output.
-pub fn emit<S: Substrate>(s: &mut S, mut from: At, src: u32, token: TokenBox, mut env: Envelope) {
+pub fn emit<S: Substrate>(s: &mut S, mut from: At, src: u32, token: Carried, mut env: Envelope) {
     loop {
         let def = s.decls().def(from.app, from.graph);
-        let next = exit(def, from.node, token.as_ref(), &env, |id| s.call_return(id));
+        let next = exit(def, from.node, &*token, &env, |id| s.call_return(id));
         match next {
             Ok(Exit::To(node)) => return deliver(s, At { node, ..from }, src, token, env),
             Ok(Exit::Return(ret)) => (from, env) = (ret.at, ret.env),
@@ -1224,7 +1224,7 @@ pub struct Ready<'a> {
     /// The node it serves.
     pub gnode: &'a GraphNode,
     /// The token to consume; `None` for a close that completed its wave.
-    pub token: Option<TokenBox>,
+    pub token: Option<Carried>,
     /// The arrival completes a merge/stream wave: its finalize runs.
     pub completes: bool,
 }
@@ -1259,7 +1259,7 @@ pub enum Serve<'a> {
     Run(Ready<'a>, Then),
     /// A token reached call node `At` under this envelope: the engine makes
     /// the [`call`] and delivers the token to the callee when it chooses.
-    Call(At, Envelope, TokenBox),
+    Call(At, Envelope, Carried),
     /// A close found data objects still missing: the finalize waits for them.
     Wait,
 }

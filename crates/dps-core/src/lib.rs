@@ -104,6 +104,7 @@ pub mod internal {
     }
     pub use crate::ops::{DynOp, ExecInfo, OpOutput};
     pub use crate::route::DynRoute;
+    pub use crate::token::Carried;
 }
 
 /// Everything needed to write a DPS application.

@@ -37,7 +37,7 @@ use std::marker::PhantomData;
 use dps_des::SimSpan;
 
 use crate::error::{DpsError, Result};
-use crate::token::{downcast, Token, TokenBox};
+use crate::token::{Carried, Token};
 
 /// Per-thread user state. Automatically implemented for any
 /// `Default + Send + 'static` type; use `()` when no thread state is needed.
@@ -47,8 +47,9 @@ impl<T: Any + Send + Default + 'static> ThreadData for T {}
 /// One posted output with its virtual-time offset into the operation.
 #[derive(Debug)]
 pub struct Post {
-    /// The posted data object.
-    pub token: TokenBox,
+    /// The posted data object: in place if it is small (see
+    /// [`OpCtx::post`]).
+    pub token: Carried,
     /// Charged virtual time at the moment of posting (relative to the
     /// operation's start, excluding the engine's base overhead).
     pub offset: SimSpan,
@@ -86,6 +87,16 @@ impl OpOutput {
         }
         self.charged = SimSpan::ZERO;
         self.completed_iters = None;
+    }
+
+    /// The posts with their buffer, if it holds room for more than
+    /// `RETAINED_POSTS`: a wide split's posts are handed over whole, so an
+    /// engine converts them in place into the queue of the flow they open
+    /// (`Vec::into_iter().map(..).collect()` and `VecDeque::from_iter` of a
+    /// `Vec` keep its allocation) instead of copying them out of a buffer
+    /// the thread keeps.
+    pub fn take_wide(&mut self) -> Option<Vec<Post>> {
+        (self.posts.capacity() > RETAINED_POSTS).then(|| std::mem::take(&mut self.posts))
     }
 }
 
@@ -130,9 +141,15 @@ pub struct OpCtx<'a, Td: ThreadData, Out: Token> {
 impl<'a, Td: ThreadData, Out: Token> OpCtx<'a, Td, Out> {
     /// Post an output data object. It leaves the operation at the current
     /// charged offset.
+    ///
+    /// A token of at most 32 bytes whose alignment is at most 8 — a chunk's
+    /// ticket and its result, most control tokens — travels in place from
+    /// here to the operation that consumes it: posting it allocates nothing,
+    /// and consuming it frees nothing. A larger or over-aligned token is
+    /// boxed once, here.
     pub fn post(&mut self, token: Out) {
         self.out.posts.push(Post {
-            token: Box::new(token),
+            token: Carried::new(token),
             offset: self.out.charged,
         });
     }
@@ -143,7 +160,7 @@ impl<'a, Td: ThreadData, Out: Token> OpCtx<'a, Td, Out> {
     /// types at runtime.
     pub fn post_other<T: Token>(&mut self, token: T) {
         self.out.posts.push(Post {
-            token: Box::new(token),
+            token: Carried::new(token),
             offset: self.out.charged,
         });
     }
@@ -283,7 +300,7 @@ pub trait DynOp: Send {
         thread: &mut dyn Any,
         info: ExecInfo,
         node_name: &str,
-        tok: TokenBox,
+        tok: Carried,
     ) -> Result<()>;
 
     /// Finalize (merge/stream only).
@@ -296,8 +313,8 @@ pub trait DynOp: Send {
     ) -> Result<()>;
 }
 
-fn downcast_input<T: Token>(tok: TokenBox, node_name: &str) -> Result<Box<T>> {
-    downcast::<T>(tok).map_err(|t| DpsError::OperationContract {
+fn downcast_input<T: Token>(tok: Carried, node_name: &str) -> Result<T> {
+    tok.take::<T>().map_err(|t| DpsError::OperationContract {
         node: node_name.to_string(),
         reason: format!(
             "received token of type {} but expects {}",
@@ -316,7 +333,7 @@ impl<O: SplitOperation> DynOp for SplitAdapter<O> {
         thread: &mut dyn Any,
         info: ExecInfo,
         node_name: &str,
-        tok: TokenBox,
+        tok: Carried,
     ) -> Result<()> {
         let input = downcast_input::<O::In>(tok, node_name)?;
         let mut ctx = OpCtx::<O::Thread, O::Out> {
@@ -325,7 +342,7 @@ impl<O: SplitOperation> DynOp for SplitAdapter<O> {
             info,
             _m: PhantomData,
         };
-        self.0.execute(&mut ctx, *input);
+        self.0.execute(&mut ctx, input);
         if out.posts.is_empty() {
             return Err(DpsError::OperationContract {
                 node: node_name.to_string(),
@@ -358,7 +375,7 @@ impl<O: LeafOperation> DynOp for LeafAdapter<O> {
         thread: &mut dyn Any,
         info: ExecInfo,
         node_name: &str,
-        tok: TokenBox,
+        tok: Carried,
     ) -> Result<()> {
         let input = downcast_input::<O::In>(tok, node_name)?;
         let mut ctx = OpCtx::<O::Thread, O::Out> {
@@ -367,7 +384,7 @@ impl<O: LeafOperation> DynOp for LeafAdapter<O> {
             info,
             _m: PhantomData,
         };
-        self.0.execute(&mut ctx, *input);
+        self.0.execute(&mut ctx, input);
         if out.posts.len() != 1 {
             return Err(DpsError::OperationContract {
                 node: node_name.to_string(),
@@ -403,7 +420,7 @@ impl<O: MergeOperation> DynOp for MergeAdapter<O> {
         thread: &mut dyn Any,
         info: ExecInfo,
         node_name: &str,
-        tok: TokenBox,
+        tok: Carried,
     ) -> Result<()> {
         let input = downcast_input::<O::In>(tok, node_name)?;
         let posts_before = out.posts.len();
@@ -413,7 +430,7 @@ impl<O: MergeOperation> DynOp for MergeAdapter<O> {
             info,
             _m: PhantomData,
         };
-        self.0.consume(&mut ctx, *input);
+        self.0.consume(&mut ctx, input);
         if out.posts.len() != posts_before {
             return Err(DpsError::OperationContract {
                 node: node_name.to_string(),
@@ -460,7 +477,7 @@ impl<O: StreamOperation> DynOp for StreamAdapter<O> {
         thread: &mut dyn Any,
         info: ExecInfo,
         _node_name: &str,
-        tok: TokenBox,
+        tok: Carried,
     ) -> Result<()> {
         let input = downcast_input::<O::In>(tok, _node_name)?;
         let mut ctx = OpCtx::<O::Thread, O::Out> {
@@ -469,7 +486,7 @@ impl<O: StreamOperation> DynOp for StreamAdapter<O> {
             info,
             _m: PhantomData,
         };
-        self.0.consume(&mut ctx, *input);
+        self.0.consume(&mut ctx, input);
         Ok(())
     }
 
@@ -532,7 +549,7 @@ mod tests {
             td.as_mut(),
             info(),
             "FanOut",
-            Box::new(Num { v: 3 }),
+            Carried::new(Num { v: 3 }),
         )
         .unwrap();
         assert_eq!(out.posts.len(), 3);
@@ -550,7 +567,7 @@ mod tests {
         let mut out = OpOutput::default();
         for (fan, kept) in [(3, true), (RETAINED_POSTS as u32 + 1, false), (1, true)] {
             out.clear();
-            let (mut op, tok) = (SplitAdapter(FanOut), Box::new(Num { v: fan }));
+            let (mut op, tok) = (SplitAdapter(FanOut), Carried::new(Num { v: fan }));
             op.on_token(&mut out, td.as_mut(), info(), "FanOut", tok)
                 .unwrap();
             out.completed_iters = Some(7);
@@ -568,9 +585,30 @@ mod tests {
             td.as_mut(),
             info(),
             "FanOut",
-            Box::new(Num { v: 0 }),
+            Carried::new(Num { v: 0 }),
         );
         assert!(none.is_err(), "a cleared buffer holds no earlier post");
+    }
+
+    /// Only a buffer wider than `RETAINED_POSTS` is handed over whole, its
+    /// posts in order; a narrow one stays with the output for the next run.
+    #[test]
+    fn only_a_wide_split_hands_its_buffer_over() {
+        let mut td: Box<dyn Any> = Box::new(());
+        for (fan, wide) in [(3, false), (RETAINED_POSTS as u32 + 1, true)] {
+            let mut out = OpOutput::default();
+            let tok = Carried::new(Num { v: fan });
+            (SplitAdapter(FanOut).on_token(&mut out, td.as_mut(), info(), "FanOut", tok)).unwrap();
+            let room = out.posts.capacity();
+            match out.take_wide() {
+                Some(posts) => {
+                    assert!(wide && posts.capacity() == room && out.posts.capacity() == 0);
+                    let order = posts.into_iter().map(|p| p.token.take::<Num>().unwrap().v);
+                    assert!(order.eq(0..fan));
+                }
+                None => assert!(!wide && out.posts.len() == fan as usize),
+            }
+        }
     }
 
     #[test]
@@ -584,7 +622,7 @@ mod tests {
                 td.as_mut(),
                 info(),
                 "FanOut",
-                Box::new(Num { v: 0 }),
+                Carried::new(Num { v: 0 }),
             )
             .unwrap_err();
         assert!(matches!(err, DpsError::OperationContract { .. }));
@@ -602,7 +640,7 @@ mod tests {
                 td.as_mut(),
                 info(),
                 "FanOut",
-                Box::new(Other { x: 0 }),
+                Carried::new(Other { x: 0 }),
             )
             .unwrap_err();
         assert!(err.to_string().contains("expects"));
@@ -629,13 +667,12 @@ mod tests {
             td.as_mut(),
             info(),
             "Double",
-            Box::new(Num { v: 21 }),
+            Carried::new(Num { v: 21 }),
         )
         .unwrap();
         assert_eq!(out.posts.len(), 1);
         assert_eq!(*td.downcast_ref::<u64>().unwrap(), 1);
-        let posted = out.posts.pop().unwrap().token;
-        let num = crate::token::downcast::<Num>(posted).unwrap();
+        let num = out.posts.pop().unwrap().token.take::<Num>().unwrap();
         assert_eq!(num.v, 42);
     }
 
@@ -661,14 +698,20 @@ mod tests {
         let mut td: Box<dyn Any> = Box::new(());
         let mut op = MergeAdapter(Sum::default());
         for v in [1, 2, 3] {
-            op.on_token(&mut out, td.as_mut(), info(), "Sum", Box::new(Num { v }))
-                .unwrap();
+            op.on_token(
+                &mut out,
+                td.as_mut(),
+                info(),
+                "Sum",
+                Carried::new(Num { v }),
+            )
+            .unwrap();
         }
         assert!(out.posts.is_empty());
         op.on_finalize(&mut out, td.as_mut(), info(), "Sum")
             .unwrap();
         assert_eq!(out.posts.len(), 1);
-        let num = crate::token::downcast::<Num>(out.posts.pop().unwrap().token).unwrap();
+        let num = out.posts.pop().unwrap().token.take::<Num>().unwrap();
         assert_eq!(num.v, 6);
     }
 
@@ -695,7 +738,7 @@ mod tests {
                 td.as_mut(),
                 info(),
                 "BadMerge",
-                Box::new(Num { v: 1 }),
+                Carried::new(Num { v: 1 }),
             )
             .unwrap_err();
         assert!(err.to_string().contains("stream"));
@@ -718,8 +761,14 @@ mod tests {
         let mut out = OpOutput::default();
         let mut td: Box<dyn Any> = Box::new(());
         let mut op = StreamAdapter(Passthrough);
-        op.on_token(&mut out, td.as_mut(), info(), "P", Box::new(Num { v: 5 }))
-            .unwrap();
+        op.on_token(
+            &mut out,
+            td.as_mut(),
+            info(),
+            "P",
+            Carried::new(Num { v: 5 }),
+        )
+        .unwrap();
         assert_eq!(out.posts.len(), 1);
         op.on_finalize(&mut out, td.as_mut(), info(), "P").unwrap();
         assert_eq!(out.posts.len(), 1);

@@ -5,6 +5,9 @@ use std::fmt::Debug;
 
 use dps_serial::{Identified, Reader, Registry, Wire, WireId, Writer};
 
+mod carried;
+pub use carried::Carried;
+
 /// A DPS data object: any serializable, sendable, cloneable value with a
 /// stable wire identity.
 ///
@@ -102,6 +105,13 @@ pub fn wire_roundtrip(tok: &dyn Token, reg: &TokenRegistry) -> crate::error::Res
 /// Declare a DPS data object: struct definition, `Wire` implementation,
 /// stable identity, and the derives tokens need — the Rust analogue of the
 /// paper's class declaration plus `IDENTIFY(ClassName)`.
+///
+/// A token whose struct takes at most 32 bytes at an alignment of at most 8
+/// — a few integers, a chunk's ticket or its result — travels in place from
+/// the operation that posts it to the one that consumes it: it costs no heap
+/// block on its way. A larger one (or one declared `#[repr(align(16))]`) is
+/// boxed once, when posted. A `Vec` or `String` field counts as its 24-byte
+/// header; what it owns is on the heap either way.
 ///
 /// ```
 /// use dps_core::dps_token;

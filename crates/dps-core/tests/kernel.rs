@@ -12,7 +12,7 @@ use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, CloseTo, Death, Exit, Flow, FlowKey, Flows, IdHasher, IdMap,
     Instances, On, Pins, Rec, Routed, Sent, Serve, Substrate, Then, Tracer, Wave,
 };
-use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
+use dps_core::internal::{Carried, DynRoute, ExecInfo, OpOutput};
 use dps_core::prelude::*;
 use dps_core::{
     AppHandle, CallFrame, Decls, Envelope, Flowgraph, Frame, GNodeId, OpKind, Post,
@@ -900,7 +900,7 @@ struct Fake {
 }
 
 impl Substrate for Fake {
-    type Post = TokenBox;
+    type Post = Carried;
     type FlowExt = ();
     type Lane = usize;
 
@@ -948,7 +948,7 @@ impl Substrate for Fake {
         _graph: u32,
         key: FlowKey,
         credit: bool,
-    ) -> Option<(TokenBox, Envelope, u32)> {
+    ) -> Option<(Carried, Envelope, u32)> {
         let flows = self.flows[app as usize].get_mut();
         let f = flows.get_mut(&key)?;
         if credit {
@@ -963,13 +963,12 @@ impl Substrate for Fake {
         self.peak_outstanding = self.peak_outstanding.max(f.outstanding());
         Some((token, env, f.src))
     }
-    fn leave(&mut self, post: TokenBox, from: At, src: u32, env: Envelope) {
+    fn leave(&mut self, post: Carried, from: At, src: u32, env: Envelope) {
         kernel::emit(self, from, src, post, env);
     }
-    fn output(&mut self, _app: u32, _graph: u32, token: TokenBox) {
-        self.outputs.push(dps_core::serial::to_bytes(
-            dps_core::downcast::<Out>(token).unwrap().as_ref(),
-        ));
+    fn output(&mut self, _app: u32, _graph: u32, token: Carried) {
+        let out = token.take::<Out>().unwrap();
+        self.outputs.push(dps_core::serial::to_bytes(&out));
     }
     fn fail(&mut self, _app: u32, e: DpsError) {
         self.errors.push(e);
@@ -1040,7 +1039,7 @@ impl Fake {
             graph: 0,
             node: self.main().entry(),
         };
-        kernel::deliver(self, entry, 0, Box::new(In { n }), Envelope::root());
+        kernel::deliver(self, entry, 0, Carried::new(In { n }), Envelope::root());
     }
 
     /// Run the head of one non-empty queue; `false` once all are empty.
@@ -1055,7 +1054,7 @@ impl Fake {
         let (at, what, env, sent) = self.queues[thread].pop_front().unwrap();
         self.clock += 1;
         if let Arrival::Token(token) = &what {
-            kernel::taken(self, &mut { thread }, token.as_ref(), &env, sent);
+            kernel::taken(self, &mut { thread }, &**token, &env, sent);
         }
         if let Err(e) = self.run(thread, at, what, env) {
             self.errors.push(e);
@@ -1147,7 +1146,7 @@ fn a_miscounted_reply_is_a_contract_error() {
     let is_leaf = |n: &&dps_core::GraphNode| n.kind == OpKind::Leaf;
     let leaf = at(fake.main().nodes().iter().find(is_leaf).unwrap().id);
     let (split, merge) = (fake.main().entry(), at(fake.merge().id));
-    let post = || Box::new(Mid { i: 0 }) as TokenBox;
+    let post = || Carried::new(Mid { i: 0 });
     for posts in [vec![], vec![post(), post()]] {
         let n = posts.len();
         let exec = Then::Exec {
@@ -1220,7 +1219,7 @@ fn in_wave(d: &Decls, wave: u64, index: u32, total: Option<u32>) -> Envelope {
 }
 
 fn arrival(i: u32) -> Arrival {
-    Arrival::Token(Box::new(Mid { i }))
+    Arrival::Token(Carried::new(Mid { i }))
 }
 
 fn info(thread: usize) -> ExecInfo {
@@ -1244,7 +1243,7 @@ fn serve_runs_a_split_token_where_it_arrived() {
     let d = declare(Shape::Leaf);
     let split = node_of(&d, OpKind::Split);
     let mut inst = Instances::default();
-    let what = Arrival::Token(Box::new(In { n: 3 }));
+    let what = Arrival::Token(Carried::new(In { n: 3 }));
     let served = kernel::serve(&d, &mut inst, split, what, Envelope::root(), no_wave).unwrap();
     let Serve::Run(ready, Then::Exec { at, env }) = served else {
         panic!("a split token runs the split");
@@ -1366,7 +1365,7 @@ fn a_close_after_the_last_token_runs_the_finalize_alone() {
     assert!(ready.token.is_none() && ready.completes);
     let mut posts = posts_of(ready, 0).unwrap();
     assert_eq!(posts.len(), 1);
-    let out = dps_core::downcast::<Out>(posts.pop().unwrap().token).unwrap();
+    let out = posts.pop().unwrap().token.take::<Out>().unwrap();
     assert_eq!(out.n, 2, "the finalize saw both consumes");
 }
 
@@ -1381,7 +1380,7 @@ fn a_then_crosses_the_wire_whole() {
     let (split, merge) = (node_of(&d, OpKind::Split), node_of(&d, OpKind::Merge));
     let mut inst = Instances::default();
     let mut thens = Vec::new();
-    let what = Arrival::Token(Box::new(In { n: 1 }));
+    let what = Arrival::Token(Carried::new(In { n: 1 }));
     let served = kernel::serve(&d, &mut inst, split, what, Envelope::root(), no_wave).unwrap();
     let Serve::Run(ready, then) = served else {
         panic!("a split token runs the split");
@@ -1473,7 +1472,7 @@ fn serve_hands_a_call_token_to_the_engine() {
         panic!("a call node's token makes a call");
     };
     assert_eq!((at, handed), (call, env));
-    assert_eq!(dps_core::downcast::<Mid>(token).unwrap().i, 5);
+    assert_eq!(token.take::<Mid>().unwrap().i, 5);
     assert!(inst.waves.is_empty());
 }
 
@@ -1485,7 +1484,7 @@ fn then_moves_a_leaf_post_on_to_its_successor() {
     let leaf = node_of(&fake.decls, OpKind::Leaf);
     let merge = fake.merge().id;
     let env = in_wave(&fake.decls, 1, 0, Some(1));
-    let post = Box::new(Mid { i: 7 }) as TokenBox;
+    let post = Carried::new(Mid { i: 7 });
     let exec = Then::Exec {
         at: leaf,
         env: env.clone(),
@@ -1505,7 +1504,7 @@ fn then_moves_a_leaf_post_on_to_its_successor() {
 fn then_of_a_split_opens_a_flow_behind_the_window() {
     let mut fake = Fake::new(Shape::Leaf, 2, 0);
     let split = node_of(&fake.decls, OpKind::Split);
-    let posts: Vec<TokenBox> = (0..5).map(|i| Box::new(Mid { i }) as TokenBox).collect();
+    let posts: Vec<Carried> = (0..5).map(|i| Carried::new(Mid { i })).collect();
     let exec = Then::Exec {
         at: split,
         env: Envelope::root(),
@@ -1625,8 +1624,8 @@ fn merge_wave_by_hand(fake: &Fake) -> (At, impl Fn(u32, Option<u32>) -> Envelope
     (at, env)
 }
 
-fn mid() -> TokenBox {
-    Box::new(Mid { i: 0 })
+fn mid() -> Carried {
+    Carried::new(Mid { i: 0 })
 }
 
 /// Rule 1's parking through the driver: a total that waited for its wave

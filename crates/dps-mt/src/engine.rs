@@ -264,6 +264,7 @@ impl MtEngine {
     /// `run_to_idle` and `take_outputs`.
     pub fn submit(&mut self, graph: GraphHandle, token: TokenBox) {
         let shared = self.started();
+        let token = dps_core::internal::Carried::from_box(token);
         crate::worker::inject(&shared, graph.app, graph.graph, token, 0);
     }
 

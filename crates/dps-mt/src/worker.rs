@@ -23,7 +23,7 @@ use dps_core::internal::kernel::{
     self, Arrival, At, CallReturn, Death, Flow, FlowKey, Flows, IdMap, Instances, On, Pins, Rec,
     Routed, Sent, Serve, Substrate, Then, Tracer,
 };
-use dps_core::internal::{DynRoute, ExecInfo, OpOutput};
+use dps_core::internal::{Carried, DynRoute, ExecInfo, OpOutput};
 use dps_core::{Decls, DpsError, Envelope, GNodeId, OpKind, RouteInfo, Token, TokenBox, WaveKey};
 use dps_obs::{Counter, EventKind, Gauge, TraceCollector};
 use dps_serial::impl_wire_enum;
@@ -187,7 +187,7 @@ pub(crate) struct SharedGraph {
     pub pins: Mutex<Pins>,
     /// The last `Follow` / `Pinned` answer of `pins`, on a line of its own.
     pub followed: Followed,
-    pub flows: Mutex<IdMap<FlowKey, Flow<TokenBox>>>,
+    pub flows: Mutex<IdMap<FlowKey, Flow<Carried>>>,
 }
 
 pub(crate) struct SharedApp {
@@ -309,8 +309,9 @@ pub(crate) struct Worker {
 }
 
 /// When an operation started and, if it ran here, how long it took — the
-/// one reading the trace and the feedback sink share (taken when a trace is
-/// attached or the operation marked a chunk).
+/// one reading the trace and the feedback sink share (taken only when one of
+/// them is attached, its end only when a trace is or the operation marked a
+/// chunk).
 struct Span {
     t0: Instant,
     took: Option<Duration>,
@@ -389,7 +390,7 @@ pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
 }
 
 /// Inject a token into a graph entry from outside (the run driver).
-pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: TokenBox, src_node: u32) {
+pub(crate) fn inject(mut shared: &Shared, app: u32, graph: u32, token: Carried, src_node: u32) {
     let node = shared.decls.def(app, graph).entry();
     let entry = At { app, graph, node };
     kernel::deliver(&mut shared, entry, src_node, token, Envelope::root());
@@ -428,7 +429,7 @@ pub(crate) fn worker_loop(
             Msg::Fail => unreachable!("a wake-up is sent once the node is dead"),
             Msg::Arrive(graph, node, what, env, sent) => {
                 if let Arrival::Token(token) = &what {
-                    kernel::taken(&shared, &mut w, token.as_ref(), &env, sent);
+                    kernel::taken(&shared, &mut w, &**token, &env, sent);
                 }
                 (At { app, graph, node }, what, env)
             }
@@ -437,16 +438,23 @@ pub(crate) fn worker_loop(
         let done = match kernel::serve(&shared.decls, &mut w.inst, at, what, env, out_wave) {
             Ok(Serve::Run(ready, then)) => {
                 let data = w.data.as_mut();
-                run_here(shared.trace.is_some(), &mut w.span, || {
+                let timed = (shared.trace.is_some(), shared.feedback.is_some());
+                run_here(timed, &mut w.span, || {
                     ready
                         .run(data, info, &mut out)
                         .map(|()| out.completed_iters)
                 })
-                .and_then(|marked| {
-                    // A post's virtual-time offset means nothing on the wall
-                    // clock.
-                    let posts = out.posts.drain(..).map(|p| p.token);
-                    kernel::then(&mut shared, &mut w, then, node, posts, marked)
+                // A post's virtual-time offset means nothing on the wall
+                // clock. A wide split's buffer becomes its flow's queue.
+                .and_then(|marked| match out.take_wide() {
+                    Some(wide) => {
+                        let posts: Vec<Carried> = wide.into_iter().map(|p| p.token).collect();
+                        kernel::then(&mut shared, &mut w, then, node, posts, marked)
+                    }
+                    None => {
+                        let posts = out.posts.drain(..).map(|p| p.token);
+                        kernel::then(&mut shared, &mut w, then, node, posts, marked)
+                    }
                 })
                 .map(drop)
             }
@@ -463,7 +471,7 @@ pub(crate) fn worker_loop(
 
 /// A token reached call node `at`, under `env`, on cluster node `node`:
 /// make the call and deliver the token to the callee's entry.
-fn call(mut s: &Shared, at: At, env: Envelope, token: TokenBox, node: u32) -> Result<(), DpsError> {
+fn call(mut s: &Shared, at: At, env: Envelope, token: Carried, node: u32) -> Result<(), DpsError> {
     let (entry, callee_env) = kernel::call(&mut s, at, env)?;
     kernel::deliver(&mut s, entry, node, token, callee_env);
     Ok(())
@@ -496,17 +504,21 @@ fn tombstone(mut shared: &Shared, w: &mut Worker, msg: Msg) -> bool {
 }
 
 /// Run the operation [`kernel::serve`] picked, here, and time it for the
-/// kernel (`traced`: a trace is attached); `run` returns the chunk it
-/// marked complete, if any.
+/// kernel if anything reads the time: `(traced, sink)` says whether a trace
+/// and a feedback sink are attached. With neither, the clock is not read;
+/// with a sink alone, the end is read only for an operation that marked a
+/// chunk. `run` returns the chunk it marked complete, if any.
 fn run_here(
-    traced: bool,
+    (traced, sink): (bool, bool),
     span: &mut Option<Span>,
     run: impl FnOnce() -> Result<Option<u64>, DpsError>,
 ) -> Result<Option<u64>, DpsError> {
-    let t0 = Instant::now();
+    let t0 = (traced || sink).then(Instant::now);
     let marked = run()?;
-    let took = (traced || marked.is_some()).then(|| t0.elapsed());
-    *span = Some(Span { t0, took });
+    *span = t0.map(|t0| {
+        let took = (traced || marked.is_some()).then(|| t0.elapsed());
+        Span { t0, took }
+    });
     Ok(marked)
 }
 
@@ -648,10 +660,12 @@ impl Replies {
                 if let (false, Some(sink)) = (reports.is_empty(), w.sink(shared)) {
                     sink.report_batch(w.thread as usize, reports);
                 }
+                let posts = posts.into_iter().map(Carried::from_box);
                 kernel::then(&mut shared, w, then, self.node, posts, None).err()
             }
             (Reply::Call { at, env }, Ok(mut posts)) if posts.len() == 1 => {
-                call(shared, at, env, posts.remove(0), self.node).err()
+                let token = Carried::from_box(posts.remove(0));
+                call(shared, at, env, token, self.node).err()
             }
             (Reply::Failed { error, .. }, _) => Some(contract(error)),
             (_, Err(e)) => Some(e),
@@ -681,7 +695,7 @@ impl Replies {
 /// at all for a token that follows the wave noted in [`Followed`] — and a
 /// move is a channel send with no lock held.
 impl Substrate for &Shared {
-    type Post = TokenBox;
+    type Post = Carried;
     type FlowExt = ();
     type Lane = Worker;
 
@@ -792,7 +806,7 @@ impl Substrate for &Shared {
         graph: u32,
         key: FlowKey,
         credit: bool,
-    ) -> Option<(TokenBox, Envelope, u32)> {
+    ) -> Option<(Carried, Envelope, u32)> {
         let mut flows = self.apps[app as usize].graphs[graph as usize].flows.lock();
         let f = flows.get_mut(&key)?;
         if credit {
@@ -807,11 +821,13 @@ impl Substrate for &Shared {
         Some((token, env, f.src))
     }
 
-    fn leave(&mut self, post: TokenBox, from: At, src: u32, env: Envelope) {
+    fn leave(&mut self, post: Carried, from: At, src: u32, env: Envelope) {
         kernel::emit(self, from, src, post, env);
     }
 
-    fn output(&mut self, app: u32, graph: u32, token: TokenBox) {
+    /// The token leaves in a box: the one it came in, or a new one.
+    fn output(&mut self, app: u32, graph: u32, token: Carried) {
+        let token = token.into_box();
         let _ = self.output_tx.send(Output { app, graph, token });
     }
 

@@ -404,7 +404,12 @@ mod served_elsewhere {
             if let Some(key) = then.completed() {
                 inst.waves.remove(key);
             }
-            let posts = self.out.posts.drain(..).map(|p| p.token).collect();
+            let posts = self
+                .out
+                .posts
+                .drain(..)
+                .map(|p| p.token.into_box())
+                .collect();
             Some(Ran { lane, then, posts })
         }
 

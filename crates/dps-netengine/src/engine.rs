@@ -305,7 +305,7 @@ impl Forward for MasterShared {
         let conn = (a.node.checked_sub(1)).and_then(|i| self.conns.get(i as usize));
         let conn = conn.ok_or_else(|| node_down(a.node, "no worker process serves it".into()))?;
         let (token, close) = match &a.what {
-            Arrival::Token(token) => (Payload::Token(token.as_ref()), None),
+            Arrival::Token(token) => (Payload::Token(&**token), None),
             Arrival::Close(total) => (Payload::empty(), Some(*total)),
         };
         // The token is encoded once, straight into the frame.

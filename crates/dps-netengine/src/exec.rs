@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dps_core::internal::kernel::{self, Arrival, At, Instances, Rec, Serve, Tracer};
-use dps_core::internal::{ExecInfo, OpOutput};
-use dps_core::{Decls, DpsError, Envelope, GNodeId, TokenBox};
+use dps_core::internal::{Carried, ExecInfo, OpOutput};
+use dps_core::{Decls, DpsError, Envelope, GNodeId};
 use dps_obs::{Counter, MetricsRegistry, TraceCollector};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
@@ -306,9 +306,9 @@ fn executor_loop(
         // The posted tokens, or a call's one token, are encoded once,
         // straight into the reply.
         let posts = match &call {
-            Some(token) => vec![Payload::Token(token.as_ref())],
+            Some(token) => vec![Payload::Token(&**token)],
             None => (lane.out.posts.iter())
-                .map(|p| Payload::Token(p.token.as_ref()))
+                .map(|p| Payload::Token(&*p.token))
                 .collect(),
         };
         let sent = writer.send(&Frame::Done {
@@ -332,7 +332,7 @@ fn executor_loop(
 
 /// What a lane answers an arrival with: the reply, a call's token, and the
 /// `(iters, secs)` of the chunks the operation completed.
-type Outcome = (Reply, Option<TokenBox>, Vec<(u64, f64)>);
+type Outcome = (Reply, Option<Carried>, Vec<(u64, f64)>);
 
 /// The DPS thread an executor lane serves, between its arrivals.
 struct Thread<'a> {
@@ -361,13 +361,14 @@ impl Thread<'_> {
             Some(total) => Arrival::Close(total),
             None => {
                 let registry = self.decls.registry(at.app);
-                Arrival::Token(proto::decode_received(registry, &job.token, &job.shared)?)
+                let token = proto::decode_received(registry, &job.token, &job.shared)?;
+                Arrival::Token(Carried::from_box(token))
             }
         };
         let sent = NonZeroU64::new(job.flow);
         if let (Some(t), Arrival::Token(tok), Some(sent)) = (&mut self.tracer, &what, sent) {
             let (track, now) = (t.writer().track(), t.collector().now_nanos());
-            kernel::took(Rec::at(t, track, now), tok.as_ref(), &job.env, sent);
+            kernel::took(Rec::at(t, track, now), &**tok, &job.env, sent);
         }
         let wave = kernel::env_wave(&job.env);
         let served = kernel::serve(self.decls, &mut self.inst, at, what, job.env, || {
