@@ -99,10 +99,20 @@ impl RoundRobin {
     }
 }
 
+/// The next thread in turn, stepping past those the load snapshot marks
+/// dead (`u32::MAX`, as every engine reports a thread on a killed node) —
+/// at most once round the collection, so a delivery finds a live thread
+/// whenever one exists, whoever else advanced the turn in between.
 impl<T: Token> Route<T> for RoundRobin {
     fn route(&mut self, _token: &T, info: &RouteInfo<'_>) -> usize {
-        let i = self.next % info.thread_count;
-        self.next = (self.next + 1) % info.thread_count;
+        let n = info.thread_count;
+        let start = self.next % n;
+        let live = |i: &usize| info.load.is_none_or(|load| load.get(*i) != Some(&u32::MAX));
+        let i = (start..start + n)
+            .map(|i| i % n)
+            .find(live)
+            .unwrap_or(start);
+        self.next = (i + 1) % n;
         i
     }
 }
@@ -302,6 +312,28 @@ mod tests {
             .map(|_| Route::<K>::route(&mut r, &K { k: 0 }, &info(3)))
             .collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    /// A thread the snapshot marks dead is stepped past, and the turn goes
+    /// on after the one picked; with every thread dead, the turn is as
+    /// without a snapshot.
+    #[test]
+    fn round_robin_steps_past_threads_the_snapshot_marks_dead() {
+        let picks = |load: &[u32], n: usize| {
+            let mut r = RoundRobin::new();
+            let info = RouteInfo {
+                thread_count: load.len(),
+                load: Some(load),
+            };
+            (0..n)
+                .map(|_| Route::<K>::route(&mut r, &K { k: 0 }, &info))
+                .collect::<Vec<usize>>()
+        };
+        let dead = u32::MAX;
+        assert_eq!(picks(&[0, dead, dead], 4), [0, 0, 0, 0]);
+        assert_eq!(picks(&[5, dead, 2, dead], 5), [0, 2, 0, 2, 0]);
+        assert_eq!(picks(&[dead, 7, 7], 4), [1, 2, 1, 2]);
+        assert_eq!(picks(&[dead; 3], 4), [0, 1, 2, 0]);
     }
 
     #[test]

@@ -15,7 +15,8 @@ use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
 use crate::worker::{
-    worker_loop, Followed, Forward, Msg, Output, Replies, Shared, SharedApp, SharedGraph, SharedTc,
+    worker_loop, Answers, Followed, Forward, Msg, Output, Replies, Seam, Serving, Shared,
+    SharedApp, SharedGraph, SharedTc,
 };
 
 /// Tunables of the threaded engine.
@@ -62,7 +63,7 @@ pub struct MtEngine {
     handles: Vec<std::thread::JoinHandle<()>>,
     started_at: Instant,
     feedback: Option<Arc<dyn FeedbackSink>>,
-    forward: Option<(u32, Arc<dyn Forward>)>,
+    seam: Option<(u32, Seam)>,
     trace: Option<Arc<dps_obs::TraceCollector>>,
 }
 
@@ -85,7 +86,7 @@ impl MtEngine {
             handles: Vec::new(),
             started_at: Instant::now(),
             feedback: None,
-            forward: None,
+            seam: None,
             trace: None,
         }
     }
@@ -125,16 +126,6 @@ impl MtEngine {
         self.decls.app_name(app.app)
     }
 
-    /// Run a table declared elsewhere: a layered engine that takes the
-    /// declarations itself (the network engine's master, which checks its
-    /// table against its workers' at the sync barrier) hands the finished
-    /// table over before the first run, in place of declaring on this
-    /// engine.
-    pub fn adopt(&mut self, decls: Arc<Decls>) {
-        assert!(self.shared.is_none(), "adopt a table before the first run");
-        self.decls = decls;
-    }
-
     /// Serve the threads of cluster node `here` alone: an arrival for a
     /// thread of any other node goes to `hook`, and the process serving it
     /// answers through [`replies`](Self::replies). Routing, pins, flows and
@@ -145,7 +136,25 @@ impl MtEngine {
             self.shared.is_none(),
             "install the forward hook before the first run"
         );
-        self.forward = Some((here, hook));
+        self.seam = Some((here, Seam::Forward(hook)));
+    }
+
+    /// Serve the threads of cluster node `here` for an engine that routes
+    /// ([`set_forward`](Self::set_forward)): each arrival it forwards for
+    /// one of them is handed to the [`Serving`] this returns, served on the
+    /// thread's own worker in the order handed in, and answered through
+    /// `hook` with what that engine's [`Replies::apply`] takes. This engine
+    /// routes nothing: what an operation posts goes back in its answer.
+    /// Starts the engine.
+    pub fn serve_for(&mut self, here: u32, hook: Arc<dyn Answers>) -> Serving {
+        assert!(
+            self.shared.is_none(),
+            "serve for another engine before the first run"
+        );
+        self.seam = Some((here, Seam::Answer(hook)));
+        Serving {
+            shared: self.started(),
+        }
     }
 
     /// Where the replies of node `node`'s threads are applied, in the order
@@ -210,7 +219,7 @@ impl MtEngine {
             output_tx,
             error_tx,
             feedback: self.feedback.clone(),
-            forward: self.forward.clone(),
+            seam: self.seam.clone(),
             trace: self.trace.clone(),
             // A track no cluster node has: its flow ids are its own.
             outside: (self.trace.clone()).map(|c| Mutex::new(Tracer::new(c, (u16::MAX, 0)))),

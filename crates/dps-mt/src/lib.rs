@@ -27,4 +27,4 @@ mod engine;
 mod worker;
 
 pub use engine::{FailHandle, MtConfig, MtEngine};
-pub use worker::{Foreign, Forward, Replies, Reply};
+pub use worker::{Answers, Foreign, Forward, Replies, Reply, Serving};

@@ -5,9 +5,11 @@
 //! driver. This file is its [`Substrate`] on OS threads — channels, atomic
 //! counters, one mutex per table (and one word in front of the pin table's,
 //! so a token following its wave takes none), a wall clock and one trace
-//! writer per worker — the worker loop, and the two ends of a thread that
-//! another process serves: [`Forward`], which takes its arrivals there, and
-//! [`Replies`], which applies what comes back.
+//! writer per worker — the worker loop, and the seam of a thread that
+//! another engine serves: on the engine that routes, [`Forward`] takes its
+//! arrivals there and [`Replies`] applies what comes back; on the engine
+//! that serves it, [`Serving`] takes them in and [`Answers`] sends back
+//! what the thread's own worker loop made of each.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -36,6 +38,11 @@ pub(crate) enum Msg {
     /// hold one of these per token), or the close of a wave consumed there;
     /// with a traced token's flow.
     Arrive(u32, GNodeId, Arrival, Envelope, Sent),
+    /// An arrival another engine forwarded, to be served here and answered
+    /// there ([`Serving`]), or in its place why its data object could not be
+    /// taken in. Boxed: it is rare beside `Arrive`, and a wider message would
+    /// widen every queue slot of a token-bound run.
+    Served(Box<Result<Foreign, String>>),
     /// Terminate the worker.
     Stop,
     /// Wakeup after the worker's node was marked dead (`fail_node`): the
@@ -209,9 +216,9 @@ pub(crate) struct Shared {
     /// Chunk-completion reports (wall-clock) go here, if registered — the
     /// dynamic loop-scheduling feedback channel (`dps-sched`).
     pub feedback: Option<Arc<dyn FeedbackSink>>,
-    /// The one cluster node served here, and where an arrival for a thread
-    /// of another goes; `None`: every node is served here.
-    pub forward: Option<(u32, Arc<dyn Forward>)>,
+    /// The one cluster node served here and how this engine meets the
+    /// others; `None`: every node is served here.
+    pub seam: Option<(u32, Seam)>,
     /// Attached trace sink (wall-clock timestamps); each worker thread
     /// registers its own writer at startup ([`TRACER`]).
     pub trace: Option<Arc<TraceCollector>>,
@@ -252,7 +259,7 @@ impl Shared {
     }
 
     pub(crate) fn served_elsewhere(&self, node: u32) -> bool {
-        self.forward.as_ref().is_some_and(|(here, _)| *here != node)
+        self.seam.as_ref().is_some_and(|(here, _)| *here != node)
     }
 
     pub(crate) fn queued(&self, app: u32, tc: u32, thread: u32) -> &AtomicU32 {
@@ -427,6 +434,11 @@ pub(crate) fn worker_loop(
         let (at, what, env) = match msg {
             Msg::Stop => break,
             Msg::Fail => unreachable!("a wake-up is sent once the node is dead"),
+            Msg::Served(served) => {
+                answer(shared, &mut w, info, &mut out, *served);
+                shared.retire((app, tc, thread));
+                continue;
+            }
             Msg::Arrive(graph, node, what, env, sent) => {
                 if let Arrival::Token(token) = &what {
                     kernel::taken(&shared, &mut w, &**token, &env, sent);
@@ -490,12 +502,13 @@ fn tombstone(mut shared: &Shared, w: &mut Worker, msg: Msg) -> bool {
     }
     let (app, lanes, from) = (w.app, vec![(w.app, w.thread, lane)], w.node);
     let stop = matches!(msg, Msg::Stop);
+    // A wake-up is sent raw: it is not counted in the backlog. (A serving
+    // engine's node is never killed: its arrivals die with the process.)
+    let counted = matches!(msg, Msg::Arrive(..) | Msg::Served(_));
     let stranded = match msg {
         Msg::Arrive(graph, node, what, env, _) => vec![(At { app, graph, node }, what, env)],
-        Msg::Fail | Msg::Stop => Vec::new(),
+        Msg::Served(_) | Msg::Fail | Msg::Stop => Vec::new(),
     };
-    // A wake-up is sent raw: it is not counted in the backlog.
-    let counted = !stranded.is_empty();
     kernel::bury(&mut shared, Death::Lane(w), lanes, stranded, from);
     if counted {
         shared.retire((w.app, w.tc, w.thread));
@@ -522,8 +535,83 @@ fn run_here(
     Ok(marked)
 }
 
+/// Serve an arrival another engine forwarded ([`Serving`]) as a local one
+/// is served — [`kernel::taken`], [`kernel::serve`], the operation — but
+/// answer it through the [`Answers`] hook where a local one has
+/// [`kernel::then`] apply its posts: the operation's span is recorded here,
+/// a completed wave's record dropped here, and a close that waits is not
+/// answered. An operation that marks a chunk is always timed, since the
+/// engine that applies the answer feeds its feedback sink the seconds. A
+/// data object that could not be taken in, and an arrival for a graph node
+/// this engine has not declared, are answered `Failed` unserved, in their
+/// turn. Kept out of line: an engine that routes never takes this arm of
+/// the worker loop, whose body stays what it was for a local arrival.
+#[inline(never)]
+fn answer(
+    shared: &Shared,
+    w: &mut Worker,
+    info: ExecInfo,
+    out: &mut OpOutput,
+    served: Result<Foreign, String>,
+) {
+    let Some((_, Seam::Answer(hook))) = &shared.seam else {
+        unreachable!("only a serving engine is handed arrivals");
+    };
+    let lane = (w.app, w.tc, w.thread);
+    let a = match served {
+        Ok(a) => a,
+        Err(error) => {
+            let failed = Reply::Failed { token: true, error };
+            return hook.answer(lane, failed, Vec::new(), &[]);
+        }
+    };
+    let (at, token) = (a.to, matches!(a.what, Arrival::Token(_)));
+    let app = shared.decls.apps().get(at.app as usize);
+    let def = app.and_then(|app| app.graphs.get(at.graph as usize));
+    if def.is_none_or(|def| def.nodes().len() <= at.node.0 as usize) {
+        return hook.answer(lane, undeclared(token), Vec::new(), &[]);
+    }
+    if let Arrival::Token(tok) = &a.what {
+        kernel::taken(&shared, w, &**tok, &a.env, a.sent);
+    }
+    let wave = kernel::env_wave(&a.env);
+    let served = kernel::serve(&shared.decls, &mut w.inst, at, a.what, a.env, || a.out_wave);
+    let failed = |e: DpsError| {
+        let error = e.to_string();
+        (Reply::Failed { token, error }, Vec::new(), None)
+    };
+    let (reply, posts, report) = match served {
+        Ok(Serve::Run(ready, then)) => {
+            let data = w.data.as_mut();
+            let timed = (shared.trace.is_some(), true);
+            let ran = run_here(timed, &mut w.span, || {
+                ready.run(data, info, out).map(|()| out.completed_iters)
+            });
+            match ran {
+                Ok(marked) => {
+                    if let Some(key) = then.completed() {
+                        w.inst.waves.remove(key);
+                    }
+                    let name = &shared.decls.def(at.app, at.graph).node(at.node).name;
+                    shared.trace(On::Lane(w), |rec| kernel::ran(rec, at, name, wave, marked));
+                    let took = w.span.as_ref().and_then(|s| s.took);
+                    let report = marked.zip(took).map(|(iters, t)| (iters, t.as_secs_f64()));
+                    let posts = out.posts.drain(..).map(|p| p.token).collect();
+                    (Reply::Ran { then }, posts, report)
+                }
+                Err(e) => failed(e),
+            }
+        }
+        Ok(Serve::Call(at, env, token)) => (Reply::Call { at, env }, vec![token], None),
+        Ok(Serve::Wait) => return,
+        Err(e) => failed(e),
+    };
+    hook.answer(lane, reply, posts, report.as_slice());
+}
+
 /// An arrival for thread `thread` of collection `tc`, which the process of
-/// cluster node `node` serves, as [`Forward`] is handed it.
+/// cluster node `node` serves, as [`Forward`] is handed it and [`Serving`]
+/// takes it in.
 pub struct Foreign {
     /// Where it arrives.
     pub to: At,
@@ -579,10 +667,100 @@ impl_wire_enum!(Reply {
 /// Takes an arrival for a thread of another node to the process serving it
 /// ([`MtEngine::set_forward`](crate::MtEngine::set_forward)), which serves
 /// a thread's arrivals in order and answers each but a close that waits, in
-/// order, with a [`Reply`] for this engine's [`Replies`].
+/// order, with a [`Reply`] for this engine's [`Replies`] (an engine there
+/// does so through [`Serving`] and [`Answers`]).
 pub trait Forward: Send + Sync {
     /// Send `arrival` on its way; an error fails the run.
     fn forward(&self, arrival: Foreign) -> Result<(), DpsError>;
+}
+
+/// Takes what a thread this engine serves for another answers each of its
+/// arrivals with ([`MtEngine::serve_for`](crate::MtEngine::serve_for)), in
+/// the order the thread served them: what that engine's [`Replies::apply`]
+/// takes.
+pub trait Answers: Send + Sync {
+    /// Thread `lane`, `(app, tc, thread)`, answers `reply`, with the data
+    /// objects its operation posted, in post order (a call's: its token),
+    /// and the `(iters, secs)` of the chunk it completed.
+    fn answer(
+        &self,
+        lane: (u32, u32, u32),
+        reply: Reply,
+        posts: Vec<Carried>,
+        reports: &[(u64, f64)],
+    );
+}
+
+/// How an engine that serves one cluster node meets those serving the
+/// others.
+#[derive(Clone)]
+pub(crate) enum Seam {
+    /// It routes: an arrival for a thread of another node goes to the hook.
+    Forward(Arc<dyn Forward>),
+    /// It serves its node for an engine that routes, and answers there.
+    Answer(Arc<dyn Answers>),
+}
+
+/// Where the arrivals another engine forwards to the threads this one serves
+/// come in ([`MtEngine::serve_for`](crate::MtEngine::serve_for)).
+#[derive(Clone)]
+pub struct Serving {
+    pub(crate) shared: Arc<Shared>,
+}
+
+impl Serving {
+    /// What the engine runs, frozen for the run.
+    pub fn decls(&self) -> &Arc<Decls> {
+        &self.shared.decls
+    }
+
+    /// The attached trace sink, if any.
+    pub fn trace_collector(&self) -> Option<&Arc<TraceCollector>> {
+        self.shared.trace.as_ref()
+    }
+
+    /// Serve `arrival` on its thread's worker, behind the arrivals handed in
+    /// before it. One for a thread or graph node this engine has not
+    /// declared on its node — the two engines' declarations diverged, or the
+    /// wire lied — is answered `Failed` unserved.
+    pub fn arrive(&self, arrival: Foreign) {
+        let lane = (arrival.to.app, arrival.tc, arrival.thread);
+        self.queue(lane, Ok(arrival));
+    }
+
+    /// Answer a data object for thread `lane`, `(app, tc, thread)`, that
+    /// could not be taken in — its token did not decode — `Failed` with
+    /// `error`, behind the arrivals handed in before it.
+    pub fn refuse(&self, lane: (u32, u32, u32), error: String) {
+        self.queue(lane, Err(error));
+    }
+
+    /// Queue `served` on thread `lane`'s worker, if this engine serves that
+    /// thread; answer it at once, `Failed`, if not.
+    fn queue(&self, (app, tc, thread): (u32, u32, u32), served: Result<Foreign, String>) {
+        let s = &self.shared;
+        let Some((here, Seam::Answer(hook))) = &s.seam else {
+            unreachable!("a serving engine's seam answers");
+        };
+        let app_decl = s.decls.apps().get(app as usize);
+        let host = app_decl.and_then(|a| a.tcs.get(tc as usize)?.nodes.get(thread as usize));
+        if host == Some(here) {
+            let queues = &s.apps[app as usize].tcs[tc as usize];
+            return queues.enqueue(thread as usize, Msg::Served(Box::new(served)));
+        }
+        let reply = match served {
+            Ok(a) => undeclared(matches!(a.what, Arrival::Token(_))),
+            Err(error) => Reply::Failed { token: true, error },
+        };
+        hook.answer((app, tc, thread), reply, Vec::new(), &[]);
+    }
+}
+
+/// The answer to an arrival for a thread or graph node the serving engine
+/// has not declared.
+fn undeclared(token: bool) -> Reply {
+    let error = "an arrival for an undeclared thread (SPMD declarations diverged)".into();
+    Reply::Failed { token, error }
 }
 
 /// Hand `arrival` to `hook`. A data object stays in its thread's backlog
@@ -775,7 +953,7 @@ impl Substrate for &Shared {
     fn send(&mut self, to: At, thread: u32, _src: u32, what: Arrival, env: Envelope, sent: Sent) {
         let gnode = self.decls.def(to.app, to.graph).node(to.node);
         let tc = gnode.tc;
-        if let Some((_, hook)) = &self.forward {
+        if let Some((_, Seam::Forward(hook))) = &self.seam {
             let node = self.decls.host(to.app, tc, thread);
             if self.served_elsewhere(node) {
                 let out_wave = match gnode.kind {
@@ -990,6 +1168,98 @@ mod tests {
         fn g(&self) -> &SharedGraph {
             &self.shared.apps[self.merge.app as usize].graphs[self.merge.graph as usize]
         }
+    }
+
+    /// Forwards every piece but the last of a `Job { n: 4 }`.
+    struct DropLast;
+    impl StreamOperation for DropLast {
+        type Thread = ();
+        type In = Piece;
+        type Out = Piece;
+        fn consume(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+            if p.i != 3 {
+                ctx.post(p);
+            }
+        }
+        fn finalize(&mut self, _ctx: &mut OpCtx<'_, (), Piece>) {}
+    }
+
+    /// Where an engine that routes forwards, and one that serves answers.
+    struct To<T>(Mutex<std::sync::mpsc::Sender<T>>);
+    impl Forward for To<Foreign> {
+        fn forward(&self, arrival: Foreign) -> dps_core::Result<()> {
+            self.0.lock().send(arrival).unwrap();
+            Ok(())
+        }
+    }
+    type Answer = ((u32, u32, u32), Reply, Vec<Carried>, Vec<(u64, f64)>);
+    impl Answers for To<Answer> {
+        fn answer(&self, lane: (u32, u32, u32), r: Reply, p: Vec<Carried>, t: &[(u64, f64)]) {
+            self.0.lock().send((lane, r, p, t.to_vec())).unwrap();
+        }
+    }
+
+    /// The thread that serves a merge for another engine drops the record of
+    /// the wave it completed: three consumes open it, and the close that
+    /// finalizes it leaves the thread's instances with no wave. (The test
+    /// serves the arrivals on a worker of its own over the serving engine.)
+    #[test]
+    fn a_served_wave_is_dropped_where_it_completed() {
+        let declare = |eng: &mut MtEngine| {
+            let app = eng.app("served");
+            let main: ThreadCollection<()> = eng.thread_collection(app, "m", "node0").unwrap();
+            let far: ThreadCollection<()> = eng.thread_collection(app, "f", "node1").unwrap();
+            let mut b = GraphBuilder::new("g");
+            let split = b.split(&main, || ToThread(0), || Fan);
+            let drop = b.stream(&main, || ToThread(0), || DropLast);
+            let merge = b.merge(&far, || ToThread(0), Count::default);
+            b.add(split >> drop >> merge);
+            eng.build_graph(b).unwrap()
+        };
+        let (mut eng, mut far) = (MtEngine::new(2), MtEngine::new(2));
+        let (fwd, arrivals) = std::sync::mpsc::channel();
+        eng.set_forward(0, Arc::new(To(Mutex::new(fwd))));
+        let g = declare(&mut eng);
+        declare(&mut far);
+        let (back, answers) = std::sync::mpsc::channel();
+        let serving = far.serve_for(1, Arc::new(To(Mutex::new(back))));
+        eng.submit(g, Box::new(Job { n: 4 }));
+        let patience = Duration::from_secs(60);
+        let arrived: Vec<Foreign> = (0..4)
+            .map(|_| arrivals.recv_timeout(patience).unwrap())
+            .collect();
+        assert!(
+            matches!(arrived[3].what, Arrival::Close(3)),
+            "the close came last"
+        );
+
+        let shared = &serving.shared;
+        let lane = (g.app, arrived[0].tc, 0);
+        let mut w = Worker::new(shared, lane, Box::new(()));
+        let (info, mut out) = (ExecInfo::wall_clock(0, 1), OpOutput::default());
+        for (i, a) in arrived.into_iter().enumerate() {
+            answer(shared, &mut w, info, &mut out, Ok(a));
+            assert_eq!(w.inst.waves.is_empty(), i == 3, "after arrival {i}");
+        }
+        let mut replies = eng.replies(1);
+        for _ in 0..4 {
+            let (lane, reply, posts, reports) = answers.recv_timeout(patience).unwrap();
+            let posts = posts.into_iter().map(Carried::into_box).collect();
+            replies.apply(lane, reply, Ok(posts), &reports);
+        }
+        eng.wait_for_outputs(g, 1).unwrap();
+        let out = eng.drain_outputs(g).pop().unwrap();
+        assert_eq!(downcast::<Job>(out).unwrap().n, 3);
+        eng.shutdown();
+        far.shutdown();
+    }
+
+    /// A queue slot is one `Msg`, and a token-bound run queues tens of
+    /// thousands at once: a forwarded arrival, boxed, keeps a slot the width
+    /// of a local one.
+    #[test]
+    fn a_message_is_136_bytes() {
+        assert_eq!(std::mem::size_of::<Msg>(), 136);
     }
 
     #[test]

@@ -331,19 +331,18 @@ fn a_scheduled_loop_survives_a_kill_fired_from_inside_a_chunk() {
     assert!(stats[0].chunks >= ITERS / 2 - 3, "{stats:?}");
 }
 
-// --- threads another process serves, played by the test ------------------
+// --- threads another engine serves, carried there by the test -----------
 
 mod served_elsewhere {
-    use std::collections::HashMap;
     use std::sync::mpsc::{channel, Receiver, Sender};
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Barrier, Mutex};
     use std::time::Duration;
 
     use super::*;
-    use dps_core::internal::kernel::{self, Arrival, Instances, Serve, Then};
-    use dps_core::internal::{ExecInfo, OpOutput};
-    use dps_core::{Decls, GNodeId};
-    use dps_mt::{Foreign, Forward, Replies, Reply};
+    use dps_core::internal::kernel::Arrival;
+    use dps_core::internal::Carried;
+    use dps_core::GNodeId;
+    use dps_mt::{Answers, Foreign, Forward, Replies, Reply, Serving};
     use dps_obs::TraceCollector;
 
     /// How long a step the test waits for may take before it counts as hung.
@@ -353,7 +352,7 @@ mod served_elsewhere {
     const LATE: Piece = Piece { i: 99, v: 1000 };
 
     /// Where the engine forwards the arrivals for node 1's threads: to the
-    /// test, which serves them when it chooses.
+    /// test, which carries them to node 1 when it chooses.
     struct Host(Mutex<Sender<Foreign>>);
     impl Forward for Host {
         fn forward(&self, arrival: Foreign) -> Result<()> {
@@ -363,22 +362,45 @@ mod served_elsewhere {
         }
     }
 
-    /// A step that ran on node 1, not answered yet.
+    /// What a thread of node 1 answered one arrival with, not applied yet.
     struct Ran {
         lane: (u32, u32, u32),
-        then: Then,
-        posts: Vec<TokenBox>,
+        reply: Reply,
+        posts: Vec<Carried>,
+        reports: Vec<(u64, f64)>,
     }
 
-    /// Node 1, served in the test's own thread as a process serving it
-    /// would: `kernel::serve` on each thread's instances, then the
-    /// operation; the engine's `Replies` take the answers.
+    /// Where node 1's engine answers: to the test, which applies each answer
+    /// when it chooses.
+    struct Back(Mutex<Sender<Ran>>);
+    impl Answers for Back {
+        fn answer(
+            &self,
+            lane: (u32, u32, u32),
+            reply: Reply,
+            posts: Vec<Carried>,
+            reports: &[(u64, f64)],
+        ) {
+            let reports = reports.to_vec();
+            let ran = Ran {
+                lane,
+                reply,
+                posts,
+                reports,
+            };
+            self.0.lock().unwrap().send(ran).expect("the test listens");
+        }
+    }
+
+    /// Node 1: a second engine over the same declarations, serving node 1
+    /// for the first. The test carries each arrival there, and each answer
+    /// back to the first engine's `Replies`.
     struct Node1 {
         arrivals: Receiver<Foreign>,
+        serving: Serving,
+        answers: Receiver<Ran>,
         replies: Replies,
-        decls: Arc<Decls>,
-        threads: HashMap<(u32, u32, u32), Instances>,
-        out: OpOutput,
+        _eng: MtEngine,
     }
 
     impl Node1 {
@@ -386,43 +408,22 @@ mod served_elsewhere {
             (self.arrivals.recv_timeout(PATIENCE)).expect("the run got this far")
         }
 
-        /// Serve `arrival`: the step that ran, or `None` for a close that
-        /// finds data objects missing.
-        fn serve(&mut self, arrival: Foreign) -> Option<Ran> {
-            let lane = (arrival.to.app, arrival.tc, arrival.thread);
-            let inst = self.threads.entry(lane).or_default();
-            let threads = self.decls.threads(arrival.to.app, arrival.tc);
-            let info = ExecInfo::wall_clock(arrival.thread as usize, threads);
-            let (to, what, env) = (arrival.to, arrival.what, arrival.env);
-            let served = kernel::serve(&self.decls, inst, to, what, env, || arrival.out_wave);
-            let (ready, then) = match served.unwrap() {
-                Serve::Run(ready, then) => (ready, then),
-                Serve::Wait => return None,
-                Serve::Call(..) => unreachable!("these graphs make no call"),
-            };
-            ready.run(&mut (), info, &mut self.out).unwrap();
-            if let Some(key) = then.completed() {
-                inst.waves.remove(key);
-            }
-            let posts = self
-                .out
-                .posts
-                .drain(..)
-                .map(|p| p.token.into_box())
-                .collect();
-            Some(Ran { lane, then, posts })
+        /// Serve `arrival` on node 1 and take its answer.
+        fn serve(&self, arrival: Foreign) -> Ran {
+            self.serving.arrive(arrival);
+            (self.answers.recv_timeout(PATIENCE)).expect("the step ran")
         }
 
         fn answer(&mut self, ran: Ran) {
-            let reply = Reply::Ran { then: ran.then };
-            self.replies.apply(ran.lane, reply, Ok(ran.posts), &[]);
+            let posts = ran.posts.into_iter().map(Carried::into_box).collect();
+            (self.replies).apply(ran.lane, ran.reply, Ok(posts), &ran.reports);
         }
 
         /// Serve and answer the next `n` arrivals, one at a time.
         fn serve_all(&mut self, n: usize) {
             for _ in 0..n {
                 let arrival = self.next();
-                let ran = self.serve(arrival).expect("a step ran");
+                let ran = self.serve(arrival);
                 self.answer(ran);
             }
         }
@@ -434,30 +435,40 @@ mod served_elsewhere {
         metrics: Arc<TraceCollector>,
     }
 
-    /// A traced two-node engine whose node 1 the test serves, over the graph
-    /// `graph` builds from a collection on node 0 and one of two threads on
-    /// node 1.
+    /// [`rig_over`] the graph `graph` builds from a collection on node 0 and
+    /// one of two threads on node 1, declared on both engines alike.
     fn rig(
-        graph: impl FnOnce(&mut GraphBuilder, &ThreadCollection<()>, &ThreadCollection<()>),
+        mut graph: impl FnMut(&mut GraphBuilder, &ThreadCollection<()>, &ThreadCollection<()>),
     ) -> (Rig, GraphHandle) {
+        rig_over(|eng, _| {
+            let app = eng.app("served-elsewhere");
+            let main = eng.thread_collection(app, "main", "node0").unwrap();
+            let far = eng.thread_collection(app, "far", "node1 node1").unwrap();
+            let mut b = GraphBuilder::new("g");
+            graph(&mut b, &main, &far);
+            eng.build_graph(b).unwrap()
+        })
+    }
+
+    /// A traced two-node engine whose node 1 a second engine serves, each
+    /// engine declared by `declare`, which is told whether it declares node
+    /// 1's.
+    fn rig_over(mut declare: impl FnMut(&mut MtEngine, bool) -> GraphHandle) -> (Rig, GraphHandle) {
         let mut eng = MtEngine::new(2);
         let (host, arrivals) = channel();
         eng.set_forward(0, Arc::new(Host(Mutex::new(host))));
         let metrics = TraceCollector::new();
         eng.set_trace_sink(metrics.clone());
-        let app = eng.app("served-elsewhere");
-        let main = eng.thread_collection(app, "main", "node0").unwrap();
-        let far = eng.thread_collection(app, "far", "node1 node1").unwrap();
-        let mut b = GraphBuilder::new("g");
-        graph(&mut b, &main, &far);
-        let g = eng.build_graph(b).unwrap();
-        let replies = eng.replies(1);
+        let g = declare(&mut eng, false);
+        let mut far = MtEngine::new(2);
+        declare(&mut far, true);
+        let (back, answers) = channel();
         let node1 = Node1 {
             arrivals,
-            decls: replies.decls().clone(),
-            replies,
-            threads: HashMap::new(),
-            out: OpOutput::default(),
+            serving: far.serve_for(1, Arc::new(Back(Mutex::new(back)))),
+            answers,
+            replies: eng.replies(1),
+            _eng: far,
         };
         let rig = Rig {
             eng,
@@ -497,6 +508,7 @@ mod served_elsewhere {
         let (tap, taps) = channel();
         let (mut rig, g) = rig(|b, main, far| {
             let s = b.split(main, || ToThread(0), || Fan);
+            let tap = tap.clone();
             let l = b.leaf(far, move || Tap(tap.clone()), || Work);
             let m = b.merge(main, || ToThread(0), Sum::default);
             b.add(s >> l >> m);
@@ -512,7 +524,7 @@ mod served_elsewhere {
         assert_eq!(next(&taps), Some(vec![4, 0]));
 
         for arrival in held.into_iter().chain([rig.node1.next()]) {
-            let ran = rig.node1.serve(arrival).unwrap();
+            let ran = rig.node1.serve(arrival);
             rig.node1.answer(ran);
         }
         rig.eng.wait_for_outputs(g, 2).unwrap();
@@ -550,7 +562,7 @@ mod served_elsewhere {
         assert!(consumed.iter().all(|a| a.to.node == nodes.0));
         let (wave, out_wave) = (consumed[0].env.top().unwrap().wave, consumed[0].out_wave);
         let ran: Vec<Ran> = (consumed.into_iter())
-            .map(|arrival| rig.node1.serve(arrival).unwrap())
+            .map(|arrival| rig.node1.serve(arrival))
             .collect();
         for ran in ran {
             rig.node1.answer(ran);
@@ -559,7 +571,7 @@ mod served_elsewhere {
         numbered_once(&merged, nodes.1, out_wave);
         assert_ne!(out_wave, wave, "numbered under the stream's own wave");
         for arrival in merged {
-            let ran = rig.node1.serve(arrival).unwrap();
+            let ran = rig.node1.serve(arrival);
             rig.node1.answer(ran);
         }
         assert_eq!(rig.one_total(g), 1 + 2 + 3 + 4 + LATE.v);
@@ -567,9 +579,9 @@ mod served_elsewhere {
 
     /// A close that overtakes the answers of its wave: the stream's four
     /// consumes ran on node 1 and are not answered when the close arrives
-    /// there and completes the wave, so the finalize runs behind them — the
-    /// serving side drops the wave's record itself — and the posts of the
-    /// consumes, then the finalize's own, are numbered as the answers come.
+    /// there and completes the wave, so the finalize runs behind them — and
+    /// the posts of the consumes, then the finalize's own, are numbered as
+    /// the answers come.
     #[test]
     fn a_close_finalizes_behind_the_consumes_still_in_flight() {
         let mut nodes = (GNodeId(0), GNodeId(0));
@@ -592,21 +604,144 @@ mod served_elsewhere {
         );
         let out_wave = arrived[0].out_wave;
         let ran: Vec<Ran> = (arrived.into_iter())
-            .map(|arrival| rig.node1.serve(arrival).unwrap())
+            .map(|arrival| rig.node1.serve(arrival))
             .collect();
-        let finalize = &ran[4].then;
+        let Reply::Ran { then: finalize } = &ran[4].reply else {
+            panic!("the close ran the finalize: {:?}", ran[4].reply);
+        };
         assert!(finalize.completed().is_some() && !finalize.took_token());
-        assert!(rig.node1.threads.values().all(|t| t.waves.is_empty()));
         for ran in ran {
             rig.node1.answer(ran);
         }
         let merged: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
         numbered_once(&merged, nodes.1, out_wave);
         for arrival in merged {
-            let ran = rig.node1.serve(arrival).unwrap();
+            let ran = rig.node1.serve(arrival);
             rig.node1.answer(ran);
         }
         assert_eq!(rig.one_total(g), 1 + 2 + 3 + LATE.v);
+    }
+
+    /// The routing engine runs a split, a leaf on node 0, a leaf on thread 1
+    /// of node 1 (graph node 3) and a merge; node 1's engine declared that
+    /// collection with one thread, or the graph with neither leaf. Either way
+    /// the leaf's arrival names what node 1 does not have: it is answered
+    /// `Failed` unserved, and the run fails with what that says.
+    #[test]
+    fn an_arrival_node_1_has_not_declared_fails_the_run() {
+        for (far_threads, leaves) in [("node1", true), ("node1 node1", false)] {
+            let (mut rig, g) = rig_over(|eng, node1| {
+                let app = eng.app("diverged");
+                let main = eng.thread_collection(app, "main", "node0").unwrap();
+                let threads = if node1 { far_threads } else { "node1 node1" };
+                let far: ThreadCollection<()> = eng.thread_collection(app, "far", threads).unwrap();
+                let mut b = GraphBuilder::new("g");
+                let s = b.split(&main, || ToThread(0), || Fan);
+                let m = b.merge(&main, || ToThread(0), Sum::default);
+                if leaves || !node1 {
+                    let near = b.leaf(&main, || ToThread(0), || Work);
+                    let l = b.leaf(&far, || ToThread(1), || Work);
+                    b.add(s >> near >> l >> m);
+                } else {
+                    b.add(s >> m);
+                }
+                eng.build_graph(b).unwrap()
+            });
+            rig.eng.submit(g, Box::new(Job { n: 1 }));
+            let arrival = rig.node1.next();
+            assert_eq!((arrival.thread, arrival.to.node), (1, GNodeId(3)));
+            let ran = rig.node1.serve(arrival);
+            let said = "an arrival for an undeclared thread (SPMD declarations diverged)";
+            assert!(
+                matches!(&ran.reply, Reply::Failed { token: true, error } if error == said),
+                "{:?}",
+                ran.reply
+            );
+            rig.node1.answer(ran);
+            let err = rig.eng.wait_for_outputs(g, 1).unwrap_err();
+            assert!(err.to_string().contains(said), "{err}");
+        }
+    }
+
+    /// Passes its piece on, marking a chunk of seven iterations.
+    struct Marked;
+    impl LeafOperation for Marked {
+        type Thread = ();
+        type In = Piece;
+        type Out = Piece;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+            ctx.mark_chunk(7);
+            ctx.post(p);
+        }
+    }
+
+    /// An operation that marks a chunk on node 1 is timed there, although
+    /// node 1's engine has neither a trace nor a feedback sink: the sink
+    /// that needs the seconds is the routing engine's, and they come back
+    /// in the answer.
+    #[test]
+    fn a_chunk_served_for_another_engine_is_timed() {
+        let (mut rig, g) = rig(|b, main, far| {
+            let s = b.split(main, || ToThread(0), || Fan);
+            let l = b.leaf(far, || ToThread(1), || Marked);
+            let m = b.merge(main, || ToThread(0), Sum::default);
+            b.add(s >> l >> m);
+        });
+        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        let ran = rig.node1.serve(rig.node1.next());
+        assert_eq!(ran.lane.2, 1);
+        assert!(
+            matches!(ran.reports[..], [(7, secs)] if secs >= 0.0),
+            "{:?}",
+            ran.reports
+        );
+        rig.node1.answer(ran);
+        assert_eq!(rig.one_total(g), 0);
+    }
+
+    /// Passes its piece on once the test meets it at the barrier.
+    struct Gated(Arc<Barrier>);
+    impl LeafOperation for Gated {
+        type Thread = ();
+        type In = Piece;
+        type Out = Piece;
+        fn execute(&mut self, ctx: &mut OpCtx<'_, (), Piece>, p: Piece) {
+            self.0.wait();
+            ctx.post(p);
+        }
+    }
+
+    /// A data object node 1 refuses — its token did not decode there — is
+    /// answered in its turn: behind the arrival its thread is still running,
+    /// not ahead of it. The run fails with what the answer says.
+    #[test]
+    fn a_refused_arrival_is_answered_behind_the_one_still_running() {
+        let gate = Arc::new(Barrier::new(2));
+        let (mut rig, g) = rig(|b, main, far| {
+            let s = b.split(main, || ToThread(0), || Fan);
+            let gate = gate.clone();
+            let l = b.leaf(far, || ToThread(1), move || Gated(gate.clone()));
+            let m = b.merge(main, || ToThread(0), Sum::default);
+            b.add(s >> l >> m);
+        });
+        rig.eng.submit(g, Box::new(Job { n: 2 }));
+        let (first, second) = (rig.node1.next(), rig.node1.next());
+        let lane = (second.to.app, second.tc, second.thread);
+        rig.node1.serving.arrive(first);
+        rig.node1.serving.refuse(lane, "did not decode".into());
+        gate.wait();
+        let answer = || (rig.node1.answers.recv_timeout(PATIENCE)).expect("answered");
+        let (ran, failed) = (answer(), answer());
+        assert!(matches!(ran.reply, Reply::Ran { .. }), "{:?}", ran.reply);
+        assert!(
+            matches!(&failed.reply, Reply::Failed { token: true, error } if error == "did not decode"),
+            "{:?}",
+            failed.reply
+        );
+        rig.node1.answer(ran);
+        rig.node1.answer(failed);
+        let err = rig.eng.wait_for_outputs(g, 1).unwrap_err();
+        assert!(err.to_string().contains("did not decode"), "{err}");
     }
 
     /// The arrivals at merge `m` are the posts of one stream wave, `wave`,

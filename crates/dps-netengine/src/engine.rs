@@ -1,21 +1,22 @@
 //! The network engine: one master kernel plus worker kernels, every process
 //! running the same SPMD driver.
 //!
-//! The master embeds an [`MtEngine`] for routing, pins, flows, credits and
-//! service calls, and serves cluster node 0's threads. An arrival for a
-//! thread of node `n` goes to worker rank `n` as a [`Frame::Exec`]
-//! ([`Forward`]); the worker serves it as an `mt` worker would, and one
-//! master thread per rank applies its [`Frame::Done`]s ([`Replies`]).
-//! Workers run the same driver code: their declarations fill the same kind
-//! of table as
-//! the master's (whose [signature](Decls::signature) the master checks
-//! theirs against at the sync barrier), their `submit`s are no-ops, and
+//! Every rank holds an [`MtEngine`] and declares on it. The master's routes
+//! every token, pins every wave, holds every flow and its credits, makes the
+//! service calls, and serves cluster node 0's threads. An arrival for a thread of node `n` goes to worker rank `n` as a
+//! [`Frame::Exec`] ([`Forward`]); the worker's engine serves node `n` for
+//! the master's ([`Serving`]): the thread's own `mt` worker loop runs it and
+//! answers with a [`Frame::Done`] ([`Answers`]), and one master thread per
+//! rank applies those in order ([`Replies`]). Workers run the same driver
+//! code: the master checks their tables' [signature](Decls::signature)
+//! against its own at the sync barrier, their `submit`s are no-ops, and
 //! their `run_to_idle`s block until the master's [`Frame::Release`] of the
 //! run brings its outputs — so driver-side asserts after a run observe
 //! identical outputs on every kernel.
 
 use std::collections::HashMap;
 use std::io;
+use std::num::NonZeroU64;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -23,14 +24,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::Arrival;
-use dps_core::{Decls, DpsError, GraphHandle, Result, TokenBox};
-use dps_mt::{FailHandle, Foreign, Forward, MtConfig, MtEngine, Replies};
+use dps_core::internal::kernel::{Arrival, At};
+use dps_core::internal::Carried;
+use dps_core::{Decls, DpsError, Engine as _, GraphHandle, Result, TokenBox};
+use dps_mt::{Answers, FailHandle, Foreign, Forward, MtConfig, MtEngine, Replies, Serving};
 use dps_obs::{TraceCollector, TraceLog};
 use dps_sched::{ChunkHub, FeedbackSink};
 use dps_serial::{Bytes, Captured, RecvTable};
 
-use crate::exec::{Conn, DeclStore, ExecHost, HubLink, HubRouter, WireMeter};
+use crate::exec::{Conn, HubLink, HubRouter, WireMeter};
 use crate::fault::{arm_duplex, KillTx, NetKill, WireFaults};
 use crate::proto::{self, send_frame, Frame, Payload, Reply, WireLog};
 use crate::transport::{Duplex, FrameRx, LoopbackTransport, TcpTransport, Transport};
@@ -154,9 +156,6 @@ struct MasterShared {
     router: Arc<HubRouter>,
     /// Every deadline the engine enforces.
     timeouts: NetTimeouts,
-    /// The declaration table, frozen and handed to the embedded control
-    /// plane at the first-run barrier.
-    decls: Arc<DeclStore>,
     /// Tombstone flags: `dead[r - 1]` is set once rank `r` is declared
     /// dead (EOF, protocol corruption, or a missed heartbeat budget).
     /// Shared with `router`.
@@ -267,9 +266,13 @@ struct Master {
 
 struct Worker {
     rank: u32,
-    decls: Arc<DeclStore>,
+    /// What this rank declares, and serves its node's threads on.
+    mt: MtEngine,
+    /// Where the reader hands each `Exec`: connected before this rank's
+    /// `Sync` goes out, and the master sends no `Exec` before every `Sync`
+    /// arrived.
+    serving: Arc<OnceLock<Serving>>,
     writer: Arc<Conn>,
-    host: Arc<ExecHost>,
     /// This rank's chunk hub: the leases its ops open live here, the
     /// others are a [`HubLink`] round trip away.
     hub: Arc<ChunkHub>,
@@ -281,7 +284,6 @@ struct Worker {
     synced: bool,
     run_seq: u64,
     release_timeout: Duration,
-    started: Instant,
     threads: Vec<JoinHandle<()>>,
     down: bool,
 }
@@ -299,7 +301,8 @@ fn node_down(host: u32, target: String) -> DpsError {
 
 /// Node 0 lives in the master, node `n` in worker rank `n` (`kernel{n}`):
 /// an arrival for a thread of node `n` is one `Exec` on rank `n`'s FIFO
-/// connection, served by one executor lane in order and answered in order.
+/// connection, served by the thread's worker there in order and answered in
+/// order.
 impl Forward for MasterShared {
     fn forward(&self, a: Foreign) -> Result<()> {
         let conn = (a.node.checked_sub(1)).and_then(|i| self.conns.get(i as usize));
@@ -477,14 +480,16 @@ fn heartbeat_monitor(shared: Arc<MasterShared>, stop: Receiver<()>) {
     }
 }
 
-/// Worker-side reader of the master connection. A `Die` ends a worker
+/// Worker-side reader of the master connection. An `Exec` is decoded here
+/// and handed to the thread's worker ([`arrive`]). A `Die` ends a worker
 /// process at once; an `in_process` rank (see [`NetEngine::loopback`])
 /// dies instead as the kernel buries a killed process: its connection
 /// closes, so the master reads end-of-file, and nothing more is served.
 #[allow(clippy::too_many_arguments)]
 fn worker_reader(
     mut rx: Box<dyn FrameRx>,
-    host: Arc<ExecHost>,
+    rank: u32,
+    serving: Arc<OnceLock<Serving>>,
     hub: Arc<ChunkHub>,
     hub_link: Arc<HubLink>,
     writer: Arc<Conn>,
@@ -495,7 +500,9 @@ fn worker_reader(
     let mut table = RecvTable::default();
     while let Ok(bytes) = rx.recv() {
         match proto::decode_frame_on(bytes, &mut table) {
-            Ok((exec @ Frame::Exec { .. }, captured)) => host.dispatch(exec, captured),
+            Ok((exec @ Frame::Exec { .. }, captured)) => {
+                arrive(serving.get(), rank, exec, &captured, &writer);
+            }
             Ok((Frame::Hub { req, body }, _)) => {
                 // A claim on a lease opened here, relayed by the master.
                 let body = body.serve(&hub);
@@ -512,7 +519,8 @@ fn worker_reader(
             )) => {
                 // A traced worker answers a successful release with its log
                 // of the run, taken (so drained) before the run returns here.
-                if let (None, Some(c)) = (&error, host.trace_collector()) {
+                let traced = serving.get().and_then(Serving::trace_collector);
+                if let (None, Some(c)) = (&error, traced) {
                     let clock = c.clock();
                     let log = WireLog(c.take_log());
                     let _ = writer.send(&Frame::Trace { run, clock, log });
@@ -524,14 +532,14 @@ fn worker_reader(
                 let _ = writer.send(&Frame::Pong);
             }
             Ok((Frame::Die, _)) if in_process => {
-                // No Release handshake, no host teardown: the lanes fail
+                // No Release handshake, no engine teardown: its threads fail
                 // their next send.
                 writer.close();
                 return;
             }
             Ok((Frame::Die, _)) => {
                 // Scheduled crash: die *abruptly* — no Release handshake, no
-                // host teardown — so the master's death detection is
+                // engine teardown — so the master's death detection is
                 // exercised against a real disappearance.
                 std::process::exit(86);
             }
@@ -540,8 +548,67 @@ fn worker_reader(
             Err(_) => break,
         }
     }
-    host.stop();
     let _ = shutdown_tx.send(());
+}
+
+/// Hand `exec`, an `Exec` frame from the master, to worker rank `rank`'s
+/// engine, its token decoded against what the frame `captured` of the
+/// connection's buffer table. One that does not decode is refused, and so
+/// answered `Failed` behind its thread's earlier arrivals.
+fn arrive(
+    serving: Option<&Serving>,
+    rank: u32,
+    exec: Frame<'_>,
+    captured: &Captured,
+    writer: &Conn,
+) {
+    let Frame::Exec {
+        app,
+        tc,
+        thread,
+        graph,
+        node,
+        token,
+        close,
+        env,
+        out_wave,
+        flow,
+    } = exec
+    else {
+        unreachable!("only an Exec frame carries an arrival");
+    };
+    // Set before this rank's `Sync`, which precedes every `Exec` of a master
+    // that keeps to the protocol.
+    let Some(serving) = serving else {
+        let error = "an Exec ahead of this rank's Sync".into();
+        let reply = Reply::Failed {
+            token: close.is_none(),
+            error,
+        };
+        return writer.answer((app, tc, thread), reply, Vec::new(), &[]);
+    };
+    let refuse = |error: String| serving.refuse((app, tc, thread), error);
+    let what = match (close, serving.decls().apps().get(app as usize)) {
+        (Some(total), _) => Arrival::Close(total),
+        (None, Some(a)) => {
+            let decoded = proto::decode_received(&a.registry, &token.into_bytes(), captured);
+            match decoded {
+                Ok(token) => Arrival::Token(Carried::from_box(token)),
+                Err(e) => return refuse(e.to_string()),
+            }
+        }
+        (None, None) => return refuse(format!("a token of undeclared application {app}")),
+    };
+    serving.arrive(Foreign {
+        to: At { app, graph, node },
+        tc,
+        thread,
+        node: rank,
+        what,
+        env,
+        sent: NonZeroU64::new(flow),
+        out_wave,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -800,7 +867,7 @@ impl NetEngine {
     pub fn trace_collector(&self) -> Option<Arc<TraceCollector>> {
         match &self.role {
             Role::Master(m) => m.trace.clone(),
-            Role::Worker(w) => w.host.trace_collector(),
+            Role::Worker(w) => w.mt.trace_collector(),
         }
     }
 
@@ -918,7 +985,6 @@ impl Master {
             hub: Arc::new(ChunkHub::homed(0, Some(router.clone()))),
             router,
             timeouts: cfg.timeouts,
-            decls: DeclStore::over(nodes),
             dead,
             last_rx: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
             epoch: Instant::now(),
@@ -967,15 +1033,15 @@ impl Master {
     }
 
     /// First-submit barrier: wait for every worker's declaration signature,
-    /// refuse divergent schedules, then hand the finished table to the
-    /// embedded engine, have it serve node 0 alone and forward the rest,
-    /// and start one reply thread per worker rank.
+    /// refuse divergent schedules, then have the embedded engine serve node
+    /// 0 alone and forward the rest, and start one reply thread per worker
+    /// rank.
     fn ensure_net_ready(&mut self) -> Result<()> {
         if self.ready {
             return Ok(());
         }
-        let table = self.shared.decls.frozen();
-        let expect = table.signature();
+        // The table is still open: the engine starts below.
+        let expect = self.mt.declare(|d| d.signature());
         let owed = vec![true; self.shared.conns.len()];
         let missing = self.gather(owed, &self.sync_rx, |rank, (sig, bytes)| {
             self.shared.meter.count(bytes);
@@ -999,7 +1065,6 @@ impl Master {
                 ),
             });
         }
-        self.mt.adopt(table);
         if !self.shared.conns.is_empty() {
             self.mt.set_forward(0, self.shared.clone());
             for (rank, dones) in (1..).zip(std::mem::take(&mut self.dones)) {
@@ -1192,19 +1257,20 @@ impl Worker {
         duplex: Duplex,
         in_process: bool,
     ) -> Worker {
-        let decls = DeclStore::over(nodes);
         let writer = Arc::new(Conn::new(duplex.tx, Arc::default()));
-        let host = Arc::new(ExecHost::new(decls.clone(), writer.clone(), rank as u16));
+        let serving = Arc::new(OnceLock::new());
         let hub_link = Arc::new(HubLink::new(writer.clone(), cfg.timeouts.exec));
         let hub = Arc::new(ChunkHub::homed(rank, Some(hub_link.clone())));
         let (release_tx, release_rx) = unbounded();
         let (shutdown_tx, shutdown_rx) = unbounded();
         let reader = {
-            let (host, hub, writer, rx) = (host.clone(), hub.clone(), writer.clone(), duplex.rx);
+            let (serving, hub, writer, rx) =
+                (serving.clone(), hub.clone(), writer.clone(), duplex.rx);
             spawn(format!("dps-net-reader-rank{rank}"), move || {
                 worker_reader(
                     rx,
-                    host,
+                    rank,
+                    serving,
                     hub,
                     hub_link,
                     writer,
@@ -1216,9 +1282,9 @@ impl Worker {
         };
         Worker {
             rank,
-            decls,
+            mt: MtEngine::with_config(nodes, cfg.mt.clone()),
+            serving,
             writer,
-            host,
             hub,
             outputs: HashMap::new(),
             release_rx,
@@ -1226,18 +1292,21 @@ impl Worker {
             synced: false,
             run_seq: 0,
             release_timeout: cfg.timeouts.release(cfg.mt.run_timeout),
-            started: Instant::now(),
             threads: vec![reader],
             down: false,
         }
     }
 
+    /// Declarations are over: the engine starts serving this rank's node
+    /// for the master's, and the `Sync` tells the master which table.
     fn sync_once(&mut self) {
         if self.synced {
             return;
         }
         self.synced = true;
-        let sig = self.decls.with(Decls::signature);
+        let serving = self.mt.serve_for(self.rank, self.writer.clone());
+        let sig = serving.decls().signature();
+        let _ = self.serving.set(serving);
         let _ = self.writer.send(&Frame::Sync { sig });
     }
 
@@ -1254,18 +1323,17 @@ impl Worker {
             Ok((_, Some(error), ..)) => error,
             Ok((_, None, outputs, captured)) => {
                 let kept = self.outputs.entry((g.app, g.graph)).or_default();
-                self.decls.with(|d| {
-                    let registry = d.apps().get(g.app as usize).map(|a| &a.registry);
-                    for token in &outputs {
-                        match registry.map(|r| proto::decode_received(r, token, &captured)) {
-                            Some(Ok(tok)) => kept.push(tok),
-                            _ => eprintln!(
-                                "dps-netengine: dropping undecodable output of app {}",
-                                g.app
-                            ),
-                        }
+                let decls = self.serving.get().expect("synced").decls();
+                let registry = decls.apps().get(g.app as usize).map(|a| &a.registry);
+                for token in &outputs {
+                    match registry.map(|r| proto::decode_received(r, token, &captured)) {
+                        Some(Ok(tok)) => kept.push(tok),
+                        _ => eprintln!(
+                            "dps-netengine: dropping undecodable output of app {}",
+                            g.app
+                        ),
                     }
-                });
+                }
                 return Ok(());
             }
             Err(_) => format!(
@@ -1285,7 +1353,7 @@ impl Worker {
         // Hold the process open until the master says the run is over (the
         // reader forwards its exit on either Shutdown or a closed socket).
         let _ = self.shutdown_rx.recv_timeout(self.release_timeout);
-        self.host.stop();
+        self.mt.shutdown();
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -1310,14 +1378,12 @@ impl dps_core::Engine for NetEngine {
         }
     }
 
-    /// Every role declares on a table of its own kernel, closed once the
-    /// master froze its own at the first-run barrier.
+    /// Every role declares on its own engine, until that engine starts.
     fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        let decls = match &self.role {
-            Role::Master(m) => &m.shared.decls,
-            Role::Worker(w) => &w.decls,
-        };
-        decls.update(f)
+        match &mut self.role {
+            Role::Master(m) => m.mt.declare(f),
+            Role::Worker(w) => w.mt.declare(f),
+        }
     }
 
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
@@ -1341,10 +1407,9 @@ impl dps_core::Engine for NetEngine {
                 m.trace = Some(sink);
             }
             Role::Worker(w) => {
-                // Worker lanes record locally; the log ships to the master
-                // in the `Trace` answering each successful `Release`.
-                assert!(!w.synced, "register the trace sink before the first run");
-                w.host.set_trace(sink);
+                // A worker's threads record locally; the log ships to the
+                // master in the `Trace` answering each successful `Release`.
+                w.mt.set_trace_sink(sink);
             }
         }
     }
@@ -1391,7 +1456,7 @@ impl dps_core::Engine for NetEngine {
     fn now_secs(&self) -> f64 {
         match &self.role {
             Role::Master(m) => m.mt.elapsed().as_secs_f64(),
-            Role::Worker(w) => w.started.elapsed().as_secs_f64(),
+            Role::Worker(w) => w.mt.elapsed().as_secs_f64(),
         }
     }
 
@@ -1882,5 +1947,88 @@ mod tests {
         shared.closing.store(true, Ordering::Release);
         drop(far);
         eng.shutdown();
+    }
+
+    /// A worker answers an `Exec` it cannot serve `Failed`, so the master
+    /// fails its run at once instead of waiting out a timeout: one ahead of
+    /// the rank's `Sync` (only a master that breaks the protocol sends it),
+    /// and a token that does not decode, whose answer its thread gives.
+    #[test]
+    fn an_exec_the_worker_cannot_serve_is_answered_failed() {
+        let t = LoopbackTransport::new();
+        let (addr, mut acceptor) = t.bind().unwrap();
+        let worker_side = t.connect(&addr).unwrap();
+        let master_side = acceptor.accept().unwrap();
+        let writer = Arc::new(Conn::new(worker_side.tx, Arc::default()));
+        let hub_link = Arc::new(HubLink::new(writer.clone(), PATIENCE));
+        let hub = Arc::new(ChunkHub::homed(1, Some(hub_link.clone())));
+        let (release_tx, _release_rx) = unbounded();
+        let (shutdown_tx, shutdown_rx) = unbounded();
+        let serving = Arc::new(OnceLock::new());
+        let reader = {
+            let (rx, serving, w) = (worker_side.rx, serving.clone(), writer.clone());
+            spawn("reader".into(), move || {
+                let (link, sent) = (hub_link, shutdown_tx);
+                worker_reader(rx, 1, serving, hub, link, w, release_tx, sent, true)
+            })
+        };
+        let master = Conn::new(master_side.tx, Arc::default());
+        let mut rx = master_side.rx;
+        // With `ping`, a `Ping` follows the `Exec`, and the reader answers
+        // it behind the `Done` it wrote itself: a dropped `Exec` reads as a
+        // `Pong`.
+        let mut failed = |token: Payload<'_>, close, ping: bool| {
+            let exec = Frame::Exec {
+                app: 0,
+                tc: 0,
+                thread: 0,
+                graph: 0,
+                node: dps_core::GNodeId(0),
+                token,
+                close,
+                env: dps_core::Envelope::root(),
+                out_wave: 0,
+                flow: 0,
+            };
+            master.send(&exec).unwrap();
+            if ping {
+                master.send(&Frame::Ping).unwrap();
+            }
+            let failed = match proto::decode_frame(rx.recv().unwrap()).unwrap() {
+                Frame::Done {
+                    reply: Reply::Failed { token, error },
+                    posts,
+                    reports,
+                    ..
+                } if posts.is_empty() && reports.is_empty() => (token, error),
+                other => panic!("expected a failed Done, got {other:?}"),
+            };
+            if ping {
+                let pong = proto::decode_frame(rx.recv().unwrap()).unwrap();
+                assert_eq!(pong, Frame::Pong);
+            }
+            failed
+        };
+        let (token, error) = failed(Payload::empty(), Some(3), true);
+        assert!(
+            !token && error.contains("ahead of this rank's Sync"),
+            "{error}"
+        );
+
+        let mut mt = MtEngine::new(2);
+        let app = mt.app("served");
+        let _: dps_core::ThreadCollection<()> = mt.thread_collection(app, "t", "node1").unwrap();
+        let _ = serving.set(mt.serve_for(1, writer));
+        let garbage = Payload::Bytes(Bytes::from(vec![0xff; 6]));
+        let (token, error) = failed(garbage, None, false);
+        assert!(
+            token && error.contains("unexpected end of wire data"),
+            "{error}"
+        );
+
+        master.send(&Frame::Shutdown).unwrap();
+        shutdown_rx.recv_timeout(PATIENCE).unwrap();
+        reader.join().unwrap();
+        mt.shutdown();
     }
 }

@@ -1,65 +1,26 @@
-//! Worker-side execution: the lock around the declaration table, the
-//! connection writer every task of a kernel sends through ([`Conn`]), the
-//! per-thread executor host that serves the [`Frame::Exec`] arrivals of the
-//! threads its node hosts, and the two ends of the chunk-hub protocol
-//! ([`HubLink`] on a worker, [`HubRouter`] on the master).
-//!
-//! A worker kernel serves its own threads' arrivals as an `mt` worker does:
-//! the [`ExecHost`] runs one executor lane per (application, collection,
-//! thread), which owns the thread's data, instances and waves. The master
-//! keeps routing, pins, flows and credits, and applies the `Done`s.
+//! Worker-side execution: the connection writer every thread of a kernel
+//! sends through ([`Conn`]), which is also how a worker rank's `MtEngine`
+//! answers the [`Frame::Exec`] arrivals it serves ([`Answers`]), and the two
+//! ends of the chunk-hub protocol ([`HubLink`] on a worker, [`HubRouter`] on
+//! the master).
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::io;
-use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dps_core::internal::kernel::{self, Arrival, At, Instances, Rec, Serve, Tracer};
-use dps_core::internal::{Carried, ExecInfo, OpOutput};
-use dps_core::{Decls, DpsError, Envelope, GNodeId};
-use dps_obs::{Counter, MetricsRegistry, TraceCollector};
+use dps_core::internal::Carried;
+use dps_mt::Answers;
+use dps_obs::{Counter, MetricsRegistry};
 use dps_sched::remote::{HubRequest, HubResponse, RemoteHub};
 use dps_sched::{Chunk, ChunkHub};
-use dps_serial::{Bytes, Captured, SendTable};
+use dps_serial::SendTable;
 use parking_lot::Mutex;
 
-use crate::proto::{self, Frame, Payload, Reply};
+use crate::proto::{Frame, Payload, Reply};
 use crate::transport::FrameTx;
-
-/// The declaration table, shared between the declaring role and the
-/// executors. An executor reads it only after the table is complete: the
-/// master sends no `Exec` before the sync barrier — every worker declared
-/// everything.
-pub(crate) struct DeclStore(Mutex<Arc<Decls>>);
-
-impl DeclStore {
-    /// An empty table over a cluster of `nodes` nodes, `node0..`.
-    pub fn over(nodes: usize) -> Arc<Self> {
-        let decls = Decls::new(dps_cluster::ClusterSpec::uniform(nodes, 1));
-        Arc::new(Self(Mutex::new(Arc::new(decls))))
-    }
-
-    pub fn with<R>(&self, f: impl FnOnce(&Decls) -> R) -> R {
-        f(&self.0.lock())
-    }
-
-    /// Declare under the lock.
-    pub fn update<R>(&self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        f(Arc::get_mut(&mut self.0.lock()).expect("declarations precede the first run"))
-    }
-
-    /// The finished table, to be read without this lock from now on. While
-    /// anyone holds it, [`update`](Self::update) panics: every declaration
-    /// precedes the first run.
-    pub fn frozen(&self) -> Arc<Decls> {
-        self.0.lock().clone()
-    }
-}
 
 /// The frames one kernel moves, counted where they pass rank 0. The
 /// topology is a star, so what the master sends plus what it receives is
@@ -133,271 +94,25 @@ impl Conn {
     }
 }
 
-/// One arrival, as dispatched to an executor lane.
-struct Job {
-    graph: u32,
-    node: GNodeId,
-    /// The tagged token — a view into the received `Exec` frame — or, for a
-    /// close, nothing.
-    token: Bytes,
-    /// The wave's total, for a close.
-    close: Option<u32>,
-    /// What the frame captured of the connection's buffer table.
-    shared: Captured,
-    env: Envelope,
-    out_wave: u64,
-    flow: u64,
-}
-
-/// The per-thread executor pool of one worker kernel.
-pub(crate) struct ExecHost {
-    decls: Arc<DeclStore>,
-    writer: Arc<Conn>,
-    /// Cluster node this host executes for — the `node` coordinate of every
-    /// trace event its lanes record.
-    rank: u16,
-    /// Trace sink, attached before the first run (like every declaration on
-    /// this engine). Lanes snapshot it when they spawn.
-    trace: Mutex<Option<Arc<TraceCollector>>>,
-    lanes: Mutex<HashMap<(u32, u32, u32), Sender<Job>>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl ExecHost {
-    pub fn new(decls: Arc<DeclStore>, writer: Arc<Conn>, rank: u16) -> Self {
-        Self {
-            decls,
-            writer,
-            rank,
-            trace: Mutex::new(None),
-            lanes: Mutex::new(HashMap::new()),
-            threads: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Attach the trace collector executor lanes record into. Must precede
-    /// the first dispatched job of a traced run (lanes capture the sink as
-    /// they spawn).
-    pub fn set_trace(&self, collector: Arc<TraceCollector>) {
-        *self.trace.lock() = Some(collector);
-    }
-
-    /// The attached collector, if any.
-    pub fn trace_collector(&self) -> Option<Arc<TraceCollector>> {
-        self.trace.lock().clone()
-    }
-
-    /// Route the arrival of an `Exec` frame, and what the frame captured of
-    /// the connection's buffer table, to its thread's executor lane,
-    /// spawning the lane on first use. The arrivals of one (app, tc,
-    /// thread) are served serially in arrival order — the order the thread
-    /// would take them in locally.
-    pub fn dispatch(&self, exec: Frame<'_>, shared: Captured) {
-        let Frame::Exec {
-            app,
-            tc,
-            thread,
-            graph,
-            node,
-            token,
-            close,
-            env,
-            out_wave,
-            flow,
-        } = exec
-        else {
-            unreachable!("only an Exec frame carries an arrival");
-        };
-        // The signature barrier promised one table on both ends; what comes
-        // over the wire is checked against it all the same.
-        let declared = self.decls.with(|d| {
-            let a = d.apps().get(app as usize);
-            let tcd = a.and_then(|a| a.tcs.get(tc as usize));
-            let def = a.and_then(|a| a.graphs.get(graph as usize));
-            tcd.is_some_and(|c| (thread as usize) < c.nodes.len())
-                && def.is_some_and(|def| (node.0 as usize) < def.nodes().len())
-        });
-        if !declared {
-            let error = "an arrival for an undeclared thread (SPMD declarations diverged)".into();
-            let token = close.is_none();
-            let reply = Reply::Failed { token, error };
-            let (posts, reports) = (Vec::new(), Vec::new());
-            let done = Frame::Done {
-                app,
-                tc,
-                thread,
-                reply,
-                posts,
-                reports,
-            };
-            let _ = self.writer.send(&done);
-            return;
-        }
-        let token = token.into_bytes();
-        let job = Job {
-            graph,
-            node,
-            token,
-            close,
-            shared,
-            env,
-            out_wave,
-            flow,
-        };
-        let mut lanes = self.lanes.lock();
-        let tx = lanes.entry((app, tc, thread)).or_insert_with(|| {
-            let (tx, rx) = unbounded();
-            let (decls, writer) = (self.decls.frozen(), self.writer.clone());
-            let (rank, trace) = (self.rank, self.trace.lock().clone());
-            let key = (app, tc, thread);
-            let spawned = std::thread::Builder::new()
-                .name(format!("dps-net-a{app}t{tc}i{thread}"))
-                .spawn(move || executor_loop(&decls, &writer, rank, key, trace, rx))
-                .expect("spawn executor lane");
-            self.threads.lock().push(spawned);
-            tx
-        });
-        let _ = tx.send(job);
-    }
-
-    /// Close every lane and join the executors (pending tasks finish
-    /// first).
-    pub fn stop(&self) {
-        self.lanes.lock().clear();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// One executor lane: the data, the operation instances and the waves of
-/// one DPS thread, served in arrival order with one `Done` per arrival that
-/// calls for one, in that same order.
-fn executor_loop(
-    decls: &Decls,
-    writer: &Conn,
-    rank: u16,
-    (app, tc, thread): (u32, u32, u32),
-    trace: Option<Arc<TraceCollector>>,
-    rx: Receiver<Job>,
-) {
-    let mut lane = Thread {
-        decls,
-        app,
-        data: (decls.apps()[app as usize].tcs[tc as usize].factory)(),
-        inst: Instances::default(),
-        info: ExecInfo::wall_clock(thread as usize, decls.threads(app, tc)),
-        // On the thread's node, at its index among the threads that node
-        // hosts.
-        tracer: trace.map(|c| Tracer::new(c, (rank, decls.node_thread(app, tc, thread) as u16))),
-        out: OpOutput::default(),
-    };
-    while let Ok(job) = rx.recv() {
-        let token = job.close.is_none();
-        let (reply, call, reports) = match lane.serve(job) {
-            Ok(Some(outcome)) => outcome,
-            Ok(None) => continue,
-            Err(e) => {
-                lane.out.posts.clear();
-                let error = e.to_string();
-                (Reply::Failed { token, error }, None, Vec::new())
-            }
-        };
-        // The posted tokens, or a call's one token, are encoded once,
-        // straight into the reply.
-        let posts = match &call {
-            Some(token) => vec![Payload::Token(&**token)],
-            None => (lane.out.posts.iter())
-                .map(|p| Payload::Token(&*p.token))
-                .collect(),
-        };
-        let sent = writer.send(&Frame::Done {
+/// A worker rank's answers: one `Done` each, written in the order its
+/// threads give them, so the posts are encoded once, straight into the
+/// frame. A master that is gone costs the answer, nothing else.
+impl Answers for Conn {
+    fn answer(
+        &self,
+        (app, tc, thread): (u32, u32, u32),
+        reply: Reply,
+        posts: Vec<Carried>,
+        reports: &[(u64, f64)],
+    ) {
+        let _ = self.send(&Frame::Done {
             app,
             tc,
             thread,
             reply,
-            posts,
-            reports,
+            posts: posts.iter().map(|t| Payload::Token(&**t)).collect(),
+            reports: reports.to_vec(),
         });
-        lane.out.posts.clear();
-        if sent.is_err() {
-            // The master is gone; nothing left to serve for.
-            break;
-        }
-    }
-    if let Some(t) = &lane.tracer {
-        t.collector().drain();
-    }
-}
-
-/// What a lane answers an arrival with: the reply, a call's token, and the
-/// `(iters, secs)` of the chunks the operation completed.
-type Outcome = (Reply, Option<Carried>, Vec<(u64, f64)>);
-
-/// The DPS thread an executor lane serves, between its arrivals.
-struct Thread<'a> {
-    decls: &'a Decls,
-    app: u32,
-    data: Box<dyn Any + Send>,
-    /// The thread's operation instances and the waves it consumes.
-    inst: Instances,
-    info: ExecInfo,
-    tracer: Option<Tracer>,
-    /// What the lane's operations post, reused from arrival to arrival.
-    out: OpOutput,
-}
-
-impl Thread<'_> {
-    /// What an `mt` worker does with a message: [`kernel::serve`], then the
-    /// operation it calls for, whose posts are left in `out`. `None` for a
-    /// close that finds data objects missing, which is not answered.
-    fn serve(&mut self, job: Job) -> Result<Option<Outcome>, DpsError> {
-        let at = At {
-            app: self.app,
-            graph: job.graph,
-            node: job.node,
-        };
-        let what = match job.close {
-            Some(total) => Arrival::Close(total),
-            None => {
-                let registry = self.decls.registry(at.app);
-                let token = proto::decode_received(registry, &job.token, &job.shared)?;
-                Arrival::Token(Carried::from_box(token))
-            }
-        };
-        let sent = NonZeroU64::new(job.flow);
-        if let (Some(t), Arrival::Token(tok), Some(sent)) = (&mut self.tracer, &what, sent) {
-            let (track, now) = (t.writer().track(), t.collector().now_nanos());
-            kernel::took(Rec::at(t, track, now), &**tok, &job.env, sent);
-        }
-        let wave = kernel::env_wave(&job.env);
-        let served = kernel::serve(self.decls, &mut self.inst, at, what, job.env, || {
-            job.out_wave
-        });
-        let (ready, then) = match served? {
-            Serve::Run(ready, then) => (ready, then),
-            Serve::Call(at, env, token) => {
-                return Ok(Some((Reply::Call { at, env }, Some(token), Vec::new())))
-            }
-            Serve::Wait => return Ok(None),
-        };
-        let t0 = Instant::now();
-        ready.run(self.data.as_mut(), self.info, &mut self.out)?;
-        let took = t0.elapsed();
-        if let Some(key) = then.completed() {
-            self.inst.waves.remove(key);
-        }
-        let marked = self.out.completed_iters;
-        if let Some(t) = &mut self.tracer {
-            let start = t.collector().stamp(t0);
-            let end = start + took.as_nanos() as u64;
-            let track = t.writer().track();
-            let rec = Rec::at(t, track, end).op(start, end);
-            let name = &self.decls.def(at.app, at.graph).node(at.node).name;
-            kernel::ran(rec, at, name, wave, marked);
-        }
-        let reports = Vec::from_iter(marked.map(|iters| (iters, took.as_secs_f64())));
-        Ok(Some((Reply::Ran { then }, None, reports)))
     }
 }
 
@@ -407,7 +122,7 @@ impl Thread<'_> {
 
 /// Park the calling op until its hub operation is answered. A reply slot
 /// dropped unanswered and an expired wait both read as "no answer", which
-/// callers turn into the unknown-lease result — an executor lane always
+/// callers turn into the unknown-lease result — a worker thread always
 /// lives to send its `Done`.
 fn await_hub_reply(rx: &Receiver<HubResponse>, exec: Duration) -> Option<HubResponse> {
     match rx.recv_timeout(exec) {
@@ -634,9 +349,10 @@ impl RemoteHub for HubRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto;
     use crate::transport::{FrameRx, LoopbackTransport, TcpTransport, Transport};
     use dps_sched::{ChunkCalc, PolicyKind};
-    use dps_serial::{Buffer, RecvTable, Vector};
+    use dps_serial::{Buffer, Bytes, Captured, RecvTable, Vector};
     use std::sync::Barrier;
     use std::thread::JoinHandle;
 

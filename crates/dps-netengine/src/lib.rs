@@ -13,12 +13,14 @@
 //!   calls, and serves node 0's threads; an arrival for a thread of node
 //!   `n` goes to worker rank `n` (`dps_mt::Forward`), and one master thread
 //!   per rank applies what comes back (`dps_mt::Replies`).
-//! * **Workers** record the driver's declarations (verified against the
-//!   master's by signature at the sync barrier), serve their own threads'
-//!   arrivals as an `mt` worker does — `kernel::serve`, then the operation,
-//!   with real per-thread state — claim scheduled-loop chunks
-//!   from the [`ChunkHub`](dps_sched::ChunkHub) of the rank that opened
-//!   the lease — their own memory for a lease they opened, the wire
+//! * **Workers** declare on an `MtEngine` of their own (verified against
+//!   the master's by signature at the sync barrier), which serves their
+//!   node's threads for the master's engine (`dps_mt::Serving`): each
+//!   arrival runs on its thread's own `mt` worker loop — `kernel::serve`,
+//!   then the operation, with real per-thread state — and its answer goes
+//!   back as a `Done` (`dps_mt::Answers`). They claim scheduled-loop
+//!   chunks from the [`ChunkHub`](dps_sched::ChunkHub) of the rank that
+//!   opened the lease — their own memory for a lease they opened, the wire
 //!   otherwise — and receive every run's outputs in the frame that
 //!   releases the run, so SPMD asserts hold on all kernels.
 //!
@@ -28,7 +30,7 @@
 //! ([`NetEngine::from_env`]), an in-memory loopback with identical
 //! semantics between the ranks [`NetEngine::loopback`] runs on threads of
 //! one process, each the same master or worker role a process runs — and
-//! every rank, connection reader and executor lane is an OS thread of its
+//! every rank, connection reader and DPS thread is an OS thread of its
 //! own. Each connection keeps a table of the shared `Buffer`s it has
 //! carried, so a block many tasks hold crosses it once (see [`proto`]).
 //!

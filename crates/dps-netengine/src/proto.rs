@@ -30,7 +30,7 @@
 //! | `Hub` | requester → home, through rank 0 | one [`HubRequest`] on a lease opened at another rank |
 //! | `HubReply` | home → requester, through rank 0 | the matching [`HubResponse`] |
 //! | `Release` | master → worker | one `run_to_idle` finished: the outputs it drained, so SPMD asserts see them, or its error |
-//! | `Shutdown` | master → worker | the run is over; stop executors and exit |
+//! | `Shutdown` | master → worker | the run is over; stop serving and exit |
 //! | `Trace` | worker → master | a traced worker's answer to a successful `Release`: its trace log of the run ([`WireLog`]) and its clock |
 //! | `Ping` | master → worker | liveness probe; a healthy worker answers immediately |
 //! | `Pong` | worker → master | the `Ping` answer; resets the miss budget |
@@ -201,7 +201,7 @@ pub enum Frame<'a> {
         /// the graph its own `run_to_idle` was asked to run.
         outputs: Vec<Payload<'a>>,
     },
-    /// The engine is shutting down; stop executors and exit.
+    /// The engine is shutting down; stop serving and exit.
     Shutdown,
     /// A traced worker's answer to a successful `Release`: its trace log of
     /// the run, taken (and so drained) before its `run_to_idle` returns. An

@@ -407,6 +407,41 @@ fn a_delivery_waiting_for_a_dead_nodes_cpu_moves_off_it() {
     assert_eq!(eng.requeued(), 1, "the item waiting for node1's CPU moved");
 }
 
+/// node1 hosts two of the three threads of a round-robin leaf and is dead
+/// before the batch arrives. The second item's turn falls on node1's first
+/// thread and the next turn on its second: the leaf steps past both in the
+/// load snapshot, so every item runs on node0 and the wave completes.
+#[test]
+fn a_round_robin_leaf_steps_past_every_thread_of_a_dead_node() {
+    let mut eng = SimEngine::new(ClusterSpec::uniform(2, 1));
+    let app = eng.app("turns");
+    eng.preload_app(app);
+    let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
+    let workers: ThreadCollection<()> = eng
+        .thread_collection(app, "workers", "node0 node1 node1")
+        .unwrap();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let leaf_log = log.clone();
+    let mut b = GraphBuilder::new("turns");
+    let split = b.split(&main, || ToThread(0), || Fan);
+    let leaf = b.leaf(&workers, RoundRobin::new, move || Logged {
+        log: leaf_log.clone(),
+    });
+    let merge = b.merge(&main, || ToThread(0), Count::default);
+    b.add(split >> leaf >> merge);
+    let g = eng.build_graph(b).unwrap();
+    eng.fail_node(NodeId(1)).unwrap();
+    eng.inject(g, Batch { n: 3 }).unwrap();
+    eng.run_until_idle().unwrap();
+
+    let out = eng.take_outputs(g);
+    assert_eq!(out.len(), 1);
+    let (_, total) = out.into_iter().next().unwrap();
+    assert_eq!(downcast::<Total>(total).unwrap().n, 3);
+    let threads: Vec<usize> = log.lock().unwrap().iter().map(|&(t, _)| t).collect();
+    assert_eq!(threads, [0, 0, 0], "every item ran on node0");
+}
+
 /// Start instants of the logged leaf on `workers` of a two-node cluster
 /// whose nodes have `cpus` CPUs each, for a batch of `items`.
 fn starts_on(cpus: usize, workers: &str, items: u32) -> Vec<(usize, u64)> {
