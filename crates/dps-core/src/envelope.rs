@@ -10,6 +10,7 @@
 //! stack for inter-application graph calls.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use dps_serial::{impl_wire, Wire};
 
@@ -104,69 +105,66 @@ impl_wire!(CallFrame {
     call_id
 });
 
-/// How many frames a [`Frames`] stack holds in place before it moves to the
-/// heap.
-const INLINE: usize = 2;
-
-/// What fills a slot of the inline array that holds no frame.
-const VACANT: Frame = Frame {
-    src: GNodeId(0),
-    wave: 0,
-    index: 0,
-    total: None,
-};
-
 /// The split-nesting stack of an [`Envelope`], innermost frame last.
 ///
-/// Up to two frames live in place, so an envelope of nesting depth ≤ 2 is
-/// cloned without a heap block; the third push moves the stack into a
-/// `Vec`, where it stays. Either way it reads as a slice of frames
-/// (`Deref<Target = [Frame]>`) and compares as one, and its wire encoding
-/// is byte for byte that of a `Vec<Frame>`.
-#[derive(Clone)]
+/// One frame lives in place, so an envelope of nesting depth ≤ 1 is cloned
+/// without a heap block. A deeper stack sits behind one pointer, in one
+/// block that holds exactly its frames: cloning it, or pushing a second or
+/// later frame, takes one block. The whole stack is 24 bytes, one
+/// [`Frame`]: the tag sits in the niche of [`Frame::total`]. Either way it
+/// reads as a slice of frames (`Deref<Target = [Frame]>`) and compares as
+/// one, and its wire encoding is byte for byte that of a `Vec<Frame>`.
+#[derive(Clone, Default)]
 pub struct Frames(Stack);
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 enum Stack {
-    /// The first `.0` slots hold the frames.
-    Inline(u8, [Frame; INLINE]),
-    /// Pushed past [`INLINE`] frames at some point.
-    Spilled(Vec<Frame>),
+    #[default]
+    Root,
+    One(Frame),
+    /// Two frames or more.
+    Many(Box<[Frame]>),
 }
 
 impl Frames {
     /// No frame: the stack of a root envelope.
     pub const fn new() -> Self {
-        Frames(Stack::Inline(0, [VACANT; INLINE]))
+        Frames(Stack::Root)
+    }
+
+    /// The stack that holds `frames`.
+    fn of(frames: &[Frame]) -> Self {
+        Frames(match frames {
+            [] => Stack::Root,
+            [frame] => Stack::One(*frame),
+            _ => Stack::Many(frames.into()),
+        })
+    }
+
+    /// This stack with `frame` on top, in one block at most.
+    pub fn pushed(&self, frame: Frame) -> Self {
+        Frames(match &self.0 {
+            Stack::Root => Stack::One(frame),
+            Stack::One(below) => Stack::Many(Box::new([*below, frame])),
+            Stack::Many(below) => {
+                let mut frames = Vec::with_capacity(below.len() + 1);
+                frames.extend_from_slice(below);
+                frames.push(frame);
+                Stack::Many(frames.into_boxed_slice())
+            }
+        })
     }
 
     /// Push `frame` on top.
     pub fn push(&mut self, frame: Frame) {
-        match &mut self.0 {
-            Stack::Inline(len, slots) if usize::from(*len) < INLINE => {
-                slots[usize::from(*len)] = frame;
-                *len += 1;
-            }
-            Stack::Inline(_, slots) => {
-                let mut spilled = Vec::with_capacity(2 * INLINE);
-                spilled.extend_from_slice(slots);
-                spilled.push(frame);
-                self.0 = Stack::Spilled(spilled);
-            }
-            Stack::Spilled(frames) => frames.push(frame),
-        }
+        *self = self.pushed(frame);
     }
 
     /// Pop the top frame; `None` on an empty stack.
     pub fn pop(&mut self) -> Option<Frame> {
-        match &mut self.0 {
-            Stack::Inline(0, _) => None,
-            Stack::Inline(len, slots) => {
-                *len -= 1;
-                Some(slots[usize::from(*len)])
-            }
-            Stack::Spilled(frames) => frames.pop(),
-        }
+        let (&top, rest) = self.split_last()?;
+        *self = Self::of(rest);
+        Some(top)
     }
 
     /// Push each of `frames` in order.
@@ -179,13 +177,7 @@ impl Frames {
     /// Whether the frames live on the heap.
     #[cfg(test)]
     fn is_spilled(&self) -> bool {
-        matches!(self.0, Stack::Spilled(_))
-    }
-}
-
-impl Default for Frames {
-    fn default() -> Self {
-        Self::new()
+        matches!(self.0, Stack::Many(_))
     }
 }
 
@@ -193,8 +185,9 @@ impl Deref for Frames {
     type Target = [Frame];
     fn deref(&self) -> &[Frame] {
         match &self.0 {
-            Stack::Inline(len, slots) => &slots[..usize::from(*len)],
-            Stack::Spilled(frames) => frames,
+            Stack::Root => &[],
+            Stack::One(frame) => std::slice::from_ref(frame),
+            Stack::Many(frames) => frames,
         }
     }
 }
@@ -202,8 +195,9 @@ impl Deref for Frames {
 impl DerefMut for Frames {
     fn deref_mut(&mut self) -> &mut [Frame] {
         match &mut self.0 {
-            Stack::Inline(len, slots) => &mut slots[..usize::from(*len)],
-            Stack::Spilled(frames) => frames,
+            Stack::Root => &mut [],
+            Stack::One(frame) => std::slice::from_mut(frame),
+            Stack::Many(frames) => frames,
         }
     }
 }
@@ -232,28 +226,99 @@ impl Wire for Frames {
         }
     }
     fn decode(r: &mut dps_serial::Reader<'_>) -> std::result::Result<Self, dps_serial::WireError> {
-        let len = r.get_len()?;
-        let mut frames = Frames::new();
-        for _ in 0..len {
-            frames.push(Frame::decode(r)?);
-        }
-        Ok(frames)
+        Ok(Frames(match r.get_len()? {
+            0 => Stack::Root,
+            1 => Stack::One(Frame::decode(r)?),
+            len => {
+                let mut frames = Vec::with_capacity(len);
+                for _ in 0..len {
+                    frames.push(Frame::decode(r)?);
+                }
+                Stack::Many(frames.into_boxed_slice())
+            }
+        }))
     }
 }
 
-/// The full control structure on a circulating token.
+/// The inter-application call stack of an [`Envelope`], innermost call
+/// last: one pointer, null outside any graph call.
 ///
-/// Cloning one of nesting depth ≤ 2 outside any graph call allocates
-/// nothing: the frames sit in place ([`Frames`]) and an empty call stack
-/// has no heap block. A flow keeps the envelope its wave's posts travel
-/// under once and frames each post as it releases it
-/// (`kernel::Flow::pop`), so a post costs no envelope until it leaves.
+/// Clones share the calls; a push onto a shared stack copies it first. It
+/// reads, compares and hashes as a slice of call frames, and its wire
+/// encoding is byte for byte that of a `Vec<CallFrame>`.
+#[derive(Clone, Default)]
+pub struct Calls(Option<Arc<Vec<CallFrame>>>);
+
+impl Calls {
+    /// Push `call` on top.
+    pub fn push(&mut self, call: CallFrame) {
+        Arc::make_mut(self.0.get_or_insert_default()).push(call);
+    }
+
+    /// Drop every call: the stack of a token outside any graph call.
+    pub fn clear(&mut self) {
+        self.0 = None;
+    }
+}
+
+impl Deref for Calls {
+    type Target = [CallFrame];
+    fn deref(&self) -> &[CallFrame] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl PartialEq for Calls {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Calls {}
+
+impl std::hash::Hash for Calls {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl std::fmt::Debug for Calls {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A length prefix and the calls: the encoding of a `Vec<CallFrame>`.
+impl Wire for Calls {
+    fn wire_size(&self) -> usize {
+        4 + self.iter().map(Wire::wire_size).sum::<usize>()
+    }
+    fn encode(&self, w: &mut dps_serial::Writer) {
+        w.put_len(self.len());
+        for call in self.iter() {
+            call.encode(w);
+        }
+    }
+    fn decode(r: &mut dps_serial::Reader<'_>) -> std::result::Result<Self, dps_serial::WireError> {
+        let calls = Vec::<CallFrame>::decode(r)?;
+        Ok(Calls((!calls.is_empty()).then(|| Arc::new(calls))))
+    }
+}
+
+/// The full control structure on a circulating token: 32 bytes.
+///
+/// Cloning one of nesting depth ≤ 1 outside any graph call allocates
+/// nothing: the frame sits in place ([`Frames`]) and an empty call stack
+/// is a null pointer ([`Calls`]). A flow keeps the envelope its wave's
+/// posts travel under once and frames each post as it releases it
+/// (`kernel::Flow::pop`, through [`pushed`](Self::pushed)), so a post
+/// costs no envelope until it leaves.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Envelope {
     /// Split-nesting stack; innermost frame last.
     pub frames: Frames,
     /// Inter-application call stack; innermost call last.
-    pub calls: Vec<CallFrame>,
+    pub calls: Calls,
 }
 
 impl_wire!(Envelope { frames, calls });
@@ -272,6 +337,15 @@ impl Envelope {
     /// Push a frame for a token emitted by a split/stream.
     pub fn push(&mut self, frame: Frame) {
         self.frames.push(frame);
+    }
+
+    /// This envelope with `frame` pushed: what a post of a split/stream
+    /// travels under, its frames in one block at most.
+    pub fn pushed(&self, frame: Frame) -> Self {
+        Envelope {
+            frames: self.frames.pushed(frame),
+            calls: self.calls.clone(),
+        }
     }
 
     /// Pop the innermost frame (at a merge/stream); `None` if the envelope
@@ -317,7 +391,7 @@ pub struct WaveKey {
     pub parents: Vec<FrameKey>,
     /// Call context (a wave inside a service call is distinct from the same
     /// wave shape in another call).
-    pub calls: Vec<CallFrame>,
+    pub calls: Calls,
 }
 
 impl_wire!(WaveKey {
@@ -456,7 +530,7 @@ mod tests {
         ];
         for (depth, expect) in expect.into_iter().enumerate() {
             let env = golden(depth);
-            assert_eq!(env.frames.is_spilled(), depth > 2, "depth {depth}");
+            assert_eq!(env.frames.is_spilled(), depth > 1, "depth {depth}");
             let bytes = dps_serial::to_bytes(&env);
             assert_eq!(bytes, expect, "depth {depth}");
             assert_eq!(env.wire_bytes(), expect.len(), "depth {depth}");
@@ -465,9 +539,10 @@ mod tests {
         }
     }
 
-    /// Past depth 2 the frames move to the heap and come back off the wire
-    /// the same; popped back to depth 2, the spilled stack equals — and keys
-    /// the same wave as — the one that never left its place.
+    /// Past depth 1 the frames move to the heap and come back off the wire
+    /// the same; popped back to depth 2, the stack equals — and keys the
+    /// same wave as — the one pushed there, and popped to depth 1 it is in
+    /// place again.
     #[test]
     fn a_spilled_stack_round_trips_and_keys_its_wave_as_in_place() {
         let deep = golden(3);
@@ -477,20 +552,21 @@ mod tests {
         assert_eq!(got.wave_key(), deep.wave_key());
         assert_eq!(got.top(), Some(&GOLDEN[2]));
 
-        let mut spilled = golden(3);
-        spilled.calls.clear();
-        assert_eq!(spilled.pop(), Some(GOLDEN[2]));
-        let in_place = golden(2);
-        assert!(spilled.frames.is_spilled() && !in_place.frames.is_spilled());
-        assert_eq!(spilled, in_place);
-        assert_eq!(spilled.wave_key(), in_place.wave_key());
-        assert_eq!(
-            dps_serial::to_bytes(&spilled),
-            dps_serial::to_bytes(&in_place)
-        );
-        let key = spilled.wave_key().unwrap();
+        let mut popped = golden(3);
+        popped.calls.clear();
+        assert_eq!(popped.pop(), Some(GOLDEN[2]));
+        let pushed = golden(2);
+        assert!(popped.frames.is_spilled() && pushed.frames.is_spilled());
+        assert_eq!(popped, pushed);
+        assert_eq!(popped.wave_key(), pushed.wave_key());
+        assert_eq!(dps_serial::to_bytes(&popped), dps_serial::to_bytes(&pushed));
+        let key = popped.wave_key().unwrap();
         assert_eq!((key.src, key.wave), (GNodeId(2), 0x0102_0304_0506_0708));
         assert_eq!(key.parents, [FrameKey::from(GOLDEN[0])]);
+
+        assert_eq!(popped.pop(), Some(GOLDEN[1]));
+        assert!(!popped.frames.is_spilled());
+        assert_eq!(popped, golden(1));
     }
 
     proptest::proptest! {
@@ -498,7 +574,7 @@ mod tests {
         /// frames would hold, across the move to the heap and back down.
         #[test]
         fn frames_behave_as_a_vec(script in proptest::collection::vec(0u32..6, 0..24)) {
-            let (mut frames, mut model, mut deepest) = (Frames::new(), Vec::new(), 0);
+            let (mut frames, mut model) = (Frames::new(), Vec::new());
             for (i, op) in script.into_iter().enumerate() {
                 if op < 2 {
                     proptest::prop_assert_eq!(frames.pop(), model.pop());
@@ -507,9 +583,8 @@ mod tests {
                     frames.push(f);
                     model.push(f);
                 }
-                deepest = deepest.max(model.len());
                 proptest::prop_assert_eq!(&frames[..], &model[..]);
-                proptest::prop_assert_eq!(frames.is_spilled(), deepest > 2);
+                proptest::prop_assert_eq!(frames.is_spilled(), model.len() > 1);
                 let bytes = dps_serial::to_bytes(&frames);
                 proptest::prop_assert_eq!(&bytes, &dps_serial::to_bytes(&model));
                 let back: Frames = dps_serial::from_bytes(&bytes).unwrap();
@@ -530,5 +605,57 @@ mod tests {
             call_id: 1,
         });
         assert_ne!(a.wave_key(), b.wave_key());
+    }
+
+    /// Every queued token carries an envelope: one frame in place and two
+    /// pointers' worth of the rest keep it at 32 bytes.
+    #[test]
+    fn an_envelope_is_32_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Frames>(), size_of::<Frame>());
+        assert_eq!(size_of::<Frames>(), 24);
+        assert_eq!(size_of::<Calls>(), 8);
+        assert_eq!(size_of::<Envelope>(), 32);
+        assert_eq!(size_of::<WaveKey>(), 48);
+    }
+
+    /// A pushed copy is the envelope with the frame pushed, in one block.
+    #[test]
+    fn pushed_is_a_clone_and_a_push() {
+        for depth in 0..=3 {
+            let env = golden(depth);
+            let mut pushed = env.clone();
+            pushed.push(GOLDEN[0]);
+            assert_eq!(env.pushed(GOLDEN[0]), pushed, "depth {depth}");
+        }
+    }
+
+    /// The call stack reads, hashes and travels as the `Vec` it was; a
+    /// clone shares it until one side pushes.
+    #[test]
+    fn calls_behave_as_a_vec() {
+        use std::hash::{BuildHasher, RandomState};
+        let call = |call_id| CallFrame {
+            caller_app: 1,
+            caller_graph: 2,
+            call_node: GNodeId(3),
+            call_id,
+        };
+        let (mut calls, mut model) = (Calls::default(), Vec::new());
+        let hasher = RandomState::new();
+        for id in 0..3 {
+            assert_eq!(&calls[..], &model[..]);
+            assert_eq!(hasher.hash_one(&calls), hasher.hash_one(&model));
+            let bytes = dps_serial::to_bytes(&calls);
+            assert_eq!(bytes, dps_serial::to_bytes(&model));
+            assert_eq!(dps_serial::from_bytes::<Calls>(&bytes).unwrap(), calls);
+            let before = calls.clone();
+            calls.push(call(id));
+            model.push(call(id));
+            assert_eq!(before.len(), id as usize, "a push leaves a clone as it was");
+        }
+        calls.clear();
+        assert_eq!(calls, Calls::default());
+        assert!(calls.is_empty());
     }
 }

@@ -297,14 +297,12 @@ impl<P, X: Default> Flow<P, X> {
 
     /// The wave's envelope with the frame of post `index`.
     fn framed(&self, index: u32, total: Option<u32>) -> Envelope {
-        let mut env = self.parent.clone();
-        env.push(Frame {
+        self.parent.pushed(Frame {
             src: self.node,
             wave: self.wave,
             index,
             total,
-        });
-        env
+        })
     }
 
     fn open(&self, window: u32) -> bool {

@@ -1084,7 +1084,7 @@ mod tests {
     use crate::MtEngine;
     use dps_core::prelude::*;
     use dps_core::sched::{ChunkRoute, ChunkWorker, CollectChunks, IterRange, ScheduledSplit};
-    use dps_core::Engine;
+    use dps_core::{Calls, Engine};
 
     dps_token! { pub struct Job { pub n: u32 } }
     dps_token! { pub struct Piece { pub i: u32 } }
@@ -1155,7 +1155,7 @@ mod tests {
                 src: GNodeId(0),
                 wave,
                 parents: Vec::new(),
-                calls: Vec::new(),
+                calls: Calls::default(),
             }
         }
 
@@ -1256,10 +1256,10 @@ mod tests {
 
     /// A queue slot is one `Msg`, and a token-bound run queues tens of
     /// thousands at once: a forwarded arrival, boxed, keeps a slot the width
-    /// of a local one.
+    /// of a local one, whose envelope is 32 bytes.
     #[test]
-    fn a_message_is_136_bytes() {
-        assert_eq!(std::mem::size_of::<Msg>(), 136);
+    fn a_message_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<Msg>(), 88);
     }
 
     #[test]
