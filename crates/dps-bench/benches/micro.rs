@@ -166,7 +166,7 @@ fn bench_engine_end_to_end(c: &mut Criterion) {
             let m = gb.merge(&main, || ToThread(0), Sum::default);
             gb.add(s >> l >> m);
             let g = eng.build_graph(gb).unwrap();
-            eng.inject(g, Job { n: 64 }).unwrap();
+            eng.submit(g, Box::new(Job { n: 64 })).unwrap();
             eng.run_until_idle().unwrap();
             black_box(eng.take_outputs(g))
         })

@@ -21,7 +21,7 @@
 use dps_bench::dls::{lu_cost, matmul_cost, run_dls, CostFn, DlsConfig};
 use dps_bench::{full_scale, table};
 use dps_cluster::ClusterSpec;
-use dps_core::{EngineConfig, SimEngine};
+use dps_core::{Engine, EngineConfig, SimEngine};
 use dps_life::{run_life, LifeConfig, Variant};
 use dps_linalg::parallel::lu::{run_lu, LuConfig};
 use dps_obs::{Counter, TraceCollector};

@@ -94,12 +94,12 @@ fn dps_ring_mbps(size: usize, total_bytes: usize) -> f64 {
     let m = b.merge(&c0, || ToThread(0), CountChunks::default);
     b.add(s >> f1 >> f2 >> f3 >> f0 >> m);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(
+    eng.submit(
         g,
-        RingJob {
+        Box::new(RingJob {
             chunks,
             size: size as u32,
-        },
+        }),
     )
     .unwrap();
     eng.run_until_idle().unwrap();

@@ -9,7 +9,7 @@
 
 use dps_bench::{full_scale, table};
 use dps_cluster::ClusterSpec;
-use dps_core::SimEngine;
+use dps_core::{Engine, SimEngine};
 use dps_linalg::parallel::matmul::{run_matmul, MatMulConfig};
 use dps_obs::{Counter, TraceCollector};
 use dps_sched::Distribution;

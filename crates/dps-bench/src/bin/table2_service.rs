@@ -68,16 +68,16 @@ fn run_config(
         let col0 = rng.next_below(world_size as u64 - u64::from(w));
         let row0 = rng.next_below(world_size as u64 - u64::from(h));
         let t = eng.now();
-        eng.inject(
+        eng.submit(
             call_graph,
-            ReadReq {
+            Box::new(ReadReq {
                 col0: col0 as u32,
                 row0: row0 as u32,
                 width: w,
                 height: h,
-            },
+            }),
         )
-        .expect("inject call");
+        .expect("submit call");
         t
     };
 
@@ -90,8 +90,8 @@ fn run_config(
     let loop_start = eng.now();
     for i in 0..iterations {
         let t0 = eng.now();
-        eng.inject(step_graph, IterOrder { iter: i as u32 })
-            .expect("inject iteration");
+        eng.submit(step_graph, Box::new(IterOrder { iter: i as u32 }))
+            .expect("submit iteration");
         if let (Some(shape), None) = (&shape, call_started) {
             call_started = Some(issue(&mut eng, shape));
         }

@@ -15,10 +15,23 @@
 //!
 //! Thread state reaches its threads only through graphs: an application
 //! loads its distributed data with a loader graph and reads it back with a
-//! read or dump graph, so the same driver runs on every engine. Features
-//! only one engine has stay on its concrete type (e.g.
-//! `SimEngine::fail_node`, virtual-time injection); the
-//! [`caps`](Engine::caps) probe tells generic code whether the engine
+//! read or dump graph, so the same driver runs on every engine.
+//!
+//! An engine is driven one way. Declaring, submitting, running, taking
+//! outputs and attaching sinks are the trait's methods, implemented once
+//! each in the engine's `impl Engine`; no engine keeps an inherent twin of
+//! one. What only one engine has stays on its concrete type:
+//!
+//! * [`SimEngine`](crate::SimEngine): injection at a later virtual instant
+//!   (`inject_at`), single steps (`step_once`, `outputs_count`, `now` — the
+//!   way to read the instant an output left), `run_until_idle`,
+//!   `fail_node` and the simulation-testing hooks (delivery shuffle, net
+//!   faults, scheduled kills);
+//! * `dps_mt::MtEngine`: `fail_node`, `fail_handle`, `shutdown` and the
+//!   seams a network engine builds on (`set_forward`, `replies`,
+//!   `serve_for`).
+//!
+//! The [`caps`](Engine::caps) probe tells generic code whether the engine
 //! behind it reports virtual time.
 
 use std::fmt::Debug;
@@ -328,71 +341,5 @@ where
                 })
             })
             .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SimEngine: the deterministic virtual-time backend.
-// ---------------------------------------------------------------------------
-
-impl Engine for crate::engine::SimEngine {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps { virtual_time: true }
-    }
-
-    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        crate::engine::SimEngine::declare(self, f)
-    }
-
-    fn preload_app(&mut self, app: AppHandle) {
-        crate::engine::SimEngine::preload_app(self, app)
-    }
-
-    fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
-        crate::engine::SimEngine::set_feedback_sink(self, sink)
-    }
-
-    fn set_trace_sink(&mut self, sink: Arc<dps_obs::TraceCollector>) {
-        crate::engine::SimEngine::set_trace_sink(self, sink)
-    }
-
-    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
-        self.inject_boxed_at(self.now(), graph, token)
-    }
-
-    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
-        self.run_until_idle()?;
-        let have = self.outputs_count(graph);
-        if have < expected_outputs {
-            return Err(DpsError::IncompleteWaves {
-                waves: vec![format!(
-                    "event queue drained with {have} of {expected_outputs} expected outputs"
-                )],
-            });
-        }
-        Ok(())
-    }
-
-    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
-        crate::engine::SimEngine::take_outputs(self, graph)
-            .into_iter()
-            .map(|(_, tok)| tok)
-            .collect()
-    }
-
-    fn now_secs(&self) -> f64 {
-        self.now().as_secs_f64()
-    }
-
-    fn chunk_hub(&mut self) -> Arc<dps_sched::ChunkHub> {
-        let hub = Arc::new(dps_sched::ChunkHub::new());
-        if let Some(c) = self.trace_collector() {
-            hub.attach_metrics(c.metrics_arc());
-        }
-        hub
     }
 }

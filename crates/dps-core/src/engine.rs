@@ -22,6 +22,7 @@ use dps_net::NodeId;
 use dps_obs::{Counter, EventKind, TraceCollector};
 use dps_sched::FeedbackSink;
 
+use crate::api::{Engine, EngineCaps};
 use crate::decls::{AppHandle, Decls, GraphHandle};
 use crate::envelope::{Envelope, WaveKey};
 use crate::error::{DpsError, Result};
@@ -160,7 +161,7 @@ struct Rt {
     next_wave: u64,
     next_call: u64,
     pending_calls: IdMap<u64, CallReturn>,
-    outputs: HashMap<(u32, u32), Vec<(SimTime, TokenBox)>>,
+    outputs: HashMap<(u32, u32), Vec<TokenBox>>,
     fatal: Option<DpsError>,
     /// Chunk-completion reports (virtual time) go here, if registered —
     /// the dynamic loop-scheduling feedback channel (`dps-sched`).
@@ -305,13 +306,18 @@ impl Rt {
 /// b.add(split >> leaf >> merge);
 /// let g = eng.build_graph(b).unwrap();
 ///
-/// eng.inject(g, Work { items: 10 }).unwrap();
-/// eng.run_until_idle().unwrap();
-/// let out = eng.take_outputs(g);
-/// assert_eq!(out.len(), 1);
-/// let done = dps_core::downcast::<Done>(out.into_iter().next().unwrap().1).unwrap();
+/// eng.submit(g, Box::new(Work { items: 10 })).unwrap();
+/// eng.run_to_idle(g, 1).unwrap();
+/// let done = dps_core::downcast::<Done>(eng.take_outputs(g).pop().unwrap()).unwrap();
 /// assert_eq!(done.sum, (0..10).map(|i| i * i).sum::<u32>());
+/// assert!(eng.now() > SimTime::ZERO); // the wave took virtual time
 /// ```
+///
+/// It is driven through [`Engine`] like every engine; what it has beyond
+/// the trait is its own: injection at a later virtual instant
+/// ([`inject_at`](Self::inject_at)), single steps
+/// ([`step_once`](Self::step_once), [`outputs_count`](Self::outputs_count),
+/// [`now`](Self::now)), node failure and the simulation-testing hooks.
 pub struct SimEngine {
     sim: SimRt,
 }
@@ -356,49 +362,9 @@ impl SimEngine {
         }
     }
 
-    /// [`Engine::declare`](crate::Engine::declare): declarations are welcome
-    /// at any time, and what `f` declared can run as soon as this returns.
-    pub(crate) fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
-        let world = &mut self.sim.world;
-        let r = f(&mut world.decls);
-        world.materialise();
-        r
-    }
-
-    /// Pre-start `app`'s instance on every cluster node, skipping the lazy
-    /// launch delay for subsequent tokens. Benchmarks use this to measure
-    /// steady state, as the paper does (its ≈1 s start-up on 8 nodes is
-    /// reported separately from the experiment timings).
-    pub fn preload_app(&mut self, app: AppHandle) {
-        let nodes: Vec<_> = self.sim.world.cluster.spec().node_ids().collect();
-        for node in nodes {
-            self.sim.world.cluster.deploy.preload(AppId(app.app), node);
-        }
-    }
-
-    /// Inject a token into a graph's entry at the current virtual time.
-    pub fn inject<T: Token>(&mut self, graph: GraphHandle, token: T) -> Result<()> {
-        self.inject_at(self.sim.now(), graph, token)
-    }
-
     /// Inject a token at a future virtual instant.
     pub fn inject_at<T: Token>(&mut self, at: SimTime, graph: GraphHandle, token: T) -> Result<()> {
         schedule(&mut self.sim, at, Ev::Inject(graph, Carried::new(token)));
-        Ok(())
-    }
-
-    /// Inject an already-boxed token at a future virtual instant.
-    pub fn inject_boxed_at(
-        &mut self,
-        at: SimTime,
-        graph: GraphHandle,
-        token: TokenBox,
-    ) -> Result<()> {
-        schedule(
-            &mut self.sim,
-            at,
-            Ev::Inject(graph, Carried::from_box(token)),
-        );
         Ok(())
     }
 
@@ -472,16 +438,6 @@ impl SimEngine {
             .unwrap_or(0)
     }
 
-    /// Drain the tokens that left `graph` (with their exit timestamps, in
-    /// nondecreasing order).
-    pub fn take_outputs(&mut self, graph: GraphHandle) -> Vec<(SimTime, TokenBox)> {
-        self.sim
-            .world
-            .outputs
-            .remove(&(graph.app, graph.graph))
-            .unwrap_or_default()
-    }
-
     /// The virtual cluster (read-only).
     pub fn cluster(&self) -> &Cluster {
         &self.sim.world.cluster
@@ -523,31 +479,6 @@ impl SimEngine {
     /// Deliveries re-routed away from failed nodes so far.
     pub fn requeued(&self) -> u64 {
         self.sim.world.requeued
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.sim.world.cfg
-    }
-
-    /// Register the sink receiving per-chunk completion reports (dynamic
-    /// loop scheduling, see [`crate::sched`]). The simulator reports
-    /// *virtual* execution times at the chunk's virtual completion instant,
-    /// so adaptive policies behave deterministically. Typically the sink is
-    /// the same [`FeedbackBoard`](dps_sched::FeedbackBoard) the graph's
-    /// [`ScheduledSplit`](crate::sched::ScheduledSplit) reads weights from.
-    pub fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
-        self.sim.world.feedback = Some(sink);
-    }
-
-    /// Attach a trace sink: from now on the engine records its schedule —
-    /// waves, op spans, token movement, chunk completions, failures — into
-    /// `sink` with **virtual** timestamps. Because the simulator is
-    /// deterministic, the recorded event stream (and its
-    /// [`dps_obs::schedule_hash`]) is identical across replays of the same
-    /// seeded workload.
-    pub fn set_trace_sink(&mut self, sink: Arc<TraceCollector>) {
-        *self.sim.world.tracer.get_mut() = Some(Tracer::new(sink, (0, 0)));
     }
 
     /// The attached trace sink, if any.
@@ -605,6 +536,99 @@ impl SimEngine {
             .map(|t| t.queue.len())
             .sum();
         queued + world.cpus.iter().map(|c| c.queue.len()).sum::<usize>()
+    }
+}
+
+/// The unified engine API ([`Engine`]): the deterministic virtual-time
+/// backend. Declarations are welcome at any time.
+impl Engine for SimEngine {
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+
+    fn caps(&self) -> EngineCaps {
+        EngineCaps { virtual_time: true }
+    }
+
+    /// What `f` declared can run as soon as this returns.
+    fn declare<R>(&mut self, f: impl FnOnce(&mut Decls) -> R) -> R {
+        let world = &mut self.sim.world;
+        let r = f(&mut world.decls);
+        world.materialise();
+        r
+    }
+
+    /// Pre-start `app`'s instance on every cluster node, skipping the lazy
+    /// launch delay for subsequent tokens. Benchmarks use this to measure
+    /// steady state, as the paper does (its ≈1 s start-up on 8 nodes is
+    /// reported separately from the experiment timings).
+    fn preload_app(&mut self, app: AppHandle) {
+        let world = &mut self.sim.world;
+        for node in world.cluster.spec().node_ids().collect::<Vec<_>>() {
+            world.cluster.deploy.preload(AppId(app.app), node);
+        }
+    }
+
+    /// The simulator reports *virtual* execution times at the chunk's
+    /// virtual completion instant, so adaptive policies behave
+    /// deterministically. Typically the sink is the same
+    /// [`FeedbackBoard`](dps_sched::FeedbackBoard) the graph's
+    /// [`ScheduledSplit`](crate::sched::ScheduledSplit) reads weights from.
+    fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
+        self.sim.world.feedback = Some(sink);
+    }
+
+    /// Events carry **virtual** timestamps. Because the simulator is
+    /// deterministic, the recorded event stream (and its
+    /// [`dps_obs::schedule_hash`]) is identical across replays of the same
+    /// seeded workload.
+    fn set_trace_sink(&mut self, sink: Arc<TraceCollector>) {
+        *self.sim.world.tracer.get_mut() = Some(Tracer::new(sink, (0, 0)));
+    }
+
+    /// The token enters at the current virtual time (see
+    /// [`SimEngine::inject_at`] for a later instant).
+    fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
+        let now = self.now();
+        schedule(
+            &mut self.sim,
+            now,
+            Ev::Inject(graph, Carried::from_box(token)),
+        );
+        Ok(())
+    }
+
+    fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
+        self.run_until_idle()?;
+        let have = self.outputs_count(graph);
+        if have < expected_outputs {
+            return Err(DpsError::IncompleteWaves {
+                waves: vec![format!(
+                    "event queue drained with {have} of {expected_outputs} expected outputs"
+                )],
+            });
+        }
+        Ok(())
+    }
+
+    /// In exit order.
+    fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
+        let outputs = &mut self.sim.world.outputs;
+        outputs
+            .remove(&(graph.app, graph.graph))
+            .unwrap_or_default()
+    }
+
+    fn now_secs(&self) -> f64 {
+        self.now().as_secs_f64()
+    }
+
+    fn chunk_hub(&mut self) -> Arc<dps_sched::ChunkHub> {
+        let hub = Arc::new(dps_sched::ChunkHub::new());
+        if let Some(c) = self.trace_collector() {
+            hub.attach_metrics(c.metrics_arc());
+        }
+        hub
     }
 }
 
@@ -1026,9 +1050,8 @@ impl Substrate for SimRt {
 
     /// The token leaves in a box: the one it came in, or a new one.
     fn output(&mut self, app: u32, graph: u32, token: Carried) {
-        let now = self.now();
         let outputs = self.world.outputs.entry((app, graph)).or_default();
-        outputs.push((now, token.into_box()));
+        outputs.push(token.into_box());
     }
 
     fn fail(&mut self, _app: u32, e: DpsError) {

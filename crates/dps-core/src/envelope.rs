@@ -60,30 +60,6 @@ impl_wire!(Frame {
     total
 });
 
-/// Identity of a frame *excluding* completion info — what distinguishes one
-/// parent lineage from another when keying merge waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FrameKey {
-    /// Producing node.
-    pub src: GNodeId,
-    /// Wave id.
-    pub wave: u64,
-    /// Token index within the wave.
-    pub index: u32,
-}
-
-impl_wire!(FrameKey { src, wave, index });
-
-impl From<Frame> for FrameKey {
-    fn from(f: Frame) -> Self {
-        FrameKey {
-            src: f.src,
-            wave: f.wave,
-            index: f.index,
-        }
-    }
-}
-
 /// One level of inter-application graph call (paper §5, Fig. 10): where to
 /// return the callee's result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -205,6 +181,14 @@ impl DerefMut for Frames {
 impl PartialEq for Frames {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
+    }
+}
+
+impl Eq for Frames {}
+
+impl std::hash::Hash for Frames {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
     }
 }
 
@@ -366,10 +350,12 @@ impl Envelope {
     /// spawns its own inner wave, and those waves must not be conflated.
     pub fn wave_key(&self) -> Option<WaveKey> {
         let (last, parents) = self.frames.split_last()?;
+        let mut parents = Frames::of(parents);
+        parents.iter_mut().for_each(|f| f.total = None);
         Some(WaveKey {
             src: last.src,
             wave: last.wave,
-            parents: parents.iter().map(|&f| FrameKey::from(f)).collect(),
+            parents,
             calls: self.calls.clone(),
         })
     }
@@ -387,19 +373,56 @@ pub struct WaveKey {
     pub src: GNodeId,
     /// Wave id.
     pub wave: u64,
-    /// Identities of all enclosing frames.
-    pub parents: Vec<FrameKey>,
+    /// The enclosing frames, outermost first, their totals cleared: a
+    /// parent identifies its token by where it was posted, not by whether
+    /// it was its wave's last. A token two waves deep keys its wave without
+    /// a heap block.
+    pub parents: Frames,
     /// Call context (a wave inside a service call is distinct from the same
     /// wave shape in another call).
     pub calls: Calls,
 }
 
-impl_wire!(WaveKey {
-    src,
-    wave,
-    parents,
-    calls
-});
+/// A parent travels as (src, wave, index): its total, cleared, is not sent.
+/// The bytes are those of the key whose parents were a `Vec` of those.
+impl Wire for WaveKey {
+    fn wire_size(&self) -> usize {
+        let parents = self
+            .parents
+            .iter()
+            .map(|f| (f.src, f.wave, f.index).wire_size());
+        (self.src, self.wave).wire_size() + 4 + parents.sum::<usize>() + self.calls.wire_size()
+    }
+    fn encode(&self, w: &mut dps_serial::Writer) {
+        (self.src, self.wave).encode(w);
+        w.put_len(self.parents.len());
+        for f in self.parents.iter() {
+            (f.src, f.wave, f.index).encode(w);
+        }
+        self.calls.encode(w);
+    }
+    fn decode(r: &mut dps_serial::Reader<'_>) -> std::result::Result<Self, dps_serial::WireError> {
+        let (src, wave) = Wire::decode(r)?;
+        let mut parents = Frames::new();
+        for _ in 0..r.get_len()? {
+            let (src, wave, index) = Wire::decode(r)?;
+            let total = None;
+            parents.push(Frame {
+                src,
+                wave,
+                index,
+                total,
+            });
+        }
+        let calls = Wire::decode(r)?;
+        Ok(WaveKey {
+            src,
+            wave,
+            parents,
+            calls,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -539,6 +562,25 @@ mod tests {
         }
     }
 
+    /// A wave key travels in a `Done` frame (`Then::Wave`): its wire bytes
+    /// are those of the key whose parents were a `Vec` of (src, wave,
+    /// index), captured from it — no parent's total is sent.
+    #[test]
+    fn golden_wave_key_bytes() {
+        #[rustfmt::skip]
+        let expect: [u8; 72] = [
+            3, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+            1, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 7, 0, 0, 0,
+            1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let key = golden(3).wave_key().unwrap();
+        let bytes = dps_serial::to_bytes(&key);
+        assert_eq!(bytes, expect);
+        assert_eq!(key.wire_size(), expect.len());
+        assert_eq!(dps_serial::from_bytes::<WaveKey>(&bytes).unwrap(), key);
+    }
+
     /// Past depth 1 the frames move to the heap and come back off the wire
     /// the same; popped back to depth 2, the stack equals — and keys the
     /// same wave as — the one pushed there, and popped to depth 1 it is in
@@ -562,7 +604,11 @@ mod tests {
         assert_eq!(dps_serial::to_bytes(&popped), dps_serial::to_bytes(&pushed));
         let key = popped.wave_key().unwrap();
         assert_eq!((key.src, key.wave), (GNodeId(2), 0x0102_0304_0506_0708));
-        assert_eq!(key.parents, [FrameKey::from(GOLDEN[0])]);
+        let parent = Frame {
+            total: None,
+            ..GOLDEN[0]
+        };
+        assert_eq!(&key.parents[..], [parent]);
 
         assert_eq!(popped.pop(), Some(GOLDEN[1]));
         assert!(!popped.frames.is_spilled());

@@ -112,11 +112,11 @@ fn stream_pipelines_partial_merges() {
     b.add(split >> work >> stream >> work2 >> merge);
     let g = eng.build_graph(b).unwrap();
 
-    eng.inject(g, Start { n: 8 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 8 })).unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
     assert_eq!(out.len(), 1);
-    let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
     // v values 0..8 → +1 each (9..=8?) : each part v=i+1; pairs summed, then
     // +1 per pair by work2: sum = (0+1+..+7) + 8 (first inc) + 4 (second inc).
     assert_eq!(r.total, 28 + 8 + 4);
@@ -150,10 +150,10 @@ fn stream_with_single_output_carries_total() {
     let merge = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(split >> stream >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 5 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 5 })).unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
-    let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
     assert_eq!(r.total, 1 + 2 + 3 + 4);
 }
 
@@ -208,11 +208,11 @@ fn nested_split_merge_constructs_compose() {
     b.add(outer_s >> inner_s >> leaf >> inner_m >> outer_m);
     let g = eng.build_graph(b).unwrap();
 
-    eng.inject(g, Start { n: 3 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 3 })).unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
     assert_eq!(out.len(), 1);
-    let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
     // Each outer task: inner split n=4 → parts v=0..3 +1 each → sum=10.
     assert_eq!(r.total, 3 * 10);
 }
@@ -280,10 +280,10 @@ fn token_type_selects_path() {
     b += even >> merge;
     let g = eng.build_graph(b).unwrap();
 
-    eng.inject(g, Start { n: 4 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 4 })).unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
-    let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
     // odd 1,3 → 1001+1003; even 0,2 → 0+2.
     assert_eq!(r.total, (1001 + 1003) + 2);
 }
@@ -319,11 +319,11 @@ fn graph_call_into_another_application() {
     cb.add(cs >> call >> cm);
     let cg = eng.build_graph(cb).unwrap();
 
-    eng.inject(cg, Start { n: 3 }).unwrap();
+    eng.submit(cg, Box::new(Start { n: 3 })).unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(cg);
     assert_eq!(out.len(), 1);
-    let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
     // 3 calls, each summing Inc(0..4) = 10.
     assert_eq!(r.total, 30);
 }
@@ -339,7 +339,7 @@ fn unknown_service_is_reported() {
     let m = b.merge(&main, || ToThread(0), OuterMerge::default);
     b.add(s >> call >> m);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 1 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 1 })).unwrap();
     let err = eng.run_until_idle().unwrap_err();
     assert!(matches!(err, DpsError::UnknownService { .. }));
 }
@@ -437,10 +437,10 @@ fn flow_window_bounds_tokens_in_flight() {
         let m = b.merge(&main, || ToThread(0), SumParts::default);
         b.add(s >> l >> m);
         let g = eng.build_graph(b).unwrap();
-        eng.inject(g, Start { n: 20 }).unwrap();
+        eng.submit(g, Box::new(Start { n: 20 })).unwrap();
         eng.run_until_idle().unwrap();
         let out = eng.take_outputs(g);
-        let r = downcast::<Result_>(out.into_iter().next().unwrap().1).unwrap();
+        let r = downcast::<Result_>(out.into_iter().next().unwrap()).unwrap();
         assert_eq!(r.total, (0..20).sum::<u32>() + 20, "window={window}");
     }
 }
@@ -464,7 +464,7 @@ fn smaller_window_cannot_be_faster() {
         let m = b.merge(&main, || ToThread(0), SumParts::default);
         b.add(s >> l >> m);
         let g = eng.build_graph(b).unwrap();
-        eng.inject(g, Start { n: 64 }).unwrap();
+        eng.submit(g, Box::new(Start { n: 64 })).unwrap();
         eng.run_until_idle().unwrap();
         eng.now().as_nanos()
     };
@@ -496,9 +496,9 @@ fn enforced_serialization_roundtrips_tokens() {
     let m = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 10 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 10 })).unwrap();
     eng.run_until_idle().unwrap();
-    let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap()).unwrap();
     assert_eq!(r.total, (0..10).sum::<u32>() + 10);
 }
 
@@ -522,9 +522,9 @@ fn enforced_serialization_accepts_declared_types_without_manual_registration() {
     let m = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 2 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 2 })).unwrap();
     eng.run_until_idle().unwrap();
-    let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap().1).unwrap();
+    let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap()).unwrap();
     // FanN posts v = 0, 1; Inc bumps each → 1 + 2.
     assert_eq!(r.total, 3);
 }
@@ -545,9 +545,9 @@ fn virtual_time_is_deterministic() {
         let m = b.merge(&main, || ToThread(0), SumParts::default);
         b.add(s >> l >> m);
         let g = eng.build_graph(b).unwrap();
-        eng.inject(g, Start { n: 50 }).unwrap();
+        eng.submit(g, Box::new(Start { n: 50 })).unwrap();
         eng.run_until_idle().unwrap();
-        let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap().1).unwrap();
+        let r = downcast::<Result_>(eng.take_outputs(g).into_iter().next().unwrap()).unwrap();
         (eng.now().as_nanos(), r.total)
     };
     assert_eq!(run(), run());
@@ -567,7 +567,7 @@ fn op_kind_is_exposed_on_nodes() {
     assert_eq!(b.node_count(), 2);
     let _ = OpKind::Split; // public API sanity
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 3 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 3 })).unwrap();
     eng.run_until_idle().unwrap();
 }
 
@@ -592,7 +592,7 @@ fn charge_advances_virtual_time() {
     let m = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(s >> l >> m);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 4 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 4 })).unwrap();
     eng.run_until_idle().unwrap();
     // 4 sequential 10 ms leaves on one single-threaded collection ≥ 40 ms.
     assert!(eng.now().as_nanos() >= 40_000_000, "now = {}", eng.now());
@@ -639,11 +639,11 @@ fn thread_data_persists_across_executions() {
     let m = b.merge(&main, || ToThread(0), SumParts::default);
     b.add(s >> l >> m);
     let read = eng.build_graph(b).unwrap();
-    eng.inject(g, Start { n: 10 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 10 })).unwrap();
     eng.run_until_idle().unwrap();
-    eng.inject(read, Start { n: 2 }).unwrap();
+    eng.submit(read, Box::new(Start { n: 2 })).unwrap();
     eng.run_until_idle().unwrap();
-    let out = eng.take_outputs(read).pop().unwrap().1;
+    let out = eng.take_outputs(read).pop().unwrap();
     let total = downcast::<Result_>(out).unwrap().total;
     let (c0, c1) = (total % 100, total / 100);
     assert_eq!(c0 + c1, 10);
@@ -702,11 +702,11 @@ fn close_meets_dead_pin(charge_us: &[u64], fail_after_us: u64) -> (Result<()>, S
     let merge = b.merge(&sinks, LeastLoaded::new, SumParts::default);
     b.add(split >> stream >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(
+    eng.submit(
         g,
-        Start {
+        Box::new(Start {
             n: charge_us.len() as u32,
-        },
+        }),
     )
     .unwrap();
     while first_start.load(Ordering::Relaxed) == u64::MAX {
@@ -819,7 +819,7 @@ fn strand_two_waves_and_a_flow(sizes: [u32; 2]) -> Vec<String> {
     let _ = tick.leaf(&main, || ToThread(0), || Inc);
     let tick = eng.build_graph(tick).unwrap();
 
-    eng.inject(g, Start { n: 1 }).unwrap();
+    eng.submit(g, Box::new(Start { n: 1 })).unwrap();
     for n in sizes {
         eng.inject_at(SimTime(10_000_000), g, Start { n }).unwrap();
     }

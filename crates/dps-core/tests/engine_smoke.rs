@@ -59,7 +59,7 @@ fn build(nodes: usize, items: u32) -> (SimEngine, GraphHandle) {
     let merge = b.merge(&main, || ToThread(0), Gather::default);
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Work { items }).unwrap();
+    eng.submit(g, Box::new(Work { items })).unwrap();
     (eng, g)
 }
 
@@ -69,7 +69,7 @@ fn split_compute_merge_sums_squares() {
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
     assert_eq!(out.len(), 1);
-    let done = downcast::<Done>(out.into_iter().next().unwrap().1).unwrap();
+    let done = downcast::<Done>(out.into_iter().next().unwrap()).unwrap();
     assert_eq!(done.sum, (0..10).map(|i| i * i).sum::<u32>());
 }
 
@@ -87,7 +87,7 @@ fn many_items_exceeding_flow_window() {
     let (mut eng, g) = build(2, 100);
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(g);
-    let done = downcast::<Done>(out.into_iter().next().unwrap().1).unwrap();
+    let done = downcast::<Done>(out.into_iter().next().unwrap()).unwrap();
     assert_eq!(done.sum, (0..100).map(|i| i * i).sum::<u32>());
 }
 
@@ -95,13 +95,17 @@ fn many_items_exceeding_flow_window() {
 fn pipelined_injections_all_complete() {
     let (mut eng, g) = build(4, 8);
     for _ in 0..4 {
-        eng.inject(g, Work { items: 8 }).unwrap();
+        eng.submit(g, Box::new(Work { items: 8 })).unwrap();
+    }
+    // Each output leaves at the instant of the event that emitted it.
+    let mut exits = Vec::new();
+    while eng.step_once().unwrap() {
+        if eng.outputs_count(g) > exits.len() {
+            exits.push(eng.now());
+        }
     }
     eng.run_until_idle().unwrap();
-    let out = eng.take_outputs(g);
-    assert_eq!(out.len(), 5, "initial injection + 4 extra");
-    // Outputs are time-ordered.
-    for w in out.windows(2) {
-        assert!(w[0].0 <= w[1].0);
-    }
+    assert_eq!(eng.take_outputs(g).len(), 5, "initial injection + 4 extra");
+    assert_eq!(exits.len(), 5, "one exit instant per output");
+    assert!(exits.windows(2).all(|w| w[0] <= w[1]), "{exits:?}");
 }

@@ -85,10 +85,21 @@ fn setup() -> (SimEngine, dps_core::GraphHandle, dps_core::GraphHandle) {
     (eng, batch, echo)
 }
 
+/// The virtual instant `graph`'s first output leaves; the run then goes on
+/// to idle.
+fn exit_of(eng: &mut SimEngine, graph: dps_core::GraphHandle) -> SimTime {
+    while eng.outputs_count(graph) == 0 {
+        assert!(eng.step_once().unwrap(), "{graph:?} produced no output");
+    }
+    let at = eng.now();
+    eng.run_until_idle().unwrap();
+    at
+}
+
 #[test]
 fn interactive_delivery_overtakes_batch_queue() {
     let (mut eng, batch, echo) = setup();
-    eng.inject(batch, BatchJob { tasks: 20 }).unwrap();
+    eng.submit(batch, Box::new(BatchJob { tasks: 20 })).unwrap();
     // The ping arrives while ~200 ms of batch work is queued on the worker.
     eng.inject_at(
         dps_des::SimTime::ZERO + SimSpan::from_millis(15),
@@ -96,8 +107,7 @@ fn interactive_delivery_overtakes_batch_queue() {
         Ping { id: 1 },
     )
     .unwrap();
-    eng.run_until_idle().unwrap();
-    let pong_at = eng.take_outputs(echo)[0].0;
+    let pong_at = exit_of(&mut eng, echo);
     // Without priority the pong would appear after the whole batch
     // (≥ 200 ms); with priority it waits at most the op in progress.
     assert!(
@@ -110,11 +120,11 @@ fn interactive_delivery_overtakes_batch_queue() {
 #[test]
 fn step_once_interleaves_two_graphs() {
     let (mut eng, batch, echo) = setup();
-    eng.inject(batch, BatchJob { tasks: 5 }).unwrap();
+    eng.submit(batch, Box::new(BatchJob { tasks: 5 })).unwrap();
     let mut pings = 0u32;
     let mut pongs_seen = 0usize;
     // Closed loop: issue the next ping as soon as the previous answered.
-    eng.inject(echo, Ping { id: pings }).unwrap();
+    eng.submit(echo, Box::new(Ping { id: pings })).unwrap();
     while eng.outputs_count(batch) < 1 {
         if !eng.step_once().unwrap() {
             break;
@@ -122,7 +132,7 @@ fn step_once_interleaves_two_graphs() {
         if eng.outputs_count(echo) > pongs_seen {
             pongs_seen = eng.outputs_count(echo);
             pings += 1;
-            eng.inject(echo, Ping { id: pings }).unwrap();
+            eng.submit(echo, Box::new(Ping { id: pings })).unwrap();
         }
     }
     eng.run_until_idle().unwrap();
@@ -149,15 +159,14 @@ fn non_interactive_ping_waits_for_batch() {
     let _ = b.leaf(&worker, || ToThread(0), || Echo);
     let echo = eng.build_graph(b).unwrap();
 
-    eng.inject(batch, BatchJob { tasks: 20 }).unwrap();
+    eng.submit(batch, Box::new(BatchJob { tasks: 20 })).unwrap();
     eng.inject_at(
         dps_des::SimTime::ZERO + SimSpan::from_millis(15),
         echo,
         Ping { id: 1 },
     )
     .unwrap();
-    eng.run_until_idle().unwrap();
-    let pong_at = eng.take_outputs(echo)[0].0;
+    let pong_at = exit_of(&mut eng, echo);
     assert!(
         pong_at.as_secs_f64() > 0.15,
         "plain delivery should queue behind the batch, got {pong_at}"

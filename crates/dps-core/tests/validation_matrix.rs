@@ -198,7 +198,7 @@ fn run_rejects_wrong_injection_type() {
     let m = b.merge(&tc, || ToThread(0), MergeA::default);
     b.add(s >> m);
     let g = e.build_graph(b).unwrap();
-    e.inject(g, B1 { v: 1 }).unwrap();
+    e.submit(g, Box::new(B1 { v: 1 })).unwrap();
     let err = e.run_until_idle().unwrap_err();
     assert!(matches!(err, DpsError::OperationContract { .. }), "{err}");
 }

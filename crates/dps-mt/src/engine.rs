@@ -11,7 +11,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crossbeam::utils::CachePadded;
 use dps_cluster::ClusterSpec;
 use dps_core::internal::kernel::{self, Death, Tracer};
-use dps_core::{AppHandle, Decls, DpsError, GraphHandle, Result, TokenBox};
+use dps_core::{AppHandle, Decls, DpsError, Engine, GraphHandle, Result, TokenBox};
 use parking_lot::Mutex;
 
 use crate::worker::{
@@ -31,7 +31,7 @@ pub struct MtConfig {
     /// Force serialize/deserialize round trips across virtual node
     /// boundaries (the paper's multi-kernel debugging mode).
     pub enforce_serialization: bool,
-    /// How long [`MtEngine::wait_for_outputs`] waits for outputs before
+    /// How long a run ([`Engine::run_to_idle`]) waits for outputs before
     /// reporting a deadlock.
     pub run_timeout: Duration,
 }
@@ -49,17 +49,24 @@ impl Default for MtConfig {
 /// The threaded execution engine.
 ///
 /// Lifecycle: declare applications, thread collections and graphs; the
-/// worker threads spawn on the first [`submit`](Self::submit) call;
-/// [`shutdown`](Self::shutdown) joins them.
+/// worker threads spawn on the first [`submit`](Engine::submit) call;
+/// [`shutdown`](Self::shutdown) joins them. It is driven through
+/// [`Engine`] like every engine; what it has beyond the trait is its own:
+/// node failure ([`fail_node`](Self::fail_node),
+/// [`fail_handle`](Self::fail_handle)), [`shutdown`](Self::shutdown) and
+/// the seams a network engine builds on ([`set_forward`](Self::set_forward),
+/// [`replies`](Self::replies), [`serve_for`](Self::serve_for)).
 pub struct MtEngine {
     cfg: MtConfig,
     /// What was declared. The worker threads share it while they run, which
     /// is what closes it to further declarations.
     decls: Arc<Decls>,
     shared: Option<Arc<Shared>>,
-    output_rx: Option<Receiver<Output>>,
-    error_rx: Option<Receiver<DpsError>>,
+    /// The workers' outputs and errors, in the order they happened.
+    output_rx: Option<Receiver<Result<Output>>>,
     out_buf: HashMap<(u32, u32), Vec<TokenBox>>,
+    /// An error met while taking outputs: the next run returns it.
+    failed: Option<DpsError>,
     handles: Vec<std::thread::JoinHandle<()>>,
     started_at: Instant,
     feedback: Option<Arc<dyn FeedbackSink>>,
@@ -81,38 +88,14 @@ impl MtEngine {
             decls: Arc::new(Decls::new(ClusterSpec::uniform(nodes, 1))),
             shared: None,
             output_rx: None,
-            error_rx: None,
             out_buf: HashMap::new(),
+            failed: None,
             handles: Vec::new(),
             started_at: Instant::now(),
             feedback: None,
             seam: None,
             trace: None,
         }
-    }
-
-    /// Register the sink receiving per-chunk completion reports (dynamic
-    /// loop scheduling, see `dps_core::sched`). This engine reports
-    /// *wall-clock* execution times; only relative rates matter, so the
-    /// same application code adapts identically here and on the simulator.
-    /// Call before the first run.
-    pub fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
-        assert!(
-            self.shared.is_none(),
-            "register the feedback sink before the first run"
-        );
-        self.feedback = Some(sink);
-    }
-
-    /// Attach a trace sink: each worker thread records its wave, op and
-    /// chunk events (wall-clock timestamps) through its own lock-free
-    /// writer. Like every declaration, call before the first run.
-    pub fn set_trace_sink(&mut self, sink: Arc<dps_obs::TraceCollector>) {
-        assert!(
-            self.shared.is_none(),
-            "register the trace sink before the first run"
-        );
-        self.trace = Some(sink);
     }
 
     /// The attached trace sink, if any.
@@ -174,7 +157,6 @@ impl MtEngine {
             return;
         }
         let (output_tx, output_rx) = unbounded();
-        let (error_tx, error_rx) = unbounded();
         let mut shared_apps = Vec::new();
         let mut receivers: Vec<Vec<Vec<Receiver<Msg>>>> = Vec::new();
         for a in self.decls.apps() {
@@ -217,7 +199,6 @@ impl MtEngine {
             decls: Arc::clone(&self.decls),
             wave_counter: CachePadded::new(AtomicU64::new(0)),
             output_tx,
-            error_tx,
             feedback: self.feedback.clone(),
             seam: self.seam.clone(),
             trace: self.trace.clone(),
@@ -257,7 +238,6 @@ impl MtEngine {
         }
         self.shared = Some(shared);
         self.output_rx = Some(output_rx);
-        self.error_rx = Some(error_rx);
     }
 
     /// The running half, started if need be.
@@ -266,77 +246,8 @@ impl MtEngine {
         Arc::clone(self.shared.as_ref().expect("started"))
     }
 
-    /// Submit a token into a graph's entry (starting the worker threads on
-    /// first use). Pair with [`wait_for_outputs`](Self::wait_for_outputs) +
-    /// [`drain_outputs`](Self::drain_outputs); drivers written against
-    /// [`dps_core::Engine`] reach the same three steps as `submit`,
-    /// `run_to_idle` and `take_outputs`.
-    pub fn submit(&mut self, graph: GraphHandle, token: TokenBox) {
-        let shared = self.started();
-        let token = dps_core::internal::Carried::from_box(token);
-        crate::worker::inject(&shared, graph.app, graph.graph, token, 0);
-    }
-
-    /// Block until `graph` has produced at least `expected_outputs`
-    /// undrained outputs, or a worker reported an error, or the run
-    /// timeout expires (the DPS deadlock analogue).
-    pub fn wait_for_outputs(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
-        self.ensure_started();
-        let deadline = Instant::now() + self.cfg.run_timeout;
-        let key = (graph.app, graph.graph);
-        loop {
-            if self.out_buf.get(&key).map(Vec::len).unwrap_or(0) >= expected_outputs {
-                return Ok(());
-            }
-            if let Ok(e) = self.error_rx.as_ref().expect("started").try_recv() {
-                return Err(e);
-            }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            if remaining.is_zero() {
-                return Err(DpsError::IncompleteWaves {
-                    waves: vec![format!(
-                        "application {}: timed out after {:?} waiting for {} outputs \
-                         ({} received)",
-                        self.decls.app_name(graph.app),
-                        self.cfg.run_timeout,
-                        expected_outputs,
-                        self.out_buf.get(&key).map(Vec::len).unwrap_or(0)
-                    )],
-                });
-            }
-            match self
-                .output_rx
-                .as_ref()
-                .expect("started")
-                .recv_timeout(remaining.min(Duration::from_millis(50)))
-            {
-                Ok(out) => {
-                    self.out_buf
-                        .entry((out.app, out.graph))
-                        .or_default()
-                        .push(out.token);
-                }
-                Err(_) => { /* timeout slice; loop re-checks */ }
-            }
-        }
-    }
-
-    /// Drain the outputs `graph` has produced so far (unordered).
-    pub fn drain_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
-        // Sweep anything already sitting in the channel first.
-        if let Some(rx) = self.output_rx.as_ref() {
-            while let Ok(out) = rx.try_recv() {
-                self.out_buf
-                    .entry((out.app, out.graph))
-                    .or_default()
-                    .push(out.token);
-            }
-        }
-        self.out_buf
-            .remove(&(graph.app, graph.graph))
-            .unwrap_or_default()
+    fn buffered(&self, graph: GraphHandle) -> usize {
+        (self.out_buf.get(&(graph.app, graph.graph))).map_or(0, Vec::len)
     }
 
     /// Kill cluster node `node` mid-run: the node's worker threads turn
@@ -394,6 +305,13 @@ impl MtEngine {
     pub fn elapsed(&self) -> Duration {
         self.started_at.elapsed()
     }
+}
+
+/// Buffer an output of any graph; an error is handed back.
+fn keep(buf: &mut HashMap<(u32, u32), Vec<TokenBox>>, out: Result<Output>) -> Result<()> {
+    let out = out?;
+    buf.entry((out.app, out.graph)).or_default().push(out.token);
+    Ok(())
 }
 
 impl Drop for MtEngine {
@@ -463,8 +381,8 @@ impl FailHandle {
 /// The unified engine API ([`dps_core::Engine`]): the same generic driver
 /// code that runs on the deterministic simulator drives this engine's OS
 /// threads. Declarations must precede the first
-/// [`submit`](dps_core::Engine::submit).
-impl dps_core::Engine for MtEngine {
+/// [`submit`](Engine::submit).
+impl Engine for MtEngine {
     fn name(&self) -> &'static str {
         "mt"
     }
@@ -481,25 +399,74 @@ impl dps_core::Engine for MtEngine {
         f(Arc::get_mut(&mut self.decls).expect("declarations precede the first run"))
     }
 
+    /// This engine reports *wall-clock* execution times; only relative
+    /// rates matter, so the same application code adapts identically here
+    /// and on the simulator.
     fn set_feedback_sink(&mut self, sink: Arc<dyn FeedbackSink>) {
-        MtEngine::set_feedback_sink(self, sink)
+        assert!(
+            self.shared.is_none(),
+            "register the feedback sink before the first run"
+        );
+        self.feedback = Some(sink);
     }
 
+    /// Each worker thread records its wave, op and chunk events
+    /// (wall-clock timestamps) through its own lock-free writer.
     fn set_trace_sink(&mut self, sink: Arc<dps_obs::TraceCollector>) {
-        MtEngine::set_trace_sink(self, sink)
+        assert!(
+            self.shared.is_none(),
+            "register the trace sink before the first run"
+        );
+        self.trace = Some(sink);
     }
 
+    /// Starts the worker threads on first use.
     fn submit(&mut self, graph: GraphHandle, token: TokenBox) -> Result<()> {
-        MtEngine::submit(self, graph, token);
+        let shared = self.started();
+        let token = dps_core::internal::Carried::from_box(token);
+        crate::worker::inject(&shared, graph.app, graph.graph, token, 0);
         Ok(())
     }
 
+    /// Blocks until `graph` has the outputs, a worker reports an error, or
+    /// the run timeout expires (the DPS deadlock analogue). Enough outputs
+    /// win over an error that came with them.
     fn run_to_idle(&mut self, graph: GraphHandle, expected_outputs: usize) -> Result<()> {
-        self.wait_for_outputs(graph, expected_outputs)
+        self.ensure_started();
+        let rx = self.output_rx.as_ref().expect("started");
+        let deadline = Instant::now() + self.cfg.run_timeout;
+        while self.buffered(graph) < expected_outputs {
+            if let Some(e) = self.failed.take() {
+                return Err(e);
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let Ok(out) = rx.recv_timeout(remaining) else {
+                return Err(DpsError::IncompleteWaves {
+                    waves: vec![format!(
+                        "application {}: timed out after {:?} waiting for {} outputs \
+                         ({} received)",
+                        self.decls.app_name(graph.app),
+                        self.cfg.run_timeout,
+                        expected_outputs,
+                        self.buffered(graph)
+                    )],
+                });
+            };
+            keep(&mut self.out_buf, out)?;
+        }
+        Ok(())
     }
 
+    /// Unordered. Takes what already sits in the channel too, up to an
+    /// error, which the next run returns.
     fn take_outputs(&mut self, graph: GraphHandle) -> Vec<TokenBox> {
-        self.drain_outputs(graph)
+        while self.failed.is_none() {
+            let Some(out) = (self.output_rx.as_ref()).and_then(|rx| rx.try_recv().ok()) else {
+                break;
+            };
+            self.failed = keep(&mut self.out_buf, out).err();
+        }
+        (self.out_buf.remove(&(graph.app, graph.graph))).unwrap_or_default()
     }
 
     fn now_secs(&self) -> f64 {

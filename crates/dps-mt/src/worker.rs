@@ -211,8 +211,9 @@ pub(crate) struct Shared {
     /// What was declared, frozen for the run.
     pub decls: Arc<Decls>,
     pub wave_counter: CachePadded<AtomicU64>,
-    pub output_tx: Sender<Output>,
-    pub error_tx: Sender<DpsError>,
+    /// What left a graph, or a runtime error: one channel, so the run
+    /// meets them in the order they happened.
+    pub output_tx: Sender<Result<Output, DpsError>>,
     /// Chunk-completion reports (wall-clock) go here, if registered — the
     /// dynamic loop-scheduling feedback channel (`dps-sched`).
     pub feedback: Option<Arc<dyn FeedbackSink>>,
@@ -393,7 +394,7 @@ pub(crate) fn send_error(shared: &Shared, app: u32, e: DpsError) {
             },
         );
     }
-    let _ = shared.error_tx.send(e);
+    let _ = shared.output_tx.send(Err(e));
 }
 
 /// Inject a token into a graph entry from outside (the run driver).
@@ -1006,7 +1007,7 @@ impl Substrate for &Shared {
     /// The token leaves in a box: the one it came in, or a new one.
     fn output(&mut self, app: u32, graph: u32, token: Carried) {
         let token = token.into_box();
-        let _ = self.output_tx.send(Output { app, graph, token });
+        let _ = self.output_tx.send(Ok(Output { app, graph, token }));
     }
 
     fn fail(&mut self, app: u32, e: DpsError) {
@@ -1084,7 +1085,7 @@ mod tests {
     use crate::MtEngine;
     use dps_core::prelude::*;
     use dps_core::sched::{ChunkRoute, ChunkWorker, CollectChunks, IterRange, ScheduledSplit};
-    use dps_core::{Calls, Engine};
+    use dps_core::{Calls, Engine, Frames};
 
     dps_token! { pub struct Job { pub n: u32 } }
     dps_token! { pub struct Piece { pub i: u32 } }
@@ -1154,7 +1155,7 @@ mod tests {
             WaveKey {
                 src: GNodeId(0),
                 wave,
-                parents: Vec::new(),
+                parents: Frames::new(),
                 calls: Calls::default(),
             }
         }
@@ -1223,7 +1224,7 @@ mod tests {
         declare(&mut far);
         let (back, answers) = std::sync::mpsc::channel();
         let serving = far.serve_for(1, Arc::new(To(Mutex::new(back))));
-        eng.submit(g, Box::new(Job { n: 4 }));
+        eng.submit(g, Box::new(Job { n: 4 })).unwrap();
         let patience = Duration::from_secs(60);
         let arrived: Vec<Foreign> = (0..4)
             .map(|_| arrivals.recv_timeout(patience).unwrap())
@@ -1247,8 +1248,8 @@ mod tests {
             let posts = posts.into_iter().map(Carried::into_box).collect();
             replies.apply(lane, reply, Ok(posts), &reports);
         }
-        eng.wait_for_outputs(g, 1).unwrap();
-        let out = eng.drain_outputs(g).pop().unwrap();
+        eng.run_to_idle(g, 1).unwrap();
+        let out = eng.take_outputs(g).pop().unwrap();
         assert_eq!(downcast::<Job>(out).unwrap().n, 3);
         eng.shutdown();
         far.shutdown();
@@ -1365,9 +1366,9 @@ mod tests {
     fn a_completed_run_forgets_its_waves() {
         let mut rig = Rig::new();
         for n in [1, 5, 64] {
-            rig.eng.submit(rig.graph, Box::new(Job { n }));
-            rig.eng.wait_for_outputs(rig.graph, 1).unwrap();
-            let out = rig.eng.drain_outputs(rig.graph).pop().unwrap();
+            rig.eng.submit(rig.graph, Box::new(Job { n })).unwrap();
+            rig.eng.run_to_idle(rig.graph, 1).unwrap();
+            let out = rig.eng.take_outputs(rig.graph).pop().unwrap();
             assert_eq!(downcast::<Job>(out).unwrap().n, n);
         }
         // An output leaves ahead of its wave's removal: join the threads.
@@ -1416,8 +1417,8 @@ mod tests {
             len: CHUNKS,
             step: 0,
         };
-        eng.submit(g, Box::new(range));
-        eng.wait_for_outputs(g, 1).unwrap();
+        eng.submit(g, Box::new(range)).unwrap();
+        eng.run_to_idle(g, 1).unwrap();
         let shared = eng.started();
         // The workers are the application's second collection.
         assert_eq!(*shared.rare.feedback_tcs.lock(), [(app.app, 1)]);

@@ -283,15 +283,15 @@ const PIECES: u32 = 1_000;
 /// Heap blocks per inner token: what the larger nested run took over the
 /// smaller one, per piece of the difference, so the per-wave costs cancel.
 /// An inner token is two frames deep: its frames take one block (one frame
-/// lives in place, `dps_core::Frames`), and the key of its inner wave,
-/// made once to route it to the merge and once where the merge serves it,
-/// one block each for its parent frame.
+/// lives in place, `dps_core::Frames`); the key of its inner wave, made
+/// once to route it to the merge and once where the merge serves it, holds
+/// its one parent frame in place too.
 fn per_inner_token(blocks: &[u64]) -> f64 {
     (blocks[1] as f64 - blocks[0] as f64) / f64::from(WAVES * PIECES)
 }
 
 #[test]
-fn an_inner_token_on_mt_costs_three_blocks() {
+fn an_inner_token_on_mt_costs_one_block() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MtConfig {
         flow_window: 0,
@@ -308,15 +308,15 @@ fn an_inner_token_on_mt_costs_three_blocks() {
         2 * WAVES * PIECES
     );
     assert!(
-        per_token <= 3.1,
+        per_token <= 1.1,
         "an inner token on mt took {per_token:.2} heap blocks; with one frame in place it \
-         takes its frames' block on top of the two keys of its wave (2.07 with two frames in \
-         place), so its budget is 3.1"
+         takes its frames' block, and the keys of its wave hold their parent in place (1.07), \
+         so its budget is 1.1"
     );
 }
 
 #[test]
-fn an_inner_token_on_sim_costs_three_blocks() {
+fn an_inner_token_on_sim_costs_one_block() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = EngineConfig {
         flow_window: 0,
@@ -332,9 +332,9 @@ fn an_inner_token_on_sim_costs_three_blocks() {
         2 * WAVES * PIECES
     );
     assert!(
-        per_token <= 3.05,
+        per_token <= 1.05,
         "an inner token on sim took {per_token:.2} heap blocks; with one frame in place it \
-         takes its frames' block on top of the two keys of its wave (2.01 with two frames in \
-         place), so its budget is 3.05"
+         takes its frames' block, and the keys of its wave hold their parent in place (1.01), \
+         so its budget is 1.05"
     );
 }

@@ -250,6 +250,35 @@ fn timeout_reports_deadlock_shape() {
     assert!(err.to_string().contains("timed out"));
 }
 
+/// Outputs and errors reach the driver on one channel, in the order they
+/// happened. An error that taking outputs meets is kept, and the next run
+/// that lacks outputs returns it; the one after that gets the outputs
+/// queued behind it.
+#[test]
+fn an_error_met_while_taking_outputs_fails_the_next_run() {
+    let mut eng = MtEngine::new(1);
+    let g = build(&mut eng, 1);
+    let app = eng.app("misrouted");
+    let main: ThreadCollection<()> = eng.thread_collection(app, "main", "node0").unwrap();
+    let mut b = GraphBuilder::new("misrouted");
+    let _ = b.leaf(&main, || ToThread(5), || Work);
+    let bad = eng.build_graph(b).unwrap();
+    assert_eq!(
+        run_sum(&mut eng, g, Box::new(Job { n: 3 })),
+        expected_sum(3)
+    );
+    // The entry routes on the submitting thread: the error is on the
+    // channel before the second job is.
+    eng.submit(bad, Box::new(Piece { i: 0, v: 1 })).unwrap();
+    eng.submit(g, Box::new(Job { n: 4 })).unwrap();
+    assert!(eng.take_outputs(g).is_empty());
+    let err = eng.run_to_idle(g, 1).unwrap_err();
+    assert!(matches!(err, DpsError::RouteOutOfRange { .. }), "{err}");
+    eng.run_to_idle(g, 1).unwrap();
+    let total = downcast::<Total>(eng.take_outputs(g).pop().unwrap()).unwrap();
+    assert_eq!(total.sum, expected_sum(4));
+}
+
 /// A node killed from *inside* a chunk, half-way through a 20 k-chunk
 /// self-scheduled loop (the graph of `dps_bench::dls::run_dls`, every ticket
 /// released at once): no sleep decides when, and every merge token behind the
@@ -313,10 +342,10 @@ fn a_scheduled_loop_survives_a_kill_fired_from_inside_a_chunk() {
         len: ITERS,
         step: 0,
     };
-    eng.submit(g, Box::new(range));
-    eng.wait_for_outputs(g, 1)
+    eng.submit(g, Box::new(range)).unwrap();
+    eng.run_to_idle(g, 1)
         .expect("a ticket routed to node1 as it died is routed once more");
-    let done = eng.drain_outputs(g).pop().expect("one RangeDone");
+    let done = eng.take_outputs(g).pop().expect("one RangeDone");
     let done = downcast::<RangeDone>(done).expect("a RangeDone");
     assert_eq!(done.iters, ITERS, "every iteration scheduled exactly once");
     assert_eq!(u64::from(done.chunks), ITERS, "one-iteration chunks");
@@ -480,8 +509,8 @@ mod served_elsewhere {
 
     impl Rig {
         fn one_total(&mut self, g: GraphHandle) -> u64 {
-            self.eng.wait_for_outputs(g, 1).unwrap();
-            let out = self.eng.drain_outputs(g).pop().expect("one output");
+            self.eng.run_to_idle(g, 1).unwrap();
+            let out = self.eng.take_outputs(g).pop().expect("one output");
             downcast::<Total>(out).unwrap().sum
         }
     }
@@ -513,29 +542,29 @@ mod served_elsewhere {
             let m = b.merge(main, || ToThread(0), Sum::default);
             b.add(s >> l >> m);
         });
-        rig.eng.submit(g, Box::new(Job { n: 4 }));
+        rig.eng.submit(g, Box::new(Job { n: 4 })).unwrap();
         let held: Vec<Foreign> = (0..4).map(|_| rig.node1.next()).collect();
         for _ in 0..4 {
             next(&taps);
         }
         // All four were sent and none was answered. The next routing
         // decision still finds them on thread 0.
-        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        rig.eng.submit(g, Box::new(Job { n: 1 })).unwrap();
         assert_eq!(next(&taps), Some(vec![4, 0]));
 
         for arrival in held.into_iter().chain([rig.node1.next()]) {
             let ran = rig.node1.serve(arrival);
             rig.node1.answer(ran);
         }
-        rig.eng.wait_for_outputs(g, 2).unwrap();
-        let mut sums: Vec<u64> = (rig.eng.drain_outputs(g).into_iter())
+        rig.eng.run_to_idle(g, 2).unwrap();
+        let mut sums: Vec<u64> = (rig.eng.take_outputs(g).into_iter())
             .map(|out| downcast::<Total>(out).unwrap().sum)
             .collect();
         sums.sort_unstable();
         assert_eq!(sums, [expected_sum(1), expected_sum(4)]);
 
         // Every reply was applied on this thread before `answer` returned.
-        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        rig.eng.submit(g, Box::new(Job { n: 1 })).unwrap();
         assert_eq!(next(&taps), Some(vec![0, 0]));
         rig.node1.serve_all(1);
         assert_eq!(rig.one_total(g), 0);
@@ -557,7 +586,7 @@ mod served_elsewhere {
             b.add(s >> e >> m);
             nodes = (e.id(), m.id());
         });
-        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        rig.eng.submit(g, Box::new(Job { n: 5 })).unwrap();
         let consumed: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
         assert!(consumed.iter().all(|a| a.to.node == nodes.0));
         let (wave, out_wave) = (consumed[0].env.top().unwrap().wave, consumed[0].out_wave);
@@ -595,7 +624,7 @@ mod served_elsewhere {
             b.add(s >> d >> e >> m);
             nodes = (e.id(), m.id());
         });
-        rig.eng.submit(g, Box::new(Job { n: 5 }));
+        rig.eng.submit(g, Box::new(Job { n: 5 })).unwrap();
         let arrived: Vec<Foreign> = (0..5).map(|_| rig.node1.next()).collect();
         assert!(arrived.iter().all(|a| a.to.node == nodes.0));
         assert!(
@@ -647,7 +676,7 @@ mod served_elsewhere {
                 }
                 eng.build_graph(b).unwrap()
             });
-            rig.eng.submit(g, Box::new(Job { n: 1 }));
+            rig.eng.submit(g, Box::new(Job { n: 1 })).unwrap();
             let arrival = rig.node1.next();
             assert_eq!((arrival.thread, arrival.to.node), (1, GNodeId(3)));
             let ran = rig.node1.serve(arrival);
@@ -658,7 +687,7 @@ mod served_elsewhere {
                 ran.reply
             );
             rig.node1.answer(ran);
-            let err = rig.eng.wait_for_outputs(g, 1).unwrap_err();
+            let err = rig.eng.run_to_idle(g, 1).unwrap_err();
             assert!(err.to_string().contains(said), "{err}");
         }
     }
@@ -687,7 +716,7 @@ mod served_elsewhere {
             let m = b.merge(main, || ToThread(0), Sum::default);
             b.add(s >> l >> m);
         });
-        rig.eng.submit(g, Box::new(Job { n: 1 }));
+        rig.eng.submit(g, Box::new(Job { n: 1 })).unwrap();
         let ran = rig.node1.serve(rig.node1.next());
         assert_eq!(ran.lane.2, 1);
         assert!(
@@ -724,7 +753,7 @@ mod served_elsewhere {
             let m = b.merge(main, || ToThread(0), Sum::default);
             b.add(s >> l >> m);
         });
-        rig.eng.submit(g, Box::new(Job { n: 2 }));
+        rig.eng.submit(g, Box::new(Job { n: 2 })).unwrap();
         let (first, second) = (rig.node1.next(), rig.node1.next());
         let lane = (second.to.app, second.tc, second.thread);
         rig.node1.serving.arrive(first);
@@ -740,7 +769,7 @@ mod served_elsewhere {
         );
         rig.node1.answer(ran);
         rig.node1.answer(failed);
-        let err = rig.eng.wait_for_outputs(g, 1).unwrap_err();
+        let err = rig.eng.run_to_idle(g, 1).unwrap_err();
         assert!(err.to_string().contains("did not decode"), "{err}");
     }
 

@@ -1093,9 +1093,9 @@ impl Master {
     fn run_to_idle(&mut self, g: GraphHandle, expected: usize) -> Result<()> {
         self.ensure_net_ready()?;
         self.run_seq += 1;
-        let run = self.mt.wait_for_outputs(g, expected);
+        let run = self.mt.run_to_idle(g, expected);
         let outs = match &run {
-            Ok(()) => self.mt.drain_outputs(g),
+            Ok(()) => self.mt.take_outputs(g),
             Err(_) => Vec::new(),
         };
         self.release(run.as_ref().err(), &outs);
@@ -1418,8 +1418,7 @@ impl dps_core::Engine for NetEngine {
         match &mut self.role {
             Role::Master(m) => {
                 m.ensure_net_ready()?;
-                m.mt.submit(graph, token);
-                Ok(())
+                m.mt.submit(graph, token)
             }
             Role::Worker(w) => {
                 // The master's matching submit injects the token; this SPMD

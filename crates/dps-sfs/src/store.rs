@@ -312,9 +312,10 @@ mod tests {
         b.add(s >> c >> m);
         let g = eng.build_graph(b).unwrap();
         let stripes = servers.thread_count() as u32;
-        eng.inject(g, ReadFileReq { file: 0, stripes }).unwrap();
+        eng.submit(g, Box::new(ReadFileReq { file: 0, stripes }))
+            .unwrap();
         eng.run_until_idle().unwrap();
-        let out = eng.take_outputs(g).pop().unwrap().1;
+        let out = eng.take_outputs(g).pop().unwrap();
         downcast::<FileData>(out).unwrap().data.into_vec()
     }
 
@@ -326,21 +327,22 @@ mod tests {
 
         let payload: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
         let stripes = payload.len().div_ceil(STRIPE_UNIT) as u32;
-        eng.inject(
+        eng.submit(
             wg,
-            WriteFileReq {
+            Box::new(WriteFileReq {
                 file: 7,
                 data: payload.clone().into(),
-            },
+            }),
         )
         .unwrap();
         eng.run_until_idle().unwrap();
-        let ack = downcast::<WriteAck>(eng.take_outputs(wg).pop().unwrap().1).unwrap();
+        let ack = downcast::<WriteAck>(eng.take_outputs(wg).pop().unwrap()).unwrap();
         assert_eq!(ack.stripes, stripes);
 
-        eng.inject(rg, ReadFileReq { file: 7, stripes }).unwrap();
+        eng.submit(rg, Box::new(ReadFileReq { file: 7, stripes }))
+            .unwrap();
         eng.run_until_idle().unwrap();
-        let fd = downcast::<FileData>(eng.take_outputs(rg).pop().unwrap().1).unwrap();
+        let fd = downcast::<FileData>(eng.take_outputs(rg).pop().unwrap()).unwrap();
         assert_eq!(fd.data.as_slice(), payload.as_slice());
     }
 
@@ -349,12 +351,12 @@ mod tests {
         let (mut eng, master, servers) = setup(4);
         let wg = build_write_graph(&mut eng, &master, &servers, None).unwrap();
         let payload = vec![0u8; STRIPE_UNIT * 8];
-        eng.inject(
+        eng.submit(
             wg,
-            WriteFileReq {
+            Box::new(WriteFileReq {
                 file: 1,
                 data: payload.into(),
-            },
+            }),
         )
         .unwrap();
         eng.run_until_idle().unwrap();
@@ -380,22 +382,22 @@ mod tests {
         let (mut eng, master, servers) = setup_on(eng, "node0", "node0");
         let wg = build_write_graph(&mut eng, &master, &servers, None).unwrap();
         let rg = build_read_graph(&mut eng, &master, &servers, None).unwrap();
-        eng.inject(
+        eng.submit(
             wg,
-            WriteFileReq {
+            Box::new(WriteFileReq {
                 file: 5,
                 data: vec![1u8; STRIPE_UNIT].into(),
-            },
+            }),
         )
         .unwrap();
         eng.run_until_idle().unwrap();
         let t0 = eng.now();
-        eng.inject(
+        eng.submit(
             rg,
-            ReadFileReq {
+            Box::new(ReadFileReq {
                 file: 5,
                 stripes: 1,
-            },
+            }),
         )
         .unwrap();
         eng.run_until_idle().unwrap();
@@ -410,16 +412,16 @@ mod tests {
     fn empty_file_write_is_handled() {
         let (mut eng, master, servers) = setup(2);
         let wg = build_write_graph(&mut eng, &master, &servers, None).unwrap();
-        eng.inject(
+        eng.submit(
             wg,
-            WriteFileReq {
+            Box::new(WriteFileReq {
                 file: 9,
                 data: Buffer::new(),
-            },
+            }),
         )
         .unwrap();
         eng.run_until_idle().unwrap();
-        let ack = downcast::<WriteAck>(eng.take_outputs(wg).pop().unwrap().1).unwrap();
+        let ack = downcast::<WriteAck>(eng.take_outputs(wg).pop().unwrap()).unwrap();
         assert_eq!(ack.stripes, 1, "placeholder stripe");
     }
 
@@ -432,23 +434,23 @@ mod tests {
             let wg = build_write_graph(&mut eng, &master, &servers, None).unwrap();
             let rg = build_read_graph(&mut eng, &master, &servers, None).unwrap();
             let payload = vec![7u8; STRIPE_UNIT * 16];
-            eng.inject(
+            eng.submit(
                 wg,
-                WriteFileReq {
+                Box::new(WriteFileReq {
                     file: 3,
                     data: payload.into(),
-                },
+                }),
             )
             .unwrap();
             eng.run_until_idle().unwrap();
             eng.take_outputs(wg);
             let t0 = eng.now();
-            eng.inject(
+            eng.submit(
                 rg,
-                ReadFileReq {
+                Box::new(ReadFileReq {
                     file: 3,
                     stripes: 16,
-                },
+                }),
             )
             .unwrap();
             eng.run_until_idle().unwrap();

@@ -80,9 +80,9 @@ fn build(
 
 fn serve(eng: &mut SimEngine, g: GraphHandle, requests: u32) -> (f64, u32) {
     let t0 = eng.now();
-    eng.inject(g, Demand { requests }).unwrap();
+    eng.submit(g, Box::new(Demand { requests })).unwrap();
     eng.run_until_idle().unwrap();
-    let served = downcast::<Served>(eng.take_outputs(g).pop().unwrap().1).unwrap();
+    let served = downcast::<Served>(eng.take_outputs(g).pop().unwrap()).unwrap();
     (eng.now().since(t0).as_secs_f64(), served.count)
 }
 

@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example lu_factorization`
 
 use dps::cluster::ClusterSpec;
-use dps::core::SimEngine;
+use dps::core::{Engine, SimEngine};
 use dps::linalg::parallel::lu::{run_lu, LuConfig};
 use dps::linalg::{blocked_lu, lu_residual, Matrix};
 use dps::obs::{Counter, TraceCollector};

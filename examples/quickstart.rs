@@ -107,20 +107,20 @@ fn main() {
     b.add(split >> upper >> merge);
     let graph = eng.build_graph(b).unwrap();
 
-    eng.inject(
+    eng.submit(
         graph,
-        StringToken {
+        Box::new(StringToken {
             str_: TEXT.to_string(),
-        },
+        }),
     )
     .unwrap();
     eng.run_until_idle().unwrap();
 
-    let outs = eng.take_outputs(graph);
-    let (at, tok) = outs.into_iter().next().expect("one output");
+    let tok = eng.take_outputs(graph).pop().expect("one output");
     let result = downcast::<StringToken>(tok).unwrap();
     println!("input : {TEXT}");
     println!("output: {}", result.str_);
+    let at = eng.now();
     println!("virtual time: {at} (includes lazy app-instance launches)");
     assert_eq!(result.str_, TEXT.to_uppercase());
 }

@@ -92,12 +92,12 @@ fn main() {
     const STRIPES: u32 = 8;
     for file in 0..6u64 {
         let data = vec![file as u8; STRIPES as usize * 64 * 1024];
-        eng.inject(
+        eng.submit(
             write,
-            WriteFileReq {
+            Box::new(WriteFileReq {
                 file,
                 data: data.into(),
-            },
+            }),
         )
         .unwrap();
     }
@@ -107,27 +107,27 @@ fn main() {
     // Two client applications on their own nodes, calling concurrently.
     let g1 = client(&mut eng, "client-A", "node0");
     let g2 = client(&mut eng, "client-B", "node1");
-    eng.inject(
+    eng.submit(
         g1,
-        Batch {
+        Box::new(Batch {
             files: vec![0, 2, 4].into(),
             stripes: STRIPES,
-        },
+        }),
     )
     .unwrap();
-    eng.inject(
+    eng.submit(
         g2,
-        Batch {
+        Box::new(Batch {
             files: vec![1, 3, 5].into(),
             stripes: STRIPES,
-        },
+        }),
     )
     .unwrap();
     let t0 = eng.now();
     eng.run_until_idle().unwrap();
 
     for (name, g) in [("client-A", g1), ("client-B", g2)] {
-        let done = downcast::<BatchDone>(eng.take_outputs(g).pop().unwrap().1).unwrap();
+        let done = downcast::<BatchDone>(eng.take_outputs(g).pop().unwrap()).unwrap();
         println!(
             "{name}: read {} files, {} bytes through the sfs.read parallel service",
             done.files, done.bytes

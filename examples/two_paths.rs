@@ -121,9 +121,9 @@ fn main() {
     b += node_op2 >> node_merge;
     let graph = eng.build_graph(b).unwrap();
 
-    eng.inject(graph, Request { items: 30 }).unwrap();
+    eng.submit(graph, Box::new(Request { items: 30 })).unwrap();
     eng.run_until_idle().unwrap();
-    let summary = downcast::<Summary>(eng.take_outputs(graph).pop().unwrap().1).unwrap();
+    let summary = downcast::<Summary>(eng.take_outputs(graph).pop().unwrap()).unwrap();
     println!(
         "items routed by type: {} small (MyOpOne), {} large (MyOpTwo), total weight {}",
         summary.small, summary.large, summary.weight

@@ -304,13 +304,13 @@ fn scheduled_life_wave_survives_fail_node() {
     let mut eng = SimEngine::new(ClusterSpec::paper_testbed(3));
     let life = setup_scheduled_life(&mut eng, &cfg, PolicyKind::Ss, &world).unwrap();
     let graph = life.step;
-    eng.inject(
+    eng.submit(
         graph,
-        IterRange {
+        Box::new(IterRange {
             start: 0,
             len: cfg.rows as u64,
             step: 0,
-        },
+        }),
     )
     .unwrap();
     // Advance partway into the wave, then kill node2 while chunks are
@@ -327,9 +327,8 @@ fn scheduled_life_wave_survives_fail_node() {
     );
     let outs = eng.take_outputs(graph);
     assert_eq!(outs.len(), 1, "the wave still commits exactly once");
-    let done =
-        dps::core::downcast::<dps::life::graphs::IterDone>(outs.into_iter().next().unwrap().1)
-            .unwrap();
+    let done = dps::core::downcast::<dps::life::graphs::IterDone>(outs.into_iter().next().unwrap())
+        .unwrap();
     let expect = world.step();
     let expect_pop: u64 = (0..cfg.rows)
         .map(|r| expect.row(r).iter().map(|&c| u64::from(c)).sum::<u64>())

@@ -109,11 +109,11 @@ proptest! {
         let m2 = b.merge(&main, || ToThread(0), OuterMerge::default);
         b.add(s1 >> s2 >> m1 >> m2);
         let g = eng.build_graph(b).unwrap();
-        eng.inject(g, Root { fan, inner }).unwrap();
+        eng.submit(g, Box::new(Root { fan, inner })).unwrap();
         eng.run_until_idle().unwrap();
         let outs = eng.take_outputs(g);
         prop_assert_eq!(outs.len(), 1);
-        let total = downcast::<TotalTok>(outs.into_iter().next().unwrap().1).unwrap();
+        let total = downcast::<TotalTok>(outs.into_iter().next().unwrap()).unwrap();
         prop_assert_eq!(total.count, u64::from(fan) * u64::from(inner));
     }
 
@@ -137,7 +137,7 @@ proptest! {
             let m2 = b.merge(&main, || ToThread(0), OuterMerge::default);
             b.add(s1 >> s2 >> m1 >> m2);
             let g = eng.build_graph(b).unwrap();
-            eng.inject(g, Root { fan, inner }).unwrap();
+            eng.submit(g, Box::new(Root { fan, inner })).unwrap();
             eng.run_until_idle().unwrap();
             eng.now().as_nanos()
         };

@@ -102,18 +102,18 @@ fn remote_pair_on_sim_engine() {
     cb.add(call >> work >> merge);
     let cg = eng.build_graph(cb).unwrap();
 
-    eng.inject(
+    eng.submit(
         cg,
-        FetchReq {
+        Box::new(FetchReq {
             base: 100,
             count: 25,
-        },
+        }),
     )
     .unwrap();
     eng.run_until_idle().unwrap();
     let out = eng.take_outputs(cg);
     assert_eq!(out.len(), 1);
-    let c = downcast::<Combined>(out.into_iter().next().unwrap().1).unwrap();
+    let c = downcast::<Combined>(out.into_iter().next().unwrap()).unwrap();
     assert_eq!(c.items, 25);
     assert_eq!(c.sum, expected(100, 25));
 }
@@ -234,7 +234,8 @@ fn serving_graph_cannot_run_standalone() {
     b.set_serving();
     let _ = b.split(&main, || ToThread(0), || ServeItems);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, FetchReq { base: 0, count: 3 }).unwrap();
+    eng.submit(g, Box::new(FetchReq { base: 0, count: 3 }))
+        .unwrap();
     let err = eng.run_until_idle().unwrap_err();
     assert!(err.to_string().contains("unmerged"), "{err}");
 }
@@ -259,15 +260,15 @@ fn large_remote_wave_is_not_flow_throttled() {
     let merge = cb.merge(&cmain, || ToThread(0), Combine::default);
     cb.add(call >> merge);
     let cg = eng.build_graph(cb).unwrap();
-    eng.inject(
+    eng.submit(
         cg,
-        FetchReq {
+        Box::new(FetchReq {
             base: 0,
             count: 500,
-        },
+        }),
     )
     .unwrap();
     eng.run_until_idle().unwrap();
-    let c = downcast::<Combined>(eng.take_outputs(cg).pop().unwrap().1).unwrap();
+    let c = downcast::<Combined>(eng.take_outputs(cg).pop().unwrap()).unwrap();
     assert_eq!(c.items, 500);
 }

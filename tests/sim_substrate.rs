@@ -140,7 +140,7 @@ fn marking_stream() -> u64 {
             let merge = b.merge(&main, || ToThread(0), Count::default);
             b.add(split >> leaf >> stream >> merge);
             let g = eng.build_graph(b).unwrap();
-            eng.inject(g, Batch { n: 12 }).unwrap();
+            eng.submit(g, Box::new(Batch { n: 12 })).unwrap();
             eng.run_until_idle().expect("marking stream");
             assert_eq!(eng.take_outputs(g).len(), 1);
         },
@@ -306,7 +306,7 @@ fn a_marked_leaf_that_posts_twice_fails_the_run() {
     let merge = b.merge(&main, || ToThread(0), Count::default);
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Batch { n: 4 }).unwrap();
+    eng.submit(g, Box::new(Batch { n: 4 })).unwrap();
     let (node, reason) = contract_reason(eng.run_until_idle().unwrap_err());
     assert_eq!(node, "TwoPosts");
     assert_eq!(
@@ -337,7 +337,7 @@ fn a_marked_stream_that_posts_nothing_fails_the_run_after_its_report() {
     let merge = b.merge(&main, || ToThread(0), Count::default);
     b.add(split >> stream >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Batch { n: 3 }).unwrap();
+    eng.submit(g, Box::new(Batch { n: 3 })).unwrap();
     let (node, reason) = contract_reason(eng.run_until_idle().unwrap_err());
     assert_eq!(node, "Silent");
     assert_eq!(reason, "stream operation posted no tokens across its wave");
@@ -389,13 +389,13 @@ fn a_delivery_waiting_for_a_dead_nodes_cpu_moves_off_it() {
     let merge = b.merge(&main, || ToThread(0), Count::default);
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Batch { n: 3 }).unwrap();
+    eng.submit(g, Box::new(Batch { n: 3 })).unwrap();
     eng.schedule_fail_node(SimTime(KILL), NodeId(1));
     eng.run_until_idle().unwrap();
 
     let out = eng.take_outputs(g);
     assert_eq!(out.len(), 1);
-    let (_, total) = out.into_iter().next().unwrap();
+    let total = out.into_iter().next().unwrap();
     assert_eq!(downcast::<Total>(total).unwrap().n, 3);
     let on_node1 = |thread: usize| thread > 0;
     let starts = log.lock().unwrap().clone();
@@ -431,12 +431,12 @@ fn a_round_robin_leaf_steps_past_every_thread_of_a_dead_node() {
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
     eng.fail_node(NodeId(1)).unwrap();
-    eng.inject(g, Batch { n: 3 }).unwrap();
+    eng.submit(g, Box::new(Batch { n: 3 })).unwrap();
     eng.run_until_idle().unwrap();
 
     let out = eng.take_outputs(g);
     assert_eq!(out.len(), 1);
-    let (_, total) = out.into_iter().next().unwrap();
+    let total = out.into_iter().next().unwrap();
     assert_eq!(downcast::<Total>(total).unwrap().n, 3);
     let threads: Vec<usize> = log.lock().unwrap().iter().map(|&(t, _)| t).collect();
     assert_eq!(threads, [0, 0, 0], "every item ran on node0");
@@ -460,7 +460,7 @@ fn starts_on(cpus: usize, workers: &str, items: u32) -> Vec<(usize, u64)> {
     let merge = b.merge(&main, || ToThread(0), Count::default);
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.inject(g, Batch { n: items }).unwrap();
+    eng.submit(g, Box::new(Batch { n: items })).unwrap();
     eng.run_until_idle().unwrap();
     assert_eq!(eng.queued_deliveries(), 0);
     let starts = log.lock().unwrap().clone();

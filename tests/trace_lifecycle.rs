@@ -302,8 +302,8 @@ fn two_collections_on_one_node_record_on_two_tracks() {
     let merge = b.merge(&master, || ToThread(0), Tally::default);
     b.add(split >> leaf >> merge);
     let g = eng.build_graph(b).unwrap();
-    eng.submit(g, Box::new(Batch { n: 200 }));
-    eng.wait_for_outputs(g, 1).unwrap();
+    eng.submit(g, Box::new(Batch { n: 200 })).unwrap();
+    eng.run_to_idle(g, 1).unwrap();
     eng.shutdown();
     let log = sink.take_log();
     let spans = op_spans(&log);
@@ -454,11 +454,11 @@ fn a_kill_is_recorded_once_on_every_engine() {
     let rig = doomed(&mut mt, Some(gate.clone()));
     let posted = rig.posted.expect("gated");
     assert!(gate.kill.set(mt.fail_handle()).is_ok());
-    mt.submit(rig.graph, batch());
-    mt.submit(posted, batch());
-    mt.wait_for_outputs(posted, 1).unwrap();
-    mt.wait_for_outputs(rig.graph, 1).unwrap();
-    completed(mt.drain_outputs(rig.graph));
+    mt.submit(rig.graph, batch()).unwrap();
+    mt.submit(posted, batch()).unwrap();
+    mt.run_to_idle(posted, 1).unwrap();
+    mt.run_to_idle(rig.graph, 1).unwrap();
+    completed(mt.take_outputs(rig.graph));
     let e = mt.fail_node(99).unwrap_err();
     assert!(matches!(e, DpsError::InvalidGraph { .. }), "{e}");
     mt.shutdown();
